@@ -1,6 +1,9 @@
 //! Simulator substrate throughput: events per second for message
 //! ping-pong and contended lock handoffs (keeps the experiment suite's
-//! wall-clock honest).
+//! wall-clock honest), and the two shapes a `Go` grant can take — back
+//! to the program that just yielded (no thread hop) and across to
+//! another program (one hop). Divide the last two rows by their grant
+//! counts for the per-grant figures in docs/PERF.md.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dsm_net::{
@@ -43,6 +46,39 @@ impl NodeBehavior for PingNode {
     }
 }
 
+/// Answers every op on the spot, so each op is one grant straight back
+/// to the program that issued it.
+struct NullNode;
+impl NodeBehavior for NullNode {
+    type Msg = M;
+    type Op = ();
+    type Reply = ();
+    fn on_message(&mut self, _: &mut Ctx<'_, Self>, _: NodeId, _: M) {}
+    fn on_op(&mut self, _: &mut Ctx<'_, Self>, _: ()) -> OpOutcome<()> {
+        OpOutcome::Done(())
+    }
+}
+
+/// One ping to the other node and back per op; with both programs at
+/// it in lockstep, consecutive grants alternate between the two.
+struct CrossNode;
+impl NodeBehavior for CrossNode {
+    type Msg = M;
+    type Op = ();
+    type Reply = ();
+    fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, from: NodeId, msg: M) {
+        match msg {
+            M::Ping(k) => ctx.send(from, M::Pong(k)),
+            M::Pong(_) => ctx.complete_op(()),
+        }
+    }
+    fn on_op(&mut self, ctx: &mut Ctx<'_, Self>, _: ()) -> OpOutcome<()> {
+        let peer = NodeId(1 - ctx.me().0);
+        ctx.send(peer, M::Ping(0));
+        OpOutcome::Blocked
+    }
+}
+
 fn bench_kernel(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim_kernel");
     group.sample_size(20);
@@ -77,6 +113,40 @@ fn bench_kernel(c: &mut Criterion) {
                 .collect();
             let res = Sim::new(nodes, CostModel::lan_1992()).run(programs);
             black_box(res.stats.total_msgs())
+        })
+    });
+
+    // 10_001 grants, none of which changes thread.
+    group.bench_function("null_op_x10000", |b| {
+        b.iter(|| {
+            let sim = Sim::new(vec![NullNode], CostModel::lan_1992());
+            let res = sim.run(vec![|h: &AppHandle<(), ()>| {
+                for _ in 0..10_000 {
+                    h.op(());
+                }
+            }]);
+            black_box(res.rendezvous)
+        })
+    });
+
+    // 2_002 grants, alternating between the two programs.
+    group.bench_function("cross_node_ping_pong_x2000", |b| {
+        b.iter(|| {
+            let sim = Sim::new(
+                vec![CrossNode, CrossNode],
+                CostModel::uniform(Dur::micros(5), 1),
+            );
+            let programs: Vec<_> = (0..2)
+                .map(|_| {
+                    |h: &AppHandle<(), ()>| {
+                        for _ in 0..1_000 {
+                            h.op(());
+                        }
+                    }
+                })
+                .collect();
+            let res = sim.run(programs);
+            black_box(res.rendezvous)
         })
     });
     group.finish();

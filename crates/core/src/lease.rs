@@ -1,12 +1,12 @@
 //! The hit fast path: a *lease* on the node's own frame memory.
 //!
-//! The kernel's `Go` grant carries a virtual-time budget (see
+//! A `Go` grant carries a virtual-time budget (see
 //! `dsm_net::AppHandle`). While that budget lasts, the application
-//! thread may service page hits entirely locally — no kernel
-//! rendezvous, no per-access heap event — by reading and writing the
+//! thread may service page hits entirely locally — no yield to the
+//! event loop, no per-access heap event — by reading and writing the
 //! node's frame table directly through this lease and charging the
 //! modeled access cost to the budget. Faults, sync operations, and
-//! budget exhaustion still yield to the kernel.
+//! budget exhaustion still yield.
 //!
 //! Under the sharded kernel the budget is additionally clamped to the
 //! current lookahead window's end (`Kernel::local_budget` takes the
@@ -16,14 +16,17 @@
 //!
 //! # Safety
 //!
-//! The lease and the kernel-side [`crate::DsmNode`] share one
-//! [`FrameTable`] through an [`UnsafeCell`]. This is sound because the
-//! driver enforces strict rendezvous: at any real-time instant either
-//! the kernel thread or exactly one application thread runs, and the
-//! floor is handed over through channels (which are synchronization
-//! edges). The app side touches the table only between receiving a
-//! `Go` and sending the next yield; the kernel side only outside that
-//! window. Neither side holds references across a handoff. Protocol
+//! The lease and the loop-side [`crate::DsmNode`] share one
+//! [`FrameTable`] through an [`UnsafeCell`]. This is sound by
+//! ownership: a shard's whole loop state — its nodes included — is one
+//! boxed value (the *floor*, `dsm_net`'s driver), only the thread that
+//! owns the box runs, and the box changes threads only through a
+//! channel (a synchronization edge). The program touches the table
+//! through its lease only while its `AppHandle` holds the box, between
+//! a grant and the next yield; protocol handlers touch it only from
+//! the event loop, which needs `&mut` access to the same box. So the
+//! two sides are never live at once, whichever thread either runs on,
+//! and neither holds references across a hand-off. Protocol
 //! downgrades (invalidations, write-protect) therefore publish to the
 //! lease automatically — the rights table *is* the frame table the
 //! protocol mutates.
@@ -38,7 +41,7 @@ use dsm_net::{AppHandle, CostModel};
 /// Shared ownership of one node's frame table (see module docs).
 pub(crate) struct FrameCell(UnsafeCell<FrameTable>);
 
-// SAFETY: accesses are serialized by the driver's rendezvous protocol;
+// SAFETY: accesses are serialized by ownership of the shard's floor;
 // see the module-level safety argument.
 unsafe impl Send for FrameCell {}
 unsafe impl Sync for FrameCell {}
@@ -95,7 +98,7 @@ impl Lease {
         if !self.budget_for(h, cost) {
             return false;
         }
-        // SAFETY: we hold the floor (between Go and the next yield).
+        // SAFETY: this thread owns the floor (between Go and the next yield).
         let ok = unsafe { (*self.frames.get()).try_read(addr, buf) };
         if ok {
             h.consume_local(cost);
@@ -120,7 +123,7 @@ impl Lease {
         if !self.budget_for(h, cost) {
             return false;
         }
-        // SAFETY: we hold the floor (between Go and the next yield).
+        // SAFETY: this thread owns the floor (between Go and the next yield).
         let ok = unsafe { (*self.frames.get()).try_write(addr, data) };
         if ok {
             h.consume_local(cost);

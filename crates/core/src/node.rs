@@ -16,12 +16,12 @@ use dsm_sync::{
 };
 
 /// Borrowed view of an application-thread read buffer carried inside a
-/// [`DsmOp`] — a raw pointer, so shipping the op to the kernel thread
+/// [`DsmOp`] — a raw pointer, so handing the op to the event loop
 /// copies 16 bytes instead of allocating.
 ///
-/// Soundness: [`dsm_net::AppHandle::op`] blocks the issuing program
-/// thread until the reply arrives, so the pointed-to buffer outlives
-/// the op and is never accessed concurrently. The kernel side touches
+/// Soundness: [`dsm_net::AppHandle::op`] does not return to the issuing
+/// program until the reply arrives, so the pointed-to buffer outlives
+/// the op and is never accessed concurrently. The loop side touches
 /// it only through [`Self::slice_mut`] while the op is in flight.
 #[derive(Debug)]
 pub struct OpBuf {
@@ -181,8 +181,8 @@ enum Pending {
 ///
 /// The frame table sits behind a shared [`FrameCell`] so the node's
 /// application thread can hold a [`crate::lease::Lease`] on it and
-/// service page hits without a kernel rendezvous. Kernel-side code
-/// accesses it through [`FrameCell::table`], one fresh borrow per call
+/// service page hits without yielding to the event loop. Node code
+/// accesses it through [`DsmNode::mem`], one fresh borrow per call
 /// site, never held across a floor handoff.
 pub struct DsmNode {
     me: NodeId,
@@ -297,12 +297,13 @@ impl DsmNode {
         Arc::clone(&self.frames)
     }
 
-    /// Kernel-side access to the frame table. Each call site takes a
+    /// Loop-side access to the frame table. Each call site takes a
     /// fresh borrow; see [`FrameCell`] for the aliasing argument.
     #[allow(clippy::mut_from_ref)]
     fn mem(frames: &FrameCell) -> &mut FrameTable {
-        // SAFETY: the kernel thread holds the floor whenever node code
-        // runs (rendezvous invariant, `crate::lease` module docs).
+        // SAFETY: node code runs only inside the event loop, on the
+        // thread that owns the shard's floor, while the node's program
+        // is parked without it (`crate::lease` module docs).
         unsafe { &mut *frames.get() }
     }
 

@@ -1,14 +1,32 @@
 //! The coroutine driver: runs one application program per node on its
-//! own OS thread, cooperatively scheduled by its kernel shard through
-//! rendezvous channels, and drives the sharded event loop to
-//! completion.
+//! own OS thread and drives the sharded event loop to completion — on
+//! those same threads. There is no kernel thread.
 //!
-//! Invariant: at any real-time instant, each kernel shard is either
-//! running itself or has handed the floor to exactly one of *its* app
-//! threads. Shards synchronize only at window barriers, where all
-//! cross-shard effects travel through canonically ordered inboxes (see
-//! [`crate::kernel`]), so runs are deterministic — and identical for
-//! any worker count — regardless of OS scheduling.
+//! **The floor is a value.** Each shard's whole loop state (its
+//! [`Kernel`], its node behaviors, ops awaiting their run-ahead charge,
+//! watchdog and window-widening state, and one wake-up sender per
+//! program) lives in one heap box, the [`Shard`], and whichever thread
+//! owns that box *is* the shard's one running actor. A program that
+//! yields (`AppHandle::op` / `advance` / `flush_local`, or returning)
+//! feeds its yield into the event loop itself and keeps running
+//! handlers, window barriers and consensus inline until some program
+//! must run next. If that program is itself, the call simply returns —
+//! no thread hop at all; otherwise the box is sent to the other
+//! program's wake-up channel and the sender parks — one hop. The
+//! shard's root thread (the caller's thread for shard 0) only starts
+//! the loop and waits for the box to come back with a [`ShardExit`].
+//! One exception, for memory and not for semantics: on a shard wider
+//! than [`MAX_LOOP_THREADS`] programs, program threads run their own
+//! turns and chains of `Resume`s only, and relay everything else to the
+//! root (see the constant for why).
+//!
+//! Invariant: at any real-time instant each shard's state is owned by
+//! exactly one thread, and a box only changes threads through a
+//! channel (a synchronization edge). Shards synchronize only at window
+//! barriers, where all cross-shard effects travel through canonically
+//! ordered inboxes (see [`crate::kernel`]), so runs are deterministic —
+//! and identical for any worker count — regardless of OS scheduling or
+//! of which thread happens to execute which event.
 //!
 //! The window protocol per shard, between two barrier pairs:
 //!
@@ -19,14 +37,16 @@
 //!    published statuses: finish, fail (deadlock / stall / event
 //!    budget), or open the next window
 //!    `[global_min, global_min + lookahead)`;
-//! 4. process own events strictly inside the window, rendezvousing
-//!    with own programs as they resume.
+//! 4. process own events strictly inside the window, granting the
+//!    floor to own programs as they resume.
 //!
-//! On failure verdicts every shard deposits a diagnostic fragment and
-//! shard 0 panics with the assembled per-node report, preserving the
-//! single-threaded kernel's panic messages. A panic anywhere else
-//! (e.g. in a node behavior) poisons the window barrier and is
-//! re-thrown from the caller's thread with its original payload.
+//! On failure verdicts every shard deposits a diagnostic fragment, the
+//! boxes return to their roots, and shard 0's root panics on the
+//! caller's thread with the assembled per-node report. A panic anywhere
+//! else — in a node behavior or inside a program — is caught on the
+//! thread that holds the floor, travels to the root with the box,
+//! poisons the window barrier and is re-thrown from the caller's thread
+//! with its original payload.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -44,7 +64,7 @@ use crate::stats::NetStats;
 use crate::time::{Dur, SimTime};
 use crate::transport::{Ctx, Transport};
 
-/// Kernel → program: "you have the floor at virtual time `time`, and
+/// Loop → program: "you have the floor at virtual time `time`, and
 /// may run ahead locally for up to `budget` of virtual time".
 struct Go<R> {
     time: SimTime,
@@ -52,9 +72,9 @@ struct Go<R> {
     budget: Dur,
 }
 
-/// Program → kernel: why the program stopped running. `elapsed` carries
+/// Program → loop: why the program stopped running. `elapsed` carries
 /// virtual time the program consumed locally (run-ahead under the
-/// granted budget) since its last rendezvous.
+/// granted budget) since its last grant.
 enum AppYield<Op> {
     /// Submit a DSM operation and wait for its reply. The op is
     /// dispatched at `grant time + elapsed`.
@@ -65,12 +85,31 @@ enum AppYield<Op> {
     Finished { elapsed: Dur },
 }
 
-type GoTx<R> = SyncSender<Go<R>>;
-type YieldRx<Op> = Receiver<AppYield<Op>>;
+/// A shard's loop state as a program sees it: type-erased over the
+/// node behavior, so [`AppHandle`] needs only the op and reply types.
+trait Floor<Op, Reply>: Send {
+    /// Feed local program `from`'s yield into the event loop and run it
+    /// until some program must run next. Returns the floor and the
+    /// grant if that program is `from` itself; otherwise the floor has
+    /// gone to another thread (the next program's, or the root's: the
+    /// shard is done, or it is wide and handlers are due) and `from`
+    /// must park on its wake-up channel.
+    fn drive(self: Box<Self>, from: usize, y: AppYield<Op>) -> Option<Wake<Op, Reply>>;
+
+    /// Program code panicked while holding the floor: return it to the
+    /// root with the payload.
+    fn abandon(self: Box<Self>, payload: PanicPayload);
+}
+
+type PanicPayload = Box<dyn Any + Send + 'static>;
+
+/// What travels through a program's wake-up channel: the floor itself
+/// and the grant to run under.
+type Wake<Op, Reply> = (Box<dyn Floor<Op, Reply>>, Go<Reply>);
 
 /// The application program's handle to the simulated machine. One per
-/// node; the program calls these methods and the kernel interleaves all
-/// programs deterministically in virtual time.
+/// node; the program calls these methods and the event loop interleaves
+/// all programs deterministically in virtual time.
 ///
 /// Virtual time as seen by the program is `base + used`: `base` is the
 /// kernel clock at the last `Go` grant and `used` is local run-ahead
@@ -78,15 +117,28 @@ type YieldRx<Op> = Receiver<AppYield<Op>>;
 /// accessors (`local_allows` / `consume_local` / `flush_local`) let a
 /// lease holder (see `dsm-core`) service page hits entirely on the app
 /// thread inside that window.
+///
+/// While the program runs, the handle owns its shard's floor; every
+/// yielding method drives the shard's event loop on the calling thread
+/// (see the module docs).
 pub struct AppHandle<Op, Reply> {
     node: NodeId,
     nnodes: u32,
-    go_rx: Receiver<Go<Reply>>,
-    yield_tx: SyncSender<AppYield<Op>>,
+    /// Index of this node within its shard.
+    local: usize,
+    wake_rx: Receiver<Wake<Op, Reply>>,
+    /// The shard's loop state, held from a grant to the next yield.
+    floor: Cell<Option<Box<dyn Floor<Op, Reply>>>>,
     base: Cell<SimTime>,
     used: Cell<Dur>,
     budget: Cell<Dur>,
 }
+
+/// Unwind payload of a parked program whose run ended without it (a
+/// failure verdict or a panic elsewhere dropped the floor). Raised with
+/// `resume_unwind`, so the panic hook stays quiet: the real report
+/// leaves from the caller's thread.
+struct FloorLost;
 
 impl<Op, Reply> AppHandle<Op, Reply> {
     /// This program's node id.
@@ -104,27 +156,42 @@ impl<Op, Reply> AppHandle<Op, Reply> {
         self.base.get() + self.used.get()
     }
 
-    fn recv_go(&self) -> Option<Reply> {
-        let go = self.go_rx.recv().expect("kernel hung up");
+    /// Take the floor and a grant: straight from the loop if it came
+    /// back to this program, else from the wake-up channel.
+    fn accept(&self, wake: Option<Wake<Op, Reply>>) -> Option<Reply> {
+        let (floor, go) = wake.unwrap_or_else(|| {
+            self.wake_rx
+                .recv()
+                .unwrap_or_else(|_| resume_unwind(Box::new(FloorLost)))
+        });
+        self.floor.set(Some(floor));
         self.base.set(go.time);
         self.used.set(Dur::ZERO);
         self.budget.set(go.budget);
         go.reply
     }
 
+    /// Stop running: drive the event loop with `y` until this program
+    /// is granted the floor again.
+    fn yield_now(&self, y: AppYield<Op>) -> Option<Reply> {
+        let floor = self
+            .floor
+            .take()
+            .expect("program yielded without the floor");
+        self.accept(floor.drive(self.local, y))
+    }
+
     /// Submit an operation to the local protocol and wait (in virtual
     /// time) for its reply. Any accumulated run-ahead is charged first:
-    /// the kernel dispatches the op at `base + elapsed`.
+    /// the op is dispatched at `base + elapsed`.
     pub fn op(&self, op: Op) -> Reply {
         let elapsed = self.used.replace(Dur::ZERO);
-        self.yield_tx
-            .send(AppYield::Op { op, elapsed })
-            .expect("kernel hung up");
-        self.recv_go().expect("op resumed without a reply")
+        self.yield_now(AppYield::Op { op, elapsed })
+            .expect("op resumed without a reply")
     }
 
     /// Model `d` of pure local computation. Accumulates locally while
-    /// the granted budget lasts; otherwise yields to the kernel.
+    /// the granted budget lasts; otherwise yields to the event loop.
     pub fn advance(&self, d: Dur) {
         if d == Dur::ZERO {
             return;
@@ -134,10 +201,7 @@ impl<Op, Reply> AppHandle<Op, Reply> {
             self.used.set(used + d);
             return;
         }
-        self.yield_tx
-            .send(AppYield::Advance(used + d))
-            .expect("kernel hung up");
-        let reply = self.recv_go();
+        let reply = self.yield_now(AppYield::Advance(used + d));
         debug_assert!(reply.is_none());
     }
 
@@ -157,32 +221,48 @@ impl<Op, Reply> AppHandle<Op, Reply> {
         self.used.set(self.used.get() + d);
     }
 
-    /// Yield accumulated run-ahead to the kernel and receive a fresh
-    /// budget grant. Returns `false` (doing nothing) if no time has
-    /// been consumed since the last grant — yielding then would be a
-    /// pure no-op rendezvous and could perturb event ordering.
+    /// Yield accumulated run-ahead to the event loop and receive a
+    /// fresh budget grant. Returns `false` (doing nothing) if no time
+    /// has been consumed since the last grant — yielding then would be
+    /// a pure no-op rendezvous and could perturb event ordering.
     pub fn flush_local(&self) -> bool {
         let used = self.used.get();
         if used == Dur::ZERO {
             return false;
         }
-        self.yield_tx
-            .send(AppYield::Advance(used))
-            .expect("kernel hung up");
-        let reply = self.recv_go();
+        let reply = self.yield_now(AppYield::Advance(used));
         debug_assert!(reply.is_none());
         true
     }
 
-    fn wait_first_go(&self) {
-        self.recv_go();
-    }
-
-    fn finish(&self) {
-        // The kernel may already have shut down if it panicked.
-        let _ = self.yield_tx.send(AppYield::Finished {
-            elapsed: self.used.get(),
-        });
+    /// Body of a program thread: wait for the first grant, run the
+    /// program, and pass the floor on — with the program's panic
+    /// payload if it panicked while holding it. `None` means the
+    /// program did not return normally.
+    fn run_program<V>(self, program: impl FnOnce(&Self) -> V) -> Option<V> {
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            self.accept(None);
+            program(&self)
+        }));
+        let floor = self.floor.take();
+        match (outcome, floor) {
+            (Ok(v), Some(floor)) => {
+                // Keep the loop going on this thread until the floor
+                // moves on; a finished program is never granted again.
+                let elapsed = self.used.get();
+                let back = floor.drive(self.local, AppYield::Finished { elapsed });
+                debug_assert!(back.is_none(), "finished program was granted the floor");
+                Some(v)
+            }
+            (Err(payload), Some(floor)) => {
+                floor.abandon(payload);
+                None
+            }
+            // Unwound without the floor (`FloorLost`, or a failed
+            // expectation after it): the run has already ended
+            // elsewhere and that end is what gets reported.
+            (_, None) => None,
+        }
     }
 }
 
@@ -197,10 +277,19 @@ pub struct RunResult<V> {
     /// Aggregate network traffic (merged across shards in shard
     /// order; identical for any worker count).
     pub stats: NetStats,
-    /// Kernel→program floor handoffs performed over the whole run. Each
-    /// is one rendezvous (two channel hops of real time); the batched
-    /// fault pipeline exists to shrink this number.
+    /// `Go` grants performed over the whole run: each is one rendezvous
+    /// of a program with the event loop. A grant costs real time only
+    /// when it moves the floor to another thread (see `handoffs`); the
+    /// batched fault pipeline exists to shrink this number.
     pub rendezvous: u64,
+    /// OS-thread floor transfers over the whole run, summed over
+    /// shards: a shard's box sent from its root to the first program,
+    /// from program to program, and back to the root at the end (and,
+    /// on shards wider than `MAX_LOOP_THREADS`, whenever handlers are
+    /// due). A grant to the program that ran last costs none. The same
+    /// for every run of one configuration, but unlike `rendezvous` it
+    /// is scheduling, not simulation: it depends on the worker count.
+    pub handoffs: u64,
     /// Per-node program return values.
     pub results: Vec<V>,
     /// Per-node end-of-run metric gauges
@@ -308,6 +397,7 @@ impl<N: NodeBehavior> Sim<N> {
     /// are reported.
     pub fn run<V, F>(self, programs: Vec<F>) -> RunResult<V>
     where
+        N: 'static,
         V: Send,
         F: FnOnce(&AppHandle<N::Op, N::Reply>) -> V + Send,
     {
@@ -325,134 +415,122 @@ impl<N: NodeBehavior> Sim<N> {
 
         let part = Partition::new(nnodes, workers.min(u32::MAX as usize) as u32);
         let workers = part.workers();
-        let lookahead = model.min_net_delay();
         let events = crate::kernel::new_event_counter();
 
-        let mut go_txs = Vec::with_capacity(nodes.len());
-        let mut yield_rxs = Vec::with_capacity(nodes.len());
-        let mut handles = Vec::with_capacity(nodes.len());
-        for i in 0..nodes.len() {
-            // Capacity 1 is enough: strict rendezvous means at most one
-            // message is ever in flight per channel.
-            let (go_tx, go_rx) = sync_channel::<Go<N::Reply>>(1);
-            let (yield_tx, yield_rx) = sync_channel::<AppYield<N::Op>>(1);
-            go_txs.push(go_tx);
-            yield_rxs.push(yield_rx);
-            handles.push(AppHandle {
-                node: NodeId(i as u32),
-                nnodes,
-                go_rx,
-                yield_tx,
-                base: Cell::new(SimTime::ZERO),
-                used: Cell::new(Dur::ZERO),
-                budget: Cell::new(Dur::ZERO),
+        // Window machinery shared by every shard's box.
+        let win = Arc::new(WindowShared {
+            inboxes: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
+            statuses: (0..workers)
+                .map(|_| Mutex::new(ShardStatus::default()))
+                .collect(),
+            diags: (0..workers).map(|_| Mutex::new(None)).collect(),
+            barrier: WindowBarrier::new(workers),
+            stall_window,
+            lookahead: model.min_net_delay(),
+        });
+        let stash: PanicStash = Mutex::new(None);
+
+        // One box per shard, built once here: contiguous node blocks,
+        // so shard order is node order.
+        let mut nodes = nodes.into_iter();
+        let mut handles = Vec::with_capacity(nnodes as usize);
+        let mut shards = Vec::with_capacity(workers);
+        for index in 0..workers {
+            let range = part.range(index);
+            let mut wake = Vec::with_capacity(range.len());
+            for (local, node) in range.clone().enumerate() {
+                // Capacity 1 is enough: a program is parked on its
+                // channel whenever the floor is sent to it.
+                let (wake_tx, wake_rx) = sync_channel(1);
+                wake.push(wake_tx);
+                handles.push(AppHandle {
+                    node: NodeId(node),
+                    nnodes,
+                    local,
+                    wake_rx,
+                    floor: Cell::new(None),
+                    base: Cell::new(SimTime::ZERO),
+                    used: Cell::new(Dur::ZERO),
+                    budget: Cell::new(Dur::ZERO),
+                });
+            }
+            let mut kernel = Kernel::new(part, index, model.clone(), Arc::clone(&events));
+            kernel.set_max_events(max_events);
+            kernel.set_local_quantum(local_quantum);
+            let (root_tx, root_rx) = sync_channel(1);
+            let shard = Box::new(Shard {
+                kernel,
+                nodes: nodes.by_ref().take(range.len()).collect(),
+                pending_ops: range.map(|_| None).collect(),
+                last_progress: SimTime::ZERO,
+                unfinished: wake.len(),
+                budget_hit: false,
+                widen: Widen {
+                    streak: 0,
+                    factor: 1,
+                },
+                admit_floor: SimTime::ZERO,
+                index,
+                win: Arc::clone(&win),
+                wake,
+                root: root_tx,
+                handoffs: 0,
             });
+            shards.push((shard, root_rx));
         }
 
-        let kernels: Vec<Kernel<N>> = (0..workers)
-            .map(|shard| {
-                let mut k = Kernel::new(part, shard, model.clone(), Arc::clone(&events));
-                k.set_max_events(max_events);
-                k.set_local_quantum(local_quantum);
-                k
-            })
-            .collect();
-        let shard_nodes = split_by_shard(nodes, part);
-        let shard_gtx = split_by_shard(go_txs, part);
-        let shard_yrx = split_by_shard(yield_rxs, part);
-
-        // Shared window machinery, borrowed by every shard thread.
-        let inboxes: Vec<Mutex<Vec<InTransit<N::Msg>>>> =
-            (0..workers).map(|_| Mutex::new(Vec::new())).collect();
-        let statuses: Vec<Mutex<ShardStatus>> = (0..workers)
-            .map(|_| Mutex::new(ShardStatus::default()))
-            .collect();
-        let diags: Vec<Mutex<Option<ShardDiag>>> = (0..workers).map(|_| Mutex::new(None)).collect();
-        let barrier = WindowBarrier::new(workers);
-        let stash: PanicStash = Mutex::new(None);
-        let win = WindowShared {
-            inboxes: &inboxes,
-            statuses: &statuses,
-            diags: &diags,
-            barrier: &barrier,
-            stall_window,
-            lookahead,
-        };
-
         std::thread::scope(|s| {
-            let mut joins = Vec::with_capacity(programs.len());
-            for (program, handle) in programs.into_iter().zip(handles) {
-                joins.push(s.spawn(move || {
-                    handle.wait_first_go();
-                    let v = program(&handle);
-                    handle.finish();
-                    v
-                }));
-            }
-
-            // Shard 0 runs on this thread so its failure reports (and
-            // any behavior panic payload) propagate to the caller
-            // unchanged; shards 1.. run on worker threads whose panics
-            // are stashed and re-thrown here.
-            let mut shard_iter = kernels
+            let joins: Vec<_> = programs
                 .into_iter()
-                .zip(shard_nodes)
-                .zip(shard_gtx)
-                .zip(shard_yrx);
-            let (((kernel0, nodes0), gtx0), yrx0) = shard_iter.next().expect("at least one shard");
-            let mut worker_joins = Vec::with_capacity(workers - 1);
-            for (w, (((kernel, nodes), gtx), yrx)) in shard_iter.enumerate() {
-                let shard = w + 1;
-                let stash = &stash;
-                worker_joins.push(s.spawn(move || {
-                    let exit = catch_unwind(AssertUnwindSafe(move || {
-                        run_shard(kernel, nodes, gtx, yrx, shard, win)
-                    }));
-                    match exit {
-                        Ok(ShardExit::Done { kernel, nodes }) => Some((*kernel, nodes)),
-                        Ok(_) => None,
-                        Err(payload) => {
+                .zip(handles)
+                .map(|(program, handle)| s.spawn(move || handle.run_program(program)))
+                .collect();
+
+            // Shard 0 is rooted on this thread so its failure reports
+            // (and any panic payload) leave from the caller's thread
+            // unchanged; shards 1.. are rooted on worker threads, which
+            // stash a panic payload and poison the barrier instead.
+            let mut shards = shards.into_iter();
+            let (shard0, root_rx0) = shards.next().expect("at least one shard");
+            let worker_joins: Vec<_> = shards
+                .map(|(shard, root_rx)| {
+                    let (stash, win) = (&stash, &win);
+                    s.spawn(move || match run_shard(shard, root_rx) {
+                        (shard, ShardExit::Done) => Some(shard),
+                        (_, ShardExit::Panicked(payload)) => {
                             stash_panic(stash, payload);
                             win.barrier.poison();
                             None
                         }
-                    }
-                }));
-            }
+                        (_, ShardExit::Fail { .. } | ShardExit::Poisoned) => None,
+                    })
+                })
+                .collect();
 
-            let exit = catch_unwind(AssertUnwindSafe(move || {
-                run_shard(kernel0, nodes0, gtx0, yrx0, 0, win)
-            }));
-            let shard0 = match exit {
-                Ok(ShardExit::Done { kernel, nodes }) => (*kernel, nodes),
-                Ok(ShardExit::Fail { verdict }) => {
+            let shard0 = match run_shard(shard0, root_rx0) {
+                (shard, ShardExit::Done) => shard,
+                (_, ShardExit::Fail { verdict }) => {
                     panic!(
                         "{}",
                         assemble_report(
                             &verdict,
-                            &diags,
+                            &win.diags,
                             events.load(Ordering::Relaxed),
                             max_events,
                             stall_window,
                         )
                     );
                 }
-                Ok(ShardExit::Poisoned) => {
+                (_, exit) => {
+                    if let ShardExit::Panicked(payload) = exit {
+                        stash_panic(&stash, payload);
+                        win.barrier.poison();
+                    }
                     let payload = stash
                         .lock()
                         .expect("panic stash poisoned")
                         .take()
                         .expect("poisoned barrier without a stashed panic");
-                    resume_unwind(payload);
-                }
-                Err(payload) => {
-                    stash_panic(&stash, payload);
-                    win.barrier.poison();
-                    let payload = stash
-                        .lock()
-                        .expect("panic stash poisoned")
-                        .take()
-                        .expect("stashed above");
                     resume_unwind(payload);
                 }
             };
@@ -466,18 +544,24 @@ impl<N: NodeBehavior> Sim<N> {
             }
             let results: Vec<V> = joins
                 .into_iter()
-                .map(|j| j.join().expect("program panicked"))
+                .map(|j| {
+                    j.join()
+                        .expect("program thread panicked")
+                        .expect("program did not return on a clean run")
+                })
                 .collect();
 
             let mut stats = NetStats::new();
             let mut rendezvous = 0u64;
+            let mut handoffs = 0u64;
             let mut finish_times = Vec::with_capacity(nnodes as usize);
             let mut gauges = Vec::with_capacity(nnodes as usize);
-            for (kernel, behaviors) in &shards {
-                stats.merge(&kernel.stats);
-                rendezvous += kernel.rendezvous;
-                finish_times.extend(kernel.app.iter().map(|slot| slot.finish_time));
-                gauges.extend(behaviors.iter().map(|n| n.gauges()));
+            for shard in &shards {
+                stats.merge(&shard.kernel.stats);
+                rendezvous += shard.kernel.rendezvous;
+                handoffs += shard.handoffs;
+                finish_times.extend(shard.kernel.app.iter().map(|slot| slot.finish_time));
+                gauges.extend(shard.nodes.iter().map(|n| n.gauges()));
             }
             let end_time = finish_times.iter().copied().max().unwrap_or(SimTime::ZERO);
             RunResult {
@@ -485,6 +569,7 @@ impl<N: NodeBehavior> Sim<N> {
                 finish_times,
                 stats,
                 rendezvous,
+                handoffs,
                 results,
                 gauges,
                 events: events.load(Ordering::Relaxed),
@@ -495,21 +580,11 @@ impl<N: NodeBehavior> Sim<N> {
     }
 }
 
-/// Distribute per-node values into per-shard vectors (node order within
-/// each shard).
-fn split_by_shard<T>(items: Vec<T>, part: Partition) -> Vec<Vec<T>> {
-    let mut out: Vec<Vec<T>> = (0..part.workers()).map(|_| Vec::new()).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        out[part.shard_of(NodeId(i as u32))].push(item);
-    }
-    out
-}
-
-type PanicStash = Mutex<Option<Box<dyn Any + Send + 'static>>>;
+type PanicStash = Mutex<Option<PanicPayload>>;
 
 /// Keep the first panic payload; later ones (cascading failures after
 /// the barrier is poisoned) are dropped.
-fn stash_panic(stash: &PanicStash, payload: Box<dyn Any + Send + 'static>) {
+fn stash_panic(stash: &PanicStash, payload: PanicPayload) {
     let mut slot = stash.lock().expect("panic stash poisoned");
     if slot.is_none() {
         *slot = Some(payload);
@@ -579,22 +654,15 @@ enum Verdict {
     Deadlock { t: SimTime },
 }
 
-/// References to the window machinery shared by all shards of one run.
-struct WindowShared<'a, M> {
-    inboxes: &'a [Mutex<Vec<InTransit<M>>>],
-    statuses: &'a [Mutex<ShardStatus>],
-    diags: &'a [Mutex<Option<ShardDiag>>],
-    barrier: &'a WindowBarrier,
+/// The window machinery shared by all shards of one run.
+struct WindowShared<M> {
+    inboxes: Vec<Mutex<Vec<InTransit<M>>>>,
+    statuses: Vec<Mutex<ShardStatus>>,
+    diags: Vec<Mutex<Option<ShardDiag>>>,
+    barrier: WindowBarrier,
     stall_window: Dur,
     lookahead: Dur,
 }
-
-impl<M> Clone for WindowShared<'_, M> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<M> Copy for WindowShared<'_, M> {}
 
 /// A reusable barrier that can be poisoned: when any shard panics, it
 /// poisons the barrier and every current and future waiter returns
@@ -656,32 +724,32 @@ impl WindowBarrier {
     }
 }
 
-/// How one shard's event loop ended.
-enum ShardExit<N: NodeBehavior> {
+/// How one shard's event loop ended. Travels to the shard's root
+/// together with the box.
+enum ShardExit {
     /// Clean finish: all shards agreed the run is complete.
-    Done {
-        kernel: Box<Kernel<N>>,
-        nodes: Vec<N>,
-    },
+    Done,
     /// Failure verdict: the diagnostic fragment has been deposited;
-    /// shard 0 assembles the report and panics.
+    /// shard 0's root assembles the report and panics.
     Fail { verdict: Verdict },
     /// The barrier was poisoned underneath us (another shard panicked).
     Poisoned,
+    /// A handler or a program panicked on the thread holding the floor.
+    Panicked(PanicPayload),
 }
 
 /// Aggregate the published shard statuses into the one verdict every
 /// shard must agree on. Reads happen strictly between barrier B and
 /// the next barrier A, so no shard can be rewriting a status slot
 /// concurrently.
-fn consensus<M>(win: &WindowShared<'_, M>, widen: &mut Widen) -> Verdict {
+fn consensus<M>(win: &WindowShared<M>, widen: &mut Widen) -> Verdict {
     let mut heap_min: Option<SimTime> = None;
     let mut unfinished = 0usize;
     let mut budget_hit = false;
     let mut last_progress = SimTime::ZERO;
     let mut now_max = SimTime::ZERO;
     let mut staged = 0u64;
-    for slot in win.statuses {
+    for slot in &win.statuses {
         let s = slot.lock().expect("status slot poisoned");
         heap_min = match (heap_min, s.heap_min) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -734,293 +802,463 @@ fn consensus<M>(win: &WindowShared<'_, M>, widen: &mut Widen) -> Verdict {
     }
 }
 
-/// One shard's event loop: the window protocol around the same
-/// dispatch core the single-threaded kernel ran.
-fn run_shard<N: NodeBehavior>(
-    mut kernel: Kernel<N>,
-    mut nodes: Vec<N>,
-    go_txs: Vec<GoTx<N::Reply>>,
-    yield_rxs: Vec<YieldRx<N::Op>>,
-    shard: usize,
-    win: WindowShared<'_, N::Msg>,
-) -> ShardExit<N> {
-    let lo = kernel.lo();
-    let nlocal = nodes.len();
+/// One shard's whole loop state — the floor. Built once, boxed, and
+/// owned by exactly one thread at a time: whoever holds the box runs
+/// the shard's event loop (see the module docs).
+struct Shard<N: NodeBehavior> {
+    kernel: Kernel<N>,
+    nodes: Vec<N>,
+    /// Ops whose locally accumulated time is still being charged: the
+    /// op dispatches when the matching Resume fires.
+    pending_ops: Vec<Option<N::Op>>,
+    /// Progress watchdog state: the virtual time of the last Resume
+    /// event for one of this shard's programs (ops completing, run-ahead
+    /// being charged, programs finishing — anything that is program
+    /// progress rather than protocol chatter). Published per window;
+    /// the consensus takes the max across shards.
+    last_progress: SimTime,
+    unfinished: usize,
+    budget_hit: bool,
+    /// Adaptive widening state (identical evolution on every shard).
+    widen: Widen,
+    /// The admission floor owed for messages staged in the window that
+    /// just ended: its end time when it was widened, else ZERO (no-op).
+    admit_floor: SimTime,
+    index: usize,
+    win: Arc<WindowShared<N::Msg>>,
+    /// Per-program wake-up senders, by local node index.
+    wake: Vec<SyncSender<Wake<N::Op, N::Reply>>>,
+    /// Where the box goes when the loop ends (or, on a wide shard,
+    /// when handlers are due).
+    root: SyncSender<Home<N>>,
+    /// Times this box changed threads.
+    handoffs: u64,
+}
 
-    // Protocol start hooks, then kick every owned program at t=0 in
-    // node order. Sends from on_start are staged and admitted at the
-    // first window boundary like any others.
-    for (i, node) in nodes.iter_mut().enumerate() {
-        let mut ctx = Ctx {
-            port: &mut kernel,
-            node: NodeId(lo + i as u32),
-        };
-        node.on_start(&mut ctx);
-    }
-    for i in 0..nlocal as u32 {
-        kernel.schedule(
-            SimTime::ZERO,
-            Event::Resume {
-                node: NodeId(lo + i),
-            },
-        );
-    }
+/// What travels to a shard's root: the floor, and why it came home
+/// (a relay or an exit, never a grant).
+type Home<N> = (Box<Shard<N>>, Step<<N as NodeBehavior>::Reply>);
 
-    // Ops whose locally accumulated time is still being charged: the
-    // op dispatches when the matching Resume fires.
-    let mut pending_ops: Vec<Option<N::Op>> = (0..nlocal).map(|_| None).collect();
-    // Progress watchdog state: the virtual time of the last Resume
-    // event for one of this shard's programs (ops completing, run-ahead
-    // being charged, programs finishing — anything that is program
-    // progress rather than protocol chatter). Published per window;
-    // the consensus takes the max across shards.
-    let mut last_progress = SimTime::ZERO;
-    let mut unfinished = nlocal;
-    let mut budget_hit = false;
-    // Adaptive widening state (identical evolution on every shard) and
-    // the admission floor owed for messages staged in the window that
-    // just ended: its end time when it was widened, else ZERO (no-op).
-    let mut widen = Widen {
-        streak: 0,
-        factor: 1,
-    };
-    let mut floor = SimTime::ZERO;
+/// Where a program's turn stands (see [`Shard::turn`]).
+enum Turn<Op, R> {
+    /// The program gets the floor, with the reply it waits for (if any).
+    Grant(Option<R>),
+    /// The program stopped running.
+    Yield(AppYield<Op>),
+    /// An op whose run-ahead has been charged is due for dispatch.
+    Dispatch(Op),
+}
 
+/// How a thread enters the event loop (see [`Shard::run`]).
+enum Entry<Op> {
+    /// The root's first entry: start the shard.
+    Start,
+    /// Local program `.0` stopped running, on its own thread.
+    Yield(usize, AppYield<Op>),
+    /// The root again: a program thread of a wide shard relayed the
+    /// floor for the handlers it does not run itself.
+    Relayed,
+}
+
+/// What the event loop needs next from whoever holds the box.
+enum Step<R> {
+    /// Local program `to` must run under `go`.
+    Grant { to: usize, go: Go<R> },
+    /// Handlers are due that only the root runs (wide shards).
+    Relay,
+    /// The loop is over.
+    Exit(ShardExit),
+}
+
+/// Widest shard, in programs, whose program threads run the whole event
+/// loop. Protocol handlers allocate, and glibc gives every thread its
+/// own allocation cache and one of a few arenas that do not share free
+/// memory: with handlers running on hundreds of threads the resident
+/// set grows far beyond what is live (lrc SOR on one shard, peak RSS
+/// over the kernel-thread driver: +3 % at 16 nodes, +11 % at 32, +33 %
+/// at 128, +53 % at 512). Past this width a program thread still runs
+/// its own turn and any chain of `Resume`s inline, but relays the floor
+/// to the shard's root for message, timer and fault handlers and for
+/// window boundaries — the root's one arena then serves all of them,
+/// as the kernel thread's did. Same events in the same order either
+/// way; only the thread differs.
+const MAX_LOOP_THREADS: usize = 32;
+
+/// Root side of one shard: start its event loop and, whenever the box
+/// comes back, either run the handlers a wide shard relayed or return
+/// with the loop's exit.
+fn run_shard<N: NodeBehavior + 'static>(
+    mut shard: Box<Shard<N>>,
+    root_rx: Receiver<Home<N>>,
+) -> (Box<Shard<N>>, ShardExit) {
+    let mut step = shard.step(Entry::Start);
     loop {
-        // Window boundary. Flush staged sends so every inbox holds the
-        // complete traffic of the window that just ended...
-        let staged = kernel.flush_outgoing(win.inboxes);
+        match step {
+            Step::Exit(exit) => return (shard, exit),
+            Step::Relay => step = shard.step(Entry::Relayed),
+            grant => {
+                shard.pass(grant);
+                (shard, step) = root_rx.recv().expect("the floor never came back");
+            }
+        }
+    }
+}
+
+impl<N: NodeBehavior + 'static> Floor<N::Op, N::Reply> for Shard<N> {
+    fn drive(
+        mut self: Box<Self>,
+        from: usize,
+        y: AppYield<N::Op>,
+    ) -> Option<Wake<N::Op, N::Reply>> {
+        match self.step(Entry::Yield(from, y)) {
+            Step::Grant { to, go } if to == from => Some((self, go)),
+            step => {
+                self.pass(step);
+                None
+            }
+        }
+    }
+
+    fn abandon(self: Box<Self>, payload: PanicPayload) {
+        self.pass(Step::Exit(ShardExit::Panicked(payload)));
+    }
+}
+
+impl<N: NodeBehavior + 'static> Shard<N> {
+    /// Run the event loop to its next [`Step`], turning a panic inside
+    /// it (a handler's, say) into an exit that carries the payload.
+    fn step(&mut self, entry: Entry<N::Op>) -> Step<N::Reply> {
+        catch_unwind(AssertUnwindSafe(|| self.run(entry)))
+            .unwrap_or_else(|payload| Step::Exit(ShardExit::Panicked(payload)))
+    }
+
+    /// Send the box to the thread `step` names: one OS-thread hop.
+    fn pass(mut self: Box<Self>, step: Step<N::Reply>) {
+        self.handoffs += 1;
+        match step {
+            Step::Grant { to, go } => {
+                let wake = self.wake[to].clone();
+                if wake.send((self, go)).is_err() {
+                    panic!("program thread died");
+                }
+            }
+            home => {
+                let root = self.root.clone();
+                // The root only stops listening once it has the box
+                // and an exit.
+                let _ = root.send((self, home));
+            }
+        }
+    }
+
+    /// The event loop: the window protocol around the dispatch core.
+    /// Every entry falls into the same loop body and pops the same
+    /// events in the same order, whichever threads the entries come
+    /// from; a program thread of a wide shard merely stops (and relays)
+    /// where the next step is not a `Resume`.
+    fn run(&mut self, entry: Entry<N::Op>) -> Step<N::Reply> {
+        // The root runs everything; a program thread runs its own turn
+        // and then, on a wide shard, `Resume`s only.
+        let handlers_here = match entry {
+            Entry::Start => {
+                self.start();
+                true
+            }
+            Entry::Relayed => true,
+            Entry::Yield(i, y) => {
+                if let Some(go) = self.turn(i, Turn::Yield(y)) {
+                    return Step::Grant { to: i, go };
+                }
+                self.wake.len() <= MAX_LOOP_THREADS
+            }
+        };
+        loop {
+            // Process this shard's slice of the window (empty until
+            // the first boundary opens one).
+            while !self.budget_hit && (handlers_here || self.kernel.resume_is_next()) {
+                let Some((t, event)) = self.kernel.pop_in_window() else {
+                    break;
+                };
+                if self.kernel.over_event_budget() {
+                    self.budget_hit = true;
+                    break;
+                }
+                if let Some((to, go)) = self.dispatch(t, event) {
+                    return Step::Grant { to, go };
+                }
+            }
+            if !handlers_here {
+                return Step::Relay;
+            }
+            match self.window_boundary() {
+                Ok(window_end) => {
+                    self.kernel.set_window_end(window_end);
+                    self.admit_floor = if self.widen.factor > 1 {
+                        window_end
+                    } else {
+                        SimTime::ZERO
+                    };
+                }
+                Err(exit) => return Step::Exit(exit),
+            }
+        }
+    }
+
+    /// Protocol start hooks, then kick every owned program at t=0 in
+    /// node order. Sends from on_start are staged and admitted at the
+    /// first window boundary like any others.
+    fn start(&mut self) {
+        let lo = self.kernel.lo();
+        for (i, node) in self.nodes.iter_mut().enumerate() {
+            let mut ctx = Ctx {
+                port: &mut self.kernel,
+                node: NodeId(lo + i as u32),
+            };
+            node.on_start(&mut ctx);
+        }
+        for i in 0..self.nodes.len() as u32 {
+            self.kernel.schedule(
+                SimTime::ZERO,
+                Event::Resume {
+                    node: NodeId(lo + i),
+                },
+            );
+        }
+    }
+
+    /// Cross a window boundary: both barriers and the consensus.
+    /// Returns the end of the next window, or how the loop ended.
+    fn window_boundary(&mut self) -> Result<SimTime, ShardExit> {
+        let win = &*self.win;
+        // Flush staged sends so every inbox holds the complete traffic
+        // of the window that just ended...
+        let staged = self.kernel.flush_outgoing(&win.inboxes);
         if win.barrier.wait().is_err() {
-            return ShardExit::Poisoned;
+            return Err(ShardExit::Poisoned);
         }
         // ...then drain own inbox in canonical order and publish where
         // this shard stands.
-        let batch = std::mem::take(&mut *win.inboxes[shard].lock().expect("inbox poisoned"));
-        kernel.admit(batch, floor);
-        *win.statuses[shard].lock().expect("status slot poisoned") = ShardStatus {
-            heap_min: kernel.heap_min(),
-            now: kernel.now(),
-            last_progress,
-            unfinished,
-            budget_hit,
+        let batch = std::mem::take(&mut *win.inboxes[self.index].lock().expect("inbox poisoned"));
+        self.kernel.admit(batch, self.admit_floor);
+        *win.statuses[self.index]
+            .lock()
+            .expect("status slot poisoned") = ShardStatus {
+            heap_min: self.kernel.heap_min(),
+            now: self.kernel.now(),
+            last_progress: self.last_progress,
+            unfinished: self.unfinished,
+            budget_hit: self.budget_hit,
             staged,
         };
         if win.barrier.wait().is_err() {
-            return ShardExit::Poisoned;
+            return Err(ShardExit::Poisoned);
         }
-        let window_end = match consensus(&win, &mut widen) {
-            Verdict::Continue(w) => w,
-            Verdict::Done => {
-                return ShardExit::Done {
-                    kernel: Box::new(kernel),
-                    nodes,
-                }
-            }
+        match consensus(win, &mut self.widen) {
+            Verdict::Continue(window_end) => Ok(window_end),
+            Verdict::Done => Err(ShardExit::Done),
             verdict => {
-                *win.diags[shard].lock().expect("diag slot poisoned") =
-                    Some(make_diag(&kernel, &nodes));
+                *win.diags[self.index].lock().expect("diag slot poisoned") =
+                    Some(make_diag(&self.kernel, &self.nodes));
                 // Barrier C: all fragments must be deposited before
                 // shard 0 assembles the report. Poisoning here means
                 // some shard died instead — proceed; the report
                 // tolerates missing fragments.
                 let _ = win.barrier.wait();
-                return ShardExit::Fail { verdict };
+                Err(ShardExit::Fail { verdict })
             }
-        };
-        kernel.set_window_end(window_end);
-        floor = if widen.factor > 1 {
-            window_end
-        } else {
-            SimTime::ZERO
-        };
+        }
+    }
 
-        // Process this shard's slice of the window.
-        while let Some((t, event)) = kernel.pop_in_window() {
-            if kernel.over_event_budget() {
-                budget_hit = true;
-                break;
-            }
-            match event {
-                Event::Deliver { src, dst, msg, nic } => {
-                    if kernel.node_down(dst) {
-                        // The destination's volatile state is gone: the
-                        // frame dies at the dead host's NIC.
-                        kernel.note_crash_dropped();
-                        continue;
-                    }
-                    let mut ctx = Ctx {
-                        port: &mut kernel,
-                        node: dst,
-                    };
-                    let node = &mut nodes[(dst.0 - lo) as usize];
-                    if nic {
-                        node.on_nic(&mut ctx, src, msg);
-                    } else {
-                        node.on_message(&mut ctx, src, msg);
-                    }
+    /// Run one popped event. Returns the local program to grant the
+    /// floor to, if the event ends in one.
+    fn dispatch(&mut self, t: SimTime, event: Event<N::Msg>) -> Option<(usize, Go<N::Reply>)> {
+        let kernel = &mut self.kernel;
+        let nodes = &mut self.nodes;
+        let lo = kernel.lo();
+        match event {
+            Event::Deliver { src, dst, msg, nic } => {
+                if kernel.node_down(dst) {
+                    // The destination's volatile state is gone: the
+                    // frame dies at the dead host's NIC.
+                    kernel.note_crash_dropped();
+                    return None;
                 }
-                Event::Timer { node, token } => {
-                    if kernel.node_down(node) {
-                        kernel.note_crash_dropped();
-                        continue;
+                let mut ctx = Ctx {
+                    port: kernel,
+                    node: dst,
+                };
+                let node = &mut nodes[(dst.0 - lo) as usize];
+                if nic {
+                    node.on_nic(&mut ctx, src, msg);
+                } else {
+                    node.on_message(&mut ctx, src, msg);
+                }
+            }
+            Event::Timer { node, token } => {
+                if kernel.node_down(node) {
+                    kernel.note_crash_dropped();
+                    return None;
+                }
+                let mut ctx = Ctx { port: kernel, node };
+                nodes[(node.0 - lo) as usize].on_timer(&mut ctx, token);
+            }
+            Event::Fault { node, change } => {
+                kernel.apply_fault(node, change);
+                let i = (node.0 - lo) as usize;
+                let notice = match change {
+                    FaultChange::SelfCrash { .. } => FaultNotice::Crashed,
+                    FaultChange::SelfRecover => FaultNotice::Recovered,
+                    FaultChange::PeerDown { peer, permanent } => {
+                        FaultNotice::PeerDown { peer, permanent }
                     }
+                    FaultChange::PeerUp(p) => FaultNotice::PeerUp(p),
+                };
+                {
                     let mut ctx = Ctx {
-                        port: &mut kernel,
+                        port: &mut *kernel,
                         node,
                     };
-                    nodes[(node.0 - lo) as usize].on_timer(&mut ctx, token);
+                    nodes[i].on_fault(&mut ctx, notice);
                 }
-                Event::Fault { node, change } => {
-                    kernel.apply_fault(node, change);
-                    let i = (node.0 - lo) as usize;
-                    let notice = match change {
-                        FaultChange::SelfCrash { .. } => FaultNotice::Crashed,
-                        FaultChange::SelfRecover => FaultNotice::Recovered,
-                        FaultChange::PeerDown { peer, permanent } => {
-                            FaultNotice::PeerDown { peer, permanent }
-                        }
-                        FaultChange::PeerUp(p) => FaultNotice::PeerUp(p),
-                    };
+                match change {
+                    // No recovery is coming: a program parked on an
+                    // op would wedge the whole run, so resume it as
+                    // a zombie that runs out of script at the crash
+                    // instant (see `turn`).
+                    FaultChange::SelfCrash { permanent: true }
+                        if kernel.op_awaiting_reply(node) =>
                     {
-                        let mut ctx = Ctx {
-                            port: &mut kernel,
-                            node,
-                        };
-                        nodes[i].on_fault(&mut ctx, notice);
+                        let r = nodes[i].crashed_reply().unwrap_or_else(|| {
+                            panic!(
+                                "{node} crashed permanently while parked on an op, \
+                                 but its behavior provides no crashed_reply"
+                            )
+                        });
+                        kernel.complete_op_after(node, r, Dur::ZERO);
                     }
-                    match change {
-                        // No recovery is coming: a program parked on an
-                        // op would wedge the whole run, so resume it as
-                        // a zombie that runs out of script at the crash
-                        // instant (see the Resume arm).
-                        FaultChange::SelfCrash { permanent: true }
-                            if kernel.op_awaiting_reply(node) =>
-                        {
-                            let r = nodes[i].crashed_reply().unwrap_or_else(|| {
-                                panic!(
-                                    "{node} crashed permanently while parked on an op, \
-                                     but its behavior provides no crashed_reply"
-                                )
-                            });
-                            kernel.complete_op_after(node, r, Dur::ZERO);
-                        }
-                        // Re-grant the floor the crash swallowed.
-                        FaultChange::SelfRecover if kernel.take_resume_dropped(node) => {
-                            kernel.schedule(t, Event::Resume { node });
-                        }
-                        _ => {}
+                    // Re-grant the floor the crash swallowed.
+                    FaultChange::SelfRecover if kernel.take_resume_dropped(node) => {
+                        kernel.schedule(t, Event::Resume { node });
+                    }
+                    _ => {}
+                }
+            }
+            Event::Resume { node } => {
+                if kernel.node_down(node) && !kernel.node_dead(node) {
+                    // Frozen across a crash window: the program
+                    // keeps its stack but loses the floor until
+                    // recovery re-grants it.
+                    kernel.note_resume_dropped(node);
+                    return None;
+                }
+                self.last_progress = t;
+                let i = (node.0 - lo) as usize;
+                if kernel.app[i].finished {
+                    return None;
+                }
+                let reply = kernel.app[i].pending_reply.take();
+                let turn = match self.pending_ops[i].take() {
+                    Some(op) => {
+                        debug_assert!(reply.is_none(), "reply pending beside an unsent op");
+                        Turn::Dispatch(op)
+                    }
+                    None => Turn::Grant(reply),
+                };
+                return self.turn(i, turn).map(|go| (i, go));
+            }
+        }
+        None
+    }
+
+    /// Advance local program `i`'s turn until it either must run (the
+    /// grant is returned; its yield re-enters here through
+    /// [`Shard::run`]) or is parked on the event queue. Keeps the
+    /// program running while its ops complete with zero cost at this
+    /// instant.
+    fn turn(&mut self, i: usize, mut turn: Turn<N::Op, N::Reply>) -> Option<Go<N::Reply>> {
+        let kernel = &mut self.kernel;
+        let node = NodeId(kernel.lo() + i as u32);
+        // Stable across a grant: nothing runs on this shard while the
+        // program holds the floor.
+        let dead = kernel.node_dead(node);
+        loop {
+            let op = match turn {
+                Turn::Grant(reply) => {
+                    kernel.rendezvous += 1;
+                    return Some(Go {
+                        time: kernel.now(),
+                        reply,
+                        budget: kernel.local_budget(node),
+                    });
+                }
+                Turn::Dispatch(op) => op,
+                // Zombies pay no virtual time: the node's timeline ends
+                // at the crash.
+                Turn::Yield(AppYield::Op { op, elapsed }) => {
+                    if elapsed == Dur::ZERO || dead {
+                        op
+                    } else {
+                        // Charge the run-ahead first; the op dispatches
+                        // when this Resume fires.
+                        self.pending_ops[i] = Some(op);
+                        let at = kernel.now() + elapsed;
+                        kernel.schedule(at, Event::Resume { node });
+                        return None;
                     }
                 }
-                Event::Resume { node } => {
-                    if kernel.node_down(node) && !kernel.node_dead(node) {
-                        // Frozen across a crash window: the program
-                        // keeps its stack but loses the floor until
-                        // recovery re-grants it.
-                        kernel.note_resume_dropped(node);
-                        continue;
+                Turn::Yield(AppYield::Advance(d)) => {
+                    let at = if dead { kernel.now() } else { kernel.now() + d };
+                    kernel.schedule(at, Event::Resume { node });
+                    return None;
+                }
+                Turn::Yield(AppYield::Finished { elapsed }) => {
+                    kernel.app[i].finished = true;
+                    kernel.app[i].finish_time = if dead {
+                        kernel.now()
+                    } else {
+                        kernel.now() + elapsed
+                    };
+                    self.unfinished -= 1;
+                    return None;
+                }
+            };
+            if dead {
+                // Ops from a zombie never reach the behavior: complete
+                // immediately with the canned crash reply.
+                turn = Turn::Grant(Some(self.nodes[i].crashed_reply().unwrap_or_else(|| {
+                    panic!(
+                        "{node} crashed permanently but its behavior \
+                         provides no crashed_reply"
+                    )
+                })));
+                continue;
+            }
+            kernel.app[i].in_op = true;
+            let outcome = {
+                let mut ctx = Ctx {
+                    port: &mut *kernel,
+                    node,
+                };
+                self.nodes[i].on_op(&mut ctx, op)
+            };
+            kernel.app[i].in_op = false;
+            match outcome {
+                OpOutcome::Done(r) => turn = Turn::Grant(Some(r)),
+                OpOutcome::DoneAfter(r, d) => {
+                    kernel.app[i].pending_reply = Some(r);
+                    let at = kernel.now() + d;
+                    kernel.schedule(at, Event::Resume { node });
+                    return None;
+                }
+                OpOutcome::Blocked => {
+                    // The op handler may complete synchronously via
+                    // complete_op (e.g. colocated manager), in which
+                    // case blocked is already false and a Resume is
+                    // queued.
+                    if kernel.app[i].pending_reply.is_none() {
+                        kernel.app[i].blocked = true;
                     }
-                    last_progress = t;
-                    let i = (node.0 - lo) as usize;
-                    if kernel.app[i].finished {
-                        continue;
-                    }
-                    let dead = kernel.node_dead(node);
-                    let mut reply = kernel.app[i].pending_reply.take();
-                    let mut next_op = pending_ops[i].take();
-                    // Inner loop: keep the program running while its
-                    // ops complete with zero cost at this instant.
-                    loop {
-                        let op = match next_op.take() {
-                            Some(op) => op,
-                            None => {
-                                let budget = kernel.local_budget(node);
-                                kernel.rendezvous += 1;
-                                go_txs[i]
-                                    .send(Go {
-                                        time: kernel.now(),
-                                        reply: reply.take(),
-                                        budget,
-                                    })
-                                    .expect("program thread died");
-                                match yield_rxs[i].recv().expect("program thread died") {
-                                    AppYield::Op { op, elapsed } => {
-                                        // Zombies pay no virtual time:
-                                        // the node's timeline ends at
-                                        // the crash.
-                                        if elapsed == Dur::ZERO || dead {
-                                            op
-                                        } else {
-                                            // Charge the run-ahead first;
-                                            // the op dispatches when this
-                                            // Resume fires.
-                                            pending_ops[i] = Some(op);
-                                            let at = kernel.now() + elapsed;
-                                            kernel.schedule(at, Event::Resume { node });
-                                            break;
-                                        }
-                                    }
-                                    AppYield::Advance(d) => {
-                                        let at = if dead { kernel.now() } else { kernel.now() + d };
-                                        kernel.schedule(at, Event::Resume { node });
-                                        break;
-                                    }
-                                    AppYield::Finished { elapsed } => {
-                                        kernel.app[i].finished = true;
-                                        kernel.app[i].finish_time = if dead {
-                                            kernel.now()
-                                        } else {
-                                            kernel.now() + elapsed
-                                        };
-                                        unfinished -= 1;
-                                        break;
-                                    }
-                                }
-                            }
-                        };
-                        if dead {
-                            // Ops from a zombie never reach the
-                            // behavior: complete immediately with the
-                            // canned crash reply.
-                            reply = Some(nodes[i].crashed_reply().unwrap_or_else(|| {
-                                panic!(
-                                    "{node} crashed permanently but its behavior \
-                                     provides no crashed_reply"
-                                )
-                            }));
-                            continue;
-                        }
-                        kernel.app[i].in_op = true;
-                        let outcome = {
-                            let mut ctx = Ctx {
-                                port: &mut kernel,
-                                node,
-                            };
-                            nodes[i].on_op(&mut ctx, op)
-                        };
-                        kernel.app[i].in_op = false;
-                        match outcome {
-                            OpOutcome::Done(r) => {
-                                reply = Some(r);
-                            }
-                            OpOutcome::DoneAfter(r, d) => {
-                                kernel.app[i].pending_reply = Some(r);
-                                let at = kernel.now() + d;
-                                kernel.schedule(at, Event::Resume { node });
-                                break;
-                            }
-                            OpOutcome::Blocked => {
-                                // The op handler may complete
-                                // synchronously via complete_op
-                                // (e.g. colocated manager), in
-                                // which case blocked is already
-                                // false and a Resume is queued.
-                                if kernel.app[i].pending_reply.is_none() {
-                                    kernel.app[i].blocked = true;
-                                }
-                                break;
-                            }
-                        }
-                    }
+                    return None;
                 }
             }
         }
@@ -1434,5 +1672,197 @@ mod tests {
             (a, b, h.now())
         }]);
         assert_eq!(res.results[0], (20, 10, SimTime(15_000)));
+    }
+
+    /// Answers every op on the spot: `Done` for even ops, `DoneAfter`
+    /// for odd ones.
+    struct LocalOnly;
+    impl NodeBehavior for LocalOnly {
+        type Msg = PingMsg;
+        type Op = u64;
+        type Reply = u64;
+        fn on_message(&mut self, _: &mut Ctx<'_, Self>, _: NodeId, _: Self::Msg) {}
+        fn on_op(&mut self, _: &mut Ctx<'_, Self>, op: u64) -> OpOutcome<u64> {
+            if op % 2 == 0 {
+                OpOutcome::Done(op)
+            } else {
+                OpOutcome::DoneAfter(op, Dur::micros(op))
+            }
+        }
+    }
+
+    /// The floor leaves the root once and comes back once; everything
+    /// between is the program's own thread running the loop inline.
+    const START_AND_FINISH: u64 = 2;
+
+    #[test]
+    fn done_at_once_ops_cost_no_handoffs() {
+        const OPS: u64 = 1000;
+        let sim = Sim::new(vec![LocalOnly], CostModel::lan_1992());
+        let res = sim.run(vec![|h: &AppHandle<u64, u64>| {
+            (0..OPS).map(|k| h.op(2 * k)).sum::<u64>()
+        }]);
+        assert_eq!(res.results[0], OPS * (OPS - 1));
+        assert_eq!(res.rendezvous, OPS + 1, "one grant per op plus the first");
+        assert_eq!(res.handoffs, START_AND_FINISH);
+    }
+
+    #[test]
+    fn done_after_with_nothing_else_queued_costs_no_handoffs() {
+        let sim = Sim::new(vec![LocalOnly], CostModel::lan_1992());
+        let res = sim.run(vec![|h: &AppHandle<u64, u64>| {
+            let a = h.op(7);
+            h.advance(Dur::millis(5)); // past any budget: a real yield
+            (a, h.op(3), h.now())
+        }]);
+        assert_eq!(res.results[0], (7, 3, SimTime(5_010_000)));
+        assert_eq!(res.handoffs, START_AND_FINISH);
+    }
+
+    #[test]
+    fn ping_pong_costs_at_most_one_handoff_per_grant() {
+        for workers in [1, 2] {
+            let model = CostModel::uniform(Dur::micros(10), 0);
+            let sim = Sim::new(vec![RingNode, RingNode], model).workers(workers);
+            let programs: Vec<_> = (0..2)
+                .map(|_| |h: &AppHandle<(), SimTime>| (0..50).map(|_| h.op(())).last())
+                .collect();
+            let res = sim.run(programs);
+            assert_eq!(res.rendezvous, 2 * 51);
+            assert!(
+                res.handoffs <= res.rendezvous + res.workers as u64,
+                "workers={workers}: {} hand-offs for {} grants",
+                res.handoffs,
+                res.rendezvous
+            );
+            assert!(res.handoffs >= START_AND_FINISH * res.workers as u64);
+        }
+    }
+
+    /// A panic inside a program (an app's result assertion, say) must
+    /// reach the caller of `run` with its own payload — whichever shard
+    /// the program lives on, and while the other programs are parked
+    /// mid-op.
+    #[test]
+    fn program_panic_payload_reaches_the_caller() {
+        for workers in [1, 2] {
+            for culprit in 0..2u32 {
+                let model = CostModel::uniform(Dur::micros(10), 0);
+                let sim = Sim::new(vec![RingNode, RingNode], model).workers(workers);
+                let programs: Vec<_> = (0..2)
+                    .map(|_| {
+                        move |h: &AppHandle<(), SimTime>| {
+                            h.op(());
+                            if h.id().0 == culprit {
+                                panic!("result check failed on n{culprit}");
+                            }
+                            h.op(());
+                        }
+                    })
+                    .collect();
+                let err = catch_unwind(AssertUnwindSafe(|| sim.run(programs)))
+                    .expect_err("the program's panic must propagate");
+                assert_eq!(
+                    err.downcast_ref::<String>().map(String::as_str),
+                    Some(format!("result check failed on n{culprit}").as_str()),
+                    "workers={workers}"
+                );
+            }
+        }
+    }
+
+    /// A handler panic now happens on whichever program thread runs the
+    /// loop; the payload must still come out of `run` unchanged.
+    #[test]
+    fn handler_panic_payload_reaches_the_caller() {
+        struct Grumpy;
+        impl NodeBehavior for Grumpy {
+            type Msg = PingMsg;
+            type Op = ();
+            type Reply = ();
+            fn on_message(&mut self, _: &mut Ctx<'_, Self>, _: NodeId, _: Self::Msg) {
+                panic!("handler refused the message");
+            }
+            fn on_op(&mut self, ctx: &mut Ctx<'_, Self>, _: ()) -> OpOutcome<()> {
+                let peer = NodeId((ctx.me().0 + 1) % ctx.nodes());
+                ctx.send(peer, PingMsg::Ping);
+                OpOutcome::Blocked
+            }
+        }
+        for workers in [1, 2] {
+            let sim = Sim::new(vec![Grumpy, Grumpy], CostModel::lan_1992()).workers(workers);
+            let programs: Vec<_> = (0..2).map(|_| |h: &AppHandle<(), ()>| h.op(())).collect();
+            let err = catch_unwind(AssertUnwindSafe(|| sim.run(programs)))
+                .expect_err("the handler's panic must propagate");
+            assert_eq!(
+                err.downcast_ref::<&str>().copied(),
+                Some("handler refused the message"),
+                "workers={workers}"
+            );
+        }
+    }
+
+    /// Past [`MAX_LOOP_THREADS`] programs on one shard, program threads
+    /// relay message handlers to the root: more hand-offs than grants,
+    /// and not one observable of the run moves — compared here with the
+    /// same ring split into narrow shards, whose programs run the whole
+    /// loop themselves.
+    #[test]
+    fn wide_shards_relay_handlers_and_change_nothing() {
+        const NODES: usize = MAX_LOOP_THREADS + 8;
+        let run = |workers: usize| {
+            let model = CostModel::lan_1992().with_jitter(Dur::micros(20), 7);
+            let sim = Sim::new((0..NODES).map(|_| RingNode).collect(), model).workers(workers);
+            let programs: Vec<_> = (0..NODES)
+                .map(|_| {
+                    |h: &AppHandle<(), SimTime>| {
+                        let a = h.op(());
+                        h.advance(Dur::micros(30));
+                        (a, h.op(()))
+                    }
+                })
+                .collect();
+            sim.run(programs)
+        };
+        let (wide, narrow) = (run(1), run(2));
+        assert!(wide.handoffs > wide.rendezvous, "{}", wide.handoffs);
+        assert!(narrow.handoffs <= narrow.rendezvous + 2);
+        let trace = |r: RunResult<(SimTime, SimTime)>| {
+            (
+                r.end_time,
+                r.finish_times,
+                r.results,
+                r.stats,
+                r.rendezvous,
+                r.events,
+            )
+        };
+        assert_eq!(trace(wide), trace(narrow));
+    }
+
+    #[test]
+    fn program_panic_on_a_wide_shard_reaches_the_caller() {
+        const NODES: usize = MAX_LOOP_THREADS + 8;
+        let sim = Sim::new(
+            (0..NODES).map(|_| RingNode).collect(),
+            CostModel::lan_1992(),
+        );
+        let programs: Vec<_> = (0..NODES)
+            .map(|_| {
+                |h: &AppHandle<(), SimTime>| {
+                    h.op(());
+                    if h.id().0 == 17 {
+                        panic!("result check failed on n17");
+                    }
+                    h.op(());
+                }
+            })
+            .collect();
+        let err = catch_unwind(AssertUnwindSafe(|| sim.run(programs)))
+            .expect_err("the program's panic must propagate");
+        assert_eq!(
+            err.downcast_ref::<&str>().copied(),
+            Some("result check failed on n17")
+        );
     }
 }

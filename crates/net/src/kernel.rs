@@ -1,13 +1,14 @@
 //! The discrete-event kernel, sharded for conservative parallel DES.
 //!
-//! All protocol state lives on a kernel shard's thread: a node's message
+//! All protocol state belongs to a kernel shard: a node's message
 //! handlers ([`NodeBehavior::on_message`]) and its application-op entry
-//! point ([`NodeBehavior::on_op`]) are invoked there, at well-defined
-//! points in virtual time, one at a time per shard. Application
-//! *programs* run on their own OS threads but are cooperatively
-//! scheduled by the driver (see [`crate::driver`]): each shard and its
-//! own app threads rendezvous, so exactly one logical actor per shard is
-//! ever running.
+//! point ([`NodeBehavior::on_op`]) are invoked by the shard's event
+//! loop, at well-defined points in virtual time, one at a time per
+//! shard. Application *programs* run on their own OS threads but are
+//! cooperatively scheduled by the driver (see [`crate::driver`]): a
+//! shard's state is one owned value that passes from thread to thread,
+//! and only the thread holding it runs — the event loop or one
+//! program — so exactly one logical actor per shard is ever running.
 //!
 //! Nodes are partitioned into contiguous shards ([`Partition`]); each
 //! shard owns a private event heap and processes events inside a
@@ -403,8 +404,8 @@ pub struct Kernel<N: NodeBehavior + ?Sized> {
     direct_min: Vec<BinaryHeap<Reverse<SimTime>>>,
     /// Run-ahead quantum cap handed out by [`Kernel::local_budget`].
     local_quantum: Dur,
-    /// Kernel→program floor handoffs (`Go` grants) performed so far on
-    /// this shard — summed into the rendezvous count in run results.
+    /// `Go` grants performed so far on this shard — summed into the
+    /// rendezvous count in run results.
     pub(crate) rendezvous: u64,
     /// Outgoing messages staged during the current window, one bucket
     /// per destination shard, flushed to the shared inboxes at the
@@ -682,6 +683,14 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
         self.window_end = w;
     }
 
+    /// True if the next event inside the current window is a program
+    /// `Resume`: processing it runs no message, timer or fault handler.
+    pub(crate) fn resume_is_next(&self) -> bool {
+        self.heap.peek().is_some_and(|Reverse(e)| {
+            e.time < self.window_end && matches!(e.event, Event::Resume { .. })
+        })
+    }
+
     /// Pop the next event if it falls inside the current window.
     pub(crate) fn pop_in_window(&mut self) -> Option<(SimTime, Event<N::Msg>)> {
         if self.heap.peek()?.0.time >= self.window_end {
@@ -764,8 +773,8 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
     /// much virtual time — servicing page hits and pure computation on
     /// its own thread — without rendezvousing with the kernel.
     ///
-    /// Sound because while a program holds the floor its shard's kernel
-    /// is parked, so the shard's event heap is frozen. Any event that
+    /// Sound because while a program holds the floor nothing else of its
+    /// shard runs, so the shard's event heap is frozen. Any event that
     /// could mutate this node's protocol state before the horizon
     /// either (a) already targets this node and is bounded by
     /// `direct_min`, or (b) is a message admitted at a future window

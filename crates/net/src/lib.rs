@@ -3,12 +3,14 @@
 //! The execution substrate for `pagedsm`'s simulated engine. A run
 //! consists of N simulated nodes; each node has
 //!
-//! * a [`NodeBehavior`] — its protocol state machine, driven entirely on
-//!   the kernel thread by message deliveries, timers, and application
+//! * a [`NodeBehavior`] — its protocol state machine, driven entirely
+//!   by the event loop: message deliveries, timers, and application
 //!   operations; and
 //! * an application *program* — ordinary Rust code running on its own
 //!   OS thread, but cooperatively scheduled so that exactly one actor
-//!   runs at a time.
+//!   runs at a time. There is no separate simulator thread: whichever
+//!   program yields runs the event loop itself until the next program
+//!   is due (see the `driver` module docs).
 //!
 //! Virtual time advances only through the event queue, so a run's
 //! completion time, message counts, and results are bit-reproducible.

@@ -9,18 +9,46 @@
 //! (lock-bound mutual exclusion with polling).
 
 use dsm_apps::{sor, taskqueue};
-use dsm_core::{CostModel, Dsm, DsmConfig, Dur, GlobalAddr, NetStats, ProtocolKind, SimTime};
+use dsm_core::{
+    CostModel, Dsm, DsmConfig, Dur, GlobalAddr, NetStats, ProtocolKind, RunResult, SimTime,
+};
 
 const NODES: u32 = 3;
 
 /// What a run leaves behind: per-node results (node 0's includes its
 /// view of the whole heap after global quiescence), the virtual
-/// completion time, and the full traffic table.
+/// completion time, the full traffic table — and the simulator's own
+/// counters (per-node finish times, kernel events, `Go` grants), which
+/// two runs down the same path must also agree on, whichever OS
+/// threads happened to execute the event loop.
 #[derive(Debug, PartialEq)]
 struct Trace<V> {
     results: Vec<(V, Vec<u8>)>,
     end_time: SimTime,
     stats: NetStats,
+    finish_times: Vec<SimTime>,
+    events: u64,
+    rendezvous: u64,
+}
+
+impl<V> Trace<V> {
+    fn of(res: RunResult<(V, Vec<u8>)>) -> Self {
+        Trace {
+            results: res.results,
+            end_time: res.end_time,
+            stats: res.stats,
+            finish_times: res.finish_times,
+            events: res.events,
+            rendezvous: res.rendezvous,
+        }
+    }
+
+    /// The application-visible part: what must also match between two
+    /// *different* paths to the same answer (fast vs slow hits), which
+    /// legitimately differ in events and grants.
+    fn outcome(&self) -> (&[(V, Vec<u8>)], SimTime, &NetStats) {
+        (&self.results, self.end_time, &self.stats)
+    }
 }
 
 /// Delivery jitter on, so determinism covers the kernel's PRNG too.
@@ -60,11 +88,7 @@ fn run_sor_gc(proto: ProtocolKind, fast_path: bool, lrc_gc: bool) -> Trace<u64> 
         let sum = sor::run(dsm, &p);
         (sum.to_bits(), quiesce_and_image(dsm, heap))
     });
-    Trace {
-        results: res.results,
-        end_time: res.end_time,
-        stats: res.stats,
-    }
+    Trace::of(res)
 }
 
 fn run_taskqueue(proto: ProtocolKind, fast_path: bool) -> Trace<(u64, u64, u64)> {
@@ -93,11 +117,7 @@ fn run_taskqueue_gc(proto: ProtocolKind, fast_path: bool, lrc_gc: bool) -> Trace
             quiesce_and_image(dsm, heap),
         )
     });
-    Trace {
-        results: res.results,
-        end_time: res.end_time,
-        stats: res.stats,
-    }
+    Trace::of(res)
 }
 
 #[test]
@@ -125,7 +145,11 @@ fn sor_fast_path_matches_slow_path() {
     for proto in ProtocolKind::ALL {
         let fast = run_sor(proto, true);
         let slow = run_sor(proto, false);
-        assert_eq!(fast, slow, "{proto}: SOR fast path diverged from slow path");
+        assert_eq!(
+            fast.outcome(),
+            slow.outcome(),
+            "{proto}: SOR fast path diverged from slow path"
+        );
     }
 }
 
@@ -135,7 +159,8 @@ fn taskqueue_fast_path_matches_slow_path() {
         let fast = run_taskqueue(proto, true);
         let slow = run_taskqueue(proto, false);
         assert_eq!(
-            fast, slow,
+            fast.outcome(),
+            slow.outcome(),
             "{proto}: taskqueue fast path diverged from slow path"
         );
     }
@@ -164,11 +189,7 @@ fn sor_trace_identical_for_every_worker_count() {
             let sum = sor::run(dsm, &p);
             (sum.to_bits(), quiesce_and_image(dsm, heap))
         });
-        Trace {
-            results: res.results,
-            end_time: res.end_time,
-            stats: res.stats,
-        }
+        Trace::of(res)
     };
     for proto in ProtocolKind::ALL {
         let w1 = run(proto, 1);
@@ -208,11 +229,7 @@ fn taskqueue_trace_identical_for_every_worker_count() {
                 quiesce_and_image(dsm, heap),
             )
         });
-        Trace {
-            results: res.results,
-            end_time: res.end_time,
-            stats: res.stats,
-        }
+        Trace::of(res)
     };
     for proto in ProtocolKind::ALL {
         let w1 = run(proto, 1);
@@ -250,11 +267,7 @@ fn rdma_trace_identical_for_every_worker_count_on_both_fabrics() {
             let sum = sor::run(dsm, &p);
             (sum.to_bits(), quiesce_and_image(dsm, heap))
         });
-        Trace {
-            results: res.results,
-            end_time: res.end_time,
-            stats: res.stats,
-        }
+        Trace::of(res)
     };
     let modern = CostModel::rdma_modern().with_jitter(Dur::micros(5), 42);
     for (fabric, m) in [("rdma_modern", &modern), ("lan_1992", &model())] {
@@ -297,11 +310,7 @@ fn rdma_taskqueue_trace_identical_for_every_worker_count() {
                 quiesce_and_image(dsm, heap),
             )
         });
-        Trace {
-            results: res.results,
-            end_time: res.end_time,
-            stats: res.stats,
-        }
+        Trace::of(res)
     };
     let w1 = run(1);
     for workers in [2, 4, 8] {
@@ -343,11 +352,7 @@ fn obj_chase_trace_identical_for_every_worker_count() {
             let sum = chase::run_obj(dsm, &p, &chains);
             (sum, quiesce_and_image(dsm, heap))
         });
-        Trace {
-            results: res.results,
-            end_time: res.end_time,
-            stats: res.stats,
-        }
+        Trace::of(res)
     };
     let w1 = run(1);
     assert!(
@@ -397,6 +402,92 @@ fn taskqueue_outputs_identical_gc_on_and_off() {
         );
         if proto != ProtocolKind::Lrc {
             assert_eq!(on, off, "{proto}: lrc_gc knob must be inert");
+        }
+    }
+}
+
+/// A program that returns while other nodes still have events queued
+/// must pass the floor on: the event loop runs on program threads, so
+/// a finisher that kept it (or dropped it) would wedge everyone behind
+/// it. Node 0 returns at once, node `i` takes `i` rounds of a remote
+/// write, some compute and a read of node 0's page — so programs finish
+/// at different times with traffic still in flight. Same trace with the
+/// nodes on one shard and split over two.
+#[test]
+fn early_finisher_hands_the_floor_on() {
+    const PAGE: usize = 256;
+    for nodes in [1u32, 2, 8] {
+        let run = |workers: usize| {
+            let cfg = DsmConfig::new(nodes, ProtocolKind::IvyFixed)
+                .heap_bytes(PAGE * nodes as usize)
+                .page_size(PAGE)
+                .model(model())
+                .workers(workers);
+            dsm_core::run_dsm(&cfg, |dsm: &Dsm<'_>| {
+                let me = dsm.id().0 as u64;
+                let next = (me + 1) % nodes as u64;
+                for round in 0..me {
+                    dsm.write_u64(GlobalAddr(PAGE * next as usize), round);
+                    dsm.compute(Dur::micros(100));
+                    dsm.read_u64(GlobalAddr(0));
+                }
+                (me, Vec::new())
+            })
+        };
+        let one = run(1);
+        assert_eq!(one.finish_times[0], SimTime::ZERO, "nodes={nodes}");
+        assert!(
+            one.finish_times[1..].iter().all(|&t| t > SimTime::ZERO),
+            "nodes={nodes}: every other program should still be running: {:?}",
+            one.finish_times
+        );
+        let ids: Vec<u64> = one.results.iter().map(|r| r.0).collect();
+        assert_eq!(ids, (0..nodes as u64).collect::<Vec<_>>());
+        // Every program got the floor at least once and each shard's
+        // root got it back.
+        let two = run(2);
+        assert!(one.handoffs > nodes as u64, "nodes={nodes}");
+        assert!(two.handoffs >= nodes as u64 + two.workers as u64);
+        assert_eq!(
+            Trace::of(one),
+            Trace::of(two),
+            "nodes={nodes}: trace diverged at workers=2"
+        );
+    }
+}
+
+/// Forty nodes on one shard is past the width where program threads
+/// stop running message handlers themselves and relay them to the
+/// shard's root; split over two or four shards the same nodes run the
+/// whole event loop on their own threads. Which thread runs a handler
+/// must not show anywhere in the trace.
+#[test]
+fn wide_shard_trace_identical_for_every_worker_count() {
+    let nodes = 40u32;
+    let p = sor::SorParams {
+        n: nodes as usize + 2,
+        iters: 1,
+        omega: 1.25,
+    };
+    let heap = p.heap_bytes();
+    let run = |proto: ProtocolKind, workers: usize| {
+        let cfg = DsmConfig::new(nodes, proto)
+            .heap_bytes(heap)
+            .model(model())
+            .workers(workers);
+        Trace::of(dsm_core::run_dsm(&cfg, |dsm: &Dsm<'_>| {
+            let sum = sor::run(dsm, &p);
+            (sum.to_bits(), quiesce_and_image(dsm, heap))
+        }))
+    };
+    for proto in [ProtocolKind::IvyFixed, ProtocolKind::Lrc] {
+        let w1 = run(proto, 1);
+        for workers in [2, 4] {
+            assert_eq!(
+                w1,
+                run(proto, workers),
+                "{proto}: wide-shard trace diverged at workers={workers}"
+            );
         }
     }
 }

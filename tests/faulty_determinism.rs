@@ -19,16 +19,36 @@
 
 use dsm_apps::{matmul, sor};
 use dsm_core::{
-    CostModel, Dsm, DsmConfig, Dur, FaultPlan, GlobalAddr, NetStats, ProtocolKind, SimTime,
+    CostModel, Dsm, DsmConfig, Dur, FaultPlan, GlobalAddr, NetStats, ProtocolKind, RunResult,
+    SimTime,
 };
 
 const NODES: u32 = 3;
 
+/// Every whole-`Trace` comparison below is between two runs down the
+/// same path (same plan, same seed), so the simulator's own counters
+/// ride along with the application-visible outputs.
 #[derive(Debug, PartialEq)]
 struct Trace {
     results: Vec<(u64, Vec<u8>)>,
     end_time: SimTime,
     stats: NetStats,
+    finish_times: Vec<SimTime>,
+    events: u64,
+    rendezvous: u64,
+}
+
+impl Trace {
+    fn of(res: RunResult<(u64, Vec<u8>)>) -> Self {
+        Trace {
+            results: res.results,
+            end_time: res.end_time,
+            stats: res.stats,
+            finish_times: res.finish_times,
+            events: res.events,
+            rendezvous: res.rendezvous,
+        }
+    }
 }
 
 /// Jitter on as well, so the fault PRNG is exercised alongside (and
@@ -65,11 +85,7 @@ fn run_sor(proto: ProtocolKind, plan: FaultPlan) -> Trace {
         let sum = sor::run(dsm, &p);
         (sum.to_bits(), quiesce_and_image(dsm, heap))
     });
-    Trace {
-        results: res.results,
-        end_time: res.end_time,
-        stats: res.stats,
-    }
+    Trace::of(res)
 }
 
 /// The heavy plan the acceptance criteria name: 20% drop plus
@@ -181,11 +197,7 @@ fn trace_identical_for_every_worker_count_lossy_and_lossless() {
             let sum = sor::run(dsm, &p);
             (sum.to_bits(), quiesce_and_image(dsm, heap))
         });
-        Trace {
-            results: res.results,
-            end_time: res.end_time,
-            stats: res.stats,
-        }
+        Trace::of(res)
     };
     for proto in ProtocolKind::ALL {
         for plan in [FaultPlan::NONE, heavy()] {
@@ -251,11 +263,7 @@ fn rdma_is_deterministic_and_transparent_under_loss() {
             let sum = sor::run(dsm, &p);
             (sum.to_bits(), quiesce_and_image(dsm, heap))
         });
-        Trace {
-            results: res.results,
-            end_time: res.end_time,
-            stats: res.stats,
-        }
+        Trace::of(res)
     };
     let w1 = run(1);
     for workers in [2, 4, 8] {
@@ -293,11 +301,7 @@ fn obj_is_deterministic_and_transparent_under_loss() {
             let sum = chase::run_obj(dsm, &p, &chains);
             (sum, quiesce_and_image(dsm, heap))
         });
-        Trace {
-            results: res.results,
-            end_time: res.end_time,
-            stats: res.stats,
-        }
+        Trace::of(res)
     };
     let lossless = run(FaultPlan::NONE);
     assert!(
