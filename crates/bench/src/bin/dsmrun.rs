@@ -45,11 +45,8 @@ fn parse_args() -> Result<Args, String> {
             "--list" => {
                 println!("apps:      sor jacobi matmul gauss fft sort taskqueue tsp chase");
                 println!(
-                    "protocols: {} {} {} {}",
-                    ProtocolKind::ALL.map(|p| p.name()).join(" "),
-                    ProtocolKind::Scabd.name(),
-                    ProtocolKind::Rdma.name(),
-                    ProtocolKind::Obj.name()
+                    "protocols: {}",
+                    ProtocolKind::EVERY.map(|p| p.name()).join(" ")
                 );
                 println!("locks:     queue central");
                 println!("barriers:  central tree2 tree4");

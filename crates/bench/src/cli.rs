@@ -64,19 +64,9 @@ impl CommonFlags {
          [--workers W] [--batch-depth D] [--drop-prob P] [--dup-prob P] [--fault-seed S] \
          [--crash node@t_us[:recover_us]]... [--partition a,b|c,d@t1..t2]...";
 
-    /// Resolve a protocol name, including the out-of-`ALL` extras
-    /// (`scabd`, `rdma`, `obj`).
+    /// Resolve a protocol name among [`ProtocolKind::EVERY`].
     pub fn proto_from(v: &str) -> Result<ProtocolKind, String> {
-        if v == ProtocolKind::Scabd.name() {
-            return Ok(ProtocolKind::Scabd);
-        }
-        if v == ProtocolKind::Rdma.name() {
-            return Ok(ProtocolKind::Rdma);
-        }
-        if v == ProtocolKind::Obj.name() {
-            return Ok(ProtocolKind::Obj);
-        }
-        ProtocolKind::ALL
+        ProtocolKind::EVERY
             .into_iter()
             .find(|p| p.name() == v)
             .ok_or_else(|| format!("unknown protocol {v}"))

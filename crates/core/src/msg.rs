@@ -1,37 +1,17 @@
 //! The combined wire message: coherence traffic plus synchronization
 //! traffic, multiplexed over one simulated network.
 
-use dsm_net::{KindId, Payload, Wire, WireReader};
+use dsm_net::{wire_enum, KindId, Payload};
 use dsm_proto::{Piggy, ProtoMsg};
 use dsm_sync::SyncMsg;
 
-/// Everything that travels between DSM nodes.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CoreMsg {
-    Proto(ProtoMsg),
-    Sync(SyncMsg<Piggy>),
-}
-
-impl Wire for CoreMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            CoreMsg::Proto(m) => {
-                out.push(0);
-                m.encode(out);
-            }
-            CoreMsg::Sync(m) => {
-                out.push(1);
-                m.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
-        Some(match r.u8()? {
-            0 => CoreMsg::Proto(ProtoMsg::decode(r)?),
-            1 => CoreMsg::Sync(SyncMsg::decode(r)?),
-            _ => return None,
-        })
+wire_enum! {
+    /// Everything that travels between DSM nodes. The two tags only
+    /// select the layer; statistics see through to the inner message.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum CoreMsg {
+        Proto(ProtoMsg) = 0,
+        Sync(SyncMsg<Piggy>) = 1,
     }
 }
 

@@ -197,7 +197,7 @@ pub struct DsmNode {
     /// retires (single-writer protocols release deferred requests then).
     faulted: bool,
     /// Max pages per batched read fault (demand + prefetches). Depth 1
-    /// disables the pipeline and takes the exact pre-batching code path.
+    /// disables the pipeline: every fault offers its demand page alone.
     batch_depth: usize,
     /// Hard ceiling on any batch: the global cap intersected with the
     /// protocol's own limit. Faults inside a declared read-ahead window
@@ -565,24 +565,25 @@ impl DsmNode {
                     }
                     faults += 1;
                     self.faulted = true;
-                    let resolved = if self.batch_depth > 1 {
-                        let cands = self.prefetch_candidates(a, addr, len, hint);
-                        let (resolved, issued) = {
-                            let mut io = Io { ctx };
-                            self.proto
-                                .read_fault_batch(&mut io, Self::mem(&self.frames), &cands)
-                        };
-                        faults += issued.len() as u32;
-                        self.inflight.extend(issued.iter().map(|p| p.0));
-                        if !resolved {
-                            self.inflight.push(page.0);
-                        }
-                        resolved
+                    // Depth 1 offers the demand page alone, inside a
+                    // declared window too.
+                    let cands;
+                    let pages = if self.batch_depth > 1 {
+                        cands = self.prefetch_candidates(a, addr, len, hint);
+                        &cands[..]
                     } else {
+                        std::slice::from_ref(&page)
+                    };
+                    let (resolved, issued) = {
                         let mut io = Io { ctx };
                         self.proto
-                            .read_fault(&mut io, Self::mem(&self.frames), page)
+                            .read_fault_batch(&mut io, Self::mem(&self.frames), pages)
                     };
+                    faults += issued.len() as u32;
+                    self.inflight.extend(issued.iter().map(|p| p.0));
+                    if !resolved {
+                        self.inflight.push(page.0);
+                    }
                     self.pending = Pending::Read {
                         addr,
                         buf,

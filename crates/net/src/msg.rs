@@ -39,9 +39,9 @@ pub trait Payload: Send + Clone + 'static {
 
     /// Fixed statistics slot for this message class; must be below
     /// [`crate::stats::MAX_KINDS`] and in one-to-one correspondence
-    /// with [`Payload::kind`]. Id ranges are assigned per layer:
-    /// coherence 0–31, synchronization 32–39, scratch/test 40–47,
-    /// reliable transport 48–55.
+    /// with [`Payload::kind`]. Id ranges are assigned per layer (see
+    /// [`crate::stats::MAX_KINDS`]); messages declared through
+    /// [`wire_enum!`](crate::wire_enum) use their wire tag.
     fn kind_id(&self) -> KindId;
 }
 

@@ -83,7 +83,7 @@ use crate::msg::{NodeId, Payload};
 use crate::stats::KindId;
 use crate::time::{Dur, SimTime};
 use crate::transport::{Ctx, Transport};
-use crate::wire::{Wire, WireReader};
+use crate::wire_enum;
 
 /// Timer tokens with this bit set belong to the reliable transport; the
 /// low bits then hold the peer's node index.
@@ -105,25 +105,27 @@ const ACK_KIND: KindId = KindId(48);
 /// buying latency.
 const RTO_FLOOR: Dur = Dur::micros(50);
 
-/// Transport frame wrapping an inner payload `M`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RelMsg<M> {
-    /// A sequenced inner message plus a piggybacked cumulative ack and
-    /// SACK bitmap. `seq == 0` marks unsequenced node-local loopback.
-    /// `epoch` is the sender's stream epoch for this link direction;
-    /// `ack_epoch` is the epoch of the peer's stream the piggybacked
-    /// ack refers to.
-    Data {
-        seq: u64,
-        ack: u64,
-        sack: u64,
-        epoch: u32,
-        ack_epoch: u32,
-        payload: M,
-    },
-    /// Standalone cumulative ack + SACK bitmap (nothing to piggyback
-    /// on). `ack_epoch` is the epoch of the stream being acked.
-    Ack { ack: u64, sack: u64, ack_epoch: u32 },
+wire_enum! {
+    /// Transport frame wrapping an inner payload `M`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum RelMsg<M> {
+        /// A sequenced inner message plus a piggybacked cumulative ack and
+        /// SACK bitmap. `seq == 0` marks unsequenced node-local loopback.
+        /// `epoch` is the sender's stream epoch for this link direction;
+        /// `ack_epoch` is the epoch of the peer's stream the piggybacked
+        /// ack refers to.
+        Data {
+            seq: u64,
+            ack: u64,
+            sack: u64,
+            epoch: u32,
+            ack_epoch: u32,
+            payload: M,
+        } = 0,
+        /// Standalone cumulative ack + SACK bitmap (nothing to piggyback
+        /// on). `ack_epoch` is the epoch of the stream being acked.
+        Ack { ack: u64, sack: u64, ack_epoch: u32 } = 1,
+    }
 }
 
 impl<M: Payload> Payload for RelMsg<M> {
@@ -148,58 +150,6 @@ impl<M: Payload> Payload for RelMsg<M> {
         match self {
             RelMsg::Data { payload, .. } => payload.kind_id(),
             RelMsg::Ack { .. } => ACK_KIND,
-        }
-    }
-}
-
-impl<M: Wire> Wire for RelMsg<M> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            RelMsg::Data {
-                seq,
-                ack,
-                sack,
-                epoch,
-                ack_epoch,
-                payload,
-            } => {
-                out.push(0);
-                seq.encode(out);
-                ack.encode(out);
-                sack.encode(out);
-                epoch.encode(out);
-                ack_epoch.encode(out);
-                payload.encode(out);
-            }
-            RelMsg::Ack {
-                ack,
-                sack,
-                ack_epoch,
-            } => {
-                out.push(1);
-                ack.encode(out);
-                sack.encode(out);
-                ack_epoch.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
-        match r.u8()? {
-            0 => Some(RelMsg::Data {
-                seq: r.u64()?,
-                ack: r.u64()?,
-                sack: r.u64()?,
-                epoch: r.u32()?,
-                ack_epoch: r.u32()?,
-                payload: M::decode(r)?,
-            }),
-            1 => Some(RelMsg::Ack {
-                ack: r.u64()?,
-                sack: r.u64()?,
-                ack_epoch: r.u32()?,
-            }),
-            _ => None,
         }
     }
 }

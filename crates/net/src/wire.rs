@@ -6,6 +6,8 @@
 //! little-endian, length-prefixed encoding with no external
 //! dependencies (the build is fully offline). Each composite type's
 //! impl lives next to its definition, so private fields stay private.
+//! Message enums are declared through [`wire_enum!`](crate::wire_enum),
+//! which derives the whole impl from one table.
 //!
 //! The format is not self-describing and carries no versioning — both
 //! ends of a cluster run the same binary (the launcher spawns them from
@@ -15,15 +17,44 @@
 use crate::msg::NodeId;
 use crate::time::{Dur, SimTime};
 
+/// How deep message enums may nest inside one datagram. The deepest
+/// legitimate chain is 5 (`RelMsg → CoreMsg → SyncMsg → Piggy::Obj →
+/// Piggy`); without a bound, a datagram of nested `Batch` tags recurses
+/// `decode` until the stack overflows.
+const MAX_ENUM_DEPTH: u8 = 8;
+
 /// Cursor over a received datagram.
 pub struct WireReader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// [`wire_enum!`](crate::wire_enum) decodes currently on the stack.
+    depth: u8,
 }
 
 impl<'a> WireReader<'a> {
     pub fn new(buf: &'a [u8]) -> Self {
-        WireReader { buf, pos: 0 }
+        WireReader {
+            buf,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Enter one level of enum nesting; `None` once the datagram nests
+    /// deeper than any real message does. Every generated `decode`
+    /// brackets its body with `enter` / [`WireReader::leave`].
+    pub fn enter(&mut self) -> Option<()> {
+        if self.depth == MAX_ENUM_DEPTH {
+            return None;
+        }
+        self.depth += 1;
+        Some(())
+    }
+
+    /// Leave the level [`WireReader::enter`] opened. A failed decode
+    /// never gets here: it abandons the whole datagram.
+    pub fn leave(&mut self) {
+        self.depth -= 1;
     }
 
     /// Bytes not yet consumed.
@@ -221,6 +252,17 @@ impl Wire for Box<[u8]> {
     }
 }
 
+/// Indirection in a recursive message (`Piggy::Obj`'s inner piggy):
+/// nothing extra on the wire.
+impl<T: Wire> Wire for Box<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (**self).encode(out);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+        T::decode(r).map(Box::new)
+    }
+}
+
 impl<T: Wire> Wire for Option<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -259,6 +301,106 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
     fn decode(r: &mut WireReader<'_>) -> Option<Self> {
         Some((A::decode(r)?, B::decode(r)?, C::decode(r)?))
     }
+}
+
+// ---------------- message tables ----------------
+
+/// Declare a message enum once and derive everything that must agree
+/// with the declaration from it.
+///
+/// Each variant is written as in plain Rust — its docs, then a unit,
+/// newtype `V(T)` or struct `V { f: T, .. }` shape — followed by
+/// `= <number>`. The enum may take one type parameter. Generated:
+///
+/// * the enum itself, with the attributes and docs given;
+/// * its [`Wire`] impl: the number as the tag byte, then the fields in
+///   declaration order through their own `Wire` impls; `decode` rejects
+///   unknown tags and charges one level of the reader's nesting budget;
+/// * `tag()` (the number), `variant()` (the variant's name) and `TAGS`
+///   (every number, in declaration order).
+///
+/// Message types that are also [`Payload`](crate::Payload)s use
+/// `variant()` as their statistics name and `tag()` as their
+/// [`KindId`](crate::KindId), so a message has one number.
+#[macro_export]
+macro_rules! wire_enum {
+    // The name a newtype variant's payload is bound to in `encode`.
+    // The `$( (..) )?` group that writes the pattern must mention
+    // `$nty` to repeat with it, and a pattern has no place for a type:
+    // this takes the type and drops it.
+    (@bind $b:ident $t:ty) => {
+        $b
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident $(<$p:ident>)? {
+            $(
+                $(#[$vmeta:meta])*
+                $v:ident
+                $( { $($f:ident : $fty:ty),* $(,)? } )?
+                $( ( $nty:ty ) )?
+                = $tag:literal
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name $(<$p>)? {
+            $(
+                $(#[$vmeta])*
+                $v $( { $($f: $fty),* } )? $( ($nty) )?,
+            )*
+        }
+
+        impl $(<$p>)? $name $(<$p>)? {
+            /// Every variant's number, in declaration order.
+            pub const TAGS: &'static [u8] = &[$($tag),*];
+
+            /// This variant's number: its wire tag byte.
+            pub fn tag(&self) -> u8 {
+                match self {
+                    $(Self::$v { .. } => $tag,)*
+                }
+            }
+
+            /// This variant's name.
+            pub fn variant(&self) -> &'static str {
+                match self {
+                    $(Self::$v { .. } => stringify!($v),)*
+                }
+            }
+        }
+
+        impl $(<$p: $crate::Wire>)? $crate::Wire for $name $(<$p>)? {
+            fn encode(&self, out: &mut Vec<u8>) {
+                out.push(self.tag());
+                match self {
+                    $(
+                        Self::$v
+                            $( { $($f),* } )?
+                            $( ($crate::wire_enum!(@bind inner $nty)) )?
+                        => {
+                            $( $( <$fty as $crate::Wire>::encode($f, out); )* )?
+                            $( <$nty as $crate::Wire>::encode(inner, out); )?
+                        }
+                    )*
+                }
+            }
+
+            fn decode(r: &mut $crate::WireReader<'_>) -> Option<Self> {
+                r.enter()?;
+                let v = match r.u8()? {
+                    $(
+                        $tag => Self::$v
+                            $( { $($f: <$fty as $crate::Wire>::decode(r)?),* } )?
+                            $( (<$nty as $crate::Wire>::decode(r)?) )?,
+                    )*
+                    _ => return None,
+                };
+                r.leave();
+                Some(v)
+            }
+        }
+    };
 }
 
 #[cfg(test)]
@@ -326,5 +468,49 @@ mod tests {
     fn invalid_enum_tags_are_rejected() {
         assert!(from_wire_bytes::<bool>(&[2]).is_none());
         assert!(from_wire_bytes::<Option<u8>>(&[9, 0]).is_none());
+    }
+
+    wire_enum! {
+        /// One variant of each shape, generic, recursive.
+        #[derive(Debug, Clone, PartialEq)]
+        enum Shapes<T> {
+            Unit = 7,
+            Newtype(T) = 3,
+            Struct { a: u16, rest: Vec<Shapes<T>> } = 200,
+        }
+    }
+
+    #[test]
+    fn wire_enum_derives_tag_name_and_encoding_from_the_table() {
+        let v = Shapes::Struct {
+            a: 0x0102,
+            rest: vec![Shapes::Unit, Shapes::Newtype(9u8)],
+        };
+        assert_eq!(Shapes::<u8>::TAGS, [7, 3, 200]);
+        assert_eq!((v.tag(), v.variant()), (200, "Struct"));
+        assert_eq!(
+            (Shapes::Unit::<u8>.tag(), Shapes::Unit::<u8>.variant()),
+            (7, "Unit")
+        );
+        // Tag byte, then the fields in declaration order.
+        assert_eq!(to_wire_bytes(&v), [200, 2, 1, 2, 0, 0, 0, 7, 3, 9]);
+        round_trip(v);
+        assert!(from_wire_bytes::<Shapes<u8>>(&[8]).is_none());
+    }
+
+    #[test]
+    fn wire_enum_nesting_is_bounded() {
+        let nest = |depth: u8| {
+            (1..depth).fold(Shapes::<u8>::Unit, |inner, _| Shapes::Struct {
+                a: 0,
+                rest: vec![inner],
+            })
+        };
+        round_trip(nest(MAX_ENUM_DEPTH));
+        let too_deep = to_wire_bytes(&nest(MAX_ENUM_DEPTH + 1));
+        assert!(from_wire_bytes::<Shapes<u8>>(&too_deep).is_none());
+        // The budget is per datagram, not per sibling: it is handed
+        // back on the way out.
+        round_trip(vec![nest(MAX_ENUM_DEPTH), nest(MAX_ENUM_DEPTH)]);
     }
 }

@@ -176,10 +176,9 @@ pub trait Protocol: Send {
     /// a read transaction for — each must eventually fire its own
     /// [`ProtoEvent::PageReady`].
     ///
-    /// This is the *only* read-fault entry point protocols implement;
-    /// the single-page [`Protocol::read_fault`] is its depth-1 case.
-    /// Protocols that cannot pipeline simply ignore `pages[1..]` and
-    /// return an empty `issued`.
+    /// This is the only read-fault entry point; a depth-1 run calls it
+    /// with the demand page alone. Protocols that cannot pipeline
+    /// simply ignore `pages[1..]` and return an empty `issued`.
     ///
     /// Prefetched transactions must not be held open awaiting op
     /// retirement (the runtime may be blocked on the demand page while
@@ -193,16 +192,8 @@ pub trait Protocol: Send {
         pages: &[PageId],
     ) -> (bool, Vec<PageId>);
 
-    /// The application read-faulted on `page`: the depth-1 case of
-    /// [`Protocol::read_fault_batch`].
-    fn read_fault(&mut self, io: &mut dyn ProtoIo, mem: &mut FrameTable, page: PageId) -> bool {
-        let (resolved, issued) = self.read_fault_batch(io, mem, &[page]);
-        debug_assert!(issued.is_empty(), "no candidates were offered");
-        resolved
-    }
-
     /// The application write-faulted on `page`. Same synchronous-result
-    /// contract as [`Protocol::read_fault`].
+    /// contract as [`Protocol::read_fault_batch`]'s `demand_resolved`.
     fn write_fault(&mut self, io: &mut dyn ProtoIo, mem: &mut FrameTable, page: PageId) -> bool;
 
     /// Largest useful fault-pipeline depth for this protocol. The

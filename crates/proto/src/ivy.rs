@@ -847,7 +847,7 @@ mod tests {
                 unreachable!()
             }
         }
-        assert!(ivy.read_fault(&mut NoIo, &mut mem, PageId(0)));
+        assert!(ivy.read_fault_batch(&mut NoIo, &mut mem, &[PageId(0)]).0);
         assert!(mem.access(PageId(0)).allows_write());
         assert!(ivy.write_fault(&mut NoIo, &mut mem, PageId(0)));
     }

@@ -80,7 +80,8 @@ pub enum ProtocolKind {
 }
 
 impl ProtocolKind {
-    /// All protocols, in canonical report order.
+    /// The eight protocols of the 1992 comparison, in canonical report
+    /// order: what every experiment and determinism sweep iterates.
     pub const ALL: [ProtocolKind; 8] = [
         ProtocolKind::IvyCentral,
         ProtocolKind::IvyFixed,
@@ -90,6 +91,23 @@ impl ProtocolKind {
         ProtocolKind::Erc,
         ProtocolKind::Lrc,
         ProtocolKind::Entry,
+    ];
+
+    /// Every protocol that can be named and built: [`Self::ALL`], then
+    /// the three that answer other questions than the 1992 comparison.
+    /// Name resolution and listings go through this.
+    pub const EVERY: [ProtocolKind; 11] = [
+        ProtocolKind::IvyCentral,
+        ProtocolKind::IvyFixed,
+        ProtocolKind::IvyDynamic,
+        ProtocolKind::Migrate,
+        ProtocolKind::Update,
+        ProtocolKind::Erc,
+        ProtocolKind::Lrc,
+        ProtocolKind::Entry,
+        ProtocolKind::Scabd,
+        ProtocolKind::Rdma,
+        ProtocolKind::Obj,
     ];
 
     /// Short display name.
@@ -177,40 +195,26 @@ mod tests {
 
     #[test]
     fn every_kind_builds_and_names_match() {
-        let layout = SpaceLayout::new(PageGeometry::new(256), 1024, Placement::Cyclic, 2);
-        for kind in ProtocolKind::ALL {
+        let layout = SpaceLayout::new(PageGeometry::new(256), 1024, Placement::Cyclic, 3);
+        for kind in ProtocolKind::EVERY {
             let p = kind.build(NodeId(0), layout, &[]);
             assert_eq!(p.name(), kind.name());
+            assert_eq!(p.supports_objects(), kind == ProtocolKind::Obj);
         }
     }
 
     #[test]
-    fn scabd_builds_outside_the_canonical_suite() {
-        let layout = SpaceLayout::new(PageGeometry::new(256), 1024, Placement::Cyclic, 3);
-        let p = ProtocolKind::Scabd.build(NodeId(0), layout, &[]);
-        assert_eq!(p.name(), "scabd");
-        assert!(!ProtocolKind::ALL.contains(&ProtocolKind::Scabd));
-    }
-
-    #[test]
-    fn rdma_builds_outside_the_canonical_suite() {
-        let layout = SpaceLayout::new(PageGeometry::new(256), 1024, Placement::Cyclic, 3);
-        let p = ProtocolKind::Rdma.build(NodeId(0), layout, &[]);
-        assert_eq!(p.name(), "rdma");
-        assert!(!ProtocolKind::ALL.contains(&ProtocolKind::Rdma));
-        assert!(ProtocolKind::Rdma.sequentially_consistent());
-    }
-
-    #[test]
-    fn obj_builds_outside_the_canonical_suite() {
-        let layout = SpaceLayout::new(PageGeometry::new(256), 1024, Placement::Cyclic, 3);
-        let p = ProtocolKind::Obj.build(NodeId(0), layout, &[]);
-        assert_eq!(p.name(), "obj");
-        assert!(p.supports_objects());
-        assert!(!ProtocolKind::ALL.contains(&ProtocolKind::Obj));
-        // Like entry consistency (whose page machinery it embeds), obj
-        // requires data-race-free programs.
-        assert!(!ProtocolKind::Obj.sequentially_consistent());
+    fn every_extends_all_and_names_are_unique() {
+        assert_eq!(ProtocolKind::EVERY[..8], ProtocolKind::ALL);
+        assert_eq!(
+            ProtocolKind::EVERY[8..],
+            [ProtocolKind::Scabd, ProtocolKind::Rdma, ProtocolKind::Obj]
+        );
+        for (i, a) in ProtocolKind::EVERY.iter().enumerate() {
+            for b in &ProtocolKind::EVERY[i + 1..] {
+                assert_ne!(a.name(), b.name());
+            }
+        }
     }
 
     #[test]
@@ -218,7 +222,11 @@ mod tests {
         assert!(ProtocolKind::IvyDynamic.sequentially_consistent());
         assert!(ProtocolKind::Update.sequentially_consistent());
         assert!(ProtocolKind::Scabd.sequentially_consistent());
+        assert!(ProtocolKind::Rdma.sequentially_consistent());
         assert!(!ProtocolKind::Lrc.sequentially_consistent());
         assert!(!ProtocolKind::Entry.sequentially_consistent());
+        // Like entry consistency (whose page machinery it embeds), obj
+        // requires data-race-free programs.
+        assert!(!ProtocolKind::Obj.sequentially_consistent());
     }
 }

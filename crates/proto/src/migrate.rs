@@ -275,7 +275,7 @@ mod tests {
                 unreachable!()
             }
         }
-        assert!(m.read_fault(&mut NoIo, &mut mem, PageId(1)));
+        assert!(m.read_fault_batch(&mut NoIo, &mut mem, &[PageId(1)]).0);
         assert!(m.write_fault(&mut NoIo, &mut mem, PageId(3)));
         assert!(mem.access(PageId(1)).allows_write());
     }

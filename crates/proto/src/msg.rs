@@ -3,281 +3,296 @@
 //! All protocols share one message namespace (each uses its subset);
 //! this keeps the runtime's dispatch trivial and the traffic statistics
 //! uniform across protocols.
+//!
+//! Each enum is one [`wire_enum!`] table: a variant's number is both
+//! its tag byte on a real socket and, for [`ProtoMsg`], its statistics
+//! slot ([`KindId`]), and its fields are encoded in the order they are
+//! declared. What the table does *not* fix is the modeled size
+//! ([`Payload::wire_bytes`]): that is the cost model's truth — what a
+//! 1992 implementation would have packed — and deliberately differs
+//! from the physical encoding, which merely has to round-trip (see
+//! `tests/wire_roundtrip.rs`).
 
 use dsm_mem::{IntervalId, NodeSet, PageDiff, VClockDelta, WireIntervalRecord};
-use dsm_net::{KindId, NodeId, Payload, Wire, WireReader};
+use dsm_net::{wire_enum, KindId, NodeId, Payload};
 use dsm_sync::SyncPiggy;
 
-/// Coherence protocol messages. Page ids travel as raw `usize`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ProtoMsg {
-    // ---- IVY write-invalidate (all manager schemes) ----
-    /// Read fault: requester → manager (or probable-owner chain).
-    ReadReq {
-        page: usize,
-    },
-    /// Write fault: requester → manager (or probable-owner chain).
-    WriteReq {
-        page: usize,
-    },
-    /// Manager → owner: send a read copy to `requester`.
-    FwdRead {
-        page: usize,
-        requester: NodeId,
-    },
-    /// Manager → owner: transfer ownership to `requester`, who must
-    /// await `ninval` invalidation acks.
-    FwdWrite {
-        page: usize,
-        requester: NodeId,
-        ninval: u32,
-    },
-    /// Owner → requester: a read copy.
-    PageRead {
-        page: usize,
-        data: Box<[u8]>,
-    },
-    /// Owner → requester: ownership (+ data unless the requester
-    /// already holds a copy; + copyset under the dynamic scheme).
-    PageOwn {
-        page: usize,
-        data: Option<Box<[u8]>>,
-        ninval: u32,
-        copyset: Option<NodeSet>,
-    },
-    /// Invalidate your copy; `new_owner` is the probable-owner hint.
-    Inval {
-        page: usize,
-        new_owner: NodeId,
-    },
-    /// Copy invalidated (sent to the new owner / requester).
-    InvalAck {
-        page: usize,
-    },
-    /// Requester → manager: transaction complete; `owner` is the
-    /// resulting owner, `write` tells the manager how to update the
-    /// copyset.
-    Confirm {
-        page: usize,
-        owner: NodeId,
-        write: bool,
-    },
+wire_enum! {
+    /// Coherence protocol messages. Page ids travel as raw `usize`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum ProtoMsg {
+        // ---- IVY write-invalidate (all manager schemes) ----
+        /// Read fault: requester → manager (or probable-owner chain).
+        ReadReq {
+            page: usize,
+        } = 0,
+        /// Write fault: requester → manager (or probable-owner chain).
+        WriteReq {
+            page: usize,
+        } = 1,
+        /// Manager → owner: send a read copy to `requester`.
+        FwdRead {
+            page: usize,
+            requester: NodeId,
+        } = 2,
+        /// Manager → owner: transfer ownership to `requester`, who must
+        /// await `ninval` invalidation acks.
+        FwdWrite {
+            page: usize,
+            requester: NodeId,
+            ninval: u32,
+        } = 3,
+        /// Owner → requester: a read copy.
+        PageRead {
+            page: usize,
+            data: Box<[u8]>,
+        } = 4,
+        /// Owner → requester: ownership (+ data unless the requester
+        /// already holds a copy; + copyset under the dynamic scheme).
+        PageOwn {
+            page: usize,
+            data: Option<Box<[u8]>>,
+            ninval: u32,
+            copyset: Option<NodeSet>,
+        } = 5,
+        /// Invalidate your copy; `new_owner` is the probable-owner hint.
+        Inval {
+            page: usize,
+            new_owner: NodeId,
+        } = 6,
+        /// Copy invalidated (sent to the new owner / requester).
+        InvalAck {
+            page: usize,
+        } = 7,
+        /// Requester → manager: transaction complete; `owner` is the
+        /// resulting owner, `write` tells the manager how to update the
+        /// copyset.
+        Confirm {
+            page: usize,
+            owner: NodeId,
+            write: bool,
+        } = 8,
 
-    // ---- page migration (single copy) ----
-    MigReq {
-        page: usize,
-    },
-    MigFwd {
-        page: usize,
-        requester: NodeId,
-    },
-    MigPage {
-        page: usize,
-        data: Box<[u8]>,
-    },
-    MigConfirm {
-        page: usize,
-        holder: NodeId,
-    },
+        // ---- page migration (single copy) ----
+        MigReq {
+            page: usize,
+        } = 9,
+        MigFwd {
+            page: usize,
+            requester: NodeId,
+        } = 10,
+        MigPage {
+            page: usize,
+            data: Box<[u8]>,
+        } = 11,
+        MigConfirm {
+            page: usize,
+            holder: NodeId,
+        } = 12,
 
-    // ---- write-update (home-sequenced) ----
-    /// Writer → home: apply and multicast this write.
-    UpdWrite {
-        page: usize,
-        off: u32,
-        data: Box<[u8]>,
-    },
-    /// Home → copy holder: apply this write (per-page sequenced).
-    UpdApply {
-        page: usize,
-        off: u32,
-        data: Box<[u8]>,
-        seq: u64,
-    },
-    /// Home → writer: your write is globally ordered.
-    UpdAck {
-        page: usize,
-    },
-    /// Read miss: requester → home.
-    FetchReq {
-        page: usize,
-    },
-    /// Home → requester: current master copy. `seq` is the page's
-    /// current update sequence number (write-update protocol), letting
-    /// the new copy holder verify the per-page update stream stays
-    /// gapless from here on.
-    FetchRep {
-        page: usize,
-        data: Box<[u8]>,
-        seq: u64,
-    },
+        // ---- write-update (home-sequenced) ----
+        /// Writer → home: apply and multicast this write.
+        UpdWrite {
+            page: usize,
+            off: u32,
+            data: Box<[u8]>,
+        } = 13,
+        /// Home → copy holder: apply this write (per-page sequenced).
+        UpdApply {
+            page: usize,
+            off: u32,
+            data: Box<[u8]>,
+            seq: u64,
+        } = 14,
+        /// Home → writer: your write is globally ordered.
+        UpdAck {
+            page: usize,
+        } = 15,
+        /// Read miss: requester → home.
+        FetchReq {
+            page: usize,
+        } = 16,
+        /// Home → requester: current master copy. `seq` is the page's
+        /// current update sequence number (write-update protocol), letting
+        /// the new copy holder verify the per-page update stream stays
+        /// gapless from here on.
+        FetchRep {
+            page: usize,
+            data: Box<[u8]>,
+            seq: u64,
+        } = 17,
 
-    // ---- eager release consistency (Munin write-shared) ----
-    /// Writer → home: diffs for pages homed there (one flush id per
-    /// release).
-    DiffFlush {
-        flush: u64,
-        diffs: Vec<(usize, PageDiff)>,
-    },
-    /// Home → copy holder: apply these diffs.
-    DiffApply {
-        flush: u64,
-        home: NodeId,
-        diffs: Vec<(usize, PageDiff)>,
-    },
-    /// Copy holder → home: diffs applied.
-    DiffApplyAck {
-        flush: u64,
-    },
-    /// Home → writer: all copies updated for your flush.
-    FlushAck {
-        flush: u64,
-    },
+        // ---- eager release consistency (Munin write-shared) ----
+        /// Writer → home: diffs for pages homed there (one flush id per
+        /// release).
+        DiffFlush {
+            flush: u64,
+            diffs: Vec<(usize, PageDiff)>,
+        } = 18,
+        /// Home → copy holder: apply these diffs.
+        DiffApply {
+            flush: u64,
+            home: NodeId,
+            diffs: Vec<(usize, PageDiff)>,
+        } = 19,
+        /// Copy holder → home: diffs applied.
+        DiffApplyAck {
+            flush: u64,
+        } = 20,
+        /// Home → writer: all copies updated for your flush.
+        FlushAck {
+            flush: u64,
+        } = 21,
 
-    // ---- lazy release consistency (TreadMarks) ----
-    /// Fetch the diffs of the given intervals for `page` from their
-    /// creator.
-    LrcDiffReq {
-        page: usize,
-        ids: Vec<IntervalId>,
-    },
-    LrcDiffRep {
-        page: usize,
-        diffs: Vec<(IntervalId, PageDiff)>,
-    },
-    /// Fetch a full current copy (first access / no base copy). Carries
-    /// the requester's GC epoch (barrier releases survived; always 0
-    /// without GC): a home that has not yet seen the release the
-    /// requester has must defer serving until its own release applies
-    /// the epoch's buffered flushes, or it would hand out pre-epoch
-    /// bytes. Modeled wire form packs page + epoch as two u32s.
-    LrcPageReq {
-        page: usize,
-        epoch: u64,
-    },
-    LrcPageRep {
-        page: usize,
-        data: Box<[u8]>,
-    },
-    /// Epoch flush (interval GC): writer → home, the departing epoch's
-    /// diffs for pages homed at the receiver, sent point-to-point
-    /// *before* the barrier arrival so bulk data never transits the
-    /// barrier root. The home buffers them unapplied — the causal
-    /// application order arrives with the barrier release.
-    LrcFlush {
-        diffs: Vec<(IntervalId, usize, PageDiff)>,
-    },
-    /// Home → writer: epoch flush received and buffered. The writer
-    /// arrives at the barrier only after all its flushes are acked,
-    /// which is what guarantees every home holds the epoch's diffs by
-    /// release time.
-    LrcFlushAck,
+        // ---- lazy release consistency (TreadMarks) ----
+        /// Fetch the diffs of the given intervals for `page` from their
+        /// creator.
+        LrcDiffReq {
+            page: usize,
+            ids: Vec<IntervalId>,
+        } = 22,
+        LrcDiffRep {
+            page: usize,
+            diffs: Vec<(IntervalId, PageDiff)>,
+        } = 23,
+        /// Fetch a full current copy (first access / no base copy). Carries
+        /// the requester's GC epoch (barrier releases survived; always 0
+        /// without GC): a home that has not yet seen the release the
+        /// requester has must defer serving until its own release applies
+        /// the epoch's buffered flushes, or it would hand out pre-epoch
+        /// bytes. Modeled wire form packs page + epoch as two u32s.
+        LrcPageReq {
+            page: usize,
+            epoch: u64,
+        } = 24,
+        LrcPageRep {
+            page: usize,
+            data: Box<[u8]>,
+        } = 25,
+        /// Epoch flush (interval GC): writer → home, the departing epoch's
+        /// diffs for pages homed at the receiver, sent point-to-point
+        /// *before* the barrier arrival so bulk data never transits the
+        /// barrier root. The home buffers them unapplied — the causal
+        /// application order arrives with the barrier release.
+        LrcFlush {
+            diffs: Vec<(IntervalId, usize, PageDiff)>,
+        } = 27,
+        /// Home → writer: epoch flush received and buffered. The writer
+        /// arrives at the barrier only after all its flushes are acked,
+        /// which is what guarantees every home holds the epoch's diffs by
+        /// release time.
+        LrcFlushAck = 28,
 
-    // ---- SC-ABD quorum replication ----
-    /// Quorum query (phase 1 of both reads and writes): coordinator →
-    /// replica, asking for the replica's current tag (and bytes) for
-    /// `page`. `txn` matches replies to the issuing phase. A `page` of
-    /// `usize::MAX` is a recovery re-sync request: the replica answers
-    /// with one [`ProtoMsg::ScabdR`] per page it holds plus a
-    /// `usize::MAX` terminator.
-    ScabdQ {
-        page: usize,
-        txn: u64,
-    },
-    /// Quorum update (phase 2): coordinator → replica, store `data`
-    /// under tag `(seq, writer)` if that tag is newer than what the
-    /// replica holds. Read write-backs reuse the queried tag; writes
-    /// carry `(max_seq + 1, me)`.
-    ScabdU {
-        page: usize,
-        txn: u64,
-        seq: u64,
-        writer: u32,
-        data: Box<[u8]>,
-    },
-    /// Replica → coordinator reply. With `data` it answers a
-    /// [`ProtoMsg::ScabdQ`] (the replica's tag + bytes, `data` absent
-    /// when the replica holds no copy); without it under a phase-2
-    /// `txn` it acknowledges a [`ProtoMsg::ScabdU`].
-    ScabdR {
-        page: usize,
-        txn: u64,
-        seq: u64,
-        writer: u32,
-        data: Option<Box<[u8]>>,
-    },
+        // ---- SC-ABD quorum replication ----
+        /// Quorum query (phase 1 of both reads and writes): coordinator →
+        /// replica, asking for the replica's current tag (and bytes) for
+        /// `page`. `txn` matches replies to the issuing phase. A `page` of
+        /// `usize::MAX` is a recovery re-sync request: the replica answers
+        /// with one [`ProtoMsg::ScabdR`] per page it holds plus a
+        /// `usize::MAX` terminator.
+        ScabdQ {
+            page: usize,
+            txn: u64,
+        } = 29,
+        /// Quorum update (phase 2): coordinator → replica, store `data`
+        /// under tag `(seq, writer)` if that tag is newer than what the
+        /// replica holds. Read write-backs reuse the queried tag; writes
+        /// carry `(max_seq + 1, me)`.
+        ScabdU {
+            page: usize,
+            txn: u64,
+            seq: u64,
+            writer: u32,
+            data: Box<[u8]>,
+        } = 30,
+        /// Replica → coordinator reply. With `data` it answers a
+        /// [`ProtoMsg::ScabdQ`] (the replica's tag + bytes, `data` absent
+        /// when the replica holds no copy); without it under a phase-2
+        /// `txn` it acknowledges a [`ProtoMsg::ScabdU`].
+        ScabdR {
+            page: usize,
+            txn: u64,
+            seq: u64,
+            writer: u32,
+            data: Option<Box<[u8]>>,
+        } = 31,
 
-    // ---- one-sided rdma (home-based, NIC-served reads) ----
-    /// One-sided read doorbell: requester → home NIC, naming the pages
-    /// it wants (demand page first, prefetch candidates after). On
-    /// fabrics with one-sided support the home's NIC serves this
-    /// without scheduling its app or protocol thread; elsewhere it
-    /// arrives as an ordinary software message with identical reply
-    /// logic.
-    RdmaRead {
-        pages: Vec<usize>,
-    },
-    /// Home NIC → requester: per-page payloads. `None` is a NACK — the
-    /// page was checked out to a writer (or mid-invalidation) and the
-    /// requester must fall back to a two-sided [`ProtoMsg::ReadReq`].
-    RdmaData {
-        pages: Vec<(usize, Option<Box<[u8]>>)>,
-    },
-    /// Home → checked-out writer: write the master back and serve
-    /// `requester` directly (issued before any read service or write
-    /// grant). The writer ships the page straight to the requester — a
-    /// read copy ([`ProtoMsg::RdmaData`]) or ownership
-    /// ([`ProtoMsg::PageOwn`]) per `write` — while the writeback
-    /// travels to the home concurrently, removing the extra home hop
-    /// per contended handoff. A `requester` equal to the home itself
-    /// marks the legacy writeback-only recall (the home's own parked
-    /// op wants the page).
-    RdmaRecall {
-        page: usize,
-        requester: NodeId,
-        write: bool,
-    },
-    /// Writer → home: the recalled page's current bytes.
-    RdmaWriteBack {
-        page: usize,
-        data: Box<[u8]>,
-    },
+        // ---- one-sided rdma (home-based, NIC-served reads) ----
+        // Numbered in a band of their own (56–59) so NIC-path traffic is
+        // distinguishable from the 0–31 coherence band in reports.
+        /// One-sided read doorbell: requester → home NIC, naming the pages
+        /// it wants (demand page first, prefetch candidates after). On
+        /// fabrics with one-sided support the home's NIC serves this
+        /// without scheduling its app or protocol thread; elsewhere it
+        /// arrives as an ordinary software message with identical reply
+        /// logic.
+        RdmaRead {
+            pages: Vec<usize>,
+        } = 56,
+        /// Home NIC → requester: per-page payloads. `None` is a NACK — the
+        /// page was checked out to a writer (or mid-invalidation) and the
+        /// requester must fall back to a two-sided [`ProtoMsg::ReadReq`].
+        RdmaData {
+            pages: Vec<(usize, Option<Box<[u8]>>)>,
+        } = 57,
+        /// Home → checked-out writer: write the master back and serve
+        /// `requester` directly (issued before any read service or write
+        /// grant). The writer ships the page straight to the requester — a
+        /// read copy ([`ProtoMsg::RdmaData`]) or ownership
+        /// ([`ProtoMsg::PageOwn`]) per `write` — while the writeback
+        /// travels to the home concurrently, removing the extra home hop
+        /// per contended handoff. A `requester` equal to the home itself
+        /// marks the legacy writeback-only recall (the home's own parked
+        /// op wants the page).
+        RdmaRecall {
+            page: usize,
+            requester: NodeId,
+            write: bool,
+        } = 58,
+        /// Writer → home: the recalled page's current bytes.
+        RdmaWriteBack {
+            page: usize,
+            data: Box<[u8]>,
+        } = 59,
 
-    // ---- object-granularity sharing (`obj` protocol) ----
-    /// Requester → object home: fetch `obj`; with `write`, take over
-    /// ownership (the single writable copy).
-    ObjReq {
-        obj: u32,
-        write: bool,
-    },
-    /// Home → presumed owner: serve `requester` directly. A node that
-    /// neither holds the object nor is about to own it bounces the
-    /// forward back to the home, which re-routes along the current
-    /// ownership chain.
-    ObjFwd {
-        obj: u32,
-        requester: NodeId,
-        write: bool,
-    },
-    /// Owner → requester: the object's bytes. With `write` this *is*
-    /// the ownership transfer — the sender forgets the object and
-    /// exactly one message moves exactly one object, no page
-    /// invalidation. Without it the bytes are a read-only replica the
-    /// receiver drops at its next synchronization entry.
-    ObjData {
-        obj: u32,
-        data: Box<[u8]>,
-        write: bool,
-    },
+        // ---- object-granularity sharing (`obj` protocol) ----
+        // Numbered 60–62 so E22 can separate object traffic from page
+        // coherence.
+        /// Requester → object home: fetch `obj`; with `write`, take over
+        /// ownership (the single writable copy).
+        ObjReq {
+            obj: u32,
+            write: bool,
+        } = 60,
+        /// Home → presumed owner: serve `requester` directly. A node that
+        /// neither holds the object nor is about to own it bounces the
+        /// forward back to the home, which re-routes along the current
+        /// ownership chain.
+        ObjFwd {
+            obj: u32,
+            requester: NodeId,
+            write: bool,
+        } = 61,
+        /// Owner → requester: the object's bytes. With `write` this *is*
+        /// the ownership transfer — the sender forgets the object and
+        /// exactly one message moves exactly one object, no page
+        /// invalidation. Without it the bytes are a read-only replica the
+        /// receiver drops at its next synchronization entry.
+        ObjData {
+            obj: u32,
+            data: Box<[u8]>,
+            write: bool,
+        } = 62,
 
-    // ---- multi-page envelope ----
-    /// Several coherence messages for the same destination in one
-    /// network message (batched fault pipeline). The envelope pays one
-    /// per-message software overhead + header where its contents would
-    /// have paid N; its body is priced as the sum of the inner bodies.
-    /// Only ever built with ≥ 2 inner messages — single messages travel
-    /// bare, so depth-1 runs are byte-identical to unbatched ones.
-    Batch(Vec<ProtoMsg>),
+        // ---- multi-page envelope ----
+        /// Several coherence messages for the same destination in one
+        /// network message (batched fault pipeline). The envelope pays one
+        /// per-message software overhead + header where its contents would
+        /// have paid N; its body is priced as the sum of the inner bodies.
+        /// Only ever built with ≥ 2 inner messages — single messages travel
+        /// bare, so depth-1 runs are byte-identical to unbatched ones.
+        Batch(Vec<ProtoMsg>) = 26,
+    }
 }
 
 impl Payload for ProtoMsg {
@@ -339,503 +354,11 @@ impl Payload for ProtoMsg {
     }
 
     fn kind(&self) -> &'static str {
-        use ProtoMsg::*;
-        match self {
-            ReadReq { .. } => "ReadReq",
-            WriteReq { .. } => "WriteReq",
-            FwdRead { .. } => "FwdRead",
-            FwdWrite { .. } => "FwdWrite",
-            PageRead { .. } => "PageRead",
-            PageOwn { .. } => "PageOwn",
-            Inval { .. } => "Inval",
-            InvalAck { .. } => "InvalAck",
-            Confirm { .. } => "Confirm",
-            MigReq { .. } => "MigReq",
-            MigFwd { .. } => "MigFwd",
-            MigPage { .. } => "MigPage",
-            MigConfirm { .. } => "MigConfirm",
-            UpdWrite { .. } => "UpdWrite",
-            UpdApply { .. } => "UpdApply",
-            UpdAck { .. } => "UpdAck",
-            FetchReq { .. } => "FetchReq",
-            FetchRep { .. } => "FetchRep",
-            DiffFlush { .. } => "DiffFlush",
-            DiffApply { .. } => "DiffApply",
-            DiffApplyAck { .. } => "DiffApplyAck",
-            FlushAck { .. } => "FlushAck",
-            LrcDiffReq { .. } => "LrcDiffReq",
-            LrcDiffRep { .. } => "LrcDiffRep",
-            LrcPageReq { .. } => "LrcPageReq",
-            LrcPageRep { .. } => "LrcPageRep",
-            LrcFlush { .. } => "LrcFlush",
-            LrcFlushAck => "LrcFlushAck",
-            ScabdQ { .. } => "ScabdQ",
-            ScabdU { .. } => "ScabdU",
-            ScabdR { .. } => "ScabdR",
-            RdmaRead { .. } => "RdmaRead",
-            RdmaData { .. } => "RdmaData",
-            RdmaRecall { .. } => "RdmaRecall",
-            RdmaWriteBack { .. } => "RdmaWriteBack",
-            ObjReq { .. } => "ObjReq",
-            ObjFwd { .. } => "ObjFwd",
-            ObjData { .. } => "ObjData",
-            Batch(..) => "Batch",
-        }
+        self.variant()
     }
 
     fn kind_id(&self) -> KindId {
-        use ProtoMsg::*;
-        KindId(match self {
-            ReadReq { .. } => 0,
-            WriteReq { .. } => 1,
-            FwdRead { .. } => 2,
-            FwdWrite { .. } => 3,
-            PageRead { .. } => 4,
-            PageOwn { .. } => 5,
-            Inval { .. } => 6,
-            InvalAck { .. } => 7,
-            Confirm { .. } => 8,
-            MigReq { .. } => 9,
-            MigFwd { .. } => 10,
-            MigPage { .. } => 11,
-            MigConfirm { .. } => 12,
-            UpdWrite { .. } => 13,
-            UpdApply { .. } => 14,
-            UpdAck { .. } => 15,
-            FetchReq { .. } => 16,
-            FetchRep { .. } => 17,
-            DiffFlush { .. } => 18,
-            DiffApply { .. } => 19,
-            DiffApplyAck { .. } => 20,
-            FlushAck { .. } => 21,
-            LrcDiffReq { .. } => 22,
-            LrcDiffRep { .. } => 23,
-            LrcPageReq { .. } => 24,
-            LrcPageRep { .. } => 25,
-            Batch(..) => 26,
-            LrcFlush { .. } => 27,
-            LrcFlushAck => 28,
-            ScabdQ { .. } => 29,
-            ScabdU { .. } => 30,
-            ScabdR { .. } => 31,
-            // One-sided rdma kinds live in their own stats band (56–59)
-            // so NIC-path traffic is distinguishable from the 0–31
-            // coherence band in reports.
-            RdmaRead { .. } => 56,
-            RdmaData { .. } => 57,
-            RdmaRecall { .. } => 58,
-            RdmaWriteBack { .. } => 59,
-            // Object-granularity kinds live in the 60–62 band so E22
-            // can separate object traffic from page coherence.
-            ObjReq { .. } => 60,
-            ObjFwd { .. } => 61,
-            ObjData { .. } => 62,
-        })
-    }
-}
-
-/// Real wire encoding (socket backend): one tag byte per variant in
-/// declaration order, then the fields in declaration order using the
-/// [`Wire`] primitives. The modeled [`Payload::wire_bytes`] sizes above
-/// stay the accounting truth — this encoding is merely what physically
-/// crosses a UDP datagram, and it round-trips exactly (see
-/// `tests/wire_roundtrip.rs`).
-impl Wire for ProtoMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        use ProtoMsg::*;
-        match self {
-            ReadReq { page } => {
-                out.push(0);
-                page.encode(out);
-            }
-            WriteReq { page } => {
-                out.push(1);
-                page.encode(out);
-            }
-            FwdRead { page, requester } => {
-                out.push(2);
-                page.encode(out);
-                requester.encode(out);
-            }
-            FwdWrite {
-                page,
-                requester,
-                ninval,
-            } => {
-                out.push(3);
-                page.encode(out);
-                requester.encode(out);
-                ninval.encode(out);
-            }
-            PageRead { page, data } => {
-                out.push(4);
-                page.encode(out);
-                data.encode(out);
-            }
-            PageOwn {
-                page,
-                data,
-                ninval,
-                copyset,
-            } => {
-                out.push(5);
-                page.encode(out);
-                data.encode(out);
-                ninval.encode(out);
-                copyset.encode(out);
-            }
-            Inval { page, new_owner } => {
-                out.push(6);
-                page.encode(out);
-                new_owner.encode(out);
-            }
-            InvalAck { page } => {
-                out.push(7);
-                page.encode(out);
-            }
-            Confirm { page, owner, write } => {
-                out.push(8);
-                page.encode(out);
-                owner.encode(out);
-                write.encode(out);
-            }
-            MigReq { page } => {
-                out.push(9);
-                page.encode(out);
-            }
-            MigFwd { page, requester } => {
-                out.push(10);
-                page.encode(out);
-                requester.encode(out);
-            }
-            MigPage { page, data } => {
-                out.push(11);
-                page.encode(out);
-                data.encode(out);
-            }
-            MigConfirm { page, holder } => {
-                out.push(12);
-                page.encode(out);
-                holder.encode(out);
-            }
-            UpdWrite { page, off, data } => {
-                out.push(13);
-                page.encode(out);
-                off.encode(out);
-                data.encode(out);
-            }
-            UpdApply {
-                page,
-                off,
-                data,
-                seq,
-            } => {
-                out.push(14);
-                page.encode(out);
-                off.encode(out);
-                data.encode(out);
-                seq.encode(out);
-            }
-            UpdAck { page } => {
-                out.push(15);
-                page.encode(out);
-            }
-            FetchReq { page } => {
-                out.push(16);
-                page.encode(out);
-            }
-            FetchRep { page, data, seq } => {
-                out.push(17);
-                page.encode(out);
-                data.encode(out);
-                seq.encode(out);
-            }
-            DiffFlush { flush, diffs } => {
-                out.push(18);
-                flush.encode(out);
-                diffs.encode(out);
-            }
-            DiffApply { flush, home, diffs } => {
-                out.push(19);
-                flush.encode(out);
-                home.encode(out);
-                diffs.encode(out);
-            }
-            DiffApplyAck { flush } => {
-                out.push(20);
-                flush.encode(out);
-            }
-            FlushAck { flush } => {
-                out.push(21);
-                flush.encode(out);
-            }
-            LrcDiffReq { page, ids } => {
-                out.push(22);
-                page.encode(out);
-                ids.encode(out);
-            }
-            LrcDiffRep { page, diffs } => {
-                out.push(23);
-                page.encode(out);
-                diffs.encode(out);
-            }
-            LrcPageReq { page, epoch } => {
-                out.push(24);
-                page.encode(out);
-                epoch.encode(out);
-            }
-            LrcPageRep { page, data } => {
-                out.push(25);
-                page.encode(out);
-                data.encode(out);
-            }
-            LrcFlush { diffs } => {
-                out.push(26);
-                diffs.encode(out);
-            }
-            LrcFlushAck => out.push(27),
-            ScabdQ { page, txn } => {
-                out.push(28);
-                page.encode(out);
-                txn.encode(out);
-            }
-            ScabdU {
-                page,
-                txn,
-                seq,
-                writer,
-                data,
-            } => {
-                out.push(29);
-                page.encode(out);
-                txn.encode(out);
-                seq.encode(out);
-                writer.encode(out);
-                data.encode(out);
-            }
-            ScabdR {
-                page,
-                txn,
-                seq,
-                writer,
-                data,
-            } => {
-                out.push(30);
-                page.encode(out);
-                txn.encode(out);
-                seq.encode(out);
-                writer.encode(out);
-                data.encode(out);
-            }
-            RdmaRead { pages } => {
-                out.push(31);
-                pages.encode(out);
-            }
-            RdmaData { pages } => {
-                out.push(32);
-                pages.encode(out);
-            }
-            RdmaRecall {
-                page,
-                requester,
-                write,
-            } => {
-                out.push(33);
-                page.encode(out);
-                requester.encode(out);
-                write.encode(out);
-            }
-            RdmaWriteBack { page, data } => {
-                out.push(34);
-                page.encode(out);
-                data.encode(out);
-            }
-            ObjReq { obj, write } => {
-                out.push(35);
-                obj.encode(out);
-                write.encode(out);
-            }
-            ObjFwd {
-                obj,
-                requester,
-                write,
-            } => {
-                out.push(36);
-                obj.encode(out);
-                requester.encode(out);
-                write.encode(out);
-            }
-            ObjData { obj, data, write } => {
-                out.push(37);
-                obj.encode(out);
-                data.encode(out);
-                write.encode(out);
-            }
-            Batch(msgs) => {
-                out.push(38);
-                msgs.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
-        use ProtoMsg::*;
-        Some(match r.u8()? {
-            0 => ReadReq {
-                page: usize::decode(r)?,
-            },
-            1 => WriteReq {
-                page: usize::decode(r)?,
-            },
-            2 => FwdRead {
-                page: usize::decode(r)?,
-                requester: NodeId::decode(r)?,
-            },
-            3 => FwdWrite {
-                page: usize::decode(r)?,
-                requester: NodeId::decode(r)?,
-                ninval: r.u32()?,
-            },
-            4 => PageRead {
-                page: usize::decode(r)?,
-                data: Wire::decode(r)?,
-            },
-            5 => PageOwn {
-                page: usize::decode(r)?,
-                data: Wire::decode(r)?,
-                ninval: r.u32()?,
-                copyset: Wire::decode(r)?,
-            },
-            6 => Inval {
-                page: usize::decode(r)?,
-                new_owner: NodeId::decode(r)?,
-            },
-            7 => InvalAck {
-                page: usize::decode(r)?,
-            },
-            8 => Confirm {
-                page: usize::decode(r)?,
-                owner: NodeId::decode(r)?,
-                write: bool::decode(r)?,
-            },
-            9 => MigReq {
-                page: usize::decode(r)?,
-            },
-            10 => MigFwd {
-                page: usize::decode(r)?,
-                requester: NodeId::decode(r)?,
-            },
-            11 => MigPage {
-                page: usize::decode(r)?,
-                data: Wire::decode(r)?,
-            },
-            12 => MigConfirm {
-                page: usize::decode(r)?,
-                holder: NodeId::decode(r)?,
-            },
-            13 => UpdWrite {
-                page: usize::decode(r)?,
-                off: r.u32()?,
-                data: Wire::decode(r)?,
-            },
-            14 => UpdApply {
-                page: usize::decode(r)?,
-                off: r.u32()?,
-                data: Wire::decode(r)?,
-                seq: r.u64()?,
-            },
-            15 => UpdAck {
-                page: usize::decode(r)?,
-            },
-            16 => FetchReq {
-                page: usize::decode(r)?,
-            },
-            17 => FetchRep {
-                page: usize::decode(r)?,
-                data: Wire::decode(r)?,
-                seq: r.u64()?,
-            },
-            18 => DiffFlush {
-                flush: r.u64()?,
-                diffs: Wire::decode(r)?,
-            },
-            19 => DiffApply {
-                flush: r.u64()?,
-                home: NodeId::decode(r)?,
-                diffs: Wire::decode(r)?,
-            },
-            20 => DiffApplyAck { flush: r.u64()? },
-            21 => FlushAck { flush: r.u64()? },
-            22 => LrcDiffReq {
-                page: usize::decode(r)?,
-                ids: Wire::decode(r)?,
-            },
-            23 => LrcDiffRep {
-                page: usize::decode(r)?,
-                diffs: Wire::decode(r)?,
-            },
-            24 => LrcPageReq {
-                page: usize::decode(r)?,
-                epoch: r.u64()?,
-            },
-            25 => LrcPageRep {
-                page: usize::decode(r)?,
-                data: Wire::decode(r)?,
-            },
-            26 => LrcFlush {
-                diffs: Wire::decode(r)?,
-            },
-            27 => LrcFlushAck,
-            28 => ScabdQ {
-                page: usize::decode(r)?,
-                txn: r.u64()?,
-            },
-            29 => ScabdU {
-                page: usize::decode(r)?,
-                txn: r.u64()?,
-                seq: r.u64()?,
-                writer: r.u32()?,
-                data: Wire::decode(r)?,
-            },
-            30 => ScabdR {
-                page: usize::decode(r)?,
-                txn: r.u64()?,
-                seq: r.u64()?,
-                writer: r.u32()?,
-                data: Wire::decode(r)?,
-            },
-            31 => RdmaRead {
-                pages: Wire::decode(r)?,
-            },
-            32 => RdmaData {
-                pages: Wire::decode(r)?,
-            },
-            33 => RdmaRecall {
-                page: usize::decode(r)?,
-                requester: NodeId::decode(r)?,
-                write: bool::decode(r)?,
-            },
-            34 => RdmaWriteBack {
-                page: usize::decode(r)?,
-                data: Wire::decode(r)?,
-            },
-            35 => ObjReq {
-                obj: r.u32()?,
-                write: bool::decode(r)?,
-            },
-            36 => ObjFwd {
-                obj: r.u32()?,
-                requester: NodeId::decode(r)?,
-                write: bool::decode(r)?,
-            },
-            37 => ObjData {
-                obj: r.u32()?,
-                data: Wire::decode(r)?,
-                write: bool::decode(r)?,
-            },
-            38 => Batch(Wire::decode(r)?),
-            _ => return None,
-        })
+        KindId(self.tag())
     }
 }
 
@@ -844,157 +367,75 @@ impl Wire for ProtoMsg {
 /// relative to the region start.
 pub type EntryUpdateLog = Vec<(u64, Vec<(u32, PageDiff)>)>;
 
-/// Consistency payload piggybacked on synchronization messages.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Piggy {
-    /// No consistency information.
-    None,
-    /// Acquirer's vector clock, delta-encoded against its barrier
-    /// floor (LRC lock requests — lets the granter send only the
-    /// missing intervals).
-    LrcClock(VClockDelta),
-    /// Interval records the receiver is missing (LRC grants, barrier
-    /// payloads), clocks delta-encoded against the sender's floor.
-    LrcIntervals(Vec<WireIntervalRecord>),
-    /// LRC barrier arrival: the arriver's clock plus the records it
-    /// authored since the last barrier. Without GC the root computes
-    /// each node's missing set from these; with GC it additionally
-    /// derives the epoch's causal diff order (the diff *bytes* traveled
-    /// point-to-point to their homes as [`ProtoMsg::LrcFlush`] before
-    /// this arrival — the barrier carries metadata only).
-    LrcBarrier {
-        vt: VClockDelta,
-        records: Vec<WireIntervalRecord>,
-    },
-    /// LRC barrier release with interval GC: the global clock (the new
-    /// fleet-wide floor), the causally-ordered interval-id lists for
-    /// pages the receiver homes (the home substitutes each id's diff
-    /// from its own retained cache or its buffered epoch flushes — no
-    /// bytes travel here), and compacted per-page invalidation notices
-    /// (one entry per page written this epoch, not one per interval)
-    /// for stale copies the receiver must drop.
-    LrcEpoch {
-        vt: VClockDelta,
-        homed: Vec<(usize, Vec<IntervalId>)>,
-        invals: Vec<usize>,
-    },
-    /// Entry-consistency lock request info: the highest update version
-    /// the acquirer has applied for this lock's regions.
-    EntryVer(u64),
-    /// Entry-consistency grant: the guarded regions' update log entries
-    /// the acquirer is missing. Each entry is (version, changes), each
-    /// change a region index + byte-run diff relative to the region
-    /// start — only dirty data travels, as in Midway.
-    EntryLog(EntryUpdateLog),
-    /// Entry-consistency barrier arrival: page diffs of everything this
-    /// node wrote (outside guarded regions) since the last barrier,
-    /// plus, per lock, its current version and the log entries created
-    /// since the last barrier — barriers synchronize guarded data too.
-    EntryArrive {
-        diffs: Vec<(usize, PageDiff)>,
-        locks: Vec<(u32, u64, EntryUpdateLog)>,
-    },
-    /// Entry-consistency barrier release: merged images of every page
-    /// dirtied across the barrier, plus per-lock log entries the
-    /// receiver is missing.
-    EntryRelease {
-        pages: Vec<(usize, Box<[u8]>)>,
-        locks: Vec<(u32, EntryUpdateLog)>,
-    },
-    /// Object-granularity wrapper around the page-level piggy: `ver` is
-    /// the sender's object-update version for the lock (on requests,
-    /// the acquirer's applied version), `objs` the latest images of
-    /// objects dirtied under the lock at versions the receiver lacks
-    /// (`(object id, version, image)`), and `inner` the embedded
-    /// entry-consistency payload for page-level data.
-    Obj {
-        ver: u64,
-        objs: Vec<(u32, u64, Box<[u8]>)>,
-        inner: Box<Piggy>,
-    },
-}
-
-impl Wire for Piggy {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Piggy::None => out.push(0),
-            Piggy::LrcClock(vc) => {
-                out.push(1);
-                vc.encode(out);
-            }
-            Piggy::LrcIntervals(recs) => {
-                out.push(2);
-                recs.encode(out);
-            }
-            Piggy::LrcBarrier { vt, records } => {
-                out.push(3);
-                vt.encode(out);
-                records.encode(out);
-            }
-            Piggy::LrcEpoch { vt, homed, invals } => {
-                out.push(4);
-                vt.encode(out);
-                homed.encode(out);
-                invals.encode(out);
-            }
-            Piggy::EntryVer(v) => {
-                out.push(5);
-                v.encode(out);
-            }
-            Piggy::EntryLog(entries) => {
-                out.push(6);
-                entries.encode(out);
-            }
-            Piggy::EntryArrive { diffs, locks } => {
-                out.push(7);
-                diffs.encode(out);
-                locks.encode(out);
-            }
-            Piggy::EntryRelease { pages, locks } => {
-                out.push(8);
-                pages.encode(out);
-                locks.encode(out);
-            }
-            Piggy::Obj { ver, objs, inner } => {
-                out.push(9);
-                ver.encode(out);
-                objs.encode(out);
-                inner.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
-        Some(match r.u8()? {
-            0 => Piggy::None,
-            1 => Piggy::LrcClock(Wire::decode(r)?),
-            2 => Piggy::LrcIntervals(Wire::decode(r)?),
-            3 => Piggy::LrcBarrier {
-                vt: Wire::decode(r)?,
-                records: Wire::decode(r)?,
-            },
-            4 => Piggy::LrcEpoch {
-                vt: Wire::decode(r)?,
-                homed: Wire::decode(r)?,
-                invals: Wire::decode(r)?,
-            },
-            5 => Piggy::EntryVer(r.u64()?),
-            6 => Piggy::EntryLog(Wire::decode(r)?),
-            7 => Piggy::EntryArrive {
-                diffs: Wire::decode(r)?,
-                locks: Wire::decode(r)?,
-            },
-            8 => Piggy::EntryRelease {
-                pages: Wire::decode(r)?,
-                locks: Wire::decode(r)?,
-            },
-            9 => Piggy::Obj {
-                ver: r.u64()?,
-                objs: Wire::decode(r)?,
-                inner: Box::new(Piggy::decode(r)?),
-            },
-            _ => return None,
-        })
+wire_enum! {
+    /// Consistency payload piggybacked on synchronization messages.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Piggy {
+        /// No consistency information.
+        None = 0,
+        /// Acquirer's vector clock, delta-encoded against its barrier
+        /// floor (LRC lock requests — lets the granter send only the
+        /// missing intervals).
+        LrcClock(VClockDelta) = 1,
+        /// Interval records the receiver is missing (LRC grants, barrier
+        /// payloads), clocks delta-encoded against the sender's floor.
+        LrcIntervals(Vec<WireIntervalRecord>) = 2,
+        /// LRC barrier arrival: the arriver's clock plus the records it
+        /// authored since the last barrier. Without GC the root computes
+        /// each node's missing set from these; with GC it additionally
+        /// derives the epoch's causal diff order (the diff *bytes* traveled
+        /// point-to-point to their homes as [`ProtoMsg::LrcFlush`] before
+        /// this arrival — the barrier carries metadata only).
+        LrcBarrier {
+            vt: VClockDelta,
+            records: Vec<WireIntervalRecord>,
+        } = 3,
+        /// LRC barrier release with interval GC: the global clock (the new
+        /// fleet-wide floor), the causally-ordered interval-id lists for
+        /// pages the receiver homes (the home substitutes each id's diff
+        /// from its own retained cache or its buffered epoch flushes — no
+        /// bytes travel here), and compacted per-page invalidation notices
+        /// (one entry per page written this epoch, not one per interval)
+        /// for stale copies the receiver must drop.
+        LrcEpoch {
+            vt: VClockDelta,
+            homed: Vec<(usize, Vec<IntervalId>)>,
+            invals: Vec<usize>,
+        } = 4,
+        /// Entry-consistency lock request info: the highest update version
+        /// the acquirer has applied for this lock's regions.
+        EntryVer(u64) = 5,
+        /// Entry-consistency grant: the guarded regions' update log entries
+        /// the acquirer is missing. Each entry is (version, changes), each
+        /// change a region index + byte-run diff relative to the region
+        /// start — only dirty data travels, as in Midway.
+        EntryLog(EntryUpdateLog) = 6,
+        /// Entry-consistency barrier arrival: page diffs of everything this
+        /// node wrote (outside guarded regions) since the last barrier,
+        /// plus, per lock, its current version and the log entries created
+        /// since the last barrier — barriers synchronize guarded data too.
+        EntryArrive {
+            diffs: Vec<(usize, PageDiff)>,
+            locks: Vec<(u32, u64, EntryUpdateLog)>,
+        } = 7,
+        /// Entry-consistency barrier release: merged images of every page
+        /// dirtied across the barrier, plus per-lock log entries the
+        /// receiver is missing.
+        EntryRelease {
+            pages: Vec<(usize, Box<[u8]>)>,
+            locks: Vec<(u32, EntryUpdateLog)>,
+        } = 8,
+        /// Object-granularity wrapper around the page-level piggy: `ver` is
+        /// the sender's object-update version for the lock (on requests,
+        /// the acquirer's applied version), `objs` the latest images of
+        /// objects dirtied under the lock at versions the receiver lacks
+        /// (`(object id, version, image)`), and `inner` the embedded
+        /// entry-consistency payload for page-level data.
+        Obj {
+            ver: u64,
+            objs: Vec<(u32, u64, Box<[u8]>)>,
+            inner: Box<Piggy>,
+        } = 9,
     }
 }
 

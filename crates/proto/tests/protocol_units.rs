@@ -56,7 +56,10 @@ fn update_detects_reordered_stream() {
     let mut events = Vec::new();
     // Fault in a copy at seq 0, then receive an update with seq 2
     // (gap: seq 1 lost).
-    assert!(!u.read_fault(&mut io, &mut mem, dsm_mem::PageId(0)));
+    assert!(
+        !u.read_fault_batch(&mut io, &mut mem, &[dsm_mem::PageId(0)])
+            .0
+    );
     u.on_message(
         &mut io,
         &mut mem,
@@ -90,7 +93,10 @@ fn update_fetch_grants_read_only() {
     let mut u = Update::new(NodeId(1), l);
     let mut mem = FrameTable::new(l.geometry);
     let mut io = FakeIo::new(1, 2);
-    assert!(!u.read_fault(&mut io, &mut mem, dsm_mem::PageId(0)));
+    assert!(
+        !u.read_fault_batch(&mut io, &mut mem, &[dsm_mem::PageId(0)])
+            .0
+    );
     assert_eq!(io.sent, vec![(NodeId(0), "FetchReq")]);
     let mut events = Vec::new();
     u.on_message(

@@ -1,24 +1,33 @@
-//! Wire-format round trips for every protocol message kind: the
-//! cluster transport (de)serializes these over real UDP, so each of
-//! the 39 [`ProtoMsg`] variants and 10 [`Piggy`] variants must survive
+//! Wire-format round trips for every message the cluster transport
+//! (de)serializes over real UDP: each variant of [`ProtoMsg`],
+//! [`Piggy`], [`SyncMsg`], [`CoreMsg`] and [`RelMsg`] must survive
 //! encode → decode bit-exactly, and decode must consume exactly the
 //! bytes encode produced (messages travel concatenated inside batch
-//! envelopes and reliable-transport frames).
+//! envelopes and reliable-transport frames). Coverage is held to the
+//! message tables themselves (`TAGS`), not to a hand count; malformed
+//! input — truncated, bit-flipped, or nested without end — must decode
+//! to `None`, never panic.
 
+use dsm_core::CoreMsg;
 use dsm_mem::{
     GlobalAddr, IntervalId, IntervalRecord, NodeSet, PageDiff, PageId, VClock, VClockDelta,
     WireIntervalRecord,
 };
-use dsm_net::{NodeId, Wire};
+use dsm_net::{
+    from_wire_bytes, to_wire_bytes, KindId, NodeId, Payload, RelMsg, Wire, WireReader, XorShift64,
+    MAX_KINDS,
+};
 use dsm_proto::{Piggy, ProtoMsg};
+use dsm_sync::{SyncEnvelope, SyncMsg};
+use std::fmt::Debug;
 
-fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(v: &T) {
+fn round_trip<T: Wire + PartialEq + Debug>(v: &T) {
     let mut bytes = Vec::new();
     v.encode(&mut bytes);
     // Decode must consume exactly what encode produced, even with
     // trailing bytes present (concatenated streams).
     bytes.extend_from_slice(&[0xAB, 0xCD]);
-    let mut r = dsm_net::WireReader::new(&bytes);
+    let mut r = WireReader::new(&bytes);
     let back = T::decode(&mut r).expect("decodes");
     assert_eq!(&back, v);
     assert_eq!(r.remaining(), 2, "wrong number of bytes consumed");
@@ -58,8 +67,7 @@ fn delta() -> VClockDelta {
     VClockDelta::encode(&vc, &VClock::new(3))
 }
 
-/// Every one of the 36 `ProtoMsg` variants, with representative
-/// payloads (including `None`/empty cases where the encoding has an
+/// Every `ProtoMsg` variant, with representative payloads (including `None`/empty cases where the encoding has an
 /// option or length discriminant).
 fn all_proto_msgs() -> Vec<ProtoMsg> {
     use ProtoMsg::*;
@@ -220,7 +228,7 @@ fn all_proto_msgs() -> Vec<ProtoMsg> {
     ]
 }
 
-/// Every one of the 9 `Piggy` variants.
+/// Every `Piggy` variant.
 fn all_piggies() -> Vec<Piggy> {
     vec![
         Piggy::None,
@@ -253,39 +261,293 @@ fn all_piggies() -> Vec<Piggy> {
     ]
 }
 
-#[test]
-fn every_proto_msg_round_trips() {
-    let msgs = all_proto_msgs();
-    assert!(msgs.len() >= 39, "a ProtoMsg variant is missing coverage");
-    for m in &msgs {
-        round_trip(m);
-    }
+/// Every `SyncMsg` variant, over the real piggyback type.
+fn all_sync_msgs() -> Vec<SyncMsg<Piggy>> {
+    let envelopes = || {
+        vec![
+            SyncEnvelope::new(NodeId(0), Piggy::None),
+            SyncEnvelope::new(NodeId(2), Piggy::LrcIntervals(vec![rec()])),
+        ]
+    };
+    vec![
+        SyncMsg::LockReq {
+            lock: 3,
+            requester: NodeId(1),
+            reqinfo: Piggy::LrcClock(delta()),
+        },
+        SyncMsg::LockFwd {
+            lock: 3,
+            requester: NodeId(1),
+            reqinfo: Piggy::EntryVer(4),
+        },
+        // Inside a `RelMsg` this is the deepest nesting real traffic
+        // produces (frame → core → sync → obj piggy → inner piggy): the
+        // reader's nesting budget must admit it.
+        SyncMsg::LockGrant {
+            lock: 3,
+            piggy: Piggy::Obj {
+                ver: 7,
+                objs: vec![(4, 6, page())],
+                inner: Box::new(Piggy::EntryLog(vec![(3, vec![(0, diff())])])),
+            },
+        },
+        SyncMsg::LockRel {
+            lock: 3,
+            piggy: Piggy::None,
+        },
+        SyncMsg::BarArrive {
+            id: 1,
+            contributions: envelopes(),
+        },
+        SyncMsg::BarRelease {
+            id: 1,
+            releases: envelopes(),
+        },
+    ]
+}
+
+/// Both `CoreMsg` layers, over every inner sample.
+fn all_core_msgs() -> Vec<CoreMsg> {
+    let proto = all_proto_msgs().into_iter().map(CoreMsg::Proto);
+    let sync = all_sync_msgs().into_iter().map(CoreMsg::Sync);
+    proto.chain(sync).collect()
+}
+
+/// Both `RelMsg` frames: every `CoreMsg` sample sequenced, plus a
+/// standalone ack.
+fn all_rel_msgs() -> Vec<RelMsg<CoreMsg>> {
+    let mut out: Vec<_> = all_core_msgs()
+        .into_iter()
+        .zip(1..)
+        .map(|(payload, seq)| RelMsg::Data {
+            seq,
+            ack: seq - 1,
+            sack: 0b101,
+            epoch: 2,
+            ack_epoch: 1,
+            payload,
+        })
+        .collect();
+    out.push(RelMsg::Ack {
+        ack: 9,
+        sack: u64::MAX,
+        ack_epoch: 3,
+    });
+    out
+}
+
+/// The samples hit every number in the message's table — and only
+/// those, each table listing a number once.
+fn assert_covers(name: &str, tags: &[u8], seen: impl Iterator<Item = u8>) {
+    let mut seen: Vec<u8> = seen.collect();
+    seen.sort_unstable();
+    seen.dedup();
+    let mut want = tags.to_vec();
+    want.sort_unstable();
+    assert!(
+        want.windows(2).all(|w| w[0] != w[1]),
+        "{name}: a number is used twice"
+    );
+    assert_eq!(seen, want, "{name}: samples and table disagree");
 }
 
 #[test]
-fn every_piggy_round_trips() {
-    let piggies = all_piggies();
-    assert_eq!(piggies.len(), 10, "a Piggy variant is missing coverage");
-    for p in &piggies {
-        round_trip(p);
+fn samples_cover_every_table_entry() {
+    assert_covers(
+        "ProtoMsg",
+        ProtoMsg::TAGS,
+        all_proto_msgs().iter().map(ProtoMsg::tag),
+    );
+    assert_covers("Piggy", Piggy::TAGS, all_piggies().iter().map(Piggy::tag));
+    assert_covers(
+        "SyncMsg",
+        SyncMsg::<Piggy>::TAGS,
+        all_sync_msgs().iter().map(SyncMsg::tag),
+    );
+    assert_covers(
+        "CoreMsg",
+        CoreMsg::TAGS,
+        all_core_msgs().iter().map(CoreMsg::tag),
+    );
+    assert_covers(
+        "RelMsg",
+        RelMsg::<CoreMsg>::TAGS,
+        all_rel_msgs().iter().map(RelMsg::tag),
+    );
+}
+
+#[test]
+fn every_message_round_trips() {
+    all_proto_msgs().iter().for_each(round_trip);
+    all_piggies().iter().for_each(round_trip);
+    all_sync_msgs().iter().for_each(round_trip);
+    all_core_msgs().iter().for_each(round_trip);
+    all_rel_msgs().iter().for_each(round_trip);
+}
+
+/// The statistics numbering, pinned: `NetStats` tables, report strings
+/// and every recorded benchmark are keyed by these.
+#[test]
+fn kind_ids_are_pinned_and_disjoint() {
+    const PROTO: [(&str, u8); 39] = [
+        ("ReadReq", 0),
+        ("WriteReq", 1),
+        ("FwdRead", 2),
+        ("FwdWrite", 3),
+        ("PageRead", 4),
+        ("PageOwn", 5),
+        ("Inval", 6),
+        ("InvalAck", 7),
+        ("Confirm", 8),
+        ("MigReq", 9),
+        ("MigFwd", 10),
+        ("MigPage", 11),
+        ("MigConfirm", 12),
+        ("UpdWrite", 13),
+        ("UpdApply", 14),
+        ("UpdAck", 15),
+        ("FetchReq", 16),
+        ("FetchRep", 17),
+        ("DiffFlush", 18),
+        ("DiffApply", 19),
+        ("DiffApplyAck", 20),
+        ("FlushAck", 21),
+        ("LrcDiffReq", 22),
+        ("LrcDiffRep", 23),
+        ("LrcPageReq", 24),
+        ("LrcPageRep", 25),
+        ("Batch", 26),
+        ("LrcFlush", 27),
+        ("LrcFlushAck", 28),
+        ("ScabdQ", 29),
+        ("ScabdU", 30),
+        ("ScabdR", 31),
+        ("RdmaRead", 56),
+        ("RdmaData", 57),
+        ("RdmaRecall", 58),
+        ("RdmaWriteBack", 59),
+        ("ObjReq", 60),
+        ("ObjFwd", 61),
+        ("ObjData", 62),
+    ];
+    const SYNC: [(&str, u8); 6] = [
+        ("LockReq", 32),
+        ("LockFwd", 33),
+        ("LockGrant", 34),
+        ("LockRel", 35),
+        ("BarArrive", 36),
+        ("BarRelease", 37),
+    ];
+    fn kinds<M: Payload>(msgs: &[M]) -> Vec<(&'static str, u8)> {
+        let mut ids: Vec<_> = msgs.iter().map(|m| (m.kind(), m.kind_id().0)).collect();
+        ids.sort_unstable_by_key(|&(_, id)| id);
+        ids.dedup();
+        ids
+    }
+    assert_eq!(kinds(&all_proto_msgs()), PROTO);
+    assert_eq!(kinds(&all_sync_msgs()), SYNC);
+
+    // The reliable transport keeps inner kinds on data frames and adds
+    // one of its own; nothing collides and everything fits the table.
+    let ack = RelMsg::<CoreMsg>::Ack {
+        ack: 0,
+        sack: 0,
+        ack_epoch: 0,
+    };
+    assert_eq!((ack.kind(), ack.kind_id()), ("RelAck", KindId(48)));
+    let mut all: Vec<u8> = ProtoMsg::TAGS.to_vec();
+    all.extend(SyncMsg::<Piggy>::TAGS);
+    all.push(48);
+    assert!(all.iter().all(|&id| usize::from(id) < MAX_KINDS));
+    all.sort_unstable();
+    assert!(all.windows(2).all(|w| w[0] != w[1]), "a stat id is shared");
+}
+
+fn truncations_decode_to_none<T: Wire + Debug>(samples: &[T]) {
+    for m in samples {
+        let bytes = to_wire_bytes(m);
+        for cut in 0..bytes.len() {
+            let mut r = WireReader::new(&bytes[..cut]);
+            assert!(
+                T::decode(&mut r).is_none(),
+                "decoded from a {cut}-byte prefix of {m:?}"
+            );
+        }
     }
 }
 
 #[test]
 fn truncated_and_garbage_input_decode_to_none() {
-    for m in all_proto_msgs() {
-        let mut bytes = Vec::new();
-        m.encode(&mut bytes);
-        for cut in 0..bytes.len() {
-            let mut r = dsm_net::WireReader::new(&bytes[..cut]);
-            assert!(
-                ProtoMsg::decode(&mut r).is_none(),
-                "decoded from a {cut}-byte prefix of {m:?}"
-            );
+    truncations_decode_to_none(&all_proto_msgs());
+    truncations_decode_to_none(&all_piggies());
+    truncations_decode_to_none(&all_sync_msgs());
+    truncations_decode_to_none(&all_core_msgs());
+    truncations_decode_to_none(&all_rel_msgs());
+    let garbage = [0xFF, 0xFF, 0xFF, 0xFF];
+    assert!(
+        from_wire_bytes::<ProtoMsg>(&garbage).is_none(),
+        "unknown tag decoded"
+    );
+}
+
+/// 1–4 random bit flips, 2 000 times per sample: whatever comes out is
+/// `None` or a value — decoding a corrupt datagram never panics, never
+/// over-allocates, never overflows the stack.
+fn bit_flips_never_panic<T: Wire>(samples: &[T], rng: &mut XorShift64) {
+    for m in samples {
+        let clean = to_wire_bytes(m);
+        for _ in 0..2_000 {
+            let mut bytes = clean.clone();
+            for _ in 0..=rng.below(4) {
+                let bit = rng.below(bytes.len() as u64 * 8) as usize;
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+            let _ = from_wire_bytes::<T>(&bytes);
         }
     }
-    let mut r = dsm_net::WireReader::new(&[0xFF, 0xFF, 0xFF, 0xFF]);
-    assert!(ProtoMsg::decode(&mut r).is_none(), "unknown tag decoded");
+}
+
+#[test]
+fn bit_flipped_input_never_panics() {
+    let mut rng = XorShift64::new(0x5EED_F11B);
+    bit_flips_never_panic(&all_proto_msgs(), &mut rng);
+    bit_flips_never_panic(&all_piggies(), &mut rng);
+    bit_flips_never_panic(&all_sync_msgs(), &mut rng);
+    bit_flips_never_panic(&all_core_msgs(), &mut rng);
+    bit_flips_never_panic(&all_rel_msgs(), &mut rng);
+}
+
+/// A datagram of nothing but nested envelopes must be refused before
+/// `decode` recurses far: unbounded, 12 000 levels (a 60 KB payload any
+/// local process can send to a node's UDP port) overflow a 2 MiB stack
+/// and abort the process. Decoded on a spawned thread, whose stack is
+/// the default size a cluster node's reactor thread gets.
+#[test]
+fn runaway_nesting_is_refused() {
+    let batch_tag = ProtoMsg::Batch(Vec::new()).tag();
+    let mut batches = Vec::new();
+    for _ in 0..12_000 {
+        batches.push(batch_tag);
+        batches.extend_from_slice(&1u32.to_le_bytes());
+    }
+    batches.extend(to_wire_bytes(&ProtoMsg::LrcFlushAck));
+
+    let mut chain = Piggy::None;
+    for _ in 0..64 {
+        chain = Piggy::Obj {
+            ver: 0,
+            objs: Vec::new(),
+            inner: Box::new(chain),
+        };
+    }
+    let objs = to_wire_bytes(&chain);
+
+    std::thread::spawn(move || {
+        assert!(from_wire_bytes::<ProtoMsg>(&batches).is_none());
+        assert!(from_wire_bytes::<Piggy>(&objs).is_none());
+    })
+    .join()
+    .expect("decode must not panic");
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //! The sync engines therefore treat the consistency payload as an
 //! opaque `P:`[`SyncPiggy`] supplied by the coherence layer.
 
-use dsm_net::{KindId, NodeId, Payload, Wire, WireReader};
+use dsm_net::{wire_enum, KindId, NodeId, Payload, Wire, WireReader};
 
 /// Ids for application-level locks and barriers.
 pub type LockId = u32;
@@ -69,39 +69,43 @@ impl<P> SyncEnvelope<P> {
     }
 }
 
-/// Messages exchanged by the lock and barrier engines.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SyncMsg<P> {
-    /// Requester → lock home. `reqinfo` lets the eventual granter
-    /// compute a minimal piggyback (e.g. the acquirer's vector clock).
-    LockReq {
-        lock: LockId,
-        requester: NodeId,
-        reqinfo: P,
-    },
-    /// Home → current tail (distributed queue lock): "grant to
-    /// `requester` when you release".
-    LockFwd {
-        lock: LockId,
-        requester: NodeId,
-        reqinfo: P,
-    },
-    /// Granter → requester: the lock is yours; apply `piggy` first.
-    LockGrant { lock: LockId, piggy: P },
-    /// Releaser → server (centralized lock only).
-    LockRel { lock: LockId, piggy: P },
-    /// Barrier arrival, carrying the contributions of the sender's
-    /// subtree (a single node for the centralized barrier).
-    BarArrive {
-        id: BarrierId,
-        contributions: Vec<SyncEnvelope<P>>,
-    },
-    /// Barrier release flowing back down, carrying per-node payloads
-    /// for every node in the receiver's subtree.
-    BarRelease {
-        id: BarrierId,
-        releases: Vec<SyncEnvelope<P>>,
-    },
+wire_enum! {
+    /// Messages exchanged by the lock and barrier engines. Numbered in
+    /// the synchronization band (32–39) of the statistics table: the
+    /// number is both the wire tag and the [`KindId`].
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum SyncMsg<P> {
+        /// Requester → lock home. `reqinfo` lets the eventual granter
+        /// compute a minimal piggyback (e.g. the acquirer's vector clock).
+        LockReq {
+            lock: LockId,
+            requester: NodeId,
+            reqinfo: P,
+        } = 32,
+        /// Home → current tail (distributed queue lock): "grant to
+        /// `requester` when you release".
+        LockFwd {
+            lock: LockId,
+            requester: NodeId,
+            reqinfo: P,
+        } = 33,
+        /// Granter → requester: the lock is yours; apply `piggy` first.
+        LockGrant { lock: LockId, piggy: P } = 34,
+        /// Releaser → server (centralized lock only).
+        LockRel { lock: LockId, piggy: P } = 35,
+        /// Barrier arrival, carrying the contributions of the sender's
+        /// subtree (a single node for the centralized barrier).
+        BarArrive {
+            id: BarrierId,
+            contributions: Vec<SyncEnvelope<P>>,
+        } = 36,
+        /// Barrier release flowing back down, carrying per-node payloads
+        /// for every node in the receiver's subtree.
+        BarRelease {
+            id: BarrierId,
+            releases: Vec<SyncEnvelope<P>>,
+        } = 37,
+    }
 }
 
 impl<P: SyncPiggy> Payload for SyncMsg<P> {
@@ -121,104 +125,11 @@ impl<P: SyncPiggy> Payload for SyncMsg<P> {
     }
 
     fn kind(&self) -> &'static str {
-        match self {
-            SyncMsg::LockReq { .. } => "LockReq",
-            SyncMsg::LockFwd { .. } => "LockFwd",
-            SyncMsg::LockGrant { .. } => "LockGrant",
-            SyncMsg::LockRel { .. } => "LockRel",
-            SyncMsg::BarArrive { .. } => "BarArrive",
-            SyncMsg::BarRelease { .. } => "BarRelease",
-        }
+        self.variant()
     }
 
     fn kind_id(&self) -> KindId {
-        KindId(match self {
-            SyncMsg::LockReq { .. } => 32,
-            SyncMsg::LockFwd { .. } => 33,
-            SyncMsg::LockGrant { .. } => 34,
-            SyncMsg::LockRel { .. } => 35,
-            SyncMsg::BarArrive { .. } => 36,
-            SyncMsg::BarRelease { .. } => 37,
-        })
-    }
-}
-
-impl<P: Wire> Wire for SyncMsg<P> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            SyncMsg::LockReq {
-                lock,
-                requester,
-                reqinfo,
-            } => {
-                out.push(0);
-                lock.encode(out);
-                requester.encode(out);
-                reqinfo.encode(out);
-            }
-            SyncMsg::LockFwd {
-                lock,
-                requester,
-                reqinfo,
-            } => {
-                out.push(1);
-                lock.encode(out);
-                requester.encode(out);
-                reqinfo.encode(out);
-            }
-            SyncMsg::LockGrant { lock, piggy } => {
-                out.push(2);
-                lock.encode(out);
-                piggy.encode(out);
-            }
-            SyncMsg::LockRel { lock, piggy } => {
-                out.push(3);
-                lock.encode(out);
-                piggy.encode(out);
-            }
-            SyncMsg::BarArrive { id, contributions } => {
-                out.push(4);
-                id.encode(out);
-                contributions.encode(out);
-            }
-            SyncMsg::BarRelease { id, releases } => {
-                out.push(5);
-                id.encode(out);
-                releases.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
-        Some(match r.u8()? {
-            0 => SyncMsg::LockReq {
-                lock: r.u32()?,
-                requester: NodeId::decode(r)?,
-                reqinfo: P::decode(r)?,
-            },
-            1 => SyncMsg::LockFwd {
-                lock: r.u32()?,
-                requester: NodeId::decode(r)?,
-                reqinfo: P::decode(r)?,
-            },
-            2 => SyncMsg::LockGrant {
-                lock: r.u32()?,
-                piggy: P::decode(r)?,
-            },
-            3 => SyncMsg::LockRel {
-                lock: r.u32()?,
-                piggy: P::decode(r)?,
-            },
-            4 => SyncMsg::BarArrive {
-                id: r.u32()?,
-                contributions: Wire::decode(r)?,
-            },
-            5 => SyncMsg::BarRelease {
-                id: r.u32()?,
-                releases: Wire::decode(r)?,
-            },
-            _ => return None,
-        })
+        KindId(self.tag())
     }
 }
 
