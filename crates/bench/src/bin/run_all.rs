@@ -63,17 +63,5 @@ fn main() {
     if !crashes.is_empty() || !partitions.is_empty() {
         dsm_bench::experiments::custom_fault_run(scale, &crashes, &partitions);
     }
-    if json {
-        match dsm_bench::json::write_all(std::path::Path::new(".")) {
-            Ok(files) => {
-                for f in files {
-                    eprintln!("wrote {f}");
-                }
-            }
-            Err(e) => {
-                eprintln!("run_all: failed to write JSON output: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
+    dsm_bench::json::write_cwd_or_exit("run_all");
 }

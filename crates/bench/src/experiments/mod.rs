@@ -1,7 +1,7 @@
 //! The experiment suite: one function per table/figure in
 //! EXPERIMENTS.md. Each prints its table(s) on stdout in the fixed
-//! format of [`crate::table`]; the `eNN_*` binaries and `run_all` are
-//! thin wrappers.
+//! format of [`crate::table`]. [`REGISTRY`] names them; the `exp` and
+//! `run_all` binaries are thin wrappers over it.
 
 mod ablation;
 mod batching;
@@ -44,28 +44,43 @@ impl Scale {
     }
 }
 
-/// Run every experiment at the given scale.
+/// A named experiment: what `exp <name>` looks up and runs.
+pub type Experiment = (&'static str, fn(Scale));
+
+/// The suite, in report order, under the names `exp <name>` takes. A
+/// new experiment is one row here: [`run_all`] and `exp --list` follow.
+pub const REGISTRY: &[Experiment] = &[
+    ("e01_managers", e01_managers),
+    ("e02_sor_speedup", e02_sor),
+    ("e03_matmul_speedup", e03_matmul),
+    ("e04_gauss_speedup", e04_gauss),
+    ("e05_false_sharing", e05_false_sharing),
+    ("e06_erc_vs_lrc", e06_erc_vs_lrc),
+    ("e07_locks", e07_locks),
+    ("e08_barriers", e08_barriers),
+    ("e09_diffs", e09_diffs),
+    ("e10_vm_costs", e10_vm_costs),
+    ("e11_entry_vs_lrc", e11_entry_vs_lrc),
+    ("e12_tsp", e12_tsp),
+    ("e13_nic_ablation", e13_nic_ablation),
+    ("e14_lrc_lock_ablation", e14_lrc_lock_ablation),
+    ("e15_fft", e15_fft),
+    ("e16_faults", e16_faults),
+    ("e17_batching", e17_batching),
+    ("e18_lrc_meta", e18_lrc_meta),
+    ("e19_crash", e19_crash),
+    ("e20_eras", e20_eras),
+    ("e21_zipf", e21_zipf),
+    ("e22_obj", e22_obj),
+];
+
+/// Runnable by name but outside the suite: the N=1024 smoke point has
+/// a wall-clock budget of its own, so [`run_all`] leaves it out.
+pub const STANDALONE: &[Experiment] = &[("e02_sor_n1024", e02_sor_n1024)];
+
+/// Run every experiment of [`REGISTRY`] at the given scale.
 pub fn run_all(scale: Scale) {
-    e01_managers(scale);
-    e02_sor(scale);
-    e03_matmul(scale);
-    e04_gauss(scale);
-    e05_false_sharing(scale);
-    e06_erc_vs_lrc(scale);
-    e07_locks(scale);
-    e08_barriers(scale);
-    e09_diffs(scale);
-    e10_vm_costs(scale);
-    e11_entry_vs_lrc(scale);
-    e12_tsp(scale);
-    e13_nic_ablation(scale);
-    e14_lrc_lock_ablation(scale);
-    e15_fft(scale);
-    e16_faults(scale);
-    e17_batching(scale);
-    e18_lrc_meta(scale);
-    e19_crash(scale);
-    e20_eras(scale);
-    e21_zipf(scale);
-    e22_obj(scale);
+    for (_, run) in REGISTRY {
+        run(scale);
+    }
 }

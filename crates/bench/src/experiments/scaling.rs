@@ -234,8 +234,8 @@ pub fn e03_matmul(scale: Scale) {
 /// alone. Worker count comes from `DsmConfig`'s default (the
 /// `DSM_WORKERS` environment variable), and the batched fault pipeline
 /// is on — at this scale the rendezvous count, not the event count, is
-/// the wall-clock driver.
-pub fn e02_sor_n1024() {
+/// the wall-clock driver. One fixed size: the scale is ignored.
+pub fn e02_sor_n1024(_scale: Scale) {
     let p = sor::SorParams {
         n: 1026,
         iters: 2,

@@ -137,6 +137,19 @@ fn escape(s: &str) -> String {
     out
 }
 
+/// The binaries' `--json` epilogue: [`write_all`] into the current
+/// directory, naming each file on stderr; exits 1 if one cannot be
+/// written. A no-op unless the sink is enabled.
+pub fn write_cwd_or_exit(tool: &str) {
+    match write_all(std::path::Path::new(".")) {
+        Ok(files) => files.iter().for_each(|f| eprintln!("wrote {f}")),
+        Err(e) => {
+            eprintln!("{tool}: failed to write JSON output: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
 /// Write one `BENCH_<exp>.json` per recorded experiment into `dir`,
 /// returning the file names written. Drains the sink.
 pub fn write_all(dir: &std::path::Path) -> std::io::Result<Vec<String>> {

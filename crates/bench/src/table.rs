@@ -1,5 +1,5 @@
 //! Fixed-format table printing for the experiment harnesses, so every
-//! `eNN_*` binary regenerates its figure/table in the same shape.
+//! `exp <name>` run regenerates its figure/table in the same shape.
 
 /// One line series: a label and one value per x position.
 #[derive(Debug, Clone)]

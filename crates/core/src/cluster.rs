@@ -6,16 +6,23 @@
 //!
 //! # Architecture
 //!
-//! Three threads per process:
+//! Two threads per node:
 //!
 //! * the **application thread** runs the user program against a
 //!   [`dsm_vm::ClusterView`] — plain loads and stores, with protection
-//!   violations parking the thread in the shared signal handler;
-//! * the **fault service thread** drains [`dsm_vm::ClusterView::next_fault`]
-//!   and turns each fault into a protocol op for the reactor;
+//!   violations parking the thread in the view's signal handler;
 //! * the **reactor thread** owns the [`SocketRt`] (UDP socket, timers,
 //!   retransmission) and the node's frame table, dispatches incoming
-//!   protocol messages, and runs ops to completion.
+//!   protocol messages, and runs ops to completion. Its loop takes
+//!   one request from the application — the view's parked fault
+//!   ([`dsm_vm::ClusterView::pending_fault`]: it becomes a protocol
+//!   op, resolved and resumed right here) or else a synchronization
+//!   request — and then serves the socket for a fixed interval before
+//!   it looks again, so that when a request is seen does not depend on
+//!   what else happens to arrive.
+//!
+//! A node is usually alone in its process, but nothing requires it:
+//! views are independent, so tests run whole clusters as threads.
 //!
 //! # View ↔ frame reconciliation
 //!
@@ -46,7 +53,7 @@
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::lease::FrameCell;
 use crate::node::{DsmNode, DsmOp, DsmReply, OpBuf, OpData};
@@ -58,19 +65,24 @@ use dsm_vm::cluster::{ACC_NONE, ACC_READ, ACC_WRITE};
 use dsm_vm::{ClusterView, ViewFault};
 
 /// How long one reactor poll waits for a datagram before re-checking
-/// the op channel. Small enough to keep op latency negligible on
-/// localhost, large enough not to spin.
+/// the application, and how long the reactor serves the network
+/// between two looks at the application. Small enough to keep op
+/// latency negligible on localhost, large enough not to spin. (A quiet
+/// socket wait lasts as long as the kernel rounds `SO_RCVTIMEO` up to —
+/// two scheduler ticks, 8 ms at HZ = 250 — however short this is.)
 const POLL: Duration = Duration::from_micros(500);
 
-/// Requests crossing from the application/service threads into the
-/// reactor. At most one is outstanding at a time: the application
-/// thread is either running, parked in a fault (service thread acts
-/// for it), or blocked in a sync op — never two at once.
-enum Req {
-    Fault(ViewFault, mpsc::Sender<()>),
-    Sync(SyncOp, mpsc::Sender<()>),
-    Quit,
-}
+/// How long a resumed access needs to trap again, if it is going to: a
+/// wake-up across CPUs and a signal delivery, tens of microseconds.
+/// Short next to [`POLL`].
+const RETRAP: Duration = Duration::from_micros(100);
+
+/// A synchronization request crossing from the application thread into
+/// the reactor, and where to acknowledge it. The application thread is
+/// either running, parked in a fault (which the reactor reads off the
+/// view, not off this channel), or blocked in a sync op — never two at
+/// once. The channel closing is the reactor's signal to exit.
+struct Req(SyncOp, mpsc::Sender<()>);
 
 enum SyncOp {
     Acquire(LockId),
@@ -99,7 +111,7 @@ impl ClusterDsm<'_> {
 
     fn op(&self, op: SyncOp) {
         let (tx, rx) = mpsc::channel();
-        self.req.send(Req::Sync(op, tx)).expect("reactor gone");
+        self.req.send(Req(op, tx)).expect("reactor gone");
         rx.recv().expect("reactor gone");
     }
 
@@ -236,6 +248,7 @@ impl Reactor<'_> {
         self.rt.run_op(op, POLL)
     }
 
+    /// Resolve a parked access as a protocol op and resume its thread.
     fn service_fault(&mut self, fault: ViewFault, buf: &mut Vec<u8>) {
         self.reconcile_out(buf);
         let ps = self.layout.geometry.page_size();
@@ -266,6 +279,7 @@ impl Reactor<'_> {
             self.run_op(op);
         }
         self.reconcile_in();
+        self.view.finish_fault();
     }
 
     fn service_sync(&mut self, op: SyncOp, buf: &mut Vec<u8>) {
@@ -290,27 +304,57 @@ impl Reactor<'_> {
         }
     }
 
+    /// Serve peers (and retransmission timers) for a whole [`POLL`], and
+    /// on until the socket wait then in progress ends.
+    fn serve_peers(&mut self) {
+        let until = Instant::now() + POLL;
+        loop {
+            let left = until.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            if self.rt.step(left) {
+                self.reconcile_in();
+            }
+        }
+    }
+
+    /// The loop: one look at the application, then the network for a
+    /// whole [`POLL`], whatever arrives meanwhile. A datagram must not
+    /// bring the next look forward: what an op leaves behind on the
+    /// wire (acks, confirmations) lands within microseconds of the
+    /// application's next request, so which of the two came first would
+    /// decide whether that request is seen at once or a socket wait
+    /// later — 0.2 ms or 8 ms a fault, by luck, and runs of one program
+    /// 15 % apart. A request waits for the look it precedes, every time.
     fn run(mut self, rx: mpsc::Receiver<Req>) {
         let mut buf = Vec::new();
         loop {
-            match rx.try_recv() {
-                Ok(Req::Quit) | Err(mpsc::TryRecvError::Disconnected) => break,
-                Ok(Req::Fault(f, ack)) => {
-                    self.service_fault(f, &mut buf);
-                    let _ = ack.send(());
+            if let Some(fault) = self.view.pending_fault() {
+                self.service_fault(fault, &mut buf);
+                // The access just resumed may trap again at once: a
+                // store to a page this node does not hold is a read
+                // fault and then an upgrade (module docs), and a scan's
+                // next page is as near. Look once more before going
+                // back to the socket, or that trap waits out the wait.
+                // Once: an access traps twice at most, and a loop here
+                // would be a busy poll.
+                std::thread::sleep(RETRAP);
+                if let Some(again) = self.view.pending_fault() {
+                    self.service_fault(again, &mut buf);
                 }
-                Ok(Req::Sync(op, ack)) => {
-                    self.service_sync(op, &mut buf);
-                    let _ = ack.send(());
-                }
-                Err(mpsc::TryRecvError::Empty) => {
-                    // Serve peers (and retransmission timers) while the
-                    // application computes locally.
-                    if self.rt.step(POLL) {
-                        self.reconcile_in();
+            } else {
+                match rx.try_recv() {
+                    // The program returned (after `linger`) or unwound.
+                    Err(mpsc::TryRecvError::Disconnected) => break,
+                    Ok(Req(op, ack)) => {
+                        self.service_sync(op, &mut buf);
+                        let _ = ack.send(());
                     }
+                    Err(mpsc::TryRecvError::Empty) => {}
                 }
             }
+            self.serve_peers();
         }
     }
 }
@@ -327,6 +371,9 @@ impl Reactor<'_> {
 /// known to be done (e.g. after a coordinator's shutdown message).
 /// Real sockets are not deterministic — matching *results* with the
 /// simulator, not matching traffic, is the contract.
+///
+/// A panic in `program` or `linger` stops this node's reactor and is
+/// re-raised on the caller's thread.
 pub fn run_cluster_node<V, F, L>(
     cfg: &DsmConfig,
     me: NodeId,
@@ -366,26 +413,14 @@ where
             layout,
             lazy: matches!(cfg.protocol, crate::ProtocolKind::Lrc),
         };
-        let reactor_thread = s.spawn(move || reactor.run(rx));
+        s.spawn(move || reactor.run(rx));
 
-        let fault_tx = tx.clone();
-        let view_ref = &view;
-        let service_thread = s.spawn(move || {
-            while let Some(fault) = view_ref.next_fault() {
-                let (ack_tx, ack_rx) = mpsc::channel();
-                if fault_tx.send(Req::Fault(fault, ack_tx)).is_err() {
-                    break;
-                }
-                if ack_rx.recv().is_err() {
-                    break;
-                }
-                view_ref.finish_fault();
-            }
-        });
-
+        // The only sender: leaving this closure drops it, which stops
+        // the reactor — also when `program` or `linger` panics, so the
+        // scope can join and re-raise the panic on the caller's thread.
         let dsm = ClusterDsm {
             view: &view,
-            req: tx.clone(),
+            req: tx,
             me,
             nnodes: cfg.nnodes,
         };
@@ -393,12 +428,6 @@ where
         // Keep serving peers until the embedder says the cluster is
         // done, then tear down.
         linger(&result);
-        view.stop();
-        let _ = tx.send(Req::Quit);
-        drop(dsm);
-        drop(tx);
-        service_thread.join().expect("fault service thread");
-        reactor_thread.join().expect("reactor thread");
         result
     })
 }
@@ -450,5 +479,107 @@ mod tests {
 
         assert_eq!(cluster, sim.results[0]);
         assert_eq!(cluster, 42);
+    }
+
+    #[test]
+    fn panicking_program_fails_the_run() {
+        let cfg = DsmConfig::new(1, ProtocolKind::IvyFixed)
+            .heap_bytes(1 << 16)
+            .page_size(dsm_vm::os_page_size());
+        let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let peers = vec![sock.local_addr().unwrap()];
+        let run = std::panic::AssertUnwindSafe(|| {
+            run_cluster_node(
+                &cfg,
+                NodeId(0),
+                sock,
+                peers,
+                |dsm| -> u64 {
+                    dsm.write_u64(GlobalAddr(16), 1);
+                    panic!("program failed")
+                },
+                |_| {},
+            )
+        });
+        let payload = std::panic::catch_unwind(run).expect_err("the panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"program failed"));
+    }
+
+    /// The `dsm-cluster` demo workload: page `i` holds node `i`'s u64
+    /// slot, page `n` a lock-guarded counter.
+    fn demo(d: &ClusterDsm<'_>, page: usize) -> u64 {
+        let (rank, n) = (d.id().0 as u64, d.nodes() as u64);
+        let ctr = GlobalAddr(n as usize * page);
+        d.write_u64(GlobalAddr(rank as usize * page), (rank + 1) * 10);
+        d.barrier(0);
+        let sum: u64 = (0..n as usize)
+            .map(|i| d.read_u64(GlobalAddr(i * page)))
+            .sum();
+        for _ in 0..3 {
+            d.with_lock(1, |d| {
+                let c = d.read_u64(ctr);
+                d.write_u64(ctr, c + rank + 1);
+            });
+        }
+        d.barrier(1);
+        sum * 1000 + d.read_u64(ctr)
+    }
+
+    /// A whole cluster as threads of this process: every node has its
+    /// own socket, view and reactor, and keeps serving peers until all
+    /// programs are done.
+    fn run_in_process(n: u32, proto: ProtocolKind) {
+        let page = dsm_vm::os_page_size();
+        let cfg = DsmConfig::new(n, proto)
+            .heap_bytes((n as usize + 1) * page)
+            .page_size(page);
+        let socks: Vec<UdpSocket> = (0..n)
+            .map(|_| UdpSocket::bind("127.0.0.1:0").unwrap())
+            .collect();
+        let peers: Vec<SocketAddr> = socks.iter().map(|s| s.local_addr().unwrap()).collect();
+        let all_done = std::sync::Barrier::new(n as usize);
+        let results: Vec<u64> = std::thread::scope(|s| {
+            let ranks: Vec<_> = socks
+                .into_iter()
+                .enumerate()
+                .map(|(rank, sock)| {
+                    let (cfg, peers, all_done) = (&cfg, peers.clone(), &all_done);
+                    s.spawn(move || {
+                        run_cluster_node(
+                            cfg,
+                            NodeId(rank as u32),
+                            sock,
+                            peers,
+                            |d| demo(d, page),
+                            |_| {
+                                all_done.wait();
+                            },
+                        )
+                    })
+                })
+                .collect();
+            ranks.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        // Slot sum of `(i+1)*10`, scaled, plus three lock-guarded
+        // rounds of `+ (i+1)` from each node.
+        let tri = (n as u64) * (n as u64 + 1) / 2;
+        assert_eq!(results, vec![10 * tri * 1000 + 3 * tri; n as usize]);
+    }
+
+    #[test]
+    fn ivy_fixed_clusters_run_as_threads() {
+        run_in_process(2, ProtocolKind::IvyFixed);
+        run_in_process(4, ProtocolKind::IvyFixed);
+    }
+
+    #[test]
+    fn ivy_dynamic_clusters_run_as_threads() {
+        run_in_process(2, ProtocolKind::IvyDynamic);
+        run_in_process(4, ProtocolKind::IvyDynamic);
+    }
+
+    #[test]
+    fn lrc_cluster_runs_as_threads() {
+        run_in_process(3, ProtocolKind::Lrc);
     }
 }

@@ -1,36 +1,46 @@
-//! The cluster-mode page view: one process = one node's `mmap`-ed
-//! window onto the shared space, with `mprotect`-enforced rights and
-//! the shared `SIGSEGV` handler turning violations into *surfaced*
-//! faults.
+//! The page view — the one trap path of this crate: a node's `mmap`-ed
+//! window onto the shared space, with `mprotect`-enforced rights and a
+//! `SIGSEGV` handler that turns violations into *surfaced* faults.
 //!
-//! Where [`crate::run_vm`] services faults in-process (every node's
-//! view lives in one address space), a [`ClusterView`] belongs to a
-//! node that is alone in its process: the faulting thread parks in the
-//! signal handler exactly as in the engine, but the fault is handed to
-//! whatever runtime embeds the view — [`ClusterView::next_fault`]
-//! blocks until one arrives, the host resolves it (over the network,
-//! in cluster mode) by installing data and rights, and
-//! [`ClusterView::finish_fault`] resumes the parked thread.
+//! A [`ClusterView`] owns everything the mechanism needs: the mapping,
+//! the per-page access level, the fault slot the handler files into and
+//! the pipe that wakes the host. The faulting thread parks in the
+//! handler; whatever runtime embeds the view drains its faults
+//! ([`ClusterView::next_fault`] blocks, [`ClusterView::pending_fault`]
+//! polls), resolves each by installing data and rights, and resumes the
+//! thread with [`ClusterView::finish_fault`]. That host is a coherence
+//! policy over sibling views in [`crate::run_vm`] and a network protocol
+//! stack in cluster mode. Any number of views may live in one process:
+//! the handler finds the faulting one by scanning a static table.
 //!
-//! One view per process: the handler finds it through a single global
-//! pointer, and a real deployment runs one node per OS process anyway.
+//! Safety model: the handler is async-signal-safe (atomics, `write(2)`
+//! to a pipe, raw `futex` — no allocation, no locks). A view is written
+//! by its application thread, or by its host strictly while that thread
+//! is parked or provably elsewhere. Programs must be data-race-free at
+//! the granularity their host provides (as on the original systems).
 
 use std::io::{self, Read};
-use std::os::fd::FromRawFd;
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU8, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
-use crate::engine::{
-    futex_wait, futex_wake_all, install_handler, SLOT_DONE, SLOT_IDLE, SLOT_REQUESTED,
-};
 use crate::region::{os_page_size, Prot, Region};
 
-/// Per-page access level of the view (mirrors the engine's encoding).
+/// Per-page access level of a view: no mapping rights.
 pub const ACC_NONE: u8 = 0;
 /// Read-only mapping.
 pub const ACC_READ: u8 = 1;
 /// Read-write mapping.
 pub const ACC_WRITE: u8 = 2;
+
+const SLOT_IDLE: u32 = 0;
+const SLOT_REQUESTED: u32 = 1;
+const SLOT_DONE: u32 = 2;
+
+/// Pipe bytes: the handler announces a fault, `stop` ends the stream.
+const FAULT_BYTE: u8 = 1;
+const STOP_BYTE: u8 = 0xFF;
 
 /// A fault surfaced by the view: the page, and whether the page was
 /// already readable (so the access must have been a store needing an
@@ -43,8 +53,8 @@ pub struct ViewFault {
     pub write: bool,
 }
 
-/// Handler → host fault mailbox (one app thread per process means at
-/// most one outstanding fault).
+/// Handler → host fault mailbox (one app thread per view means at most
+/// one outstanding fault).
 struct FaultSlot {
     page: AtomicUsize,
     status: AtomicU32,
@@ -56,45 +66,124 @@ struct ViewShared {
     region: Region,
     access: Vec<AtomicU8>,
     slot: FaultSlot,
-    pipe_w: libc::c_int,
+    pipe_w: OwnedFd,
 }
 
-static CLUSTER_PTR: AtomicPtr<ViewShared> = AtomicPtr::new(ptr::null_mut());
+// ---------------- the signal handler ----------------
 
-/// Called from the engine's `SIGSEGV` handler when the fault does not
-/// belong to an in-process engine. Async-signal-safe only: atomics,
-/// `write(2)`, futex.
-pub(crate) fn try_handle_fault(addr: usize) -> bool {
-    let shared = CLUSTER_PTR.load(Ordering::Acquire);
-    if shared.is_null() {
-        return false;
+/// Views one process can hold at once (`run_vm` takes one per node).
+const MAX_VIEWS: usize = 256;
+
+/// Every live view, for the handler to scan. A slot is claimed by
+/// [`ClusterView::new`] and released by the view's `Drop`.
+static VIEWS: [AtomicPtr<ViewShared>; MAX_VIEWS] =
+    [const { AtomicPtr::new(ptr::null_mut()) }; MAX_VIEWS];
+
+/// Handlers currently scanning `VIEWS`. A scan may hold a pointer to a
+/// view other than the one its thread faulted in, so a dropped view
+/// clears its slot and then waits for this to reach zero before its
+/// memory goes (both sides `SeqCst`: either the scan sees the cleared
+/// slot or the drop sees the scan).
+static SCANNING: AtomicUsize = AtomicUsize::new(0);
+
+/// Turn the first slot of `VIEWS` that holds `from` into `to` (claim:
+/// null → view; release: view → null). False if no slot holds `from`.
+fn swap_slot(from: *mut ViewShared, to: *mut ViewShared) -> bool {
+    let ord = Ordering::SeqCst;
+    VIEWS
+        .iter()
+        .any(|entry| entry.compare_exchange(from, to, ord, ord).is_ok())
+}
+
+fn futex_wait(word: &AtomicU32, expected: u32) {
+    // SAFETY: `word` is a live, aligned u32; FUTEX_WAIT with no timeout
+    // reads nothing else.
+    unsafe {
+        libc::syscall(
+            libc::SYS_futex,
+            word.as_ptr(),
+            libc::FUTEX_WAIT,
+            expected,
+            ptr::null::<libc::timespec>(),
+        );
     }
-    let shared = unsafe { &*shared };
-    if !shared.region.contains(addr) {
-        return false;
+}
+
+fn futex_wake_all(word: &AtomicU32) {
+    // SAFETY: as for `futex_wait`.
+    unsafe {
+        libc::syscall(libc::SYS_futex, word.as_ptr(), libc::FUTEX_WAKE, i32::MAX);
     }
-    let page = (addr - shared.region.base() as usize) / shared.page_size;
-    let slot = &shared.slot;
+}
+
+/// Wake the view's host with one pipe byte (`write(2)` only, so the
+/// handler may call it).
+fn send_byte(view: &ViewShared, byte: u8) {
+    let (fd, buf) = (view.pipe_w.as_raw_fd(), &byte as *const u8);
+    // SAFETY: one byte from a live local into a pipe the view owns.
+    unsafe { libc::write(fd, buf as *const libc::c_void, 1) };
+}
+
+extern "C" fn segv_handler(_sig: libc::c_int, info: *mut libc::siginfo_t, _ctx: *mut libc::c_void) {
+    // Async-signal-safe only: atomics, write(2), futex.
+    // SAFETY: the kernel passes a valid siginfo under SA_SIGINFO.
+    let addr = unsafe { (*info).si_addr() } as usize;
+    SCANNING.fetch_add(1, Ordering::SeqCst);
+    let hit = VIEWS.iter().find_map(|entry| {
+        let view = entry.load(Ordering::SeqCst);
+        // SAFETY: a view's memory outlives every scan that could have
+        // loaded its pointer (see `SCANNING`).
+        (!view.is_null() && unsafe { (*view).region.contains(addr) }).then_some(view)
+    });
+    SCANNING.fetch_sub(1, Ordering::SeqCst);
+    let Some(view) = hit else {
+        // Not a DSM fault: restore the default action, so the retried
+        // instruction crashes with a real segfault.
+        // SAFETY: signal(2) is async-signal-safe.
+        unsafe { libc::signal(libc::SIGSEGV, libc::SIG_DFL) };
+        return;
+    };
+    // SAFETY: the faulting thread is inside an access to this view's
+    // mapping, so the view is borrowed (alive) until that access retires.
+    let view = unsafe { &*view };
+    let slot = &view.slot;
+    let page = (addr - view.region.base() as usize) / view.page_size;
     slot.page.store(page, Ordering::Release);
     slot.status.store(SLOT_REQUESTED, Ordering::Release);
-    let byte = 1u8;
-    unsafe {
-        libc::write(shared.pipe_w, &byte as *const u8 as *const libc::c_void, 1);
-    }
+    send_byte(view, FAULT_BYTE);
     while slot.status.load(Ordering::Acquire) != SLOT_DONE {
         futex_wait(&slot.status, SLOT_REQUESTED);
     }
     slot.status.store(SLOT_IDLE, Ordering::Release);
-    true
+    // Returning retries the faulting instruction.
 }
+
+fn install_handler() {
+    static ONCE: OnceLock<()> = OnceLock::new();
+    // SAFETY: a zeroed sigaction is valid; the handler above has the
+    // SA_SIGINFO signature.
+    ONCE.get_or_init(|| unsafe {
+        let mut sa: libc::sigaction = std::mem::zeroed();
+        sa.sa_sigaction = segv_handler
+            as extern "C" fn(libc::c_int, *mut libc::siginfo_t, *mut libc::c_void)
+            as usize;
+        sa.sa_flags = libc::SA_SIGINFO;
+        libc::sigemptyset(&mut sa.sa_mask);
+        let rc = libc::sigaction(libc::SIGSEGV, &sa, ptr::null_mut());
+        assert_eq!(rc, 0, "sigaction failed");
+    });
+}
+
+// ---------------- the view ----------------
 
 /// One node's transparent window onto the distributed shared space.
 ///
 /// The *application* side touches memory through [`ClusterView::read`]
 /// / [`ClusterView::write`] (or raw pointers into the mapping); the
-/// *host* side drains faults with [`ClusterView::next_fault`] and
-/// manipulates contents and rights with [`ClusterView::install_page`],
-/// [`ClusterView::set_access`], and [`ClusterView::snapshot_page`].
+/// *host* side drains faults with [`ClusterView::next_fault`] or
+/// [`ClusterView::pending_fault`] and manipulates contents and rights
+/// with [`ClusterView::install_page`], [`ClusterView::set_access`], and
+/// [`ClusterView::snapshot_page`].
 ///
 /// Host-side mutators must only run while the application thread is
 /// parked in a fault or blocked in a synchronization op, or on pages
@@ -108,7 +197,9 @@ pub struct ClusterView {
 impl ClusterView {
     /// Map `pages` pages of `page_size` bytes, all initially
     /// inaccessible. `page_size` must be a multiple of the OS page
-    /// size. Panics if this process already hosts a live view.
+    /// size. Fails if the mapping or the pipe cannot be made, or if the
+    /// process already holds as many views as the handler's table has
+    /// slots.
     pub fn new(pages: usize, page_size: usize) -> io::Result<ClusterView> {
         assert!(pages >= 1, "need at least one page");
         assert!(
@@ -116,12 +207,22 @@ impl ClusterView {
             "page size {page_size} must be a multiple of the OS page size {}",
             os_page_size()
         );
-        let region = Region::new(pages * page_size)?;
+        let len = pages
+            .checked_mul(page_size)
+            .ok_or_else(|| io::Error::other("view size overflows usize"))?;
+        let region = Region::new(len)?;
         let mut fds = [0 as libc::c_int; 2];
-        let rc = unsafe { libc::pipe(fds.as_mut_ptr()) };
-        if rc != 0 {
+        // SAFETY: `fds` has room for the two descriptors pipe(2) writes.
+        if unsafe { libc::pipe(fds.as_mut_ptr()) } != 0 {
             return Err(io::Error::last_os_error());
         }
+        // SAFETY: both ends are fresh descriptors nothing else owns.
+        let (pipe_r, pipe_w) = unsafe {
+            (
+                std::fs::File::from_raw_fd(fds[0]),
+                OwnedFd::from_raw_fd(fds[1]),
+            )
+        };
         let shared = Box::new(ViewShared {
             page_size,
             pages,
@@ -131,24 +232,16 @@ impl ClusterView {
                 page: AtomicUsize::new(0),
                 status: AtomicU32::new(SLOT_IDLE),
             },
-            pipe_w: fds[1],
+            pipe_w,
         });
         install_handler();
         let raw = &*shared as *const ViewShared as *mut ViewShared;
-        let prev =
-            CLUSTER_PTR.compare_exchange(ptr::null_mut(), raw, Ordering::AcqRel, Ordering::Acquire);
-        if prev.is_err() {
-            unsafe {
-                libc::close(fds[0]);
-                libc::close(fds[1]);
-            }
-            panic!("one ClusterView per process");
+        if !swap_slot(ptr::null_mut(), raw) {
+            return Err(io::Error::other(format!(
+                "view table full: {MAX_VIEWS} views already live in this process"
+            )));
         }
-        Ok(ClusterView {
-            shared,
-            // SAFETY: fds[0] is a fresh pipe read end we own.
-            pipe_r: unsafe { std::fs::File::from_raw_fd(fds[0]) },
-        })
+        Ok(ClusterView { shared, pipe_r })
     }
 
     pub fn pages(&self) -> usize {
@@ -170,34 +263,56 @@ impl ClusterView {
 
     // ---------------- application side ----------------
 
+    /// Pointer to the `n` bytes at offset `off`, bounds-checked without
+    /// wrapping.
+    #[inline]
+    fn span(&self, off: usize, n: usize) -> *mut u8 {
+        assert!(
+            off.checked_add(n).is_some_and(|end| end <= self.len()),
+            "access past end of view"
+        );
+        // SAFETY: in bounds; the callers below respect protection by
+        // trapping into the handler.
+        unsafe { self.shared.region.at(off) }
+    }
+
     /// Volatile typed load at byte offset `off` (may fault and park
-    /// until the host installs the page). Byte-wise so unaligned and
-    /// page-straddling accesses work; each byte traps independently.
+    /// until the host installs the page): one access when `off` is
+    /// aligned for `T`, byte-wise otherwise, so unaligned and
+    /// page-straddling accesses work (each byte traps independently).
+    #[inline]
     pub fn read<T: Copy>(&self, off: usize) -> T {
-        let n = size_of::<T>();
-        assert!(off + n <= self.len(), "read past end of view");
-        let mut out = std::mem::MaybeUninit::<T>::uninit();
-        let dst = out.as_mut_ptr() as *mut u8;
-        for i in 0..n {
-            // SAFETY: bounds asserted; volatile so the compiler cannot
-            // elide or merge the access the handler must observe.
-            unsafe {
-                dst.add(i)
-                    .write(ptr::read_volatile(self.shared.region.at(off + i)))
-            };
+        let p = self.span(off, size_of::<T>());
+        // SAFETY: bounds asserted by `span`; volatile so the compiler
+        // cannot elide or merge the access the handler must observe.
+        unsafe {
+            if p as usize % align_of::<T>() == 0 {
+                return ptr::read_volatile(p as *const T);
+            }
+            let mut out = std::mem::MaybeUninit::<T>::uninit();
+            let dst = out.as_mut_ptr() as *mut u8;
+            for i in 0..size_of::<T>() {
+                dst.add(i).write(ptr::read_volatile(p.add(i)));
+            }
+            out.assume_init()
         }
-        unsafe { out.assume_init() }
     }
 
     /// Volatile typed store at byte offset `off` (may fault twice on a
-    /// cold write: once for the page, once for the upgrade).
+    /// cold write: once for the page, once for the upgrade). Aligned
+    /// and unaligned offsets as for [`ClusterView::read`].
+    #[inline]
     pub fn write<T: Copy>(&self, off: usize, v: T) {
-        let n = size_of::<T>();
-        assert!(off + n <= self.len(), "write past end of view");
-        let src = &v as *const T as *const u8;
-        for i in 0..n {
-            // SAFETY: as for `read`.
-            unsafe { ptr::write_volatile(self.shared.region.at(off + i), src.add(i).read()) };
+        let p = self.span(off, size_of::<T>());
+        // SAFETY: as for `read`.
+        unsafe {
+            if p as usize % align_of::<T>() == 0 {
+                return ptr::write_volatile(p as *mut T, v);
+            }
+            let src = &v as *const T as *const u8;
+            for i in 0..size_of::<T>() {
+                ptr::write_volatile(p.add(i), src.add(i).read());
+            }
         }
     }
 
@@ -209,15 +324,24 @@ impl ClusterView {
         let mut byte = [0u8; 1];
         // `read_exact` retries EINTR; EOF (write end closed) ends the
         // fault stream like an explicit stop.
-        if (&self.pipe_r).read_exact(&mut byte).is_err() {
-            return None;
-        }
-        if byte[0] == 0xFF {
+        if (&self.pipe_r).read_exact(&mut byte).is_err() || byte[0] == STOP_BYTE {
             return None;
         }
         let page = self.shared.slot.page.load(Ordering::Acquire);
         let write = self.access(page) != ACC_NONE;
         Some(ViewFault { page, write })
+    }
+
+    /// The fault the application thread is parked in, if any, without
+    /// blocking — for a host that has other sources to poll. Resolve it
+    /// and call [`ClusterView::finish_fault`] before polling again.
+    pub fn pending_fault(&self) -> Option<ViewFault> {
+        // The handler stores SLOT_REQUESTED just before it writes the
+        // pipe byte, so the read in `next_fault` returns at once.
+        if self.shared.slot.status.load(Ordering::Acquire) != SLOT_REQUESTED {
+            return None;
+        }
+        self.next_fault()
     }
 
     /// Resume the thread parked in the fault the host just resolved.
@@ -228,20 +352,20 @@ impl ClusterView {
 
     /// Unblock [`ClusterView::next_fault`] with `None` (host teardown).
     pub fn stop(&self) {
-        let byte = 0xFFu8;
-        unsafe {
-            libc::write(
-                self.shared.pipe_w,
-                &byte as *const u8 as *const libc::c_void,
-                1,
-            );
-        }
+        send_byte(&self.shared, STOP_BYTE);
     }
 
     /// Current access level of `page` (one of [`ACC_NONE`],
     /// [`ACC_READ`], [`ACC_WRITE`]).
     pub fn access(&self, page: usize) -> u8 {
         self.shared.access[page].load(Ordering::Acquire)
+    }
+
+    /// Byte offset of `page`; the raw copies and `mprotect` calls below
+    /// rely on this range check.
+    fn page_off(&self, page: usize) -> usize {
+        assert!(page < self.shared.pages, "page {page} outside the view");
+        page * self.shared.page_size
     }
 
     /// Set `page`'s protection and recorded access level, keeping its
@@ -255,7 +379,7 @@ impl ClusterView {
         };
         self.shared
             .region
-            .protect(page * self.shared.page_size, self.shared.page_size, prot);
+            .protect(self.page_off(page), self.shared.page_size, prot);
         self.shared.access[page].store(acc, Ordering::Release);
     }
 
@@ -263,7 +387,7 @@ impl ClusterView {
     pub fn install_page(&self, page: usize, data: &[u8], acc: u8) {
         let ps = self.shared.page_size;
         assert_eq!(data.len(), ps, "wrong page size");
-        let off = page * ps;
+        let off = self.page_off(page);
         self.shared.region.protect(off, ps, Prot::ReadWrite);
         // SAFETY: offset in bounds, page now writable, host-side
         // discipline rules out a concurrent application access.
@@ -276,7 +400,7 @@ impl ClusterView {
     pub fn snapshot_page(&self, page: usize, buf: &mut [u8]) {
         let ps = self.shared.page_size;
         assert_eq!(buf.len(), ps, "wrong page size");
-        let off = page * ps;
+        let off = self.page_off(page);
         let acc = self.access(page);
         if acc == ACC_NONE {
             self.shared.region.protect(off, ps, Prot::Read);
@@ -287,15 +411,28 @@ impl ClusterView {
             self.shared.region.protect(off, ps, Prot::None);
         }
     }
+
+    /// Borrow `page`'s current contents in place (no copy).
+    ///
+    /// # Safety
+    /// `page` must be readable (access level above [`ACC_NONE`]) and
+    /// stay so, and nothing — application or host — may write it, for
+    /// as long as the borrow lives.
+    pub(crate) unsafe fn page_bytes(&self, page: usize) -> &[u8] {
+        let off = self.page_off(page);
+        // SAFETY: offset in bounds; readability and stability are the
+        // caller's contract.
+        unsafe { std::slice::from_raw_parts(self.shared.region.at(off), self.shared.page_size) }
+    }
 }
 
 impl Drop for ClusterView {
     fn drop(&mut self) {
         let raw = &*self.shared as *const ViewShared as *mut ViewShared;
-        let _ =
-            CLUSTER_PTR.compare_exchange(raw, ptr::null_mut(), Ordering::AcqRel, Ordering::Acquire);
-        unsafe {
-            libc::close(self.shared.pipe_w);
+        swap_slot(raw, ptr::null_mut());
+        // See `SCANNING`: scans are a few hundred loads and never block.
+        while SCANNING.load(Ordering::SeqCst) != 0 {
+            std::thread::yield_now();
         }
     }
 }
@@ -305,10 +442,9 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
 
-    /// The cluster view surfaces faults to a host thread, which
-    /// resolves them exactly as a network runtime would: install the
-    /// page read-only on a read fault, upgrade it on a write fault.
-    /// One process-wide test (one view per process).
+    /// The view surfaces faults to a host thread, which resolves them
+    /// exactly as a network runtime would: install the page read-only
+    /// on a read fault, upgrade it on a write fault.
     #[test]
     fn faults_surface_and_resolve_through_the_host() {
         let ps = os_page_size();
@@ -350,5 +486,64 @@ mod tests {
             view.stop();
             host.join().unwrap();
         });
+    }
+
+    /// Unaligned and page-straddling typed accesses go byte-wise and
+    /// trap per page.
+    #[test]
+    fn unaligned_access_straddles_pages() {
+        let ps = os_page_size();
+        let view = ClusterView::new(2, ps).unwrap();
+        view.set_access(0, ACC_WRITE);
+        view.set_access(1, ACC_WRITE);
+        view.write::<u64>(ps - 3, 0x0102_0304_0506_0708);
+        assert_eq!(view.read::<u64>(ps - 3), 0x0102_0304_0506_0708);
+        assert_eq!(view.read::<u8>(ps - 3), 0x08);
+        assert_eq!(view.read::<u8>(ps + 4), 0x01);
+    }
+
+    /// `off + size` must not wrap its way past the bounds check.
+    #[test]
+    #[should_panic(expected = "access past end of view")]
+    fn read_near_usize_max_is_refused() {
+        let view = ClusterView::new(1, os_page_size()).unwrap();
+        view.read::<u64>(usize::MAX - 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the view")]
+    fn host_mutators_check_the_page_index() {
+        let ps = os_page_size();
+        let view = ClusterView::new(1, ps).unwrap();
+        view.install_page(1, &vec![0u8; ps], ACC_READ);
+    }
+
+    /// A host that polls sees nothing until the application traps, then
+    /// exactly that fault.
+    #[test]
+    fn pending_fault_polls_without_blocking() {
+        let ps = os_page_size();
+        let view = ClusterView::new(2, ps).unwrap();
+        assert_eq!(view.pending_fault(), None);
+        std::thread::scope(|s| {
+            let app = s.spawn(|| view.read::<u8>(ps + 5));
+            let fault = loop {
+                match view.pending_fault() {
+                    Some(f) => break f,
+                    None => std::thread::yield_now(),
+                }
+            };
+            assert_eq!(
+                fault,
+                ViewFault {
+                    page: 1,
+                    write: false
+                }
+            );
+            view.install_page(1, &vec![3u8; ps], ACC_READ);
+            view.finish_fault();
+            assert_eq!(app.join().unwrap(), 3);
+        });
+        assert_eq!(view.pending_fault(), None);
     }
 }

@@ -1,13 +1,15 @@
-//! The page-fault DSM engine.
+//! The in-process engine: two coherence policies over N views.
 //!
-//! N "nodes" are N threads in this process, each owning a private
-//! `mmap`-ed view of the shared space. Application code loads and
+//! N "nodes" are N threads in this process, each with its own
+//! [`ClusterView`] of the shared space. Application code loads and
 //! stores straight into its view; when protection bits say no, the
-//! `SIGSEGV` handler files a fault request and parks the thread on a
-//! futex, a per-node *service thread* runs the coherence action
-//! (`mprotect` + page copy under a per-page lock), and the faulting
-//! instruction retries. This is the user-level mechanism IVY and
-//! TreadMarks were built on.
+//! view's `SIGSEGV` handler parks the thread and surfaces the fault
+//! (see [`crate::cluster`] — the mechanism lives there, once), a
+//! per-node *service thread* decides what the fault means under a
+//! per-page lock and answers with `install_page` / `set_access` on the
+//! views involved, and the faulting instruction retries. This is the
+//! user-level mechanism IVY and TreadMarks were built on; what is left
+//! here is policy.
 //!
 //! Two coherence modes:
 //!
@@ -19,22 +21,17 @@
 //!   and invalidates local views — barrier-consistency for
 //!   data-race-free programs, immune to false sharing.
 //!
-//! Safety model: the handler is async-signal-safe (atomics, `write(2)`
-//! to a pipe, raw `futex` — no allocation, no locks). A node's view is
-//! written by its own thread, or by its service thread strictly while
-//! that thread is parked; cross-view copies read pages whose writers
-//! have been downgraded first. Programs must be data-race-free at the
-//! granularity the mode provides (as on the original systems).
+//! Safety model: a node's view is written by its own thread, or by a
+//! service thread strictly while that thread is parked; cross-view
+//! copies read pages whose writers have been downgraded first.
+//! Programs must be data-race-free at the granularity the mode
+//! provides (as on the original systems).
 
-use crate::region::{os_page_size, Prot, Region};
+use crate::cluster::{ClusterView, ViewFault, ACC_NONE, ACC_READ, ACC_WRITE};
+use crate::region::os_page_size;
 use dsm_mem::PageDiff;
-use std::io::Read;
-use std::mem::{align_of, size_of};
-use std::os::fd::{FromRawFd, OwnedFd};
-use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::sync::{Barrier, OnceLock};
+use std::panic::resume_unwind;
+use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 
 /// Coherence mode of the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,21 +68,6 @@ impl VmConfig {
     }
 }
 
-const ACC_NONE: u8 = 0;
-const ACC_READ: u8 = 1;
-const ACC_WRITE: u8 = 2;
-
-pub(crate) const SLOT_IDLE: u32 = 0;
-pub(crate) const SLOT_REQUESTED: u32 = 1;
-pub(crate) const SLOT_DONE: u32 = 2;
-
-/// Handler → service fault mailbox (one per node; one app thread per
-/// node means at most one outstanding fault).
-struct FaultSlot {
-    page: AtomicUsize,
-    status: AtomicU32,
-}
-
 /// Per-page coherence metadata.
 struct PageMeta {
     /// Invalidate mode: current owner.
@@ -105,38 +87,23 @@ struct TwinSet {
     free: Vec<Box<[u8]>>,
 }
 
-/// Counters exposed after a run.
-#[derive(Debug, Default)]
-pub struct VmStats {
-    pub read_faults: AtomicU64,
-    pub write_faults: AtomicU64,
-    pub bytes_copied: AtomicU64,
-    pub diffs_created: AtomicU64,
-    pub diff_bytes: AtomicU64,
-    /// Wall-clock nanoseconds spent inside fault service.
-    pub service_ns: AtomicU64,
-}
-
-/// Snapshot of [`VmStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Counters of a run, exposed after it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VmStatsSnapshot {
     pub read_faults: u64,
     pub write_faults: u64,
     pub bytes_copied: u64,
     pub diffs_created: u64,
     pub diff_bytes: u64,
+    /// Wall-clock nanoseconds spent inside fault service.
     pub service_ns: u64,
 }
 
 struct Shared {
     cfg: VmConfig,
-    regions: Vec<Region>,
-    /// access[node * pages + page]
-    access: Vec<AtomicU8>,
+    /// One view per node: mapping, access levels and fault stream.
+    views: Vec<ClusterView>,
     meta: Vec<Mutex<PageMeta>>,
-    slots: Vec<FaultSlot>,
-    /// Write ends of the per-node service pipes (handler writes here).
-    pipe_w: Vec<libc::c_int>,
     barrier: Barrier,
     /// Per-node twins (TwinDiff mode), touched only by that node's
     /// service thread and its app thread's flush.
@@ -144,73 +111,57 @@ struct Shared {
     /// Application-level mutual-exclusion locks (invalidate mode: the
     /// engine is sequentially consistent, so plain mutexes suffice).
     app_locks: Vec<Mutex<()>>,
-    stats: VmStats,
+    stats: Mutex<VmStatsSnapshot>,
+}
+
+/// Every update under these locks leaves the data valid at each step,
+/// so a panicking application thread does not take the engine with it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Shared {
-    #[inline]
-    fn acc(&self, node: usize, page: usize) -> &AtomicU8 {
-        &self.access[node * self.cfg.pages + page]
-    }
-
-    fn node_of_addr(&self, addr: usize) -> Option<usize> {
-        self.regions.iter().position(|r| r.contains(addr))
-    }
-
-    /// Copy one page between views / buffers. Caller must hold the
-    /// page's meta lock and have arranged protections.
-    unsafe fn copy_page(&self, src: *const u8, dst: *mut u8) {
-        unsafe { ptr::copy_nonoverlapping(src, dst, self.cfg.page_size) };
-        self.stats
-            .bytes_copied
-            .fetch_add(self.cfg.page_size as u64, Ordering::Relaxed);
-    }
-
-    fn off(&self, page: usize) -> usize {
-        page * self.cfg.page_size
+    /// Install `data` as `node`'s copy of `page`: the one page copy a
+    /// fault costs. Caller must hold the page's meta lock.
+    fn install(&self, node: usize, page: usize, data: &[u8], acc: u8) {
+        self.views[node].install_page(page, data, acc);
+        lock(&self.stats).bytes_copied += self.cfg.page_size as u64;
     }
 
     // ---------------- invalidate mode ----------------
 
     fn service_read_invalidate(&self, node: usize, page: usize) {
-        let mut meta = self.meta[page]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if self.acc(node, page).load(Ordering::Acquire) >= ACC_READ {
+        let mut meta = lock(&self.meta[page]);
+        if self.views[node].access(page) >= ACC_READ {
             return; // raced with another service; already readable
         }
-        let off = self.off(page);
-        let owner = meta.owner;
-        debug_assert_ne!(owner, node, "owner cannot read-fault");
+        let owner = &self.views[meta.owner];
+        debug_assert_ne!(meta.owner, node, "owner cannot read-fault");
         // Downgrade a writing owner so the copy is stable.
-        if self.acc(owner, page).load(Ordering::Acquire) == ACC_WRITE {
-            self.regions[owner].protect(off, self.cfg.page_size, Prot::Read);
-            self.acc(owner, page).store(ACC_READ, Ordering::Release);
+        if owner.access(page) == ACC_WRITE {
+            owner.set_access(page, ACC_READ);
         }
-        self.regions[node].protect(off, self.cfg.page_size, Prot::ReadWrite);
-        unsafe {
-            self.copy_page(self.regions[owner].at(off), self.regions[node].at(off));
-        }
-        self.regions[node].protect(off, self.cfg.page_size, Prot::Read);
-        self.acc(node, page).store(ACC_READ, Ordering::Release);
+        // SAFETY: the owner's copy is readable and, under the meta
+        // lock, no service changes it or its rights during the copy.
+        self.install(node, page, unsafe { owner.page_bytes(page) }, ACC_READ);
         meta.copyset |= 1 << node;
     }
 
     fn service_write_invalidate(&self, node: usize, page: usize) {
-        let mut meta = self.meta[page]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if self.acc(node, page).load(Ordering::Acquire) == ACC_WRITE {
+        let mut meta = lock(&self.meta[page]);
+        let view = &self.views[node];
+        if view.access(page) == ACC_WRITE {
             return;
         }
-        let off = self.off(page);
-        let owner = meta.owner;
-        self.regions[node].protect(off, self.cfg.page_size, Prot::ReadWrite);
-        if self.acc(node, page).load(Ordering::Acquire) == ACC_NONE && owner != node {
-            // Need the data before the owner's copy goes away.
-            unsafe {
-                self.copy_page(self.regions[owner].at(off), self.regions[node].at(off));
-            }
+        if view.access(page) == ACC_NONE && meta.owner != node {
+            // Invalidated since the trap: take the data before the
+            // owner's copy goes away.
+            // SAFETY: the owner's copy is readable (owners keep at
+            // least read rights) and stable under the meta lock.
+            let data = unsafe { self.views[meta.owner].page_bytes(page) };
+            self.install(node, page, data, ACC_WRITE);
+        } else {
+            view.set_access(page, ACC_WRITE);
         }
         // Invalidate every other copy.
         let mut cs = meta.copyset;
@@ -218,11 +169,9 @@ impl Shared {
             let m = cs.trailing_zeros() as usize;
             cs &= cs - 1;
             if m != node {
-                self.regions[m].protect(off, self.cfg.page_size, Prot::None);
-                self.acc(m, page).store(ACC_NONE, Ordering::Release);
+                self.views[m].set_access(page, ACC_NONE);
             }
         }
-        self.acc(node, page).store(ACC_WRITE, Ordering::Release);
         meta.owner = node;
         meta.copyset = 1 << node;
     }
@@ -235,207 +184,102 @@ impl Shared {
     }
 
     fn service_read_twin(&self, node: usize, page: usize) {
-        let mut meta = self.meta[page]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if self.acc(node, page).load(Ordering::Acquire) >= ACC_READ {
+        let mut meta = lock(&self.meta[page]);
+        if self.views[node].access(page) >= ACC_READ {
             return;
         }
-        let off = self.off(page);
-        let ps = self.cfg.page_size;
-        let master = self.master_mut(&mut meta);
-        self.regions[node].protect(off, ps, Prot::ReadWrite);
-        unsafe {
-            self.copy_page(master.as_ptr(), self.regions[node].at(off));
-        }
-        self.regions[node].protect(off, ps, Prot::Read);
-        self.acc(node, page).store(ACC_READ, Ordering::Release);
+        self.install(node, page, self.master_mut(&mut meta), ACC_READ);
     }
 
     fn service_write_twin(&self, node: usize, page: usize) {
-        let mut meta = self.meta[page]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if self.acc(node, page).load(Ordering::Acquire) == ACC_WRITE {
+        let mut meta = lock(&self.meta[page]);
+        let view = &self.views[node];
+        if view.access(page) == ACC_WRITE {
             return;
         }
-        let off = self.off(page);
-        let ps = self.cfg.page_size;
-        self.regions[node].protect(off, ps, Prot::ReadWrite);
-        if self.acc(node, page).load(Ordering::Acquire) == ACC_NONE {
-            let master = self.master_mut(&mut meta);
-            unsafe {
-                self.copy_page(master.as_ptr(), self.regions[node].at(off));
-            }
+        if view.access(page) == ACC_NONE {
+            self.install(node, page, self.master_mut(&mut meta), ACC_WRITE);
+        } else {
+            view.set_access(page, ACC_WRITE);
         }
         // Snapshot the twin for the barrier diff, reusing a pooled
         // buffer. A page can be twinned at most once per interval (the
         // ACC_WRITE early return above), so a plain push suffices.
-        let mut set = self.twins[node]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut set = lock(&self.twins[node]);
         let mut twin = set
             .free
             .pop()
-            .unwrap_or_else(|| vec![0u8; ps].into_boxed_slice());
-        unsafe {
-            ptr::copy_nonoverlapping(self.regions[node].at(off), twin.as_mut_ptr(), ps);
-        }
+            .unwrap_or_else(|| vec![0u8; self.cfg.page_size].into_boxed_slice());
+        view.snapshot_page(page, &mut twin);
         set.used.push((page, twin));
-        drop(set);
-        self.acc(node, page).store(ACC_WRITE, Ordering::Release);
     }
 
     /// TwinDiff: fold this node's writes into the masters and drop all
     /// local copies (called by the app thread at a barrier).
     fn flush_twins(&self, node: usize) {
-        let ps = self.cfg.page_size;
-        let mut set = self.twins[node]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let view = &self.views[node];
+        let mut set = lock(&self.twins[node]);
         let TwinSet { used, free } = &mut *set;
+        lock(&self.stats).diffs_created += used.len() as u64;
+        let mut wire = 0;
         for (page, twin) in used.drain(..) {
-            let off = self.off(page);
-            let cur = unsafe { std::slice::from_raw_parts(self.regions[node].at(off), ps) };
-            self.stats.diffs_created.fetch_add(1, Ordering::Relaxed);
+            // SAFETY: a twinned page is writable in this view, and its
+            // only writer is the thread running this flush.
+            let cur = unsafe { view.page_bytes(page) };
             // Stream the changed runs straight into the master: one
             // scan, no diff object, no allocation. The meta lock (and
             // the master's lazy allocation) engage only if anything
             // actually changed.
             let mut meta_guard = None;
-            let wire = PageDiff::scan_runs(&twin, cur, |run_off, bytes| {
-                let meta = meta_guard.get_or_insert_with(|| {
-                    self.meta[page]
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                });
+            wire += PageDiff::scan_runs(&twin, cur, |run_off, bytes| {
+                let meta = meta_guard.get_or_insert_with(|| lock(&self.meta[page]));
                 let master = self.master_mut(meta);
                 master[run_off..run_off + bytes.len()].copy_from_slice(bytes);
             });
             drop(meta_guard);
-            self.stats
-                .diff_bytes
-                .fetch_add(wire as u64, Ordering::Relaxed);
             free.push(twin);
         }
         drop(set);
+        lock(&self.stats).diff_bytes += wire as u64;
         // Drop every local copy: the next access refetches the merged
         // master.
         for page in 0..self.cfg.pages {
-            if self.acc(node, page).load(Ordering::Acquire) != ACC_NONE {
-                self.regions[node].protect(self.off(page), ps, Prot::None);
-                self.acc(node, page).store(ACC_NONE, Ordering::Release);
+            if view.access(page) != ACC_NONE {
+                view.set_access(page, ACC_NONE);
             }
         }
     }
 
-    fn service(&self, node: usize, page: usize) {
+    fn service(&self, node: usize, fault: ViewFault) {
         let start = std::time::Instant::now();
-        let state = self.acc(node, page).load(Ordering::Acquire);
-        // Portable fault disambiguation: no access → read service; a
-        // fault on a readable page must be a write. (A cold write costs
-        // two faults — the classic upgrade path.)
-        match (self.cfg.mode, state) {
-            (VmMode::Invalidate, ACC_NONE) => {
-                self.stats.read_faults.fetch_add(1, Ordering::Relaxed);
-                self.service_read_invalidate(node, page);
-            }
-            (VmMode::Invalidate, _) => {
-                self.stats.write_faults.fetch_add(1, Ordering::Relaxed);
-                self.service_write_invalidate(node, page);
-            }
-            (VmMode::TwinDiff, ACC_NONE) => {
-                self.stats.read_faults.fetch_add(1, Ordering::Relaxed);
-                self.service_read_twin(node, page);
-            }
-            (VmMode::TwinDiff, _) => {
-                self.stats.write_faults.fetch_add(1, Ordering::Relaxed);
-                self.service_write_twin(node, page);
-            }
+        // Portable fault disambiguation, done by the view: no access →
+        // read service; a fault on a readable page must be a write. (A
+        // cold write costs two faults — the classic upgrade path.)
+        match (self.cfg.mode, fault.write) {
+            (VmMode::Invalidate, false) => self.service_read_invalidate(node, fault.page),
+            (VmMode::Invalidate, true) => self.service_write_invalidate(node, fault.page),
+            (VmMode::TwinDiff, false) => self.service_read_twin(node, fault.page),
+            (VmMode::TwinDiff, true) => self.service_write_twin(node, fault.page),
         }
-        self.stats
-            .service_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    }
-}
-
-// ---------------- the signal handler ----------------
-
-static SHARED_PTR: AtomicPtr<Shared> = AtomicPtr::new(ptr::null_mut());
-
-pub(crate) fn futex_wait(word: &AtomicU32, expected: u32) {
-    unsafe {
-        libc::syscall(
-            libc::SYS_futex,
-            word.as_ptr(),
-            libc::FUTEX_WAIT,
-            expected,
-            ptr::null::<libc::timespec>(),
-        );
-    }
-}
-
-pub(crate) fn futex_wake_all(word: &AtomicU32) {
-    unsafe {
-        libc::syscall(libc::SYS_futex, word.as_ptr(), libc::FUTEX_WAKE, i32::MAX);
-    }
-}
-
-extern "C" fn segv_handler(_sig: libc::c_int, info: *mut libc::siginfo_t, _ctx: *mut libc::c_void) {
-    // Async-signal-safe only: atomics, write(2), futex.
-    let addr = unsafe { (*info).si_addr() } as usize;
-    let shared = SHARED_PTR.load(Ordering::Acquire);
-    if !shared.is_null() {
-        let shared = unsafe { &*shared };
-        if let Some(node) = shared.node_of_addr(addr) {
-            let base = shared.regions[node].base() as usize;
-            let page = (addr - base) / shared.cfg.page_size;
-            let slot = &shared.slots[node];
-            slot.page.store(page, Ordering::Release);
-            slot.status.store(SLOT_REQUESTED, Ordering::Release);
-            let byte = 1u8;
-            unsafe {
-                libc::write(
-                    shared.pipe_w[node],
-                    &byte as *const u8 as *const libc::c_void,
-                    1,
-                );
-            }
-            while slot.status.load(Ordering::Acquire) != SLOT_DONE {
-                futex_wait(&slot.status, SLOT_REQUESTED);
-            }
-            slot.status.store(SLOT_IDLE, Ordering::Release);
-            return; // retry the faulting instruction
+        let mut stats = lock(&self.stats);
+        if fault.write {
+            stats.write_faults += 1;
+        } else {
+            stats.read_faults += 1;
         }
-    }
-    // A cluster-mode view (one per process, see [`crate::cluster`])
-    // shares this handler registration.
-    if crate::cluster::try_handle_fault(addr) {
-        return; // retry the faulting instruction
-    }
-    // Not a DSM fault: fall back to the default action (crash with a
-    // real segfault) by re-raising with the default handler.
-    unsafe {
-        libc::signal(libc::SIGSEGV, libc::SIG_DFL);
+        stats.service_ns += start.elapsed().as_nanos() as u64;
     }
 }
 
-pub(crate) fn install_handler() {
-    static ONCE: OnceLock<()> = OnceLock::new();
-    ONCE.get_or_init(|| unsafe {
-        let mut sa: libc::sigaction = std::mem::zeroed();
-        sa.sa_sigaction = segv_handler
-            as extern "C" fn(libc::c_int, *mut libc::siginfo_t, *mut libc::c_void)
-            as usize;
-        sa.sa_flags = libc::SA_SIGINFO;
-        libc::sigemptyset(&mut sa.sa_mask);
-        let rc = libc::sigaction(libc::SIGSEGV, &sa, ptr::null_mut());
-        assert_eq!(rc, 0, "sigaction failed");
-    });
-}
+/// Ends every view's fault stream when dropped, so the service threads
+/// leave their loops however `run_vm`'s scope is left.
+struct StopViews<'a>(&'a [ClusterView]);
 
-/// Serializes engines: the handler has one global registration.
-static ENGINE_GUARD: Mutex<()> = Mutex::new(());
+impl Drop for StopViews<'_> {
+    fn drop(&mut self) {
+        self.0.iter().for_each(ClusterView::stop);
+    }
+}
 
 // ---------------- public engine API ----------------
 
@@ -458,26 +302,18 @@ impl VmNode<'_> {
         self.shared.cfg.total_bytes()
     }
 
-    #[inline]
-    fn addr_of(&self, off: usize, size: usize, align: usize) -> *mut u8 {
-        assert!(off + size <= self.shared.cfg.total_bytes(), "out of bounds");
-        let p = unsafe { self.shared.regions[self.node].at(off) };
-        assert_eq!(p as usize % align, 0, "unaligned access");
-        p
-    }
-
     /// Volatile typed load from the shared space (may page-fault into
     /// the coherence engine).
+    #[inline]
     pub fn read<T: Copy>(&self, off: usize) -> T {
-        let p = self.addr_of(off, size_of::<T>(), align_of::<T>());
-        unsafe { ptr::read_volatile(p as *const T) }
+        self.shared.views[self.node].read(off)
     }
 
     /// Volatile typed store to the shared space (may page-fault into
     /// the coherence engine).
+    #[inline]
     pub fn write<T: Copy>(&self, off: usize, v: T) {
-        let p = self.addr_of(off, size_of::<T>(), align_of::<T>());
-        unsafe { ptr::write_volatile(p as *mut T, v) }
+        self.shared.views[self.node].write(off, v)
     }
 
     /// Bulk read.
@@ -503,9 +339,7 @@ impl VmNode<'_> {
             VmMode::Invalidate,
             "vm locks require the sequentially consistent mode"
         );
-        let _guard = self.shared.app_locks[id]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _guard = lock(&self.shared.app_locks[id]);
         f()
     }
 
@@ -528,7 +362,15 @@ pub struct VmRunResult<R> {
 }
 
 /// Build the engine, run one closure per node (each on its own
-/// thread), and tear everything down.
+/// thread), and tear everything down. Engines are independent: any
+/// number may run in one process at once.
+///
+/// A closure that panics fails the run: once every node's closure has
+/// returned or panicked, the first panic is re-raised on the caller's
+/// thread with its own payload. Peers parked in [`VmNode::barrier`]
+/// waiting for a node that panicked are not released (the barrier is a
+/// `std::sync::Barrier`, which cannot be poisoned), so such a run still
+/// hangs.
 pub fn run_vm<F, R>(cfg: VmConfig, f: F) -> VmRunResult<R>
 where
     F: Fn(&VmNode<'_>) -> R + Sync,
@@ -542,61 +384,29 @@ where
         "page size must be a multiple of the OS page"
     );
 
-    let guard = ENGINE_GUARD
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    install_handler();
-
-    let total = cfg.total_bytes();
-    let regions: Vec<Region> = (0..cfg.nnodes)
-        .map(|_| Region::new(total).expect("mmap"))
+    let views: Vec<ClusterView> = (0..cfg.nnodes)
+        .map(|_| ClusterView::new(cfg.pages, cfg.page_size).expect("map a node's view"))
         .collect();
-
-    // Invalidate mode: page p starts owned by node p % n with a zeroed
-    // writable copy (kernel zero-fill on first touch).
-    let mut metas = Vec::with_capacity(cfg.pages);
-    for p in 0..cfg.pages {
-        let home = p % cfg.nnodes;
-        metas.push(Mutex::new(PageMeta {
-            owner: home,
-            copyset: 1 << home,
-            master: None,
-        }));
-    }
-    let access: Vec<AtomicU8> = (0..cfg.nnodes * cfg.pages)
-        .map(|_| AtomicU8::new(ACC_NONE))
-        .collect();
+    // Page p starts owned by node p % n; in invalidate mode the owner
+    // holds a zeroed writable copy (kernel zero-fill on first touch).
+    let home = |p: usize| p % cfg.nnodes;
     if cfg.mode == VmMode::Invalidate {
         for p in 0..cfg.pages {
-            let home = p % cfg.nnodes;
-            regions[home].protect(p * cfg.page_size, cfg.page_size, Prot::ReadWrite);
-            access[home * cfg.pages + p].store(ACC_WRITE, Ordering::Release);
+            views[home(p)].set_access(p, ACC_WRITE);
         }
     }
-
-    // Service pipes.
-    let mut pipe_r: Vec<OwnedFd> = Vec::with_capacity(cfg.nnodes);
-    let mut pipe_w: Vec<libc::c_int> = Vec::with_capacity(cfg.nnodes);
-    for _ in 0..cfg.nnodes {
-        let mut fds = [0 as libc::c_int; 2];
-        let rc = unsafe { libc::pipe(fds.as_mut_ptr()) };
-        assert_eq!(rc, 0, "pipe failed");
-        pipe_r.push(unsafe { OwnedFd::from_raw_fd(fds[0]) });
-        pipe_w.push(fds[1]);
-    }
-
-    let shared = Box::new(Shared {
+    let shared = Shared {
         cfg,
-        regions,
-        access,
-        meta: metas,
-        slots: (0..cfg.nnodes)
-            .map(|_| FaultSlot {
-                page: AtomicUsize::new(0),
-                status: AtomicU32::new(SLOT_IDLE),
+        views,
+        meta: (0..cfg.pages)
+            .map(|p| {
+                Mutex::new(PageMeta {
+                    owner: home(p),
+                    copyset: 1 << home(p),
+                    master: None,
+                })
             })
             .collect(),
-        pipe_w: pipe_w.clone(),
         barrier: Barrier::new(cfg.nnodes),
         twins: (0..cfg.nnodes)
             .map(|_| {
@@ -609,77 +419,36 @@ where
             })
             .collect(),
         app_locks: (0..64).map(|_| Mutex::new(())).collect(),
-        stats: VmStats::default(),
-    });
-    let shared_ref: &Shared = &shared;
-    SHARED_PTR.store(
-        shared_ref as *const Shared as *mut Shared,
-        Ordering::Release,
-    );
+        stats: Mutex::default(),
+    };
+    let shared = &shared;
 
     let results: Vec<R> = std::thread::scope(|s| {
-        // Service threads.
-        let mut services = Vec::with_capacity(cfg.nnodes);
-        for (n, rfd) in pipe_r.into_iter().enumerate() {
-            let shared = shared_ref;
-            services.push(s.spawn(move || {
-                let mut file = std::fs::File::from(rfd);
-                let mut byte = [0u8; 1];
-                while file.read_exact(&mut byte).is_ok() {
-                    if byte[0] == 0xFF {
-                        break;
-                    }
-                    let page = shared.slots[n].page.load(Ordering::Acquire);
-                    shared.service(n, page);
-                    shared.slots[n].status.store(SLOT_DONE, Ordering::Release);
-                    futex_wake_all(&shared.slots[n].status);
+        for (n, view) in shared.views.iter().enumerate() {
+            s.spawn(move || {
+                while let Some(fault) = view.next_fault() {
+                    shared.service(n, fault);
+                    view.finish_fault();
                 }
-            }));
+            });
         }
+        // Declared after the service threads exist and dropped before
+        // the scope joins them.
+        let _stop = StopViews(&shared.views);
 
-        // Application threads.
-        let mut apps = Vec::with_capacity(cfg.nnodes);
-        for n in 0..cfg.nnodes {
-            let shared = shared_ref;
-            let f = &f;
-            apps.push(s.spawn(move || {
-                let node = VmNode { shared, node: n };
-                f(&node)
-            }));
-        }
-        let results: Vec<R> = apps
-            .into_iter()
-            .map(|j| j.join().expect("app thread panicked"))
+        let f = &f;
+        let apps: Vec<_> = (0..cfg.nnodes)
+            .map(|node| s.spawn(move || f(&VmNode { shared, node })))
             .collect();
-
-        // Stop services.
-        for &w in &pipe_w {
-            let byte = 0xFFu8;
-            unsafe {
-                libc::write(w, &byte as *const u8 as *const libc::c_void, 1);
-            }
-        }
-        for j in services {
-            j.join().expect("service thread panicked");
-        }
-        results
+        // Join every node before re-raising, so no application thread
+        // is left parked in a fault nobody will serve.
+        let joined: Vec<_> = apps.into_iter().map(|j| j.join()).collect();
+        joined
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|payload| resume_unwind(payload)))
+            .collect()
     });
 
-    SHARED_PTR.store(ptr::null_mut(), Ordering::Release);
-    for &w in &pipe_w {
-        unsafe {
-            libc::close(w);
-        }
-    }
-    let stats = VmStatsSnapshot {
-        read_faults: shared.stats.read_faults.load(Ordering::Relaxed),
-        write_faults: shared.stats.write_faults.load(Ordering::Relaxed),
-        bytes_copied: shared.stats.bytes_copied.load(Ordering::Relaxed),
-        diffs_created: shared.stats.diffs_created.load(Ordering::Relaxed),
-        diff_bytes: shared.stats.diff_bytes.load(Ordering::Relaxed),
-        service_ns: shared.stats.service_ns.load(Ordering::Relaxed),
-    };
-    drop(shared);
-    drop(guard);
+    let stats = *lock(&shared.stats);
     VmRunResult { results, stats }
 }

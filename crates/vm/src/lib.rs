@@ -5,7 +5,15 @@
 //! named for: transparent loads and stores against `mmap`-ed views,
 //! with `mprotect`-enforced access rights and a `SIGSEGV` handler that
 //! turns violations into coherence actions — the IVY/TreadMarks
-//! user-level virtual-memory trick, in-process.
+//! user-level virtual-memory trick.
+//!
+//! One type carries the mechanism: a [`ClusterView`] is a node's
+//! memory — mapping, per-page rights, the trap that parks a faulting
+//! thread and the fault stream its host drains. Any number of views may
+//! live in one process. [`run_vm`] is N views plus one of two coherence
+//! policies ([`VmMode`]) served by threads of this process; `dsm-core`'s
+//! cluster mode is one view per node with the real protocol stack as
+//! its host.
 //!
 //! ```no_run
 //! use dsm_vm::{run_vm, VmConfig, VmMode};

@@ -1,7 +1,10 @@
 //! End-to-end tests of the page-fault engine: faults must be
 //! transparent, coherent, and counted.
 
-use dsm_vm::{run_vm, VmConfig, VmMode};
+use dsm_vm::cluster::ACC_READ;
+use dsm_vm::{os_page_size, run_vm, ClusterView, VmConfig, VmMode};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 
 #[test]
 fn single_node_write_read_via_faults() {
@@ -228,4 +231,84 @@ fn twin_diff_mini_stencil_matches_sequential() {
         let want: u64 = av[m * chunk..(m + 1) * chunk].iter().sum();
         assert_eq!(got, want, "node {m}");
     }
+}
+
+#[test]
+fn two_engines_and_a_bare_view_share_one_process() {
+    let ps = os_page_size();
+    // Node 0 of each engine and the bare view's application meet here,
+    // so all three are live at once, with faults on either side.
+    let all_live = Barrier::new(3);
+    let engine = |mode| {
+        let res = run_vm(VmConfig::new(2, 2, mode), |node| {
+            node.write::<u64>(node.id() * 8, node.id() as u64 + 1);
+            if node.id() == 0 {
+                all_live.wait();
+            }
+            node.barrier();
+            node.read::<u64>(0) + node.read::<u64>(8)
+        });
+        assert_eq!(res.results, vec![3, 3]);
+    };
+    let view = ClusterView::new(2, ps).unwrap();
+    let fill = vec![5u8; ps];
+    std::thread::scope(|s| {
+        s.spawn(|| engine(VmMode::Invalidate));
+        s.spawn(|| engine(VmMode::TwinDiff));
+        s.spawn(|| {
+            while let Some(fault) = view.next_fault() {
+                view.install_page(fault.page, &fill, ACC_READ);
+                view.finish_fault();
+            }
+        });
+        assert_eq!(view.read::<u8>(ps), 5);
+        all_live.wait();
+        assert_eq!(view.read::<u8>(0), 5);
+        view.stop();
+    });
+}
+
+#[test]
+fn panicking_program_fails_the_run() {
+    let run = || {
+        run_vm(VmConfig::new(1, 2, VmMode::Invalidate), |node| {
+            node.write::<u64>(0, 1);
+            panic!("program failed")
+        })
+    };
+    let payload = std::panic::catch_unwind(run).expect_err("the panic reaches the caller");
+    assert_eq!(payload.downcast_ref::<&str>(), Some(&"program failed"));
+}
+
+#[test]
+fn faults_are_served_until_every_node_is_done() {
+    // Node 1 panics at once; node 0 then faults on node 1's page and
+    // must still be served before the panic is re-raised.
+    let cfg = VmConfig::new(2, 2, VmMode::Invalidate);
+    let peer_gone = AtomicBool::new(false);
+    let seen = AtomicBool::new(false);
+    let run = std::panic::AssertUnwindSafe(|| {
+        run_vm(cfg, |node| {
+            if node.id() == 1 {
+                peer_gone.store(true, Ordering::Release);
+                panic!("node 1 failed");
+            }
+            while !peer_gone.load(Ordering::Acquire) {
+                std::hint::spin_loop();
+            }
+            assert_eq!(node.read::<u64>(cfg.page_size), 0);
+            seen.store(true, Ordering::Release);
+        })
+    });
+    assert!(std::panic::catch_unwind(run).is_err());
+    assert!(seen.load(Ordering::Acquire));
+}
+
+#[test]
+#[should_panic(expected = "access past end of view")]
+fn read_near_usize_max_is_refused() {
+    // `off + size` wraps to 4: the bounds check must not.
+    run_vm(VmConfig::new(1, 1, VmMode::Invalidate), |node| {
+        node.read::<u64>(usize::MAX - 3)
+    });
 }
