@@ -5,10 +5,11 @@
 //! ```sh
 //! dsmrun --app sor --proto lrc --nodes 8 --page 4096 --size 256
 //! dsmrun --app taskqueue --proto entry --nodes 16
+//! dsmrun --app kv --proto lrc --nodes 8 --page 1024 --size 4800
 //! dsmrun --list
 //! ```
 
-use dsm_apps::{chase, fft, gauss, jacobi, matmul, sor, sort, taskqueue, tsp};
+use dsm_apps::{chase, fft, gauss, jacobi, kv, matmul, sor, sort, taskqueue, tsp};
 use dsm_bench::cli::CommonFlags;
 use dsm_core::{
     BarrierKind, CostModel, Dsm, DsmConfig, Dur, EntryBinding, LockKind, Placement, ProtocolKind,
@@ -43,7 +44,7 @@ fn parse_args() -> Result<Args, String> {
         let mut val = || it.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
             "--list" => {
-                println!("apps:      sor jacobi matmul gauss fft sort taskqueue tsp chase");
+                println!("apps:      sor jacobi matmul gauss fft sort taskqueue tsp chase kv");
                 println!(
                     "protocols: {}",
                     ProtocolKind::EVERY.map(|p| p.name()).join(" ")
@@ -101,7 +102,9 @@ fn main() {
             eprintln!("dsmrun: {e}");
             eprintln!(
                 "usage: dsmrun --app <name> [--size S] [--placement P] [--lock K] \
-                 [--barrier K] [--no-fast-path] [--no-lrc-gc] [--quantum-us U] {} | --list",
+                 [--barrier K] [--no-fast-path] [--no-lrc-gc] [--quantum-us U] {} | --list\n\
+                 apps: sor jacobi matmul gauss fft sort taskqueue tsp chase kv \
+                 (kv: the E21 Zipf board, --size = operations per node)",
                 CommonFlags::USAGE
             );
             std::process::exit(2);
@@ -301,6 +304,23 @@ fn main() {
                 let t = thru(&res);
                 (res.end_time, res.stats, ok, t)
             }
+        }
+        "kv" => {
+            // The E21 board as the benchmark's `sim_kv_*` workloads run
+            // it; `--size` is the run length (operations per node).
+            let p = kv::KvParams {
+                keys: 512,
+                ops_per_node: if a.size == 0 { 1200 } else { a.size },
+                read_pct: 80,
+                skew: 0.99,
+                stripes: 16,
+                seed: 21,
+            };
+            let want = kv::reference_digest(&p, a.common.nodes as usize);
+            let res = dsm_core::run_dsm(&base(p.heap_bytes()), move |d: &Dsm<'_>| kv::run(d, &p));
+            let ok = res.results.iter().all(|&d| d == want);
+            let t = thru(&res);
+            (res.end_time, res.stats, ok, t)
         }
         other => {
             eprintln!("dsmrun: unknown app {other} (try --list)");

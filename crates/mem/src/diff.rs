@@ -8,6 +8,14 @@
 //! of the whole page. Two nodes writing disjoint parts of a page
 //! produce disjoint diffs that can be applied in any order — the cure
 //! for false-sharing ping-pong.
+//!
+//! Most of a twinned page is usually untouched, so the scan
+//! ([`PageDiff::scan_runs`]) spends its time in clean stretches. It
+//! crosses those 32 bytes at a time, then a word at a time, and
+//! compares byte by byte only inside a changed run and across the
+//! short gap that may merge it with the next. The run boundaries are
+//! those of a plain bytewise scan, which `tests/properties.rs` keeps
+//! as the oracle.
 
 use dsm_net::{Wire, WireReader};
 
@@ -57,10 +65,10 @@ impl PageDiff {
         let n = twin.len();
         let mut i = 0;
         let mut wire = 0;
-        while i < n {
-            if twin[i] == current[i] {
-                i += 1;
-                continue;
+        loop {
+            i = first_difference(twin, current, i);
+            if i == n {
+                break;
             }
             let start = i;
             let mut end = i;
@@ -142,6 +150,41 @@ impl PageDiff {
         }
         false
     }
+}
+
+/// Index of the first byte at or after `from` where `a` and `b`
+/// differ, or their length if none does. Clean stretches are crossed
+/// in 32-byte chunks, then 8-byte words; only the word that holds the
+/// difference is looked into.
+fn first_difference(a: &[u8], b: &[u8], from: usize) -> usize {
+    const CHUNK: usize = 32;
+    const WORD: usize = 8;
+    let n = a.len();
+    let mut i = from;
+    while i + CHUNK <= n {
+        let (x, y): (&[u8; CHUNK], &[u8; CHUNK]) = (
+            a[i..i + CHUNK].try_into().expect("chunk-sized slice"),
+            b[i..i + CHUNK].try_into().expect("chunk-sized slice"),
+        );
+        if x != y {
+            break;
+        }
+        i += CHUNK;
+    }
+    while i + WORD <= n {
+        let word = |s: &[u8]| u64::from_le_bytes(s[i..i + WORD].try_into().expect("word-sized"));
+        let x = word(a) ^ word(b);
+        if x != 0 {
+            // Little-endian load: the lowest set byte is the first
+            // differing address.
+            return i + x.trailing_zeros() as usize / 8;
+        }
+        i += WORD;
+    }
+    while i < n && a[i] == b[i] {
+        i += 1;
+    }
+    i
 }
 
 impl Wire for PageDiff {

@@ -7,9 +7,8 @@
 //! distributed, dynamic distributed); this module provides the entry
 //! type and the placement maps the schemes share.
 
-use crate::nodeset::NodeSet;
-use dsm_net::NodeId;
-use std::collections::HashMap;
+use crate::pagemap::PageMap;
+use dsm_net::{NodeId, NodeSet};
 
 /// Authoritative directory knowledge about one page.
 #[derive(Debug, Clone)]
@@ -48,7 +47,7 @@ impl DirEntry {
 /// for them.
 #[derive(Debug, Default)]
 pub struct Directory {
-    entries: HashMap<usize, DirEntry>,
+    entries: PageMap<usize, DirEntry>,
 }
 
 impl Directory {

@@ -6,7 +6,7 @@
 //! current right are the *faults* that drive the coherence protocol.
 
 use crate::addr::{GlobalAddr, PageGeometry, PageId};
-use std::collections::HashMap;
+use crate::pagemap::PageMap;
 
 /// Access right a node holds on a local page copy. Mirrors MMU
 /// protection bits: `Write` implies `Read`.
@@ -40,14 +40,14 @@ pub struct Frame {
 #[derive(Debug)]
 pub struct FrameTable {
     geometry: PageGeometry,
-    frames: HashMap<usize, Frame>,
+    frames: PageMap<usize, Frame>,
 }
 
 impl FrameTable {
     pub fn new(geometry: PageGeometry) -> Self {
         FrameTable {
             geometry,
-            frames: HashMap::new(),
+            frames: PageMap::default(),
         }
     }
 

@@ -14,6 +14,7 @@ use crate::addr::PageId;
 use crate::causal::VClockDelta;
 use crate::vclock::VClock;
 use dsm_net::{NodeId, Wire, WireReader};
+use std::sync::Arc;
 
 /// Identity of one interval: (creating node, per-node sequence number).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -71,13 +72,19 @@ pub struct WireIntervalRecord {
 }
 
 impl WireIntervalRecord {
-    /// Compress a record against `base` (normally the barrier floor).
-    pub fn compress(rec: &IntervalRecord, base: &VClock) -> Self {
+    /// Compress a record against `base` (normally the barrier floor),
+    /// sharing `base` with every other record compressed against it.
+    pub fn against(rec: &IntervalRecord, base: &Arc<VClock>) -> Self {
         WireIntervalRecord {
             id: rec.id,
-            vc: VClockDelta::encode(&rec.vc, base),
+            vc: VClockDelta::against(&rec.vc, base),
             pages: rec.pages.clone(),
         }
+    }
+
+    /// Compress a record against a copy of `base`.
+    pub fn compress(rec: &IntervalRecord, base: &VClock) -> Self {
+        Self::against(rec, &Arc::new(base.clone()))
     }
 
     /// Reconstruct the full record.

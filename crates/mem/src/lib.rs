@@ -16,6 +16,8 @@
 //!   forms;
 //! * [`Directory`]/[`DirEntry`]/[`NodeSet`] — owner + copyset tracking
 //!   for write-invalidate manager schemes;
+//! * [`PageMap`]/[`PageSet`] — the hash tables all of the above (and
+//!   every protocol) key by page number;
 //! * [`ObjTable`]/[`ObjRecord`] — id → (address, length, home) layout
 //!   metadata for object-granularity sharing.
 
@@ -26,17 +28,18 @@ mod dir;
 mod frame;
 mod interval;
 mod layout;
-mod nodeset;
 mod objtable;
+mod pagemap;
 mod vclock;
 
 pub use addr::{GlobalAddr, PageGeometry, PageId};
 pub use causal::{CausalTime, VClockDelta};
 pub use diff::PageDiff;
 pub use dir::{home_node, DirEntry, Directory, PendingReq};
+pub use dsm_net::NodeSet;
 pub use frame::{Access, Frame, FrameTable};
 pub use interval::{IntervalId, IntervalRecord, WireIntervalRecord};
 pub use layout::{Placement, SpaceLayout};
-pub use nodeset::NodeSet;
 pub use objtable::{ObjRecord, ObjTable};
+pub use pagemap::{PageHasher, PageMap, PageSet};
 pub use vclock::VClock;

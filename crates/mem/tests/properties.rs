@@ -174,3 +174,92 @@ fn frame_table_write_read_roundtrip() {
         assert_eq!(out, shadow);
     }
 }
+
+/// The bytewise scan `PageDiff::scan_runs` was before it learned to
+/// cross clean stretches in chunks — kept as the oracle for where runs
+/// begin and end, which gaps merge, and the modeled wire size.
+fn bytewise_runs(twin: &[u8], current: &[u8]) -> (Vec<(usize, Vec<u8>)>, usize) {
+    const MERGE_GAP: usize = 8;
+    const RUN_HEADER_BYTES: usize = 4;
+    let n = twin.len();
+    let mut runs = Vec::new();
+    let mut i = 0;
+    let mut wire = 0;
+    while i < n {
+        if twin[i] == current[i] {
+            i += 1;
+            continue;
+        }
+        let start = i;
+        let mut end = i;
+        while i < n {
+            if twin[i] != current[i] {
+                i += 1;
+                end = i;
+                continue;
+            }
+            let gap_start = i;
+            let mut j = i;
+            while j < n && twin[j] == current[j] && j - gap_start < MERGE_GAP {
+                j += 1;
+            }
+            if j < n && twin[j] != current[j] && j - gap_start < MERGE_GAP {
+                i = j;
+            } else {
+                break;
+            }
+        }
+        runs.push((start, current[start..end].to_vec()));
+        wire += RUN_HEADER_BYTES + (end - start);
+    }
+    (runs, wire)
+}
+
+fn assert_scan_matches_bytewise(twin: &[u8], cur: &[u8], what: &str) {
+    let mut runs = Vec::new();
+    let wire = PageDiff::scan_runs(twin, cur, |off, bytes| runs.push((off, bytes.to_vec())));
+    assert_eq!((runs, wire), bytewise_runs(twin, cur), "{what}");
+}
+
+/// The chunked scan reports exactly the runs of the bytewise scan: on
+/// every page size from 1 to 4100 bytes (so every remainder modulo the
+/// word and chunk widths), on all-clean and all-dirty pages, and with
+/// two edits placed `MERGE_GAP` − 1, `MERGE_GAP` and `MERGE_GAP` + 1
+/// clean bytes apart at every offset within a chunk, so the gap
+/// straddles word and chunk edges.
+#[test]
+fn chunked_diff_scan_matches_the_bytewise_scan() {
+    let mut rng = XorShift64::new(17);
+    for size in 1..=4100usize {
+        let twin: Vec<u8> = (0..size).map(|_| rng.below(256) as u8).collect();
+        assert_scan_matches_bytewise(&twin, &twin, "all clean");
+        let dirty: Vec<u8> = twin.iter().map(|b| !b).collect();
+        assert_scan_matches_bytewise(&twin, &dirty, "all dirty");
+        // Sparse to dense random edits, some clustered so gaps merge.
+        let mut cur = twin.clone();
+        for _ in 0..rng.below(1 + size as u64 / 16) {
+            let at = rng.below(size as u64) as usize;
+            let len = 1 + rng.below(12) as usize;
+            for b in cur.iter_mut().skip(at).take(len) {
+                *b = !*b;
+            }
+        }
+        assert_scan_matches_bytewise(&twin, &cur, &format!("random edits, size {size}"));
+    }
+    let twin = vec![0x5au8; 200];
+    for first in 0..64usize {
+        for gap in [7usize, 8, 9] {
+            for second_len in [1usize, 3] {
+                let mut cur = twin.clone();
+                cur[first] ^= 1;
+                let second = first + 1 + gap;
+                for b in &mut cur[second..second + second_len] {
+                    *b ^= 0x80;
+                }
+                // And a far edit at the very end of the page.
+                cur[199] ^= 1;
+                assert_scan_matches_bytewise(&twin, &cur, &format!("edit at {first}, gap {gap}"));
+            }
+        }
+    }
+}

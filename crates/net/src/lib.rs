@@ -60,6 +60,7 @@ mod driver;
 mod kernel;
 mod model;
 mod msg;
+mod nodeset;
 mod reliable;
 mod rng;
 pub mod rt;
@@ -72,6 +73,7 @@ pub use driver::{AppHandle, RunResult, Sim, DEFAULT_STALL_WINDOW};
 pub use kernel::{FaultNotice, NodeBehavior, OpOutcome, MAX_LOCAL_QUANTUM};
 pub use model::{CostModel, CrashEvent, FaultPlan, PartitionEvent};
 pub use msg::{Envelope, NodeId, Payload};
+pub use nodeset::NodeSet;
 pub use reliable::{wrap_fleet, RelConfig, RelMsg, Reliable, REL_TIMER_BIT};
 pub use rng::XorShift64;
 pub use rt::{SocketCore, SocketRt};

@@ -1,6 +1,7 @@
 //! A compact set of node ids (copysets, invalidation targets).
 
-use dsm_net::{NodeId, Wire, WireReader};
+use crate::msg::NodeId;
+use crate::wire::{Wire, WireReader};
 use std::fmt;
 
 /// Bitset over node ids. Grows on demand; cheap to clone for the node

@@ -15,7 +15,7 @@
 
 use crate::api::{ProtoEvent, ProtoIo, Protocol};
 use crate::msg::{EntryUpdateLog, Piggy, ProtoMsg};
-use dsm_mem::{Access, FrameTable, GlobalAddr, PageDiff, PageId, SpaceLayout};
+use dsm_mem::{Access, FrameTable, GlobalAddr, PageDiff, PageId, PageMap, SpaceLayout};
 use dsm_net::NodeId;
 use dsm_sync::{LockId, SyncEnvelope};
 use std::collections::HashMap;
@@ -54,7 +54,7 @@ pub struct Entry {
     /// Guarded regions per lock.
     regions: HashMap<LockId, Vec<(usize, usize)>>,
     /// Twins of pages written since the last barrier.
-    twins: HashMap<usize, Box<[u8]>>,
+    twins: PageMap<usize, Box<[u8]>>,
     /// Per-lock update logs.
     locks: HashMap<LockId, LockLog>,
 }
@@ -74,7 +74,7 @@ impl Entry {
             layout,
             me,
             regions,
-            twins: HashMap::new(),
+            twins: PageMap::default(),
             locks: HashMap::new(),
         }
     }

@@ -16,7 +16,7 @@
 
 use crate::api::{ProtoEvent, ProtoIo, Protocol};
 use crate::msg::{Piggy, ProtoMsg};
-use dsm_mem::{Access, FrameTable, NodeSet, PageDiff, PageId, SpaceLayout};
+use dsm_mem::{Access, FrameTable, NodeSet, PageDiff, PageId, PageMap, SpaceLayout};
 use dsm_net::NodeId;
 use std::collections::HashMap;
 
@@ -25,9 +25,9 @@ pub struct Erc {
     layout: SpaceLayout,
     me: NodeId,
     /// Home-side: copy holders per page (excluding the home).
-    copyset: HashMap<usize, NodeSet>,
+    copyset: PageMap<usize, NodeSet>,
     /// Writer-side: twins of pages dirtied since the last flush.
-    twins: HashMap<usize, Box<[u8]>>,
+    twins: PageMap<usize, Box<[u8]>>,
     /// Home-side: flush transactions awaiting member acks
     /// (flush id → (writer, remaining acks)).
     inflight: HashMap<u64, (NodeId, u32)>,
@@ -45,8 +45,8 @@ impl Erc {
         Erc {
             layout,
             me,
-            copyset: HashMap::new(),
-            twins: HashMap::new(),
+            copyset: PageMap::default(),
+            twins: PageMap::default(),
             inflight: HashMap::new(),
             outstanding: 0,
             next_flush: (me.0 as u64) << 32,

@@ -20,9 +20,10 @@
 
 use crate::api::{BatchingIo, ProtoEvent, ProtoIo, Protocol};
 use crate::msg::{Piggy, ProtoMsg};
-use dsm_mem::{Access, Directory, FrameTable, NodeSet, PageId, PendingReq, SpaceLayout};
+use dsm_mem::{
+    Access, Directory, FrameTable, NodeSet, PageId, PageMap, PageSet, PendingReq, SpaceLayout,
+};
 use dsm_net::NodeId;
-use std::collections::{HashMap, HashSet};
 
 /// Which of Li & Hudak's manager schemes to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,30 +60,30 @@ pub struct Ivy {
     /// Manager-side directory (central: node 0 only; fixed: own pages).
     dir: Directory,
     /// Pages this node currently owns.
-    owned: HashSet<usize>,
+    owned: PageSet<usize>,
     /// Dynamic scheme: owner-held copysets for owned pages.
-    copyset: HashMap<usize, NodeSet>,
+    copyset: PageMap<usize, NodeSet>,
     /// Dynamic scheme: probable-owner hints (default: the page's home).
-    prob_owner: HashMap<usize, NodeId>,
+    prob_owner: PageMap<usize, NodeId>,
     /// In-flight local faults by page. At most one *write* fault exists
     /// at a time (the demand fault of a write op); several concurrent
     /// *read* faults coexist when the runtime batches a demand read with
     /// prefetches.
-    pending: HashMap<usize, PendingFault>,
+    pending: PageMap<usize, PendingFault>,
     /// Manager schemes: pages whose transactions must be confirmed once
     /// the local access retires (one entry per faulted page of the
     /// current op), each with its write flag.
     unconfirmed: Vec<(usize, bool)>,
     /// Dynamic scheme: pages whose ownership arrived but whose local
     /// access hasn't retired — incoming requests are deferred.
-    defer: HashSet<usize>,
+    defer: PageSet<usize>,
     /// Dynamic scheme: requests deferred per page.
-    queued: HashMap<usize, Vec<(NodeId, bool)>>,
+    queued: PageMap<usize, Vec<(NodeId, bool)>>,
 }
 
 impl Ivy {
     pub fn new(scheme: ManagerScheme, me: NodeId, layout: SpaceLayout) -> Self {
-        let mut owned = HashSet::new();
+        let mut owned = PageSet::default();
         for p in layout.pages_of(me) {
             owned.insert(p.0);
         }
@@ -92,12 +93,12 @@ impl Ivy {
             me,
             dir: Directory::new(),
             owned,
-            copyset: HashMap::new(),
-            prob_owner: HashMap::new(),
-            pending: HashMap::new(),
+            copyset: PageMap::default(),
+            prob_owner: PageMap::default(),
+            pending: PageMap::default(),
             unconfirmed: Vec::new(),
-            defer: HashSet::new(),
-            queued: HashMap::new(),
+            defer: PageSet::default(),
+            queued: PageMap::default(),
         }
     }
 
@@ -781,8 +782,8 @@ impl Protocol for Ivy {
         match self.scheme {
             ManagerScheme::Dynamic => {
                 // Release deferred requests for pages whose local access
-                // has now been performed. Sorted: HashSet iteration
-                // order is not deterministic across runs.
+                // has now been performed. Sorted: a hash set's
+                // iteration order is nobody's contract.
                 let mut pages: Vec<usize> = self.defer.drain().collect();
                 pages.sort_unstable();
                 for page in pages {

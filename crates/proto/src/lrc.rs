@@ -40,6 +40,21 @@
 //! symmetrically, next-epoch flushes buffered early survive the
 //! current release's retirement).
 //!
+//! ## Host cost follows what moves
+//!
+//! None of the bookkeeping below is visible to the protocol, and each
+//! step is sized by what it sends or receives, not by how long the run
+//! has been going. The interval log is ordered by `(creator, seq)`, so
+//! "what does this acquirer lack" is one range per creator, already in
+//! wire order; the resident-metadata gauge is a running counter kept
+//! at the sites that change the four tables it sums (the full
+//! recompute survives as a debug assertion); a page's causal write
+//! order is a chain-head topological selection
+//! ([`Lrc::causal_order`]), O(k·p) integer compares for k intervals
+//! from p writers; and the barrier root encodes the epoch clock once
+//! and derives each written page's home and sole writer once, instead
+//! of per receiving node.
+//!
 //! Other deviations from TreadMarks proper, chosen for clarity and
 //! noted in DESIGN.md: diffs are created eagerly at interval close
 //! (TreadMarks defers even diff creation until first request); when a
@@ -50,13 +65,14 @@
 use crate::api::{BatchingIo, ProtoEvent, ProtoIo, Protocol};
 use crate::msg::{Piggy, ProtoMsg};
 use dsm_mem::{
-    Access, CausalTime, FrameTable, IntervalId, IntervalRecord, PageDiff, PageId, SpaceLayout,
-    VClock, WireIntervalRecord,
+    Access, CausalTime, FrameTable, IntervalId, IntervalRecord, PageDiff, PageId, PageMap,
+    SpaceLayout, VClock, WireIntervalRecord,
 };
 use dsm_net::NodeId;
 use dsm_sync::{LockId, SyncEnvelope};
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+use std::ops::Bound;
+use std::sync::Arc;
 
 /// One in-flight local fault.
 #[derive(Debug)]
@@ -79,24 +95,32 @@ pub struct Lrc {
     /// wire encodings are produced relative to the floor.
     time: CausalTime,
     /// Twins of pages dirtied in the current (open) interval.
-    twins: HashMap<usize, Box<[u8]>>,
+    twins: PageMap<usize, Box<[u8]>>,
     /// Diffs of this node's own closed intervals: (page, seq) → diff.
-    my_diffs: HashMap<(usize, u32), PageDiff>,
+    my_diffs: PageMap<(usize, u32), PageDiff>,
     /// Every live interval record this node knows (its own and
-    /// received). With GC on, this empties at every barrier.
-    log: HashMap<IntervalId, IntervalRecord>,
+    /// received), ordered by creator then sequence number: one
+    /// creator's records are a contiguous range, in wire order. With GC
+    /// on, this empties at every barrier.
+    log: BTreeMap<IntervalId, IntervalRecord>,
     /// Unapplied write notices per page.
-    missing: HashMap<usize, Vec<IntervalId>>,
+    missing: PageMap<usize, Vec<IntervalId>>,
     /// In-flight local faults by page. Several read faults coexist when
     /// the runtime batches a demand fault with prefetch candidates;
     /// serving nodes keep no per-transaction state, so no confirmation
     /// protocol is needed.
-    pending: HashMap<usize, LrcPending>,
+    pending: PageMap<usize, LrcPending>,
     /// Interval GC at barriers (home-flush epoch retirement).
     gc: bool,
     /// Home-side: epoch diffs flushed here by departing writers,
     /// buffered unapplied until the release delivers the causal order.
-    flushed: HashMap<(IntervalId, usize), PageDiff>,
+    flushed: PageMap<(IntervalId, usize), PageDiff>,
+    /// Modeled bytes held in `log`, `my_diffs` and `missing` — what a GC
+    /// barrier retires wholesale — kept current at every site that
+    /// changes one of them.
+    resident_epoch: u64,
+    /// Modeled bytes held in `flushed`, which outlives the epoch.
+    resident_flushed: u64,
     /// Writer-side: epoch-flush acks outstanding before this node may
     /// arrive at the barrier.
     flush_outstanding: u32,
@@ -124,13 +148,15 @@ impl Lrc {
             me,
             nnodes,
             time: CausalTime::new(nnodes as usize),
-            twins: HashMap::new(),
-            my_diffs: HashMap::new(),
-            log: HashMap::new(),
-            missing: HashMap::new(),
-            pending: HashMap::new(),
+            twins: PageMap::default(),
+            my_diffs: PageMap::default(),
+            log: BTreeMap::new(),
+            missing: PageMap::default(),
+            pending: PageMap::default(),
             gc,
-            flushed: HashMap::new(),
+            flushed: PageMap::default(),
+            resident_epoch: 0,
+            resident_flushed: 0,
             flush_outstanding: 0,
             epoch: 0,
             deferred: Vec::new(),
@@ -166,25 +192,34 @@ impl Lrc {
 
     /// Resident causal-metadata footprint: live interval records, own
     /// retained diffs, buffered epoch flushes, and unapplied write
-    /// notices (modeled bytes).
+    /// notices (modeled bytes). A running count — sampled at every
+    /// acquire, it must not cost a walk of the tables.
     fn resident_bytes(&self) -> u64 {
+        let resident = self.resident_epoch + self.resident_flushed;
+        debug_assert_eq!(resident, self.recount_resident_bytes());
+        resident
+    }
+
+    /// What [`Lrc::resident_bytes`] counts, summed from the tables.
+    fn recount_resident_bytes(&self) -> u64 {
         let recs: u64 = self.log.values().map(|r| r.wire_bytes() as u64).sum();
-        let diffs: u64 = self
-            .my_diffs
-            .values()
-            .map(|d| 8 + d.wire_bytes() as u64)
-            .sum();
-        let buffered: u64 = self
-            .flushed
-            .values()
-            .map(|d| 12 + d.wire_bytes() as u64)
-            .sum();
+        let diffs: u64 = self.my_diffs.values().map(own_diff_bytes).sum();
+        let buffered: u64 = self.flushed.values().map(flushed_diff_bytes).sum();
         let notices: u64 = self
             .missing
             .values()
-            .map(|ids| 8 + 8 * ids.len() as u64)
+            .map(|ids| notice_bytes(ids.len()))
             .sum();
         recs + diffs + buffered + notices
+    }
+
+    /// Drop `page`'s unapplied write notices, returning them.
+    fn take_notices(&mut self, page: usize) -> Vec<IntervalId> {
+        let ids = self.missing.remove(&page).unwrap_or_default();
+        if !ids.is_empty() {
+            self.resident_epoch -= notice_bytes(ids.len());
+        }
+        ids
     }
 
     fn sample_peak(&mut self) {
@@ -196,7 +231,7 @@ impl Lrc {
     /// floor were retired by GC (or are provably held by everyone in
     /// the non-GC scheme) — both count as seen.
     fn seen(&self, id: IntervalId) -> bool {
-        self.log.contains_key(&id) || id.seq <= self.time.floor().get(id.node.index())
+        id.seq <= self.time.floor().get(id.node.index()) || self.log.contains_key(&id)
     }
 
     /// Close the current interval if this node has written anything.
@@ -211,6 +246,7 @@ impl Lrc {
             let cur = mem.page_bytes(PageId(page)).expect("dirty page vanished");
             let diff = PageDiff::create(&twin, cur);
             mem.set_access(PageId(page), Access::Read);
+            self.resident_epoch += own_diff_bytes(&diff);
             self.my_diffs.insert((page, seq), diff);
             pages.push(PageId(page));
         }
@@ -221,63 +257,94 @@ impl Lrc {
             vc: self.time.now().clone(),
             pages,
         };
+        self.resident_epoch += rec.wire_bytes() as u64;
         self.log.insert(id, rec);
     }
 
     /// Ingest interval records received with a grant or barrier
     /// release: log them, advance the clock, and invalidate noticed
     /// pages.
-    fn ingest(&mut self, mem: &mut FrameTable, records: Vec<IntervalRecord>) {
-        for rec in records {
+    fn ingest(&mut self, mem: &mut FrameTable, records: &[WireIntervalRecord]) {
+        for wire in records {
             // Already-known (a centralized lock server deposits the
             // releaser's full set, which can come straight back) and
             // GC-retired records (a deposit granted across a barrier)
-            // are both common; skip before asserting.
-            if self.seen(rec.id) {
+            // are both common; skip before expanding or asserting.
+            if self.seen(wire.id) {
                 continue;
             }
+            let rec = wire.expand();
             debug_assert_ne!(
                 rec.id.node, self.me,
                 "an unknown own record cannot exist elsewhere"
             );
             self.time.join(&rec.vc);
             for page in &rec.pages {
-                self.missing.entry(page.0).or_default().push(rec.id);
+                // The page's entry now costs one notice more (and its
+                // header, if this is its first).
+                let ids = self.missing.entry(page.0).or_default();
+                if !ids.is_empty() {
+                    self.resident_epoch -= notice_bytes(ids.len());
+                }
+                ids.push(rec.id);
+                self.resident_epoch += notice_bytes(ids.len());
                 // Invalidate any local copy; a concurrent local twin is
                 // kept — the remote diffs will be folded into it at the
                 // next fault.
                 mem.invalidate(*page);
             }
+            self.resident_epoch += rec.wire_bytes() as u64;
             self.log.insert(rec.id, rec);
         }
     }
 
-    /// Records in our log the holder of `their_vt` has not seen.
+    /// This creator's records in `log` with a sequence number above
+    /// `seq`, ascending.
+    fn records_after(
+        log: &BTreeMap<IntervalId, IntervalRecord>,
+        creator: NodeId,
+        seq: u32,
+    ) -> impl Iterator<Item = &IntervalRecord> {
+        let after = Bound::Excluded(IntervalId::new(creator, seq));
+        let last = Bound::Included(IntervalId::new(creator, u32::MAX));
+        log.range((after, last)).map(|(_, r)| r)
+    }
+
+    /// Records in our log the holder of `their_vt` has not seen, in id
+    /// order: one range of the log per creator.
     fn records_missing_for(&self, their_vt: &VClock) -> Vec<&IntervalRecord> {
-        let mut recs: Vec<&IntervalRecord> = self
-            .log
-            .values()
-            .filter(|r| r.id.seq > their_vt.get(r.id.node.index()))
-            .collect();
-        recs.sort_by_key(|r| r.id);
+        let mut recs = Vec::new();
+        for creator in 0..self.nnodes as usize {
+            // Every logged record was joined into our clock, so a
+            // creator they have seen as far as we have has nothing.
+            let have = their_vt.get(creator);
+            if have < self.time.now().get(creator) {
+                recs.extend(Self::records_after(&self.log, NodeId(creator as u32), have));
+            }
+        }
         recs
     }
 
     /// Wire-encode records against our barrier floor (shared with any
     /// same-epoch receiver, so steady-state clocks are tiny).
-    fn compress_floor(&self, recs: &[&IntervalRecord]) -> Vec<WireIntervalRecord> {
-        recs.iter()
-            .map(|r| WireIntervalRecord::compress(r, self.time.floor()))
+    fn compress_floor<'a>(
+        &self,
+        recs: impl IntoIterator<Item = &'a IntervalRecord>,
+    ) -> Vec<WireIntervalRecord> {
+        let floor = self.time.floor();
+        recs.into_iter()
+            .map(|r| WireIntervalRecord::against(r, floor))
             .collect()
     }
 
-    /// Wire-encode records against the zero clock — for deposits whose
-    /// eventual receiver (and its floor) is unknown, keeping the
-    /// modeled wire size honest.
-    fn compress_dense(&self, recs: &[&IntervalRecord]) -> Vec<WireIntervalRecord> {
-        let zero = VClock::new(self.nnodes as usize);
-        recs.iter()
-            .map(|r| WireIntervalRecord::compress(r, &zero))
+    /// Our whole log, wire-encoded against the zero clock — for
+    /// deposits whose eventual receiver (and its floor) is unknown,
+    /// keeping the modeled wire size honest.
+    fn whole_log_dense(&self) -> Vec<WireIntervalRecord> {
+        let zero = Arc::new(VClock::new(self.nnodes as usize));
+        self.log
+            .values()
+            .map(|r| WireIntervalRecord::against(r, &zero))
             .collect()
     }
 
@@ -296,7 +363,7 @@ impl Lrc {
             "{} double fault on p{p}",
             self.me
         );
-        let notices = self.missing.remove(&p).unwrap_or_default();
+        let notices = self.take_notices(p);
         let have_copy = mem.page_bytes(page).is_some();
 
         if notices.is_empty() && have_copy {
@@ -345,13 +412,11 @@ impl Lrc {
         let mut awaiting = 0u32;
         if have_copy {
             // Fetch just the missing diffs, grouped by creator.
-            let mut by_creator: HashMap<NodeId, Vec<IntervalId>> = HashMap::new();
+            let mut by_creator: BTreeMap<NodeId, Vec<IntervalId>> = BTreeMap::new();
             for id in notices {
                 by_creator.entry(id.node).or_default().push(id);
             }
-            let mut creators: Vec<_> = by_creator.into_iter().collect();
-            creators.sort_by_key(|(n, _)| *n);
-            for (creator, ids) in creators {
+            for (creator, ids) in by_creator {
                 io.send(creator, ProtoMsg::LrcDiffReq { page: p, ids });
                 awaiting += 1;
             }
@@ -376,7 +441,7 @@ impl Lrc {
                 },
             );
             awaiting += 1;
-            let mut by_creator: HashMap<NodeId, Vec<IntervalId>> = HashMap::new();
+            let mut by_creator: BTreeMap<NodeId, Vec<IntervalId>> = BTreeMap::new();
             for id in notices {
                 if id == latest {
                     continue;
@@ -387,9 +452,7 @@ impl Lrc {
                 }
                 by_creator.entry(id.node).or_default().push(id);
             }
-            let mut creators: Vec<_> = by_creator.into_iter().collect();
-            creators.sort_by_key(|(n, _)| *n);
-            for (creator, ids) in creators {
+            for (creator, ids) in by_creator {
                 io.send(creator, ProtoMsg::LrcDiffReq { page: p, ids });
                 awaiting += 1;
             }
@@ -441,33 +504,25 @@ impl Lrc {
         // newer one (a lost update) or panic outright. Concurrent
         // diffs are disjoint (data-race-free program) so their mutual
         // order is irrelevant; interval id breaks ties.
-        let order = Self::causal_order(
-            pend.diffs.iter().map(|(id, _)| *id).collect(),
-            &pend
-                .diffs
-                .iter()
-                .map(|(id, _)| (*id, self.log[id].vc.clone()))
-                .collect(),
-        );
-        let rank: HashMap<IntervalId, usize> = order
-            .into_iter()
-            .enumerate()
-            .map(|(i, id)| (id, i))
+        let stamped: Vec<(IntervalId, &VClock)> = pend
+            .diffs
+            .iter()
+            .map(|(id, _)| (*id, &self.log[id].vc))
             .collect();
-        pend.diffs.sort_unstable_by_key(|(id, _)| rank[id]);
+        let order = Self::causal_order(&stamped);
         {
             let bytes = mem
                 .page_bytes_mut(page)
                 .expect("fault completion without a frame");
-            for (_, diff) in &pend.diffs {
-                diff.apply(bytes);
+            for &i in &order {
+                pend.diffs[i].1.apply(bytes);
             }
         }
         // Fold remote writes into a concurrent local twin so our own
         // diff stays disjoint.
         if let Some(twin) = self.twins.get_mut(&p) {
-            for (_, diff) in &pend.diffs {
-                diff.apply(twin);
+            for &i in &order {
+                pend.diffs[i].1.apply(twin);
             }
         }
         mem.set_access(page, Access::Read);
@@ -479,29 +534,109 @@ impl Lrc {
         events.push(ProtoEvent::PageReady(page));
     }
 
-    /// Order interval ids causally (minimal first), interval id
-    /// breaking ties among concurrent records deterministically.
+    /// Order intervals causally (minimal first), interval id breaking
+    /// ties among concurrent records deterministically: repeatedly the
+    /// lowest id among those no remaining interval happens before.
     /// Concurrent diffs of a data-race-free program are disjoint, so
-    /// only the (total) order of comparable pairs matters.
-    fn causal_order(
-        mut ids: Vec<IntervalId>,
-        vcs: &HashMap<IntervalId, VClock>,
-    ) -> Vec<IntervalId> {
-        ids.sort_unstable();
-        let mut out = Vec::with_capacity(ids.len());
-        while !ids.is_empty() {
-            let pos = ids
-                .iter()
-                .position(|&c| {
-                    ids.iter().all(|&o| {
-                        o == c || !matches!(vcs[&o].causal_cmp(&vcs[&c]), Some(Ordering::Less))
-                    })
-                })
+    /// only the (total) order of comparable pairs matters. Returns
+    /// positions in `stamped`, which pairs each id with its record's
+    /// clock.
+    ///
+    /// One creator's intervals are totally ordered by sequence number,
+    /// so the ids fall into one chain per creator, and only a chain's
+    /// head can be minimal. A head is blocked exactly when another
+    /// chain's head happens before it (any blocker deeper in that chain
+    /// follows its head), so per chain a count of blocking heads,
+    /// adjusted as heads advance, decides: O(k·p) happens-before tests
+    /// for k ids from p creators, each a single integer compare.
+    fn causal_order(stamped: &[(IntervalId, &VClock)]) -> Vec<usize> {
+        let mut by_id: Vec<usize> = (0..stamped.len()).collect();
+        by_id.sort_unstable_by_key(|&i| stamped[i].0);
+        // One creator's ids are a contiguous stretch of `by_id`:
+        // `(next, end)` positions per chain, chains in creator order.
+        let mut chains: Vec<(usize, usize)> = Vec::new();
+        for (pos, &i) in by_id.iter().enumerate() {
+            match chains.last_mut() {
+                Some((_, end)) if stamped[by_id[*end - 1]].0.node == stamped[i].0.node => {
+                    *end = pos + 1
+                }
+                _ => chains.push((pos, pos + 1)),
+            }
+        }
+        let head = |chain: (usize, usize)| (chain.0 < chain.1).then(|| stamped[by_id[chain.0]]);
+        // For each chain, how many other chains' heads precede its own.
+        let mut blockers: Vec<usize> = (0..chains.len())
+            .map(|c| match head(chains[c]) {
+                Some(own) => (0..chains.len())
+                    .filter(|&o| o != c)
+                    .filter_map(|o| head(chains[o]))
+                    .filter(|&other| happens_before(other, own))
+                    .count(),
+                None => 0,
+            })
+            .collect();
+        let mut out = Vec::with_capacity(by_id.len());
+        while out.len() < by_id.len() {
+            let (c, emitted) = (0..chains.len())
+                .filter(|&c| blockers[c] == 0)
+                .find_map(|c| head(chains[c]).map(|h| (c, h)))
                 .expect("causal order always has a minimal element");
-            out.push(ids.remove(pos));
+            out.push(by_id[chains[c].0]);
+            chains[c].0 += 1;
+            let next = head(chains[c]);
+            let mut blocking_next = 0;
+            for o in (0..chains.len()).filter(|&o| o != c) {
+                let Some(other) = head(chains[o]) else {
+                    continue;
+                };
+                // The successor blocks no head its predecessor did not.
+                if happens_before(emitted, other) && !next.is_some_and(|n| happens_before(n, other))
+                {
+                    blockers[o] -= 1;
+                }
+                if next.is_some_and(|n| happens_before(other, n)) {
+                    blocking_next += 1;
+                }
+            }
+            blockers[c] = blocking_next;
         }
         out
     }
+}
+
+/// Does interval `a` happen before interval `b`, of another creator?
+/// Exactly when `b`'s creator had seen `a` by the time it closed `b` —
+/// one component of `b`'s clock. (A clock that has seen interval
+/// `a.seq` of `a.node` has joined that interval's clock, or one that
+/// dominates it, so the full vector comparison can only agree.)
+fn happens_before(a: (IntervalId, &VClock), b: (IntervalId, &VClock)) -> bool {
+    #[cfg(test)]
+    tests::HAPPENS_BEFORE_EVALS.with(|n| n.set(n.get() + 1));
+    debug_assert_ne!(a.0.node, b.0.node);
+    let before = b.1.get(a.0.node.index()) >= a.0.seq;
+    debug_assert_eq!(
+        before,
+        a.1.causal_cmp(b.1) == Some(std::cmp::Ordering::Less),
+        "{:?} vs {:?}",
+        a,
+        b
+    );
+    before
+}
+
+/// Modeled resident bytes of one retained own diff.
+fn own_diff_bytes(d: &PageDiff) -> u64 {
+    8 + d.wire_bytes() as u64
+}
+
+/// Modeled resident bytes of one buffered epoch flush.
+fn flushed_diff_bytes(d: &PageDiff) -> u64 {
+    12 + d.wire_bytes() as u64
+}
+
+/// Modeled resident bytes of one page's `ids` unapplied write notices.
+fn notice_bytes(ids: usize) -> u64 {
+    8 + 8 * ids as u64
 }
 
 impl Protocol for Lrc {
@@ -606,7 +741,10 @@ impl Protocol for Lrc {
                 debug_assert!(self.gc);
                 for (id, page, d) in diffs {
                     debug_assert_eq!(self.home_of(page), self.me);
-                    self.flushed.insert((id, page), d);
+                    self.resident_flushed += flushed_diff_bytes(&d);
+                    if let Some(old) = self.flushed.insert((id, page), d) {
+                        self.resident_flushed -= flushed_diff_bytes(&old);
+                    }
                 }
                 io.send(from, ProtoMsg::LrcFlushAck);
             }
@@ -642,7 +780,7 @@ impl Protocol for Lrc {
         // epoch's diffs for its pages — the barrier itself then carries
         // pure metadata. Locally-homed diffs never travel: their bytes
         // are already where they belong.
-        let mut by_home: HashMap<NodeId, Vec<(IntervalId, usize, PageDiff)>> = HashMap::new();
+        let mut by_home: BTreeMap<NodeId, Vec<(IntervalId, usize, PageDiff)>> = BTreeMap::new();
         for (&(page, seq), d) in &self.my_diffs {
             let home = self.home_of(page);
             if home != self.me {
@@ -653,10 +791,8 @@ impl Protocol for Lrc {
                 ));
             }
         }
-        let mut homes: Vec<_> = by_home.into_iter().collect();
-        homes.sort_by_key(|(h, _)| *h);
         debug_assert_eq!(self.flush_outstanding, 0);
-        for (home, mut diffs) in homes {
+        for (home, mut diffs) in by_home {
             diffs.sort_by_key(|&(id, page, _)| (id.seq, page));
             io.send(home, ProtoMsg::LrcFlush { diffs });
             self.flush_outstanding += 1;
@@ -679,15 +815,13 @@ impl Protocol for Lrc {
         match reqinfo {
             Piggy::LrcClock(their_vt) => {
                 let recs = self.records_missing_for(&their_vt.expand());
-                Piggy::LrcIntervals(self.compress_floor(&recs))
+                Piggy::LrcIntervals(self.compress_floor(recs))
             }
             Piggy::None => {
                 // No clock available (e.g. a centralized server grant on
                 // behalf of an unknown releaser): send everything,
                 // dense-encoded (no shared floor can be assumed).
-                let zero = VClock::new(self.nnodes as usize);
-                let recs = self.records_missing_for(&zero);
-                Piggy::LrcIntervals(self.compress_dense(&recs))
+                Piggy::LrcIntervals(self.whole_log_dense())
             }
             other => panic!("lrc grant with unexpected reqinfo {other:?}"),
         }
@@ -702,9 +836,7 @@ impl Protocol for Lrc {
         // Centralized server: the next grantee is unknown, so deposit
         // the full record set — the documented cost of pairing LRC with
         // a central lock.
-        let zero = VClock::new(self.nnodes as usize);
-        let recs = self.records_missing_for(&zero);
-        Piggy::LrcIntervals(self.compress_dense(&recs))
+        Piggy::LrcIntervals(self.whole_log_dense())
     }
 
     fn on_acquired(
@@ -716,8 +848,7 @@ impl Protocol for Lrc {
     ) {
         match piggy {
             Piggy::LrcIntervals(records) => {
-                let records = records.iter().map(|r| r.expand()).collect();
-                self.ingest(mem, records);
+                self.ingest(mem, &records);
                 self.sample_peak();
             }
             Piggy::None => {}
@@ -731,13 +862,7 @@ impl Protocol for Lrc {
         // everyone holds everything older.
         self.sample_peak();
         let floor_me = self.time.floor().get(self.me.index());
-        let mut own: Vec<&IntervalRecord> = self
-            .log
-            .values()
-            .filter(|r| r.id.node == self.me && r.id.seq > floor_me)
-            .collect();
-        own.sort_by_key(|r| r.id);
-        let records = self.compress_floor(&own);
+        let records = self.compress_floor(Self::records_after(&self.log, self.me, floor_me));
         let vt = self.time.encode_now();
         // Same metadata-only arrival in both modes: with GC, the
         // epoch's diff bytes already went point-to-point to their homes
@@ -756,9 +881,9 @@ impl Protocol for Lrc {
         if !self.gc {
             // Pool every record authored this epoch (plus each node's
             // clock), then hand each node exactly what its clock says
-            // it lacks.
-            let mut pool: HashMap<IntervalId, IntervalRecord> = HashMap::new();
-            let mut clocks: HashMap<NodeId, VClock> = HashMap::new();
+            // it lacks, in id order.
+            let mut pool: BTreeMap<IntervalId, IntervalRecord> = BTreeMap::new();
+            let mut clocks: BTreeMap<NodeId, VClock> = BTreeMap::new();
             for env in arrivals {
                 match env.payload {
                     Piggy::LrcBarrier { vt, records } => {
@@ -775,12 +900,11 @@ impl Protocol for Lrc {
                 .map(|i| {
                     let node = NodeId(i);
                     let vt = &clocks[&node];
-                    let mut recs: Vec<&IntervalRecord> = pool
-                        .values()
-                        .filter(|r| r.id.node != node && r.id.seq > vt.get(r.id.node.index()))
-                        .collect();
-                    recs.sort_by_key(|r| r.id);
-                    SyncEnvelope::new(node, Piggy::LrcIntervals(self.compress_floor(&recs)))
+                    let lacks = |r: &&IntervalRecord| {
+                        r.id.node != node && r.id.seq > vt.get(r.id.node.index())
+                    };
+                    let recs = self.compress_floor(pool.values().filter(lacks));
+                    SyncEnvelope::new(node, Piggy::LrcIntervals(recs))
                 })
                 .collect();
         }
@@ -792,54 +916,68 @@ impl Protocol for Lrc {
         // arrival), compacted per-page invalidation notices for its
         // stale copies. Metadata only: O(records) bytes total.
         let mut new_vt = VClock::new(nnodes as usize);
-        let mut vcs: HashMap<IntervalId, VClock> = HashMap::new();
-        let mut by_page: BTreeMap<usize, Vec<IntervalId>> = BTreeMap::new();
+        let mut records: Vec<IntervalRecord> = Vec::new();
+        // Page → positions in `records` of the intervals that wrote it.
+        let mut writers: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for env in arrivals {
             match env.payload {
-                Piggy::LrcBarrier { vt, records } => {
+                Piggy::LrcBarrier { vt, records: recs } => {
                     new_vt.join(&vt.expand());
-                    for r in records {
+                    for r in recs {
                         let rec = r.expand();
                         for pg in &rec.pages {
-                            by_page.entry(pg.0).or_default().push(rec.id);
+                            writers.entry(pg.0).or_default().push(records.len());
                         }
-                        vcs.insert(rec.id, rec.vc);
+                        records.push(rec);
                     }
                 }
                 other => panic!("lrc gc barrier arrival with {other:?}"),
             }
         }
-        let ordered: Vec<(usize, Vec<IntervalId>)> = by_page
+        // Per written page, once: its home, its sole writer if it has
+        // one, and its causal write order — which goes to the home
+        // alone, so the list is moved there, not copied.
+        let mut homed: Vec<Vec<(usize, Vec<IntervalId>)>> = vec![Vec::new(); nnodes as usize];
+        let mut written: Vec<(usize, NodeId, Option<NodeId>)> = Vec::with_capacity(writers.len());
+        for (page, recs) in writers {
+            let stamped: Vec<(IntervalId, &VClock)> = recs
+                .iter()
+                .map(|&r| (records[r].id, &records[r].vc))
+                .collect();
+            let first = stamped[0].0.node;
+            let sole = stamped
+                .iter()
+                .all(|(id, _)| id.node == first)
+                .then_some(first);
+            let home = self.home_of(page);
+            written.push((page, home, sole));
+            // Only the home wrote it: its copy is already the epoch
+            // image, nothing to do.
+            if sole != Some(home) {
+                let order = Self::causal_order(&stamped);
+                let ids = order.into_iter().map(|i| stamped[i].0).collect();
+                homed[home.index()].push((page, ids));
+            }
+        }
+        // One encoding of the epoch clock, shared by every release.
+        let vt = self.time.encode(&new_vt);
+        homed
             .into_iter()
-            .map(|(page, ids)| (page, Self::causal_order(ids, &vcs)))
-            .collect();
-        (0..nnodes)
-            .map(|i| {
-                let node = NodeId(i);
-                let mut homed: Vec<(usize, Vec<IntervalId>)> = Vec::new();
-                let mut invals: Vec<usize> = Vec::new();
-                for (page, ids) in &ordered {
-                    if self.home_of(*page) == node {
-                        if ids.iter().all(|id| id.node == node) {
-                            // Only the home wrote it: its copy is
-                            // already the epoch image, nothing to do.
-                            continue;
-                        }
-                        homed.push((*page, ids.clone()));
-                    } else if !ids.iter().all(|id| id.node == node) {
-                        // Someone else wrote it: any local copy is
-                        // stale. (A sole writer's own copy is current.)
-                        invals.push(*page);
-                    }
-                }
-                SyncEnvelope::new(
-                    node,
-                    Piggy::LrcEpoch {
-                        vt: self.time.encode(&new_vt),
-                        homed,
-                        invals,
-                    },
-                )
+            .enumerate()
+            .map(|(i, homed)| {
+                let node = NodeId(i as u32);
+                // Someone else wrote it: any local copy is stale. (A
+                // sole writer's own copy is current; the home's is
+                // brought current by its `homed` list.)
+                let mut invals = Vec::with_capacity(written.len());
+                invals.extend(
+                    written
+                        .iter()
+                        .filter(|&&(_, home, sole)| home != node && sole != Some(node))
+                        .map(|&(page, ..)| page),
+                );
+                let vt = vt.clone();
+                SyncEnvelope::new(node, Piggy::LrcEpoch { vt, homed, invals })
             })
             .collect()
     }
@@ -850,8 +988,7 @@ impl Protocol for Lrc {
         match piggy {
             Piggy::LrcIntervals(records) => {
                 debug_assert!(!self.gc, "gc barrier released a non-gc payload");
-                let records = records.iter().map(|r| r.expand()).collect();
-                self.ingest(mem, records);
+                self.ingest(mem, &records);
                 self.sample_peak();
                 // Everyone now holds everything up to the barrier.
                 self.time.advance_floor();
@@ -879,20 +1016,22 @@ impl Protocol for Lrc {
                                 .expect("own epoch diff resident")
                                 .apply(bytes);
                         } else {
-                            self.flushed
+                            let d = self
+                                .flushed
                                 .remove(&(id, page))
-                                .expect("epoch diff flushed before release")
-                                .apply(bytes);
+                                .expect("epoch diff flushed before release");
+                            self.resident_flushed -= flushed_diff_bytes(&d);
+                            d.apply(bytes);
                         }
                     }
                     mem.set_access(PageId(page), Access::Read);
-                    self.missing.remove(&page);
+                    self.take_notices(page);
                 }
                 // Drop stale copies outright: the next touch refetches
                 // from the (now current) home via the first-touch path.
                 for page in invals {
                     mem.evict(PageId(page));
-                    self.missing.remove(&page);
+                    self.take_notices(page);
                 }
                 // Retire the epoch: every record anywhere is dominated
                 // by the new global clock, so the whole log, own-diff
@@ -915,6 +1054,7 @@ impl Protocol for Lrc {
                 self.log.clear();
                 self.my_diffs.clear();
                 self.missing.clear();
+                self.resident_epoch = 0;
                 self.time.set_now(new_vt);
                 self.time.advance_floor();
                 self.epoch += 1;
@@ -941,6 +1081,17 @@ impl Protocol for Lrc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsm_mem::{PageGeometry, Placement};
+    use dsm_net::{CostModel, XorShift64};
+    use std::cell::Cell;
+    use std::cmp::Ordering;
+    use std::collections::HashMap;
+
+    thread_local! {
+        /// Calls of [`happens_before`] on this thread: pins
+        /// `causal_order`'s cost without a clock.
+        pub(super) static HAPPENS_BEFORE_EVALS: Cell<u64> = const { Cell::new(0) };
+    }
 
     fn vc(counts: &[u32]) -> VClock {
         let mut v = VClock::new(counts.len());
@@ -950,16 +1101,72 @@ mod tests {
         v
     }
 
+    /// `causal_order` over owned `(id, clock)` pairs, as ids.
+    fn order(stamped: &[(IntervalId, VClock)]) -> Vec<IntervalId> {
+        let refs: Vec<(IntervalId, &VClock)> = stamped.iter().map(|(id, v)| (*id, v)).collect();
+        let out = Lrc::causal_order(&refs);
+        out.into_iter().map(|i| stamped[i].0).collect()
+    }
+
+    /// The selection loop `causal_order` was before it worked on chain
+    /// heads: rescan everything left for the first id that no other
+    /// remaining id's clock strictly precedes. O(k²)–O(k³) full clock
+    /// comparisons; kept as the oracle for the order.
+    fn order_by_full_scan(stamped: &[(IntervalId, VClock)]) -> Vec<IntervalId> {
+        let vcs: HashMap<IntervalId, &VClock> = stamped.iter().map(|(id, v)| (*id, v)).collect();
+        let mut ids: Vec<IntervalId> = stamped.iter().map(|(id, _)| *id).collect();
+        ids.sort_unstable();
+        let mut out = Vec::with_capacity(ids.len());
+        while !ids.is_empty() {
+            let pos = ids
+                .iter()
+                .position(|&c| {
+                    ids.iter().all(|&o| {
+                        o == c || !matches!(vcs[&o].causal_cmp(vcs[&c]), Some(Ordering::Less))
+                    })
+                })
+                .expect("causal order always has a minimal element");
+            out.push(ids.remove(pos));
+        }
+        out
+    }
+
+    /// A random execution of `nodes` nodes: each step one node either
+    /// closes an interval (a tick, recorded with its clock) or learns of
+    /// a recorded interval (joins its clock, as `ingest` does).
+    fn history(rng: &mut XorShift64, nodes: usize, steps: usize) -> Vec<(IntervalId, VClock)> {
+        let mut clocks = vec![VClock::new(nodes); nodes];
+        let mut recorded: Vec<(IntervalId, VClock)> = Vec::new();
+        for _ in 0..steps {
+            let n = rng.below(nodes as u64) as usize;
+            if recorded.is_empty() || rng.below(2) == 0 {
+                let seq = clocks[n].inc(n);
+                recorded.push((IntervalId::new(NodeId(n as u32), seq), clocks[n].clone()));
+            } else {
+                let seen = rng.below(recorded.len() as u64) as usize;
+                clocks[n].join(&recorded[seen].1);
+            }
+        }
+        recorded
+    }
+
+    fn shuffle<T>(rng: &mut XorShift64, v: &mut [T]) {
+        for i in (1..v.len()).rev() {
+            v.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+    }
+
     #[test]
     fn causal_order_respects_domination() {
         let a = IntervalId::new(NodeId(0), 1);
         let b = IntervalId::new(NodeId(1), 1);
         let c = IntervalId::new(NodeId(2), 1);
-        let mut vcs = HashMap::new();
-        vcs.insert(a, vc(&[1, 0, 0]));
-        vcs.insert(b, vc(&[1, 1, 0])); // after a
-        vcs.insert(c, vc(&[0, 0, 1])); // concurrent with both
-        let out = Lrc::causal_order(vec![b, c, a], &vcs);
+        let stamped = [
+            (b, vc(&[1, 1, 0])), // after a
+            (c, vc(&[0, 0, 1])), // concurrent with both
+            (a, vc(&[1, 0, 0])),
+        ];
+        let out = order(&stamped);
         let pa = out.iter().position(|&x| x == a).unwrap();
         let pb = out.iter().position(|&x| x == b).unwrap();
         assert!(pa < pb, "dominated interval must apply first");
@@ -969,12 +1176,281 @@ mod tests {
     #[test]
     fn causal_order_chain_is_sequential() {
         let ids: Vec<IntervalId> = (0..4).map(|s| IntervalId::new(NodeId(0), s + 1)).collect();
-        let mut vcs = HashMap::new();
-        for (i, &id) in ids.iter().enumerate() {
-            vcs.insert(id, vc(&[i as u32 + 1]));
+        let mut stamped: Vec<_> = ids.iter().map(|&id| (id, vc(&[id.seq]))).collect();
+        stamped.reverse();
+        assert_eq!(order(&stamped), ids);
+    }
+
+    /// On real histories — any subset of the recorded intervals, in any
+    /// order — the chain-head selection gives exactly the order of the
+    /// full-scan loop it replaced.
+    #[test]
+    fn causal_order_equals_the_full_scan_on_random_histories() {
+        let mut rng = XorShift64::new(0x17);
+        let mut compared = 0;
+        for case in 0..450 {
+            let nodes = 1 + case % 9;
+            let steps = 4 + rng.below(90) as usize;
+            let mut picked = history(&mut rng, nodes, steps);
+            // Everything, or a subset (holes in chains, missing
+            // intermediaries), shuffled.
+            let keep = [100, 70, 35][case % 3];
+            picked.retain(|_| rng.below(100) < keep);
+            shuffle(&mut rng, &mut picked);
+            assert_eq!(
+                order(&picked),
+                order_by_full_scan(&picked),
+                "case {case}: {nodes} nodes, {steps} steps"
+            );
+            compared += usize::from(picked.len() > 1);
         }
-        let mut shuffled = ids.clone();
-        shuffled.reverse();
-        assert_eq!(Lrc::causal_order(shuffled, &vcs), ids);
+        assert!(compared >= 400, "only {compared} non-trivial histories");
+    }
+
+    #[test]
+    fn causal_order_hand_cases() {
+        assert!(order(&[]).is_empty());
+        // One long chain, handed over backwards.
+        let chain: Vec<_> = (1..=600)
+            .rev()
+            .map(|s| (IntervalId::new(NodeId(2), s), vc(&[0, 0, s])))
+            .collect();
+        let want: Vec<_> = (1..=600).map(|s| IntervalId::new(NodeId(2), s)).collect();
+        assert_eq!(order(&chain), want);
+        // A pure antichain, 512 writers with one interval each: id order.
+        let unit = |n: usize| {
+            let mut v = VClock::new(512);
+            v.set(n, 1);
+            (IntervalId::new(NodeId(n as u32), 1), v)
+        };
+        let mut antichain: Vec<_> = (0..512).map(unit).collect();
+        shuffle(&mut XorShift64::new(5), &mut antichain);
+        let want: Vec<_> = (0..512).map(|n| IntervalId::new(NodeId(n), 1)).collect();
+        assert_eq!(order(&antichain), want);
+        // Many writers again, but each had seen every higher-numbered
+        // one: a single chain across creators, against the id order.
+        let relay: Vec<_> = (0..96usize)
+            .map(|n| {
+                let mut v = VClock::new(96);
+                (n..96).for_each(|seen| v.set(seen, 1));
+                (IntervalId::new(NodeId(n as u32), 1), v)
+            })
+            .collect();
+        let want: Vec<_> = (0..96)
+            .rev()
+            .map(|n| IntervalId::new(NodeId(n), 1))
+            .collect();
+        assert_eq!(order(&relay), want);
+    }
+
+    /// k = 4 000 ids from p = 8 writers that keep hearing of each other
+    /// — the closing barrier of a long lock-only phase — are ordered in
+    /// at most 4·k·p happens-before tests. (The full scan needs ~k²/2 =
+    /// 8 000 000 clock comparisons even when nothing blocks.)
+    #[test]
+    fn causal_order_is_linear_in_ids_times_writers() {
+        const WRITERS: usize = 8;
+        const PER_WRITER: u32 = 500;
+        let mut rng = XorShift64::new(99);
+        let mut clocks = vec![VClock::new(WRITERS); WRITERS];
+        let mut stamped: Vec<(IntervalId, VClock)> = Vec::new();
+        while stamped.len() < WRITERS * PER_WRITER as usize {
+            let n = rng.below(WRITERS as u64) as usize;
+            if clocks[n].get(n) == PER_WRITER {
+                continue;
+            }
+            if let Some(heard) = stamped.len().checked_sub(1 + rng.below(6) as usize) {
+                let heard = stamped[heard].1.clone();
+                clocks[n].join(&heard);
+            }
+            let seq = clocks[n].inc(n);
+            stamped.push((IntervalId::new(NodeId(n as u32), seq), clocks[n].clone()));
+        }
+        shuffle(&mut rng, &mut stamped);
+        let before = HAPPENS_BEFORE_EVALS.get();
+        let out = order(&stamped);
+        let evals = HAPPENS_BEFORE_EVALS.get() - before;
+        assert_eq!(out.len(), 4_000);
+        assert!(
+            evals <= 4 * 4_000 * WRITERS as u64,
+            "{evals} happens-before tests for 4 000 ids from 8 writers"
+        );
+        // And the order is a causal one: no interval before one it had
+        // seen.
+        let at: HashMap<IntervalId, usize> =
+            out.iter().enumerate().map(|(i, id)| (*id, i)).collect();
+        for (id, v) in &stamped {
+            for w in (0..WRITERS).filter(|&w| w != id.node.index() && v.get(w) > 0) {
+                let seen = IntervalId::new(NodeId(w as u32), v.get(w));
+                assert!(at[&seen] < at[id], "{seen:?} must precede {id:?}");
+            }
+        }
+    }
+
+    // ---- residency accounting ----
+
+    struct Outbox {
+        me: NodeId,
+        model: CostModel,
+        sent: Vec<(NodeId, ProtoMsg)>,
+    }
+
+    impl ProtoIo for Outbox {
+        fn me(&self) -> NodeId {
+            self.me
+        }
+        fn nodes(&self) -> u32 {
+            2
+        }
+        fn send(&mut self, dst: NodeId, msg: ProtoMsg) {
+            self.sent.push((dst, msg));
+        }
+        fn model(&self) -> &CostModel {
+            &self.model
+        }
+    }
+
+    /// One node of a two-node fleet driven by hand.
+    struct Node {
+        lrc: Lrc,
+        mem: FrameTable,
+        io: Outbox,
+    }
+
+    const PAGE: usize = 64;
+
+    impl Node {
+        fn new(me: u32) -> Node {
+            let geometry = PageGeometry::new(PAGE);
+            let layout = SpaceLayout::new(geometry, 4 * PAGE, Placement::Cyclic, 2);
+            let mut node = Node {
+                lrc: Lrc::new(NodeId(me), layout),
+                mem: FrameTable::new(geometry),
+                io: Outbox {
+                    me: NodeId(me),
+                    model: CostModel::lan_1992(),
+                    sent: Vec::new(),
+                },
+            };
+            node.lrc.on_start(&mut node.io, &mut node.mem);
+            node
+        }
+
+        /// The running count against the tables, whatever the build.
+        fn resident(&self) -> u64 {
+            let counted = self.lrc.resident_epoch + self.lrc.resident_flushed;
+            assert_eq!(counted, self.lrc.recount_resident_bytes(), "{}", self.io.me);
+            assert_eq!(counted, self.lrc.resident_bytes());
+            counted
+        }
+
+        /// Store `byte` at the start of `page`, faulting it writable
+        /// first (the peer serves whatever that takes).
+        fn write(&mut self, peer: &mut Node, page: usize, byte: u8) {
+            if !self
+                .lrc
+                .write_fault(&mut self.io, &mut self.mem, PageId(page))
+            {
+                exchange(self, peer);
+            }
+            assert_eq!(self.mem.access(PageId(page)), Access::Write);
+            self.mem.page_bytes_mut(PageId(page)).unwrap()[0] = byte;
+        }
+    }
+
+    /// Carry messages between the two nodes until none is in flight,
+    /// holding the residency count to the tables after every delivery.
+    fn exchange(a: &mut Node, b: &mut Node) {
+        let mut events = Vec::new();
+        loop {
+            let (from_a, from_b) = (
+                std::mem::take(&mut a.io.sent),
+                std::mem::take(&mut b.io.sent),
+            );
+            if from_a.is_empty() && from_b.is_empty() {
+                return;
+            }
+            for (dst, msg) in from_a {
+                assert_eq!(dst, b.io.me);
+                b.lrc
+                    .on_message(&mut b.io, &mut b.mem, a.io.me, msg, &mut events);
+                b.resident();
+            }
+            for (dst, msg) in from_b {
+                assert_eq!(dst, a.io.me);
+                a.lrc
+                    .on_message(&mut a.io, &mut a.mem, b.io.me, msg, &mut events);
+                a.resident();
+            }
+        }
+    }
+
+    /// Close intervals, ingest a grant, fault a noticed page, flush an
+    /// epoch and retire it: after every step the running residency
+    /// count equals the sum over the tables — asserted outright, so the
+    /// check also runs where `debug_assert!` does not.
+    #[test]
+    fn resident_counter_equals_the_recount_at_every_step() {
+        let (mut a, mut b) = (Node::new(0), Node::new(1));
+        assert_eq!(a.resident() + b.resident(), 0);
+
+        // b writes page 0 (homed at a) under lock 1 and releases: one
+        // own diff and one log record.
+        b.write(&mut a, 0, 7);
+        assert!(b.lrc.pre_release(&mut b.io, &mut b.mem, Some(1)));
+        let closed = b.resident();
+        assert!(closed > 0);
+
+        // a acquires from b: the record is ingested, page 0 noticed.
+        let req = a.lrc.acquire_reqinfo(&mut a.mem, 1);
+        let grant = b.lrc.grant_piggy(&mut b.io, &mut b.mem, 1, NodeId(0), &req);
+        a.lrc.on_acquired(&mut a.io, &mut a.mem, 1, grant);
+        let noticed = a.resident();
+        assert_eq!(a.lrc.missing[&0].len(), 1);
+        assert_eq!(b.resident(), closed, "granting retains everything");
+
+        // A second grant of the same records changes nothing.
+        let grant = b
+            .lrc
+            .grant_piggy(&mut b.io, &mut b.mem, 1, NodeId(0), &Piggy::None);
+        a.lrc.on_acquired(&mut a.io, &mut a.mem, 1, grant);
+        assert_eq!(a.resident(), noticed);
+
+        // a touches page 0: the notice is consumed, the diff fetched.
+        let (ready, _) = a.lrc.read_fault_batch(&mut a.io, &mut a.mem, &[PageId(0)]);
+        assert!(!ready);
+        assert_eq!(a.resident(), noticed - notice_bytes(1));
+        exchange(&mut a, &mut b);
+        assert_eq!(a.mem.page_bytes(PageId(0)).unwrap()[0], 7);
+
+        // a writes page 0 and page 1 (homed at b), then both depart for
+        // a barrier: each flushes its remotely homed diff to the other.
+        a.write(&mut b, 0, 8);
+        a.write(&mut b, 1, 9);
+        assert!(!a.lrc.pre_release(&mut a.io, &mut a.mem, None));
+        assert!(!b.lrc.pre_release(&mut b.io, &mut b.mem, None));
+        let before = (a.resident(), b.resident());
+        exchange(&mut a, &mut b);
+        assert!(a.lrc.resident_flushed > 0 && b.lrc.resident_flushed > 0);
+        assert!(a.resident() > before.0 && b.resident() > before.1);
+
+        // The barrier retires the epoch on both.
+        let arrivals = vec![
+            SyncEnvelope::new(NodeId(0), a.lrc.sync_depart(&mut a.io, &mut a.mem)),
+            SyncEnvelope::new(NodeId(1), b.lrc.sync_depart(&mut b.io, &mut b.mem)),
+        ];
+        let mut releases = a.lrc.merge_barrier(&mut a.io, &mut a.mem, arrivals, 2);
+        let for_b = releases.pop().unwrap().payload;
+        let for_a = releases.pop().unwrap().payload;
+        a.lrc.sync_arrive(&mut a.io, &mut a.mem, for_a);
+        b.lrc.sync_arrive(&mut b.io, &mut b.mem, for_b);
+        assert_eq!(
+            a.resident() + b.resident(),
+            0,
+            "a GC barrier retires it all"
+        );
+        assert!(a.lrc.peak_resident >= noticed && b.lrc.peak_resident >= closed);
+        // Page 0's epoch image reached its home in causal order.
+        assert_eq!(a.mem.page_bytes(PageId(0)).unwrap()[0], 8);
     }
 }

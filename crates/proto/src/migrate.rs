@@ -8,9 +8,9 @@
 
 use crate::api::{BatchingIo, ProtoEvent, ProtoIo, Protocol};
 use crate::msg::{Piggy, ProtoMsg};
-use dsm_mem::{Access, FrameTable, PageId, SpaceLayout};
+use dsm_mem::{Access, FrameTable, PageId, PageMap, PageSet, SpaceLayout};
 use dsm_net::NodeId;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Home-side tracking for one page.
 #[derive(Debug)]
@@ -24,31 +24,31 @@ struct HomeEntry {
 pub struct Migrate {
     layout: SpaceLayout,
     me: NodeId,
-    home: HashMap<usize, HomeEntry>,
+    home: PageMap<usize, HomeEntry>,
     /// Pages currently resident here.
-    resident: HashSet<usize>,
+    resident: PageSet<usize>,
     /// Local faults in flight: page → is-prefetch. Several coexist when
     /// the runtime batches a demand fault with read-ahead candidates.
     /// Prefetched pages confirm to their homes immediately on arrival
     /// (no hold-and-wait while the demand access is still blocked);
     /// demand pages confirm on op retirement as before.
-    pending: HashMap<usize, bool>,
+    pending: PageMap<usize, bool>,
     /// Pages to confirm to their homes once the local access retires.
     unconfirmed: Vec<usize>,
 }
 
 impl Migrate {
     pub fn new(me: NodeId, layout: SpaceLayout) -> Self {
-        let mut resident = HashSet::new();
+        let mut resident = PageSet::default();
         for p in layout.pages_of(me) {
             resident.insert(p.0);
         }
         Migrate {
             layout,
             me,
-            home: HashMap::new(),
+            home: PageMap::default(),
             resident,
-            pending: HashMap::new(),
+            pending: PageMap::default(),
             unconfirmed: Vec::new(),
         }
     }

@@ -47,9 +47,8 @@
 
 use crate::api::{ProtoEvent, ProtoIo, Protocol};
 use crate::msg::{Piggy, ProtoMsg};
-use dsm_mem::{Access, FrameTable, NodeSet, PageId, SpaceLayout};
+use dsm_mem::{Access, FrameTable, NodeSet, PageId, PageMap, SpaceLayout};
 use dsm_net::NodeId;
-use std::collections::HashMap;
 
 /// What the open home-side transaction is working toward.
 #[derive(Debug, Clone, Copy)]
@@ -96,10 +95,10 @@ struct HomePage {
 pub struct Rdma {
     layout: SpaceLayout,
     me: NodeId,
-    home: HashMap<usize, HomePage>,
+    home: PageMap<usize, HomePage>,
     /// Requester-side read fetches in flight; the flag marks fetches
     /// whose copy was invalidated while airborne (discard on arrival).
-    fetches: HashMap<usize, bool>,
+    fetches: PageMap<usize, bool>,
     /// Remote write fault in flight (one at a time by runtime contract).
     pending_write: Option<usize>,
     /// Recalls that arrived before the grant they chase (delivery
@@ -135,8 +134,8 @@ impl Rdma {
         Rdma {
             layout,
             me,
-            home: HashMap::new(),
-            fetches: HashMap::new(),
+            home: PageMap::default(),
+            fetches: PageMap::default(),
             pending_write: None,
             deferred_recalls: Vec::new(),
             pump_after_retire: Vec::new(),

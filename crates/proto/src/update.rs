@@ -15,9 +15,8 @@
 
 use crate::api::{ProtoEvent, ProtoIo, Protocol, WriteOutcome};
 use crate::msg::{Piggy, ProtoMsg};
-use dsm_mem::{Access, FrameTable, GlobalAddr, NodeSet, PageId, SpaceLayout};
+use dsm_mem::{Access, FrameTable, GlobalAddr, NodeSet, PageId, PageMap, SpaceLayout};
 use dsm_net::NodeId;
-use std::collections::HashMap;
 
 /// Write-update protocol state for one node.
 pub struct Update {
@@ -25,11 +24,11 @@ pub struct Update {
     me: NodeId,
     /// Home-side: registered copy holders per page (never includes the
     /// home itself; the master copy is updated directly).
-    copyset: HashMap<usize, NodeSet>,
+    copyset: PageMap<usize, NodeSet>,
     /// Home-side: per-page update sequence numbers.
-    seq: HashMap<usize, u64>,
+    seq: PageMap<usize, u64>,
     /// Copy-holder-side: last sequence applied per page (gap check).
-    last_seen: HashMap<usize, u64>,
+    last_seen: PageMap<usize, u64>,
     /// Writer-side: acks outstanding for the current write op.
     outstanding: u32,
     /// Read fetch in flight.
@@ -41,9 +40,9 @@ impl Update {
         Update {
             layout,
             me,
-            copyset: HashMap::new(),
-            seq: HashMap::new(),
-            last_seen: HashMap::new(),
+            copyset: PageMap::default(),
+            seq: PageMap::default(),
+            last_seen: PageMap::default(),
             outstanding: 0,
             pending_fetch: None,
         }

@@ -6,7 +6,7 @@
 //! flow back down with the release.
 
 use crate::msg::{BarrierId, SyncEnvelope, SyncIo, SyncMsg, SyncPiggy};
-use dsm_net::NodeId;
+use dsm_net::{NodeId, NodeSet};
 use std::collections::{BTreeSet, HashMap};
 
 /// Barrier topology.
@@ -37,6 +37,9 @@ struct PerBarrier<P> {
     /// Contributions gathered from this node's subtree (including its
     /// own) for the current episode.
     gathered: Vec<SyncEnvelope<P>>,
+    /// The nodes with an envelope in `gathered`: whether a node has
+    /// arrived is one bit test, not a search.
+    arrived: NodeSet,
     /// Whether this node itself has arrived in the current episode.
     arrived_self: bool,
 }
@@ -45,7 +48,22 @@ impl<P> Default for PerBarrier<P> {
     fn default() -> Self {
         PerBarrier {
             gathered: Vec::new(),
+            arrived: NodeSet::new(),
             arrived_self: false,
+        }
+    }
+}
+
+impl<P> PerBarrier<P> {
+    /// Record `env`. A node that arrived, crashed, recovered and
+    /// re-arrived at the still-open episode replaces its stale
+    /// contribution.
+    fn gather(&mut self, env: SyncEnvelope<P>) {
+        if self.arrived.insert(env.node) {
+            self.gathered.push(env);
+        } else {
+            let slot = self.gathered.iter_mut().find(|e| e.node == env.node);
+            *slot.expect("arrived nodes have an envelope") = env;
         }
     }
 }
@@ -75,6 +93,9 @@ pub struct BarrierEngine<P> {
     kind: BarrierKind,
     me: NodeId,
     nnodes: u32,
+    /// Arrivals a crash-free episode gathers here: the size of this
+    /// node's subtree, fixed by the topology.
+    expected: usize,
     state: HashMap<BarrierId, PerBarrier<P>>,
     /// Peers permanently dead, per the runtime's fault notices.
     down: BTreeSet<u32>,
@@ -96,6 +117,7 @@ impl<P: SyncPiggy> BarrierEngine<P> {
             kind,
             me,
             nnodes,
+            expected: Self::subtree_size(kind, nnodes, me) as usize,
             state: HashMap::new(),
             down: BTreeSet::new(),
             released: BTreeSet::new(),
@@ -183,7 +205,9 @@ impl<P: SyncPiggy> BarrierEngine<P> {
         let me = self.me;
         for s in self.state.values_mut() {
             s.arrived_self = false;
-            s.gathered.retain(|e| e.node != me);
+            if s.arrived.remove(me) {
+                s.gathered.retain(|e| e.node != me);
+            }
         }
     }
 
@@ -223,13 +247,63 @@ impl<P: SyncPiggy> BarrierEngine<P> {
         }
     }
 
-    /// Nodes in `node`'s subtree (including itself).
-    fn subtree_size(&self, node: NodeId) -> u32 {
-        1 + self
-            .children(node)
-            .iter()
-            .map(|&c| self.subtree_size(c))
-            .sum::<u32>()
+    /// Nodes in `node`'s subtree (including itself): level by level,
+    /// the subtree is a contiguous range of ids.
+    fn subtree_size(kind: BarrierKind, nnodes: u32, node: NodeId) -> u32 {
+        match kind {
+            BarrierKind::Central if node.0 == 0 => nnodes,
+            BarrierKind::Central => 1,
+            BarrierKind::Tree(k) => {
+                let (k, n) = (k as u64, nnodes as u64);
+                let (mut lo, mut hi) = (node.0 as u64, node.0 as u64);
+                let mut size = 0;
+                while lo < n {
+                    size += hi.min(n - 1) - lo + 1;
+                    (lo, hi) = (lo * k + 1, hi * k + k);
+                }
+                size as u32
+            }
+        }
+    }
+
+    /// The child of this node whose subtree holds `node` (a proper
+    /// descendant): climb from `node` until the parent is this node.
+    fn child_toward(&self, node: NodeId) -> NodeId {
+        let mut child = node;
+        loop {
+            match self.parent(child) {
+                Some(p) if p == self.me => return child,
+                Some(p) => child = p,
+                None => panic!("{node} is not below {} in the barrier tree", self.me),
+            }
+        }
+    }
+
+    /// Send each child the releases of its subtree, in the order they
+    /// hold in `releases`: one pass, each envelope dropped into its
+    /// owner's message.
+    fn forward_releases(
+        &self,
+        io: &mut dyn SyncIo<P>,
+        id: BarrierId,
+        releases: Vec<SyncEnvelope<P>>,
+    ) {
+        let children = self.children(self.me);
+        let Some(first) = children.first().map(|c| c.0) else {
+            debug_assert!(releases.is_empty(), "stray releases");
+            return;
+        };
+        let mut per_child: Vec<Vec<SyncEnvelope<P>>> =
+            children.iter().map(|_| Vec::new()).collect();
+        for env in releases {
+            // A node's children have consecutive ids.
+            per_child[(self.child_toward(env.node).0 - first) as usize].push(env);
+        }
+        for (child, releases) in children.into_iter().zip(per_child) {
+            if !releases.is_empty() {
+                io.send(child, SyncMsg::BarRelease { id, releases });
+            }
+        }
     }
 
     /// This node arrives at barrier `id` with `piggy`. May emit
@@ -247,7 +321,7 @@ impl<P: SyncPiggy> BarrierEngine<P> {
         let s = self.state.entry(id).or_default();
         assert!(!s.arrived_self, "{me} arrived twice at barrier {id}");
         s.arrived_self = true;
-        s.gathered.push(SyncEnvelope::new(me, piggy));
+        s.gather(SyncEnvelope::new(me, piggy));
         self.maybe_propagate(io, id, events);
     }
 
@@ -267,29 +341,15 @@ impl<P: SyncPiggy> BarrierEngine<P> {
         // with it (or were dropped while it was down) re-arrives at
         // each missed id and is re-released solo.
         self.released.insert(id);
-        // Partition by child subtree; keep our own.
-        for child in self.children(NodeId(0)) {
-            let members = self.subtree_members(child);
-            let (for_child, rest): (Vec<_>, Vec<_>) = releases
-                .into_iter()
-                .partition(|e| members.contains(&e.node));
-            releases = rest;
-            io.send(
-                child,
-                SyncMsg::BarRelease {
-                    id,
-                    releases: for_child,
-                },
-            );
-        }
-        debug_assert_eq!(releases.len(), 1);
-        let env = releases.pop().unwrap();
-        debug_assert_eq!(env.node, NodeId(0));
+        // Keep our own; the rest goes down, in the order given.
+        let own = releases
+            .iter()
+            .position(|e| e.node == NodeId(0))
+            .expect("release must include the root");
+        let piggy = releases.remove(own).payload;
+        self.forward_releases(io, id, releases);
         self.reset(id);
-        events.push(BarrierEvent::Released {
-            id,
-            piggy: env.payload,
-        });
+        events.push(BarrierEvent::Released { id, piggy });
     }
 
     /// Feed a barrier-related message into the engine.
@@ -323,14 +383,7 @@ impl<P: SyncPiggy> BarrierEngine<P> {
                         );
                         continue;
                     }
-                    let s = self.state.entry(id).or_default();
-                    match s.gathered.iter_mut().find(|e| e.node == env.node) {
-                        // A node that arrived, crashed, recovered and
-                        // re-arrived at the still-open episode: replace
-                        // its stale contribution.
-                        Some(slot) => *slot = env,
-                        None => s.gathered.push(env),
-                    }
+                    self.state.entry(id).or_default().gather(env);
                 }
                 if self.state.contains_key(&id) {
                     self.maybe_propagate(io, id, events);
@@ -344,23 +397,7 @@ impl<P: SyncPiggy> BarrierEngine<P> {
                     .position(|e| e.node == me)
                     .expect("release must include this node");
                 let piggy = releases.swap_remove(idx).payload;
-                for child in self.children(me) {
-                    let members = self.subtree_members(child);
-                    let (for_child, rest): (Vec<_>, Vec<_>) = releases
-                        .into_iter()
-                        .partition(|e| members.contains(&e.node));
-                    releases = rest;
-                    if !for_child.is_empty() {
-                        io.send(
-                            child,
-                            SyncMsg::BarRelease {
-                                id,
-                                releases: for_child,
-                            },
-                        );
-                    }
-                }
-                debug_assert!(releases.is_empty(), "stray releases");
+                self.forward_releases(io, id, releases);
                 self.reset(id);
                 events.push(BarrierEvent::Released { id, piggy });
             }
@@ -369,16 +406,6 @@ impl<P: SyncPiggy> BarrierEngine<P> {
                 panic!("barrier engine got unexpected message {k}");
             }
         }
-    }
-
-    fn subtree_members(&self, root: NodeId) -> Vec<NodeId> {
-        let mut out = vec![root];
-        let mut i = 0;
-        while i < out.len() {
-            out.extend(self.children(out[i]));
-            i += 1;
-        }
-        out
     }
 
     /// If this node's whole subtree has arrived, combine upward (or
@@ -398,16 +425,11 @@ impl<P: SyncPiggy> BarrierEngine<P> {
             if me == NodeId(0) && self.kind == BarrierKind::Central && !self.down.is_empty() {
                 // Crash-aware root: every node must either have arrived
                 // (possibly before crashing) or be down right now.
-                (0..self.nnodes)
-                    .all(|n| self.down.contains(&n) || s.gathered.iter().any(|e| e.node.0 == n))
+                let absent = |&&n: &&u32| !s.arrived.contains(NodeId(n));
+                s.gathered.len() + self.down.iter().filter(absent).count() == self.expected
             } else {
-                let expected = self.subtree_size(me) as usize;
-                if s.gathered.len() >= expected {
-                    debug_assert_eq!(s.gathered.len(), expected);
-                    true
-                } else {
-                    false
-                }
+                debug_assert!(s.gathered.len() <= self.expected);
+                s.gathered.len() == self.expected
             }
         };
         if !complete {
@@ -415,6 +437,7 @@ impl<P: SyncPiggy> BarrierEngine<P> {
         }
         let s = self.state.get_mut(&id).expect("state exists");
         let contributions = std::mem::take(&mut s.gathered);
+        s.arrived.clear();
         match self.parent(me) {
             None => events.push(BarrierEvent::AllArrived { id, contributions }),
             Some(p) => {
@@ -532,8 +555,9 @@ mod tests {
         assert_eq!(e.children(NodeId(2)), vec![NodeId(5), NodeId(6)]);
         assert_eq!(e.parent(NodeId(5)), Some(NodeId(2)));
         assert_eq!(e.parent(NodeId(0)), None);
-        assert_eq!(e.subtree_size(NodeId(1)), 3);
-        assert_eq!(e.subtree_size(NodeId(0)), 7);
+        let size = |node| BarrierEngine::<()>::subtree_size(e.kind, 7, NodeId(node));
+        assert_eq!(size(1), 3);
+        assert_eq!(size(0), 7);
     }
 
     #[test]
@@ -613,5 +637,228 @@ mod tests {
         let mut ev = Vec::new();
         e.arrive(&mut io, 0, (), &mut ev);
         e.arrive(&mut io, 0, (), &mut ev);
+    }
+
+    // ---- payload-carrying episodes: who gets what, in which order ----
+
+    /// A piggyback that says whose it is.
+    impl SyncPiggy for u32 {
+        fn empty() -> u32 {
+            u32::MAX
+        }
+        fn wire_bytes(&self) -> usize {
+            4
+        }
+    }
+
+    #[derive(Default)]
+    struct TagIo {
+        sent: Vec<(NodeId, SyncMsg<u32>)>,
+    }
+    impl SyncIo<u32> for TagIo {
+        fn me(&self) -> NodeId {
+            unreachable!("the barrier engine knows who it is")
+        }
+        fn nodes(&self) -> u32 {
+            unreachable!("the barrier engine knows the node count")
+        }
+        fn send(&mut self, dst: NodeId, msg: SyncMsg<u32>) {
+            self.sent.push((dst, msg));
+        }
+    }
+
+    fn arrival(node: u32, tag: u32) -> SyncMsg<u32> {
+        SyncMsg::BarArrive {
+            id: 0,
+            contributions: vec![SyncEnvelope::new(NodeId(node), tag)],
+        }
+    }
+
+    #[test]
+    fn recovered_node_re_arriving_at_an_open_episode_replaces_its_contribution() {
+        let mut root = BarrierEngine::<u32>::new(BarrierKind::Central, NodeId(0), 3);
+        let (mut io, mut ev) = (TagIo::default(), Vec::new());
+        root.on_message(&mut io, NodeId(1), arrival(1, 10), &mut ev);
+        root.set_down(&mut io, NodeId(1), false, &mut ev);
+        root.set_up(&mut io, NodeId(1));
+        root.on_message(&mut io, NodeId(1), arrival(1, 11), &mut ev);
+        root.arrive(&mut io, 0, 0, &mut ev);
+        assert!(ev.is_empty(), "node 2 is still missing");
+        root.on_message(&mut io, NodeId(2), arrival(2, 20), &mut ev);
+        match &ev[..] {
+            [BarrierEvent::AllArrived { contributions, .. }] => assert_eq!(
+                contributions,
+                &[
+                    SyncEnvelope::new(NodeId(1), 11),
+                    SyncEnvelope::new(NodeId(0), 0),
+                    SyncEnvelope::new(NodeId(2), 20),
+                ]
+            ),
+            other => panic!("expected AllArrived, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn permanent_death_completes_an_open_episode_and_later_ones() {
+        let mut root = BarrierEngine::<u32>::new(BarrierKind::Central, NodeId(0), 3);
+        let (mut io, mut ev) = (TagIo::default(), Vec::new());
+        root.arrive(&mut io, 0, 0, &mut ev);
+        root.on_message(&mut io, NodeId(1), arrival(1, 10), &mut ev);
+        assert!(ev.is_empty(), "node 2 is still expected");
+        root.set_down(&mut io, NodeId(2), true, &mut ev);
+        match ev.pop() {
+            Some(BarrierEvent::AllArrived {
+                id: 0,
+                contributions,
+            }) => {
+                assert_eq!(contributions.len(), 2);
+                let releases = (0..3).map(|n| SyncEnvelope::new(NodeId(n), n)).collect();
+                root.release(&mut io, 0, releases, &mut ev);
+            }
+            other => panic!("expected AllArrived, got {other:?}"),
+        }
+        assert!(matches!(
+            ev.pop(),
+            Some(BarrierEvent::Released { id: 0, piggy: 0 })
+        ));
+        // The dead node is not waited for in the next episode either,
+        // and an arrival it made before dying still counts once.
+        root.arrive(&mut io, 1, 0, &mut ev);
+        assert!(ev.is_empty());
+        let next = SyncMsg::BarArrive {
+            id: 1,
+            contributions: vec![SyncEnvelope::new(NodeId(1), 10)],
+        };
+        root.on_message(&mut io, NodeId(1), next, &mut ev);
+        assert!(matches!(
+            &ev[..],
+            [BarrierEvent::AllArrived { id: 1, contributions }] if contributions.len() == 2
+        ));
+    }
+
+    /// The release split as it was written before it became one pass:
+    /// for each child in turn, `partition` what is left by membership
+    /// in that child's subtree. Kept as the oracle for which child gets
+    /// which envelopes in which order.
+    fn partition_per_child(
+        e: &BarrierEngine<u32>,
+        mut releases: Vec<SyncEnvelope<u32>>,
+    ) -> Vec<(NodeId, Vec<SyncEnvelope<u32>>)> {
+        let mut out = Vec::new();
+        for child in e.children(e.me) {
+            let mut members = vec![child];
+            let mut i = 0;
+            while i < members.len() {
+                members.extend(e.children(members[i]));
+                i += 1;
+            }
+            let (for_child, rest): (Vec<_>, Vec<_>) = releases
+                .into_iter()
+                .partition(|env| members.contains(&env.node));
+            releases = rest;
+            if !for_child.is_empty() {
+                out.push((child, for_child));
+            }
+        }
+        assert!(releases.is_empty(), "stray releases");
+        out
+    }
+
+    /// Release a whole fleet from the root with `order` as the root's
+    /// release vector; every message any engine sends must be what the
+    /// per-child partition would have sent, and every node must come
+    /// out with exactly its own payload.
+    fn release_cascade_matches_partition(kind: BarrierKind, n: u32, order: Vec<u32>) {
+        let mut engines: Vec<BarrierEngine<u32>> = (0..n)
+            .map(|i| BarrierEngine::new(kind, NodeId(i), n))
+            .collect();
+        let releases: Vec<_> = order
+            .iter()
+            .map(|&i| SyncEnvelope::new(NodeId(i), 1000 + i))
+            .collect();
+        let mut got = vec![None; n as usize];
+        let mut released = |node: usize, ev: &mut Vec<BarrierEvent<u32>>| match ev.pop() {
+            Some(BarrierEvent::Released { id: 7, piggy }) => {
+                assert!(got[node].replace(piggy).is_none(), "n{node} released twice");
+                assert!(ev.is_empty());
+            }
+            other => panic!("n{node}: expected Released, got {other:?}"),
+        };
+
+        let (mut io, mut ev) = (TagIo::default(), Vec::new());
+        let mut rest = releases.clone();
+        rest.retain(|e| e.node != NodeId(0));
+        let want = partition_per_child(&engines[0], rest);
+        engines[0].release(&mut io, 7, releases, &mut ev);
+        released(0, &mut ev);
+        let sent = |io: TagIo| -> Vec<(NodeId, Vec<SyncEnvelope<u32>>)> {
+            let unwrap = |(dst, msg)| match msg {
+                SyncMsg::BarRelease { id: 7, releases } => (dst, releases),
+                other => panic!("expected BarRelease, got {other:?}"),
+            };
+            io.sent.into_iter().map(unwrap).collect()
+        };
+        let mut queue = std::collections::VecDeque::from(sent(io));
+        assert_eq!(queue, want);
+        while let Some((dst, mut releases)) = queue.pop_front() {
+            let e = &mut engines[dst.index()];
+            // What the engine does first: take its own out, the last
+            // envelope filling the hole.
+            let own = releases.iter().position(|env| env.node == dst).unwrap();
+            let msg = SyncMsg::BarRelease {
+                id: 7,
+                releases: releases.clone(),
+            };
+            releases.swap_remove(own);
+            let want = partition_per_child(e, releases);
+            let (mut io, mut ev) = (TagIo::default(), Vec::new());
+            e.on_message(&mut io, NodeId(0), msg, &mut ev);
+            released(dst.index(), &mut ev);
+            let sent = sent(io);
+            assert_eq!(sent, want);
+            queue.extend(sent);
+        }
+        let want: Vec<_> = (0..n).map(|i| Some(1000 + i)).collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn central_release_at_512_nodes_hands_every_node_its_own_envelope() {
+        release_cascade_matches_partition(BarrierKind::Central, 512, (0..512).collect());
+        release_cascade_matches_partition(BarrierKind::Central, 512, (0..512).rev().collect());
+    }
+
+    #[test]
+    fn tree_release_at_40_nodes_hands_every_node_its_own_envelope_in_order() {
+        for k in [2, 4] {
+            let kind = BarrierKind::Tree(k);
+            release_cascade_matches_partition(kind, 40, (0..40).collect());
+            release_cascade_matches_partition(kind, 40, (0..40).rev().collect());
+            // Neither sorted nor reversed: stride 7 is coprime to 40.
+            release_cascade_matches_partition(kind, 40, (0..40).map(|i| i * 7 % 40).collect());
+        }
+    }
+
+    #[test]
+    fn subtree_sizes_add_up_for_every_shape() {
+        for kind in [
+            BarrierKind::Central,
+            BarrierKind::Tree(2),
+            BarrierKind::Tree(5),
+        ] {
+            for n in 1..=70 {
+                let e = BarrierEngine::<()>::new(kind, NodeId(0), n);
+                for node in (0..n).map(NodeId) {
+                    let below: u32 = e
+                        .children(node)
+                        .into_iter()
+                        .map(|c| BarrierEngine::<()>::subtree_size(kind, n, c))
+                        .sum();
+                    let size = BarrierEngine::<()>::subtree_size(kind, n, node);
+                    assert_eq!(size, 1 + below, "{kind:?} n={n} {node}");
+                }
+                assert_eq!(e.expected, n as usize);
+            }
+        }
     }
 }

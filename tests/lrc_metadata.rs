@@ -15,10 +15,21 @@
 //! unapplied notices) reported per node in
 //! [`dsm_core::RunResult::gauges`].
 
-use dsm_core::{Dsm, DsmConfig, GlobalAddr, ProtocolKind};
+use dsm_core::{CostModel, Dsm, DsmConfig, GlobalAddr, ProtocolKind, RunResult};
 
 const NODES: u32 = 4;
 const PAGE: usize = 1024;
+
+/// The largest value any node reports for gauge `key`.
+fn max_gauge<V>(res: &RunResult<V>, key: &str) -> u64 {
+    res.gauges
+        .iter()
+        .flat_map(|g| g.iter())
+        .filter(|(k, _)| *k == key)
+        .map(|&(_, v)| v)
+        .max()
+        .expect("lrc gauges present")
+}
 
 /// Each node owns two pages; every round it writes a fixed set of
 /// words into its own first page and into the *next* node's second
@@ -44,15 +55,7 @@ fn resident_after(rounds: usize, gc: bool) -> (u64, u64) {
             dsm.barrier(0);
         }
     });
-    let gauge = |key: &str| {
-        res.gauges
-            .iter()
-            .flat_map(|g| g.iter())
-            .filter(|(k, _)| *k == key)
-            .map(|&(_, v)| v)
-            .max()
-            .expect("lrc gauges present")
-    };
+    let gauge = |key: &str| max_gauge(&res, key);
     (
         gauge("lrc_peak_resident_bytes"),
         gauge("lrc_resident_bytes"),
@@ -99,4 +102,48 @@ fn gc_retires_everything_no_gc_retains() {
     let (_, final_nogc) = resident_after(8, false);
     assert_eq!(final_gc, 0, "metadata survived a GC barrier");
     assert!(final_nogc > 0, "non-GC run ended with an empty log?");
+}
+
+/// A lock-only phase: every node increments one shared counter per
+/// round under lock 0 and nobody crosses a barrier. Returns, maxed over
+/// nodes, (log records, resident bytes, peak resident bytes).
+fn lock_only_gauges(rounds: usize, gc: bool) -> (u64, u64, u64) {
+    let cfg = DsmConfig::new(NODES, ProtocolKind::Lrc)
+        .model(CostModel::lan_1992())
+        .heap_bytes(2 * PAGE * NODES as usize)
+        .page_size(PAGE)
+        .lrc_gc(gc);
+    let res = dsm_core::run_dsm(&cfg, move |dsm: &Dsm<'_>| {
+        let me = dsm.id().0 as usize;
+        for _ in 0..rounds {
+            dsm.with_lock(0, |d| {
+                let v = d.read_u64(GlobalAddr(0));
+                d.write_u64(GlobalAddr(0), v + 1);
+                // A second page per interval, a different one per node.
+                d.write_u64(GlobalAddr(PAGE * (1 + me)), v);
+            });
+        }
+    });
+    let gauge = |key: &str| max_gauge(&res, key);
+    (
+        gauge("lrc_log_records"),
+        gauge("lrc_resident_bytes"),
+        gauge("lrc_peak_resident_bytes"),
+    )
+}
+
+/// Interval GC fires at barriers only, so between barriers the causal
+/// metadata is retained whole, GC or not: every interval anyone closed
+/// stays in the log, and the footprint grows with the phase's length.
+/// The values are the gauges as they read before residency became a
+/// running count (PR 17) — the count must stay equal to the byte.
+#[test]
+fn lock_only_phase_retains_every_interval_and_the_gauges_say_so() {
+    for gc in [true, false] {
+        let short = lock_only_gauges(25, gc);
+        let long = lock_only_gauges(100, gc);
+        assert_eq!(short, (100, 4_474, 4_448), "25 rounds, gc={gc}");
+        assert_eq!(long, (400, 17_826, 17_800), "100 rounds, gc={gc}");
+        assert!(long.1 >= 3 * short.1, "a lock-only log grows with its run");
+    }
 }
