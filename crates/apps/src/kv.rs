@@ -170,12 +170,18 @@ mod tests {
 
     #[test]
     fn reference_matches_a_dsm_run() {
-        let cfg = dsm_core::DsmConfig::new(3, dsm_core::ProtocolKind::Lrc)
-            .heap_bytes(P.heap_bytes())
-            .page_size(256);
-        let res = dsm_core::run_dsm(&cfg, |d: &Dsm<'_>| run(d, &P));
-        let want = reference_digest(&P, 3);
-        assert!(res.results.iter().all(|&d| d == want));
+        // Under both lock algorithms: with the centralized one, stripe
+        // locks homed at a node that also takes them are how a server's
+        // own release once went undeposited (lost updates under lrc).
+        for lock_kind in [dsm_core::LockKind::Queue, dsm_core::LockKind::Central] {
+            let cfg = dsm_core::DsmConfig::new(3, dsm_core::ProtocolKind::Lrc)
+                .heap_bytes(P.heap_bytes())
+                .page_size(256)
+                .lock_kind(lock_kind);
+            let res = dsm_core::run_dsm(&cfg, |d: &Dsm<'_>| run(d, &P));
+            let want = reference_digest(&P, 3);
+            assert!(res.results.iter().all(|&d| d == want), "{lock_kind:?}");
+        }
     }
 }
 

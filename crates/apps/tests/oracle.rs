@@ -19,7 +19,7 @@ fn cfg(n: u32, proto: ProtocolKind, heap: usize) -> DsmConfig {
 #[test]
 fn sor_matches_reference_everywhere() {
     let p = sor::SorParams::small();
-    for proto in ProtocolKind::ALL {
+    for proto in ProtocolKind::EVERY {
         for n in NODE_COUNTS {
             let res = dsm_core::run_dsm(&cfg(n, proto, p.heap_bytes()), |dsm| sor::run(dsm, &p));
             for (i, &got) in res.results.iter().enumerate() {
@@ -36,7 +36,7 @@ fn sor_matches_reference_everywhere() {
 #[test]
 fn jacobi_matches_reference_everywhere() {
     let p = jacobi::JacobiParams::small();
-    for proto in ProtocolKind::ALL {
+    for proto in ProtocolKind::EVERY {
         for n in NODE_COUNTS {
             let res = dsm_core::run_dsm(&cfg(n, proto, p.heap_bytes()), |dsm| jacobi::run(dsm, &p));
             for (i, &got) in res.results.iter().enumerate() {
@@ -53,7 +53,7 @@ fn jacobi_matches_reference_everywhere() {
 #[test]
 fn matmul_matches_reference_everywhere() {
     let p = matmul::MatmulParams::small();
-    for proto in ProtocolKind::ALL {
+    for proto in ProtocolKind::EVERY {
         for n in NODE_COUNTS {
             let res = dsm_core::run_dsm(&cfg(n, proto, p.heap_bytes()), |dsm| matmul::run(dsm, &p));
             for (i, &got) in res.results.iter().enumerate() {
@@ -74,7 +74,7 @@ fn gauss_matches_reference_everywhere() {
         row_align: 256,
     };
     let want = gauss::reference(&p);
-    for proto in ProtocolKind::ALL {
+    for proto in ProtocolKind::EVERY {
         for n in NODE_COUNTS {
             let res = dsm_core::run_dsm(&cfg(n, proto, p.heap_bytes()), |dsm| gauss::run(dsm, &p));
             for (i, got) in res.results.iter().enumerate() {
@@ -88,7 +88,7 @@ fn gauss_matches_reference_everywhere() {
 #[test]
 fn fft_matches_reference_everywhere() {
     let p = fft::FftParams { rows: 8, cols: 16 };
-    for proto in ProtocolKind::ALL {
+    for proto in ProtocolKind::EVERY {
         for n in [1u32, 2, 4] {
             let res = dsm_core::run_dsm(&cfg(n, proto, p.heap_bytes()), |dsm| fft::run(dsm, &p));
             for (i, &got) in res.results.iter().enumerate() {
@@ -106,7 +106,7 @@ fn fft_matches_reference_everywhere() {
 fn taskqueue_executes_each_task_exactly_once() {
     let p = taskqueue::TaskQueueParams::small();
     let (want_sum, want_xor) = taskqueue::expected_digest(&p);
-    for proto in ProtocolKind::ALL {
+    for proto in ProtocolKind::EVERY {
         for n in NODE_COUNTS {
             let (lock, addr, len) = p.binding();
             let mut c = cfg(n, proto, p.heap_bytes());
@@ -126,7 +126,7 @@ fn taskqueue_executes_each_task_exactly_once() {
 fn tsp_finds_the_optimal_tour_everywhere() {
     let p = tsp::TspParams::small();
     let want = tsp::reference(&p);
-    for proto in ProtocolKind::ALL {
+    for proto in ProtocolKind::EVERY {
         for n in NODE_COUNTS {
             let (lock, addr, len) = p.binding();
             let mut c = cfg(n, proto, p.heap_bytes());
@@ -143,7 +143,8 @@ fn tsp_finds_the_optimal_tour_everywhere() {
 fn sort_produces_sorted_permutation_everywhere() {
     let p = sort::SortParams::small();
     let want = sort::reference(&p);
-    for proto in ProtocolKind::ALL {
+    // Buckets of different nodes share pages.
+    for proto in ProtocolKind::every_that(|facts| facts.sub_page_writers) {
         for n in NODE_COUNTS {
             let res = dsm_core::run_dsm(&cfg(n, proto, p.heap_bytes(n as usize)), |dsm| {
                 let digest = sort::run(dsm, &p);
@@ -163,7 +164,8 @@ fn sort_produces_sorted_permutation_everywhere() {
 #[test]
 fn false_sharing_counters_stay_private() {
     let p = false_sharing::FalseSharingParams::small();
-    for proto in ProtocolKind::ALL {
+    // Every node's counter shares a page with its neighbours'.
+    for proto in ProtocolKind::every_that(|facts| facts.sub_page_writers) {
         for n in NODE_COUNTS {
             let res = dsm_core::run_dsm(&cfg(n, proto, p.heap_bytes(n as usize)), |dsm| {
                 false_sharing::run(dsm, &p)

@@ -24,9 +24,9 @@
 //! are not deterministic: the contract is that *results* match the
 //! simulator bit-for-bit, not that traffic does.
 //!
-//! Only the invalidation-family protocols run in cluster mode
-//! (`ivy-central`, `ivy-fixed`, `ivy-dyn`, `migrate`, `lrc`); see
-//! `docs/CLUSTER.md`.
+//! Only page-fault-driven protocols run in cluster mode — the ones
+//! `dsmrun --list` marks "cluster mode: yes"; the others are refused
+//! with the reason their row gives. See `docs/CLUSTER.md`.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, UdpSocket};
@@ -70,13 +70,8 @@ fn parse_args() -> Result<Args, String> {
             }
         }
     }
-    if !cluster_capable(args.common.proto) {
-        return Err(format!(
-            "protocol {} is not page-fault driven; cluster mode supports \
-             ivy-central ivy-fixed ivy-dyn migrate lrc",
-            args.common.proto.name()
-        ));
-    }
+    // Refuse here what `run_cluster_node` would refuse in every child.
+    dsm_core::cluster::supports(args.common.proto)?;
     if args.common.page % dsm_vm::os_page_size() != 0 {
         return Err(format!(
             "--page {} must be a multiple of the OS page size ({})",
@@ -85,20 +80,6 @@ fn parse_args() -> Result<Args, String> {
         ));
     }
     Ok(args)
-}
-
-/// Cluster mode intercepts accesses with page protection, so only the
-/// invalidation-family protocols (whose coherence actions are all
-/// page-grained) are supported.
-fn cluster_capable(p: ProtocolKind) -> bool {
-    matches!(
-        p,
-        ProtocolKind::IvyCentral
-            | ProtocolKind::IvyFixed
-            | ProtocolKind::IvyDynamic
-            | ProtocolKind::Migrate
-            | ProtocolKind::Lrc
-    )
 }
 
 fn config(c: &CommonFlags) -> DsmConfig {

@@ -12,7 +12,8 @@
 use dsm_apps::{chase, fft, gauss, jacobi, kv, matmul, sor, sort, taskqueue, tsp};
 use dsm_bench::cli::CommonFlags;
 use dsm_core::{
-    BarrierKind, CostModel, Dsm, DsmConfig, Dur, EntryBinding, LockKind, Placement, ProtocolKind,
+    BarrierKind, Can, CostModel, Dsm, DsmConfig, Dur, EntryBinding, Facts, LockKind, Placement,
+    ProtocolKind,
 };
 
 struct Args {
@@ -53,6 +54,13 @@ fn parse_args() -> Result<Args, String> {
                 println!("barriers:  central tree2 tree4");
                 println!("placement: block cyclic zero");
                 println!("nets:      {}", CostModel::ERA_NAMES.join(" "));
+                println!("\n{}", Facts::TABLE_HEAD);
+                for p in ProtocolKind::EVERY {
+                    println!("{}", p.facts().table_row());
+                }
+                print_refusals("object_ops", |f| f.object_ops);
+                print_refusals("sub_page_writers", |f| f.sub_page_writers);
+                print_refusals("page_fault_driven", |f| f.page_fault_driven);
                 std::process::exit(0);
             }
             "--app" => args.app = val()?,
@@ -93,6 +101,22 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(args)
+}
+
+/// Under the protocol table: every "no" of one column with the reason
+/// its row gives, protocols that share a reason on one line.
+fn print_refusals(column: &str, can: fn(&Facts) -> Can) {
+    let mut reasons: Vec<(&str, Vec<&str>)> = Vec::new();
+    for facts in ProtocolKind::EVERY.map(ProtocolKind::facts) {
+        let Err(why) = can(facts) else { continue };
+        match reasons.iter_mut().find(|(r, _)| *r == why) {
+            Some((_, names)) => names.push(facts.name),
+            None => reasons.push((why, vec![facts.name])),
+        }
+    }
+    for (why, names) in reasons {
+        println!("no {column} ({}): {why}", names.join(" "));
+    }
 }
 
 fn main() {
@@ -262,8 +286,9 @@ fn main() {
             (res.end_time, res.stats, (sum, xor) == (ws, wx), t)
         }
         "chase" => {
-            // Page build for page protocols; under `--proto obj` the
-            // same chase runs over allocated objects (E22's workload).
+            // Page build for page protocols; under a protocol that
+            // answers object ops (`--proto obj`) the same chase runs
+            // over allocated objects (E22's workload).
             let p = chase::ChaseParams {
                 chain_len: if a.size == 0 { 32 } else { a.size },
                 rounds: 8,
@@ -271,7 +296,7 @@ fn main() {
             };
             let expected = p.expected();
             let nodes = a.common.nodes;
-            let res = if a.common.proto == ProtocolKind::Obj {
+            let res = if a.common.proto.facts().object_ops.is_ok() {
                 let (heap, chains) = chase::build_obj_chains(&p, nodes);
                 let mut cfg = base(p.heap_bytes(nodes as usize));
                 cfg.objects = heap.table();

@@ -64,12 +64,10 @@ impl CommonFlags {
          [--workers W] [--batch-depth D] [--drop-prob P] [--dup-prob P] [--fault-seed S] \
          [--crash node@t_us[:recover_us]]... [--partition a,b|c,d@t1..t2]...";
 
-    /// Resolve a protocol name among [`ProtocolKind::EVERY`].
+    /// Resolve a protocol name ([`ProtocolKind::from_name`]).
     pub fn proto_from(v: &str) -> Result<ProtocolKind, String> {
-        ProtocolKind::EVERY
-            .into_iter()
-            .find(|p| p.name() == v)
-            .ok_or_else(|| format!("unknown protocol {v}"))
+        ProtocolKind::from_name(v)
+            .ok_or_else(|| format!("unknown protocol {v} (try dsmrun --list)"))
     }
 
     /// Try to consume `flag` (pulling its value from `it` when it

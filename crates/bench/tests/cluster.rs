@@ -62,11 +62,16 @@ fn lrc_cluster_matches_simulator() {
 
 #[test]
 fn non_page_fault_protocols_are_refused() {
-    for proto in ["update", "erc", "entry", "scabd"] {
+    // Every protocol whose row says it is not page-fault driven — asked
+    // of the row, not listed — is refused with the row's reason.
+    let refused = dsm_core::ProtocolKind::EVERY
+        .into_iter()
+        .filter_map(|p| Some((p.name(), p.facts().page_fault_driven.err()?)));
+    for (proto, why) in refused {
         let (ok, text) = launcher(&["--nodes", "2", "--proto", proto]);
         assert!(!ok, "{proto} should be rejected");
         assert!(
-            text.contains("cluster mode supports"),
+            text.contains("not page-fault driven") && text.contains(why),
             "wrong error for {proto}:\n{text}"
         );
     }

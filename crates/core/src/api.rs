@@ -140,14 +140,6 @@ impl<'a> Dsm<'a> {
         self.write_bytes(addr, &v.to_le_bytes());
     }
 
-    pub fn read_i64(&self, addr: GlobalAddr) -> i64 {
-        self.read_u64(addr) as i64
-    }
-
-    pub fn write_i64(&self, addr: GlobalAddr, v: i64) {
-        self.write_u64(addr, v as u64);
-    }
-
     pub fn read_f64(&self, addr: GlobalAddr) -> f64 {
         f64::from_bits(self.read_u64(addr))
     }

@@ -45,10 +45,11 @@
 //! writers under distinct locks are not supported in cluster mode
 //! (the simulator's byte-accurate engine handles them fine).
 //!
-//! Supported protocols are the invalidation-based family (`ivy*`,
-//! `migrate`, `lrc`), where page write permission *is* the protocol's
-//! write grant. Update-style and per-op protocols need every store
-//! intercepted, which page protection cannot give you.
+//! Supported protocols are those whose row says
+//! [`crate::Facts::page_fault_driven`]: every coherence action
+//! shows as a change of access rights, so page write permission *is*
+//! the protocol's write grant. [`run_cluster_node`] refuses the others
+//! with the reason their row gives.
 
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::mpsc;
@@ -57,7 +58,7 @@ use std::time::{Duration, Instant};
 
 use crate::lease::FrameCell;
 use crate::node::{DsmNode, DsmOp, DsmReply, OpBuf, OpData};
-use crate::DsmConfig;
+use crate::{DsmConfig, ProtocolKind};
 use dsm_mem::{Access, FrameTable, GlobalAddr, PageId, SpaceLayout};
 use dsm_net::{wrap_fleet, NodeId, Reliable, SocketRt};
 use dsm_sync::{BarrierId, LockId};
@@ -77,18 +78,13 @@ const POLL: Duration = Duration::from_micros(500);
 /// Short next to [`POLL`].
 const RETRAP: Duration = Duration::from_micros(100);
 
-/// A synchronization request crossing from the application thread into
-/// the reactor, and where to acknowledge it. The application thread is
-/// either running, parked in a fault (which the reactor reads off the
-/// view, not off this channel), or blocked in a sync op — never two at
-/// once. The channel closing is the reactor's signal to exit.
-struct Req(SyncOp, mpsc::Sender<()>);
-
-enum SyncOp {
-    Acquire(LockId),
-    Release(LockId),
-    Barrier(BarrierId),
-}
+/// A synchronization request (an acquire, release or barrier op)
+/// crossing from the application thread into the reactor, and where to
+/// acknowledge it. The application thread is either running, parked in
+/// a fault (which the reactor reads off the view, not off this
+/// channel), or blocked in a sync op — never two at once. The channel
+/// closing is the reactor's signal to exit.
+struct Req(DsmOp, mpsc::Sender<()>);
 
 /// The application's handle in cluster mode: direct view memory for
 /// data, channel-to-reactor for synchronization. The data API mirrors
@@ -109,7 +105,7 @@ impl ClusterDsm<'_> {
         self.nnodes
     }
 
-    fn op(&self, op: SyncOp) {
+    fn op(&self, op: DsmOp) {
         let (tx, rx) = mpsc::channel();
         self.req.send(Req(op, tx)).expect("reactor gone");
         rx.recv().expect("reactor gone");
@@ -142,11 +138,11 @@ impl ClusterDsm<'_> {
     }
 
     pub fn acquire(&self, lock: LockId) {
-        self.op(SyncOp::Acquire(lock));
+        self.op(DsmOp::Acquire(lock));
     }
 
     pub fn release(&self, lock: LockId) {
-        self.op(SyncOp::Release(lock));
+        self.op(DsmOp::Release(lock));
     }
 
     pub fn with_lock<T>(&self, lock: LockId, f: impl FnOnce(&Self) -> T) -> T {
@@ -157,7 +153,7 @@ impl ClusterDsm<'_> {
     }
 
     pub fn barrier(&self, id: BarrierId) {
-        self.op(SyncOp::Barrier(id));
+        self.op(DsmOp::Barrier(id));
     }
 }
 
@@ -282,14 +278,9 @@ impl Reactor<'_> {
         self.view.finish_fault();
     }
 
-    fn service_sync(&mut self, op: SyncOp, buf: &mut Vec<u8>) {
+    fn service_sync(&mut self, op: DsmOp, buf: &mut Vec<u8>) {
         self.reconcile_out(buf);
-        let acquire_like = !matches!(op, SyncOp::Release(_));
-        let op = match op {
-            SyncOp::Acquire(l) => DsmOp::Acquire(l),
-            SyncOp::Release(l) => DsmOp::Release(l),
-            SyncOp::Barrier(b) => DsmOp::Barrier(b),
-        };
+        let acquire_like = !matches!(op, DsmOp::Release(_));
         self.run_op(op);
         self.reconcile_in();
         if self.lazy && acquire_like {
@@ -359,6 +350,15 @@ impl Reactor<'_> {
     }
 }
 
+/// Whether cluster mode can run `protocol`: it must be page-fault
+/// driven ([`crate::Facts::page_fault_driven`]). The refusal names the
+/// fact and the reason the protocol's row gives.
+pub fn supports(protocol: ProtocolKind) -> Result<(), String> {
+    protocol.facts().page_fault_driven.map_err(|why| {
+        format!("cluster mode cannot run `{protocol}`: it is not page-fault driven — {why}")
+    })
+}
+
 /// Run one node of a multi-process DSM cluster.
 ///
 /// `sock` must already be bound; `peers[i]` is node `i`'s address
@@ -374,6 +374,12 @@ impl Reactor<'_> {
 ///
 /// A panic in `program` or `linger` stops this node's reactor and is
 /// re-raised on the caller's thread.
+///
+/// # Panics
+///
+/// At entry, with the refusal of [`supports`], if page protection
+/// cannot drive `cfg.protocol`: running it anyway would return wrong
+/// results silently.
 pub fn run_cluster_node<V, F, L>(
     cfg: &DsmConfig,
     me: NodeId,
@@ -388,6 +394,9 @@ where
     L: FnOnce(&V) + Send,
 {
     assert_eq!(peers.len() as u32, cfg.nnodes, "one address per node");
+    if let Err(refusal) = supports(cfg.protocol) {
+        panic!("{refusal}");
+    }
     let layout = cfg.layout();
     let ps = layout.geometry.page_size();
     let pages = layout.total_bytes() / ps;
@@ -411,7 +420,7 @@ where
             frames,
             view: &view,
             layout,
-            lazy: matches!(cfg.protocol, crate::ProtocolKind::Lrc),
+            lazy: cfg.protocol.facts().lazy,
         };
         s.spawn(move || reactor.run(rx));
 
@@ -435,7 +444,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ProtocolKind;
 
     /// A one-node cluster exercises the whole fault → protocol → view
     /// pipeline in-process (multi-process tests live in the bench
@@ -503,6 +511,36 @@ mod tests {
         });
         let payload = std::panic::catch_unwind(run).expect_err("the panic reaches the caller");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"program failed"));
+    }
+
+    /// A protocol that page protection cannot drive is refused at
+    /// entry, whoever the caller is, with its row's reason — not run
+    /// to a silently wrong result.
+    #[test]
+    fn protocols_that_are_not_page_fault_driven_are_refused_with_the_reason() {
+        let refused: Vec<_> = ProtocolKind::EVERY
+            .into_iter()
+            .filter_map(|kind| Some((kind, kind.facts().page_fault_driven.err()?)))
+            .collect();
+        assert!(refused.iter().any(|(kind, _)| kind.name() == "update"));
+        for (kind, why) in refused {
+            let cfg = DsmConfig::new(1, kind)
+                .heap_bytes(1 << 16)
+                .page_size(dsm_vm::os_page_size());
+            let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
+            let peers = vec![sock.local_addr().unwrap()];
+            let run = std::panic::AssertUnwindSafe(|| {
+                run_cluster_node(&cfg, NodeId(0), sock, peers, |_| (), |_| {})
+            });
+            let payload = std::panic::catch_unwind(run).expect_err("refused at entry");
+            let said = payload
+                .downcast_ref::<String>()
+                .expect("a formatted message");
+            assert!(
+                said.contains("not page-fault driven") && said.contains(why),
+                "{kind}: {said}"
+            );
+        }
     }
 
     /// The `dsm-cluster` demo workload: page `i` holds node `i`'s u64
@@ -576,6 +614,15 @@ mod tests {
     fn ivy_dynamic_clusters_run_as_threads() {
         run_in_process(2, ProtocolKind::IvyDynamic);
         run_in_process(4, ProtocolKind::IvyDynamic);
+    }
+
+    /// Home-based write-invalidate is page-fault driven whoever serves
+    /// the reads: over UDP the one-sided doorbells take the software
+    /// path, as on any fabric without one-sided support.
+    #[test]
+    fn rdma_clusters_run_as_threads() {
+        run_in_process(2, ProtocolKind::Rdma);
+        run_in_process(4, ProtocolKind::Rdma);
     }
 
     #[test]

@@ -38,7 +38,9 @@ pub use dsm_net::{
     CostModel, CrashEvent, Dur, FaultNotice, FaultPlan, NetStats, NodeId, PartitionEvent,
     RunResult, SimTime,
 };
-pub use dsm_proto::{EntryBinding, ProtoOpts, ProtocolKind};
+pub use dsm_proto::{
+    Can, Consistency, CrashContract, EntryBinding, Facts, ProtoOpts, ProtocolKind,
+};
 pub use dsm_sync::{BarrierId, BarrierKind, LockId, LockKind};
 
 /// Hard cap on [`DsmConfig::batch_depth`], re-exported from the
@@ -363,13 +365,9 @@ where
 mod tests {
     use super::*;
 
-    fn protos() -> Vec<ProtocolKind> {
-        ProtocolKind::ALL.to_vec()
-    }
-
     #[test]
     fn single_node_read_write_roundtrip() {
-        for proto in protos() {
+        for proto in ProtocolKind::EVERY {
             let cfg = DsmConfig::new(1, proto).heap_bytes(1 << 14).page_size(256);
             let res = run_dsm(&cfg, |dsm| {
                 dsm.write_u64(GlobalAddr(16), 42);
@@ -382,7 +380,8 @@ mod tests {
 
     #[test]
     fn barrier_then_read_sees_remote_writes() {
-        for proto in protos() {
+        // Four nodes write their own word of one page, concurrently.
+        for proto in ProtocolKind::every_that(|facts| facts.sub_page_writers) {
             let n = 4;
             let cfg = DsmConfig::new(n, proto).heap_bytes(1 << 14).page_size(256);
             let res = run_dsm(&cfg, |dsm| {
@@ -401,7 +400,7 @@ mod tests {
 
     #[test]
     fn lock_protected_counter_is_atomic() {
-        for proto in protos() {
+        for proto in ProtocolKind::EVERY {
             let n = 4;
             let iters = 5u64;
             let mut cfg = DsmConfig::new(n, proto).heap_bytes(1 << 14).page_size(256);
@@ -428,7 +427,7 @@ mod tests {
 
     #[test]
     fn cross_page_access_works_everywhere() {
-        for proto in protos() {
+        for proto in ProtocolKind::EVERY {
             let cfg = DsmConfig::new(2, proto).heap_bytes(1 << 14).page_size(256);
             let res = run_dsm(&cfg, |dsm| {
                 if dsm.id().0 == 0 {
@@ -448,7 +447,10 @@ mod tests {
     fn producer_consumer_flag_under_sc_protocols() {
         // Racy flag synchronization: only the sequentially consistent
         // protocols promise this works.
-        for proto in protos().into_iter().filter(|p| p.sequentially_consistent()) {
+        for proto in ProtocolKind::EVERY
+            .into_iter()
+            .filter(|p| p.sequentially_consistent())
+        {
             let cfg = DsmConfig::new(2, proto).heap_bytes(1 << 14).page_size(256);
             let res = run_dsm(&cfg, |dsm| {
                 let data = GlobalAddr(0);
@@ -468,7 +470,10 @@ mod tests {
 
     #[test]
     fn lossy_network_preserves_results_under_all_protocols() {
-        for proto in protos() {
+        // The same four-writers-of-one-page program: where the page is
+        // last-writer-wins the answer depends on message timing, which
+        // is what loss changes.
+        for proto in ProtocolKind::every_that(|facts| facts.sub_page_writers) {
             let n = 4;
             let run = |plan: FaultPlan| {
                 let cfg = DsmConfig::new(n, proto)

@@ -10,10 +10,7 @@ use crate::msg::CoreMsg;
 use dsm_mem::{FrameTable, GlobalAddr, PageId, SpaceLayout};
 use dsm_net::{Ctx, Dur, FaultNotice, NodeBehavior, NodeId, OpOutcome};
 use dsm_proto::{BatchingIo, Piggy, ProtoEvent, ProtoIo, ProtoMsg, Protocol, WriteOutcome};
-use dsm_sync::{
-    BarrierEngine, BarrierEvent, BarrierId, LockEngine, LockEvent, LockId, ReleaseAction, SyncIo,
-    SyncMsg,
-};
+use dsm_sync::{BarrierId, LockId, SyncDone, SyncEngines, SyncEnvelope, SyncHost, SyncMsg};
 
 /// Borrowed view of an application-thread read buffer carried inside a
 /// [`DsmOp`] — a raw pointer, so handing the op to the event loop
@@ -190,8 +187,7 @@ pub struct DsmNode {
     layout: SpaceLayout,
     frames: Arc<FrameCell>,
     proto: Box<dyn Protocol>,
-    locks: LockEngine<Piggy>,
-    barriers: BarrierEngine<Piggy>,
+    sync: SyncEngines<Piggy>,
     pending: Pending,
     /// The current op faulted at least once → tell the protocol when it
     /// retires (single-writer protocols release deferred requests then).
@@ -215,42 +211,65 @@ pub struct DsmNode {
     resubmit: Option<DsmOp>,
 }
 
-/// Adapter giving the protocol and sync engines access to the kernel
-/// context under their own narrow traits.
+/// Adapter giving the protocol access to the kernel context under its
+/// own narrow trait.
 struct Io<'a, 'b> {
     ctx: &'a mut Ctx<'b, DsmNode>,
+    /// The message being handled arrived as a NIC-level delivery.
+    nic: bool,
 }
 
 impl ProtoIo for Io<'_, '_> {
-    fn me(&self) -> NodeId {
-        self.ctx.me()
-    }
-    fn nodes(&self) -> u32 {
-        self.ctx.nodes()
-    }
     fn send(&mut self, dst: NodeId, msg: dsm_proto::ProtoMsg) {
         self.ctx.send(dst, CoreMsg::Proto(msg));
     }
     fn send_one_sided(&mut self, dst: NodeId, msg: dsm_proto::ProtoMsg) {
         self.ctx.send_one_sided(dst, CoreMsg::Proto(msg));
     }
+    fn nic_delivery(&self) -> bool {
+        self.nic
+    }
     fn model(&self) -> &dsm_net::CostModel {
         self.ctx.model()
     }
-    fn suspected(&self, node: NodeId) -> bool {
-        self.ctx.suspected(node)
-    }
 }
 
-impl SyncIo<Piggy> for Io<'_, '_> {
-    fn me(&self) -> NodeId {
-        self.ctx.me()
-    }
-    fn nodes(&self) -> u32 {
-        self.ctx.nodes()
-    }
+/// What the sync engines run against: the kernel context as their
+/// transport, and the protocol's seven synchronization hooks as the
+/// source and sink of every piggyback.
+struct SyncSide<'a, 'b, 'c> {
+    io: Io<'a, 'b>,
+    proto: &'c mut dyn Protocol,
+    mem: &'c mut FrameTable,
+}
+
+impl SyncHost<Piggy> for SyncSide<'_, '_, '_> {
     fn send(&mut self, dst: NodeId, msg: SyncMsg<Piggy>) {
-        self.ctx.send(dst, CoreMsg::Sync(msg));
+        self.io.ctx.send(dst, CoreMsg::Sync(msg));
+    }
+    fn acquire_reqinfo(&mut self, lock: LockId) -> Piggy {
+        self.proto.acquire_reqinfo(self.mem, lock)
+    }
+    fn grant_piggy(&mut self, lock: LockId, to: NodeId, reqinfo: &Piggy) -> Piggy {
+        self.proto
+            .grant_piggy(&mut self.io, self.mem, lock, to, reqinfo)
+    }
+    fn release_piggy(&mut self, lock: LockId) -> Piggy {
+        self.proto.release_piggy(&mut self.io, self.mem, lock)
+    }
+    fn on_acquired(&mut self, lock: LockId, piggy: Piggy) {
+        self.proto.on_acquired(&mut self.io, self.mem, lock, piggy);
+    }
+    fn sync_depart(&mut self) -> Piggy {
+        self.proto.sync_depart(&mut self.io, self.mem)
+    }
+    fn sync_arrive(&mut self, piggy: Piggy) {
+        self.proto.sync_arrive(&mut self.io, self.mem, piggy);
+    }
+    fn merge_barrier(&mut self, arrivals: Vec<SyncEnvelope<Piggy>>) -> Vec<SyncEnvelope<Piggy>> {
+        let nnodes = self.io.ctx.nodes();
+        self.proto
+            .merge_barrier(&mut self.io, self.mem, arrivals, nnodes)
     }
 }
 
@@ -275,8 +294,7 @@ impl DsmNode {
             layout,
             frames: Arc::new(FrameCell::new(FrameTable::new(layout.geometry))),
             proto,
-            locks: LockEngine::new(lock_kind, me, nnodes),
-            barriers: BarrierEngine::new(barrier_kind, me, nnodes),
+            sync: SyncEngines::new(lock_kind, barrier_kind, me, nnodes),
             pending: Pending::None,
             faulted: false,
             batch_depth,
@@ -284,11 +302,6 @@ impl DsmNode {
             inflight: Vec::new(),
             resubmit: None,
         }
-    }
-
-    /// Name of the coherence protocol this node runs.
-    pub fn protocol_name(&self) -> &'static str {
-        self.proto.name()
     }
 
     /// Shared handle to this node's frame table, for building the
@@ -307,19 +320,47 @@ impl DsmNode {
         unsafe { &mut *frames.get() }
     }
 
+    /// Call into the protocol: `f` gets it with this node's transport
+    /// and frame table.
+    fn with_proto<R>(
+        &mut self,
+        ctx: &mut Ctx<'_, Self>,
+        f: impl FnOnce(&mut dyn Protocol, &mut dyn ProtoIo, &mut FrameTable) -> R,
+    ) -> R {
+        let mut io = Io { ctx, nic: false };
+        f(&mut *self.proto, &mut io, Self::mem(&self.frames))
+    }
+
+    /// Call into the sync engines: `f` gets them with the host that
+    /// sends through `ctx` and asks the protocol for every piggyback.
+    fn with_sync<R>(
+        &mut self,
+        ctx: &mut Ctx<'_, Self>,
+        f: impl FnOnce(&mut SyncEngines<Piggy>, &mut SyncSide<'_, '_, '_>) -> R,
+    ) -> R {
+        let mut side = SyncSide {
+            io: Io { ctx, nic: false },
+            proto: &mut *self.proto,
+            mem: Self::mem(&self.frames),
+        };
+        f(&mut self.sync, &mut side)
+    }
+
     fn retire_if_faulted(&mut self, ctx: &mut Ctx<'_, Self>) {
         if self.faulted {
             self.faulted = false;
-            let mut io = Io { ctx };
-            if self.batch_depth > 1 {
-                // Confirmations for several pages retiring together ride
-                // one envelope per destination.
-                let mut bio = BatchingIo::new(&mut io);
-                self.proto.op_retired(&mut bio, Self::mem(&self.frames));
-                bio.flush();
-            } else {
-                self.proto.op_retired(&mut io, Self::mem(&self.frames));
-            }
+            let batched = self.batch_depth > 1;
+            self.with_proto(ctx, |proto, io, mem| {
+                if batched {
+                    // Confirmations for several pages retiring together
+                    // ride one envelope per destination.
+                    let mut bio = BatchingIo::new(io);
+                    proto.op_retired(&mut bio, mem);
+                    bio.flush();
+                } else {
+                    proto.op_retired(io, mem);
+                }
+            });
         }
     }
 
@@ -328,113 +369,18 @@ impl DsmNode {
         ctx.model().mem_copy(len)
     }
 
-    /// Cost charged when a fault completes (trap + install).
+    /// Cost charged when a fault completes: the trap, plus copying the
+    /// fetched page into place.
     fn install_cost(&self, ctx: &Ctx<'_, Self>) -> Dur {
-        self.proto
-            .install_cost(ctx.model(), self.layout.geometry.page_size())
+        let model = ctx.model();
+        model.fault_overhead + model.mem_copy(self.layout.geometry.page_size())
     }
 
-    // ---------- lock / barrier plumbing ----------
-
-    fn do_release(&mut self, ctx: &mut Ctx<'_, Self>, lock: LockId) {
-        let action = self.locks.release(lock);
-        let mut io = Io { ctx };
-        match action {
-            ReleaseAction::Local => {}
-            ReleaseAction::GrantTo { to, reqinfo } => {
-                let piggy =
-                    self.proto
-                        .grant_piggy(&mut io, Self::mem(&self.frames), lock, to, &reqinfo);
-                self.locks.grant(&mut io, lock, to, piggy);
-            }
-            ReleaseAction::ToServer => {
-                let piggy = self
-                    .proto
-                    .release_piggy(&mut io, Self::mem(&self.frames), lock);
-                self.locks.send_release(&mut io, lock, piggy);
-            }
-        }
-    }
-
-    /// Arrive at `barrier`; returns true if this node was released
-    /// synchronously (it was the last arriver at the root).
-    fn do_barrier_arrive(&mut self, ctx: &mut Ctx<'_, Self>, barrier: BarrierId) -> bool {
-        let mut events = Vec::new();
-        {
-            let mut io = Io { ctx };
-            let piggy = self.proto.sync_depart(&mut io, Self::mem(&self.frames));
-            self.barriers.arrive(&mut io, barrier, piggy, &mut events);
-        }
-        self.handle_barrier_events(ctx, events)
-    }
-
-    /// Process barrier engine events; returns true if this node was
-    /// released.
-    fn handle_barrier_events(
-        &mut self,
-        ctx: &mut Ctx<'_, Self>,
-        events: Vec<BarrierEvent<Piggy>>,
-    ) -> bool {
-        let mut released = false;
-        for ev in events {
-            match ev {
-                BarrierEvent::AllArrived { id, contributions } => {
-                    let mut ev2 = Vec::new();
-                    {
-                        let mut io = Io { ctx };
-                        let releases = self.proto.merge_barrier(
-                            &mut io,
-                            Self::mem(&self.frames),
-                            contributions,
-                            self.nnodes,
-                        );
-                        self.barriers.release(&mut io, id, releases, &mut ev2);
-                    }
-                    if self.handle_barrier_events(ctx, ev2) {
-                        released = true;
-                    }
-                }
-                BarrierEvent::Released { piggy, .. } => {
-                    let mut io = Io { ctx };
-                    self.proto
-                        .sync_arrive(&mut io, Self::mem(&self.frames), piggy);
-                    released = true;
-                }
-            }
-        }
-        released
-    }
-
-    fn handle_lock_events(&mut self, ctx: &mut Ctx<'_, Self>, events: Vec<LockEvent<Piggy>>) {
-        for ev in events {
-            match ev {
-                LockEvent::Acquired { lock, piggy } => {
-                    {
-                        let mut io = Io { ctx };
-                        self.proto
-                            .on_acquired(&mut io, Self::mem(&self.frames), lock, piggy);
-                    }
-                    match std::mem::replace(&mut self.pending, Pending::None) {
-                        Pending::Acquire(l) if l == lock => {
-                            ctx.complete_op(DsmReply::Unit);
-                        }
-                        other => {
-                            panic!("{}: lock {lock} acquired while pending {other:?}", self.me)
-                        }
-                    }
-                }
-                LockEvent::GrantNeeded { lock, to, reqinfo } => {
-                    let mut io = Io { ctx };
-                    let piggy = self.proto.grant_piggy(
-                        &mut io,
-                        Self::mem(&self.frames),
-                        lock,
-                        to,
-                        &reqinfo,
-                    );
-                    self.locks.grant(&mut io, lock, to, piggy);
-                }
-            }
+    /// The barrier this node waits at has released it.
+    fn barrier_released(&mut self, ctx: &mut Ctx<'_, Self>) {
+        match std::mem::replace(&mut self.pending, Pending::None) {
+            Pending::BarrierWait(_) => ctx.complete_op(DsmReply::Unit),
+            other => panic!("{}: barrier released while pending {other:?}", self.me),
         }
     }
 
@@ -501,36 +447,24 @@ impl DsmNode {
     /// Completes the op when the last piece lands; otherwise leaves the
     /// op parked with a fault in flight.
     fn retry_pending_access(&mut self, ctx: &mut Ctx<'_, Self>) {
-        loop {
-            match std::mem::replace(&mut self.pending, Pending::None) {
-                Pending::Read {
-                    addr,
-                    mut buf,
-                    mut pos,
-                    mut faults,
-                    hint,
-                } => {
-                    let len = buf.len();
+        // The op is out of `self.pending` while the machine runs and
+        // goes back, with its progress, unless it completed.
+        match std::mem::replace(&mut self.pending, Pending::None) {
+            Pending::Read {
+                addr,
+                mut buf,
+                mut pos,
+                mut faults,
+                hint,
+            } => {
+                let len = buf.len();
+                let completed = loop {
                     if pos >= len {
-                        if !self.inflight.is_empty() {
-                            // Prefetches still in flight: the op retires
-                            // only once the fault queue drains, so the
-                            // next op (possibly a write or sync) never
-                            // starts with read transactions outstanding.
-                            self.pending = Pending::Read {
-                                addr,
-                                buf,
-                                pos,
-                                faults,
-                                hint,
-                            };
-                            return;
-                        }
-                        let cost =
-                            self.install_cost(ctx) * faults as u64 + Self::access_cost(ctx, len);
-                        ctx.complete_op_after(DsmReply::Unit, cost);
-                        self.retire_if_faulted(ctx);
-                        return;
+                        // With prefetches still in flight the op retires
+                        // only once the fault queue drains, so the next
+                        // op (possibly a write or sync) never starts
+                        // with read transactions outstanding.
+                        break self.inflight.is_empty();
                     }
                     let n = self.piece_len(addr, pos, len);
                     let a = addr.offset(pos);
@@ -538,13 +472,6 @@ impl DsmNode {
                     let piece = unsafe { buf.slice_mut(pos, n) };
                     if Self::mem(&self.frames).try_read(a, piece) {
                         pos += n;
-                        self.pending = Pending::Read {
-                            addr,
-                            buf,
-                            pos,
-                            faults,
-                            hint,
-                        };
                         // Retire this page's transaction before touching
                         // the next page (no hold-and-wait).
                         self.retire_if_faulted(ctx);
@@ -554,14 +481,7 @@ impl DsmNode {
                     if self.inflight.contains(&page.0) {
                         // A prefetch for this page is already in flight;
                         // park until it lands instead of re-faulting.
-                        self.pending = Pending::Read {
-                            addr,
-                            buf,
-                            pos,
-                            faults,
-                            hint,
-                        };
-                        return;
+                        break false;
                     }
                     faults += 1;
                     self.faulted = true;
@@ -574,16 +494,18 @@ impl DsmNode {
                     } else {
                         std::slice::from_ref(&page)
                     };
-                    let (resolved, issued) = {
-                        let mut io = Io { ctx };
-                        self.proto
-                            .read_fault_batch(&mut io, Self::mem(&self.frames), pages)
-                    };
+                    let (resolved, issued) = self
+                        .with_proto(ctx, |proto, io, mem| proto.read_fault_batch(io, mem, pages));
                     faults += issued.len() as u32;
                     self.inflight.extend(issued.iter().map(|p| p.0));
                     if !resolved {
                         self.inflight.push(page.0);
+                        break false;
                     }
+                };
+                if completed {
+                    self.complete_access(ctx, faults, len);
+                } else {
                     self.pending = Pending::Read {
                         addr,
                         buf,
@@ -591,23 +513,18 @@ impl DsmNode {
                         faults,
                         hint,
                     };
-                    if !resolved {
-                        return;
-                    }
                 }
-                Pending::Write {
-                    addr,
-                    data,
-                    mut pos,
-                    mut faults,
-                } => {
-                    let len = data.len();
+            }
+            Pending::Write {
+                addr,
+                data,
+                mut pos,
+                mut faults,
+            } => {
+                let len = data.len();
+                let completed = loop {
                     if pos >= len {
-                        let cost =
-                            self.install_cost(ctx) * faults as u64 + Self::access_cost(ctx, len);
-                        ctx.complete_op_after(DsmReply::Unit, cost);
-                        self.retire_if_faulted(ctx);
-                        return;
+                        break true;
                     }
                     let n = self.piece_len(addr, pos, len);
                     let a = addr.offset(pos);
@@ -615,12 +532,6 @@ impl DsmNode {
                     let piece = unsafe { data.slice(pos, n) };
                     if Self::mem(&self.frames).try_write(a, piece) {
                         pos += n;
-                        self.pending = Pending::Write {
-                            addr,
-                            data,
-                            pos,
-                            faults,
-                        };
                         self.retire_if_faulted(ctx);
                         continue;
                     }
@@ -628,47 +539,62 @@ impl DsmNode {
                     self.faulted = true;
                     // Offer the whole remainder to the protocol:
                     // update-style protocols take it over entirely.
-                    let outcome = {
-                        let mut io = Io { ctx };
-                        // SAFETY: as above.
-                        let rest = unsafe { data.slice(pos, len - pos) };
-                        self.proto
-                            .write_op(&mut io, Self::mem(&self.frames), a, rest)
-                    };
+                    // SAFETY: as above.
+                    let rest = unsafe { data.slice(pos, len - pos) };
+                    let outcome =
+                        self.with_proto(ctx, |proto, io, mem| proto.write_op(io, mem, a, rest));
                     match outcome {
-                        WriteOutcome::Ready => {
-                            self.pending = Pending::Write {
-                                addr,
-                                data,
-                                pos,
-                                faults,
-                            };
-                        }
-                        WriteOutcome::Faulted(_) => {
-                            self.pending = Pending::Write {
-                                addr,
-                                data,
-                                pos,
-                                faults,
-                            };
-                            return;
-                        }
-                        WriteOutcome::Done => {
-                            let cost = self.install_cost(ctx) * faults as u64
-                                + Self::access_cost(ctx, len);
-                            ctx.complete_op_after(DsmReply::Unit, cost);
-                            self.retire_if_faulted(ctx);
-                            return;
-                        }
+                        WriteOutcome::Ready => {}
+                        WriteOutcome::Faulted(_) => break false,
+                        WriteOutcome::Done => break true,
                         WriteOutcome::Async => {
                             self.pending = Pending::AsyncWrite { addr, data, faults };
                             return;
                         }
                     }
+                };
+                if completed {
+                    self.complete_access(ctx, faults, len);
+                } else {
+                    self.pending = Pending::Write {
+                        addr,
+                        data,
+                        pos,
+                        faults,
+                    };
                 }
-                other => panic!("{}: access retry while pending {other:?}", self.me),
             }
+            other => panic!("{}: access retry while pending {other:?}", self.me),
         }
+    }
+
+    /// The parked access of `len` bytes has performed after `faults`
+    /// faults: charge it, answer the program, retire its transaction.
+    fn complete_access(&mut self, ctx: &mut Ctx<'_, Self>, faults: u32, len: usize) {
+        let cost = self.install_cost(ctx) * faults as u64 + Self::access_cost(ctx, len);
+        ctx.complete_op_after(DsmReply::Unit, cost);
+        self.retire_if_faulted(ctx);
+    }
+
+    /// Copy object `obj` into `buf` if the protocol can serve it now;
+    /// otherwise a fetch is in flight and `ObjReady` follows.
+    fn try_obj_get(
+        &mut self,
+        ctx: &mut Ctx<'_, Self>,
+        obj: u32,
+        write: bool,
+        buf: &mut OpBuf,
+    ) -> bool {
+        self.with_proto(ctx, |proto, io, _| match proto.obj_fetch(io, obj, write) {
+            Some(bytes) => {
+                debug_assert_eq!(bytes.len(), buf.len());
+                let n = bytes.len().min(buf.len());
+                // SAFETY: op in flight → app buffer live, unaliased.
+                unsafe { buf.slice_mut(0, n) }.copy_from_slice(&bytes[..n]);
+                true
+            }
+            None => false,
+        })
     }
 
     /// Retry the parked object fetch; completes the op if the protocol
@@ -686,20 +612,7 @@ impl DsmNode {
                 } => (obj, write, buf, faults),
                 other => panic!("{}: object retry while pending {other:?}", self.me),
             };
-        let served = {
-            let mut io = Io { ctx };
-            match self.proto.obj_fetch(&mut io, obj, write) {
-                Some(bytes) => {
-                    debug_assert_eq!(bytes.len(), buf.len());
-                    let n = bytes.len().min(buf.len());
-                    // SAFETY: op in flight → app buffer live, unaliased.
-                    unsafe { buf.slice_mut(0, n) }.copy_from_slice(&bytes[..n]);
-                    true
-                }
-                None => false,
-            }
-        };
-        if served {
+        if self.try_obj_get(ctx, obj, write, &mut buf) {
             let cost =
                 ctx.model().fault_overhead * faults as u64 + Self::access_cost(ctx, buf.len());
             ctx.complete_op_after(DsmReply::Unit, cost);
@@ -739,11 +652,11 @@ impl DsmNode {
                 ProtoEvent::FlushDone => {
                     match std::mem::replace(&mut self.pending, Pending::None) {
                         Pending::ReleaseFlush(lock) => {
-                            self.do_release(ctx, lock);
+                            self.with_sync(ctx, |sync, side| sync.locks.release(side, lock));
                             ctx.complete_op(DsmReply::Unit);
                         }
                         Pending::BarrierFlush(id) => {
-                            if self.do_barrier_arrive(ctx, id) {
+                            if self.with_sync(ctx, |sync, side| sync.barriers.arrive(side, id)) {
                                 ctx.complete_op(DsmReply::Unit);
                             } else {
                                 self.pending = Pending::BarrierWait(id);
@@ -773,8 +686,7 @@ impl NodeBehavior for DsmNode {
     type Reply = DsmReply;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
-        let mut io = Io { ctx };
-        self.proto.on_start(&mut io, Self::mem(&self.frames));
+        self.with_proto(ctx, |proto, io, mem| proto.on_start(io, mem));
     }
 
     fn describe(&self) -> String {
@@ -815,7 +727,7 @@ impl NodeBehavior for DsmNode {
                     faults: 0,
                     hint,
                 };
-                self.retry_pending_access_entry(ctx)
+                self.fault_in(ctx)
             }
             DsmOp::Write { addr, data } => {
                 let len = data.len();
@@ -834,35 +746,19 @@ impl NodeBehavior for DsmNode {
                     pos: 0,
                     faults: 0,
                 };
-                self.retry_pending_access_entry(ctx)
+                self.fault_in(ctx)
             }
             DsmOp::Acquire(lock) => {
-                let reqinfo = self.proto.acquire_reqinfo(Self::mem(&self.frames), lock);
-                let immediate = {
-                    let mut io = Io { ctx };
-                    self.locks.acquire(&mut io, lock, reqinfo)
-                };
-                match immediate {
-                    Some(piggy) => {
-                        let mut io = Io { ctx };
-                        self.proto
-                            .on_acquired(&mut io, Self::mem(&self.frames), lock, piggy);
-                        OpOutcome::Done(DsmReply::Unit)
-                    }
-                    None => {
-                        self.pending = Pending::Acquire(lock);
-                        OpOutcome::Blocked
-                    }
+                if self.with_sync(ctx, |sync, side| sync.locks.acquire(side, lock)) {
+                    OpOutcome::Done(DsmReply::Unit)
+                } else {
+                    self.pending = Pending::Acquire(lock);
+                    OpOutcome::Blocked
                 }
             }
             DsmOp::Release(lock) => {
-                let flushed = {
-                    let mut io = Io { ctx };
-                    self.proto
-                        .pre_release(&mut io, Self::mem(&self.frames), Some(lock))
-                };
-                if flushed {
-                    self.do_release(ctx, lock);
+                if self.with_proto(ctx, |proto, io, mem| proto.pre_release(io, mem, Some(lock))) {
+                    self.with_sync(ctx, |sync, side| sync.locks.release(side, lock));
                     OpOutcome::Done(DsmReply::Unit)
                 } else {
                     self.pending = Pending::ReleaseFlush(lock);
@@ -874,21 +770,7 @@ impl NodeBehavior for DsmNode {
                 write,
                 mut buf,
             } => {
-                let served = {
-                    let mut io = Io { ctx };
-                    match self.proto.obj_fetch(&mut io, obj, write) {
-                        Some(bytes) => {
-                            debug_assert_eq!(bytes.len(), buf.len());
-                            let n = bytes.len().min(buf.len());
-                            // SAFETY: op in flight → app buffer live,
-                            // unaliased.
-                            unsafe { buf.slice_mut(0, n) }.copy_from_slice(&bytes[..n]);
-                            true
-                        }
-                        None => false,
-                    }
-                };
-                if served {
+                if self.try_obj_get(ctx, obj, write, &mut buf) {
                     return OpOutcome::DoneAfter(DsmReply::Unit, Self::access_cost(ctx, buf.len()));
                 }
                 self.faulted = true;
@@ -902,30 +784,21 @@ impl NodeBehavior for DsmNode {
             }
             DsmOp::ObjPut { obj, data } => {
                 let len = data.len();
-                {
-                    let mut io = Io { ctx };
-                    // SAFETY: op in flight → app payload live, unaliased.
-                    let whole = unsafe { data.slice(0, len) };
-                    self.proto.obj_publish(&mut io, obj, whole);
-                }
+                // SAFETY: op in flight → app payload live, unaliased.
+                let whole = unsafe { data.slice(0, len) };
+                self.with_proto(ctx, |proto, io, _| proto.obj_publish(io, obj, whole));
                 OpOutcome::DoneAfter(DsmReply::Unit, Self::access_cost(ctx, len))
             }
             DsmOp::Barrier(id) => {
+                let flushed =
+                    self.with_proto(ctx, |proto, io, mem| proto.pre_release(io, mem, None));
                 if self.nnodes == 1 {
-                    // Still a consistency point for the protocol.
-                    let mut io = Io { ctx };
-                    let _ = self
-                        .proto
-                        .pre_release(&mut io, Self::mem(&self.frames), None);
+                    // Nobody to wait for; the flush above still made it
+                    // a consistency point for the protocol.
                     return OpOutcome::Done(DsmReply::Unit);
                 }
-                let flushed = {
-                    let mut io = Io { ctx };
-                    self.proto
-                        .pre_release(&mut io, Self::mem(&self.frames), None)
-                };
                 if flushed {
-                    if self.do_barrier_arrive(ctx, id) {
+                    if self.with_sync(ctx, |sync, side| sync.barriers.arrive(side, id)) {
                         OpOutcome::Done(DsmReply::Unit)
                     } else {
                         self.pending = Pending::BarrierWait(id);
@@ -975,13 +848,10 @@ impl NodeBehavior for DsmNode {
                     mem.evict(p);
                 }
                 self.proto.on_crash(mem);
-                self.barriers.crashed();
+                self.sync.barriers.crashed();
             }
             FaultNotice::Recovered => {
-                {
-                    let mut io = Io { ctx };
-                    self.proto.on_recover(&mut io, Self::mem(&self.frames));
-                }
+                self.with_proto(ctx, |proto, io, mem| proto.on_recover(io, mem));
                 if let Some(op) = self.resubmit.take() {
                     match self.on_op(ctx, op) {
                         OpOutcome::Done(r) => ctx.complete_op(r),
@@ -990,40 +860,20 @@ impl NodeBehavior for DsmNode {
                     }
                 }
             }
-            FaultNotice::PeerDown { peer: p, permanent } => {
+            FaultNotice::PeerDown { peer, permanent } => {
+                if self.with_sync(ctx, |sync, side| {
+                    sync.barriers.set_down(side, peer, permanent)
+                }) {
+                    self.barrier_released(ctx);
+                }
                 let mut events = Vec::new();
-                {
-                    let mut io = Io { ctx };
-                    self.barriers.set_down(&mut io, p, permanent, &mut events);
-                }
-                if self.handle_barrier_events(ctx, events) {
-                    match std::mem::replace(&mut self.pending, Pending::None) {
-                        Pending::BarrierWait(_) => ctx.complete_op(DsmReply::Unit),
-                        other => {
-                            panic!("{}: barrier released while pending {other:?}", self.me)
-                        }
-                    }
-                }
-                let mut pevents = Vec::new();
-                {
-                    let mut io = Io { ctx };
-                    self.proto
-                        .on_peer_down(&mut io, Self::mem(&self.frames), p, &mut pevents);
-                }
-                self.pump_proto_events(ctx, pevents);
+                self.with_proto(ctx, |proto, io, mem| {
+                    proto.on_peer_down(io, mem, peer, &mut events)
+                });
+                self.pump_proto_events(ctx, events);
             }
-            FaultNotice::PeerUp(p) => {
-                {
-                    let mut io = Io { ctx };
-                    self.barriers.set_up(&mut io, p);
-                }
-                let mut pevents = Vec::new();
-                {
-                    let mut io = Io { ctx };
-                    self.proto
-                        .on_peer_up(&mut io, Self::mem(&self.frames), p, &mut pevents);
-                }
-                self.pump_proto_events(ctx, pevents);
+            FaultNotice::PeerUp(peer) => {
+                self.with_sync(ctx, |sync, side| sync.barriers.set_up(side, peer));
             }
         }
     }
@@ -1037,67 +887,21 @@ impl NodeBehavior for DsmNode {
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, from: NodeId, msg: CoreMsg) {
         match msg {
-            CoreMsg::Proto(m) => {
-                let mut events = Vec::new();
-                {
-                    let mut io = Io { ctx };
-                    match m {
-                        // A multi-page envelope: dispatch the inner
-                        // messages in order, coalescing any replies they
-                        // generate per destination (a batch of requests
-                        // earns a batch of replies).
-                        ProtoMsg::Batch(msgs) => {
-                            let mut bio = BatchingIo::new(&mut io);
-                            for inner in msgs {
-                                self.proto.on_message(
-                                    &mut bio,
-                                    Self::mem(&self.frames),
-                                    from,
-                                    inner,
-                                    &mut events,
-                                );
-                            }
-                            bio.flush();
-                        }
-                        m => self.proto.on_message(
-                            &mut io,
-                            Self::mem(&self.frames),
-                            from,
-                            m,
-                            &mut events,
-                        ),
-                    }
-                }
-                self.pump_proto_events(ctx, events);
-            }
-            CoreMsg::Sync(m) => match m {
-                m @ (SyncMsg::LockReq { .. }
-                | SyncMsg::LockFwd { .. }
-                | SyncMsg::LockGrant { .. }
-                | SyncMsg::LockRel { .. }) => {
-                    let mut events = Vec::new();
-                    {
-                        let mut io = Io { ctx };
-                        self.locks.on_message(&mut io, from, m, &mut events);
-                    }
-                    self.handle_lock_events(ctx, events);
-                }
-                m @ (SyncMsg::BarArrive { .. } | SyncMsg::BarRelease { .. }) => {
-                    let mut events = Vec::new();
-                    {
-                        let mut io = Io { ctx };
-                        self.barriers.on_message(&mut io, from, m, &mut events);
-                    }
-                    if self.handle_barrier_events(ctx, events) {
+            CoreMsg::Proto(m) => self.on_proto_message(ctx, from, m, false),
+            CoreMsg::Sync(m) => {
+                match self.with_sync(ctx, |sync, side| sync.on_message(side, from, m)) {
+                    None => {}
+                    Some(SyncDone::Released(_)) => self.barrier_released(ctx),
+                    Some(SyncDone::Acquired(lock)) => {
                         match std::mem::replace(&mut self.pending, Pending::None) {
-                            Pending::BarrierWait(_) => ctx.complete_op(DsmReply::Unit),
+                            Pending::Acquire(l) if l == lock => ctx.complete_op(DsmReply::Unit),
                             other => {
-                                panic!("{}: barrier released while pending {other:?}", self.me)
+                                panic!("{}: lock {lock} acquired while pending {other:?}", self.me)
                             }
                         }
                     }
                 }
-            },
+            }
         }
     }
 
@@ -1107,31 +911,42 @@ impl NodeBehavior for DsmNode {
         let CoreMsg::Proto(m) = msg else {
             panic!("{}: sync message arrived as a NIC-level delivery", self.me)
         };
-        let mut events = Vec::new();
-        {
-            let mut io = Io { ctx };
-            self.proto
-                .on_nic(&mut io, Self::mem(&self.frames), from, m, &mut events);
-        }
-        self.pump_proto_events(ctx, events);
+        self.on_proto_message(ctx, from, m, true);
     }
 }
 
 impl DsmNode {
-    /// First dispatch of a faulting access from `on_op`: drive the same
-    /// retry machine, then translate the result into an [`OpOutcome`].
-    fn retry_pending_access_entry(&mut self, ctx: &mut Ctx<'_, Self>) -> OpOutcome<DsmReply> {
-        // The retry machine completes via ctx.complete_op_* when it can;
-        // from on_op we must instead return Blocked and let the kernel
-        // deliver the queued resume. complete_op_after() requires a
-        // parked op, which is exactly the state during on_op's Blocked
-        // return — but the kernel asserts ordering, so emulate: run the
-        // machine with a flag and convert.
-        //
-        // Simpler correct approach: mark as blocked; if the protocol
-        // resolved everything synchronously the machine will have called
-        // complete_op_after already, which the kernel driver tolerates
-        // (pending_reply set before Blocked is returned).
+    /// A coherence message arrived, by software delivery or (`nic`) as
+    /// a NIC-level event.
+    fn on_proto_message(&mut self, ctx: &mut Ctx<'_, Self>, from: NodeId, m: ProtoMsg, nic: bool) {
+        let mut events = Vec::new();
+        let mut io = Io { ctx, nic };
+        let mem = Self::mem(&self.frames);
+        match m {
+            // A multi-page envelope: dispatch the inner messages in
+            // order, coalescing any replies they generate per
+            // destination (a batch of requests earns a batch of
+            // replies).
+            ProtoMsg::Batch(msgs) => {
+                let mut bio = BatchingIo::new(&mut io);
+                for inner in msgs {
+                    self.proto
+                        .on_message(&mut bio, mem, from, inner, &mut events);
+                }
+                bio.flush();
+            }
+            m => self.proto.on_message(&mut io, mem, from, m, &mut events),
+        }
+        self.pump_proto_events(ctx, events);
+    }
+
+    /// First dispatch of a faulting access from `on_op`: start the
+    /// retry machine on the op just parked. The machine completes ops
+    /// through `ctx.complete_op_after`, which the kernel accepts while
+    /// `on_op` is still running, so the answer here is always
+    /// `Blocked` — also when every fault resolved synchronously and
+    /// the completion is already queued.
+    fn fault_in(&mut self, ctx: &mut Ctx<'_, Self>) -> OpOutcome<DsmReply> {
         self.retry_pending_access(ctx);
         OpOutcome::Blocked
     }

@@ -89,12 +89,6 @@ impl PageGeometry {
         addr.0 & (self.page_size() - 1)
     }
 
-    /// First address of `page`.
-    #[inline]
-    pub fn base_of(self, page: PageId) -> GlobalAddr {
-        GlobalAddr(page.0 << self.shift)
-    }
-
     /// All pages overlapping the byte range `[addr, addr + len)`.
     /// Empty ranges touch no pages.
     pub fn pages_for_range(self, addr: GlobalAddr, len: usize) -> impl Iterator<Item = PageId> {
@@ -133,7 +127,6 @@ mod tests {
         assert_eq!(g.page_of(GlobalAddr(1023)), PageId(0));
         assert_eq!(g.page_of(GlobalAddr(1024)), PageId(1));
         assert_eq!(g.offset_in_page(GlobalAddr(1030)), 6);
-        assert_eq!(g.base_of(PageId(3)), GlobalAddr(3072));
     }
 
     #[test]

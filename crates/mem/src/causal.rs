@@ -54,13 +54,6 @@ impl VClockDelta {
         }
     }
 
-    /// Encode `vc` as a diff against a copy of `base`. Callers that
-    /// encode more than one clock against the same base share it with
-    /// [`VClockDelta::against`].
-    pub fn encode(vc: &VClock, base: &VClock) -> Self {
-        Self::against(vc, &Arc::new(base.clone()))
-    }
-
     /// Encode `vc` against the all-zero clock: every nonzero component
     /// travels. Used where no shared floor can be assumed (e.g. piggys
     /// deposited at a central lock server for an unknown future
@@ -206,7 +199,7 @@ mod tests {
         let mut vc = floor.clone();
         vc.set(2, 13);
         vc.set(5, 11);
-        let d = VClockDelta::encode(&vc, &floor);
+        let d = VClockDelta::against(&vc, &Arc::new(floor));
         assert_eq!(d.len(), 2);
         assert_eq!(d.expand(), vc);
         assert_eq!(d.wire_bytes(), 8 + 16);
@@ -222,7 +215,7 @@ mod tests {
         vc.set(0, 5);
         vc.set(1, 2); // below the floor
         vc.set(2, 9);
-        let d = VClockDelta::encode(&vc, &floor);
+        let d = VClockDelta::against(&vc, &Arc::new(floor));
         assert_eq!(d.expand(), vc);
         // components 1 (below), 2 (above), 3 (below) differ
         assert_eq!(d.len(), 3);
@@ -241,7 +234,7 @@ mod tests {
     #[test]
     fn equal_clocks_encode_empty() {
         let vc = VClock::new(32);
-        let d = VClockDelta::encode(&vc, &vc);
+        let d = VClockDelta::against(&vc, &Arc::new(vc.clone()));
         assert!(d.is_empty());
         assert_eq!(d.wire_bytes(), 8);
     }

@@ -82,11 +82,6 @@ impl WireIntervalRecord {
         }
     }
 
-    /// Compress a record against a copy of `base`.
-    pub fn compress(rec: &IntervalRecord, base: &VClock) -> Self {
-        Self::against(rec, &Arc::new(base.clone()))
-    }
-
     /// Reconstruct the full record.
     pub fn expand(&self) -> IntervalRecord {
         IntervalRecord {

@@ -886,7 +886,25 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
         (src.0 - self.lo) as usize * self.nnodes as usize + dst.0 as usize
     }
 
-    fn send_inner(&mut self, src: NodeId, dst: NodeId, msg: N::Msg, extra: Dur) {
+    /// A scheduled partition severs `src → dst` right now: the message
+    /// dies on the wire (after occupying the sender's NIC),
+    /// deterministically and without consuming any PRNG draw.
+    fn link_cut(&mut self, src: NodeId, dst: NodeId) -> bool {
+        let now = self.now;
+        let cut = src != dst
+            && self
+                .model
+                .faults
+                .partitions
+                .iter()
+                .any(|p| p.cuts(src.0, dst.0, now));
+        if cut {
+            self.stats.partition_dropped += 1;
+        }
+        cut
+    }
+
+    fn send_inner(&mut self, src: NodeId, dst: NodeId, msg: N::Msg) {
         let bytes = msg.wire_bytes();
         self.stats.record(msg.kind_id(), msg.kind(), bytes);
         // Sender side: the message queues behind whatever this node is
@@ -894,31 +912,18 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
         let total_bytes = (bytes + self.model.header_bytes) as u64;
         let tx = self.model.send_overhead + self.model.byte_cost(total_bytes);
         let s = self.li(src);
-        let depart_start = (self.now + extra).max(self.nic_free[s]);
+        let depart_start = self.now.max(self.nic_free[s]);
         let depart_end = depart_start + tx;
         self.nic_free[s] = depart_end;
+        if self.link_cut(src, dst) {
+            return;
+        }
         // Fault injection. Node-local sends never cross the lossy wire.
         // The draw order is fixed per link (drop, then dup, then one
         // spike draw per staged copy) so runs are reproducible per seed
         // and per worker count. A dropped message still occupied the
         // sender's NIC above: the packet left the host and died on the
         // wire.
-        // Link partitions: a message crossing a cut dies on the wire
-        // (after occupying the sender's NIC), deterministically and
-        // without consuming any PRNG draw.
-        if src != dst && !self.model.faults.partitions.is_empty() {
-            let now = self.now;
-            if self
-                .model
-                .faults
-                .partitions
-                .iter()
-                .any(|p| p.cuts(src.0, dst.0, now))
-            {
-                self.stats.partition_dropped += 1;
-                return;
-            }
-        }
         if self.faults_on && src != dst {
             let link = self.link(src, dst);
             if self.fault_draw(link) < self.drop_thr {
@@ -988,18 +993,8 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
         let depart_start = self.now.max(self.nic_free[s]);
         let depart_end = depart_start + tx;
         self.nic_free[s] = depart_end;
-        if src != dst && !self.model.faults.partitions.is_empty() {
-            let now = self.now;
-            if self
-                .model
-                .faults
-                .partitions
-                .iter()
-                .any(|p| p.cuts(src.0, dst.0, now))
-            {
-                self.stats.partition_dropped += 1;
-                return;
-            }
+        if self.link_cut(src, dst) {
+            return;
         }
         let arrive = depart_end + self.model.one_sided_latency;
         let seq = self.send_seq[s];
@@ -1029,8 +1024,8 @@ impl<N: NodeBehavior + ?Sized> Transport<N::Msg, N::Reply> for Kernel<N> {
         &self.model
     }
 
-    fn send_from(&mut self, src: NodeId, dst: NodeId, msg: N::Msg, extra: Dur) {
-        self.send_inner(src, dst, msg, extra);
+    fn send_from(&mut self, src: NodeId, dst: NodeId, msg: N::Msg) {
+        self.send_inner(src, dst, msg);
     }
 
     fn send_one_sided(&mut self, src: NodeId, dst: NodeId, msg: N::Msg) {
@@ -1040,7 +1035,7 @@ impl<N: NodeBehavior + ?Sized> Transport<N::Msg, N::Reply> for Kernel<N> {
             // Fabric capability probe failed: downgrade to an ordinary
             // two-sided message; the protocol's software path handles
             // it in on_message.
-            self.send_inner(src, dst, msg, Dur::ZERO);
+            self.send_inner(src, dst, msg);
         }
     }
 
@@ -1058,17 +1053,9 @@ impl<N: NodeBehavior + ?Sized> Transport<N::Msg, N::Reply> for Kernel<N> {
         self.schedule(at, Event::Resume { node });
     }
 
-    fn op_parked(&self, node: NodeId) -> bool {
-        self.app[self.li(node)].blocked
-    }
-
     fn set_timer_on(&mut self, node: NodeId, delay: Dur, token: u64) {
         let at = self.now + delay;
         self.schedule(at, Event::Timer { node, token });
-    }
-
-    fn account(&mut self, id: KindId, kind: &'static str, bytes: usize) {
-        self.stats.record(id, kind, bytes);
     }
 
     fn note_retransmit(&mut self, id: KindId, kind: &'static str) {

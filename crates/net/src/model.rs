@@ -329,25 +329,6 @@ impl CostModel {
         }
     }
 
-    /// A modern commodity cluster: ~5 µs one-way latency, ~1 GB/s.
-    pub fn cluster_modern() -> Self {
-        CostModel {
-            send_overhead: Dur::micros(1),
-            recv_overhead: Dur::micros(1),
-            wire_latency: Dur::micros(5),
-            ps_per_byte: 1_000,
-            header_bytes: 64,
-            fault_overhead: Dur::micros(2),
-            mem_ns_per_byte: 1,
-            one_sided_latency: Dur::ZERO,
-            one_sided_ps_per_byte: 0,
-            one_sided_occupancy: Dur::ZERO,
-            jitter_max: Dur::ZERO,
-            jitter_seed: 1,
-            faults: FaultPlan::NONE,
-        }
-    }
-
     /// The five interconnect eras in chronological order, as accepted
     /// by [`CostModel::era`] (and the bench front-ends' `--net` flag).
     pub const ERA_NAMES: [&'static str; 5] =
@@ -537,7 +518,6 @@ mod tests {
             let m = CostModel::era(name).unwrap();
             assert_eq!(m.supports_one_sided(), name == "rdma_modern");
         }
-        assert!(!CostModel::cluster_modern().supports_one_sided());
         let rdma = CostModel::rdma_modern();
         // One-sided remote read: doorbell + data back ≈ 1.5 µs RTT.
         let rtt = rdma.one_sided_latency * 2 + rdma.one_sided_byte_cost(4096);
@@ -567,7 +547,7 @@ mod tests {
 
     #[test]
     fn mem_copy_scales() {
-        let m = CostModel::cluster_modern();
+        let m = CostModel::rdma_modern();
         assert_eq!(m.mem_copy(4096), Dur::nanos(4096));
     }
 

@@ -39,9 +39,8 @@
 //!   crash can never pollute the reborn stream.
 //! * **Failure detection.** Consecutive retransmission timeouts with no
 //!   ack put the peer on a *suspect list* (the only signal a silent
-//!   link partition leaves); any frame from the peer clears it. Wrapped
-//!   protocols read the list through [`Ctx::suspected`] and can report
-//!   a detected failure instead of wedging the run's watchdog. Crashes
+//!   link partition leaves); any frame from the peer clears it, and the
+//!   watchdog's per-node dump names whoever is on it. Crashes
 //!   additionally produce deterministic kernel `PeerDown`/`PeerUp`
 //!   notices (see [`crate::kernel::FaultNotice`]), on which the
 //!   transport drops retransmission state for the dead peer — a crashed
@@ -293,8 +292,8 @@ pub struct Reliable<N: NodeBehavior> {
     cfg: RelConfig,
     links: Vec<LinkState<N::Msg>>,
     /// Peers currently suspected of having failed (consecutive ack
-    /// timeouts, or a kernel `PeerDown` notice). Surfaced to the
-    /// wrapped behavior through [`Ctx::suspected`].
+    /// timeouts, or a kernel `PeerDown` notice); [`Self::describe`]
+    /// names them.
     suspects: BTreeSet<u32>,
     /// Peers the kernel has *confirmed* crashed (`PeerDown`, not mere
     /// silence). Frames to them are sent fire-and-forget — they cannot
@@ -321,11 +320,6 @@ impl<N: NodeBehavior> Reliable<N> {
     /// The wrapped behavior.
     pub fn inner(&self) -> &N {
         &self.inner
-    }
-
-    /// The wrapped behavior, mutably.
-    pub fn inner_mut(&mut self) -> &mut N {
-        &mut self.inner
     }
 
     /// Smoothed RTT estimate for the link to `peer` in nanoseconds, if
@@ -398,16 +392,11 @@ impl<N: NodeBehavior> NodeBehavior for Reliable<N> {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
         let Reliable {
-            inner,
-            links,
-            suspects,
-            down,
-            ..
+            inner, links, down, ..
         } = self;
         let mut port: RelPort<'_, N> = RelPort {
             outer: ctx.port,
             links,
-            suspects,
             down,
             me: ctx.node,
             watch: None,
@@ -468,16 +457,11 @@ impl<N: NodeBehavior> NodeBehavior for Reliable<N> {
             } => {
                 // Unsequenced loopback: never crossed the lossy wire.
                 let Reliable {
-                    inner,
-                    links,
-                    suspects,
-                    down,
-                    ..
+                    inner, links, down, ..
                 } = self;
                 let mut port: RelPort<'_, N> = RelPort {
                     outer: ctx.port,
                     links,
-                    suspects,
                     down,
                     me,
                     watch: None,
@@ -517,16 +501,11 @@ impl<N: NodeBehavior> NodeBehavior for Reliable<N> {
                 }
                 self.process_ack(from, ack, sack, ack_epoch, now);
                 let Reliable {
-                    inner,
-                    links,
-                    suspects,
-                    down,
-                    ..
+                    inner, links, down, ..
                 } = self;
                 let mut port: RelPort<'_, N> = RelPort {
                     outer: ctx.port,
                     links,
-                    suspects,
                     down,
                     me,
                     // Watch reverse traffic to `from`: if the handler
@@ -552,7 +531,6 @@ impl<N: NodeBehavior> NodeBehavior for Reliable<N> {
                                 sack: sackv,
                                 ack_epoch,
                             },
-                            Dur::ZERO,
                         );
                         return;
                     }
@@ -592,7 +570,6 @@ impl<N: NodeBehavior> NodeBehavior for Reliable<N> {
                             sack: sackv,
                             ack_epoch,
                         },
-                        Dur::ZERO,
                     );
                 }
             }
@@ -601,16 +578,11 @@ impl<N: NodeBehavior> NodeBehavior for Reliable<N> {
 
     fn on_op(&mut self, ctx: &mut Ctx<'_, Self>, op: Self::Op) -> OpOutcome<Self::Reply> {
         let Reliable {
-            inner,
-            links,
-            suspects,
-            down,
-            ..
+            inner, links, down, ..
         } = self;
         let mut port: RelPort<'_, N> = RelPort {
             outer: ctx.port,
             links,
-            suspects,
             down,
             me: ctx.node,
             watch: None,
@@ -626,16 +598,11 @@ impl<N: NodeBehavior> NodeBehavior for Reliable<N> {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Self>, token: u64) {
         if token & REL_TIMER_BIT == 0 {
             let Reliable {
-                inner,
-                links,
-                suspects,
-                down,
-                ..
+                inner, links, down, ..
             } = self;
             let mut port: RelPort<'_, N> = RelPort {
                 outer: ctx.port,
                 links,
-                suspects,
                 down,
                 me: ctx.node,
                 watch: None,
@@ -707,7 +674,6 @@ impl<N: NodeBehavior> NodeBehavior for Reliable<N> {
                     ack_epoch,
                     payload,
                 },
-                Dur::ZERO,
             );
         }
         ctx.port.set_timer_on(me, rto, token);
@@ -757,16 +723,11 @@ impl<N: NodeBehavior> NodeBehavior for Reliable<N> {
             }
         }
         let Reliable {
-            inner,
-            links,
-            suspects,
-            down,
-            ..
+            inner, links, down, ..
         } = self;
         let mut port: RelPort<'_, N> = RelPort {
             outer: ctx.port,
             links,
-            suspects,
             down,
             me: ctx.node,
             watch: None,
@@ -790,7 +751,6 @@ impl<N: NodeBehavior> NodeBehavior for Reliable<N> {
 struct RelPort<'a, N: NodeBehavior> {
     outer: &'a mut (dyn Transport<RelMsg<N::Msg>, N::Reply> + 'a),
     links: &'a mut [LinkState<N::Msg>],
-    suspects: &'a BTreeSet<u32>,
     down: &'a BTreeSet<u32>,
     me: NodeId,
     /// Peer whose inbound data we are currently processing (ack
@@ -814,7 +774,7 @@ impl<'a, N: NodeBehavior> Transport<N::Msg, N::Reply> for RelPort<'a, N> {
         self.outer.model()
     }
 
-    fn send_from(&mut self, src: NodeId, dst: NodeId, msg: N::Msg, extra: Dur) {
+    fn send_from(&mut self, src: NodeId, dst: NodeId, msg: N::Msg) {
         debug_assert_eq!(src, self.me, "RelPort send from a foreign node");
         if dst == src {
             // Loopback never crosses the lossy wire (the kernel exempts
@@ -830,7 +790,6 @@ impl<'a, N: NodeBehavior> Transport<N::Msg, N::Reply> for RelPort<'a, N> {
                     ack_epoch: 0,
                     payload: msg,
                 },
-                extra,
             );
             return;
         }
@@ -854,7 +813,6 @@ impl<'a, N: NodeBehavior> Transport<N::Msg, N::Reply> for RelPort<'a, N> {
                     ack_epoch: link.peer_epoch,
                     payload: msg,
                 },
-                extra,
             );
             return;
         }
@@ -892,7 +850,6 @@ impl<'a, N: NodeBehavior> Transport<N::Msg, N::Reply> for RelPort<'a, N> {
                 ack_epoch,
                 payload: msg,
             },
-            extra,
         );
         if arm {
             self.outer
@@ -904,10 +861,6 @@ impl<'a, N: NodeBehavior> Transport<N::Msg, N::Reply> for RelPort<'a, N> {
         self.outer.complete_op_after(node, reply, delay);
     }
 
-    fn op_parked(&self, node: NodeId) -> bool {
-        self.outer.op_parked(node)
-    }
-
     fn set_timer_on(&mut self, node: NodeId, delay: Dur, token: u64) {
         debug_assert!(
             token & REL_TIMER_BIT == 0,
@@ -916,16 +869,8 @@ impl<'a, N: NodeBehavior> Transport<N::Msg, N::Reply> for RelPort<'a, N> {
         self.outer.set_timer_on(node, delay, token);
     }
 
-    fn account(&mut self, id: KindId, kind: &'static str, bytes: usize) {
-        self.outer.account(id, kind, bytes);
-    }
-
     fn note_retransmit(&mut self, id: KindId, kind: &'static str) {
         self.outer.note_retransmit(id, kind);
-    }
-
-    fn is_suspect(&self, node: NodeId) -> bool {
-        self.suspects.contains(&node.0)
     }
 }
 
@@ -1165,6 +1110,7 @@ mod tests {
         }
         struct TimerNode {
             fired: Option<u64>,
+            parked: bool,
         }
         impl NodeBehavior for TimerNode {
             type Msg = NoMsg;
@@ -1174,19 +1120,19 @@ mod tests {
                 ctx.set_timer(Dur::micros(5), 0x1234);
             }
             fn on_message(&mut self, _: &mut Ctx<'_, Self>, _: NodeId, _: NoMsg) {}
-            fn on_op(&mut self, ctx: &mut Ctx<'_, Self>, _: ()) -> OpOutcome<u64> {
+            fn on_op(&mut self, _: &mut Ctx<'_, Self>, _: ()) -> OpOutcome<u64> {
                 match self.fired {
                     Some(tok) => OpOutcome::Done(tok),
                     None => {
-                        // Not yet: retry from the timer handler.
-                        assert!(ctx.op_parked() || !ctx.op_parked());
+                        // Not yet: the timer handler completes it.
+                        self.parked = true;
                         OpOutcome::Blocked
                     }
                 }
             }
             fn on_timer(&mut self, ctx: &mut Ctx<'_, Self>, token: u64) {
                 self.fired = Some(token);
-                if ctx.op_parked() {
+                if self.parked {
                     ctx.complete_op(token);
                 }
             }
@@ -1194,7 +1140,14 @@ mod tests {
         let model = CostModel::lan_1992();
         let cfg = RelConfig::from_model(&model, 1);
         let sim = Sim::new(
-            vec![Reliable::new(TimerNode { fired: None }, 1, cfg)],
+            vec![Reliable::new(
+                TimerNode {
+                    fired: None,
+                    parked: false,
+                },
+                1,
+                cfg,
+            )],
             model,
         );
         let res = sim.run(vec![|h: &AppHandle<(), u64>| h.op(())]);

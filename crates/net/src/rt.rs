@@ -99,7 +99,7 @@ impl<M: Payload + Wire, R> Transport<M, R> for SocketCore<M, R> {
         &self.model
     }
 
-    fn send_from(&mut self, src: NodeId, dst: NodeId, msg: M, _extra: Dur) {
+    fn send_from(&mut self, src: NodeId, dst: NodeId, msg: M) {
         debug_assert_eq!(src, self.me, "socket backend hosts exactly one node");
         // Stats record the *modeled* wire size (header_bytes + payload),
         // keeping traffic tables comparable with simulator runs.
@@ -131,18 +131,10 @@ impl<M: Payload + Wire, R> Transport<M, R> for SocketCore<M, R> {
         self.parked = false;
     }
 
-    fn op_parked(&self, node: NodeId) -> bool {
-        node == self.me && self.parked
-    }
-
     fn set_timer_on(&mut self, node: NodeId, delay: Dur, token: u64) {
         debug_assert_eq!(node, self.me, "timer for a foreign node");
         self.timers
             .push(Reverse((self.now_nanos() + delay.as_nanos(), token)));
-    }
-
-    fn account(&mut self, id: KindId, kind: &'static str, bytes: usize) {
-        self.stats.record(id, kind, bytes);
     }
 
     fn note_retransmit(&mut self, id: KindId, kind: &'static str) {
@@ -344,12 +336,6 @@ where
     /// The hosted behavior.
     pub fn node(&self) -> &N {
         &self.node
-    }
-
-    /// The hosted behavior, mutably (used by the cluster host to reach
-    /// the DSM node's frame table between dispatches).
-    pub fn node_mut(&mut self) -> &mut N {
-        &mut self.node
     }
 }
 

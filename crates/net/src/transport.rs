@@ -42,9 +42,8 @@ pub trait Transport<M, R> {
     /// real backends keep one around for install-cost bookkeeping and
     /// retransmission-timeout derivation).
     fn model(&self) -> &CostModel;
-    /// Send `msg` from `src` to `dst` after `extra` local serialization
-    /// delay (virtual-time backends price it; real backends ignore it).
-    fn send_from(&mut self, src: NodeId, dst: NodeId, msg: M, extra: Dur);
+    /// Send `msg` from `src` to `dst`.
+    fn send_from(&mut self, src: NodeId, dst: NodeId, msg: M);
     /// Send on the one-sided (RDMA-style) path: when the model
     /// supports it, the message is priced with the one-sided costs and
     /// delivered as a NIC-level event ([`NodeBehavior::on_nic`]) that
@@ -55,24 +54,14 @@ pub trait Transport<M, R> {
     /// retransmitted frames and handled by the software
     /// (`on_message`) path instead.
     fn send_one_sided(&mut self, src: NodeId, dst: NodeId, msg: M) {
-        self.send_from(src, dst, msg, Dur::ZERO);
+        self.send_from(src, dst, msg);
     }
     /// Complete `node`'s parked application op after a local delay.
     fn complete_op_after(&mut self, node: NodeId, reply: R, delay: Dur);
-    /// True if `node`'s program is parked on an op.
-    fn op_parked(&self, node: NodeId) -> bool;
     /// Arrange for `on_timer(token)` on `node` after `delay`.
     fn set_timer_on(&mut self, node: NodeId, delay: Dur, token: u64);
-    /// Record a pseudo message in the traffic stats without sending.
-    fn account(&mut self, id: KindId, kind: &'static str, bytes: usize);
     /// Count a retransmission in the traffic stats.
     fn note_retransmit(&mut self, id: KindId, kind: &'static str);
-    /// True if the transport's failure detector currently suspects
-    /// `node` (consecutive ack timeouts). The bare kernel has no
-    /// detector; the reliable transport overrides this.
-    fn is_suspect(&self, _node: NodeId) -> bool {
-        false
-    }
 }
 
 /// Handler context: the view of the world a [`NodeBehavior`] gets while
@@ -111,12 +100,7 @@ impl<'a, N: NodeBehavior + ?Sized> Ctx<'a, N> {
     /// by managers colocated with a requester to keep counting honest —
     /// though colocated paths normally shortcut via direct calls).
     pub fn send(&mut self, dst: NodeId, msg: N::Msg) {
-        self.port.send_from(self.node, dst, msg, Dur::ZERO);
-    }
-
-    /// Send with extra local serialization delay before the wire.
-    pub fn send_after(&mut self, dst: NodeId, msg: N::Msg, extra: Dur) {
-        self.port.send_from(self.node, dst, msg, extra);
+        self.port.send_from(self.node, dst, msg);
     }
 
     /// Send `msg` on the one-sided (RDMA-style) path. On fabrics with
@@ -140,27 +124,8 @@ impl<'a, N: NodeBehavior + ?Sized> Ctx<'a, N> {
         self.port.complete_op_after(self.node, reply, delay);
     }
 
-    /// True if this node's program is parked on an op.
-    pub fn op_parked(&self) -> bool {
-        self.port.op_parked(self.node)
-    }
-
     /// Arrange for `on_timer(token)` on this node after `delay`.
     pub fn set_timer(&mut self, delay: Dur, token: u64) {
         self.port.set_timer_on(self.node, delay, token);
-    }
-
-    /// Record a pseudo message in the traffic stats without sending
-    /// anything (used to account for piggybacked payloads).
-    pub fn account(&mut self, id: KindId, kind: &'static str, bytes: usize) {
-        self.port.account(id, kind, bytes);
-    }
-
-    /// True if the transport's failure detector currently suspects
-    /// `node` of having failed (consecutive retransmission timeouts
-    /// with no ack — the only signal a silent partition leaves). Always
-    /// false on the raw kernel transport.
-    pub fn suspected(&self, node: NodeId) -> bool {
-        self.port.is_suspect(node)
     }
 }

@@ -7,7 +7,7 @@
 
 use crate::msg::{Piggy, ProtoMsg};
 use dsm_mem::{FrameTable, GlobalAddr, PageId};
-use dsm_net::{CostModel, Dur, NodeId};
+use dsm_net::{CostModel, NodeId};
 use dsm_sync::{LockId, SyncEnvelope};
 
 /// Hard ceiling on the multi-page fault pipeline depth (demand page +
@@ -18,31 +18,27 @@ pub const MAX_BATCH_DEPTH: usize = 8;
 /// Transport + environment a protocol sees (implemented by the runtime
 /// over the simulator context).
 pub trait ProtoIo {
-    /// This node.
-    fn me(&self) -> NodeId;
-    /// Total nodes in the run.
-    fn nodes(&self) -> u32;
-    /// Cost model (for charging local work where relevant).
+    /// Send `msg` to `dst`.
     fn send(&mut self, dst: NodeId, msg: ProtoMsg);
     /// Send `msg` as a one-sided operation: on fabrics with one-sided
-    /// support it is served by the destination's NIC (delivered to
-    /// [`Protocol::on_nic`] without scheduling the destination's
-    /// protocol thread); everywhere else — older cost models, or a
-    /// reliable transport interposed by a fault plan — it degrades to
-    /// an ordinary [`ProtoIo::send`] and arrives via
-    /// [`Protocol::on_message`]. Protocols that use this must therefore
-    /// implement the same request handling in both hooks.
+    /// support it is served by the destination's NIC (delivered without
+    /// scheduling the destination's protocol thread, and announced
+    /// there by [`ProtoIo::nic_delivery`]); everywhere else — older
+    /// cost models, or a reliable transport interposed by a fault plan
+    /// — it degrades to an ordinary [`ProtoIo::send`]. Either way it
+    /// arrives at [`Protocol::on_message`].
     fn send_one_sided(&mut self, dst: NodeId, msg: ProtoMsg) {
         self.send(dst, msg);
     }
-    /// The cost model in effect.
-    fn model(&self) -> &CostModel;
-    /// Whether the transport's failure detector currently suspects
-    /// `node` of having failed (consecutive retransmission timeouts
-    /// with no ack). Always `false` on transports without a detector.
-    fn suspected(&self, _node: NodeId) -> bool {
+    /// True while the message being handled arrived as a NIC-level
+    /// delivery: the kernel charged no software receive overhead for
+    /// it, so the handler must stay a thin remote-memory service
+    /// (serve a read, complete a fetch).
+    fn nic_delivery(&self) -> bool {
         false
     }
+    /// The cost model in effect.
+    fn model(&self) -> &CostModel;
 }
 
 /// Per-destination send coalescer: buffers every `send` and, on
@@ -85,12 +81,6 @@ impl Drop for BatchingIo<'_> {
 }
 
 impl ProtoIo for BatchingIo<'_> {
-    fn me(&self) -> NodeId {
-        self.inner.me()
-    }
-    fn nodes(&self) -> u32 {
-        self.inner.nodes()
-    }
     fn send(&mut self, dst: NodeId, msg: ProtoMsg) {
         debug_assert!(
             !matches!(msg, ProtoMsg::Batch(..)),
@@ -107,11 +97,11 @@ impl ProtoIo for BatchingIo<'_> {
         // protocol thread); they pass straight through.
         self.inner.send_one_sided(dst, msg);
     }
+    fn nic_delivery(&self) -> bool {
+        self.inner.nic_delivery()
+    }
     fn model(&self) -> &CostModel {
         self.inner.model()
-    }
-    fn suspected(&self, node: NodeId) -> bool {
-        self.inner.suspected(node)
     }
 }
 
@@ -238,29 +228,6 @@ pub trait Protocol: Send {
         events: &mut Vec<ProtoEvent>,
     );
 
-    /// A NIC-level delivery arrived: a message sent with
-    /// [`ProtoIo::send_one_sided`] on a fabric that supports one-sided
-    /// operations. The handler runs at NIC priority — the kernel
-    /// charged no software receive overhead — so it must stay a thin
-    /// remote-memory service (serve or NACK a read, complete a fetch);
-    /// protocol transactions belong in [`Protocol::on_message`]. Only
-    /// ever invoked on protocols that issue one-sided sends, hence the
-    /// panicking default.
-    fn on_nic(
-        &mut self,
-        _io: &mut dyn ProtoIo,
-        _mem: &mut FrameTable,
-        _from: NodeId,
-        msg: ProtoMsg,
-        _events: &mut Vec<ProtoEvent>,
-    ) {
-        panic!(
-            "protocol {} received a NIC-level delivery ({}) it does not implement",
-            self.name(),
-            dsm_net::Payload::kind(&msg)
-        );
-    }
-
     /// A previously faulted operation has now performed its access.
     fn op_retired(&mut self, _io: &mut dyn ProtoIo, _mem: &mut FrameTable) {}
 
@@ -343,13 +310,6 @@ pub trait Protocol: Send {
             .collect()
     }
 
-    /// Local cost to install a fetched page (charged by the runtime
-    /// when completing a faulted op). Protocols with heavier install
-    /// paths (diff application) may override.
-    fn install_cost(&self, model: &CostModel, page_size: usize) -> Dur {
-        model.fault_overhead + model.mem_copy(page_size)
-    }
-
     /// Instantaneous protocol-state metrics for experiment harnesses:
     /// `(gauge name, value)` pairs sampled when a run ends. LRC reports
     /// its resident causal-metadata footprint here.
@@ -359,21 +319,14 @@ pub trait Protocol: Send {
 
     // ---- object-granularity sharing -------------------------------
 
-    /// Whether this protocol implements the object hooks below. The
-    /// runtime rejects object operations on protocols that answer
-    /// `false` instead of silently misbehaving.
-    fn supports_objects(&self) -> bool {
-        false
-    }
-
     /// The application wants the current bytes of object `obj`
     /// (`write = true` additionally requests ownership, pinning the
     /// object locally until [`Protocol::obj_publish`]). Returns the
     /// bytes when they are available right now; otherwise the protocol
     /// has started a fetch and must eventually emit
     /// [`ProtoEvent::ObjReady`] for `obj`, at which point the runtime
-    /// retries. Only called on protocols with
-    /// [`Protocol::supports_objects`].
+    /// retries. Only protocols whose row says
+    /// [`crate::Facts::object_ops`] answer; the rest refuse.
     fn obj_fetch(&mut self, _io: &mut dyn ProtoIo, _obj: u32, _write: bool) -> Option<&[u8]> {
         panic!(
             "protocol {} does not support object operations",
@@ -384,8 +337,7 @@ pub trait Protocol: Send {
     /// The application finished mutating `obj` (acquired earlier via
     /// `obj_fetch(obj, true)`): install the new image and unpin the
     /// object, letting queued remote requests drain. Always
-    /// synchronous. Only called on protocols with
-    /// [`Protocol::supports_objects`].
+    /// synchronous. Same refusal as [`Protocol::obj_fetch`].
     fn obj_publish(&mut self, _io: &mut dyn ProtoIo, _obj: u32, _data: &[u8]) {
         panic!(
             "protocol {} does not support object operations",
@@ -412,16 +364,6 @@ pub trait Protocol: Send {
     /// not a timeout-based suspicion). Replicated protocols drop the
     /// peer from their live set and re-route pending quorums.
     fn on_peer_down(
-        &mut self,
-        _io: &mut dyn ProtoIo,
-        _mem: &mut FrameTable,
-        _peer: NodeId,
-        _events: &mut Vec<ProtoEvent>,
-    ) {
-    }
-
-    /// The kernel announced that `peer` recovered.
-    fn on_peer_up(
         &mut self,
         _io: &mut dyn ProtoIo,
         _mem: &mut FrameTable,

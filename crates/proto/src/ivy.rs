@@ -816,8 +816,9 @@ impl Protocol for Ivy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsm_mem::PageGeometry;
-    use dsm_mem::Placement;
+    use crate::fake_io::FakeIo;
+    use dsm_mem::{PageGeometry, Placement};
+    use dsm_net::CostModel;
 
     #[test]
     fn initial_ownership_follows_layout() {
@@ -833,23 +834,11 @@ mod tests {
         let layout = SpaceLayout::new(PageGeometry::new(256), 256 * 2, Placement::Cyclic, 2);
         let mut ivy = Ivy::new(ManagerScheme::Fixed, NodeId(0), layout);
         let mut mem = FrameTable::new(layout.geometry);
-        struct NoIo;
-        impl ProtoIo for NoIo {
-            fn me(&self) -> NodeId {
-                NodeId(0)
-            }
-            fn nodes(&self) -> u32 {
-                2
-            }
-            fn send(&mut self, _dst: NodeId, _msg: ProtoMsg) {
-                panic!("no messages expected for local first touch");
-            }
-            fn model(&self) -> &dsm_net::CostModel {
-                unreachable!()
-            }
-        }
-        assert!(ivy.read_fault_batch(&mut NoIo, &mut mem, &[PageId(0)]).0);
+        // A local first touch needs no message.
+        let mut io = FakeIo::new(CostModel::lan_1992());
+        assert!(ivy.read_fault_batch(&mut io, &mut mem, &[PageId(0)]).0);
         assert!(mem.access(PageId(0)).allows_write());
-        assert!(ivy.write_fault(&mut NoIo, &mut mem, PageId(0)));
+        assert!(ivy.write_fault(&mut io, &mut mem, PageId(0)));
+        assert!(io.sent.is_empty());
     }
 }

@@ -11,16 +11,20 @@
 //! | [`ProtocolKind::Erc`] | eager release consistency | twin/diff multiple writers, flush-on-release (Munin) |
 //! | [`ProtocolKind::Lrc`] | lazy release consistency | vector timestamps, intervals, write notices, lazy diffs (TreadMarks) |
 //! | [`ProtocolKind::Entry`] | entry consistency | data bound to locks, updates ride grants (Midway) |
-//! | [`ProtocolKind::Scabd`] | sequential consistency | majority-replicated pages, two-phase ABD quorums, serves through node death (SC-ABD) |
+//! | [`ProtocolKind::Scabd`] | sequential consistency per page | majority-replicated pages, two-phase ABD quorums, serves through node death (SC-ABD) |
+//! | [`ProtocolKind::Rdma`] | sequential consistency | home-based write-invalidate, read faults served one-sided by the home's NIC |
 //! | [`ProtocolKind::Obj`] | entry consistency at object granularity | per-object directory, ownership moves with mutation, replicas self-invalidate at sync entries |
 //!
 //! Every protocol implements [`Protocol`]: faults and sync hooks in,
 //! [`ProtoMsg`] messages and [`ProtoEvent`]s out. The runtime in
-//! `dsm-core` owns the frame table and the event plumbing.
+//! `dsm-core` owns the frame table and the event plumbing. What a
+//! protocol needs, offers and promises is one [`Facts`] row
+//! ([`ProtocolKind::facts`]) that everything else asks.
 
 mod api;
 mod entry;
 mod erc;
+mod fake_io;
 mod ivy;
 mod kind;
 mod lrc;
@@ -35,7 +39,7 @@ pub use api::{BatchingIo, ProtoEvent, ProtoIo, Protocol, WriteOutcome, MAX_BATCH
 pub use entry::{Entry, EntryBinding};
 pub use erc::Erc;
 pub use ivy::{Ivy, ManagerScheme};
-pub use kind::{ProtoOpts, ProtocolKind};
+pub use kind::{Can, Consistency, CrashContract, Facts, ProtoOpts, ProtocolKind};
 pub use lrc::Lrc;
 pub use migrate::Migrate;
 pub use msg::{EntryUpdateLog, Piggy, ProtoMsg};

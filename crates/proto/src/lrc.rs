@@ -1081,6 +1081,7 @@ impl Protocol for Lrc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fake_io::FakeIo;
     use dsm_mem::{PageGeometry, Placement};
     use dsm_net::{CostModel, XorShift64};
     use std::cell::Cell;
@@ -1289,32 +1290,12 @@ mod tests {
 
     // ---- residency accounting ----
 
-    struct Outbox {
-        me: NodeId,
-        model: CostModel,
-        sent: Vec<(NodeId, ProtoMsg)>,
-    }
-
-    impl ProtoIo for Outbox {
-        fn me(&self) -> NodeId {
-            self.me
-        }
-        fn nodes(&self) -> u32 {
-            2
-        }
-        fn send(&mut self, dst: NodeId, msg: ProtoMsg) {
-            self.sent.push((dst, msg));
-        }
-        fn model(&self) -> &CostModel {
-            &self.model
-        }
-    }
-
     /// One node of a two-node fleet driven by hand.
     struct Node {
+        me: NodeId,
         lrc: Lrc,
         mem: FrameTable,
-        io: Outbox,
+        io: FakeIo,
     }
 
     const PAGE: usize = 64;
@@ -1324,13 +1305,10 @@ mod tests {
             let geometry = PageGeometry::new(PAGE);
             let layout = SpaceLayout::new(geometry, 4 * PAGE, Placement::Cyclic, 2);
             let mut node = Node {
+                me: NodeId(me),
                 lrc: Lrc::new(NodeId(me), layout),
                 mem: FrameTable::new(geometry),
-                io: Outbox {
-                    me: NodeId(me),
-                    model: CostModel::lan_1992(),
-                    sent: Vec::new(),
-                },
+                io: FakeIo::new(CostModel::lan_1992()),
             };
             node.lrc.on_start(&mut node.io, &mut node.mem);
             node
@@ -1339,7 +1317,7 @@ mod tests {
         /// The running count against the tables, whatever the build.
         fn resident(&self) -> u64 {
             let counted = self.lrc.resident_epoch + self.lrc.resident_flushed;
-            assert_eq!(counted, self.lrc.recount_resident_bytes(), "{}", self.io.me);
+            assert_eq!(counted, self.lrc.recount_resident_bytes(), "{}", self.me);
             assert_eq!(counted, self.lrc.resident_bytes());
             counted
         }
@@ -1371,15 +1349,15 @@ mod tests {
                 return;
             }
             for (dst, msg) in from_a {
-                assert_eq!(dst, b.io.me);
+                assert_eq!(dst, b.me);
                 b.lrc
-                    .on_message(&mut b.io, &mut b.mem, a.io.me, msg, &mut events);
+                    .on_message(&mut b.io, &mut b.mem, a.me, msg, &mut events);
                 b.resident();
             }
             for (dst, msg) in from_b {
-                assert_eq!(dst, a.io.me);
+                assert_eq!(dst, a.me);
                 a.lrc
-                    .on_message(&mut a.io, &mut a.mem, b.io.me, msg, &mut events);
+                    .on_message(&mut a.io, &mut a.mem, b.me, msg, &mut events);
                 a.resident();
             }
         }

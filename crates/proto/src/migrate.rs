@@ -253,30 +253,20 @@ impl Protocol for Migrate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fake_io::FakeIo;
     use dsm_mem::{PageGeometry, Placement};
+    use dsm_net::CostModel;
 
     #[test]
     fn resident_pages_never_fault() {
         let layout = SpaceLayout::new(PageGeometry::new(256), 256 * 4, Placement::Cyclic, 2);
         let mut m = Migrate::new(NodeId(1), layout);
         let mut mem = FrameTable::new(layout.geometry);
-        struct NoIo;
-        impl ProtoIo for NoIo {
-            fn me(&self) -> NodeId {
-                NodeId(1)
-            }
-            fn nodes(&self) -> u32 {
-                2
-            }
-            fn send(&mut self, _: NodeId, _: ProtoMsg) {
-                panic!("no message expected");
-            }
-            fn model(&self) -> &dsm_net::CostModel {
-                unreachable!()
-            }
-        }
-        assert!(m.read_fault_batch(&mut NoIo, &mut mem, &[PageId(1)]).0);
-        assert!(m.write_fault(&mut NoIo, &mut mem, PageId(3)));
+        // Resident pages need no message.
+        let mut io = FakeIo::new(CostModel::lan_1992());
+        assert!(m.read_fault_batch(&mut io, &mut mem, &[PageId(1)]).0);
+        assert!(m.write_fault(&mut io, &mut mem, PageId(3)));
         assert!(mem.access(PageId(1)).allows_write());
+        assert!(io.sent.is_empty());
     }
 }

@@ -464,10 +464,6 @@ impl Protocol for Obj {
         self.core.sync_arrive(io, mem, piggy);
     }
 
-    fn supports_objects(&self) -> bool {
-        true
-    }
-
     fn obj_fetch(&mut self, io: &mut dyn ProtoIo, obj: u32, write: bool) -> Option<&[u8]> {
         let hit = if write {
             self.owned.contains(&obj)
@@ -538,36 +534,12 @@ impl Protocol for Obj {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fake_io::FakeIo;
     use dsm_mem::{GlobalAddr, ObjRecord, PageGeometry, Placement};
     use dsm_net::CostModel;
 
-    struct TestIo {
-        me: NodeId,
-        sent: Vec<(NodeId, ProtoMsg)>,
-        model: CostModel,
-    }
-
-    impl ProtoIo for TestIo {
-        fn me(&self) -> NodeId {
-            self.me
-        }
-        fn nodes(&self) -> u32 {
-            3
-        }
-        fn send(&mut self, dst: NodeId, msg: ProtoMsg) {
-            self.sent.push((dst, msg));
-        }
-        fn model(&self) -> &CostModel {
-            &self.model
-        }
-    }
-
-    fn io(me: u32) -> TestIo {
-        TestIo {
-            me: NodeId(me),
-            sent: Vec::new(),
-            model: CostModel::lan_1992(),
-        }
+    fn io() -> FakeIo {
+        FakeIo::new(CostModel::lan_1992())
     }
 
     /// 3 nodes; objects 0/1/2 of 16 bytes homed at nodes 0/1/2.
@@ -587,7 +559,7 @@ mod tests {
         let layout = SpaceLayout::new(PageGeometry::new(64), 256, Placement::Cyclic, 3);
         let mut p = Obj::new(NodeId(me), layout, &[], table());
         let mut mem = FrameTable::new(layout.geometry);
-        let mut i = io(me);
+        let mut i = io();
         p.on_start(&mut i, &mut mem);
         assert!(i.sent.is_empty());
         (p, mem)
@@ -596,7 +568,7 @@ mod tests {
     fn deliver(
         p: &mut Obj,
         mem: &mut FrameTable,
-        i: &mut TestIo,
+        i: &mut FakeIo,
         from: u32,
         msg: ProtoMsg,
     ) -> Vec<ProtoEvent> {
@@ -608,7 +580,7 @@ mod tests {
     #[test]
     fn homed_objects_start_owned_zeroed_and_fetch_locally() {
         let (mut p, _mem) = setup(1);
-        let mut i = io(1);
+        let mut i = io();
         // Owned: write fetch hits locally and pins.
         let bytes = p.obj_fetch(&mut i, 1, true).expect("home owns its objects");
         assert_eq!(bytes, &[0u8; 16]);
@@ -630,7 +602,7 @@ mod tests {
     #[test]
     fn write_fetch_transfers_ownership_from_the_home() {
         let (mut p, mut mem) = setup(1);
-        let mut i = io(1);
+        let mut i = io();
         assert!(p.obj_fetch(&mut i, 0, true).is_none());
         assert!(matches!(
             &i.sent[..],
@@ -667,7 +639,7 @@ mod tests {
     #[test]
     fn home_serves_writes_and_chains_consecutive_writers() {
         let (mut p, mut mem) = setup(0);
-        let mut i = io(0);
+        let mut i = io();
         // Writer 1 asks the home: served directly (home owns), and the
         // home forgets the image.
         let ev = deliver(
@@ -732,7 +704,7 @@ mod tests {
     #[test]
     fn read_requests_replicate_without_moving_ownership() {
         let (mut p, mut mem) = setup(0);
-        let mut i = io(0);
+        let mut i = io();
         deliver(
             &mut p,
             &mut mem,
@@ -755,14 +727,14 @@ mod tests {
             )]
         ));
         // Home still owns and serves further readers.
-        assert!(p.obj_fetch(&mut io(0), 0, false).is_some());
+        assert!(p.obj_fetch(&mut io(), 0, false).is_some());
         assert_eq!(p.gauges()[1], ("obj_replicas", 1));
     }
 
     #[test]
     fn pinned_objects_defer_remote_requests_until_publish() {
         let (mut p, mut mem) = setup(0);
-        let mut i = io(0);
+        let mut i = io();
         p.obj_fetch(&mut i, 0, true).expect("home owns");
         // A remote write request arrives mid-mutation: deferred.
         let ev = deliver(
@@ -799,7 +771,7 @@ mod tests {
         // Node 1 is neither owner of obj 0 nor expecting it; a read
         // forward that chased a moved ownership bounces home.
         let (mut p, mut mem) = setup(1);
-        let mut i = io(1);
+        let mut i = io();
         let ev = deliver(
             &mut p,
             &mut mem,
@@ -829,7 +801,7 @@ mod tests {
     #[test]
     fn lock_release_piggybacks_only_objects_dirtied_under_the_lock() {
         let (mut p, mut mem) = setup(0);
-        let mut i = io(0);
+        let mut i = io();
         // Acquire lock 7 (first ever: nothing rides the grant).
         p.on_acquired(&mut i, &mut mem, 7, Piggy::None);
         // Mutate obj 0 under the lock; obj 1 stays untouched.
@@ -855,7 +827,7 @@ mod tests {
         }
         // The receiver installs the image as a replica...
         let (mut p2, mut mem2) = setup(2);
-        let mut i2 = io(2);
+        let mut i2 = io();
         p2.on_acquired(&mut i2, &mut mem2, 7, granted);
         assert_eq!(p2.obj_fetch(&mut i2, 0, false), Some(&[42u8; 16][..]));
         assert!(i2.sent.is_empty());
@@ -875,7 +847,7 @@ mod tests {
     #[test]
     fn replicas_self_invalidate_at_sync_entries() {
         let (mut p, mut mem) = setup(1);
-        let mut i = io(1);
+        let mut i = io();
         // Install a read replica of obj 0.
         p.obj_fetch(&mut i, 0, false);
         deliver(

@@ -597,11 +597,15 @@ impl Protocol for Rdma {
         events: &mut Vec<ProtoEvent>,
     ) {
         match msg {
-            // Software fallback for the one-sided pair: identical
-            // logic, ordinary delivery (fabrics without one-sided
-            // support, or a reliable transport under a fault plan).
+            // The one-sided pair: delivered by the NIC on fabrics with
+            // one-sided support, by ordinary software delivery anywhere
+            // else (or under a fault plan's reliable transport). Same
+            // logic either way; only the NIC's serves are counted.
             ProtoMsg::RdmaRead { pages } => {
-                self.serve_read(io, mem, from, pages, events);
+                let served = self.serve_read(io, mem, from, pages, events);
+                if io.nic_delivery() {
+                    self.nic_reads += served;
+                }
             }
             ProtoMsg::RdmaData { pages } => {
                 for (p, d) in pages {
@@ -740,31 +744,6 @@ impl Protocol for Rdma {
         }
     }
 
-    fn on_nic(
-        &mut self,
-        io: &mut dyn ProtoIo,
-        mem: &mut FrameTable,
-        from: NodeId,
-        msg: ProtoMsg,
-        events: &mut Vec<ProtoEvent>,
-    ) {
-        match msg {
-            ProtoMsg::RdmaRead { pages } => {
-                let served = self.serve_read(io, mem, from, pages, events);
-                self.nic_reads += served;
-            }
-            ProtoMsg::RdmaData { pages } => {
-                for (p, d) in pages {
-                    self.complete_fetch(io, mem, p, d, events);
-                }
-            }
-            other => panic!(
-                "rdma got unexpected NIC-level message {}",
-                dsm_net::Payload::kind(&other)
-            ),
-        }
-    }
-
     fn op_retired(&mut self, io: &mut dyn ProtoIo, mem: &mut FrameTable) {
         // Recalls that beat their grant here wait for this moment: the
         // parked write has now performed, so the page can go back (and
@@ -832,43 +811,26 @@ impl Protocol for Rdma {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fake_io::FakeIo;
     use dsm_mem::{PageGeometry, Placement};
     use dsm_net::CostModel;
 
-    struct TestIo {
-        me: NodeId,
-        n: u32,
-        model: CostModel,
-        sent: Vec<(NodeId, ProtoMsg)>,
-        one_sided: Vec<(NodeId, ProtoMsg)>,
+    fn io() -> FakeIo {
+        FakeIo::new(CostModel::rdma_modern())
     }
 
-    impl ProtoIo for TestIo {
-        fn me(&self) -> NodeId {
-            self.me
-        }
-        fn nodes(&self) -> u32 {
-            self.n
-        }
-        fn send(&mut self, dst: NodeId, msg: ProtoMsg) {
-            self.sent.push((dst, msg));
-        }
-        fn send_one_sided(&mut self, dst: NodeId, msg: ProtoMsg) {
-            self.one_sided.push((dst, msg));
-        }
-        fn model(&self) -> &CostModel {
-            &self.model
-        }
-    }
-
-    fn io(me: u32) -> TestIo {
-        TestIo {
-            me: NodeId(me),
-            n: 3,
-            model: CostModel::rdma_modern(),
-            sent: Vec::new(),
-            one_sided: Vec::new(),
-        }
+    /// Hand `msg` to `p` as the NIC would.
+    fn nic_delivers(
+        p: &mut Rdma,
+        io: &mut FakeIo,
+        mem: &mut FrameTable,
+        from: NodeId,
+        msg: ProtoMsg,
+        events: &mut Vec<ProtoEvent>,
+    ) {
+        io.nic = true;
+        p.on_message(io, mem, from, msg, events);
+        io.nic = false;
     }
 
     /// 3 nodes, 64-byte pages, 4 pages homed cyclically (page p → node
@@ -877,7 +839,7 @@ mod tests {
         let layout = SpaceLayout::new(PageGeometry::new(64), 256, Placement::Cyclic, 3);
         let mut p = Rdma::new(NodeId(me), layout);
         let mut mem = FrameTable::new(layout.geometry);
-        let mut i = io(me);
+        let mut i = io();
         p.on_start(&mut i, &mut mem);
         (p, mem)
     }
@@ -885,9 +847,10 @@ mod tests {
     #[test]
     fn nic_read_serves_quiescent_master_one_sided() {
         let (mut p, mut mem) = setup(0);
-        let mut i = io(0);
+        let mut i = io();
         let mut ev = Vec::new();
-        p.on_nic(
+        nic_delivers(
+            &mut p,
             &mut i,
             &mut mem,
             NodeId(1),
@@ -908,7 +871,7 @@ mod tests {
     #[test]
     fn nic_read_of_a_checked_out_page_queues_and_recalls_the_writer() {
         let (mut p, mut mem) = setup(0);
-        let mut i = io(0);
+        let mut i = io();
         let mut ev = Vec::new();
         // Node 1 checks page 0 out for writing (no copies: instant
         // grant with data).
@@ -937,7 +900,8 @@ mod tests {
         // queues in software and the pump recalls the writer, naming
         // the reader for direct service — no NACK leg back to the
         // requester, and no NIC-read gauge credit.
-        p.on_nic(
+        nic_delivers(
+            &mut p,
             &mut i,
             &mut mem,
             NodeId(2),
@@ -992,10 +956,11 @@ mod tests {
     #[test]
     fn write_grant_revokes_registered_readers_first() {
         let (mut p, mut mem) = setup(0);
-        let mut i = io(0);
+        let mut i = io();
         let mut ev = Vec::new();
         // Register node 2 as a reader via the NIC path.
-        p.on_nic(
+        nic_delivers(
+            &mut p,
             &mut i,
             &mut mem,
             NodeId(2),
@@ -1042,7 +1007,7 @@ mod tests {
     fn stale_one_sided_data_is_discarded_and_refetched() {
         // Node 1 fetches page 0 (homed at node 0) one-sided.
         let (mut p, mut mem) = setup(1);
-        let mut i = io(1);
+        let mut i = io();
         let (resolved, issued) = p.read_fault_batch(&mut i, &mut mem, &[PageId(0)]);
         assert!(!resolved && issued.is_empty());
         assert!(matches!(
@@ -1068,7 +1033,8 @@ mod tests {
         ));
         i.sent.clear();
         // The stale bytes arrive: discarded, refetched two-sided.
-        p.on_nic(
+        nic_delivers(
+            &mut p,
             &mut i,
             &mut mem,
             NodeId(0),
@@ -1101,7 +1067,7 @@ mod tests {
     #[test]
     fn recall_writes_back_and_keeps_a_read_copy() {
         let (mut p, mut mem) = setup(1);
-        let mut i = io(1);
+        let mut i = io();
         // Node 1 holds page 0 exclusively. A legacy recall (requester =
         // home: the home's own parked op wants the page) writes back
         // without any direct service.
@@ -1130,7 +1096,7 @@ mod tests {
     #[test]
     fn read_recall_serves_the_requester_directly_while_writing_back() {
         let (mut p, mut mem) = setup(1);
-        let mut i = io(1);
+        let mut i = io();
         // Node 1 holds page 0 exclusively; the home recalls it for
         // reader 2: the data goes straight to 2, the writeback to the
         // home, and we keep a read copy.
@@ -1161,7 +1127,7 @@ mod tests {
     #[test]
     fn write_recall_forwards_ownership_directly() {
         let (mut p, mut mem) = setup(1);
-        let mut i = io(1);
+        let mut i = io();
         // Node 1 holds page 0 exclusively; the home recalls it for
         // writer 2: ownership (with data) goes straight to 2, the
         // writeback to the home, and our copy dies with the checkout.
@@ -1197,7 +1163,7 @@ mod tests {
     #[test]
     fn home_closes_a_direct_write_forward_without_regranting() {
         let (mut p, mut mem) = setup(0);
-        let mut i = io(0);
+        let mut i = io();
         let mut ev = Vec::new();
         // Node 1 checks page 0 out for writing.
         p.on_message(
@@ -1271,7 +1237,7 @@ mod tests {
     #[test]
     fn recall_that_beats_its_grant_is_answered_after_the_write_performs() {
         let (mut p, mut mem) = setup(1);
-        let mut i = io(1);
+        let mut i = io();
         // Node 1 write-faults page 0 (homed at node 0).
         assert!(!p.write_fault(&mut i, &mut mem, PageId(0)));
         assert!(matches!(
@@ -1323,7 +1289,7 @@ mod tests {
     #[test]
     fn sync_departure_releases_the_homes_own_write_lease() {
         let (mut p, mut mem) = setup(0);
-        let mut i = io(0);
+        let mut i = io();
         assert!(p.write_fault(&mut i, &mut mem, PageId(0)));
         p.op_retired(&mut i, &mut mem);
         assert_eq!(mem.access(PageId(0)), Access::Write);
@@ -1332,7 +1298,8 @@ mod tests {
         assert!(matches!(p.sync_depart(&mut i, &mut mem), Piggy::None));
         assert_eq!(mem.access(PageId(0)), Access::Read);
         let mut ev = Vec::new();
-        p.on_nic(
+        nic_delivers(
+            &mut p,
             &mut i,
             &mut mem,
             NodeId(1),
@@ -1348,7 +1315,7 @@ mod tests {
     #[test]
     fn home_write_fault_resolves_synchronously_when_unshared() {
         let (mut p, mut mem) = setup(0);
-        let mut i = io(0);
+        let mut i = io();
         // Page 0 is homed here, no readers registered: instant upgrade.
         assert!(p.write_fault(&mut i, &mut mem, PageId(0)));
         assert_eq!(mem.access(PageId(0)), Access::Write);
@@ -1358,7 +1325,8 @@ mod tests {
         // place and serves the reader two-sided — no NACK, no NIC
         // credit.
         let mut ev = Vec::new();
-        p.on_nic(
+        nic_delivers(
+            &mut p,
             &mut i,
             &mut mem,
             NodeId(2),

@@ -635,41 +635,15 @@ impl Protocol for Scabd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fake_io::FakeIo;
     use dsm_mem::{PageGeometry, Placement};
     use dsm_net::CostModel;
-
-    struct FakeIo {
-        me: NodeId,
-        nodes: u32,
-        model: CostModel,
-        sent: Vec<(NodeId, ProtoMsg)>,
-    }
-
-    impl ProtoIo for FakeIo {
-        fn me(&self) -> NodeId {
-            self.me
-        }
-        fn nodes(&self) -> u32 {
-            self.nodes
-        }
-        fn send(&mut self, dst: NodeId, msg: ProtoMsg) {
-            self.sent.push((dst, msg));
-        }
-        fn model(&self) -> &CostModel {
-            &self.model
-        }
-    }
 
     fn harness(nnodes: u32) -> (Scabd, FakeIo, FrameTable) {
         let g = PageGeometry::new(64);
         let layout = SpaceLayout::new(g, 8, Placement::Cyclic, nnodes);
         let p = Scabd::new(NodeId(0), layout);
-        let io = FakeIo {
-            me: NodeId(0),
-            nodes: nnodes,
-            model: CostModel::lan_1992(),
-            sent: Vec::new(),
-        };
+        let io = FakeIo::new(CostModel::lan_1992());
         (p, io, FrameTable::new(g))
     }
 

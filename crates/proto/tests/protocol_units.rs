@@ -6,38 +6,23 @@ use dsm_mem::{Access, FrameTable, PageGeometry, Placement, SpaceLayout};
 use dsm_net::{CostModel, NodeId};
 use dsm_proto::{ProtoEvent, ProtoIo, ProtoMsg, Protocol, ProtocolKind, Update};
 
-/// Captures sends.
-struct FakeIo {
-    me: NodeId,
-    n: u32,
-    model: CostModel,
-    sent: Vec<(NodeId, &'static str)>,
+// The crate's one fake `ProtoIo` (it is `#[cfg(test)]` there, so it
+// reaches this binary by path; its `crate::` names resolve to the
+// imports above).
+#[path = "../src/fake_io.rs"]
+mod fake_io;
+use fake_io::FakeIo;
+
+fn fake_io() -> FakeIo {
+    FakeIo::new(CostModel::lan_1992())
 }
 
-impl FakeIo {
-    fn new(me: u32, n: u32) -> Self {
-        FakeIo {
-            me: NodeId(me),
-            n,
-            model: CostModel::lan_1992(),
-            sent: Vec::new(),
-        }
-    }
-}
-
-impl ProtoIo for FakeIo {
-    fn me(&self) -> NodeId {
-        self.me
-    }
-    fn nodes(&self) -> u32 {
-        self.n
-    }
-    fn send(&mut self, dst: NodeId, msg: ProtoMsg) {
-        self.sent.push((dst, dsm_net::Payload::kind(&msg)));
-    }
-    fn model(&self) -> &CostModel {
-        &self.model
-    }
+/// Where each captured send went, and its kind.
+fn sent_kinds(io: &FakeIo) -> Vec<(NodeId, &'static str)> {
+    io.sent
+        .iter()
+        .map(|(dst, msg)| (*dst, dsm_net::Payload::kind(msg)))
+        .collect()
 }
 
 fn layout(nnodes: u32) -> SpaceLayout {
@@ -52,7 +37,7 @@ fn update_detects_reordered_stream() {
     let l = layout(2);
     let mut u = Update::new(NodeId(1), l);
     let mut mem = FrameTable::new(l.geometry);
-    let mut io = FakeIo::new(1, 2);
+    let mut io = fake_io();
     let mut events = Vec::new();
     // Fault in a copy at seq 0, then receive an update with seq 2
     // (gap: seq 1 lost).
@@ -92,12 +77,12 @@ fn update_fetch_grants_read_only() {
     let l = layout(2);
     let mut u = Update::new(NodeId(1), l);
     let mut mem = FrameTable::new(l.geometry);
-    let mut io = FakeIo::new(1, 2);
+    let mut io = fake_io();
     assert!(
         !u.read_fault_batch(&mut io, &mut mem, &[dsm_mem::PageId(0)])
             .0
     );
-    assert_eq!(io.sent, vec![(NodeId(0), "FetchReq")]);
+    assert_eq!(sent_kinds(&io), vec![(NodeId(0), "FetchReq")]);
     let mut events = Vec::new();
     u.on_message(
         &mut io,
@@ -129,7 +114,7 @@ fn protocols_reject_foreign_messages() {
     ] {
         let mut p = kind.build(NodeId(0), l, &[]);
         let mut mem = FrameTable::new(l.geometry);
-        let mut io = FakeIo::new(0, 2);
+        let mut io = fake_io();
         let mut events = Vec::new();
         // A message no protocol shares with another family: pick one
         // not in `kind`'s vocabulary.
@@ -142,14 +127,4 @@ fn protocols_reject_foreign_messages() {
         }));
         assert!(r.is_err(), "{} accepted a foreign message", kind.name());
     }
-}
-
-/// Protocol install costs scale with page size (used for fault-time
-/// accounting by the runtime).
-#[test]
-fn install_cost_scales_with_page_size() {
-    let l = layout(2);
-    let p = ProtocolKind::Lrc.build(NodeId(0), l, &[]);
-    let m = CostModel::lan_1992();
-    assert!(p.install_cost(&m, 8192) > p.install_cost(&m, 1024));
 }

@@ -20,6 +20,7 @@ use dsm_net::{
 use dsm_proto::{Piggy, ProtoMsg};
 use dsm_sync::{SyncEnvelope, SyncMsg};
 use std::fmt::Debug;
+use std::sync::Arc;
 
 fn round_trip<T: Wire + PartialEq + Debug>(v: &T) {
     let mut bytes = Vec::new();
@@ -50,13 +51,13 @@ fn rec() -> WireIntervalRecord {
     let mut vc = VClock::new(4);
     vc.set(1, 5);
     vc.set(3, 2);
-    WireIntervalRecord::compress(
+    WireIntervalRecord::against(
         &IntervalRecord {
             id: IntervalId::new(NodeId(1), 5),
             vc,
             pages: vec![PageId(0), PageId(9)],
         },
-        &VClock::new(4),
+        &Arc::new(VClock::new(4)),
     )
 }
 
@@ -64,7 +65,7 @@ fn delta() -> VClockDelta {
     let mut vc = VClock::new(3);
     vc.set(0, 2);
     vc.set(2, 8);
-    VClockDelta::encode(&vc, &VClock::new(3))
+    VClockDelta::against(&vc, &Arc::new(VClock::new(3)))
 }
 
 /// Every `ProtoMsg` variant, with representative payloads (including `None`/empty cases where the encoding has an

@@ -1,11 +1,11 @@
 //! Distributed barriers: centralized manager and k-ary combining tree.
 //!
 //! The barrier is also a consistency point for most DSM protocols, so
-//! arrivals carry per-node piggybacks up to the root, the embedding
-//! runtime merges them there (protocol-specific), and per-node payloads
-//! flow back down with the release.
+//! arrivals carry per-node piggybacks up to the root, the engine's
+//! [`SyncHost`] merges them there (protocol-specific), and per-node
+//! payloads flow back down with the release.
 
-use crate::msg::{BarrierId, SyncEnvelope, SyncIo, SyncMsg, SyncPiggy};
+use crate::msg::{BarrierId, SyncEnvelope, SyncHost, SyncMsg, SyncPiggy};
 use dsm_net::{NodeId, NodeSet};
 use std::collections::{BTreeSet, HashMap};
 
@@ -17,19 +17,6 @@ pub enum BarrierKind {
     /// Combining tree with the given arity (≥ 2); arrivals combine on
     /// the way up, releases fan out on the way down.
     Tree(u32),
-}
-
-/// Events the engine reports to the embedding runtime.
-#[derive(Debug)]
-pub enum BarrierEvent<P> {
-    /// Root only: everyone has arrived. Merge the contributions and
-    /// call [`BarrierEngine::release`] with one payload per node.
-    AllArrived {
-        id: BarrierId,
-        contributions: Vec<SyncEnvelope<P>>,
-    },
-    /// This node has been released from the barrier with `piggy`.
-    Released { id: BarrierId, piggy: P },
 }
 
 #[derive(Debug)]
@@ -125,25 +112,15 @@ impl<P: SyncPiggy> BarrierEngine<P> {
         }
     }
 
-    pub fn kind(&self) -> BarrierKind {
-        self.kind
-    }
-
     /// A peer crashed. Its releases may now be dropped, so remember it
     /// for the re-release replay either way; but only a *permanent*
     /// death excludes it from the expected-arrival set. A peer that
     /// will reboot is merely late — waiting for it keeps every episode
     /// fully synchronized, which is what makes a crash+recover run
     /// converge to the crash-free image by construction rather than by
-    /// timing. May complete an open barrier at the root (permanent
-    /// case), hence the io/events pair.
-    pub fn set_down(
-        &mut self,
-        io: &mut dyn SyncIo<P>,
-        node: NodeId,
-        permanent: bool,
-        events: &mut Vec<BarrierEvent<P>>,
-    ) {
+    /// timing. A permanent death may complete open barriers at the
+    /// root; `true` if that released this node.
+    pub fn set_down(&mut self, io: &mut impl SyncHost<P>, node: NodeId, permanent: bool) -> bool {
         if let BarrierKind::Tree(_) = self.kind {
             assert!(
                 self.nnodes == 1,
@@ -152,16 +129,18 @@ impl<P: SyncPiggy> BarrierEngine<P> {
         }
         self.crashed_ever.insert(node.0);
         if !permanent {
-            return;
+            return false;
         }
         self.down.insert(node.0);
         // A barrier that was only waiting on the dead node is now
         // complete. Deterministic order: sorted open ids.
         let mut ids: Vec<BarrierId> = self.state.keys().copied().collect();
         ids.sort_unstable();
+        let mut released = false;
         for id in ids {
-            self.maybe_propagate(io, id, events);
+            released |= self.maybe_propagate(io, id);
         }
+        released
     }
 
     /// A crashed peer recovered: expect its arrivals again.
@@ -172,7 +151,7 @@ impl<P: SyncPiggy> BarrierEngine<P> {
     /// Re-offers carry an empty piggyback, which is only sound for
     /// protocols whose barrier piggyback is empty; crash schedules are
     /// restricted to those (see docs/FAULTS.md).
-    pub fn set_up(&mut self, io: &mut dyn SyncIo<P>, node: NodeId) {
+    pub fn set_up(&mut self, io: &mut impl SyncHost<P>, node: NodeId) {
         self.down.remove(&node.0);
         if self.kind == BarrierKind::Central && node == NodeId(0) && self.me != NodeId(0) {
             let mut ids: Vec<BarrierId> = self
@@ -284,7 +263,7 @@ impl<P: SyncPiggy> BarrierEngine<P> {
     /// owner's message.
     fn forward_releases(
         &self,
-        io: &mut dyn SyncIo<P>,
+        io: &mut impl SyncHost<P>,
         id: BarrierId,
         releases: Vec<SyncEnvelope<P>>,
     ) {
@@ -306,34 +285,28 @@ impl<P: SyncPiggy> BarrierEngine<P> {
         }
     }
 
-    /// This node arrives at barrier `id` with `piggy`. May emit
-    /// [`BarrierEvent::AllArrived`] (root, everyone in) — never
-    /// `Released`; even the root waits for the runtime to call
-    /// [`BarrierEngine::release`].
-    pub fn arrive(
-        &mut self,
-        io: &mut dyn SyncIo<P>,
-        id: BarrierId,
-        piggy: P,
-        events: &mut Vec<BarrierEvent<P>>,
-    ) {
+    /// This node arrives at barrier `id`, with the payload the host
+    /// departs with. `true` if the arrival released it on the spot (the
+    /// root arriving last); otherwise [`Self::on_message`] or
+    /// [`Self::set_down`] will report the release.
+    pub fn arrive(&mut self, io: &mut impl SyncHost<P>, id: BarrierId) -> bool {
         let me = self.me;
+        let piggy = io.sync_depart();
         let s = self.state.entry(id).or_default();
         assert!(!s.arrived_self, "{me} arrived twice at barrier {id}");
         s.arrived_self = true;
         s.gather(SyncEnvelope::new(me, piggy));
-        self.maybe_propagate(io, id, events);
+        self.maybe_propagate(io, id)
     }
 
-    /// Root only, in response to [`BarrierEvent::AllArrived`]: release
-    /// every node with its own payload. `releases` must contain exactly
-    /// one entry per node.
-    pub fn release(
+    /// Root only, everyone in: release every node with its own payload
+    /// (`releases` must contain exactly one entry per node), this node
+    /// included — its payload goes to the host.
+    fn release(
         &mut self,
-        io: &mut dyn SyncIo<P>,
+        io: &mut impl SyncHost<P>,
         id: BarrierId,
         mut releases: Vec<SyncEnvelope<P>>,
-        events: &mut Vec<BarrierEvent<P>>,
     ) {
         assert_eq!(self.me, NodeId(0), "only the root releases");
         assert_eq!(releases.len() as u32, self.nnodes, "one release per node");
@@ -349,17 +322,17 @@ impl<P: SyncPiggy> BarrierEngine<P> {
         let piggy = releases.remove(own).payload;
         self.forward_releases(io, id, releases);
         self.reset(id);
-        events.push(BarrierEvent::Released { id, piggy });
+        io.sync_arrive(piggy);
     }
 
-    /// Feed a barrier-related message into the engine.
+    /// Feed a barrier-related message into the engine; reports the
+    /// barrier it released this node from, if any.
     pub fn on_message(
         &mut self,
-        io: &mut dyn SyncIo<P>,
+        io: &mut impl SyncHost<P>,
         _from: NodeId,
         msg: SyncMsg<P>,
-        events: &mut Vec<BarrierEvent<P>>,
-    ) {
+    ) -> Option<BarrierId> {
         match msg {
             SyncMsg::BarArrive { id, contributions } => {
                 for env in contributions {
@@ -385,9 +358,8 @@ impl<P: SyncPiggy> BarrierEngine<P> {
                     }
                     self.state.entry(id).or_default().gather(env);
                 }
-                if self.state.contains_key(&id) {
-                    self.maybe_propagate(io, id, events);
-                }
+                let released = self.state.contains_key(&id) && self.maybe_propagate(io, id);
+                released.then_some(id)
             }
             SyncMsg::BarRelease { id, mut releases } => {
                 // Extract our own payload; forward the rest down the tree.
@@ -399,7 +371,8 @@ impl<P: SyncPiggy> BarrierEngine<P> {
                 let piggy = releases.swap_remove(idx).payload;
                 self.forward_releases(io, id, releases);
                 self.reset(id);
-                events.push(BarrierEvent::Released { id, piggy });
+                io.sync_arrive(piggy);
+                Some(id)
             }
             other => {
                 let k = dsm_net::Payload::kind(&other);
@@ -408,19 +381,15 @@ impl<P: SyncPiggy> BarrierEngine<P> {
         }
     }
 
-    /// If this node's whole subtree has arrived, combine upward (or
-    /// emit AllArrived at the root).
-    fn maybe_propagate(
-        &mut self,
-        io: &mut dyn SyncIo<P>,
-        id: BarrierId,
-        events: &mut Vec<BarrierEvent<P>>,
-    ) {
+    /// If this node's whole subtree has arrived, combine upward — or,
+    /// at the root, have the host merge everyone's contributions and
+    /// release them all. `true` if that released this node.
+    fn maybe_propagate(&mut self, io: &mut impl SyncHost<P>, id: BarrierId) -> bool {
         let me = self.me;
         let complete = {
             let s = self.state.get(&id).expect("state exists");
             if !s.arrived_self {
-                return;
+                return false;
             }
             if me == NodeId(0) && self.kind == BarrierKind::Central && !self.down.is_empty() {
                 // Crash-aware root: every node must either have arrived
@@ -433,18 +402,23 @@ impl<P: SyncPiggy> BarrierEngine<P> {
             }
         };
         if !complete {
-            return;
+            return false;
         }
         let s = self.state.get_mut(&id).expect("state exists");
         let contributions = std::mem::take(&mut s.gathered);
         s.arrived.clear();
         match self.parent(me) {
-            None => events.push(BarrierEvent::AllArrived { id, contributions }),
+            None => {
+                let releases = io.merge_barrier(contributions);
+                self.release(io, id, releases);
+                true
+            }
             Some(p) => {
                 // Subtree complete: combine up. Keep arrived_self so a
                 // stray duplicate arrival still asserts; full reset
                 // happens at release.
                 io.send(p, SyncMsg::BarArrive { id, contributions });
+                false
             }
         }
     }
@@ -458,93 +432,90 @@ impl<P: SyncPiggy> BarrierEngine<P> {
 mod tests {
     use super::*;
 
-    struct FakeIo {
-        me: NodeId,
-        n: u32,
-        sent: Vec<(NodeId, SyncMsg<()>)>,
+    /// A piggyback that says whose it is.
+    impl SyncPiggy for u32 {
+        fn empty() -> u32 {
+            u32::MAX
+        }
+        fn wire_bytes(&self) -> usize {
+            4
+        }
     }
-    impl SyncIo<()> for FakeIo {
-        fn me(&self) -> NodeId {
-            self.me
-        }
-        fn nodes(&self) -> u32 {
-            self.n
-        }
-        fn send(&mut self, dst: NodeId, msg: SyncMsg<()>) {
+
+    /// Captures what the engine sends and what it hands its host.
+    #[derive(Default)]
+    struct Host<P> {
+        sent: Vec<(NodeId, SyncMsg<P>)>,
+        /// What this node departs with at its next arrival.
+        depart: P,
+        /// Every set of contributions the root had this host merge.
+        merged: Vec<Vec<SyncEnvelope<P>>>,
+        /// What the next merge answers; the contributions themselves
+        /// when `None`.
+        releases: Option<Vec<SyncEnvelope<P>>>,
+        /// Every payload this node was released with.
+        arrived: Vec<P>,
+    }
+
+    impl<P: SyncPiggy> SyncHost<P> for Host<P> {
+        fn send(&mut self, dst: NodeId, msg: SyncMsg<P>) {
             self.sent.push((dst, msg));
+        }
+        fn sync_depart(&mut self) -> P {
+            self.depart.clone()
+        }
+        fn sync_arrive(&mut self, piggy: P) {
+            self.arrived.push(piggy);
+        }
+        fn merge_barrier(&mut self, arrivals: Vec<SyncEnvelope<P>>) -> Vec<SyncEnvelope<P>> {
+            self.merged.push(arrivals.clone());
+            self.releases.take().unwrap_or(arrivals)
+        }
+    }
+
+    fn arrival<P>(id: BarrierId, node: u32, tag: P) -> SyncMsg<P> {
+        SyncMsg::BarArrive {
+            id,
+            contributions: vec![SyncEnvelope::new(NodeId(node), tag)],
+        }
+    }
+
+    fn release_of<P: Default>(id: BarrierId, nodes: &[u32]) -> SyncMsg<P> {
+        let env = |&n| SyncEnvelope::new(NodeId(n), P::default());
+        SyncMsg::BarRelease {
+            id,
+            releases: nodes.iter().map(env).collect(),
         }
     }
 
     #[test]
     fn central_root_collects_then_all_arrived() {
         let mut e = BarrierEngine::<()>::new(BarrierKind::Central, NodeId(0), 3);
-        let mut io = FakeIo {
-            me: NodeId(0),
-            n: 3,
-            sent: Vec::new(),
-        };
-        let mut ev = Vec::new();
-        e.arrive(&mut io, 0, (), &mut ev);
-        assert!(ev.is_empty());
-        e.on_message(
-            &mut io,
-            NodeId(1),
-            SyncMsg::BarArrive {
-                id: 0,
-                contributions: vec![SyncEnvelope::new(NodeId(1), ())],
-            },
-            &mut ev,
+        let mut host = Host::default();
+        assert!(!e.arrive(&mut host, 0));
+        assert_eq!(e.on_message(&mut host, NodeId(1), arrival(0, 1, ())), None);
+        assert!(host.merged.is_empty());
+        // The last arrival: the host merges all three, the root sends
+        // to each leaf and releases itself.
+        assert_eq!(
+            e.on_message(&mut host, NodeId(2), arrival(0, 2, ())),
+            Some(0)
         );
-        assert!(ev.is_empty());
-        e.on_message(
-            &mut io,
-            NodeId(2),
-            SyncMsg::BarArrive {
-                id: 0,
-                contributions: vec![SyncEnvelope::new(NodeId(2), ())],
-            },
-            &mut ev,
-        );
-        match &ev[0] {
-            BarrierEvent::AllArrived { contributions, .. } => {
-                assert_eq!(contributions.len(), 3)
-            }
-            other => panic!("expected AllArrived, got {other:?}"),
-        }
-        // Release: root sends to each leaf and releases itself.
-        ev.clear();
-        let releases = vec![
-            SyncEnvelope::new(NodeId(0), ()),
-            SyncEnvelope::new(NodeId(1), ()),
-            SyncEnvelope::new(NodeId(2), ()),
-        ];
-        e.release(&mut io, 0, releases, &mut ev);
-        assert!(matches!(ev[0], BarrierEvent::Released { id: 0, .. }));
-        assert_eq!(io.sent.len(), 2);
+        assert_eq!(host.merged[0].len(), 3);
+        assert_eq!(host.sent.len(), 2);
+        assert_eq!(host.arrived.len(), 1);
     }
 
     #[test]
     fn central_leaf_sends_arrival_and_gets_release() {
         let mut e = BarrierEngine::<()>::new(BarrierKind::Central, NodeId(2), 3);
-        let mut io = FakeIo {
-            me: NodeId(2),
-            n: 3,
-            sent: Vec::new(),
-        };
-        let mut ev = Vec::new();
-        e.arrive(&mut io, 7, (), &mut ev);
-        assert_eq!(io.sent.len(), 1);
-        assert_eq!(io.sent[0].0, NodeId(0));
-        e.on_message(
-            &mut io,
-            NodeId(0),
-            SyncMsg::BarRelease {
-                id: 7,
-                releases: vec![SyncEnvelope::new(NodeId(2), ())],
-            },
-            &mut ev,
-        );
-        assert!(matches!(ev[0], BarrierEvent::Released { id: 7, .. }));
+        let mut host = Host::default();
+        assert!(!e.arrive(&mut host, 7));
+        assert_eq!(host.sent.len(), 1);
+        assert_eq!(host.sent[0].0, NodeId(0));
+        let release = release_of(7, &[2]);
+        assert_eq!(e.on_message(&mut host, NodeId(0), release), Some(7));
+        assert_eq!(host.arrived.len(), 1);
     }
 
     #[test]
@@ -564,36 +535,15 @@ mod tests {
     fn tree_interior_combines_subtree_before_forwarding() {
         // Node 1 in a 7-node binary tree: children 3 and 4.
         let mut e = BarrierEngine::<()>::new(BarrierKind::Tree(2), NodeId(1), 7);
-        let mut io = FakeIo {
-            me: NodeId(1),
-            n: 7,
-            sent: Vec::new(),
-        };
-        let mut ev = Vec::new();
-        e.on_message(
-            &mut io,
-            NodeId(3),
-            SyncMsg::BarArrive {
-                id: 0,
-                contributions: vec![SyncEnvelope::new(NodeId(3), ())],
-            },
-            &mut ev,
-        );
-        assert!(io.sent.is_empty()); // own arrival and child 4 missing
-        e.arrive(&mut io, 0, (), &mut ev);
-        assert!(io.sent.is_empty()); // child 4 still missing
-        e.on_message(
-            &mut io,
-            NodeId(4),
-            SyncMsg::BarArrive {
-                id: 0,
-                contributions: vec![SyncEnvelope::new(NodeId(4), ())],
-            },
-            &mut ev,
-        );
-        assert_eq!(io.sent.len(), 1);
-        assert_eq!(io.sent[0].0, NodeId(0)); // combined arrival to root
-        match &io.sent[0].1 {
+        let mut host = Host::default();
+        e.on_message(&mut host, NodeId(3), arrival(0, 3, ()));
+        assert!(host.sent.is_empty()); // own arrival and child 4 missing
+        assert!(!e.arrive(&mut host, 0));
+        assert!(host.sent.is_empty()); // child 4 still missing
+        e.on_message(&mut host, NodeId(4), arrival(0, 4, ()));
+        assert_eq!(host.sent.len(), 1);
+        assert_eq!(host.sent[0].0, NodeId(0)); // combined arrival to root
+        match &host.sent[0].1 {
             SyncMsg::BarArrive { contributions, .. } => assert_eq!(contributions.len(), 3),
             _ => panic!("expected BarArrive"),
         }
@@ -602,26 +552,12 @@ mod tests {
     #[test]
     fn tree_release_routes_payloads_down() {
         let mut e = BarrierEngine::<()>::new(BarrierKind::Tree(2), NodeId(1), 7);
-        let mut io = FakeIo {
-            me: NodeId(1),
-            n: 7,
-            sent: Vec::new(),
-        };
-        let mut ev = Vec::new();
-        let releases = vec![
-            SyncEnvelope::new(NodeId(1), ()),
-            SyncEnvelope::new(NodeId(3), ()),
-            SyncEnvelope::new(NodeId(4), ()),
-        ];
-        e.on_message(
-            &mut io,
-            NodeId(0),
-            SyncMsg::BarRelease { id: 0, releases },
-            &mut ev,
-        );
-        assert!(matches!(ev[0], BarrierEvent::Released { .. }));
-        assert_eq!(io.sent.len(), 2);
-        let dsts: Vec<NodeId> = io.sent.iter().map(|(d, _)| *d).collect();
+        let mut host = Host::default();
+        let release = release_of(0, &[1, 3, 4]);
+        assert_eq!(e.on_message(&mut host, NodeId(0), release), Some(0));
+        assert_eq!(host.arrived.len(), 1);
+        assert_eq!(host.sent.len(), 2);
+        let dsts: Vec<NodeId> = host.sent.iter().map(|(d, _)| *d).collect();
         assert!(dsts.contains(&NodeId(3)) && dsts.contains(&NodeId(4)));
     }
 
@@ -629,111 +565,54 @@ mod tests {
     #[should_panic(expected = "arrived twice")]
     fn double_arrival_panics() {
         let mut e = BarrierEngine::<()>::new(BarrierKind::Central, NodeId(1), 3);
-        let mut io = FakeIo {
-            me: NodeId(1),
-            n: 3,
-            sent: Vec::new(),
-        };
-        let mut ev = Vec::new();
-        e.arrive(&mut io, 0, (), &mut ev);
-        e.arrive(&mut io, 0, (), &mut ev);
+        let mut host = Host::default();
+        e.arrive(&mut host, 0);
+        e.arrive(&mut host, 0);
     }
 
     // ---- payload-carrying episodes: who gets what, in which order ----
 
-    /// A piggyback that says whose it is.
-    impl SyncPiggy for u32 {
-        fn empty() -> u32 {
-            u32::MAX
-        }
-        fn wire_bytes(&self) -> usize {
-            4
-        }
-    }
-
-    #[derive(Default)]
-    struct TagIo {
-        sent: Vec<(NodeId, SyncMsg<u32>)>,
-    }
-    impl SyncIo<u32> for TagIo {
-        fn me(&self) -> NodeId {
-            unreachable!("the barrier engine knows who it is")
-        }
-        fn nodes(&self) -> u32 {
-            unreachable!("the barrier engine knows the node count")
-        }
-        fn send(&mut self, dst: NodeId, msg: SyncMsg<u32>) {
-            self.sent.push((dst, msg));
-        }
-    }
-
-    fn arrival(node: u32, tag: u32) -> SyncMsg<u32> {
-        SyncMsg::BarArrive {
-            id: 0,
-            contributions: vec![SyncEnvelope::new(NodeId(node), tag)],
-        }
-    }
-
     #[test]
     fn recovered_node_re_arriving_at_an_open_episode_replaces_its_contribution() {
         let mut root = BarrierEngine::<u32>::new(BarrierKind::Central, NodeId(0), 3);
-        let (mut io, mut ev) = (TagIo::default(), Vec::new());
-        root.on_message(&mut io, NodeId(1), arrival(1, 10), &mut ev);
-        root.set_down(&mut io, NodeId(1), false, &mut ev);
-        root.set_up(&mut io, NodeId(1));
-        root.on_message(&mut io, NodeId(1), arrival(1, 11), &mut ev);
-        root.arrive(&mut io, 0, 0, &mut ev);
-        assert!(ev.is_empty(), "node 2 is still missing");
-        root.on_message(&mut io, NodeId(2), arrival(2, 20), &mut ev);
-        match &ev[..] {
-            [BarrierEvent::AllArrived { contributions, .. }] => assert_eq!(
-                contributions,
-                &[
-                    SyncEnvelope::new(NodeId(1), 11),
-                    SyncEnvelope::new(NodeId(0), 0),
-                    SyncEnvelope::new(NodeId(2), 20),
-                ]
-            ),
-            other => panic!("expected AllArrived, got {other:?}"),
-        }
+        let mut host = Host::default();
+        root.on_message(&mut host, NodeId(1), arrival(0, 1, 10));
+        assert!(!root.set_down(&mut host, NodeId(1), false));
+        root.set_up(&mut host, NodeId(1));
+        root.on_message(&mut host, NodeId(1), arrival(0, 1, 11));
+        assert!(!root.arrive(&mut host, 0));
+        assert!(host.merged.is_empty(), "node 2 is still missing");
+        root.on_message(&mut host, NodeId(2), arrival(0, 2, 20));
+        assert_eq!(
+            host.merged,
+            [[
+                SyncEnvelope::new(NodeId(1), 11),
+                SyncEnvelope::new(NodeId(0), 0),
+                SyncEnvelope::new(NodeId(2), 20),
+            ]]
+        );
     }
 
     #[test]
     fn permanent_death_completes_an_open_episode_and_later_ones() {
         let mut root = BarrierEngine::<u32>::new(BarrierKind::Central, NodeId(0), 3);
-        let (mut io, mut ev) = (TagIo::default(), Vec::new());
-        root.arrive(&mut io, 0, 0, &mut ev);
-        root.on_message(&mut io, NodeId(1), arrival(1, 10), &mut ev);
-        assert!(ev.is_empty(), "node 2 is still expected");
-        root.set_down(&mut io, NodeId(2), true, &mut ev);
-        match ev.pop() {
-            Some(BarrierEvent::AllArrived {
-                id: 0,
-                contributions,
-            }) => {
-                assert_eq!(contributions.len(), 2);
-                let releases = (0..3).map(|n| SyncEnvelope::new(NodeId(n), n)).collect();
-                root.release(&mut io, 0, releases, &mut ev);
-            }
-            other => panic!("expected AllArrived, got {other:?}"),
-        }
-        assert!(matches!(
-            ev.pop(),
-            Some(BarrierEvent::Released { id: 0, piggy: 0 })
-        ));
+        let mut host = Host::default();
+        let one_per_node = || Some((0..3).map(|n| SyncEnvelope::new(NodeId(n), n)).collect());
+        assert!(!root.arrive(&mut host, 0));
+        root.on_message(&mut host, NodeId(1), arrival(0, 1, 10));
+        assert!(host.merged.is_empty(), "node 2 is still expected");
+        host.releases = one_per_node();
+        assert!(root.set_down(&mut host, NodeId(2), true));
+        assert_eq!(host.merged[0].len(), 2);
+        assert_eq!(host.arrived, [0]);
         // The dead node is not waited for in the next episode either,
         // and an arrival it made before dying still counts once.
-        root.arrive(&mut io, 1, 0, &mut ev);
-        assert!(ev.is_empty());
-        let next = SyncMsg::BarArrive {
-            id: 1,
-            contributions: vec![SyncEnvelope::new(NodeId(1), 10)],
-        };
-        root.on_message(&mut io, NodeId(1), next, &mut ev);
-        assert!(matches!(
-            &ev[..],
-            [BarrierEvent::AllArrived { id: 1, contributions }] if contributions.len() == 2
-        ));
+        assert!(!root.arrive(&mut host, 1));
+        assert_eq!(host.merged.len(), 1);
+        host.releases = one_per_node();
+        let next = arrival(1, 1, 10);
+        assert_eq!(root.on_message(&mut host, NodeId(1), next), Some(1));
+        assert_eq!(host.merged[1].len(), 2);
     }
 
     /// The release split as it was written before it became one pass:
@@ -777,28 +656,26 @@ mod tests {
             .map(|&i| SyncEnvelope::new(NodeId(i), 1000 + i))
             .collect();
         let mut got = vec![None; n as usize];
-        let mut released = |node: usize, ev: &mut Vec<BarrierEvent<u32>>| match ev.pop() {
-            Some(BarrierEvent::Released { id: 7, piggy }) => {
-                assert!(got[node].replace(piggy).is_none(), "n{node} released twice");
-                assert!(ev.is_empty());
-            }
-            other => panic!("n{node}: expected Released, got {other:?}"),
-        };
-
-        let (mut io, mut ev) = (TagIo::default(), Vec::new());
-        let mut rest = releases.clone();
-        rest.retain(|e| e.node != NodeId(0));
-        let want = partition_per_child(&engines[0], rest);
-        engines[0].release(&mut io, 7, releases, &mut ev);
-        released(0, &mut ev);
-        let sent = |io: TagIo| -> Vec<(NodeId, Vec<SyncEnvelope<u32>>)> {
+        // Node `node` is done: its host was handed one payload, and
+        // sent what is returned.
+        let mut released = |node: usize, host: Host<u32>| {
+            let [piggy] = host.arrived[..] else {
+                panic!("n{node}: released with {:?}", host.arrived)
+            };
+            assert!(got[node].replace(piggy).is_none(), "n{node} released twice");
             let unwrap = |(dst, msg)| match msg {
                 SyncMsg::BarRelease { id: 7, releases } => (dst, releases),
                 other => panic!("expected BarRelease, got {other:?}"),
             };
-            io.sent.into_iter().map(unwrap).collect()
+            host.sent.into_iter().map(unwrap).collect::<Vec<_>>()
         };
-        let mut queue = std::collections::VecDeque::from(sent(io));
+
+        let mut host = Host::default();
+        let mut rest = releases.clone();
+        rest.retain(|e| e.node != NodeId(0));
+        let want = partition_per_child(&engines[0], rest);
+        engines[0].release(&mut host, 7, releases);
+        let mut queue = std::collections::VecDeque::from(released(0, host));
         assert_eq!(queue, want);
         while let Some((dst, mut releases)) = queue.pop_front() {
             let e = &mut engines[dst.index()];
@@ -811,10 +688,9 @@ mod tests {
             };
             releases.swap_remove(own);
             let want = partition_per_child(e, releases);
-            let (mut io, mut ev) = (TagIo::default(), Vec::new());
-            e.on_message(&mut io, NodeId(0), msg, &mut ev);
-            released(dst.index(), &mut ev);
-            let sent = sent(io);
+            let mut host = Host::default();
+            assert_eq!(e.on_message(&mut host, NodeId(0), msg), Some(7));
+            let sent = released(dst.index(), host);
             assert_eq!(sent, want);
             queue.extend(sent);
         }

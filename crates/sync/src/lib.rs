@@ -9,16 +9,21 @@
 //! Both are pure message-driven state machines, generic over a
 //! consistency *piggyback* [`SyncPiggy`]: release consistency ships
 //! write intervals on grants, entry consistency ships guarded data, and
-//! barriers carry flush/merge payloads. [`SyncNode`] wires the engines
-//! into a standalone [`dsm_net::NodeBehavior`] for isolated tests and
-//! the lock/barrier scaling experiments.
+//! barriers carry flush/merge payloads. They send through, and ask
+//! every payload of, the [`SyncHost`] of the node they run on;
+//! [`SyncEngines`] is a node's pair of engines. The DSM node's host
+//! forwards to its coherence protocol; [`SyncNode`] is the pair with
+//! nothing attached, a standalone [`dsm_net::NodeBehavior`] for
+//! isolated tests and the lock/barrier scaling experiments.
 
 mod barrier;
+mod engines;
 mod lock;
 mod msg;
 mod standalone;
 
-pub use barrier::{BarrierEngine, BarrierEvent, BarrierKind};
-pub use lock::{lock_home, LockEngine, LockEvent, LockKind, ReleaseAction};
-pub use msg::{BarrierId, LockId, SyncEnvelope, SyncIo, SyncMsg, SyncPiggy};
+pub use barrier::{BarrierEngine, BarrierKind};
+pub use engines::{SyncDone, SyncEngines};
+pub use lock::{lock_home, LockEngine, LockKind};
+pub use msg::{BarrierId, LockId, SyncEnvelope, SyncHost, SyncMsg, SyncPiggy};
 pub use standalone::{SyncNode, SyncOp};

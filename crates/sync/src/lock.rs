@@ -13,12 +13,12 @@
 //!   travel releaser → acquirer directly (what lazy release consistency
 //!   needs).
 //!
-//! The engine is a pure state machine: it never blocks, it emits
-//! [`LockEvent`]s, and the embedding runtime supplies piggybacks when
-//! asked (a grant's payload must be computed by the coherence layer at
-//! grant time).
+//! The engine is a pure state machine: it never blocks, it sends
+//! through its [`SyncHost`], and it asks the same host for every
+//! piggyback at the moment it is needed (a grant's payload must be
+//! computed by the coherence layer at grant time).
 
-use crate::msg::{LockId, SyncIo, SyncMsg, SyncPiggy};
+use crate::msg::{LockId, SyncHost, SyncMsg, SyncPiggy};
 use dsm_net::NodeId;
 use std::collections::{HashMap, VecDeque};
 
@@ -33,33 +33,6 @@ pub enum LockKind {
 #[inline]
 pub fn lock_home(lock: LockId, nnodes: u32) -> NodeId {
     NodeId(lock % nnodes)
-}
-
-/// Events the engine reports to the embedding runtime.
-#[derive(Debug)]
-pub enum LockEvent<P> {
-    /// This node now holds `lock`; apply `piggy` before continuing.
-    Acquired { lock: LockId, piggy: P },
-    /// This node must grant `lock` to `to`: compute a piggyback (using
-    /// `reqinfo` from the requester) and call [`LockEngine::grant`].
-    GrantNeeded {
-        lock: LockId,
-        to: NodeId,
-        reqinfo: P,
-    },
-}
-
-/// What a release requires of the caller.
-#[derive(Debug)]
-pub enum ReleaseAction<P> {
-    /// Nothing to send: token parked locally (queue lock, no waiter).
-    Local,
-    /// Grant directly to the queued successor: compute a piggyback and
-    /// call [`LockEngine::grant`].
-    GrantTo { to: NodeId, reqinfo: P },
-    /// Centralized lock: compute a piggyback and call
-    /// [`LockEngine::send_release`].
-    ToServer,
 }
 
 #[derive(Debug)]
@@ -119,10 +92,6 @@ impl<P: SyncPiggy> LockEngine<P> {
         }
     }
 
-    pub fn kind(&self) -> LockKind {
-        self.kind
-    }
-
     fn home(&self, lock: LockId) -> NodeId {
         lock_home(lock, self.nnodes)
     }
@@ -137,11 +106,18 @@ impl<P: SyncPiggy> LockEngine<P> {
         })
     }
 
-    /// Start acquiring `lock`. Returns `Some(piggy)` when the lock was
-    /// obtained immediately (free token parked locally); otherwise the
-    /// engine has sent a request and will later emit
-    /// [`LockEvent::Acquired`].
-    pub fn acquire(&mut self, io: &mut dyn SyncIo<P>, lock: LockId, reqinfo: P) -> Option<P> {
+    /// Acquire `lock`. `true` when it was obtained on the spot (free
+    /// token parked locally); otherwise a request is out and
+    /// [`Self::on_message`] will report the acquisition. Either way
+    /// the grant's payload reaches the host through `on_acquired`.
+    pub fn acquire(&mut self, host: &mut impl SyncHost<P>, lock: LockId) -> bool {
+        let reqinfo = host.acquire_reqinfo(lock);
+        let granted = self.try_acquire(host, lock, reqinfo);
+        granted.map(|piggy| host.on_acquired(lock, piggy)).is_some()
+    }
+
+    /// The payload of an immediate grant, or `None` with a request out.
+    fn try_acquire(&mut self, host: &mut impl SyncHost<P>, lock: LockId, reqinfo: P) -> Option<P> {
         let home = self.home(lock);
         let me = self.me;
         let kind = self.kind;
@@ -161,7 +137,7 @@ impl<P: SyncPiggy> LockEngine<P> {
                     None
                 } else {
                     s.waiting = true;
-                    io.send(
+                    host.send(
                         home,
                         SyncMsg::LockReq {
                             lock,
@@ -191,7 +167,7 @@ impl<P: SyncPiggy> LockEngine<P> {
                         Some(t) => {
                             s.waiting = true;
                             s.tail = Some(me);
-                            io.send(
+                            host.send(
                                 t,
                                 SyncMsg::LockFwd {
                                     lock,
@@ -212,7 +188,7 @@ impl<P: SyncPiggy> LockEngine<P> {
                     Some(P::empty())
                 } else {
                     s.waiting = true;
-                    io.send(
+                    host.send(
                         home,
                         SyncMsg::LockReq {
                             lock,
@@ -226,9 +202,9 @@ impl<P: SyncPiggy> LockEngine<P> {
         }
     }
 
-    /// Release `lock`. The caller must act on the returned
-    /// [`ReleaseAction`].
-    pub fn release(&mut self, lock: LockId) -> ReleaseAction<P> {
+    /// Release `lock`: hand it to the queued successor, back to its
+    /// server, or park the token here (never blocks).
+    pub fn release(&mut self, host: &mut impl SyncHost<P>, lock: LockId) {
         let kind = self.kind;
         let me = self.me;
         let home = self.home(lock);
@@ -236,56 +212,47 @@ impl<P: SyncPiggy> LockEngine<P> {
         assert!(s.holding, "{me} releasing lock {lock} it does not hold");
         s.holding = false;
         match kind {
-            LockKind::Central => {
-                if me == home {
-                    // Local release on the server: grant to next queued
-                    // requester if any. The piggyback still has to come
-                    // from the coherence layer.
-                    s.held_by = None;
-                    if let Some(next) = s.queue.pop_front() {
-                        s.held_by = Some(next);
-                        return ReleaseAction::GrantTo {
-                            to: next,
-                            reqinfo: P::empty(),
-                        };
+            LockKind::Central if me == home => {
+                // Local release on the server: grant to the next queued
+                // requester — or, with nobody waiting, deposit for
+                // whoever comes next, as a remote releaser's `LockRel`
+                // does. (Depositing nothing here lost the server node's
+                // own writes for the next acquirer.)
+                s.held_by = s.queue.pop_front();
+                match s.held_by {
+                    Some(next) => {
+                        debug_assert_ne!(next, me, "the holder cannot also be queued");
+                        Self::grant(host, lock, next, &P::empty());
                     }
-                    ReleaseAction::Local
-                } else {
-                    ReleaseAction::ToServer
+                    None => s.stored = Some(host.release_piggy(lock)),
                 }
             }
+            LockKind::Central => {
+                let piggy = host.release_piggy(lock);
+                host.send(home, SyncMsg::LockRel { lock, piggy });
+            }
             LockKind::Queue => match s.successor.take() {
-                Some((to, reqinfo)) => ReleaseAction::GrantTo { to, reqinfo },
-                None => {
-                    s.token_here = true;
-                    ReleaseAction::Local
-                }
+                Some((to, reqinfo)) => Self::grant(host, lock, to, &reqinfo),
+                None => s.token_here = true,
             },
         }
     }
 
-    /// Complete a [`ReleaseAction::GrantTo`] or a
-    /// [`LockEvent::GrantNeeded`] by sending the grant with the
-    /// computed piggyback.
-    pub fn grant(&mut self, io: &mut dyn SyncIo<P>, lock: LockId, to: NodeId, piggy: P) {
-        debug_assert_ne!(to, self.me, "self-grant must be handled locally");
-        io.send(to, SyncMsg::LockGrant { lock, piggy });
+    /// Send the grant of `lock` to `to`, with the piggyback the
+    /// coherence layer computes from the requester's `reqinfo`.
+    fn grant(host: &mut impl SyncHost<P>, lock: LockId, to: NodeId, reqinfo: &P) {
+        let piggy = host.grant_piggy(lock, to, reqinfo);
+        host.send(to, SyncMsg::LockGrant { lock, piggy });
     }
 
-    /// Complete a [`ReleaseAction::ToServer`] (centralized lock).
-    pub fn send_release(&mut self, io: &mut dyn SyncIo<P>, lock: LockId, piggy: P) {
-        let home = self.home(lock);
-        io.send(home, SyncMsg::LockRel { lock, piggy });
-    }
-
-    /// Feed a lock-related message into the engine.
+    /// Feed a lock-related message into the engine; reports the lock
+    /// this node's pending acquire just obtained, if any.
     pub fn on_message(
         &mut self,
-        io: &mut dyn SyncIo<P>,
+        host: &mut impl SyncHost<P>,
         from: NodeId,
         msg: SyncMsg<P>,
-        events: &mut Vec<LockEvent<P>>,
-    ) {
+    ) -> Option<LockId> {
         let me = self.me;
         match (self.kind, msg) {
             (
@@ -298,7 +265,7 @@ impl<P: SyncPiggy> LockEngine<P> {
                 if s.held_by.is_none() && s.queue.is_empty() {
                     s.held_by = Some(requester);
                     let piggy = s.stored.take().unwrap_or_else(P::empty);
-                    io.send(requester, SyncMsg::LockGrant { lock, piggy });
+                    host.send(requester, SyncMsg::LockGrant { lock, piggy });
                 } else {
                     s.queue.push_back(requester);
                 }
@@ -315,9 +282,10 @@ impl<P: SyncPiggy> LockEngine<P> {
                         // The server itself was queued.
                         s.holding = true;
                         s.waiting = false;
-                        events.push(LockEvent::Acquired { lock, piggy });
+                        host.on_acquired(lock, piggy);
+                        return Some(lock);
                     } else {
-                        io.send(next, SyncMsg::LockGrant { lock, piggy });
+                        host.send(next, SyncMsg::LockGrant { lock, piggy });
                     }
                 }
             }
@@ -335,22 +303,14 @@ impl<P: SyncPiggy> LockEngine<P> {
                     None => {
                         debug_assert!(s.token_here);
                         s.token_here = false;
-                        events.push(LockEvent::GrantNeeded {
-                            lock,
-                            to: requester,
-                            reqinfo,
-                        });
+                        Self::grant(host, lock, requester, &reqinfo);
                     }
                     Some(t) if t == me => {
                         // Home is the tail: either holding, waiting, or
                         // parked token.
                         if s.token_here {
                             s.token_here = false;
-                            events.push(LockEvent::GrantNeeded {
-                                lock,
-                                to: requester,
-                                reqinfo,
-                            });
+                            Self::grant(host, lock, requester, &reqinfo);
                         } else {
                             debug_assert!(
                                 s.holding || s.waiting,
@@ -361,7 +321,7 @@ impl<P: SyncPiggy> LockEngine<P> {
                         }
                     }
                     Some(t) => {
-                        io.send(
+                        host.send(
                             t,
                             SyncMsg::LockFwd {
                                 lock,
@@ -383,11 +343,7 @@ impl<P: SyncPiggy> LockEngine<P> {
                 let s = self.state(lock);
                 if s.token_here {
                     s.token_here = false;
-                    events.push(LockEvent::GrantNeeded {
-                        lock,
-                        to: requester,
-                        reqinfo,
-                    });
+                    Self::grant(host, lock, requester, &reqinfo);
                 } else {
                     debug_assert!(
                         s.holding || s.waiting,
@@ -402,7 +358,8 @@ impl<P: SyncPiggy> LockEngine<P> {
                 debug_assert!(s.waiting);
                 s.waiting = false;
                 s.holding = true;
-                events.push(LockEvent::Acquired { lock, piggy });
+                host.on_acquired(lock, piggy);
+                return Some(lock);
             }
             (kind, other) => {
                 panic!(
@@ -411,6 +368,7 @@ impl<P: SyncPiggy> LockEngine<P> {
                 );
             }
         }
+        None
     }
 
     /// True if this node currently holds `lock`.
@@ -428,113 +386,115 @@ fn payload_kind<P: SyncPiggy>(m: &SyncMsg<P>) -> &'static str {
 mod tests {
     use super::*;
 
-    /// Captures sends instead of a real network.
-    struct FakeIo {
-        me: NodeId,
-        n: u32,
+    /// Captures sends instead of a real network; attaches nothing.
+    #[derive(Default)]
+    struct FakeHost {
         sent: Vec<(NodeId, SyncMsg<()>)>,
     }
-    impl SyncIo<()> for FakeIo {
-        fn me(&self) -> NodeId {
-            self.me
-        }
-        fn nodes(&self) -> u32 {
-            self.n
-        }
+    impl SyncHost<()> for FakeHost {
         fn send(&mut self, dst: NodeId, msg: SyncMsg<()>) {
             self.sent.push((dst, msg));
         }
     }
-    fn io(me: u32) -> FakeIo {
-        FakeIo {
-            me: NodeId(me),
-            n: 4,
-            sent: Vec::new(),
+
+    fn req(requester: u32) -> SyncMsg<()> {
+        SyncMsg::LockReq {
+            lock: 0,
+            requester: NodeId(requester),
+            reqinfo: (),
         }
+    }
+
+    fn fwd(requester: u32) -> SyncMsg<()> {
+        SyncMsg::LockFwd {
+            lock: 0,
+            requester: NodeId(requester),
+            reqinfo: (),
+        }
+    }
+
+    const GRANT: SyncMsg<()> = SyncMsg::LockGrant { lock: 0, piggy: () };
+    const REL: SyncMsg<()> = SyncMsg::LockRel { lock: 0, piggy: () };
+
+    /// Engine for node `me` of four, its grant of lock 0 (home: node 0)
+    /// already requested and received.
+    fn holder(kind: LockKind, me: u32) -> (LockEngine<()>, FakeHost) {
+        let mut e = LockEngine::<()>::new(kind, NodeId(me), 4);
+        let mut host = FakeHost::default();
+        assert!(!e.acquire(&mut host, 0)); // sends LockReq to home
+        assert_eq!(e.on_message(&mut host, NodeId(0), GRANT), Some(0));
+        assert!(e.holds(0));
+        host.sent.clear();
+        (e, host)
     }
 
     #[test]
     fn central_local_fast_path_on_server() {
         let mut e = LockEngine::<()>::new(LockKind::Central, NodeId(0), 4);
-        let mut fio = io(0);
+        let mut host = FakeHost::default();
         // Lock 0's home is node 0.
-        assert!(e.acquire(&mut fio, 0, ()).is_some());
+        assert!(e.acquire(&mut host, 0));
         assert!(e.holds(0));
-        assert!(fio.sent.is_empty());
-        assert!(matches!(e.release(0), ReleaseAction::Local));
+        e.release(&mut host, 0);
         assert!(!e.holds(0));
+        assert!(host.sent.is_empty());
+    }
+
+    /// The server node's own release, with nobody waiting, deposits
+    /// its payload like anyone else's: the next grantee gets it.
+    #[test]
+    fn central_server_deposits_its_own_release_for_the_next_grantee() {
+        /// Releases with payload 7.
+        #[derive(Default)]
+        struct Tagged(Vec<(NodeId, SyncMsg<u32>)>);
+        impl SyncHost<u32> for Tagged {
+            fn send(&mut self, dst: NodeId, msg: SyncMsg<u32>) {
+                self.0.push((dst, msg));
+            }
+            fn release_piggy(&mut self, _lock: LockId) -> u32 {
+                7
+            }
+        }
+        let mut e = LockEngine::<u32>::new(LockKind::Central, NodeId(0), 4);
+        let mut host = Tagged::default();
+        assert!(e.acquire(&mut host, 0));
+        e.release(&mut host, 0);
+        let req = SyncMsg::LockReq {
+            lock: 0,
+            requester: NodeId(2),
+            reqinfo: u32::empty(),
+        };
+        e.on_message(&mut host, NodeId(2), req);
+        let grant = SyncMsg::LockGrant { lock: 0, piggy: 7 };
+        assert_eq!(host.0, vec![(NodeId(2), grant)]);
     }
 
     #[test]
     fn central_remote_requester_sends_to_home() {
         let mut e = LockEngine::<()>::new(LockKind::Central, NodeId(2), 4);
-        let mut fio = io(2);
-        assert!(e.acquire(&mut fio, 0, ()).is_none());
-        assert_eq!(fio.sent.len(), 1);
-        assert_eq!(fio.sent[0].0, NodeId(0));
+        let mut host = FakeHost::default();
+        assert!(!e.acquire(&mut host, 0));
+        assert_eq!(host.sent, vec![(NodeId(0), req(2))]);
         // Grant arrives.
-        let mut events = Vec::new();
-        e.on_message(
-            &mut fio,
-            NodeId(0),
-            SyncMsg::LockGrant { lock: 0, piggy: () },
-            &mut events,
-        );
-        assert!(matches!(events[0], LockEvent::Acquired { lock: 0, .. }));
+        assert_eq!(e.on_message(&mut host, NodeId(0), GRANT), Some(0));
         assert!(e.holds(0));
-        assert!(matches!(e.release(0), ReleaseAction::ToServer));
+        // The release goes back to the server.
+        e.release(&mut host, 0);
+        assert_eq!(host.sent.last(), Some(&(NodeId(0), REL)));
     }
 
     #[test]
     fn central_server_queues_and_grants_in_fifo() {
         let mut e = LockEngine::<()>::new(LockKind::Central, NodeId(0), 4);
-        let mut fio = io(0);
-        let mut ev = Vec::new();
+        let mut host = FakeHost::default();
         // Node 1 gets it, nodes 2 and 3 queue.
-        e.on_message(
-            &mut fio,
-            NodeId(1),
-            SyncMsg::LockReq {
-                lock: 0,
-                requester: NodeId(1),
-                reqinfo: (),
-            },
-            &mut ev,
-        );
-        e.on_message(
-            &mut fio,
-            NodeId(2),
-            SyncMsg::LockReq {
-                lock: 0,
-                requester: NodeId(2),
-                reqinfo: (),
-            },
-            &mut ev,
-        );
-        e.on_message(
-            &mut fio,
-            NodeId(3),
-            SyncMsg::LockReq {
-                lock: 0,
-                requester: NodeId(3),
-                reqinfo: (),
-            },
-            &mut ev,
-        );
-        assert_eq!(fio.sent.len(), 1); // only the first grant went out
-        e.on_message(
-            &mut fio,
-            NodeId(1),
-            SyncMsg::LockRel { lock: 0, piggy: () },
-            &mut ev,
-        );
-        e.on_message(
-            &mut fio,
-            NodeId(2),
-            SyncMsg::LockRel { lock: 0, piggy: () },
-            &mut ev,
-        );
-        let grants: Vec<NodeId> = fio
+        for n in 1..=3 {
+            assert_eq!(e.on_message(&mut host, NodeId(n), req(n)), None);
+        }
+        assert_eq!(host.sent.len(), 1); // only the first grant went out
+        e.on_message(&mut host, NodeId(1), REL);
+        e.on_message(&mut host, NodeId(2), REL);
+        let grants: Vec<NodeId> = host
             .sent
             .iter()
             .filter(|(_, m)| matches!(m, SyncMsg::LockGrant { .. }))
@@ -547,111 +507,34 @@ mod tests {
     fn queue_home_parks_and_hands_token_directly() {
         // Home node 0's view of a queue lock.
         let mut e = LockEngine::<()>::new(LockKind::Queue, NodeId(0), 4);
-        let mut fio = io(0);
-        let mut ev = Vec::new();
-        // Node 1 requests: token is parked at home → GrantNeeded.
-        e.on_message(
-            &mut fio,
-            NodeId(1),
-            SyncMsg::LockReq {
-                lock: 0,
-                requester: NodeId(1),
-                reqinfo: (),
-            },
-            &mut ev,
-        );
-        assert!(matches!(
-            ev[0],
-            LockEvent::GrantNeeded {
-                lock: 0,
-                to: NodeId(1),
-                ..
-            }
-        ));
-        e.grant(&mut fio, 0, NodeId(1), ());
+        let mut host = FakeHost::default();
+        // Node 1 requests: token is parked at home → granted at once.
+        e.on_message(&mut host, NodeId(1), req(1));
+        assert_eq!(host.sent, vec![(NodeId(1), GRANT)]);
         // Node 2 requests: forwarded to tail (node 1), not granted.
-        ev.clear();
-        e.on_message(
-            &mut fio,
-            NodeId(2),
-            SyncMsg::LockReq {
-                lock: 0,
-                requester: NodeId(2),
-                reqinfo: (),
-            },
-            &mut ev,
-        );
-        assert!(ev.is_empty());
-        let fwd = fio.sent.last().unwrap();
-        assert_eq!(fwd.0, NodeId(1));
-        assert!(matches!(
-            fwd.1,
-            SyncMsg::LockFwd {
-                requester: NodeId(2),
-                ..
-            }
-        ));
+        e.on_message(&mut host, NodeId(2), req(2));
+        assert_eq!(host.sent.len(), 2);
+        assert_eq!(host.sent[1], (NodeId(1), fwd(2)));
     }
 
     #[test]
     fn queue_holder_grants_successor_on_release() {
         // Node 1 holds the lock; a forward arrives; release hands off.
-        let mut e = LockEngine::<()>::new(LockKind::Queue, NodeId(1), 4);
-        let mut fio = io(1);
-        let mut ev = Vec::new();
-        e.acquire(&mut fio, 0, ()); // sends LockReq to home
-        e.on_message(
-            &mut fio,
-            NodeId(0),
-            SyncMsg::LockGrant { lock: 0, piggy: () },
-            &mut ev,
-        );
-        assert!(e.holds(0));
-        e.on_message(
-            &mut fio,
-            NodeId(0),
-            SyncMsg::LockFwd {
-                lock: 0,
-                requester: NodeId(2),
-                reqinfo: (),
-            },
-            &mut ev,
-        );
-        match e.release(0) {
-            ReleaseAction::GrantTo { to, .. } => assert_eq!(to, NodeId(2)),
-            other => panic!("expected GrantTo, got {other:?}"),
-        }
+        let (mut e, mut host) = holder(LockKind::Queue, 1);
+        e.on_message(&mut host, NodeId(0), fwd(2));
+        assert!(host.sent.is_empty(), "held: the forward only queues");
+        e.release(&mut host, 0);
+        assert_eq!(host.sent, vec![(NodeId(2), GRANT)]);
     }
 
     #[test]
     fn queue_release_with_no_waiter_parks_token() {
-        let mut e = LockEngine::<()>::new(LockKind::Queue, NodeId(1), 4);
-        let mut fio = io(1);
-        let mut ev = Vec::new();
-        e.acquire(&mut fio, 0, ());
-        e.on_message(
-            &mut fio,
-            NodeId(0),
-            SyncMsg::LockGrant { lock: 0, piggy: () },
-            &mut ev,
-        );
-        assert!(matches!(e.release(0), ReleaseAction::Local));
+        let (mut e, mut host) = holder(LockKind::Queue, 1);
+        e.release(&mut host, 0);
+        assert!(host.sent.is_empty());
         // A later forward finds the parked token and grants immediately.
-        ev.clear();
-        e.on_message(
-            &mut fio,
-            NodeId(0),
-            SyncMsg::LockFwd {
-                lock: 0,
-                requester: NodeId(3),
-                reqinfo: (),
-            },
-            &mut ev,
-        );
-        assert!(matches!(
-            ev[0],
-            LockEvent::GrantNeeded { to: NodeId(3), .. }
-        ));
+        e.on_message(&mut host, NodeId(0), fwd(3));
+        assert_eq!(host.sent, vec![(NodeId(3), GRANT)]);
     }
 
     #[test]
@@ -659,43 +542,27 @@ mod tests {
         // Node 2 requested but hasn't been granted yet; a forward for
         // node 3 arrives first.
         let mut e = LockEngine::<()>::new(LockKind::Queue, NodeId(2), 4);
-        let mut fio = io(2);
-        let mut ev = Vec::new();
-        e.acquire(&mut fio, 0, ());
-        e.on_message(
-            &mut fio,
-            NodeId(0),
-            SyncMsg::LockFwd {
-                lock: 0,
-                requester: NodeId(3),
-                reqinfo: (),
-            },
-            &mut ev,
-        );
-        assert!(ev.is_empty());
+        let mut host = FakeHost::default();
+        e.acquire(&mut host, 0);
+        host.sent.clear();
+        assert_eq!(e.on_message(&mut host, NodeId(0), fwd(3)), None);
+        assert!(host.sent.is_empty());
         // Grant arrives; on release node 3 gets it.
-        e.on_message(
-            &mut fio,
-            NodeId(0),
-            SyncMsg::LockGrant { lock: 0, piggy: () },
-            &mut ev,
-        );
-        match e.release(0) {
-            ReleaseAction::GrantTo { to, .. } => assert_eq!(to, NodeId(3)),
-            other => panic!("expected GrantTo, got {other:?}"),
-        }
+        assert_eq!(e.on_message(&mut host, NodeId(0), GRANT), Some(0));
+        e.release(&mut host, 0);
+        assert_eq!(host.sent, vec![(NodeId(3), GRANT)]);
     }
 
     #[test]
     fn queue_home_self_acquire_and_reacquire() {
         let mut e = LockEngine::<()>::new(LockKind::Queue, NodeId(0), 4);
-        let mut fio = io(0);
-        assert!(e.acquire(&mut fio, 0, ()).is_some());
-        assert!(matches!(e.release(0), ReleaseAction::Local));
+        let mut host = FakeHost::default();
+        assert!(e.acquire(&mut host, 0));
+        e.release(&mut host, 0);
         // Token parked at home with tail == home: re-acquire locally.
-        assert!(e.acquire(&mut fio, 0, ()).is_some());
+        assert!(e.acquire(&mut host, 0));
         assert!(e.holds(0));
-        assert!(fio.sent.is_empty());
+        assert!(host.sent.is_empty());
     }
 
     #[test]
@@ -704,39 +571,15 @@ mod tests {
         // token parks locally — then re-acquires. It must take the
         // parked token, not ask the home (which would forward back to
         // us: a self-grant).
-        let mut e = LockEngine::<()>::new(LockKind::Queue, NodeId(1), 4);
-        let mut fio = io(1);
-        let mut ev = Vec::new();
-        e.acquire(&mut fio, 0, ());
-        e.on_message(
-            &mut fio,
-            NodeId(0),
-            SyncMsg::LockGrant { lock: 0, piggy: () },
-            &mut ev,
-        );
-        assert!(matches!(e.release(0), ReleaseAction::Local));
-        let sent_before = fio.sent.len();
-        assert!(
-            e.acquire(&mut fio, 0, ()).is_some(),
-            "parked token must be taken"
-        );
-        assert_eq!(fio.sent.len(), sent_before, "no message needed");
+        let (mut e, mut host) = holder(LockKind::Queue, 1);
+        e.release(&mut host, 0);
+        assert!(e.acquire(&mut host, 0), "parked token must be taken");
+        assert!(host.sent.is_empty(), "no message needed");
         assert!(e.holds(0));
         // And a forward arriving while we hold queues as successor.
-        e.on_message(
-            &mut fio,
-            NodeId(0),
-            SyncMsg::LockFwd {
-                lock: 0,
-                requester: NodeId(2),
-                reqinfo: (),
-            },
-            &mut ev,
-        );
-        match e.release(0) {
-            ReleaseAction::GrantTo { to, .. } => assert_eq!(to, NodeId(2)),
-            other => panic!("expected GrantTo, got {other:?}"),
-        }
+        e.on_message(&mut host, NodeId(0), fwd(2));
+        e.release(&mut host, 0);
+        assert_eq!(host.sent, vec![(NodeId(2), GRANT)]);
     }
 
     #[test]
@@ -749,8 +592,8 @@ mod tests {
     #[should_panic(expected = "re-acquiring")]
     fn double_acquire_panics() {
         let mut e = LockEngine::<()>::new(LockKind::Queue, NodeId(0), 4);
-        let mut fio = io(0);
-        e.acquire(&mut fio, 0, ());
-        e.acquire(&mut fio, 0, ());
+        let mut host = FakeHost::default();
+        e.acquire(&mut host, 0);
+        e.acquire(&mut host, 0);
     }
 }

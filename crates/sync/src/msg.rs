@@ -133,15 +133,37 @@ impl<P: SyncPiggy> Payload for SyncMsg<P> {
     }
 }
 
-/// Abstract transport the sync engines use — implemented over the
-/// simulator's [`dsm_net::Ctx`] by the runtime that embeds them.
-pub trait SyncIo<P> {
-    /// This node.
-    fn me(&self) -> NodeId;
-    /// Total nodes.
-    fn nodes(&self) -> u32;
+/// What the sync engines need from the node they run on: a way to
+/// send, and the seven points at which a coherence protocol attaches
+/// payloads to synchronization. The engines ask at the moment a payload
+/// is needed; the defaults are a host with nothing to attach.
+pub trait SyncHost<P: SyncPiggy> {
     /// Send a sync message.
     fn send(&mut self, dst: NodeId, msg: SyncMsg<P>);
+    /// Information to attach to this node's request for `lock`.
+    fn acquire_reqinfo(&mut self, _lock: LockId) -> P {
+        P::empty()
+    }
+    /// Payload for granting `lock` to `to`, given its `reqinfo`.
+    fn grant_piggy(&mut self, _lock: LockId, _to: NodeId, _reqinfo: &P) -> P {
+        P::empty()
+    }
+    /// Payload deposited with a centralized lock server on release.
+    fn release_piggy(&mut self, _lock: LockId) -> P {
+        P::empty()
+    }
+    /// Apply the payload received with a lock grant.
+    fn on_acquired(&mut self, _lock: LockId, _piggy: P) {}
+    /// Payload attached to this node's barrier arrival.
+    fn sync_depart(&mut self) -> P {
+        P::empty()
+    }
+    /// Apply the payload received with a barrier release.
+    fn sync_arrive(&mut self, _piggy: P) {}
+    /// Root only: turn everyone's arrivals into one release per node.
+    fn merge_barrier(&mut self, arrivals: Vec<SyncEnvelope<P>>) -> Vec<SyncEnvelope<P>> {
+        arrivals
+    }
 }
 
 #[cfg(test)]

@@ -2,9 +2,10 @@
 //! protocol attached (`()` piggybacks). Used to test and benchmark the
 //! synchronization substrate in isolation (experiments E7/E8).
 
-use crate::barrier::{BarrierEngine, BarrierEvent, BarrierKind};
-use crate::lock::{LockEngine, LockEvent, LockKind, ReleaseAction};
-use crate::msg::{BarrierId, LockId, SyncIo, SyncMsg};
+use crate::barrier::BarrierKind;
+use crate::engines::{SyncDone, SyncEngines};
+use crate::lock::LockKind;
+use crate::msg::{BarrierId, LockId, SyncHost, SyncMsg};
 use dsm_net::{Ctx, NodeBehavior, NodeId, OpOutcome};
 
 /// Operations the application program can issue.
@@ -17,20 +18,16 @@ pub enum SyncOp {
 
 /// A node running only the synchronization machinery.
 pub struct SyncNode {
-    locks: LockEngine<()>,
-    barriers: BarrierEngine<()>,
+    sync: SyncEngines<()>,
     /// Op the program is parked on, if any.
     pending: Option<SyncOp>,
-    nnodes: u32,
 }
 
 impl SyncNode {
     pub fn new(me: NodeId, nnodes: u32, lock_kind: LockKind, barrier_kind: BarrierKind) -> Self {
         SyncNode {
-            locks: LockEngine::new(lock_kind, me, nnodes),
-            barriers: BarrierEngine::new(barrier_kind, me, nnodes),
+            sync: SyncEngines::new(lock_kind, barrier_kind, me, nnodes),
             pending: None,
-            nnodes,
         }
     }
 
@@ -42,42 +39,15 @@ impl SyncNode {
     }
 }
 
-/// Adapter exposing the kernel context as the engines' [`SyncIo`].
+/// The kernel context as the engines' host: a transport, and nothing
+/// to attach to any synchronization message.
 struct Io<'a, 'b> {
     ctx: &'a mut Ctx<'b, SyncNode>,
 }
 
-impl SyncIo<()> for Io<'_, '_> {
-    fn me(&self) -> NodeId {
-        self.ctx.me()
-    }
-    fn nodes(&self) -> u32 {
-        self.ctx.nodes()
-    }
+impl SyncHost<()> for Io<'_, '_> {
     fn send(&mut self, dst: NodeId, msg: SyncMsg<()>) {
         self.ctx.send(dst, msg);
-    }
-}
-
-impl SyncNode {
-    fn pump_lock_events(
-        locks: &mut LockEngine<()>,
-        io: &mut Io<'_, '_>,
-        events: Vec<LockEvent<()>>,
-        pending: &mut Option<SyncOp>,
-        completed: &mut bool,
-    ) {
-        for ev in events {
-            match ev {
-                LockEvent::Acquired { lock, .. } => match pending.take() {
-                    Some(SyncOp::Acquire(l)) if l == lock => *completed = true,
-                    other => panic!("unexpected Acquired({lock}) while pending {other:?}"),
-                },
-                LockEvent::GrantNeeded { lock, to, .. } => {
-                    locks.grant(io, lock, to, ());
-                }
-            }
-        }
     }
 }
 
@@ -87,122 +57,33 @@ impl NodeBehavior for SyncNode {
     type Reply = ();
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, from: NodeId, msg: Self::Msg) {
-        let mut completed = false;
-        match msg {
-            m @ (SyncMsg::LockReq { .. }
-            | SyncMsg::LockFwd { .. }
-            | SyncMsg::LockGrant { .. }
-            | SyncMsg::LockRel { .. }) => {
-                let mut events = Vec::new();
-                {
-                    let mut io = Io { ctx };
-                    self.locks.on_message(&mut io, from, m, &mut events);
-                    Self::pump_lock_events(
-                        &mut self.locks,
-                        &mut io,
-                        events,
-                        &mut self.pending,
-                        &mut completed,
-                    );
-                }
-            }
-            m @ (SyncMsg::BarArrive { .. } | SyncMsg::BarRelease { .. }) => {
-                let mut events = Vec::new();
-                {
-                    let mut io = Io { ctx };
-                    self.barriers.on_message(&mut io, from, m, &mut events);
-                }
-                for ev in events {
-                    match ev {
-                        BarrierEvent::AllArrived { id, contributions } => {
-                            let releases = contributions.into_iter().collect::<Vec<_>>();
-                            // With () piggybacks the "merge" is identity,
-                            // but every node must get exactly one entry.
-                            debug_assert_eq!(releases.len() as u32, self.nnodes);
-                            let mut ev2 = Vec::new();
-                            let mut io = Io { ctx };
-                            self.barriers.release(&mut io, id, releases, &mut ev2);
-                            for e in ev2 {
-                                if let BarrierEvent::Released { id: rid, .. } = e {
-                                    match self.pending.take() {
-                                        Some(SyncOp::Barrier(b)) if b == rid => {
-                                            completed = true
-                                        }
-                                        other => panic!(
-                                            "unexpected barrier release {rid} while pending {other:?}"
-                                        ),
-                                    }
-                                }
-                            }
-                        }
-                        BarrierEvent::Released { id, .. } => match self.pending.take() {
-                            Some(SyncOp::Barrier(b)) if b == id => completed = true,
-                            other => {
-                                panic!("unexpected barrier release {id} while pending {other:?}")
-                            }
-                        },
-                    }
-                }
-            }
+        let Some(done) = self.sync.on_message(&mut Io { ctx }, from, msg) else {
+            return;
+        };
+        match (done, self.pending.take()) {
+            (SyncDone::Acquired(lock), Some(SyncOp::Acquire(l))) if l == lock => {}
+            (SyncDone::Released(id), Some(SyncOp::Barrier(b))) if b == id => {}
+            (done, pending) => panic!("unexpected {done:?} while pending {pending:?}"),
         }
-        if completed {
-            ctx.complete_op(());
-        }
+        ctx.complete_op(());
     }
 
     fn on_op(&mut self, ctx: &mut Ctx<'_, Self>, op: SyncOp) -> OpOutcome<()> {
-        match op {
-            SyncOp::Acquire(lock) => {
-                let immediate = {
-                    let mut io = Io { ctx };
-                    self.locks.acquire(&mut io, lock, ())
-                };
-                if immediate.is_some() {
-                    OpOutcome::Done(())
-                } else {
-                    self.pending = Some(op);
-                    OpOutcome::Blocked
-                }
-            }
+        let done = match op {
+            SyncOp::Acquire(lock) => self.sync.locks.acquire(&mut Io { ctx }, lock),
             SyncOp::Release(lock) => {
-                let action = self.locks.release(lock);
-                let mut io = Io { ctx };
-                match action {
-                    ReleaseAction::Local => {}
-                    ReleaseAction::GrantTo { to, .. } => {
-                        self.locks.grant(&mut io, lock, to, ());
-                    }
-                    ReleaseAction::ToServer => {
-                        self.locks.send_release(&mut io, lock, ());
-                    }
-                }
-                OpOutcome::Done(())
+                self.sync.locks.release(&mut Io { ctx }, lock);
+                true
             }
             SyncOp::Barrier(id) => {
-                if ctx.nodes() == 1 {
-                    return OpOutcome::Done(());
-                }
-                let mut events = Vec::new();
-                {
-                    let mut io = Io { ctx };
-                    self.barriers.arrive(&mut io, id, (), &mut events);
-                }
-                // The root's own arrival may complete the barrier.
-                for ev in events {
-                    if let BarrierEvent::AllArrived { id, contributions } = ev {
-                        let mut ev2 = Vec::new();
-                        let mut io = Io { ctx };
-                        self.barriers.release(&mut io, id, contributions, &mut ev2);
-                        for e in ev2 {
-                            if matches!(e, BarrierEvent::Released { .. }) {
-                                return OpOutcome::Done(());
-                            }
-                        }
-                    }
-                }
-                self.pending = Some(op);
-                OpOutcome::Blocked
+                ctx.nodes() == 1 || self.sync.barriers.arrive(&mut Io { ctx }, id)
             }
+        };
+        if done {
+            OpOutcome::Done(())
+        } else {
+            self.pending = Some(op);
+            OpOutcome::Blocked
         }
     }
 }

@@ -79,7 +79,7 @@ fn expected_sum() -> u64 {
 
 #[test]
 fn depth1_is_bit_identical_to_default_and_batch_free() {
-    for proto in ProtocolKind::ALL {
+    for proto in ProtocolKind::EVERY {
         let default = run_streaming(&cfg(proto, 1));
         // Builder left at its default (depth 1) — a config that never
         // heard of the pipeline.
@@ -100,7 +100,7 @@ fn depth1_is_bit_identical_to_default_and_batch_free() {
 #[test]
 fn results_identical_at_every_depth_every_protocol() {
     let want = expected_sum();
-    for proto in ProtocolKind::ALL {
+    for proto in ProtocolKind::EVERY {
         for depth in [1usize, 2, 4, 8] {
             let t = run_streaming(&cfg(proto, depth));
             for (i, &got) in t.results.iter().enumerate() {
@@ -167,10 +167,15 @@ fn depth8_beats_depth1_on_streaming_reads() {
 /// depth 8 is bit-identical to depth 1 — not merely equivalent.
 #[test]
 fn per_protocol_depth_clamp_is_bit_identical() {
-    let d1 = run_streaming(&cfg(ProtocolKind::Migrate, 1));
-    let d8 = run_streaming(&cfg(ProtocolKind::Migrate, 8));
-    assert_eq!(d1, d8, "migrate must clamp batch depth to 1");
-    assert_eq!(d8.stats.kind("Batch").count, 0, "migrate must never batch");
+    let clamped = ProtocolKind::EVERY
+        .into_iter()
+        .filter(|p| p.facts().max_batch_depth == 1);
+    for proto in clamped {
+        let d1 = run_streaming(&cfg(proto, 1));
+        let d8 = run_streaming(&cfg(proto, 8));
+        assert_eq!(d1, d8, "{proto} must clamp batch depth to 1");
+        assert_eq!(d8.stats.kind("Batch").count, 0, "{proto} must never batch");
+    }
 }
 
 /// Writes and sync ops after a hinted read: the fault queue drains
@@ -178,7 +183,7 @@ fn per_protocol_depth_clamp_is_bit_identical() {
 /// and an immediate barrier are both safe, at every depth.
 #[test]
 fn queue_drains_before_writes_and_sync() {
-    for proto in ProtocolKind::ALL {
+    for proto in ProtocolKind::EVERY {
         for depth in [1usize, 4, 8] {
             let c = cfg(proto, depth);
             let res = dsm_core::run_dsm(&c, |dsm| {
@@ -251,7 +256,7 @@ fn oversized_hint_window_clamps_to_depth() {
 /// runs must be reproducible, at depth 1 and depth 4.
 #[test]
 fn lossy_network_interop_with_batching() {
-    for proto in ProtocolKind::ALL {
+    for proto in ProtocolKind::EVERY {
         for depth in [1usize, 4] {
             let clean = run_streaming(&cfg(proto, depth));
             let faulty =

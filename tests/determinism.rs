@@ -122,7 +122,7 @@ fn run_taskqueue_gc(proto: ProtocolKind, fast_path: bool, lrc_gc: bool) -> Trace
 
 #[test]
 fn sor_same_seed_same_trace_every_protocol() {
-    for proto in ProtocolKind::ALL {
+    for proto in ProtocolKind::EVERY {
         let a = run_sor(proto, true);
         let b = run_sor(proto, true);
         assert_eq!(a, b, "{proto}: same-seed SOR runs diverged");
@@ -131,7 +131,7 @@ fn sor_same_seed_same_trace_every_protocol() {
 
 #[test]
 fn taskqueue_same_seed_same_trace_every_protocol() {
-    for proto in ProtocolKind::ALL {
+    for proto in ProtocolKind::EVERY {
         let a = run_taskqueue(proto, true);
         let b = run_taskqueue(proto, true);
         assert_eq!(a, b, "{proto}: same-seed taskqueue runs diverged");
@@ -142,7 +142,7 @@ fn taskqueue_same_seed_same_trace_every_protocol() {
 /// the virtual times, not a single message in the traffic table.
 #[test]
 fn sor_fast_path_matches_slow_path() {
-    for proto in ProtocolKind::ALL {
+    for proto in ProtocolKind::EVERY {
         let fast = run_sor(proto, true);
         let slow = run_sor(proto, false);
         assert_eq!(
@@ -155,7 +155,7 @@ fn sor_fast_path_matches_slow_path() {
 
 #[test]
 fn taskqueue_fast_path_matches_slow_path() {
-    for proto in ProtocolKind::ALL {
+    for proto in ProtocolKind::EVERY {
         let fast = run_taskqueue(proto, true);
         let slow = run_taskqueue(proto, false);
         assert_eq!(
@@ -168,7 +168,7 @@ fn taskqueue_fast_path_matches_slow_path() {
 
 /// Sharded-kernel invariance: the worker count must be invisible in
 /// every observable — results, final memory image, virtual completion
-/// time, and the full per-kind traffic table — for all eight protocols.
+/// time, and the full per-kind traffic table — for every protocol.
 /// Eight nodes so every worker count in the sweep yields a different
 /// partition (1, 2, 4, and 8 shards), with jitter on so the per-link
 /// PRNG streams are exercised across shard boundaries.
@@ -191,7 +191,7 @@ fn sor_trace_identical_for_every_worker_count() {
         });
         Trace::of(res)
     };
-    for proto in ProtocolKind::ALL {
+    for proto in ProtocolKind::EVERY {
         let w1 = run(proto, 1);
         for workers in [2, 4, 8] {
             assert_eq!(
@@ -231,7 +231,7 @@ fn taskqueue_trace_identical_for_every_worker_count() {
         });
         Trace::of(res)
     };
-    for proto in ProtocolKind::ALL {
+    for proto in ProtocolKind::EVERY {
         let w1 = run(proto, 1);
         for workers in [2, 4, 8] {
             assert_eq!(
@@ -243,25 +243,23 @@ fn taskqueue_trace_identical_for_every_worker_count() {
     }
 }
 
-/// The one-sided `rdma` protocol sits outside `ProtocolKind::ALL` (it
-/// targets the modern-interconnect sweep, not the 1992 comparison), so
-/// it gets its own worker-count invariance sweep — on the fabric it is
-/// built for, where read faults are served as NIC-level events, and on
-/// the 1992 LAN, where the same messages take the software path. Same
-/// bar as the canonical suite: bit-identical results, image, end time,
-/// and traffic table at every worker count, plus same-seed stability.
+/// The one-sided `rdma` protocol on the fabric it is built for, where
+/// read faults are served as NIC-level events (the sweeps above pin the
+/// 1992 LAN, where the same messages take the software path). Same bar:
+/// bit-identical results, image, end time, and traffic table at every
+/// worker count, plus same-seed stability.
 #[test]
-fn rdma_trace_identical_for_every_worker_count_on_both_fabrics() {
+fn rdma_trace_identical_for_every_worker_count_on_the_modern_fabric() {
     let p = sor::SorParams {
         n: 16,
         iters: 2,
         omega: 1.25,
     };
     let heap = p.heap_bytes();
-    let run = |m: &CostModel, workers: usize| {
+    let run = |workers: usize| {
         let cfg = DsmConfig::new(8, ProtocolKind::Rdma)
             .heap_bytes(heap)
-            .model(m.clone())
+            .model(CostModel::rdma_modern().with_jitter(Dur::micros(5), 42))
             .workers(workers);
         let res = dsm_core::run_dsm(&cfg, |dsm: &Dsm<'_>| {
             let sum = sor::run(dsm, &p);
@@ -269,17 +267,14 @@ fn rdma_trace_identical_for_every_worker_count_on_both_fabrics() {
         });
         Trace::of(res)
     };
-    let modern = CostModel::rdma_modern().with_jitter(Dur::micros(5), 42);
-    for (fabric, m) in [("rdma_modern", &modern), ("lan_1992", &model())] {
-        let w1 = run(m, 1);
-        assert_eq!(w1, run(m, 1), "rdma/{fabric}: same-seed runs diverged");
-        for workers in [2, 4, 8] {
-            assert_eq!(
-                w1,
-                run(m, workers),
-                "rdma/{fabric}: SOR trace diverged at workers={workers}"
-            );
-        }
+    let w1 = run(1);
+    assert_eq!(w1, run(1), "rdma: same-seed runs diverged");
+    for workers in [2, 4, 8] {
+        assert_eq!(
+            w1,
+            run(workers),
+            "rdma: SOR trace diverged at workers={workers}"
+        );
     }
 }
 
@@ -322,10 +317,10 @@ fn rdma_taskqueue_trace_identical_for_every_worker_count() {
     }
 }
 
-/// The object-granularity `obj` protocol also sits outside
-/// `ProtocolKind::ALL` (its coherence unit is an allocated object, not
-/// a page), so it gets its own sweep on its showcase workload — the
-/// pointer chase, where object ownership migrates along the chains.
+/// The object-granularity `obj` protocol on its showcase workload —
+/// the pointer chase, where object ownership migrates along the chains
+/// (in the sweeps above, without an object table, it moves pages like
+/// `entry`).
 /// Same bar as the canonical suite: bit-identical results, final
 /// image, end time, and per-kind traffic table at every worker count,
 /// plus same-seed stability.
@@ -373,12 +368,12 @@ fn obj_chase_trace_identical_for_every_worker_count() {
 /// on vs off, every protocol — bit-identical per-node results and final
 /// memory images. Only outputs are compared: with GC the epoch's diffs
 /// travel on barrier messages instead of lazy diff fetches, so timing
-/// and the traffic table legitimately differ (for LRC; for the other
-/// seven protocols the knob must be completely inert, which the same
-/// assertion proves for free).
+/// and the traffic table legitimately differ (for LRC; for every other
+/// protocol the knob must be completely inert, which the same assertion
+/// proves for free).
 #[test]
 fn sor_outputs_identical_gc_on_and_off() {
-    for proto in ProtocolKind::ALL {
+    for proto in ProtocolKind::EVERY {
         let on = run_sor_gc(proto, true, true);
         let off = run_sor_gc(proto, true, false);
         assert_eq!(
@@ -393,7 +388,7 @@ fn sor_outputs_identical_gc_on_and_off() {
 
 #[test]
 fn taskqueue_outputs_identical_gc_on_and_off() {
-    for proto in ProtocolKind::ALL {
+    for proto in ProtocolKind::EVERY {
         let on = run_taskqueue_gc(proto, true, true);
         let off = run_taskqueue_gc(proto, true, false);
         assert_eq!(

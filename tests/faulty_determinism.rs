@@ -94,9 +94,21 @@ fn heavy() -> FaultPlan {
     FaultPlan::lossy(0.20, 0.10, 1234).with_spikes(0.2, Dur::millis(5))
 }
 
+/// The protocols whose SOR outputs cannot depend on message timing.
+/// With 4 KiB pages several nodes' 128-byte rows share a page, so the
+/// kernel has concurrent writers of distinct bytes of one page; where
+/// the page is last-writer-wins, which rows survive is a matter of
+/// timing — exactly what loss changes — and "lossy equals lossless" is
+/// not a claim the protocol makes (it does hold at one row per page).
+/// Such a row is left out through that fact, and says why; determinism
+/// of *same-plan* runs is still asserted for every protocol.
+fn timing_independent_on_sor() -> impl Iterator<Item = ProtocolKind> {
+    ProtocolKind::every_that(|facts| facts.sub_page_writers)
+}
+
 #[test]
 fn same_seed_same_fault_plan_is_bit_identical_every_protocol() {
-    for proto in ProtocolKind::ALL {
+    for proto in ProtocolKind::EVERY {
         let a = run_sor(proto, heavy());
         let b = run_sor(proto, heavy());
         assert_eq!(a, b, "{proto}: same-seed faulty runs diverged");
@@ -109,7 +121,7 @@ fn same_seed_same_fault_plan_is_bit_identical_every_protocol() {
 
 #[test]
 fn lossy_results_match_lossless_at_5_percent_drop() {
-    for proto in ProtocolKind::ALL {
+    for proto in timing_independent_on_sor() {
         let lossless = run_sor(proto, FaultPlan::NONE);
         let lossy = run_sor(proto, FaultPlan::lossy(0.05, 0.025, 77));
         assert_eq!(
@@ -121,7 +133,7 @@ fn lossy_results_match_lossless_at_5_percent_drop() {
 
 #[test]
 fn lossy_results_match_lossless_at_20_percent_drop() {
-    for proto in ProtocolKind::ALL {
+    for proto in timing_independent_on_sor() {
         let lossless = run_sor(proto, FaultPlan::NONE);
         let lossy = run_sor(proto, heavy());
         assert_eq!(
@@ -176,7 +188,7 @@ fn lrc_gc_survives_release_skew_under_loss() {
 
 /// Sharded-kernel invariance under fault injection: worker count must
 /// be invisible — results, image, end time, and the full traffic table
-/// including drop/dup/retransmit counters — for all eight protocols,
+/// including drop/dup/retransmit counters — for every protocol,
 /// lossless and under the heavy 20% plan. Eight nodes so each worker
 /// count in the sweep is a different partition, and the per-link fault
 /// PRNG streams cross shard boundaries.
@@ -199,7 +211,7 @@ fn trace_identical_for_every_worker_count_lossy_and_lossless() {
         });
         Trace::of(res)
     };
-    for proto in ProtocolKind::ALL {
+    for proto in ProtocolKind::EVERY {
         for plan in [FaultPlan::NONE, heavy()] {
             let w1 = run(proto, plan.clone(), 1);
             if plan.enabled() {
@@ -220,63 +232,9 @@ fn trace_identical_for_every_worker_count_lossy_and_lossless() {
     }
 }
 
-/// The one-sided `rdma` protocol (outside `ProtocolKind::ALL`) under
-/// loss: an active fault plan routes every message — including the
-/// one-sided doorbell/data pair — through the reliable software
-/// transport (the NIC cannot retry one-sided ops), so the protocol
-/// must meet the same two contracts as the 1992 suite: bit-identical
-/// same-seed runs across worker counts, and app outputs untouched by
-/// 20% drop + dup + spikes.
-#[test]
-fn rdma_is_deterministic_and_transparent_under_loss() {
-    let lossless = run_sor(ProtocolKind::Rdma, FaultPlan::NONE);
-    let a = run_sor(ProtocolKind::Rdma, heavy());
-    let b = run_sor(ProtocolKind::Rdma, heavy());
-    assert_eq!(a, b, "rdma: same-seed faulty runs diverged");
-    assert!(
-        a.stats.total_dropped() > 0,
-        "rdma: fault plan never fired — the test is vacuous"
-    );
-    assert!(
-        a.stats.total_retransmits() > 0,
-        "rdma: heavy loss recovered without a single retransmit?"
-    );
-    assert_eq!(
-        a.results, lossless.results,
-        "rdma: app output changed under 20% drop + dup + spikes"
-    );
-
-    // Worker-count invariance under the heavy plan (8 nodes so every
-    // worker count is a distinct shard partition).
-    let p = sor::SorParams {
-        n: 16,
-        iters: 2,
-        omega: 1.25,
-    };
-    let heap = p.heap_bytes();
-    let run = |workers: usize| {
-        let cfg = DsmConfig::new(8, ProtocolKind::Rdma)
-            .heap_bytes(heap)
-            .model(model(heavy()))
-            .workers(workers);
-        let res = dsm_core::run_dsm(&cfg, |dsm: &Dsm<'_>| {
-            let sum = sor::run(dsm, &p);
-            (sum.to_bits(), quiesce_and_image(dsm, heap))
-        });
-        Trace::of(res)
-    };
-    let w1 = run(1);
-    for workers in [2, 4, 8] {
-        assert_eq!(
-            w1,
-            run(workers),
-            "rdma: faulty trace diverged at workers={workers}"
-        );
-    }
-}
-
-/// The object-granularity `obj` protocol (outside `ProtocolKind::ALL`)
-/// under loss, on its showcase pointer-chase workload: ownership
+/// The object-granularity `obj` protocol under loss on its showcase
+/// pointer-chase workload, which the SOR rows above (where it moves
+/// pages like `entry`) do not reach: ownership
 /// transfers, read replications, and lock-free barrier rounds must all
 /// survive 20% drop + duplication + delay spikes with bit-identical
 /// same-seed traces and unchanged application outputs.

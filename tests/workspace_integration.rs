@@ -95,7 +95,7 @@ fn quick_experiment_suite_runs() {
 /// locks, and computes compose into deterministic end times.
 #[test]
 fn deterministic_virtual_times_across_protocols() {
-    for proto in ProtocolKind::ALL {
+    for proto in ProtocolKind::EVERY {
         let run = || {
             let cfg = DsmConfig::new(3, proto).heap_bytes(1 << 12).page_size(256);
             let res = dsm_core::run_dsm(&cfg, |dsm| {
