@@ -45,6 +45,12 @@ impl KvParams {
     pub fn heap_bytes(&self) -> usize {
         self.keys * 8
     }
+
+    /// Entry-consistency bindings: every key's 8 bytes, to the stripe
+    /// lock that guards it.
+    pub fn bindings(&self) -> impl Iterator<Item = (LockId, GlobalAddr, usize)> + '_ {
+        (0..self.keys).map(|k| ((k % self.stripes) as LockId, u64_at(TABLE, k), 8))
+    }
 }
 
 /// One drawn operation.

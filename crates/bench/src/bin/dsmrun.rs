@@ -12,8 +12,8 @@
 use dsm_apps::{chase, fft, gauss, jacobi, kv, matmul, sor, sort, taskqueue, tsp};
 use dsm_bench::cli::CommonFlags;
 use dsm_core::{
-    BarrierKind, Can, CostModel, Dsm, DsmConfig, Dur, EntryBinding, Facts, LockKind, Placement,
-    ProtocolKind,
+    BarrierKind, Can, CostModel, Dsm, DsmConfig, Dur, EntryBinding, Facts, LockKind, NetStats,
+    Placement, ProtocolKind, RunResult, SimTime,
 };
 
 struct Args {
@@ -25,7 +25,6 @@ struct Args {
     barrier: BarrierKind,
     fast_path: bool,
     lrc_gc: bool,
-    quantum_us: u64,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -38,7 +37,6 @@ fn parse_args() -> Result<Args, String> {
         barrier: BarrierKind::Central,
         fast_path: true,
         lrc_gc: true,
-        quantum_us: 0, // 0 = keep the built-in MAX_LOCAL_QUANTUM
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -90,10 +88,9 @@ fn parse_args() -> Result<Args, String> {
             }
             "--no-fast-path" => args.fast_path = false,
             "--no-lrc-gc" => args.lrc_gc = false,
-            "--quantum-us" => args.quantum_us = val()?.parse().map_err(|e| format!("{e}"))?,
             other => {
                 // Everything else is the vocabulary shared with
-                // `run_all` and `dsm-cluster`.
+                // `dsm-cluster`.
                 if !args.common.take(other, &mut it)? {
                     return Err(format!("unknown flag {other} (try --list)"));
                 }
@@ -126,7 +123,7 @@ fn main() {
             eprintln!("dsmrun: {e}");
             eprintln!(
                 "usage: dsmrun --app <name> [--size S] [--placement P] [--lock K] \
-                 [--barrier K] [--no-fast-path] [--no-lrc-gc] [--quantum-us U] {} | --list\n\
+                 [--barrier K] [--no-fast-path] [--no-lrc-gc] {} | --list\n\
                  apps: sor jacobi matmul gauss fft sort taskqueue tsp chase kv \
                  (kv: the E21 Zipf board, --size = operations per node)",
                 CommonFlags::USAGE
@@ -152,22 +149,29 @@ fn main() {
             .batch_depth(c.batch_depth)
             .max_events(2_000_000_000)
             .faults(c.fault_plan());
-        let cfg = if c.workers > 0 {
+        if c.workers > 0 {
             cfg.workers(c.workers)
-        } else {
-            cfg
-        };
-        if a.quantum_us > 0 {
-            cfg.local_quantum(Dur::micros(a.quantum_us))
         } else {
             cfg
         }
     };
 
-    /// Simulator-throughput triple pulled off a run result: (events,
-    /// workers, events/sec wall-clock).
-    fn thru<V>(res: &dsm_core::RunResult<V>) -> (u64, usize, f64) {
-        (res.events, res.workers, res.events_per_sec())
+    /// What is printed of a run, its verdict included: completion time,
+    /// traffic, and the simulator's (events, workers, events/sec).
+    fn done<V>(res: RunResult<V>, ok: bool) -> (SimTime, NetStats, bool, (u64, usize, f64)) {
+        let thru = (res.events, res.workers, res.events_per_sec());
+        (res.end_time, res.stats, ok, thru)
+    }
+
+    // Of the apps, `kv` and `sort` have nodes writing distinct bytes of
+    // one page with nothing but a later barrier between them.
+    if let ("kv" | "sort", Err(why)) = (a.app.as_str(), a.common.proto.facts().sub_page_writers) {
+        eprintln!(
+            "dsmrun: --app {} cannot run under `{}`: its nodes write distinct bytes of one \
+             page concurrently — {why}",
+            a.app, a.common.proto
+        );
+        std::process::exit(2);
     }
 
     let (end, stats, verdict, (events, workers, eps)) = match a.app.as_str() {
@@ -181,10 +185,7 @@ fn main() {
             let ok = res.results.iter().enumerate().all(|(i, &got)| {
                 (got - sor::reference_block_sum(&p, a.common.nodes as usize, i)).abs() < 1e-9
             });
-            {
-                let t = thru(&res);
-                (res.end_time, res.stats, ok, t)
-            }
+            done(res, ok)
         }
         "jacobi" => {
             let p = jacobi::JacobiParams {
@@ -196,10 +197,7 @@ fn main() {
             let ok = res.results.iter().enumerate().all(|(i, &got)| {
                 (got - jacobi::reference_block_sum(&p, a.common.nodes as usize, i)).abs() < 1e-9
             });
-            {
-                let t = thru(&res);
-                (res.end_time, res.stats, ok, t)
-            }
+            done(res, ok)
         }
         "matmul" => {
             let p = matmul::MatmulParams {
@@ -210,10 +208,7 @@ fn main() {
             let ok = res.results.iter().enumerate().all(|(i, &got)| {
                 (got - matmul::reference_block_sum(&p, a.common.nodes as usize, i)).abs() < 1e-9
             });
-            {
-                let t = thru(&res);
-                (res.end_time, res.stats, ok, t)
-            }
+            done(res, ok)
         }
         "gauss" => {
             let p = gauss::GaussParams {
@@ -227,10 +222,7 @@ fn main() {
                 .results
                 .iter()
                 .all(|x| x.iter().zip(&want).all(|(g, w)| (g - w).abs() < 1e-9));
-            {
-                let t = thru(&res);
-                (res.end_time, res.stats, ok, t)
-            }
+            done(res, ok)
         }
         "fft" => {
             let s = if a.size == 0 { 64 } else { a.size };
@@ -240,10 +232,7 @@ fn main() {
             let ok = res.results.iter().enumerate().all(|(i, &got)| {
                 (got - fft::reference_block_sum(&p, a.common.nodes as usize, i)).abs() < 1e-6
             });
-            {
-                let t = thru(&res);
-                (res.end_time, res.stats, ok, t)
-            }
+            done(res, ok)
         }
         "sort" => {
             let p = sort::SortParams {
@@ -263,10 +252,7 @@ fn main() {
                 },
             );
             let ok = res.results[0] == want;
-            {
-                let t = thru(&res);
-                (res.end_time, res.stats, ok, t)
-            }
+            done(res, ok)
         }
         "taskqueue" => {
             let p = taskqueue::TaskQueueParams {
@@ -282,8 +268,7 @@ fn main() {
             let res = dsm_core::run_dsm(&cfg, move |d: &Dsm<'_>| taskqueue::run(d, &p));
             let sum: u64 = res.results.iter().map(|r| r.id_sum).sum();
             let xor: u64 = res.results.iter().fold(0, |x, r| x ^ r.id_xor);
-            let t = thru(&res);
-            (res.end_time, res.stats, (sum, xor) == (ws, wx), t)
+            done(res, (sum, xor) == (ws, wx))
         }
         "chase" => {
             // Page build for page protocols; under a protocol that
@@ -307,10 +292,7 @@ fn main() {
                 })
             };
             let ok = res.results.iter().all(|&v| v == expected);
-            {
-                let t = thru(&res);
-                (res.end_time, res.stats, ok, t)
-            }
+            done(res, ok)
         }
         "tsp" => {
             let p = tsp::TspParams {
@@ -325,10 +307,7 @@ fn main() {
             let want = tsp::reference(&p);
             let res = dsm_core::run_dsm(&cfg, move |d: &Dsm<'_>| tsp::run(d, &p));
             let ok = res.results.iter().all(|&b| b == want);
-            {
-                let t = thru(&res);
-                (res.end_time, res.stats, ok, t)
-            }
+            done(res, ok)
         }
         "kv" => {
             // The E21 board as the benchmark's `sim_kv_*` workloads run
@@ -341,11 +320,13 @@ fn main() {
                 stripes: 16,
                 seed: 21,
             };
+            let mut cfg = base(p.heap_bytes());
+            let binding = |(lock, addr, len)| EntryBinding { lock, addr, len };
+            cfg.bindings = p.bindings().map(binding).collect();
             let want = kv::reference_digest(&p, a.common.nodes as usize);
-            let res = dsm_core::run_dsm(&base(p.heap_bytes()), move |d: &Dsm<'_>| kv::run(d, &p));
+            let res = dsm_core::run_dsm(&cfg, move |d: &Dsm<'_>| kv::run(d, &p));
             let ok = res.results.iter().all(|&d| d == want);
-            let t = thru(&res);
-            (res.end_time, res.stats, ok, t)
+            done(res, ok)
         }
         other => {
             eprintln!("dsmrun: unknown app {other} (try --list)");
@@ -371,16 +352,8 @@ fn main() {
         a.placement,
         net_label.as_deref().unwrap_or("lan_1992")
     );
-    if a.common.batch_depth > 1 || a.quantum_us > 0 {
-        println!(
-            "pipeline: batch-depth={} quantum={}",
-            a.common.batch_depth,
-            if a.quantum_us > 0 {
-                format!("{}us", a.quantum_us)
-            } else {
-                "default".into()
-            }
-        );
+    if a.common.batch_depth > 1 {
+        println!("pipeline: batch-depth={}", a.common.batch_depth);
     }
     if a.common.drop_prob > 0.0 || a.common.dup_prob > 0.0 {
         println!(

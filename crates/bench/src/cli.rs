@@ -1,7 +1,6 @@
-//! Shared command-line plumbing: `dsmrun`, `run_all`, and
-//! `dsm-cluster` accept one common flag vocabulary ([`CommonFlags`])
-//! and the same `--crash` / `--partition` syntax, parsed here so the
-//! front-ends cannot drift.
+//! Shared command-line plumbing: `dsmrun` and `dsm-cluster` accept one
+//! common flag vocabulary ([`CommonFlags`]) and the same `--crash` /
+//! `--partition` syntax, parsed here so the front-ends cannot drift.
 //!
 //! All times are *virtual* microseconds.
 //!
@@ -16,12 +15,11 @@
 
 use dsm_core::{CostModel, Dur, FaultPlan, ProtocolKind, SimTime};
 
-/// The flag vocabulary every front-end shares. Each binary owns its
-/// specific flags (`dsmrun --app`, `run_all --quick`, `dsm-cluster
-/// --child-rank`, …) and funnels everything else through
-/// [`CommonFlags::take`], so `--net`, `--workers`, `--crash`,
-/// `--partition`, `--batch-depth`, and the seed/probability knobs
-/// parse identically everywhere.
+/// The flag vocabulary both front-ends share. Each binary owns its
+/// specific flags (`dsmrun --app`, `dsm-cluster --child-rank`, …) and
+/// funnels everything else through [`CommonFlags::take`], so `--net`,
+/// `--workers`, `--crash`, `--partition`, `--batch-depth`, and the
+/// seed/probability knobs parse identically everywhere.
 #[derive(Debug, Clone)]
 pub struct CommonFlags {
     pub nodes: u32,
@@ -214,11 +212,7 @@ pub fn parse_partition(s: &str) -> Result<PartitionSpec, String> {
 }
 
 /// Fold parsed specs into a fault plan.
-pub fn apply(
-    mut plan: FaultPlan,
-    crashes: &[CrashSpec],
-    partitions: &[PartitionSpec],
-) -> FaultPlan {
+fn apply(mut plan: FaultPlan, crashes: &[CrashSpec], partitions: &[PartitionSpec]) -> FaultPlan {
     for c in crashes {
         plan = plan.with_crash(c.node, c.at, c.recover);
     }

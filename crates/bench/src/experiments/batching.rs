@@ -10,7 +10,6 @@
 //! patterns, per protocol and application.
 
 use super::Scale;
-use crate::json;
 use crate::table::{print_table, xs_of, Series};
 use dsm_apps::{fft, matmul, sor};
 use dsm_core::{Dsm, DsmConfig, Placement, ProtocolKind};
@@ -28,7 +27,7 @@ const PROTOS: [ProtocolKind; 3] = [
 ];
 
 /// Sweep one application over (protocol × depth); prints completion
-/// time, total messages, and rendezvous tables and records JSON runs.
+/// time, total messages, and rendezvous tables.
 fn depth_sweep<F>(app: &str, scale: Scale, nodes: u32, heap: usize, page: usize, run: F)
 where
     F: Fn(&Dsm<'_>) + Send + Sync + Copy,
@@ -50,11 +49,6 @@ where
             time[pi].push(res.end_time.as_millis_f64());
             msgs[pi].push(res.stats.total_msgs() as f64);
             rdv[pi].push(res.rendezvous as f64);
-            json::record_run(
-                "e17_batching",
-                &format!("{app} {} depth={depth}", proto.name()),
-                &res,
-            );
         }
     }
     let xs = xs_of(&ds);

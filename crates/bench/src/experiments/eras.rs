@@ -67,11 +67,6 @@ pub fn e20_eras(scale: Scale) {
             let res = dsm_core::run_dsm(&cfg, move |dsm: &Dsm<'_>| {
                 sor::run(dsm, &p);
             });
-            crate::json::record_run(
-                "e20_eras",
-                &format!("{} net={era} nodes={nodes}", proto.name()),
-                &res,
-            );
             times[pi][ei] = res.end_time.as_millis_f64();
             time_series[pi].push(res.end_time.as_millis_f64());
         }

@@ -6,7 +6,6 @@
 //! at every point — that is the contract the transport sells.
 
 use super::Scale;
-use crate::json;
 use crate::table::{print_fault_table, print_table, Series};
 use dsm_apps::{matmul, sor};
 use dsm_core::{Dsm, DsmConfig, FaultPlan, NetStats, ProtocolKind, SimTime};
@@ -167,12 +166,6 @@ pub fn e19_crash(scale: Scale) {
     for proto in protos {
         let s = run_sor(proto, FaultPlan::NONE);
         let m = run_mm(proto, FaultPlan::NONE);
-        json::record_run("e19_crash", &format!("{} sor fault-free", proto.name()), &s);
-        json::record_run(
-            "e19_crash",
-            &format!("{} matmul fault-free", proto.name()),
-            &m,
-        );
         let mut t = Series::new(proto.name());
         let mut mm = Series::new(proto.name());
         let mut b = Series::new(proto.name());
@@ -244,8 +237,6 @@ pub fn e19_crash(scale: Scale) {
         let dead = run(FaultPlan::NONE.with_crash(victim, at, None));
         assert_eq!(dead.stats.crashes, 1);
         assert_eq!(dead.stats.recoveries, 0);
-        json::record_run("e19_crash", &format!("scabd {app} crash+recover"), &rec);
-        json::record_run("e19_crash", &format!("scabd {app} crash-dead"), &dead);
         sched[i].push(clean.end_time.as_millis_f64());
         sched[i].push(rec.end_time.as_millis_f64());
         sched[i].push(dead.end_time.as_millis_f64());
@@ -282,35 +273,5 @@ pub fn e19_crash(scale: Scale) {
     println!(
         "E19 (crash): ivy-central with node 0 (the manager) dead at 40%: \
          stalled — flagged by the deadlock watchdog, as expected\n"
-    );
-}
-
-/// A one-off fault scenario from the command line (`run_all --crash ...
-/// --partition ...`, same specs as `dsmrun`): scabd SOR under the given
-/// schedule, printed as a fault table and recorded under `e19_crash`.
-pub fn custom_fault_run(
-    scale: Scale,
-    crashes: &[crate::cli::CrashSpec],
-    partitions: &[crate::cli::PartitionSpec],
-) {
-    let sor_p = sor::SorParams {
-        n: scale.pick(16, 32),
-        iters: scale.pick(2, 4),
-        omega: 1.25,
-    };
-    let plan = crate::cli::apply(FaultPlan::NONE, crashes, partitions);
-    let res = run_e19(
-        ProtocolKind::Scabd,
-        4,
-        sor_p.n * 8,
-        sor_p.heap_bytes(),
-        plan,
-        move |d| sor::run(d, &sor_p),
-    );
-    json::record_run("e19_crash", "scabd sor custom schedule", &res);
-    println!("custom schedule: completion time {}", res.end_time);
-    print_fault_table(
-        "custom fault schedule: scabd sor traffic and fault counters",
-        &res.stats,
     );
 }

@@ -23,7 +23,6 @@
 //! carries no clocks at all, at the price E6 measures.
 
 use super::Scale;
-use crate::json;
 use crate::table::{print_table, xs_of, Series};
 use dsm_apps::sor;
 use dsm_core::{Dsm, DsmConfig, Placement, ProtocolKind};
@@ -54,7 +53,7 @@ pub fn e18_lrc_meta(scale: Scale) {
     let mut resident: Vec<Series> = CONFIGS.iter().map(|c| Series::new(c.0)).collect();
     let mut times: Vec<Series> = CONFIGS.iter().map(|c| Series::new(c.0)).collect();
     for &n in &ns {
-        for (ci, &(name, proto, gc)) in CONFIGS.iter().enumerate() {
+        for (ci, &(_, proto, gc)) in CONFIGS.iter().enumerate() {
             let cfg = DsmConfig::new(n, proto)
                 .heap_bytes(p.heap_bytes())
                 .page_size(4096)
@@ -64,7 +63,6 @@ pub fn e18_lrc_meta(scale: Scale) {
             let res = dsm_core::run_dsm(&cfg, move |dsm: &Dsm<'_>| {
                 sor::run(dsm, &p);
             });
-            json::record_run("e18_lrc_meta", &format!("{name} nodes={n}"), &res);
             let bar = res.stats.kind("BarArrive").bytes + res.stats.kind("BarRelease").bytes;
             bar_bytes[ci].push(bar as f64 / barriers as f64 / n as f64);
             let peak = res

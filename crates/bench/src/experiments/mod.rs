@@ -1,7 +1,7 @@
 //! The experiment suite: one function per table/figure in
 //! EXPERIMENTS.md. Each prints its table(s) on stdout in the fixed
-//! format of [`crate::table`]. [`REGISTRY`] names them; the `exp` and
-//! `run_all` binaries are thin wrappers over it.
+//! format of [`crate::table`]. [`REGISTRY`] names them; the `exp` binary
+//! is a thin wrapper over it.
 
 mod ablation;
 mod batching;
@@ -17,7 +17,7 @@ mod zipf;
 pub use ablation::{e13_nic_ablation, e14_lrc_lock_ablation};
 pub use batching::e17_batching;
 pub use eras::e20_eras;
-pub use faults::{custom_fault_run, e16_faults, e19_crash};
+pub use faults::{e16_faults, e19_crash};
 pub use memory::{e05_false_sharing, e06_erc_vs_lrc, e09_diffs};
 pub use meta::e18_lrc_meta;
 pub use objects::e22_obj;

@@ -14,7 +14,6 @@
 //!   finishes ahead of every page protocol.
 
 use super::Scale;
-use crate::json;
 use crate::table::{print_table, xs_of, Series};
 use dsm_apps::{chase, false_sharing};
 use dsm_core::{CostModel, Dsm, DsmConfig, Dur, ProtocolKind, RunResult};
@@ -67,11 +66,6 @@ fn false_sharing_part(scale: Scale) {
             .max_events(100_000_000);
         let res = dsm_core::run_dsm(&cfg, move |dsm: &Dsm<'_>| false_sharing::run(dsm, &p));
         assert!(res.results.iter().all(|&v| v == p.iters as u64));
-        json::record_run(
-            "e22_obj",
-            &format!("{} false-sharing nodes={n}", proto.name()),
-            &res,
-        );
         msgs_of.insert(proto.name(), res.stats.total_msgs());
         push(
             proto.name(),
@@ -91,7 +85,6 @@ fn false_sharing_part(scale: Scale) {
         false_sharing::run_obj(dsm, &p, &counters)
     });
     assert!(res.results.iter().all(|&v| v == p.iters as u64));
-    json::record_run("e22_obj", &format!("obj false-sharing nodes={n}"), &res);
     let obj_msgs = res.stats.total_msgs();
     push(
         "obj",
@@ -170,7 +163,6 @@ fn chase_part(scale: Scale) {
     let rows: Vec<Series> = chase_runs(n, p, None)
         .iter()
         .map(|(name, res)| {
-            json::record_run("e22_obj", &format!("{name} chase nodes={n}"), res);
             let mut s = Series::new(*name);
             s.push(res.end_time.as_millis_f64());
             s.push(res.stats.total_msgs() as f64);

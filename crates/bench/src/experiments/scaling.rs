@@ -119,7 +119,6 @@ fn speedup_sweep_model<F>(
 ) where
     F: Fn(&Dsm<'_>) + Send + Sync + Copy,
 {
-    let exp = crate::json::slug(title);
     // times[pi][xi] in ms.
     let mut times: Vec<Vec<f64>> = vec![Vec::new(); protos.len()];
     let mut msgs: Vec<Series> = protos.iter().map(|p| Series::new(p.name())).collect();
@@ -132,7 +131,6 @@ fn speedup_sweep_model<F>(
                 .model(model.clone())
                 .max_events(400_000_000);
             let res = dsm_core::run_dsm(&cfg, app);
-            crate::json::record_run(&exp, &format!("{} nodes={n}", proto.name()), &res);
             times[pi].push(res.end_time.as_millis_f64());
             msgs[pi].push(res.stats.total_msgs() as f64);
         }
@@ -254,11 +252,6 @@ pub fn e02_sor_n1024(_scale: Scale) {
         let res = dsm_core::run_dsm(&cfg, move |dsm: &Dsm<'_>| {
             sor::run(dsm, &p);
         });
-        crate::json::record_run(
-            "e2_sor_n1024",
-            &format!("{} nodes=1024", proto.name()),
-            &res,
-        );
         times[pi].push(res.end_time.as_millis_f64());
         eps[pi].push(res.events_per_sec());
     }

@@ -60,11 +60,6 @@ pub fn e21_zipf(scale: Scale) {
                 "E21 digest mismatch under {} at skew {skew}",
                 proto.name()
             );
-            crate::json::record_run(
-                "e21_zipf",
-                &format!("{} skew={skew} nodes={nodes}", proto.name()),
-                &res,
-            );
             time_series[pi].push(res.end_time.as_millis_f64());
             msg_series[pi].push(res.stats.total_msgs() as f64);
         }

@@ -28,6 +28,9 @@ fn unknown_or_missing_name_is_a_usage_error() {
         &["e99_nope"][..],
         &["--quick"],
         &["e09_diffs", "--frobnicate"],
+        // Tables on stdout are all an experiment produces.
+        &["e09_diffs", "--json"],
+        &["all", "--quick", "--json"],
     ] {
         let (code, stdout, stderr) = exp(args);
         assert_eq!(code, Some(2), "{args:?}");
@@ -41,4 +44,26 @@ fn a_name_runs_that_experiment() {
     let (code, stdout, _) = exp(&["e09_diffs", "--quick"]);
     assert_eq!(code, Some(0));
     assert!(stdout.starts_with("== E9:"), "{stdout}");
+}
+
+#[test]
+fn all_runs_the_registry_in_order() {
+    let (code, stdout, _) = exp(&["all", "--quick"]);
+    assert_eq!(code, Some(0));
+    let titles: Vec<&str> = stdout.lines().filter(|l| l.starts_with("== ")).collect();
+    let (first, last) = (titles[0], titles[titles.len() - 1]);
+    assert!(first.starts_with("== E1:"), "{first}");
+    assert!(last.starts_with("== E22b:"), "{last}");
+}
+
+/// EXPERIMENTS.md's name index is the registry, in order.
+#[test]
+fn experiments_md_indexes_the_registry() {
+    let doc = include_str!("../../../EXPERIMENTS.md");
+    let indexed: Vec<&str> = doc
+        .lines()
+        .filter_map(|l| l.strip_prefix("| `")?.split('`').next())
+        .collect();
+    let want: Vec<&str> = REGISTRY.iter().chain(STANDALONE).map(|(n, _)| *n).collect();
+    assert_eq!(indexed, want);
 }

@@ -9,7 +9,7 @@
 //! only the real-time cost of a hit shrinks.
 
 use crate::lease::Lease;
-use crate::node::{DsmOp, DsmReply, OpBuf, OpData};
+use crate::node::{DsmOp, OpBuf, OpData};
 use dsm_mem::GlobalAddr;
 use dsm_net::{AppHandle, Dur, NodeId, SimTime};
 use dsm_sync::{BarrierId, LockId};
@@ -21,7 +21,7 @@ use std::cell::Cell;
 /// model in effect; heavy local computation must be modeled explicitly
 /// with [`Dsm::compute`].
 pub struct Dsm<'a> {
-    h: &'a AppHandle<DsmOp, DsmReply>,
+    h: &'a AppHandle<DsmOp, ()>,
     lease: Option<Lease>,
     /// Declared read-ahead window, attached to every read op while a
     /// [`Dsm::prefetch_window`] guard lives.
@@ -29,18 +29,7 @@ pub struct Dsm<'a> {
 }
 
 impl<'a> Dsm<'a> {
-    /// A handle without a lease: every access takes the rendezvous
-    /// path. The runtime normally builds handles via
-    /// [`crate::run_dsm`], which attaches leases.
-    pub fn new(h: &'a AppHandle<DsmOp, DsmReply>) -> Self {
-        Dsm {
-            h,
-            lease: None,
-            hint: Cell::new(None),
-        }
-    }
-
-    pub(crate) fn with_lease(h: &'a AppHandle<DsmOp, DsmReply>, lease: Option<Lease>) -> Self {
+    pub(crate) fn with_lease(h: &'a AppHandle<DsmOp, ()>, lease: Option<Lease>) -> Self {
         Dsm {
             h,
             lease,

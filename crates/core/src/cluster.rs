@@ -57,7 +57,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::lease::FrameCell;
-use crate::node::{DsmNode, DsmOp, DsmReply, OpBuf, OpData};
+use crate::node::{DsmNode, DsmOp, OpBuf, OpData};
 use crate::{DsmConfig, ProtocolKind};
 use dsm_mem::{Access, FrameTable, GlobalAddr, PageId, SpaceLayout};
 use dsm_net::{wrap_fleet, NodeId, Reliable, SocketRt};
@@ -240,7 +240,7 @@ impl Reactor<'_> {
         }
     }
 
-    fn run_op(&mut self, op: DsmOp) -> DsmReply {
+    fn run_op(&mut self, op: DsmOp) {
         self.rt.run_op(op, POLL)
     }
 

@@ -34,7 +34,7 @@
 use std::cell::UnsafeCell;
 use std::sync::Arc;
 
-use crate::node::{DsmOp, DsmReply};
+use crate::node::DsmOp;
 use dsm_mem::{FrameTable, GlobalAddr, SpaceLayout};
 use dsm_net::{AppHandle, CostModel};
 
@@ -77,7 +77,7 @@ impl Lease {
     /// Ensure `cost` more virtual time fits in the run-ahead budget,
     /// yielding accumulated time once to renew it if needed. False
     /// means the access must take the rendezvous path.
-    fn budget_for(&self, h: &AppHandle<DsmOp, DsmReply>, cost: dsm_net::Dur) -> bool {
+    fn budget_for(&self, h: &AppHandle<DsmOp, ()>, cost: dsm_net::Dur) -> bool {
         h.local_allows(cost) || (h.flush_local() && h.local_allows(cost))
     }
 
@@ -85,7 +85,7 @@ impl Lease {
     /// range touches) lacks read rights, or the budget is exhausted.
     pub(crate) fn try_read(
         &self,
-        h: &AppHandle<DsmOp, DsmReply>,
+        h: &AppHandle<DsmOp, ()>,
         addr: GlobalAddr,
         buf: &mut [u8],
     ) -> bool {
@@ -110,7 +110,7 @@ impl Lease {
     /// anywhere in the range or the budget is exhausted.
     pub(crate) fn try_write(
         &self,
-        h: &AppHandle<DsmOp, DsmReply>,
+        h: &AppHandle<DsmOp, ()>,
         addr: GlobalAddr,
         data: &[u8],
     ) -> bool {

@@ -30,7 +30,7 @@ pub use api::{Dsm, PrefetchWindow};
 pub use cluster::{run_cluster_node, ClusterDsm};
 pub use lease::Lease;
 pub use msg::CoreMsg;
-pub use node::{DsmNode, DsmOp, DsmReply, OpBuf, OpData};
+pub use node::{DsmNode, DsmOp, OpBuf, OpData};
 
 // Re-export the vocabulary types users need.
 pub use dsm_mem::{GlobalAddr, ObjRecord, ObjTable, PageGeometry, PageId, Placement, SpaceLayout};
@@ -63,10 +63,6 @@ pub struct DsmConfig {
     pub bindings: Vec<EntryBinding>,
     /// Livelock guard for the event kernel.
     pub max_events: u64,
-    /// Progress-watchdog window: if no program makes progress for this
-    /// much virtual time the run panics with a per-node diagnostic
-    /// dump. `Dur::ZERO` disables the watchdog.
-    pub stall_window: Dur,
     /// Service page hits on the application thread via a [`Lease`]
     /// (no kernel rendezvous per hit). On by default; turn off to
     /// force every access through the op path — timing and outputs
@@ -81,10 +77,6 @@ pub struct DsmConfig {
     /// global cap and `Protocol::max_batch_depth`) rather than this
     /// fixed depth.
     pub batch_depth: usize,
-    /// Cap on per-grant program run-ahead (the lease quantum). A pure
-    /// wall-clock knob: virtual-time results are identical for any
-    /// positive value. Defaults to [`dsm_net::MAX_LOCAL_QUANTUM`].
-    pub local_quantum: Dur,
     /// LRC only: retire causal metadata at barriers (interval GC). On
     /// by default; off reproduces the unbounded-log variant (E18's
     /// baseline). Application results are bit-identical either way.
@@ -100,7 +92,7 @@ pub struct DsmConfig {
 }
 
 /// Worker-count default: `DSM_WORKERS` if set to a positive integer,
-/// else 1. Lets CI and `run_all` spread the kernel across cores without
+/// else 1. Lets CI spread every experiment's kernel across cores without
 /// threading a flag through every call site.
 fn default_workers() -> usize {
     std::env::var("DSM_WORKERS")
@@ -112,11 +104,11 @@ fn default_workers() -> usize {
 
 /// Cost-model default: the interconnect era named by `DSM_NET` (one of
 /// [`CostModel::ERA_NAMES`]) if set and recognized, else the 1992 LAN.
-/// Same contract as `DSM_WORKERS`: lets CI, `run_all --net`, and
-/// `dsmrun --net` move a whole suite to a different machine room
-/// without threading a flag through every call site. Call sites that
-/// pass an explicit [`DsmConfig::model`] — era-specific figures and
-/// the determinism tests — are unaffected.
+/// Same contract as `DSM_WORKERS`: `DSM_NET=… exp all` moves the whole
+/// suite to a different machine room without threading a flag through
+/// every call site. Call sites that pass an explicit
+/// [`DsmConfig::model`] — era-specific figures and the determinism
+/// tests — are unaffected.
 fn default_model() -> CostModel {
     std::env::var("DSM_NET")
         .ok()
@@ -140,10 +132,8 @@ impl DsmConfig {
             model: default_model(),
             bindings: Vec::new(),
             max_events: 200_000_000,
-            stall_window: dsm_net::DEFAULT_STALL_WINDOW,
             fast_path: true,
             batch_depth: 1,
-            local_quantum: dsm_net::MAX_LOCAL_QUANTUM,
             lrc_gc: true,
             workers: default_workers(),
             objects: std::sync::Arc::new(ObjTable::new()),
@@ -190,11 +180,6 @@ impl DsmConfig {
         self
     }
 
-    pub fn stall_window(mut self, w: Dur) -> Self {
-        self.stall_window = w;
-        self
-    }
-
     /// Enable deterministic network fault injection. Any enabled plan
     /// automatically routes all traffic through the reliable transport
     /// ([`dsm_net::Reliable`]), so protocols still see exactly-once,
@@ -233,13 +218,6 @@ impl DsmConfig {
     pub fn workers(mut self, workers: usize) -> Self {
         assert!(workers >= 1, "need at least one worker");
         self.workers = workers;
-        self
-    }
-
-    /// Set the run-ahead quantum cap (must be positive).
-    pub fn local_quantum(mut self, q: Dur) -> Self {
-        assert!(q > Dur::ZERO, "local quantum must be positive");
-        self.local_quantum = q;
         self
     }
 
@@ -296,20 +274,16 @@ impl DsmConfig {
 fn run_programs<V, P>(cfg: &DsmConfig, nodes: Vec<DsmNode>, programs: Vec<P>) -> RunResult<V>
 where
     V: Send,
-    P: FnOnce(&dsm_net::AppHandle<DsmOp, DsmReply>) -> V + Send,
+    P: FnOnce(&dsm_net::AppHandle<DsmOp, ()>) -> V + Send,
 {
     if cfg.model.faults.enabled() {
         dsm_net::Sim::new(dsm_net::wrap_fleet(nodes, &cfg.model), cfg.model.clone())
             .max_events(cfg.max_events)
-            .stall_window(cfg.stall_window)
-            .local_quantum(cfg.local_quantum)
             .workers(cfg.workers)
             .run(programs)
     } else {
         dsm_net::Sim::new(nodes, cfg.model.clone())
             .max_events(cfg.max_events)
-            .stall_window(cfg.stall_window)
-            .local_quantum(cfg.local_quantum)
             .workers(cfg.workers)
             .run(programs)
     }
@@ -323,19 +297,7 @@ where
     V: Send,
     F: Fn(&Dsm<'_>) -> V + Send + Sync,
 {
-    let nodes = cfg.build_nodes();
-    let leases = cfg.leases(&nodes);
-    let program = &program;
-    let programs: Vec<_> = leases
-        .into_iter()
-        .map(|lease| {
-            move |h: &dsm_net::AppHandle<DsmOp, DsmReply>| {
-                let dsm = Dsm::with_lease(h, lease);
-                program(&dsm)
-            }
-        })
-        .collect();
-    run_programs(cfg, nodes, programs)
+    run_dsm_mpmd(cfg, (0..cfg.nnodes).map(|_| &program).collect())
 }
 
 /// Run with one distinct program per node (MPMD); `programs.len()` must
@@ -352,7 +314,7 @@ where
         .into_iter()
         .zip(leases)
         .map(|(p, lease)| {
-            move |h: &dsm_net::AppHandle<DsmOp, DsmReply>| {
+            move |h: &dsm_net::AppHandle<DsmOp, ()>| {
                 let dsm = Dsm::with_lease(h, lease);
                 p(&dsm)
             }

@@ -126,52 +126,38 @@ pub enum DsmOp {
     },
 }
 
-/// Replies to [`DsmOp`]s. Reads land directly in the caller's buffer,
-/// so every op completes with `Unit`.
-#[derive(Debug)]
-pub enum DsmReply {
-    Unit,
+/// What a parked operation is waiting for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stage {
+    /// `Read` / `Write` / `ObjGet`: a fault is in flight (`PageReady` /
+    /// `ObjReady` re-drives the op).
+    Fault,
+    /// `Write`: the protocol took the rest of the write over
+    /// (`WriteDone` completes it).
+    AsyncWrite,
+    /// `Release` / `Barrier`: the protocol's pre-release flush
+    /// (`FlushDone` moves on).
+    Flush,
+    /// `Acquire` / `Barrier`: the lock grant or the barrier release.
+    Wait,
 }
 
-/// What the parked application operation is waiting for.
+/// The application operation this node has parked: the op itself —
+/// every op completes with `()`, reads land in the caller's buffer —
+/// and how far it has got. A crash re-drives `op` from the start.
 ///
-/// Reads and writes larger than a page are performed *piecewise*, one
-/// page at a time, retiring each page's protocol transaction before
+/// Reads and writes are performed *piecewise*, one page at a time
+/// (`pos` bytes done), retiring each page's protocol transaction before
 /// faulting on the next — mirroring real per-word loads/stores. An
 /// all-or-nothing multi-page access would otherwise hold one page's
 /// transaction open while waiting for another, deadlocking single-copy
 /// protocols (hold-and-wait).
 #[derive(Debug)]
-enum Pending {
-    None,
-    Read {
-        addr: GlobalAddr,
-        buf: OpBuf,
-        pos: usize,
-        faults: u32,
-        hint: Option<(GlobalAddr, usize)>,
-    },
-    Write {
-        addr: GlobalAddr,
-        data: OpData,
-        pos: usize,
-        faults: u32,
-    },
-    AsyncWrite {
-        addr: GlobalAddr,
-        data: OpData,
-        faults: u32,
-    },
-    Acquire(LockId),
-    ReleaseFlush(LockId),
-    BarrierFlush(BarrierId),
-    BarrierWait(BarrierId),
-    ObjGet {
-        obj: u32,
-        write: bool,
-        buf: OpBuf,
-        faults: u32,
-    },
+struct Parked {
+    op: DsmOp,
+    stage: Stage,
+    pos: usize,
+    faults: u32,
 }
 
 /// One DSM node: protocol + sync engines + local memory.
@@ -188,7 +174,7 @@ pub struct DsmNode {
     frames: Arc<FrameCell>,
     proto: Box<dyn Protocol>,
     sync: SyncEngines<Piggy>,
-    pending: Pending,
+    pending: Option<Parked>,
     /// The current op faulted at least once → tell the protocol when it
     /// retires (single-writer protocols release deferred requests then).
     faulted: bool,
@@ -205,9 +191,9 @@ pub struct DsmNode {
     /// completes only once this drains, so writes and sync ops never
     /// start with faults outstanding.
     inflight: Vec<usize>,
-    /// The op that was parked when this node crashed, rebuilt for
-    /// re-submission at recovery. The frozen program still owns the
-    /// op's buffers, so the raw pointers inside stay valid.
+    /// The op that was parked when this node crashed, for re-submission
+    /// at recovery. The frozen program still owns the op's buffers, so
+    /// the raw pointers inside stay valid.
     resubmit: Option<DsmOp>,
 }
 
@@ -295,7 +281,7 @@ impl DsmNode {
             frames: Arc::new(FrameCell::new(FrameTable::new(layout.geometry))),
             proto,
             sync: SyncEngines::new(lock_kind, barrier_kind, me, nnodes),
-            pending: Pending::None,
+            pending: None,
             faulted: false,
             batch_depth,
             max_depth,
@@ -376,12 +362,25 @@ impl DsmNode {
         model.fault_overhead + model.mem_copy(self.layout.geometry.page_size())
     }
 
+    /// Take the parked op out for `event`, which only an op matching
+    /// `expected` may be waiting for.
+    fn unpark(
+        &mut self,
+        event: impl std::fmt::Display,
+        expected: impl FnOnce(&Parked) -> bool,
+    ) -> Parked {
+        match self.pending.take() {
+            Some(parked) if expected(&parked) => parked,
+            other => panic!("{}: {event} while pending {other:?}", self.me),
+        }
+    }
+
     /// The barrier this node waits at has released it.
     fn barrier_released(&mut self, ctx: &mut Ctx<'_, Self>) {
-        match std::mem::replace(&mut self.pending, Pending::None) {
-            Pending::BarrierWait(_) => ctx.complete_op(DsmReply::Unit),
-            other => panic!("{}: barrier released while pending {other:?}", self.me),
-        }
+        self.unpark("barrier released", |p| {
+            matches!(p.op, DsmOp::Barrier(_)) && p.stage == Stage::Wait
+        });
+        ctx.complete_op(());
     }
 
     // ---------- fault-retry state machine ----------
@@ -443,35 +442,34 @@ impl DsmNode {
         out
     }
 
-    /// Drive the parked read/write forward, one page piece at a time.
-    /// Completes the op when the last piece lands; otherwise leaves the
-    /// op parked with a fault in flight.
-    fn retry_pending_access(&mut self, ctx: &mut Ctx<'_, Self>) {
-        // The op is out of `self.pending` while the machine runs and
-        // goes back, with its progress, unless it completed.
-        match std::mem::replace(&mut self.pending, Pending::None) {
-            Pending::Read {
-                addr,
-                mut buf,
-                mut pos,
-                mut faults,
-                hint,
-            } => {
-                let len = buf.len();
+    /// Drive a read/write forward, one page piece at a time. Completes
+    /// the op when the last piece lands; otherwise parks it, with its
+    /// progress and a fault in flight. The op is out of `self.pending`
+    /// while the machine runs.
+    fn drive_access(&mut self, ctx: &mut Ctx<'_, Self>, mut parked: Parked) {
+        let Parked {
+            op,
+            stage,
+            pos,
+            faults,
+        } = &mut parked;
+        let (completed, len) = match op {
+            DsmOp::Read { addr, buf, hint } => {
+                let (addr, len) = (*addr, buf.len());
                 let completed = loop {
-                    if pos >= len {
+                    if *pos >= len {
                         // With prefetches still in flight the op retires
                         // only once the fault queue drains, so the next
                         // op (possibly a write or sync) never starts
                         // with read transactions outstanding.
                         break self.inflight.is_empty();
                     }
-                    let n = self.piece_len(addr, pos, len);
-                    let a = addr.offset(pos);
+                    let n = self.piece_len(addr, *pos, len);
+                    let a = addr.offset(*pos);
                     // SAFETY: op in flight → app buffer live, unaliased.
-                    let piece = unsafe { buf.slice_mut(pos, n) };
+                    let piece = unsafe { buf.slice_mut(*pos, n) };
                     if Self::mem(&self.frames).try_read(a, piece) {
-                        pos += n;
+                        *pos += n;
                         // Retire this page's transaction before touching
                         // the next page (no hold-and-wait).
                         self.retire_if_faulted(ctx);
@@ -483,64 +481,49 @@ impl DsmNode {
                         // park until it lands instead of re-faulting.
                         break false;
                     }
-                    faults += 1;
+                    *faults += 1;
                     self.faulted = true;
                     // Depth 1 offers the demand page alone, inside a
                     // declared window too.
                     let cands;
                     let pages = if self.batch_depth > 1 {
-                        cands = self.prefetch_candidates(a, addr, len, hint);
+                        cands = self.prefetch_candidates(a, addr, len, *hint);
                         &cands[..]
                     } else {
                         std::slice::from_ref(&page)
                     };
                     let (resolved, issued) = self
                         .with_proto(ctx, |proto, io, mem| proto.read_fault_batch(io, mem, pages));
-                    faults += issued.len() as u32;
+                    *faults += issued.len() as u32;
                     self.inflight.extend(issued.iter().map(|p| p.0));
                     if !resolved {
                         self.inflight.push(page.0);
                         break false;
                     }
                 };
-                if completed {
-                    self.complete_access(ctx, faults, len);
-                } else {
-                    self.pending = Pending::Read {
-                        addr,
-                        buf,
-                        pos,
-                        faults,
-                        hint,
-                    };
-                }
+                (completed, len)
             }
-            Pending::Write {
-                addr,
-                data,
-                mut pos,
-                mut faults,
-            } => {
-                let len = data.len();
+            DsmOp::Write { addr, data } => {
+                let (addr, len) = (*addr, data.len());
                 let completed = loop {
-                    if pos >= len {
+                    if *pos >= len {
                         break true;
                     }
-                    let n = self.piece_len(addr, pos, len);
-                    let a = addr.offset(pos);
+                    let n = self.piece_len(addr, *pos, len);
+                    let a = addr.offset(*pos);
                     // SAFETY: op in flight → app buffer live, unaliased.
-                    let piece = unsafe { data.slice(pos, n) };
+                    let piece = unsafe { data.slice(*pos, n) };
                     if Self::mem(&self.frames).try_write(a, piece) {
-                        pos += n;
+                        *pos += n;
                         self.retire_if_faulted(ctx);
                         continue;
                     }
-                    faults += 1;
+                    *faults += 1;
                     self.faulted = true;
                     // Offer the whole remainder to the protocol:
                     // update-style protocols take it over entirely.
                     // SAFETY: as above.
-                    let rest = unsafe { data.slice(pos, len - pos) };
+                    let rest = unsafe { data.slice(*pos, len - *pos) };
                     let outcome =
                         self.with_proto(ctx, |proto, io, mem| proto.write_op(io, mem, a, rest));
                     match outcome {
@@ -548,23 +531,19 @@ impl DsmNode {
                         WriteOutcome::Faulted(_) => break false,
                         WriteOutcome::Done => break true,
                         WriteOutcome::Async => {
-                            self.pending = Pending::AsyncWrite { addr, data, faults };
-                            return;
+                            *stage = Stage::AsyncWrite;
+                            break false;
                         }
                     }
                 };
-                if completed {
-                    self.complete_access(ctx, faults, len);
-                } else {
-                    self.pending = Pending::Write {
-                        addr,
-                        data,
-                        pos,
-                        faults,
-                    };
-                }
+                (completed, len)
             }
-            other => panic!("{}: access retry while pending {other:?}", self.me),
+            other => panic!("{}: access machine run on {other:?}", self.me),
+        };
+        if completed {
+            self.complete_access(ctx, parked.faults, len);
+        } else {
+            self.pending = Some(parked);
         }
     }
 
@@ -572,7 +551,7 @@ impl DsmNode {
     /// faults: charge it, answer the program, retire its transaction.
     fn complete_access(&mut self, ctx: &mut Ctx<'_, Self>, faults: u32, len: usize) {
         let cost = self.install_cost(ctx) * faults as u64 + Self::access_cost(ctx, len);
-        ctx.complete_op_after(DsmReply::Unit, cost);
+        ctx.complete_op_after((), cost);
         self.retire_if_faulted(ctx);
     }
 
@@ -602,28 +581,18 @@ impl DsmNode {
     /// already be in flight, e.g. a read replica landed while the op
     /// waits for ownership).
     fn retry_pending_obj(&mut self, ctx: &mut Ctx<'_, Self>) {
-        let (obj, write, mut buf, faults) =
-            match std::mem::replace(&mut self.pending, Pending::None) {
-                Pending::ObjGet {
-                    obj,
-                    write,
-                    buf,
-                    faults,
-                } => (obj, write, buf, faults),
-                other => panic!("{}: object retry while pending {other:?}", self.me),
-            };
-        if self.try_obj_get(ctx, obj, write, &mut buf) {
-            let cost =
-                ctx.model().fault_overhead * faults as u64 + Self::access_cost(ctx, buf.len());
-            ctx.complete_op_after(DsmReply::Unit, cost);
+        let mut parked = self.unpark("object retry", |p| matches!(p.op, DsmOp::ObjGet { .. }));
+        let DsmOp::ObjGet { obj, write, buf } = &mut parked.op else {
+            unreachable!("unpark checked the op")
+        };
+        if self.try_obj_get(ctx, *obj, *write, buf) {
+            let cost = ctx.model().fault_overhead * parked.faults as u64
+                + Self::access_cost(ctx, buf.len());
+            ctx.complete_op_after((), cost);
             self.retire_if_faulted(ctx);
         } else {
-            self.pending = Pending::ObjGet {
-                obj,
-                write,
-                buf,
-                faults: faults + 1,
-            };
+            parked.faults += 1;
+            self.pending = Some(parked);
         }
     }
 
@@ -634,44 +603,44 @@ impl DsmNode {
                     if let Some(i) = self.inflight.iter().position(|&q| q == p.0) {
                         self.inflight.swap_remove(i);
                     }
-                    self.retry_pending_access(ctx);
+                    let parked = self.unpark("PageReady", |p| {
+                        matches!(p.op, DsmOp::Read { .. } | DsmOp::Write { .. })
+                            && p.stage == Stage::Fault
+                    });
+                    self.drive_access(ctx, parked);
                 }
                 ProtoEvent::WriteDone => {
-                    match std::mem::replace(&mut self.pending, Pending::None) {
-                        Pending::AsyncWrite { faults, .. } => {
-                            let cost = Self::access_cost(ctx, 0)
-                                + self.install_cost(ctx) * faults.saturating_sub(1) as u64;
-                            ctx.complete_op_after(DsmReply::Unit, cost);
-                            self.retire_if_faulted(ctx);
-                        }
-                        other => {
-                            panic!("{}: WriteDone while pending {other:?}", self.me)
-                        }
-                    }
+                    let parked = self.unpark("WriteDone", |p| p.stage == Stage::AsyncWrite);
+                    let cost = Self::access_cost(ctx, 0)
+                        + self.install_cost(ctx) * parked.faults.saturating_sub(1) as u64;
+                    ctx.complete_op_after((), cost);
+                    self.retire_if_faulted(ctx);
                 }
                 ProtoEvent::FlushDone => {
-                    match std::mem::replace(&mut self.pending, Pending::None) {
-                        Pending::ReleaseFlush(lock) => {
+                    let mut parked = self.unpark("FlushDone", |p| p.stage == Stage::Flush);
+                    let done = match parked.op {
+                        DsmOp::Release(lock) => {
                             self.with_sync(ctx, |sync, side| sync.locks.release(side, lock));
-                            ctx.complete_op(DsmReply::Unit);
+                            true
                         }
-                        Pending::BarrierFlush(id) => {
-                            if self.with_sync(ctx, |sync, side| sync.barriers.arrive(side, id)) {
-                                ctx.complete_op(DsmReply::Unit);
-                            } else {
-                                self.pending = Pending::BarrierWait(id);
-                            }
+                        DsmOp::Barrier(id) => {
+                            self.with_sync(ctx, |sync, side| sync.barriers.arrive(side, id))
                         }
-                        other => {
-                            panic!("{}: FlushDone while pending {other:?}", self.me)
-                        }
+                        _ => unreachable!("only releases and barriers flush"),
+                    };
+                    if done {
+                        ctx.complete_op(());
+                    } else {
+                        parked.stage = Stage::Wait;
+                        self.pending = Some(parked);
                     }
                 }
                 ProtoEvent::ObjReady(o) => {
                     // Lenient on mismatch: a late ObjData (e.g. from
                     // before a crash) may ready an object no op waits
                     // for anymore.
-                    if matches!(self.pending, Pending::ObjGet { obj, .. } if obj == o) {
+                    let waits = |p: &Parked| matches!(p.op, DsmOp::ObjGet { obj, .. } if obj == o);
+                    if self.pending.as_ref().is_some_and(waits) {
                         self.retry_pending_obj(ctx);
                     }
                 }
@@ -683,7 +652,7 @@ impl DsmNode {
 impl NodeBehavior for DsmNode {
     type Msg = CoreMsg;
     type Op = DsmOp;
-    type Reply = DsmReply;
+    type Reply = ();
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
         self.with_proto(ctx, |proto, io, mem| proto.on_start(io, mem));
@@ -697,149 +666,107 @@ impl NodeBehavior for DsmNode {
         self.proto.gauges()
     }
 
-    fn on_op(&mut self, ctx: &mut Ctx<'_, Self>, op: DsmOp) -> OpOutcome<DsmReply> {
+    fn on_op(&mut self, ctx: &mut Ctx<'_, Self>, mut op: DsmOp) -> OpOutcome<()> {
         debug_assert!(
-            matches!(self.pending, Pending::None),
+            self.pending.is_none(),
             "{}: op while pending {:?}",
             self.me,
             self.pending
         );
-        match op {
-            DsmOp::Read {
-                addr,
-                mut buf,
-                hint,
-            } => {
-                let len = buf.len();
+        // An arm either answers on the spot or says what the op parks
+        // for, and how many faults it has taken so far.
+        let (stage, faults) = match &mut op {
+            DsmOp::Read { addr, buf, .. } => {
+                let (addr, len) = (*addr, buf.len());
                 assert!(
                     self.layout.in_bounds(addr, len),
                     "read [{addr}, +{len}) out of bounds"
                 );
-                // SAFETY: op in flight → app buffer live, unaliased.
-                let whole = unsafe { buf.slice_mut(0, len) };
-                if Self::mem(&self.frames).try_read(addr, whole) {
-                    return OpOutcome::DoneAfter(DsmReply::Unit, Self::access_cost(ctx, len));
-                }
-                self.pending = Pending::Read {
-                    addr,
-                    buf,
-                    pos: 0,
-                    faults: 0,
-                    hint,
-                };
-                self.fault_in(ctx)
+                (Stage::Fault, 0)
             }
             DsmOp::Write { addr, data } => {
-                let len = data.len();
+                let (addr, len) = (*addr, data.len());
                 assert!(
                     self.layout.in_bounds(addr, len),
                     "write [{addr}, +{len}) out of bounds"
                 );
-                // SAFETY: op in flight → app buffer live, unaliased.
-                let whole = unsafe { data.slice(0, len) };
-                if Self::mem(&self.frames).try_write(addr, whole) {
-                    return OpOutcome::DoneAfter(DsmReply::Unit, Self::access_cost(ctx, len));
-                }
-                self.pending = Pending::Write {
-                    addr,
-                    data,
-                    pos: 0,
-                    faults: 0,
-                };
-                self.fault_in(ctx)
+                (Stage::Fault, 0)
             }
-            DsmOp::Acquire(lock) => {
+            &mut DsmOp::Acquire(lock) => {
                 if self.with_sync(ctx, |sync, side| sync.locks.acquire(side, lock)) {
-                    OpOutcome::Done(DsmReply::Unit)
-                } else {
-                    self.pending = Pending::Acquire(lock);
-                    OpOutcome::Blocked
+                    return OpOutcome::Done(());
                 }
+                (Stage::Wait, 0)
             }
-            DsmOp::Release(lock) => {
+            &mut DsmOp::Release(lock) => {
                 if self.with_proto(ctx, |proto, io, mem| proto.pre_release(io, mem, Some(lock))) {
                     self.with_sync(ctx, |sync, side| sync.locks.release(side, lock));
-                    OpOutcome::Done(DsmReply::Unit)
-                } else {
-                    self.pending = Pending::ReleaseFlush(lock);
-                    OpOutcome::Blocked
+                    return OpOutcome::Done(());
                 }
+                (Stage::Flush, 0)
             }
-            DsmOp::ObjGet {
-                obj,
-                write,
-                mut buf,
-            } => {
-                if self.try_obj_get(ctx, obj, write, &mut buf) {
-                    return OpOutcome::DoneAfter(DsmReply::Unit, Self::access_cost(ctx, buf.len()));
+            DsmOp::ObjGet { obj, write, buf } => {
+                if self.try_obj_get(ctx, *obj, *write, buf) {
+                    return OpOutcome::DoneAfter((), Self::access_cost(ctx, buf.len()));
                 }
                 self.faulted = true;
-                self.pending = Pending::ObjGet {
-                    obj,
-                    write,
-                    buf,
-                    faults: 1,
-                };
-                OpOutcome::Blocked
+                (Stage::Fault, 1)
             }
             DsmOp::ObjPut { obj, data } => {
                 let len = data.len();
                 // SAFETY: op in flight → app payload live, unaliased.
                 let whole = unsafe { data.slice(0, len) };
-                self.with_proto(ctx, |proto, io, _| proto.obj_publish(io, obj, whole));
-                OpOutcome::DoneAfter(DsmReply::Unit, Self::access_cost(ctx, len))
+                self.with_proto(ctx, |proto, io, _| proto.obj_publish(io, *obj, whole));
+                return OpOutcome::DoneAfter((), Self::access_cost(ctx, len));
             }
-            DsmOp::Barrier(id) => {
+            &mut DsmOp::Barrier(id) => {
                 let flushed =
                     self.with_proto(ctx, |proto, io, mem| proto.pre_release(io, mem, None));
                 if self.nnodes == 1 {
                     // Nobody to wait for; the flush above still made it
                     // a consistency point for the protocol.
-                    return OpOutcome::Done(DsmReply::Unit);
+                    return OpOutcome::Done(());
                 }
-                if flushed {
-                    if self.with_sync(ctx, |sync, side| sync.barriers.arrive(side, id)) {
-                        OpOutcome::Done(DsmReply::Unit)
-                    } else {
-                        self.pending = Pending::BarrierWait(id);
-                        OpOutcome::Blocked
-                    }
+                if !flushed {
+                    (Stage::Flush, 0)
+                } else if self.with_sync(ctx, |sync, side| sync.barriers.arrive(side, id)) {
+                    return OpOutcome::Done(());
                 } else {
-                    self.pending = Pending::BarrierFlush(id);
-                    OpOutcome::Blocked
+                    (Stage::Wait, 0)
                 }
             }
+        };
+        let parked = Parked {
+            op,
+            stage,
+            pos: 0,
+            faults,
+        };
+        if matches!(parked.op, DsmOp::Read { .. } | DsmOp::Write { .. }) {
+            // Start the machine on the access: a hit completes it at
+            // once. The machine completes ops through
+            // `ctx.complete_op_after`, which the kernel accepts while
+            // `on_op` is still running, so the answer is `Blocked` also
+            // when the completion is already queued.
+            self.drive_access(ctx, parked);
+        } else {
+            self.pending = Some(parked);
         }
+        OpOutcome::Blocked
     }
 
     fn on_fault(&mut self, ctx: &mut Ctx<'_, Self>, notice: FaultNotice) {
         match notice {
             FaultNotice::Crashed => {
-                // The parked op (if any) survives the crash as a
-                // resubmittable op: the frozen program still owns its
+                // The parked op (if any) survives the crash for
+                // re-submission: the frozen program still owns its
                 // buffers, so the raw pointers stay valid until the
                 // re-drive after recovery. Everything else — frames,
                 // in-flight faults, protocol state — is volatile and
                 // dies here. Lock and barrier *service* state is
                 // modeled as surviving (a fault-tolerant sync service);
                 // what a crash destroys is the node's memory.
-                self.resubmit = match std::mem::replace(&mut self.pending, Pending::None) {
-                    Pending::None => None,
-                    Pending::Read {
-                        addr, buf, hint, ..
-                    } => Some(DsmOp::Read { addr, buf, hint }),
-                    Pending::Write { addr, data, .. } | Pending::AsyncWrite { addr, data, .. } => {
-                        Some(DsmOp::Write { addr, data })
-                    }
-                    Pending::Acquire(l) => Some(DsmOp::Acquire(l)),
-                    Pending::ReleaseFlush(l) => Some(DsmOp::Release(l)),
-                    Pending::BarrierFlush(id) | Pending::BarrierWait(id) => {
-                        Some(DsmOp::Barrier(id))
-                    }
-                    Pending::ObjGet {
-                        obj, write, buf, ..
-                    } => Some(DsmOp::ObjGet { obj, write, buf }),
-                };
+                self.resubmit = self.pending.take().map(|parked| parked.op);
                 self.faulted = false;
                 self.inflight.clear();
                 let mem = Self::mem(&self.frames);
@@ -878,11 +805,11 @@ impl NodeBehavior for DsmNode {
         }
     }
 
-    fn crashed_reply(&self) -> Option<DsmReply> {
+    fn crashed_reply(&self) -> Option<()> {
         // A permanently dead node's program runs on as a zombie: every
         // op completes immediately and consumes no virtual time, so the
         // fleet's completion time excludes it.
-        Some(DsmReply::Unit)
+        Some(())
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, from: NodeId, msg: CoreMsg) {
@@ -893,12 +820,11 @@ impl NodeBehavior for DsmNode {
                     None => {}
                     Some(SyncDone::Released(_)) => self.barrier_released(ctx),
                     Some(SyncDone::Acquired(lock)) => {
-                        match std::mem::replace(&mut self.pending, Pending::None) {
-                            Pending::Acquire(l) if l == lock => ctx.complete_op(DsmReply::Unit),
-                            other => {
-                                panic!("{}: lock {lock} acquired while pending {other:?}", self.me)
-                            }
-                        }
+                        self.unpark(
+                            format_args!("lock {lock} acquired"),
+                            |p| matches!(p.op, DsmOp::Acquire(l) if l == lock),
+                        );
+                        ctx.complete_op(());
                     }
                 }
             }
@@ -938,16 +864,5 @@ impl DsmNode {
             m => self.proto.on_message(&mut io, mem, from, m, &mut events),
         }
         self.pump_proto_events(ctx, events);
-    }
-
-    /// First dispatch of a faulting access from `on_op`: start the
-    /// retry machine on the op just parked. The machine completes ops
-    /// through `ctx.complete_op_after`, which the kernel accepts while
-    /// `on_op` is still running, so the answer here is always
-    /// `Blocked` — also when every fault resolved synchronously and
-    /// the completion is already queued.
-    fn fault_in(&mut self, ctx: &mut Ctx<'_, Self>) -> OpOutcome<DsmReply> {
-        self.retry_pending_access(ctx);
-        OpOutcome::Blocked
     }
 }

@@ -320,7 +320,7 @@ impl<V> RunResult<V> {
 /// no program making progress is treated as a hang. Far above any
 /// legitimate gap (the longest single modeled cost in the tree is a
 /// sub-second bulk transfer), far below a wedged run's event horizon.
-pub const DEFAULT_STALL_WINDOW: Dur = Dur::millis(10_000);
+const DEFAULT_STALL_WINDOW: Dur = Dur::millis(10_000);
 
 /// Configuration for one simulation run.
 pub struct Sim<N: NodeBehavior> {
@@ -328,7 +328,6 @@ pub struct Sim<N: NodeBehavior> {
     model: CostModel,
     max_events: u64,
     stall_window: Dur,
-    local_quantum: Dur,
     workers: usize,
 }
 
@@ -342,20 +341,8 @@ impl<N: NodeBehavior> Sim<N> {
             model,
             max_events: u64::MAX,
             stall_window: DEFAULT_STALL_WINDOW,
-            local_quantum: crate::kernel::MAX_LOCAL_QUANTUM,
             workers: 1,
         }
-    }
-
-    /// Cap on per-grant program run-ahead (defaults to
-    /// [`crate::kernel::MAX_LOCAL_QUANTUM`]). Larger quanta mean fewer
-    /// kernel rendezvous for compute-heavy programs; smaller quanta
-    /// tighten the `max_events` livelock guard. Purely a wall-clock
-    /// knob: virtual-time results are identical for any positive value.
-    pub fn local_quantum(mut self, q: Dur) -> Self {
-        assert!(q > Dur::ZERO, "local quantum must be positive");
-        self.local_quantum = q;
-        self
     }
 
     /// Kernel worker threads (shards). Nodes are partitioned into
@@ -406,7 +393,6 @@ impl<N: NodeBehavior> Sim<N> {
             model,
             max_events,
             stall_window,
-            local_quantum,
             workers,
         } = self;
         let nnodes = nodes.len() as u32;
@@ -456,7 +442,6 @@ impl<N: NodeBehavior> Sim<N> {
             }
             let mut kernel = Kernel::new(part, index, model.clone(), Arc::clone(&events));
             kernel.set_max_events(max_events);
-            kernel.set_local_quantum(local_quantum);
             let (root_tx, root_rx) = sync_channel(1);
             let shard = Box::new(Shard {
                 kernel,

@@ -194,14 +194,13 @@ impl<M> Event<M> {
     }
 }
 
-/// Default upper bound on how far one program may run ahead of the
-/// kernel clock inside a single [`crate::driver::Go`] grant, even when
-/// the event queue is empty. Keeps the `max_events` livelock guard
+/// Upper bound on how far one program may run ahead of the kernel
+/// clock inside a single [`crate::driver::Go`] grant, even when the
+/// event queue is empty. Keeps the `max_events` livelock guard
 /// meaningful and bounds how long a spinning program can go without
-/// seeing newly delivered invalidations. Tunable per run via
-/// [`crate::driver::Sim::local_quantum`] (see docs/PERF.md for the
-/// sweep that picked this default).
-pub const MAX_LOCAL_QUANTUM: Dur = Dur::millis(1);
+/// seeing newly delivered invalidations. Virtual-time results do not
+/// depend on it; docs/PERF.md has the wall-clock sweep that chose 1 ms.
+const MAX_LOCAL_QUANTUM: Dur = Dur::millis(1);
 
 /// Contiguous block partition of nodes onto kernel shards: the first
 /// `nnodes % workers` shards get one extra node. Any fixed mapping
@@ -402,8 +401,6 @@ pub struct Kernel<N: NodeBehavior + ?Sized> {
     /// times. Supports O(log n) computation of the run-ahead budget
     /// handed to application programs (see [`Kernel::local_budget`]).
     direct_min: Vec<BinaryHeap<Reverse<SimTime>>>,
-    /// Run-ahead quantum cap handed out by [`Kernel::local_budget`].
-    local_quantum: Dur,
     /// `Go` grants performed so far on this shard — summed into the
     /// rendezvous count in run results.
     pub(crate) rendezvous: u64,
@@ -498,7 +495,6 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
             recv_free: vec![SimTime::ZERO; owned],
             nic_svc_free: vec![SimTime::ZERO; owned],
             direct_min: (0..owned).map(|_| BinaryHeap::new()).collect(),
-            local_quantum: MAX_LOCAL_QUANTUM,
             rendezvous: 0,
             outgoing: (0..part.workers()).map(|_| Vec::new()).collect(),
         };
@@ -581,12 +577,6 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
             self.shard
         );
         (node.0 - self.lo) as usize
-    }
-
-    /// Set the run-ahead quantum cap (defaults to
-    /// [`MAX_LOCAL_QUANTUM`]).
-    pub(crate) fn set_local_quantum(&mut self, q: Dur) {
-        self.local_quantum = q;
     }
 
     /// Cap the number of events processed (across all shards); the
@@ -789,7 +779,7 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
     /// partition, so granted budgets are identical for any worker
     /// count.
     pub(crate) fn local_budget(&self, node: NodeId) -> Dur {
-        let mut horizon = self.now.0.saturating_add(self.local_quantum.0);
+        let mut horizon = self.now.0.saturating_add(MAX_LOCAL_QUANTUM.0);
         if let Some(&Reverse(t)) = self.direct_min[self.li(node)].peek() {
             horizon = horizon.min(t.0);
         }

@@ -69,8 +69,8 @@ mod time;
 mod transport;
 mod wire;
 
-pub use driver::{AppHandle, RunResult, Sim, DEFAULT_STALL_WINDOW};
-pub use kernel::{FaultNotice, NodeBehavior, OpOutcome, MAX_LOCAL_QUANTUM};
+pub use driver::{AppHandle, RunResult, Sim};
+pub use kernel::{FaultNotice, NodeBehavior, OpOutcome};
 pub use model::{CostModel, CrashEvent, FaultPlan, PartitionEvent};
 pub use msg::{Envelope, NodeId, Payload};
 pub use nodeset::NodeSet;

@@ -470,4 +470,42 @@ mod tests {
             assert!(titled, "docs/PROTOCOLS.md has no section for `{kind}`");
         }
     }
+
+    /// Every `crates/<crate>/(src|tests)/…` path that DESIGN.md,
+    /// README.md or a docs/*.md names exists (`{a,b}.rs` names both).
+    #[test]
+    fn docs_name_only_paths_that_exist() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut docs = vec![root.join("DESIGN.md"), root.join("README.md")];
+        let dir = std::fs::read_dir(root.join("docs")).expect("docs/");
+        docs.extend(dir.map(|entry| entry.expect("docs/ entry").path()));
+        docs.retain(|doc| doc.extension().is_some_and(|ext| ext == "md"));
+        assert!(docs.len() > 2, "no docs/*.md found");
+        for doc in docs {
+            let text = std::fs::read_to_string(&doc).expect("readable doc");
+            for (at, _) in text.match_indices("crates/") {
+                let in_path = |c: char| c.is_ascii_alphanumeric() || "/_.-{},".contains(c);
+                let named = text[at..].split(|c| !in_path(c)).next().unwrap_or_default();
+                let named = named.trim_end_matches(['.', ',']);
+                if !matches!(named.split('/').nth(2), Some("src" | "tests")) {
+                    continue;
+                }
+                let paths = match (named.find('{'), named.find('}')) {
+                    (Some(open), Some(close)) => named[open + 1..close]
+                        .split(',')
+                        .map(|alt| format!("{}{alt}{}", &named[..open], &named[close + 1..]))
+                        .collect(),
+                    _ => vec![named.to_string()],
+                };
+                for path in paths {
+                    let there = root.join(&path).exists();
+                    assert!(
+                        there,
+                        "{} names {path}, which does not exist",
+                        doc.display()
+                    );
+                }
+            }
+        }
+    }
 }

@@ -55,9 +55,11 @@ impl<P> PerBarrier<P> {
     }
 }
 
-/// Per-node barrier engine (root is always node 0).
+/// Per-node barrier engine (root is always node 0). One topology: a
+/// k-ary tree, of which the centralized barrier is the flat case (every
+/// other node a child of the root).
 ///
-/// # Crash awareness (centralized barrier only)
+/// # Crash awareness (flat tree only)
 ///
 /// The embedding runtime feeds `PeerDown`/`PeerUp` fault notices in via
 /// [`BarrierEngine::set_down`] / [`BarrierEngine::set_up`]. A
@@ -77,7 +79,8 @@ impl<P> PerBarrier<P> {
 /// fine for crash-free runs, where the replay rule never arms.
 #[derive(Debug)]
 pub struct BarrierEngine<P> {
-    kind: BarrierKind,
+    /// Tree arity; at least `nnodes - 1` when the tree is flat.
+    arity: u32,
     me: NodeId,
     nnodes: u32,
     /// Arrivals a crash-free episode gathers here: the size of this
@@ -97,14 +100,19 @@ pub struct BarrierEngine<P> {
 
 impl<P: SyncPiggy> BarrierEngine<P> {
     pub fn new(kind: BarrierKind, me: NodeId, nnodes: u32) -> Self {
-        if let BarrierKind::Tree(k) = kind {
-            assert!(k >= 2, "tree arity must be >= 2");
-        }
+        let arity = match kind {
+            // Any arity from `nnodes - 1` up puts every node under the root.
+            BarrierKind::Central => nnodes,
+            BarrierKind::Tree(k) => {
+                assert!(k >= 2, "tree arity must be >= 2");
+                k
+            }
+        };
         BarrierEngine {
-            kind,
+            arity,
             me,
             nnodes,
-            expected: Self::subtree_size(kind, nnodes, me) as usize,
+            expected: Self::subtree_size(arity, nnodes, me) as usize,
             state: HashMap::new(),
             down: BTreeSet::new(),
             released: BTreeSet::new(),
@@ -121,12 +129,10 @@ impl<P: SyncPiggy> BarrierEngine<P> {
     /// timing. A permanent death may complete open barriers at the
     /// root; `true` if that released this node.
     pub fn set_down(&mut self, io: &mut impl SyncHost<P>, node: NodeId, permanent: bool) -> bool {
-        if let BarrierKind::Tree(_) = self.kind {
-            assert!(
-                self.nnodes == 1,
-                "crash fault schedules require the centralized barrier (got a combining tree)"
-            );
-        }
+        assert!(
+            self.flat(),
+            "crash fault schedules require the centralized barrier (got a combining tree)"
+        );
         self.crashed_ever.insert(node.0);
         if !permanent {
             return false;
@@ -153,7 +159,7 @@ impl<P: SyncPiggy> BarrierEngine<P> {
     /// restricted to those (see docs/FAULTS.md).
     pub fn set_up(&mut self, io: &mut impl SyncHost<P>, node: NodeId) {
         self.down.remove(&node.0);
-        if self.kind == BarrierKind::Central && node == NodeId(0) && self.me != NodeId(0) {
+        if self.flat() && node == NodeId(0) && self.me != NodeId(0) {
             let mut ids: Vec<BarrierId> = self
                 .state
                 .iter()
@@ -190,59 +196,35 @@ impl<P: SyncPiggy> BarrierEngine<P> {
         }
     }
 
+    /// Every node but the root is a child of the root: the centralized
+    /// barrier, the only shape the crash rules above are written for.
+    fn flat(&self) -> bool {
+        self.arity >= self.nnodes - 1
+    }
+
     fn parent(&self, node: NodeId) -> Option<NodeId> {
-        match self.kind {
-            BarrierKind::Central => {
-                if node.0 == 0 {
-                    None
-                } else {
-                    Some(NodeId(0))
-                }
-            }
-            BarrierKind::Tree(k) => {
-                if node.0 == 0 {
-                    None
-                } else {
-                    Some(NodeId((node.0 - 1) / k))
-                }
-            }
-        }
+        (node.0 != 0).then(|| NodeId((node.0 - 1) / self.arity))
     }
 
     fn children(&self, node: NodeId) -> Vec<NodeId> {
-        match self.kind {
-            BarrierKind::Central => {
-                if node.0 == 0 {
-                    (1..self.nnodes).map(NodeId).collect()
-                } else {
-                    Vec::new()
-                }
-            }
-            BarrierKind::Tree(k) => (1..=k)
-                .map(|i| node.0 * k + i)
-                .filter(|&c| c < self.nnodes)
-                .map(NodeId)
-                .collect(),
-        }
+        // In u64: a flat tree's arity times a leaf's id overflows u32
+        // from 65 536 nodes up.
+        let first = node.0 as u64 * self.arity as u64 + 1;
+        let end = (first + self.arity as u64).min(self.nnodes as u64);
+        (first..end).map(|c| NodeId(c as u32)).collect()
     }
 
     /// Nodes in `node`'s subtree (including itself): level by level,
     /// the subtree is a contiguous range of ids.
-    fn subtree_size(kind: BarrierKind, nnodes: u32, node: NodeId) -> u32 {
-        match kind {
-            BarrierKind::Central if node.0 == 0 => nnodes,
-            BarrierKind::Central => 1,
-            BarrierKind::Tree(k) => {
-                let (k, n) = (k as u64, nnodes as u64);
-                let (mut lo, mut hi) = (node.0 as u64, node.0 as u64);
-                let mut size = 0;
-                while lo < n {
-                    size += hi.min(n - 1) - lo + 1;
-                    (lo, hi) = (lo * k + 1, hi * k + k);
-                }
-                size as u32
-            }
+    fn subtree_size(arity: u32, nnodes: u32, node: NodeId) -> u32 {
+        let (k, n) = (arity as u64, nnodes as u64);
+        let (mut lo, mut hi) = (node.0 as u64, node.0 as u64);
+        let mut size = 0;
+        while lo < n {
+            size += hi.min(n - 1) - lo + 1;
+            (lo, hi) = (lo * k + 1, hi * k + k);
         }
+        size as u32
     }
 
     /// The child of this node whose subtree holds `node` (a proper
@@ -391,7 +373,7 @@ impl<P: SyncPiggy> BarrierEngine<P> {
             if !s.arrived_self {
                 return false;
             }
-            if me == NodeId(0) && self.kind == BarrierKind::Central && !self.down.is_empty() {
+            if me == NodeId(0) && self.flat() && !self.down.is_empty() {
                 // Crash-aware root: every node must either have arrived
                 // (possibly before crashing) or be down right now.
                 let absent = |&&n: &&u32| !s.arrived.contains(NodeId(n));
@@ -526,9 +508,27 @@ mod tests {
         assert_eq!(e.children(NodeId(2)), vec![NodeId(5), NodeId(6)]);
         assert_eq!(e.parent(NodeId(5)), Some(NodeId(2)));
         assert_eq!(e.parent(NodeId(0)), None);
-        let size = |node| BarrierEngine::<()>::subtree_size(e.kind, 7, NodeId(node));
+        let size = |node| BarrierEngine::<()>::subtree_size(e.arity, 7, NodeId(node));
         assert_eq!(size(1), 3);
         assert_eq!(size(0), 7);
+        // The centralized barrier is the flat tree: the root the parent
+        // of every other node, which are leaves.
+        for n in [1, 2, 3, 7, 512] {
+            let e = BarrierEngine::<()>::new(BarrierKind::Central, NodeId(0), n);
+            assert!(e.flat());
+            assert_eq!(e.parent(NodeId(0)), None);
+            assert_eq!(
+                e.children(NodeId(0)),
+                (1..n).map(NodeId).collect::<Vec<_>>()
+            );
+            assert_eq!(e.expected, n as usize);
+            for leaf in (1..n).map(NodeId) {
+                assert_eq!(e.parent(leaf), Some(NodeId(0)));
+                assert_eq!(e.children(leaf), []);
+                assert_eq!(BarrierEngine::<()>::subtree_size(e.arity, n, leaf), 1);
+            }
+        }
+        assert!(!BarrierEngine::<()>::new(BarrierKind::Tree(2), NodeId(0), 7).flat());
     }
 
     #[test]
@@ -728,9 +728,9 @@ mod tests {
                     let below: u32 = e
                         .children(node)
                         .into_iter()
-                        .map(|c| BarrierEngine::<()>::subtree_size(kind, n, c))
+                        .map(|c| BarrierEngine::<()>::subtree_size(e.arity, n, c))
                         .sum();
-                    let size = BarrierEngine::<()>::subtree_size(kind, n, node);
+                    let size = BarrierEngine::<()>::subtree_size(e.arity, n, node);
                     assert_eq!(size, 1 + below, "{kind:?} n={n} {node}");
                 }
                 assert_eq!(e.expected, n as usize);
