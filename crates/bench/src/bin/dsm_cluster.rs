@@ -70,6 +70,7 @@ fn parse_args() -> Result<Args, String> {
             }
         }
     }
+    args.common.validate()?;
     // Refuse here what `run_cluster_node` would refuse in every child.
     dsm_core::cluster::supports(args.common.proto)?;
     if args.common.page % dsm_vm::os_page_size() != 0 {

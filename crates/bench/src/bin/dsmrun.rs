@@ -97,6 +97,18 @@ fn parse_args() -> Result<Args, String> {
             }
         }
     }
+    args.common.validate()?;
+    // Smaller than this an app indexes outside its own grid.
+    match (args.app.as_str(), args.size) {
+        (_, 0) => {} // the app's default
+        ("sor" | "jacobi", 1) => {
+            return Err(format!("--app {} needs --size of at least 2", args.app))
+        }
+        ("fft", s) if !s.is_power_of_two() => {
+            return Err(format!("--app fft needs a power-of-two --size, not {s}"))
+        }
+        _ => {}
+    }
     Ok(args)
 }
 
@@ -138,8 +150,7 @@ fn main() {
         if let Some(model) = c.model() {
             cfg.model = model;
         }
-        let cfg = cfg
-            .heap_bytes(heap)
+        cfg.heap_bytes(heap)
             .page_size(c.page)
             .placement(a.placement)
             .lock_kind(a.lock)
@@ -148,18 +159,13 @@ fn main() {
             .lrc_gc(a.lrc_gc)
             .batch_depth(c.batch_depth)
             .max_events(2_000_000_000)
-            .faults(c.fault_plan());
-        if c.workers > 0 {
-            cfg.workers(c.workers)
-        } else {
-            cfg
-        }
+            .faults(c.fault_plan())
     };
 
     /// What is printed of a run, its verdict included: completion time,
-    /// traffic, and the simulator's (events, workers, events/sec).
-    fn done<V>(res: RunResult<V>, ok: bool) -> (SimTime, NetStats, bool, (u64, usize, f64)) {
-        let thru = (res.events, res.workers, res.events_per_sec());
+    /// traffic, and the simulator's (events, events/sec).
+    fn done<V>(res: RunResult<V>, ok: bool) -> (SimTime, NetStats, bool, (u64, f64)) {
+        let thru = (res.events, res.events_per_sec());
         (res.end_time, res.stats, ok, thru)
     }
 
@@ -174,7 +180,7 @@ fn main() {
         std::process::exit(2);
     }
 
-    let (end, stats, verdict, (events, workers, eps)) = match a.app.as_str() {
+    let (end, stats, verdict, (events, eps)) = match a.app.as_str() {
         "sor" => {
             let p = sor::SorParams {
                 n: if a.size == 0 { 128 } else { a.size },
@@ -226,7 +232,6 @@ fn main() {
         }
         "fft" => {
             let s = if a.size == 0 { 64 } else { a.size };
-            assert!(s.is_power_of_two(), "--size must be a power of two for fft");
             let p = fft::FftParams { rows: s, cols: s };
             let res = dsm_core::run_dsm(&base(p.heap_bytes()), move |d: &Dsm<'_>| fft::run(d, &p));
             let ok = res.results.iter().enumerate().all(|(i, &got)| {
@@ -376,7 +381,7 @@ fn main() {
     println!("virtual completion time: {end}");
     // Wall-clock throughput goes to stderr: stdout stays byte-identical
     // across repeats (the determinism contract `diff` checks ride on).
-    eprintln!("simulator: {events} events, {workers} worker(s), {eps:.0} events/sec");
+    eprintln!("simulator: {events} events, {eps:.0} events/sec");
     println!("verification: {}", if verdict { "OK" } else { "MISMATCH" });
     println!("\n{stats}");
     if !verdict {

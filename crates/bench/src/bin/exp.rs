@@ -8,8 +8,8 @@
 //! ```
 //!
 //! Names come from `dsm_bench::experiments::{REGISTRY, STANDALONE}`;
-//! `all` is `REGISTRY` in order. Worker count and interconnect era come
-//! from `DSM_WORKERS` / `DSM_NET`.
+//! `all` is `REGISTRY` in order. The interconnect era comes from
+//! `DSM_NET`.
 use dsm_bench::experiments::{Experiment, REGISTRY, STANDALONE};
 use dsm_bench::Scale;
 

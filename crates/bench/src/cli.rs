@@ -17,9 +17,10 @@ use dsm_core::{CostModel, Dur, FaultPlan, ProtocolKind, SimTime};
 
 /// The flag vocabulary both front-ends share. Each binary owns its
 /// specific flags (`dsmrun --app`, `dsm-cluster --child-rank`, …) and
-/// funnels everything else through [`CommonFlags::take`], so `--net`,
-/// `--workers`, `--crash`, `--partition`, `--batch-depth`, and the
-/// seed/probability knobs parse identically everywhere.
+/// funnels everything else through [`CommonFlags::take`] and then
+/// [`CommonFlags::validate`], so `--net`, `--crash`, `--partition`,
+/// `--batch-depth`, and the seed/probability knobs parse identically
+/// everywhere and a value the runtime would panic on is a usage error.
 #[derive(Debug, Clone)]
 pub struct CommonFlags {
     pub nodes: u32,
@@ -28,8 +29,6 @@ pub struct CommonFlags {
     /// Interconnect era name (validated against [`CostModel::ERA_NAMES`]);
     /// `None` keeps the `DSM_NET`-or-1992-LAN default.
     pub net: Option<String>,
-    /// Kernel worker threads; 0 keeps the `DSM_WORKERS`-or-1 default.
-    pub workers: usize,
     pub batch_depth: usize,
     pub drop_prob: f64,
     pub dup_prob: f64,
@@ -45,7 +44,6 @@ impl Default for CommonFlags {
             proto: ProtocolKind::Lrc,
             page: 4096,
             net: None,
-            workers: 0,
             batch_depth: 1,
             drop_prob: 0.0,
             dup_prob: 0.0,
@@ -59,7 +57,7 @@ impl Default for CommonFlags {
 impl CommonFlags {
     /// One-line usage fragment for the shared flags.
     pub const USAGE: &'static str = "[--nodes N] [--proto NAME] [--page B] [--net ERA] \
-         [--workers W] [--batch-depth D] [--drop-prob P] [--dup-prob P] [--fault-seed S] \
+         [--batch-depth D] [--drop-prob P] [--dup-prob P] [--fault-seed S] \
          [--crash node@t_us[:recover_us]]... [--partition a,b|c,d@t1..t2]...";
 
     /// Resolve a protocol name ([`ProtocolKind::from_name`]).
@@ -92,13 +90,6 @@ impl CommonFlags {
                 }
                 self.net = Some(v);
             }
-            "--workers" => {
-                self.workers = val()?
-                    .parse()
-                    .ok()
-                    .filter(|&w| w >= 1)
-                    .ok_or_else(|| "--workers needs a positive integer".to_string())?;
-            }
             "--batch-depth" => {
                 self.batch_depth = val()?.parse().map_err(|e| format!("--batch-depth: {e}"))?;
             }
@@ -116,6 +107,42 @@ impl CommonFlags {
             _ => return Ok(false),
         }
         Ok(true)
+    }
+
+    /// Check, once every flag is in, the values the runtime asserts on:
+    /// each of these would otherwise end in a panic (or, for a
+    /// probability of 1 or more, in the watchdog).
+    pub fn validate(&self) -> Result<(), String> {
+        if self.nodes == 0 {
+            return Err("--nodes must be at least 1".into());
+        }
+        if !self.page.is_power_of_two() || self.page < 8 {
+            return Err(format!(
+                "--page {} must be a power of two, at least 8",
+                self.page
+            ));
+        }
+        for (flag, p) in [
+            ("--drop-prob", self.drop_prob),
+            ("--dup-prob", self.dup_prob),
+        ] {
+            if !(0.0..1.0).contains(&p) {
+                return Err(format!("{flag} {p} must be in [0, 1)"));
+            }
+        }
+        let crashed = self.crashes.iter().map(|c| ("--crash", c.node));
+        let cut = self
+            .partitions
+            .iter()
+            .flat_map(|p| p.a.iter().chain(&p.b))
+            .map(|&n| ("--partition", n));
+        match crashed.chain(cut).find(|&(_, node)| node >= self.nodes) {
+            Some((flag, node)) => Err(format!(
+                "{flag} names node {node} but the run has {} nodes",
+                self.nodes
+            )),
+            None => Ok(()),
+        }
     }
 
     /// The cost model these flags select, if `--net` was given.

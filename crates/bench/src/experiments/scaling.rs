@@ -226,13 +226,12 @@ pub fn e03_matmul(scale: Scale) {
 }
 
 /// E2-wide — SOR at N=1024 nodes (one interior grid row per node), the
-/// large-scale point the sharded kernel exists for. Deliberately not
-/// part of [`super::run_all`]: it is the CI smoke job with a wall-clock
-/// budget and the source of the N=1024 rows in docs/PERF.md, so it runs
-/// alone. Worker count comes from `DsmConfig`'s default (the
-/// `DSM_WORKERS` environment variable), and the batched fault pipeline
-/// is on — at this scale the rendezvous count, not the event count, is
-/// the wall-clock driver. One fixed size: the scale is ignored.
+/// widest run in the tree. Deliberately not part of
+/// [`super::run_all`]: it is the CI smoke job with a wall-clock budget
+/// and the source of the N=1024 rows in docs/PERF.md, so it runs
+/// alone. The batched fault pipeline is on — at this scale the
+/// rendezvous count, not the event count, is the wall-clock driver.
+/// One fixed size: the scale is ignored.
 pub fn e02_sor_n1024(_scale: Scale) {
     let p = sor::SorParams {
         n: 1026,

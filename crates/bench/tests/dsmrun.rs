@@ -67,11 +67,48 @@ fn kv_verifies_or_is_refused_with_the_rows_reason_under_every_protocol() {
     }
 }
 
-/// The run-ahead quantum is a constant (docs/PERF.md), not a flag.
+/// The run-ahead quantum is a constant (docs/PERF.md), not a flag — and
+/// like it, whatever else a user can type that the runtime cannot run
+/// ends in a one-line reason and the usage string: exit 2, nothing on
+/// stdout, no panic.
 #[test]
 fn quantum_flag_is_a_usage_error() {
-    let (code, stdout, stderr) = dsmrun(&["--app", "sor", "--quantum-us", "10000"]);
-    assert_eq!(code, Some(2));
-    assert!(stdout.is_empty(), "{stdout}");
-    assert!(stderr.contains("unknown flag --quantum-us"), "{stderr}");
+    let cases: [(&[&str], &str); 14] = [
+        (&["--quantum-us", "10000"], "unknown flag --quantum-us"),
+        (&["--workers", "2"], "unknown flag --workers"),
+        (&["--nodes", "0"], "--nodes must be at least 1"),
+        (&["--page", "1000"], "--page 1000 must be a power of two"),
+        (&["--page", "0"], "--page 0 must be a power of two"),
+        (&["--page", "4"], "at least 8"),
+        (
+            &["--crash", "9@1"],
+            "--crash names node 9 but the run has 4",
+        ),
+        (
+            &["--partition", "0|4@1..2"],
+            "--partition names node 4 but the run has 4",
+        ),
+        (&["--drop-prob", "1.5"], "--drop-prob 1.5 must be in [0, 1)"),
+        (&["--drop-prob", "1"], "--drop-prob 1 must be in [0, 1)"),
+        (&["--dup-prob", "-0.1"], "--dup-prob -0.1 must be in [0, 1)"),
+        (&["--dup-prob", "nan"], "--dup-prob NaN must be in [0, 1)"),
+        (&["--size", "1"], "--app sor needs --size of at least 2"),
+        (
+            &["--app", "fft", "--size", "3"],
+            "--app fft needs a power-of-two --size",
+        ),
+    ];
+    for (args, reason) in cases {
+        let (code, stdout, stderr) = dsmrun(&[&["--app", "sor"], args].concat());
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+        let mut lines = stderr.lines();
+        let first = lines.next().unwrap_or_default();
+        assert!(first.contains(reason), "{args:?}: {stderr}");
+        assert!(
+            lines.next().is_some_and(|l| l.starts_with("usage: dsmrun")),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
 }

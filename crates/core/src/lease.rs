@@ -8,17 +8,16 @@
 //! modeled access cost to the budget. Faults, sync operations, and
 //! budget exhaustion still yield.
 //!
-//! Under the sharded kernel the budget is additionally clamped to the
-//! current lookahead window's end (`Kernel::local_budget` takes the
-//! min with `window_end`), so a lease can never run ahead of the point
-//! where another shard's messages may be admitted — the soundness
-//! argument below is per-shard and needs no cross-shard reasoning.
+//! The budget is additionally clamped to the current lookahead
+//! window's end (`Kernel::local_budget` takes the min with
+//! `window_end`), so a lease can never run ahead of the point where
+//! staged messages may be admitted.
 //!
 //! # Safety
 //!
 //! The lease and the loop-side [`crate::DsmNode`] share one
 //! [`FrameTable`] through an [`UnsafeCell`]. This is sound by
-//! ownership: a shard's whole loop state — its nodes included — is one
+//! ownership: the whole loop state — its nodes included — is one
 //! boxed value (the *floor*, `dsm_net`'s driver), only the thread that
 //! owns the box runs, and the box changes threads only through a
 //! channel (a synchronization edge). The program touches the table
@@ -41,7 +40,7 @@ use dsm_net::{AppHandle, CostModel};
 /// Shared ownership of one node's frame table (see module docs).
 pub(crate) struct FrameCell(UnsafeCell<FrameTable>);
 
-// SAFETY: accesses are serialized by ownership of the shard's floor;
+// SAFETY: accesses are serialized by ownership of the floor;
 // see the module-level safety argument.
 unsafe impl Send for FrameCell {}
 unsafe impl Sync for FrameCell {}

@@ -81,32 +81,17 @@ pub struct DsmConfig {
     /// by default; off reproduces the unbounded-log variant (E18's
     /// baseline). Application results are bit-identical either way.
     pub lrc_gc: bool,
-    /// Kernel worker threads (shards). Purely a wall-clock knob:
-    /// same-seed runs are bit-identical for any value. Defaults to the
-    /// `DSM_WORKERS` environment variable, or 1 if unset/invalid.
-    pub workers: usize,
     /// Object layout table ([`ProtocolKind::Obj`] only): id →
     /// (address, length, home) records, typically built with
     /// `dsm_obj::DsmHeap`. Empty by default.
     pub objects: std::sync::Arc<ObjTable>,
 }
 
-/// Worker-count default: `DSM_WORKERS` if set to a positive integer,
-/// else 1. Lets CI spread every experiment's kernel across cores without
-/// threading a flag through every call site.
-fn default_workers() -> usize {
-    std::env::var("DSM_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&w| w >= 1)
-        .unwrap_or(1)
-}
-
 /// Cost-model default: the interconnect era named by `DSM_NET` (one of
-/// [`CostModel::ERA_NAMES`]) if set and recognized, else the 1992 LAN.
-/// Same contract as `DSM_WORKERS`: `DSM_NET=… exp all` moves the whole
-/// suite to a different machine room without threading a flag through
-/// every call site. Call sites that pass an explicit
+/// [`CostModel::ERA_NAMES`]) if set and recognized, else the 1992 LAN:
+/// `DSM_NET=… exp all` moves the whole suite to a different machine
+/// room without threading a flag through every call site. Call sites
+/// that pass an explicit
 /// [`DsmConfig::model`] — era-specific figures and the determinism
 /// tests — are unaffected.
 fn default_model() -> CostModel {
@@ -135,7 +120,6 @@ impl DsmConfig {
             fast_path: true,
             batch_depth: 1,
             lrc_gc: true,
-            workers: default_workers(),
             objects: std::sync::Arc::new(ObjTable::new()),
         }
     }
@@ -213,11 +197,14 @@ impl DsmConfig {
         self
     }
 
-    /// Set the kernel worker-thread count (clamped to the node count at
-    /// run time; must be at least 1).
-    pub fn workers(mut self, workers: usize) -> Self {
-        assert!(workers >= 1, "need at least one worker");
-        self.workers = workers;
+    /// The event loop is one loop; this accepts only 1, for the frozen
+    /// `benchmark/` package, which still calls it.
+    #[doc(hidden)]
+    pub fn workers(self, workers: usize) -> Self {
+        assert!(
+            workers == 1,
+            "the simulator runs one event loop: workers({workers}) is not supported"
+        );
         self
     }
 
@@ -279,12 +266,10 @@ where
     if cfg.model.faults.enabled() {
         dsm_net::Sim::new(dsm_net::wrap_fleet(nodes, &cfg.model), cfg.model.clone())
             .max_events(cfg.max_events)
-            .workers(cfg.workers)
             .run(programs)
     } else {
         dsm_net::Sim::new(nodes, cfg.model.clone())
             .max_events(cfg.max_events)
-            .workers(cfg.workers)
             .run(programs)
     }
 }

@@ -301,7 +301,7 @@ impl DsmNode {
     #[allow(clippy::mut_from_ref)]
     fn mem(frames: &FrameCell) -> &mut FrameTable {
         // SAFETY: node code runs only inside the event loop, on the
-        // thread that owns the shard's floor, while the node's program
+        // thread that owns the floor, while the node's program
         // is parked without it (`crate::lease` module docs).
         unsafe { &mut *frames.get() }
     }

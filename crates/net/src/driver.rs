@@ -1,63 +1,52 @@
 //! The coroutine driver: runs one application program per node on its
-//! own OS thread and drives the sharded event loop to completion — on
-//! those same threads. There is no kernel thread.
+//! own OS thread and drives the event loop to completion — on those
+//! same threads. There is no kernel thread.
 //!
-//! **The floor is a value.** Each shard's whole loop state (its
-//! [`Kernel`], its node behaviors, ops awaiting their run-ahead charge,
-//! watchdog and window-widening state, and one wake-up sender per
-//! program) lives in one heap box, the [`Shard`], and whichever thread
-//! owns that box *is* the shard's one running actor. A program that
-//! yields (`AppHandle::op` / `advance` / `flush_local`, or returning)
-//! feeds its yield into the event loop itself and keeps running
-//! handlers, window barriers and consensus inline until some program
-//! must run next. If that program is itself, the call simply returns —
-//! no thread hop at all; otherwise the box is sent to the other
-//! program's wake-up channel and the sender parks — one hop. The
-//! shard's root thread (the caller's thread for shard 0) only starts
-//! the loop and waits for the box to come back with a [`ShardExit`].
-//! One exception, for memory and not for semantics: on a shard wider
-//! than [`MAX_LOOP_THREADS`] programs, program threads run their own
-//! turns and chains of `Resume`s only, and relay everything else to the
-//! root (see the constant for why).
+//! **The floor is a value.** The whole loop state (the [`Kernel`], the
+//! node behaviors, ops awaiting their run-ahead charge, watchdog and
+//! window-widening state, and one wake-up sender per program) lives in
+//! one heap box, the [`Shard`], and whichever thread owns that box *is*
+//! the one running actor. A program that yields (`AppHandle::op` /
+//! `advance` / `flush_local`, or returning) feeds its yield into the
+//! event loop itself and keeps running handlers and window boundaries
+//! inline until some program must run next. If that program is itself,
+//! the call simply returns — no thread hop at all; otherwise the box is
+//! sent to the other program's wake-up channel and the sender parks —
+//! one hop. The root (the caller's thread) only starts the loop and
+//! waits for the box to come back with a [`ShardExit`]. One exception,
+//! for memory and not for semantics: with more than
+//! [`MAX_LOOP_THREADS`] programs, program threads run their own turns
+//! and chains of `Resume`s only, and relay everything else to the root
+//! (see the constant for why).
 //!
-//! Invariant: at any real-time instant each shard's state is owned by
-//! exactly one thread, and a box only changes threads through a
-//! channel (a synchronization edge). Shards synchronize only at window
-//! barriers, where all cross-shard effects travel through canonically
-//! ordered inboxes (see [`crate::kernel`]), so runs are deterministic —
-//! and identical for any worker count — regardless of OS scheduling or
-//! of which thread happens to execute which event.
+//! Invariant: at any real-time instant the loop state is owned by
+//! exactly one thread, and the box only changes threads through a
+//! channel (a synchronization edge), so a run is a pure function of
+//! virtual time, whichever thread happens to execute which event.
 //!
-//! The window protocol per shard, between two barrier pairs:
+//! Sends are not delivered as they are made: they are staged, and the
+//! loop works in windows (see [`crate::kernel`]):
 //!
-//! 1. flush staged sends to the per-shard inboxes, **barrier A**;
-//! 2. drain own inbox in canonical order, publish status (heap
-//!    minimum, progress, unfinished count), **barrier B**;
-//! 3. every shard independently computes the same verdict from the
-//!    published statuses: finish, fail (deadlock / stall / event
-//!    budget), or open the next window
-//!    `[global_min, global_min + lookahead)`;
-//! 4. process own events strictly inside the window, granting the
-//!    floor to own programs as they resume.
+//! 1. admit the sends staged during the window that just ended, in
+//!    canonical order;
+//! 2. read the verdict off the loop's own state: finish, fail
+//!    (deadlock / stall / event budget), or open the next window
+//!    `[heap_min, heap_min + lookahead)`;
+//! 3. process the events strictly inside the window, granting the
+//!    floor to programs as they resume.
 //!
-//! On failure verdicts every shard deposits a diagnostic fragment, the
-//! boxes return to their roots, and shard 0's root panics on the
-//! caller's thread with the assembled per-node report. A panic anywhere
-//! else — in a node behavior or inside a program — is caught on the
-//! thread that holds the floor, travels to the root with the box,
-//! poisons the window barrier and is re-thrown from the caller's thread
-//! with its original payload.
+//! On a failure verdict the box returns to the root, which panics on
+//! the caller's thread with the per-node report. A panic anywhere else
+//! — in a node behavior or inside a program — is caught on the thread
+//! that holds the floor, travels to the root with the box and is
+//! re-thrown from the caller's thread with its original payload.
 
 use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Condvar, Mutex};
 
-use crate::kernel::{
-    Event, FaultChange, FaultNotice, InTransit, Kernel, NodeBehavior, OpOutcome, Partition,
-};
+use crate::kernel::{Event, FaultChange, FaultNotice, Kernel, NodeBehavior, OpOutcome};
 use crate::model::CostModel;
 use crate::msg::NodeId;
 use crate::stats::NetStats;
@@ -85,14 +74,14 @@ enum AppYield<Op> {
     Finished { elapsed: Dur },
 }
 
-/// A shard's loop state as a program sees it: type-erased over the
-/// node behavior, so [`AppHandle`] needs only the op and reply types.
+/// The loop state as a program sees it: type-erased over the node
+/// behavior, so [`AppHandle`] needs only the op and reply types.
 trait Floor<Op, Reply>: Send {
-    /// Feed local program `from`'s yield into the event loop and run it
+    /// Feed program `from`'s yield into the event loop and run it
     /// until some program must run next. Returns the floor and the
     /// grant if that program is `from` itself; otherwise the floor has
     /// gone to another thread (the next program's, or the root's: the
-    /// shard is done, or it is wide and handlers are due) and `from`
+    /// run is over, or it is wide and handlers are due) and `from`
     /// must park on its wake-up channel.
     fn drive(self: Box<Self>, from: usize, y: AppYield<Op>) -> Option<Wake<Op, Reply>>;
 
@@ -118,16 +107,14 @@ type Wake<Op, Reply> = (Box<dyn Floor<Op, Reply>>, Go<Reply>);
 /// lease holder (see `dsm-core`) service page hits entirely on the app
 /// thread inside that window.
 ///
-/// While the program runs, the handle owns its shard's floor; every
-/// yielding method drives the shard's event loop on the calling thread
-/// (see the module docs).
+/// While the program runs, the handle owns the floor; every yielding
+/// method drives the event loop on the calling thread (see the module
+/// docs).
 pub struct AppHandle<Op, Reply> {
     node: NodeId,
     nnodes: u32,
-    /// Index of this node within its shard.
-    local: usize,
     wake_rx: Receiver<Wake<Op, Reply>>,
-    /// The shard's loop state, held from a grant to the next yield.
+    /// The loop state, held from a grant to the next yield.
     floor: Cell<Option<Box<dyn Floor<Op, Reply>>>>,
     base: Cell<SimTime>,
     used: Cell<Dur>,
@@ -178,7 +165,7 @@ impl<Op, Reply> AppHandle<Op, Reply> {
             .floor
             .take()
             .expect("program yielded without the floor");
-        self.accept(floor.drive(self.local, y))
+        self.accept(floor.drive(self.node.index(), y))
     }
 
     /// Submit an operation to the local protocol and wait (in virtual
@@ -250,7 +237,7 @@ impl<Op, Reply> AppHandle<Op, Reply> {
                 // Keep the loop going on this thread until the floor
                 // moves on; a finished program is never granted again.
                 let elapsed = self.used.get();
-                let back = floor.drive(self.local, AppYield::Finished { elapsed });
+                let back = floor.drive(self.node.index(), AppYield::Finished { elapsed });
                 debug_assert!(back.is_none(), "finished program was granted the floor");
                 Some(v)
             }
@@ -274,32 +261,27 @@ pub struct RunResult<V> {
     pub end_time: SimTime,
     /// Per-node program finish times.
     pub finish_times: Vec<SimTime>,
-    /// Aggregate network traffic (merged across shards in shard
-    /// order; identical for any worker count).
+    /// Aggregate network traffic.
     pub stats: NetStats,
     /// `Go` grants performed over the whole run: each is one rendezvous
     /// of a program with the event loop. A grant costs real time only
     /// when it moves the floor to another thread (see `handoffs`); the
     /// batched fault pipeline exists to shrink this number.
     pub rendezvous: u64,
-    /// OS-thread floor transfers over the whole run, summed over
-    /// shards: a shard's box sent from its root to the first program,
-    /// from program to program, and back to the root at the end (and,
-    /// on shards wider than `MAX_LOOP_THREADS`, whenever handlers are
-    /// due). A grant to the program that ran last costs none. The same
-    /// for every run of one configuration, but unlike `rendezvous` it
-    /// is scheduling, not simulation: it depends on the worker count.
+    /// OS-thread floor transfers over the whole run: the box sent from
+    /// the root to the first program, from program to program, and
+    /// back to the root at the end (and, with more than
+    /// `MAX_LOOP_THREADS` programs, whenever handlers are due). A grant
+    /// to the program that ran last costs none. The same for every run
+    /// of one configuration.
     pub handoffs: u64,
     /// Per-node program return values.
     pub results: Vec<V>,
     /// Per-node end-of-run metric gauges
     /// ([`NodeBehavior::gauges`]), indexed by node.
     pub gauges: Vec<Vec<(&'static str, u64)>>,
-    /// Total kernel events processed, summed across shards.
+    /// Total kernel events processed.
     pub events: u64,
-    /// Kernel worker threads (shards) the run used, after clamping to
-    /// the node count.
-    pub workers: usize,
     /// Wall-clock duration of the run, for throughput reporting.
     pub wall: std::time::Duration,
 }
@@ -328,7 +310,9 @@ pub struct Sim<N: NodeBehavior> {
     model: CostModel,
     max_events: u64,
     stall_window: Dur,
-    workers: usize,
+    /// Most programs whose threads run the whole event loop; always
+    /// [`MAX_LOOP_THREADS`] outside this module's tests.
+    max_loop_threads: usize,
 }
 
 impl<N: NodeBehavior> Sim<N> {
@@ -341,26 +325,14 @@ impl<N: NodeBehavior> Sim<N> {
             model,
             max_events: u64::MAX,
             stall_window: DEFAULT_STALL_WINDOW,
-            workers: 1,
+            max_loop_threads: MAX_LOOP_THREADS,
         }
-    }
-
-    /// Kernel worker threads (shards). Nodes are partitioned into
-    /// contiguous blocks, one per worker, clamped to the node count.
-    /// Purely a wall-clock knob: same-seed runs are bit-identical for
-    /// any value — the window protocol admits cross-shard messages in
-    /// an order that is a function of virtual time only.
-    pub fn workers(mut self, workers: usize) -> Self {
-        assert!(workers >= 1, "need at least one worker");
-        self.workers = workers;
-        self
     }
 
     /// Panic (with a diagnostic dump) if more than `max` events are
     /// processed — the backstop for zero-delay livelocks, where virtual
-    /// time never advances and the stall watchdog cannot fire. The
-    /// count is shared across shards and checked on every pop, so the
-    /// backstop fires even when a single shard spins inside a window.
+    /// time never advances and the stall watchdog cannot fire. Checked
+    /// on every pop, so it fires even on a spin inside one window.
     pub fn max_events(mut self, max: u64) -> Self {
         self.max_events = max;
         self
@@ -379,9 +351,8 @@ impl<N: NodeBehavior> Sim<N> {
     /// `programs.len()` must equal the node count. Programs run on
     /// their own threads but in deterministic cooperative order.
     ///
-    /// Panics on distributed deadlock: if every shard's event queue
-    /// drains while some program has not finished, the blocked nodes
-    /// are reported.
+    /// Panics on distributed deadlock: if the event queue drains while
+    /// some program has not finished, the blocked nodes are reported.
     pub fn run<V, F>(self, programs: Vec<F>) -> RunResult<V>
     where
         N: 'static,
@@ -393,76 +364,51 @@ impl<N: NodeBehavior> Sim<N> {
             model,
             max_events,
             stall_window,
-            workers,
+            max_loop_threads,
         } = self;
         let nnodes = nodes.len() as u32;
         assert_eq!(programs.len(), nodes.len(), "one program per node required");
         let wall_start = std::time::Instant::now();
 
-        let part = Partition::new(nnodes, workers.min(u32::MAX as usize) as u32);
-        let workers = part.workers();
-        let events = crate::kernel::new_event_counter();
-
-        // Window machinery shared by every shard's box.
-        let win = Arc::new(WindowShared {
-            inboxes: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
-            statuses: (0..workers)
-                .map(|_| Mutex::new(ShardStatus::default()))
-                .collect(),
-            diags: (0..workers).map(|_| Mutex::new(None)).collect(),
-            barrier: WindowBarrier::new(workers),
-            stall_window,
-            lookahead: model.min_net_delay(),
-        });
-        let stash: PanicStash = Mutex::new(None);
-
-        // One box per shard, built once here: contiguous node blocks,
-        // so shard order is node order.
-        let mut nodes = nodes.into_iter();
-        let mut handles = Vec::with_capacity(nnodes as usize);
-        let mut shards = Vec::with_capacity(workers);
-        for index in 0..workers {
-            let range = part.range(index);
-            let mut wake = Vec::with_capacity(range.len());
-            for (local, node) in range.clone().enumerate() {
-                // Capacity 1 is enough: a program is parked on its
-                // channel whenever the floor is sent to it.
-                let (wake_tx, wake_rx) = sync_channel(1);
-                wake.push(wake_tx);
-                handles.push(AppHandle {
-                    node: NodeId(node),
-                    nnodes,
-                    local,
-                    wake_rx,
-                    floor: Cell::new(None),
-                    base: Cell::new(SimTime::ZERO),
-                    used: Cell::new(Dur::ZERO),
-                    budget: Cell::new(Dur::ZERO),
-                });
-            }
-            let mut kernel = Kernel::new(part, index, model.clone(), Arc::clone(&events));
-            kernel.set_max_events(max_events);
-            let (root_tx, root_rx) = sync_channel(1);
-            let shard = Box::new(Shard {
-                kernel,
-                nodes: nodes.by_ref().take(range.len()).collect(),
-                pending_ops: range.map(|_| None).collect(),
-                last_progress: SimTime::ZERO,
-                unfinished: wake.len(),
-                budget_hit: false,
-                widen: Widen {
-                    streak: 0,
-                    factor: 1,
-                },
-                admit_floor: SimTime::ZERO,
-                index,
-                win: Arc::clone(&win),
-                wake,
-                root: root_tx,
-                handoffs: 0,
+        let mut wake = Vec::with_capacity(nodes.len());
+        let mut handles = Vec::with_capacity(nodes.len());
+        for node in 0..nnodes {
+            // Capacity 1 is enough: a program is parked on its
+            // channel whenever the floor is sent to it.
+            let (wake_tx, wake_rx) = sync_channel(1);
+            wake.push(wake_tx);
+            handles.push(AppHandle {
+                node: NodeId(node),
+                nnodes,
+                wake_rx,
+                floor: Cell::new(None),
+                base: Cell::new(SimTime::ZERO),
+                used: Cell::new(Dur::ZERO),
+                budget: Cell::new(Dur::ZERO),
             });
-            shards.push((shard, root_rx));
         }
+        let lookahead = model.min_net_delay();
+        let mut kernel = Kernel::new(nnodes, model);
+        kernel.max_events = max_events;
+        let (root_tx, root_rx) = sync_channel(1);
+        let shard = Box::new(Shard {
+            kernel,
+            pending_ops: nodes.iter().map(|_| None).collect(),
+            last_progress: SimTime::ZERO,
+            unfinished: nodes.len(),
+            widen: Widen {
+                streak: 0,
+                factor: 1,
+            },
+            admit_floor: SimTime::ZERO,
+            stall_window,
+            lookahead,
+            relays: nodes.len() > max_loop_threads,
+            nodes,
+            wake,
+            root: root_tx,
+            handoffs: 0,
+        });
 
         std::thread::scope(|s| {
             let joins: Vec<_> = programs
@@ -471,62 +417,13 @@ impl<N: NodeBehavior> Sim<N> {
                 .map(|(program, handle)| s.spawn(move || handle.run_program(program)))
                 .collect();
 
-            // Shard 0 is rooted on this thread so its failure reports
-            // (and any panic payload) leave from the caller's thread
-            // unchanged; shards 1.. are rooted on worker threads, which
-            // stash a panic payload and poison the barrier instead.
-            let mut shards = shards.into_iter();
-            let (shard0, root_rx0) = shards.next().expect("at least one shard");
-            let worker_joins: Vec<_> = shards
-                .map(|(shard, root_rx)| {
-                    let (stash, win) = (&stash, &win);
-                    s.spawn(move || match run_shard(shard, root_rx) {
-                        (shard, ShardExit::Done) => Some(shard),
-                        (_, ShardExit::Panicked(payload)) => {
-                            stash_panic(stash, payload);
-                            win.barrier.poison();
-                            None
-                        }
-                        (_, ShardExit::Fail { .. } | ShardExit::Poisoned) => None,
-                    })
-                })
-                .collect();
-
-            let shard0 = match run_shard(shard0, root_rx0) {
+            // The loop is rooted on this thread, so a failure report or
+            // a panic payload leaves from the caller's thread.
+            let shard = match run_shard(shard, root_rx) {
                 (shard, ShardExit::Done) => shard,
-                (_, ShardExit::Fail { verdict }) => {
-                    panic!(
-                        "{}",
-                        assemble_report(
-                            &verdict,
-                            &win.diags,
-                            events.load(Ordering::Relaxed),
-                            max_events,
-                            stall_window,
-                        )
-                    );
-                }
-                (_, exit) => {
-                    if let ShardExit::Panicked(payload) = exit {
-                        stash_panic(&stash, payload);
-                        win.barrier.poison();
-                    }
-                    let payload = stash
-                        .lock()
-                        .expect("panic stash poisoned")
-                        .take()
-                        .expect("poisoned barrier without a stashed panic");
-                    resume_unwind(payload);
-                }
+                (shard, ShardExit::Fail(verdict)) => panic!("{}", shard.failure_report(&verdict)),
+                (_, ShardExit::Panicked(payload)) => resume_unwind(payload),
             };
-
-            // Clean exit: collect the worker shards, then aggregate in
-            // shard order (= node order, blocks are contiguous).
-            let mut shards = vec![shard0];
-            for j in worker_joins {
-                let done = j.join().expect("worker shard panicked");
-                shards.push(done.expect("worker shard exited uncleanly on a clean run"));
-            }
             let results: Vec<V> = joins
                 .into_iter()
                 .map(|j| {
@@ -536,71 +433,35 @@ impl<N: NodeBehavior> Sim<N> {
                 })
                 .collect();
 
-            let mut stats = NetStats::new();
-            let mut rendezvous = 0u64;
-            let mut handoffs = 0u64;
-            let mut finish_times = Vec::with_capacity(nnodes as usize);
-            let mut gauges = Vec::with_capacity(nnodes as usize);
-            for shard in &shards {
-                stats.merge(&shard.kernel.stats);
-                rendezvous += shard.kernel.rendezvous;
-                handoffs += shard.handoffs;
-                finish_times.extend(shard.kernel.app.iter().map(|slot| slot.finish_time));
-                gauges.extend(shard.nodes.iter().map(|n| n.gauges()));
-            }
-            let end_time = finish_times.iter().copied().max().unwrap_or(SimTime::ZERO);
+            let finish_times: Vec<SimTime> = shard
+                .kernel
+                .app
+                .iter()
+                .map(|slot| slot.finish_time)
+                .collect();
             RunResult {
-                end_time,
+                end_time: finish_times.iter().copied().max().unwrap_or(SimTime::ZERO),
                 finish_times,
-                stats,
-                rendezvous,
-                handoffs,
+                rendezvous: shard.kernel.rendezvous,
+                handoffs: shard.handoffs,
                 results,
-                gauges,
-                events: events.load(Ordering::Relaxed),
-                workers,
+                gauges: shard.nodes.iter().map(|n| n.gauges()).collect(),
+                events: shard.kernel.events,
+                stats: shard.kernel.stats,
                 wall: wall_start.elapsed(),
             }
         })
     }
 }
 
-type PanicStash = Mutex<Option<PanicPayload>>;
-
-/// Keep the first panic payload; later ones (cascading failures after
-/// the barrier is poisoned) are dropped.
-fn stash_panic(stash: &PanicStash, payload: PanicPayload) {
-    let mut slot = stash.lock().expect("panic stash poisoned");
-    if slot.is_none() {
-        *slot = Some(payload);
-    }
-}
-
-/// Status a shard publishes at every window boundary (between barriers
-/// A and B; read by all shards after B).
-#[derive(Default)]
-struct ShardStatus {
-    heap_min: Option<SimTime>,
-    now: SimTime,
-    last_progress: SimTime,
-    unfinished: usize,
-    budget_hit: bool,
-    /// Messages this shard staged during the window that just ended
-    /// (including shard-local ones). The fleet-wide sum is the traffic
-    /// signal for adaptive window widening: a pure function of virtual
-    /// time, so every shard folds the same sequence.
-    staged: u64,
-}
-
 /// Adaptive window widening: after [`WIDEN_AFTER`] consecutive
-/// fleet-wide zero-traffic windows, the lookahead factor doubles (up
-/// to [`WIDEN_CAP`]) so compute-heavy quiet phases cross fewer
-/// barriers; any staged message resets it. Every shard folds the same
-/// per-window staged totals, so the factor sequence — and with it
-/// every window boundary — is identical across shards and worker
-/// counts. Correctness of widened windows is restored at admission:
-/// messages staged inside one are floored to its end (see
-/// [`Kernel::admit`]).
+/// zero-traffic windows, the lookahead factor doubles (up to
+/// [`WIDEN_CAP`]) so compute-heavy quiet phases cross fewer window
+/// boundaries; any staged message resets it. The factor sequence is a
+/// function of the per-window staged totals, so every window boundary
+/// is a function of virtual time. Correctness of widened windows is
+/// restored at admission: messages staged inside one are floored to its
+/// end (see [`Kernel::admit_staged`]).
 struct Widen {
     streak: u32,
     factor: u64,
@@ -611,185 +472,30 @@ const WIDEN_AFTER: u32 = 3;
 /// Maximum lookahead multiplier.
 const WIDEN_CAP: u64 = 8;
 
-/// Diagnostic fragment a shard deposits when the consensus verdict is a
-/// failure, consumed by shard 0 to assemble the panic report.
-struct ShardDiag {
-    heap_len: usize,
-    heap_min: Option<SimTime>,
-    peek: Option<String>,
-    now: SimTime,
-    never_finished: Vec<NodeId>,
-    node_lines: String,
-}
-
-/// What every shard independently concludes at a window boundary. All
-/// shards read the same published statuses, so all reach the same
-/// verdict — that agreement is what keeps the barrier sequence aligned.
-#[derive(Clone, Copy, Debug)]
+/// Why a run failed, as read at a window boundary.
+#[derive(Debug)]
 enum Verdict {
-    /// Open the next window ending at this time.
-    Continue(SimTime),
-    /// Every program finished and every heap is empty.
-    Done,
-    /// The shared event counter crossed `max_events`.
+    /// The event counter crossed `max_events`.
     Budget,
     /// No program progress for longer than the stall window.
     Stall { last: SimTime },
-    /// Every heap is empty but some programs never finished.
+    /// The heap is empty but some programs never finished.
     Deadlock { t: SimTime },
 }
 
-/// The window machinery shared by all shards of one run.
-struct WindowShared<M> {
-    inboxes: Vec<Mutex<Vec<InTransit<M>>>>,
-    statuses: Vec<Mutex<ShardStatus>>,
-    diags: Vec<Mutex<Option<ShardDiag>>>,
-    barrier: WindowBarrier,
-    stall_window: Dur,
-    lookahead: Dur,
-}
-
-/// A reusable barrier that can be poisoned: when any shard panics, it
-/// poisons the barrier and every current and future waiter returns
-/// `Err` instead of deadlocking on the missing participant.
-struct WindowBarrier {
-    state: Mutex<BarrierState>,
-    cv: Condvar,
-    n: usize,
-}
-
-struct BarrierState {
-    arrived: usize,
-    generation: u64,
-    poisoned: bool,
-}
-
-struct BarrierPoisoned;
-
-impl WindowBarrier {
-    fn new(n: usize) -> Self {
-        WindowBarrier {
-            state: Mutex::new(BarrierState {
-                arrived: 0,
-                generation: 0,
-                poisoned: false,
-            }),
-            cv: Condvar::new(),
-            n,
-        }
-    }
-
-    fn wait(&self) -> Result<(), BarrierPoisoned> {
-        let mut g = self.state.lock().expect("barrier state poisoned");
-        if g.poisoned {
-            return Err(BarrierPoisoned);
-        }
-        g.arrived += 1;
-        if g.arrived == self.n {
-            g.arrived = 0;
-            g.generation += 1;
-            self.cv.notify_all();
-            return Ok(());
-        }
-        let gen = g.generation;
-        while g.generation == gen && !g.poisoned {
-            g = self.cv.wait(g).expect("barrier state poisoned");
-        }
-        if g.poisoned {
-            Err(BarrierPoisoned)
-        } else {
-            Ok(())
-        }
-    }
-
-    fn poison(&self) {
-        let mut g = self.state.lock().expect("barrier state poisoned");
-        g.poisoned = true;
-        self.cv.notify_all();
-    }
-}
-
-/// How one shard's event loop ended. Travels to the shard's root
-/// together with the box.
+/// How the event loop ended. Travels to the root together with the box.
 enum ShardExit {
-    /// Clean finish: all shards agreed the run is complete.
+    /// Clean finish: every program returned and the heap is empty.
     Done,
-    /// Failure verdict: the diagnostic fragment has been deposited;
-    /// shard 0's root assembles the report and panics.
-    Fail { verdict: Verdict },
-    /// The barrier was poisoned underneath us (another shard panicked).
-    Poisoned,
+    /// Failure verdict: the root builds the report and panics.
+    Fail(Verdict),
     /// A handler or a program panicked on the thread holding the floor.
     Panicked(PanicPayload),
 }
 
-/// Aggregate the published shard statuses into the one verdict every
-/// shard must agree on. Reads happen strictly between barrier B and
-/// the next barrier A, so no shard can be rewriting a status slot
-/// concurrently.
-fn consensus<M>(win: &WindowShared<M>, widen: &mut Widen) -> Verdict {
-    let mut heap_min: Option<SimTime> = None;
-    let mut unfinished = 0usize;
-    let mut budget_hit = false;
-    let mut last_progress = SimTime::ZERO;
-    let mut now_max = SimTime::ZERO;
-    let mut staged = 0u64;
-    for slot in &win.statuses {
-        let s = slot.lock().expect("status slot poisoned");
-        heap_min = match (heap_min, s.heap_min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        unfinished += s.unfinished;
-        budget_hit |= s.budget_hit;
-        last_progress = last_progress.max(s.last_progress);
-        now_max = now_max.max(s.now);
-        staged += s.staged;
-    }
-    // Fold the widening state from the fleet-wide traffic of the
-    // window that just closed. Same inputs on every shard → same
-    // factor sequence → same verdicts.
-    if staged == 0 {
-        widen.streak += 1;
-        if widen.streak >= WIDEN_AFTER && widen.factor < WIDEN_CAP {
-            widen.factor *= 2;
-        }
-    } else {
-        widen.streak = 0;
-        widen.factor = 1;
-    }
-    if budget_hit {
-        return Verdict::Budget;
-    }
-    match heap_min {
-        None if unfinished == 0 => Verdict::Done,
-        None => Verdict::Deadlock { t: now_max },
-        Some(m) => {
-            if win.stall_window > Dur::ZERO
-                && unfinished > 0
-                && m.since(last_progress) > win.stall_window
-            {
-                Verdict::Stall {
-                    last: last_progress,
-                }
-            } else {
-                // Every event strictly below this bound is safe to
-                // process: any message sent by an event at or after
-                // `m` delivers at least `lookahead` later (and never
-                // earlier — jitter, spikes and queueing only add). The
-                // 1ns floor keeps zero-lookahead models moving one
-                // timestamp per window. With the widening factor > 1
-                // the bound is no longer intrinsic; the admission
-                // floor at the window end restores it.
-                Verdict::Continue(m + (win.lookahead * widen.factor).max(Dur::nanos(1)))
-            }
-        }
-    }
-}
-
-/// One shard's whole loop state — the floor. Built once, boxed, and
-/// owned by exactly one thread at a time: whoever holds the box runs
-/// the shard's event loop (see the module docs).
+/// The whole loop state — the floor. Built once, boxed, and owned by
+/// exactly one thread at a time: whoever holds the box runs the event
+/// loop (see the module docs).
 struct Shard<N: NodeBehavior> {
     kernel: Kernel<N>,
     nodes: Vec<N>,
@@ -797,30 +503,30 @@ struct Shard<N: NodeBehavior> {
     /// op dispatches when the matching Resume fires.
     pending_ops: Vec<Option<N::Op>>,
     /// Progress watchdog state: the virtual time of the last Resume
-    /// event for one of this shard's programs (ops completing, run-ahead
-    /// being charged, programs finishing — anything that is program
-    /// progress rather than protocol chatter). Published per window;
-    /// the consensus takes the max across shards.
+    /// event (ops completing, run-ahead being charged, programs
+    /// finishing — anything that is program progress rather than
+    /// protocol chatter).
     last_progress: SimTime,
     unfinished: usize,
-    budget_hit: bool,
-    /// Adaptive widening state (identical evolution on every shard).
     widen: Widen,
     /// The admission floor owed for messages staged in the window that
     /// just ended: its end time when it was widened, else ZERO (no-op).
     admit_floor: SimTime,
-    index: usize,
-    win: Arc<WindowShared<N::Msg>>,
-    /// Per-program wake-up senders, by local node index.
+    stall_window: Dur,
+    lookahead: Dur,
+    /// Program threads run only their own turns and `Resume`s, and
+    /// relay the rest to the root (see [`MAX_LOOP_THREADS`]).
+    relays: bool,
+    /// Per-program wake-up senders, by node id.
     wake: Vec<SyncSender<Wake<N::Op, N::Reply>>>,
-    /// Where the box goes when the loop ends (or, on a wide shard,
+    /// Where the box goes when the loop ends (or, on a relaying run,
     /// when handlers are due).
     root: SyncSender<Home<N>>,
     /// Times this box changed threads.
     handoffs: u64,
 }
 
-/// What travels to a shard's root: the floor, and why it came home
+/// What travels to the root: the floor, and why it came home
 /// (a relay or an exit, never a grant).
 type Home<N> = (Box<Shard<N>>, Step<<N as NodeBehavior>::Reply>);
 
@@ -836,42 +542,42 @@ enum Turn<Op, R> {
 
 /// How a thread enters the event loop (see [`Shard::run`]).
 enum Entry<Op> {
-    /// The root's first entry: start the shard.
+    /// The root's first entry: start the run.
     Start,
-    /// Local program `.0` stopped running, on its own thread.
+    /// Program `.0` stopped running, on its own thread.
     Yield(usize, AppYield<Op>),
-    /// The root again: a program thread of a wide shard relayed the
+    /// The root again: a program thread of a wide run relayed the
     /// floor for the handlers it does not run itself.
     Relayed,
 }
 
 /// What the event loop needs next from whoever holds the box.
 enum Step<R> {
-    /// Local program `to` must run under `go`.
+    /// Program `to` must run under `go`.
     Grant { to: usize, go: Go<R> },
-    /// Handlers are due that only the root runs (wide shards).
+    /// Handlers are due that only the root runs (wide runs).
     Relay,
     /// The loop is over.
     Exit(ShardExit),
 }
 
-/// Widest shard, in programs, whose program threads run the whole event
+/// Widest run, in programs, whose program threads run the whole event
 /// loop. Protocol handlers allocate, and glibc gives every thread its
 /// own allocation cache and one of a few arenas that do not share free
 /// memory: with handlers running on hundreds of threads the resident
-/// set grows far beyond what is live (lrc SOR on one shard, peak RSS
-/// over the kernel-thread driver: +3 % at 16 nodes, +11 % at 32, +33 %
-/// at 128, +53 % at 512). Past this width a program thread still runs
-/// its own turn and any chain of `Resume`s inline, but relays the floor
-/// to the shard's root for message, timer and fault handlers and for
-/// window boundaries — the root's one arena then serves all of them,
-/// as the kernel thread's did. Same events in the same order either
-/// way; only the thread differs.
+/// set grows far beyond what is live (lrc SOR, peak RSS over the
+/// kernel-thread driver: +3 % at 16 nodes, +11 % at 32, +33 % at 128,
+/// +53 % at 512). Past this width a program thread still runs its own
+/// turn and any chain of `Resume`s inline, but relays the floor to the
+/// root for message, timer and fault handlers and for window
+/// boundaries — the root's one arena then serves all of them, as the
+/// kernel thread's did. Same events in the same order either way; only
+/// the thread differs.
 const MAX_LOOP_THREADS: usize = 32;
 
-/// Root side of one shard: start its event loop and, whenever the box
-/// comes back, either run the handlers a wide shard relayed or return
-/// with the loop's exit.
+/// Root side of the loop: start it and, whenever the box comes back,
+/// either run the handlers a wide run relayed or return with the
+/// loop's exit.
 fn run_shard<N: NodeBehavior + 'static>(
     mut shard: Box<Shard<N>>,
     root_rx: Receiver<Home<N>>,
@@ -936,14 +642,14 @@ impl<N: NodeBehavior + 'static> Shard<N> {
         }
     }
 
-    /// The event loop: the window protocol around the dispatch core.
+    /// The event loop: window boundaries around the dispatch core.
     /// Every entry falls into the same loop body and pops the same
     /// events in the same order, whichever threads the entries come
-    /// from; a program thread of a wide shard merely stops (and relays)
+    /// from; a program thread of a wide run merely stops (and relays)
     /// where the next step is not a `Resume`.
     fn run(&mut self, entry: Entry<N::Op>) -> Step<N::Reply> {
         // The root runs everything; a program thread runs its own turn
-        // and then, on a wide shard, `Resume`s only.
+        // and then, on a wide run, `Resume`s only.
         let handlers_here = match entry {
             Entry::Start => {
                 self.start();
@@ -954,18 +660,19 @@ impl<N: NodeBehavior + 'static> Shard<N> {
                 if let Some(go) = self.turn(i, Turn::Yield(y)) {
                     return Step::Grant { to: i, go };
                 }
-                self.wake.len() <= MAX_LOOP_THREADS
+                !self.relays
             }
         };
         loop {
-            // Process this shard's slice of the window (empty until
-            // the first boundary opens one).
-            while !self.budget_hit && (handlers_here || self.kernel.resume_is_next()) {
+            // Process the window (empty until the first boundary opens
+            // one).
+            while !self.kernel.over_event_budget()
+                && (handlers_here || self.kernel.resume_is_next())
+            {
                 let Some((t, event)) = self.kernel.pop_in_window() else {
                     break;
                 };
                 if self.kernel.over_event_budget() {
-                    self.budget_hit = true;
                     break;
                 }
                 if let Some((to, go)) = self.dispatch(t, event) {
@@ -989,77 +696,72 @@ impl<N: NodeBehavior + 'static> Shard<N> {
         }
     }
 
-    /// Protocol start hooks, then kick every owned program at t=0 in
-    /// node order. Sends from on_start are staged and admitted at the
-    /// first window boundary like any others.
+    /// Protocol start hooks, then kick every program at t=0 in node
+    /// order. Sends from on_start are staged and admitted at the first
+    /// window boundary like any others.
     fn start(&mut self) {
-        let lo = self.kernel.lo();
         for (i, node) in self.nodes.iter_mut().enumerate() {
             let mut ctx = Ctx {
                 port: &mut self.kernel,
-                node: NodeId(lo + i as u32),
+                node: NodeId(i as u32),
             };
             node.on_start(&mut ctx);
         }
         for i in 0..self.nodes.len() as u32 {
-            self.kernel.schedule(
-                SimTime::ZERO,
-                Event::Resume {
-                    node: NodeId(lo + i),
-                },
-            );
+            self.kernel
+                .schedule(SimTime::ZERO, Event::Resume { node: NodeId(i) });
         }
     }
 
-    /// Cross a window boundary: both barriers and the consensus.
-    /// Returns the end of the next window, or how the loop ended.
+    /// Cross a window boundary: admit what the window that just ended
+    /// staged, then read where the run stands. Returns the end of the
+    /// next window, or how the loop ended.
     fn window_boundary(&mut self) -> Result<SimTime, ShardExit> {
-        let win = &*self.win;
-        // Flush staged sends so every inbox holds the complete traffic
-        // of the window that just ended...
-        let staged = self.kernel.flush_outgoing(&win.inboxes);
-        if win.barrier.wait().is_err() {
-            return Err(ShardExit::Poisoned);
-        }
-        // ...then drain own inbox in canonical order and publish where
-        // this shard stands.
-        let batch = std::mem::take(&mut *win.inboxes[self.index].lock().expect("inbox poisoned"));
-        self.kernel.admit(batch, self.admit_floor);
-        *win.statuses[self.index]
-            .lock()
-            .expect("status slot poisoned") = ShardStatus {
-            heap_min: self.kernel.heap_min(),
-            now: self.kernel.now(),
-            last_progress: self.last_progress,
-            unfinished: self.unfinished,
-            budget_hit: self.budget_hit,
-            staged,
-        };
-        if win.barrier.wait().is_err() {
-            return Err(ShardExit::Poisoned);
-        }
-        match consensus(win, &mut self.widen) {
-            Verdict::Continue(window_end) => Ok(window_end),
-            Verdict::Done => Err(ShardExit::Done),
-            verdict => {
-                *win.diags[self.index].lock().expect("diag slot poisoned") =
-                    Some(make_diag(&self.kernel, &self.nodes));
-                // Barrier C: all fragments must be deposited before
-                // shard 0 assembles the report. Poisoning here means
-                // some shard died instead — proceed; the report
-                // tolerates missing fragments.
-                let _ = win.barrier.wait();
-                Err(ShardExit::Fail { verdict })
+        let staged = self.kernel.admit_staged(self.admit_floor);
+        if staged == 0 {
+            self.widen.streak += 1;
+            if self.widen.streak >= WIDEN_AFTER && self.widen.factor < WIDEN_CAP {
+                self.widen.factor *= 2;
             }
+        } else {
+            self.widen.streak = 0;
+            self.widen.factor = 1;
         }
+        if self.kernel.over_event_budget() {
+            return Err(ShardExit::Fail(Verdict::Budget));
+        }
+        let Some(m) = self.kernel.heap_min() else {
+            return Err(if self.unfinished == 0 {
+                ShardExit::Done
+            } else {
+                ShardExit::Fail(Verdict::Deadlock {
+                    t: self.kernel.now(),
+                })
+            });
+        };
+        if self.stall_window > Dur::ZERO
+            && self.unfinished > 0
+            && m.since(self.last_progress) > self.stall_window
+        {
+            return Err(ShardExit::Fail(Verdict::Stall {
+                last: self.last_progress,
+            }));
+        }
+        // Every event strictly below this bound is safe to process: any
+        // message sent by an event at or after `m` delivers at least
+        // `lookahead` later (and never earlier — jitter, spikes and
+        // queueing only add). The 1ns floor keeps zero-lookahead models
+        // moving one timestamp per window. With the widening factor > 1
+        // the bound is no longer intrinsic; the admission floor at the
+        // window end restores it.
+        Ok(m + (self.lookahead * self.widen.factor).max(Dur::nanos(1)))
     }
 
-    /// Run one popped event. Returns the local program to grant the
-    /// floor to, if the event ends in one.
+    /// Run one popped event. Returns the program to grant the floor
+    /// to, if the event ends in one.
     fn dispatch(&mut self, t: SimTime, event: Event<N::Msg>) -> Option<(usize, Go<N::Reply>)> {
         let kernel = &mut self.kernel;
         let nodes = &mut self.nodes;
-        let lo = kernel.lo();
         match event {
             Event::Deliver { src, dst, msg, nic } => {
                 if kernel.node_down(dst) {
@@ -1072,7 +774,7 @@ impl<N: NodeBehavior + 'static> Shard<N> {
                     port: kernel,
                     node: dst,
                 };
-                let node = &mut nodes[(dst.0 - lo) as usize];
+                let node = &mut nodes[dst.index()];
                 if nic {
                     node.on_nic(&mut ctx, src, msg);
                 } else {
@@ -1085,11 +787,11 @@ impl<N: NodeBehavior + 'static> Shard<N> {
                     return None;
                 }
                 let mut ctx = Ctx { port: kernel, node };
-                nodes[(node.0 - lo) as usize].on_timer(&mut ctx, token);
+                nodes[node.index()].on_timer(&mut ctx, token);
             }
             Event::Fault { node, change } => {
                 kernel.apply_fault(node, change);
-                let i = (node.0 - lo) as usize;
+                let i = node.index();
                 let notice = match change {
                     FaultChange::SelfCrash { .. } => FaultNotice::Crashed,
                     FaultChange::SelfRecover => FaultNotice::Recovered,
@@ -1137,7 +839,7 @@ impl<N: NodeBehavior + 'static> Shard<N> {
                     return None;
                 }
                 self.last_progress = t;
-                let i = (node.0 - lo) as usize;
+                let i = node.index();
                 if kernel.app[i].finished {
                     return None;
                 }
@@ -1155,16 +857,16 @@ impl<N: NodeBehavior + 'static> Shard<N> {
         None
     }
 
-    /// Advance local program `i`'s turn until it either must run (the
+    /// Advance program `i`'s turn until it either must run (the
     /// grant is returned; its yield re-enters here through
     /// [`Shard::run`]) or is parked on the event queue. Keeps the
     /// program running while its ops complete with zero cost at this
     /// instant.
     fn turn(&mut self, i: usize, mut turn: Turn<N::Op, N::Reply>) -> Option<Go<N::Reply>> {
         let kernel = &mut self.kernel;
-        let node = NodeId(kernel.lo() + i as u32);
-        // Stable across a grant: nothing runs on this shard while the
-        // program holds the floor.
+        let node = NodeId(i as u32);
+        // Stable across a grant: nothing runs while the program holds
+        // the floor.
         let dead = kernel.node_dead(node);
         loop {
             let op = match turn {
@@ -1248,93 +950,53 @@ impl<N: NodeBehavior + 'static> Shard<N> {
             }
         }
     }
-}
 
-/// Capture one shard's diagnostic fragment for the failure report.
-fn make_diag<N: NodeBehavior>(kernel: &Kernel<N>, nodes: &[N]) -> ShardDiag {
-    let lo = kernel.lo();
-    let mut node_lines = String::new();
-    for (i, n) in nodes.iter().enumerate() {
-        let desc = n.describe();
-        let desc = if desc.is_empty() { "-" } else { desc.as_str() };
-        node_lines.push_str(&format!(
-            "\n  n{} [{}]: {}",
-            lo as usize + i,
-            kernel.app_state(i),
-            desc
-        ));
-    }
-    ShardDiag {
-        heap_len: kernel.heap_len(),
-        heap_min: kernel.heap_min(),
-        peek: kernel.peek_summary(),
-        now: kernel.now(),
-        never_finished: kernel.blocked_nodes(),
-        node_lines,
-    }
-}
-
-/// Multi-line diagnostic for a wedged run: the reason, kernel counters,
-/// the earliest pending event across shards, and every node's program
-/// state plus its behavior's `describe()` line (which, under the
-/// reliable transport, includes in-flight retransmit queue depths).
-fn assemble_report(
-    verdict: &Verdict,
-    diags: &[Mutex<Option<ShardDiag>>],
-    events: u64,
-    max_events: u64,
-    stall_window: Dur,
-) -> String {
-    let fragments: Vec<Option<ShardDiag>> = diags
-        .iter()
-        .map(|d| d.lock().expect("diag slot poisoned").take())
-        .collect();
-    let now = fragments
-        .iter()
-        .flatten()
-        .map(|d| d.now)
-        .max()
-        .unwrap_or(SimTime::ZERO);
-    let pending: usize = fragments.iter().flatten().map(|d| d.heap_len).sum();
-    let next = fragments
-        .iter()
-        .flatten()
-        .filter(|d| d.heap_min.is_some())
-        .min_by_key(|d| d.heap_min)
-        .and_then(|d| d.peek.clone());
-    let reason = match verdict {
-        Verdict::Budget => {
-            format!("kernel exceeded max_events={max_events} — protocol livelock?")
+    /// Multi-line diagnostic for a wedged run: the reason, kernel
+    /// counters, the earliest pending event, and every node's program
+    /// state plus its behavior's `describe()` line (which, under the
+    /// reliable transport, includes in-flight retransmit queue depths).
+    fn failure_report(&self, verdict: &Verdict) -> String {
+        let kernel = &self.kernel;
+        let reason = match verdict {
+            Verdict::Budget => format!(
+                "kernel exceeded max_events={} — protocol livelock?",
+                kernel.max_events
+            ),
+            Verdict::Stall { last } => format!(
+                "progress watchdog: no program progress for {} of virtual \
+                 time (last at t={last})",
+                self.stall_window
+            ),
+            Verdict::Deadlock { t } => {
+                let never: Vec<String> = kernel
+                    .blocked_nodes()
+                    .iter()
+                    .map(|n| format!("{n}"))
+                    .collect();
+                format!(
+                    "distributed deadlock: event queue drained at t={t} with nodes \
+                     never finished [{}]",
+                    never.join(" ")
+                )
+            }
+        };
+        let mut out = format!(
+            "{reason}\n  virtual time: {}\n  events processed: {}\n  event heap: \
+             {} pending",
+            kernel.now(),
+            kernel.events,
+            kernel.heap_len()
+        );
+        if let Some(top) = kernel.peek_summary() {
+            out.push_str(&format!(" (next: {top})"));
         }
-        Verdict::Stall { last } => format!(
-            "progress watchdog: no program progress for {stall_window} of virtual \
-             time (last at t={last})"
-        ),
-        Verdict::Deadlock { t } => {
-            let never: Vec<String> = fragments
-                .iter()
-                .flatten()
-                .flat_map(|d| d.never_finished.iter().map(|n| format!("{n}")))
-                .collect();
-            format!(
-                "distributed deadlock: event queue drained at t={t} with nodes \
-                 never finished [{}]",
-                never.join(" ")
-            )
+        for (i, n) in self.nodes.iter().enumerate() {
+            let desc = n.describe();
+            let desc = if desc.is_empty() { "-" } else { desc.as_str() };
+            out.push_str(&format!("\n  n{i} [{}]: {desc}", kernel.app_state(i)));
         }
-        Verdict::Continue(_) | Verdict::Done => unreachable!("not a failure verdict"),
-    };
-    let mut out = format!(
-        "{reason}\n  virtual time: {now}\n  events processed: {events}\n  event heap: \
-         {pending} pending"
-    );
-    if let Some(top) = next {
-        out.push_str(&format!(" (next: {top})"));
+        out
     }
-    for fragment in fragments.iter().flatten() {
-        out.push_str(&fragment.node_lines);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1402,7 +1064,6 @@ mod tests {
         assert_eq!(res.stats.kind("Ping").count, 1);
         assert_eq!(res.stats.kind("Pong").count, 1);
         assert_eq!(res.end_time, SimTime(20_000));
-        assert_eq!(res.workers, 1);
         assert!(res.events > 0, "event count must be reported");
     }
 
@@ -1511,29 +1172,6 @@ mod tests {
         );
     }
 
-    /// The same watchdog dump must work when the wedged nodes live on
-    /// different shards: every shard deposits its fragment and shard 0
-    /// assembles the full per-node report.
-    #[test]
-    fn stall_watchdog_dumps_node_state_across_shards() {
-        let sim = Sim::new(
-            vec![WedgedNode { beats: 0 }, WedgedNode { beats: 0 }],
-            CostModel::default(),
-        )
-        .stall_window(Dur::millis(50))
-        .workers(2);
-        let msg = wedged_panic_message(sim);
-        assert!(msg.contains("progress watchdog"), "got: {msg}");
-        assert!(
-            msg.contains("n0 [blocked]: wedged; heartbeats="),
-            "got: {msg}"
-        );
-        assert!(
-            msg.contains("n1 [blocked]: wedged; heartbeats="),
-            "got: {msg}"
-        );
-    }
-
     #[test]
     fn max_events_backstop_dumps_node_state() {
         // Watchdog disabled: only the event-count backstop can fire.
@@ -1546,19 +1184,6 @@ mod tests {
         let msg = wedged_panic_message(sim);
         assert!(msg.contains("exceeded max_events=500"), "got: {msg}");
         assert!(msg.contains("n0 [blocked]: wedged"), "got: {msg}");
-    }
-
-    #[test]
-    fn max_events_backstop_fires_across_shards() {
-        let sim = Sim::new(
-            vec![WedgedNode { beats: 0 }, WedgedNode { beats: 0 }],
-            CostModel::default(),
-        )
-        .stall_window(Dur::ZERO)
-        .max_events(500)
-        .workers(2);
-        let msg = wedged_panic_message(sim);
-        assert!(msg.contains("exceeded max_events=500"), "got: {msg}");
     }
 
     #[test]
@@ -1581,9 +1206,7 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    /// A ring of nodes, each pinging its successor, with jitter on: the
-    /// full observable trace must be bit-identical for every worker
-    /// count (including workers > nodes, which clamps).
+    /// A ring of nodes, each pinging its successor.
     struct RingNode;
     impl NodeBehavior for RingNode {
         type Msg = PingMsg;
@@ -1602,39 +1225,6 @@ mod tests {
             let next = NodeId((ctx.me().0 + 1) % ctx.nodes());
             ctx.send(next, PingMsg::Ping);
             OpOutcome::Blocked
-        }
-    }
-
-    #[test]
-    fn worker_count_does_not_change_the_trace() {
-        let run = |workers: usize| {
-            let model = CostModel::lan_1992().with_jitter(Dur::micros(20), 7);
-            let sim =
-                Sim::new(vec![RingNode, RingNode, RingNode, RingNode], model).workers(workers);
-            let programs: Vec<_> = (0..4)
-                .map(|_| {
-                    |h: &AppHandle<(), SimTime>| {
-                        let a = h.op(());
-                        h.advance(Dur::micros(30));
-                        let b = h.op(());
-                        (a, b)
-                    }
-                })
-                .collect();
-            let res = sim.run(programs);
-            assert_eq!(res.workers, workers.min(4));
-            (
-                res.end_time,
-                res.finish_times.clone(),
-                res.results.clone(),
-                res.stats.clone(),
-                res.rendezvous,
-                res.events,
-            )
-        };
-        let w1 = run(1);
-        for workers in [2, 3, 4, 8] {
-            assert_eq!(w1, run(workers), "trace diverged at workers={workers}");
         }
     }
 
@@ -1706,53 +1296,47 @@ mod tests {
 
     #[test]
     fn ping_pong_costs_at_most_one_handoff_per_grant() {
-        for workers in [1, 2] {
-            let model = CostModel::uniform(Dur::micros(10), 0);
-            let sim = Sim::new(vec![RingNode, RingNode], model).workers(workers);
-            let programs: Vec<_> = (0..2)
-                .map(|_| |h: &AppHandle<(), SimTime>| (0..50).map(|_| h.op(())).last())
-                .collect();
-            let res = sim.run(programs);
-            assert_eq!(res.rendezvous, 2 * 51);
-            assert!(
-                res.handoffs <= res.rendezvous + res.workers as u64,
-                "workers={workers}: {} hand-offs for {} grants",
-                res.handoffs,
-                res.rendezvous
-            );
-            assert!(res.handoffs >= START_AND_FINISH * res.workers as u64);
-        }
+        let model = CostModel::uniform(Dur::micros(10), 0);
+        let sim = Sim::new(vec![RingNode, RingNode], model);
+        let programs: Vec<_> = (0..2)
+            .map(|_| |h: &AppHandle<(), SimTime>| (0..50).map(|_| h.op(())).last())
+            .collect();
+        let res = sim.run(programs);
+        assert_eq!(res.rendezvous, 2 * 51);
+        assert!(
+            res.handoffs <= res.rendezvous + 1,
+            "{} hand-offs for {} grants",
+            res.handoffs,
+            res.rendezvous
+        );
+        assert!(res.handoffs >= START_AND_FINISH);
     }
 
     /// A panic inside a program (an app's result assertion, say) must
-    /// reach the caller of `run` with its own payload — whichever shard
-    /// the program lives on, and while the other programs are parked
-    /// mid-op.
+    /// reach the caller of `run` with its own payload, while the other
+    /// programs are parked mid-op.
     #[test]
     fn program_panic_payload_reaches_the_caller() {
-        for workers in [1, 2] {
-            for culprit in 0..2u32 {
-                let model = CostModel::uniform(Dur::micros(10), 0);
-                let sim = Sim::new(vec![RingNode, RingNode], model).workers(workers);
-                let programs: Vec<_> = (0..2)
-                    .map(|_| {
-                        move |h: &AppHandle<(), SimTime>| {
-                            h.op(());
-                            if h.id().0 == culprit {
-                                panic!("result check failed on n{culprit}");
-                            }
-                            h.op(());
+        for culprit in 0..2u32 {
+            let model = CostModel::uniform(Dur::micros(10), 0);
+            let sim = Sim::new(vec![RingNode, RingNode], model);
+            let programs: Vec<_> = (0..2)
+                .map(|_| {
+                    move |h: &AppHandle<(), SimTime>| {
+                        h.op(());
+                        if h.id().0 == culprit {
+                            panic!("result check failed on n{culprit}");
                         }
-                    })
-                    .collect();
-                let err = catch_unwind(AssertUnwindSafe(|| sim.run(programs)))
-                    .expect_err("the program's panic must propagate");
-                assert_eq!(
-                    err.downcast_ref::<String>().map(String::as_str),
-                    Some(format!("result check failed on n{culprit}").as_str()),
-                    "workers={workers}"
-                );
-            }
+                        h.op(());
+                    }
+                })
+                .collect();
+            let err = catch_unwind(AssertUnwindSafe(|| sim.run(programs)))
+                .expect_err("the program's panic must propagate");
+            assert_eq!(
+                err.downcast_ref::<String>().map(String::as_str),
+                Some(format!("result check failed on n{culprit}").as_str())
+            );
         }
     }
 
@@ -1774,30 +1358,28 @@ mod tests {
                 OpOutcome::Blocked
             }
         }
-        for workers in [1, 2] {
-            let sim = Sim::new(vec![Grumpy, Grumpy], CostModel::lan_1992()).workers(workers);
-            let programs: Vec<_> = (0..2).map(|_| |h: &AppHandle<(), ()>| h.op(())).collect();
-            let err = catch_unwind(AssertUnwindSafe(|| sim.run(programs)))
-                .expect_err("the handler's panic must propagate");
-            assert_eq!(
-                err.downcast_ref::<&str>().copied(),
-                Some("handler refused the message"),
-                "workers={workers}"
-            );
-        }
+        let sim = Sim::new(vec![Grumpy, Grumpy], CostModel::lan_1992());
+        let programs: Vec<_> = (0..2).map(|_| |h: &AppHandle<(), ()>| h.op(())).collect();
+        let err = catch_unwind(AssertUnwindSafe(|| sim.run(programs)))
+            .expect_err("the handler's panic must propagate");
+        assert_eq!(
+            err.downcast_ref::<&str>().copied(),
+            Some("handler refused the message")
+        );
     }
 
-    /// Past [`MAX_LOOP_THREADS`] programs on one shard, program threads
-    /// relay message handlers to the root: more hand-offs than grants,
-    /// and not one observable of the run moves — compared here with the
-    /// same ring split into narrow shards, whose programs run the whole
+    /// Past [`MAX_LOOP_THREADS`] programs, program threads relay message
+    /// handlers to the root: more hand-offs than grants, and not one
+    /// observable of the run moves — compared here with the same ring
+    /// under a threshold it never reaches, whose programs run the whole
     /// loop themselves.
     #[test]
     fn wide_shards_relay_handlers_and_change_nothing() {
         const NODES: usize = MAX_LOOP_THREADS + 8;
-        let run = |workers: usize| {
+        let run = |max_loop_threads: usize| {
             let model = CostModel::lan_1992().with_jitter(Dur::micros(20), 7);
-            let sim = Sim::new((0..NODES).map(|_| RingNode).collect(), model).workers(workers);
+            let mut sim = Sim::new((0..NODES).map(|_| RingNode).collect(), model);
+            sim.max_loop_threads = max_loop_threads;
             let programs: Vec<_> = (0..NODES)
                 .map(|_| {
                     |h: &AppHandle<(), SimTime>| {
@@ -1809,9 +1391,13 @@ mod tests {
                 .collect();
             sim.run(programs)
         };
-        let (wide, narrow) = (run(1), run(2));
-        assert!(wide.handoffs > wide.rendezvous, "{}", wide.handoffs);
-        assert!(narrow.handoffs <= narrow.rendezvous + 2);
+        let (relayed, inline) = (run(MAX_LOOP_THREADS), run(usize::MAX));
+        assert!(
+            relayed.handoffs > relayed.rendezvous,
+            "{}",
+            relayed.handoffs
+        );
+        assert!(inline.handoffs <= inline.rendezvous + 1);
         let trace = |r: RunResult<(SimTime, SimTime)>| {
             (
                 r.end_time,
@@ -1822,7 +1408,7 @@ mod tests {
                 r.events,
             )
         };
-        assert_eq!(trace(wide), trace(narrow));
+        assert_eq!(trace(relayed), trace(inline));
     }
 
     #[test]

@@ -1,27 +1,25 @@
-//! The discrete-event kernel, sharded for conservative parallel DES.
+//! The discrete-event kernel.
 //!
-//! All protocol state belongs to a kernel shard: a node's message
-//! handlers ([`NodeBehavior::on_message`]) and its application-op entry
-//! point ([`NodeBehavior::on_op`]) are invoked by the shard's event
-//! loop, at well-defined points in virtual time, one at a time per
-//! shard. Application *programs* run on their own OS threads but are
-//! cooperatively scheduled by the driver (see [`crate::driver`]): a
-//! shard's state is one owned value that passes from thread to thread,
-//! and only the thread holding it runs — the event loop or one
-//! program — so exactly one logical actor per shard is ever running.
+//! All protocol state belongs to the kernel: a node's message handlers
+//! ([`NodeBehavior::on_message`]) and its application-op entry point
+//! ([`NodeBehavior::on_op`]) are invoked by the event loop, at
+//! well-defined points in virtual time, one at a time. Application
+//! *programs* run on their own OS threads but are cooperatively
+//! scheduled by the driver (see [`crate::driver`]): the loop state is
+//! one owned value that passes from thread to thread, and only the
+//! thread holding it runs — the event loop or one program — so exactly
+//! one logical actor is ever running.
 //!
-//! Nodes are partitioned into contiguous shards ([`Partition`]); each
-//! shard owns a private event heap and processes events inside a
-//! *virtual-time window* `[global_min, global_min + lookahead)` computed
-//! by the driver from the conservative PDES lookahead (the minimum
-//! network delay of the cost model). Messages — including same-shard and
-//! self sends — are never inserted into a heap directly at send time;
-//! they are staged as [`InTransit`] records and admitted at the next
-//! window barrier in a canonical order (wire-arrival time, then sender,
-//! then per-sender sequence), with receiver-side serialization
-//! (`recv_free`) applied during admission. Because the admitted batch
-//! per window and its order are functions of virtual time only, the run
-//! is bit-identical for any worker count.
+//! The kernel processes events inside a *virtual-time window*
+//! `[heap_min, heap_min + lookahead)` the driver computes from the
+//! minimum network delay of the cost model. Messages — self sends
+//! included — are never inserted into the heap at send time; they are
+//! staged as [`InTransit`] records and admitted at the next window
+//! boundary in a canonical order (wire-arrival time, then sender, then
+//! per-sender sequence), with receiver-side serialization (`recv_free`)
+//! applied during admission. The admitted batch per window and its
+//! order are functions of virtual time only, and that is what a
+//! delivery time means here (DESIGN.md, "Windowed admission").
 //!
 //! Handlers talk to the world through [`Ctx`], which is backed by a
 //! [`Transport`] — normally the kernel itself, but a transport adapter
@@ -31,8 +29,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 use crate::model::{CostModel, FaultPlan};
 use crate::msg::{NodeId, Payload};
@@ -202,80 +198,28 @@ impl<M> Event<M> {
 /// depend on it; docs/PERF.md has the wall-clock sweep that chose 1 ms.
 const MAX_LOCAL_QUANTUM: Dur = Dur::millis(1);
 
-/// Contiguous block partition of nodes onto kernel shards: the first
-/// `nnodes % workers` shards get one extra node. Any fixed mapping
-/// would do — the windowed admission protocol makes results independent
-/// of the partition — but contiguous blocks keep neighbor-structured
-/// workloads (SOR, Jacobi) mostly shard-local.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Partition {
-    nnodes: u32,
-    workers: u32,
-}
-
-impl Partition {
-    pub(crate) fn new(nnodes: u32, workers: u32) -> Self {
-        assert!(nnodes > 0, "need at least one node");
-        let workers = workers.clamp(1, nnodes);
-        Partition { nnodes, workers }
-    }
-
-    pub(crate) fn workers(self) -> usize {
-        self.workers as usize
-    }
-
-    pub(crate) fn shard_of(self, node: NodeId) -> usize {
-        let base = self.nnodes / self.workers;
-        let rem = self.nnodes % self.workers;
-        let cut = rem * (base + 1);
-        if node.0 < cut {
-            (node.0 / (base + 1)) as usize
-        } else {
-            (rem + (node.0 - cut) / base) as usize
-        }
-    }
-
-    pub(crate) fn range(self, shard: usize) -> std::ops::Range<u32> {
-        let base = self.nnodes / self.workers;
-        let rem = self.nnodes % self.workers;
-        let s = shard as u32;
-        debug_assert!(s < self.workers);
-        let lo = if s < rem {
-            s * (base + 1)
-        } else {
-            rem * (base + 1) + (s - rem) * base
-        };
-        let size = if s < rem { base + 1 } else { base };
-        lo..lo + size
-    }
-}
-
-/// A message between send and admission: staged by the sending shard
-/// during a window, appended to the destination shard's inbox at the
-/// flush, and admitted at the next barrier. `arrive` is the wire
-/// arrival at the destination (receiver-side serialization and
-/// `recv_overhead` are applied canonically during admission);
-/// `(arrive, src, seq)` is the canonical admission sort key, with `seq`
-/// a per-sender sequence number, so the drain order is a pure function
-/// of virtual time.
-pub(crate) struct InTransit<M> {
-    pub(crate) arrive: SimTime,
-    pub(crate) src: NodeId,
-    pub(crate) seq: u64,
-    pub(crate) dst: NodeId,
-    pub(crate) msg: M,
+/// A message between send and admission: staged during a window and
+/// admitted at the next boundary. `arrive` is the wire arrival at the
+/// destination (receiver-side serialization and `recv_overhead` are
+/// applied canonically during admission); `(arrive, src, seq)` is the
+/// canonical admission sort key, with `seq` a per-sender sequence
+/// number, so the admission order is a pure function of virtual time.
+struct InTransit<M> {
+    arrive: SimTime,
+    src: NodeId,
+    seq: u64,
+    dst: NodeId,
+    msg: M,
     /// One-sided delivery: admission skips `recv_overhead` and the
     /// receive path, serializing on the target's NIC instead.
-    pub(crate) nic: bool,
+    nic: bool,
 }
 
 struct HeapEntry<M> {
     time: SimTime,
-    /// Global id of the node the event runs on: the first tiebreak.
+    /// Id of the node the event runs on: the first tiebreak.
     node: u32,
-    /// Per-node schedule sequence: the second tiebreak. Per-node (not
-    /// per-shard) so that the key is independent of how nodes are
-    /// partitioned onto shards.
+    /// Per-node schedule sequence: the second tiebreak.
     seq: u64,
     event: Event<M>,
 }
@@ -328,31 +272,24 @@ impl<R> Default for AppSlot<R> {
 // `crate::transport` — the kernel is just one implementation of it
 // (see `impl Transport for Kernel` below).
 
-/// One shard of the kernel: event heap, clock, traffic stats and NIC /
-/// receive-path occupancy for the nodes it owns, plus the per-link PRNG
-/// streams for jitter and fault injection on links *originating* at its
-/// nodes. Per-node vectors are indexed by `node - lo` where `lo` is the
-/// first node of the shard.
+/// The kernel: event heap, clock, traffic stats, NIC / receive-path
+/// occupancy per node, and the per-link PRNG streams for jitter and
+/// fault injection. Per-node vectors are indexed by node id.
 pub struct Kernel<N: NodeBehavior + ?Sized> {
-    part: Partition,
-    shard: usize,
-    /// First global node id owned by this shard.
-    lo: u32,
     heap: BinaryHeap<Reverse<HeapEntry<N::Msg>>>,
-    /// Per-owned-node schedule sequence counters (heap tiebreak).
+    /// Per-node schedule sequence counters (heap tiebreak).
     next_seq: Vec<u64>,
-    /// Per-owned-node send sequence counters (admission tiebreak).
+    /// Per-node send sequence counters (admission tiebreak).
     send_seq: Vec<u64>,
     now: SimTime,
     /// End of the current processing window: events strictly before it
-    /// may run; everything else waits for the next barrier.
+    /// may run; everything else waits for the next boundary.
     window_end: SimTime,
     pub(crate) stats: NetStats,
     model: CostModel,
-    /// Per-link jitter PRNG streams (`local_src * nnodes + dst`), empty
-    /// when jitter is off. Per-link (not global) so that draw order —
-    /// and therefore the whole timeline — is independent of how sends
-    /// from different nodes interleave across shards.
+    /// Per-link jitter PRNG streams (`src * nnodes + dst`), empty when
+    /// jitter is off. Per-link (not global) so that the draws on one
+    /// link depend on that link's traffic alone.
     jitter_rng: Vec<XorShift64>,
     /// Per-link fault-injection PRNG streams, independent of the jitter
     /// streams so a fault plan never perturbs jitter decisions (and
@@ -364,8 +301,8 @@ pub struct Kernel<N: NodeBehavior + ?Sized> {
     spike_thr: u64,
     faults_on: bool,
     jitter_on: bool,
-    /// Per-owned-node crash state: `down[l]` while a node's volatile
-    /// state is gone (deliveries/timers discarded), `dead[l]` when the
+    /// Per-node crash state: `down[n]` while a node's volatile state
+    /// is gone (deliveries/timers discarded), `dead[n]` when the
     /// crash is permanent (the program zombies out instead of waiting
     /// for a recovery that will never come).
     down: Vec<bool>,
@@ -376,17 +313,16 @@ pub struct Kernel<N: NodeBehavior + ?Sized> {
     resume_dropped: Vec<bool>,
     pub(crate) app: Vec<AppSlot<N::Reply>>,
     nnodes: u32,
-    /// Events processed across *all* shards (shared counter): the
-    /// livelock backstop must see global progress, and per-pop checks
-    /// keep a zero-delay in-window spin from running away on any shard.
-    events: Arc<AtomicU64>,
-    max_events: u64,
+    /// Events popped so far; checked against `max_events` per pop, so
+    /// a zero-delay spin inside one window cannot outrun the backstop.
+    pub(crate) events: u64,
+    /// Cap on `events`; the driver treats exceeding it as a protocol
+    /// livelock and panics with a diagnostic dump.
+    pub(crate) max_events: u64,
     /// Per-node time at which the send path (CPU + NIC tx) frees up.
     /// Serializes outgoing messages so a manager broadcasting to N
     /// nodes pays N transmission times — the bottleneck the
-    /// centralized-vs-distributed experiments measure. Only ever
-    /// touched while processing the owning node's events, so its
-    /// evolution is partition-independent.
+    /// centralized-vs-distributed experiments measure.
     nic_free: Vec<SimTime>,
     /// Per-node receive-path occupancy, serializing inbound handling.
     /// Advanced only during canonical admission, never at send time.
@@ -394,20 +330,19 @@ pub struct Kernel<N: NodeBehavior + ?Sized> {
     /// Per-node one-sided service occupancy: the target NIC's DMA
     /// engine serializes inbound one-sided ops without touching the
     /// node's receive path. Advanced only during canonical admission,
-    /// like `recv_free`, so it is partition-independent.
+    /// like `recv_free`.
     nic_svc_free: Vec<SimTime>,
     /// Mirror of the event heap restricted to events that run *on* a
-    /// given owned node (Deliver/Timer), as a per-node min-heap of
+    /// given node (Deliver/Timer/Fault), as a per-node min-heap of
     /// times. Supports O(log n) computation of the run-ahead budget
     /// handed to application programs (see [`Kernel::local_budget`]).
     direct_min: Vec<BinaryHeap<Reverse<SimTime>>>,
-    /// `Go` grants performed so far on this shard — summed into the
-    /// rendezvous count in run results.
+    /// `Go` grants performed so far: the rendezvous count in run
+    /// results.
     pub(crate) rendezvous: u64,
-    /// Outgoing messages staged during the current window, one bucket
-    /// per destination shard, flushed to the shared inboxes at the
-    /// window boundary.
-    outgoing: Vec<Vec<InTransit<N::Msg>>>,
+    /// Messages staged during the current window, admitted at its
+    /// boundary ([`Kernel::admit_staged`]).
+    staged: Vec<InTransit<N::Msg>>,
 }
 
 /// Stream seed for the (src, dst) link PRNGs: the base seed (jitter or
@@ -423,20 +358,9 @@ fn link_seed(base: u64, src: u32, dst: u32) -> u64 {
 }
 
 impl<N: NodeBehavior + ?Sized> Kernel<N> {
-    pub(crate) fn new(
-        part: Partition,
-        shard: usize,
-        model: CostModel,
-        events: Arc<AtomicU64>,
-    ) -> Self {
-        let range = part.range(shard);
-        let lo = range.start;
-        let owned = range.len();
-        let nnodes = {
-            // Total node count is a Partition invariant; recover it from
-            // the last shard's range end.
-            part.range(part.workers() - 1).end
-        };
+    pub(crate) fn new(nnodes: u32, model: CostModel) -> Self {
+        assert!(nnodes > 0, "need at least one node");
+        let n = nnodes as usize;
         let drop_thr = FaultPlan::threshold(model.faults.drop_prob);
         let dup_thr = FaultPlan::threshold(model.faults.dup_prob);
         let spike_thr = if model.faults.spike_max > Dur::ZERO {
@@ -450,29 +374,22 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
         // never perturb the PRNG sequence of an existing lossy run.
         let faults_on = model.faults.randomized();
         let jitter_on = model.jitter_max > Dur::ZERO;
-        let jitter_rng = if jitter_on {
-            (0..owned as u32)
-                .flat_map(|s| (0..nnodes).map(move |d| (lo + s, d)))
-                .map(|(s, d)| XorShift64::new(link_seed(model.jitter_seed, s, d)))
-                .collect()
-        } else {
-            Vec::new()
+        let link_streams = |on: bool, base: u64| -> Vec<XorShift64> {
+            let links = (0..nnodes).flat_map(|s| (0..nnodes).map(move |d| (s, d)));
+            if on {
+                links
+                    .map(|(s, d)| XorShift64::new(link_seed(base, s, d)))
+                    .collect()
+            } else {
+                Vec::new()
+            }
         };
-        let faults_rng = if faults_on {
-            (0..owned as u32)
-                .flat_map(|s| (0..nnodes).map(move |d| (lo + s, d)))
-                .map(|(s, d)| XorShift64::new(link_seed(model.faults.seed, s, d)))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let jitter_rng = link_streams(jitter_on, model.jitter_seed);
+        let faults_rng = link_streams(faults_on, model.faults.seed);
         let mut kernel = Kernel {
-            part,
-            shard,
-            lo,
             heap: BinaryHeap::new(),
-            next_seq: vec![0; owned],
-            send_seq: vec![0; owned],
+            next_seq: vec![0; n],
+            send_seq: vec![0; n],
             now: SimTime::ZERO,
             window_end: SimTime::ZERO,
             stats: NetStats::new(),
@@ -484,26 +401,24 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
             spike_thr,
             faults_on,
             jitter_on,
-            down: vec![false; owned],
-            dead: vec![false; owned],
-            resume_dropped: vec![false; owned],
-            app: (0..owned).map(|_| AppSlot::default()).collect(),
+            down: vec![false; n],
+            dead: vec![false; n],
+            resume_dropped: vec![false; n],
+            app: (0..n).map(|_| AppSlot::default()).collect(),
             nnodes,
-            events,
+            events: 0,
             max_events: u64::MAX,
-            nic_free: vec![SimTime::ZERO; owned],
-            recv_free: vec![SimTime::ZERO; owned],
-            nic_svc_free: vec![SimTime::ZERO; owned],
-            direct_min: (0..owned).map(|_| BinaryHeap::new()).collect(),
+            nic_free: vec![SimTime::ZERO; n],
+            recv_free: vec![SimTime::ZERO; n],
+            nic_svc_free: vec![SimTime::ZERO; n],
+            direct_min: (0..n).map(|_| BinaryHeap::new()).collect(),
             rendezvous: 0,
-            outgoing: (0..part.workers()).map(|_| Vec::new()).collect(),
+            staged: Vec::new(),
         };
-        // Pre-schedule the crash/recovery timeline for the nodes this
-        // shard owns. The schedule is explicit time-keyed data — no
-        // randomness — and the per-node scheduling order (crash-list
-        // order) is a pure function of the plan, so the heap tiebreak
-        // sequence numbers these events receive are identical for every
-        // partition. The crashing node learns of its own transition at
+        // Pre-schedule the crash/recovery timeline. The schedule is
+        // explicit time-keyed data — no randomness — and the per-node
+        // scheduling order (crash-list order) is a pure function of the
+        // plan. The crashing node learns of its own transition at
         // the instant it happens; every other node gets a PeerDown /
         // PeerUp notice one minimum network delay later (the earliest a
         // perfect failure detector could know).
@@ -516,7 +431,7 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
                 c.node,
                 nnodes
             );
-            for n in range.clone() {
+            for n in 0..nnodes {
                 let node = NodeId(n);
                 if n == c.node {
                     kernel.schedule(
@@ -563,41 +478,16 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
         kernel
     }
 
-    /// First global node id owned by this shard.
-    pub(crate) fn lo(&self) -> u32 {
-        self.lo
-    }
-
-    /// Local index of an owned node.
-    #[inline]
-    fn li(&self, node: NodeId) -> usize {
-        debug_assert!(
-            self.part.shard_of(node) == self.shard,
-            "node {node} is not owned by shard {}",
-            self.shard
-        );
-        (node.0 - self.lo) as usize
-    }
-
-    /// Cap the number of events processed (across all shards); the
-    /// driver treats exceeding it as a protocol livelock and panics
-    /// with a diagnostic dump.
-    pub(crate) fn set_max_events(&mut self, max: u64) {
-        self.max_events = max;
-    }
-
-    /// True once more events than the configured cap have been popped
-    /// across all shards. Checked per pop so a zero-delay in-window
-    /// spin cannot outrun the backstop on any shard.
+    /// True once more events than the configured cap have been popped.
     pub(crate) fn over_event_budget(&self) -> bool {
-        self.events.load(Ordering::Relaxed) > self.max_events
+        self.events > self.max_events
     }
 
     pub(crate) fn heap_len(&self) -> usize {
         self.heap.len()
     }
 
-    /// Earliest pending event on this shard, if any.
+    /// Earliest pending event, if any.
     pub(crate) fn heap_min(&self) -> Option<SimTime> {
         self.heap.peek().map(|Reverse(e)| e.time)
     }
@@ -627,11 +517,10 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
         })
     }
 
-    /// Short state tag for one node's program (local index), for
-    /// diagnostics.
-    pub(crate) fn app_state(&self, local: usize) -> &'static str {
-        let s = &self.app[local];
-        if self.down[local] {
+    /// Short state tag for one node's program, for diagnostics.
+    pub(crate) fn app_state(&self, node: usize) -> &'static str {
+        let s = &self.app[node];
+        if self.down[node] {
             "down"
         } else if s.finished {
             "finished"
@@ -647,7 +536,7 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
     pub(crate) fn schedule(&mut self, at: SimTime, event: Event<N::Msg>) {
         debug_assert!(at >= self.now, "cannot schedule into the past");
         let node = event.node();
-        let l = self.li(node);
+        let l = node.index();
         match &event {
             // Fault events join the direct-event mirror so the lease
             // budget handed to a program can never run past its own
@@ -687,11 +576,10 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
             return None;
         }
         let Reverse(e) = self.heap.pop().expect("peeked above");
-        self.events.fetch_add(1, Ordering::Relaxed);
+        self.events += 1;
         match &e.event {
             Event::Deliver { .. } | Event::Timer { .. } | Event::Fault { .. } => {
-                let li = self.li(e.event.node());
-                let popped = self.direct_min[li].pop();
+                let popped = self.direct_min[e.node as usize].pop();
                 debug_assert_eq!(popped, Some(Reverse(e.time)));
             }
             Event::Resume { .. } => {}
@@ -700,42 +588,25 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
         Some((e.time, e.event))
     }
 
-    /// Flush the messages staged during this window into the shared
-    /// per-shard inboxes, returning how many were staged (the adaptive
-    /// window widener's traffic signal). Push order into an inbox is
-    /// irrelevant: the receiving shard sorts the batch canonically
-    /// before admission.
-    pub(crate) fn flush_outgoing(&mut self, inboxes: &[Mutex<Vec<InTransit<N::Msg>>>]) -> u64 {
-        let mut staged_total = 0u64;
-        for (shard, staged) in self.outgoing.iter_mut().enumerate() {
-            if !staged.is_empty() {
-                staged_total += staged.len() as u64;
-                inboxes[shard]
-                    .lock()
-                    .expect("inbox poisoned")
-                    .append(staged);
-            }
-        }
-        staged_total
-    }
-
-    /// Admit one window's inbox batch: sort by the canonical key, apply
-    /// receiver-side (or, for one-sided ops, NIC-side) serialization,
-    /// and schedule the Deliver events.
+    /// Admit the messages staged during the window that just ended and
+    /// return how many there were (the window widener's traffic
+    /// signal): sort by the canonical key, apply receiver-side (or, for
+    /// one-sided ops, NIC-side) serialization, and schedule the Deliver
+    /// events.
     ///
-    /// `floor` is the end of the window the batch was staged in *when
-    /// that window was adaptively widened* (else `SimTime::ZERO`, a
-    /// no-op): nodes may already have run up to the widened window's
-    /// end, so arrivals inside it are pushed to the boundary — extra
-    /// queueing delay, which every delivery bound already tolerates.
-    /// With an unwidened window the floor is provably vacuous (every
-    /// arrival is at least `global_min + lookahead` = window end), so
-    /// passing `ZERO` there keeps traces byte-identical to the
-    /// pre-widening kernel.
-    pub(crate) fn admit(&mut self, mut batch: Vec<InTransit<N::Msg>>, floor: SimTime) {
+    /// `floor` is the end of that window *when it was adaptively
+    /// widened* (else `SimTime::ZERO`, a no-op): nodes may already have
+    /// run up to the widened window's end, so arrivals inside it are
+    /// pushed to the boundary — extra queueing delay, which every
+    /// delivery bound already tolerates. With an unwidened window the
+    /// floor is provably vacuous (every arrival is at least
+    /// `heap_min + lookahead` = window end).
+    pub(crate) fn admit_staged(&mut self, floor: SimTime) -> u64 {
+        let mut batch = std::mem::take(&mut self.staged);
         batch.sort_unstable_by_key(|m| (m.arrive, m.src.0, m.seq));
-        for m in batch {
-            let l = self.li(m.dst);
+        let admitted = batch.len() as u64;
+        for m in batch.drain(..) {
+            let l = m.dst.index();
             let deliver = if m.nic {
                 let t =
                     m.arrive.max(floor).max(self.nic_svc_free[l]) + self.model.one_sided_occupancy;
@@ -756,6 +627,8 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
                 },
             );
         }
+        self.staged = batch;
+        admitted
     }
 
     /// Virtual-time budget granted to `node`'s program for local
@@ -763,24 +636,22 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
     /// much virtual time — servicing page hits and pure computation on
     /// its own thread — without rendezvousing with the kernel.
     ///
-    /// Sound because while a program holds the floor nothing else of its
-    /// shard runs, so the shard's event heap is frozen. Any event that
+    /// Sound because while a program holds the floor nothing else runs,
+    /// so the event heap is frozen. Any event that
     /// could mutate this node's protocol state before the horizon
     /// either (a) already targets this node and is bounded by
     /// `direct_min`, or (b) is a message admitted at a future window
     /// boundary, whose delivery time is at least `window_end` (every
     /// delivery is at least `min_net_delay` after the send instant, and
-    /// every in-window send instant is at least `global_min`). One
+    /// every in-window send instant is at least `heap_min`). One
     /// nanosecond is shaved off so locally serviced accesses stay
     /// strictly before any handler the kernel has yet to run (see
     /// docs/PERF.md). Fault injection never shortens a delivery (drops
     /// remove it, spikes lengthen it), so the lookahead bound survives
-    /// a lossy network. All three horizon terms are independent of the
-    /// partition, so granted budgets are identical for any worker
-    /// count.
+    /// a lossy network.
     pub(crate) fn local_budget(&self, node: NodeId) -> Dur {
         let mut horizon = self.now.0.saturating_add(MAX_LOCAL_QUANTUM.0);
-        if let Some(&Reverse(t)) = self.direct_min[self.li(node)].peek() {
+        if let Some(&Reverse(t)) = self.direct_min[node.index()].peek() {
             horizon = horizon.min(t.0);
         }
         horizon = horizon.min(self.window_end.0);
@@ -791,13 +662,13 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
         self.now
     }
 
-    /// Global ids of this shard's never-finished nodes.
+    /// The nodes whose programs never finished.
     pub(crate) fn blocked_nodes(&self) -> Vec<NodeId> {
         self.app
             .iter()
             .enumerate()
             .filter(|(_, s)| !s.finished)
-            .map(|(i, _)| NodeId(self.lo + i as u32))
+            .map(|(i, _)| NodeId(i as u32))
             .collect()
     }
 
@@ -807,7 +678,7 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
     /// for crashes (so the hook already sees a dead world) and before
     /// it for recoveries too (so the hook may send again).
     pub(crate) fn apply_fault(&mut self, node: NodeId, change: FaultChange) {
-        let l = self.li(node);
+        let l = node.index();
         match change {
             FaultChange::SelfCrash { permanent } => {
                 assert!(!self.down[l], "node {node} crashed while already down");
@@ -827,14 +698,14 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
         }
     }
 
-    /// True while `node` (owned by this shard) is crashed.
+    /// True while `node` is crashed.
     pub(crate) fn node_down(&self, node: NodeId) -> bool {
-        self.down[self.li(node)]
+        self.down[node.index()]
     }
 
-    /// True if `node` (owned by this shard) crashed permanently.
+    /// True if `node` crashed permanently.
     pub(crate) fn node_dead(&self, node: NodeId) -> bool {
-        self.dead[self.li(node)]
+        self.dead[node.index()]
     }
 
     /// Record that a delivery or timer addressed to a down node was
@@ -846,21 +717,19 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
     /// Note that a Resume for a down (but recoverable) node was
     /// discarded; [`Self::take_resume_dropped`] owes one replacement.
     pub(crate) fn note_resume_dropped(&mut self, node: NodeId) {
-        let l = self.li(node);
-        self.resume_dropped[l] = true;
+        self.resume_dropped[node.index()] = true;
     }
 
     /// Consume the owed-Resume flag for `node` at recovery.
     pub(crate) fn take_resume_dropped(&mut self, node: NodeId) -> bool {
-        let l = self.li(node);
-        std::mem::take(&mut self.resume_dropped[l])
+        std::mem::take(&mut self.resume_dropped[node.index()])
     }
 
     /// True if `node`'s program is parked on an op that has not yet
     /// been completed (used at a permanent crash to decide whether a
     /// zombie reply is owed).
     pub(crate) fn op_awaiting_reply(&self, node: NodeId) -> bool {
-        let slot = &self.app[self.li(node)];
+        let slot = &self.app[node.index()];
         slot.blocked && slot.pending_reply.is_none()
     }
 
@@ -873,7 +742,7 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
     /// Index into the per-link stream tables.
     #[inline]
     fn link(&self, src: NodeId, dst: NodeId) -> usize {
-        (src.0 - self.lo) as usize * self.nnodes as usize + dst.0 as usize
+        src.index() * self.nnodes as usize + dst.index()
     }
 
     /// A scheduled partition severs `src → dst` right now: the message
@@ -901,7 +770,7 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
         // already transmitting.
         let total_bytes = (bytes + self.model.header_bytes) as u64;
         let tx = self.model.send_overhead + self.model.byte_cost(total_bytes);
-        let s = self.li(src);
+        let s = src.index();
         let depart_start = self.now.max(self.nic_free[s]);
         let depart_end = depart_start + tx;
         self.nic_free[s] = depart_end;
@@ -910,8 +779,8 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
         }
         // Fault injection. Node-local sends never cross the lossy wire.
         // The draw order is fixed per link (drop, then dup, then one
-        // spike draw per staged copy) so runs are reproducible per seed
-        // and per worker count. A dropped message still occupied the
+        // spike draw per staged copy) so runs are reproducible per
+        // seed. A dropped message still occupied the
         // sender's NIC above: the packet left the host and died on the
         // wire.
         if self.faults_on && src != dst {
@@ -930,10 +799,8 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
     }
 
     /// Wire half of a delivery: jitter and delay spikes on the link
-    /// stream, ending in a staged [`InTransit`] record bound for the
-    /// destination's shard (possibly this one — same-shard and self
-    /// sends take the identical path so the timeline cannot depend on
-    /// the partition). Receiver-side serialization happens at
+    /// stream, ending in a staged [`InTransit`] record (self sends take
+    /// the identical path). Receiver-side serialization happens at
     /// admission.
     fn stage_copy(&mut self, depart_end: SimTime, src: NodeId, dst: NodeId, msg: N::Msg) {
         let mut arrive = depart_end + self.model.wire_latency;
@@ -948,18 +815,7 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
                 arrive += Dur::nanos(self.faults_rng[link].below(spike));
             }
         }
-        let s = self.li(src);
-        let seq = self.send_seq[s];
-        self.send_seq[s] += 1;
-        let shard = self.part.shard_of(dst);
-        self.outgoing[shard].push(InTransit {
-            arrive,
-            src,
-            seq,
-            dst,
-            msg,
-            nic: false,
-        });
+        self.stage(arrive, src, dst, msg, false);
     }
 
     /// One-sided (RDMA-style) send on a fabric that supports it: the
@@ -979,7 +835,7 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
         self.stats.record(msg.kind_id(), msg.kind(), bytes);
         let total_bytes = (bytes + self.model.header_bytes) as u64;
         let tx = self.model.one_sided_occupancy + self.model.one_sided_byte_cost(total_bytes);
-        let s = self.li(src);
+        let s = src.index();
         let depart_start = self.now.max(self.nic_free[s]);
         let depart_end = depart_start + tx;
         self.nic_free[s] = depart_end;
@@ -987,17 +843,22 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
             return;
         }
         let arrive = depart_end + self.model.one_sided_latency;
-        let seq = self.send_seq[s];
-        self.send_seq[s] += 1;
-        let shard = self.part.shard_of(dst);
-        self.outgoing[shard].push(InTransit {
+        self.stage(arrive, src, dst, msg, true);
+    }
+
+    /// Stage one message for the next admission, stamped with its
+    /// sender's next sequence number.
+    fn stage(&mut self, arrive: SimTime, src: NodeId, dst: NodeId, msg: N::Msg, nic: bool) {
+        let seq = &mut self.send_seq[src.index()];
+        self.staged.push(InTransit {
             arrive,
             src,
-            seq,
+            seq: *seq,
             dst,
             msg,
-            nic: true,
+            nic,
         });
+        *seq += 1;
     }
 }
 
@@ -1030,8 +891,7 @@ impl<N: NodeBehavior + ?Sized> Transport<N::Msg, N::Reply> for Kernel<N> {
     }
 
     fn complete_op_after(&mut self, node: NodeId, reply: N::Reply, delay: Dur) {
-        let li = self.li(node);
-        let slot = &mut self.app[li];
+        let slot = &mut self.app[node.index()];
         assert!(
             (slot.blocked || slot.in_op) && slot.pending_reply.is_none(),
             "complete_op on {} with no parked op",
@@ -1053,35 +913,9 @@ impl<N: NodeBehavior + ?Sized> Transport<N::Msg, N::Reply> for Kernel<N> {
     }
 }
 
-/// Shared event counter for a run: one per [`crate::driver::Sim::run`],
-/// cloned into every shard.
-pub(crate) fn new_event_counter() -> Arc<AtomicU64> {
-    Arc::new(AtomicU64::new(0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn partition_blocks_are_contiguous_and_exhaustive() {
-        for nnodes in [1u32, 2, 3, 7, 8, 64, 1023] {
-            for workers in [1u32, 2, 3, 4, 8, 200] {
-                let p = Partition::new(nnodes, workers);
-                let mut next = 0u32;
-                for s in 0..p.workers() {
-                    let r = p.range(s);
-                    assert_eq!(r.start, next, "gap at shard {s}");
-                    assert!(!r.is_empty(), "empty shard {s}");
-                    for n in r.clone() {
-                        assert_eq!(p.shard_of(NodeId(n)), s);
-                    }
-                    next = r.end;
-                }
-                assert_eq!(next, nnodes, "partition must cover all nodes");
-            }
-        }
-    }
 
     #[test]
     fn link_seeds_differ_per_link_and_per_base() {

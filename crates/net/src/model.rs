@@ -416,15 +416,15 @@ impl CostModel {
     }
 
     /// Minimum virtual-time distance between processing any event and a
-    /// message it sends being delivered anywhere: the conservative PDES
+    /// message it sends being delivered anywhere: the kernel's
     /// lookahead. This is [`CostModel::delivery_delay`] of an empty
     /// body — or, on fabrics with one-sided support, its minimum with
     /// `one_sided_latency`, since a one-sided op completes after at
     /// least that long plus NIC occupancy and byte costs. Jitter, delay
     /// spikes, NIC/receive-path queueing, and the adaptive window
     /// admission floor only ever lengthen a delivery, and drops remove
-    /// it, so no delivery can undercut this bound. The sharded kernel
-    /// derives its synchronization windows from it.
+    /// it, so no delivery can undercut this bound. The kernel derives
+    /// its admission windows from it.
     pub fn min_net_delay(&self) -> Dur {
         let two_sided = self.send_overhead
             + self.wire_latency
@@ -506,7 +506,7 @@ mod tests {
             assert!(new.delivery_delay(4096) < old.delivery_delay(4096));
         }
         // The lookahead bound stays positive for every era, so the
-        // sharded PDES kernel always has a non-degenerate window.
+        // kernel always has a non-degenerate window.
         for m in &eras {
             assert!(m.min_net_delay() > Dur::ZERO);
         }

@@ -51,15 +51,13 @@
 //! run is bit-reproducible per seed, and with [`FaultPlan`] disabled the
 //! wrapper is never needed at all.
 //!
-//! The transport is also safe under the *sharded* kernel's
-//! conservative lookahead windows: retransmission timers are ordinary
-//! [`Ctx::set_timer`] events on the owning node — node-local, ordered
-//! by the owner's shard heap like any other event — so only real
-//! frames ever cross a shard boundary, and every frame pays at least
-//! the cost model's `min_net_delay`, which is exactly the bound the
-//! window is derived from. Retransmission therefore needs no
-//! special-casing in the window protocol, and worker count stays
-//! unobservable under loss (`tests/faulty_determinism.rs`).
+//! The transport is also safe under the kernel's lookahead windows:
+//! retransmission timers are ordinary [`Ctx::set_timer`] events on the
+//! owning node — node-local, ordered by the heap like any other event —
+//! so only real frames are ever staged for admission, and every frame
+//! pays at least the cost model's `min_net_delay`, which is exactly the
+//! bound the window is derived from. Retransmission therefore needs no
+//! special-casing at window boundaries.
 //!
 //! Delivery guarantees under *crash* faults are necessarily weaker:
 //! a crash deliberately loses volatile state, so frames buffered at or

@@ -155,11 +155,17 @@ impl Shared {
         }
         if view.access(page) == ACC_NONE && meta.owner != node {
             // Invalidated since the trap: take the data before the
-            // owner's copy goes away.
+            // owner's copy goes away — and after its stores stop: one
+            // landing between the copy and the invalidation below
+            // would be lost.
+            let owner = &self.views[meta.owner];
+            if owner.access(page) == ACC_WRITE {
+                owner.set_access(page, ACC_READ);
+            }
             // SAFETY: the owner's copy is readable (owners keep at
-            // least read rights) and stable under the meta lock.
-            let data = unsafe { self.views[meta.owner].page_bytes(page) };
-            self.install(node, page, data, ACC_WRITE);
+            // least read rights), no longer writable, and its rights
+            // are stable under the meta lock.
+            self.install(node, page, unsafe { owner.page_bytes(page) }, ACC_WRITE);
         } else {
             view.set_access(page, ACC_WRITE);
         }

@@ -9,9 +9,8 @@
 //!    down may legitimately observe its missing writes — the crash is
 //!    a real fault, not a pause — but every write is eventually
 //!    re-driven, so the quiesced heap must converge.
-//! 2. **Determinism**: the same crash schedule is bit-identical across
-//!    worker counts {1, 2, 4} — results, virtual end time, and the
-//!    full traffic/fault counter table.
+//! 2. **Determinism**: the counts of one crash-and-recover schedule are
+//!    pinned in `tests/golden_counts.rs`.
 //! 3. **PRNG pinning**: adding a crash schedule to a `FaultPlan`
 //!    allocates no randomness. A lossy+jitter run with a crash
 //!    scheduled far past the end of the run is bit-identical to the
@@ -96,22 +95,17 @@ fn workload(dsm: &Dsm<'_>) -> (u64, Vec<u8>) {
     (last_sum, image)
 }
 
-fn run(
-    proto: ProtocolKind,
-    plan: FaultPlan,
-    workers: usize,
-) -> dsm_core::RunResult<(u64, Vec<u8>)> {
+fn run(proto: ProtocolKind, plan: FaultPlan) -> dsm_core::RunResult<(u64, Vec<u8>)> {
     let cfg = DsmConfig::new(NODES, proto)
         .heap_bytes(HEAP)
         .page_size(256)
-        .model(model(plan))
-        .workers(workers);
+        .model(model(plan));
     dsm_core::run_dsm(&cfg, |dsm: &Dsm<'_>| workload(dsm))
 }
 
 #[test]
 fn scabd_converges_through_a_crash_and_recovery_at_any_node() {
-    let clean = run(ProtocolKind::Scabd, FaultPlan::NONE, 1);
+    let clean = run(ProtocolKind::Scabd, FaultPlan::NONE);
     let span = clean.end_time.as_nanos();
     assert!(span > 0);
     let mut rng = Rng(0x5eed_cab1e);
@@ -122,7 +116,7 @@ fn scabd_converges_through_a_crash_and_recovery_at_any_node() {
             let at = rng.range(span / 10, span * 8 / 10);
             let back = at + rng.range(span / 20, span / 5);
             let plan = FaultPlan::NONE.with_crash(victim, SimTime(at), Some(SimTime(back)));
-            let faulty = run(ProtocolKind::Scabd, plan, 1);
+            let faulty = run(ProtocolKind::Scabd, plan);
             assert_eq!(
                 faulty.stats.crashes, 1,
                 "node {victim} crash at {at}ns never fired (clean span {span}ns)"
@@ -136,27 +130,6 @@ fn scabd_converges_through_a_crash_and_recovery_at_any_node() {
             );
         }
     }
-}
-
-#[test]
-fn crash_schedules_are_bit_identical_across_worker_counts() {
-    let plan = FaultPlan::NONE.with_crash(
-        2,
-        SimTime(Dur::micros(900).as_nanos()),
-        Some(SimTime(Dur::micros(2500).as_nanos())),
-    );
-    let base = run(ProtocolKind::Scabd, plan.clone(), 1);
-    for workers in [2usize, 4] {
-        let other = run(ProtocolKind::Scabd, plan.clone(), workers);
-        assert_eq!(base.results, other.results, "{workers} workers: results");
-        assert_eq!(base.end_time, other.end_time, "{workers} workers: end time");
-        assert_eq!(base.stats, other.stats, "{workers} workers: stats");
-    }
-    // And across repeated runs of the same schedule.
-    let again = run(ProtocolKind::Scabd, plan, 1);
-    assert_eq!(base.results, again.results);
-    assert_eq!(base.end_time, again.end_time);
-    assert_eq!(base.stats, again.stats);
 }
 
 #[test]
@@ -176,8 +149,8 @@ fn a_crash_schedule_draws_no_randomness() {
         ProtocolKind::Update,
         ProtocolKind::Scabd,
     ] {
-        let a = run(proto, lossy.clone(), 1);
-        let mut b = run(proto, with_idle_crash.clone(), 1);
+        let a = run(proto, lossy.clone());
+        let mut b = run(proto, with_idle_crash.clone());
         assert_eq!(a.results, b.results, "{proto:?}: results shifted");
         assert_eq!(a.end_time, b.end_time, "{proto:?}: end time shifted");
         // The kernel drains the (post-completion) fault event at
@@ -197,8 +170,8 @@ fn scabd_serves_through_permanent_minority_death_where_ivy_stalls() {
     // than hang.
     let at = SimTime(Dur::micros(900).as_nanos());
     let scabd_plan = FaultPlan::NONE.with_crash(3, at, None);
-    let clean = run(ProtocolKind::Scabd, FaultPlan::NONE, 1);
-    let dead = run(ProtocolKind::Scabd, scabd_plan, 1);
+    let clean = run(ProtocolKind::Scabd, FaultPlan::NONE);
+    let dead = run(ProtocolKind::Scabd, scabd_plan);
     assert_eq!(dead.stats.crashes, 1);
     assert_eq!(dead.stats.recoveries, 0);
     // Survivors complete; their final-iteration sums agree with each
@@ -228,7 +201,7 @@ fn scabd_serves_through_permanent_minority_death_where_ivy_stalls() {
     // hang the suite.
     let ivy_plan = FaultPlan::NONE.with_crash(0, at, None);
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run(ProtocolKind::IvyCentral, ivy_plan, 1)
+        run(ProtocolKind::IvyCentral, ivy_plan)
     }));
     assert!(
         outcome.is_err(),
@@ -249,7 +222,7 @@ fn rdma_home_death_starves_requesters_into_the_watchdog() {
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run(ProtocolKind::Rdma, plan, 1)
+        run(ProtocolKind::Rdma, plan)
     }));
     std::panic::set_hook(prev);
     assert!(

@@ -166,204 +166,6 @@ fn taskqueue_fast_path_matches_slow_path() {
     }
 }
 
-/// Sharded-kernel invariance: the worker count must be invisible in
-/// every observable — results, final memory image, virtual completion
-/// time, and the full per-kind traffic table — for every protocol.
-/// Eight nodes so every worker count in the sweep yields a different
-/// partition (1, 2, 4, and 8 shards), with jitter on so the per-link
-/// PRNG streams are exercised across shard boundaries.
-#[test]
-fn sor_trace_identical_for_every_worker_count() {
-    let p = sor::SorParams {
-        n: 16,
-        iters: 2,
-        omega: 1.25,
-    };
-    let heap = p.heap_bytes();
-    let run = |proto: ProtocolKind, workers: usize| {
-        let cfg = DsmConfig::new(8, proto)
-            .heap_bytes(heap)
-            .model(model())
-            .workers(workers);
-        let res = dsm_core::run_dsm(&cfg, |dsm: &Dsm<'_>| {
-            let sum = sor::run(dsm, &p);
-            (sum.to_bits(), quiesce_and_image(dsm, heap))
-        });
-        Trace::of(res)
-    };
-    for proto in ProtocolKind::EVERY {
-        let w1 = run(proto, 1);
-        for workers in [2, 4, 8] {
-            assert_eq!(
-                w1,
-                run(proto, workers),
-                "{proto}: SOR trace diverged at workers={workers}"
-            );
-        }
-    }
-}
-
-/// Same invariance on the lock-bound task queue, whose polling makes
-/// the event interleaving much more sensitive to ordering than SOR's
-/// barrier phases.
-#[test]
-fn taskqueue_trace_identical_for_every_worker_count() {
-    let p = taskqueue::TaskQueueParams {
-        tasks: 8,
-        task_time: Dur::millis(2),
-        produce_time: Dur::micros(50),
-        poll: Dur::micros(500),
-    };
-    let heap = p.heap_bytes();
-    let (lock, addr, len) = p.binding();
-    let run = |proto: ProtocolKind, workers: usize| {
-        let cfg = DsmConfig::new(8, proto)
-            .heap_bytes(heap)
-            .model(model())
-            .bind(lock, addr, len)
-            .workers(workers);
-        let res = dsm_core::run_dsm(&cfg, |dsm: &Dsm<'_>| {
-            let r = taskqueue::run(dsm, &p);
-            (
-                (r.executed, r.id_sum, r.id_xor),
-                quiesce_and_image(dsm, heap),
-            )
-        });
-        Trace::of(res)
-    };
-    for proto in ProtocolKind::EVERY {
-        let w1 = run(proto, 1);
-        for workers in [2, 4, 8] {
-            assert_eq!(
-                w1,
-                run(proto, workers),
-                "{proto}: taskqueue trace diverged at workers={workers}"
-            );
-        }
-    }
-}
-
-/// The one-sided `rdma` protocol on the fabric it is built for, where
-/// read faults are served as NIC-level events (the sweeps above pin the
-/// 1992 LAN, where the same messages take the software path). Same bar:
-/// bit-identical results, image, end time, and traffic table at every
-/// worker count, plus same-seed stability.
-#[test]
-fn rdma_trace_identical_for_every_worker_count_on_the_modern_fabric() {
-    let p = sor::SorParams {
-        n: 16,
-        iters: 2,
-        omega: 1.25,
-    };
-    let heap = p.heap_bytes();
-    let run = |workers: usize| {
-        let cfg = DsmConfig::new(8, ProtocolKind::Rdma)
-            .heap_bytes(heap)
-            .model(CostModel::rdma_modern().with_jitter(Dur::micros(5), 42))
-            .workers(workers);
-        let res = dsm_core::run_dsm(&cfg, |dsm: &Dsm<'_>| {
-            let sum = sor::run(dsm, &p);
-            (sum.to_bits(), quiesce_and_image(dsm, heap))
-        });
-        Trace::of(res)
-    };
-    let w1 = run(1);
-    assert_eq!(w1, run(1), "rdma: same-seed runs diverged");
-    for workers in [2, 4, 8] {
-        assert_eq!(
-            w1,
-            run(workers),
-            "rdma: SOR trace diverged at workers={workers}"
-        );
-    }
-}
-
-/// Same invariance on the lock-bound task queue (polling makes the
-/// interleaving far more ordering-sensitive than SOR's barrier phases),
-/// on the modern fabric where one-sided serves interleave with the
-/// two-sided lock traffic.
-#[test]
-fn rdma_taskqueue_trace_identical_for_every_worker_count() {
-    let p = taskqueue::TaskQueueParams {
-        tasks: 8,
-        task_time: Dur::millis(2),
-        produce_time: Dur::micros(50),
-        poll: Dur::micros(500),
-    };
-    let heap = p.heap_bytes();
-    let (lock, addr, len) = p.binding();
-    let run = |workers: usize| {
-        let cfg = DsmConfig::new(8, ProtocolKind::Rdma)
-            .heap_bytes(heap)
-            .model(CostModel::rdma_modern().with_jitter(Dur::micros(5), 42))
-            .bind(lock, addr, len)
-            .workers(workers);
-        let res = dsm_core::run_dsm(&cfg, |dsm: &Dsm<'_>| {
-            let r = taskqueue::run(dsm, &p);
-            (
-                (r.executed, r.id_sum, r.id_xor),
-                quiesce_and_image(dsm, heap),
-            )
-        });
-        Trace::of(res)
-    };
-    let w1 = run(1);
-    for workers in [2, 4, 8] {
-        assert_eq!(
-            w1,
-            run(workers),
-            "rdma: taskqueue trace diverged at workers={workers}"
-        );
-    }
-}
-
-/// The object-granularity `obj` protocol on its showcase workload —
-/// the pointer chase, where object ownership migrates along the chains
-/// (in the sweeps above, without an object table, it moves pages like
-/// `entry`).
-/// Same bar as the canonical suite: bit-identical results, final
-/// image, end time, and per-kind traffic table at every worker count,
-/// plus same-seed stability.
-#[test]
-fn obj_chase_trace_identical_for_every_worker_count() {
-    use dsm_apps::chase;
-    let p = chase::ChaseParams {
-        chain_len: 12,
-        rounds: 3,
-        think: Dur::micros(200),
-    };
-    let nodes = 8u32;
-    let heap = p.heap_bytes(nodes as usize);
-    let (h, chains) = chase::build_obj_chains(&p, nodes);
-    let table = h.table();
-    let run = |workers: usize| {
-        let chains = chains.clone();
-        let cfg = DsmConfig::new(nodes, ProtocolKind::Obj)
-            .heap_bytes(heap)
-            .model(model())
-            .objects(table.clone())
-            .workers(workers);
-        let res = dsm_core::run_dsm(&cfg, move |dsm: &Dsm<'_>| {
-            let sum = chase::run_obj(dsm, &p, &chains);
-            (sum, quiesce_and_image(dsm, heap))
-        });
-        Trace::of(res)
-    };
-    let w1 = run(1);
-    assert!(
-        w1.results.iter().all(|r| r.0 == p.expected()),
-        "obj: chase computed the wrong answer"
-    );
-    assert_eq!(w1, run(1), "obj: same-seed chase runs diverged");
-    for workers in [2, 4, 8] {
-        assert_eq!(
-            w1,
-            run(workers),
-            "obj: chase trace diverged at workers={workers}"
-        );
-    }
-}
-
 /// LRC interval GC must be invisible to the application: same seed, GC
 /// on vs off, every protocol — bit-identical per-node results and final
 /// memory images. Only outputs are compared: with GC the epoch's diffs
@@ -406,83 +208,34 @@ fn taskqueue_outputs_identical_gc_on_and_off() {
 /// a finisher that kept it (or dropped it) would wedge everyone behind
 /// it. Node 0 returns at once, node `i` takes `i` rounds of a remote
 /// write, some compute and a read of node 0's page — so programs finish
-/// at different times with traffic still in flight. Same trace with the
-/// nodes on one shard and split over two.
+/// at different times with traffic still in flight.
 #[test]
 fn early_finisher_hands_the_floor_on() {
     const PAGE: usize = 256;
     for nodes in [1u32, 2, 8] {
-        let run = |workers: usize| {
-            let cfg = DsmConfig::new(nodes, ProtocolKind::IvyFixed)
-                .heap_bytes(PAGE * nodes as usize)
-                .page_size(PAGE)
-                .model(model())
-                .workers(workers);
-            dsm_core::run_dsm(&cfg, |dsm: &Dsm<'_>| {
-                let me = dsm.id().0 as u64;
-                let next = (me + 1) % nodes as u64;
-                for round in 0..me {
-                    dsm.write_u64(GlobalAddr(PAGE * next as usize), round);
-                    dsm.compute(Dur::micros(100));
-                    dsm.read_u64(GlobalAddr(0));
-                }
-                (me, Vec::new())
-            })
-        };
-        let one = run(1);
-        assert_eq!(one.finish_times[0], SimTime::ZERO, "nodes={nodes}");
+        let cfg = DsmConfig::new(nodes, ProtocolKind::IvyFixed)
+            .heap_bytes(PAGE * nodes as usize)
+            .page_size(PAGE)
+            .model(model());
+        let res = dsm_core::run_dsm(&cfg, |dsm: &Dsm<'_>| {
+            let me = dsm.id().0 as u64;
+            let next = (me + 1) % nodes as u64;
+            for round in 0..me {
+                dsm.write_u64(GlobalAddr(PAGE * next as usize), round);
+                dsm.compute(Dur::micros(100));
+                dsm.read_u64(GlobalAddr(0));
+            }
+            me
+        });
+        assert_eq!(res.finish_times[0], SimTime::ZERO, "nodes={nodes}");
         assert!(
-            one.finish_times[1..].iter().all(|&t| t > SimTime::ZERO),
+            res.finish_times[1..].iter().all(|&t| t > SimTime::ZERO),
             "nodes={nodes}: every other program should still be running: {:?}",
-            one.finish_times
+            res.finish_times
         );
-        let ids: Vec<u64> = one.results.iter().map(|r| r.0).collect();
-        assert_eq!(ids, (0..nodes as u64).collect::<Vec<_>>());
-        // Every program got the floor at least once and each shard's
-        // root got it back.
-        let two = run(2);
-        assert!(one.handoffs > nodes as u64, "nodes={nodes}");
-        assert!(two.handoffs >= nodes as u64 + two.workers as u64);
-        assert_eq!(
-            Trace::of(one),
-            Trace::of(two),
-            "nodes={nodes}: trace diverged at workers=2"
-        );
-    }
-}
-
-/// Forty nodes on one shard is past the width where program threads
-/// stop running message handlers themselves and relay them to the
-/// shard's root; split over two or four shards the same nodes run the
-/// whole event loop on their own threads. Which thread runs a handler
-/// must not show anywhere in the trace.
-#[test]
-fn wide_shard_trace_identical_for_every_worker_count() {
-    let nodes = 40u32;
-    let p = sor::SorParams {
-        n: nodes as usize + 2,
-        iters: 1,
-        omega: 1.25,
-    };
-    let heap = p.heap_bytes();
-    let run = |proto: ProtocolKind, workers: usize| {
-        let cfg = DsmConfig::new(nodes, proto)
-            .heap_bytes(heap)
-            .model(model())
-            .workers(workers);
-        Trace::of(dsm_core::run_dsm(&cfg, |dsm: &Dsm<'_>| {
-            let sum = sor::run(dsm, &p);
-            (sum.to_bits(), quiesce_and_image(dsm, heap))
-        }))
-    };
-    for proto in [ProtocolKind::IvyFixed, ProtocolKind::Lrc] {
-        let w1 = run(proto, 1);
-        for workers in [2, 4] {
-            assert_eq!(
-                w1,
-                run(proto, workers),
-                "{proto}: wide-shard trace diverged at workers={workers}"
-            );
-        }
+        assert_eq!(res.results, (0..nodes as u64).collect::<Vec<_>>());
+        // Every program got the floor at least once and the root got
+        // it back.
+        assert!(res.handoffs > nodes as u64, "nodes={nodes}");
     }
 }

@@ -186,52 +186,6 @@ fn lrc_gc_survives_release_skew_under_loss() {
     );
 }
 
-/// Sharded-kernel invariance under fault injection: worker count must
-/// be invisible — results, image, end time, and the full traffic table
-/// including drop/dup/retransmit counters — for every protocol,
-/// lossless and under the heavy 20% plan. Eight nodes so each worker
-/// count in the sweep is a different partition, and the per-link fault
-/// PRNG streams cross shard boundaries.
-#[test]
-fn trace_identical_for_every_worker_count_lossy_and_lossless() {
-    let p = sor::SorParams {
-        n: 16,
-        iters: 2,
-        omega: 1.25,
-    };
-    let heap = p.heap_bytes();
-    let run = |proto: ProtocolKind, plan: FaultPlan, workers: usize| {
-        let cfg = DsmConfig::new(8, proto)
-            .heap_bytes(heap)
-            .model(model(plan))
-            .workers(workers);
-        let res = dsm_core::run_dsm(&cfg, |dsm: &Dsm<'_>| {
-            let sum = sor::run(dsm, &p);
-            (sum.to_bits(), quiesce_and_image(dsm, heap))
-        });
-        Trace::of(res)
-    };
-    for proto in ProtocolKind::EVERY {
-        for plan in [FaultPlan::NONE, heavy()] {
-            let w1 = run(proto, plan.clone(), 1);
-            if plan.enabled() {
-                assert!(
-                    w1.stats.total_dropped() > 0,
-                    "{proto}: heavy plan never fired — the sweep is vacuous"
-                );
-            }
-            for workers in [2, 4, 8] {
-                assert_eq!(
-                    w1,
-                    run(proto, plan.clone(), workers),
-                    "{proto}: trace diverged at workers={workers} (faults: {})",
-                    plan.enabled()
-                );
-            }
-        }
-    }
-}
-
 /// The object-granularity `obj` protocol under loss on its showcase
 /// pointer-chase workload, which the SOR rows above (where it moves
 /// pages like `entry`) do not reach: ownership

@@ -12,9 +12,19 @@
 //! The SOR rows are also the only place a combining-tree barrier is
 //! driven through `run_dsm` (40 nodes, arities 2 and 4), under both a
 //! barrier-payload-heavy protocol (`lrc`) and an eager one (`erc`).
+//!
+//! The eight-node rows at the end were recorded on the last commit whose
+//! kernel could be sharded across worker threads (the parent of PR 20),
+//! from its one-worker runs: configurations that until then ran only
+//! inside worker-count sweeps — one-sided legs on `rdma_modern` (the
+//! smallest admission window of any era), the object chase, SOR under
+//! 20 % drop, and a crash-and-recover schedule.
 
-use dsm_apps::{kv, sor};
-use dsm_core::{BarrierKind, CostModel, Dsm, DsmConfig, ProtocolKind, RunResult};
+use dsm_apps::{chase, kv, sor, taskqueue};
+use dsm_core::{
+    BarrierKind, CostModel, Dsm, DsmConfig, Dur, FaultPlan, GlobalAddr, ProtocolKind, RunResult,
+    SimTime,
+};
 
 /// `[events, rendezvous, msgs, bytes, end_time ns]`.
 type Counts = [u64; 5];
@@ -127,4 +137,141 @@ fn sor_at_40_nodes_matches_the_recorded_counts_under_every_barrier() {
     for (proto, barrier, want) in golden {
         assert_eq!(sor_40(proto, barrier), want, "{proto} {barrier:?}");
     }
+}
+
+/// The determinism suites' jittered 1992 LAN.
+fn jittered_lan() -> CostModel {
+    CostModel::lan_1992().with_jitter(Dur::micros(50), 42)
+}
+
+/// The modern fabric with jitter: `rdma` read faults are NIC-level
+/// events interleaving with two-sided traffic.
+fn jittered_rdma_modern() -> CostModel {
+    CostModel::rdma_modern().with_jitter(Dur::micros(5), 42)
+}
+
+/// 16 x 16 red-black SOR on eight nodes, every row in one 4 KiB page.
+fn sor_8(proto: ProtocolKind, model: CostModel) -> RunResult<f64> {
+    let p = sor::SorParams {
+        n: 16,
+        iters: 2,
+        omega: 1.25,
+    };
+    let cfg = DsmConfig::new(8, proto)
+        .model(model)
+        .heap_bytes(p.heap_bytes());
+    let res = dsm_core::run_dsm(&cfg, |d: &Dsm<'_>| sor::run(d, &p));
+    for (i, &got) in res.results.iter().enumerate() {
+        let want = sor::reference_block_sum(&p, 8, i);
+        assert!((got - want).abs() < 1e-9, "{proto} node {i}");
+    }
+    res
+}
+
+#[test]
+fn rdma_on_the_modern_fabric_matches_the_recorded_counts() {
+    assert_eq!(
+        counts(&sor_8(ProtocolKind::Rdma, jittered_rdma_modern())),
+        [1_046, 280, 732, 851_919, 1_203_439],
+        "sor"
+    );
+
+    let p = taskqueue::TaskQueueParams {
+        tasks: 8,
+        task_time: Dur::millis(2),
+        produce_time: Dur::micros(50),
+        poll: Dur::micros(500),
+    };
+    let (lock, addr, len) = p.binding();
+    let cfg = DsmConfig::new(8, ProtocolKind::Rdma)
+        .model(jittered_rdma_modern())
+        .heap_bytes(p.heap_bytes())
+        .bind(lock, addr, len);
+    let res = dsm_core::run_dsm(&cfg, |d: &Dsm<'_>| taskqueue::run(d, &p));
+    let digest = res
+        .results
+        .iter()
+        .fold((0, 0), |(s, x), r| (s + r.id_sum, x ^ r.id_xor));
+    assert_eq!(digest, taskqueue::expected_digest(&p));
+    assert_eq!(
+        counts(&res),
+        [318, 140, 186, 112_519, 2_814_266],
+        "taskqueue"
+    );
+}
+
+#[test]
+fn obj_chase_matches_the_recorded_counts() {
+    let p = chase::ChaseParams {
+        chain_len: 12,
+        rounds: 3,
+        think: Dur::micros(200),
+    };
+    let (heap, chains) = chase::build_obj_chains(&p, 8);
+    let cfg = DsmConfig::new(8, ProtocolKind::Obj)
+        .model(jittered_lan())
+        .heap_bytes(p.heap_bytes(8))
+        .objects(heap.table());
+    let res = dsm_core::run_dsm(&cfg, |d: &Dsm<'_>| chase::run_obj(d, &p, &chains));
+    assert!(res.results.iter().all(|&sum| sum == p.expected()));
+    assert_eq!(counts(&res), [1_408, 961, 216, 3_088, 48_987_726]);
+}
+
+/// 20 % drop, 10 % duplication and delay spikes: every count below
+/// includes the reliable transport's acks and retransmissions.
+#[test]
+fn sor_under_heavy_loss_matches_the_recorded_counts() {
+    let heavy = FaultPlan::lossy(0.20, 0.10, 1234).with_spikes(0.2, Dur::millis(5));
+    for (proto, want, dropped, rexmit) in [
+        (
+            ProtocolKind::Lrc,
+            [770, 123, 445, 216_215, 2_058_188_903],
+            87,
+            77,
+        ),
+        (
+            ProtocolKind::IvyFixed,
+            [1_453, 128, 959, 537_483, 5_372_479_582],
+            196,
+            172,
+        ),
+    ] {
+        let res = sor_8(proto, jittered_lan().with_faults(heavy.clone()));
+        assert_eq!(counts(&res), want, "{proto}");
+        assert_eq!(
+            (res.stats.total_dropped(), res.stats.total_retransmits()),
+            (dropped, rexmit),
+            "{proto}"
+        );
+    }
+}
+
+/// `scabd`, four nodes with a 256-byte page each; node 2 crashes at
+/// 900 us and reboots at 2.5 ms while every node writes its slot, meets
+/// at a barrier and sums all four, four times over.
+#[test]
+fn scabd_crash_and_recovery_matches_the_recorded_counts() {
+    const PAGE: usize = 256;
+    let at = |us| SimTime(Dur::micros(us).as_nanos());
+    let plan = FaultPlan::NONE.with_crash(2, at(900), Some(at(2500)));
+    let cfg = DsmConfig::new(4, ProtocolKind::Scabd)
+        .model(jittered_lan().with_faults(plan))
+        .heap_bytes(4 * PAGE)
+        .page_size(PAGE);
+    let res = dsm_core::run_dsm(&cfg, |d: &Dsm<'_>| {
+        let me = d.id().0 as usize;
+        let mut sum = 0;
+        for it in 0..4 {
+            d.write_u64(GlobalAddr(me * PAGE + it * 8), (me * 1000 + it) as u64);
+            d.barrier(2 * it as u32);
+            sum = (0..4)
+                .map(|n| d.read_u64(GlobalAddr(n * PAGE + it * 8)))
+                .sum();
+            d.barrier(2 * it as u32 + 1);
+        }
+        sum
+    });
+    assert_eq!(res.results, [6_012; 4]);
+    assert_eq!((res.stats.crashes, res.stats.recoveries), (1, 1));
+    assert_eq!(counts(&res), [1_377, 116, 953, 113_244, 152_775_052]);
 }
