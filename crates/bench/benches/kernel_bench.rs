@@ -1,9 +1,9 @@
 //! Simulator substrate throughput: events per second for message
 //! ping-pong and contended lock handoffs (keeps the experiment suite's
 //! wall-clock honest), and the two shapes a `Go` grant can take — back
-//! to the program that just yielded (no thread hop) and across to
-//! another program (one hop). Divide the last two rows by their grant
-//! counts for the per-grant figures in docs/PERF.md.
+//! to the program that just yielded (no hop) and across to another
+//! program (one hop: a context switch). Divide the last two rows by
+//! their grant counts for the per-grant figures in docs/PERF.md.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dsm_net::{

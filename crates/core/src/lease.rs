@@ -2,7 +2,7 @@
 //!
 //! A `Go` grant carries a virtual-time budget (see
 //! `dsm_net::AppHandle`). While that budget lasts, the application
-//! thread may service page hits entirely locally — no yield to the
+//! program may service page hits entirely locally — no yield to the
 //! event loop, no per-access heap event — by reading and writing the
 //! node's frame table directly through this lease and charging the
 //! modeled access cost to the budget. Faults, sync operations, and
@@ -18,13 +18,14 @@
 //! The lease and the loop-side [`crate::DsmNode`] share one
 //! [`FrameTable`] through an [`UnsafeCell`]. This is sound by
 //! ownership: the whole loop state — its nodes included — is one
-//! boxed value (the *floor*, `dsm_net`'s driver), only the thread that
-//! owns the box runs, and the box changes threads only through a
-//! channel (a synchronization edge). The program touches the table
+//! boxed value (the *floor*, `dsm_net`'s driver), only the context that
+//! owns the box runs, and the box changes hands only through a slot at
+//! a context switch (programs are coroutines on the one thread that
+//! called `Sim::run`). The program touches the table
 //! through its lease only while its `AppHandle` holds the box, between
 //! a grant and the next yield; protocol handlers touch it only from
 //! the event loop, which needs `&mut` access to the same box. So the
-//! two sides are never live at once, whichever thread either runs on,
+//! two sides are never live at once, whichever stack either runs on,
 //! and neither holds references across a hand-off. Protocol
 //! downgrades (invalidations, write-protect) therefore publish to the
 //! lease automatically — the rights table *is* the frame table the
@@ -56,8 +57,8 @@ impl FrameCell {
     }
 }
 
-/// One node's hit fast path, held by the [`crate::Dsm`] handle on the
-/// application thread.
+/// One node's hit fast path, held by the [`crate::Dsm`] handle inside
+/// the application program.
 pub struct Lease {
     frames: Arc<FrameCell>,
     layout: SpaceLayout,
@@ -97,7 +98,7 @@ impl Lease {
         if !self.budget_for(h, cost) {
             return false;
         }
-        // SAFETY: this thread owns the floor (between Go and the next yield).
+        // SAFETY: this program owns the floor (between Go and the next yield).
         let ok = unsafe { (*self.frames.get()).try_read(addr, buf) };
         if ok {
             h.consume_local(cost);
@@ -122,7 +123,7 @@ impl Lease {
         if !self.budget_for(h, cost) {
             return false;
         }
-        // SAFETY: this thread owns the floor (between Go and the next yield).
+        // SAFETY: this program owns the floor (between Go and the next yield).
         let ok = unsafe { (*self.frames.get()).try_write(addr, data) };
         if ok {
             h.consume_local(cost);

@@ -63,7 +63,7 @@ pub struct DsmConfig {
     pub bindings: Vec<EntryBinding>,
     /// Livelock guard for the event kernel.
     pub max_events: u64,
-    /// Service page hits on the application thread via a [`Lease`]
+    /// Service page hits inside the application program via a [`Lease`]
     /// (no kernel rendezvous per hit). On by default; turn off to
     /// force every access through the op path — timing and outputs
     /// are identical either way, only wall-clock changes.

@@ -1,28 +1,23 @@
-//! The coroutine driver: runs one application program per node on its
-//! own OS thread and drives the event loop to completion — on those
-//! same threads. There is no kernel thread.
+//! The coroutine driver: runs one application program per node as a
+//! stackful coroutine ([`crate::coro`]) on the thread that called
+//! [`Sim::run`], and drives the event loop to completion on those same
+//! coroutines. There is no kernel thread, and no thread but the caller's.
 //!
 //! **The floor is a value.** The whole loop state (the [`Kernel`], the
 //! node behaviors, ops awaiting their run-ahead charge, watchdog and
-//! window-widening state, and one wake-up sender per program) lives in
-//! one heap box, the [`Shard`], and whichever thread owns that box *is*
+//! window-widening state, and one wake-up slot per program) lives in
+//! one heap box, the [`Shard`], and whichever context owns that box *is*
 //! the one running actor. A program that yields (`AppHandle::op` /
 //! `advance` / `flush_local`, or returning) feeds its yield into the
 //! event loop itself and keeps running handlers and window boundaries
 //! inline until some program must run next. If that program is itself,
-//! the call simply returns — no thread hop at all; otherwise the box is
-//! sent to the other program's wake-up channel and the sender parks —
-//! one hop. The root (the caller's thread) only starts the loop and
-//! waits for the box to come back with a [`ShardExit`]. One exception,
-//! for memory and not for semantics: with more than
-//! [`MAX_LOOP_THREADS`] programs, program threads run their own turns
-//! and chains of `Resume`s only, and relay everything else to the root
-//! (see the constant for why).
-//!
-//! Invariant: at any real-time instant the loop state is owned by
-//! exactly one thread, and the box only changes threads through a
-//! channel (a synchronization edge), so a run is a pure function of
-//! virtual time, whichever thread happens to execute which event.
+//! the call simply returns — no hop at all; otherwise the box is left
+//! in the other program's wake-up slot and the yielder switches to that
+//! program's context — one hop, a `swapcontext`. The root (the caller's
+//! own stack) only starts the loop and is switched back to, with the
+//! box and a [`ShardExit`] in its slot, when the loop ends. The box
+//! only changes hands through a slot at a context switch, so a run is a
+//! pure function of virtual time, whichever program executes which event.
 //!
 //! Sends are not delivered as they are made: they are staged, and the
 //! loop works in windows (see [`crate::kernel`]):
@@ -35,17 +30,19 @@
 //! 3. process the events strictly inside the window, granting the
 //!    floor to programs as they resume.
 //!
-//! On a failure verdict the box returns to the root, which panics on
-//! the caller's thread with the per-node report. A panic anywhere else
-//! — in a node behavior or inside a program — is caught on the thread
-//! that holds the floor, travels to the root with the box and is
-//! re-thrown from the caller's thread with its original payload.
+//! When the loop ends the root first resumes, in node order, every
+//! program that started and has not returned: one that finished hands
+//! back its value, one parked mid-op finds its slot empty and unwinds,
+//! running its destructors. Only then does a failure verdict panic from
+//! the caller with the per-node report, or a panic caught in a handler
+//! or a program leave `run` with its original payload.
 
 use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::rc::Rc;
 
+use crate::coro::Coros;
 use crate::kernel::{Event, FaultChange, FaultNotice, Kernel, NodeBehavior, OpOutcome};
 use crate::model::CostModel;
 use crate::msg::NodeId;
@@ -76,13 +73,12 @@ enum AppYield<Op> {
 
 /// The loop state as a program sees it: type-erased over the node
 /// behavior, so [`AppHandle`] needs only the op and reply types.
-trait Floor<Op, Reply>: Send {
+trait Floor<Op, Reply> {
     /// Feed program `from`'s yield into the event loop and run it
     /// until some program must run next. Returns the floor and the
-    /// grant if that program is `from` itself; otherwise the floor has
-    /// gone to another thread (the next program's, or the root's: the
-    /// run is over, or it is wide and handlers are due) and `from`
-    /// must park on its wake-up channel.
+    /// grant if that program is `from` itself; otherwise the floor went
+    /// to another context while `from` was parked, and its wake-up slot
+    /// says what it was resumed with.
     fn drive(self: Box<Self>, from: usize, y: AppYield<Op>) -> Option<Wake<Op, Reply>>;
 
     /// Program code panicked while holding the floor: return it to the
@@ -92,9 +88,14 @@ trait Floor<Op, Reply>: Send {
 
 type PanicPayload = Box<dyn Any + Send + 'static>;
 
-/// What travels through a program's wake-up channel: the floor itself
-/// and the grant to run under.
+/// What a program is resumed with: the floor and the grant to run under.
 type Wake<Op, Reply> = (Box<dyn Floor<Op, Reply>>, Go<Reply>);
+
+/// Where a value waits for the context about to be switched to.
+type Slot<T> = Cell<Option<T>>;
+
+/// Every program's wake-up slot, by node id.
+type WakeSlots<Op, Reply> = Rc<[Slot<Wake<Op, Reply>>]>;
 
 /// The application program's handle to the simulated machine. One per
 /// node; the program calls these methods and the event loop interleaves
@@ -104,16 +105,17 @@ type Wake<Op, Reply> = (Box<dyn Floor<Op, Reply>>, Go<Reply>);
 /// kernel clock at the last `Go` grant and `used` is local run-ahead
 /// accumulated since, bounded by the granted `budget`. The fast-path
 /// accessors (`local_allows` / `consume_local` / `flush_local`) let a
-/// lease holder (see `dsm-core`) service page hits entirely on the app
-/// thread inside that window.
+/// lease holder (see `dsm-core`) service page hits entirely inside the
+/// program, within that window.
 ///
 /// While the program runs, the handle owns the floor; every yielding
-/// method drives the event loop on the calling thread (see the module
-/// docs).
+/// method drives the event loop on the program's own stack (see the
+/// module docs).
 pub struct AppHandle<Op, Reply> {
     node: NodeId,
     nnodes: u32,
-    wake_rx: Receiver<Wake<Op, Reply>>,
+    /// This program's slot is at `node`.
+    wake: WakeSlots<Op, Reply>,
     /// The loop state, held from a grant to the next yield.
     floor: Cell<Option<Box<dyn Floor<Op, Reply>>>>,
     base: Cell<SimTime>,
@@ -144,13 +146,11 @@ impl<Op, Reply> AppHandle<Op, Reply> {
     }
 
     /// Take the floor and a grant: straight from the loop if it came
-    /// back to this program, else from the wake-up channel.
+    /// back to this program, else from the wake-up slot.
     fn accept(&self, wake: Option<Wake<Op, Reply>>) -> Option<Reply> {
-        let (floor, go) = wake.unwrap_or_else(|| {
-            self.wake_rx
-                .recv()
-                .unwrap_or_else(|_| resume_unwind(Box::new(FloorLost)))
-        });
+        let (floor, go) = wake
+            .or_else(|| self.wake[self.node.index()].take())
+            .unwrap_or_else(|| resume_unwind(Box::new(FloorLost)));
         self.floor.set(Some(floor));
         self.base.set(go.time);
         self.used.set(Dur::ZERO);
@@ -222,7 +222,7 @@ impl<Op, Reply> AppHandle<Op, Reply> {
         true
     }
 
-    /// Body of a program thread: wait for the first grant, run the
+    /// Body of a program's coroutine: take the first grant, run the
     /// program, and pass the floor on — with the program's panic
     /// payload if it panicked while holding it. `None` means the
     /// program did not return normally.
@@ -234,7 +234,7 @@ impl<Op, Reply> AppHandle<Op, Reply> {
         let floor = self.floor.take();
         match (outcome, floor) {
             (Ok(v), Some(floor)) => {
-                // Keep the loop going on this thread until the floor
+                // Keep the loop going on this stack until the floor
                 // moves on; a finished program is never granted again.
                 let elapsed = self.used.get();
                 let back = floor.drive(self.node.index(), AppYield::Finished { elapsed });
@@ -265,15 +265,13 @@ pub struct RunResult<V> {
     pub stats: NetStats,
     /// `Go` grants performed over the whole run: each is one rendezvous
     /// of a program with the event loop. A grant costs real time only
-    /// when it moves the floor to another thread (see `handoffs`); the
+    /// when it moves the floor to another context (see `handoffs`); the
     /// batched fault pipeline exists to shrink this number.
     pub rendezvous: u64,
-    /// OS-thread floor transfers over the whole run: the box sent from
+    /// Context switches that moved the floor over the whole run: from
     /// the root to the first program, from program to program, and
-    /// back to the root at the end (and, with more than
-    /// `MAX_LOOP_THREADS` programs, whenever handlers are due). A grant
-    /// to the program that ran last costs none. The same for every run
-    /// of one configuration.
+    /// back to the root at the end. A grant to the program that ran
+    /// last costs none. The same for every run of one configuration.
     pub handoffs: u64,
     /// Per-node program return values.
     pub results: Vec<V>,
@@ -310,9 +308,6 @@ pub struct Sim<N: NodeBehavior> {
     model: CostModel,
     max_events: u64,
     stall_window: Dur,
-    /// Most programs whose threads run the whole event loop; always
-    /// [`MAX_LOOP_THREADS`] outside this module's tests.
-    max_loop_threads: usize,
 }
 
 impl<N: NodeBehavior> Sim<N> {
@@ -325,7 +320,6 @@ impl<N: NodeBehavior> Sim<N> {
             model,
             max_events: u64::MAX,
             stall_window: DEFAULT_STALL_WINDOW,
-            max_loop_threads: MAX_LOOP_THREADS,
         }
     }
 
@@ -349,10 +343,12 @@ impl<N: NodeBehavior> Sim<N> {
     /// Run one program per node to completion and return the result.
     ///
     /// `programs.len()` must equal the node count. Programs run on
-    /// their own threads but in deterministic cooperative order.
+    /// their own stacks, on the calling thread, in deterministic
+    /// cooperative order.
     ///
     /// Panics on distributed deadlock: if the event queue drains while
     /// some program has not finished, the blocked nodes are reported.
+    /// Panics before anything runs if a stack cannot be mapped.
     pub fn run<V, F>(self, programs: Vec<F>) -> RunResult<V>
     where
         N: 'static,
@@ -364,33 +360,32 @@ impl<N: NodeBehavior> Sim<N> {
             model,
             max_events,
             stall_window,
-            max_loop_threads,
         } = self;
         let nnodes = nodes.len() as u32;
         assert_eq!(programs.len(), nodes.len(), "one program per node required");
         let wall_start = std::time::Instant::now();
 
-        let mut wake = Vec::with_capacity(nodes.len());
-        let mut handles = Vec::with_capacity(nodes.len());
-        for node in 0..nnodes {
-            // Capacity 1 is enough: a program is parked on its
-            // channel whenever the floor is sent to it.
-            let (wake_tx, wake_rx) = sync_channel(1);
-            wake.push(wake_tx);
-            handles.push(AppHandle {
-                node: NodeId(node),
-                nnodes,
-                wake_rx,
-                floor: Cell::new(None),
-                base: Cell::new(SimTime::ZERO),
-                used: Cell::new(Dur::ZERO),
-                budget: Cell::new(Dur::ZERO),
-            });
-        }
+        // Every stack before anything runs, so a host too small for the
+        // run says so here, with nothing parked.
+        let coros = Rc::new(Coros::map(nodes.len()).unwrap_or_else(|(i, e)| {
+            panic!(
+                "a {nnodes}-node run needs {nnodes} program stacks; mapping stack {i} failed: {e}"
+            )
+        }));
+        let wake: WakeSlots<_, _> = nodes.iter().map(|_| Cell::new(None)).collect();
+        let home = Rc::new(Cell::new(None));
+        let handles = (0..nnodes).map(|node| AppHandle {
+            node: NodeId(node),
+            nnodes,
+            wake: Rc::clone(&wake),
+            floor: Cell::new(None),
+            base: Cell::new(SimTime::ZERO),
+            used: Cell::new(Dur::ZERO),
+            budget: Cell::new(Dur::ZERO),
+        });
         let lookahead = model.min_net_delay();
         let mut kernel = Kernel::new(nnodes, model);
         kernel.max_events = max_events;
-        let (root_tx, root_rx) = sync_channel(1);
         let shard = Box::new(Shard {
             kernel,
             pending_ops: nodes.iter().map(|_| None).collect(),
@@ -403,54 +398,55 @@ impl<N: NodeBehavior> Sim<N> {
             admit_floor: SimTime::ZERO,
             stall_window,
             lookahead,
-            relays: nodes.len() > max_loop_threads,
             nodes,
-            wake,
-            root: root_tx,
+            coros: Rc::clone(&coros),
+            wake: Rc::clone(&wake),
+            home,
             handoffs: 0,
         });
 
-        std::thread::scope(|s| {
-            let joins: Vec<_> = programs
-                .into_iter()
-                .zip(handles)
-                .map(|(program, handle)| s.spawn(move || handle.run_program(program)))
-                .collect();
+        let results: Vec<Slot<V>> = programs.iter().map(|_| Cell::new(None)).collect();
+        let bodies = programs
+            .into_iter()
+            .zip(handles)
+            .zip(&results)
+            .map(|((program, handle), result)| {
+                Box::new(move || result.set(handle.run_program(program))) as Box<dyn FnOnce() + '_>
+            })
+            .collect();
 
-            // The loop is rooted on this thread, so a failure report or
-            // a panic payload leaves from the caller's thread.
-            let shard = match run_shard(shard, root_rx) {
-                (shard, ShardExit::Done) => shard,
-                (shard, ShardExit::Fail(verdict)) => panic!("{}", shard.failure_report(&verdict)),
-                (_, ShardExit::Panicked(payload)) => resume_unwind(payload),
-            };
-            let results: Vec<V> = joins
-                .into_iter()
-                .map(|j| {
-                    j.join()
-                        .expect("program thread panicked")
-                        .expect("program did not return on a clean run")
-                })
-                .collect();
+        // `Coros::run` has joined every program when it returns, so a
+        // report or a payload leaves the caller with nothing parked.
+        let shard = match coros.run(bodies, || run_shard(shard)) {
+            (shard, ShardExit::Done) => shard,
+            (shard, ShardExit::Fail(verdict)) => panic!("{}", shard.failure_report(&verdict)),
+            (_, ShardExit::Panicked(payload)) => resume_unwind(payload),
+        };
+        let results: Vec<V> = results
+            .into_iter()
+            .map(|r| {
+                r.into_inner()
+                    .expect("program did not return on a clean run")
+            })
+            .collect();
 
-            let finish_times: Vec<SimTime> = shard
-                .kernel
-                .app
-                .iter()
-                .map(|slot| slot.finish_time)
-                .collect();
-            RunResult {
-                end_time: finish_times.iter().copied().max().unwrap_or(SimTime::ZERO),
-                finish_times,
-                rendezvous: shard.kernel.rendezvous,
-                handoffs: shard.handoffs,
-                results,
-                gauges: shard.nodes.iter().map(|n| n.gauges()).collect(),
-                events: shard.kernel.events,
-                stats: shard.kernel.stats,
-                wall: wall_start.elapsed(),
-            }
-        })
+        let finish_times: Vec<SimTime> = shard
+            .kernel
+            .app
+            .iter()
+            .map(|slot| slot.finish_time)
+            .collect();
+        RunResult {
+            end_time: finish_times.iter().copied().max().unwrap_or(SimTime::ZERO),
+            finish_times,
+            rendezvous: shard.kernel.rendezvous,
+            handoffs: shard.handoffs,
+            results,
+            gauges: shard.nodes.iter().map(|n| n.gauges()).collect(),
+            events: shard.kernel.events,
+            stats: shard.kernel.stats,
+            wall: wall_start.elapsed(),
+        }
     }
 }
 
@@ -483,18 +479,18 @@ enum Verdict {
     Deadlock { t: SimTime },
 }
 
-/// How the event loop ended. Travels to the root together with the box.
+/// How the event loop ended. Left in the root's slot with the box.
 enum ShardExit {
     /// Clean finish: every program returned and the heap is empty.
     Done,
     /// Failure verdict: the root builds the report and panics.
     Fail(Verdict),
-    /// A handler or a program panicked on the thread holding the floor.
+    /// A handler or a program panicked in the context holding the floor.
     Panicked(PanicPayload),
 }
 
 /// The whole loop state — the floor. Built once, boxed, and owned by
-/// exactly one thread at a time: whoever holds the box runs the event
+/// exactly one context at a time: whoever holds the box runs the event
 /// loop (see the module docs).
 struct Shard<N: NodeBehavior> {
     kernel: Kernel<N>,
@@ -514,21 +510,17 @@ struct Shard<N: NodeBehavior> {
     admit_floor: SimTime,
     stall_window: Dur,
     lookahead: Dur,
-    /// Program threads run only their own turns and `Resume`s, and
-    /// relay the rest to the root (see [`MAX_LOOP_THREADS`]).
-    relays: bool,
-    /// Per-program wake-up senders, by node id.
-    wake: Vec<SyncSender<Wake<N::Op, N::Reply>>>,
-    /// Where the box goes when the loop ends (or, on a relaying run,
-    /// when handlers are due).
-    root: SyncSender<Home<N>>,
-    /// Times this box changed threads.
+    /// The programs' contexts and the root's.
+    coros: Rc<Coros>,
+    wake: WakeSlots<N::Op, N::Reply>,
+    /// Where the box goes when the loop ends.
+    home: Rc<Slot<Home<N>>>,
+    /// Times this box changed contexts.
     handoffs: u64,
 }
 
-/// What travels to the root: the floor, and why it came home
-/// (a relay or an exit, never a grant).
-type Home<N> = (Box<Shard<N>>, Step<<N as NodeBehavior>::Reply>);
+/// What the root is resumed with: the floor, and how the loop ended.
+type Home<N> = (Box<Shard<N>>, ShardExit);
 
 /// Where a program's turn stands (see [`Shard::turn`]).
 enum Turn<Op, R> {
@@ -540,57 +532,31 @@ enum Turn<Op, R> {
     Dispatch(Op),
 }
 
-/// How a thread enters the event loop (see [`Shard::run`]).
+/// How a context enters the event loop (see [`Shard::run`]).
 enum Entry<Op> {
-    /// The root's first entry: start the run.
+    /// The root's only entry: start the run.
     Start,
-    /// Program `.0` stopped running, on its own thread.
+    /// Program `.0` stopped running.
     Yield(usize, AppYield<Op>),
-    /// The root again: a program thread of a wide run relayed the
-    /// floor for the handlers it does not run itself.
-    Relayed,
 }
 
 /// What the event loop needs next from whoever holds the box.
 enum Step<R> {
     /// Program `to` must run under `go`.
     Grant { to: usize, go: Go<R> },
-    /// Handlers are due that only the root runs (wide runs).
-    Relay,
     /// The loop is over.
     Exit(ShardExit),
 }
 
-/// Widest run, in programs, whose program threads run the whole event
-/// loop. Protocol handlers allocate, and glibc gives every thread its
-/// own allocation cache and one of a few arenas that do not share free
-/// memory: with handlers running on hundreds of threads the resident
-/// set grows far beyond what is live (lrc SOR, peak RSS over the
-/// kernel-thread driver: +3 % at 16 nodes, +11 % at 32, +33 % at 128,
-/// +53 % at 512). Past this width a program thread still runs its own
-/// turn and any chain of `Resume`s inline, but relays the floor to the
-/// root for message, timer and fault handlers and for window
-/// boundaries — the root's one arena then serves all of them, as the
-/// kernel thread's did. Same events in the same order either way; only
-/// the thread differs.
-const MAX_LOOP_THREADS: usize = 32;
-
-/// Root side of the loop: start it and, whenever the box comes back,
-/// either run the handlers a wide run relayed or return with the
-/// loop's exit.
-fn run_shard<N: NodeBehavior + 'static>(
-    mut shard: Box<Shard<N>>,
-    root_rx: Receiver<Home<N>>,
-) -> (Box<Shard<N>>, ShardExit) {
-    let mut step = shard.step(Entry::Start);
-    loop {
-        match step {
-            Step::Exit(exit) => return (shard, exit),
-            Step::Relay => step = shard.step(Entry::Relayed),
-            grant => {
-                shard.pass(grant);
-                (shard, step) = root_rx.recv().expect("the floor never came back");
-            }
+/// Root side of the loop: start it, pass the floor to the first
+/// program, and be switched back to when the loop has ended.
+fn run_shard<N: NodeBehavior + 'static>(mut shard: Box<Shard<N>>) -> Home<N> {
+    match shard.step(Entry::Start) {
+        Step::Exit(exit) => (shard, exit),
+        grant => {
+            let home = Rc::clone(&shard.home);
+            shard.pass(grant);
+            home.take().expect("the floor never came back")
         }
     }
 }
@@ -623,52 +589,42 @@ impl<N: NodeBehavior + 'static> Shard<N> {
             .unwrap_or_else(|payload| Step::Exit(ShardExit::Panicked(payload)))
     }
 
-    /// Send the box to the thread `step` names: one OS-thread hop.
+    /// Leave the box in the slot of the context `step` names and
+    /// switch to it: one hop. Returns when the caller is next resumed.
     fn pass(mut self: Box<Self>, step: Step<N::Reply>) {
         self.handoffs += 1;
+        let coros = Rc::clone(&self.coros);
         match step {
             Step::Grant { to, go } => {
-                let wake = self.wake[to].clone();
-                if wake.send((self, go)).is_err() {
-                    panic!("program thread died");
-                }
+                let wake = Rc::clone(&self.wake);
+                wake[to].set(Some((self, go)));
+                coros.switch(to);
             }
-            home => {
-                let root = self.root.clone();
-                // The root only stops listening once it has the box
-                // and an exit.
-                let _ = root.send((self, home));
+            Step::Exit(exit) => {
+                let home = Rc::clone(&self.home);
+                home.set(Some((self, exit)));
+                coros.switch(coros.root());
             }
         }
     }
 
     /// The event loop: window boundaries around the dispatch core.
     /// Every entry falls into the same loop body and pops the same
-    /// events in the same order, whichever threads the entries come
-    /// from; a program thread of a wide run merely stops (and relays)
-    /// where the next step is not a `Resume`.
+    /// events in the same order, whichever contexts the entries come
+    /// from.
     fn run(&mut self, entry: Entry<N::Op>) -> Step<N::Reply> {
-        // The root runs everything; a program thread runs its own turn
-        // and then, on a wide run, `Resume`s only.
-        let handlers_here = match entry {
-            Entry::Start => {
-                self.start();
-                true
-            }
-            Entry::Relayed => true,
+        match entry {
+            Entry::Start => self.start(),
             Entry::Yield(i, y) => {
                 if let Some(go) = self.turn(i, Turn::Yield(y)) {
                     return Step::Grant { to: i, go };
                 }
-                !self.relays
             }
-        };
+        }
         loop {
             // Process the window (empty until the first boundary opens
             // one).
-            while !self.kernel.over_event_budget()
-                && (handlers_here || self.kernel.resume_is_next())
-            {
+            while !self.kernel.over_event_budget() {
                 let Some((t, event)) = self.kernel.pop_in_window() else {
                     break;
                 };
@@ -678,9 +634,6 @@ impl<N: NodeBehavior + 'static> Shard<N> {
                 if let Some((to, go)) = self.dispatch(t, event) {
                     return Step::Grant { to, go };
                 }
-            }
-            if !handlers_here {
-                return Step::Relay;
             }
             match self.window_boundary() {
                 Ok(window_end) => {
@@ -1003,6 +956,7 @@ impl<N: NodeBehavior + 'static> Shard<N> {
 mod tests {
     use super::*;
     use crate::msg::Payload;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     /// A trivial ping-pong behavior: node 0's program sends a ping op;
     /// the behavior forwards it to node 1, whose handler pongs back.
@@ -1092,19 +1046,20 @@ mod tests {
         assert_eq!(res.finish_times[1], SimTime(1_000_000));
     }
 
+    struct StuckNode;
+    impl NodeBehavior for StuckNode {
+        type Msg = PingMsg;
+        type Op = ();
+        type Reply = ();
+        fn on_message(&mut self, _: &mut Ctx<'_, Self>, _: NodeId, _: Self::Msg) {}
+        fn on_op(&mut self, _: &mut Ctx<'_, Self>, _: ()) -> OpOutcome<()> {
+            OpOutcome::Blocked // nobody will ever complete this
+        }
+    }
+
     #[test]
     #[should_panic(expected = "distributed deadlock")]
     fn deadlock_is_detected() {
-        struct StuckNode;
-        impl NodeBehavior for StuckNode {
-            type Msg = PingMsg;
-            type Op = ();
-            type Reply = ();
-            fn on_message(&mut self, _: &mut Ctx<'_, Self>, _: NodeId, _: Self::Msg) {}
-            fn on_op(&mut self, _: &mut Ctx<'_, Self>, _: ()) -> OpOutcome<()> {
-                OpOutcome::Blocked // nobody will ever complete this
-            }
-        }
         let sim = Sim::new(vec![StuckNode], CostModel::default());
         sim.run(vec![|h: &AppHandle<(), ()>| h.op(())]);
     }
@@ -1368,57 +1323,74 @@ mod tests {
         );
     }
 
-    /// Past [`MAX_LOOP_THREADS`] programs, program threads relay message
-    /// handlers to the root: more hand-offs than grants, and not one
-    /// observable of the run moves — compared here with the same ring
-    /// under a threshold it never reaches, whose programs run the whole
-    /// loop themselves.
+    /// A ring wider than any run whose programs once ran the whole loop
+    /// themselves.
+    const WIDE: usize = 40;
+
+    /// The {WIDE}-node jittered ring, every observable but `handoffs`
+    /// (201 there), as recorded at the parent of the change that made
+    /// programs coroutines — where runs this wide relayed message
+    /// handlers to the root's thread. One path now; not a number moved.
     #[test]
-    fn wide_shards_relay_handlers_and_change_nothing() {
-        const NODES: usize = MAX_LOOP_THREADS + 8;
-        let run = |max_loop_threads: usize| {
-            let model = CostModel::lan_1992().with_jitter(Dur::micros(20), 7);
-            let mut sim = Sim::new((0..NODES).map(|_| RingNode).collect(), model);
-            sim.max_loop_threads = max_loop_threads;
-            let programs: Vec<_> = (0..NODES)
-                .map(|_| {
-                    |h: &AppHandle<(), SimTime>| {
-                        let a = h.op(());
-                        h.advance(Dur::micros(30));
-                        (a, h.op(()))
-                    }
-                })
-                .collect();
-            sim.run(programs)
-        };
-        let (relayed, inline) = (run(MAX_LOOP_THREADS), run(usize::MAX));
-        assert!(
-            relayed.handoffs > relayed.rendezvous,
-            "{}",
-            relayed.handoffs
-        );
-        assert!(inline.handoffs <= inline.rendezvous + 1);
-        let trace = |r: RunResult<(SimTime, SimTime)>| {
-            (
-                r.end_time,
-                r.finish_times,
-                r.results,
-                r.stats,
-                r.rendezvous,
-                r.events,
-            )
-        };
-        assert_eq!(trace(relayed), trace(inline));
+    fn wide_jittered_ring_matches_the_trace_recorded_through_the_relay() {
+        #[rustfmt::skip]
+        const FIRST_PONG: [u64; WIDE] = [
+            1_941_718, 1_930_937, 1_933_607, 1_935_439, 1_937_033,
+            1_933_978, 1_938_794, 1_923_749, 1_926_905, 1_939_731,
+            1_926_443, 1_948_568, 1_919_386, 1_931_852, 1_941_521,
+            1_927_703, 1_941_996, 1_925_375, 1_933_797, 1_930_845,
+            1_936_736, 1_932_359, 1_929_793, 1_938_212, 1_942_321,
+            1_949_904, 1_933_220, 1_929_070, 1_946_477, 1_947_042,
+            1_944_722, 1_926_705, 1_927_618, 1_935_273, 1_943_218,
+            1_938_282, 1_918_509, 1_943_085, 1_937_381, 1_942_329,
+        ];
+        #[rustfmt::skip]
+        const SECOND_PONG: [u64; WIDE] = [
+            3_899_515, 3_909_223, 3_898_607, 3_901_617, 3_914_400,
+            3_908_738, 3_920_632, 3_890_444, 3_894_417, 3_895_078,
+            3_875_114, 3_923_445, 3_878_755, 3_896_949, 3_899_122,
+            3_877_874, 3_906_587, 3_902_919, 3_890_116, 3_893_223,
+            3_899_274, 3_907_592, 3_911_585, 3_899_759, 3_914_576,
+            3_907_296, 3_912_874, 3_899_319, 3_906_648, 3_913_328,
+            3_916_693, 3_895_325, 3_893_698, 3_900_207, 3_914_935,
+            3_906_856, 3_890_559, 3_912_038, 3_901_346, 3_897_855,
+        ];
+        let model = CostModel::lan_1992().with_jitter(Dur::micros(20), 7);
+        let sim = Sim::new((0..WIDE).map(|_| RingNode).collect(), model);
+        let programs: Vec<_> = (0..WIDE)
+            .map(|_| {
+                |h: &AppHandle<(), SimTime>| {
+                    let a = h.op(());
+                    h.advance(Dur::micros(30));
+                    (a, h.op(()))
+                }
+            })
+            .collect();
+        let res = sim.run(programs);
+
+        let finish: Vec<SimTime> = SECOND_PONG.into_iter().map(SimTime).collect();
+        let results: Vec<_> = FIRST_PONG
+            .into_iter()
+            .map(SimTime)
+            .zip(finish.clone())
+            .collect();
+        let mut stats = NetStats::new();
+        for _ in 0..2 * WIDE {
+            stats.record(crate::stats::KindId(40), "Ping", 8);
+            stats.record(crate::stats::KindId(41), "Pong", 8);
+        }
+        assert_eq!(res.end_time, SimTime(3_923_445));
+        assert_eq!(res.finish_times, finish);
+        assert_eq!(res.results, results);
+        assert_eq!(res.stats, stats);
+        assert_eq!((res.rendezvous, res.events), (120, 320));
+        assert_eq!(res.handoffs, 121, "one per grant and one home");
     }
 
     #[test]
     fn program_panic_on_a_wide_shard_reaches_the_caller() {
-        const NODES: usize = MAX_LOOP_THREADS + 8;
-        let sim = Sim::new(
-            (0..NODES).map(|_| RingNode).collect(),
-            CostModel::lan_1992(),
-        );
-        let programs: Vec<_> = (0..NODES)
+        let sim = Sim::new((0..WIDE).map(|_| RingNode).collect(), CostModel::lan_1992());
+        let programs: Vec<_> = (0..WIDE)
             .map(|_| {
                 |h: &AppHandle<(), SimTime>| {
                     h.op(());
@@ -1435,5 +1407,133 @@ mod tests {
             err.downcast_ref::<&str>().copied(),
             Some("result check failed on n17")
         );
+    }
+
+    /// Sets its flag when dropped: stands for whatever a program holds
+    /// across an op (a lock guard, a buffer, a result being built).
+    struct SetOnDrop<'a>(&'a AtomicBool);
+    impl Drop for SetOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+
+    /// A run that ends without a program — parked mid-op for good —
+    /// unwinds that program's stack before `run` reports: joining its
+    /// thread used to, now the root's last round of resumptions does.
+    #[test]
+    fn a_parked_programs_locals_are_dropped_before_run_panics() {
+        let dropped = AtomicBool::new(false);
+        let sim = Sim::new(vec![StuckNode, StuckNode], CostModel::default());
+        let programs: Vec<_> = (0..2)
+            .map(|_| {
+                |h: &AppHandle<(), ()>| {
+                    let _held = SetOnDrop(&dropped);
+                    h.op(())
+                }
+            })
+            .collect();
+        let err = catch_unwind(AssertUnwindSafe(|| sim.run(programs)))
+            .expect_err("nobody completes these ops");
+        let report = err.downcast_ref::<String>().expect("a failure report");
+        assert!(report.contains("distributed deadlock"), "got: {report}");
+        assert!(dropped.load(Ordering::SeqCst));
+
+        let dropped = AtomicBool::new(false);
+        let model = CostModel::uniform(Dur::micros(10), 0);
+        let sim = Sim::new(vec![RingNode, RingNode], model);
+        let programs: Vec<_> = (0..2)
+            .map(|_| {
+                |h: &AppHandle<(), SimTime>| {
+                    if h.id().0 == 1 {
+                        h.op(());
+                        panic!("n1 gave up");
+                    }
+                    let _held = SetOnDrop(&dropped);
+                    (0..3).map(|_| h.op(())).last()
+                }
+            })
+            .collect();
+        let err = catch_unwind(AssertUnwindSafe(|| sim.run(programs)))
+            .expect_err("the program's panic must propagate");
+        assert_eq!(err.downcast_ref::<&str>().copied(), Some("n1 gave up"));
+        assert!(dropped.load(Ordering::SeqCst));
+    }
+
+    /// A program's stack is as deep as a spawned thread's was (2 MiB),
+    /// and what is on it survives being switched away from.
+    #[test]
+    fn a_program_a_mebibyte_deep_returns_its_value() {
+        const FRAMES: u64 = 1024;
+        fn dive(h: &AppHandle<(), SimTime>, depth: u64) -> (u64, usize) {
+            let pad = [depth as u8; 1024];
+            if depth == 0 {
+                (h.op(()).0, std::hint::black_box(&pad).as_ptr() as usize)
+            } else {
+                let (sum, bottom) = dive(h, depth - 1);
+                (sum + u64::from(std::hint::black_box(&pad)[512]), bottom)
+            }
+        }
+        let model = CostModel::uniform(Dur::micros(10), 0);
+        let sim = Sim::new(vec![RingNode, RingNode], model);
+        let programs: Vec<_> = (0..2)
+            .map(|_| {
+                |h: &AppHandle<(), SimTime>| {
+                    let top = 0u8;
+                    let (sum, bottom) = dive(h, FRAMES);
+                    (sum, std::ptr::from_ref(&top) as usize - bottom)
+                }
+            })
+            .collect();
+        let want = 20_000 + (1..=FRAMES).map(|d| u64::from(d as u8)).sum::<u64>();
+        for (sum, depth) in sim.run(programs).results {
+            assert_eq!(sum, want);
+            assert!(depth >= 1 << 20, "only {depth} bytes deep");
+        }
+    }
+
+    #[test]
+    fn every_program_runs_on_the_callers_thread() {
+        let sim = Sim::new(vec![RingNode, RingNode, RingNode], CostModel::lan_1992());
+        let programs: Vec<_> = (0..3)
+            .map(|_| {
+                |h: &AppHandle<(), SimTime>| {
+                    h.op(());
+                    std::thread::current().id()
+                }
+            })
+            .collect();
+        let here = std::thread::current().id();
+        assert_eq!(sim.run(programs).results, [here; 3]);
+    }
+
+    /// A run started from inside a program of another run roots itself
+    /// on that program's stack; neither run can tell.
+    #[test]
+    fn a_run_nested_in_a_program_changes_neither_run() {
+        type Trace = (SimTime, Vec<SimTime>, u64, u64);
+        /// A jittered ring's trace and, if program 1 ran a ring of
+        /// `inner` nodes between its two ops, that ring's.
+        fn ring(nodes: u32, inner: Option<u32>) -> (Trace, Option<Trace>) {
+            let model = CostModel::lan_1992().with_jitter(Dur::micros(20), u64::from(nodes));
+            let sim = Sim::new((0..nodes).map(|_| RingNode).collect(), model);
+            let programs: Vec<_> = (0..nodes)
+                .map(|_| {
+                    move |h: &AppHandle<(), SimTime>| {
+                        h.op(());
+                        let inner = inner.filter(|_| h.id().0 == 1).map(|n| ring(n, None).0);
+                        h.advance(Dur::micros(30));
+                        (h.op(()), inner)
+                    }
+                })
+                .collect();
+            let res = sim.run(programs);
+            let (pongs, mut inner): (Vec<_>, Vec<_>) = res.results.into_iter().unzip();
+            let trace = (res.end_time, pongs, res.rendezvous, res.handoffs);
+            (trace, inner.swap_remove(1))
+        }
+        let (outer, inner) = ring(3, Some(5));
+        assert_eq!(outer, ring(3, None).0);
+        assert_eq!(inner, Some(ring(5, None).0));
     }
 }

@@ -4,10 +4,10 @@
 //! ([`NodeBehavior::on_message`]) and its application-op entry point
 //! ([`NodeBehavior::on_op`]) are invoked by the event loop, at
 //! well-defined points in virtual time, one at a time. Application
-//! *programs* run on their own OS threads but are cooperatively
+//! *programs* run as coroutines on the caller's thread, cooperatively
 //! scheduled by the driver (see [`crate::driver`]): the loop state is
-//! one owned value that passes from thread to thread, and only the
-//! thread holding it runs — the event loop or one program — so exactly
+//! one owned value that passes from program to program, and only the
+//! one holding it runs — the event loop or its own code — so exactly
 //! one logical actor is ever running.
 //!
 //! The kernel processes events inside a *virtual-time window*
@@ -562,14 +562,6 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
         self.window_end = w;
     }
 
-    /// True if the next event inside the current window is a program
-    /// `Resume`: processing it runs no message, timer or fault handler.
-    pub(crate) fn resume_is_next(&self) -> bool {
-        self.heap.peek().is_some_and(|Reverse(e)| {
-            e.time < self.window_end && matches!(e.event, Event::Resume { .. })
-        })
-    }
-
     /// Pop the next event if it falls inside the current window.
     pub(crate) fn pop_in_window(&mut self) -> Option<(SimTime, Event<N::Msg>)> {
         if self.heap.peek()?.0.time >= self.window_end {
@@ -634,7 +626,7 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
     /// Virtual-time budget granted to `node`'s program for local
     /// run-ahead (the lease quantum): the program may consume up to this
     /// much virtual time — servicing page hits and pure computation on
-    /// its own thread — without rendezvousing with the kernel.
+    /// its own stack — without rendezvousing with the kernel.
     ///
     /// Sound because while a program holds the floor nothing else runs,
     /// so the event heap is frozen. Any event that

@@ -6,11 +6,12 @@
 //! * a [`NodeBehavior`] — its protocol state machine, driven entirely
 //!   by the event loop: message deliveries, timers, and application
 //!   operations; and
-//! * an application *program* — ordinary Rust code running on its own
-//!   OS thread, but cooperatively scheduled so that exactly one actor
-//!   runs at a time. There is no separate simulator thread: whichever
-//!   program yields runs the event loop itself until the next program
-//!   is due (see the `driver` module docs).
+//! * an application *program* — ordinary Rust code running as a
+//!   coroutine on the thread that called [`Sim::run`], cooperatively
+//!   scheduled so that exactly one actor runs at a time. There is no
+//!   simulator thread: whichever program yields runs the event loop
+//!   itself until the next program is due (see the `driver` module
+//!   docs).
 //!
 //! Virtual time advances only through the event queue, so a run's
 //! completion time, message counts, and results are bit-reproducible.
@@ -56,6 +57,7 @@
 //! assert_eq!(res.stats.total_msgs(), 2);
 //! ```
 
+mod coro;
 mod driver;
 mod kernel;
 mod model;

@@ -207,28 +207,6 @@ impl NetStats {
         seen.sort_unstable_by_key(|(n, ..)| *n);
         seen.into_iter()
     }
-
-    /// Fold another run's traffic into this one.
-    pub fn merge(&mut self, other: &NetStats) {
-        for i in 0..MAX_KINDS {
-            if let Some(name) = other.names[i] {
-                debug_assert!(
-                    self.names[i].is_none_or(|n| n == name),
-                    "kind id {i} reused across merged tables"
-                );
-                self.names[i] = Some(name);
-                self.counts[i].count += other.counts[i].count;
-                self.counts[i].bytes += other.counts[i].bytes;
-                self.dropped[i] += other.dropped[i];
-                self.duplicated[i] += other.duplicated[i];
-                self.retransmits[i] += other.retransmits[i];
-            }
-        }
-        self.crashes += other.crashes;
-        self.recoveries += other.recoveries;
-        self.crash_dropped += other.crash_dropped;
-        self.partition_dropped += other.partition_dropped;
-    }
 }
 
 impl fmt::Display for NetStats {
@@ -317,18 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds() {
-        let mut a = NetStats::new();
-        a.record(X, "X", 1);
-        let mut b = NetStats::new();
-        b.record(X, "X", 2);
-        b.record(Y, "Y", 3);
-        a.merge(&b);
-        assert_eq!(a.kind("X"), KindStats { count: 2, bytes: 3 });
-        assert_eq!(a.kind("Y"), KindStats { count: 1, bytes: 3 });
-    }
-
-    #[test]
     fn display_is_table() {
         let mut s = NetStats::new();
         s.record(X, "A", 10);
@@ -347,7 +313,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_counters_record_and_merge() {
+    fn fault_counters_record() {
         let mut a = NetStats::new();
         a.record(X, "X", 8);
         a.record_dropped(X, "X");
@@ -356,10 +322,7 @@ mod tests {
         a.record_retransmit(X, "X");
         assert_eq!(a.kind_faults("X"), (1, 1, 2));
         assert_eq!(a.kind_faults("absent"), (0, 0, 0));
-        let mut b = NetStats::new();
-        b.record_dropped(X, "X");
-        a.merge(&b);
-        assert_eq!(a.total_dropped(), 2);
+        assert_eq!(a.total_dropped(), 1);
         assert_eq!(a.total_duplicated(), 1);
         assert_eq!(a.total_retransmits(), 2);
     }
