@@ -36,7 +36,7 @@ use std::sync::Arc;
 pub struct VClockDelta {
     base: Arc<VClock>,
     /// `(node index, absolute count)` for every component that differs
-    /// from `base`.
+    /// from `base`, indices ascending and inside it (`decode` checks).
     entries: Arc<[(u32, u32)]>,
 }
 
@@ -44,10 +44,9 @@ impl VClockDelta {
     /// Encode `vc` as a diff against `base`, sharing `base`.
     pub fn against(vc: &VClock, base: &Arc<VClock>) -> Self {
         assert_eq!(vc.len(), base.len());
-        let entries = (0..vc.len())
-            .filter(|&i| vc.get(i) != base.get(i))
-            .map(|i| (i as u32, vc.get(i)))
-            .collect();
+        let pairs = vc.as_slice().iter().zip(base.as_slice()).enumerate();
+        let differing = pairs.filter(|(_, (v, b))| v != b);
+        let entries = differing.map(|(i, (&v, _))| (i as u32, v)).collect();
         VClockDelta {
             base: Arc::clone(base),
             entries,
@@ -69,6 +68,19 @@ impl VClockDelta {
             vc.set(i as usize, v);
         }
         vc
+    }
+
+    /// Join the clock this delta stands for into `vc` without building it:
+    /// the base between entries, an entry where the base would be.
+    pub fn join_into(&self, vc: &mut VClock) {
+        assert_eq!(vc.len(), self.base.len());
+        let (base, mut from) = (self.base.as_slice(), 0);
+        for &(i, v) in self.entries.iter() {
+            vc.join_slice(from, &base[from..i as usize]);
+            vc.join_slice(i as usize, &[v]);
+            from = i as usize + 1;
+        }
+        vc.join_slice(from, &base[from..]);
     }
 
     /// Number of components that travel.
@@ -94,18 +106,18 @@ impl Wire for VClockDelta {
     // model here).
     fn encode(&self, out: &mut Vec<u8>) {
         self.base.encode(out);
-        // As `Vec<(u32, u32)>` encodes: a count, then the pairs.
-        (self.entries.len() as u32).encode(out);
-        for e in self.entries.iter() {
-            e.encode(out);
-        }
+        self.entries.encode(out);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Option<Self> {
-        Some(VClockDelta {
-            base: Arc::new(VClock::decode(r)?),
-            entries: Vec::<(u32, u32)>::decode(r)?.into(),
-        })
+        let base = Arc::new(VClock::decode(r)?);
+        let entries = Arc::<[(u32, u32)]>::decode(r)?;
+        // `expand` and `join_into` index the base by these.
+        let ascending = entries.windows(2).all(|w| w[0].0 < w[1].0);
+        let inside = entries
+            .last()
+            .is_none_or(|&(i, _)| (i as usize) < base.len());
+        (ascending && inside).then_some(VClockDelta { base, entries })
     }
 }
 
@@ -124,17 +136,18 @@ impl fmt::Display for VClockDelta {
 
 /// A node's causal time: its current vector clock and the barrier
 /// floor it last synchronized at. All wire encodings of clocks and
-/// interval records are produced relative to the floor.
+/// interval records are produced relative to the floor. From a barrier
+/// until the clock next moves the two are one allocation.
 #[derive(Debug, Clone)]
 pub struct CausalTime {
-    vt: VClock,
+    vt: Arc<VClock>,
     floor: Arc<VClock>,
 }
 
 impl CausalTime {
     pub fn new(n: usize) -> Self {
         CausalTime {
-            vt: VClock::new(n),
+            vt: Arc::new(VClock::new(n)),
             floor: Arc::new(VClock::new(n)),
         }
     }
@@ -154,25 +167,25 @@ impl CausalTime {
 
     /// Bump own component `i`; returns the new value.
     pub fn tick(&mut self, i: usize) -> u32 {
-        self.vt.inc(i)
+        Arc::make_mut(&mut self.vt).inc(i)
     }
 
     /// Join `other` into the current clock.
     pub fn join(&mut self, other: &VClock) {
-        self.vt.join(other);
+        Arc::make_mut(&mut self.vt).join(other);
     }
 
     /// Replace the current clock (barrier release installs the global
     /// join).
     pub fn set_now(&mut self, vc: VClock) {
-        self.vt = vc;
+        self.vt = Arc::new(vc);
     }
 
     /// Advance the floor to the current clock — called when a barrier
     /// epoch closes, after which all retained metadata is relative to
     /// the new floor.
     pub fn advance_floor(&mut self) {
-        self.floor = Arc::new(self.vt.clone());
+        self.floor = Arc::clone(&self.vt);
     }
 
     /// Delta-encode an arbitrary clock against the floor.
@@ -239,6 +252,57 @@ mod tests {
         assert_eq!(d.wire_bytes(), 8);
     }
 
+    /// Joining from a delta is joining its expansion — entries above
+    /// the base, below it (a stale payload), at either end, or none.
+    #[test]
+    fn join_into_equals_joining_the_expansion() {
+        let mut rng = dsm_net::XorShift64::new(0xDE17A);
+        for case in 0..400 {
+            let n = 1 + case % 17;
+            let mut random = |density: u64| {
+                let mut vc = VClock::new(n);
+                for i in 0..n {
+                    if rng.below(100) < density {
+                        vc.set(i, rng.below(9) as u32);
+                    }
+                }
+                vc
+            };
+            let base = Arc::new(random(70));
+            let mut theirs = VClock::clone(&base);
+            let changes = random([0, 15, 100][case % 3]);
+            for i in (0..n).filter(|&i| changes.get(i) > 0) {
+                // 1..=8 against a base of 0..=8: below as often as above.
+                theirs.set(i, changes.get(i) - 1);
+            }
+            let delta = VClockDelta::against(&theirs, &base);
+            let ours = random(50);
+            let (mut joined, mut want) = (ours.clone(), ours);
+            delta.join_into(&mut joined);
+            want.join(&delta.expand());
+            assert_eq!(joined, want, "case {case}: {delta} on {base}");
+        }
+    }
+
+    /// An entry naming a component the base does not have, or entries
+    /// out of order, would index out of bounds in `expand` /
+    /// `join_into`: such a datagram is dropped at `decode`.
+    #[test]
+    fn decode_rejects_entries_outside_the_base_or_out_of_order() {
+        let encoded = |entries: &[(u32, u32)]| {
+            let mut bytes = dsm_net::to_wire_bytes(&VClock::new(4));
+            entries.to_vec().encode(&mut bytes);
+            dsm_net::from_wire_bytes::<VClockDelta>(&bytes)
+        };
+        let ok = encoded(&[(0, 3), (3, 1)]).expect("in bounds, ascending");
+        assert_eq!(ok.expand().as_slice(), &[3, 0, 0, 1]);
+        assert!(encoded(&[]).is_some());
+        assert!(encoded(&[(4, 1)]).is_none(), "one past the end");
+        assert!(encoded(&[(0, 1), (u32::MAX, 1)]).is_none());
+        assert!(encoded(&[(2, 1), (1, 1)]).is_none(), "descending");
+        assert!(encoded(&[(2, 1), (2, 5)]).is_none(), "repeated");
+    }
+
     #[test]
     fn causal_time_floor_tracks_barriers() {
         let mut t = CausalTime::new(3);
@@ -252,7 +316,11 @@ mod tests {
         assert_eq!(t.encode_now().len(), 2);
         t.advance_floor();
         assert!(t.encode_now().is_empty());
+        // One clock until the next tick, which leaves the floor behind.
+        assert!(Arc::ptr_eq(&t.vt, &t.floor));
         t.tick(0);
         assert_eq!(t.encode_now().len(), 1);
+        assert_eq!(t.floor().as_slice(), &[2, 4, 0]);
+        assert_eq!(t.now().as_slice(), &[3, 4, 0]);
     }
 }

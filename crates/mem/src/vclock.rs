@@ -63,7 +63,12 @@ impl VClock {
     /// Pointwise maximum (least upper bound) with `other`.
     pub fn join(&mut self, other: &VClock) {
         assert_eq!(self.counts.len(), other.counts.len());
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+        self.join_slice(0, &other.counts);
+    }
+
+    /// Pointwise maximum of the components from `at` on with `other`.
+    pub(crate) fn join_slice(&mut self, at: usize, other: &[u32]) {
+        for (a, b) in self.counts[at..at + other.len()].iter_mut().zip(other) {
             *a = (*a).max(*b);
         }
     }

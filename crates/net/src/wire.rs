@@ -252,6 +252,17 @@ impl Wire for Box<[u8]> {
     }
 }
 
+/// A list several in-memory messages share: a `Vec` on the wire.
+impl<T: Wire> Wire for std::sync::Arc<[T]> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).encode(out);
+        self.iter().for_each(|v| v.encode(out));
+    }
+    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+        Vec::<T>::decode(r).map(Into::into)
+    }
+}
+
 /// Indirection in a recursive message (`Piggy::Obj`'s inner piggy):
 /// nothing extra on the wire.
 impl<T: Wire> Wire for Box<T> {
@@ -437,6 +448,7 @@ mod tests {
         round_trip((NodeId(1), 9u64));
         round_trip((1u32, 2u64, vec![3u8]));
         round_trip(vec![(0usize, Some(vec![9u8].into_boxed_slice()))]);
+        round_trip(std::sync::Arc::<[(u32, u64)]>::from(vec![(1, 2), (3, 4)]));
     }
 
     #[test]

@@ -396,11 +396,16 @@ wire_enum! {
         /// from its own retained cache or its buffered epoch flushes — no
         /// bytes travel here), and compacted per-page invalidation notices
         /// (one entry per page written this epoch, not one per interval)
-        /// for stale copies the receiver must drop.
+        /// for stale copies the receiver must drop: `stale` of them, priced
+        /// as a private list. In memory they are the epoch's written set —
+        /// `(page, home, sole writer)` ascending by page, one allocation
+        /// shared by the episode's releases — of which a receiver's copy is
+        /// stale unless it is the page's home or its sole writer.
         LrcEpoch {
             vt: VClockDelta,
             homed: Vec<(usize, Vec<IntervalId>)>,
-            invals: Vec<usize>,
+            written: std::sync::Arc<[(usize, NodeId, Option<NodeId>)]>,
+            stale: u32,
         } = 4,
         /// Entry-consistency lock request info: the highest update version
         /// the acquirer has applied for this lock's regions.
@@ -452,13 +457,15 @@ impl SyncPiggy for Piggy {
             Piggy::LrcBarrier { vt, records } => {
                 vt.wire_bytes() + records.iter().map(|r| r.wire_bytes()).sum::<usize>()
             }
-            Piggy::LrcEpoch { vt, homed, invals } => {
+            Piggy::LrcEpoch {
+                vt, homed, stale, ..
+            } => {
                 vt.wire_bytes()
                     + homed
                         .iter()
                         .map(|(_, ids)| 8 + ids.len() * 8)
                         .sum::<usize>()
-                    + invals.len() * 4
+                    + *stale as usize * 4
             }
             Piggy::EntryVer(_) => 8,
             Piggy::EntryLog(entries) => entries

@@ -6,7 +6,8 @@
 //! envelopes and reliable-transport frames). Coverage is held to the
 //! message tables themselves (`TAGS`), not to a hand count; malformed
 //! input — truncated, bit-flipped, or nested without end — must decode
-//! to `None`, never panic.
+//! to `None`, never panic, and whatever does decode must be safe to
+//! *use*: every clock expands and joins, every list walks ([`Used`]).
 
 use dsm_core::CoreMsg;
 use dsm_mem::{
@@ -18,7 +19,7 @@ use dsm_net::{
     MAX_KINDS,
 };
 use dsm_proto::{Piggy, ProtoMsg};
-use dsm_sync::{SyncEnvelope, SyncMsg};
+use dsm_sync::{SyncEnvelope, SyncMsg, SyncPiggy};
 use std::fmt::Debug;
 use std::sync::Arc;
 
@@ -242,7 +243,13 @@ fn all_piggies() -> Vec<Piggy> {
         Piggy::LrcEpoch {
             vt: delta(),
             homed: vec![(4, vec![IntervalId::new(NodeId(1), 2)]), (5, vec![])],
-            invals: vec![4, 5, 9],
+            written: vec![
+                (4, NodeId(0), Some(NodeId(2))),
+                (5, NodeId(1), None),
+                (9, NodeId(1), Some(NodeId(1))),
+            ]
+            .into(),
+            stale: 2,
         },
         Piggy::EntryVer(17),
         Piggy::EntryLog(vec![(3, vec![(0, diff()), (1, diff())]), (4, vec![])]),
@@ -464,8 +471,9 @@ fn kind_ids_are_pinned_and_disjoint() {
     assert!(all.windows(2).all(|w| w[0] != w[1]), "a stat id is shared");
 }
 
-fn truncations_decode_to_none<T: Wire + Debug>(samples: &[T]) {
+fn truncations_decode_to_none<T: Wire + Debug + Used>(samples: &[T]) {
     for m in samples {
+        m.used();
         let bytes = to_wire_bytes(m);
         for cut in 0..bytes.len() {
             let mut r = WireReader::new(&bytes[..cut]);
@@ -491,10 +499,98 @@ fn truncated_and_garbage_input_decode_to_none() {
     );
 }
 
+/// What a receiver does with a decoded message before any protocol
+/// state is consulted: price it (which walks every list it carries),
+/// materialise and join every vector clock, look pages up in the
+/// epoch's written set. A decoder that lets through a value on which
+/// any of this panics has not dropped the malformed datagram.
+trait Used {
+    fn used(&self);
+}
+
+fn use_clock(vt: &VClockDelta) {
+    let full = vt.expand();
+    let mut joined = VClock::new(full.len());
+    vt.join_into(&mut joined);
+    assert_eq!(joined, full, "joining into zero is expanding");
+}
+
+impl Used for Piggy {
+    fn used(&self) {
+        let _ = SyncPiggy::wire_bytes(self);
+        match self {
+            Piggy::LrcClock(vt) => use_clock(vt),
+            Piggy::LrcIntervals(records) => records.iter().for_each(|r| use_clock(&r.vc)),
+            Piggy::LrcBarrier { vt, records } => {
+                use_clock(vt);
+                records.iter().for_each(|r| use_clock(&r.vc));
+            }
+            Piggy::LrcEpoch {
+                vt, homed, written, ..
+            } => {
+                use_clock(vt);
+                let ids = homed.iter().flat_map(|(_, ids)| ids);
+                let seqs = ids.fold(0u32, |sum, id| sum.wrapping_add(id.seq));
+                let found = written
+                    .iter()
+                    .filter(|w| written.binary_search_by_key(&w.0, |o| o.0).is_ok())
+                    .count();
+                std::hint::black_box((seqs, found));
+            }
+            Piggy::Obj { inner, .. } => inner.used(),
+            _ => {}
+        }
+    }
+}
+
+impl Used for ProtoMsg {
+    fn used(&self) {
+        let _ = Payload::wire_bytes(self);
+    }
+}
+
+impl Used for SyncMsg<Piggy> {
+    fn used(&self) {
+        let _ = Payload::wire_bytes(self);
+        match self {
+            SyncMsg::LockReq { reqinfo: p, .. }
+            | SyncMsg::LockFwd { reqinfo: p, .. }
+            | SyncMsg::LockGrant { piggy: p, .. }
+            | SyncMsg::LockRel { piggy: p, .. } => p.used(),
+            SyncMsg::BarArrive {
+                contributions: envelopes,
+                ..
+            }
+            | SyncMsg::BarRelease {
+                releases: envelopes,
+                ..
+            } => envelopes.iter().for_each(|e| e.payload.used()),
+        }
+    }
+}
+
+impl Used for CoreMsg {
+    fn used(&self) {
+        match self {
+            CoreMsg::Proto(m) => m.used(),
+            CoreMsg::Sync(m) => m.used(),
+        }
+    }
+}
+
+impl Used for RelMsg<CoreMsg> {
+    fn used(&self) {
+        if let RelMsg::Data { payload, .. } = self {
+            payload.used();
+        }
+    }
+}
+
 /// 1–4 random bit flips, 2 000 times per sample: whatever comes out is
-/// `None` or a value — decoding a corrupt datagram never panics, never
-/// over-allocates, never overflows the stack.
-fn bit_flips_never_panic<T: Wire>(samples: &[T], rng: &mut XorShift64) {
+/// `None` or a value that can be used — decoding a corrupt datagram
+/// never panics, never over-allocates, never overflows the stack, and
+/// never hands on a clock or list that panics its reader.
+fn bit_flips_never_panic<T: Wire + Used>(samples: &[T], rng: &mut XorShift64) {
     for m in samples {
         let clean = to_wire_bytes(m);
         for _ in 0..2_000 {
@@ -503,7 +599,9 @@ fn bit_flips_never_panic<T: Wire>(samples: &[T], rng: &mut XorShift64) {
                 let bit = rng.below(bytes.len() as u64 * 8) as usize;
                 bytes[bit / 8] ^= 1 << (bit % 8);
             }
-            let _ = from_wire_bytes::<T>(&bytes);
+            if let Some(decoded) = from_wire_bytes::<T>(&bytes) {
+                decoded.used();
+            }
         }
     }
 }
@@ -516,6 +614,43 @@ fn bit_flipped_input_never_panics() {
     bit_flips_never_panic(&all_sync_msgs(), &mut rng);
     bit_flips_never_panic(&all_core_msgs(), &mut rng);
     bit_flips_never_panic(&all_rel_msgs(), &mut rng);
+}
+
+/// A clock entry naming a component its base does not have used to
+/// decode and then index out of bounds in `expand()`: under each piggy
+/// that carries a clock, such a datagram is now refused.
+#[test]
+fn clock_entries_outside_the_base_are_refused() {
+    // A piggy's tag, a three-component base, one entry, then whatever
+    // (empty) lists follow the clock in that variant.
+    let datagram = |tag: u8, index: u32, rest: usize| {
+        let mut bytes = vec![tag];
+        VClock::new(3).encode(&mut bytes);
+        vec![(index, 7u32)].encode(&mut bytes);
+        bytes.extend(std::iter::repeat_n(0, rest));
+        bytes
+    };
+    let barrier = Piggy::LrcBarrier {
+        vt: delta(),
+        records: vec![],
+    };
+    let epoch = Piggy::LrcEpoch {
+        vt: delta(),
+        homed: vec![],
+        written: vec![].into(),
+        stale: 0,
+    };
+    for (carrier, rest) in [(Piggy::LrcClock(delta()), 0), (barrier, 4), (epoch, 12)] {
+        let inside = from_wire_bytes::<Piggy>(&datagram(carrier.tag(), 2, rest));
+        inside.expect("component 2 of 3").used();
+        for index in [3, 4, u32::MAX] {
+            assert!(
+                from_wire_bytes::<Piggy>(&datagram(carrier.tag(), index, rest)).is_none(),
+                "{} with an entry for component {index} of 3",
+                carrier.variant()
+            );
+        }
+    }
 }
 
 /// A datagram of nothing but nested envelopes must be refused before

@@ -86,6 +86,58 @@ fn sor_40(proto: ProtocolKind, barrier: BarrierKind) -> Counts {
     counts(&res)
 }
 
+/// The benchmark's `sim_sor_wide` shape at one iteration: 512 nodes, one
+/// interior row each, a row a few bytes longer than a 4 KiB page. Also
+/// returns a digest of every node's block sum, bit for bit.
+fn sor_512(barrier: BarrierKind) -> (Counts, u64) {
+    const NODES: usize = 512;
+    let p = sor::SorParams {
+        n: NODES + 2,
+        iters: 1,
+        omega: 1.25,
+    };
+    let cfg = DsmConfig::new(NODES as u32, ProtocolKind::Lrc)
+        .model(CostModel::lan_1992())
+        .heap_bytes(p.heap_bytes())
+        .barrier_kind(barrier);
+    let res = dsm_core::run_dsm(&cfg, |d: &Dsm<'_>| sor::run(d, &p));
+    let grid = sor::reference(&p);
+    for (i, &got) in res.results.iter().enumerate() {
+        let want: f64 = grid[(i + 1) * p.n..(i + 2) * p.n].iter().sum();
+        assert!((got - want).abs() < 1e-9, "{barrier:?} node {i}");
+    }
+    let sums = res
+        .results
+        .iter()
+        .fold(0u64, |d, s| d.rotate_left(7) ^ s.to_bits());
+    (counts(&res), sums)
+}
+
+/// Recorded on the parent of the PR that made a wide `lrc` barrier cost
+/// what each node holds (one written set shared by an episode's
+/// releases, eviction driven by the pages held, clocks joined from
+/// their deltas).
+#[test]
+fn sor_at_512_nodes_matches_the_recorded_counts_under_every_barrier() {
+    const SUMS: u64 = 0xfb4d_0765_763a_1734;
+    for (barrier, want) in [
+        (
+            BarrierKind::Central,
+            [28_654, 8_183, 20_462, 32_847_316, 8_597_199_680],
+        ),
+        (
+            BarrierKind::Tree(2),
+            [28_654, 8_151, 20_462, 90_603_788, 15_149_997_600],
+        ),
+        (
+            BarrierKind::Tree(4),
+            [28_654, 8_070, 20_462, 62_736_860, 9_361_763_840],
+        ),
+    ] {
+        assert_eq!(sor_512(barrier), (want, SUMS), "{barrier:?}");
+    }
+}
+
 #[test]
 fn kv_board_under_lrc_matches_the_recorded_counts() {
     assert_eq!(
