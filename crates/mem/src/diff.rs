@@ -98,7 +98,19 @@ impl PageDiff {
         wire
     }
 
-    /// Overwrite `page` with this diff's runs.
+    /// True when every run lies inside a page of `page_len` bytes. A
+    /// diff made by [`PageDiff::create`] fits the pages it was made
+    /// from; one decoded off a wire has whatever offsets and lengths
+    /// the datagram said, and its receiver drops it unless it fits.
+    pub fn fits(&self, page_len: usize) -> bool {
+        let end = |r: &Run| (r.offset as usize).checked_add(r.bytes.len());
+        self.runs
+            .iter()
+            .all(|r| end(r).is_some_and(|end| end <= page_len))
+    }
+
+    /// Overwrite `page` with this diff's runs, which must all lie
+    /// inside it ([`PageDiff::fits`]).
     pub fn apply(&self, page: &mut [u8]) {
         for run in &self.runs {
             let off = run.offset as usize;
@@ -315,6 +327,23 @@ mod tests {
         let mut count = 0;
         PageDiff::scan_runs(&twin, &cur, |_, _| count += 1);
         assert_eq!(count, d.run_count());
+    }
+
+    #[test]
+    fn a_diff_fits_a_page_that_holds_every_run() {
+        let run = |offset, len| Run {
+            offset,
+            bytes: vec![1; len],
+        };
+        let diff = PageDiff {
+            runs: vec![run(0, 4), run(60, 4)],
+        };
+        assert!(diff.fits(64) && !diff.fits(63));
+        assert!(PageDiff::default().fits(0));
+        for outside in [run(64, 1), run(65, 0), run(u32::MAX, 2)] {
+            let runs = vec![run(0, 4), outside];
+            assert!(!PageDiff { runs }.fits(64));
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! distributed, dynamic distributed); this module provides the entry
 //! type and the placement maps the schemes share.
 
-use crate::pagemap::PageMap;
+use crate::PageMap;
 use dsm_net::{NodeId, NodeSet};
 
 /// Authoritative directory knowledge about one page.

@@ -6,7 +6,7 @@
 //! current right are the *faults* that drive the coherence protocol.
 
 use crate::addr::{GlobalAddr, PageGeometry, PageId};
-use crate::pagemap::PageMap;
+use crate::PageMap;
 
 /// Access right a node holds on a local page copy. Mirrors MMU
 /// protection bits: `Write` implies `Read`.

@@ -29,17 +29,15 @@ mod frame;
 mod interval;
 mod layout;
 mod objtable;
-mod pagemap;
 mod vclock;
 
 pub use addr::{GlobalAddr, PageGeometry, PageId};
 pub use causal::{CausalTime, VClockDelta};
 pub use diff::PageDiff;
 pub use dir::{home_node, DirEntry, Directory, PendingReq};
-pub use dsm_net::NodeSet;
+pub use dsm_net::{NodeSet, PageHasher, PageMap, PageSet};
 pub use frame::{Access, Frame, FrameTable};
 pub use interval::{IntervalId, IntervalRecord, WireIntervalRecord};
 pub use layout::{Placement, SpaceLayout};
 pub use objtable::{ObjRecord, ObjTable};
-pub use pagemap::{PageHasher, PageMap, PageSet};
 pub use vclock::VClock;

@@ -13,11 +13,12 @@
 //! inline until some program must run next. If that program is itself,
 //! the call simply returns — no hop at all; otherwise the box is left
 //! in the other program's wake-up slot and the yielder switches to that
-//! program's context — one hop, a `swapcontext`. The root (the caller's
-//! own stack) only starts the loop and is switched back to, with the
-//! box and a [`ShardExit`] in its slot, when the loop ends. The box
-//! only changes hands through a slot at a context switch, so a run is a
-//! pure function of virtual time, whichever program executes which event.
+//! program's context — one hop, a dozen instructions and no system call
+//! ([`crate::coro`]). The root (the caller's own stack) only starts the
+//! loop and is switched back to, with the box and a [`ShardExit`] in its
+//! slot, when the loop ends. The box only changes hands through a slot
+//! at a context switch, so a run is a pure function of virtual time,
+//! whichever program executes which event.
 //!
 //! Sends are not delivered as they are made: they are staged, and the
 //! loop works in windows (see [`crate::kernel`]):

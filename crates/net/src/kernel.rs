@@ -215,30 +215,17 @@ struct InTransit<M> {
     nic: bool,
 }
 
-struct HeapEntry<M> {
+/// What the event heap orders: 24 bytes, whatever the message type.
+/// `(time, node, seq)` is unique, so `slot` — where the event waits in
+/// [`Kernel::slab`] — never decides an order.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct HeapKey {
     time: SimTime,
     /// Id of the node the event runs on: the first tiebreak.
     node: u32,
     /// Per-node schedule sequence: the second tiebreak.
     seq: u64,
-    event: Event<M>,
-}
-
-impl<M> PartialEq for HeapEntry<M> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.time, self.node, self.seq) == (other.time, other.node, other.seq)
-    }
-}
-impl<M> Eq for HeapEntry<M> {}
-impl<M> PartialOrd for HeapEntry<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for HeapEntry<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.node, self.seq).cmp(&(other.time, other.node, other.seq))
-    }
+    slot: u32,
 }
 
 /// What the kernel knows about one node's parked program.
@@ -276,7 +263,13 @@ impl<R> Default for AppSlot<R> {
 /// occupancy per node, and the per-link PRNG streams for jitter and
 /// fault injection. Per-node vectors are indexed by node id.
 pub struct Kernel<N: NodeBehavior + ?Sized> {
-    heap: BinaryHeap<Reverse<HeapEntry<N::Msg>>>,
+    heap: BinaryHeap<Reverse<HeapKey>>,
+    /// The scheduled events themselves, at the `slot` of their key: an
+    /// event moves in at `schedule` and out at `pop_in_window`, and the
+    /// heap sifts keys only. `free` lists the empty slots, so the slab
+    /// is as long as the most events ever outstanding at once.
+    slab: Vec<Option<Event<N::Msg>>>,
+    free: Vec<u32>,
     /// Per-node schedule sequence counters (heap tiebreak).
     next_seq: Vec<u64>,
     /// Per-node send sequence counters (admission tiebreak).
@@ -388,6 +381,8 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
         let faults_rng = link_streams(faults_on, model.faults.seed);
         let mut kernel = Kernel {
             heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             next_seq: vec![0; n],
             send_seq: vec![0; n],
             now: SimTime::ZERO,
@@ -489,14 +484,15 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
 
     /// Earliest pending event, if any.
     pub(crate) fn heap_min(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.time)
+        self.heap.peek().map(|Reverse(key)| key.time)
     }
 
     /// One-line description of the next event in the heap, for the
     /// progress watchdog's diagnostic dump.
     pub(crate) fn peek_summary(&self) -> Option<String> {
-        self.heap.peek().map(|Reverse(e)| {
-            let what = match &e.event {
+        self.heap.peek().map(|Reverse(key)| {
+            let event = self.slab[key.slot as usize].as_ref();
+            let what = match event.expect("a key in the heap has its event in the slab") {
                 Event::Deliver {
                     src,
                     dst,
@@ -513,7 +509,7 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
                 Event::Timer { node, token } => format!("Timer {node} token={token:#x}"),
                 Event::Fault { node, change } => format!("Fault {node} {change:?}"),
             };
-            format!("{what} at t={}", e.time)
+            format!("{what} at t={}", key.time)
         })
     }
 
@@ -548,11 +544,16 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
         }
         let seq = self.next_seq[l];
         self.next_seq[l] += 1;
-        self.heap.push(Reverse(HeapEntry {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slab.push(None);
+            u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 events outstanding")
+        });
+        self.slab[slot as usize] = Some(event);
+        self.heap.push(Reverse(HeapKey {
             time: at,
             node: node.0,
             seq,
-            event,
+            slot,
         }));
     }
 
@@ -567,17 +568,21 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
         if self.heap.peek()?.0.time >= self.window_end {
             return None;
         }
-        let Reverse(e) = self.heap.pop().expect("peeked above");
+        let Reverse(key) = self.heap.pop().expect("peeked above");
+        let event = self.slab[key.slot as usize]
+            .take()
+            .expect("a key in the heap has its event in the slab");
+        self.free.push(key.slot);
         self.events += 1;
-        match &e.event {
+        match &event {
             Event::Deliver { .. } | Event::Timer { .. } | Event::Fault { .. } => {
-                let popped = self.direct_min[e.node as usize].pop();
-                debug_assert_eq!(popped, Some(Reverse(e.time)));
+                let popped = self.direct_min[key.node as usize].pop();
+                debug_assert_eq!(popped, Some(Reverse(key.time)));
             }
             Event::Resume { .. } => {}
         }
-        self.now = e.time;
-        Some((e.time, e.event))
+        self.now = key.time;
+        Some((key.time, event))
     }
 
     /// Admit the messages staged during the window that just ended and
@@ -915,5 +920,104 @@ mod tests {
         assert_ne!(a, link_seed(1, 1, 0), "direction must matter");
         assert_ne!(a, link_seed(1, 0, 2), "destination must matter");
         assert_ne!(a, link_seed(2, 0, 1), "base seed must matter");
+    }
+
+    #[derive(Clone)]
+    struct NoMsg;
+    impl Payload for NoMsg {
+        fn wire_bytes(&self) -> usize {
+            0
+        }
+        fn kind(&self) -> &'static str {
+            "NoMsg"
+        }
+        fn kind_id(&self) -> KindId {
+            KindId(40)
+        }
+    }
+
+    /// Never run: the tests below drive the queue alone.
+    struct Idle;
+    impl NodeBehavior for Idle {
+        type Msg = NoMsg;
+        type Op = ();
+        type Reply = ();
+        fn on_message(&mut self, _: &mut Ctx<'_, Self>, _: NodeId, _: NoMsg) {}
+        fn on_op(&mut self, _: &mut Ctx<'_, Self>, _: ()) -> OpOutcome<()> {
+            OpOutcome::Blocked
+        }
+    }
+
+    fn idle_kernel(nnodes: u32) -> Kernel<Idle> {
+        let mut kernel = Kernel::new(nnodes, CostModel::lan_1992());
+        kernel.set_window_end(SimTime(u64::MAX));
+        kernel
+    }
+
+    fn timer(node: u32, token: u64) -> Event<NoMsg> {
+        let node = NodeId(node);
+        Event::Timer { node, token }
+    }
+
+    /// The free list hands a popped event's slot to the next one
+    /// scheduled: the slab is as long as the queue ever was, not as
+    /// long as the run.
+    #[test]
+    fn the_slab_is_bounded_by_the_events_outstanding_at_once() {
+        const K: u64 = 7;
+        let mut kernel = idle_kernel(4);
+        let mut rng = XorShift64::new(24);
+        let (mut outstanding, mut popped) = (0, 0);
+        for token in 0..10_000 {
+            if outstanding == K || (outstanding > 0 && rng.below(2) == 0) {
+                let (t, _) = kernel.pop_in_window().expect("events are outstanding");
+                assert_eq!(t, kernel.now());
+                outstanding -= 1;
+                popped += 1;
+            }
+            let at = kernel.now() + Dur::nanos(rng.below(50));
+            kernel.schedule(at, timer(rng.below(4) as u32, token));
+            outstanding += 1;
+            assert_eq!(kernel.heap_len() as u64, outstanding);
+        }
+        assert!(
+            popped > 1_000 && kernel.slab.len() as u64 <= K,
+            "{popped} pops, {} slots",
+            kernel.slab.len()
+        );
+        let held = kernel.slab.iter().flatten().count();
+        assert_eq!(
+            (held, held + kernel.free.len()),
+            (kernel.heap_len(), kernel.slab.len())
+        );
+    }
+
+    /// The heap orders keys exactly as it ordered whole entries: by
+    /// time, then node, then the order the node's events were scheduled
+    /// in. The token says which event came back with which key.
+    #[test]
+    fn events_pop_in_time_node_schedule_order() {
+        let mut kernel = idle_kernel(5);
+        let mut rng = XorShift64::new(0x5EED);
+        // Few distinct times and nodes, so most keys tie on both.
+        let mut due: Vec<(u64, u32)> = (0..2_000).map(|i| (i % 40, i as u32 % 5)).collect();
+        for i in (1..due.len()).rev() {
+            due.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let mut expected = Vec::new();
+        for (token, &(t, node)) in due.iter().enumerate() {
+            kernel.schedule(SimTime(t), timer(node, token as u64));
+            // `token` is also the per-node schedule order, being global.
+            expected.push((t, node, token as u64));
+        }
+        expected.sort_unstable();
+        let popped: Vec<_> = std::iter::from_fn(|| kernel.pop_in_window())
+            .map(|(t, event)| match event {
+                Event::Timer { node, token } => (t.0, node.0, token),
+                _ => unreachable!("only timers were scheduled"),
+            })
+            .collect();
+        assert_eq!(popped, expected);
+        assert_eq!(kernel.events, 2_000);
     }
 }

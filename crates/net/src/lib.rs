@@ -63,6 +63,7 @@ mod kernel;
 mod model;
 mod msg;
 mod nodeset;
+mod pagemap;
 mod reliable;
 mod rng;
 pub mod rt;
@@ -76,6 +77,7 @@ pub use kernel::{FaultNotice, NodeBehavior, OpOutcome};
 pub use model::{CostModel, CrashEvent, FaultPlan, PartitionEvent};
 pub use msg::{Envelope, NodeId, Payload};
 pub use nodeset::NodeSet;
+pub use pagemap::{PageHasher, PageMap, PageSet};
 pub use reliable::{wrap_fleet, RelConfig, RelMsg, Reliable, REL_TIMER_BIT};
 pub use rng::XorShift64;
 pub use rt::{SocketCore, SocketRt};

@@ -1,4 +1,5 @@
-//! Hash maps keyed by page numbers.
+//! Hash maps keyed by page numbers (`dsm-mem` re-exports them) and by
+//! the lock and barrier ids of `dsm-sync`, which sits below `dsm-mem`.
 //!
 //! Frame tables, directories and every per-page protocol table are
 //! looked up on the hot path of each access, fault and barrier — and a
@@ -19,7 +20,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 /// A `HashMap` for keys made of page numbers (and other small
 /// integers the program itself produces: interval sequence numbers,
-/// node ids). Build with `PageMap::default()`.
+/// node ids, lock and barrier ids). Build with `PageMap::default()`.
 pub type PageMap<K, V> = HashMap<K, V, BuildHasherDefault<PageHasher>>;
 
 /// The set counterpart of [`PageMap`].

@@ -230,6 +230,7 @@ impl Protocol for Erc {
         msg: ProtoMsg,
         events: &mut Vec<ProtoEvent>,
     ) {
+        let page_size = self.layout.geometry.page_size();
         match msg {
             ProtoMsg::FetchReq { page } => {
                 self.copyset.entry(page).or_default().insert(from);
@@ -249,6 +250,10 @@ impl Protocol for Erc {
                 }
                 events.push(ProtoEvent::PageReady(PageId(page)));
             }
+            // Diffs that do not fit a page are dropped unapplied and
+            // unacked, as a datagram that fails `decode` is.
+            ProtoMsg::DiffFlush { diffs, .. } | ProtoMsg::DiffApply { diffs, .. }
+                if !diffs.iter().all(|(_, d)| d.fits(page_size)) => {}
             ProtoMsg::DiffFlush { flush, diffs } => {
                 if self.home_flush(io, mem, from, flush, diffs) {
                     io.send(from, ProtoMsg::FlushAck { flush });

@@ -683,6 +683,9 @@ impl Protocol for Lrc {
         msg: ProtoMsg,
         events: &mut Vec<ProtoEvent>,
     ) {
+        // A diff is kept only if it lies inside a page: one that does not
+        // takes its message with it, as a datagram that fails `decode` does.
+        let page_size = self.layout.geometry.page_size();
         match msg {
             ProtoMsg::LrcPageReq { page, epoch } => {
                 if epoch > self.epoch {
@@ -723,6 +726,9 @@ impl Protocol for Lrc {
                 io.send(from, ProtoMsg::LrcDiffRep { page, diffs });
             }
             ProtoMsg::LrcDiffRep { page, diffs } => {
+                if !diffs.iter().all(|(_, d)| d.fits(page_size)) {
+                    return;
+                }
                 let pend = self.pending.get_mut(&page).expect("unsolicited diffs");
                 pend.diffs.extend(diffs);
                 pend.awaiting -= 1;
@@ -733,6 +739,9 @@ impl Protocol for Lrc {
                 // Buffer only — the causal application order arrives
                 // with the barrier release.
                 debug_assert!(self.gc);
+                if !diffs.iter().all(|(.., d)| d.fits(page_size)) {
+                    return; // unacked
+                }
                 for (id, page, d) in diffs {
                     debug_assert_eq!(self.home_of(page), self.me);
                     self.resident_flushed += flushed_diff_bytes(&d);

@@ -11,14 +11,14 @@
 
 use dsm_core::CoreMsg;
 use dsm_mem::{
-    GlobalAddr, IntervalId, IntervalRecord, NodeSet, PageDiff, PageId, VClock, VClockDelta,
-    WireIntervalRecord,
+    FrameTable, GlobalAddr, IntervalId, IntervalRecord, NodeSet, PageDiff, PageGeometry, PageId,
+    Placement, SpaceLayout, VClock, VClockDelta, WireIntervalRecord,
 };
 use dsm_net::{
-    from_wire_bytes, to_wire_bytes, KindId, NodeId, Payload, RelMsg, Wire, WireReader, XorShift64,
-    MAX_KINDS,
+    from_wire_bytes, to_wire_bytes, CostModel, KindId, NodeId, Payload, RelMsg, Wire, WireReader,
+    XorShift64, MAX_KINDS,
 };
-use dsm_proto::{Piggy, ProtoMsg};
+use dsm_proto::{Erc, Lrc, Piggy, ProtoEvent, ProtoIo, ProtoMsg, Protocol};
 use dsm_sync::{SyncEnvelope, SyncMsg, SyncPiggy};
 use std::fmt::Debug;
 use std::sync::Arc;
@@ -651,6 +651,134 @@ fn clock_entries_outside_the_base_are_refused() {
             );
         }
     }
+}
+
+// The crate's one fake `ProtoIo`, by path as in `protocol_units.rs`.
+#[path = "../src/fake_io.rs"]
+mod fake_io;
+
+/// One node of a two-node fleet over four 64-byte pages (page 0 homed
+/// at node 0), driven by hand.
+struct Node<P> {
+    proto: P,
+    mem: FrameTable,
+    io: fake_io::FakeIo,
+    events: Vec<ProtoEvent>,
+}
+
+const PAGE: usize = 64;
+
+impl<P: Protocol> Node<P> {
+    fn new(me: u32, new: fn(NodeId, SpaceLayout) -> P) -> Self {
+        let geometry = PageGeometry::new(PAGE);
+        let layout = SpaceLayout::new(geometry, 4 * PAGE, Placement::Cyclic, 2);
+        let mut node = Node {
+            proto: new(NodeId(me), layout),
+            mem: FrameTable::new(geometry),
+            io: fake_io::FakeIo::new(CostModel::lan_1992()),
+            events: Vec::new(),
+        };
+        node.proto.on_start(&mut node.io, &mut node.mem);
+        node
+    }
+
+    /// Hand this node `msg` as `from`'s, and return what it sent back.
+    fn deliver(&mut self, from: u32, msg: ProtoMsg) -> Vec<ProtoMsg> {
+        let (io, mem) = (&mut self.io, &mut self.mem);
+        self.proto
+            .on_message(io, mem, NodeId(from), msg, &mut self.events);
+        self.io.sent.drain(..).map(|(_, msg)| msg).collect()
+    }
+
+    fn byte0(&self, page: usize) -> Option<u8> {
+        self.mem.page_bytes(PageId(page)).map(|bytes| bytes[0])
+    }
+}
+
+/// Node 1 faults page 0 writable, its home (node 0) serving it, and
+/// stores `byte` at its start.
+fn write_page0<P: Protocol>(home: &mut Node<P>, writer: &mut Node<P>, byte: u8) {
+    if !writer
+        .proto
+        .write_fault(&mut writer.io, &mut writer.mem, PageId(0))
+    {
+        let req = writer.io.sent.pop().expect("a page request").1;
+        let rep = home.deliver(1, req).pop().expect("the page");
+        writer.deliver(0, rep);
+    }
+    writer.mem.page_bytes_mut(PageId(0)).expect("faulted in")[0] = byte;
+}
+
+/// `msg` as it would decode from a datagram whose last diff run — one
+/// byte, the store above, which ends the encoding — claims `offset`.
+fn with_run_at(msg: &ProtoMsg, offset: u32) -> ProtoMsg {
+    let mut bytes = to_wire_bytes(msg);
+    let run = bytes.len() - 13; // runs: u32 = 1, offset: u32, len: u32 = 1, the byte
+    assert_eq!(bytes[run..run + 4], 1u32.to_le_bytes());
+    assert_eq!(bytes[run + 4..run + 12], [0, 0, 0, 0, 1, 0, 0, 0]);
+    bytes[run + 4..run + 8].copy_from_slice(&offset.to_le_bytes());
+    from_wire_bytes(&bytes).expect("`decode` cannot know the page size")
+}
+
+/// The three messages that carry diffs between cluster-capable nodes,
+/// each with a run at `offset`: the receiver must drop it — no panic,
+/// no byte stored, no ack, nothing resumed — and still take the real one.
+fn a_diff_outside_the_page_is_dropped(offset: u32) {
+    // `LrcDiffRep`: node 1 writes page 0 under lock 1, node 0 acquires
+    // the lock after it and faults on the write notice.
+    let (mut a, mut b) = (Node::new(0, Lrc::new), Node::new(1, Lrc::new));
+    write_page0(&mut a, &mut b, 7);
+    assert!(b.proto.pre_release(&mut b.io, &mut b.mem, Some(1)));
+    let req = a.proto.acquire_reqinfo(&mut a.mem, 1);
+    let grant = b
+        .proto
+        .grant_piggy(&mut b.io, &mut b.mem, 1, NodeId(0), &req);
+    a.proto.on_acquired(&mut a.io, &mut a.mem, 1, grant);
+    let (ready, _) = a
+        .proto
+        .read_fault_batch(&mut a.io, &mut a.mem, &[PageId(0)]);
+    assert!(!ready);
+    let req = a.io.sent.pop().expect("a diff request").1;
+    let rep = b.deliver(0, req).pop().expect("the diff");
+    assert!(matches!(rep, ProtoMsg::LrcDiffRep { .. }));
+    assert!(a.deliver(1, with_run_at(&rep, offset)).is_empty());
+    assert!(a.events.is_empty() && a.byte0(0) == Some(0));
+    a.deliver(1, rep);
+    assert!(a.events == [ProtoEvent::PageReady(PageId(0))] && a.byte0(0) == Some(7));
+
+    // `LrcFlush`: node 1 writes page 0 and departs for a barrier.
+    let (mut a, mut b) = (Node::new(0, Lrc::new), Node::new(1, Lrc::new));
+    write_page0(&mut a, &mut b, 7);
+    assert!(!b.proto.pre_release(&mut b.io, &mut b.mem, None));
+    let flush = b.io.sent.pop().expect("a flush").1;
+    assert!(matches!(flush, ProtoMsg::LrcFlush { .. }));
+    assert!(a.deliver(1, with_run_at(&flush, offset)).is_empty());
+    assert_eq!(a.deliver(1, flush), [ProtoMsg::LrcFlushAck]);
+
+    // `DiffFlush`: the same under eager release consistency, where the
+    // home applies the diff on arrival.
+    let (mut a, mut b) = (Node::new(0, Erc::new), Node::new(1, Erc::new));
+    write_page0(&mut a, &mut b, 7);
+    assert!(!b.proto.pre_release(&mut b.io, &mut b.mem, None));
+    let flush = b.io.sent.pop().expect("a flush").1;
+    assert!(matches!(flush, ProtoMsg::DiffFlush { .. }));
+    assert!(a.deliver(1, with_run_at(&flush, offset)).is_empty());
+    assert_eq!(a.byte0(0), Some(0));
+    let acks = a.deliver(1, flush);
+    assert!(matches!(acks[..], [ProtoMsg::FlushAck { .. }]) && a.byte0(0) == Some(7));
+}
+
+/// A diff's offsets and lengths are whatever the datagram said, and
+/// used to index the page unchecked: a run one past the last byte …
+#[test]
+fn a_diff_run_starting_at_the_page_end_is_refused() {
+    a_diff_outside_the_page_is_dropped(PAGE as u32);
+}
+
+/// … and one whose `offset + len` wraps a `u32` back inside the page.
+#[test]
+fn a_diff_run_wrapping_u32_is_refused() {
+    a_diff_outside_the_page_is_dropped(u32::MAX);
 }
 
 /// A datagram of nothing but nested envelopes must be refused before

@@ -6,8 +6,8 @@
 //! payloads flow back down with the release.
 
 use crate::msg::{BarrierId, SyncEnvelope, SyncHost, SyncMsg, SyncPiggy};
-use dsm_net::{NodeId, NodeSet};
-use std::collections::{BTreeSet, HashMap};
+use dsm_net::{NodeId, NodeSet, PageMap};
+use std::collections::BTreeSet;
 
 /// Barrier topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,7 +86,7 @@ pub struct BarrierEngine<P> {
     /// Arrivals a crash-free episode gathers here: the size of this
     /// node's subtree, fixed by the topology.
     expected: usize,
-    state: HashMap<BarrierId, PerBarrier<P>>,
+    state: PageMap<BarrierId, PerBarrier<P>>,
     /// Peers permanently dead, per the runtime's fault notices.
     down: BTreeSet<u32>,
     /// Root only: every episode id ever released. O(#episodes) — the
@@ -113,7 +113,7 @@ impl<P: SyncPiggy> BarrierEngine<P> {
             me,
             nnodes,
             expected: Self::subtree_size(arity, nnodes, me) as usize,
-            state: HashMap::new(),
+            state: PageMap::default(),
             down: BTreeSet::new(),
             released: BTreeSet::new(),
             crashed_ever: BTreeSet::new(),

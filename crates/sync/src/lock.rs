@@ -19,8 +19,8 @@
 //! computed by the coherence layer at grant time).
 
 use crate::msg::{LockId, SyncHost, SyncMsg, SyncPiggy};
-use dsm_net::NodeId;
-use std::collections::{HashMap, VecDeque};
+use dsm_net::{NodeId, PageMap};
+use std::collections::VecDeque;
 
 /// Which mutual-exclusion algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,7 +77,7 @@ impl<P> Default for PerLock<P> {
 #[derive(Debug)]
 pub struct LockEngine<P> {
     kind: LockKind,
-    locks: HashMap<LockId, PerLock<P>>,
+    locks: PageMap<LockId, PerLock<P>>,
     me: NodeId,
     nnodes: u32,
 }
@@ -86,7 +86,7 @@ impl<P: SyncPiggy> LockEngine<P> {
     pub fn new(kind: LockKind, me: NodeId, nnodes: u32) -> Self {
         LockEngine {
             kind,
-            locks: HashMap::new(),
+            locks: PageMap::default(),
             me,
             nnodes,
         }
