@@ -9,6 +9,10 @@
 //! learns of intervals it hasn't seen and invalidates the noticed
 //! pages; the *diffs* for those pages are fetched lazily on the next
 //! access fault.
+//!
+//! A record is immutable once closed, so its clock and page list are
+//! shared, not copied: the creator's log, every grant that carries the
+//! record and every receiver's log hold the same two allocations.
 
 use crate::addr::PageId;
 use crate::causal::VClockDelta;
@@ -43,15 +47,16 @@ impl Wire for IntervalId {
     }
 }
 
-/// A closed interval: what the releaser tells the acquirer.
+/// A closed interval: what the releaser tells the acquirer. Cloning one
+/// costs two reference counts.
 #[derive(Debug, Clone)]
 pub struct IntervalRecord {
     pub id: IntervalId,
     /// Vector time of the interval (component `id.node` equals
     /// `id.seq`; other components capture what the creator had seen).
-    pub vc: VClock,
+    pub vc: Arc<VClock>,
     /// Pages written during the interval (the write notices).
-    pub pages: Vec<PageId>,
+    pub pages: Arc<[PageId]>,
 }
 
 impl IntervalRecord {
@@ -63,12 +68,13 @@ impl IntervalRecord {
 
 /// Wire form of an [`IntervalRecord`]: the clock travels as a
 /// [`VClockDelta`] against the sender's barrier floor, so in the
-/// steady state a record costs a few entries instead of `N × u32`.
+/// steady state a record costs a few entries instead of `N × u32`. In
+/// memory it shares the record's clock and page list.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireIntervalRecord {
     pub id: IntervalId,
     pub vc: VClockDelta,
-    pub pages: Vec<PageId>,
+    pub pages: Arc<[PageId]>,
 }
 
 impl WireIntervalRecord {
@@ -78,16 +84,16 @@ impl WireIntervalRecord {
         WireIntervalRecord {
             id: rec.id,
             vc: VClockDelta::against(&rec.vc, base),
-            pages: rec.pages.clone(),
+            pages: Arc::clone(&rec.pages),
         }
     }
 
-    /// Reconstruct the full record.
+    /// The record this stands for, sharing its clock and page list.
     pub fn expand(&self) -> IntervalRecord {
         IntervalRecord {
             id: self.id,
-            vc: self.vc.expand(),
-            pages: self.pages.clone(),
+            vc: Arc::clone(self.vc.clock()),
+            pages: Arc::clone(&self.pages),
         }
     }
 
@@ -108,7 +114,7 @@ impl Wire for WireIntervalRecord {
         Some(WireIntervalRecord {
             id: IntervalId::decode(r)?,
             vc: VClockDelta::decode(r)?,
-            pages: Vec::<PageId>::decode(r)?,
+            pages: Arc::<[PageId]>::decode(r)?,
         })
     }
 }
@@ -129,9 +135,26 @@ mod tests {
     fn record_wire_size() {
         let rec = IntervalRecord {
             id: IntervalId::new(NodeId(2), 1),
-            vc: VClock::new(4),
-            pages: vec![PageId(1), PageId(9)],
+            vc: Arc::new(VClock::new(4)),
+            pages: vec![PageId(1), PageId(9)].into(),
         };
         assert_eq!(rec.wire_bytes(), 16 + 8 + 8);
+    }
+
+    /// Compressing a record and expanding it again copies neither its
+    /// clock nor its page list.
+    #[test]
+    fn the_wire_form_shares_the_record() {
+        let mut vc = VClock::new(4);
+        vc.set(2, 3);
+        let rec = IntervalRecord {
+            id: IntervalId::new(NodeId(2), 3),
+            vc: Arc::new(vc),
+            pages: vec![PageId(4)].into(),
+        };
+        let wire = WireIntervalRecord::against(&rec, &Arc::new(VClock::new(4)));
+        assert_eq!((wire.vc.len(), wire.wire_bytes()), (1, 8 + 16 + 4));
+        let back = wire.expand();
+        assert!(Arc::ptr_eq(&back.vc, &rec.vc) && Arc::ptr_eq(&back.pages, &rec.pages));
     }
 }

@@ -51,9 +51,12 @@ impl SpaceLayout {
         self.total_pages * self.geometry.page_size()
     }
 
-    /// Is the byte range within the space?
+    /// Is the byte range within the space? A range whose end does not
+    /// fit a `usize` is not.
     pub fn in_bounds(&self, addr: GlobalAddr, len: usize) -> bool {
-        addr.0 + len <= self.total_bytes()
+        addr.0
+            .checked_add(len)
+            .is_some_and(|end| end <= self.total_bytes())
     }
 
     /// The home node of `page`.
@@ -114,5 +117,7 @@ mod tests {
         assert_eq!(l.total_pages, 4);
         assert!(l.in_bounds(GlobalAddr(0), 1024));
         assert!(!l.in_bounds(GlobalAddr(1), 1024));
+        assert!(!l.in_bounds(GlobalAddr(usize::MAX - 3), 8));
+        assert!(!l.in_bounds(GlobalAddr(usize::MAX), 1));
     }
 }

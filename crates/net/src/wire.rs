@@ -274,6 +274,17 @@ impl<T: Wire> Wire for Box<T> {
     }
 }
 
+/// A value several in-memory messages share (a diff served to two
+/// requesters): nothing extra on the wire.
+impl<T: Wire> Wire for std::sync::Arc<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (**self).encode(out);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+        T::decode(r).map(std::sync::Arc::new)
+    }
+}
+
 impl<T: Wire> Wire for Option<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -449,6 +460,10 @@ mod tests {
         round_trip((1u32, 2u64, vec![3u8]));
         round_trip(vec![(0usize, Some(vec![9u8].into_boxed_slice()))]);
         round_trip(std::sync::Arc::<[(u32, u64)]>::from(vec![(1, 2), (3, 4)]));
+        // Shared or boxed, a value is its own bytes.
+        let shared = std::sync::Arc::new((7u32, vec![1u8, 2]));
+        assert_eq!(to_wire_bytes(&shared), to_wire_bytes(&*shared));
+        round_trip(shared);
     }
 
     #[test]

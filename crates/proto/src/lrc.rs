@@ -44,9 +44,13 @@
 //!
 //! None of the bookkeeping below is visible to the protocol, and each
 //! step is sized by what it sends or receives, not by how long the run
-//! has been going. The interval log is ordered by `(creator, seq)`, so
-//! "what does this acquirer lack" is one range per creator, already in
-//! wire order; the resident-metadata gauge is a running counter kept
+//! has been going. The interval log is one contiguous run of sequence
+//! numbers per creator ([`IntervalLog`]), so "what does this acquirer
+//! lack" is one slice per creator, already in wire order, and a record
+//! is found by indexing; clocks, interval records and diffs are
+//! immutable once made and shared by reference, so a grant, a barrier
+//! arrival or a diff reply costs reference counts, not copies; the
+//! resident-metadata gauge is a running counter kept
 //! at the sites that change the four tables it sums (the full
 //! recompute survives as a debug assertion); a page's causal write
 //! order is a chain-head topological selection
@@ -71,7 +75,6 @@ use dsm_mem::{
 use dsm_net::NodeId;
 use dsm_sync::{LockId, SyncEnvelope};
 use std::collections::BTreeMap;
-use std::ops::Bound;
 use std::sync::Arc;
 
 /// One in-flight local fault.
@@ -81,9 +84,77 @@ struct LrcPending {
     /// Reply messages still expected (diff batches + optional full page).
     awaiting: u32,
     /// Diffs collected so far, to be applied causally once complete.
-    diffs: Vec<(IntervalId, PageDiff)>,
+    diffs: Vec<(IntervalId, Arc<PageDiff>)>,
     /// Full page image, if one was requested.
     full: Option<Box<[u8]>>,
+}
+
+/// One creator's logged records: `recs[i]` has sequence number
+/// `first + i`.
+struct Run {
+    first: u32,
+    recs: Vec<IntervalRecord>,
+}
+
+/// The interval log: every live record a node knows, one contiguous run
+/// of sequence numbers per creator. A node learns a creator's records
+/// in order and without gaps — a grant carries everything above the
+/// acquirer's clock, a deposit everything the depositor holds, and a
+/// record already held or below the floor is skipped — so "does the log
+/// hold `id`", "which record is `id`" and "what comes after `seq`" are
+/// a lookup and an index. The runs sit in a sparse map: a creator has
+/// an entry from its first record on, and an epoch of a wide fleet
+/// hears of few creators.
+#[derive(Default)]
+struct IntervalLog {
+    runs: PageMap<u32, Run>,
+}
+
+impl IntervalLog {
+    /// The record `id`, if logged.
+    fn get(&self, id: IntervalId) -> Option<&IntervalRecord> {
+        let run = self.runs.get(&id.node.0)?;
+        run.recs.get(id.seq.checked_sub(run.first)? as usize)
+    }
+
+    /// `creator`'s records with a sequence number above `seq`,
+    /// ascending.
+    fn after(&self, creator: NodeId, seq: u32) -> &[IntervalRecord] {
+        self.runs.get(&creator.0).map_or(&[], |run| {
+            let skip = seq.saturating_add(1).saturating_sub(run.first) as usize;
+            &run.recs[skip.min(run.recs.len())..]
+        })
+    }
+
+    /// Log `rec`, the next record of its creator or the first.
+    fn push(&mut self, rec: IntervalRecord) {
+        let (creator, seq) = (rec.id.node, rec.id.seq);
+        let run = self.runs.entry(creator.0).or_insert_with(|| Run {
+            first: seq,
+            recs: Vec::new(),
+        });
+        debug_assert_eq!(
+            run.first as usize + run.recs.len(),
+            seq as usize,
+            "a gap in {creator}'s records"
+        );
+        run.recs.push(rec);
+    }
+
+    /// Every record in id order: creators ascending, each in sequence.
+    fn values(&self) -> impl Iterator<Item = &IntervalRecord> {
+        let mut creators: Vec<u32> = self.runs.keys().copied().collect();
+        creators.sort_unstable();
+        creators.into_iter().flat_map(|c| &self.runs[&c].recs)
+    }
+
+    fn len(&self) -> usize {
+        self.runs.values().map(|run| run.recs.len()).sum()
+    }
+
+    fn clear(&mut self) {
+        self.runs.clear();
+    }
 }
 
 /// LRC protocol state for one node.
@@ -96,13 +167,12 @@ pub struct Lrc {
     time: CausalTime,
     /// Twins of pages dirtied in the current (open) interval.
     twins: PageMap<usize, Box<[u8]>>,
-    /// Diffs of this node's own closed intervals: (page, seq) → diff.
-    my_diffs: PageMap<(usize, u32), PageDiff>,
+    /// Diffs of this node's own closed intervals: (page, seq) → diff,
+    /// shared with every reply and flush that carries it.
+    my_diffs: PageMap<(usize, u32), Arc<PageDiff>>,
     /// Every live interval record this node knows (its own and
-    /// received), ordered by creator then sequence number: one
-    /// creator's records are a contiguous range, in wire order. With GC
-    /// on, this empties at every barrier.
-    log: BTreeMap<IntervalId, IntervalRecord>,
+    /// received). With GC on, this empties at every barrier.
+    log: IntervalLog,
     /// Unapplied write notices per page.
     missing: PageMap<usize, Vec<IntervalId>>,
     /// In-flight local faults by page. Several read faults coexist when
@@ -114,7 +184,7 @@ pub struct Lrc {
     gc: bool,
     /// Home-side: epoch diffs flushed here by departing writers,
     /// buffered unapplied until the release delivers the causal order.
-    flushed: PageMap<(IntervalId, usize), PageDiff>,
+    flushed: PageMap<(IntervalId, usize), Arc<PageDiff>>,
     /// Modeled bytes held in `log`, `my_diffs` and `missing` — what a GC
     /// barrier retires wholesale — kept current at every site that
     /// changes one of them.
@@ -150,7 +220,7 @@ impl Lrc {
             time: CausalTime::new(nnodes as usize),
             twins: PageMap::default(),
             my_diffs: PageMap::default(),
-            log: BTreeMap::new(),
+            log: IntervalLog::default(),
             missing: PageMap::default(),
             pending: PageMap::default(),
             gc,
@@ -203,8 +273,8 @@ impl Lrc {
     /// What [`Lrc::resident_bytes`] counts, summed from the tables.
     fn recount_resident_bytes(&self) -> u64 {
         let recs: u64 = self.log.values().map(|r| r.wire_bytes() as u64).sum();
-        let diffs: u64 = self.my_diffs.values().map(own_diff_bytes).sum();
-        let buffered: u64 = self.flushed.values().map(flushed_diff_bytes).sum();
+        let diffs: u64 = self.my_diffs.values().map(|d| own_diff_bytes(d)).sum();
+        let buffered: u64 = self.flushed.values().map(|d| flushed_diff_bytes(d)).sum();
         let notices: u64 = self
             .missing
             .values()
@@ -222,7 +292,7 @@ impl Lrc {
     /// floor were retired by GC (or are provably held by everyone in
     /// the non-GC scheme) — both count as seen.
     fn seen(&self, id: IntervalId) -> bool {
-        id.seq <= self.time.floor().get(id.node.index()) || self.log.contains_key(&id)
+        id.seq <= self.time.floor().get(id.node.index()) || self.log.get(id).is_some()
     }
 
     /// Close the current interval if this node has written anything.
@@ -238,29 +308,29 @@ impl Lrc {
             let diff = PageDiff::create(&twin, cur);
             mem.set_access(PageId(page), Access::Read);
             self.resident_epoch += own_diff_bytes(&diff);
-            self.my_diffs.insert((page, seq), diff);
+            self.my_diffs.insert((page, seq), Arc::new(diff));
             pages.push(PageId(page));
         }
         pages.sort();
-        let id = IntervalId::new(self.me, seq);
+        // The record shares the clock until the clock next moves.
         let rec = IntervalRecord {
-            id,
-            vc: self.time.now().clone(),
-            pages,
+            id: IntervalId::new(self.me, seq),
+            vc: Arc::clone(self.time.now()),
+            pages: pages.into(),
         };
         self.resident_epoch += rec.wire_bytes() as u64;
-        self.log.insert(id, rec);
+        self.log.push(rec);
     }
 
     /// Ingest interval records received with a grant or barrier
-    /// release: log them, advance the clock, and invalidate noticed
-    /// pages.
+    /// release: log them (sharing what arrived), advance the clock, and
+    /// invalidate noticed pages.
     fn ingest(&mut self, mem: &mut FrameTable, records: &[WireIntervalRecord]) {
         for wire in records {
             // Already-known (a centralized lock server deposits the
             // releaser's full set, which can come straight back) and
             // GC-retired records (a deposit granted across a barrier)
-            // are both common; skip before expanding or asserting.
+            // are both common; skip before logging or asserting.
             if self.seen(wire.id) {
                 continue;
             }
@@ -270,7 +340,7 @@ impl Lrc {
                 "an unknown own record cannot exist elsewhere"
             );
             self.time.join(&rec.vc);
-            for page in &rec.pages {
+            for page in rec.pages.iter() {
                 // The page's entry now costs one notice more (and its
                 // header, if this is its first).
                 let ids = self.missing.entry(page.0).or_default();
@@ -285,34 +355,28 @@ impl Lrc {
                 mem.invalidate(*page);
             }
             self.resident_epoch += rec.wire_bytes() as u64;
-            self.log.insert(rec.id, rec);
+            self.log.push(rec);
         }
-    }
-
-    /// This creator's records in `log` with a sequence number above
-    /// `seq`, ascending.
-    fn records_after(
-        log: &BTreeMap<IntervalId, IntervalRecord>,
-        creator: NodeId,
-        seq: u32,
-    ) -> impl Iterator<Item = &IntervalRecord> {
-        let after = Bound::Excluded(IntervalId::new(creator, seq));
-        let last = Bound::Included(IntervalId::new(creator, u32::MAX));
-        log.range((after, last)).map(|(_, r)| r)
     }
 
     /// Records in our log the holder of `their_vt` has not seen, in id
-    /// order: one range of the log per creator.
-    fn records_missing_for(&self, their_vt: &VClock) -> Vec<&IntervalRecord> {
-        let mut recs = Vec::new();
-        for creator in 0..self.nnodes as usize {
-            // Every logged record was joined into our clock, so a
-            // creator they have seen as far as we have has nothing.
-            let have = their_vt.get(creator);
-            if have < self.time.now().get(creator) {
-                recs.extend(Self::records_after(&self.log, NodeId(creator as u32), have));
-            }
-        }
+    /// order and wire-encoded against our floor: the tail of one run
+    /// per creator, written into a payload sized for them.
+    fn records_missing_for(&self, their_vt: &VClock) -> Vec<WireIntervalRecord> {
+        let now = self.time.now();
+        // Every logged record was joined into our clock, so a creator
+        // they have seen as far as we have has nothing.
+        let tails = || {
+            let behind = (0..self.nnodes as usize).filter(|&c| their_vt.get(c) < now.get(c));
+            behind.map(|c| self.log.after(NodeId(c as u32), their_vt.get(c)))
+        };
+        let mut recs = Vec::with_capacity(tails().map(<[_]>::len).sum());
+        let floor = self.time.floor();
+        recs.extend(
+            tails()
+                .flatten()
+                .map(|r| WireIntervalRecord::against(r, floor)),
+        );
         recs
     }
 
@@ -420,13 +484,15 @@ impl Lrc {
             // still need their diffs.
             // Pick a causally maximal notice (domination is a partial
             // order, so scan rather than sort).
+            let log = &self.log;
+            let vc = |id: IntervalId| &log.get(id).expect("noticed interval logged").vc;
             let mut latest = notices[0];
-            for id in &notices[1..] {
-                if self.log[id].vc.dominates(&self.log[&latest].vc) {
-                    latest = *id;
+            for &id in &notices[1..] {
+                if vc(id).dominates(vc(latest)) {
+                    latest = id;
                 }
             }
-            let latest_vc = self.log[&latest].vc.clone();
+            let latest_vc = vc(latest);
             io.send(
                 latest.node,
                 ProtoMsg::LrcPageReq {
@@ -440,8 +506,7 @@ impl Lrc {
                 if id == latest {
                     continue;
                 }
-                let vc = &self.log[&id].vc;
-                if latest_vc.dominates(vc) {
+                if latest_vc.dominates(vc(id)) {
                     continue; // covered by the full copy
                 }
                 by_creator.entry(id.node).or_default().push(id);
@@ -501,7 +566,12 @@ impl Lrc {
         let stamped: Vec<(IntervalId, &VClock)> = pend
             .diffs
             .iter()
-            .map(|(id, _)| (*id, &self.log[id].vc))
+            .map(|(id, _)| {
+                (
+                    *id,
+                    &*self.log.get(*id).expect("fetched interval logged").vc,
+                )
+            })
             .collect();
         let order = Self::causal_order(&stamped);
         {
@@ -709,18 +779,14 @@ impl Protocol for Lrc {
                 self.maybe_complete(mem, page, events);
             }
             ProtoMsg::LrcDiffReq { page, ids } => {
-                let diffs: Vec<(IntervalId, PageDiff)> = ids
+                let diffs = ids
                     .into_iter()
                     .map(|id| {
                         debug_assert_eq!(id.node, self.me);
-                        let d = self
-                            .my_diffs
-                            .get(&(page, id.seq))
-                            .unwrap_or_else(|| {
-                                panic!("{} has no diff for p{page}@{:?}", self.me, id)
-                            })
-                            .clone();
-                        (id, d)
+                        let d = self.my_diffs.get(&(page, id.seq)).unwrap_or_else(|| {
+                            panic!("{} has no diff for p{page}@{:?}", self.me, id)
+                        });
+                        (id, Arc::clone(d))
                     })
                     .collect();
                 io.send(from, ProtoMsg::LrcDiffRep { page, diffs });
@@ -783,14 +849,15 @@ impl Protocol for Lrc {
         // epoch's diffs for its pages — the barrier itself then carries
         // pure metadata. Locally-homed diffs never travel: their bytes
         // are already where they belong.
-        let mut by_home: BTreeMap<NodeId, Vec<(IntervalId, usize, PageDiff)>> = BTreeMap::new();
+        let mut by_home: BTreeMap<NodeId, Vec<(IntervalId, usize, Arc<PageDiff>)>> =
+            BTreeMap::new();
         for (&(page, seq), d) in &self.my_diffs {
             let home = self.home_of(page);
             if home != self.me {
                 by_home.entry(home).or_default().push((
                     IntervalId::new(self.me, seq),
                     page,
-                    d.clone(),
+                    Arc::clone(d),
                 ));
             }
         }
@@ -817,8 +884,7 @@ impl Protocol for Lrc {
     ) -> Piggy {
         match reqinfo {
             Piggy::LrcClock(their_vt) => {
-                let recs = self.records_missing_for(&their_vt.expand());
-                Piggy::LrcIntervals(self.compress_floor(recs))
+                Piggy::LrcIntervals(self.records_missing_for(their_vt.clock()))
             }
             Piggy::None => {
                 // No clock available (e.g. a centralized server grant on
@@ -865,7 +931,7 @@ impl Protocol for Lrc {
         // everyone holds everything older.
         self.sample_peak();
         let floor_me = self.time.floor().get(self.me.index());
-        let records = self.compress_floor(Self::records_after(&self.log, self.me, floor_me));
+        let records = self.compress_floor(self.log.after(self.me, floor_me));
         let vt = self.time.encode_now();
         // Same metadata-only arrival in both modes: with GC, the
         // epoch's diff bytes already went point-to-point to their homes
@@ -886,14 +952,13 @@ impl Protocol for Lrc {
             // clock), then hand each node exactly what its clock says
             // it lacks, in id order.
             let mut pool: BTreeMap<IntervalId, IntervalRecord> = BTreeMap::new();
-            let mut clocks: BTreeMap<NodeId, VClock> = BTreeMap::new();
+            let mut clocks: BTreeMap<NodeId, Arc<VClock>> = BTreeMap::new();
             for env in arrivals {
                 match env.payload {
                     Piggy::LrcBarrier { vt, records } => {
-                        clocks.insert(env.node, vt.expand());
+                        clocks.insert(env.node, Arc::clone(vt.clock()));
                         for r in records {
-                            let rec = r.expand();
-                            pool.insert(rec.id, rec);
+                            pool.insert(r.id, r.expand());
                         }
                     }
                     other => panic!("lrc barrier arrival with {other:?}"),
@@ -928,7 +993,7 @@ impl Protocol for Lrc {
                     vt.join_into(&mut new_vt);
                     for r in recs {
                         let rec = r.expand();
-                        for pg in &rec.pages {
+                        for pg in rec.pages.iter() {
                             writers.entry(pg.0).or_default().push(records.len());
                         }
                         records.push(rec);
@@ -947,7 +1012,7 @@ impl Protocol for Lrc {
         for (page, recs) in writers {
             let stamped: Vec<(IntervalId, &VClock)> = recs
                 .iter()
-                .map(|&r| (records[r].id, &records[r].vc))
+                .map(|&r| (records[r].id, &*records[r].vc))
                 .collect();
             let first = stamped[0].0.node;
             let sole = stamped
@@ -969,7 +1034,7 @@ impl Protocol for Lrc {
             }
         }
         // One epoch clock and one written set, ascending by page, for every release.
-        let vt = self.time.encode(&new_vt);
+        let vt = self.time.encode(&Arc::new(new_vt));
         let written: Arc<[_]> = written.into();
         homed
             .into_iter()
@@ -1002,7 +1067,7 @@ impl Protocol for Lrc {
                 vt, homed, written, ..
             } => {
                 debug_assert!(self.gc, "non-gc barrier released a gc payload");
-                let new_vt = vt.expand();
+                let new_vt = vt.clock();
                 self.sample_peak();
                 // Apply the epoch's writes to our home pages, in the
                 // causal order the root computed. No bytes rode the
@@ -1064,8 +1129,8 @@ impl Protocol for Lrc {
                 self.my_diffs.clear();
                 self.missing.clear();
                 self.resident_epoch = 0;
-                self.time.set_now(new_vt);
-                self.time.advance_floor();
+                // The root's one epoch clock becomes ours and our floor.
+                self.time.install_epoch(new_vt);
                 self.epoch += 1;
                 // Serve page requests from nodes that outran this
                 // release: our home pages now hold the epoch image.
@@ -1097,6 +1162,7 @@ mod tests {
     use std::cell::Cell;
     use std::cmp::Ordering;
     use std::collections::{BTreeSet, HashMap};
+    use std::ops::Bound;
 
     thread_local! {
         /// Calls of [`happens_before`] on this thread: pins
@@ -1641,5 +1707,222 @@ mod tests {
             dropped_sole > 50 && dropped_shared > 50 && kept_own > 50,
             "{dropped_sole} / {dropped_shared} / {kept_own}"
         );
+    }
+
+    // ---- the interval log ----
+
+    /// One node of a random history: its clock and floor, its log, and
+    /// the ordered map the log replaced, fed the same records.
+    struct LogModel {
+        vt: VClock,
+        floor: VClock,
+        log: IntervalLog,
+        oracle: BTreeMap<IntervalId, IntervalRecord>,
+    }
+
+    impl LogModel {
+        /// What `Lrc::ingest` does with records: skip those retired or
+        /// held, log and join the rest.
+        fn ingest(&mut self, recs: &[IntervalRecord]) -> usize {
+            let mut logged = 0;
+            for r in recs {
+                let held = self.oracle.contains_key(&r.id);
+                if r.id.seq <= self.floor.get(r.id.node.index()) || held {
+                    continue;
+                }
+                self.vt.join(&r.vc);
+                self.log.push(r.clone());
+                self.oracle.insert(r.id, r.clone());
+                logged += 1;
+            }
+            logged
+        }
+
+        /// `get`, `after` and id-order `values` against the map's `get`,
+        /// `range` and `values`, at every id up to one past the last.
+        fn check(&self, nodes: usize, top: u32, at: &str) {
+            let ids = |recs: &mut dyn Iterator<Item = &IntervalRecord>| {
+                recs.map(|r| (r.id, Arc::as_ptr(&r.vc))).collect::<Vec<_>>()
+            };
+            assert_eq!(
+                ids(&mut self.log.values()),
+                ids(&mut self.oracle.values()),
+                "{at}: values"
+            );
+            assert_eq!(self.log.len(), self.oracle.len(), "{at}: len");
+            for c in (0..nodes as u32).map(NodeId) {
+                for seq in 0..=top + 1 {
+                    let id = IntervalId::new(c, seq);
+                    let (got, want) = (self.log.get(id), self.oracle.get(&id));
+                    assert_eq!(got.map(|r| r.id), want.map(|r| r.id), "{at}: get {id:?}");
+                    let last = IntervalId::new(c, u32::MAX);
+                    let range = (Bound::Excluded(id), Bound::Included(last));
+                    let mut want = self.oracle.range(range).map(|(_, r)| r);
+                    let got = ids(&mut self.log.after(c, seq).iter());
+                    assert_eq!(got, ids(&mut want), "{at}: after {id:?}");
+                }
+            }
+        }
+    }
+
+    /// The per-creator log against an ordered map over seeded random
+    /// histories: nodes close intervals, grant an acquirer what its clock
+    /// lacks, deposit their whole log at a central lock server that hands
+    /// it out later (stale, re-granting what the receiver holds), and
+    /// meet at GC barriers that clear every log. After every step, at
+    /// every node, `get`, `after` and id-order `values` equal the map's.
+    #[test]
+    fn the_log_equals_an_ordered_map_on_random_histories() {
+        let mut rng = XorShift64::new(0x106);
+        let (mut granted, mut redeposited, mut skipped, mut cleared) = (0, 0, 0, 0);
+        for case in 0..120 {
+            let nodes = 2 + case % 5;
+            let mut fleet: Vec<LogModel> = (0..nodes)
+                .map(|_| LogModel {
+                    vt: VClock::new(nodes),
+                    floor: VClock::new(nodes),
+                    log: IntervalLog::default(),
+                    oracle: BTreeMap::new(),
+                })
+                .collect();
+            let mut deposit: Vec<IntervalRecord> = Vec::new();
+            for step in 0..80 {
+                let n = rng.below(nodes as u64) as usize;
+                let other = (n + 1 + rng.below(nodes as u64 - 1) as usize) % nodes;
+                match rng.below(100) {
+                    0..=34 => {
+                        let node = &mut fleet[n];
+                        let seq = node.vt.inc(n);
+                        let rec = IntervalRecord {
+                            id: IntervalId::new(NodeId(n as u32), seq),
+                            vc: Arc::new(node.vt.clone()),
+                            pages: vec![PageId(seq as usize)].into(),
+                        };
+                        node.log.push(rec.clone());
+                        node.oracle.insert(rec.id, rec);
+                    }
+                    35..=69 => {
+                        // `other` grants `n` what `n`'s clock lacks.
+                        let (their, granter) = (fleet[n].vt.clone(), &fleet[other]);
+                        let recs: Vec<IntervalRecord> = (0..nodes)
+                            .filter(|&c| their.get(c) < granter.vt.get(c))
+                            .flat_map(|c| granter.log.after(NodeId(c as u32), their.get(c)))
+                            .cloned()
+                            .collect();
+                        granted += fleet[n].ingest(&recs);
+                    }
+                    70..=79 => deposit = fleet[other].log.values().cloned().collect(),
+                    80..=95 => {
+                        let logged = fleet[n].ingest(&deposit);
+                        redeposited += logged;
+                        skipped += deposit.len() - logged;
+                    }
+                    _ => {
+                        let mut global = VClock::new(nodes);
+                        fleet.iter().for_each(|m| global.join(&m.vt));
+                        for m in fleet.iter_mut() {
+                            (m.vt, m.floor) = (global.clone(), global.clone());
+                            m.log.clear();
+                            m.oracle.clear();
+                        }
+                        cleared += 1;
+                    }
+                }
+                let top = fleet
+                    .iter()
+                    .map(|m| m.vt.as_slice().iter().max().copied().unwrap_or(0));
+                let top = top.max().unwrap_or(0);
+                for (i, m) in fleet.iter().enumerate() {
+                    m.check(nodes, top, &format!("case {case} step {step} node {i}"));
+                }
+            }
+        }
+        assert!(
+            granted > 2_000 && redeposited > 200 && skipped > 2_000 && cleared > 200,
+            "{granted} granted, {redeposited} re-deposited, {skipped} skipped, {cleared} clears"
+        );
+    }
+
+    /// A record granted to two acquirers is the granter's own log entry:
+    /// three logs, one clock and one page list. A diff served to two
+    /// requesters, and flushed to its home, is the creator's own copy.
+    #[test]
+    fn grants_and_diff_replies_share_what_they_carry() {
+        let mut fleet: Vec<Node> = (0..3).map(|me| Node::of_fleet(me, 3, 6)).collect();
+        // Node 2 holds a copy of page 0 (homed at node 0) before node 1
+        // writes it under lock 1, so both acquirers fetch the diff.
+        touch(&mut fleet, 2, 0, None);
+        touch(&mut fleet, 1, 0, Some(7));
+        let writer = &mut fleet[1];
+        assert!(writer
+            .lrc
+            .pre_release(&mut writer.io, &mut writer.mem, Some(1)));
+        let id = IntervalId::new(NodeId(1), 1);
+        for to in [0, 2] {
+            let acquirer = &mut fleet[to];
+            let req = acquirer.lrc.acquire_reqinfo(&mut acquirer.mem, 1);
+            let writer = &mut fleet[1];
+            let grant =
+                writer
+                    .lrc
+                    .grant_piggy(&mut writer.io, &mut writer.mem, 1, NodeId(to as u32), &req);
+            let acquirer = &mut fleet[to];
+            acquirer
+                .lrc
+                .on_acquired(&mut acquirer.io, &mut acquirer.mem, 1, grant);
+        }
+        let own = fleet[1].lrc.log.get(id).expect("own record").clone();
+        for to in [0, 2] {
+            let got = fleet[to].lrc.log.get(id).expect("granted record");
+            assert!(Arc::ptr_eq(&got.vc, &own.vc), "node {to}'s clock");
+            assert!(Arc::ptr_eq(&got.pages, &own.pages), "node {to}'s pages");
+        }
+
+        let mut replies = Vec::new();
+        for to in [0, 2] {
+            let node = &mut fleet[to];
+            let (ready, _) = node
+                .lrc
+                .read_fault_batch(&mut node.io, &mut node.mem, &[PageId(0)]);
+            assert!(!ready);
+            let (dst, req) = node.io.sent.pop().expect("a diff request");
+            assert_eq!(dst, NodeId(1));
+            let writer = &mut fleet[1];
+            let mut events = Vec::new();
+            writer.lrc.on_message(
+                &mut writer.io,
+                &mut writer.mem,
+                NodeId(to as u32),
+                req,
+                &mut events,
+            );
+            let (dst, rep) = writer.io.sent.pop().expect("a diff reply");
+            assert_eq!(dst, NodeId(to as u32));
+            replies.push((to, rep));
+        }
+        let mine = Arc::clone(&fleet[1].lrc.my_diffs[&(0, 1)]);
+        for (to, msg) in replies {
+            let ProtoMsg::LrcDiffRep { diffs, .. } = &msg else {
+                panic!("{msg:?}");
+            };
+            assert!(Arc::ptr_eq(&diffs[0].1, &mine), "reply to {to}");
+            let node = &mut fleet[to];
+            let mut events = Vec::new();
+            node.lrc
+                .on_message(&mut node.io, &mut node.mem, NodeId(1), msg, &mut events);
+            assert_eq!(node.mem.page_bytes(PageId(0)).unwrap()[1], 7);
+        }
+
+        // Departing for a barrier flushes the same diff to its home.
+        let writer = &mut fleet[1];
+        assert!(!writer
+            .lrc
+            .pre_release(&mut writer.io, &mut writer.mem, None));
+        let (home, flush) = writer.io.sent.pop().expect("a flush");
+        let ProtoMsg::LrcFlush { diffs } = flush else {
+            panic!("{flush:?}");
+        };
+        assert_eq!(home, NodeId(0));
+        assert!(Arc::ptr_eq(&diffs[0].2, &mine));
     }
 }

@@ -16,6 +16,7 @@
 use dsm_mem::{IntervalId, NodeSet, PageDiff, VClockDelta, WireIntervalRecord};
 use dsm_net::{wire_enum, KindId, NodeId, Payload};
 use dsm_sync::SyncPiggy;
+use std::sync::Arc;
 
 wire_enum! {
     /// Coherence protocol messages. Page ids travel as raw `usize`.
@@ -151,9 +152,11 @@ wire_enum! {
             page: usize,
             ids: Vec<IntervalId>,
         } = 22,
+        /// The diffs asked for, each shared with the creator's own copy
+        /// (and any other requester's reply).
         LrcDiffRep {
             page: usize,
-            diffs: Vec<(IntervalId, PageDiff)>,
+            diffs: Vec<(IntervalId, Arc<PageDiff>)>,
         } = 23,
         /// Fetch a full current copy (first access / no base copy). Carries
         /// the requester's GC epoch (barrier releases survived; always 0
@@ -173,9 +176,10 @@ wire_enum! {
         /// diffs for pages homed at the receiver, sent point-to-point
         /// *before* the barrier arrival so bulk data never transits the
         /// barrier root. The home buffers them unapplied — the causal
-        /// application order arrives with the barrier release.
+        /// application order arrives with the barrier release. The diffs
+        /// are shared with the writer's own copies.
         LrcFlush {
-            diffs: Vec<(IntervalId, usize, PageDiff)>,
+            diffs: Vec<(IntervalId, usize, Arc<PageDiff>)>,
         } = 27,
         /// Home → writer: epoch flush received and buffered. The writer
         /// arrives at the barrier only after all its flushes are acked,
@@ -404,7 +408,7 @@ wire_enum! {
         LrcEpoch {
             vt: VClockDelta,
             homed: Vec<(usize, Vec<IntervalId>)>,
-            written: std::sync::Arc<[(usize, NodeId, Option<NodeId>)]>,
+            written: Arc<[(usize, NodeId, Option<NodeId>)]>,
             stale: u32,
         } = 4,
         /// Entry-consistency lock request info: the highest update version
@@ -543,7 +547,7 @@ mod tests {
         let mut vc = dsm_mem::VClock::new(64);
         vc.set(3, 7);
         vc.set(41, 2);
-        let d = VClockDelta::dense(&vc);
+        let d = VClockDelta::dense(&Arc::new(vc));
         assert_eq!(Piggy::LrcClock(d).wire_bytes(), 8 + 16);
     }
 

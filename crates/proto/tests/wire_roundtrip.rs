@@ -44,6 +44,10 @@ fn diff() -> PageDiff {
     PageDiff::create(&twin, &cur)
 }
 
+fn shared_diff() -> Arc<PageDiff> {
+    Arc::new(diff())
+}
+
 fn page() -> Box<[u8]> {
     (0..64u8).collect::<Vec<u8>>().into_boxed_slice()
 }
@@ -55,8 +59,8 @@ fn rec() -> WireIntervalRecord {
     WireIntervalRecord::against(
         &IntervalRecord {
             id: IntervalId::new(NodeId(1), 5),
-            vc,
-            pages: vec![PageId(0), PageId(9)],
+            vc: Arc::new(vc),
+            pages: vec![PageId(0), PageId(9)].into(),
         },
         &Arc::new(VClock::new(4)),
     )
@@ -66,7 +70,7 @@ fn delta() -> VClockDelta {
     let mut vc = VClock::new(3);
     vc.set(0, 2);
     vc.set(2, 8);
-    VClockDelta::against(&vc, &Arc::new(VClock::new(3)))
+    VClockDelta::against(&Arc::new(vc), &Arc::new(VClock::new(3)))
 }
 
 /// Every `ProtoMsg` variant, with representative payloads (including `None`/empty cases where the encoding has an
@@ -164,7 +168,7 @@ fn all_proto_msgs() -> Vec<ProtoMsg> {
         },
         LrcDiffRep {
             page: 3,
-            diffs: vec![(IntervalId::new(NodeId(0), 1), diff())],
+            diffs: vec![(IntervalId::new(NodeId(0), 1), shared_diff())],
         },
         LrcPageReq { page: 3, epoch: 2 },
         LrcPageRep {
@@ -172,7 +176,7 @@ fn all_proto_msgs() -> Vec<ProtoMsg> {
             data: page(),
         },
         LrcFlush {
-            diffs: vec![(IntervalId::new(NodeId(2), 4), 3, diff())],
+            diffs: vec![(IntervalId::new(NodeId(2), 4), 3, shared_diff())],
         },
         LrcFlushAck,
         ScabdQ { page: 12, txn: 34 },
@@ -509,10 +513,11 @@ trait Used {
 }
 
 fn use_clock(vt: &VClockDelta) {
-    let full = vt.expand();
+    let full = vt.clock();
     let mut joined = VClock::new(full.len());
     vt.join_into(&mut joined);
-    assert_eq!(joined, full, "joining into zero is expanding");
+    assert_eq!(joined, **full, "joining into zero is the clock");
+    assert_eq!(to_wire_bytes(vt).len(), 8 + 4 * full.len() + 8 * vt.len());
 }
 
 impl Used for Piggy {
@@ -812,6 +817,90 @@ fn runaway_nesting_is_refused() {
     })
     .join()
     .expect("decode must not panic");
+}
+
+/// A clock with components above (2, 3) and below (1) its base.
+fn delta_around_base() -> VClockDelta {
+    let mut base = VClock::new(5);
+    (0..5).for_each(|i| base.set(i, 5));
+    let mut vc = base.clone();
+    vc.set(1, 2);
+    vc.set(2, 9);
+    vc.set(3, 6);
+    VClockDelta::against(&Arc::new(vc), &Arc::new(base))
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The cluster's encoding of LRC's causal metadata and diff messages,
+/// byte for byte: both ends of a run are one binary, but the bytes are
+/// what a node sends, and keeping them is how an in-memory rewrite of
+/// these types proves it changed nothing on the wire. Recorded before
+/// clocks, records and diffs became shared values.
+#[test]
+fn lrc_wire_bytes_are_pinned() {
+    let id = IntervalId::new(NodeId(2), 4);
+    let golden: [(&str, Vec<u8>, &str); 5] = [
+        (
+            "VClockDelta",
+            to_wire_bytes(&delta_around_base()),
+            concat!(
+                "0500000005000000050000000500000005000000050000000300000001000000",
+                "0200000002000000090000000300000006000000",
+            ),
+        ),
+        (
+            "WireIntervalRecord",
+            to_wire_bytes(&rec()),
+            concat!(
+                "0100000005000000040000000000000000000000000000000000000002000000",
+                "0100000005000000030000000200000002000000000000000000000009000000",
+                "00000000",
+            ),
+        ),
+        (
+            "LrcDiffRep",
+            to_wire_bytes(&ProtoMsg::LrcDiffRep {
+                page: 3,
+                diffs: vec![
+                    (id, shared_diff()),
+                    (IntervalId::new(NodeId(2), 6), shared_diff()),
+                ],
+            }),
+            concat!(
+                "1703000000000000000200000002000000040000000200000003000000010000",
+                "0007280000000200000009010200000006000000020000000300000001000000",
+                "0728000000020000000901",
+            ),
+        ),
+        (
+            "LrcFlush",
+            to_wire_bytes(&ProtoMsg::LrcFlush {
+                diffs: vec![(id, 3, shared_diff())],
+            }),
+            concat!(
+                "1b01000000020000000400000003000000000000000200000003000000010000",
+                "000728000000020000000901",
+            ),
+        ),
+        (
+            "LrcIntervals",
+            to_wire_bytes(&Piggy::LrcIntervals(vec![rec(), rec()])),
+            concat!(
+                "0202000000010000000500000004000000000000000000000000000000000000",
+                "0002000000010000000500000003000000020000000200000000000000000000",
+                "0009000000000000000100000005000000040000000000000000000000000000",
+                "0000000000020000000100000005000000030000000200000002000000000000",
+                "00000000000900000000000000",
+            ),
+        ),
+    ];
+    for (name, bytes, want) in golden {
+        assert_eq!(hex(&bytes), want, "{name}");
+    }
+    round_trip(&delta_around_base());
 }
 
 #[test]

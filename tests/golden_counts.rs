@@ -22,8 +22,8 @@
 
 use dsm_apps::{chase, kv, sor, taskqueue};
 use dsm_core::{
-    BarrierKind, CostModel, Dsm, DsmConfig, Dur, FaultPlan, GlobalAddr, ProtocolKind, RunResult,
-    SimTime,
+    BarrierKind, CostModel, Dsm, DsmConfig, Dur, FaultPlan, GlobalAddr, LockKind, ProtocolKind,
+    RunResult, SimTime,
 };
 
 /// `[events, rendezvous, msgs, bytes, end_time ns]`.
@@ -42,6 +42,12 @@ fn counts<V>(res: &RunResult<V>) -> Counts {
 /// The E21 board as the benchmark's `sim_kv_lrc` runs it, at 400
 /// operations per node.
 fn kv_board(gc: bool) -> Counts {
+    counts(&kv_board_with(gc, |cfg| cfg))
+}
+
+/// [`kv_board`] with `tweak` applied to its configuration, checked
+/// against the sequential replay.
+fn kv_board_with(gc: bool, tweak: impl FnOnce(DsmConfig) -> DsmConfig) -> RunResult<u64> {
     let p = kv::KvParams {
         keys: 512,
         ops_per_node: 400,
@@ -56,13 +62,13 @@ fn kv_board(gc: bool) -> Counts {
         .page_size(1024)
         .lrc_gc(gc)
         .max_events(400_000_000);
-    let res = dsm_core::run_dsm(&cfg, |d: &Dsm<'_>| kv::run(d, &p));
+    let res = dsm_core::run_dsm(&tweak(cfg), |d: &Dsm<'_>| kv::run(d, &p));
     let want = kv::reference_digest(&p, 8);
     assert!(
         res.results.iter().all(|&d| d == want),
         "kv digest (gc={gc})"
     );
-    counts(&res)
+    res
 }
 
 /// Red-black SOR, one interior row per node, three rows to a page.
@@ -149,6 +155,44 @@ fn kv_board_under_lrc_matches_the_recorded_counts() {
         kv_board(false),
         [21_417, 9_120, 14_751, 962_675, 2_452_971_840],
         "lrc_gc off"
+    );
+}
+
+/// Recorded before LRC's clocks, interval records and diffs became
+/// shared values and its log one run per creator. A
+/// central lock server grants on behalf of an unknown releaser, so
+/// every release deposits the releaser's whole log, dense-encoded.
+#[test]
+fn kv_board_under_a_central_lock_matches_the_recorded_counts() {
+    let central = |cfg: DsmConfig| cfg.lock_kind(LockKind::Central);
+    assert_eq!(
+        counts(&kv_board_with(true, central)),
+        [22_073, 8_917, 15_236, 136_365_443, 39_606_113_440],
+        "lrc_gc on"
+    );
+    assert_eq!(
+        counts(&kv_board_with(false, central)),
+        [22_118, 8_919, 15_282, 136_347_127, 39_681_373_760],
+        "lrc_gc off"
+    );
+}
+
+/// Same parent. Duplicated grants and diff replies reach a receiver
+/// that already holds what they carry.
+#[test]
+fn kv_board_under_loss_and_duplication_matches_the_recorded_counts() {
+    let lossy = |cfg: DsmConfig| {
+        let faults = FaultPlan::lossy(0.15, 0.05, 9);
+        cfg.model(CostModel::lan_1992().with_faults(faults))
+    };
+    let res = kv_board_with(true, lossy);
+    assert_eq!(
+        counts(&res),
+        [39_122, 8_300, 24_331, 1_816_210, 45_600_930_001]
+    );
+    assert_eq!(
+        (res.stats.total_dropped(), res.stats.total_retransmits()),
+        (3_649, 3_318)
     );
 }
 

@@ -8,9 +8,12 @@
  * ticks only, every 4 ms.) A tick is dropped if the thread has run for
  * less than half the time since the last one: a process blocked in a wait,
  * as the benchmark's driver is while its children work, adds no samples
- * to tables that merge every process. Otherwise the handler walks the frame-pointer chain
- * from the interrupted registers and keeps the raw return addresses; at
- * exit they are written, below a copy of /proc/self/maps, to
+ * to tables that merge every process. Otherwise the handler keeps the
+ * interrupted instruction, the word at the stack pointer (where a
+ * frameless leaf such as libc's memcpy has its return address; the
+ * symbolizer decides whether it is one) and the return addresses of the
+ * frame-pointer chain; at exit they are written, below a copy of
+ * /proc/self/maps, to
  * PROF_OUT.<pid> — one file per process, since children inherit the
  * preload. Build the target with -C force-frame-pointers=yes. A coroutine
  * stack ends the walk by itself (its first frame's saved rbp is 0). */
@@ -31,10 +34,10 @@
 #define PROF_OUT "prof.samples"
 #endif
 
-#define MAX_DEPTH 48
+#define MAX_DEPTH 48 /* the instruction, the word at the stack pointer, the chain */
 #define MAX_WORDS (16u << 20) /* 128 MiB of address space, touched as used */
 
-static uintptr_t *words; /* per sample: depth, then that many addresses */
+static uintptr_t *words; /* per sample: depth, then that many words */
 static size_t used;
 static timer_t timer;
 static int64_t ran_ns; /* the thread's CPU time at the last tick */
@@ -60,6 +63,7 @@ static void on_sigprof(int sig, siginfo_t *info, void *context) {
         uintptr_t *sample = &words[used];
         size_t depth = 0;
         sample[++depth] = regs[REG_RIP];
+        sample[++depth] = frame_at(sp, frame) ? frame[0] : 0;
         /* Bounded to the current stack: frames only go up from the
          * interrupted stack pointer, each above the last, 8 MiB at most. */
         while (depth < MAX_DEPTH && fp >= sp && fp - sp < (8u << 20) && fp % 8 == 0 &&
@@ -100,8 +104,8 @@ __attribute__((destructor)) static void prof_dump(void) {
     while (fgets(line, sizeof line, maps))
         fprintf(out, "map %s", line);
     for (size_t at = 0; at < used; at += 1 + words[at]) {
-        fputs("sample", out);
-        for (size_t i = 1; i <= words[at]; i++)
+        fprintf(out, "sample %lx @%lx", (unsigned long)words[at + 1], (unsigned long)words[at + 2]);
+        for (size_t i = 3; i <= words[at]; i++)
             fprintf(out, " %lx", (unsigned long)words[at + i]);
         fputc('\n', out);
     }
