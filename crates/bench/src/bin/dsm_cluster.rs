@@ -71,6 +71,25 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     args.common.validate()?;
+    // Injected faults are the simulator's; a real socket loses what it
+    // loses, and the children would never see these flags anyway.
+    let c = &args.common;
+    if c.fault_plan().enabled() {
+        let given = [
+            ("--drop-prob", c.drop_prob > 0.0),
+            ("--dup-prob", c.dup_prob > 0.0),
+            ("--crash", !c.crashes.is_empty()),
+            ("--partition", !c.partitions.is_empty()),
+        ];
+        let named: Vec<_> = given
+            .iter()
+            .filter_map(|&(f, on)| on.then_some(f))
+            .collect();
+        return Err(format!(
+            "{}: fault injection only applies to the simulator (dsmrun), not to cluster mode",
+            named.join(", ")
+        ));
+    }
     // Refuse here what `run_cluster_node` would refuse in every child.
     dsm_core::cluster::supports(args.common.proto)?;
     if args.common.page % dsm_vm::os_page_size() != 0 {

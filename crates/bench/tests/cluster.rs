@@ -61,6 +61,31 @@ fn lrc_cluster_matches_simulator() {
 }
 
 #[test]
+fn fault_flags_are_refused() {
+    // Injected loss, crashes and partitions are the simulator's; cluster
+    // mode must say so rather than run without them and report OK.
+    for args in [
+        &["--drop-prob", "0.5"][..],
+        &["--dup-prob", "0.1"],
+        &["--crash", "1@10"],
+        &["--partition", "0|1@0..100000"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_dsm-cluster"))
+            .args(["--nodes", "2"])
+            .args(args)
+            .output()
+            .expect("spawn dsm-cluster");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}:\n{stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran something");
+        assert!(
+            stderr.starts_with(&format!("dsm-cluster: {}: fault injection", args[0])),
+            "{args:?} not named:\n{stderr}"
+        );
+    }
+}
+
+#[test]
 fn non_page_fault_protocols_are_refused() {
     // Every protocol whose row says it is not page-fault driven — asked
     // of the row, not listed — is refused with the row's reason.

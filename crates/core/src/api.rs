@@ -139,11 +139,9 @@ impl<'a> Dsm<'a> {
 
     // ---------- typed slice access ----------
     //
-    // The shared space stores scalars little-endian. On little-endian
-    // hosts (every platform this simulator targets in practice) the
-    // `_into` variants copy straight between the typed slice and frame
-    // memory with no intermediate buffer; big-endian hosts get a
-    // byte-swap fixup pass.
+    // The shared space stores scalars little-endian, the host's own
+    // order (the runtime builds only for x86-64 Linux), so these copy
+    // straight between the typed slice and frame memory.
 
     /// Read `out.len()` consecutive u64 values at `addr` into `out`.
     pub fn read_u64s_into(&self, addr: GlobalAddr, out: &mut [u64]) {
@@ -152,27 +150,14 @@ impl<'a> Dsm<'a> {
         let bytes =
             unsafe { std::slice::from_raw_parts_mut(out.as_mut_ptr() as *mut u8, out.len() * 8) };
         self.read_bytes_into(addr, bytes);
-        if cfg!(target_endian = "big") {
-            for v in out.iter_mut() {
-                *v = u64::from_le(*v);
-            }
-        }
     }
 
     /// Write consecutive u64 values starting at `addr`.
     pub fn write_u64s(&self, addr: GlobalAddr, vals: &[u64]) {
-        if cfg!(target_endian = "big") {
-            let mut bytes = Vec::with_capacity(vals.len() * 8);
-            for v in vals {
-                bytes.extend_from_slice(&v.to_le_bytes());
-            }
-            self.write_bytes(addr, &bytes);
-        } else {
-            // SAFETY: reading a u64 slice as bytes is always valid.
-            let bytes =
-                unsafe { std::slice::from_raw_parts(vals.as_ptr() as *const u8, vals.len() * 8) };
-            self.write_bytes(addr, bytes);
-        }
+        // SAFETY: reading a u64 slice as bytes is always valid.
+        let bytes =
+            unsafe { std::slice::from_raw_parts(vals.as_ptr() as *const u8, vals.len() * 8) };
+        self.write_bytes(addr, bytes);
     }
 
     /// Read `n` consecutive u64 values starting at `addr`.
@@ -189,27 +174,14 @@ impl<'a> Dsm<'a> {
         let bytes =
             unsafe { std::slice::from_raw_parts_mut(out.as_mut_ptr() as *mut u8, out.len() * 8) };
         self.read_bytes_into(addr, bytes);
-        if cfg!(target_endian = "big") {
-            for v in out.iter_mut() {
-                *v = f64::from_bits(u64::from_le(v.to_bits()));
-            }
-        }
     }
 
     /// Write consecutive f64 values starting at `addr`.
     pub fn write_f64s(&self, addr: GlobalAddr, vals: &[f64]) {
-        if cfg!(target_endian = "big") {
-            let mut bytes = Vec::with_capacity(vals.len() * 8);
-            for v in vals {
-                bytes.extend_from_slice(&v.to_le_bytes());
-            }
-            self.write_bytes(addr, &bytes);
-        } else {
-            // SAFETY: reading an f64 slice as bytes is always valid.
-            let bytes =
-                unsafe { std::slice::from_raw_parts(vals.as_ptr() as *const u8, vals.len() * 8) };
-            self.write_bytes(addr, bytes);
-        }
+        // SAFETY: reading an f64 slice as bytes is always valid.
+        let bytes =
+            unsafe { std::slice::from_raw_parts(vals.as_ptr() as *const u8, vals.len() * 8) };
+        self.write_bytes(addr, bytes);
     }
 
     /// Read `n` consecutive f64 values starting at `addr`.

@@ -44,8 +44,8 @@ pub use dsm_proto::{
 pub use dsm_sync::{BarrierId, BarrierKind, LockId, LockKind};
 
 /// Hard cap on [`DsmConfig::batch_depth`], re-exported from the
-/// protocol layer (which also lets individual protocols clamp lower via
-/// `Protocol::max_batch_depth`).
+/// protocol layer (a protocol's row may clamp lower via
+/// [`Facts::max_batch_depth`]).
 pub use dsm_proto::MAX_BATCH_DEPTH;
 
 /// Full configuration of one DSM machine.
@@ -74,7 +74,7 @@ pub struct DsmConfig {
     /// bit-identical to the pre-pipeline runtime. With the pipeline on,
     /// faults inside a declared read-ahead window size their batch
     /// adaptively from the window's remaining extent (clamped by the
-    /// global cap and `Protocol::max_batch_depth`) rather than this
+    /// global cap and [`Facts::max_batch_depth`]) rather than this
     /// fixed depth.
     pub batch_depth: usize,
     /// LRC only: retire causal metadata at barriers (interval GC). On
@@ -232,6 +232,7 @@ impl DsmConfig {
                 DsmNode::new(
                     me,
                     layout,
+                    self.protocol.facts(),
                     proto,
                     self.lock_kind,
                     self.barrier_kind,

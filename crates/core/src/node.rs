@@ -9,7 +9,7 @@ use crate::lease::FrameCell;
 use crate::msg::CoreMsg;
 use dsm_mem::{FrameTable, GlobalAddr, PageId, SpaceLayout};
 use dsm_net::{Ctx, Dur, FaultNotice, NodeBehavior, NodeId, OpOutcome};
-use dsm_proto::{BatchingIo, Piggy, ProtoEvent, ProtoIo, ProtoMsg, Protocol, WriteOutcome};
+use dsm_proto::{BatchingIo, Facts, Piggy, ProtoEvent, ProtoIo, ProtoMsg, Protocol, WriteOutcome};
 use dsm_sync::{BarrierId, LockId, SyncDone, SyncEngines, SyncEnvelope, SyncHost, SyncMsg};
 
 /// Borrowed view of an application-thread read buffer carried inside a
@@ -172,6 +172,8 @@ pub struct DsmNode {
     nnodes: u32,
     layout: SpaceLayout,
     frames: Arc<FrameCell>,
+    /// The row of the protocol `proto` is an instance of.
+    facts: &'static Facts,
     proto: Box<dyn Protocol>,
     sync: SyncEngines<Piggy>,
     pending: Option<Parked>,
@@ -263,22 +265,22 @@ impl DsmNode {
     pub fn new(
         me: NodeId,
         layout: SpaceLayout,
+        facts: &'static Facts,
         proto: Box<dyn Protocol>,
         lock_kind: dsm_sync::LockKind,
         barrier_kind: dsm_sync::BarrierKind,
         batch_depth: usize,
     ) -> Self {
         let nnodes = layout.nnodes();
-        // Clamp to the global cap, then to the protocol's own limit —
-        // protocols whose transaction machinery admits a single
-        // in-flight fetch (e.g. migrate) report max_batch_depth() == 1.
-        let max_depth = crate::MAX_BATCH_DEPTH.min(proto.max_batch_depth().max(1));
-        let batch_depth = batch_depth.clamp(1, crate::MAX_BATCH_DEPTH).min(max_depth);
+        // Clamp to the global cap, then to the protocol's row.
+        let max_depth = facts.max_batch_depth.clamp(1, crate::MAX_BATCH_DEPTH);
+        let batch_depth = batch_depth.clamp(1, max_depth);
         DsmNode {
             me,
             nnodes,
             layout,
             frames: Arc::new(FrameCell::new(FrameTable::new(layout.geometry))),
+            facts,
             proto,
             sync: SyncEngines::new(lock_kind, barrier_kind, me, nnodes),
             pending: None,
@@ -405,7 +407,7 @@ impl DsmNode {
     /// Batch depth is adaptive: a fault inside a declared hint window
     /// sizes its batch from the window's remaining page extent (the
     /// app said how far it will stream), clamped by the global cap and
-    /// `Protocol::max_batch_depth`. Without a hint the fixed per-run
+    /// the protocol row's `max_batch_depth`. Without a hint the fixed per-run
     /// `batch_depth` applies.
     fn prefetch_candidates(
         &self,
@@ -659,7 +661,7 @@ impl NodeBehavior for DsmNode {
     }
 
     fn describe(&self) -> String {
-        format!("{} pending={:?}", self.proto.name(), self.pending)
+        format!("{} pending={:?}", self.facts.name, self.pending)
     }
 
     fn gauges(&self) -> Vec<(&'static str, u64)> {

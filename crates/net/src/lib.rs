@@ -75,7 +75,7 @@ mod wire;
 pub use driver::{AppHandle, RunResult, Sim};
 pub use kernel::{FaultNotice, NodeBehavior, OpOutcome};
 pub use model::{CostModel, CrashEvent, FaultPlan, PartitionEvent};
-pub use msg::{Envelope, NodeId, Payload};
+pub use msg::{NodeId, Payload};
 pub use nodeset::NodeSet;
 pub use pagemap::{PageHasher, PageMap, PageSet};
 pub use reliable::{wrap_fleet, RelConfig, RelMsg, Reliable, REL_TIMER_BIT};

@@ -45,14 +45,6 @@ pub trait Payload: Send + Clone + 'static {
     fn kind_id(&self) -> KindId;
 }
 
-/// A payload in flight from `src` to `dst`.
-#[derive(Debug)]
-pub struct Envelope<P> {
-    pub src: NodeId,
-    pub dst: NodeId,
-    pub payload: P,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -450,6 +450,9 @@ impl<N: NodeBehavior> NodeBehavior for Reliable<N> {
                 sack,
                 ack_epoch,
             } => self.process_ack(from, ack, sack, ack_epoch, ctx.now()),
+            // Seq 0 from anyone else is malformed or forged: it would
+            // skip both the dedup and the epoch check, so drop it.
+            RelMsg::Data { seq: 0, .. } if from != me => {}
             RelMsg::Data {
                 seq: 0, payload, ..
             } => {

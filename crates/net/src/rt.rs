@@ -462,6 +462,43 @@ mod tests {
         assert!(client.stats().total_msgs() > 0);
     }
 
+    /// Seq 0 is the unsequenced loopback marker: a datagram from a peer
+    /// rank that claims it is dropped, not handed to the inner behavior
+    /// past the dedup and epoch checks. A properly sequenced frame from
+    /// the same socket still arrives, so the drop is not the socket's.
+    #[test]
+    fn peer_frame_claiming_loopback_seq_is_dropped() {
+        use crate::reliable::RelMsg;
+        let s0 = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let peer = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let peers = vec![s0.local_addr().unwrap(), peer.local_addr().unwrap()];
+        let mut node = mk_rt(0, s0, peers.clone());
+        node.start();
+        let frame = |seq, x| {
+            let mut buf = Vec::new();
+            1u32.encode(&mut buf);
+            RelMsg::Data {
+                seq,
+                ack: 0,
+                sack: 0,
+                epoch: 0,
+                ack_epoch: 0,
+                payload: EchoMsg::Add(x),
+            }
+            .encode(&mut buf);
+            buf
+        };
+        for _ in 0..2 {
+            peer.send_to(&frame(0, 5), peers[0]).unwrap();
+        }
+        peer.send_to(&frame(1, 7), peers[0]).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while node.node().inner().total < 7 && Instant::now() < deadline {
+            node.step(Duration::from_millis(10));
+        }
+        assert_eq!(node.node().inner().total, 7);
+    }
+
     #[test]
     fn timers_fire_in_deadline_order() {
         struct TimerNode {

@@ -11,8 +11,8 @@ use dsm_net::{CostModel, NodeId};
 use dsm_sync::{LockId, SyncEnvelope};
 
 /// Hard ceiling on the multi-page fault pipeline depth (demand page +
-/// prefetch candidates). Individual protocols may clamp further via
-/// [`Protocol::max_batch_depth`].
+/// prefetch candidates). A protocol's row may clamp further via
+/// [`crate::Facts::max_batch_depth`].
 pub const MAX_BATCH_DEPTH: usize = 8;
 
 /// Transport + environment a protocol sees (implemented by the runtime
@@ -150,9 +150,6 @@ pub enum WriteOutcome {
 ///   performed its access, letting single-writer protocols hand the
 ///   page to queued requesters without starving the local access.
 pub trait Protocol: Send {
-    /// Short name for reports ("ivy-dyn", "lrc", ...).
-    fn name(&self) -> &'static str;
-
     /// One-time setup (install home pages, ...).
     fn on_start(&mut self, _io: &mut dyn ProtoIo, _mem: &mut FrameTable) {}
 
@@ -185,14 +182,6 @@ pub trait Protocol: Send {
     /// The application write-faulted on `page`. Same synchronous-result
     /// contract as [`Protocol::read_fault_batch`]'s `demand_resolved`.
     fn write_fault(&mut self, io: &mut dyn ProtoIo, mem: &mut FrameTable, page: PageId) -> bool;
-
-    /// Largest useful fault-pipeline depth for this protocol. The
-    /// runtime clamps the configured batch depth to this, so protocols
-    /// for which prefetching is actively harmful (migrate: every
-    /// prefetched page steals the single copy) can opt out.
-    fn max_batch_depth(&self) -> usize {
-        MAX_BATCH_DEPTH
-    }
 
     /// An application write whose rights were insufficient. The default
     /// maps it onto [`Protocol::write_fault`] of the first offending
@@ -284,16 +273,20 @@ pub trait Protocol: Send {
     }
 
     /// Consistency payload attached to this node's barrier arrival
-    /// (called after `pre_release` completed). Part of the unified
-    /// sync API: every protocol states explicitly what departs with it
-    /// to a global synchronization point, even if that is nothing.
-    fn sync_depart(&mut self, io: &mut dyn ProtoIo, mem: &mut FrameTable) -> Piggy;
+    /// (called after `pre_release` completed). The default carries
+    /// nothing, which is right for every protocol whose writes are
+    /// globally performed, or flushed by `pre_release`, before the sync
+    /// op starts.
+    fn sync_depart(&mut self, _io: &mut dyn ProtoIo, _mem: &mut FrameTable) -> Piggy {
+        Piggy::None
+    }
 
     /// Apply the payload received with a barrier release — the other
     /// half of the [`Protocol::sync_depart`] pair. For protocols with
     /// retirement schemes (LRC interval GC) this is also where
-    /// epoch-old metadata is applied-and-dropped.
-    fn sync_arrive(&mut self, io: &mut dyn ProtoIo, mem: &mut FrameTable, piggy: Piggy);
+    /// epoch-old metadata is applied-and-dropped. Same default reason
+    /// as [`Protocol::sync_depart`]: nothing arrives, nothing to do.
+    fn sync_arrive(&mut self, _io: &mut dyn ProtoIo, _mem: &mut FrameTable, _piggy: Piggy) {}
 
     /// Root only: merge everyone's barrier contributions into one
     /// payload per node (must return exactly one envelope per node id).
@@ -328,10 +321,7 @@ pub trait Protocol: Send {
     /// retries. Only protocols whose row says
     /// [`crate::Facts::object_ops`] answer; the rest refuse.
     fn obj_fetch(&mut self, _io: &mut dyn ProtoIo, _obj: u32, _write: bool) -> Option<&[u8]> {
-        panic!(
-            "protocol {} does not support object operations",
-            self.name()
-        );
+        panic!("this protocol does not support object operations");
     }
 
     /// The application finished mutating `obj` (acquired earlier via
@@ -339,10 +329,7 @@ pub trait Protocol: Send {
     /// object, letting queued remote requests drain. Always
     /// synchronous. Same refusal as [`Protocol::obj_fetch`].
     fn obj_publish(&mut self, _io: &mut dyn ProtoIo, _obj: u32, _data: &[u8]) {
-        panic!(
-            "protocol {} does not support object operations",
-            self.name()
-        );
+        panic!("this protocol does not support object operations");
     }
 
     // ---- fault hooks (crash/partition robustness) -----------------

@@ -188,10 +188,6 @@ impl Entry {
 }
 
 impl Protocol for Entry {
-    fn name(&self) -> &'static str {
-        "entry"
-    }
-
     fn pre_release(
         &mut self,
         _io: &mut dyn ProtoIo,

@@ -15,7 +15,7 @@
 //! false-sharing cure measured by E5.
 
 use crate::api::{ProtoEvent, ProtoIo, Protocol};
-use crate::msg::{Piggy, ProtoMsg};
+use crate::msg::ProtoMsg;
 use dsm_mem::{Access, FrameTable, NodeSet, PageDiff, PageId, PageMap, SpaceLayout};
 use dsm_net::NodeId;
 use std::collections::HashMap;
@@ -128,10 +128,6 @@ impl Erc {
 }
 
 impl Protocol for Erc {
-    fn name(&self) -> &'static str {
-        "erc"
-    }
-
     fn on_start(&mut self, _io: &mut dyn ProtoIo, mem: &mut FrameTable) {
         for p in self.layout.pages_of(self.me) {
             mem.install_zeroed(p, Access::Read);
@@ -291,14 +287,6 @@ impl Protocol for Erc {
             }
         }
     }
-
-    fn sync_depart(&mut self, _io: &mut dyn ProtoIo, _mem: &mut FrameTable) -> Piggy {
-        // Eager: pre_release already flushed diffs to every copy
-        // holder, so the barrier itself carries nothing.
-        Piggy::None
-    }
-
-    fn sync_arrive(&mut self, _io: &mut dyn ProtoIo, _mem: &mut FrameTable, _piggy: Piggy) {}
 }
 
 impl Erc {

@@ -19,7 +19,7 @@
 //! next request without starving the current one.
 
 use crate::api::{BatchingIo, ProtoEvent, ProtoIo, Protocol};
-use crate::msg::{Piggy, ProtoMsg};
+use crate::msg::ProtoMsg;
 use dsm_mem::{
     Access, Directory, FrameTable, NodeSet, PageId, PageMap, PageSet, PendingReq, SpaceLayout,
 };
@@ -568,14 +568,6 @@ impl Ivy {
 }
 
 impl Protocol for Ivy {
-    fn name(&self) -> &'static str {
-        match self.scheme {
-            ManagerScheme::Central => "ivy-central",
-            ManagerScheme::Fixed => "ivy-fixed",
-            ManagerScheme::Dynamic => "ivy-dyn",
-        }
-    }
-
     fn read_fault_batch(
         &mut self,
         io: &mut dyn ProtoIo,
@@ -803,14 +795,6 @@ impl Protocol for Ivy {
             }
         }
     }
-
-    fn sync_depart(&mut self, _io: &mut dyn ProtoIo, _mem: &mut FrameTable) -> Piggy {
-        // Sequentially consistent: every write is globally performed
-        // before the faulting op completes, so barriers carry nothing.
-        Piggy::None
-    }
-
-    fn sync_arrive(&mut self, _io: &mut dyn ProtoIo, _mem: &mut FrameTable, _piggy: Piggy) {}
 }
 
 #[cfg(test)]

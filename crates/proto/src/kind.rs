@@ -105,7 +105,9 @@ pub struct Facts {
     /// One of the eight protocols of the 1992 comparison
     /// ([`ProtocolKind::ALL`]).
     pub comparison_1992: bool,
-    /// [`Protocol::max_batch_depth`] of the built instance.
+    /// Largest useful fault-pipeline depth (demand page + prefetch
+    /// candidates): the runtime clamps the configured batch depth to
+    /// it, so a protocol that prefetching harms can opt out.
     pub max_batch_depth: usize,
 }
 
@@ -176,6 +178,9 @@ protocols! {
     }),
     /// Single-copy page migration baseline.
     Migrate => Facts {
+        // Prefetching a single-copy page *migrates* it here, stealing
+        // it from whoever is about to use it — E17 measured the depth-8
+        // blowup.
         max_batch_depth: 1,
         ..page_sc_1992("migrate", |me, layout, _, _| Box::new(Migrate::new(me, layout)))
     },
@@ -233,6 +238,8 @@ protocols! {
              a page the node then holds",
         ),
         comparison_1992: false,
+        // Prefetching would multiply quorum rounds for pages the reader
+        // may never touch; the demand page alone is already two RTTs.
         max_batch_depth: 1,
         ..page_sc_1992("scabd", |me, layout, _, _| Box::new(Scabd::new(me, layout)))
     },
@@ -320,21 +327,10 @@ impl ProtocolKind {
         self.facts().consistency != Consistency::Drf
     }
 
-    /// Construct the per-node protocol instance.
+    /// Construct the per-node protocol instance with its tuning knobs.
     ///
     /// `bindings` is only consulted by the protocols whose row says
     /// [`Facts::needs_bindings`]; the others ignore it.
-    pub fn build(
-        self,
-        me: NodeId,
-        layout: SpaceLayout,
-        bindings: &[EntryBinding],
-    ) -> Box<dyn Protocol> {
-        self.build_opts(me, layout, bindings, ProtoOpts::default())
-    }
-
-    /// Construct with protocol tuning knobs; [`ProtocolKind::build`]
-    /// uses the defaults.
     pub fn build_opts(
         self,
         me: NodeId,
@@ -406,9 +402,7 @@ mod tests {
                 ..ProtoOpts::default()
             };
             let mut p = kind.build_opts(NodeId(0), layout, &[], opts);
-            assert_eq!(p.name(), facts.name);
             assert_eq!(ProtocolKind::from_name(facts.name), Some(kind));
-            assert_eq!(p.max_batch_depth(), facts.max_batch_depth, "{kind}");
             // Object ops answered ⇔ the row says so (the trait's
             // defaults refuse by panicking).
             let mut io = FakeIo::new(CostModel::lan_1992());

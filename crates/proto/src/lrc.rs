@@ -704,10 +704,6 @@ fn notice_bytes(ids: usize) -> u64 {
 }
 
 impl Protocol for Lrc {
-    fn name(&self) -> &'static str {
-        "lrc"
-    }
-
     fn on_start(&mut self, _io: &mut dyn ProtoIo, mem: &mut FrameTable) {
         for p in self.layout.pages_of(self.me) {
             mem.install_zeroed(p, Access::Read);

@@ -7,7 +7,7 @@
 //! the current holder and serializes transfers.
 
 use crate::api::{BatchingIo, ProtoEvent, ProtoIo, Protocol};
-use crate::msg::{Piggy, ProtoMsg};
+use crate::msg::ProtoMsg;
 use dsm_mem::{Access, FrameTable, PageId, PageMap, PageSet, SpaceLayout};
 use dsm_net::NodeId;
 use std::collections::VecDeque;
@@ -155,10 +155,6 @@ impl Migrate {
 }
 
 impl Protocol for Migrate {
-    fn name(&self) -> &'static str {
-        "migrate"
-    }
-
     fn write_fault(&mut self, io: &mut dyn ProtoIo, mem: &mut FrameTable, page: PageId) -> bool {
         self.fault(io, mem, page.0, false)
     }
@@ -186,13 +182,6 @@ impl Protocol for Migrate {
         }
         bio.flush();
         (resolved, issued)
-    }
-
-    /// Prefetching a single-copy page *migrates* it here, stealing it
-    /// from whoever is about to use it — E17 measured the depth-8
-    /// blowup. The runtime therefore never offers migrate candidates.
-    fn max_batch_depth(&self) -> usize {
-        1
     }
 
     fn on_message(
@@ -242,12 +231,6 @@ impl Protocol for Migrate {
             self.confirm(io, mem, page);
         }
     }
-
-    fn sync_depart(&mut self, _io: &mut dyn ProtoIo, _mem: &mut FrameTable) -> Piggy {
-        Piggy::None
-    }
-
-    fn sync_arrive(&mut self, _io: &mut dyn ProtoIo, _mem: &mut FrameTable, _piggy: Piggy) {}
 }
 
 #[cfg(test)]

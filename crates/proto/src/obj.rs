@@ -280,10 +280,6 @@ impl Obj {
 }
 
 impl Protocol for Obj {
-    fn name(&self) -> &'static str {
-        "obj"
-    }
-
     fn on_start(&mut self, io: &mut dyn ProtoIo, mem: &mut FrameTable) {
         self.core.on_start(io, mem);
         self.install_homed();

@@ -511,10 +511,6 @@ impl Rdma {
 }
 
 impl Protocol for Rdma {
-    fn name(&self) -> &'static str {
-        "rdma"
-    }
-
     fn on_start(&mut self, _io: &mut dyn ProtoIo, mem: &mut FrameTable) {
         // Masters live at their homes, read-only: every write is
         // protocol-mediated so the copyset stays exact.
@@ -780,8 +776,6 @@ impl Protocol for Rdma {
         }
         Piggy::None
     }
-
-    fn sync_arrive(&mut self, _io: &mut dyn ProtoIo, _mem: &mut FrameTable, _piggy: Piggy) {}
 
     fn gauges(&self) -> Vec<(&'static str, u64)> {
         vec![("rdma_nic_reads", self.nic_reads)]

@@ -32,7 +32,7 @@
 //! failures while a replica is re-syncing.
 
 use crate::api::{ProtoEvent, ProtoIo, Protocol, WriteOutcome};
-use crate::msg::{Piggy, ProtoMsg};
+use crate::msg::ProtoMsg;
 use dsm_mem::{Access, FrameTable, GlobalAddr, PageId, SpaceLayout};
 use dsm_net::NodeId;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -354,10 +354,6 @@ impl Scabd {
 }
 
 impl Protocol for Scabd {
-    fn name(&self) -> &'static str {
-        "scabd"
-    }
-
     fn read_fault_batch(
         &mut self,
         io: &mut dyn ProtoIo,
@@ -383,12 +379,6 @@ impl Protocol for Scabd {
 
     fn write_fault(&mut self, _io: &mut dyn ProtoIo, _mem: &mut FrameTable, _page: PageId) -> bool {
         unreachable!("scabd writes go through write_op");
-    }
-
-    fn max_batch_depth(&self) -> usize {
-        // Prefetching would multiply quorum rounds for pages the reader
-        // may never touch; the demand page alone is already two RTTs.
-        1
     }
 
     fn write_op(
@@ -566,14 +556,6 @@ impl Protocol for Scabd {
             mem.invalidate(page);
         }
     }
-
-    fn sync_depart(&mut self, _io: &mut dyn ProtoIo, _mem: &mut FrameTable) -> Piggy {
-        // Quorum writes are globally ordered before the op completes;
-        // barriers carry nothing.
-        Piggy::None
-    }
-
-    fn sync_arrive(&mut self, _io: &mut dyn ProtoIo, _mem: &mut FrameTable, _piggy: Piggy) {}
 
     fn on_crash(&mut self, _mem: &mut FrameTable) {
         // Volatile state is gone: replica store, in-flight quorums,

@@ -14,7 +14,7 @@
 //! producer-consumer handoffs cost no reader-side round trips.
 
 use crate::api::{ProtoEvent, ProtoIo, Protocol, WriteOutcome};
-use crate::msg::{Piggy, ProtoMsg};
+use crate::msg::ProtoMsg;
 use dsm_mem::{Access, FrameTable, GlobalAddr, NodeSet, PageId, PageMap, SpaceLayout};
 use dsm_net::NodeId;
 
@@ -85,10 +85,6 @@ impl Update {
 }
 
 impl Protocol for Update {
-    fn name(&self) -> &'static str {
-        "update"
-    }
-
     fn on_start(&mut self, _io: &mut dyn ProtoIo, mem: &mut FrameTable) {
         // Master copies live at their homes, read-only: every write is
         // protocol-mediated so that the home stays the serialization
@@ -229,12 +225,4 @@ impl Protocol for Update {
             }
         }
     }
-
-    fn sync_depart(&mut self, _io: &mut dyn ProtoIo, _mem: &mut FrameTable) -> Piggy {
-        // Writes are home-sequenced and acked before the sync op
-        // starts; barriers carry nothing.
-        Piggy::None
-    }
-
-    fn sync_arrive(&mut self, _io: &mut dyn ProtoIo, _mem: &mut FrameTable, _piggy: Piggy) {}
 }

@@ -4,7 +4,7 @@
 
 use dsm_mem::{Access, FrameTable, PageGeometry, Placement, SpaceLayout};
 use dsm_net::{CostModel, NodeId};
-use dsm_proto::{ProtoEvent, ProtoIo, ProtoMsg, Protocol, ProtocolKind, Update};
+use dsm_proto::{ProtoEvent, ProtoIo, ProtoMsg, ProtoOpts, Protocol, ProtocolKind, Update};
 
 // The crate's one fake `ProtoIo` (it is `#[cfg(test)]` there, so it
 // reaches this binary by path; its `crate::` names resolve to the
@@ -112,7 +112,7 @@ fn protocols_reject_foreign_messages() {
         ProtocolKind::Erc,
         ProtocolKind::Lrc,
     ] {
-        let mut p = kind.build(NodeId(0), l, &[]);
+        let mut p = kind.build_opts(NodeId(0), l, &[], ProtoOpts::default());
         let mut mem = FrameTable::new(l.geometry);
         let mut io = fake_io();
         let mut events = Vec::new();

@@ -162,8 +162,8 @@ fn depth8_beats_depth1_on_streaming_reads() {
     }
 }
 
-/// Protocols whose transaction machinery admits one in-flight fetch
-/// report `max_batch_depth() == 1`; the runtime clamps, so a configured
+/// Protocols whose rows say `max_batch_depth: 1` (prefetching harms
+/// them); the runtime clamps, so a configured
 /// depth 8 is bit-identical to depth 1 — not merely equivalent.
 #[test]
 fn per_protocol_depth_clamp_is_bit_identical() {
