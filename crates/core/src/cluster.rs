@@ -13,13 +13,14 @@
 //!   violations parking the thread in the view's signal handler;
 //! * the **reactor thread** owns the [`SocketRt`] (UDP socket, timers,
 //!   retransmission) and the node's frame table, dispatches incoming
-//!   protocol messages, and runs ops to completion. Its loop takes
-//!   one request from the application — the view's parked fault
-//!   ([`dsm_vm::ClusterView::pending_fault`]: it becomes a protocol
-//!   op, resolved and resumed right here) or else a synchronization
-//!   request — and then serves the socket for a fixed interval before
-//!   it looks again, so that when a request is seen does not depend on
-//!   what else happens to arrive.
+//!   protocol messages, and runs ops to completion. Its loop serves the
+//!   view's parked fault ([`dsm_vm::ClusterView::pending_fault`]: it
+//!   becomes a protocol op, resolved and resumed right here), else a
+//!   synchronization request, else blocks in [`SocketRt::step`] until
+//!   something arrives: the socket, the next retransmit deadline or
+//!   the view's doorbell ([`dsm_vm::ClusterView::doorbell`]), which the
+//!   trap rings for a fault and [`ClusterDsm`] for a call or teardown.
+//!   A request is seen the moment it is made; an idle reactor sleeps.
 //!
 //! A node is usually alone in its process, but nothing requires it:
 //! views are independent, so tests run whole clusters as threads.
@@ -54,7 +55,7 @@
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::lease::FrameCell;
 use crate::node::{DsmNode, DsmOp, OpBuf, OpData};
@@ -65,33 +66,25 @@ use dsm_sync::{BarrierId, LockId};
 use dsm_vm::cluster::{ACC_NONE, ACC_READ, ACC_WRITE};
 use dsm_vm::{ClusterView, ViewFault};
 
-/// How long one reactor poll waits for a datagram before re-checking
-/// the application, and how long the reactor serves the network
-/// between two looks at the application. Small enough to keep op
-/// latency negligible on localhost, large enough not to spin. (A quiet
-/// socket wait lasts as long as the kernel rounds `SO_RCVTIMEO` up to —
-/// two scheduler ticks, 8 ms at HZ = 250 — however short this is.)
-const POLL: Duration = Duration::from_micros(500);
-
-/// How long a resumed access needs to trap again, if it is going to: a
-/// wake-up across CPUs and a signal delivery, tens of microseconds.
-/// Short next to [`POLL`].
-const RETRAP: Duration = Duration::from_micros(100);
-
-/// A synchronization request (an acquire, release or barrier op)
-/// crossing from the application thread into the reactor, and where to
-/// acknowledge it. The application thread is either running, parked in
-/// a fault (which the reactor reads off the view, not off this
-/// channel), or blocked in a sync op — never two at once. The channel
-/// closing is the reactor's signal to exit.
-struct Req(DsmOp, mpsc::Sender<()>);
+/// What the application thread asks of the reactor, besides its faults.
+/// It is running, parked in a fault, or blocked in one call — never two.
+enum Call {
+    /// Acquire, release or barrier.
+    Sync(DsmOp),
+    /// The program has returned: the view is no longer touched.
+    Retire,
+}
 
 /// The application's handle in cluster mode: direct view memory for
-/// data, channel-to-reactor for synchronization. The data API mirrors
-/// [`crate::Dsm`] where page-transparent access allows.
+/// data, a call to the reactor for synchronization. The data API
+/// mirrors [`crate::Dsm`] where page-transparent access allows.
 pub struct ClusterDsm<'v> {
     view: &'v ClusterView,
-    req: mpsc::Sender<Req>,
+    /// Each call rings the view's doorbell. `None` once dropped: hanging
+    /// up is the reactor's signal to exit.
+    calls: Option<mpsc::SyncSender<Call>>,
+    /// One acknowledgement per call.
+    done: mpsc::Receiver<()>,
     me: NodeId,
     nnodes: u32,
 }
@@ -105,10 +98,11 @@ impl ClusterDsm<'_> {
         self.nnodes
     }
 
-    fn op(&self, op: DsmOp) {
-        let (tx, rx) = mpsc::channel();
-        self.req.send(Req(op, tx)).expect("reactor gone");
-        rx.recv().expect("reactor gone");
+    fn call(&self, call: Call) {
+        let calls = self.calls.as_ref().expect("calls close only on drop");
+        calls.send(call).expect("reactor gone");
+        self.view.ring();
+        self.done.recv().expect("reactor gone");
     }
 
     pub fn read_u64(&self, addr: GlobalAddr) -> u64 {
@@ -127,22 +121,12 @@ impl ClusterDsm<'_> {
         self.write_u64(addr, v.to_bits());
     }
 
-    pub fn read_bytes(&self, addr: GlobalAddr, len: usize) -> Vec<u8> {
-        (0..len).map(|i| self.view.read::<u8>(addr.0 + i)).collect()
-    }
-
-    pub fn write_bytes(&self, addr: GlobalAddr, data: &[u8]) {
-        for (i, b) in data.iter().enumerate() {
-            self.view.write::<u8>(addr.0 + i, *b);
-        }
-    }
-
     pub fn acquire(&self, lock: LockId) {
-        self.op(DsmOp::Acquire(lock));
+        self.call(Call::Sync(DsmOp::Acquire(lock)));
     }
 
     pub fn release(&self, lock: LockId) {
-        self.op(DsmOp::Release(lock));
+        self.call(Call::Sync(DsmOp::Release(lock)));
     }
 
     pub fn with_lock<T>(&self, lock: LockId, f: impl FnOnce(&Self) -> T) -> T {
@@ -153,7 +137,16 @@ impl ClusterDsm<'_> {
     }
 
     pub fn barrier(&self, id: BarrierId) {
-        self.op(DsmOp::Barrier(id));
+        self.call(Call::Sync(DsmOp::Barrier(id)));
+    }
+}
+
+impl Drop for ClusterDsm<'_> {
+    /// Hang up, then ring so that a reactor asleep in its wait sees it —
+    /// also when the program unwinds, so the panic reaches the caller.
+    fn drop(&mut self) {
+        self.calls = None;
+        self.view.stop();
     }
 }
 
@@ -173,6 +166,8 @@ struct Reactor<'v> {
     /// touch of each page faults into a protocol op, which is exactly
     /// the "fetch missing diffs on access" moment LRC defines.
     lazy: bool,
+    /// The program has returned: frames alone serve peers.
+    retired: bool,
 }
 
 impl Reactor<'_> {
@@ -221,7 +216,10 @@ impl Reactor<'_> {
             if fa == ACC_NONE {
                 // Invalidated under the application's feet — legal for
                 // DRF programs (it cannot be touching the page now).
-                self.view.set_access(page, ACC_NONE);
+                // The frame's bytes went with its copy, and the next
+                // install rewrites the page whole, so its memory goes
+                // back to the kernel.
+                self.view.release_page(page);
             } else if va == ACC_NONE || fa == ACC_WRITE {
                 // Fresh install or upgrade: the frame holds the truth
                 // (fetched page, or our bytes merged with remote
@@ -240,8 +238,14 @@ impl Reactor<'_> {
         }
     }
 
-    fn run_op(&mut self, op: DsmOp) {
-        self.rt.run_op(op, POLL)
+    /// Revoke every page the view holds and free its memory: the next
+    /// install rewrites a page whole.
+    fn release_view(&self) {
+        for page in 0..self.view.pages() {
+            if self.view.access(page) != ACC_NONE {
+                self.view.release_page(page);
+            }
+        }
     }
 
     /// Resolve a parked access as a protocol op and resume its thread.
@@ -259,7 +263,7 @@ impl Reactor<'_> {
                 buf: OpBuf::new(buf),
                 hint: None,
             };
-            self.run_op(op);
+            self.rt.run_op(op, Duration::MAX);
         } else {
             // Readable copy ⇒ current copy (a remote writer would have
             // invalidated us first), so a protocol write of the page's
@@ -272,7 +276,7 @@ impl Reactor<'_> {
                 addr,
                 data: OpData::new(&payload),
             };
-            self.run_op(op);
+            self.rt.run_op(op, Duration::MAX);
         }
         self.reconcile_in();
         self.view.finish_fault();
@@ -281,71 +285,50 @@ impl Reactor<'_> {
     fn service_sync(&mut self, op: DsmOp, buf: &mut Vec<u8>) {
         self.reconcile_out(buf);
         let acquire_like = !matches!(op, DsmOp::Release(_));
-        self.run_op(op);
+        self.rt.run_op(op, Duration::MAX);
         self.reconcile_in();
         if self.lazy && acquire_like {
             // See the `lazy` field: frame access cannot express "bytes
             // stale behind an unchanged grant", so make the application
             // re-fault everything it touches after the sync point.
-            for page in 0..self.view.pages() {
-                if self.view.access(page) != ACC_NONE {
-                    self.view.set_access(page, ACC_NONE);
-                }
-            }
+            self.release_view();
         }
     }
 
-    /// Serve peers (and retransmission timers) for a whole [`POLL`], and
-    /// on until the socket wait then in progress ends.
-    fn serve_peers(&mut self) {
-        let until = Instant::now() + POLL;
-        loop {
-            let left = until.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                break;
-            }
-            if self.rt.step(left) {
-                self.reconcile_in();
-            }
-        }
-    }
-
-    /// The loop: one look at the application, then the network for a
-    /// whole [`POLL`], whatever arrives meanwhile. A datagram must not
-    /// bring the next look forward: what an op leaves behind on the
-    /// wire (acks, confirmations) lands within microseconds of the
-    /// application's next request, so which of the two came first would
-    /// decide whether that request is seen at once or a socket wait
-    /// later — 0.2 ms or 8 ms a fault, by luck, and runs of one program
-    /// 15 % apart. A request waits for the look it precedes, every time.
-    fn run(mut self, rx: mpsc::Receiver<Req>) {
+    /// The loop: a parked fault, else a call, else one wait for a
+    /// datagram, a retransmit deadline or the doorbell. Both requests are
+    /// checked before the wait and leave the doorbell readable until
+    /// taken, so none is slept through.
+    fn run(mut self, calls: mpsc::Receiver<Call>, done: mpsc::SyncSender<()>) {
         let mut buf = Vec::new();
         loop {
             if let Some(fault) = self.view.pending_fault() {
                 self.service_fault(fault, &mut buf);
-                // The access just resumed may trap again at once: a
-                // store to a page this node does not hold is a read
-                // fault and then an upgrade (module docs), and a scan's
-                // next page is as near. Look once more before going
-                // back to the socket, or that trap waits out the wait.
-                // Once: an access traps twice at most, and a loop here
-                // would be a busy poll.
-                std::thread::sleep(RETRAP);
-                if let Some(again) = self.view.pending_fault() {
-                    self.service_fault(again, &mut buf);
-                }
-            } else {
-                match rx.try_recv() {
-                    // The program returned (after `linger`) or unwound.
-                    Err(mpsc::TryRecvError::Disconnected) => break,
-                    Ok(Req(op, ack)) => {
-                        self.service_sync(op, &mut buf);
-                        let _ = ack.send(());
+                continue;
+            }
+            match calls.try_recv() {
+                Ok(call) => {
+                    self.view.answer();
+                    match call {
+                        Call::Sync(op) => self.service_sync(op, &mut buf),
+                        Call::Retire => {
+                            // Publish what the program wrote last; its
+                            // view's memory goes while the node lingers.
+                            self.reconcile_out(&mut buf);
+                            self.release_view();
+                            self.retired = true;
+                        }
                     }
-                    Err(mpsc::TryRecvError::Empty) => {}
+                    let _ = done.send(());
+                }
+                // `linger` returned, or the program or `linger` unwound.
+                Err(mpsc::TryRecvError::Disconnected) => break,
+                Err(mpsc::TryRecvError::Empty) => {
+                    if self.rt.step(Duration::MAX) && !self.retired {
+                        self.reconcile_in();
+                    }
                 }
             }
-            self.serve_peers();
         }
     }
 }
@@ -366,9 +349,10 @@ pub fn supports(protocol: ProtocolKind) -> Result<(), String> {
 /// cost model come from `cfg` exactly as in the simulator — every
 /// process must be given an identical `cfg`.
 ///
-/// `linger` runs after `program` returns, while this node still
-/// serves peer requests; return from it once the whole cluster is
-/// known to be done (e.g. after a coordinator's shutdown message).
+/// `linger` runs after `program` returns and the view's memory is
+/// given back, while this node still serves peers from its frames;
+/// return from it once the whole cluster is known to be done (e.g.
+/// after a coordinator's shutdown message).
 /// Real sockets are not deterministic — matching *results* with the
 /// simulator, not matching traffic, is the contract.
 ///
@@ -408,11 +392,13 @@ where
     let node = fleet.swap_remove(me.index());
     drop(fleet);
 
-    let mut rt = SocketRt::new(node, me, sock, peers, cfg.model.clone());
-    rt.start();
-
     let view = ClusterView::new(pages, ps).expect("mmap cluster view");
-    let (tx, rx) = mpsc::channel::<Req>();
+    let mut rt = SocketRt::new(node, me, sock, peers, cfg.model.clone());
+    rt.wake_on(view.doorbell());
+    rt.start();
+    // One call in flight at a time, so neither channel ever blocks a send.
+    let (call, calls) = mpsc::sync_channel(1);
+    let (done, wait_done) = mpsc::sync_channel(1);
 
     std::thread::scope(|s| {
         let reactor = Reactor {
@@ -421,19 +407,22 @@ where
             view: &view,
             layout,
             lazy: cfg.protocol.facts().lazy,
+            retired: false,
         };
-        s.spawn(move || reactor.run(rx));
+        s.spawn(move || reactor.run(calls, done));
 
-        // The only sender: leaving this closure drops it, which stops
-        // the reactor — also when `program` or `linger` panics, so the
-        // scope can join and re-raise the panic on the caller's thread.
+        // Leaving this closure drops the handle, which stops the reactor
+        // — also when `program` or `linger` panics, so the scope can
+        // join and re-raise the panic on the caller's thread.
         let dsm = ClusterDsm {
             view: &view,
-            req: tx,
+            calls: Some(call),
+            done: wait_done,
             me,
             nnodes: cfg.nnodes,
         };
         let result = program(&dsm);
+        dsm.call(Call::Retire);
         // Keep serving peers until the embedder says the cluster is
         // done, then tear down.
         linger(&result);
@@ -487,6 +476,40 @@ mod tests {
 
         assert_eq!(cluster, sim.results[0]);
         assert_eq!(cluster, 42);
+    }
+
+    /// A request costs its own service, not a scheduler tick: a
+    /// one-node cluster has no network to wait for, so 200 barriers and
+    /// a read of 200 cold pages (a fault each) are 400 trips through the
+    /// reactor. A reactor that looks at the application once per socket
+    /// wait (8 ms at HZ = 250) took 2.7 s; one woken by the request
+    /// takes 22 ms in a debug build, and the bound leaves 10× either way.
+    #[test]
+    fn requests_wake_the_reactor_at_once() {
+        const N: usize = 200;
+        let ps = dsm_vm::os_page_size();
+        let cfg = DsmConfig::new(1, ProtocolKind::IvyFixed)
+            .heap_bytes(N * ps)
+            .page_size(ps);
+        let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let peers = vec![sock.local_addr().unwrap()];
+        let t = std::time::Instant::now();
+        let sum = run_cluster_node(
+            &cfg,
+            NodeId(0),
+            sock,
+            peers,
+            |d| {
+                for b in 0..N as u32 {
+                    d.barrier(b);
+                }
+                (0..N).map(|p| d.read_u64(GlobalAddr(p * ps))).sum::<u64>()
+            },
+            |_| {},
+        );
+        let took = t.elapsed();
+        assert_eq!(sum, 0);
+        assert!(took < Duration::from_millis(250), "took {took:?}");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Stackful coroutines on the calling thread, over a hand-written
-//! x86-64 System V context switch: the only `unsafe` in this crate.
+//! x86-64 System V context switch: all but one `unsafe` of this crate.
 //!
 //! A [`Coros`] is a fixed set of coroutines, one mapped stack each, and
 //! the *root*: whoever called [`Coros::run`]. One of them runs at any

@@ -57,6 +57,7 @@
 //! assert_eq!(res.stats.total_msgs(), 2);
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
 mod coro;
 mod driver;
 mod kernel;

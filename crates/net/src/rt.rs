@@ -26,6 +26,9 @@
 //!   the real network provide the latency. The model is still carried
 //!   for RTO seeding ([`crate::reliable::RelConfig::from_model`]) and
 //!   local-cost bookkeeping.
+//! * **One wait.** [`SocketRt::step`] blocks in one `ppoll(2)` over the
+//!   socket and the [`SocketRt::wake_on`] doorbells, up to its bound or
+//!   the next timer to the nanosecond — not a tick, as `SO_RCVTIMEO` is.
 //! * **Datagram framing.** `[u32 src][Wire-encoded message]`, one
 //!   message per datagram. Malformed or truncated datagrams are dropped
 //!   (counted); retransmission recovers.
@@ -39,6 +42,8 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
+use std::os::fd::{AsRawFd, RawFd};
+use std::ptr;
 use std::time::{Duration, Instant};
 
 use crate::kernel::{NodeBehavior, OpOutcome};
@@ -57,6 +62,8 @@ const RECV_BUF: usize = 65_536;
 /// heap, wall clock, and the parked-op slot for the one local program.
 pub struct SocketCore<M, R> {
     sock: UdpSocket,
+    /// What `step` waits on: the socket, then each `wake_on` doorbell.
+    polls: Vec<libc::pollfd>,
     peers: Vec<SocketAddr>,
     me: NodeId,
     model: CostModel,
@@ -145,12 +152,20 @@ impl<M: Payload + Wire, R> Transport<M, R> for SocketCore<M, R> {
 /// One node's event reactor: a [`NodeBehavior`] plus its
 /// [`SocketCore`], stepped by the hosting thread. The caller owns the
 /// loop shape — a cluster node interleaves [`SocketRt::step`] with
-/// page-fault service (see `dsm-core`'s cluster module); a test can
-/// just spin until a reply appears.
+/// page-fault service, woken by its view's doorbell (see `dsm-core`'s
+/// cluster module); a test can just step until a reply appears.
 pub struct SocketRt<N: NodeBehavior> {
     core: SocketCore<N::Msg, N::Reply>,
     node: N,
     buf: Vec<u8>,
+}
+
+fn poll_in(fd: RawFd) -> libc::pollfd {
+    libc::pollfd {
+        fd,
+        events: libc::POLLIN,
+        revents: 0,
+    }
 }
 
 impl<N: NodeBehavior> SocketRt<N>
@@ -169,8 +184,11 @@ where
         model: CostModel,
     ) -> Self {
         assert!((me.index()) < peers.len(), "own rank outside roster");
+        // `step` waits in `ppoll`, never in a receive.
+        sock.set_nonblocking(true).expect("non-blocking socket");
         SocketRt {
             core: SocketCore {
+                polls: vec![poll_in(sock.as_raw_fd())],
                 sock,
                 peers,
                 me,
@@ -187,6 +205,12 @@ where
         }
     }
 
+    /// Also end [`SocketRt::step`]'s wait while `fd` (kept open) is
+    /// readable; the caller drains it, or every wait ends at once.
+    pub fn wake_on(&mut self, fd: RawFd) {
+        self.core.polls.push(poll_in(fd));
+    }
+
     /// Run the behavior's `on_start` hook.
     pub fn start(&mut self) {
         let SocketRt { core, node, .. } = self;
@@ -199,10 +223,10 @@ where
     }
 
     /// Dispatch at most one event — a queued loopback message, a due
-    /// timer, or a datagram arriving within `max_wait` — and report
-    /// whether anything was dispatched. Undecodable datagrams and
-    /// datagrams from unknown ranks are dropped silently (the sender
-    /// retransmits anything that mattered).
+    /// timer, or a datagram arriving within `max_wait` or before a
+    /// [`SocketRt::wake_on`] doorbell — and report whether anything was
+    /// dispatched. Undecodable datagrams and datagrams from unknown ranks
+    /// are dropped silently (the sender retransmits what mattered).
     pub fn step(&mut self, max_wait: Duration) -> bool {
         let SocketRt { core, node, buf } = self;
         let me = core.me;
@@ -226,27 +250,30 @@ where
                 return true;
             }
         }
-        // Block on the socket until a datagram lands, the next timer is
-        // due, or `max_wait` elapses — whichever is first.
+        // Wait until a datagram lands, a doorbell rings, the next timer
+        // is due, or `max_wait` elapses — whichever is first.
         let mut wait = max_wait;
         if let Some(deadline) = core.next_deadline() {
             wait = wait.min(Duration::from_nanos(deadline - now));
         }
-        // `set_read_timeout(Some(0))` is an error; round up.
-        wait = wait.max(Duration::from_micros(1));
-        core.sock
-            .set_read_timeout(Some(wait))
-            .expect("set_read_timeout");
+        let timeout = libc::timespec {
+            tv_sec: i64::try_from(wait.as_secs()).unwrap_or(i64::MAX),
+            tv_nsec: i64::from(wait.subsec_nanos()),
+        };
+        let (fds, nfds) = (core.polls.as_mut_ptr(), core.polls.len());
+        // SAFETY: `nfds` entries at `fds` and `timeout` are live and ours
+        // for the call; a null mask leaves the signal mask alone.
+        let ready = unsafe { libc::ppoll(fds, nfds as _, &timeout, ptr::null()) };
+        // -1 is EINTR, an empty wait; a doorbell alone dispatches nothing.
+        if ready <= 0 || core.polls[0].revents == 0 {
+            return false;
+        }
         let n = match core.sock.recv_from(buf) {
             Ok((n, _)) => n,
             Err(e) => {
-                debug_assert!(
-                    matches!(
-                        e.kind(),
-                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::ConnectionRefused
-                    ),
-                    "unexpected socket error: {e}"
-                );
+                use ErrorKind::{ConnectionRefused, WouldBlock};
+                let expected = matches!(e.kind(), WouldBlock | ConnectionRefused);
+                debug_assert!(expected, "unexpected socket error: {e}");
                 return false;
             }
         };
@@ -307,7 +334,7 @@ where
     }
 
     /// Convenience: submit an op and step the reactor until its reply
-    /// arrives (polling the wire at up to `poll` per step).
+    /// arrives (waiting at most `poll` per step).
     pub fn run_op(&mut self, op: N::Op, poll: Duration) -> N::Reply {
         self.submit(op);
         loop {
@@ -316,16 +343,6 @@ where
             }
             self.step(poll);
         }
-    }
-
-    /// This node's id.
-    pub fn me(&self) -> NodeId {
-        self.core.me
-    }
-
-    /// Wall-clock nanoseconds since reactor construction.
-    pub fn now(&self) -> SimTime {
-        SimTime(self.core.now_nanos())
     }
 
     /// Traffic statistics accumulated so far (modeled byte sizes).

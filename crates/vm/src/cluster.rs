@@ -10,8 +10,10 @@
 //! polls), resolves each by installing data and rights, and resumes the
 //! thread with [`ClusterView::finish_fault`]. That host is a coherence
 //! policy over sibling views in [`crate::run_vm`] and a network protocol
-//! stack in cluster mode. Any number of views may live in one process:
-//! the handler finds the faulting one by scanning a static table.
+//! stack in cluster mode, which polls the pipe ([`ClusterView::doorbell`])
+//! with its socket; the application rings it too ([`ClusterView::ring`]).
+//! Any number of views may live in one process: the handler finds the
+//! faulting one by scanning a static table.
 //!
 //! Safety model: the handler is async-signal-safe (atomics, `write(2)`
 //! to a pipe, raw `futex` — no allocation, no locks). A view is written
@@ -20,7 +22,7 @@
 //! the granularity their host provides (as on the original systems).
 
 use std::io::{self, Read};
-use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU8, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -38,8 +40,9 @@ const SLOT_IDLE: u32 = 0;
 const SLOT_REQUESTED: u32 = 1;
 const SLOT_DONE: u32 = 2;
 
-/// Pipe bytes: the handler announces a fault, `stop` ends the stream.
+/// Pipe bytes: a fault, a `ring`, and `stop` (the end of the stream).
 const FAULT_BYTE: u8 = 1;
+const RING_BYTE: u8 = 2;
 const STOP_BYTE: u8 = 0xFF;
 
 /// A fault surfaced by the view: the page, and whether the page was
@@ -182,8 +185,8 @@ fn install_handler() {
 /// / [`ClusterView::write`] (or raw pointers into the mapping); the
 /// *host* side drains faults with [`ClusterView::next_fault`] or
 /// [`ClusterView::pending_fault`] and manipulates contents and rights
-/// with [`ClusterView::install_page`], [`ClusterView::set_access`], and
-/// [`ClusterView::snapshot_page`].
+/// with [`ClusterView::install_page`], [`ClusterView::set_access`],
+/// [`ClusterView::release_page`] and [`ClusterView::snapshot_page`].
 ///
 /// Host-side mutators must only run while the application thread is
 /// parked in a fault or blocked in a synchronization op, or on pages
@@ -248,19 +251,6 @@ impl ClusterView {
         self.shared.pages
     }
 
-    pub fn page_size(&self) -> usize {
-        self.shared.page_size
-    }
-
-    /// Total bytes of the view.
-    pub fn len(&self) -> usize {
-        self.shared.pages * self.shared.page_size
-    }
-
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     // ---------------- application side ----------------
 
     /// Pointer to the `n` bytes at offset `off`, bounds-checked without
@@ -268,7 +258,8 @@ impl ClusterView {
     #[inline]
     fn span(&self, off: usize, n: usize) -> *mut u8 {
         assert!(
-            off.checked_add(n).is_some_and(|end| end <= self.len()),
+            off.checked_add(n)
+                .is_some_and(|end| end <= self.shared.pages * self.shared.page_size),
             "access past end of view"
         );
         // SAFETY: in bounds; the callers below respect protection by
@@ -355,6 +346,23 @@ impl ClusterView {
         send_byte(&self.shared, STOP_BYTE);
     }
 
+    /// The pipe's read end: readable until each fault, ring and stop is taken.
+    pub fn doorbell(&self) -> RawFd {
+        self.pipe_r.as_raw_fd()
+    }
+
+    /// Wake the host for a request handed to it by other means.
+    pub fn ring(&self) {
+        send_byte(&self.shared, RING_BYTE);
+    }
+
+    /// Take one [`ClusterView::ring`]'s byte, once its request is held.
+    pub fn answer(&self) {
+        let mut byte = [0u8; 1];
+        (&self.pipe_r).read_exact(&mut byte).expect("doorbell");
+        debug_assert_eq!(byte[0], RING_BYTE, "a ring answered out of turn");
+    }
+
     /// Current access level of `page` (one of [`ACC_NONE`],
     /// [`ACC_READ`], [`ACC_WRITE`]).
     pub fn access(&self, page: usize) -> u8 {
@@ -381,6 +389,13 @@ impl ClusterView {
             .region
             .protect(self.page_off(page), self.shared.page_size, prot);
         self.shared.access[page].store(acc, Ordering::Release);
+    }
+
+    /// Revoke `page` and free its memory, to be rewritten by an install.
+    pub fn release_page(&self, page: usize) {
+        self.set_access(page, ACC_NONE);
+        let (off, ps) = (self.page_off(page), self.shared.page_size);
+        self.shared.region.discard(off, ps);
     }
 
     /// Install `data` as `page`'s contents and set its access level.

@@ -29,6 +29,7 @@
 //! assert_eq!(res.results, vec![42, 42]);
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
 pub mod cluster;
 mod engine;
 mod region;
