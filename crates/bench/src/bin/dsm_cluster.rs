@@ -71,25 +71,6 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     args.common.validate()?;
-    // Injected faults are the simulator's; a real socket loses what it
-    // loses, and the children would never see these flags anyway.
-    let c = &args.common;
-    if c.fault_plan().enabled() {
-        let given = [
-            ("--drop-prob", c.drop_prob > 0.0),
-            ("--dup-prob", c.dup_prob > 0.0),
-            ("--crash", !c.crashes.is_empty()),
-            ("--partition", !c.partitions.is_empty()),
-        ];
-        let named: Vec<_> = given
-            .iter()
-            .filter_map(|&(f, on)| on.then_some(f))
-            .collect();
-        return Err(format!(
-            "{}: fault injection only applies to the simulator (dsmrun), not to cluster mode",
-            named.join(", ")
-        ));
-    }
     // Refuse here what `run_cluster_node` would refuse in every child.
     dsm_core::cluster::supports(args.common.proto)?;
     if args.common.page % dsm_vm::os_page_size() != 0 {
@@ -121,12 +102,11 @@ fn config(c: &CommonFlags) -> DsmConfig {
 /// is the same function of `nnodes`, so a single wrong page transfer
 /// shows up as a RESULT mismatch.
 ///
-/// The layout is deliberately page-strided: cluster mode traps whole
-/// pages, so a write fault ships the full page image and concurrent
-/// false-sharing writers within one page would lose updates (the
-/// classic page-granularity DSM hazard — cluster programs must be
-/// data-race-free at page granularity, with barriers or one lock per
-/// page ordering writers).
+/// The layout is deliberately page-strided: under a single-writer
+/// protocol a write fault moves the whole page, so false-sharing
+/// writers of one page under different locks would lose updates (the
+/// classic page-granularity DSM hazard; `lrc` twins and diffs instead,
+/// see `docs/CLUSTER.md`).
 macro_rules! demo_workload {
     ($d:expr, $page:expr) => {{
         let d = $d;

@@ -10,10 +10,10 @@
 //! ```
 
 use dsm_apps::{chase, fft, gauss, jacobi, kv, matmul, sor, sort, taskqueue, tsp};
-use dsm_bench::cli::CommonFlags;
+use dsm_bench::cli::{apply, parse_crash, parse_partition, CommonFlags, CrashSpec, PartitionSpec};
 use dsm_core::{
-    BarrierKind, Can, CostModel, Dsm, DsmConfig, Dur, EntryBinding, Facts, LockKind, NetStats,
-    Placement, ProtocolKind, RunResult, SimTime,
+    BarrierKind, Can, CostModel, Dsm, DsmConfig, Dur, EntryBinding, Facts, FaultPlan, LockKind,
+    NetStats, Placement, ProtocolKind, RunResult, SimTime,
 };
 
 struct Args {
@@ -25,6 +25,12 @@ struct Args {
     barrier: BarrierKind,
     fast_path: bool,
     lrc_gc: bool,
+    /// The simulator's injected faults (`dsm-cluster` takes none).
+    drop_prob: f64,
+    dup_prob: f64,
+    fault_seed: u64,
+    crashes: Vec<CrashSpec>,
+    partitions: Vec<PartitionSpec>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -37,6 +43,11 @@ fn parse_args() -> Result<Args, String> {
         barrier: BarrierKind::Central,
         fast_path: true,
         lrc_gc: true,
+        drop_prob: 0.0,
+        dup_prob: 0.0,
+        fault_seed: 1,
+        crashes: Vec::new(),
+        partitions: Vec::new(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -88,6 +99,17 @@ fn parse_args() -> Result<Args, String> {
             }
             "--no-fast-path" => args.fast_path = false,
             "--no-lrc-gc" => args.lrc_gc = false,
+            "--drop-prob" => {
+                args.drop_prob = val()?.parse().map_err(|e| format!("--drop-prob: {e}"))?;
+            }
+            "--dup-prob" => {
+                args.dup_prob = val()?.parse().map_err(|e| format!("--dup-prob: {e}"))?;
+            }
+            "--fault-seed" => {
+                args.fault_seed = val()?.parse().map_err(|e| format!("--fault-seed: {e}"))?;
+            }
+            "--crash" => args.crashes.push(parse_crash(&val()?)?),
+            "--partition" => args.partitions.push(parse_partition(&val()?)?),
             other => {
                 // Everything else is the vocabulary shared with
                 // `dsm-cluster`.
@@ -98,6 +120,25 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     args.common.validate()?;
+    // A probability of 1 or more would end in the watchdog, a node
+    // outside the run in a panic.
+    for (flag, p) in [
+        ("--drop-prob", args.drop_prob),
+        ("--dup-prob", args.dup_prob),
+    ] {
+        if !(0.0..1.0).contains(&p) {
+            return Err(format!("{flag} {p} must be in [0, 1)"));
+        }
+    }
+    let nodes = args.common.nodes;
+    let crashed = args.crashes.iter().map(|c| ("--crash", c.node));
+    let cut = args.partitions.iter().flat_map(|p| p.a.iter().chain(&p.b));
+    let mut named = crashed.chain(cut.map(|&n| ("--partition", n)));
+    if let Some((flag, node)) = named.find(|&(_, node)| node >= nodes) {
+        return Err(format!(
+            "{flag} names node {node} but the run has {nodes} nodes"
+        ));
+    }
     // Smaller than this an app indexes outside its own grid.
     match (args.app.as_str(), args.size) {
         (_, 0) => {} // the app's default
@@ -135,7 +176,9 @@ fn main() {
             eprintln!("dsmrun: {e}");
             eprintln!(
                 "usage: dsmrun --app <name> [--size S] [--placement P] [--lock K] \
-                 [--barrier K] [--no-fast-path] [--no-lrc-gc] {} | --list\n\
+                 [--barrier K] [--no-fast-path] [--no-lrc-gc] {} [--drop-prob P] \
+                 [--dup-prob P] [--fault-seed S] [--crash node@t_us[:recover_us]]... \
+                 [--partition a,b|c,d@t1..t2]... | --list\n\
                  apps: sor jacobi matmul gauss fft sort taskqueue tsp chase kv \
                  (kv: the E21 Zipf board, --size = operations per node)",
                 CommonFlags::USAGE
@@ -159,7 +202,11 @@ fn main() {
             .lrc_gc(a.lrc_gc)
             .batch_depth(c.batch_depth)
             .max_events(2_000_000_000)
-            .faults(c.fault_plan())
+            .faults(apply(
+                FaultPlan::lossy(a.drop_prob, a.dup_prob, a.fault_seed),
+                &a.crashes,
+                &a.partitions,
+            ))
     };
 
     /// What is printed of a run, its verdict included: completion time,
@@ -360,19 +407,19 @@ fn main() {
     if a.common.batch_depth > 1 {
         println!("pipeline: batch-depth={}", a.common.batch_depth);
     }
-    if a.common.drop_prob > 0.0 || a.common.dup_prob > 0.0 {
+    if a.drop_prob > 0.0 || a.dup_prob > 0.0 {
         println!(
             "faults: drop={} dup={} seed={} (reliable transport engaged)",
-            a.common.drop_prob, a.common.dup_prob, a.common.fault_seed
+            a.drop_prob, a.dup_prob, a.fault_seed
         );
     }
-    for c in &a.common.crashes {
+    for c in &a.crashes {
         match c.recover {
             Some(r) => println!("crash: node {} at {}, recovers at {r}", c.node, c.at),
             None => println!("crash: node {} at {} (permanent)", c.node, c.at),
         }
     }
-    for p in &a.common.partitions {
+    for p in &a.partitions {
         println!(
             "partition: {:?} | {:?} during {}..{}",
             p.a, p.b, p.from, p.until

@@ -1,8 +1,10 @@
 //! Shared command-line plumbing: `dsmrun` and `dsm-cluster` accept one
-//! common flag vocabulary ([`CommonFlags`]) and the same `--crash` /
-//! `--partition` syntax, parsed here so the front-ends cannot drift.
+//! common flag vocabulary ([`CommonFlags`]), parsed here so the
+//! front-ends cannot drift. The simulator's fault flags are `dsmrun`'s
+//! alone (a real socket loses what it loses); the `--crash` and
+//! `--partition` syntax it parses with is here too.
 //!
-//! All times are *virtual* microseconds.
+//! All fault times are *virtual* microseconds.
 //!
 //! - `--crash "node@t[:recover_t]"` — crash `node` at `t` µs; with the
 //!   optional `:recover_t`, reboot it at `recover_t` µs (otherwise it
@@ -18,9 +20,9 @@ use dsm_core::{CostModel, Dur, FaultPlan, ProtocolKind, SimTime};
 /// The flag vocabulary both front-ends share. Each binary owns its
 /// specific flags (`dsmrun --app`, `dsm-cluster --child-rank`, …) and
 /// funnels everything else through [`CommonFlags::take`] and then
-/// [`CommonFlags::validate`], so `--net`, `--crash`, `--partition`,
-/// `--batch-depth`, and the seed/probability knobs parse identically
-/// everywhere and a value the runtime would panic on is a usage error.
+/// [`CommonFlags::validate`], so the machine shape, `--net` and
+/// `--batch-depth` parse identically everywhere and a value the runtime
+/// would panic on is a usage error.
 #[derive(Debug, Clone)]
 pub struct CommonFlags {
     pub nodes: u32,
@@ -30,11 +32,6 @@ pub struct CommonFlags {
     /// `None` keeps the `DSM_NET`-or-1992-LAN default.
     pub net: Option<String>,
     pub batch_depth: usize,
-    pub drop_prob: f64,
-    pub dup_prob: f64,
-    pub fault_seed: u64,
-    pub crashes: Vec<CrashSpec>,
-    pub partitions: Vec<PartitionSpec>,
 }
 
 impl Default for CommonFlags {
@@ -45,26 +42,14 @@ impl Default for CommonFlags {
             page: 4096,
             net: None,
             batch_depth: 1,
-            drop_prob: 0.0,
-            dup_prob: 0.0,
-            fault_seed: 1,
-            crashes: Vec::new(),
-            partitions: Vec::new(),
         }
     }
 }
 
 impl CommonFlags {
     /// One-line usage fragment for the shared flags.
-    pub const USAGE: &'static str = "[--nodes N] [--proto NAME] [--page B] [--net ERA] \
-         [--batch-depth D] [--drop-prob P] [--dup-prob P] [--fault-seed S] \
-         [--crash node@t_us[:recover_us]]... [--partition a,b|c,d@t1..t2]...";
-
-    /// Resolve a protocol name ([`ProtocolKind::from_name`]).
-    pub fn proto_from(v: &str) -> Result<ProtocolKind, String> {
-        ProtocolKind::from_name(v)
-            .ok_or_else(|| format!("unknown protocol {v} (try dsmrun --list)"))
-    }
+    pub const USAGE: &'static str =
+        "[--nodes N] [--proto NAME] [--page B] [--net ERA] [--batch-depth D]";
 
     /// Try to consume `flag` (pulling its value from `it` when it
     /// takes one). `Ok(true)` if it was one of the shared flags,
@@ -78,7 +63,11 @@ impl CommonFlags {
         let mut val = || it.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag {
             "--nodes" => self.nodes = val()?.parse().map_err(|e| format!("--nodes: {e}"))?,
-            "--proto" => self.proto = Self::proto_from(&val()?)?,
+            "--proto" => {
+                let v = val()?;
+                self.proto = ProtocolKind::from_name(&v)
+                    .ok_or_else(|| format!("unknown protocol {v} (try dsmrun --list)"))?;
+            }
             "--page" => self.page = val()?.parse().map_err(|e| format!("--page: {e}"))?,
             "--net" => {
                 let v = val()?;
@@ -93,25 +82,13 @@ impl CommonFlags {
             "--batch-depth" => {
                 self.batch_depth = val()?.parse().map_err(|e| format!("--batch-depth: {e}"))?;
             }
-            "--drop-prob" => {
-                self.drop_prob = val()?.parse().map_err(|e| format!("--drop-prob: {e}"))?;
-            }
-            "--dup-prob" => {
-                self.dup_prob = val()?.parse().map_err(|e| format!("--dup-prob: {e}"))?;
-            }
-            "--fault-seed" => {
-                self.fault_seed = val()?.parse().map_err(|e| format!("--fault-seed: {e}"))?;
-            }
-            "--crash" => self.crashes.push(parse_crash(&val()?)?),
-            "--partition" => self.partitions.push(parse_partition(&val()?)?),
             _ => return Ok(false),
         }
         Ok(true)
     }
 
     /// Check, once every flag is in, the values the runtime asserts on:
-    /// each of these would otherwise end in a panic (or, for a
-    /// probability of 1 or more, in the watchdog).
+    /// each of these would otherwise end in a panic.
     pub fn validate(&self) -> Result<(), String> {
         if self.nodes == 0 {
             return Err("--nodes must be at least 1".into());
@@ -122,41 +99,12 @@ impl CommonFlags {
                 self.page
             ));
         }
-        for (flag, p) in [
-            ("--drop-prob", self.drop_prob),
-            ("--dup-prob", self.dup_prob),
-        ] {
-            if !(0.0..1.0).contains(&p) {
-                return Err(format!("{flag} {p} must be in [0, 1)"));
-            }
-        }
-        let crashed = self.crashes.iter().map(|c| ("--crash", c.node));
-        let cut = self
-            .partitions
-            .iter()
-            .flat_map(|p| p.a.iter().chain(&p.b))
-            .map(|&n| ("--partition", n));
-        match crashed.chain(cut).find(|&(_, node)| node >= self.nodes) {
-            Some((flag, node)) => Err(format!(
-                "{flag} names node {node} but the run has {} nodes",
-                self.nodes
-            )),
-            None => Ok(()),
-        }
+        Ok(())
     }
 
     /// The cost model these flags select, if `--net` was given.
     pub fn model(&self) -> Option<CostModel> {
         self.net.as_deref().and_then(CostModel::era)
-    }
-
-    /// The fault plan these flags describe.
-    pub fn fault_plan(&self) -> FaultPlan {
-        apply(
-            FaultPlan::lossy(self.drop_prob, self.dup_prob, self.fault_seed),
-            &self.crashes,
-            &self.partitions,
-        )
     }
 }
 
@@ -239,7 +187,11 @@ pub fn parse_partition(s: &str) -> Result<PartitionSpec, String> {
 }
 
 /// Fold parsed specs into a fault plan.
-fn apply(mut plan: FaultPlan, crashes: &[CrashSpec], partitions: &[PartitionSpec]) -> FaultPlan {
+pub fn apply(
+    mut plan: FaultPlan,
+    crashes: &[CrashSpec],
+    partitions: &[PartitionSpec],
+) -> FaultPlan {
     for c in crashes {
         plan = plan.with_crash(c.node, c.at, c.recover);
     }
@@ -290,7 +242,6 @@ mod tests {
             "--batch-depth",
             "4",
             "--crash",
-            "1@10",
             "--unrelated",
         ];
         let mut it = argv.iter().map(|s| s.to_string());
@@ -304,9 +255,8 @@ mod tests {
         assert_eq!(f.proto.name(), "ivy-fixed");
         assert_eq!(f.net.as_deref(), Some("lan_1992"));
         assert_eq!(f.batch_depth, 4);
-        assert_eq!(f.crashes.len(), 1);
-        assert!(f.fault_plan().enabled());
-        assert_eq!(unknown, vec!["--unrelated"]);
+        // The fault flags are `dsmrun`'s own.
+        assert_eq!(unknown, vec!["--crash", "--unrelated"]);
         assert!(f
             .take("--proto", &mut ["nope".to_string()].into_iter())
             .is_err());

@@ -1,11 +1,13 @@
-//! Synchronization scaling (E7, E8) and the real page-fault engine's
+//! Synchronization scaling (E7, E8) and the real page-fault engines'
 //! cost breakdown (E10).
 
 use super::Scale;
 use crate::table::{print_table, xs_of, Series};
+use dsm_core::{run_in_threads, DsmConfig, GlobalAddr, ProtocolKind};
 use dsm_net::{AppHandle, CostModel, Dur, Sim};
 use dsm_sync::{BarrierKind, LockKind, SyncNode, SyncOp};
 use dsm_vm::{run_vm, VmConfig, VmMode};
+use std::time::{Duration, Instant};
 
 type H = AppHandle<SyncOp, ()>;
 
@@ -94,75 +96,95 @@ pub fn e08_barriers(scale: Scale) {
     );
 }
 
-/// E10 — the real engine's basic costs (cf. TreadMarks' "basic
-/// operation costs" table): measured on this machine with `mprotect` +
-/// SIGSEGV + service threads.
+/// E10 — the real engines' basic costs (cf. TreadMarks' "basic
+/// operation costs" table), measured on this machine with `mprotect` +
+/// SIGSEGV: `run_vm`'s sequentially consistent write-invalidate (service
+/// threads in one process) and cluster mode's protocol stack (nodes as
+/// threads over loopback UDP) under `ivy-fixed` and `lrc`.
 pub fn e10_vm_costs(scale: Scale) {
     let pages = scale.pick(16usize, 64);
     let rounds = scale.pick(2usize, 8);
+    let ps = dsm_vm::os_page_size();
 
-    // Invalidate mode: remote read faults and write upgrades.
-    let inv = run_vm(VmConfig::new(2, pages, VmMode::Invalidate), |node| {
-        for r in 0..rounds {
-            if node.id() == 1 {
-                // Touch every page homed at node 0: read fault, then
-                // write (upgrade fault).
-                for p in (0..pages).filter(|p| p % 2 == 0) {
-                    let off = p * node_page(node);
-                    let v = node.read::<u64>(off);
-                    node.write::<u64>(off, v + r as u64);
-                }
-            }
-            node.barrier();
-            if node.id() == 0 {
-                // Reclaim them so the next round faults again.
-                for p in (0..pages).filter(|p| p % 2 == 0) {
-                    let off = p * node_page(node);
-                    node.write::<u64>(off, 1);
-                }
-            }
-            node.barrier();
-        }
+    let vm = run_vm(VmConfig::new(2, pages, VmMode::Invalidate), |node| {
+        let (read, write) = (|p| node.read::<u64>(p * ps), |p, v| node.write(p * ps, v));
+        e10_node(node.id(), pages, rounds, read, write, || node.barrier())
     });
-
-    // Twin mode: write faults snapshot twins; barriers create diffs.
-    let twin = run_vm(VmConfig::new(2, pages, VmMode::TwinDiff), |node| {
-        for _ in 0..rounds {
-            for p in 0..pages {
-                let off = p * node_page(node) + node.id() * 8;
-                let v = node.read::<u64>(off);
-                node.write::<u64>(off, v + 1);
-            }
-            node.barrier();
-        }
-    });
-
-    let mut cols = vec![Series::new("invalidate"), Series::new("twin-diff")];
-    let metrics = [
-        "read faults",
-        "write faults",
-        "us/fault",
-        "MB copied",
-        "diffs",
-        "diff bytes",
-    ];
-    for (i, st) in [inv.stats, twin.stats].into_iter().enumerate() {
-        let faults = (st.read_faults + st.write_faults).max(1);
-        cols[i].push(st.read_faults as f64);
-        cols[i].push(st.write_faults as f64);
-        cols[i].push(st.service_ns as f64 / faults as f64 / 1000.0);
-        cols[i].push(st.bytes_copied as f64 / 1.0e6);
-        cols[i].push(st.diffs_created as f64);
-        cols[i].push(st.diff_bytes as f64);
+    let mut cols = vec![Series {
+        label: "vm invalidate".into(),
+        values: vm.results[1].to_vec(),
+    }];
+    for proto in [ProtocolKind::IvyFixed, ProtocolKind::Lrc] {
+        let cfg = DsmConfig::new(2, proto)
+            .heap_bytes(pages * ps)
+            .page_size(ps);
+        let res = run_in_threads(&cfg, |d| {
+            let read = |p| d.read_u64(GlobalAddr(p * ps));
+            let write = |p, v| d.write_u64(GlobalAddr(p * ps), v);
+            e10_node(d.id().0 as usize, pages, rounds, read, write, || {
+                d.barrier(0)
+            })
+        });
+        cols.push(Series {
+            label: proto.name().into(),
+            values: res[1].to_vec(),
+        });
     }
     print_table(
-        "E10: real page-fault engine — measured costs (this machine)",
+        "E10: real page faults — us per op at node 1 (run_vm; cluster mode over loopback UDP)",
         "metric",
-        &xs_of(&metrics),
+        &xs_of(&["read fault", "write fault", "barrier"]),
         &cols,
     );
 }
 
-fn node_page(_node: &dsm_vm::VmNode<'_>) -> usize {
-    dsm_vm::os_page_size()
+/// One node of E10's program, on whichever engine `read`, `write` and
+/// `barrier` reach. Each round node 0 writes every page; then node 1
+/// reads each (a remote read fault), writes it back incremented (a
+/// write fault on a readable page: the upgrade) and meets node 0 at a
+/// barrier. Node 1 returns the µs per read, per write and per barrier
+/// it timed; each node checks what it reads of the other's writes.
+fn e10_node(
+    me: usize,
+    pages: usize,
+    rounds: usize,
+    read: impl Fn(usize) -> u64,
+    write: impl Fn(usize, u64),
+    barrier: impl Fn(),
+) -> [f64; 3] {
+    let value = |round: usize, page: usize| (round * pages + page) as u64;
+    let mut spent = [Duration::ZERO; 3];
+    for r in 0..rounds {
+        if me == 0 {
+            for p in 0..pages {
+                if r > 0 {
+                    assert_eq!(read(p), value(r - 1, p) + 1, "E10: a write of node 1 lost");
+                }
+                write(p, value(r, p));
+            }
+        }
+        barrier();
+        if me == 1 {
+            let t = Instant::now();
+            let seen: Vec<u64> = (0..pages).map(&read).collect();
+            spent[0] += t.elapsed();
+            let t = Instant::now();
+            for (p, v) in seen.iter().enumerate() {
+                write(p, v + 1);
+            }
+            spent[1] += t.elapsed();
+            let fresh = seen.iter().enumerate().all(|(p, &v)| v == value(r, p));
+            assert!(fresh, "E10: node 1 read a stale page");
+        }
+        let t = Instant::now();
+        barrier();
+        spent[2] += t.elapsed();
+    }
+    let per_page = (rounds * pages) as f64;
+    let us = |d: Duration| d.as_secs_f64() * 1e6;
+    [
+        us(spent[0]) / per_page,
+        us(spent[1]) / per_page,
+        us(spent[2]) / rounds as f64,
+    ]
 }

@@ -62,11 +62,13 @@ fn lrc_cluster_matches_simulator() {
 
 #[test]
 fn fault_flags_are_refused() {
-    // Injected loss, crashes and partitions are the simulator's; cluster
-    // mode must say so rather than run without them and report OK.
+    // Injected loss, seeds, crashes and partitions are the simulator's
+    // (`dsmrun`); cluster mode must refuse them rather than run without
+    // them and report OK.
     for args in [
         &["--drop-prob", "0.5"][..],
         &["--dup-prob", "0.1"],
+        &["--fault-seed", "7"],
         &["--crash", "1@10"],
         &["--partition", "0|1@0..100000"],
     ] {
@@ -79,7 +81,7 @@ fn fault_flags_are_refused() {
         assert_eq!(out.status.code(), Some(2), "{args:?}:\n{stderr}");
         assert!(out.stdout.is_empty(), "{args:?} ran something");
         assert!(
-            stderr.starts_with(&format!("dsm-cluster: {}: fault injection", args[0])),
+            stderr.starts_with(&format!("dsm-cluster: unknown flag {}\n", args[0])),
             "{args:?} not named:\n{stderr}"
         );
     }

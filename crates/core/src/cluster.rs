@@ -23,7 +23,8 @@
 //!   A request is seen the moment it is made; an idle reactor sleeps.
 //!
 //! A node is usually alone in its process, but nothing requires it:
-//! views are independent, so tests run whole clusters as threads.
+//! views are independent, so [`run_in_threads`] runs a whole cluster as
+//! threads of one process.
 //!
 //! # View ↔ frame reconciliation
 //!
@@ -36,15 +37,22 @@
 //!   served the application's bytes;
 //! * **in** (after any event): each page's view protection is aligned
 //!   with its frame access — invalidations revoke the mapping, fetches
-//!   install contents, upgrades and downgrades adjust rights.
+//!   install contents, upgrades and downgrades adjust rights. Rights
+//!   are *raised* only after a fault or a sync op, while the program is
+//!   parked in it. After a datagram dispatched under a running program
+//!   they are only lowered: an install opens the page read-write for
+//!   its copy, so a store racing it would land unseen by the protocol —
+//!   no twin, no write notice.
 //!
 //! A write fault on a readable page resolves as a protocol write of
 //! the page's current bytes (contents unchanged, ownership acquired);
-//! a cold write takes the classic two-fault upgrade. This is correct
-//! for data-race-free programs at page granularity — like the real
-//! page-based systems this reproduces, concurrent false-sharing
-//! writers under distinct locks are not supported in cluster mode
-//! (the simulator's byte-accurate engine handles them fine).
+//! a cold write takes the classic two-fault upgrade. Under `lrc`,
+//! writers of different bytes of one page keep their bytes when
+//! barriers or different locks order them: the write fault twins the
+//! page and the release ships a diff. Under a single-writer protocol a
+//! write fault moves the whole page, so such writers lose updates, and
+//! a program that races inside a page is not sequentially consistent
+//! here: a store can land after the reactor copied the page out.
 //!
 //! Supported protocols are those whose row says
 //! [`crate::Facts::page_fault_driven`]: every coherence action
@@ -53,8 +61,8 @@
 //! with the reason their row gives.
 
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
 use crate::lease::FrameCell;
@@ -206,11 +214,12 @@ impl Reactor<'_> {
     }
 
     /// Frames → view: align every page's mapping with its frame access.
-    fn reconcile_in(&mut self) {
+    /// `raise` only while the program is parked: see the module doc.
+    fn reconcile_in(&mut self, raise: bool) {
         for page in 0..self.view.pages() {
             let fa = self.frame_level(page);
             let va = self.view.access(page);
-            if fa == va {
+            if fa == va || (fa > va && !raise) {
                 continue;
             }
             if fa == ACC_NONE {
@@ -278,7 +287,7 @@ impl Reactor<'_> {
             };
             self.rt.run_op(op, Duration::MAX);
         }
-        self.reconcile_in();
+        self.reconcile_in(true);
         self.view.finish_fault();
     }
 
@@ -286,7 +295,7 @@ impl Reactor<'_> {
         self.reconcile_out(buf);
         let acquire_like = !matches!(op, DsmOp::Release(_));
         self.rt.run_op(op, Duration::MAX);
-        self.reconcile_in();
+        self.reconcile_in(true);
         if self.lazy && acquire_like {
             // See the `lazy` field: frame access cannot express "bytes
             // stale behind an unchanged grant", so make the application
@@ -325,7 +334,7 @@ impl Reactor<'_> {
                 Err(mpsc::TryRecvError::Disconnected) => break,
                 Err(mpsc::TryRecvError::Empty) => {
                     if self.rt.step(Duration::MAX) && !self.retired {
-                        self.reconcile_in();
+                        self.reconcile_in(false);
                     }
                 }
             }
@@ -428,6 +437,62 @@ where
         linger(&result);
         result
     })
+}
+
+/// Run a whole cluster as threads of this process: one loopback UDP
+/// socket and one [`run_cluster_node`] per node, each on its own
+/// thread, every node running `program`. Returns the results in rank
+/// order.
+///
+/// Every node keeps serving its peers until all programs have
+/// returned. A program that panics fails the run: its node keeps
+/// serving meanwhile, and once every node is done the first panic is
+/// re-raised on the caller's thread with its own payload. Peers waiting
+/// in a barrier the panicked program never reached are not released,
+/// so such a run still hangs.
+pub fn run_in_threads<V, F>(cfg: &DsmConfig, program: F) -> Vec<V>
+where
+    V: Send,
+    F: Fn(&ClusterDsm<'_>) -> V + Sync,
+{
+    let socks: Vec<UdpSocket> = (0..cfg.nnodes)
+        .map(|_| UdpSocket::bind("127.0.0.1:0").expect("bind a loopback UDP socket"))
+        .collect();
+    let peers: Vec<SocketAddr> = socks
+        .iter()
+        .map(|s| s.local_addr().expect("a bound socket has an address"))
+        .collect();
+    let all_done = Barrier::new(socks.len());
+    let (program, all_done) = (&program, &all_done);
+    let outcomes: Vec<_> = std::thread::scope(|s| {
+        let nodes: Vec<_> = socks
+            .into_iter()
+            .enumerate()
+            .map(|(rank, sock)| {
+                let peers = peers.clone();
+                s.spawn(move || {
+                    run_cluster_node(
+                        cfg,
+                        NodeId(rank as u32),
+                        sock,
+                        peers,
+                        |d| catch_unwind(AssertUnwindSafe(|| program(d))),
+                        |_| {
+                            all_done.wait();
+                        },
+                    )
+                })
+            })
+            .collect();
+        nodes.into_iter().map(|node| node.join()).collect()
+    });
+    outcomes
+        .into_iter()
+        .map(|outcome| match outcome {
+            Ok(Ok(v)) => v,
+            Ok(Err(payload)) | Err(payload) => resume_unwind(payload),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -586,57 +651,58 @@ mod tests {
         sum * 1000 + d.read_u64(ctr)
     }
 
-    /// A whole cluster as threads of this process: every node has its
-    /// own socket, view and reactor, and keeps serving peers until all
-    /// programs are done.
-    fn run_in_process(n: u32, proto: ProtocolKind) {
+    /// The demo on a whole cluster as threads of this process.
+    fn demo_in_threads(n: u32, proto: ProtocolKind) {
         let page = dsm_vm::os_page_size();
         let cfg = DsmConfig::new(n, proto)
             .heap_bytes((n as usize + 1) * page)
             .page_size(page);
-        let socks: Vec<UdpSocket> = (0..n)
-            .map(|_| UdpSocket::bind("127.0.0.1:0").unwrap())
-            .collect();
-        let peers: Vec<SocketAddr> = socks.iter().map(|s| s.local_addr().unwrap()).collect();
-        let all_done = std::sync::Barrier::new(n as usize);
-        let results: Vec<u64> = std::thread::scope(|s| {
-            let ranks: Vec<_> = socks
-                .into_iter()
-                .enumerate()
-                .map(|(rank, sock)| {
-                    let (cfg, peers, all_done) = (&cfg, peers.clone(), &all_done);
-                    s.spawn(move || {
-                        run_cluster_node(
-                            cfg,
-                            NodeId(rank as u32),
-                            sock,
-                            peers,
-                            |d| demo(d, page),
-                            |_| {
-                                all_done.wait();
-                            },
-                        )
-                    })
-                })
-                .collect();
-            ranks.into_iter().map(|r| r.join().unwrap()).collect()
-        });
+        let results = run_in_threads(&cfg, |d| demo(d, page));
         // Slot sum of `(i+1)*10`, scaled, plus three lock-guarded
         // rounds of `+ (i+1)` from each node.
         let tri = (n as u64) * (n as u64 + 1) / 2;
         assert_eq!(results, vec![10 * tri * 1000 + 3 * tri; n as usize]);
     }
 
+    /// A panicking program fails the run, and only after its peers are
+    /// done: node 0 faults on a page node 1 manages after node 1's
+    /// program has panicked, and is still served.
+    #[test]
+    fn a_panic_in_threads_reaches_the_caller_after_its_peers_are_served() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let page = dsm_vm::os_page_size();
+        let cfg = DsmConfig::new(2, ProtocolKind::IvyFixed)
+            .heap_bytes(2 * page)
+            .page_size(page);
+        let (peer_gone, seen) = (AtomicBool::new(false), AtomicBool::new(false));
+        let run = AssertUnwindSafe(|| {
+            run_in_threads(&cfg, |d| {
+                if d.id().0 == 1 {
+                    peer_gone.store(true, Ordering::Release);
+                    panic!("node 1 failed");
+                }
+                while !peer_gone.load(Ordering::Acquire) {
+                    std::hint::spin_loop();
+                }
+                assert_eq!(d.read_u64(GlobalAddr(page)), 0);
+                seen.store(true, Ordering::Release);
+            })
+        });
+        let payload = catch_unwind(run).expect_err("the panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"node 1 failed"));
+        assert!(seen.load(Ordering::Acquire));
+    }
+
     #[test]
     fn ivy_fixed_clusters_run_as_threads() {
-        run_in_process(2, ProtocolKind::IvyFixed);
-        run_in_process(4, ProtocolKind::IvyFixed);
+        demo_in_threads(2, ProtocolKind::IvyFixed);
+        demo_in_threads(4, ProtocolKind::IvyFixed);
     }
 
     #[test]
     fn ivy_dynamic_clusters_run_as_threads() {
-        run_in_process(2, ProtocolKind::IvyDynamic);
-        run_in_process(4, ProtocolKind::IvyDynamic);
+        demo_in_threads(2, ProtocolKind::IvyDynamic);
+        demo_in_threads(4, ProtocolKind::IvyDynamic);
     }
 
     /// Home-based write-invalidate is page-fault driven whoever serves
@@ -644,12 +710,12 @@ mod tests {
     /// path, as on any fabric without one-sided support.
     #[test]
     fn rdma_clusters_run_as_threads() {
-        run_in_process(2, ProtocolKind::Rdma);
-        run_in_process(4, ProtocolKind::Rdma);
+        demo_in_threads(2, ProtocolKind::Rdma);
+        demo_in_threads(4, ProtocolKind::Rdma);
     }
 
     #[test]
     fn lrc_cluster_runs_as_threads() {
-        run_in_process(3, ProtocolKind::Lrc);
+        demo_in_threads(3, ProtocolKind::Lrc);
     }
 }

@@ -27,7 +27,7 @@ mod msg;
 mod node;
 
 pub use api::{Dsm, PrefetchWindow};
-pub use cluster::{run_cluster_node, ClusterDsm};
+pub use cluster::{run_cluster_node, run_in_threads, ClusterDsm};
 pub use lease::Lease;
 pub use msg::CoreMsg;
 pub use node::{DsmNode, DsmOp, OpBuf, OpData};

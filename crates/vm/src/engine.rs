@@ -1,4 +1,5 @@
-//! The in-process engine: two coherence policies over N views.
+//! The in-process engine: sequentially consistent write-invalidate
+//! over N views.
 //!
 //! N "nodes" are N threads in this process, each with its own
 //! [`ClusterView`] of the shared space. Application code loads and
@@ -8,28 +9,24 @@
 //! per-node *service thread* decides what the fault means under a
 //! per-page lock and answers with `install_page` / `set_access` on the
 //! views involved, and the faulting instruction retries. This is the
-//! user-level mechanism IVY and TreadMarks were built on; what is left
-//! here is policy.
+//! user-level mechanism IVY was built on; what is left here is policy:
+//! single-writer write-invalidate with an owner and copyset per page.
 //!
-//! Two coherence modes:
-//!
-//! * [`VmMode::Invalidate`] — single-writer write-invalidate with an
-//!   owner and copyset per page: sequential consistency.
-//! * [`VmMode::TwinDiff`] — multiple writers: a write fault snapshots a
-//!   twin and opens the page; [`VmNode::barrier`] diffs every twin
-//!   against the page, merges the diffs into a per-page master copy,
-//!   and invalidates local views — barrier-consistency for
-//!   data-race-free programs, immune to false sharing.
+//! Why this engine exists beside `dsm-core`'s cluster mode, which runs
+//! the real protocol stack over views: it downgrades a writer *before*
+//! copying its page, under the page's lock, so it is sequentially
+//! consistent even for a program that races inside a page. The
+//! cluster's reactor copies a page out while its program runs, so a
+//! store can land after the copy; it promises consistency only to
+//! data-race-free programs. Multiple writers of one page run there,
+//! under `lrc`.
 //!
 //! Safety model: a node's view is written by its own thread, or by a
 //! service thread strictly while that thread is parked; cross-view
 //! copies read pages whose writers have been downgraded first.
-//! Programs must be data-race-free at the granularity the mode
-//! provides (as on the original systems).
 
-use crate::cluster::{ClusterView, ViewFault, ACC_NONE, ACC_READ, ACC_WRITE};
+use crate::cluster::{ClusterView, ACC_NONE, ACC_READ, ACC_WRITE};
 use crate::region::os_page_size;
-use dsm_mem::PageDiff;
 use std::panic::resume_unwind;
 use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 
@@ -38,8 +35,6 @@ use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 pub enum VmMode {
     /// Write-invalidate single writer (sequential consistency).
     Invalidate,
-    /// Twin/diff multiple writers merged at barriers.
-    TwinDiff,
 }
 
 /// Engine configuration.
@@ -62,56 +57,23 @@ impl VmConfig {
             mode,
         }
     }
-
-    pub fn total_bytes(&self) -> usize {
-        self.pages * self.page_size
-    }
 }
 
 /// Per-page coherence metadata.
 struct PageMeta {
-    /// Invalidate mode: current owner.
     owner: usize,
-    /// Invalidate mode: nodes holding copies (bitmask; ≤ 64 nodes).
+    /// Nodes holding copies (bitmask; ≤ 64 nodes).
     copyset: u64,
-    /// TwinDiff mode: the merged authoritative copy.
-    master: Option<Box<[u8]>>,
-}
-
-/// One node's twin storage: the twins snapshotted this interval plus a
-/// pool of recycled page buffers. The pool is preallocated at engine
-/// build (one buffer per shared page — the most a node can twin before
-/// a flush), so the write-fault hot path never allocates.
-struct TwinSet {
-    used: Vec<(usize, Box<[u8]>)>,
-    free: Vec<Box<[u8]>>,
-}
-
-/// Counters of a run, exposed after it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VmStatsSnapshot {
-    pub read_faults: u64,
-    pub write_faults: u64,
-    pub bytes_copied: u64,
-    pub diffs_created: u64,
-    pub diff_bytes: u64,
-    /// Wall-clock nanoseconds spent inside fault service.
-    pub service_ns: u64,
 }
 
 struct Shared {
-    cfg: VmConfig,
     /// One view per node: mapping, access levels and fault stream.
     views: Vec<ClusterView>,
     meta: Vec<Mutex<PageMeta>>,
     barrier: Barrier,
-    /// Per-node twins (TwinDiff mode), touched only by that node's
-    /// service thread and its app thread's flush.
-    twins: Vec<Mutex<TwinSet>>,
-    /// Application-level mutual-exclusion locks (invalidate mode: the
-    /// engine is sequentially consistent, so plain mutexes suffice).
+    /// Application-level mutual-exclusion locks (the engine is
+    /// sequentially consistent, so plain mutexes suffice).
     app_locks: Vec<Mutex<()>>,
-    stats: Mutex<VmStatsSnapshot>,
 }
 
 /// Every update under these locks leaves the data valid at each step,
@@ -121,16 +83,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl Shared {
-    /// Install `data` as `node`'s copy of `page`: the one page copy a
-    /// fault costs. Caller must hold the page's meta lock.
-    fn install(&self, node: usize, page: usize, data: &[u8], acc: u8) {
-        self.views[node].install_page(page, data, acc);
-        lock(&self.stats).bytes_copied += self.cfg.page_size as u64;
-    }
-
-    // ---------------- invalidate mode ----------------
-
-    fn service_read_invalidate(&self, node: usize, page: usize) {
+    fn service_read(&self, node: usize, page: usize) {
         let mut meta = lock(&self.meta[page]);
         if self.views[node].access(page) >= ACC_READ {
             return; // raced with another service; already readable
@@ -143,11 +96,11 @@ impl Shared {
         }
         // SAFETY: the owner's copy is readable and, under the meta
         // lock, no service changes it or its rights during the copy.
-        self.install(node, page, unsafe { owner.page_bytes(page) }, ACC_READ);
+        self.views[node].install_page(page, unsafe { owner.page_bytes(page) }, ACC_READ);
         meta.copyset |= 1 << node;
     }
 
-    fn service_write_invalidate(&self, node: usize, page: usize) {
+    fn service_write(&self, node: usize, page: usize) {
         let mut meta = lock(&self.meta[page]);
         let view = &self.views[node];
         if view.access(page) == ACC_WRITE {
@@ -165,7 +118,7 @@ impl Shared {
             // SAFETY: the owner's copy is readable (owners keep at
             // least read rights), no longer writable, and its rights
             // are stable under the meta lock.
-            self.install(node, page, unsafe { owner.page_bytes(page) }, ACC_WRITE);
+            view.install_page(page, unsafe { owner.page_bytes(page) }, ACC_WRITE);
         } else {
             view.set_access(page, ACC_WRITE);
         }
@@ -180,100 +133,6 @@ impl Shared {
         }
         meta.owner = node;
         meta.copyset = 1 << node;
-    }
-
-    // ---------------- twin/diff mode ----------------
-
-    fn master_mut<'a>(&self, meta: &'a mut PageMeta) -> &'a mut Box<[u8]> {
-        meta.master
-            .get_or_insert_with(|| vec![0u8; self.cfg.page_size].into_boxed_slice())
-    }
-
-    fn service_read_twin(&self, node: usize, page: usize) {
-        let mut meta = lock(&self.meta[page]);
-        if self.views[node].access(page) >= ACC_READ {
-            return;
-        }
-        self.install(node, page, self.master_mut(&mut meta), ACC_READ);
-    }
-
-    fn service_write_twin(&self, node: usize, page: usize) {
-        let mut meta = lock(&self.meta[page]);
-        let view = &self.views[node];
-        if view.access(page) == ACC_WRITE {
-            return;
-        }
-        if view.access(page) == ACC_NONE {
-            self.install(node, page, self.master_mut(&mut meta), ACC_WRITE);
-        } else {
-            view.set_access(page, ACC_WRITE);
-        }
-        // Snapshot the twin for the barrier diff, reusing a pooled
-        // buffer. A page can be twinned at most once per interval (the
-        // ACC_WRITE early return above), so a plain push suffices.
-        let mut set = lock(&self.twins[node]);
-        let mut twin = set
-            .free
-            .pop()
-            .unwrap_or_else(|| vec![0u8; self.cfg.page_size].into_boxed_slice());
-        view.snapshot_page(page, &mut twin);
-        set.used.push((page, twin));
-    }
-
-    /// TwinDiff: fold this node's writes into the masters and drop all
-    /// local copies (called by the app thread at a barrier).
-    fn flush_twins(&self, node: usize) {
-        let view = &self.views[node];
-        let mut set = lock(&self.twins[node]);
-        let TwinSet { used, free } = &mut *set;
-        lock(&self.stats).diffs_created += used.len() as u64;
-        let mut wire = 0;
-        for (page, twin) in used.drain(..) {
-            // SAFETY: a twinned page is writable in this view, and its
-            // only writer is the thread running this flush.
-            let cur = unsafe { view.page_bytes(page) };
-            // Stream the changed runs straight into the master: one
-            // scan, no diff object, no allocation. The meta lock (and
-            // the master's lazy allocation) engage only if anything
-            // actually changed.
-            let mut meta_guard = None;
-            wire += PageDiff::scan_runs(&twin, cur, |run_off, bytes| {
-                let meta = meta_guard.get_or_insert_with(|| lock(&self.meta[page]));
-                let master = self.master_mut(meta);
-                master[run_off..run_off + bytes.len()].copy_from_slice(bytes);
-            });
-            drop(meta_guard);
-            free.push(twin);
-        }
-        drop(set);
-        lock(&self.stats).diff_bytes += wire as u64;
-        // Drop every local copy: the next access refetches the merged
-        // master.
-        for page in 0..self.cfg.pages {
-            if view.access(page) != ACC_NONE {
-                view.set_access(page, ACC_NONE);
-            }
-        }
-    }
-
-    fn service(&self, node: usize, fault: ViewFault) {
-        let start = std::time::Instant::now();
-        // Portable fault disambiguation, done by the view: no access →
-        // read service; a fault on a readable page must be a write. (A
-        // cold write costs two faults — the classic upgrade path.)
-        match (self.cfg.mode, fault.write) {
-            (VmMode::Invalidate, false) => self.service_read_invalidate(node, fault.page),
-            (VmMode::Invalidate, true) => self.service_write_invalidate(node, fault.page),
-            (VmMode::TwinDiff, false) => self.service_read_twin(node, fault.page),
-            (VmMode::TwinDiff, true) => self.service_write_twin(node, fault.page),
-        }
-        let mut stats = lock(&self.stats);
-        if fault.write {
-            stats.write_faults += 1;
-        } else {
-            stats.read_faults += 1;
-        }
-        stats.service_ns += start.elapsed().as_nanos() as u64;
     }
 }
 
@@ -300,14 +159,6 @@ impl VmNode<'_> {
         self.node
     }
 
-    pub fn nodes(&self) -> usize {
-        self.shared.cfg.nnodes
-    }
-
-    pub fn total_bytes(&self) -> usize {
-        self.shared.cfg.total_bytes()
-    }
-
     /// Volatile typed load from the shared space (may page-fault into
     /// the coherence engine).
     #[inline]
@@ -322,40 +173,14 @@ impl VmNode<'_> {
         self.shared.views[self.node].write(off, v)
     }
 
-    /// Bulk read.
-    pub fn read_bytes(&self, off: usize, buf: &mut [u8]) {
-        for (i, b) in buf.iter_mut().enumerate() {
-            *b = self.read::<u8>(off + i);
-        }
-    }
-
-    /// Bulk write.
-    pub fn write_bytes(&self, off: usize, data: &[u8]) {
-        for (i, &b) in data.iter().enumerate() {
-            self.write::<u8>(off + i, b);
-        }
-    }
-
-    /// Run `f` under application lock `id` (0..64). Only meaningful in
-    /// invalidate mode, where the engine is sequentially consistent;
-    /// twin/diff mode synchronizes at barriers only.
+    /// Run `f` under application lock `id` (0..64).
     pub fn with_lock<T>(&self, id: usize, f: impl FnOnce() -> T) -> T {
-        assert_eq!(
-            self.shared.cfg.mode,
-            VmMode::Invalidate,
-            "vm locks require the sequentially consistent mode"
-        );
         let _guard = lock(&self.shared.app_locks[id]);
         f()
     }
 
-    /// Global barrier. In twin/diff mode this is also the consistency
-    /// point: local writes are merged into the masters and local copies
-    /// dropped.
+    /// Global barrier.
     pub fn barrier(&self) {
-        if self.shared.cfg.mode == VmMode::TwinDiff {
-            self.shared.flush_twins(self.node);
-        }
         self.shared.barrier.wait();
     }
 }
@@ -364,7 +189,6 @@ impl VmNode<'_> {
 #[derive(Debug)]
 pub struct VmRunResult<R> {
     pub results: Vec<R>,
-    pub stats: VmStatsSnapshot,
 }
 
 /// Build the engine, run one closure per node (each on its own
@@ -393,47 +217,39 @@ where
     let views: Vec<ClusterView> = (0..cfg.nnodes)
         .map(|_| ClusterView::new(cfg.pages, cfg.page_size).expect("map a node's view"))
         .collect();
-    // Page p starts owned by node p % n; in invalidate mode the owner
-    // holds a zeroed writable copy (kernel zero-fill on first touch).
+    // Page p starts owned by node p % n, which holds a zeroed writable
+    // copy (kernel zero-fill on first touch).
     let home = |p: usize| p % cfg.nnodes;
-    if cfg.mode == VmMode::Invalidate {
-        for p in 0..cfg.pages {
-            views[home(p)].set_access(p, ACC_WRITE);
-        }
+    for p in 0..cfg.pages {
+        views[home(p)].set_access(p, ACC_WRITE);
     }
     let shared = Shared {
-        cfg,
         views,
         meta: (0..cfg.pages)
             .map(|p| {
                 Mutex::new(PageMeta {
                     owner: home(p),
                     copyset: 1 << home(p),
-                    master: None,
                 })
             })
             .collect(),
         barrier: Barrier::new(cfg.nnodes),
-        twins: (0..cfg.nnodes)
-            .map(|_| {
-                Mutex::new(TwinSet {
-                    used: Vec::with_capacity(cfg.pages),
-                    free: (0..cfg.pages)
-                        .map(|_| vec![0u8; cfg.page_size].into_boxed_slice())
-                        .collect(),
-                })
-            })
-            .collect(),
         app_locks: (0..64).map(|_| Mutex::new(())).collect(),
-        stats: Mutex::default(),
     };
     let shared = &shared;
 
     let results: Vec<R> = std::thread::scope(|s| {
         for (n, view) in shared.views.iter().enumerate() {
             s.spawn(move || {
+                // The view tells the two apart: a fault on a readable
+                // page must be a store. (A cold write costs two faults —
+                // the classic upgrade path.)
                 while let Some(fault) = view.next_fault() {
-                    shared.service(n, fault);
+                    if fault.write {
+                        shared.service_write(n, fault.page);
+                    } else {
+                        shared.service_read(n, fault.page);
+                    }
                     view.finish_fault();
                 }
             });
@@ -455,6 +271,5 @@ where
             .collect()
     });
 
-    let stats = *lock(&shared.stats);
-    VmRunResult { results, stats }
+    VmRunResult { results }
 }

@@ -10,10 +10,11 @@
 //! One type carries the mechanism: a [`ClusterView`] is a node's
 //! memory — mapping, per-page rights, the trap that parks a faulting
 //! thread and the fault stream its host drains. Any number of views may
-//! live in one process. [`run_vm`] is N views plus one of two coherence
-//! policies ([`VmMode`]) served by threads of this process; `dsm-core`'s
-//! cluster mode is one view per node with the real protocol stack as
-//! its host.
+//! live in one process. [`run_vm`] is N views plus a sequentially
+//! consistent write-invalidate policy served by threads of this
+//! process; `dsm-core`'s cluster mode is one view per node with the
+//! real protocol stack as its host, and runs multiple-writer programs
+//! under `lrc`.
 //!
 //! ```no_run
 //! use dsm_vm::{run_vm, VmConfig, VmMode};
@@ -35,5 +36,5 @@ mod engine;
 mod region;
 
 pub use cluster::{ClusterView, ViewFault};
-pub use engine::{run_vm, VmConfig, VmMode, VmNode, VmRunResult, VmStatsSnapshot};
+pub use engine::{run_vm, VmConfig, VmMode, VmNode, VmRunResult};
 pub use region::{os_page_size, Prot, Region};

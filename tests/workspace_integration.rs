@@ -1,4 +1,4 @@
-//! Workspace-level integration: both execution engines (simulated and
+//! Workspace-level integration: the execution engines (simulated and
 //! real page-fault) run analogous workloads and agree with each other
 //! and with sequential expectations; the experiment harness runs end to
 //! end.
@@ -50,8 +50,8 @@ fn sim_and_vm_engines_agree_on_neighbor_sums() {
     }
 }
 
-/// The twin/diff vm mode and the simulated ERC protocol both merge
-/// false-shared writers of one page.
+/// Cluster `lrc` on real pages and the simulated ERC protocol both
+/// merge false-shared writers of one page.
 #[test]
 fn multiple_writer_merge_on_both_engines() {
     let n = 4usize;
@@ -70,17 +70,19 @@ fn multiple_writer_merge_on_both_engines() {
     };
     assert!(sim.iter().all(|&s| s == (1..=n as u64).sum()));
 
-    let vm = {
-        let cfg = VmConfig::new(n, 2, VmMode::TwinDiff);
-        let res = run_vm(cfg, |node| {
-            let me = node.id();
-            node.write::<u64>(me * 8, me as u64 + 1);
-            node.barrier();
-            (0..n).map(|i| node.read::<u64>(i * 8)).sum::<u64>()
-        });
-        res.results
+    let cluster = {
+        let ps = dsm_vm::os_page_size();
+        let cfg = DsmConfig::new(n as u32, ProtocolKind::Lrc)
+            .heap_bytes(2 * ps)
+            .page_size(ps);
+        dsm_core::run_in_threads(&cfg, |d| {
+            let me = d.id().0 as usize;
+            d.write_u64(GlobalAddr(me * 8), me as u64 + 1);
+            d.barrier(0);
+            (0..n).map(|i| d.read_u64(GlobalAddr(i * 8))).sum::<u64>()
+        })
     };
-    assert!(vm.iter().all(|&s| s == (1..=n as u64).sum()));
+    assert!(cluster.iter().all(|&s| s == (1..=n as u64).sum()));
 }
 
 /// The experiment harness's quick mode runs every experiment without
