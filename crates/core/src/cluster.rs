@@ -6,21 +6,22 @@
 //!
 //! # Architecture
 //!
-//! Two threads per node:
+//! Two threads per node share the runtime — [`SocketRt`] (UDP socket,
+//! timers, retransmission) and frame table — under one lock:
 //!
 //! * the **application thread** runs the user program against a
 //!   [`dsm_vm::ClusterView`] — plain loads and stores, with protection
-//!   violations parking the thread in the view's signal handler;
-//! * the **reactor thread** owns the [`SocketRt`] (UDP socket, timers,
-//!   retransmission) and the node's frame table, dispatches incoming
-//!   protocol messages, and runs ops to completion. Its loop serves the
-//!   view's parked fault ([`dsm_vm::ClusterView::pending_fault`]: it
-//!   becomes a protocol op, resolved and resumed right here), else a
-//!   synchronization request, else blocks in [`SocketRt::step`] until
-//!   something arrives: the socket, the next retransmit deadline or
-//!   the view's doorbell ([`dsm_vm::ClusterView::doorbell`]), which the
-//!   trap rings for a fault and [`ClusterDsm`] for a call or teardown.
-//!   A request is seen the moment it is made; an idle reactor sleeps.
+//!   violations parking the thread in the view's signal handler. A sync
+//!   call runs here: submit, then dispatch loopback messages and due
+//!   timers, so an op needing no datagram completes without crossing a
+//!   thread. An op waiting on the network is parked for the other thread;
+//! * the **serving thread** serves the view's parked fault (it becomes a
+//!   protocol op, resolved and resumed right here), else dispatches one
+//!   event, completing a parked call whose reply came. With nothing to
+//!   dispatch it sleeps *without the runtime* in one `ppoll` until a
+//!   datagram, the next retransmit deadline or the view's doorbell
+//!   ([`dsm_vm::ClusterView::doorbell`]), which rings for a fault, for
+//!   teardown, and for a call that set a timer due before the sleep ends.
 //!
 //! A node is usually alone in its process, but nothing requires it:
 //! views are independent, so [`run_in_threads`] runs a whole cluster as
@@ -29,20 +30,20 @@
 //! # View ↔ frame reconciliation
 //!
 //! The protocol operates on the node's frame table; the application
-//! operates on the mmap view. The reactor reconciles the two at every
-//! dispatch boundary:
+//! operates on the mmap view. The runtime reconciles the two at every
+//! dispatch boundary, at the cost of the pages that changed:
 //!
-//! * **out** (before any op): pages writable in the view are copied
-//!   into their frames, so releases/barriers flush and peers are
-//!   served the application's bytes;
-//! * **in** (after any event): each page's view protection is aligned
-//!   with its frame access — invalidations revoke the mapping, fetches
-//!   install contents, upgrades and downgrades adjust rights. Rights
-//!   are *raised* only after a fault or a sync op, while the program is
-//!   parked in it. After a datagram dispatched under a running program
-//!   they are only lowered: an install opens the page read-write for
-//!   its copy, so a store racing it would land unseen by the protocol —
-//!   no twin, no write notice.
+//! * **out** (before any op): the pages writable in the view are copied
+//!   into their frames, so releases/barriers flush and peers are served
+//!   the application's bytes;
+//! * **in** (after any event): each page in the frame table's change log
+//!   ([`FrameTable::track_changes`]) or left pending by an earlier pass
+//!   gets its view protection aligned with its frame access. Rights are
+//!   *raised* only after a fault or a sync op, while the program is
+//!   parked in it; after a datagram under a running program a raise
+//!   stays pending. An install opens the page read-write for its copy,
+//!   so a store racing it would land unseen by the protocol — no twin,
+//!   no write notice.
 //!
 //! A write fault on a readable page resolves as a protocol write of
 //! the page's current bytes (contents unchanged, ownership acquired);
@@ -62,37 +63,26 @@
 
 use std::net::{SocketAddr, UdpSocket};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc, Barrier};
+use std::sync::{mpsc, Arc, Barrier, Mutex, PoisonError};
 use std::time::Duration;
 
 use crate::lease::FrameCell;
 use crate::node::{DsmNode, DsmOp, OpBuf, OpData};
 use crate::{DsmConfig, ProtocolKind};
 use dsm_mem::{Access, FrameTable, GlobalAddr, PageId, SpaceLayout};
-use dsm_net::{wrap_fleet, NodeId, Reliable, SocketRt};
+use dsm_net::{wrap_fleet, NodeId, Reliable, SimTime, SocketRt};
 use dsm_sync::{BarrierId, LockId};
 use dsm_vm::cluster::{ACC_NONE, ACC_READ, ACC_WRITE};
 use dsm_vm::{ClusterView, ViewFault};
 
-/// What the application thread asks of the reactor, besides its faults.
-/// It is running, parked in a fault, or blocked in one call — never two.
-enum Call {
-    /// Acquire, release or barrier.
-    Sync(DsmOp),
-    /// The program has returned: the view is no longer touched.
-    Retire,
-}
-
 /// The application's handle in cluster mode: direct view memory for
-/// data, a call to the reactor for synchronization. The data API
-/// mirrors [`crate::Dsm`] where page-transparent access allows.
+/// data, the node's runtime, taken on this thread, for synchronization.
+/// The data API mirrors [`crate::Dsm`] where page-transparent access allows.
 pub struct ClusterDsm<'v> {
     view: &'v ClusterView,
-    /// Each call rings the view's doorbell. `None` once dropped: hanging
-    /// up is the reactor's signal to exit.
-    calls: Option<mpsc::SyncSender<Call>>,
-    /// One acknowledgement per call.
-    done: mpsc::Receiver<()>,
+    runtime: &'v Mutex<Runtime<'v>>,
+    /// The serving loop's answer to a call it completed.
+    answer: mpsc::Receiver<()>,
     me: NodeId,
     nnodes: u32,
 }
@@ -106,11 +96,33 @@ impl ClusterDsm<'_> {
         self.nnodes
     }
 
-    fn call(&self, call: Call) {
-        let calls = self.calls.as_ref().expect("calls close only on drop");
-        calls.send(call).expect("reactor gone");
-        self.view.ring();
-        self.done.recv().expect("reactor gone");
+    /// Run a sync op on this thread; one still waiting on the network is
+    /// parked for the serving loop, which completes and answers it.
+    fn sync(&self, op: DsmOp) {
+        let acquire_like = !matches!(op, DsmOp::Release(_));
+        let mut rt = self.runtime.lock().expect(POISONED);
+        rt.reconcile_out();
+        rt.rt.submit(op);
+        let mut done = rt.rt.take_reply().is_some();
+        while !done && rt.rt.dispatch_due() {
+            done = rt.rt.take_reply().is_some();
+        }
+        rt.parked = (!done).then_some(acquire_like);
+        if done {
+            rt.finish_sync(acquire_like);
+        }
+        // A retransmit timer the op set, due before the serving loop's
+        // sleep ends, must shorten it; a datagram wakes the loop itself.
+        let due = rt.rt.next_deadline();
+        if due.is_some_and(|at| rt.wake_at.is_none_or(|w| at < w)) {
+            self.view.ring();
+            rt.rings += 1;
+            rt.wake_at = due;
+        }
+        drop(rt);
+        if !done {
+            self.answer.recv().expect("node runtime gone");
+        }
     }
 
     pub fn read_u64(&self, addr: GlobalAddr) -> u64 {
@@ -130,11 +142,11 @@ impl ClusterDsm<'_> {
     }
 
     pub fn acquire(&self, lock: LockId) {
-        self.call(Call::Sync(DsmOp::Acquire(lock)));
+        self.sync(DsmOp::Acquire(lock));
     }
 
     pub fn release(&self, lock: LockId) {
-        self.call(Call::Sync(DsmOp::Release(lock)));
+        self.sync(DsmOp::Release(lock));
     }
 
     pub fn with_lock<T>(&self, lock: LockId, f: impl FnOnce(&Self) -> T) -> T {
@@ -145,22 +157,25 @@ impl ClusterDsm<'_> {
     }
 
     pub fn barrier(&self, id: BarrierId) {
-        self.call(Call::Sync(DsmOp::Barrier(id)));
+        self.sync(DsmOp::Barrier(id));
     }
 }
 
 impl Drop for ClusterDsm<'_> {
-    /// Hang up, then ring so that a reactor asleep in its wait sees it —
+    /// Stop the serving loop and ring, so that a loop asleep sees it —
     /// also when the program unwinds, so the panic reaches the caller.
     fn drop(&mut self) {
-        self.calls = None;
+        let mut rt = self.runtime.lock().unwrap_or_else(PoisonError::into_inner);
+        rt.stopped = true;
         self.view.stop();
     }
 }
 
-/// The reactor: socket runtime + frame table + view, reconciled at
-/// every dispatch boundary.
-struct Reactor<'v> {
+const POISONED: &str = "a panic inside the node runtime";
+
+/// The node's runtime: socket runtime + frame table + view, reconciled
+/// at every dispatch boundary. Whichever thread holds it runs it.
+struct Runtime<'v> {
     rt: SocketRt<Reliable<DsmNode>>,
     frames: Arc<FrameCell>,
     view: &'v ClusterView,
@@ -174,102 +189,147 @@ struct Reactor<'v> {
     /// touch of each page faults into a protocol op, which is exactly
     /// the "fetch missing diffs on access" moment LRC defines.
     lazy: bool,
-    /// The program has returned: frames alone serve peers.
-    retired: bool,
+    /// The program's handle is gone: the serving loop exits.
+    stopped: bool,
+    /// A call left to the serving loop: `Some(acquire_like)`.
+    parked: Option<bool>,
+    /// Doorbell bytes calls wrote, for the serving loop to take.
+    rings: usize,
+    /// When the serving loop's sleep ends unless woken (`None`: never).
+    wake_at: Option<SimTime>,
+    /// Besides the frames' change log, pages whose view level may differ:
+    /// deferred raises, `release_view`'s revokes, at start every page.
+    pending: Vec<usize>,
+    /// The pages the view holds write rights on.
+    writable: Vec<usize>,
+    /// A read fault's landing buffer.
+    buf: Vec<u8>,
 }
 
-impl Reactor<'_> {
-    /// The reactor thread is the only frame-table toucher in cluster
-    /// mode (no leases), so each call site takes a fresh exclusive
+impl Runtime<'_> {
+    /// Only the holder of the runtime touches the frame table (no leases
+    /// in cluster mode), so each call site takes a fresh exclusive
     /// borrow under the same discipline as the kernel path.
     #[allow(clippy::mut_from_ref)]
     fn mem(frames: &FrameCell) -> &mut FrameTable {
-        // SAFETY: see above — single-threaded access from the reactor.
+        // SAFETY: see above — one holder of the runtime at a time.
         unsafe { &mut *frames.get() }
     }
 
     fn frame_level(&self, page: usize) -> u8 {
-        match Self::mem(&self.frames).access(PageId(page)) {
-            Access::None => ACC_NONE,
-            Access::Read => ACC_READ,
-            Access::Write => ACC_WRITE,
-        }
+        // `Access` counts up as the view's levels do.
+        const _: () = assert!(Access::Read as u8 == ACC_READ && Access::Write as u8 == ACC_WRITE);
+        Self::mem(&self.frames).access(PageId(page)) as u8
     }
 
     /// View → frames: publish the application's bytes on every page it
     /// holds write rights to, so flushes, diffs, and serves see them.
-    fn reconcile_out(&mut self, buf: &mut Vec<u8>) {
-        let ps = self.layout.geometry.page_size();
-        buf.resize(ps, 0);
-        for page in 0..self.view.pages() {
-            if self.view.access(page) == ACC_WRITE {
-                self.view.snapshot_page(page, buf);
-                let ok = Self::mem(&self.frames).try_write(GlobalAddr(page * ps), buf);
-                // A frame downgraded since the grant refuses the copy;
-                // the view keeps the bytes and they flow out with the
-                // next write-fault payload instead.
-                let _ = ok;
+    fn reconcile_out(&mut self) {
+        let mem = Self::mem(&self.frames);
+        for &page in &self.writable {
+            // A frame downgraded since the grant refuses the copy; the
+            // view keeps the bytes and they flow out with the next
+            // write-fault payload instead.
+            if mem.access(PageId(page)) == Access::Write {
+                let frame = mem.page_bytes_mut(PageId(page)).expect("frame has bytes");
+                self.view.snapshot_page(page, frame);
             }
         }
     }
 
-    /// Frames → view: align every page's mapping with its frame access.
-    /// `raise` only while the program is parked: see the module doc.
+    /// Frames → view: align the mapping of every page whose frame
+    /// changed, or that an earlier pass left behind, with its frame
+    /// access. `raise` only while the program is parked: see the module
+    /// doc.
     fn reconcile_in(&mut self, raise: bool) {
-        for page in 0..self.view.pages() {
-            let fa = self.frame_level(page);
-            let va = self.view.access(page);
-            if fa == va || (fa > va && !raise) {
-                continue;
-            }
-            if fa == ACC_NONE {
-                // Invalidated under the application's feet — legal for
-                // DRF programs (it cannot be touching the page now).
-                // The frame's bytes went with its copy, and the next
-                // install rewrites the page whole, so its memory goes
-                // back to the kernel.
-                self.view.release_page(page);
-            } else if va == ACC_NONE || fa == ACC_WRITE {
-                // Fresh install or upgrade: the frame holds the truth
-                // (fetched page, or our bytes merged with remote
-                // diffs), and the application is parked in the op that
-                // caused this.
-                let bytes = Self::mem(&self.frames)
-                    .page_bytes(PageId(page))
-                    .expect("readable frame has bytes")
-                    .to_vec();
-                self.view.install_page(page, &bytes, fa);
-            } else {
-                // Write → read downgrade: keep the view bytes (already
-                // reconciled out), just drop the right.
-                self.view.set_access(page, ACC_READ);
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.extend(Self::mem(&self.frames).take_changes().map(|p| p.0));
+        pending.sort_unstable();
+        pending.dedup();
+        pending.retain(|&page| !self.align(page, raise));
+        self.pending = pending;
+        if cfg!(debug_assertions) && raise {
+            // After a raise pass every page agrees; one the log missed fails.
+            for page in 0..self.view.pages() {
+                let va = self.view.access(page);
+                assert_eq!(va, self.frame_level(page), "page {page} left unaligned");
+                assert_eq!(self.writable.contains(&page), va == ACC_WRITE);
             }
         }
+    }
+
+    /// Give `page` its frame's access level in the view; false, and
+    /// nothing done, if that raises it and `raise` is off.
+    fn align(&mut self, page: usize, raise: bool) -> bool {
+        let fa = self.frame_level(page);
+        let va = self.view.access(page);
+        if fa == va || (fa > va && !raise) {
+            return fa == va;
+        }
+        if fa == ACC_NONE {
+            // Invalidated under the application's feet — legal for DRF
+            // programs (it cannot be touching the page now). The frame's
+            // bytes went with its copy, and the next install rewrites the
+            // page whole, so its memory goes back to the kernel.
+            self.view.release_page(page);
+        } else if va == ACC_NONE || fa == ACC_WRITE {
+            // Fresh install or upgrade: the frame holds the truth
+            // (fetched page, or our bytes merged with remote diffs), and
+            // the application is parked in the op that caused this.
+            let bytes = Self::mem(&self.frames)
+                .page_bytes(PageId(page))
+                .expect("readable frame has bytes");
+            self.view.install_page(page, bytes, fa);
+        } else {
+            // Write → read downgrade: keep the view bytes (already
+            // reconciled out), just drop the right.
+            self.view.set_access(page, ACC_READ);
+        }
+        if fa == ACC_WRITE {
+            self.writable.push(page);
+        } else if va == ACC_WRITE {
+            self.writable.retain(|&p| p != page);
+        }
+        true
     }
 
     /// Revoke every page the view holds and free its memory: the next
     /// install rewrites a page whole.
-    fn release_view(&self) {
+    fn release_view(&mut self) {
         for page in 0..self.view.pages() {
             if self.view.access(page) != ACC_NONE {
                 self.view.release_page(page);
+                self.pending.push(page);
             }
+        }
+        self.writable.clear();
+    }
+
+    /// A sync op completed while its program is parked in it: raise
+    /// rights, and under `lazy` revoke the view after an acquire.
+    fn finish_sync(&mut self, acquire_like: bool) {
+        self.reconcile_in(true);
+        if self.lazy && acquire_like {
+            // See the `lazy` field: frame access cannot express "bytes
+            // stale behind an unchanged grant", so make the application
+            // re-fault everything it touches after the sync point.
+            self.release_view();
         }
     }
 
     /// Resolve a parked access as a protocol op and resume its thread.
-    fn service_fault(&mut self, fault: ViewFault, buf: &mut Vec<u8>) {
-        self.reconcile_out(buf);
+    fn service_fault(&mut self, fault: ViewFault) {
+        self.reconcile_out();
         let ps = self.layout.geometry.page_size();
         let addr = GlobalAddr(fault.page * ps);
         // Recompute the fault kind from the *current* view level: an
         // invalidation may have landed between the trap and now, in
         // which case the store needs the page first (two-fault path).
         if self.view.access(fault.page) == ACC_NONE {
-            buf.resize(ps, 0);
+            self.buf.resize(ps, 0);
             let op = DsmOp::Read {
                 addr,
-                buf: OpBuf::new(buf),
+                buf: OpBuf::new(&mut self.buf),
                 hint: None,
             };
             self.rt.run_op(op, Duration::MAX);
@@ -290,54 +350,42 @@ impl Reactor<'_> {
         self.reconcile_in(true);
         self.view.finish_fault();
     }
+}
 
-    fn service_sync(&mut self, op: DsmOp, buf: &mut Vec<u8>) {
-        self.reconcile_out(buf);
-        let acquire_like = !matches!(op, DsmOp::Release(_));
-        self.rt.run_op(op, Duration::MAX);
-        self.reconcile_in(true);
-        if self.lazy && acquire_like {
-            // See the `lazy` field: frame access cannot express "bytes
-            // stale behind an unchanged grant", so make the application
-            // re-fault everything it touches after the sync point.
-            self.release_view();
+/// The serving thread: take the calls' rings, then serve a parked
+/// fault, else dispatch one event, else sleep without the runtime. A
+/// fault or a ring leaves the doorbell readable until taken here, so
+/// none is slept through.
+fn serve(runtime: &Mutex<Runtime<'_>>, answer: mpsc::SyncSender<()>) {
+    loop {
+        let mut rt = runtime.lock().expect(POISONED);
+        if rt.stopped {
+            break;
         }
-    }
-
-    /// The loop: a parked fault, else a call, else one wait for a
-    /// datagram, a retransmit deadline or the doorbell. Both requests are
-    /// checked before the wait and leave the doorbell readable until
-    /// taken, so none is slept through.
-    fn run(mut self, calls: mpsc::Receiver<Call>, done: mpsc::SyncSender<()>) {
-        let mut buf = Vec::new();
-        loop {
-            if let Some(fault) = self.view.pending_fault() {
-                self.service_fault(fault, &mut buf);
-                continue;
-            }
-            match calls.try_recv() {
-                Ok(call) => {
-                    self.view.answer();
-                    match call {
-                        Call::Sync(op) => self.service_sync(op, &mut buf),
-                        Call::Retire => {
-                            // Publish what the program wrote last; its
-                            // view's memory goes while the node lingers.
-                            self.reconcile_out(&mut buf);
-                            self.release_view();
-                            self.retired = true;
-                        }
-                    }
-                    let _ = done.send(());
+        for _ in 0..std::mem::take(&mut rt.rings) {
+            rt.view.answer();
+        }
+        if let Some(fault) = rt.view.pending_fault() {
+            rt.service_fault(fault);
+        } else if rt.rt.dispatch_due() || rt.rt.recv_one() {
+            // Complete a parked call whose reply came, or lower the
+            // rights the event took away — also once the program has
+            // returned, which keeps the frames' change log drained.
+            let parked = rt.parked;
+            match parked {
+                Some(acquire_like) if rt.rt.take_reply().is_some() => {
+                    rt.parked = None;
+                    rt.finish_sync(acquire_like);
+                    let _ = answer.send(());
                 }
-                // `linger` returned, or the program or `linger` unwound.
-                Err(mpsc::TryRecvError::Disconnected) => break,
-                Err(mpsc::TryRecvError::Empty) => {
-                    if self.rt.step(Duration::MAX) && !self.retired {
-                        self.reconcile_in(false);
-                    }
-                }
+                Some(_) => {}
+                None => rt.reconcile_in(false),
             }
+        } else {
+            rt.wake_at = rt.rt.next_deadline();
+            let wait = rt.rt.waiter(Duration::MAX);
+            drop(rt);
+            wait.sleep();
         }
     }
 }
@@ -405,33 +453,45 @@ where
     let mut rt = SocketRt::new(node, me, sock, peers, cfg.model.clone());
     rt.wake_on(view.doorbell());
     rt.start();
-    // One call in flight at a time, so neither channel ever blocks a send.
-    let (call, calls) = mpsc::sync_channel(1);
-    let (done, wait_done) = mpsc::sync_channel(1);
+    Runtime::mem(&frames).track_changes();
+    let runtime = Mutex::new(Runtime {
+        rt,
+        frames,
+        view: &view,
+        layout,
+        lazy: cfg.protocol.facts().lazy,
+        stopped: false,
+        parked: None,
+        rings: 0,
+        wake_at: None,
+        pending: (0..pages).collect(),
+        writable: Vec::new(),
+        buf: Vec::new(),
+    });
+    // One call in flight at a time, so an answer never blocks its send.
+    let (answer, answers) = mpsc::sync_channel(1);
 
     std::thread::scope(|s| {
-        let reactor = Reactor {
-            rt,
-            frames,
-            view: &view,
-            layout,
-            lazy: cfg.protocol.facts().lazy,
-            retired: false,
-        };
-        s.spawn(move || reactor.run(calls, done));
+        let runtime = &runtime;
+        s.spawn(move || serve(runtime, answer));
 
-        // Leaving this closure drops the handle, which stops the reactor
-        // — also when `program` or `linger` panics, so the scope can
+        // Leaving this closure drops the handle, which stops the serving
+        // loop — also when `program` or `linger` panics, so the scope can
         // join and re-raise the panic on the caller's thread.
         let dsm = ClusterDsm {
             view: &view,
-            calls: Some(call),
-            done: wait_done,
+            runtime,
+            answer: answers,
             me,
             nnodes: cfg.nnodes,
         };
         let result = program(&dsm);
-        dsm.call(Call::Retire);
+        // Publish what the program wrote last; its view's memory goes
+        // while the node lingers.
+        let mut rt = runtime.lock().expect(POISONED);
+        rt.reconcile_out();
+        rt.release_view();
+        drop(rt);
         // Keep serving peers until the embedder says the cluster is
         // done, then tear down.
         linger(&result);

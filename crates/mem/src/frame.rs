@@ -41,6 +41,9 @@ pub struct Frame {
 pub struct FrameTable {
     geometry: PageGeometry,
     frames: PageMap<usize, Frame>,
+    /// Pages installed, re-righted, invalidated or evicted since the
+    /// last `take_changes`; `None` until `track_changes`.
+    changes: Option<Vec<PageId>>,
 }
 
 impl FrameTable {
@@ -48,6 +51,23 @@ impl FrameTable {
         FrameTable {
             geometry,
             frames: PageMap::default(),
+            changes: None,
+        }
+    }
+
+    /// Log every page whose access may change from now on.
+    pub fn track_changes(&mut self) {
+        self.changes.get_or_insert_with(Vec::new);
+    }
+
+    /// The pages logged since the last call, oldest first, repeats kept.
+    pub fn take_changes(&mut self) -> impl Iterator<Item = PageId> + '_ {
+        self.changes.iter_mut().flat_map(|log| log.drain(..))
+    }
+
+    fn changed(&mut self, page: PageId) {
+        if let Some(log) = &mut self.changes {
+            log.push(page);
         }
     }
 
@@ -65,6 +85,7 @@ impl FrameTable {
     pub fn install(&mut self, page: PageId, data: Box<[u8]>, access: Access) {
         assert_eq!(data.len(), self.geometry.page_size(), "wrong page size");
         self.frames.insert(page.0, Frame { data, access });
+        self.changed(page);
     }
 
     /// Install a zero-filled copy (initial page creation at its owner).
@@ -79,6 +100,7 @@ impl FrameTable {
             .get_mut(&page.0)
             .unwrap_or_else(|| panic!("set_access on missing frame {page}"))
             .access = access;
+        self.changed(page);
     }
 
     /// Downgrade to `None` but keep the (now stale) data, mirroring an
@@ -86,12 +108,15 @@ impl FrameTable {
     pub fn invalidate(&mut self, page: PageId) {
         if let Some(f) = self.frames.get_mut(&page.0) {
             f.access = Access::None;
+            self.changed(page);
         }
     }
 
     /// Drop the frame entirely (migration protocols).
     pub fn evict(&mut self, page: PageId) -> Option<Box<[u8]>> {
-        self.frames.remove(&page.0).map(|f| f.data)
+        let frame = self.frames.remove(&page.0)?;
+        self.changed(page);
+        Some(frame.data)
     }
 
     /// Raw bytes of the local copy, regardless of rights (protocol use:
@@ -245,6 +270,30 @@ mod tests {
         assert_eq!(data.len(), 256);
         assert!(t.evict(PageId(1)).is_none());
         assert_eq!(t.access(PageId(1)), Access::None);
+    }
+
+    /// The log holds every page whose access a mutator touched, and a
+    /// table that never asked for it logs nothing.
+    #[test]
+    fn take_changes_returns_each_mutated_page() {
+        let mutate = |t: &mut FrameTable| {
+            t.install_zeroed(PageId(0), Access::Read);
+            t.install_zeroed(PageId(1), Access::Write);
+            t.install_zeroed(PageId(2), Access::Read);
+            t.install_zeroed(PageId(3), Access::Read);
+            let _ = t.take_changes().count();
+            assert!(t.try_write(GlobalAddr(256), &[1]));
+            t.set_access(PageId(0), Access::Write);
+            t.invalidate(PageId(2));
+            t.evict(PageId(3));
+            t.invalidate(PageId(7));
+            t.take_changes().collect::<Vec<_>>()
+        };
+        let mut tracked = table();
+        tracked.track_changes();
+        assert_eq!(mutate(&mut tracked), [PageId(0), PageId(2), PageId(3)]);
+        assert_eq!(tracked.take_changes().count(), 0);
+        assert_eq!(mutate(&mut table()), []);
     }
 
     #[test]

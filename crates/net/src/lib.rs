@@ -81,7 +81,7 @@ pub use nodeset::NodeSet;
 pub use pagemap::{PageHasher, PageMap, PageSet};
 pub use reliable::{wrap_fleet, RelConfig, RelMsg, Reliable, REL_TIMER_BIT};
 pub use rng::XorShift64;
-pub use rt::{SocketCore, SocketRt};
+pub use rt::{SocketCore, SocketRt, Wait};
 pub use stats::{KindId, KindStats, NetStats, MAX_KINDS};
 pub use time::{Dur, SimTime};
 pub use transport::{Ctx, Transport};

@@ -27,8 +27,10 @@
 //!   for RTO seeding ([`crate::reliable::RelConfig::from_model`]) and
 //!   local-cost bookkeeping.
 //! * **One wait.** [`SocketRt::step`] blocks in one `ppoll(2)` over the
-//!   socket and the [`SocketRt::wake_on`] doorbells, up to its bound or
+//!   socket and the [`SocketRt::wake_on`] doorbell, up to its bound or
 //!   the next timer to the nanosecond — not a tick, as `SO_RCVTIMEO` is.
+//!   Its parts are public, so a thread can sleep in a [`Wait`] without
+//!   holding the runtime.
 //! * **Datagram framing.** `[u32 src][Wire-encoded message]`, one
 //!   message per datagram. Malformed or truncated datagrams are dropped
 //!   (counted); retransmission recovers.
@@ -62,8 +64,11 @@ const RECV_BUF: usize = 65_536;
 /// heap, wall clock, and the parked-op slot for the one local program.
 pub struct SocketCore<M, R> {
     sock: UdpSocket,
-    /// What `step` waits on: the socket, then each `wake_on` doorbell.
-    polls: Vec<libc::pollfd>,
+    /// What a wait polls: the socket, then the `wake_on` doorbell (fd
+    /// -1, which `ppoll` skips, until there is one).
+    polls: [libc::pollfd; 2],
+    /// One datagram's bytes, reused by every send.
+    send_buf: Vec<u8>,
     peers: Vec<SocketAddr>,
     me: NodeId,
     model: CostModel,
@@ -93,6 +98,14 @@ impl<M, R> SocketCore<M, R> {
     }
 }
 
+impl<M: Payload + Wire, R> SocketCore<M, R> {
+    /// The context the hosted behavior's hooks run in.
+    fn ctx<N: NodeBehavior<Msg = M, Reply = R>>(&mut self) -> Ctx<'_, N> {
+        let node = self.me;
+        Ctx { port: self, node }
+    }
+}
+
 impl<M: Payload + Wire, R> Transport<M, R> for SocketCore<M, R> {
     fn now(&self) -> SimTime {
         SimTime(self.now_nanos())
@@ -116,13 +129,14 @@ impl<M: Payload + Wire, R> Transport<M, R> for SocketCore<M, R> {
             self.loopback.push_back(msg);
             return;
         }
-        let mut buf = Vec::with_capacity(64);
-        src.0.encode(&mut buf);
-        msg.encode(&mut buf);
+        let buf = &mut self.send_buf;
+        buf.clear();
+        src.0.encode(buf);
+        msg.encode(buf);
         // UDP is fire-and-forget: a failed send (buffer full, transient
         // ICMP refusal while a peer is still booting) is just loss, and
         // the reliability layer above retransmits.
-        if self.sock.send_to(&buf, self.peers[dst.index()]).is_err() {
+        if self.sock.send_to(buf, self.peers[dst.index()]).is_err() {
             self.stats.record_dropped(msg.kind_id(), msg.kind());
         }
     }
@@ -151,9 +165,10 @@ impl<M: Payload + Wire, R> Transport<M, R> for SocketCore<M, R> {
 
 /// One node's event reactor: a [`NodeBehavior`] plus its
 /// [`SocketCore`], stepped by the hosting thread. The caller owns the
-/// loop shape — a cluster node interleaves [`SocketRt::step`] with
-/// page-fault service, woken by its view's doorbell (see `dsm-core`'s
-/// cluster module); a test can just step until a reply appears.
+/// loop shape — a cluster node dispatches with [`SocketRt::dispatch_due`]
+/// and [`SocketRt::recv_one`] and sleeps in a [`Wait`] without the
+/// runtime, woken by its view's doorbell (see `dsm-core`'s cluster
+/// module); a test can just step until a reply appears.
 pub struct SocketRt<N: NodeBehavior> {
     core: SocketCore<N::Msg, N::Reply>,
     node: N,
@@ -165,6 +180,27 @@ fn poll_in(fd: RawFd) -> libc::pollfd {
         fd,
         events: libc::POLLIN,
         revents: 0,
+    }
+}
+
+/// One wait of a [`SocketRt`], taken out of it by [`SocketRt::waiter`]:
+/// a copy of its poll set and the timeout, so that a thread can sleep
+/// without holding the runtime.
+pub struct Wait {
+    polls: [libc::pollfd; 2],
+    timeout: libc::timespec,
+}
+
+impl Wait {
+    /// Sleep until a datagram lands, the doorbell rings or the timeout
+    /// passes; true if the socket is readable.
+    pub fn sleep(mut self) -> bool {
+        let (fds, timeout) = (self.polls.as_mut_ptr(), &self.timeout);
+        // SAFETY: two entries at `fds` and `timeout` are live and ours
+        // for the call; a null mask leaves the signal mask alone.
+        let ready = unsafe { libc::ppoll(fds, 2, timeout, ptr::null()) };
+        // -1 is EINTR, an empty wait; a doorbell alone dispatches nothing.
+        ready > 0 && self.polls[0].revents != 0
     }
 }
 
@@ -188,7 +224,8 @@ where
         sock.set_nonblocking(true).expect("non-blocking socket");
         SocketRt {
             core: SocketCore {
-                polls: vec![poll_in(sock.as_raw_fd())],
+                polls: [poll_in(sock.as_raw_fd()), poll_in(-1)],
+                send_buf: Vec::new(),
                 sock,
                 peers,
                 me,
@@ -205,69 +242,48 @@ where
         }
     }
 
-    /// Also end [`SocketRt::step`]'s wait while `fd` (kept open) is
-    /// readable; the caller drains it, or every wait ends at once.
+    /// Also end every wait while `fd` (kept open) is readable: the one
+    /// doorbell. The caller drains it, or every wait ends at once.
     pub fn wake_on(&mut self, fd: RawFd) {
-        self.core.polls.push(poll_in(fd));
+        self.core.polls[1] = poll_in(fd);
     }
 
     /// Run the behavior's `on_start` hook.
     pub fn start(&mut self) {
-        let SocketRt { core, node, .. } = self;
-        let me = core.me;
-        let mut ctx = Ctx::<N> {
-            port: core,
-            node: me,
-        };
-        node.on_start(&mut ctx);
+        self.node.on_start(&mut self.core.ctx());
     }
 
     /// Dispatch at most one event — a queued loopback message, a due
     /// timer, or a datagram arriving within `max_wait` or before a
     /// [`SocketRt::wake_on`] doorbell — and report whether anything was
-    /// dispatched. Undecodable datagrams and datagrams from unknown ranks
-    /// are dropped silently (the sender retransmits what mattered).
+    /// dispatched.
     pub fn step(&mut self, max_wait: Duration) -> bool {
-        let SocketRt { core, node, buf } = self;
-        let me = core.me;
+        self.dispatch_due() || (self.waiter(max_wait).sleep() && self.recv_one())
+    }
+
+    /// Dispatch a queued loopback message, else a due timer, without
+    /// waiting; false if neither was there.
+    pub fn dispatch_due(&mut self) -> bool {
+        let SocketRt { core, node, .. } = self;
         if let Some(msg) = core.loopback.pop_front() {
-            let mut ctx = Ctx::<N> {
-                port: core,
-                node: me,
-            };
-            node.on_message(&mut ctx, me, msg);
+            let me = core.me;
+            node.on_message(&mut core.ctx(), me, msg);
             return true;
         }
-        let now = core.now_nanos();
-        if let Some(deadline) = core.next_deadline() {
-            if deadline <= now {
-                let Reverse((_, token)) = core.timers.pop().expect("peeked");
-                let mut ctx = Ctx::<N> {
-                    port: core,
-                    node: me,
-                };
-                node.on_timer(&mut ctx, token);
-                return true;
-            }
+        let due = core.next_deadline().is_some_and(|d| d <= core.now_nanos());
+        if due {
+            let Reverse((_, token)) = core.timers.pop().expect("peeked");
+            node.on_timer(&mut core.ctx(), token);
         }
-        // Wait until a datagram lands, a doorbell rings, the next timer
-        // is due, or `max_wait` elapses — whichever is first.
-        let mut wait = max_wait;
-        if let Some(deadline) = core.next_deadline() {
-            wait = wait.min(Duration::from_nanos(deadline - now));
-        }
-        let timeout = libc::timespec {
-            tv_sec: i64::try_from(wait.as_secs()).unwrap_or(i64::MAX),
-            tv_nsec: i64::from(wait.subsec_nanos()),
-        };
-        let (fds, nfds) = (core.polls.as_mut_ptr(), core.polls.len());
-        // SAFETY: `nfds` entries at `fds` and `timeout` are live and ours
-        // for the call; a null mask leaves the signal mask alone.
-        let ready = unsafe { libc::ppoll(fds, nfds as _, &timeout, ptr::null()) };
-        // -1 is EINTR, an empty wait; a doorbell alone dispatches nothing.
-        if ready <= 0 || core.polls[0].revents == 0 {
-            return false;
-        }
+        due
+    }
+
+    /// Take one datagram off the socket without waiting and dispatch it;
+    /// false if none was there or it was dropped. Undecodable datagrams
+    /// and datagrams from unknown ranks are dropped silently (the sender
+    /// retransmits what mattered).
+    pub fn recv_one(&mut self) -> bool {
+        let SocketRt { core, node, buf } = self;
         let n = match core.sock.recv_from(buf) {
             Ok((n, _)) => n,
             Err(e) => {
@@ -281,18 +297,38 @@ where
             return false;
         }
         let src = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes"));
-        if src as usize >= core.peers.len() || NodeId(src) == me {
+        if src as usize >= core.peers.len() || NodeId(src) == core.me {
             return false;
         }
         let Some(msg) = from_wire_bytes::<N::Msg>(&buf[4..n]) else {
             return false;
         };
-        let mut ctx = Ctx::<N> {
-            port: core,
-            node: me,
-        };
-        node.on_message(&mut ctx, NodeId(src), msg);
+        node.on_message(&mut core.ctx(), NodeId(src), msg);
         true
+    }
+
+    /// The wait until a datagram lands, the doorbell rings, the next
+    /// timer is due or `max_wait` elapses — whichever is first.
+    pub fn waiter(&self, max_wait: Duration) -> Wait {
+        let core = &self.core;
+        let mut wait = max_wait;
+        if let Some(deadline) = core.next_deadline() {
+            let due_in = deadline.saturating_sub(core.now_nanos());
+            wait = wait.min(Duration::from_nanos(due_in));
+        }
+        Wait {
+            polls: core.polls,
+            timeout: libc::timespec {
+                tv_sec: i64::try_from(wait.as_secs()).unwrap_or(i64::MAX),
+                tv_nsec: i64::from(wait.subsec_nanos()),
+            },
+        }
+    }
+
+    /// When the earliest pending timer is due, on [`Transport::now`]'s
+    /// clock; `None` without timers.
+    pub fn next_deadline(&self) -> Option<SimTime> {
+        self.core.next_deadline().map(SimTime)
     }
 
     /// Submit the local program's next op. Returns `true` if it
@@ -303,12 +339,7 @@ where
         assert!(!self.core.parked, "op submitted while one is parked");
         assert!(self.core.reply.is_none(), "previous reply not taken");
         let SocketRt { core, node, .. } = self;
-        let me = core.me;
-        let mut ctx = Ctx::<N> {
-            port: core,
-            node: me,
-        };
-        match node.on_op(&mut ctx, op) {
+        match node.on_op(&mut core.ctx(), op) {
             OpOutcome::Done(r) | OpOutcome::DoneAfter(r, _) => {
                 // A handler may have "completed" the op via the ctx
                 // already-parked path; prefer the explicit return.

@@ -790,7 +790,7 @@ fn a_diff_run_wrapping_u32_is_refused() {
 /// `decode` recurses far: unbounded, 12 000 levels (a 60 KB payload any
 /// local process can send to a node's UDP port) overflow a 2 MiB stack
 /// and abort the process. Decoded on a spawned thread, whose stack is
-/// the default size a cluster node's reactor thread gets.
+/// the default size a cluster node's serving thread gets.
 #[test]
 fn runaway_nesting_is_refused() {
     let batch_tag = ProtoMsg::Batch(Vec::new()).tag();

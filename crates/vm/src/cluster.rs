@@ -407,24 +407,26 @@ impl ClusterView {
         // SAFETY: offset in bounds, page now writable, host-side
         // discipline rules out a concurrent application access.
         unsafe { ptr::copy_nonoverlapping(data.as_ptr(), self.shared.region.at(off), ps) };
-        self.set_access(page, acc);
+        if acc == ACC_WRITE {
+            // Already read-write: record the level, no second `mprotect`.
+            self.shared.access[page].store(acc, Ordering::Release);
+        } else {
+            self.set_access(page, acc);
+        }
     }
 
-    /// Copy `page`'s current contents out (regardless of the
-    /// application-visible access level).
+    /// Copy readable `page`'s current contents out.
     pub fn snapshot_page(&self, page: usize, buf: &mut [u8]) {
         let ps = self.shared.page_size;
         assert_eq!(buf.len(), ps, "wrong page size");
         let off = self.page_off(page);
-        let acc = self.access(page);
-        if acc == ACC_NONE {
-            self.shared.region.protect(off, ps, Prot::Read);
-        }
+        assert_ne!(
+            self.access(page),
+            ACC_NONE,
+            "snapshot of unmapped page {page}"
+        );
         // SAFETY: offset in bounds, page readable for the copy.
         unsafe { ptr::copy_nonoverlapping(self.shared.region.at(off), buf.as_mut_ptr(), ps) };
-        if acc == ACC_NONE {
-            self.shared.region.protect(off, ps, Prot::None);
-        }
     }
 
     /// Borrow `page`'s current contents in place (no copy).
