@@ -18,6 +18,7 @@
 //! * [`chase`] — pointer chasing over interleaved linked elements
 //!   (the object-granularity showcase, E22).
 
+#![deny(clippy::undocumented_unsafe_blocks)]
 pub mod chase;
 pub mod false_sharing;
 pub mod fft;

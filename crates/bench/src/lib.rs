@@ -8,6 +8,7 @@
 //! applications; the micro costs (diff machinery, real page faults,
 //! access hits) are rows of the `benchmark/` ledger.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
 pub mod cli;
 pub mod experiments;
 pub mod table;

@@ -67,6 +67,31 @@ fn kv_verifies_or_is_refused_with_the_rows_reason_under_every_protocol() {
     }
 }
 
+/// Write-update under loss: a retransmitted apply can land after the
+/// lock grant it should precede unless the home acks a write only once
+/// every copy holder has applied it. Seeds 1–3 each lost an update when
+/// the home acked on sending its applies.
+#[test]
+fn update_kv_verifies_on_a_lossy_network() {
+    for seed in ["1", "2", "3"] {
+        let args = [
+            "--app",
+            "kv",
+            "--proto",
+            "update",
+            "--drop-prob",
+            "0.15",
+            "--dup-prob",
+            "0.05",
+            "--fault-seed",
+            seed,
+        ];
+        let (code, stdout, stderr) = dsmrun(&args);
+        assert_eq!(code, Some(0), "seed {seed}: {stdout}{stderr}");
+        assert!(stdout.contains("verification: OK"), "seed {seed}: {stdout}");
+    }
+}
+
 /// The run-ahead quantum is a constant (docs/PERF.md), not a flag — and
 /// like it, whatever else a user can type that the runtime cannot run
 /// ends in a one-line reason and the usage string: exit 2, nothing on

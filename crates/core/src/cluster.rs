@@ -7,21 +7,17 @@
 //! # Architecture
 //!
 //! Two threads per node share the runtime — [`SocketRt`] (UDP socket,
-//! timers, retransmission) and frame table — under one lock:
-//!
-//! * the **application thread** runs the user program against a
-//!   [`dsm_vm::ClusterView`] — plain loads and stores, with protection
-//!   violations parking the thread in the view's signal handler. A sync
-//!   call runs here: submit, then dispatch loopback messages and due
-//!   timers, so an op needing no datagram completes without crossing a
-//!   thread. An op waiting on the network is parked for the other thread;
-//! * the **serving thread** serves the view's parked fault (it becomes a
-//!   protocol op, resolved and resumed right here), else dispatches one
-//!   event, completing a parked call whose reply came. With nothing to
-//!   dispatch it sleeps *without the runtime* in one `ppoll` until a
-//!   datagram, the next retransmit deadline or the view's doorbell
-//!   ([`dsm_vm::ClusterView::doorbell`]), which rings for a fault, for
-//!   teardown, and for a call that set a timer due before the sleep ends.
+//! timers, retransmission) and frame table — under one lock. Every op
+//! takes one path, `Runtime::run`, on the thread that holds the runtime:
+//! it runs to its end there, and a wait on the network sleeps in the
+//! runtime's own `ppoll`, serving peers meanwhile. The **application
+//! thread** runs the program against a [`dsm_vm::ClusterView`], and its
+//! sync calls; a protection violation parks it in the view's signal
+//! handler for the **serving thread**, which runs the fault's op, else
+//! dispatches one event, else sleeps *without the runtime* until a
+//! datagram, the next retransmit deadline or the view's doorbell
+//! ([`dsm_vm::ClusterView::doorbell`]), rung for a fault, for teardown,
+//! and by a call that set a timer due before the sleep ends.
 //!
 //! A node is usually alone in its process, but nothing requires it:
 //! views are independent, so [`run_in_threads`] runs a whole cluster as
@@ -46,7 +42,7 @@
 //!   no write notice.
 //!
 //! A write fault on a readable page resolves as a protocol write of
-//! the page's current bytes (contents unchanged, ownership acquired);
+//! the page's current first byte (contents unchanged, ownership acquired);
 //! a cold write takes the classic two-fault upgrade. Under `lrc`,
 //! writers of different bytes of one page keep their bytes when
 //! barriers or different locks order them: the write fault twins the
@@ -63,7 +59,7 @@
 
 use std::net::{SocketAddr, UdpSocket};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc, Barrier, Mutex, PoisonError};
+use std::sync::{Arc, Barrier, Mutex, PoisonError};
 use std::time::Duration;
 
 use crate::lease::FrameCell;
@@ -81,8 +77,6 @@ use dsm_vm::{ClusterView, ViewFault};
 pub struct ClusterDsm<'v> {
     view: &'v ClusterView,
     runtime: &'v Mutex<Runtime<'v>>,
-    /// The serving loop's answer to a call it completed.
-    answer: mpsc::Receiver<()>,
     me: NodeId,
     nnodes: u32,
 }
@@ -96,32 +90,16 @@ impl ClusterDsm<'_> {
         self.nnodes
     }
 
-    /// Run a sync op on this thread; one still waiting on the network is
-    /// parked for the serving loop, which completes and answers it.
+    /// Run a sync op to its end on this thread, as a fault runs on the serving one.
     fn sync(&self, op: DsmOp) {
-        let acquire_like = !matches!(op, DsmOp::Release(_));
         let mut rt = self.runtime.lock().expect(POISONED);
-        rt.reconcile_out();
-        rt.rt.submit(op);
-        let mut done = rt.rt.take_reply().is_some();
-        while !done && rt.rt.dispatch_due() {
-            done = rt.rt.take_reply().is_some();
-        }
-        rt.parked = (!done).then_some(acquire_like);
-        if done {
-            rt.finish_sync(acquire_like);
-        }
-        // A retransmit timer the op set, due before the serving loop's
-        // sleep ends, must shorten it; a datagram wakes the loop itself.
+        rt.run(op);
+        // A timer due before the serving loop's sleep ends must shorten
+        // it, unless a ring is unread; a datagram wakes the loop itself.
         let due = rt.rt.next_deadline();
-        if due.is_some_and(|at| rt.wake_at.is_none_or(|w| at < w)) {
+        if !rt.rang && due.is_some_and(|at| rt.wake_at.is_none_or(|w| at < w)) {
             self.view.ring();
-            rt.rings += 1;
-            rt.wake_at = due;
-        }
-        drop(rt);
-        if !done {
-            self.answer.recv().expect("node runtime gone");
+            rt.rang = true;
         }
     }
 
@@ -191,22 +169,48 @@ struct Runtime<'v> {
     lazy: bool,
     /// The program's handle is gone: the serving loop exits.
     stopped: bool,
-    /// A call left to the serving loop: `Some(acquire_like)`.
-    parked: Option<bool>,
-    /// Doorbell bytes calls wrote, for the serving loop to take.
-    rings: usize,
-    /// When the serving loop's sleep ends unless woken (`None`: never).
+    /// A call wrote a doorbell byte, for the next holder to take.
+    rang: bool,
+    /// When the serving loop's last sleep ends unless woken (`None`: never).
     wake_at: Option<SimTime>,
     /// Besides the frames' change log, pages whose view level may differ:
     /// deferred raises, `release_view`'s revokes, at start every page.
     pending: Vec<usize>,
     /// The pages the view holds write rights on.
     writable: Vec<usize>,
-    /// A read fault's landing buffer.
-    buf: Vec<u8>,
 }
 
-impl Runtime<'_> {
+impl<'v> Runtime<'v> {
+    /// Node `me`'s runtime over `view`, started; see [`run_cluster_node`].
+    fn new(
+        cfg: &DsmConfig,
+        me: NodeId,
+        sock: UdpSocket,
+        peers: Vec<SocketAddr>,
+        view: &'v ClusterView,
+    ) -> Self {
+        let nodes = cfg.build_nodes();
+        let frames = nodes[me.index()].frames_handle();
+        // Keep only our node; the rest live in their own processes.
+        let node = wrap_fleet(nodes, &cfg.model).swap_remove(me.index());
+        let mut rt = SocketRt::new(node, me, sock, peers, cfg.model.clone());
+        rt.wake_on(view.doorbell());
+        rt.start();
+        Self::mem(&frames).track_changes();
+        Runtime {
+            rt,
+            frames,
+            view,
+            layout: cfg.layout(),
+            lazy: cfg.protocol.facts().lazy,
+            stopped: false,
+            rang: false,
+            wake_at: None,
+            pending: (0..view.pages()).collect(),
+            writable: Vec::new(),
+        }
+    }
+
     /// Only the holder of the runtime touches the frame table (no leases
     /// in cluster mode), so each call site takes a fresh exclusive
     /// borrow under the same discipline as the kernel path.
@@ -305,82 +309,78 @@ impl Runtime<'_> {
         self.writable.clear();
     }
 
-    /// A sync op completed while its program is parked in it: raise
-    /// rights, and under `lazy` revoke the view after an acquire.
-    fn finish_sync(&mut self, acquire_like: bool) {
+    /// Take the doorbell byte a call rang: one left unread ends every
+    /// wait at once, and a parked fault's byte must come next. A sleeping
+    /// serving loop may not have seen it, so it still sleeps to `wake_at`.
+    fn take_ring(&mut self) {
+        if std::mem::take(&mut self.rang) {
+            self.view.answer();
+        }
+    }
+
+    /// The one op path: run `op` to its end on this thread while its
+    /// program is parked in it, then raise rights.
+    fn run(&mut self, op: DsmOp) {
+        // See the `lazy` field: after an acquire or a barrier the
+        // application re-faults everything it touches.
+        let revoke = self.lazy && matches!(op, DsmOp::Acquire(_) | DsmOp::Barrier(_));
+        self.take_ring();
+        self.reconcile_out();
+        self.rt.run_op(op, Duration::MAX);
         self.reconcile_in(true);
-        if self.lazy && acquire_like {
-            // See the `lazy` field: frame access cannot express "bytes
-            // stale behind an unchanged grant", so make the application
-            // re-fault everything it touches after the sync point.
+        if revoke {
             self.release_view();
         }
     }
 
-    /// Resolve a parked access as a protocol op and resume its thread.
+    /// Resolve a parked access as a protocol op on one byte of its page
+    /// and resume its thread.
     fn service_fault(&mut self, fault: ViewFault) {
-        self.reconcile_out();
-        let ps = self.layout.geometry.page_size();
-        let addr = GlobalAddr(fault.page * ps);
+        let addr = GlobalAddr(fault.page * self.layout.geometry.page_size());
+        let mut byte = [0u8];
         // Recompute the fault kind from the *current* view level: an
         // invalidation may have landed between the trap and now, in
         // which case the store needs the page first (two-fault path).
-        if self.view.access(fault.page) == ACC_NONE {
-            self.buf.resize(ps, 0);
-            let op = DsmOp::Read {
+        let op = if self.view.access(fault.page) == ACC_NONE {
+            DsmOp::Read {
                 addr,
-                buf: OpBuf::new(&mut self.buf),
+                buf: OpBuf::new(&mut byte),
                 hint: None,
-            };
-            self.rt.run_op(op, Duration::MAX);
+            }
         } else {
             // Readable copy ⇒ current copy (a remote writer would have
             // invalidated us first), so a protocol write of the page's
-            // own bytes changes nothing but acquires write ownership.
-            let payload = Self::mem(&self.frames)
+            // own first byte changes nothing but acquires write ownership.
+            byte[0] = Self::mem(&self.frames)
                 .page_bytes(PageId(fault.page))
-                .expect("readable frame has bytes")
-                .to_vec();
-            let op = DsmOp::Write {
+                .expect("readable frame has bytes")[0];
+            DsmOp::Write {
                 addr,
-                data: OpData::new(&payload),
-            };
-            self.rt.run_op(op, Duration::MAX);
-        }
-        self.reconcile_in(true);
+                data: OpData::new(&byte),
+            }
+        };
+        self.run(op);
         self.view.finish_fault();
     }
 }
 
-/// The serving thread: take the calls' rings, then serve a parked
+/// The serving thread: take a call's ring, then serve a parked
 /// fault, else dispatch one event, else sleep without the runtime. A
 /// fault or a ring leaves the doorbell readable until taken here, so
 /// none is slept through.
-fn serve(runtime: &Mutex<Runtime<'_>>, answer: mpsc::SyncSender<()>) {
+fn serve(runtime: &Mutex<Runtime<'_>>) {
     loop {
         let mut rt = runtime.lock().expect(POISONED);
         if rt.stopped {
             break;
         }
-        for _ in 0..std::mem::take(&mut rt.rings) {
-            rt.view.answer();
-        }
+        rt.take_ring();
         if let Some(fault) = rt.view.pending_fault() {
             rt.service_fault(fault);
         } else if rt.rt.dispatch_due() || rt.rt.recv_one() {
-            // Complete a parked call whose reply came, or lower the
-            // rights the event took away — also once the program has
-            // returned, which keeps the frames' change log drained.
-            let parked = rt.parked;
-            match parked {
-                Some(acquire_like) if rt.rt.take_reply().is_some() => {
-                    rt.parked = None;
-                    rt.finish_sync(acquire_like);
-                    let _ = answer.send(());
-                }
-                Some(_) => {}
-                None => rt.reconcile_in(false),
-            }
+            // Lower the rights the event took away — also once the program
+            // has returned, which keeps the frames' change log drained.
+            rt.reconcile_in(false);
         } else {
             rt.wake_at = rt.rt.next_deadline();
             let wait = rt.rt.waiter(Duration::MAX);
@@ -438,42 +438,13 @@ where
     if let Err(refusal) = supports(cfg.protocol) {
         panic!("{refusal}");
     }
-    let layout = cfg.layout();
-    let ps = layout.geometry.page_size();
-    let pages = layout.total_bytes() / ps;
-
-    let nodes = cfg.build_nodes();
-    let frames = nodes[me.index()].frames_handle();
-    let mut fleet = wrap_fleet(nodes, &cfg.model);
-    // Keep only our node; the rest live in their own processes.
-    let node = fleet.swap_remove(me.index());
-    drop(fleet);
-
-    let view = ClusterView::new(pages, ps).expect("mmap cluster view");
-    let mut rt = SocketRt::new(node, me, sock, peers, cfg.model.clone());
-    rt.wake_on(view.doorbell());
-    rt.start();
-    Runtime::mem(&frames).track_changes();
-    let runtime = Mutex::new(Runtime {
-        rt,
-        frames,
-        view: &view,
-        layout,
-        lazy: cfg.protocol.facts().lazy,
-        stopped: false,
-        parked: None,
-        rings: 0,
-        wake_at: None,
-        pending: (0..pages).collect(),
-        writable: Vec::new(),
-        buf: Vec::new(),
-    });
-    // One call in flight at a time, so an answer never blocks its send.
-    let (answer, answers) = mpsc::sync_channel(1);
+    let ps = cfg.layout().geometry.page_size();
+    let view = ClusterView::new(cfg.layout().total_bytes() / ps, ps).expect("mmap cluster view");
+    let runtime = Mutex::new(Runtime::new(cfg, me, sock, peers, &view));
 
     std::thread::scope(|s| {
         let runtime = &runtime;
-        s.spawn(move || serve(runtime, answer));
+        s.spawn(move || serve(runtime));
 
         // Leaving this closure drops the handle, which stops the serving
         // loop — also when `program` or `linger` panics, so the scope can
@@ -481,7 +452,6 @@ where
         let dsm = ClusterDsm {
             view: &view,
             runtime,
-            answer: answers,
             me,
             nnodes: cfg.nnodes,
         };
@@ -659,6 +629,50 @@ mod tests {
         });
         let payload = std::panic::catch_unwind(run).expect_err("the panic reaches the caller");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"program failed"));
+    }
+
+    /// A call that takes a ring meant for the sleeping serving loop
+    /// rings again for the timer that ring was for. Node 0 runs here
+    /// without its serving loop: its release grants lock 0 to node 1 and
+    /// rings for the grant's retransmit timer; a local acquire then takes
+    /// that byte, as it may before the sleeper sees it, and the timer —
+    /// still pending, node 1's ack is unread — must ring once more, or a
+    /// lost grant waits for unrelated traffic.
+    #[test]
+    fn a_call_that_takes_a_ring_rings_again_for_pending_timers() {
+        let cfg = DsmConfig::new(2, ProtocolKind::IvyFixed)
+            .heap_bytes(1 << 16)
+            .page_size(dsm_vm::os_page_size());
+        let socks: Vec<_> = (0..2)
+            .map(|_| UdpSocket::bind("127.0.0.1:0").unwrap())
+            .collect();
+        let peers: Vec<_> = socks.iter().map(|s| s.local_addr().unwrap()).collect();
+        let [sock0, sock1] = <[UdpSocket; 2]>::try_from(socks).unwrap();
+        // The 16 pages of the heap.
+        let new_view = || ClusterView::new(16, dsm_vm::os_page_size()).unwrap();
+        let view = new_view();
+        let runtime = Mutex::new(Runtime::new(&cfg, NodeId(0), sock0, peers.clone(), &view));
+        let dsm = ClusterDsm {
+            view: &view,
+            runtime: &runtime,
+            me: NodeId(0),
+            nnodes: 2,
+        };
+        dsm.acquire(0);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let view = new_view();
+                Runtime::new(&cfg, NodeId(1), sock1, peers, &view).run(DsmOp::Acquire(0));
+            });
+            // Take node 1's request into lock 0's queue.
+            let mut rt = runtime.lock().unwrap();
+            while !(rt.rt.waiter(Duration::from_secs(5)).sleep() && rt.rt.recv_one()) {}
+            drop(rt);
+            dsm.release(0);
+            assert!(runtime.lock().unwrap().rang, "the grant's timer rang");
+            dsm.acquire(2);
+            assert!(runtime.lock().unwrap().rang, "and rang again");
+        });
     }
 
     /// A protocol that page protection cannot drive is refused at

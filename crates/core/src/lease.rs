@@ -44,6 +44,9 @@ pub(crate) struct FrameCell(UnsafeCell<FrameTable>);
 // SAFETY: accesses are serialized by ownership of the floor;
 // see the module-level safety argument.
 unsafe impl Send for FrameCell {}
+// SAFETY: as for `Send`: every thread that shares a `FrameCell` reaches
+// the table only through `get`, while it holds the floor (in cluster
+// mode, the node's runtime).
 unsafe impl Sync for FrameCell {}
 
 impl FrameCell {

@@ -20,6 +20,7 @@
 //! assert!(res.results.iter().all(|&s| s == 1 + 2 + 3 + 4));
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
 mod api;
 pub mod cluster;
 mod lease;

@@ -1,13 +1,14 @@
 //! An idle cluster node sleeps: its reactor waits in one `ppoll` that
-//! only a datagram, a retransmit deadline or its own application ends.
-//! The measure is this process's CPU time, so the test is alone in its
-//! binary — a test running beside it would be counted too.
+//! only a datagram, a retransmit deadline or its own application ends,
+//! and so does a sync call waiting on the network in the runtime's
+//! `ppoll`. The measure is this process's CPU time, so the test is alone
+//! in its binary — a test running beside it would be counted too.
 
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-use dsm_core::{run_cluster_node, DsmConfig, GlobalAddr, NodeId, ProtocolKind};
+use dsm_core::{run_cluster_node, run_in_threads, DsmConfig, GlobalAddr, NodeId, ProtocolKind};
 
 /// User plus system CPU time of this process so far: fields 14 and 15
 /// of `/proc/self/stat`, in the kernel's fixed 100 ticks a second.
@@ -25,7 +26,8 @@ fn cpu_s() -> f64 {
 
 /// Two nodes as threads of this process exchange a page and meet at a
 /// barrier, then both linger: for 300 ms their reactors have nothing to
-/// do, and together they burn less than a tenth of that.
+/// do, and together they burn less than a tenth of that. Then the same
+/// for a waiting caller.
 #[test]
 fn an_idle_reactor_does_not_spin() {
     let page = dsm_vm::os_page_size();
@@ -70,4 +72,33 @@ fn an_idle_reactor_does_not_spin() {
             });
         }
     });
+    a_waiting_caller_does_not_spin(&cfg);
+}
+
+/// Rank 1 computes (sleeps) for 50 ms between two barriers while rank 0
+/// waits in the second, and together they burn less than a tenth of
+/// that. A doorbell byte left unread would end every `ppoll` of that
+/// wait at once. Six clusters in turn, not one: whether the first
+/// barrier's ring is still unread when rank 0 enters the second depends
+/// on which of its threads takes the runtime first.
+fn a_waiting_caller_does_not_spin(cfg: &DsmConfig) {
+    let (mut cpu, mut wall) = (0.0, 0.0);
+    for _ in 0..6 {
+        let burnt = run_in_threads(cfg, |d| {
+            let start = (cpu_s(), Instant::now());
+            d.barrier(0);
+            if d.id().0 == 1 {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            d.barrier(1);
+            (cpu_s() - start.0, start.1.elapsed().as_secs_f64())
+        });
+        cpu += burnt[0].0;
+        wall += burnt[0].1;
+    }
+    assert!(wall >= 0.3, "rank 0 left its barriers after {wall:.3} s");
+    assert!(
+        cpu < wall / 10.0,
+        "{cpu:.3} s of CPU in {wall:.3} s of waiting"
+    );
 }

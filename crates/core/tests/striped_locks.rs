@@ -1,8 +1,8 @@
 //! Striped-lock counters on a cluster run as threads of this process,
-//! under every protocol cluster mode runs. An acquire completes on the
-//! caller's thread when the lock is at hand, in the serving loop when
-//! it waits on a peer, and locks move between nodes all the time: a
-//! lost increment or a call left unanswered shows here.
+//! under every protocol cluster mode runs. An acquire runs to its end on
+//! the caller's thread, serving peers while it waits on one, and locks
+//! move between nodes all the time: a lost increment or a call left
+//! waiting shows here.
 
 use dsm_core::{run_in_threads, DsmConfig, GlobalAddr, ProtocolKind};
 use dsm_vm::os_page_size;

@@ -21,6 +21,7 @@
 //! * [`ObjTable`]/[`ObjRecord`] — id → (address, length, home) layout
 //!   metadata for object-granularity sharing.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
 mod addr;
 mod causal;
 mod diff;

@@ -61,7 +61,7 @@ use crate::wire::{from_wire_bytes, Wire};
 const RECV_BUF: usize = 65_536;
 
 /// The [`Transport`] half of the reactor: socket, peer roster, timer
-/// heap, wall clock, and the parked-op slot for the one local program.
+/// heap, wall clock, and the reply slot for the one local program.
 pub struct SocketCore<M, R> {
     sock: UdpSocket,
     /// What a wait polls: the socket, then the `wake_on` doorbell (fd
@@ -79,10 +79,8 @@ pub struct SocketCore<M, R> {
     timers: BinaryHeap<Reverse<(u64, u64)>>,
     /// Self-sends: delivered from the local queue, never the wire.
     loopback: VecDeque<M>,
-    /// Completed reply for the parked local op, if any.
+    /// Completed reply for the local op in flight, if any.
     reply: Option<R>,
-    /// The local program is parked on an op.
-    parked: bool,
     stats: NetStats,
 }
 
@@ -143,13 +141,9 @@ impl<M: Payload + Wire, R> Transport<M, R> for SocketCore<M, R> {
 
     fn complete_op_after(&mut self, node: NodeId, reply: R, _delay: Dur) {
         // Local install delays are real compute here, not modeled time.
-        // Note: behaviors may complete an op from *inside* `on_op`
-        // (resolve-then-return-Blocked, as the DSM node's fault retry
-        // machine does), so `parked` may legitimately still be false.
         debug_assert_eq!(node, self.me, "op completion for a foreign node");
         debug_assert!(self.reply.is_none(), "double op completion");
         self.reply = Some(reply);
-        self.parked = false;
     }
 
     fn set_timer_on(&mut self, node: NodeId, delay: Dur, token: u64) {
@@ -164,11 +158,10 @@ impl<M: Payload + Wire, R> Transport<M, R> for SocketCore<M, R> {
 }
 
 /// One node's event reactor: a [`NodeBehavior`] plus its
-/// [`SocketCore`], stepped by the hosting thread. The caller owns the
-/// loop shape — a cluster node dispatches with [`SocketRt::dispatch_due`]
-/// and [`SocketRt::recv_one`] and sleeps in a [`Wait`] without the
-/// runtime, woken by its view's doorbell (see `dsm-core`'s cluster
-/// module); a test can just step until a reply appears.
+/// [`SocketCore`], stepped by the hosting thread: a cluster node runs
+/// each op with [`SocketRt::run_op`], dispatches between ops with
+/// [`SocketRt::dispatch_due`] and [`SocketRt::recv_one`], and sleeps in
+/// a [`Wait`] without the runtime (see `dsm-core`'s cluster module).
 pub struct SocketRt<N: NodeBehavior> {
     core: SocketCore<N::Msg, N::Reply>,
     node: N,
@@ -234,7 +227,6 @@ where
                 timers: BinaryHeap::new(),
                 loopback: VecDeque::new(),
                 reply: None,
-                parked: false,
                 stats: NetStats::new(),
             },
             node,
@@ -331,45 +323,19 @@ where
         self.core.next_deadline().map(SimTime)
     }
 
-    /// Submit the local program's next op. Returns `true` if it
-    /// completed synchronously (reply ready via [`SocketRt::take_reply`]);
-    /// `false` if it parked — keep calling [`SocketRt::step`] until the
-    /// reply appears.
-    pub fn submit(&mut self, op: N::Op) -> bool {
-        assert!(!self.core.parked, "op submitted while one is parked");
+    /// Run the local program's next op: hand it to the behavior, then
+    /// step the reactor (waiting at most `poll` per step) until its
+    /// reply arrives.
+    pub fn run_op(&mut self, op: N::Op, poll: Duration) -> N::Reply {
         assert!(self.core.reply.is_none(), "previous reply not taken");
         let SocketRt { core, node, .. } = self;
-        match node.on_op(&mut core.ctx(), op) {
-            OpOutcome::Done(r) | OpOutcome::DoneAfter(r, _) => {
-                // A handler may have "completed" the op via the ctx
-                // already-parked path; prefer the explicit return.
-                core.reply = Some(r);
-                true
-            }
-            OpOutcome::Blocked => {
-                if core.reply.is_some() {
-                    // Completed from inside `on_op` via the ctx path;
-                    // the op never actually parks.
-                    true
-                } else {
-                    core.parked = true;
-                    false
-                }
-            }
+        if let OpOutcome::Done(r) | OpOutcome::DoneAfter(r, _) = node.on_op(&mut core.ctx(), op) {
+            // A handler may also have completed the op from inside
+            // `on_op`, through the ctx; prefer the explicit return.
+            core.reply = Some(r);
         }
-    }
-
-    /// Take the completed reply, if one is ready.
-    pub fn take_reply(&mut self) -> Option<N::Reply> {
-        self.core.reply.take()
-    }
-
-    /// Convenience: submit an op and step the reactor until its reply
-    /// arrives (waiting at most `poll` per step).
-    pub fn run_op(&mut self, op: N::Op, poll: Duration) -> N::Reply {
-        self.submit(op);
         loop {
-            if let Some(r) = self.take_reply() {
+            if let Some(r) = self.core.reply.take() {
                 return r;
             }
             self.step(poll);

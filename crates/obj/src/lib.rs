@@ -23,6 +23,7 @@
 //! shared by every node), mirroring how the experiments lay out page
 //! data statically.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
 use dsm_core::Dsm;
 use dsm_mem::{GlobalAddr, ObjRecord, ObjTable};
 use dsm_net::NodeId;
@@ -45,9 +46,15 @@ use std::sync::Arc;
 pub unsafe trait Pod: Copy + 'static {}
 
 macro_rules! impl_pod {
-    ($($t:ty),*) => { $(unsafe impl Pod for $t {})* };
+    ($($t:ty),*) => { $(
+        // SAFETY: a primitive integer or float has no padding, and every
+        // bit pattern of its size is a valid value.
+        unsafe impl Pod for $t {}
+    )* };
 }
 impl_pod!(u8, u16, u32, u64, u128, usize, i8, i16, i32, i64, i128, isize, f32, f64);
+// SAFETY: an array has no padding between its elements, and its bit
+// patterns are the elements' ones, each valid because `T` is `Pod`.
 unsafe impl<T: Pod, const N: usize> Pod for [T; N] {}
 
 /// View a Pod value as its raw bytes.

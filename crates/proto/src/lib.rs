@@ -21,6 +21,7 @@
 //! protocol needs, offers and promises is one [`Facts`] row
 //! ([`ProtocolKind::facts`]) that everything else asks.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
 mod api;
 mod entry;
 mod erc;

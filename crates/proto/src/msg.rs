@@ -105,9 +105,11 @@ wire_enum! {
             data: Box<[u8]>,
             seq: u64,
         } = 14,
-        /// Home → writer: your write is globally ordered.
+        /// Copy holder → home: write `seq` applied here; home → writer:
+        /// write `seq` is held by every replica.
         UpdAck {
             page: usize,
+            seq: u64,
         } = 15,
         /// Read miss: requester → home.
         FetchReq {
@@ -319,7 +321,8 @@ impl Payload for ProtoMsg {
                     + copyset.as_ref().map_or(0, |c| 8 + c.len() * 4)
             }
             Inval { .. } => 12,
-            InvalAck { .. } | UpdAck { .. } | MigConfirm { .. } => 8,
+            InvalAck { .. } | MigConfirm { .. } => 8,
+            UpdAck { .. } => 16,
             Confirm { .. } => 13,
             UpdWrite { data, .. } => 16 + data.len(),
             UpdApply { data, .. } => 24 + data.len(),

@@ -4,10 +4,11 @@
 //! update sequence. Writes are sent to the home, which applies them in
 //! arrival order and multicasts them to every registered copy holder —
 //! including the writer, so every replica applies the same stream in
-//! the same order. The writer's operation completes when the home's
-//! acknowledgement arrives, which (over FIFO links) yields sequential
-//! consistency: the home is the serialization point and a write is not
-//! "done" until it is globally ordered.
+//! the same order. Each holder acks each apply to the home, and the
+//! writer's operation completes when the home has every holder's ack,
+//! which yields sequential consistency: the home is the serialization
+//! point and a write is not "done" until every replica holds it — also
+//! when a retransmitted apply is slower than the writer's next message.
 //!
 //! This is the demand-side stand-in for eager-sharing/update-based DSM:
 //! readers spin on *local* copies that the network refreshes, so
@@ -17,6 +18,7 @@ use crate::api::{ProtoEvent, ProtoIo, Protocol, WriteOutcome};
 use crate::msg::ProtoMsg;
 use dsm_mem::{Access, FrameTable, GlobalAddr, NodeSet, PageId, PageMap, SpaceLayout};
 use dsm_net::NodeId;
+use std::collections::HashMap;
 
 /// Write-update protocol state for one node.
 pub struct Update {
@@ -27,9 +29,13 @@ pub struct Update {
     copyset: PageMap<usize, NodeSet>,
     /// Home-side: per-page update sequence numbers.
     seq: PageMap<usize, u64>,
+    /// Home-side: writes whose applies are not all acked, by
+    /// `(page, seq)`: the writer and the acks still missing.
+    unacked: HashMap<(usize, u64), (NodeId, usize)>,
     /// Copy-holder-side: last sequence applied per page (gap check).
     last_seen: PageMap<usize, u64>,
-    /// Writer-side: acks outstanding for the current write op.
+    /// Writer-side: chunks of the current write op not yet held by
+    /// every replica.
     outstanding: u32,
     /// Read fetch in flight.
     pending_fetch: Option<usize>,
@@ -42,6 +48,7 @@ impl Update {
             me,
             copyset: PageMap::default(),
             seq: PageMap::default(),
+            unacked: HashMap::new(),
             last_seen: PageMap::default(),
             outstanding: 0,
             pending_fetch: None,
@@ -52,15 +59,18 @@ impl Update {
         self.layout.home_of(PageId(page))
     }
 
-    /// Home-side: apply a write to the master copy and multicast it.
+    /// Home-side: apply `writer`'s write to the master copy and multicast
+    /// it. `Some(seq)` if it is done now (no copy holders); else it is
+    /// done once every holder has acked the apply.
     fn master_write(
         &mut self,
         io: &mut dyn ProtoIo,
         mem: &mut FrameTable,
+        writer: NodeId,
         page: usize,
         off: usize,
         data: &[u8],
-    ) {
+    ) -> Option<u64> {
         let bytes = mem
             .page_bytes_mut(PageId(page))
             .expect("home must hold the master copy");
@@ -68,18 +78,30 @@ impl Update {
         let seq = self.seq.entry(page).or_insert(0);
         *seq += 1;
         let seq = *seq;
-        if let Some(cs) = self.copyset.get(&page) {
-            for member in cs.iter() {
-                io.send(
-                    member,
-                    ProtoMsg::UpdApply {
-                        page,
-                        off: off as u32,
-                        data: data.to_vec().into_boxed_slice(),
-                        seq,
-                    },
-                );
-            }
+        let Some(cs) = self.copyset.get(&page) else {
+            return Some(seq);
+        };
+        for member in cs.iter() {
+            io.send(
+                member,
+                ProtoMsg::UpdApply {
+                    page,
+                    off: off as u32,
+                    data: data.to_vec().into_boxed_slice(),
+                    seq,
+                },
+            );
+        }
+        self.unacked.insert((page, seq), (writer, cs.len()));
+        None
+    }
+
+    /// Writer-side: one chunk of the write op is held everywhere.
+    fn chunk_done(&mut self, events: &mut Vec<ProtoEvent>) {
+        assert!(self.outstanding > 0);
+        self.outstanding -= 1;
+        if self.outstanding == 0 {
+            events.push(ProtoEvent::WriteDone);
         }
     }
 }
@@ -126,7 +148,7 @@ impl Protocol for Update {
     ) -> WriteOutcome {
         let g = self.layout.geometry;
         let mut pos = 0;
-        let mut remote = 0u32;
+        let mut pending = 0u32;
         while pos < data.len() {
             let a = addr.offset(pos);
             let page = g.page_of(a).0;
@@ -135,7 +157,8 @@ impl Protocol for Update {
             let chunk = &data[pos..pos + n];
             let home = self.home_of(page);
             if home == self.me {
-                self.master_write(io, mem, page, off, chunk);
+                let done = self.master_write(io, mem, self.me, page, off, chunk);
+                pending += u32::from(done.is_none());
             } else {
                 io.send(
                     home,
@@ -145,14 +168,14 @@ impl Protocol for Update {
                         data: chunk.to_vec().into_boxed_slice(),
                     },
                 );
-                remote += 1;
+                pending += 1;
             }
             pos += n;
         }
-        if remote == 0 {
+        if pending == 0 {
             WriteOutcome::Done
         } else {
-            self.outstanding = remote;
+            self.outstanding = pending;
             WriteOutcome::Async
         }
     }
@@ -167,8 +190,9 @@ impl Protocol for Update {
     ) {
         match msg {
             ProtoMsg::UpdWrite { page, off, data } => {
-                self.master_write(io, mem, page, off as usize, &data);
-                io.send(from, ProtoMsg::UpdAck { page });
+                if let Some(seq) = self.master_write(io, mem, from, page, off as usize, &data) {
+                    io.send(from, ProtoMsg::UpdAck { page, seq });
+                }
             }
             ProtoMsg::UpdApply {
                 page,
@@ -190,14 +214,27 @@ impl Protocol for Update {
                     .expect("update for a page we do not hold");
                 let off = off as usize;
                 bytes[off..off + data.len()].copy_from_slice(&data);
+                io.send(from, ProtoMsg::UpdAck { page, seq });
             }
-            ProtoMsg::UpdAck { .. } => {
-                assert!(self.outstanding > 0);
-                self.outstanding -= 1;
-                if self.outstanding == 0 {
-                    events.push(ProtoEvent::WriteDone);
+            ProtoMsg::UpdAck { page, seq } if self.home_of(page) == self.me => {
+                // A copy holder applied write `seq`; the last one's ack
+                // completes the write.
+                let (writer, missing) = self
+                    .unacked
+                    .get_mut(&(page, seq))
+                    .expect("an apply ack for a write in flight");
+                *missing -= 1;
+                if *missing == 0 {
+                    let writer = *writer;
+                    self.unacked.remove(&(page, seq));
+                    if writer == self.me {
+                        self.chunk_done(events);
+                    } else {
+                        io.send(writer, ProtoMsg::UpdAck { page, seq });
+                    }
                 }
             }
+            ProtoMsg::UpdAck { .. } => self.chunk_done(events),
             ProtoMsg::FetchReq { page } => {
                 // Register the new copy holder, then ship the master at
                 // its current sequence point; FIFO links keep the

@@ -120,7 +120,7 @@ fn protocols_reject_foreign_messages() {
         // not in `kind`'s vocabulary.
         let foreign = match kind {
             ProtocolKind::Update => ProtoMsg::MigReq { page: 0 },
-            _ => ProtoMsg::UpdAck { page: 0 },
+            _ => ProtoMsg::UpdAck { page: 0, seq: 1 },
         };
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             p.on_message(&mut io, &mut mem, NodeId(1), foreign, &mut events);

@@ -144,7 +144,7 @@ fn all_proto_msgs() -> Vec<ProtoMsg> {
             data: page(),
             seq: 99,
         },
-        UpdAck { page: 8 },
+        UpdAck { page: 8, seq: 99 },
         FetchReq { page: 9 },
         FetchRep {
             page: 9,

@@ -16,6 +16,7 @@
 //! nothing attached, a standalone [`dsm_net::NodeBehavior`] for
 //! isolated tests and the lock/barrier scaling experiments.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
 mod barrier;
 mod engines;
 mod lock;
