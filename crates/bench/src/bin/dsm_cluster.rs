@@ -102,11 +102,10 @@ fn config(c: &CommonFlags) -> DsmConfig {
 /// is the same function of `nnodes`, so a single wrong page transfer
 /// shows up as a RESULT mismatch.
 ///
-/// The layout is deliberately page-strided: under a single-writer
-/// protocol a write fault moves the whole page, so false-sharing
-/// writers of one page under different locks would lose updates (the
-/// classic page-granularity DSM hazard; `lrc` twins and diffs instead,
-/// see `docs/CLUSTER.md`).
+/// The layout is page-strided: each rank's slot and the counter sit on
+/// pages of their own, so every slot crosses the wire as a page
+/// transfer, which is what this demo checks. Writers of one page are
+/// held by `crates/core/tests/cluster_sc.rs` and `cluster_lrc.rs`.
 macro_rules! demo_workload {
     ($d:expr, $page:expr) => {{
         let d = $d;

@@ -23,33 +23,23 @@
 //! views are independent, so [`run_in_threads`] runs a whole cluster as
 //! threads of one process.
 //!
-//! # View ↔ frame reconciliation
+//! # One memory
 //!
-//! The protocol operates on the node's frame table; the application
-//! operates on the mmap view. The runtime reconciles the two at every
-//! dispatch boundary, at the cost of the pages that changed:
-//!
-//! * **out** (before any op): the pages writable in the view are copied
-//!   into their frames, so releases/barriers flush and peers are served
-//!   the application's bytes;
-//! * **in** (after any event): each page in the frame table's change log
-//!   ([`FrameTable::track_changes`]) or left pending by an earlier pass
-//!   gets its view protection aligned with its frame access. Rights are
-//!   *raised* only after a fault or a sync op, while the program is
-//!   parked in it; after a datagram under a running program a raise
-//!   stays pending. An install opens the page read-write for its copy,
-//!   so a store racing it would land unseen by the protocol — no twin,
-//!   no write notice.
+//! The view and the node's frame table are one memory: the frame table
+//! keeps its page bytes in the view's alias ([`ClusterView::store`]) and
+//! sets the view's protection whenever a frame's access changes, so a
+//! page the protocol installs, patches in place or revokes is at once
+//! what the program sees. The one rule: the table write-protects a page
+//! the program can write before it hands the bytes out, overwrites or
+//! evicts them, so no store lands behind the copy. A page lowered that
+//! way while its frame kept write rights comes back at its next fault.
 //!
 //! A write fault on a readable page resolves as a protocol write of
-//! the page's current first byte (contents unchanged, ownership acquired);
-//! a cold write takes the classic two-fault upgrade. Under `lrc`,
-//! writers of different bytes of one page keep their bytes when
+//! the trapping byte's current value (contents unchanged, ownership
+//! acquired); a cold write takes the classic two-fault upgrade. Under
+//! `lrc`, writers of different bytes of one page keep their bytes when
 //! barriers or different locks order them: the write fault twins the
-//! page and the release ships a diff. Under a single-writer protocol a
-//! write fault moves the whole page, so such writers lose updates, and
-//! a program that races inside a page is not sequentially consistent
-//! here: a store can land after the reactor copied the page out.
+//! page and the release ships a diff.
 //!
 //! Supported protocols are those whose row says
 //! [`crate::Facts::page_fault_driven`]: every coherence action
@@ -65,10 +55,9 @@ use std::time::Duration;
 use crate::lease::FrameCell;
 use crate::node::{DsmNode, DsmOp, OpBuf, OpData};
 use crate::{DsmConfig, ProtocolKind};
-use dsm_mem::{Access, FrameTable, GlobalAddr, PageId, SpaceLayout};
+use dsm_mem::{Access, FrameTable, GlobalAddr, PageId};
 use dsm_net::{wrap_fleet, NodeId, Reliable, SimTime, SocketRt};
 use dsm_sync::{BarrierId, LockId};
-use dsm_vm::cluster::{ACC_NONE, ACC_READ, ACC_WRITE};
 use dsm_vm::{ClusterView, ViewFault};
 
 /// The application's handle in cluster mode: direct view memory for
@@ -151,33 +140,18 @@ impl Drop for ClusterDsm<'_> {
 
 const POISONED: &str = "a panic inside the node runtime";
 
-/// The node's runtime: socket runtime + frame table + view, reconciled
-/// at every dispatch boundary. Whichever thread holds it runs it.
+/// The node's runtime: socket runtime + frame table, whose pages are
+/// the view's memory. Whichever thread holds it runs it.
 struct Runtime<'v> {
     rt: SocketRt<Reliable<DsmNode>>,
     frames: Arc<FrameCell>,
     view: &'v ClusterView,
-    layout: SpaceLayout,
-    /// Lazy release consistency: coherence is only guaranteed at
-    /// acquire-type events, and a page can be *byte-stale while its
-    /// frame access is unchanged* (a home copy with unfetched remote
-    /// diffs stays readable; the diffs fold in when an op touches it).
-    /// Frame-access reconciliation cannot see that, so after every
-    /// acquire/barrier the whole view is revoked instead: the next
-    /// touch of each page faults into a protocol op, which is exactly
-    /// the "fetch missing diffs on access" moment LRC defines.
-    lazy: bool,
     /// The program's handle is gone: the serving loop exits.
     stopped: bool,
     /// A call wrote a doorbell byte, for the next holder to take.
     rang: bool,
     /// When the serving loop's last sleep ends unless woken (`None`: never).
     wake_at: Option<SimTime>,
-    /// Besides the frames' change log, pages whose view level may differ:
-    /// deferred raises, `release_view`'s revokes, at start every page.
-    pending: Vec<usize>,
-    /// The pages the view holds write rights on.
-    writable: Vec<usize>,
 }
 
 impl<'v> Runtime<'v> {
@@ -191,23 +165,20 @@ impl<'v> Runtime<'v> {
     ) -> Self {
         let nodes = cfg.build_nodes();
         let frames = nodes[me.index()].frames_handle();
+        // Before the start installs home pages, so the view maps them.
+        Self::mem(&frames).back(view.store());
         // Keep only our node; the rest live in their own processes.
         let node = wrap_fleet(nodes, &cfg.model).swap_remove(me.index());
         let mut rt = SocketRt::new(node, me, sock, peers, cfg.model.clone());
         rt.wake_on(view.doorbell());
         rt.start();
-        Self::mem(&frames).track_changes();
         Runtime {
             rt,
             frames,
             view,
-            layout: cfg.layout(),
-            lazy: cfg.protocol.facts().lazy,
             stopped: false,
             rang: false,
             wake_at: None,
-            pending: (0..view.pages()).collect(),
-            writable: Vec::new(),
         }
     }
 
@@ -220,95 +191,6 @@ impl<'v> Runtime<'v> {
         unsafe { &mut *frames.get() }
     }
 
-    fn frame_level(&self, page: usize) -> u8 {
-        // `Access` counts up as the view's levels do.
-        const _: () = assert!(Access::Read as u8 == ACC_READ && Access::Write as u8 == ACC_WRITE);
-        Self::mem(&self.frames).access(PageId(page)) as u8
-    }
-
-    /// View → frames: publish the application's bytes on every page it
-    /// holds write rights to, so flushes, diffs, and serves see them.
-    fn reconcile_out(&mut self) {
-        let mem = Self::mem(&self.frames);
-        for &page in &self.writable {
-            // A frame downgraded since the grant refuses the copy; the
-            // view keeps the bytes and they flow out with the next
-            // write-fault payload instead.
-            if mem.access(PageId(page)) == Access::Write {
-                let frame = mem.page_bytes_mut(PageId(page)).expect("frame has bytes");
-                self.view.snapshot_page(page, frame);
-            }
-        }
-    }
-
-    /// Frames → view: align the mapping of every page whose frame
-    /// changed, or that an earlier pass left behind, with its frame
-    /// access. `raise` only while the program is parked: see the module
-    /// doc.
-    fn reconcile_in(&mut self, raise: bool) {
-        let mut pending = std::mem::take(&mut self.pending);
-        pending.extend(Self::mem(&self.frames).take_changes().map(|p| p.0));
-        pending.sort_unstable();
-        pending.dedup();
-        pending.retain(|&page| !self.align(page, raise));
-        self.pending = pending;
-        if cfg!(debug_assertions) && raise {
-            // After a raise pass every page agrees; one the log missed fails.
-            for page in 0..self.view.pages() {
-                let va = self.view.access(page);
-                assert_eq!(va, self.frame_level(page), "page {page} left unaligned");
-                assert_eq!(self.writable.contains(&page), va == ACC_WRITE);
-            }
-        }
-    }
-
-    /// Give `page` its frame's access level in the view; false, and
-    /// nothing done, if that raises it and `raise` is off.
-    fn align(&mut self, page: usize, raise: bool) -> bool {
-        let fa = self.frame_level(page);
-        let va = self.view.access(page);
-        if fa == va || (fa > va && !raise) {
-            return fa == va;
-        }
-        if fa == ACC_NONE {
-            // Invalidated under the application's feet — legal for DRF
-            // programs (it cannot be touching the page now). The frame's
-            // bytes went with its copy, and the next install rewrites the
-            // page whole, so its memory goes back to the kernel.
-            self.view.release_page(page);
-        } else if va == ACC_NONE || fa == ACC_WRITE {
-            // Fresh install or upgrade: the frame holds the truth
-            // (fetched page, or our bytes merged with remote diffs), and
-            // the application is parked in the op that caused this.
-            let bytes = Self::mem(&self.frames)
-                .page_bytes(PageId(page))
-                .expect("readable frame has bytes");
-            self.view.install_page(page, bytes, fa);
-        } else {
-            // Write → read downgrade: keep the view bytes (already
-            // reconciled out), just drop the right.
-            self.view.set_access(page, ACC_READ);
-        }
-        if fa == ACC_WRITE {
-            self.writable.push(page);
-        } else if va == ACC_WRITE {
-            self.writable.retain(|&p| p != page);
-        }
-        true
-    }
-
-    /// Revoke every page the view holds and free its memory: the next
-    /// install rewrites a page whole.
-    fn release_view(&mut self) {
-        for page in 0..self.view.pages() {
-            if self.view.access(page) != ACC_NONE {
-                self.view.release_page(page);
-                self.pending.push(page);
-            }
-        }
-        self.writable.clear();
-    }
-
     /// Take the doorbell byte a call rang: one left unread ends every
     /// wait at once, and a parked fault's byte must come next. A sleeping
     /// serving loop may not have seen it, so it still sleeps to `wake_at`.
@@ -319,47 +201,46 @@ impl<'v> Runtime<'v> {
     }
 
     /// The one op path: run `op` to its end on this thread while its
-    /// program is parked in it, then raise rights.
+    /// program is parked in it.
     fn run(&mut self, op: DsmOp) {
-        // See the `lazy` field: after an acquire or a barrier the
-        // application re-faults everything it touches.
-        let revoke = self.lazy && matches!(op, DsmOp::Acquire(_) | DsmOp::Barrier(_));
         self.take_ring();
-        self.reconcile_out();
         self.rt.run_op(op, Duration::MAX);
-        self.reconcile_in(true);
-        if revoke {
-            self.release_view();
-        }
     }
 
-    /// Resolve a parked access as a protocol op on one byte of its page
-    /// and resume its thread.
+    /// Resolve a parked access as a protocol op on the byte it trapped
+    /// at, give the page's view its frame's right and resume the thread.
     fn service_fault(&mut self, fault: ViewFault) {
-        let addr = GlobalAddr(fault.page * self.layout.geometry.page_size());
+        let page = PageId(fault.page);
+        let addr = GlobalAddr(fault.off);
         let mut byte = [0u8];
-        // Recompute the fault kind from the *current* view level: an
+        // Recompute the fault kind from the page's *current* right: an
         // invalidation may have landed between the trap and now, in
         // which case the store needs the page first (two-fault path).
-        let op = if self.view.access(fault.page) == ACC_NONE {
+        let op = if Self::mem(&self.frames).try_read(addr, &mut byte) {
+            // A readable page holds the current value of the byte the
+            // store trapped at, and the retried store overwrites it:
+            // writing it back changes nothing but acquires write
+            // ownership. (The page's first byte may be another node's,
+            // stale by the time ownership arrives.)
+            DsmOp::Write {
+                addr,
+                data: OpData::new(&byte),
+            }
+        } else {
             DsmOp::Read {
                 addr,
                 buf: OpBuf::new(&mut byte),
                 hint: None,
             }
-        } else {
-            // Readable copy ⇒ current copy (a remote writer would have
-            // invalidated us first), so a protocol write of the page's
-            // own first byte changes nothing but acquires write ownership.
-            byte[0] = Self::mem(&self.frames)
-                .page_bytes(PageId(fault.page))
-                .expect("readable frame has bytes")[0];
-            DsmOp::Write {
-                addr,
-                data: OpData::new(&byte),
-            }
         };
         self.run(op);
+        // A page write-protected for a hand-out while its frame kept
+        // write rights comes back here.
+        let mem = Self::mem(&self.frames);
+        let right = mem.access(page);
+        if right != Access::None {
+            mem.set_access(page, right);
+        }
         self.view.finish_fault();
     }
 }
@@ -377,11 +258,7 @@ fn serve(runtime: &Mutex<Runtime<'_>>) {
         rt.take_ring();
         if let Some(fault) = rt.view.pending_fault() {
             rt.service_fault(fault);
-        } else if rt.rt.dispatch_due() || rt.rt.recv_one() {
-            // Lower the rights the event took away — also once the program
-            // has returned, which keeps the frames' change log drained.
-            rt.reconcile_in(false);
-        } else {
+        } else if !(rt.rt.dispatch_due() || rt.rt.recv_one()) {
             rt.wake_at = rt.rt.next_deadline();
             let wait = rt.rt.waiter(Duration::MAX);
             drop(rt);
@@ -406,10 +283,9 @@ pub fn supports(protocol: ProtocolKind) -> Result<(), String> {
 /// cost model come from `cfg` exactly as in the simulator — every
 /// process must be given an identical `cfg`.
 ///
-/// `linger` runs after `program` returns and the view's memory is
-/// given back, while this node still serves peers from its frames;
-/// return from it once the whole cluster is known to be done (e.g.
-/// after a coordinator's shutdown message).
+/// `linger` runs after `program` returns, while this node still serves
+/// peers; return from it once the whole cluster is known to be done
+/// (e.g. after a coordinator's shutdown message).
 /// Real sockets are not deterministic — matching *results* with the
 /// simulator, not matching traffic, is the contract.
 ///
@@ -456,12 +332,6 @@ where
             nnodes: cfg.nnodes,
         };
         let result = program(&dsm);
-        // Publish what the program wrote last; its view's memory goes
-        // while the node lingers.
-        let mut rt = runtime.lock().expect(POISONED);
-        rt.reconcile_out();
-        rt.release_view();
-        drop(rt);
         // Keep serving peers until the embedder says the cluster is
         // done, then tear down.
         linger(&result);

@@ -7,7 +7,8 @@
 //!   space and its division into power-of-two pages;
 //! * [`FrameTable`]/[`Access`] — a node's local page copies and their
 //!   MMU-style access rights (insufficient rights = a fault, which is
-//!   what drives the protocols);
+//!   what drives the protocols), kept in a [`PageStore`] on a cluster
+//!   node;
 //! * [`PageDiff`] — twin/diff encoding for multiple-writer protocols;
 //! * [`VClock`], [`IntervalId`]/[`IntervalRecord`] — vector timestamps
 //!   and interval bookkeeping for lazy release consistency;
@@ -37,7 +38,7 @@ pub use causal::{CausalTime, VClockDelta};
 pub use diff::PageDiff;
 pub use dir::{home_node, DirEntry, Directory, PendingReq};
 pub use dsm_net::{NodeSet, PageHasher, PageMap, PageSet};
-pub use frame::{Access, Frame, FrameTable};
+pub use frame::{Access, FrameTable, PageStore};
 pub use interval::{IntervalId, IntervalRecord, WireIntervalRecord};
 pub use layout::{Placement, SpaceLayout};
 pub use objtable::{ObjRecord, ObjTable};

@@ -98,10 +98,6 @@ pub struct Facts {
     /// page transfer that shows as a change of access rights — what a
     /// page-protection engine (cluster mode) can drive.
     pub page_fault_driven: Can,
-    /// Coherence is deferred to acquire points: a held copy can be
-    /// byte-stale behind unchanged access rights, so a page-protection
-    /// engine must revoke its whole view at every acquire.
-    pub lazy: bool,
     /// One of the eight protocols of the 1992 comparison
     /// ([`ProtocolKind::ALL`]).
     pub comparison_1992: bool,
@@ -125,7 +121,6 @@ const fn page_sc_1992(name: &'static str, build: Build) -> Facts {
         sub_page_writers: Ok(()),
         crash: CrashContract::None,
         page_fault_driven: Ok(()),
-        lazy: false,
         comparison_1992: true,
         max_batch_depth: MAX_BATCH_DEPTH,
     }
@@ -205,7 +200,6 @@ protocols! {
     /// Lazy release consistency (TreadMarks).
     Lrc => Facts {
         consistency: Consistency::Drf,
-        lazy: true,
         ..page_sc_1992("lrc", |me, layout, _, opts| {
             Box::new(Lrc::with_gc(me, layout, opts.lrc_gc))
         })
@@ -352,7 +346,7 @@ impl Facts {
     /// Column titles of [`Facts::table_row`]: the fields, by name.
     pub const TABLE_HEAD: &'static str = "\
         | protocol      | consistency | needs_bindings | needs_objects | object_ops | sub_page_writers \
-        | crash                 | page_fault_driven | lazy | comparison_1992 | max_batch_depth |";
+        | crash                 | page_fault_driven | comparison_1992 | max_batch_depth |";
 
     /// This row as one line of a Markdown table, padded to read as
     /// columns on a terminal too: what `dsmrun --list` prints and
@@ -360,7 +354,7 @@ impl Facts {
     pub fn table_row(&self) -> String {
         let yn = |b: bool| if b { "yes" } else { "no" };
         format!(
-            "| {:<13} | {:<11} | {:<14} | {:<13} | {:<10} | {:<16} | {:<21} | {:<17} | {:<4} | {:<15} | {:<15} |",
+            "| {:<13} | {:<11} | {:<14} | {:<13} | {:<10} | {:<16} | {:<21} | {:<17} | {:<15} | {:<15} |",
             format!("`{}`", self.name),
             format!("{:?}", self.consistency),
             yn(self.needs_bindings),
@@ -369,7 +363,6 @@ impl Facts {
             yn(self.sub_page_writers.is_ok()),
             format!("{:?}", self.crash),
             yn(self.page_fault_driven.is_ok()),
-            yn(self.lazy),
             yn(self.comparison_1992),
             self.max_batch_depth,
         )

@@ -2,30 +2,36 @@
 //! window onto the shared space, with `mprotect`-enforced rights and a
 //! `SIGSEGV` handler that turns violations into *surfaced* faults.
 //!
-//! A [`ClusterView`] owns everything the mechanism needs: the mapping,
-//! the per-page access level, the fault slot the handler files into and
-//! the pipe that wakes the host. The faulting thread parks in the
+//! A [`ClusterView`] owns everything the mechanism needs: one memory
+//! mapped twice — the view, under the program's per-page protection,
+//! and an alias its host reads and writes at any time — the per-page
+//! access level, the fault slot the handler files into and the pipe that
+//! wakes the host. The faulting thread parks in the
 //! handler; whatever runtime embeds the view drains its faults
 //! ([`ClusterView::next_fault`] blocks, [`ClusterView::pending_fault`]
 //! polls), resolves each by installing data and rights, and resumes the
 //! thread with [`ClusterView::finish_fault`]. That host is a coherence
 //! policy over sibling views in [`crate::run_vm`] and a network protocol
 //! stack in cluster mode, which polls the pipe ([`ClusterView::doorbell`])
-//! with its socket; the application rings it too ([`ClusterView::ring`]).
+//! with its socket, and keeps its frame table in the view's memory
+//! ([`ClusterView::store`]); the application rings the pipe too
+//! ([`ClusterView::ring`]).
 //! Any number of views may live in one process: the handler finds the
 //! faulting one by scanning a static table.
 //!
 //! Safety model: the handler is async-signal-safe (atomics, `write(2)`
-//! to a pipe, raw `futex` — no allocation, no locks). A view is written
-//! by its application thread, or by its host strictly while that thread
-//! is parked or provably elsewhere. Programs must be data-race-free at
-//! the granularity their host provides (as on the original systems).
+//! to a pipe, raw `futex` — no allocation, no locks). A page is written
+//! by its application thread while the view grants write, or by its host
+//! through the alias — while the view does not, or while that thread is
+//! parked or provably elsewhere.
 
 use std::io::{self, Read};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU8, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
+
+use dsm_mem::{Access, PageId, PageStore};
 
 use crate::region::{os_page_size, Prot, Region};
 
@@ -45,31 +51,90 @@ const FAULT_BYTE: u8 = 1;
 const RING_BYTE: u8 = 2;
 const STOP_BYTE: u8 = 0xFF;
 
-/// A fault surfaced by the view: the page, and whether the page was
-/// already readable (so the access must have been a store needing an
-/// upgrade). A store to an unmapped page surfaces as a *read* fault
-/// first; once the host installs the page read-only the retried store
-/// faults again as a write — the classic two-fault cold-write upgrade.
+/// A fault surfaced by the view: the page, the byte offset in the view
+/// the access trapped at, and whether the page was already readable (so
+/// the access must have been a store needing an upgrade). A store to an
+/// unmapped page surfaces as a *read* fault first; once the host
+/// installs the page read-only the retried store faults again as a
+/// write — the classic two-fault cold-write upgrade.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ViewFault {
     pub page: usize,
+    pub off: usize,
     pub write: bool,
 }
 
 /// Handler → host fault mailbox (one app thread per view means at most
 /// one outstanding fault).
 struct FaultSlot {
-    page: AtomicUsize,
+    off: AtomicUsize,
     status: AtomicU32,
 }
 
 struct ViewShared {
     page_size: usize,
     pages: usize,
+    /// The program's mapping, under `access`.
     region: Region,
+    /// The same memory, read-write: the host's.
+    alias: Region,
     access: Vec<AtomicU8>,
     slot: FaultSlot,
     pipe_w: OwnedFd,
+}
+
+impl ViewShared {
+    /// Byte offset of `page`; the raw copies and `mprotect` calls rely
+    /// on this range check.
+    fn page_off(&self, page: usize) -> usize {
+        assert!(page < self.pages, "page {page} outside the view");
+        page * self.page_size
+    }
+
+    /// `page`'s bytes in the alias.
+    fn alias_at(&self, page: usize) -> *mut u8 {
+        // SAFETY: in bounds; the alias is read-write for its life.
+        unsafe { self.alias.at(self.page_off(page)) }
+    }
+
+    fn set_access(&self, page: usize, acc: u8) {
+        let prot = match acc {
+            ACC_NONE => Prot::None,
+            ACC_READ => Prot::Read,
+            ACC_WRITE => Prot::ReadWrite,
+            _ => panic!("bad access level {acc}"),
+        };
+        let off = self.page_off(page);
+        if self.access[page].load(Ordering::Acquire) != acc {
+            self.region.protect(off, self.page_size, prot);
+            self.access[page].store(acc, Ordering::Release);
+        }
+    }
+}
+
+// `Access` counts up as the view's levels do.
+const _: () = assert!(Access::Read as u8 == ACC_READ && Access::Write as u8 == ACC_WRITE);
+
+// SAFETY: each page's alias bytes are `page_size` bytes of one mapping
+// that lives as long as `self`, disjoint per page; the program writes
+// them only through the view, and only while its level is `ACC_WRITE`,
+// which `protect` sets and `level` reports.
+unsafe impl PageStore for ViewShared {
+    fn page_ptr(&self, page: PageId) -> *mut u8 {
+        self.alias_at(page.0)
+    }
+
+    fn level(&self, page: PageId) -> Access {
+        match self.access[page.0].load(Ordering::Acquire) {
+            ACC_NONE => Access::None,
+            ACC_READ => Access::Read,
+            _ => Access::Write,
+        }
+    }
+
+    fn protect(&self, page: PageId, access: Access) {
+        self.set_access(page.0, access as u8);
+    }
 }
 
 // ---------------- the signal handler ----------------
@@ -150,8 +215,8 @@ extern "C" fn segv_handler(_sig: libc::c_int, info: *mut libc::siginfo_t, _ctx: 
     // mapping, so the view is borrowed (alive) until that access retires.
     let view = unsafe { &*view };
     let slot = &view.slot;
-    let page = (addr - view.region.base() as usize) / view.page_size;
-    slot.page.store(page, Ordering::Release);
+    slot.off
+        .store(addr - view.region.base() as usize, Ordering::Release);
     slot.status.store(SLOT_REQUESTED, Ordering::Release);
     send_byte(view, FAULT_BYTE);
     while slot.status.load(Ordering::Acquire) != SLOT_DONE {
@@ -185,24 +250,25 @@ fn install_handler() {
 /// / [`ClusterView::write`] (or raw pointers into the mapping); the
 /// *host* side drains faults with [`ClusterView::next_fault`] or
 /// [`ClusterView::pending_fault`] and manipulates contents and rights
-/// with [`ClusterView::install_page`], [`ClusterView::set_access`],
-/// [`ClusterView::release_page`] and [`ClusterView::snapshot_page`].
+/// with [`ClusterView::install_page`], [`ClusterView::set_access`] and
+/// [`ClusterView::snapshot_page`], or hands the memory to a frame table
+/// as its store.
 ///
-/// Host-side mutators must only run while the application thread is
-/// parked in a fault or blocked in a synchronization op, or on pages
-/// the (data-race-free) application provably isn't touching — the same
-/// discipline a real page-DSM daemon obeys.
+/// The host writes a page's bytes only while the view cannot, or while
+/// the application thread is parked in a fault or blocked in a
+/// synchronization op — the same discipline a real page-DSM daemon
+/// obeys.
 pub struct ClusterView {
-    shared: Box<ViewShared>,
+    shared: Arc<ViewShared>,
     pipe_r: std::fs::File,
 }
 
 impl ClusterView {
     /// Map `pages` pages of `page_size` bytes, all initially
-    /// inaccessible. `page_size` must be a multiple of the OS page
-    /// size. Fails if the mapping or the pipe cannot be made, or if the
-    /// process already holds as many views as the handler's table has
-    /// slots.
+    /// inaccessible, and their alias. `page_size` must be a multiple of
+    /// the OS page size. Fails if the mappings or the pipe cannot be
+    /// made, or if the process already holds as many views as the
+    /// handler's table has slots.
     pub fn new(pages: usize, page_size: usize) -> io::Result<ClusterView> {
         assert!(pages >= 1, "need at least one page");
         assert!(
@@ -213,7 +279,7 @@ impl ClusterView {
         let len = pages
             .checked_mul(page_size)
             .ok_or_else(|| io::Error::other("view size overflows usize"))?;
-        let region = Region::new(len)?;
+        let (region, alias) = Region::twice(len)?;
         let mut fds = [0 as libc::c_int; 2];
         // SAFETY: `fds` has room for the two descriptors pipe(2) writes.
         if unsafe { libc::pipe(fds.as_mut_ptr()) } != 0 {
@@ -226,13 +292,14 @@ impl ClusterView {
                 OwnedFd::from_raw_fd(fds[1]),
             )
         };
-        let shared = Box::new(ViewShared {
+        let shared = Arc::new(ViewShared {
             page_size,
             pages,
             region,
+            alias,
             access: (0..pages).map(|_| AtomicU8::new(ACC_NONE)).collect(),
             slot: FaultSlot {
-                page: AtomicUsize::new(0),
+                off: AtomicUsize::new(0),
                 status: AtomicU32::new(SLOT_IDLE),
             },
             pipe_w,
@@ -249,6 +316,12 @@ impl ClusterView {
 
     pub fn pages(&self) -> usize {
         self.shared.pages
+    }
+
+    /// The view's memory as a frame table's store: the table keeps its
+    /// page bytes in the alias and sets the view's protection itself.
+    pub fn store(&self) -> Arc<dyn PageStore> {
+        self.shared.clone()
     }
 
     // ---------------- application side ----------------
@@ -318,9 +391,10 @@ impl ClusterView {
         if (&self.pipe_r).read_exact(&mut byte).is_err() || byte[0] == STOP_BYTE {
             return None;
         }
-        let page = self.shared.slot.page.load(Ordering::Acquire);
+        let off = self.shared.slot.off.load(Ordering::Acquire);
+        let page = off / self.shared.page_size;
         let write = self.access(page) != ACC_NONE;
-        Some(ViewFault { page, write })
+        Some(ViewFault { page, off, write })
     }
 
     /// The fault the application thread is parked in, if any, without
@@ -369,77 +443,40 @@ impl ClusterView {
         self.shared.access[page].load(Ordering::Acquire)
     }
 
-    /// Byte offset of `page`; the raw copies and `mprotect` calls below
-    /// rely on this range check.
-    fn page_off(&self, page: usize) -> usize {
-        assert!(page < self.shared.pages, "page {page} outside the view");
-        page * self.shared.page_size
-    }
-
     /// Set `page`'s protection and recorded access level, keeping its
     /// current contents.
     pub fn set_access(&self, page: usize, acc: u8) {
-        let prot = match acc {
-            ACC_NONE => Prot::None,
-            ACC_READ => Prot::Read,
-            ACC_WRITE => Prot::ReadWrite,
-            _ => panic!("bad access level {acc}"),
-        };
-        self.shared
-            .region
-            .protect(self.page_off(page), self.shared.page_size, prot);
-        self.shared.access[page].store(acc, Ordering::Release);
-    }
-
-    /// Revoke `page` and free its memory, to be rewritten by an install.
-    pub fn release_page(&self, page: usize) {
-        self.set_access(page, ACC_NONE);
-        let (off, ps) = (self.page_off(page), self.shared.page_size);
-        self.shared.region.discard(off, ps);
+        self.shared.set_access(page, acc);
     }
 
     /// Install `data` as `page`'s contents and set its access level.
     pub fn install_page(&self, page: usize, data: &[u8], acc: u8) {
-        let ps = self.shared.page_size;
-        assert_eq!(data.len(), ps, "wrong page size");
-        let off = self.page_off(page);
-        self.shared.region.protect(off, ps, Prot::ReadWrite);
-        // SAFETY: offset in bounds, page now writable, host-side
-        // discipline rules out a concurrent application access.
-        unsafe { ptr::copy_nonoverlapping(data.as_ptr(), self.shared.region.at(off), ps) };
-        if acc == ACC_WRITE {
-            // Already read-write: record the level, no second `mprotect`.
-            self.shared.access[page].store(acc, Ordering::Release);
-        } else {
-            self.set_access(page, acc);
-        }
+        assert_eq!(data.len(), self.shared.page_size, "wrong page size");
+        let at = self.shared.alias_at(page);
+        // SAFETY: one page of the alias; host-side discipline rules out
+        // a concurrent application store.
+        unsafe { ptr::copy_nonoverlapping(data.as_ptr(), at, data.len()) };
+        self.set_access(page, acc);
     }
 
-    /// Copy readable `page`'s current contents out.
+    /// Copy `page`'s current contents out.
     pub fn snapshot_page(&self, page: usize, buf: &mut [u8]) {
-        let ps = self.shared.page_size;
-        assert_eq!(buf.len(), ps, "wrong page size");
-        let off = self.page_off(page);
-        assert_ne!(
-            self.access(page),
-            ACC_NONE,
-            "snapshot of unmapped page {page}"
-        );
-        // SAFETY: offset in bounds, page readable for the copy.
-        unsafe { ptr::copy_nonoverlapping(self.shared.region.at(off), buf.as_mut_ptr(), ps) };
+        assert_eq!(buf.len(), self.shared.page_size, "wrong page size");
+        let at = self.shared.alias_at(page);
+        // SAFETY: one page of the alias, readable at any time.
+        unsafe { ptr::copy_nonoverlapping(at, buf.as_mut_ptr(), buf.len()) };
     }
 
     /// Borrow `page`'s current contents in place (no copy).
     ///
     /// # Safety
-    /// `page` must be readable (access level above [`ACC_NONE`]) and
-    /// stay so, and nothing — application or host — may write it, for
-    /// as long as the borrow lives.
+    /// Nothing — application or host — may write `page` for as long as
+    /// the borrow lives.
     pub(crate) unsafe fn page_bytes(&self, page: usize) -> &[u8] {
-        let off = self.page_off(page);
-        // SAFETY: offset in bounds; readability and stability are the
-        // caller's contract.
-        unsafe { std::slice::from_raw_parts(self.shared.region.at(off), self.shared.page_size) }
+        let at = self.shared.alias_at(page);
+        // SAFETY: one page of the alias; stability is the caller's
+        // contract.
+        unsafe { std::slice::from_raw_parts(at, self.shared.page_size) }
     }
 }
 
@@ -554,6 +591,7 @@ mod tests {
                 fault,
                 ViewFault {
                     page: 1,
+                    off: ps + 5,
                     write: false
                 }
             );

@@ -12,14 +12,11 @@
 //! user-level mechanism IVY was built on; what is left here is policy:
 //! single-writer write-invalidate with an owner and copyset per page.
 //!
-//! Why this engine exists beside `dsm-core`'s cluster mode, which runs
-//! the real protocol stack over views: it downgrades a writer *before*
-//! copying its page, under the page's lock, so it is sequentially
-//! consistent even for a program that races inside a page. The
-//! cluster's reactor copies a page out while its program runs, so a
-//! store can land after the copy; it promises consistency only to
-//! data-race-free programs. Multiple writers of one page run there,
-//! under `lrc`.
+//! It downgrades a writer *before* copying its page, under the page's
+//! lock, so it is sequentially consistent even for a program that races
+//! inside a page. `dsm-core`'s cluster mode, which runs the real
+//! protocol stack over views, keeps the same rule in its frame table;
+//! this engine stays only while the benchmark's ledger times it.
 //!
 //! Safety model: a node's view is written by its own thread, or by a
 //! service thread strictly while that thread is parked; cross-view

@@ -8,13 +8,14 @@
 //! user-level virtual-memory trick.
 //!
 //! One type carries the mechanism: a [`ClusterView`] is a node's
-//! memory — mapping, per-page rights, the trap that parks a faulting
-//! thread and the fault stream its host drains. Any number of views may
-//! live in one process. [`run_vm`] is N views plus a sequentially
-//! consistent write-invalidate policy served by threads of this
-//! process; `dsm-core`'s cluster mode is one view per node with the
-//! real protocol stack as its host, and runs multiple-writer programs
-//! under `lrc`.
+//! memory — one memory mapped twice, as the program's view under
+//! per-page rights and as its host's alias, the trap that parks a
+//! faulting thread and the fault stream its host drains. Any number of
+//! views may live in one process. [`run_vm`] is N views plus a
+//! sequentially consistent write-invalidate policy served by threads of
+//! this process; `dsm-core`'s cluster mode is one view per node with
+//! the real protocol stack as its host, its frame table kept in the
+//! view's memory.
 //!
 //! ```no_run
 //! use dsm_vm::{run_vm, VmConfig, VmMode};

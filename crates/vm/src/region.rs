@@ -1,6 +1,8 @@
 //! Memory-mapped per-node views of the shared space.
 
+use std::fs::File;
 use std::io;
+use std::os::fd::{AsRawFd, FromRawFd};
 use std::ptr;
 
 /// Protection level of a page range (maps directly onto `mprotect`).
@@ -21,8 +23,9 @@ impl Prot {
     }
 }
 
-/// One node's anonymous private mapping. Pages start `PROT_NONE` (and
-/// zero-filled by the kernel on first legitimate access).
+/// A shared mapping of fresh memory (a `memfd`), which
+/// [`Region::twice`] maps a second time. Pages read as zeros until
+/// written.
 #[derive(Debug)]
 pub struct Region {
     base: *mut u8,
@@ -36,16 +39,32 @@ unsafe impl Send for Region {}
 unsafe impl Sync for Region {}
 
 impl Region {
-    /// Map `len` bytes with no access.
+    /// Map `len` bytes of fresh memory with no access.
     pub fn new(len: usize) -> io::Result<Region> {
-        // SAFETY: a new mapping where the kernel chooses aliases nothing.
+        Region::map(&memfd(len)?, len, Prot::None)
+    }
+
+    /// Map `len` bytes of fresh memory twice: with no access, and as an
+    /// alias with read-write access. What is stored through one mapping
+    /// is what the other loads.
+    pub fn twice(len: usize) -> io::Result<(Region, Region)> {
+        let file = memfd(len)?;
+        Ok((
+            Region::map(&file, len, Prot::None)?,
+            Region::map(&file, len, Prot::ReadWrite)?,
+        ))
+    }
+
+    fn map(file: &File, len: usize, prot: Prot) -> io::Result<Region> {
+        // SAFETY: a new shared mapping of `file`, where the kernel
+        // chooses, aliases no Rust object.
         let base = unsafe {
             libc::mmap(
                 ptr::null_mut(),
                 len,
-                libc::PROT_NONE,
-                libc::MAP_PRIVATE | libc::MAP_ANONYMOUS,
-                -1,
+                prot.flags(),
+                libc::MAP_SHARED,
+                file.as_raw_fd(),
                 0,
             )
         };
@@ -84,16 +103,6 @@ impl Region {
         assert_eq!(rc, 0, "mprotect failed: {}", io::Error::last_os_error());
     }
 
-    /// Free `[off, off+len)` (page-aligned): it next reads as zeros.
-    pub(crate) fn discard(&self, off: usize, len: usize) {
-        let at = self.range(off, len);
-        // SAFETY: a range of this private anonymous mapping, whose pages
-        // the kernel drops; no borrow of them is live (the one kind,
-        // `ClusterView::page_bytes`, forbids any change while it lives).
-        let rc = unsafe { libc::madvise(at, len, libc::MADV_DONTNEED) };
-        assert_eq!(rc, 0, "madvise failed: {}", io::Error::last_os_error());
-    }
-
     /// Raw pointer to offset `off`.
     ///
     /// # Safety
@@ -113,6 +122,20 @@ impl Drop for Region {
             libc::munmap(self.base as *mut libc::c_void, self.len);
         }
     }
+}
+
+/// `len` bytes of fresh memory, as a file to map; its mappings keep the
+/// memory once the file is closed.
+fn memfd(len: usize) -> io::Result<File> {
+    // SAFETY: a NUL-terminated name and a flag memfd_create knows.
+    let fd = unsafe { libc::memfd_create(c"dsm-region".as_ptr(), libc::MFD_CLOEXEC) };
+    if fd < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    // SAFETY: a fresh descriptor nothing else owns.
+    let file = unsafe { File::from_raw_fd(fd) };
+    file.set_len(len as u64)?;
+    Ok(file)
 }
 
 /// The operating system's page size.
@@ -185,21 +208,18 @@ mod tests {
         r.protect(ps, usize::MAX - ps + 1, Prot::None);
     }
 
+    /// A store through the alias is what the region loads, under
+    /// whatever protection the region has.
     #[test]
-    fn discarded_pages_read_as_zeros() {
+    fn an_alias_maps_the_same_memory() {
         let ps = os_page_size();
-        let r = Region::new(2 * ps).unwrap();
-        r.protect(0, 2 * ps, Prot::ReadWrite);
-        // SAFETY: both pages writable, this thread's only.
+        let (r, alias) = Region::twice(2 * ps).unwrap();
+        r.protect(ps, ps, Prot::Read);
+        // SAFETY: the alias is read-write, page 1 of the region readable,
+        // and both are this thread's only.
         unsafe {
-            r.at(0).write_volatile(7);
-            r.at(ps).write_volatile(9);
-        }
-        r.discard(0, ps);
-        // SAFETY: as above.
-        unsafe {
-            assert_eq!(r.at(0).read_volatile(), 0);
-            assert_eq!(r.at(ps).read_volatile(), 9);
+            alias.at(ps + 3).write_volatile(5);
+            assert_eq!(r.at(ps + 3).read_volatile(), 5);
         }
     }
 }

@@ -2,14 +2,15 @@
  * preloads it into the command it is given. SYSCALLS_OUT is set on the
  * compiler's command line: the shim reads no environment variable.
  *
- * sendto, recvfrom, ppoll, mprotect, write and syscall are interposed and
- * passed on to the next definition (glibc's, found once with dlsym); a
- * `syscall` is counted only when it is a futex, which is how Rust's
- * std::sync and dsm-vm's fault slot wait and wake. Counting is one relaxed
- * atomic add, so the wrappers stay async-signal-safe: dsm-vm's SIGSEGV
- * handler writes its doorbell pipe and wakes through a futex. A call glibc
- * makes from inside itself (stdio's writes) binds to its own copy and is
- * not seen; Rust's std calls each of these by its exported name.
+ * sendto, recvfrom, ppoll, mprotect, madvise, write and syscall are
+ * interposed and passed on to the next definition (glibc's, found once
+ * with dlsym); a `syscall` is counted only when it is a futex, which is
+ * how Rust's std::sync and dsm-vm's fault slot wait and wake. Counting
+ * is one relaxed atomic add, so the wrappers stay async-signal-safe:
+ * dsm-vm's SIGSEGV handler writes its doorbell pipe and wakes through a
+ * futex. A call glibc makes from inside itself (stdio's writes) binds
+ * to its own copy and is not seen; Rust's std calls each of these by its
+ * exported name.
  *
  * A line a benchmark child writes to stdout as `M ops <n>` (benchmark/
  * src/child.rs, the ops it timed) is read on its way out, so the census
@@ -33,8 +34,9 @@
 #define SYSCALLS_OUT "syscalls.dump"
 #endif
 
-enum { SENDTO, RECVFROM, PPOLL, MPROTECT, WRITE, FUTEX, KINDS };
-static const char *const names[KINDS] = {"sendto", "recvfrom", "ppoll", "mprotect", "write", "futex"};
+enum { SENDTO, RECVFROM, PPOLL, MPROTECT, MADVISE, WRITE, FUTEX, KINDS };
+static const char *const names[KINDS] = {"sendto", "recvfrom", "ppoll", "mprotect",
+                                         "madvise", "write", "futex"};
 static unsigned long calls[KINDS];
 static unsigned long ops;
 static int have_ops;
@@ -57,12 +59,14 @@ typedef ssize_t (*sendto_fn)(int, const void *, size_t, int, const struct sockad
 typedef ssize_t (*recvfrom_fn)(int, void *, size_t, int, struct sockaddr *, socklen_t *);
 typedef int (*ppoll_fn)(struct pollfd *, nfds_t, const struct timespec *, const sigset_t *);
 typedef int (*mprotect_fn)(void *, size_t, int);
+typedef int (*madvise_fn)(void *, size_t, int);
 typedef ssize_t (*write_fn)(int, const void *, size_t);
 typedef long (*syscall_fn)(long, ...);
 NEXT(sendto_fn, sendto)
 NEXT(recvfrom_fn, recvfrom)
 NEXT(ppoll_fn, ppoll)
 NEXT(mprotect_fn, mprotect)
+NEXT(madvise_fn, madvise)
 NEXT(write_fn, write)
 NEXT(syscall_fn, syscall)
 
@@ -84,6 +88,11 @@ int ppoll(struct pollfd *fds, nfds_t n, const struct timespec *timeout, const si
 int mprotect(void *addr, size_t len, int prot) {
     count(MPROTECT);
     return real_mprotect()(addr, len, prot);
+}
+
+int madvise(void *addr, size_t len, int advice) {
+    count(MADVISE);
+    return real_madvise()(addr, len, advice);
 }
 
 ssize_t write(int fd, const void *buf, size_t len) {
@@ -118,6 +127,7 @@ __attribute__((constructor)) static void syscalls_start(void) {
     real_recvfrom();
     real_ppoll();
     real_mprotect();
+    real_madvise();
     real_write();
     real_syscall();
 }

@@ -5,8 +5,8 @@
 #
 # Builds tools/syscalls.c with the container's gcc into a temporary
 # directory and runs the command with it preloaded: every process counts
-# its sendto, recvfrom, ppoll, mprotect and write calls and its futex
-# system calls exactly. After the command's own output comes one row per
+# its sendto, recvfrom, ppoll, mprotect, madvise and write calls and its
+# futex system calls exactly. After the command's own output comes one row per
 # process — its command line shortened to the program's name and two
 # arguments — and, for a benchmark child that reported the ops it timed,
 # a second row of the same calls per op. The last row is those per-op
