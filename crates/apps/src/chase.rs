@@ -16,7 +16,7 @@
 //! counters along a chain sum to `chain_len * rounds` — so protocol
 //! comparisons are at identical results.
 
-use dsm_core::{Dsm, Dur, GlobalAddr, NodeId};
+use dsm_core::{Dsm, Dur, Engine, GlobalAddr, NodeId};
 use dsm_obj::{DsmBox, DsmHeap, Pod};
 
 /// One chain element. 16 bytes, two `u64` fields, no padding — a
@@ -53,14 +53,6 @@ pub struct ChaseParams {
 }
 
 impl ChaseParams {
-    pub fn small() -> Self {
-        ChaseParams {
-            chain_len: 16,
-            rounds: 4,
-            think: Dur::micros(5),
-        }
-    }
-
     /// Global-space footprint of the page build.
     pub fn heap_bytes(&self, nodes: usize) -> usize {
         self.chain_len * nodes * SLOT
@@ -140,7 +132,7 @@ pub fn run_obj(dsm: &Dsm<'_>, p: &ChaseParams, chains: &[Vec<DsmBox<ChaseElem>>]
 }
 
 /// Page build: the same chase over flat slots in the byte space.
-pub fn run_pages(dsm: &Dsm<'_>, p: &ChaseParams) -> u64 {
+pub fn run_pages(dsm: &Dsm<'_, impl Engine>, p: &ChaseParams) -> u64 {
     let me = dsm.id().0 as usize;
     let nodes = dsm.nodes() as usize;
     for i in 0..p.chain_len {
@@ -180,9 +172,15 @@ mod tests {
     use super::*;
     use dsm_core::{run_dsm, DsmConfig, ProtocolKind};
 
+    const SMALL: ChaseParams = ChaseParams {
+        chain_len: 16,
+        rounds: 4,
+        think: Dur::micros(5),
+    };
+
     #[test]
     fn slots_interleave_chains_within_pages() {
-        let p = ChaseParams::small();
+        let p = SMALL;
         // Consecutive elements of one chain are `nodes` slots apart;
         // consecutive slots belong to different chains.
         assert_eq!(p.slot(0, 1, 4) - p.slot(0, 0, 4), 4);
@@ -191,7 +189,7 @@ mod tests {
 
     #[test]
     fn object_and_page_builds_agree_on_the_answer() {
-        let p = ChaseParams::small();
+        let p = SMALL;
         let nodes = 3u32;
         let expected = vec![p.expected(); nodes as usize];
 

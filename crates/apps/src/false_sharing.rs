@@ -7,7 +7,7 @@
 //! TreadMarks (experiment E5).
 
 use crate::util::u64_at;
-use dsm_core::{Dsm, Dur, GlobalAddr};
+use dsm_core::{Dsm, Dur, Engine, GlobalAddr};
 
 /// Microkernel description.
 #[derive(Debug, Clone, Copy)]
@@ -39,7 +39,7 @@ impl FalseSharingParams {
 }
 
 /// Run; returns this node's final counter value (must equal `iters`).
-pub fn run(dsm: &Dsm<'_>, p: &FalseSharingParams) -> u64 {
+pub fn run(dsm: &Dsm<'_, impl Engine>, p: &FalseSharingParams) -> u64 {
     let me = dsm.id().0 as usize;
     let addr = p.counter(me);
     dsm.barrier(0);

@@ -10,7 +10,7 @@
 //! algorithm sequentially, so results compare bitwise.
 
 use crate::util::{block_range, compute_flops, f64_at};
-use dsm_core::{Dsm, GlobalAddr};
+use dsm_core::{Dsm, Engine, GlobalAddr};
 use std::f64::consts::PI;
 
 /// FFT problem description: `n = rows * cols` complex points.
@@ -21,10 +21,6 @@ pub struct FftParams {
 }
 
 impl FftParams {
-    pub fn small() -> Self {
-        FftParams { rows: 8, cols: 8 }
-    }
-
     pub fn n(&self) -> usize {
         self.rows * self.cols
     }
@@ -103,7 +99,7 @@ fn fft_row_flops(cols: usize) -> u64 {
 
 /// Run the parallel FFT; returns the checksum of this node's block of
 /// the final (transposed) matrix.
-pub fn run(dsm: &Dsm<'_>, p: &FftParams) -> f64 {
+pub fn run(dsm: &Dsm<'_, impl Engine>, p: &FftParams) -> f64 {
     let nodes = dsm.nodes() as usize;
     let me = dsm.id().0 as usize;
 

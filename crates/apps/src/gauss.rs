@@ -9,7 +9,7 @@
 //! for this kernel).
 
 use crate::util::compute_flops;
-use dsm_core::{Dsm, GlobalAddr};
+use dsm_core::{Dsm, Engine, GlobalAddr};
 
 /// Problem: solve `n` equations; the matrix is `n × (n+1)` (augmented),
 /// row-major from address 0.
@@ -24,13 +24,6 @@ pub struct GaussParams {
 }
 
 impl GaussParams {
-    pub fn small() -> Self {
-        GaussParams {
-            n: 16,
-            row_align: 8,
-        }
-    }
-
     pub fn width(&self) -> usize {
         self.n + 1
     }
@@ -68,7 +61,7 @@ fn owner(r: usize, nodes: usize) -> usize {
 
 /// Run elimination + back substitution; every node returns the full
 /// solution vector (checked against the reference).
-pub fn run(dsm: &Dsm<'_>, p: &GaussParams) -> Vec<f64> {
+pub fn run(dsm: &Dsm<'_, impl Engine>, p: &GaussParams) -> Vec<f64> {
     let n = p.n;
     let w = p.width();
     let nodes = dsm.nodes() as usize;

@@ -5,7 +5,7 @@
 //! traffic, simpler sharing).
 
 use crate::util::{block_range, compute_flops, f64_at};
-use dsm_core::{Dsm, GlobalAddr};
+use dsm_core::{Dsm, Engine, GlobalAddr};
 
 #[derive(Debug, Clone, Copy)]
 pub struct JacobiParams {
@@ -15,10 +15,6 @@ pub struct JacobiParams {
 }
 
 impl JacobiParams {
-    pub fn small() -> Self {
-        JacobiParams { n: 24, iters: 4 }
-    }
-
     pub fn heap_bytes(&self) -> usize {
         2 * self.n * self.n * 8
     }
@@ -37,7 +33,7 @@ fn initial(n: usize, r: usize, c: usize) -> f64 {
 }
 
 /// Run; returns the checksum of this node's block of the final buffer.
-pub fn run(dsm: &Dsm<'_>, p: &JacobiParams) -> f64 {
+pub fn run(dsm: &Dsm<'_, impl Engine>, p: &JacobiParams) -> f64 {
     let n = p.n;
     let nodes = dsm.nodes() as usize;
     let me = dsm.id().0 as usize;

@@ -19,7 +19,7 @@
 //! coins.
 
 use crate::util::u64_at;
-use dsm_core::{Dsm, GlobalAddr};
+use dsm_core::{Dsm, Engine, GlobalAddr};
 use dsm_sync::LockId;
 
 /// Zipf KV workload description.
@@ -130,7 +130,7 @@ pub fn reference_digest(p: &KvParams, nnodes: usize) -> u64 {
 
 /// Run the workload; returns the post-barrier table digest (equal on
 /// every node, and equal to [`reference_digest`]).
-pub fn run(dsm: &Dsm<'_>, p: &KvParams) -> u64 {
+pub fn run(dsm: &Dsm<'_, impl Engine>, p: &KvParams) -> u64 {
     let me = dsm.id().0 as usize;
     dsm.barrier(0);
     let mut _read_sink = 0u64;

@@ -1,8 +1,11 @@
 //! # dsm-apps — application kernels for the DSM experiment suite
 //!
 //! Re-implementations of the workloads the DSM literature evaluated
-//! with, each parameterized over the [`dsm_core::Dsm`] API and paired
-//! with a sequential reference used as a coherence oracle:
+//! with, each written once over `&Dsm<'_, impl Engine>` — so the same
+//! program runs in the simulator and on real pages — and paired with a
+//! sequential reference used as a coherence oracle. The [`table`]
+//! holds every runnable app's configuration, program and verdict;
+//! `dsmrun`, `dsm-cluster` and the oracle tests read it.
 //!
 //! * [`sor`] — red-black successive over-relaxation (nearest-neighbor
 //!   stencil, boundary-page sharing);
@@ -16,7 +19,9 @@
 //! * [`false_sharing`] — packed private counters (the false-sharing
 //!   microkernel);
 //! * [`chase`] — pointer chasing over interleaved linked elements
-//!   (the object-granularity showcase, E22).
+//!   (the object-granularity showcase, E22);
+//! * [`kv`] — the Zipf-skewed key-value board under striped locks
+//!   (E21).
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 pub mod chase;
@@ -28,6 +33,9 @@ pub mod kv;
 pub mod matmul;
 pub mod sor;
 pub mod sort;
+pub mod table;
 pub mod taskqueue;
 pub mod tsp;
 pub mod util;
+
+pub use table::{plan, Run, Words, APPS};

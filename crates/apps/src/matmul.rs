@@ -3,7 +3,7 @@
 //! everyone (replication-friendly protocols shine; migration thrashes).
 
 use crate::util::{block_range, compute_flops, f64_at};
-use dsm_core::{Dsm, GlobalAddr};
+use dsm_core::{Dsm, Engine, GlobalAddr};
 
 /// Matmul problem description. Matrices are `n × n`, row-major, laid
 /// out A | B | C from address 0.
@@ -13,10 +13,6 @@ pub struct MatmulParams {
 }
 
 impl MatmulParams {
-    pub fn small() -> Self {
-        MatmulParams { n: 24 }
-    }
-
     pub fn heap_bytes(&self) -> usize {
         3 * self.n * self.n * 8
     }
@@ -41,7 +37,7 @@ fn b_init(n: usize, r: usize, c: usize) -> f64 {
 }
 
 /// Run on the DSM; returns the checksum of this node's C block.
-pub fn run(dsm: &Dsm<'_>, p: &MatmulParams) -> f64 {
+pub fn run(dsm: &Dsm<'_, impl Engine>, p: &MatmulParams) -> f64 {
     let n = p.n;
     let nodes = dsm.nodes() as usize;
     let me = dsm.id().0 as usize;
@@ -134,7 +130,7 @@ mod tests {
 
     #[test]
     fn block_sums_partition_total() {
-        let p = MatmulParams::small();
+        let p = MatmulParams { n: 24 };
         let total: f64 = reference(&p).iter().sum();
         let parts: f64 = (0..3).map(|i| reference_block_sum(&p, 3, i)).sum();
         assert!((total - parts).abs() < 1e-9);

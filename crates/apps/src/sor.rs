@@ -10,7 +10,7 @@
 //! bytes change).
 
 use crate::util::{block_range, compute_flops, f64_at};
-use dsm_core::{Dsm, GlobalAddr};
+use dsm_core::{Dsm, Engine, GlobalAddr};
 
 /// SOR problem description.
 #[derive(Debug, Clone, Copy)]
@@ -24,14 +24,6 @@ pub struct SorParams {
 }
 
 impl SorParams {
-    pub fn small() -> Self {
-        SorParams {
-            n: 32,
-            iters: 4,
-            omega: 1.25,
-        }
-    }
-
     /// Shared bytes needed.
     pub fn heap_bytes(&self) -> usize {
         self.n * self.n * 8
@@ -72,7 +64,7 @@ fn relax_row(
 }
 
 /// Run SOR on the DSM; returns the checksum of this node's block.
-pub fn run(dsm: &Dsm<'_>, p: &SorParams) -> f64 {
+pub fn run(dsm: &Dsm<'_, impl Engine>, p: &SorParams) -> f64 {
     let n = p.n;
     let nodes = dsm.nodes() as usize;
     let me = dsm.id().0 as usize;
@@ -175,7 +167,11 @@ mod tests {
 
     #[test]
     fn reference_is_deterministic() {
-        let p = SorParams::small();
+        let p = SorParams {
+            n: 32,
+            iters: 4,
+            omega: 1.25,
+        };
         assert_eq!(reference(&p), reference(&p));
     }
 }

@@ -7,7 +7,7 @@
 //! with barriers only.
 
 use crate::util::{block_range, compute_flops, u64_at};
-use dsm_core::{Dsm, GlobalAddr};
+use dsm_core::{Dsm, Engine, GlobalAddr};
 
 /// Sort workload description.
 #[derive(Debug, Clone, Copy)]
@@ -18,10 +18,6 @@ pub struct SortParams {
 }
 
 impl SortParams {
-    pub fn small() -> Self {
-        SortParams { n: 256, seed: 7 }
-    }
-
     fn input(&self) -> GlobalAddr {
         GlobalAddr(0)
     }
@@ -57,10 +53,10 @@ fn bucket_of(key: u64, buckets: usize) -> usize {
     ((key as u128 * buckets as u128) >> 64) as usize
 }
 
-/// Run the sort; returns a digest (sum, xor) of this node's sorted
-/// bucket for verification, plus a sortedness check across bucket
-/// boundaries done by the caller via the output region.
-pub fn run(dsm: &Dsm<'_>, p: &SortParams) -> (u64, u64) {
+/// Run the sort; node 0 then reads back the whole output array (every
+/// other node returns nothing), for the caller to check against
+/// [`reference`].
+pub fn run(dsm: &Dsm<'_, impl Engine>, p: &SortParams) -> Vec<u64> {
     let nodes = dsm.nodes() as usize;
     let me = dsm.id().0 as usize;
     let (lo, hi) = block_range(p.n, nodes, me);
@@ -115,15 +111,10 @@ pub fn run(dsm: &Dsm<'_>, p: &SortParams) -> (u64, u64) {
     );
     dsm.barrier(0);
 
-    let sum = bucket.iter().fold(0u64, |a, &b| a.wrapping_add(b));
-    let xor = bucket.iter().fold(0u64, |a, &b| a ^ b);
-    (sum, xor)
-}
-
-/// Read back the full output array (call after `run`, any node).
-pub fn read_output(dsm: &Dsm<'_>, p: &SortParams) -> Vec<u64> {
-    let nodes = dsm.nodes() as usize;
-    dsm.read_u64s(u64_at(p.output(nodes), 0), p.n)
+    match me {
+        0 => dsm.read_u64s(out_base, p.n),
+        _ => Vec::new(),
+    }
 }
 
 /// Sequential reference: the sorted keys.
@@ -140,7 +131,7 @@ mod tests {
     #[test]
     fn buckets_partition_key_space_in_order() {
         // All keys in bucket b are < all keys in bucket b+1.
-        let p = SortParams::small();
+        let p = SortParams { n: 256, seed: 7 };
         let nodes = 4;
         let mut maxima = vec![0u64; nodes];
         let mut minima = vec![u64::MAX; nodes];
@@ -159,7 +150,7 @@ mod tests {
 
     #[test]
     fn reference_is_sorted_permutation() {
-        let p = SortParams::small();
+        let p = SortParams { n: 256, seed: 7 };
         let r = reference(&p);
         assert!(r.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(r.len(), p.n);

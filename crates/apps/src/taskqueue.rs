@@ -5,7 +5,7 @@
 //! and rides its grants.
 
 use crate::util::u64_at;
-use dsm_core::{Dsm, Dur, GlobalAddr};
+use dsm_core::{Dsm, Dur, Engine, GlobalAddr};
 use dsm_sync::LockId;
 
 /// Queue workload description.
@@ -30,15 +30,6 @@ const DONE: GlobalAddr = GlobalAddr(16);
 const SLOTS: GlobalAddr = GlobalAddr(24);
 
 impl TaskQueueParams {
-    pub fn small() -> Self {
-        TaskQueueParams {
-            tasks: 24,
-            task_time: Dur::millis(5),
-            produce_time: Dur::micros(50),
-            poll: Dur::micros(500),
-        }
-    }
-
     pub fn heap_bytes(&self) -> usize {
         24 + self.tasks * 8
     }
@@ -60,7 +51,7 @@ pub struct WorkerResult {
 
 /// Run the workload. Node 0 produces; every node (including 0 once
 /// production finishes) consumes.
-pub fn run(dsm: &Dsm<'_>, p: &TaskQueueParams) -> WorkerResult {
+pub fn run(dsm: &Dsm<'_, impl Engine>, p: &TaskQueueParams) -> WorkerResult {
     let me = dsm.id().0;
     dsm.barrier(0);
 
@@ -123,7 +114,9 @@ mod tests {
     fn digest_matches_closed_form() {
         let p = TaskQueueParams {
             tasks: 10,
-            ..TaskQueueParams::small()
+            task_time: Dur::millis(5),
+            produce_time: Dur::micros(50),
+            poll: Dur::micros(500),
         };
         let (sum, _) = expected_digest(&p);
         assert_eq!(sum, 55);

@@ -3,7 +3,7 @@
 //! bounce between whichever nodes hold the lock.
 
 use crate::util::{compute_flops, u64_at};
-use dsm_core::{Dsm, Dur, GlobalAddr};
+use dsm_core::{Dsm, Dur, Engine, GlobalAddr};
 use dsm_sync::LockId;
 
 /// TSP instance description. City distances are a deterministic
@@ -29,15 +29,6 @@ const STACK: GlobalAddr = GlobalAddr(24); // entries: 3 u64 each
 const ENTRY_WORDS: usize = 3;
 
 impl TspParams {
-    pub fn small() -> Self {
-        TspParams {
-            cities: 7,
-            seed: 42,
-            capacity: 4096,
-            poll: Dur::micros(500),
-        }
-    }
-
     pub fn heap_bytes(&self) -> usize {
         24 + self.capacity * ENTRY_WORDS * 8
     }
@@ -94,7 +85,7 @@ fn path_last(path: u64, depth: u8) -> usize {
 
 /// Run the solver; every node returns the best tour length it observed
 /// at termination (all equal, and equal to the reference).
-pub fn run(dsm: &Dsm<'_>, p: &TspParams) -> f64 {
+pub fn run(dsm: &Dsm<'_, impl Engine>, p: &TspParams) -> f64 {
     let me = dsm.id().0;
     if me == 0 {
         // Seed: tour starting at city 0.
@@ -238,19 +229,23 @@ pub fn reference(p: &TspParams) -> f64 {
 mod tests {
     use super::*;
 
+    const SMALL: TspParams = TspParams {
+        cities: 7,
+        seed: 42,
+        capacity: 4096,
+        poll: Dur::micros(500),
+    };
+
     #[test]
     fn reference_finds_a_finite_tour() {
-        let p = TspParams::small();
+        let p = SMALL;
         let b = reference(&p);
         assert!(b.is_finite() && b > 0.0);
     }
 
     #[test]
     fn reference_matches_brute_force_on_tiny_instance() {
-        let p = TspParams {
-            cities: 6,
-            ..TspParams::small()
-        };
+        let p = TspParams { cities: 6, ..SMALL };
         // Brute force all permutations of 1..6.
         let mut cities: Vec<usize> = (1..6).collect();
         let mut best = f64::INFINITY;
@@ -283,7 +278,7 @@ mod tests {
 
     #[test]
     fn distances_symmetric_and_deterministic() {
-        let p = TspParams::small();
+        let p = SMALL;
         assert_eq!(p.dist(2, 5), p.dist(5, 2));
         assert_eq!(p.dist(1, 3), p.dist(1, 3));
         assert_eq!(p.dist(4, 4), 0.0);

@@ -1,6 +1,6 @@
 //! Shared helpers for the application kernels.
 
-use dsm_core::{Dsm, Dur, GlobalAddr};
+use dsm_core::{Dsm, Dur, Engine, GlobalAddr};
 
 /// Modeled cost of one floating-point operation — a ~2 MFLOPS
 /// early-90s workstation, matching the era of the 10 Mbit/s network in
@@ -10,7 +10,7 @@ use dsm_core::{Dsm, Dur, GlobalAddr};
 pub const FLOP_NS: u64 = 500;
 
 /// Charge `flops` of modeled local computation.
-pub fn compute_flops(dsm: &Dsm<'_>, flops: u64) {
+pub fn compute_flops(dsm: &Dsm<'_, impl Engine>, flops: u64) {
     dsm.compute(Dur::nanos(flops * FLOP_NS));
 }
 

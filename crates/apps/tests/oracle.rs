@@ -2,163 +2,172 @@
 //! sequential reference's result under every protocol × node count in
 //! the matrix. This is the strongest end-to-end correctness statement
 //! in the repository — a wrong invalidation, a lost diff, or a stale
-//! piggyback shows up here as a checksum mismatch or a deadlock.
+//! piggyback shows up here as a checksum mismatch or a deadlock. The
+//! apps, their configurations and their verdicts are the app table's
+//! (`dsm_apps::plan`), the same `dsmrun` and `dsm-cluster` run; a few
+//! shapes the table does not build (a fourth iteration, a non-square
+//! FFT grid, other task timings) run directly.
 
-use dsm_apps::{false_sharing, fft, gauss, jacobi, matmul, sor, sort, taskqueue, tsp};
-use dsm_core::{DsmConfig, EntryBinding, ProtocolKind};
+use dsm_apps::false_sharing;
+use dsm_apps::fft::{self, FftParams};
+use dsm_apps::jacobi::{self, JacobiParams};
+use dsm_apps::sor::{self, SorParams};
+use dsm_apps::taskqueue::{self, TaskQueueParams};
+use dsm_core::{Dsm, DsmConfig, Dur, ProtocolKind};
 
 const NODE_COUNTS: [u32; 3] = [1, 2, 5];
 
-fn cfg(n: u32, proto: ProtocolKind, heap: usize) -> DsmConfig {
+fn cfg(n: u32, proto: ProtocolKind) -> DsmConfig {
     DsmConfig::new(n, proto)
-        .heap_bytes(heap)
         .page_size(256)
         .max_events(20_000_000)
 }
 
-#[test]
-fn sor_matches_reference_everywhere() {
-    let p = sor::SorParams::small();
+/// `app` at `size` under every protocol and node count: its verdict
+/// holds, or the protocol's row says why the app cannot run there.
+fn oracle(app: &str, size: usize, node_counts: &[u32]) {
     for proto in ProtocolKind::EVERY {
-        for n in NODE_COUNTS {
-            let res = dsm_core::run_dsm(&cfg(n, proto, p.heap_bytes()), |dsm| sor::run(dsm, &p));
+        for &n in node_counts {
+            let run = match dsm_apps::plan(app, size, cfg(n, proto)) {
+                Ok(run) => run,
+                Err(why) => {
+                    // Only the rows without sub-page writers refuse an app.
+                    let row = proto.facts().sub_page_writers.expect_err(&why);
+                    assert!(why.contains(row), "{app} {proto}: {why}");
+                    continue;
+                }
+            };
+            let res = dsm_core::run_dsm(&run.cfg, |d| run.sim_program(d));
+            assert!(
+                run.verdict(&res.results),
+                "{app} {proto} n={n}: {:?}",
+                res.results
+            );
+        }
+    }
+}
+
+/// A shape the table does not build: `program` under every protocol and
+/// node count, each rank's block sum within 1e-9 of `want(nodes, rank)`.
+fn block_sums(
+    node_counts: &[u32],
+    heap: usize,
+    program: impl Fn(&Dsm<'_>) -> f64 + Sync,
+    want: impl Fn(usize, usize) -> f64,
+) {
+    for proto in ProtocolKind::EVERY {
+        for &n in node_counts {
+            let res = dsm_core::run_dsm(&cfg(n, proto).heap_bytes(heap), &program);
             for (i, &got) in res.results.iter().enumerate() {
-                let want = sor::reference_block_sum(&p, n as usize, i);
+                let want = want(n as usize, i);
                 assert!(
                     (got - want).abs() < 1e-9,
-                    "sor {proto} n={n} node {i}: got {got}, want {want}"
+                    "{proto} n={n} node {i}: got {got}, want {want}"
                 );
             }
         }
     }
 }
 
+/// The table's shape, and a fourth iteration.
+#[test]
+fn sor_matches_reference_everywhere() {
+    oracle("sor", 32, &NODE_COUNTS);
+    let p = SorParams {
+        n: 32,
+        iters: 4,
+        omega: 1.25,
+    };
+    block_sums(
+        &NODE_COUNTS,
+        p.heap_bytes(),
+        |d| sor::run(d, &p),
+        |n, i| sor::reference_block_sum(&p, n, i),
+    );
+}
+
+/// The table's shape, and a fourth iteration.
 #[test]
 fn jacobi_matches_reference_everywhere() {
-    let p = jacobi::JacobiParams::small();
-    for proto in ProtocolKind::EVERY {
-        for n in NODE_COUNTS {
-            let res = dsm_core::run_dsm(&cfg(n, proto, p.heap_bytes()), |dsm| jacobi::run(dsm, &p));
-            for (i, &got) in res.results.iter().enumerate() {
-                let want = jacobi::reference_block_sum(&p, n as usize, i);
-                assert!(
-                    (got - want).abs() < 1e-9,
-                    "jacobi {proto} n={n} node {i}: got {got}, want {want}"
-                );
-            }
-        }
-    }
+    oracle("jacobi", 24, &NODE_COUNTS);
+    let p = JacobiParams { n: 24, iters: 4 };
+    block_sums(
+        &NODE_COUNTS,
+        p.heap_bytes(),
+        |d| jacobi::run(d, &p),
+        |n, i| jacobi::reference_block_sum(&p, n, i),
+    );
 }
 
 #[test]
 fn matmul_matches_reference_everywhere() {
-    let p = matmul::MatmulParams::small();
-    for proto in ProtocolKind::EVERY {
-        for n in NODE_COUNTS {
-            let res = dsm_core::run_dsm(&cfg(n, proto, p.heap_bytes()), |dsm| matmul::run(dsm, &p));
-            for (i, &got) in res.results.iter().enumerate() {
-                let want = matmul::reference_block_sum(&p, n as usize, i);
-                assert!(
-                    (got - want).abs() < 1e-9,
-                    "matmul {proto} n={n} node {i}: got {got}, want {want}"
-                );
-            }
-        }
-    }
+    oracle("matmul", 24, &NODE_COUNTS);
 }
 
 #[test]
 fn gauss_matches_reference_everywhere() {
-    let p = gauss::GaussParams {
-        n: 16,
-        row_align: 256,
-    };
-    let want = gauss::reference(&p);
-    for proto in ProtocolKind::EVERY {
-        for n in NODE_COUNTS {
-            let res = dsm_core::run_dsm(&cfg(n, proto, p.heap_bytes()), |dsm| gauss::run(dsm, &p));
-            for (i, got) in res.results.iter().enumerate() {
-                let close = got.iter().zip(&want).all(|(a, b)| (a - b).abs() < 1e-9);
-                assert!(close, "gauss {proto} n={n} node {i}: {got:?} vs {want:?}");
-            }
-        }
-    }
+    oracle("gauss", 16, &NODE_COUNTS);
 }
 
+/// The table's square grid, and a grid whose row and column splits
+/// differ, so that a mix-up of the two shows.
 #[test]
 fn fft_matches_reference_everywhere() {
-    let p = fft::FftParams { rows: 8, cols: 16 };
-    for proto in ProtocolKind::EVERY {
-        for n in [1u32, 2, 4] {
-            let res = dsm_core::run_dsm(&cfg(n, proto, p.heap_bytes()), |dsm| fft::run(dsm, &p));
-            for (i, &got) in res.results.iter().enumerate() {
-                let want = fft::reference_block_sum(&p, n as usize, i);
-                assert!(
-                    (got - want).abs() < 1e-9,
-                    "fft {proto} n={n} node {i}: got {got}, want {want}"
-                );
-            }
-        }
-    }
+    oracle("fft", 16, &[1, 2, 4]);
+    let p = FftParams { rows: 8, cols: 16 };
+    block_sums(
+        &[1, 2, 4],
+        p.heap_bytes(),
+        |d| fft::run(d, &p),
+        |n, i| fft::reference_block_sum(&p, n, i),
+    );
 }
 
+/// Each task id is executed exactly once: the ids' sum and xor, and the
+/// count of tasks run.
 #[test]
 fn taskqueue_executes_each_task_exactly_once() {
-    let p = taskqueue::TaskQueueParams::small();
+    oracle("taskqueue", 24, &NODE_COUNTS);
+    // Longer tasks and quicker production: another interleaving of the
+    // producer and the workers.
+    let p = TaskQueueParams {
+        tasks: 24,
+        task_time: Dur::millis(5),
+        produce_time: Dur::micros(50),
+        poll: Dur::micros(500),
+    };
     let (want_sum, want_xor) = taskqueue::expected_digest(&p);
+    let (lock, addr, len) = p.binding();
     for proto in ProtocolKind::EVERY {
         for n in NODE_COUNTS {
-            let (lock, addr, len) = p.binding();
-            let mut c = cfg(n, proto, p.heap_bytes());
-            c.bindings = vec![EntryBinding { lock, addr, len }];
-            let res = dsm_core::run_dsm(&c, |dsm| taskqueue::run(dsm, &p));
+            let c = cfg(n, proto)
+                .heap_bytes(p.heap_bytes())
+                .bind(lock, addr, len);
+            let res = dsm_core::run_dsm(&c, |d| taskqueue::run(d, &p));
             let total: u64 = res.results.iter().map(|r| r.executed).sum();
             let sum: u64 = res.results.iter().map(|r| r.id_sum).sum();
-            let xor: u64 = res.results.iter().fold(0, |a, r| a ^ r.id_xor);
-            assert_eq!(total, p.tasks as u64, "{proto} n={n}: task count");
-            assert_eq!(sum, want_sum, "{proto} n={n}: id sum");
-            assert_eq!(xor, want_xor, "{proto} n={n}: id xor");
+            let xor = res.results.iter().fold(0, |a, r| a ^ r.id_xor);
+            let got = (total, sum, xor);
+            assert_eq!(got, (p.tasks as u64, want_sum, want_xor), "{proto} n={n}");
         }
     }
 }
 
 #[test]
 fn tsp_finds_the_optimal_tour_everywhere() {
-    let p = tsp::TspParams::small();
-    let want = tsp::reference(&p);
-    for proto in ProtocolKind::EVERY {
-        for n in NODE_COUNTS {
-            let (lock, addr, len) = p.binding();
-            let mut c = cfg(n, proto, p.heap_bytes());
-            c.bindings = vec![EntryBinding { lock, addr, len }];
-            let res = dsm_core::run_dsm(&c, |dsm| tsp::run(dsm, &p));
-            for (i, &got) in res.results.iter().enumerate() {
-                assert_eq!(got, want, "tsp {proto} n={n} node {i}");
-            }
-        }
-    }
+    oracle("tsp", 7, &NODE_COUNTS);
 }
 
+/// Buckets of different nodes share pages.
 #[test]
 fn sort_produces_sorted_permutation_everywhere() {
-    let p = sort::SortParams::small();
-    let want = sort::reference(&p);
-    // Buckets of different nodes share pages.
-    for proto in ProtocolKind::every_that(|facts| facts.sub_page_writers) {
-        for n in NODE_COUNTS {
-            let res = dsm_core::run_dsm(&cfg(n, proto, p.heap_bytes(n as usize)), |dsm| {
-                let digest = sort::run(dsm, &p);
-                let out = if dsm.id().0 == 0 {
-                    sort::read_output(dsm, &p)
-                } else {
-                    vec![]
-                };
-                (digest, out)
-            });
-            let out = &res.results[0].1;
-            assert_eq!(out, &want, "sort {proto} n={n}");
-        }
-    }
+    oracle("sort", 256, &NODE_COUNTS);
+}
+
+/// The page build everywhere, the object build under `obj`.
+#[test]
+fn chase_counts_every_visit_everywhere() {
+    oracle("chase", 16, &NODE_COUNTS);
 }
 
 #[test]
@@ -167,9 +176,8 @@ fn false_sharing_counters_stay_private() {
     // Every node's counter shares a page with its neighbours'.
     for proto in ProtocolKind::every_that(|facts| facts.sub_page_writers) {
         for n in NODE_COUNTS {
-            let res = dsm_core::run_dsm(&cfg(n, proto, p.heap_bytes(n as usize)), |dsm| {
-                false_sharing::run(dsm, &p)
-            });
+            let cfg = cfg(n, proto).heap_bytes(p.heap_bytes(n as usize));
+            let res = dsm_core::run_dsm(&cfg, |dsm| false_sharing::run(dsm, &p));
             for (i, &v) in res.results.iter().enumerate() {
                 assert_eq!(v, p.iters as u64, "{proto} n={n} node {i}");
             }

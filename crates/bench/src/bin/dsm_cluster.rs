@@ -2,27 +2,31 @@
 //! and protocol messages over localhost UDP.
 //!
 //! ```sh
-//! dsm-cluster --nodes 4                      # ivy-fixed, 4 processes
-//! dsm-cluster --nodes 2 --proto lrc --net myrinet_1995
+//! dsm-cluster --nodes 4                      # sor under ivy-fixed, 4 processes
+//! dsm-cluster --app kv --nodes 2 --proto lrc --size 300
 //! ```
 //!
 //! The parent process spawns `--nodes` copies of itself in child mode
 //! (`--child-rank R`), wires them together with a line-oriented stdio
-//! handshake, runs the demo workload under the mprotect/SIGSEGV
-//! engine on every node, and verifies each node's result against the
-//! same program run in the single-process simulator:
+//! handshake, runs the app's program (any app of `dsmrun --list`, from
+//! the one table in `dsm_apps`) under the mprotect/SIGSEGV engine on
+//! every node, and checks the ranks' results twice: by the app's own
+//! verdict, and against the same program run in the single-process
+//! simulator:
 //!
 //! ```text
 //! child  -> parent   PORT <rank> <ip:port>     (after binding its UDP socket)
 //! parent -> child    PEERS <addr0> <addr1> ... (full roster, rank order)
-//! child  -> parent   RESULT <rank> <value>     (program done, still serving)
+//! child  -> parent   RESULT <rank> <words>     (program done, still serving)
 //! parent -> child    SHUTDOWN                  (whole cluster done; exit)
 //! ```
 //!
 //! Children keep serving peer page requests between RESULT and
 //! SHUTDOWN, so a fast node cannot strand a slow one. Real sockets
 //! are not deterministic: the contract is that *results* match the
-//! simulator bit-for-bit, not that traffic does.
+//! simulator bit-for-bit, not that traffic does — each rank's result,
+//! except where the app's split of the work between ranks is the
+//! schedule's (`taskqueue`), whose aggregate is held instead.
 //!
 //! Only page-fault-driven protocols run in cluster mode — the ones
 //! `dsmrun --list` marks "cluster mode: yes"; the others are refused
@@ -34,8 +38,9 @@ use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
+use dsm_apps::{Run, Words};
 use dsm_bench::cli::CommonFlags;
-use dsm_core::{DsmConfig, GlobalAddr, NodeId, ProtocolKind};
+use dsm_core::{NodeId, ProtocolKind};
 
 struct Args {
     common: CommonFlags,
@@ -43,15 +48,15 @@ struct Args {
     timeout_s: u64,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// The flags, and the app they ask for configured on the cluster.
+fn parse_args() -> Result<(Args, Run), String> {
     let mut args = Args {
         common: CommonFlags::default(),
         child_rank: None,
         timeout_s: 60,
     };
     // The cluster default is the fixed-manager IVY protocol; `lrc`
-    // (the CommonFlags default) also works but makes a less direct
-    // demo of page ping-pong.
+    // (the CommonFlags default) also runs.
     args.common.proto = ProtocolKind::IvyFixed;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -80,62 +85,11 @@ fn parse_args() -> Result<Args, String> {
             dsm_vm::os_page_size()
         ));
     }
-    Ok(args)
+    let run = dsm_apps::plan(&args.common.app, args.common.size, args.common.config())?;
+    Ok((args, run))
 }
 
-fn config(c: &CommonFlags) -> DsmConfig {
-    // One slot page per node plus the counter page (see the workload).
-    let mut cfg = DsmConfig::new(c.nodes, c.proto)
-        .heap_bytes((c.nodes as usize + 1) * c.page)
-        .page_size(c.page)
-        .batch_depth(c.batch_depth);
-    if let Some(model) = c.model() {
-        cfg.model = model;
-    }
-    cfg
-}
-
-/// The demo workload, written once against each memory API (the
-/// simulator's `Dsm` and the cluster's `ClusterDsm` expose the same
-/// vocabulary but are distinct types). Page `i` holds node `i`'s u64
-/// slot; page `n` holds a lock-guarded counter. Every node's result
-/// is the same function of `nnodes`, so a single wrong page transfer
-/// shows up as a RESULT mismatch.
-///
-/// The layout is page-strided: each rank's slot and the counter sit on
-/// pages of their own, so every slot crosses the wire as a page
-/// transfer, which is what this demo checks. Writers of one page are
-/// held by `crates/core/tests/cluster_sc.rs` and `cluster_lrc.rs`.
-macro_rules! demo_workload {
-    ($d:expr, $page:expr) => {{
-        let d = $d;
-        let (rank, n) = (d.id().0 as u64, d.nodes() as u64);
-        let ctr = GlobalAddr(n as usize * $page);
-        d.write_u64(GlobalAddr(rank as usize * $page), (rank + 1) * 10);
-        d.barrier(0);
-        let mut sum = 0u64;
-        for i in 0..n as usize {
-            sum += d.read_u64(GlobalAddr(i * $page));
-        }
-        for _ in 0..3 {
-            d.with_lock(1, |d| {
-                let c = d.read_u64(ctr);
-                d.write_u64(ctr, c + rank + 1);
-            });
-        }
-        d.barrier(1);
-        sum * 1000 + d.read_u64(ctr)
-    }};
-}
-
-/// The value every node should return: slot sum of `(i+1)*10` scaled,
-/// plus three lock-guarded rounds of `+ (i+1)` from each node.
-fn expected(n: u64) -> u64 {
-    let tri = n * (n + 1) / 2;
-    10 * tri * 1000 + 3 * tri
-}
-
-fn child(args: &Args, rank: u32) -> std::io::Result<()> {
+fn child(run: &Run, rank: u32) -> std::io::Result<()> {
     let sock = UdpSocket::bind("127.0.0.1:0")?;
     println!("PORT {rank} {}", sock.local_addr()?);
     std::io::stdout().flush()?;
@@ -147,75 +101,65 @@ fn child(args: &Args, rank: u32) -> std::io::Result<()> {
     assert_eq!(words.next(), Some("PEERS"), "handshake out of order");
     let peers: Vec<SocketAddr> = words.map(|w| w.parse().expect("peer address")).collect();
 
-    let cfg = config(&args.common);
-    let page = args.common.page;
-    let result = dsm_core::run_cluster_node(
-        &cfg,
+    dsm_core::run_cluster_node(
+        &run.cfg,
         NodeId(rank),
         sock,
         peers,
-        |dsm| demo_workload!(dsm, page),
+        |d| run.program(d),
         |result| {
             // Report, then keep serving peers until the coordinator
             // says the whole cluster is done (or closes our stdin).
-            println!("RESULT {rank} {result}");
+            println!("RESULT {rank} {}", text(result));
             let _ = std::io::stdout().flush();
             let mut line = String::new();
             let _ = std::io::stdin().lock().read_line(&mut line);
         },
     );
-    let _ = result;
     Ok(())
 }
 
-struct Fleet(Vec<Child>);
+/// A rank's result as a line's words.
+fn text(words: &Words) -> String {
+    words
+        .iter()
+        .map(u64::to_string)
+        .collect::<Vec<_>>()
+        .join(" ")
+}
 
-impl Fleet {
-    fn kill_all(&mut self) {
-        for c in &mut self.0 {
-            let _ = c.kill();
-            let _ = c.wait();
-        }
+/// A result as the log shows it: its words, or how many (`sort`'s rank
+/// 0 returns every key).
+fn shown(words: &Words) -> String {
+    match words.len() {
+        1..=4 => text(words),
+        n => format!("[{n} words]"),
     }
 }
 
-fn parent(args: &Args) -> Result<(), String> {
+fn parent(args: &Args, run: &Run) -> Result<(), String> {
     let n = args.common.nodes;
     let exe = std::env::current_exe().map_err(|e| e.to_string())?;
     let deadline = Instant::now() + Duration::from_secs(args.timeout_s);
 
-    // Reference run: the same workload in the single-process simulator.
-    let page = args.common.page;
-    let sim = dsm_core::run_dsm(&config(&args.common), move |d: &dsm_core::Dsm<'_>| {
-        demo_workload!(d, page)
-    });
+    // Reference run: the same program in the single-process simulator.
+    let sim = dsm_core::run_dsm(&run.cfg, |d| run.program(d));
     println!(
-        "simulator: results {:?} (virtual time {})",
-        sim.results, sim.end_time
+        "simulator: {} on {n} nodes (virtual time {})",
+        args.common.app, sim.end_time
     );
-    assert!(
-        sim.results.iter().all(|&v| v == expected(n as u64)),
-        "simulator reference disagrees with the closed form"
-    );
+    if !run.verdict(&sim.results) {
+        return Err("the simulator's results fail the app's own verdict".into());
+    }
 
-    let mut fleet = Fleet(Vec::new());
+    let mut fleet: Vec<Child> = Vec::new();
     let (tx, rx) = mpsc::channel::<(u32, String)>();
     for rank in 0..n {
-        let mut cmd = Command::new(&exe);
-        cmd.arg("--child-rank")
+        // A child parses the parent's own flags, so it plans the same run.
+        let mut child = Command::new(&exe)
+            .args(std::env::args().skip(1))
+            .arg("--child-rank")
             .arg(rank.to_string())
-            .arg("--nodes")
-            .arg(n.to_string())
-            .arg("--proto")
-            .arg(args.common.proto.name())
-            .arg("--page")
-            .arg(args.common.page.to_string())
-            .arg("--batch-depth")
-            .arg(args.common.batch_depth.to_string());
-        if let Some(era) = &args.common.net {
-            cmd.arg("--net").arg(era);
-        }
-        let mut child = cmd
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .spawn()
@@ -230,11 +174,11 @@ fn parent(args: &Args) -> Result<(), String> {
                 }
             }
         });
-        fleet.0.push(child);
+        fleet.push(child);
     }
     drop(tx);
 
-    let run = |fleet: &mut Fleet| -> Result<(), String> {
+    let run = |fleet: &mut Vec<Child>| -> Result<(), String> {
         let recv =
             |want: &str, rx: &mpsc::Receiver<(u32, String)>| -> Result<Vec<String>, String> {
                 let mut got = vec![None; n as usize];
@@ -261,7 +205,7 @@ fn parent(args: &Args) -> Result<(), String> {
 
         let addrs = recv("PORT", &rx)?;
         let roster = format!("PEERS {}\n", addrs.join(" "));
-        for (rank, c) in fleet.0.iter_mut().enumerate() {
+        for (rank, c) in fleet.iter_mut().enumerate() {
             c.stdin
                 .as_mut()
                 .expect("piped stdin")
@@ -271,28 +215,40 @@ fn parent(args: &Args) -> Result<(), String> {
         println!("cluster: {n} processes up, roster {}", addrs.join(" "));
 
         let results = recv("RESULT", &rx)?;
-        let mut ok = true;
-        for (rank, got) in results.iter().enumerate() {
-            let want = sim.results[rank];
-            let verdict = if got == &want.to_string() {
-                "OK"
-            } else {
-                "MISMATCH"
+        let results: Vec<Words> = results
+            .iter()
+            .map(|line| line.split_whitespace().map(str::parse).collect())
+            .collect::<Result<_, _>>()
+            .map_err(|e| format!("malformed RESULT words: {e}"))?;
+        let verdict = run.verdict(&results);
+        println!("app verdict: {}", if verdict { "OK" } else { "MISMATCH" });
+        let (got, want) = (run.comparable(&results), run.comparable(&sim.results));
+        let per_rank = got.len() == results.len();
+        let mut ok = verdict;
+        for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+            let same = got == want;
+            let who = match per_rank {
+                true => format!("rank {i}"),
+                false => "all ranks".to_string(),
             };
-            println!("rank {rank}: cluster {got} simulator {want} {verdict}");
-            ok &= verdict == "OK";
+            println!(
+                "{who}: cluster {} simulator {} {}",
+                shown(got),
+                shown(want),
+                if same { "OK" } else { "MISMATCH" }
+            );
+            ok &= same;
         }
-
         // All results are in, so every barrier has released: tell the
         // children to stop serving and exit.
-        for c in fleet.0.iter_mut() {
+        for c in fleet.iter_mut() {
             let _ = c
                 .stdin
                 .as_mut()
                 .expect("piped stdin")
                 .write_all(b"SHUTDOWN\n");
         }
-        for (rank, c) in fleet.0.iter_mut().enumerate() {
+        for (rank, c) in fleet.iter_mut().enumerate() {
             loop {
                 match c.try_wait() {
                     Ok(Some(status)) if status.success() => break,
@@ -315,14 +271,17 @@ fn parent(args: &Args) -> Result<(), String> {
 
     let out = run(&mut fleet);
     if out.is_err() {
-        fleet.kill_all();
+        for c in &mut fleet {
+            let _ = c.kill();
+            let _ = c.wait();
+        }
     }
     out
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
+    let (args, run) = match parse_args() {
+        Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("dsm-cluster: {e}");
             eprintln!("usage: dsm-cluster [--timeout SECS] {}", CommonFlags::USAGE);
@@ -331,13 +290,13 @@ fn main() {
     };
     match args.child_rank {
         Some(rank) => {
-            if let Err(e) = child(&args, rank) {
+            if let Err(e) = child(&run, rank) {
                 eprintln!("dsm-cluster[{rank}]: {e}");
                 std::process::exit(1);
             }
         }
         None => {
-            if let Err(e) = parent(&args) {
+            if let Err(e) = parent(&args, &run) {
                 eprintln!("dsm-cluster: {e}");
                 std::process::exit(1);
             }

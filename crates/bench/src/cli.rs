@@ -1,8 +1,10 @@
 //! Shared command-line plumbing: `dsmrun` and `dsm-cluster` accept one
 //! common flag vocabulary ([`CommonFlags`]), parsed here so the
-//! front-ends cannot drift. The simulator's fault flags are `dsmrun`'s
-//! alone (a real socket loses what it loses); the `--crash` and
-//! `--partition` syntax it parses with is here too.
+//! front-ends cannot drift: the machine's shape, and the app and size
+//! both look up in one table ([`dsm_apps::plan`]). The simulator's
+//! fault flags are `dsmrun`'s alone (a real socket loses what it
+//! loses); the `--crash` and `--partition` syntax it parses with is
+//! here too.
 //!
 //! All fault times are *virtual* microseconds.
 //!
@@ -15,10 +17,10 @@
 //!   they exercise the timeout-driven failure detector, not the
 //!   crash notices.
 
-use dsm_core::{CostModel, Dur, FaultPlan, ProtocolKind, SimTime};
+use dsm_core::{CostModel, DsmConfig, Dur, FaultPlan, ProtocolKind, SimTime};
 
 /// The flag vocabulary both front-ends share. Each binary owns its
-/// specific flags (`dsmrun --app`, `dsm-cluster --child-rank`, …) and
+/// specific flags (`dsmrun --lock`, `dsm-cluster --child-rank`, …) and
 /// funnels everything else through [`CommonFlags::take`] and then
 /// [`CommonFlags::validate`], so the machine shape, `--net` and
 /// `--batch-depth` parse identically everywhere and a value the runtime
@@ -32,6 +34,10 @@ pub struct CommonFlags {
     /// `None` keeps the `DSM_NET`-or-1992-LAN default.
     pub net: Option<String>,
     pub batch_depth: usize,
+    /// An app of [`dsm_apps::APPS`].
+    pub app: String,
+    /// The app's scale knob; 0 keeps its default.
+    pub size: usize,
 }
 
 impl Default for CommonFlags {
@@ -42,6 +48,8 @@ impl Default for CommonFlags {
             page: 4096,
             net: None,
             batch_depth: 1,
+            app: "sor".into(),
+            size: 0,
         }
     }
 }
@@ -49,7 +57,8 @@ impl Default for CommonFlags {
 impl CommonFlags {
     /// One-line usage fragment for the shared flags.
     pub const USAGE: &'static str =
-        "[--nodes N] [--proto NAME] [--page B] [--net ERA] [--batch-depth D]";
+        "[--app NAME] [--size S] [--nodes N] [--proto NAME] [--page B] [--net ERA] \
+         [--batch-depth D]";
 
     /// Try to consume `flag` (pulling its value from `it` when it
     /// takes one). `Ok(true)` if it was one of the shared flags,
@@ -82,6 +91,8 @@ impl CommonFlags {
             "--batch-depth" => {
                 self.batch_depth = val()?.parse().map_err(|e| format!("--batch-depth: {e}"))?;
             }
+            "--app" => self.app = val()?,
+            "--size" => self.size = val()?.parse().map_err(|e| format!("--size: {e}"))?,
             _ => return Ok(false),
         }
         Ok(true)
@@ -102,9 +113,16 @@ impl CommonFlags {
         Ok(())
     }
 
-    /// The cost model these flags select, if `--net` was given.
-    pub fn model(&self) -> Option<CostModel> {
-        self.net.as_deref().and_then(CostModel::era)
+    /// The machine these flags describe: the heap is the app's to size
+    /// ([`dsm_apps::plan`]), the cost model `--net`'s if given.
+    pub fn config(&self) -> DsmConfig {
+        let mut cfg = DsmConfig::new(self.nodes, self.proto)
+            .page_size(self.page)
+            .batch_depth(self.batch_depth);
+        if let Some(model) = self.net.as_deref().and_then(CostModel::era) {
+            cfg.model = model;
+        }
+        cfg
     }
 }
 

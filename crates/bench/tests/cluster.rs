@@ -1,9 +1,9 @@
 //! Loopback cluster tests: drive the `dsm-cluster` launcher end to
 //! end. Each run spawns real OS processes hosting the mprotect/SIGSEGV
 //! engine, moves pages over localhost UDP through `Reliable`, and the
-//! launcher itself verifies every node's result against the
-//! single-process simulator — these tests assert that verification
-//! (and the process exit protocol) succeeds.
+//! launcher itself checks every node's result by the app's verdict and
+//! against the single-process simulator — these tests assert that
+//! verification (and the process exit protocol) succeeds.
 
 use std::process::Command;
 
@@ -84,6 +84,35 @@ fn fault_flags_are_refused() {
             stderr.starts_with(&format!("dsm-cluster: unknown flag {}\n", args[0])),
             "{args:?} not named:\n{stderr}"
         );
+    }
+}
+
+/// What the app table refuses — a size the app cannot run at, a name
+/// it does not hold — is a usage error in the parent, not a panic in
+/// every child.
+#[test]
+fn apps_the_table_refuses_are_usage_errors() {
+    let cases: [(&[&str], &str); 2] = [
+        (
+            &["--app", "fft", "--size", "6"],
+            "--app fft needs a power-of-two --size, not 6",
+        ),
+        (&["--app", "nosuch"], "unknown app nosuch"),
+    ];
+    for (args, reason) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_dsm-cluster"))
+            .args(["--nodes", "2"])
+            .args(args)
+            .output()
+            .expect("spawn dsm-cluster");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}:\n{stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran something");
+        assert!(
+            stderr.starts_with(&format!("dsm-cluster: {reason}")),
+            "{args:?}:\n{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}:\n{stderr}");
     }
 }
 

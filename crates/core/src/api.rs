@@ -1,12 +1,16 @@
 //! The application-facing DSM handle: typed reads/writes on the global
-//! shared space, synchronization, and modeled local computation.
+//! shared space, synchronization, and local computation — written once
+//! over an [`Engine`], the machine under the program.
 //!
-//! Every access first tries the node's [`Lease`] — the zero-rendezvous
+//! Two engines implement it. [`Sim`] runs the program in the simulator:
+//! every access first tries the node's [`Lease`] — the zero-rendezvous
 //! hit fast path that reads and writes resident pages directly on the
 //! application thread, charging the modeled cost against the kernel's
-//! run-ahead budget. Faults, sync ops, and budget exhaustion fall back
-//! to the rendezvous op path, so timing and outputs are unchanged;
-//! only the real-time cost of a hit shrinks.
+//! run-ahead budget — and faults, sync ops and budget exhaustion fall
+//! back to the rendezvous op path, so timing and outputs are unchanged;
+//! only the real-time cost of a hit shrinks. [`crate::cluster::Cluster`]
+//! runs it on real pages: an access is a load or store on the node's
+//! view, and a sync op runs on the node's runtime.
 
 use crate::lease::Lease;
 use crate::node::{DsmOp, OpBuf, OpData};
@@ -14,26 +18,155 @@ use dsm_mem::GlobalAddr;
 use dsm_net::{AppHandle, Dur, NodeId, SimTime};
 use dsm_sync::{BarrierId, LockId};
 use std::cell::Cell;
+use std::marker::PhantomData;
 
-/// A node program's view of the distributed shared memory.
-///
-/// All methods advance virtual time according to the protocol and cost
-/// model in effect; heavy local computation must be modeled explicitly
-/// with [`Dsm::compute`].
-pub struct Dsm<'a> {
-    h: &'a AppHandle<DsmOp, ()>,
-    lease: Option<Lease>,
-    /// Declared read-ahead window, attached to every read op while a
-    /// [`Dsm::prefetch_window`] guard lives.
-    hint: Cell<Option<(GlobalAddr, usize)>>,
+/// A declared read-ahead window: `(start, len)`.
+pub type Window = Option<(GlobalAddr, usize)>;
+
+/// The machine a [`Dsm`] program runs on: the primitives the handle's
+/// whole vocabulary is written over.
+pub trait Engine {
+    /// This node's id.
+    fn id(&self) -> NodeId;
+
+    /// Number of nodes in the run.
+    fn nodes(&self) -> u32;
+
+    /// Copy `buf.len()` bytes at `addr` into `buf`, faulting as needed;
+    /// `window` is the read-ahead window in effect.
+    fn read(&self, addr: GlobalAddr, buf: &mut [u8], window: Window);
+
+    /// Copy `data` to `addr`, faulting as needed.
+    fn write(&self, addr: GlobalAddr, data: &[u8]);
+
+    /// Load the little-endian u64 at `addr`.
+    fn read_u64(&self, addr: GlobalAddr, window: Window) -> u64 {
+        let mut b = [0u8; 8];
+        self.read(addr, &mut b, window);
+        u64::from_le_bytes(b)
+    }
+
+    /// Store `v` little-endian at `addr`.
+    fn write_u64(&self, addr: GlobalAddr, v: u64) {
+        self.write(addr, &v.to_le_bytes());
+    }
+
+    /// Run an acquire, release or barrier to its end.
+    fn sync(&self, op: DsmOp);
+
+    /// Account for `d` of pure local computation.
+    fn compute(&self, d: Dur);
 }
 
-impl<'a> Dsm<'a> {
-    pub(crate) fn with_lease(h: &'a AppHandle<DsmOp, ()>, lease: Option<Lease>) -> Self {
+/// The simulator engine: one node's program in [`dsm_net::Sim`], its
+/// hits served by its [`Lease`] when the fast path is on.
+pub struct Sim<'a> {
+    pub(crate) h: &'a AppHandle<DsmOp, ()>,
+    pub(crate) lease: Option<Lease>,
+}
+
+impl Engine for Sim<'_> {
+    fn id(&self) -> NodeId {
+        self.h.id()
+    }
+
+    fn nodes(&self) -> u32 {
+        self.h.nodes()
+    }
+
+    fn read(&self, addr: GlobalAddr, buf: &mut [u8], window: Window) {
+        if let Some(lease) = &self.lease {
+            if lease.try_read(self.h, addr, buf) {
+                return;
+            }
+        }
+        self.h.op(DsmOp::Read {
+            addr,
+            buf: OpBuf::new(buf),
+            hint: window,
+        });
+    }
+
+    /// The payload is borrowed for the duration of the op, never copied
+    /// into it.
+    fn write(&self, addr: GlobalAddr, data: &[u8]) {
+        if let Some(lease) = &self.lease {
+            if lease.try_write(self.h, addr, data) {
+                return;
+            }
+        }
+        self.h.op(DsmOp::Write {
+            addr,
+            data: OpData::new(data),
+        });
+    }
+
+    fn sync(&self, op: DsmOp) {
+        self.h.op(op);
+    }
+
+    /// Advance this node's virtual time by `d`.
+    fn compute(&self, d: Dur) {
+        self.h.advance(d);
+    }
+}
+
+/// A node program's view of the distributed shared memory, on engine
+/// `E`: the simulator's by default, [`crate::ClusterDsm`] on real pages.
+///
+/// On the simulator every method advances virtual time according to
+/// the protocol and cost model in effect, and heavy local computation
+/// must be modeled explicitly with [`Dsm::compute`].
+pub struct Dsm<'a, E = Sim<'a>> {
+    engine: E,
+    /// Declared read-ahead window, attached to every read while a
+    /// [`Dsm::prefetch_window`] guard lives.
+    hint: Cell<Window>,
+    /// `'a` is the default engine's lifetime.
+    _engine: PhantomData<&'a ()>,
+}
+
+impl Dsm<'_> {
+    /// Current virtual time.
+    pub fn now(&self) -> SimTime {
+        self.engine.h.now()
+    }
+
+    // ---------- object-granularity access ----------
+    //
+    // Only valid on protocols with object support (`ProtocolKind::Obj`);
+    // the object table is supplied via `DsmConfig::objects`. These
+    // bypass the page lease entirely — object images live protocol-side,
+    // not in page frames.
+
+    /// Fetch the current image of object `obj` into `buf`
+    /// (`buf.len()` must equal the object's registered length). With
+    /// `write = true` this also acquires ownership and pins the object
+    /// locally; it must then be released with [`Dsm::obj_put_bytes`].
+    pub fn obj_get_bytes(&self, obj: u32, write: bool, buf: &mut [u8]) {
+        self.engine.h.op(DsmOp::ObjGet {
+            obj,
+            write,
+            buf: OpBuf::new(buf),
+        });
+    }
+
+    /// Publish the mutated image of an object previously fetched with
+    /// `obj_get_bytes(obj, true, ..)`, releasing the local pin.
+    pub fn obj_put_bytes(&self, obj: u32, data: &[u8]) {
+        self.engine.h.op(DsmOp::ObjPut {
+            obj,
+            data: OpData::new(data),
+        });
+    }
+}
+
+impl<E: Engine> Dsm<'_, E> {
+    pub(crate) fn new(engine: E) -> Self {
         Dsm {
-            h,
-            lease,
+            engine,
             hint: Cell::new(None),
+            _engine: PhantomData,
         }
     }
 
@@ -43,7 +176,7 @@ impl<'a> Dsm<'a> {
     /// pages to the protocol as prefetch candidates, batching up to
     /// `DsmConfig::batch_depth` page faults into one rendezvous.
     /// Purely advisory — results are identical with or without windows,
-    /// and at batch depth 1 they are ignored.
+    /// and at batch depth 1 (and on real pages) they are ignored.
     ///
     /// Dropping the guard restores the window that was active when it
     /// was opened, so windows nest naturally:
@@ -54,29 +187,28 @@ impl<'a> Dsm<'a> {
     /// // window closes here
     /// ```
     #[must_use = "the window closes when the guard drops"]
-    pub fn prefetch_window(&self, addr: GlobalAddr, len: usize) -> PrefetchWindow<'_, 'a> {
+    pub fn prefetch_window(&self, addr: GlobalAddr, len: usize) -> PrefetchWindow<'_> {
         let prev = self.hint.replace(Some((addr, len)));
-        PrefetchWindow { dsm: self, prev }
+        PrefetchWindow {
+            hint: &self.hint,
+            prev,
+        }
     }
 
     /// This node's id.
     pub fn id(&self) -> NodeId {
-        self.h.id()
+        self.engine.id()
     }
 
     /// Number of nodes in the run.
     pub fn nodes(&self) -> u32 {
-        self.h.nodes()
+        self.engine.nodes()
     }
 
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.h.now()
-    }
-
-    /// Model `d` of pure local computation.
+    /// Model `d` of pure local computation (nothing on real pages,
+    /// where computing takes its own time).
     pub fn compute(&self, d: Dur) {
-        self.h.advance(d);
+        self.engine.compute(d);
     }
 
     // ---------- raw byte access ----------
@@ -91,42 +223,22 @@ impl<'a> Dsm<'a> {
 
     /// Read `buf.len()` bytes at `addr` into `buf` without allocating.
     pub fn read_bytes_into(&self, addr: GlobalAddr, buf: &mut [u8]) {
-        if let Some(lease) = &self.lease {
-            if lease.try_read(self.h, addr, buf) {
-                return;
-            }
-        }
-        self.h.op(DsmOp::Read {
-            addr,
-            buf: OpBuf::new(buf),
-            hint: self.hint.get(),
-        });
+        self.engine.read(addr, buf, self.hint.get());
     }
 
-    /// Write `data` at `addr` (faults as needed). The payload is
-    /// borrowed for the duration of the op, never copied into it.
+    /// Write `data` at `addr` (faults as needed).
     pub fn write_bytes(&self, addr: GlobalAddr, data: &[u8]) {
-        if let Some(lease) = &self.lease {
-            if lease.try_write(self.h, addr, data) {
-                return;
-            }
-        }
-        self.h.op(DsmOp::Write {
-            addr,
-            data: OpData::new(data),
-        });
+        self.engine.write(addr, data);
     }
 
     // ---------- typed scalar access ----------
 
     pub fn read_u64(&self, addr: GlobalAddr) -> u64 {
-        let mut b = [0u8; 8];
-        self.read_bytes_into(addr, &mut b);
-        u64::from_le_bytes(b)
+        self.engine.read_u64(addr, self.hint.get())
     }
 
     pub fn write_u64(&self, addr: GlobalAddr, v: u64) {
-        self.write_bytes(addr, &v.to_le_bytes());
+        self.engine.write_u64(addr, v);
     }
 
     pub fn read_f64(&self, addr: GlobalAddr) -> f64 {
@@ -191,44 +303,16 @@ impl<'a> Dsm<'a> {
         out
     }
 
-    // ---------- object-granularity access ----------
-    //
-    // Only valid on protocols with object support (`ProtocolKind::Obj`);
-    // the object table is supplied via `DsmConfig::objects`. These
-    // bypass the page lease entirely — object images live protocol-side,
-    // not in page frames.
-
-    /// Fetch the current image of object `obj` into `buf`
-    /// (`buf.len()` must equal the object's registered length). With
-    /// `write = true` this also acquires ownership and pins the object
-    /// locally; it must then be released with [`Dsm::obj_put_bytes`].
-    pub fn obj_get_bytes(&self, obj: u32, write: bool, buf: &mut [u8]) {
-        self.h.op(DsmOp::ObjGet {
-            obj,
-            write,
-            buf: OpBuf::new(buf),
-        });
-    }
-
-    /// Publish the mutated image of an object previously fetched with
-    /// `obj_get_bytes(obj, true, ..)`, releasing the local pin.
-    pub fn obj_put_bytes(&self, obj: u32, data: &[u8]) {
-        self.h.op(DsmOp::ObjPut {
-            obj,
-            data: OpData::new(data),
-        });
-    }
-
     // ---------- synchronization ----------
 
     /// Acquire a mutual-exclusion lock (a consistency acquire point).
     pub fn acquire(&self, lock: LockId) {
-        self.h.op(DsmOp::Acquire(lock));
+        self.engine.sync(DsmOp::Acquire(lock));
     }
 
     /// Release a lock (a consistency release point).
     pub fn release(&self, lock: LockId) {
-        self.h.op(DsmOp::Release(lock));
+        self.engine.sync(DsmOp::Release(lock));
     }
 
     /// Run `f` under `lock`.
@@ -242,15 +326,15 @@ impl<'a> Dsm<'a> {
     /// Wait until all nodes reach barrier `id` (a global consistency
     /// point for most protocols).
     pub fn barrier(&self, id: BarrierId) {
-        self.h.op(DsmOp::Barrier(id));
+        self.engine.sync(DsmOp::Barrier(id));
     }
 
     /// Poll `addr` until the stored u64 satisfies `pred`, spinning with
     /// `poll` of modeled delay between probes (the classic DSM flag
     /// spin: local once the copy is cached, refreshed by the coherence
-    /// protocol). Under the fast path the spin consumes run-ahead
-    /// budget and yields to the kernel on exhaustion, so invalidations
-    /// still land.
+    /// protocol). Under the simulator's fast path the spin consumes
+    /// run-ahead budget and yields to the kernel on exhaustion, so
+    /// invalidations still land.
     pub fn spin_u64_until(&self, addr: GlobalAddr, poll: Dur, pred: impl Fn(u64) -> bool) -> u64 {
         loop {
             let v = self.read_u64(addr);
@@ -266,13 +350,13 @@ impl<'a> Dsm<'a> {
 /// [`Dsm::prefetch_window`]). Dropping it restores the previously
 /// active window, so nested guards unwind like a stack.
 #[must_use = "the window closes when the guard drops"]
-pub struct PrefetchWindow<'d, 'a> {
-    dsm: &'d Dsm<'a>,
-    prev: Option<(GlobalAddr, usize)>,
+pub struct PrefetchWindow<'d> {
+    hint: &'d Cell<Window>,
+    prev: Window,
 }
 
-impl Drop for PrefetchWindow<'_, '_> {
+impl Drop for PrefetchWindow<'_> {
     fn drop(&mut self) {
-        self.dsm.hint.set(self.prev);
+        self.hint.set(self.prev);
     }
 }

@@ -54,29 +54,51 @@ use std::time::Duration;
 
 use crate::lease::FrameCell;
 use crate::node::{DsmNode, DsmOp, OpBuf, OpData};
-use crate::{DsmConfig, ProtocolKind};
+use crate::{Dsm, DsmConfig, Engine, ProtocolKind, Window};
 use dsm_mem::{Access, FrameTable, GlobalAddr, PageId};
-use dsm_net::{wrap_fleet, NodeId, Reliable, SimTime, SocketRt};
-use dsm_sync::{BarrierId, LockId};
+use dsm_net::{wrap_fleet, Dur, NodeId, Reliable, SimTime, SocketRt};
 use dsm_vm::{ClusterView, ViewFault};
 
-/// The application's handle in cluster mode: direct view memory for
-/// data, the node's runtime, taken on this thread, for synchronization.
-/// The data API mirrors [`crate::Dsm`] where page-transparent access allows.
-pub struct ClusterDsm<'v> {
+/// The cluster engine: loads and stores on the node's view for data,
+/// the node's runtime, taken on this thread, for synchronization.
+pub struct Cluster<'v> {
     view: &'v ClusterView,
     runtime: &'v Mutex<Runtime<'v>>,
     me: NodeId,
     nnodes: u32,
 }
 
-impl ClusterDsm<'_> {
-    pub fn id(&self) -> NodeId {
+/// The application's handle in cluster mode: the [`Dsm`] vocabulary on
+/// real pages.
+pub type ClusterDsm<'v> = Dsm<'v, Cluster<'v>>;
+
+impl Engine for Cluster<'_> {
+    fn id(&self) -> NodeId {
         self.me
     }
 
-    pub fn nodes(&self) -> u32 {
+    fn nodes(&self) -> u32 {
         self.nnodes
+    }
+
+    fn read(&self, addr: GlobalAddr, buf: &mut [u8], _: Window) {
+        self.view.read_bytes(addr.0, buf);
+    }
+
+    fn write(&self, addr: GlobalAddr, data: &[u8]) {
+        self.view.write_bytes(addr.0, data);
+    }
+
+    /// One volatile load when `addr` is aligned.
+    #[inline]
+    fn read_u64(&self, addr: GlobalAddr, _: Window) -> u64 {
+        u64::from_le(self.view.read::<u64>(addr.0))
+    }
+
+    /// One volatile store when `addr` is aligned.
+    #[inline]
+    fn write_u64(&self, addr: GlobalAddr, v: u64) {
+        self.view.write::<u64>(addr.0, v.to_le());
     }
 
     /// Run a sync op to its end on this thread, as a fault runs on the serving one.
@@ -92,43 +114,10 @@ impl ClusterDsm<'_> {
         }
     }
 
-    pub fn read_u64(&self, addr: GlobalAddr) -> u64 {
-        u64::from_le(self.view.read::<u64>(addr.0))
-    }
-
-    pub fn write_u64(&self, addr: GlobalAddr, v: u64) {
-        self.view.write::<u64>(addr.0, v.to_le());
-    }
-
-    pub fn read_f64(&self, addr: GlobalAddr) -> f64 {
-        f64::from_bits(self.read_u64(addr))
-    }
-
-    pub fn write_f64(&self, addr: GlobalAddr, v: f64) {
-        self.write_u64(addr, v.to_bits());
-    }
-
-    pub fn acquire(&self, lock: LockId) {
-        self.sync(DsmOp::Acquire(lock));
-    }
-
-    pub fn release(&self, lock: LockId) {
-        self.sync(DsmOp::Release(lock));
-    }
-
-    pub fn with_lock<T>(&self, lock: LockId, f: impl FnOnce(&Self) -> T) -> T {
-        self.acquire(lock);
-        let out = f(self);
-        self.release(lock);
-        out
-    }
-
-    pub fn barrier(&self, id: BarrierId) {
-        self.sync(DsmOp::Barrier(id));
-    }
+    fn compute(&self, _: Dur) {}
 }
 
-impl Drop for ClusterDsm<'_> {
+impl Drop for Cluster<'_> {
     /// Stop the serving loop and ring, so that a loop asleep sees it —
     /// also when the program unwinds, so the panic reaches the caller.
     fn drop(&mut self) {
@@ -325,12 +314,12 @@ where
         // Leaving this closure drops the handle, which stops the serving
         // loop — also when `program` or `linger` panics, so the scope can
         // join and re-raise the panic on the caller's thread.
-        let dsm = ClusterDsm {
+        let dsm = Dsm::new(Cluster {
             view: &view,
             runtime,
             me,
             nnodes: cfg.nnodes,
-        };
+        });
         let result = program(&dsm);
         // Keep serving peers until the embedder says the cluster is
         // done, then tear down.
@@ -404,31 +393,7 @@ mod tests {
     /// crate, driving the `dsm-cluster` binary).
     #[test]
     fn single_node_cluster_matches_simulator() {
-        let cfg = DsmConfig::new(1, ProtocolKind::IvyFixed)
-            .heap_bytes(1 << 16)
-            .page_size(dsm_vm::os_page_size());
-        let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let peers = vec![sock.local_addr().unwrap()];
-
-        let cluster = run_cluster_node(
-            &cfg,
-            NodeId(0),
-            sock,
-            peers,
-            |dsm| {
-                dsm.write_u64(GlobalAddr(16), 41);
-                dsm.barrier(0);
-                let v = dsm.read_u64(GlobalAddr(16));
-                dsm.with_lock(3, |d| {
-                    let c = d.read_u64(GlobalAddr(8192));
-                    d.write_u64(GlobalAddr(8192), c + 1);
-                });
-                v + dsm.read_u64(GlobalAddr(8192))
-            },
-            |_| {},
-        );
-
-        let sim = crate::run_dsm(&cfg, |dsm| {
+        fn program(dsm: &Dsm<'_, impl Engine>) -> u64 {
             dsm.write_u64(GlobalAddr(16), 41);
             dsm.barrier(0);
             let v = dsm.read_u64(GlobalAddr(16));
@@ -437,8 +402,21 @@ mod tests {
                 d.write_u64(GlobalAddr(8192), c + 1);
             });
             v + dsm.read_u64(GlobalAddr(8192))
-        });
-
+        }
+        let cfg = DsmConfig::new(1, ProtocolKind::IvyFixed)
+            .heap_bytes(1 << 16)
+            .page_size(dsm_vm::os_page_size());
+        let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let peers = vec![sock.local_addr().unwrap()];
+        let cluster = run_cluster_node(
+            &cfg,
+            NodeId(0),
+            sock,
+            peers,
+            |d: &ClusterDsm<'_>| program(d),
+            |_| {},
+        );
+        let sim = crate::run_dsm(&cfg, |d: &Dsm<'_>| program(d));
         assert_eq!(cluster, sim.results[0]);
         assert_eq!(cluster, 42);
     }
@@ -522,12 +500,12 @@ mod tests {
         let new_view = || ClusterView::new(16, dsm_vm::os_page_size()).unwrap();
         let view = new_view();
         let runtime = Mutex::new(Runtime::new(&cfg, NodeId(0), sock0, peers.clone(), &view));
-        let dsm = ClusterDsm {
+        let dsm = Dsm::new(Cluster {
             view: &view,
             runtime: &runtime,
             me: NodeId(0),
             nnodes: 2,
-        };
+        });
         dsm.acquire(0);
         std::thread::scope(|s| {
             s.spawn(|| {
@@ -575,39 +553,6 @@ mod tests {
         }
     }
 
-    /// The `dsm-cluster` demo workload: page `i` holds node `i`'s u64
-    /// slot, page `n` a lock-guarded counter.
-    fn demo(d: &ClusterDsm<'_>, page: usize) -> u64 {
-        let (rank, n) = (d.id().0 as u64, d.nodes() as u64);
-        let ctr = GlobalAddr(n as usize * page);
-        d.write_u64(GlobalAddr(rank as usize * page), (rank + 1) * 10);
-        d.barrier(0);
-        let sum: u64 = (0..n as usize)
-            .map(|i| d.read_u64(GlobalAddr(i * page)))
-            .sum();
-        for _ in 0..3 {
-            d.with_lock(1, |d| {
-                let c = d.read_u64(ctr);
-                d.write_u64(ctr, c + rank + 1);
-            });
-        }
-        d.barrier(1);
-        sum * 1000 + d.read_u64(ctr)
-    }
-
-    /// The demo on a whole cluster as threads of this process.
-    fn demo_in_threads(n: u32, proto: ProtocolKind) {
-        let page = dsm_vm::os_page_size();
-        let cfg = DsmConfig::new(n, proto)
-            .heap_bytes((n as usize + 1) * page)
-            .page_size(page);
-        let results = run_in_threads(&cfg, |d| demo(d, page));
-        // Slot sum of `(i+1)*10`, scaled, plus three lock-guarded
-        // rounds of `+ (i+1)` from each node.
-        let tri = (n as u64) * (n as u64 + 1) / 2;
-        assert_eq!(results, vec![10 * tri * 1000 + 3 * tri; n as usize]);
-    }
-
     /// A panicking program fails the run, and only after its peers are
     /// done: node 0 faults on a page node 1 manages after node 1's
     /// program has panicked, and is still served.
@@ -635,31 +580,5 @@ mod tests {
         let payload = catch_unwind(run).expect_err("the panic reaches the caller");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"node 1 failed"));
         assert!(seen.load(Ordering::Acquire));
-    }
-
-    #[test]
-    fn ivy_fixed_clusters_run_as_threads() {
-        demo_in_threads(2, ProtocolKind::IvyFixed);
-        demo_in_threads(4, ProtocolKind::IvyFixed);
-    }
-
-    #[test]
-    fn ivy_dynamic_clusters_run_as_threads() {
-        demo_in_threads(2, ProtocolKind::IvyDynamic);
-        demo_in_threads(4, ProtocolKind::IvyDynamic);
-    }
-
-    /// Home-based write-invalidate is page-fault driven whoever serves
-    /// the reads: over UDP the one-sided doorbells take the software
-    /// path, as on any fabric without one-sided support.
-    #[test]
-    fn rdma_clusters_run_as_threads() {
-        demo_in_threads(2, ProtocolKind::Rdma);
-        demo_in_threads(4, ProtocolKind::Rdma);
-    }
-
-    #[test]
-    fn lrc_cluster_runs_as_threads() {
-        demo_in_threads(3, ProtocolKind::Lrc);
     }
 }

@@ -3,8 +3,10 @@
 //! Ties the substrates together into a usable distributed shared memory
 //! system: pick a coherence protocol ([`ProtocolKind`]), lock/barrier
 //! algorithms, a page size and placement, and a network cost model;
-//! then run one SPMD program per simulated node against the [`Dsm`]
-//! handle.
+//! then run one SPMD program per node against the [`Dsm`] handle —
+//! in the simulator ([`run_dsm`]), or on real pages, one process or
+//! thread per node ([`run_cluster_node`], [`run_in_threads`]). A
+//! program written over `&Dsm<'_, impl Engine>` runs on both.
 //!
 //! ```
 //! use dsm_core::{DsmConfig, GlobalAddr, ProtocolKind};
@@ -27,8 +29,8 @@ mod lease;
 mod msg;
 mod node;
 
-pub use api::{Dsm, PrefetchWindow};
-pub use cluster::{run_cluster_node, run_in_threads, ClusterDsm};
+pub use api::{Dsm, Engine, PrefetchWindow, Sim, Window};
+pub use cluster::{run_cluster_node, run_in_threads, Cluster, ClusterDsm};
 pub use lease::Lease;
 pub use msg::CoreMsg;
 pub use node::{DsmNode, DsmOp, OpBuf, OpData};
@@ -302,7 +304,7 @@ where
         .zip(leases)
         .map(|(p, lease)| {
             move |h: &dsm_net::AppHandle<DsmOp, ()>| {
-                let dsm = Dsm::with_lease(h, lease);
+                let dsm = Dsm::new(Sim { h, lease });
                 p(&dsm)
             }
         })

@@ -1,9 +1,12 @@
 //! Multiple writers of one real page: cluster `lrc` on threads of this
 //! process. A write fault twins the page and the release ships a diff,
 //! so writers of different bytes of one page keep their bytes when
-//! barriers or different locks order them.
+//! barriers or different locks order them. Each program runs on the
+//! simulator's `lrc` too, and must come out the same.
 
-use dsm_core::{run_in_threads, ClusterDsm, DsmConfig, GlobalAddr, ProtocolKind};
+use dsm_core::{
+    run_dsm, run_in_threads, ClusterDsm, Dsm, DsmConfig, Engine, GlobalAddr, ProtocolKind,
+};
 use dsm_vm::os_page_size;
 
 fn lrc(nodes: u32, pages: usize) -> DsmConfig {
@@ -13,45 +16,61 @@ fn lrc(nodes: u32, pages: usize) -> DsmConfig {
         .page_size(ps)
 }
 
-fn rank(d: &ClusterDsm<'_>) -> usize {
+fn rank(d: &Dsm<'_, impl Engine>) -> usize {
     d.id().0 as usize
+}
+
+/// All four nodes write disjoint quarters of page 0 concurrently (false
+/// sharing), then everyone checks everyone's quarter: the diffs must
+/// merge all of them.
+fn quarters(d: &Dsm<'_, impl Engine>) -> bool {
+    let quarter = os_page_size() / 4;
+    let me = rank(d);
+    for i in 0..quarter / 8 {
+        d.write_u64(GlobalAddr(me * quarter + i * 8), (me * 1000 + i) as u64);
+    }
+    d.barrier(0);
+    (0..4).all(|m| {
+        (0..quarter / 8)
+            .all(|i| d.read_u64(GlobalAddr(m * quarter + i * 8)) == (m * 1000 + i) as u64)
+    })
 }
 
 #[test]
 fn twin_diff_merges_concurrent_writers_of_one_page() {
-    let quarter = os_page_size() / 4;
-    let results = run_in_threads(&lrc(4, 2), |d| {
-        let me = rank(d);
-        // All four nodes write disjoint quarters of page 0 concurrently
-        // (false sharing): the diffs must merge all of them.
-        for i in 0..quarter / 8 {
-            d.write_u64(GlobalAddr(me * quarter + i * 8), (me * 1000 + i) as u64);
+    let cfg = lrc(4, 2);
+    assert_eq!(
+        run_in_threads(&cfg, |d: &ClusterDsm<'_>| quarters(d)),
+        [true; 4]
+    );
+    assert_eq!(run_dsm(&cfg, |d: &Dsm<'_>| quarters(d)).results, [true; 4]);
+}
+
+/// Two nodes take turns adding `round + 1` to one word, a barrier
+/// after each of `rounds` rounds; the sum whoever did which round.
+fn turn_taking(d: &Dsm<'_, impl Engine>, rounds: u64) -> u64 {
+    for round in 0..rounds {
+        if rank(d) as u64 == round % 2 {
+            let v = d.read_u64(GlobalAddr(0));
+            d.write_u64(GlobalAddr(0), v + round + 1);
         }
         d.barrier(0);
-        // Everyone checks everyone's quarter.
-        (0..4).all(|m| {
-            (0..quarter / 8)
-                .all(|i| d.read_u64(GlobalAddr(m * quarter + i * 8)) == (m * 1000 + i) as u64)
-        })
-    });
-    assert_eq!(results, [true; 4]);
+    }
+    d.read_u64(GlobalAddr(0))
 }
 
 #[test]
 fn twin_diff_multiple_barrier_rounds() {
-    let results = run_in_threads(&lrc(2, 2), |d| {
-        for round in 0..5u64 {
-            // Alternate writers of a shared accumulator.
-            if rank(d) as u64 == round % 2 {
-                let v = d.read_u64(GlobalAddr(0));
-                d.write_u64(GlobalAddr(0), v + round + 1);
-            }
-            d.barrier(0);
-        }
-        d.read_u64(GlobalAddr(0))
-    });
+    let cfg = lrc(2, 2);
     // 1+2+3+4+5 = 15 regardless of which node did which round.
-    assert_eq!(results, [15, 15]);
+    assert_eq!(
+        run_in_threads(&cfg, |d: &ClusterDsm<'_>| turn_taking(d, 5)),
+        [15, 15]
+    );
+    assert_eq!(
+        run_dsm(&cfg, |d: &Dsm<'_>| turn_taking(d, 5)).results,
+        [15, 15]
+    );
 }
 
 /// The reactor raised view pages after dispatching a datagram, under a
@@ -61,76 +80,86 @@ fn twin_diff_multiple_barrier_rounds() {
 #[test]
 fn turn_taking_writers_of_one_page_lose_no_round() {
     const ROUNDS: u64 = 3000;
-    let results = run_in_threads(&lrc(2, 1), |d| {
-        for round in 0..ROUNDS {
-            if rank(d) as u64 == round % 2 {
-                let v = d.read_u64(GlobalAddr(0));
-                d.write_u64(GlobalAddr(0), v + round + 1);
-            }
-            d.barrier(0);
-        }
-        d.read_u64(GlobalAddr(0))
-    });
     let want = ROUNDS * (ROUNDS + 1) / 2;
-    assert_eq!(results, [want, want]);
+    let cfg = lrc(2, 1);
+    assert_eq!(
+        run_in_threads(&cfg, |d: &ClusterDsm<'_>| turn_taking(d, ROUNDS)),
+        [want, want]
+    );
+    assert_eq!(
+        run_dsm(&cfg, |d: &Dsm<'_>| turn_taking(d, ROUNDS)).results,
+        [want, want]
+    );
 }
+
+const INCREMENTS: u64 = 200;
 
 /// Two nodes each increment their own word of one page under their own
 /// lock, with nothing ordering one node's writes against the other's
 /// until the closing barrier.
+fn own_lock_increments(d: &Dsm<'_, impl Engine>) -> [u64; 2] {
+    let me = rank(d);
+    let word = GlobalAddr(me * 8);
+    for _ in 0..INCREMENTS {
+        d.with_lock(me as u32, |d| {
+            let v = d.read_u64(word);
+            d.write_u64(word, v + 1);
+        });
+    }
+    d.barrier(0);
+    [d.read_u64(GlobalAddr(0)), d.read_u64(GlobalAddr(8))]
+}
+
 #[test]
 fn writers_of_one_page_under_their_own_locks_keep_their_increments() {
-    const INCREMENTS: u64 = 200;
-    let results = run_in_threads(&lrc(2, 1), |d| {
-        let me = rank(d);
-        let word = GlobalAddr(me * 8);
-        for _ in 0..INCREMENTS {
-            d.with_lock(me as u32, |d| {
-                let v = d.read_u64(word);
-                d.write_u64(word, v + 1);
-            });
+    let cfg = lrc(2, 1);
+    let want = [[INCREMENTS; 2]; 2];
+    assert_eq!(
+        run_in_threads(&cfg, |d: &ClusterDsm<'_>| own_lock_increments(d)),
+        want
+    );
+    assert_eq!(
+        run_dsm(&cfg, |d: &Dsm<'_>| own_lock_increments(d)).results,
+        want
+    );
+}
+
+const N: usize = 64;
+
+/// A 2-iteration Jacobi-style stencil over one shared row, block
+/// partitioned, with multiple writers of each page: buffer A at page 0,
+/// buffer B at page 2 (page 1 pads). Returns the sum of this node's
+/// block of A after two steps.
+fn mini_stencil(d: &Dsm<'_, impl Engine>) -> u64 {
+    let ps = os_page_size();
+    let a = |i: usize| GlobalAddr(i * 8);
+    let b = |i: usize| GlobalAddr(2 * ps + i * 8);
+    let chunk = N / 4;
+    let (lo, hi) = (rank(d) * chunk, (rank(d) + 1) * chunk);
+    for i in lo..hi {
+        d.write_u64(a(i), (i * i % 97) as u64);
+    }
+    d.barrier(0);
+    for step in 0..2 {
+        let (src, dst): (&dyn Fn(usize) -> GlobalAddr, &dyn Fn(usize) -> GlobalAddr) =
+            if step % 2 == 0 { (&a, &b) } else { (&b, &a) };
+        for i in lo..hi {
+            let left = if i == 0 { 0 } else { d.read_u64(src(i - 1)) };
+            let right = if i == N - 1 {
+                0
+            } else {
+                d.read_u64(src(i + 1))
+            };
+            let cur = d.read_u64(src(i));
+            d.write_u64(dst(i), (left + right + cur) / 3);
         }
         d.barrier(0);
-        [d.read_u64(GlobalAddr(0)), d.read_u64(GlobalAddr(8))]
-    });
-    assert_eq!(results, [[INCREMENTS; 2]; 2]);
+    }
+    (lo..hi).map(|i| d.read_u64(a(i))).sum::<u64>()
 }
 
 #[test]
 fn twin_diff_mini_stencil_matches_sequential() {
-    // A 2-iteration Jacobi-style stencil over one shared row, block
-    // partitioned, with multiple writers of each page.
-    const N: usize = 64;
-    let ps = os_page_size();
-    // Buffer A at page 0, buffer B at page 2 (page 1 pads).
-    let a = |i: usize| GlobalAddr(i * 8);
-    let b = |i: usize| GlobalAddr(2 * ps + i * 8);
-    let results = run_in_threads(&lrc(4, 4), |d| {
-        let chunk = N / 4;
-        let (lo, hi) = (rank(d) * chunk, (rank(d) + 1) * chunk);
-        for i in lo..hi {
-            d.write_u64(a(i), (i * i % 97) as u64);
-        }
-        d.barrier(0);
-        for step in 0..2 {
-            let (src, dst): (&dyn Fn(usize) -> GlobalAddr, &dyn Fn(usize) -> GlobalAddr) =
-                if step % 2 == 0 { (&a, &b) } else { (&b, &a) };
-            for i in lo..hi {
-                let left = if i == 0 { 0 } else { d.read_u64(src(i - 1)) };
-                let right = if i == N - 1 {
-                    0
-                } else {
-                    d.read_u64(src(i + 1))
-                };
-                let cur = d.read_u64(src(i));
-                d.write_u64(dst(i), (left + right + cur) / 3);
-            }
-            d.barrier(0);
-        }
-        // The result lives in A after two steps.
-        (lo..hi).map(|i| d.read_u64(a(i))).sum::<u64>()
-    });
-
     // Sequential reference.
     let mut av: Vec<u64> = (0..N).map(|i| (i * i % 97) as u64).collect();
     let mut bv = vec![0u64; N];
@@ -143,8 +172,14 @@ fn twin_diff_mini_stencil_matches_sequential() {
         std::mem::swap(&mut av, &mut bv);
     }
     let chunk = N / 4;
-    for (m, &got) in results.iter().enumerate() {
-        let want: u64 = av[m * chunk..(m + 1) * chunk].iter().sum();
-        assert_eq!(got, want, "node {m}");
-    }
+    let want: Vec<u64> = (0..4)
+        .map(|m| av[m * chunk..(m + 1) * chunk].iter().sum())
+        .collect();
+
+    let cfg = lrc(4, 4);
+    assert_eq!(
+        run_in_threads(&cfg, |d: &ClusterDsm<'_>| mini_stencil(d)),
+        want
+    );
+    assert_eq!(run_dsm(&cfg, |d: &Dsm<'_>| mini_stencil(d)).results, want);
 }

@@ -2,9 +2,12 @@
 //! under every protocol cluster mode runs. An acquire runs to its end on
 //! the caller's thread, serving peers while it waits on one, and locks
 //! move between nodes all the time: a lost increment or a call left
-//! waiting shows here.
+//! waiting shows here. The same program runs in the simulator under the
+//! same rows.
 
-use dsm_core::{run_in_threads, DsmConfig, GlobalAddr, ProtocolKind};
+use dsm_core::{
+    run_dsm, run_in_threads, ClusterDsm, Dsm, DsmConfig, Engine, GlobalAddr, ProtocolKind,
+};
 use dsm_vm::os_page_size;
 
 const NODES: u32 = 4;
@@ -17,11 +20,28 @@ fn stripe(rank: u32, i: u32) -> u32 {
     (rank * 5 + i * 3) % LOCKS
 }
 
+/// One counter page per lock.
+fn counter(lock: u32) -> GlobalAddr {
+    GlobalAddr(lock as usize * os_page_size())
+}
+
+/// Node `r` adds `r + 1` to a stripe's counter `INCREMENTS` times, each
+/// under the stripe's lock; after a barrier, every counter.
+fn striped_counters(d: &Dsm<'_, impl Engine>) -> Vec<u64> {
+    let rank = d.id().0;
+    for i in 0..INCREMENTS {
+        let lock = stripe(rank, i);
+        d.with_lock(lock, |d| {
+            let v = d.read_u64(counter(lock));
+            d.write_u64(counter(lock), v + u64::from(rank + 1));
+        });
+    }
+    d.barrier(0);
+    (0..LOCKS).map(|l| d.read_u64(counter(l))).collect()
+}
+
 #[test]
 fn striped_lock_counters_keep_every_increment() {
-    let ps = os_page_size();
-    // One counter page per lock; node `r` adds `r + 1` each time.
-    let counter = |lock: u32| GlobalAddr(lock as usize * ps);
     let mut want = vec![0u64; LOCKS as usize];
     for rank in 0..NODES {
         for i in 0..INCREMENTS {
@@ -35,24 +55,14 @@ fn striped_lock_counters_keep_every_increment() {
     assert!(protocols.len() >= 2, "{protocols:?}");
     for kind in protocols {
         let cfg = DsmConfig::new(NODES, kind)
-            .heap_bytes(LOCKS as usize * ps)
-            .page_size(ps);
-        let results = run_in_threads(&cfg, |d| {
-            let rank = d.id().0;
-            for i in 0..INCREMENTS {
-                let lock = stripe(rank, i);
-                d.with_lock(lock, |d| {
-                    let v = d.read_u64(counter(lock));
-                    d.write_u64(counter(lock), v + u64::from(rank + 1));
-                });
+            .heap_bytes(LOCKS as usize * os_page_size())
+            .page_size(os_page_size());
+        let pages = run_in_threads(&cfg, |d: &ClusterDsm<'_>| striped_counters(d));
+        let sim = run_dsm(&cfg, |d: &Dsm<'_>| striped_counters(d)).results;
+        for (engine, results) in [("real pages", pages), ("simulator", sim)] {
+            for (rank, seen) in results.iter().enumerate() {
+                assert_eq!(seen, &want, "{kind} on {engine}: node {rank}");
             }
-            d.barrier(0);
-            (0..LOCKS)
-                .map(|l| d.read_u64(counter(l)))
-                .collect::<Vec<_>>()
-        });
-        for (rank, seen) in results.iter().enumerate() {
-            assert_eq!(seen, &want, "{kind}: node {rank}");
         }
     }
 }

@@ -28,10 +28,10 @@
 use std::io::{self, Read};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{compiler_fence, AtomicPtr, AtomicU32, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use dsm_mem::{Access, PageId, PageStore};
+use dsm_mem::{Access, GlobalAddr, PageId, PageStore};
 
 use crate::region::{os_page_size, Prot, Region};
 
@@ -327,13 +327,15 @@ impl ClusterView {
     // ---------------- application side ----------------
 
     /// Pointer to the `n` bytes at offset `off`, bounds-checked without
-    /// wrapping.
+    /// wrapping; `what` (a read or a write) is refused as the simulator
+    /// refuses an access out of the global space.
     #[inline]
-    fn span(&self, off: usize, n: usize) -> *mut u8 {
+    fn span(&self, what: &str, off: usize, n: usize) -> *mut u8 {
         assert!(
             off.checked_add(n)
                 .is_some_and(|end| end <= self.shared.pages * self.shared.page_size),
-            "access past end of view"
+            "{what} [{}, +{n}) out of bounds",
+            GlobalAddr(off)
         );
         // SAFETY: in bounds; the callers below respect protection by
         // trapping into the handler.
@@ -346,7 +348,7 @@ impl ClusterView {
     /// page-straddling accesses work (each byte traps independently).
     #[inline]
     pub fn read<T: Copy>(&self, off: usize) -> T {
-        let p = self.span(off, size_of::<T>());
+        let p = self.span("read", off, size_of::<T>());
         // SAFETY: bounds asserted by `span`; volatile so the compiler
         // cannot elide or merge the access the handler must observe.
         unsafe {
@@ -367,7 +369,7 @@ impl ClusterView {
     /// and unaligned offsets as for [`ClusterView::read`].
     #[inline]
     pub fn write<T: Copy>(&self, off: usize, v: T) {
-        let p = self.span(off, size_of::<T>());
+        let p = self.span("write", off, size_of::<T>());
         // SAFETY: as for `read`.
         unsafe {
             if p as usize % align_of::<T>() == 0 {
@@ -378,6 +380,25 @@ impl ClusterView {
                 ptr::write_volatile(p.add(i), src.add(i).read());
             }
         }
+    }
+
+    /// Copy the `buf.len()` bytes at offset `off` into `buf`, each page
+    /// trapping as for [`ClusterView::read`].
+    pub fn read_bytes(&self, off: usize, buf: &mut [u8]) {
+        let p = self.span("read", off, buf.len());
+        // The fence keeps the copy from being merged with an earlier access.
+        compiler_fence(Ordering::SeqCst);
+        // SAFETY: bounds asserted by `span`.
+        unsafe { ptr::copy_nonoverlapping(p, buf.as_mut_ptr(), buf.len()) };
+    }
+
+    /// Copy `data` to offset `off`, each page trapping as for
+    /// [`ClusterView::write`].
+    pub fn write_bytes(&self, off: usize, data: &[u8]) {
+        let p = self.span("write", off, data.len());
+        compiler_fence(Ordering::SeqCst);
+        // SAFETY: bounds asserted by `span`.
+        unsafe { ptr::copy_nonoverlapping(data.as_ptr(), p, data.len()) };
     }
 
     // ---------------- host side ----------------
@@ -558,7 +579,7 @@ mod tests {
 
     /// `off + size` must not wrap its way past the bounds check.
     #[test]
-    #[should_panic(expected = "access past end of view")]
+    #[should_panic(expected = "read [g:0xfffffffffffffffc, +8) out of bounds")]
     fn read_near_usize_max_is_refused() {
         let view = ClusterView::new(1, os_page_size()).unwrap();
         view.read::<u64>(usize::MAX - 3);

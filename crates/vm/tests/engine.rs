@@ -181,7 +181,7 @@ fn faults_are_served_until_every_node_is_done() {
 }
 
 #[test]
-#[should_panic(expected = "access past end of view")]
+#[should_panic(expected = "read [g:0xfffffffffffffffc, +8) out of bounds")]
 fn read_near_usize_max_is_refused() {
     // `off + size` wraps to 4: the bounds check must not.
     run_vm(VmConfig::new(1, 1, VmMode::Invalidate), |node| {

@@ -3,7 +3,7 @@
 //! and with sequential expectations; the experiment harness runs end to
 //! end.
 
-use dsm_core::{DsmConfig, Dur, GlobalAddr, ProtocolKind};
+use dsm_core::{ClusterDsm, Dsm, DsmConfig, Dur, Engine, GlobalAddr, ProtocolKind};
 use dsm_vm::{run_vm, VmConfig, VmMode};
 
 /// The same neighbor-sum workload on the simulated engine (under IVY)
@@ -50,39 +50,30 @@ fn sim_and_vm_engines_agree_on_neighbor_sums() {
     }
 }
 
+/// Four nodes each write their own word of one page, pass a barrier
+/// and sum all four: the same program on both engines.
+fn slot_sum(d: &Dsm<'_, impl Engine>) -> u64 {
+    let (me, n) = (d.id().0 as usize, d.nodes() as usize);
+    d.write_u64(GlobalAddr(me * 8), me as u64 + 1); // one page
+    d.barrier(0);
+    (0..n).map(|i| d.read_u64(GlobalAddr(i * 8))).sum()
+}
+
 /// Cluster `lrc` on real pages and the simulated ERC protocol both
 /// merge false-shared writers of one page.
 #[test]
 fn multiple_writer_merge_on_both_engines() {
-    let n = 4usize;
-
-    let sim = {
-        let cfg = DsmConfig::new(n as u32, ProtocolKind::Erc)
-            .heap_bytes(1 << 12)
-            .page_size(256);
-        let res = dsm_core::run_dsm(&cfg, |dsm| {
-            let me = dsm.id().0 as usize;
-            dsm.write_u64(GlobalAddr(me * 8), me as u64 + 1); // one page
-            dsm.barrier(0);
-            (0..n).map(|i| dsm.read_u64(GlobalAddr(i * 8))).sum::<u64>()
-        });
-        res.results
-    };
-    assert!(sim.iter().all(|&s| s == (1..=n as u64).sum()));
-
-    let cluster = {
-        let ps = dsm_vm::os_page_size();
-        let cfg = DsmConfig::new(n as u32, ProtocolKind::Lrc)
-            .heap_bytes(2 * ps)
-            .page_size(ps);
-        dsm_core::run_in_threads(&cfg, |d| {
-            let me = d.id().0 as usize;
-            d.write_u64(GlobalAddr(me * 8), me as u64 + 1);
-            d.barrier(0);
-            (0..n).map(|i| d.read_u64(GlobalAddr(i * 8))).sum::<u64>()
-        })
-    };
-    assert!(cluster.iter().all(|&s| s == (1..=n as u64).sum()));
+    let sim = DsmConfig::new(4, ProtocolKind::Erc)
+        .heap_bytes(1 << 12)
+        .page_size(256);
+    let sim = dsm_core::run_dsm(&sim, |d: &Dsm<'_>| slot_sum(d)).results;
+    let ps = dsm_vm::os_page_size();
+    let pages = DsmConfig::new(4, ProtocolKind::Lrc)
+        .heap_bytes(2 * ps)
+        .page_size(ps);
+    let pages = dsm_core::run_in_threads(&pages, |d: &ClusterDsm<'_>| slot_sum(d));
+    assert_eq!(sim, [1 + 2 + 3 + 4; 4]);
+    assert_eq!(pages, [1 + 2 + 3 + 4; 4]);
 }
 
 /// The experiment harness's quick mode runs every experiment without
