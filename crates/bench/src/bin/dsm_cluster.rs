@@ -153,7 +153,8 @@ fn parent(args: &Args, run: &Run) -> Result<(), String> {
     }
 
     let mut fleet: Vec<Child> = Vec::new();
-    let (tx, rx) = mpsc::channel::<(u32, String)>();
+    // A rank's lines, then `None` when its output closes: it exited.
+    let (tx, rx) = mpsc::channel::<(u32, Option<String>)>();
     for rank in 0..n {
         // A child parses the parent's own flags, so it plans the same run.
         let mut child = Command::new(&exe)
@@ -169,39 +170,41 @@ fn parent(args: &Args, run: &Run) -> Result<(), String> {
         std::thread::spawn(move || {
             for line in BufReader::new(out).lines() {
                 let Ok(line) = line else { break };
-                if tx.send((rank, line)).is_err() {
-                    break;
+                if tx.send((rank, Some(line))).is_err() {
+                    return;
                 }
             }
+            let _ = tx.send((rank, None));
         });
         fleet.push(child);
     }
     drop(tx);
 
     let run = |fleet: &mut Vec<Child>| -> Result<(), String> {
-        let recv =
-            |want: &str, rx: &mpsc::Receiver<(u32, String)>| -> Result<Vec<String>, String> {
-                let mut got = vec![None; n as usize];
-                while got.iter().any(Option::is_none) {
-                    let left = deadline
-                        .checked_duration_since(Instant::now())
-                        .ok_or_else(|| format!("timed out waiting for {want}"))?;
-                    let (rank, line) = rx
-                        .recv_timeout(left)
-                        .map_err(|_| format!("lost a child waiting for {want}"))?;
-                    let mut words = line.split_whitespace();
-                    if words.next() != Some(want) {
-                        continue; // stray child chatter
-                    }
-                    let r: u32 = words
-                        .next()
-                        .and_then(|w| w.parse().ok())
-                        .filter(|&r| r == rank && r < n)
-                        .ok_or_else(|| format!("malformed {want} line from rank {rank}: {line}"))?;
-                    got[r as usize] = Some(words.collect::<Vec<_>>().join(" "));
+        let recv = |want: &str,
+                    rx: &mpsc::Receiver<(u32, Option<String>)>|
+         -> Result<Vec<String>, String> {
+            let mut got = vec![None; n as usize];
+            while got.iter().any(Option::is_none) {
+                let timed_out = || format!("timed out waiting for {want}");
+                let left = deadline
+                    .checked_duration_since(Instant::now())
+                    .ok_or_else(timed_out)?;
+                let (rank, line) = rx.recv_timeout(left).map_err(|_| timed_out())?;
+                let line = line.ok_or_else(|| format!("rank {rank} exited before its {want}"))?;
+                let mut words = line.split_whitespace();
+                if words.next() != Some(want) {
+                    continue; // stray child chatter
                 }
-                Ok(got.into_iter().map(Option::unwrap).collect())
-            };
+                let r: u32 = words
+                    .next()
+                    .and_then(|w| w.parse().ok())
+                    .filter(|&r| r == rank && r < n)
+                    .ok_or_else(|| format!("malformed {want} line from rank {rank}: {line}"))?;
+                got[r as usize] = Some(words.collect::<Vec<_>>().join(" "));
+            }
+            Ok(got.into_iter().map(Option::unwrap).collect())
+        };
 
         let addrs = recv("PORT", &rx)?;
         let roster = format!("PEERS {}\n", addrs.join(" "));

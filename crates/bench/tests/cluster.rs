@@ -132,3 +132,23 @@ fn non_page_fault_protocols_are_refused() {
         );
     }
 }
+
+/// A message larger than one UDP datagram cannot be sent: `lrc`'s home
+/// flush at matmul 256 is 240 566 bytes. The run must fail at once,
+/// naming the message, not retransmit it until the timeout.
+#[test]
+fn an_oversized_message_fails_the_run_naming_it() {
+    let t = std::time::Instant::now();
+    let args = ["--app", "matmul", "--size", "256", "--proto", "lrc"];
+    let (ok, text) = launcher(&[&args[..], &["--nodes", "2", "--timeout", "60"]].concat());
+    assert!(!ok, "an oversized message went unnoticed:\n{text}");
+    assert!(
+        text.contains("a LrcFlush message of") && text.contains("exited before its RESULT"),
+        "{text}"
+    );
+    assert!(
+        t.elapsed().as_secs() < 30,
+        "took {:?}:\n{text}",
+        t.elapsed()
+    );
+}

@@ -162,7 +162,9 @@ impl Dsm<'_> {
 }
 
 impl<E: Engine> Dsm<'_, E> {
-    pub(crate) fn new(engine: E) -> Self {
+    /// The handle over `engine` — one that may wrap a program's own
+    /// handle, as a recorder does.
+    pub fn new(engine: E) -> Self {
         Dsm {
             engine,
             hint: Cell::new(None),
@@ -327,22 +329,6 @@ impl<E: Engine> Dsm<'_, E> {
     /// point for most protocols).
     pub fn barrier(&self, id: BarrierId) {
         self.engine.sync(DsmOp::Barrier(id));
-    }
-
-    /// Poll `addr` until the stored u64 satisfies `pred`, spinning with
-    /// `poll` of modeled delay between probes (the classic DSM flag
-    /// spin: local once the copy is cached, refreshed by the coherence
-    /// protocol). Under the simulator's fast path the spin consumes
-    /// run-ahead budget and yields to the kernel on exhaustion, so
-    /// invalidations still land.
-    pub fn spin_u64_until(&self, addr: GlobalAddr, poll: Dur, pred: impl Fn(u64) -> bool) -> u64 {
-        loop {
-            let v = self.read_u64(addr);
-            if pred(v) {
-                return v;
-            }
-            self.compute(poll);
-        }
     }
 }
 

@@ -36,16 +36,11 @@
 //!
 //! A write fault on a readable page resolves as a protocol write of
 //! the trapping byte's current value (contents unchanged, ownership
-//! acquired); a cold write takes the classic two-fault upgrade. Under
-//! `lrc`, writers of different bytes of one page keep their bytes when
-//! barriers or different locks order them: the write fault twins the
-//! page and the release ships a diff.
+//! acquired); a cold write takes the classic two-fault upgrade.
 //!
 //! Supported protocols are those whose row says
-//! [`crate::Facts::page_fault_driven`]: every coherence action
-//! shows as a change of access rights, so page write permission *is*
-//! the protocol's write grant. [`run_cluster_node`] refuses the others
-//! with the reason their row gives.
+//! [`crate::Facts::page_fault_driven`]; [`run_cluster_node`] refuses
+//! the others with the reason their row gives.
 
 use std::net::{SocketAddr, UdpSocket};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -238,9 +233,13 @@ impl<'v> Runtime<'v> {
 /// fault, else dispatch one event, else sleep without the runtime. A
 /// fault or a ring leaves the doorbell readable until taken here, so
 /// none is slept through.
-fn serve(runtime: &Mutex<Runtime<'_>>) {
-    loop {
-        let mut rt = runtime.lock().expect(POISONED);
+///
+/// A panic here fails the view, so no fault stays parked: the program
+/// runs on to its next sync call, which finds the runtime poisoned. A
+/// runtime the program poisoned ends the loop: that panic is the node's.
+fn serve(runtime: &Mutex<Runtime<'_>>, view: &ClusterView) {
+    let served = catch_unwind(AssertUnwindSafe(|| loop {
+        let Ok(mut rt) = runtime.lock() else { break };
         if rt.stopped {
             break;
         }
@@ -253,6 +252,10 @@ fn serve(runtime: &Mutex<Runtime<'_>>) {
             drop(rt);
             wait.sleep();
         }
+    }));
+    if let Err(failure) = served {
+        view.fail();
+        resume_unwind(failure);
     }
 }
 
@@ -279,7 +282,8 @@ pub fn supports(protocol: ProtocolKind) -> Result<(), String> {
 /// simulator, not matching traffic, is the contract.
 ///
 /// A panic in `program` or `linger` stops this node's reactor and is
-/// re-raised on the caller's thread.
+/// re-raised on the caller's thread, as is one of the serving thread
+/// (say, a message too large for a datagram); then `linger` is skipped.
 ///
 /// # Panics
 ///
@@ -308,23 +312,31 @@ where
     let runtime = Mutex::new(Runtime::new(cfg, me, sock, peers, &view));
 
     std::thread::scope(|s| {
-        let runtime = &runtime;
-        s.spawn(move || serve(runtime));
+        let (runtime, view) = (&runtime, &view);
+        let serving = s.spawn(move || serve(runtime, view));
 
         // Leaving this closure drops the handle, which stops the serving
-        // loop — also when `program` or `linger` panics, so the scope can
-        // join and re-raise the panic on the caller's thread.
-        let dsm = Dsm::new(Cluster {
-            view: &view,
-            runtime,
-            me,
-            nnodes: cfg.nnodes,
-        });
-        let result = program(&dsm);
-        // Keep serving peers until the embedder says the cluster is
-        // done, then tear down.
-        linger(&result);
-        result
+        // loop — also when `program` or `linger` panics.
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            let dsm = Dsm::new(Cluster {
+                view,
+                runtime,
+                me,
+                nnodes: cfg.nnodes,
+            });
+            let result = program(&dsm);
+            // Keep serving peers until the embedder says the cluster is
+            // done, then tear down — unless the serving thread failed.
+            if !view.failed() {
+                linger(&result);
+            }
+            result
+        }));
+        // A failed reactor is the cause of whatever the program met.
+        if let Err(failure) = serving.join() {
+            resume_unwind(failure);
+        }
+        ran.unwrap_or_else(|panic| resume_unwind(panic))
     })
 }
 
@@ -387,6 +399,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CoreMsg;
 
     /// A one-node cluster exercises the whole fault → protocol → view
     /// pipeline in-process (multi-process tests live in the bench
@@ -520,6 +533,57 @@ mod tests {
             assert!(runtime.lock().unwrap().rang, "the grant's timer rang");
             dsm.acquire(2);
             assert!(runtime.lock().unwrap().rang, "and rang again");
+        });
+    }
+
+    /// A serving thread that fails leaves no program parked in a fault,
+    /// and its panic reaches the caller. Node 0's program faults on a
+    /// page node 1 manages; node 1, a bare socket here, answers only
+    /// with a read request for node 0's own page — a page too large for
+    /// one datagram, so node 0's serving thread fails on the reply.
+    #[test]
+    fn a_failed_serving_thread_reaches_the_caller() {
+        use dsm_net::{RelMsg, Wire};
+        const PAGE: usize = 1 << 17;
+        let cfg = DsmConfig::new(2, ProtocolKind::IvyFixed)
+            .heap_bytes(2 * PAGE)
+            .page_size(PAGE);
+        let (sock, peer) = (
+            UdpSocket::bind("127.0.0.1:0").unwrap(),
+            UdpSocket::bind("127.0.0.1:0").unwrap(),
+        );
+        let peers = vec![sock.local_addr().unwrap(), peer.local_addr().unwrap()];
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                // Node 0's request for page 1 means its program is parked.
+                peer.recv_from(&mut [0; 256]).unwrap();
+                let mut frame = 1u32.to_le_bytes().to_vec();
+                RelMsg::Data {
+                    seq: 1,
+                    ack: 0,
+                    sack: 0,
+                    epoch: 0,
+                    ack_epoch: 0,
+                    payload: CoreMsg::Proto(dsm_proto::ProtoMsg::ReadReq { page: 0 }),
+                }
+                .encode(&mut frame);
+                peer.send_to(&frame, peers[0]).unwrap();
+            });
+            let run = AssertUnwindSafe(|| {
+                run_cluster_node(
+                    &cfg,
+                    NodeId(0),
+                    sock,
+                    peers.clone(),
+                    |d| d.read_u64(GlobalAddr(PAGE)),
+                    |_| unreachable!("a failed node does not linger"),
+                )
+            });
+            let payload = catch_unwind(run).expect_err("the failure reaches the caller");
+            let said = payload
+                .downcast_ref::<String>()
+                .expect("a formatted message");
+            assert!(said.contains("a PageRead message of 131"), "{said}");
         });
     }
 

@@ -400,7 +400,7 @@ mod tests {
         // protocols promise this works.
         for proto in ProtocolKind::EVERY
             .into_iter()
-            .filter(|p| p.sequentially_consistent())
+            .filter(|p| p.facts().consistency != Consistency::Drf)
         {
             let cfg = DsmConfig::new(2, proto).heap_bytes(1 << 14).page_size(256);
             let res = run_dsm(&cfg, |dsm| {
@@ -411,7 +411,9 @@ mod tests {
                     dsm.write_u64(flag, 1);
                     0
                 } else {
-                    dsm.spin_u64_until(flag, Dur::micros(200), |v| v == 1);
+                    while dsm.read_u64(flag) != 1 {
+                        dsm.compute(Dur::micros(200));
+                    }
                     dsm.read_u64(data)
                 }
             });

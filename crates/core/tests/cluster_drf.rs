@@ -1,19 +1,47 @@
-//! Multiple writers of one real page: cluster `lrc` on threads of this
-//! process. A write fault twins the page and the release ships a diff,
-//! so writers of different bytes of one page keep their bytes when
-//! barriers or different locks order them. Each program runs on the
-//! simulator's `lrc` too, and must come out the same.
+//! Release consistency on real pages: every protocol cluster mode runs
+//! whose row promises `Drf` — sequential consistency for data-race-free
+//! programs — keeps it for programs whose writers share pages, on
+//! threads of this process and in the simulator, one program for both.
+//! The programs ask the rows, not a list of protocols, and each run's
+//! history is held to the contract by the checker of `common`, beside
+//! the exact totals. Writers of different bytes of one page keep their
+//! bytes when barriers or different locks order them.
 
-use dsm_core::{
-    run_dsm, run_in_threads, ClusterDsm, Dsm, DsmConfig, Engine, GlobalAddr, ProtocolKind,
-};
+#[macro_use]
+mod common;
+
+use dsm_core::{Consistency, Dsm, DsmConfig, Engine, GlobalAddr, ProtocolKind};
 use dsm_vm::os_page_size;
 
-fn lrc(nodes: u32, pages: usize) -> DsmConfig {
+/// Every protocol cluster mode runs whose contract is `Drf`.
+fn drf_rows() -> Vec<ProtocolKind> {
+    let rows: Vec<_> = ProtocolKind::EVERY
+        .into_iter()
+        .filter(|kind| {
+            let facts = kind.facts();
+            facts.page_fault_driven.is_ok() && facts.consistency == Consistency::Drf
+        })
+        .collect();
+    assert!(rows.len() >= 2, "{rows:?}");
+    rows
+}
+
+/// `nodes` nodes sharing `pages` real pages under `kind`. Lock `n`
+/// guards word `n` of page 0 (the own-lock program's), for the rows
+/// whose data is coherent only through the lock it is bound to; the
+/// other rows ignore the bindings.
+fn config(nodes: u32, pages: usize, kind: ProtocolKind) -> DsmConfig {
     let ps = os_page_size();
-    DsmConfig::new(nodes, ProtocolKind::Lrc)
+    DsmConfig::new(nodes, kind)
         .heap_bytes(pages * ps)
         .page_size(ps)
+        .bind(0, word(0), 8)
+        .bind(1, word(1), 8)
+}
+
+/// Word `i` of page 0.
+fn word(i: usize) -> GlobalAddr {
+    GlobalAddr(i * 8)
 }
 
 fn rank(d: &Dsm<'_, impl Engine>) -> usize {
@@ -38,12 +66,11 @@ fn quarters(d: &Dsm<'_, impl Engine>) -> bool {
 
 #[test]
 fn twin_diff_merges_concurrent_writers_of_one_page() {
-    let cfg = lrc(4, 2);
-    assert_eq!(
-        run_in_threads(&cfg, |d: &ClusterDsm<'_>| quarters(d)),
-        [true; 4]
-    );
-    assert_eq!(run_dsm(&cfg, |d: &Dsm<'_>| quarters(d)).results, [true; 4]);
+    for kind in drf_rows() {
+        for (engine, seen) in checked_on_both_engines!(&config(4, 2, kind), |d| quarters(d)) {
+            assert_eq!(seen, [true; 4], "{kind} on {engine}");
+        }
+    }
 }
 
 /// Two nodes take turns adding `round + 1` to one word, a barrier
@@ -51,45 +78,39 @@ fn twin_diff_merges_concurrent_writers_of_one_page() {
 fn turn_taking(d: &Dsm<'_, impl Engine>, rounds: u64) -> u64 {
     for round in 0..rounds {
         if rank(d) as u64 == round % 2 {
-            let v = d.read_u64(GlobalAddr(0));
-            d.write_u64(GlobalAddr(0), v + round + 1);
+            let v = d.read_u64(word(0));
+            d.write_u64(word(0), v + round + 1);
         }
         d.barrier(0);
     }
-    d.read_u64(GlobalAddr(0))
+    d.read_u64(word(0))
 }
 
 #[test]
 fn twin_diff_multiple_barrier_rounds() {
-    let cfg = lrc(2, 2);
-    // 1+2+3+4+5 = 15 regardless of which node did which round.
-    assert_eq!(
-        run_in_threads(&cfg, |d: &ClusterDsm<'_>| turn_taking(d, 5)),
-        [15, 15]
-    );
-    assert_eq!(
-        run_dsm(&cfg, |d: &Dsm<'_>| turn_taking(d, 5)).results,
-        [15, 15]
-    );
+    for kind in drf_rows() {
+        // 1+2+3+4+5 = 15 regardless of which node did which round.
+        for (engine, sums) in checked_on_both_engines!(&config(2, 2, kind), |d| turn_taking(d, 5)) {
+            assert_eq!(sums, [15, 15], "{kind} on {engine}");
+        }
+    }
 }
 
 /// The reactor raised view pages after dispatching a datagram, under a
 /// running program: a store racing the install landed with no fault, so
 /// no twin and no write notice, and in 9 of 10 runs a round's write was
-/// lost. Raising rights only where the program is parked fixed it.
+/// lost under `lrc`. Raising rights only where the program is parked
+/// fixed it.
 #[test]
 fn turn_taking_writers_of_one_page_lose_no_round() {
     const ROUNDS: u64 = 3000;
     let want = ROUNDS * (ROUNDS + 1) / 2;
-    let cfg = lrc(2, 1);
-    assert_eq!(
-        run_in_threads(&cfg, |d: &ClusterDsm<'_>| turn_taking(d, ROUNDS)),
-        [want, want]
-    );
-    assert_eq!(
-        run_dsm(&cfg, |d: &Dsm<'_>| turn_taking(d, ROUNDS)).results,
-        [want, want]
-    );
+    for kind in drf_rows() {
+        let runs = checked_on_both_engines!(&config(2, 1, kind), |d| turn_taking(d, ROUNDS));
+        for (engine, sums) in runs {
+            assert_eq!(sums, [want, want], "{kind} on {engine}");
+        }
+    }
 }
 
 const INCREMENTS: u64 = 200;
@@ -99,29 +120,24 @@ const INCREMENTS: u64 = 200;
 /// until the closing barrier.
 fn own_lock_increments(d: &Dsm<'_, impl Engine>) -> [u64; 2] {
     let me = rank(d);
-    let word = GlobalAddr(me * 8);
     for _ in 0..INCREMENTS {
         d.with_lock(me as u32, |d| {
-            let v = d.read_u64(word);
-            d.write_u64(word, v + 1);
+            let v = d.read_u64(word(me));
+            d.write_u64(word(me), v + 1);
         });
     }
     d.barrier(0);
-    [d.read_u64(GlobalAddr(0)), d.read_u64(GlobalAddr(8))]
+    [d.read_u64(word(0)), d.read_u64(word(1))]
 }
 
 #[test]
 fn writers_of_one_page_under_their_own_locks_keep_their_increments() {
-    let cfg = lrc(2, 1);
-    let want = [[INCREMENTS; 2]; 2];
-    assert_eq!(
-        run_in_threads(&cfg, |d: &ClusterDsm<'_>| own_lock_increments(d)),
-        want
-    );
-    assert_eq!(
-        run_dsm(&cfg, |d: &Dsm<'_>| own_lock_increments(d)).results,
-        want
-    );
+    for kind in drf_rows() {
+        let runs = checked_on_both_engines!(&config(2, 1, kind), |d| own_lock_increments(d));
+        for (engine, results) in runs {
+            assert_eq!(results, [[INCREMENTS; 2]; 2], "{kind} on {engine}");
+        }
+    }
 }
 
 const N: usize = 64;
@@ -175,11 +191,9 @@ fn twin_diff_mini_stencil_matches_sequential() {
     let want: Vec<u64> = (0..4)
         .map(|m| av[m * chunk..(m + 1) * chunk].iter().sum())
         .collect();
-
-    let cfg = lrc(4, 4);
-    assert_eq!(
-        run_in_threads(&cfg, |d: &ClusterDsm<'_>| mini_stencil(d)),
-        want
-    );
-    assert_eq!(run_dsm(&cfg, |d: &Dsm<'_>| mini_stencil(d)).results, want);
+    for kind in drf_rows() {
+        for (engine, sums) in checked_on_both_engines!(&config(4, 4, kind), |d| mini_stencil(d)) {
+            assert_eq!(sums, want, "{kind} on {engine}");
+        }
+    }
 }

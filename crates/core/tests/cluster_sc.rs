@@ -2,8 +2,13 @@
 //! runs whose row promises `Sc` keeps it for programs that share one
 //! page, racy ones included — on real pages and in the simulator, one
 //! program for both. The programs ask the rows, not a list of
-//! protocols. Every spin has a deadline, so a protocol that loses a
-//! store fails an assertion here instead of hanging the run.
+//! protocols. The data-race-free programs' histories are held to the
+//! contract by the checker of `common`; the racy flag handshake, which
+//! it does not judge, has a deadline on its spin, so a protocol that
+//! loses a store fails an assertion here instead of hanging the run.
+
+#[macro_use]
+mod common;
 
 use std::time::{Duration, Instant};
 
@@ -63,10 +68,9 @@ fn displaced_writers(d: &Dsm<'_, impl Engine>) -> usize {
 #[test]
 fn displaced_writers_of_one_page_read_no_stale_slot() {
     for kind in sc_rows() {
-        let cfg = one_page(4, kind);
-        let sim = run_dsm(&cfg, |d: &Dsm<'_>| displaced_writers(d)).results;
-        let pages = run_in_threads(&cfg, |d: &ClusterDsm<'_>| displaced_writers(d));
-        for (engine, stale) in [("simulator", sim), ("real pages", pages)] {
+        for (engine, stale) in
+            checked_on_both_engines!(&one_page(4, kind), |d| displaced_writers(d))
+        {
             assert_eq!(stale, [0; 4], "{kind} on {engine}: stale reads per node");
         }
     }
@@ -142,10 +146,9 @@ fn own_lock_increments(d: &Dsm<'_, impl Engine>) -> [u64; 2] {
 #[test]
 fn writers_of_one_page_under_their_own_locks_keep_their_increments() {
     for kind in sc_rows() {
-        let cfg = one_page(2, kind);
-        let sim = run_dsm(&cfg, |d: &Dsm<'_>| own_lock_increments(d)).results;
-        let pages = run_in_threads(&cfg, |d: &ClusterDsm<'_>| own_lock_increments(d));
-        for (engine, results) in [("simulator", sim), ("real pages", pages)] {
+        for (engine, results) in
+            checked_on_both_engines!(&one_page(2, kind), |d| own_lock_increments(d))
+        {
             assert_eq!(results, [[INCREMENTS; 2]; 2], "{kind} on {engine}");
         }
     }

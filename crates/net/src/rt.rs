@@ -33,7 +33,8 @@
 //!   holding the runtime.
 //! * **Datagram framing.** `[u32 src][Wire-encoded message]`, one
 //!   message per datagram. Malformed or truncated datagrams are dropped
-//!   (counted); retransmission recovers.
+//!   (counted); retransmission recovers. A larger frame than one
+//!   datagram holds panics its sender, naming its kind and size.
 //!
 //! Determinism explicitly does **not** carry over: two cluster runs
 //! interleave differently. What is preserved is the application-level
@@ -56,9 +57,11 @@ use crate::time::{Dur, SimTime};
 use crate::transport::{Ctx, Transport};
 use crate::wire::{from_wire_bytes, Wire};
 
-/// Largest datagram we accept: a protocol message tops out at a batch
-/// of pages plus headers, far under the 64 KiB UDP limit.
+/// Largest datagram we accept.
 const RECV_BUF: usize = 65_536;
+
+/// All one UDP/IPv4 datagram carries; a frame is never split.
+const MAX_DATAGRAM: usize = 65_507;
 
 /// The [`Transport`] half of the reactor: socket, peer roster, timer
 /// heap, wall clock, and the reply slot for the one local program.
@@ -131,6 +134,13 @@ impl<M: Payload + Wire, R> Transport<M, R> for SocketCore<M, R> {
         buf.clear();
         src.0.encode(buf);
         msg.encode(buf);
+        // Reliable would retransmit a frame that cannot fit forever.
+        assert!(
+            buf.len() <= MAX_DATAGRAM,
+            "a {} message of {} bytes does not fit one UDP datagram ({MAX_DATAGRAM} bytes)",
+            msg.kind(),
+            buf.len()
+        );
         // UDP is fire-and-forget: a failed send (buffer full, transient
         // ICMP refusal while a peer is still booting) is just loss, and
         // the reliability layer above retransmits.
@@ -511,6 +521,60 @@ mod tests {
             node.step(Duration::from_millis(10));
         }
         assert_eq!(node.node().inner().total, 7);
+    }
+
+    /// A frame larger than one datagram fails its sender at once,
+    /// naming the message, instead of being recorded as loss and
+    /// retransmitted forever.
+    #[test]
+    fn a_message_larger_than_a_datagram_fails_its_sender() {
+        #[derive(Debug, Clone, PartialEq)]
+        struct Blob(Vec<u8>);
+        impl Payload for Blob {
+            fn wire_bytes(&self) -> usize {
+                self.0.len()
+            }
+            fn kind(&self) -> &'static str {
+                "Blob"
+            }
+            fn kind_id(&self) -> KindId {
+                KindId(43)
+            }
+        }
+        impl Wire for Blob {
+            fn encode(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.0);
+            }
+            fn decode(_: &mut crate::wire::WireReader<'_>) -> Option<Self> {
+                None
+            }
+        }
+        let socks = [(); 2].map(|()| UdpSocket::bind("127.0.0.1:0").unwrap());
+        let peers: Vec<_> = socks.iter().map(|s| s.local_addr().unwrap()).collect();
+        let [sock, _peer] = socks;
+        let mut rt = SocketRt::new(Silent, NodeId(0), sock, peers, CostModel::lan_1992());
+        let fits = MAX_DATAGRAM - 4;
+        rt.core.send_from(NodeId(0), NodeId(1), Blob(vec![0; fits]));
+        let send = std::panic::AssertUnwindSafe(|| {
+            rt.core
+                .send_from(NodeId(0), NodeId(1), Blob(vec![0; fits + 1]))
+        });
+        let payload = std::panic::catch_unwind(send).expect_err("an oversized send fails");
+        let said = payload
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        assert!(said.contains("a Blob message of 65508 bytes"), "{said}");
+
+        struct Silent;
+        impl NodeBehavior for Silent {
+            type Msg = Blob;
+            type Op = ();
+            type Reply = ();
+            fn on_message(&mut self, _: &mut Ctx<'_, Self>, _: NodeId, _: Blob) {}
+            fn on_op(&mut self, _: &mut Ctx<'_, Self>, _: ()) -> OpOutcome<()> {
+                OpOutcome::Done(())
+            }
+        }
     }
 
     #[test]

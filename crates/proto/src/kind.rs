@@ -85,8 +85,6 @@ pub struct Facts {
     /// Needs lock↔data bindings ([`EntryBinding`]): data is only kept
     /// coherent through the lock it is bound to.
     pub needs_bindings: bool,
-    /// Needs an object table ([`ProtoOpts::objects`]) to be of use.
-    pub needs_objects: bool,
     /// Answers [`Protocol::obj_fetch`] / [`Protocol::obj_publish`].
     pub object_ops: Can,
     /// Concurrent writers of *distinct bytes of one page*, ordered by
@@ -94,8 +92,8 @@ pub struct Facts {
     pub sub_page_writers: Can,
     /// What holds after a node crash.
     pub crash: CrashContract,
-    /// Every coherence action is a page fault, an invalidation or a
-    /// page transfer that shows as a change of access rights — what a
+    /// The coherence unit is a page the node holds, and the protocol
+    /// hears of accesses only through faults on it: what a
     /// page-protection engine (cluster mode) can drive.
     pub page_fault_driven: Can,
     /// One of the eight protocols of the 1992 comparison
@@ -116,7 +114,6 @@ const fn page_sc_1992(name: &'static str, build: Build) -> Facts {
         build,
         consistency: Consistency::Sc,
         needs_bindings: false,
-        needs_objects: false,
         object_ops: Err("coherence units are pages; only `obj` keeps an object directory"),
         sub_page_writers: Ok(()),
         crash: CrashContract::None,
@@ -182,8 +179,8 @@ protocols! {
     /// Write-update with home-node sequencing (eager sharing).
     Update => Facts {
         page_fault_driven: Err(
-            "every store is a message to the page's home (`write_op`) that patches remote \
-             copies in place, where a view's page protection sees neither",
+            "every store is a message to the page's home (`write_op`), and a store to a page \
+             the view lets it write does not trap: page protection never sees it",
         ),
         ..page_sc_1992("update", |me, layout, _, _| Box::new(Update::new(me, layout)))
     },
@@ -191,10 +188,6 @@ protocols! {
     /// write-shared).
     Erc => Facts {
         consistency: Consistency::Drf,
-        page_fault_driven: Err(
-            "a release patches remote copies in place with sub-page diffs: access rights do \
-             not change, so a view's page protection sees nothing to install",
-        ),
         ..page_sc_1992("erc", |me, layout, _, _| Box::new(Erc::new(me, layout)))
     },
     /// Lazy release consistency (TreadMarks).
@@ -208,10 +201,6 @@ protocols! {
     Entry => Facts {
         consistency: Consistency::Drf,
         needs_bindings: true,
-        page_fault_driven: Err(
-            "lock grants carry the guarded data and patch it in place: access rights do not \
-             change, so a view's page protection sees nothing to install",
-        ),
         ..page_sc_1992("entry", |me, layout, bindings, _| {
             Box::new(Entry::new(me, layout, bindings))
         })
@@ -257,7 +246,6 @@ protocols! {
     Obj => Facts {
         consistency: Consistency::Drf,
         needs_bindings: true,
-        needs_objects: true,
         object_ops: Ok(()),
         page_fault_driven: Err(
             "coherence units are objects reached through `obj_fetch`/`obj_publish`, not \
@@ -313,14 +301,6 @@ impl ProtocolKind {
             })
     }
 
-    /// True for protocols that are sequentially consistent for
-    /// arbitrary (even racy) programs — under
-    /// [`Consistency::ScPerPage`] with the page, not the word, as the
-    /// atomic register; false for those that need data-race freedom.
-    pub fn sequentially_consistent(self) -> bool {
-        self.facts().consistency != Consistency::Drf
-    }
-
     /// Construct the per-node protocol instance with its tuning knobs.
     ///
     /// `bindings` is only consulted by the protocols whose row says
@@ -345,7 +325,7 @@ impl std::fmt::Display for ProtocolKind {
 impl Facts {
     /// Column titles of [`Facts::table_row`]: the fields, by name.
     pub const TABLE_HEAD: &'static str = "\
-        | protocol      | consistency | needs_bindings | needs_objects | object_ops | sub_page_writers \
+        | protocol      | consistency | needs_bindings | object_ops | sub_page_writers \
         | crash                 | page_fault_driven | comparison_1992 | max_batch_depth |";
 
     /// This row as one line of a Markdown table, padded to read as
@@ -354,11 +334,10 @@ impl Facts {
     pub fn table_row(&self) -> String {
         let yn = |b: bool| if b { "yes" } else { "no" };
         format!(
-            "| {:<13} | {:<11} | {:<14} | {:<13} | {:<10} | {:<16} | {:<21} | {:<17} | {:<15} | {:<15} |",
+            "| {:<13} | {:<11} | {:<14} | {:<10} | {:<16} | {:<21} | {:<17} | {:<15} | {:<15} |",
             format!("`{}`", self.name),
             format!("{:?}", self.consistency),
             yn(self.needs_bindings),
-            yn(self.needs_objects),
             yn(self.object_ops.is_ok()),
             yn(self.sub_page_writers.is_ok()),
             format!("{:?}", self.crash),
@@ -429,15 +408,17 @@ mod tests {
 
     #[test]
     fn sc_classification() {
-        assert!(ProtocolKind::IvyDynamic.sequentially_consistent());
-        assert!(ProtocolKind::Update.sequentially_consistent());
-        assert!(ProtocolKind::Scabd.sequentially_consistent());
-        assert!(ProtocolKind::Rdma.sequentially_consistent());
-        assert!(!ProtocolKind::Lrc.sequentially_consistent());
-        assert!(!ProtocolKind::Entry.sequentially_consistent());
+        let drf = |kind: ProtocolKind| kind.facts().consistency == Consistency::Drf;
+        assert!(!drf(ProtocolKind::IvyDynamic));
+        assert!(!drf(ProtocolKind::Update));
+        assert!(!drf(ProtocolKind::Scabd));
+        assert!(!drf(ProtocolKind::Rdma));
+        assert!(drf(ProtocolKind::Erc));
+        assert!(drf(ProtocolKind::Lrc));
+        assert!(drf(ProtocolKind::Entry));
         // Like entry consistency (whose page machinery it embeds), obj
         // requires data-race-free programs.
-        assert!(!ProtocolKind::Obj.sequentially_consistent());
+        assert!(drf(ProtocolKind::Obj));
     }
 
     /// The protocol indexes in the docs are the table this module

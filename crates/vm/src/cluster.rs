@@ -45,6 +45,8 @@ pub const ACC_WRITE: u8 = 2;
 const SLOT_IDLE: u32 = 0;
 const SLOT_REQUESTED: u32 = 1;
 const SLOT_DONE: u32 = 2;
+/// The host is gone ([`ClusterView::fail`]): no fault parks any more.
+const SLOT_FAILED: u32 = 3;
 
 /// Pipe bytes: a fault, a `ring`, and `stop` (the end of the stream).
 const FAULT_BYTE: u8 = 1;
@@ -215,14 +217,22 @@ extern "C" fn segv_handler(_sig: libc::c_int, info: *mut libc::siginfo_t, _ctx: 
     // mapping, so the view is borrowed (alive) until that access retires.
     let view = unsafe { &*view };
     let slot = &view.slot;
-    slot.off
-        .store(addr - view.region.base() as usize, Ordering::Release);
-    slot.status.store(SLOT_REQUESTED, Ordering::Release);
-    send_byte(view, FAULT_BYTE);
-    while slot.status.load(Ordering::Acquire) != SLOT_DONE {
-        futex_wait(&slot.status, SLOT_REQUESTED);
+    let off = addr - view.region.base() as usize;
+    slot.off.store(off, Ordering::Release);
+    let status = &slot.status;
+    let cas = |from, to| status.compare_exchange(from, to, Ordering::AcqRel, Ordering::Acquire);
+    if cas(SLOT_IDLE, SLOT_REQUESTED).is_ok() {
+        send_byte(view, FAULT_BYTE);
+        while status.load(Ordering::Acquire) == SLOT_REQUESTED {
+            futex_wait(status, SLOT_REQUESTED);
+        }
     }
-    slot.status.store(SLOT_IDLE, Ordering::Release);
+    // A failed host resolves nothing: go through on the page as it is.
+    if cas(SLOT_DONE, SLOT_IDLE).is_err() {
+        let (page, rw) = (off - off % view.page_size, Prot::ReadWrite.flags());
+        // SAFETY: one page of the view; mprotect(2) is async-signal-safe.
+        unsafe { libc::mprotect(view.region.at(page).cast(), view.page_size, rw) };
+    }
     // Returning retries the faulting instruction.
 }
 
@@ -244,20 +254,9 @@ fn install_handler() {
 
 // ---------------- the view ----------------
 
-/// One node's transparent window onto the distributed shared space.
-///
-/// The *application* side touches memory through [`ClusterView::read`]
-/// / [`ClusterView::write`] (or raw pointers into the mapping); the
-/// *host* side drains faults with [`ClusterView::next_fault`] or
-/// [`ClusterView::pending_fault`] and manipulates contents and rights
-/// with [`ClusterView::install_page`], [`ClusterView::set_access`] and
-/// [`ClusterView::snapshot_page`], or hands the memory to a frame table
-/// as its store.
-///
-/// The host writes a page's bytes only while the view cannot, or while
-/// the application thread is parked in a fault or blocked in a
-/// synchronization op — the same discipline a real page-DSM daemon
-/// obeys.
+/// One node's transparent window onto the distributed shared space:
+/// the *application* side reads and writes it, the *host* side drains
+/// its faults and sets contents and rights (see the module docs).
 pub struct ClusterView {
     shared: Arc<ViewShared>,
     pipe_r: std::fs::File,
@@ -312,10 +311,6 @@ impl ClusterView {
             )));
         }
         Ok(ClusterView { shared, pipe_r })
-    }
-
-    pub fn pages(&self) -> usize {
-        self.shared.pages
     }
 
     /// The view's memory as a frame table's store: the table keeps its
@@ -434,6 +429,19 @@ impl ClusterView {
     pub fn finish_fault(&self) {
         self.shared.slot.status.store(SLOT_DONE, Ordering::Release);
         futex_wake_all(&self.shared.slot.status);
+    }
+
+    /// The host resolves no more faults: the one parked now and every
+    /// later one go through on the memory as it stands.
+    pub fn fail(&self) {
+        let status = &self.shared.slot.status;
+        status.store(SLOT_FAILED, Ordering::Release);
+        futex_wake_all(status);
+    }
+
+    /// Whether [`ClusterView::fail`] was called.
+    pub fn failed(&self) -> bool {
+        self.shared.slot.status.load(Ordering::Acquire) == SLOT_FAILED
     }
 
     /// Unblock [`ClusterView::next_fault`] with `None` (host teardown).
@@ -591,6 +599,27 @@ mod tests {
         let ps = os_page_size();
         let view = ClusterView::new(1, ps).unwrap();
         view.install_page(1, &vec![0u8; ps], ACC_READ);
+    }
+
+    /// A failed host leaves no access parked: the one parked now and
+    /// every later one go through on the memory as it stands.
+    #[test]
+    fn a_failed_host_parks_no_access() {
+        let ps = os_page_size();
+        let view = ClusterView::new(2, ps).unwrap();
+        std::thread::scope(|s| {
+            let app = s.spawn(|| {
+                view.write::<u64>(8, 5);
+                view.read::<u64>(8) + view.read::<u64>(ps)
+            });
+            while view.pending_fault().is_none() {
+                std::thread::yield_now();
+            }
+            assert!(!view.failed());
+            view.fail();
+            assert_eq!(app.join().unwrap(), 5);
+        });
+        assert!(view.failed());
     }
 
     /// A host that polls sees nothing until the application traps, then

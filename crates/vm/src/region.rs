@@ -14,7 +14,7 @@ pub enum Prot {
 }
 
 impl Prot {
-    fn flags(self) -> libc::c_int {
+    pub(crate) fn flags(self) -> libc::c_int {
         match self {
             Prot::None => libc::PROT_NONE,
             Prot::Read => libc::PROT_READ,
