@@ -1,7 +1,8 @@
 //! E16 — what does reliability cost? Sweep the message drop rate across
 //! all eight protocols (duplication riding along at half the drop rate)
 //! and measure the price the reliable transport pays to hide the loss:
-//! retransmissions, added messages, and completion-time overhead. The
+//! retransmissions, standalone acks, added messages, and completion-time
+//! overhead. The
 //! application results are asserted byte-identical to the lossless run
 //! at every point — that is the contract the transport sells.
 
@@ -39,12 +40,14 @@ pub fn e16_faults(scale: Scale) {
     let mut time_ms: Vec<Series> = Vec::new();
     let mut msgs: Vec<Series> = Vec::new();
     let mut rexmit: Vec<Series> = Vec::new();
+    let mut acks: Vec<Series> = Vec::new();
     let mut showcase: Option<NetStats> = None;
 
     for proto in ProtocolKind::ALL {
         let mut t = Series::new(proto.name());
         let mut m = Series::new(proto.name());
         let mut r = Series::new(proto.name());
+        let mut a = Series::new(proto.name());
         let baseline = run_once(proto, nodes, &p, FaultPlan::NONE);
         for &rate in &rates {
             let plan = if rate == 0.0 {
@@ -60,6 +63,7 @@ pub fn e16_faults(scale: Scale) {
             t.push(ms);
             m.push(stats.total_msgs() as f64);
             r.push(stats.total_retransmits() as f64);
+            a.push(stats.kind("RelAck").count as f64);
             if proto == ProtocolKind::Lrc && rate == *rates.last().unwrap() {
                 showcase = Some(stats);
             }
@@ -67,6 +71,7 @@ pub fn e16_faults(scale: Scale) {
         time_ms.push(t);
         msgs.push(m);
         rexmit.push(r);
+        acks.push(a);
     }
 
     let xs: Vec<String> = rates.iter().map(|r| format!("{:.0}%", r * 100.0)).collect();
@@ -87,6 +92,12 @@ pub fn e16_faults(scale: Scale) {
         "drop rate",
         &xs,
         &rexmit,
+    );
+    print_table(
+        "E16 (faults): standalone acks (RelAck) the transport sent",
+        "drop rate",
+        &xs,
+        &acks,
     );
     if let Some(stats) = showcase {
         print_fault_table(

@@ -289,7 +289,9 @@ pub fn supports(protocol: ProtocolKind) -> Result<(), String> {
 ///
 /// At entry, with the refusal of [`supports`], if page protection
 /// cannot drive `cfg.protocol`: running it anyway would return wrong
-/// results silently.
+/// results silently. Likewise, naming them, if `cfg.model`'s fault plan
+/// schedules crashes or partitions or has delay spikes: a real socket
+/// acts out only its drops and duplicates.
 pub fn run_cluster_node<V, F, L>(
     cfg: &DsmConfig,
     me: NodeId,
@@ -615,6 +617,26 @@ mod tests {
                 "{kind}: {said}"
             );
         }
+    }
+
+    /// A fault plan a real socket cannot act out is refused at entry,
+    /// naming what, not run as if lossless.
+    #[test]
+    fn a_crash_schedule_is_refused_naming_it() {
+        let at = SimTime(1_000);
+        let cfg = DsmConfig::new(1, ProtocolKind::IvyFixed)
+            .heap_bytes(1 << 16)
+            .page_size(dsm_vm::os_page_size())
+            .faults(dsm_net::FaultPlan::lossy(0.1, 0.0, 1).with_crash(0, at, None));
+        let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let peers = vec![sock.local_addr().unwrap()];
+        let run =
+            AssertUnwindSafe(|| run_cluster_node(&cfg, NodeId(0), sock, peers, |_| (), |_| {}));
+        let payload = catch_unwind(run).expect_err("refused at entry");
+        let said = payload
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        assert!(said.contains("fault plan's crash schedule"), "{said}");
     }
 
     /// A panicking program fails the run, and only after its peers are

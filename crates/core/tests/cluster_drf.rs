@@ -1,7 +1,8 @@
 //! Release consistency on real pages: every protocol cluster mode runs
 //! whose row promises `Drf` — sequential consistency for data-race-free
 //! programs — keeps it for programs whose writers share pages, on
-//! threads of this process and in the simulator, one program for both.
+//! threads of this process and in the simulator, one program for both,
+//! lossless and at 10 % drop.
 //! The programs ask the rows, not a list of protocols, and each run's
 //! history is held to the contract by the checker of `common`, beside
 //! the exact totals. Writers of different bytes of one page keep their
@@ -67,8 +68,10 @@ fn quarters(d: &Dsm<'_, impl Engine>) -> bool {
 #[test]
 fn twin_diff_merges_concurrent_writers_of_one_page() {
     for kind in drf_rows() {
-        for (engine, seen) in checked_on_both_engines!(&config(4, 2, kind), |d| quarters(d)) {
-            assert_eq!(seen, [true; 4], "{kind} on {engine}");
+        for cfg in common::networks(config(4, 2, kind)) {
+            for (engine, seen) in checked_on_both_engines!(&cfg, |d| quarters(d)) {
+                assert_eq!(seen, [true; 4], "{kind} on {engine}");
+            }
         }
     }
 }
@@ -90,8 +93,10 @@ fn turn_taking(d: &Dsm<'_, impl Engine>, rounds: u64) -> u64 {
 fn twin_diff_multiple_barrier_rounds() {
     for kind in drf_rows() {
         // 1+2+3+4+5 = 15 regardless of which node did which round.
-        for (engine, sums) in checked_on_both_engines!(&config(2, 2, kind), |d| turn_taking(d, 5)) {
-            assert_eq!(sums, [15, 15], "{kind} on {engine}");
+        for cfg in common::networks(config(2, 2, kind)) {
+            for (engine, sums) in checked_on_both_engines!(&cfg, |d| turn_taking(d, 5)) {
+                assert_eq!(sums, [15, 15], "{kind} on {engine}");
+            }
         }
     }
 }
@@ -106,9 +111,10 @@ fn turn_taking_writers_of_one_page_lose_no_round() {
     const ROUNDS: u64 = 3000;
     let want = ROUNDS * (ROUNDS + 1) / 2;
     for kind in drf_rows() {
-        let runs = checked_on_both_engines!(&config(2, 1, kind), |d| turn_taking(d, ROUNDS));
-        for (engine, sums) in runs {
-            assert_eq!(sums, [want, want], "{kind} on {engine}");
+        for cfg in common::networks(config(2, 1, kind)) {
+            for (engine, sums) in checked_on_both_engines!(&cfg, |d| turn_taking(d, ROUNDS)) {
+                assert_eq!(sums, [want, want], "{kind} on {engine}");
+            }
         }
     }
 }
@@ -133,9 +139,10 @@ fn own_lock_increments(d: &Dsm<'_, impl Engine>) -> [u64; 2] {
 #[test]
 fn writers_of_one_page_under_their_own_locks_keep_their_increments() {
     for kind in drf_rows() {
-        let runs = checked_on_both_engines!(&config(2, 1, kind), |d| own_lock_increments(d));
-        for (engine, results) in runs {
-            assert_eq!(results, [[INCREMENTS; 2]; 2], "{kind} on {engine}");
+        for cfg in common::networks(config(2, 1, kind)) {
+            for (engine, results) in checked_on_both_engines!(&cfg, |d| own_lock_increments(d)) {
+                assert_eq!(results, [[INCREMENTS; 2]; 2], "{kind} on {engine}");
+            }
         }
     }
 }
@@ -192,8 +199,10 @@ fn twin_diff_mini_stencil_matches_sequential() {
         .map(|m| av[m * chunk..(m + 1) * chunk].iter().sum())
         .collect();
     for kind in drf_rows() {
-        for (engine, sums) in checked_on_both_engines!(&config(4, 4, kind), |d| mini_stencil(d)) {
-            assert_eq!(sums, want, "{kind} on {engine}");
+        for cfg in common::networks(config(4, 4, kind)) {
+            for (engine, sums) in checked_on_both_engines!(&cfg, |d| mini_stencil(d)) {
+                assert_eq!(sums, want, "{kind} on {engine}");
+            }
         }
     }
 }

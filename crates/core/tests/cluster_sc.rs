@@ -1,7 +1,7 @@
 //! Sequential consistency on real pages: every protocol cluster mode
 //! runs whose row promises `Sc` keeps it for programs that share one
 //! page, racy ones included — on real pages and in the simulator, one
-//! program for both. The programs ask the rows, not a list of
+//! program for both, lossless and at 10 % drop. The programs ask the rows, not a list of
 //! protocols. The data-race-free programs' histories are held to the
 //! contract by the checker of `common`; the racy flag handshake, which
 //! it does not judge, has a deadline on its spin, so a protocol that
@@ -68,10 +68,10 @@ fn displaced_writers(d: &Dsm<'_, impl Engine>) -> usize {
 #[test]
 fn displaced_writers_of_one_page_read_no_stale_slot() {
     for kind in sc_rows() {
-        for (engine, stale) in
-            checked_on_both_engines!(&one_page(4, kind), |d| displaced_writers(d))
-        {
-            assert_eq!(stale, [0; 4], "{kind} on {engine}: stale reads per node");
+        for cfg in common::networks(one_page(4, kind)) {
+            for (engine, stale) in checked_on_both_engines!(&cfg, |d| displaced_writers(d)) {
+                assert_eq!(stale, [0; 4], "{kind} on {engine}: stale reads per node");
+            }
         }
     }
 }
@@ -114,14 +114,16 @@ fn flag_handshake(d: &Dsm<'_, impl Engine>) -> u64 {
 #[test]
 fn a_flag_on_the_data_page_publishes_the_data() {
     for kind in sc_rows() {
-        let cfg = one_page(2, kind);
-        let sim = run_dsm(&cfg, |d: &Dsm<'_>| flag_handshake(d)).results;
-        let pages = run_in_threads(&cfg, |d: &ClusterDsm<'_>| flag_handshake(d));
-        for (engine, seen) in [("simulator", sim), ("real pages", pages)] {
-            assert_eq!(
-                seen[1], ROUNDS,
-                "{kind} on {engine}: rounds whose data node 1 saw"
-            );
+        for cfg in common::networks(one_page(2, kind)) {
+            let sim = run_dsm(&cfg, |d: &Dsm<'_>| flag_handshake(d)).results;
+            let pages = run_in_threads(&cfg, |d: &ClusterDsm<'_>| flag_handshake(d));
+            for (engine, seen) in [("simulator", sim), ("real pages", pages)] {
+                let engine = common::engine(engine, &cfg);
+                assert_eq!(
+                    seen[1], ROUNDS,
+                    "{kind} on {engine}: rounds whose data node 1 saw"
+                );
+            }
         }
     }
 }
@@ -146,10 +148,10 @@ fn own_lock_increments(d: &Dsm<'_, impl Engine>) -> [u64; 2] {
 #[test]
 fn writers_of_one_page_under_their_own_locks_keep_their_increments() {
     for kind in sc_rows() {
-        for (engine, results) in
-            checked_on_both_engines!(&one_page(2, kind), |d| own_lock_increments(d))
-        {
-            assert_eq!(results, [[INCREMENTS; 2]; 2], "{kind} on {engine}");
+        for cfg in common::networks(one_page(2, kind)) {
+            for (engine, results) in checked_on_both_engines!(&cfg, |d| own_lock_increments(d)) {
+                assert_eq!(results, [[INCREMENTS; 2]; 2], "{kind} on {engine}");
+            }
         }
     }
 }

@@ -26,7 +26,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use dsm_core::{
-    BarrierId, Consistency, Dsm, DsmConfig, DsmOp, Dur, Engine, GlobalAddr, LockId, NodeId, Window,
+    BarrierId, Consistency, Dsm, DsmConfig, DsmOp, Dur, Engine, FaultPlan, GlobalAddr, LockId,
+    NodeId, Window,
 };
 
 /// What one logged op did.
@@ -428,11 +429,29 @@ pub fn recorded<E: Engine, V>(
     program(&Dsm::new(Recorder { dsm, history }))
 }
 
+/// `cfg` over each network the cluster programs run on: a lossless
+/// one, and one that drops a tenth of all messages — datagrams, on real
+/// pages — which the reliable transport hides.
+pub fn networks(cfg: DsmConfig) -> [DsmConfig; 2] {
+    let lossy = cfg.clone().faults(FaultPlan::lossy(0.1, 0.0, 7));
+    [cfg, lossy]
+}
+
+/// The engine's name, and the loss of `cfg`'s network if it has any.
+pub fn engine(name: &str, cfg: &DsmConfig) -> String {
+    let drop = cfg.model.faults.drop_prob;
+    if drop == 0.0 {
+        name.to_string()
+    } else {
+        format!("{name} at {}% drop", drop * 100.0)
+    }
+}
+
 /// Run `$program` — a program over `&Dsm<'_, impl Engine>`, given as a
 /// closure of the handle — under `$cfg` on real pages (a cluster as
 /// threads of this process) and in the simulator, and hold each run's
 /// history to the row's contract. The two runs' per-node results, real
-/// pages first, each with its engine's name.
+/// pages first, each with its engine's name (and network's loss).
 #[allow(unused_macros)]
 macro_rules! checked_on_both_engines {
     ($cfg:expr, $program:expr) => {{
@@ -445,7 +464,11 @@ macro_rules! checked_on_both_engines {
             common::recorded(d, &sim, |d| ($program)(d))
         })
         .results;
-        for (engine, history) in [("real pages", &pages), ("simulator", &sim)] {
+        let (on_pages_name, in_sim_name) = (
+            common::engine("real pages", cfg),
+            common::engine("simulator", cfg),
+        );
+        for (engine, history) in [(&on_pages_name, &pages), (&in_sim_name, &sim)] {
             let verdict = history.check();
             assert_eq!(
                 verdict,
@@ -454,6 +477,6 @@ macro_rules! checked_on_both_engines {
                 cfg.protocol
             );
         }
-        [("real pages", on_pages), ("simulator", in_sim)]
+        [(on_pages_name, on_pages), (in_sim_name, in_sim)]
     }};
 }

@@ -89,11 +89,12 @@ impl FrameTable {
         self.store = Some(store);
     }
 
-    /// Stop the program's stores to `page` before the table copies it.
-    fn stop_stores(&self, page: PageId) {
+    /// Stop the program's stores to `page` before the table copies it:
+    /// a view it can write drops to `to`.
+    fn stop_stores(&self, page: PageId, to: Access) {
         if let Some(store) = &self.store {
             if store.level(page) == Access::Write {
-                store.protect(page, Access::Read);
+                store.protect(page, to);
             }
         }
     }
@@ -113,6 +114,12 @@ impl FrameTable {
         self.geometry
     }
 
+    /// Whether a frame of `page` exists, whatever its right: a presence
+    /// test, which copies nothing and lowers no view.
+    pub fn holds(&self, page: PageId) -> bool {
+        self.frames.contains_key(&page.0)
+    }
+
     /// Current right on `page` (`None` access if no frame exists).
     pub fn access(&self, page: PageId) -> Access {
         self.frames.get(&page.0).map_or(Access::None, |f| f.access)
@@ -122,7 +129,7 @@ impl FrameTable {
     /// Replaces any existing frame.
     pub fn install(&mut self, page: PageId, data: Box<[u8]>, access: Access) {
         assert_eq!(data.len(), self.geometry.page_size(), "wrong page size");
-        self.stop_stores(page);
+        self.stop_stores(page, Access::Read);
         let data = match self.stored(page) {
             None => data,
             Some(at) => {
@@ -151,11 +158,18 @@ impl FrameTable {
     }
 
     /// Downgrade to `None` but keep the (now stale) data, mirroring an
-    /// MMU invalidation that leaves the frame mapped unreadable.
+    /// MMU invalidation that leaves the frame mapped unreadable. A view
+    /// a hand-out already revoked is left as it is.
     pub fn invalidate(&mut self, page: PageId) {
         if let Some(f) = self.frames.get_mut(&page.0) {
             f.access = Access::None;
-            self.protect(page, Access::None);
+            if self
+                .store
+                .as_ref()
+                .is_some_and(|s| s.level(page) != Access::None)
+            {
+                self.protect(page, Access::None);
+            }
         }
     }
 
@@ -173,14 +187,27 @@ impl FrameTable {
     /// Raw bytes of the local copy, regardless of rights (protocol use:
     /// sending page contents, diffing). `None` if no frame.
     pub fn page_bytes(&self, page: PageId) -> Option<&[u8]> {
-        self.stop_stores(page);
+        self.stop_stores(page, Access::Read);
         self.bytes(page)
+    }
+
+    /// A copy of `page`'s bytes for a hand-out that ends this node's
+    /// copy ([`FrameTable::invalidate`] follows). A view the program can
+    /// write drops straight to `None`, where the invalidation leaves it:
+    /// one protection change stops its stores. A readable view stays
+    /// readable until the invalidation, which may follow the answer:
+    /// meanwhile the program can only read. Panics if absent.
+    pub fn hand_out(&self, page: PageId) -> Box<[u8]> {
+        self.stop_stores(page, Access::None);
+        self.bytes(page)
+            .expect("only a held page is handed out")
+            .into()
     }
 
     /// Mutable raw bytes (protocol use: applying diffs/updates even to
     /// read-protected copies). `None` if no frame.
     pub fn page_bytes_mut(&mut self, page: PageId) -> Option<&mut [u8]> {
-        self.stop_stores(page);
+        self.stop_stores(page, Access::Read);
         self.bytes_mut(page)
     }
 
@@ -190,8 +217,9 @@ impl FrameTable {
         Some(match self.stored(page) {
             None => &frame.data,
             // SAFETY: the store's contract; nothing writes while this
-            // borrow lives: `page_bytes` stopped the program's stores,
-            // and `try_read` runs the op its program is parked in.
+            // borrow lives: `page_bytes` and `hand_out` stopped the
+            // program's stores, and `try_read` runs the op its program
+            // is parked in.
             Some(at) => unsafe { slice::from_raw_parts(at, self.geometry.page_size()) },
         })
     }
@@ -423,6 +451,28 @@ mod tests {
             6,
             "the bytes are the store's"
         );
+    }
+
+    /// A presence test lowers nothing. A hand-out of a writable page
+    /// lowers its view once, straight to `None`, and the invalidation
+    /// after it has nothing left to lower; a readable page's hand-out
+    /// leaves the view to the invalidation.
+    #[test]
+    fn a_hand_out_lowers_the_view_once_and_a_presence_test_never() {
+        let (mut t, store) = backed();
+        t.install(PageId(0), vec![5; 256].into(), Access::Write);
+        t.install(PageId(1), vec![6; 256].into(), Access::Read);
+        store.take();
+        assert!(t.holds(PageId(0)) && t.holds(PageId(1)) && !t.holds(PageId(2)));
+        assert_eq!(store.take(), [], "a presence test");
+        assert_eq!(t.hand_out(PageId(0))[0], 5);
+        t.invalidate(PageId(0));
+        assert_eq!(store.take(), [(0, Access::None, 5)], "a writable hand-out");
+        assert_eq!(t.hand_out(PageId(1))[0], 6);
+        assert_eq!(store.take(), []);
+        t.invalidate(PageId(1));
+        assert_eq!(store.take(), [(1, Access::None, 6)], "a readable hand-out");
+        assert_eq!(t.access(PageId(0)), Access::None);
     }
 
     /// An install writes the bytes first and gives the view its right

@@ -342,7 +342,7 @@ pub struct Kernel<N: NodeBehavior + ?Sized> {
 /// fault plan) mixed with the link id through a splitmix64 finalizer,
 /// so neighboring links get uncorrelated streams and different base
 /// seeds give different timelines on every link.
-fn link_seed(base: u64, src: u32, dst: u32) -> u64 {
+pub(crate) fn link_seed(base: u64, src: u32, dst: u32) -> u64 {
     let link = ((src as u64) << 32) | dst as u64;
     let mut z = base ^ link.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -9,11 +9,18 @@
 //!   framed as [`RelMsg::Data`] carrying the link's next sequence
 //!   number (starting at 1; 0 marks unsequenced node-local loopback,
 //!   which never crosses the lossy wire).
-//! * **Cumulative acks, piggybacked.** Every outgoing `Data` frame
-//!   carries the highest contiguously delivered sequence number from
-//!   that peer. A standalone [`RelMsg::Ack`] is sent only when
-//!   processing inbound data produced no reverse traffic to piggyback
-//!   on.
+//! * **Cumulative acks, piggybacked, standalone ones deferred.** Every
+//!   outgoing `Data` frame carries the highest contiguously delivered
+//!   sequence number from that peer. A delivery that owes the peer an
+//!   ack arms at most one ack timer per link, of half the smoothed RTT
+//!   and at most `ACK_DELAY_MAX` (40 µs), the delayed ACK of TCP (RFC
+//!   1122 §4.2.3.2): any `Data` frame to that peer before it fires — a send
+//!   or a retransmit — carries the ack, and a timer that finds nothing
+//!   owed does nothing; only one that does sends a standalone
+//!   [`RelMsg::Ack`]. A duplicate, or a frame that leaves a hole, is
+//!   acked at once, as TCP acks an out-of-order segment (RFC 5681
+//!   §4.2), so the sender learns what to stop or start resending
+//!   without waiting on a timer.
 //! * **Selective acknowledgement.** Both frame kinds carry a 64-bit
 //!   SACK bitmap of sequence numbers held in the reorder buffer beyond
 //!   the cumulative ack (bit k ⇔ `ack + 2 + k` received). The sender
@@ -29,9 +36,13 @@
 //! * **Adaptive retransmission timeout.** Each link keeps a
 //!   Jacobson-style smoothed RTT (`srtt ← 7/8·srtt + 1/8·sample`,
 //!   `rttvar ← 3/4·rttvar + 1/4·|dev|`) measured from ack round-trips,
-//!   with Karn's rule (no samples from retransmitted frames). The RTO
-//!   is `srtt + 4·rttvar`, seeded from the cost-model guess before the
-//!   first sample and doubled per retry up to a cap.
+//!   with Karn's rule: no samples from frames a retransmission timeout
+//!   found unacked — resent ones, and those the peer held behind the
+//!   hole, whose acks waited for it. Samples include the receiver's
+//!   ack delay, as TCP's do. The RTO is `srtt + 4·rttvar +
+//!   ACK_DELAY_MAX`, so a held-back ack is never taken for a lost frame
+//!   even when the RTT barely varies; it is seeded from the cost-model
+//!   guess before the first sample and doubled per retry up to a cap.
 //! * **Stream epochs.** Each link direction carries an epoch number,
 //!   bumped whenever the sender restarts the stream (its own crash
 //!   recovery, or a `PeerUp` notice for the receiver). Frames and acks
@@ -69,8 +80,8 @@
 //! rides them out transparently.
 //!
 //! Timer tokens: the transport reserves tokens with bit 63 set
-//! ([`REL_TIMER_BIT`]); wrapped behaviors must keep that bit clear
-//! (checked with a debug assertion).
+//! ([`REL_TIMER_BIT`]; its ack timers set bit 62 as well); wrapped
+//! behaviors must keep bit 63 clear (checked with a debug assertion).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -85,6 +96,10 @@ use crate::wire_enum;
 /// Timer tokens with this bit set belong to the reliable transport; the
 /// low bits then hold the peer's node index.
 pub const REL_TIMER_BIT: u64 = 1 << 63;
+
+/// Set besides [`REL_TIMER_BIT`] on a link's ack timer, not its
+/// retransmission timer.
+const ACK_TIMER_BIT: u64 = 1 << 62;
 
 /// Modeled bytes of transport framing added to each `Data` frame
 /// (sequence number + cumulative ack + SACK bitmap + epoch pair).
@@ -101,6 +116,10 @@ const ACK_KIND: KindId = KindId(48);
 /// and piggyback timing dominate and spurious retransmits climb without
 /// buying latency.
 const RTO_FLOOR: Dur = Dur::micros(50);
+
+/// The longest a standalone ack waits for a reverse `Data` frame to
+/// carry it: below [`RTO_FLOOR`], and added to every measured RTO.
+const ACK_DELAY_MAX: Dur = Dur::micros(40);
 
 wire_enum! {
     /// Transport frame wrapping an inner payload `M`.
@@ -188,9 +207,10 @@ struct Frame<M> {
     msg: M,
     /// Virtual time of the *original* transmission (RTT sampling).
     sent: SimTime,
-    /// Retransmitted at least once: Karn's rule excludes it from RTT
-    /// sampling.
-    rexmit: bool,
+    /// A retransmission timeout found it unacked, so its ack time
+    /// measures the recovery, not the RTT: Karn's rule excludes it from
+    /// RTT sampling, whether it was resent or held behind the hole.
+    timed_out: bool,
     /// Selectively acknowledged: the receiver holds it in its reorder
     /// buffer, so timer-driven resends skip it.
     sacked: bool,
@@ -230,6 +250,10 @@ struct LinkState<M> {
     epoch: u32,
     /// Highest epoch observed on the peer's send stream.
     peer_epoch: u32,
+    /// Some delivery from the peer has not been acked by any frame to it.
+    ack_due: bool,
+    /// An ack timer event is in flight for this link.
+    ack_timer_armed: bool,
 }
 
 impl<M> LinkState<M> {
@@ -247,6 +271,8 @@ impl<M> LinkState<M> {
             timeouts: 0,
             epoch: 0,
             peer_epoch: 0,
+            ack_due: false,
+            ack_timer_armed: false,
         }
     }
 
@@ -278,6 +304,38 @@ impl<M> LinkState<M> {
             bm |= 1 << k;
         }
         bm
+    }
+
+    /// A `Data` frame of `payload` at `seq`; like every frame to the
+    /// peer, it acks everything delivered so far.
+    fn data(&mut self, seq: u64, payload: M) -> RelMsg<M> {
+        self.ack_due = false;
+        RelMsg::Data {
+            seq,
+            ack: self.delivered,
+            sack: self.sack_bitmap(),
+            epoch: self.epoch,
+            ack_epoch: self.peer_epoch,
+            payload,
+        }
+    }
+
+    /// A standalone ack of everything delivered so far.
+    fn ack(&mut self) -> RelMsg<M> {
+        self.ack_due = false;
+        RelMsg::Ack {
+            ack: self.delivered,
+            sack: self.sack_bitmap(),
+            ack_epoch: self.peer_epoch,
+        }
+    }
+
+    /// How long an owed ack waits for a reverse frame: half the smoothed
+    /// RTT, at most [`ACK_DELAY_MAX`] (all of it before the first sample).
+    fn ack_delay(&self) -> Dur {
+        self.rtt.map_or(ACK_DELAY_MAX, |(srtt, _)| {
+            Dur::nanos(srtt / 2).min(ACK_DELAY_MAX)
+        })
     }
 }
 
@@ -356,7 +414,7 @@ impl<N: NodeBehavior> Reliable<N> {
         let mut sampled = false;
         while link.outstanding.front().is_some_and(|f| f.seq <= ack) {
             let f = link.outstanding.pop_front().expect("checked front");
-            if !f.rexmit {
+            if !f.timed_out {
                 // Jacobson/Karn EWMA in integer nanoseconds.
                 let sample = now.since(f.sent).0;
                 let (srtt, rttvar) = match link.rtt {
@@ -372,14 +430,80 @@ impl<N: NodeBehavior> Reliable<N> {
         }
         if sampled {
             let (srtt, rttvar) = link.rtt.expect("sampled above");
-            link.rto = Dur::nanos(srtt + 4 * rttvar).max(RTO_FLOOR).min(rto_max);
+            link.rto = (Dur::nanos(srtt + 4 * rttvar) + ACK_DELAY_MAX)
+                .max(RTO_FLOOR)
+                .min(rto_max);
         } else {
-            // No fresh sample, but the link proved itself alive: undo
-            // the exponential backoff.
+            // No fresh sample: a backed-off RTO stands until one lands
+            // (Karn; RFC 6298 §5), within the floor and the cap.
             link.rto = link.rto.max(RTO_FLOOR).min(rto_max);
         }
         // Restart the timeout for whatever is still unacked.
         link.deadline = now + link.rto;
+    }
+
+    /// Run `hook` on the inner behavior, its sends framed by this
+    /// transport.
+    fn inner_call<R>(
+        &mut self,
+        ctx: &mut Ctx<'_, Self>,
+        hook: impl FnOnce(&mut N, &mut Ctx<'_, N>) -> R,
+    ) -> R {
+        let Reliable {
+            inner, links, down, ..
+        } = self;
+        let mut port: RelPort<'_, N> = RelPort {
+            outer: ctx.port,
+            links,
+            down,
+            me: ctx.node,
+        };
+        hook(
+            inner,
+            &mut Ctx {
+                port: &mut port,
+                node: ctx.node,
+            },
+        )
+    }
+
+    /// Take in a sequenced `Data` frame from `from`: deliver what it
+    /// makes contiguous, in seq order, and ack it at once or when the
+    /// link's ack timer fires, unless reverse traffic carries the ack.
+    fn on_data(&mut self, ctx: &mut Ctx<'_, Self>, from: NodeId, seq: u64, payload: N::Msg) {
+        let link = &mut self.links[from.index()];
+        if seq <= link.delivered {
+            // Duplicate (network dup or retransmit after a lost ack):
+            // discard, but re-ack at once so the sender can stop
+            // retransmitting.
+            let ack = link.ack();
+            ctx.port.send_from(ctx.node, from, ack);
+            return;
+        }
+        link.reorder.insert(seq, payload);
+        link.ack_due = true;
+        // The watermark moves before each inner call, so a reply to the
+        // peer from the handler already acks the delivery.
+        loop {
+            let link = &mut self.links[from.index()];
+            let Some(p) = link.reorder.remove(&(link.delivered + 1)) else {
+                break;
+            };
+            link.delivered += 1;
+            link.ack_due = true;
+            self.inner_call(ctx, |inner, ictx| inner.on_message(ictx, from, p));
+        }
+        // Unless a frame to the peer carried the ack.
+        let link = &mut self.links[from.index()];
+        if link.ack_due && !link.reorder.is_empty() {
+            // A hole: the SACK bitmap goes out now.
+            let ack = link.ack();
+            ctx.port.send_from(ctx.node, from, ack);
+        } else if link.ack_due && !link.ack_timer_armed {
+            link.ack_timer_armed = true;
+            let token = REL_TIMER_BIT | ACK_TIMER_BIT | from.index() as u64;
+            ctx.port.set_timer_on(ctx.node, link.ack_delay(), token);
+        }
     }
 }
 
@@ -389,22 +513,7 @@ impl<N: NodeBehavior> NodeBehavior for Reliable<N> {
     type Reply = N::Reply;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
-        let Reliable {
-            inner, links, down, ..
-        } = self;
-        let mut port: RelPort<'_, N> = RelPort {
-            outer: ctx.port,
-            links,
-            down,
-            me: ctx.node,
-            watch: None,
-            watched_ack: None,
-        };
-        let mut ictx = Ctx::<N> {
-            port: &mut port,
-            node: ctx.node,
-        };
-        inner.on_start(&mut ictx);
+        self.inner_call(ctx, |inner, ictx| inner.on_start(ictx));
     }
 
     fn describe(&self) -> String {
@@ -457,22 +566,7 @@ impl<N: NodeBehavior> NodeBehavior for Reliable<N> {
                 seq: 0, payload, ..
             } => {
                 // Unsequenced loopback: never crossed the lossy wire.
-                let Reliable {
-                    inner, links, down, ..
-                } = self;
-                let mut port: RelPort<'_, N> = RelPort {
-                    outer: ctx.port,
-                    links,
-                    down,
-                    me,
-                    watch: None,
-                    watched_ack: None,
-                };
-                let mut ictx = Ctx::<N> {
-                    port: &mut port,
-                    node: me,
-                };
-                inner.on_message(&mut ictx, from, payload);
+                self.inner_call(ctx, |inner, ictx| inner.on_message(ictx, from, payload));
             }
             RelMsg::Data {
                 seq,
@@ -482,146 +576,50 @@ impl<N: NodeBehavior> NodeBehavior for Reliable<N> {
                 ack_epoch,
                 payload,
             } => {
-                let now = ctx.now();
-                {
-                    let link = &mut self.links[from.index()];
-                    if epoch < link.peer_epoch {
-                        // Straggler from a dead epoch of the peer's
-                        // stream (delayed across its crash): discard.
-                        return;
-                    }
-                    if epoch > link.peer_epoch {
-                        // The peer restarted its stream: our receive
-                        // watermark and reorder buffer refer to the old
-                        // epoch. Restart the receive side; our own send
-                        // epoch is untouched.
-                        link.delivered = 0;
-                        link.reorder.clear();
-                        link.peer_epoch = epoch;
-                    }
+                let link = &mut self.links[from.index()];
+                if epoch < link.peer_epoch {
+                    // Straggler from a dead epoch of the peer's stream
+                    // (delayed across its crash): discard.
+                    return;
                 }
-                self.process_ack(from, ack, sack, ack_epoch, now);
-                let Reliable {
-                    inner, links, down, ..
-                } = self;
-                let mut port: RelPort<'_, N> = RelPort {
-                    outer: ctx.port,
-                    links,
-                    down,
-                    me,
-                    // Watch reverse traffic to `from`: if the handler
-                    // sends data back, its piggybacked ack makes a
-                    // standalone ack redundant.
-                    watch: Some(from),
-                    watched_ack: None,
-                };
-                {
-                    let link = &mut port.links[from.index()];
-                    if seq <= link.delivered {
-                        // Duplicate (network dup or retransmit after a
-                        // lost ack): discard, but re-ack so the sender
-                        // can stop retransmitting.
-                        let ackv = link.delivered;
-                        let sackv = link.sack_bitmap();
-                        let ack_epoch = link.peer_epoch;
-                        port.outer.send_from(
-                            me,
-                            from,
-                            RelMsg::Ack {
-                                ack: ackv,
-                                sack: sackv,
-                                ack_epoch,
-                            },
-                        );
-                        return;
-                    }
-                    link.reorder.insert(seq, payload);
+                if epoch > link.peer_epoch {
+                    // The peer restarted its stream: our receive
+                    // watermark and reorder buffer refer to the old
+                    // epoch. Restart the receive side; our own send
+                    // epoch is untouched.
+                    link.delivered = 0;
+                    link.reorder.clear();
+                    link.peer_epoch = epoch;
                 }
-                // Deliver everything now contiguous, in seq order. The
-                // watermark moves before each inner call so piggybacked
-                // acks on reverse traffic already cover the delivery.
-                loop {
-                    let next = {
-                        let link = &mut port.links[from.index()];
-                        match link.reorder.remove(&(link.delivered + 1)) {
-                            Some(p) => {
-                                link.delivered += 1;
-                                Some(p)
-                            }
-                            None => None,
-                        }
-                    };
-                    let Some(p) = next else { break };
-                    let mut ictx = Ctx::<N> {
-                        port: &mut port,
-                        node: me,
-                    };
-                    inner.on_message(&mut ictx, from, p);
-                }
-                let link = &port.links[from.index()];
-                let delivered = link.delivered;
-                if port.watched_ack != Some(delivered) {
-                    let sackv = link.sack_bitmap();
-                    let ack_epoch = link.peer_epoch;
-                    port.outer.send_from(
-                        me,
-                        from,
-                        RelMsg::Ack {
-                            ack: delivered,
-                            sack: sackv,
-                            ack_epoch,
-                        },
-                    );
-                }
+                self.process_ack(from, ack, sack, ack_epoch, ctx.now());
+                self.on_data(ctx, from, seq, payload);
             }
         }
     }
 
     fn on_op(&mut self, ctx: &mut Ctx<'_, Self>, op: Self::Op) -> OpOutcome<Self::Reply> {
-        let Reliable {
-            inner, links, down, ..
-        } = self;
-        let mut port: RelPort<'_, N> = RelPort {
-            outer: ctx.port,
-            links,
-            down,
-            me: ctx.node,
-            watch: None,
-            watched_ack: None,
-        };
-        let mut ictx = Ctx::<N> {
-            port: &mut port,
-            node: ctx.node,
-        };
-        inner.on_op(&mut ictx, op)
+        self.inner_call(ctx, |inner, ictx| inner.on_op(ictx, op))
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Self>, token: u64) {
         if token & REL_TIMER_BIT == 0 {
-            let Reliable {
-                inner, links, down, ..
-            } = self;
-            let mut port: RelPort<'_, N> = RelPort {
-                outer: ctx.port,
-                links,
-                down,
-                me: ctx.node,
-                watch: None,
-                watched_ack: None,
-            };
-            let mut ictx = Ctx::<N> {
-                port: &mut port,
-                node: ctx.node,
-            };
-            inner.on_timer(&mut ictx, token);
+            self.inner_call(ctx, |inner, ictx| inner.on_timer(ictx, token));
             return;
         }
         let me = ctx.node;
-        let peer = (token & !REL_TIMER_BIT) as usize;
+        let peer = (token & !(REL_TIMER_BIT | ACK_TIMER_BIT)) as usize;
         let now = ctx.now();
         let rto_max = self.cfg.rto_max;
         let suspect_after = self.cfg.suspect_after;
         let link = &mut self.links[peer];
+        if token & ACK_TIMER_BIT != 0 {
+            link.ack_timer_armed = false;
+            if link.ack_due {
+                let ack = link.ack();
+                ctx.port.send_from(me, NodeId(peer as u32), ack);
+            }
+            return;
+        }
         link.timer_armed = false;
         if link.outstanding.is_empty() {
             // Everything got acked before the timer fired; the backoff
@@ -639,19 +637,19 @@ impl<N: NodeBehavior> NodeBehavior for Reliable<N> {
         }
         // Selective retransmit: resend only the unacked frames the
         // receiver has not SACKed, with a fresh piggybacked ack, then
-        // back off and re-arm. Karn's rule: mark them so their acks
-        // produce no RTT samples.
-        let ackv = link.delivered;
-        let sackv = link.sack_bitmap();
-        let ack_epoch = link.peer_epoch;
-        let epoch = link.epoch;
-        let mut frames: Vec<(u64, N::Msg)> = Vec::new();
+        // back off and re-arm. Karn's rule: mark every unacked frame so
+        // its ack produces no RTT sample.
+        let mut resend: Vec<(u64, N::Msg)> = Vec::new();
         for f in link.outstanding.iter_mut() {
+            f.timed_out = true;
             if !f.sacked {
-                f.rexmit = true;
-                frames.push((f.seq, f.msg.clone()));
+                resend.push((f.seq, f.msg.clone()));
             }
         }
+        let frames: Vec<RelMsg<N::Msg>> = resend
+            .into_iter()
+            .map(|(seq, msg)| link.data(seq, msg))
+            .collect();
         let rto = std::cmp::min(link.rto * 2, rto_max);
         link.rto = rto;
         link.deadline = now + rto;
@@ -662,20 +660,9 @@ impl<N: NodeBehavior> NodeBehavior for Reliable<N> {
             // now. Either the peer is dead or the link is cut.
             self.suspects.insert(peer as u32);
         }
-        for (seq, payload) in frames {
-            ctx.port.note_retransmit(payload.kind_id(), payload.kind());
-            ctx.port.send_from(
-                me,
-                NodeId(peer as u32),
-                RelMsg::Data {
-                    seq,
-                    ack: ackv,
-                    sack: sackv,
-                    epoch,
-                    ack_epoch,
-                    payload,
-                },
-            );
+        for frame in frames {
+            ctx.port.note_retransmit(frame.kind_id(), frame.kind());
+            ctx.port.send_from(me, NodeId(peer as u32), frame);
         }
         ctx.port.set_timer_on(me, rto, token);
     }
@@ -706,11 +693,13 @@ impl<N: NodeBehavior> NodeBehavior for Reliable<N> {
                 // volatile state gone, go-back-N can never complete and
                 // would keep every crash run alive forever. The inner
                 // protocol sees the peer on the suspect list and must
-                // handle the loss at its own level.
+                // handle the loss at its own level. Nor is it owed an
+                // ack.
                 let link = &mut self.links[p.index()];
                 link.outstanding.clear();
                 link.reorder.clear();
                 link.timeouts = 0;
+                link.ack_due = false;
                 self.suspects.insert(p.0);
                 self.down.insert(p.0);
             }
@@ -723,22 +712,7 @@ impl<N: NodeBehavior> NodeBehavior for Reliable<N> {
                 self.down.remove(&p.0);
             }
         }
-        let Reliable {
-            inner, links, down, ..
-        } = self;
-        let mut port: RelPort<'_, N> = RelPort {
-            outer: ctx.port,
-            links,
-            down,
-            me: ctx.node,
-            watch: None,
-            watched_ack: None,
-        };
-        let mut ictx = Ctx::<N> {
-            port: &mut port,
-            node: ctx.node,
-        };
-        inner.on_fault(&mut ictx, notice);
+        self.inner_call(ctx, |inner, ictx| inner.on_fault(ictx, notice));
     }
 
     fn crashed_reply(&self) -> Option<Self::Reply> {
@@ -754,12 +728,6 @@ struct RelPort<'a, N: NodeBehavior> {
     links: &'a mut [LinkState<N::Msg>],
     down: &'a BTreeSet<u32>,
     me: NodeId,
-    /// Peer whose inbound data we are currently processing (ack
-    /// suppression: see `watched_ack`).
-    watch: Option<NodeId>,
-    /// Piggybacked ack value last sent to `watch` during this handler
-    /// invocation, if any.
-    watched_ack: Option<u64>,
 }
 
 impl<'a, N: NodeBehavior> Transport<N::Msg, N::Reply> for RelPort<'a, N> {
@@ -796,33 +764,17 @@ impl<'a, N: NodeBehavior> Transport<N::Msg, N::Reply> for RelPort<'a, N> {
         }
         let now = self.outer.now();
         let link = &mut self.links[dst.index()];
+        let seq = link.next_seq;
+        link.next_seq += 1;
         if self.down.contains(&dst.0) {
             // The kernel confirmed this peer crashed: an ack can never
             // come back, so ship the frame once (the kernel drops and
             // counts it) without consuming retransmit state. The link
             // restarts in a fresh epoch at `PeerUp` anyway.
-            let seq = link.next_seq;
-            link.next_seq += 1;
-            self.outer.send_from(
-                src,
-                dst,
-                RelMsg::Data {
-                    seq,
-                    ack: link.delivered,
-                    sack: link.sack_bitmap(),
-                    epoch: link.epoch,
-                    ack_epoch: link.peer_epoch,
-                    payload: msg,
-                },
-            );
+            let frame = link.data(seq, msg);
+            self.outer.send_from(src, dst, frame);
             return;
         }
-        let seq = link.next_seq;
-        link.next_seq += 1;
-        let ack = link.delivered;
-        let sack = link.sack_bitmap();
-        let epoch = link.epoch;
-        let ack_epoch = link.peer_epoch;
         if link.outstanding.is_empty() {
             // First unacked frame on this link: its timeout starts now.
             link.deadline = now + link.rto;
@@ -831,27 +783,14 @@ impl<'a, N: NodeBehavior> Transport<N::Msg, N::Reply> for RelPort<'a, N> {
             seq,
             msg: msg.clone(),
             sent: now,
-            rexmit: false,
+            timed_out: false,
             sacked: false,
         });
-        if self.watch == Some(dst) {
-            self.watched_ack = Some(ack);
-        }
         let arm = !link.timer_armed;
         link.timer_armed = true;
         let rto = link.rto;
-        self.outer.send_from(
-            src,
-            dst,
-            RelMsg::Data {
-                seq,
-                ack,
-                sack,
-                epoch,
-                ack_epoch,
-                payload: msg,
-            },
-        );
+        let frame = link.data(seq, msg);
+        self.outer.send_from(src, dst, frame);
         if arm {
             self.outer
                 .set_timer_on(self.me, rto, REL_TIMER_BIT | dst.index() as u64);
@@ -1033,7 +972,7 @@ mod tests {
             seq,
             msg: AddMsg::Add(seq),
             sent: SimTime::ZERO,
-            rexmit: false,
+            timed_out: false,
             sacked: false,
         };
         node.links[1].outstanding.push_back(f(1));
@@ -1058,29 +997,188 @@ mod tests {
         let rto0 = cfg.rto_initial;
         let mut node = Reliable::new(AddNode::default(), 3, cfg);
         // One frame sent at t=0, acked 80µs later in the same epoch:
-        // rto becomes srtt + 4·rttvar = 80 + 4·40 = 240µs.
+        // rto becomes srtt + 4·rttvar + the most a peer holds an ack
+        // back = 80 + 4·40 + 40 = 280µs.
         node.links[1].outstanding.push_back(Frame {
             seq: 1,
             msg: AddMsg::Add(1),
             sent: SimTime::ZERO,
-            rexmit: false,
+            timed_out: false,
             sacked: false,
         });
         node.process_ack(NodeId(1), 1, 0, 0, SimTime::ZERO + Dur::micros(80));
         assert_eq!(node.srtt_nanos(NodeId(1)), Some(80_000));
         let rto = node.links[1].rto;
-        assert_eq!(rto, Dur::micros(240));
+        assert_eq!(rto, Dur::micros(280));
         assert!(rto < rto0, "measured RTO should beat the model guess");
         // A retransmitted frame must not produce a sample (Karn).
         node.links[1].outstanding.push_back(Frame {
             seq: 2,
             msg: AddMsg::Add(2),
             sent: SimTime::ZERO,
-            rexmit: true,
+            timed_out: true,
             sacked: false,
         });
         node.process_ack(NodeId(1), 2, 0, 0, SimTime::ZERO + Dur::millis(90));
         assert_eq!(node.srtt_nanos(NodeId(1)), Some(80_000));
+    }
+
+    /// A transport that keeps what node 1 sends and the timers it sets.
+    struct Tap {
+        model: CostModel,
+        now: SimTime,
+        sent: Vec<RelMsg<AddMsg>>,
+        timers: Vec<u64>,
+    }
+
+    impl Transport<RelMsg<AddMsg>, u64> for Tap {
+        fn now(&self) -> SimTime {
+            self.now
+        }
+        fn nnodes(&self) -> u32 {
+            2
+        }
+        fn model(&self) -> &CostModel {
+            &self.model
+        }
+        fn send_from(&mut self, _: NodeId, _: NodeId, msg: RelMsg<AddMsg>) {
+            self.sent.push(msg);
+        }
+        fn complete_op_after(&mut self, _: NodeId, _: u64, _: Dur) {}
+        fn set_timer_on(&mut self, _: NodeId, _: Dur, token: u64) {
+            self.timers.push(token);
+        }
+        fn note_retransmit(&mut self, _: KindId, _: &'static str) {}
+    }
+
+    /// Node 1 of two, a client, with a tap for its transport.
+    fn tapped_client() -> (Reliable<AddNode>, Tap) {
+        let model = CostModel::lan_1992();
+        let cfg = RelConfig::from_model(&model, 2);
+        let tap = Tap {
+            model,
+            now: SimTime::ZERO,
+            sent: Vec::new(),
+            timers: Vec::new(),
+        };
+        (Reliable::new(AddNode::default(), 2, cfg), tap)
+    }
+
+    /// Run `hook` on node 1 over `tap`.
+    fn on_node_1<R>(
+        node: &mut Reliable<AddNode>,
+        tap: &mut Tap,
+        hook: impl FnOnce(&mut Reliable<AddNode>, &mut Ctx<'_, Reliable<AddNode>>) -> R,
+    ) -> R {
+        hook(
+            node,
+            &mut Ctx {
+                port: tap,
+                node: NodeId(1),
+            },
+        )
+    }
+
+    /// Node 0's frame `seq`: a total, to which the client sends nothing
+    /// back.
+    fn total(seq: u64) -> RelMsg<AddMsg> {
+        RelMsg::Data {
+            seq,
+            ack: 0,
+            sack: 0,
+            epoch: 0,
+            ack_epoch: 0,
+            payload: AddMsg::Total(seq),
+        }
+    }
+
+    #[test]
+    fn a_data_frame_before_the_ack_timer_carries_the_ack() {
+        let (mut node, mut tap) = tapped_client();
+        on_node_1(&mut node, &mut tap, |n, c| {
+            n.on_message(c, NodeId(0), total(1))
+        });
+        assert!(tap.sent.is_empty(), "the ack waits");
+        let [timer] = tap.timers[..] else {
+            panic!("one ack timer: {:?}", tap.timers)
+        };
+        on_node_1(&mut node, &mut tap, |n, c| n.on_op(c, 7));
+        on_node_1(&mut node, &mut tap, |n, c| n.on_timer(c, timer));
+        assert!(
+            matches!(tap.sent[..], [RelMsg::Data { seq: 1, ack: 1, .. }]),
+            "the request acks the total, and the timer sends nothing"
+        );
+    }
+
+    #[test]
+    fn a_lone_delivery_is_acked_when_the_ack_timer_fires() {
+        let (mut node, mut tap) = tapped_client();
+        on_node_1(&mut node, &mut tap, |n, c| {
+            n.on_message(c, NodeId(0), total(1))
+        });
+        on_node_1(&mut node, &mut tap, |n, c| {
+            n.on_message(c, NodeId(0), total(2))
+        });
+        let [timer] = tap.timers[..] else {
+            panic!("one ack timer per link: {:?}", tap.timers)
+        };
+        assert!(tap.sent.is_empty());
+        on_node_1(&mut node, &mut tap, |n, c| n.on_timer(c, timer));
+        assert!(
+            matches!(
+                tap.sent[..],
+                [RelMsg::Ack {
+                    ack: 2,
+                    sack: 0,
+                    ..
+                }]
+            ),
+            "one ack of both totals"
+        );
+    }
+
+    #[test]
+    fn a_duplicate_or_a_hole_is_acked_at_once() {
+        let (mut node, mut tap) = tapped_client();
+        on_node_1(&mut node, &mut tap, |n, c| {
+            n.on_message(c, NodeId(0), total(1))
+        });
+        on_node_1(&mut node, &mut tap, |n, c| {
+            n.on_message(c, NodeId(0), total(1))
+        });
+        assert!(matches!(tap.sent[..], [RelMsg::Ack { ack: 1, .. }]));
+        // Frame 3 before 2: the SACK bitmap says 3 is held.
+        on_node_1(&mut node, &mut tap, |n, c| {
+            n.on_message(c, NodeId(0), total(3))
+        });
+        assert!(matches!(
+            tap.sent[1..],
+            [RelMsg::Ack {
+                ack: 1,
+                sack: 0b1,
+                ..
+            }]
+        ));
+        assert_eq!(tap.timers.len(), 1, "only the first delivery waited");
+    }
+
+    /// Frame 1 is lost and frame 2 waits behind the hole, SACKed: the
+    /// cumulative ack of both comes only after the resend, so neither
+    /// is an RTT sample.
+    #[test]
+    fn a_frame_acked_late_behind_a_hole_is_no_rtt_sample() {
+        let (mut node, mut tap) = tapped_client();
+        for x in [1, 2] {
+            on_node_1(&mut node, &mut tap, |n, c| n.on_op(c, x));
+        }
+        let timer = tap.timers[0];
+        node.process_ack(NodeId(0), 0, 0b1, 0, SimTime::ZERO + Dur::micros(80));
+        tap.now = SimTime::ZERO + node.links[0].rto;
+        on_node_1(&mut node, &mut tap, |n, c| n.on_timer(c, timer));
+        assert!(matches!(tap.sent[2..], [RelMsg::Data { seq: 1, .. }]));
+        node.process_ack(NodeId(0), 2, 0, 0, tap.now + Dur::micros(80));
+        assert!(node.links[0].outstanding.is_empty());
+        assert_eq!(node.srtt_nanos(NodeId(0)), None);
     }
 
     #[test]

@@ -35,6 +35,12 @@
 //!   message per datagram. Malformed or truncated datagrams are dropped
 //!   (counted); retransmission recovers. A larger frame than one
 //!   datagram holds panics its sender, naming its kind and size.
+//! * **The model's loss, acted out.** The cost model's [`FaultPlan`]
+//!   drops or duplicates outbound datagrams by its probabilities, drawn
+//!   from the plan's seed mixed with the link, as the simulator's
+//!   kernel draws them; so a lossy configuration is lossy on real
+//!   sockets too. A plan's crash or partition schedule or delay spikes
+//!   cannot be acted out here, and [`SocketRt::new`] refuses them.
 //!
 //! Determinism explicitly does **not** carry over: two cluster runs
 //! interleave differently. What is preserved is the application-level
@@ -49,9 +55,10 @@ use std::os::fd::{AsRawFd, RawFd};
 use std::ptr;
 use std::time::{Duration, Instant};
 
-use crate::kernel::{NodeBehavior, OpOutcome};
-use crate::model::CostModel;
+use crate::kernel::{link_seed, NodeBehavior, OpOutcome};
+use crate::model::{CostModel, FaultPlan};
 use crate::msg::{NodeId, Payload};
+use crate::rng::XorShift64;
 use crate::stats::{KindId, NetStats};
 use crate::time::{Dur, SimTime};
 use crate::transport::{Ctx, Transport};
@@ -85,6 +92,64 @@ pub struct SocketCore<M, R> {
     /// Completed reply for the local op in flight, if any.
     reply: Option<R>,
     stats: NetStats,
+    /// The model's drops and duplicates, if its plan has any.
+    loss: Option<Loss>,
+}
+
+/// The drops and duplicates of a [`FaultPlan`] on one node's outbound
+/// datagrams: one stream per link, seeded and drawn as the kernel's.
+struct Loss {
+    streams: Vec<XorShift64>,
+    drop: u64,
+    dup: u64,
+}
+
+impl Loss {
+    /// Node `me`'s draws, one stream to each of `nnodes` nodes; `None`
+    /// if `plan` neither drops nor duplicates.
+    fn new(plan: &FaultPlan, me: NodeId, nnodes: u32) -> Option<Self> {
+        (plan.drop_prob > 0.0 || plan.dup_prob > 0.0).then(|| Loss {
+            streams: (0..nnodes)
+                .map(|dst| XorShift64::new(link_seed(plan.seed, me.0, dst)))
+                .collect(),
+            drop: FaultPlan::threshold(plan.drop_prob),
+            dup: FaultPlan::threshold(plan.dup_prob),
+        })
+    }
+
+    /// How many copies of a datagram to `dst` leave: 0, 1 or 2.
+    fn copies(&mut self, dst: NodeId) -> usize {
+        let stream = &mut self.streams[dst.index()];
+        if stream.next_u64() >> 11 < self.drop {
+            0
+        } else if stream.next_u64() >> 11 < self.dup {
+            2
+        } else {
+            1
+        }
+    }
+}
+
+/// What of `plan` real sockets cannot act out, as a refusal naming it;
+/// `None` if the plan only drops and duplicates.
+fn unplayable(plan: &FaultPlan) -> Option<String> {
+    let named: Vec<&str> = [
+        (!plan.crashes.is_empty(), "crash schedule"),
+        (!plan.partitions.is_empty(), "partition schedule"),
+        (
+            plan.spike_prob > 0.0 && plan.spike_max > Dur::ZERO,
+            "delay spikes",
+        ),
+    ]
+    .into_iter()
+    .filter_map(|(has, name)| has.then_some(name))
+    .collect();
+    (!named.is_empty()).then(|| {
+        format!(
+            "real sockets cannot act out the fault plan's {}: they only drop and duplicate datagrams",
+            named.join(" and ")
+        )
+    })
 }
 
 impl<M, R> SocketCore<M, R> {
@@ -141,11 +206,19 @@ impl<M: Payload + Wire, R> Transport<M, R> for SocketCore<M, R> {
             msg.kind(),
             buf.len()
         );
-        // UDP is fire-and-forget: a failed send (buffer full, transient
-        // ICMP refusal while a peer is still booting) is just loss, and
-        // the reliability layer above retransmits.
-        if self.sock.send_to(buf, self.peers[dst.index()]).is_err() {
-            self.stats.record_dropped(msg.kind_id(), msg.kind());
+        let copies = self.loss.as_mut().map_or(1, |loss| loss.copies(dst));
+        match copies {
+            0 => self.stats.record_dropped(msg.kind_id(), msg.kind()),
+            2 => self.stats.record_duplicated(msg.kind_id(), msg.kind()),
+            _ => {}
+        }
+        for _ in 0..copies {
+            // UDP is fire-and-forget: a failed send (buffer full,
+            // transient ICMP refusal while a peer is still booting) is
+            // just loss, and the reliability layer above retransmits.
+            if self.sock.send_to(buf, self.peers[dst.index()]).is_err() {
+                self.stats.record_dropped(msg.kind_id(), msg.kind());
+            }
         }
     }
 
@@ -215,6 +288,11 @@ where
     /// must already be bound; `peers[i]` is node *i*'s address (entry
     /// `me` is unused). Does not call [`NodeBehavior::on_start`] —
     /// call [`SocketRt::start`] once the full roster is live.
+    ///
+    /// # Panics
+    ///
+    /// If `model`'s fault plan schedules crashes or partitions or has
+    /// delay spikes, naming them: a socket only drops and duplicates.
     pub fn new(
         node: N,
         me: NodeId,
@@ -223,6 +301,10 @@ where
         model: CostModel,
     ) -> Self {
         assert!((me.index()) < peers.len(), "own rank outside roster");
+        if let Some(refusal) = unplayable(&model.faults) {
+            panic!("{refusal}");
+        }
+        let loss = Loss::new(&model.faults, me, peers.len() as u32);
         // `step` waits in `ppoll`, never in a receive.
         sock.set_nonblocking(true).expect("non-blocking socket");
         SocketRt {
@@ -238,6 +320,7 @@ where
                 loopback: VecDeque::new(),
                 reply: None,
                 stats: NetStats::new(),
+                loss,
             },
             node,
             buf: vec![0; RECV_BUF],
@@ -444,8 +527,8 @@ mod tests {
         node_id: u32,
         sock: UdpSocket,
         peers: Vec<SocketAddr>,
+        model: CostModel,
     ) -> SocketRt<Reliable<EchoNode>> {
-        let model = CostModel::lan_1992();
         let cfg = RelConfig::from_model(&model, peers.len() as u32);
         let inner = EchoNode {
             total: 0,
@@ -460,30 +543,79 @@ mod tests {
         )
     }
 
-    #[test]
-    fn reliable_echo_over_localhost_udp() {
+    /// Node 1 adds each of `adds`, then the sentinel 0, at node 0 over
+    /// `model`; node 1's replies and stats, and node 0's total.
+    fn echo_run(adds: &[u64], model: CostModel) -> (Vec<u64>, NetStats, u64) {
+        use std::sync::atomic::{AtomicBool, Ordering};
         let s0 = UdpSocket::bind("127.0.0.1:0").unwrap();
         let s1 = UdpSocket::bind("127.0.0.1:0").unwrap();
         let peers = vec![s0.local_addr().unwrap(), s1.local_addr().unwrap()];
-        let mut server = mk_rt(0, s0, peers.clone());
-        let mut client = mk_rt(1, s1, peers);
-        let server_thread = std::thread::spawn(move || {
-            server.start();
-            while !server.node().inner().done {
-                server.step(Duration::from_millis(10));
-            }
-            server.node().inner().total
-        });
-        client.start();
-        let poll = Duration::from_millis(5);
-        let mut replies = Vec::new();
-        for x in [3u64, 4, 5] {
-            replies.push(client.run_op(x, poll));
-        }
-        replies.push(client.run_op(0, poll)); // sentinel stops the server
+        let mut server = mk_rt(0, s0, peers.clone(), model.clone());
+        let mut client = mk_rt(1, s1, peers, model);
+        let client_done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let server = s.spawn(|| {
+                server.start();
+                // Serve until the client has every reply: a lost one
+                // is asked for again.
+                while !client_done.load(Ordering::Acquire) {
+                    server.step(Duration::from_millis(10));
+                }
+                assert!(server.node().inner().done, "the sentinel arrived");
+                server.node().inner().total
+            });
+            client.start();
+            let poll = Duration::from_millis(5);
+            let mut replies: Vec<u64> = adds.iter().map(|&x| client.run_op(x, poll)).collect();
+            replies.push(client.run_op(0, poll)); // the sentinel
+            client_done.store(true, Ordering::Release);
+            let total = server.join().unwrap();
+            (replies, client.stats().clone(), total)
+        })
+    }
+
+    #[test]
+    fn reliable_echo_over_localhost_udp() {
+        let (replies, stats, total) = echo_run(&[3, 4, 5], CostModel::lan_1992());
         assert_eq!(replies, vec![3, 7, 12, 12]);
-        assert_eq!(server_thread.join().unwrap(), 12);
-        assert!(client.stats().total_msgs() > 0);
+        assert_eq!(total, 12);
+        assert!(stats.total_msgs() > 0);
+        assert_eq!(stats.total_dropped(), 0);
+    }
+
+    /// The model's fault plan drops and duplicates real datagrams, and
+    /// the reliable transport hides it.
+    #[test]
+    fn a_lossy_plan_drops_and_duplicates_real_datagrams() {
+        let adds: Vec<u64> = (1..=40).collect();
+        let lossy = CostModel::lan_1992().with_faults(FaultPlan::lossy(0.3, 0.2, 5));
+        let (replies, stats, total) = echo_run(&adds, lossy);
+        let sums: Vec<u64> = (1..=40).map(|n| n * (n + 1) / 2).collect();
+        assert_eq!(replies[..40], sums[..]);
+        assert_eq!(total, 820);
+        assert!(stats.total_dropped() > 0 && stats.total_duplicated() > 0);
+        assert!(stats.total_retransmits() > 0);
+    }
+
+    /// A plan real sockets cannot act out is refused, naming what.
+    #[test]
+    fn crash_and_partition_schedules_are_refused_naming_them() {
+        let at = SimTime(1_000);
+        let plan = FaultPlan::lossy(0.1, 0.0, 1)
+            .with_crash(0, at, None)
+            .with_partition(vec![0], vec![1], at, SimTime(2_000));
+        let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let peers = vec![sock.local_addr().unwrap(); 2];
+        let model = CostModel::lan_1992().with_faults(plan);
+        let build = std::panic::AssertUnwindSafe(|| drop(mk_rt(0, sock, peers, model)));
+        let payload = std::panic::catch_unwind(build).expect_err("refused");
+        let said = payload
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        assert!(
+            said.contains("crash schedule and partition schedule"),
+            "{said}"
+        );
     }
 
     /// Seq 0 is the unsequenced loopback marker: a datagram from a peer
@@ -496,7 +628,7 @@ mod tests {
         let s0 = UdpSocket::bind("127.0.0.1:0").unwrap();
         let peer = UdpSocket::bind("127.0.0.1:0").unwrap();
         let peers = vec![s0.local_addr().unwrap(), peer.local_addr().unwrap()];
-        let mut node = mk_rt(0, s0, peers.clone());
+        let mut node = mk_rt(0, s0, peers.clone(), CostModel::lan_1992());
         node.start();
         let frame = |seq, x| {
             let mut buf = Vec::new();

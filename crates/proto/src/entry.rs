@@ -220,7 +220,7 @@ impl Protocol for Entry {
         // Cannot normally happen (all pages readable); tolerate for
         // robustness. Always synchronous, so candidates are moot.
         debug_assert!(!pages.is_empty());
-        if mem.page_bytes(pages[0]).is_none() {
+        if !mem.holds(pages[0]) {
             mem.install_zeroed(pages[0], Access::Read);
         }
         (true, Vec::new())

@@ -120,7 +120,7 @@ impl Ivy {
     /// Owner-side: make sure the frame exists (first touch of a page at
     /// its initial owner).
     fn ensure_frame(&self, mem: &mut FrameTable, page: usize) {
-        if mem.page_bytes(PageId(page)).is_none() {
+        if !mem.holds(PageId(page)) {
             mem.install_zeroed(PageId(page), Access::Write);
         }
     }
@@ -223,10 +223,10 @@ impl Ivy {
             let ninval = to_inval.len() as u32;
             for n in to_inval {
                 if n == self.me {
-                    // Manager holds a copy: invalidate locally, ack the
-                    // requester.
-                    mem.invalidate(PageId(page));
+                    // Manager holds a copy: ack the requester, then
+                    // invalidate locally (see `Inval`).
                     io.send(requester, ProtoMsg::InvalAck { page });
+                    mem.invalidate(PageId(page));
                 } else {
                     io.send(
                         n,
@@ -242,15 +242,7 @@ impl Ivy {
                 self.send_or_local_own(io, mem, page, requester, None, ninval, events);
             } else if owner == self.me {
                 // Manager is the owner: hand over data + ownership.
-                self.ensure_frame(mem, page);
-                let data = mem
-                    .page_bytes(PageId(page))
-                    .unwrap()
-                    .to_vec()
-                    .into_boxed_slice();
-                mem.invalidate(PageId(page));
-                self.owned.remove(&page);
-                self.send_or_local_own(io, mem, page, requester, Some(data), ninval, events);
+                self.hand_over(io, mem, page, requester, ninval);
             } else {
                 io.send(
                     owner,
@@ -318,6 +310,35 @@ impl Ivy {
                 },
             );
         }
+    }
+
+    /// The owner's half of a remote write fault under the manager
+    /// schemes: send `requester` the page's bytes and ownership, then
+    /// revoke the local copy. Answer first, revoke after: the copy has
+    /// already stopped the program's stores (a writable view drops to
+    /// `None` with it), so in between the program can only read, and
+    /// the revoke still runs before this node handles anything else.
+    fn hand_over(
+        &mut self,
+        io: &mut dyn ProtoIo,
+        mem: &mut FrameTable,
+        page: usize,
+        requester: NodeId,
+        ninval: u32,
+    ) {
+        self.ensure_frame(mem, page);
+        let data = mem.hand_out(PageId(page));
+        self.owned.remove(&page);
+        io.send(
+            requester,
+            ProtoMsg::PageOwn {
+                page,
+                data: Some(data),
+                ninval,
+                copyset: None,
+            },
+        );
+        mem.invalidate(PageId(page));
     }
 
     /// Manager-side transaction completion.
@@ -404,10 +425,7 @@ impl Ivy {
         if let Some(data) = data {
             mem.install(PageId(page), data, Access::Read); // upgraded on completion
         } else {
-            debug_assert!(
-                mem.page_bytes(PageId(page)).is_some(),
-                "upgrade without copy"
-            );
+            debug_assert!(mem.holds(PageId(page)), "upgrade without copy");
         }
         self.owned.insert(page);
         match self.scheme {
@@ -517,12 +535,7 @@ impl Ivy {
                 let mut cs = self.copyset.remove(&page).unwrap_or_default();
                 cs.remove(requester);
                 cs.remove(self.me);
-                let data = mem
-                    .page_bytes(PageId(page))
-                    .unwrap()
-                    .to_vec()
-                    .into_boxed_slice();
-                mem.invalidate(PageId(page));
+                let data = mem.hand_out(PageId(page));
                 self.owned.remove(&page);
                 self.prob_owner.insert(page, requester);
                 io.send(
@@ -534,6 +547,8 @@ impl Ivy {
                         copyset: Some(cs),
                     },
                 );
+                // Answer, then revoke (see `hand_over`).
+                mem.invalidate(PageId(page));
             } else {
                 mem.set_access(PageId(page), Access::Read);
                 self.copyset
@@ -718,16 +733,8 @@ impl Protocol for Ivy {
                 ManagerScheme::Dynamic => self.dyn_request(io, mem, page, requester, true),
                 _ => {
                     // Owner: ship data + ownership.
-                    self.ensure_frame(mem, page);
                     debug_assert!(self.owned.contains(&page), "FwdWrite to non-owner");
-                    let data = mem
-                        .page_bytes(PageId(page))
-                        .unwrap()
-                        .to_vec()
-                        .into_boxed_slice();
-                    mem.invalidate(PageId(page));
-                    self.owned.remove(&page);
-                    self.send_or_local_own(io, mem, page, requester, Some(data), ninval, events);
+                    self.hand_over(io, mem, page, requester, ninval);
                 }
             },
             ProtoMsg::PageRead { page, data } => self.recv_page_read(io, mem, page, data, events),
@@ -746,11 +753,15 @@ impl Protocol for Ivy {
                         pend.poisoned = true;
                     }
                 }
-                mem.invalidate(PageId(page));
                 if self.scheme == ManagerScheme::Dynamic {
                     self.prob_owner.insert(page, new_owner);
                 }
+                // Ack, then revoke: a read copy takes no store, so the
+                // program can only read meanwhile, and the revoke ends
+                // this handler, before the node handles anything the
+                // new owner does with the page.
                 io.send(new_owner, ProtoMsg::InvalAck { page });
+                mem.invalidate(PageId(page));
             }
             ProtoMsg::InvalAck { page } => {
                 let pend = self

@@ -248,7 +248,7 @@ impl Lrc {
         from: NodeId,
         page: usize,
     ) {
-        if mem.page_bytes(PageId(page)).is_none() {
+        if !mem.holds(PageId(page)) {
             debug_assert_eq!(self.home_of(page), self.me);
             mem.install_zeroed(PageId(page), Access::Read);
         }
@@ -422,7 +422,7 @@ impl Lrc {
         if !notices.is_empty() {
             self.resident_epoch -= notice_bytes(notices.len());
         }
-        let have_copy = mem.page_bytes(page).is_some();
+        let have_copy = mem.holds(page);
 
         if notices.is_empty() && have_copy {
             // Pure access upgrade: readable copy or new writer.
@@ -1073,7 +1073,7 @@ impl Protocol for Lrc {
                 // so re-applying our own writes is idempotent.
                 for (page, ids) in homed {
                     debug_assert_eq!(self.home_of(page), self.me);
-                    if mem.page_bytes(PageId(page)).is_none() {
+                    if !mem.holds(PageId(page)) {
                         mem.install_zeroed(PageId(page), Access::Read);
                     }
                     let bytes = mem.page_bytes_mut(PageId(page)).expect("home frame exists");

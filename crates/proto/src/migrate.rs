@@ -58,7 +58,7 @@ impl Migrate {
     }
 
     fn ensure_frame(&self, mem: &mut FrameTable, page: usize) {
-        if mem.page_bytes(PageId(page)).is_none() {
+        if !mem.holds(PageId(page)) {
             mem.install_zeroed(PageId(page), Access::Write);
         }
     }

@@ -731,7 +731,7 @@ mod tests {
         assert_eq!(events, vec![ProtoEvent::PageReady(PageId(0))]);
         assert!(io.sent.is_empty(), "no phase 2 on a unanimous quorum");
         // The installed page is dropped again when the op retires.
-        assert!(mem.page_bytes(PageId(0)).is_some());
+        assert!(mem.holds(PageId(0)));
         p.op_retired(&mut io, &mut mem);
         assert!(!mem.access(PageId(0)).allows_read());
     }
