@@ -60,8 +60,6 @@ pub fn run(dsm: &Dsm<'_, impl Engine>, p: &MatmulParams) -> f64 {
     // a miss on one B row lets a batching runtime prefetch the next.
     {
         let _window = dsm.prefetch_window(GlobalAddr(n * n * 8), n * n * 8);
-        // One B-row buffer: a zeroed `Vec` per read was a seventh of the loop.
-        let mut brow = vec![0.0f64; n];
         for r in lo..hi {
             let arow = dsm.read_f64s(p.a_row(r), n);
             let mut crow = vec![0.0f64; n];
@@ -69,10 +67,12 @@ pub fn run(dsm: &Dsm<'_, impl Engine>, p: &MatmulParams) -> f64 {
                 if aval == 0.0 {
                     continue;
                 }
-                dsm.read_f64s_into(p.b_row(k), &mut brow);
-                for (cv, bv) in crow.iter_mut().zip(&brow) {
-                    *cv += aval * bv;
-                }
+                // A B row that hits is read where it lies, not copied.
+                dsm.read_f64s_with(p.b_row(k), n, |brow| {
+                    for (cv, bv) in crow.iter_mut().zip(brow) {
+                        *cv += aval * bv;
+                    }
+                });
             }
             compute_flops(dsm, (2 * n * n) as u64);
             dsm.write_f64s(p.c_row(r), &crow);

@@ -97,8 +97,8 @@ pub fn run(dsm: &Dsm<'_, impl Engine>, p: &SorParams) -> f64 {
         for _ in 0..p.iters {
             for color in 0..2 {
                 for r in lo..hi {
-                    // Fresh rows on purpose: buffers kept per node (`matmul`'s way)
-                    // lost at 512 — malloc hands on a cache-hot block (docs/PERF.md).
+                    // Fresh rows on purpose: buffers kept per node lost at
+                    // 512 — malloc hands on a cache-hot block (docs/PERF.md).
                     let above = dsm.read_f64s(p.row_addr(r - 1), n);
                     let mut cur = dsm.read_f64s(p.row_addr(r), n);
                     let below = dsm.read_f64s(p.row_addr(r + 1), n);

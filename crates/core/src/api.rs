@@ -36,6 +36,21 @@ pub trait Engine {
     /// `window` is the read-ahead window in effect.
     fn read(&self, addr: GlobalAddr, buf: &mut [u8], window: Window);
 
+    /// Lend the `len` bytes at `addr` to `f`, faulting as needed. The
+    /// default reads them into a buffer; an engine may lend its own
+    /// memory instead.
+    fn read_with<R>(
+        &self,
+        addr: GlobalAddr,
+        len: usize,
+        window: Window,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> R {
+        let mut buf = vec![0u8; len];
+        self.read(addr, &mut buf, window);
+        f(&buf)
+    }
+
     /// Copy `data` to `addr`, faulting as needed.
     fn write(&self, addr: GlobalAddr, data: &[u8]);
 
@@ -61,8 +76,30 @@ pub trait Engine {
 /// The simulator engine: one node's program in [`dsm_net::Sim`], its
 /// hits served by its [`Lease`] when the fast path is on.
 pub struct Sim<'a> {
-    pub(crate) h: &'a AppHandle<DsmOp, ()>,
-    pub(crate) lease: Option<Lease>,
+    h: &'a AppHandle<DsmOp, ()>,
+    lease: Option<Lease>,
+    /// A read hit is lent to a closure (see [`Sim::not_lent`]).
+    lent: Cell<bool>,
+}
+
+impl<'a> Sim<'a> {
+    pub(crate) fn new(h: &'a AppHandle<DsmOp, ()>, lease: Option<Lease>) -> Self {
+        Sim {
+            h,
+            lease,
+            lent: Cell::new(false),
+        }
+    }
+
+    /// Refuse `call` while a read hit is lent: the call could yield the
+    /// floor, and the event loop evict the frame under the borrow.
+    #[inline]
+    fn not_lent(&self, call: &str) {
+        assert!(
+            !self.lent.get(),
+            "{call} inside a lent read: a read_*_with closure must not call its handle"
+        );
+    }
 }
 
 impl Engine for Sim<'_> {
@@ -75,6 +112,7 @@ impl Engine for Sim<'_> {
     }
 
     fn read(&self, addr: GlobalAddr, buf: &mut [u8], window: Window) {
+        self.not_lent("read");
         if let Some(lease) = &self.lease {
             if lease.try_read(self.h, addr, buf) {
                 return;
@@ -87,9 +125,38 @@ impl Engine for Sim<'_> {
         });
     }
 
+    /// A hit inside one page lends the frame's bytes; anything else
+    /// reads into a buffer through [`Engine::read`]. A declined lend
+    /// changed nothing a second try sees (its budget renewal is done),
+    /// so every virtual time is what a copying read gives.
+    fn read_with<R>(
+        &self,
+        addr: GlobalAddr,
+        len: usize,
+        window: Window,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> R {
+        self.not_lent("read");
+        let (mut f, mut out) = (Some(f), None);
+        if let Some(lease) = self.lease.as_ref().filter(|l| l.one_page(addr, len)) {
+            let hit = lease.lend(self.h, addr, len, |row| {
+                self.lent.set(true);
+                out = f.take().map(|f| f(row));
+                self.lent.set(false);
+            });
+            if hit {
+                return out.expect("a hit in one page lends it once");
+            }
+        }
+        let mut buf = vec![0u8; len];
+        self.read(addr, &mut buf, window);
+        f.take().expect("a declined lend lends nothing")(&buf)
+    }
+
     /// The payload is borrowed for the duration of the op, never copied
     /// into it.
     fn write(&self, addr: GlobalAddr, data: &[u8]) {
+        self.not_lent("write");
         if let Some(lease) = &self.lease {
             if lease.try_write(self.h, addr, data) {
                 return;
@@ -102,11 +169,17 @@ impl Engine for Sim<'_> {
     }
 
     fn sync(&self, op: DsmOp) {
+        self.not_lent(match op {
+            DsmOp::Acquire(_) => "acquire",
+            DsmOp::Release(_) => "release",
+            _ => "barrier",
+        });
         self.h.op(op);
     }
 
     /// Advance this node's virtual time by `d`.
     fn compute(&self, d: Dur) {
+        self.not_lent("compute");
         self.h.advance(d);
     }
 }
@@ -129,6 +202,7 @@ pub struct Dsm<'a, E = Sim<'a>> {
 impl Dsm<'_> {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
+        self.engine.not_lent("now");
         self.engine.h.now()
     }
 
@@ -144,6 +218,7 @@ impl Dsm<'_> {
     /// `write = true` this also acquires ownership and pins the object
     /// locally; it must then be released with [`Dsm::obj_put_bytes`].
     pub fn obj_get_bytes(&self, obj: u32, write: bool, buf: &mut [u8]) {
+        self.engine.not_lent("obj_get_bytes");
         self.engine.h.op(DsmOp::ObjGet {
             obj,
             write,
@@ -154,6 +229,7 @@ impl Dsm<'_> {
     /// Publish the mutated image of an object previously fetched with
     /// `obj_get_bytes(obj, true, ..)`, releasing the local pin.
     pub fn obj_put_bytes(&self, obj: u32, data: &[u8]) {
+        self.engine.not_lent("obj_put_bytes");
         self.engine.h.op(DsmOp::ObjPut {
             obj,
             data: OpData::new(data),
@@ -303,6 +379,25 @@ impl<E: Engine> Dsm<'_, E> {
         let mut out = vec![0.0f64; n];
         self.read_f64s_into(addr, &mut out);
         out
+    }
+
+    /// Hand `f` the `n` consecutive f64 values at `addr` and return what
+    /// it returns. On the simulator a hit inside one page lends `f` the
+    /// frame's own bytes, at the cost of a copy; any other read copies
+    /// them into a buffer first. `f` must not call this handle: it
+    /// panics, naming the call.
+    pub fn read_f64s_with<R>(&self, addr: GlobalAddr, n: usize, f: impl FnOnce(&[f64]) -> R) -> R {
+        self.engine
+            .read_with(addr, n * 8, self.hint.get(), |bytes| {
+                // SAFETY: f64 has no invalid bit patterns.
+                match unsafe { bytes.align_to::<f64>() } {
+                    ([], row, []) => f(row),
+                    _ => f(&bytes
+                        .chunks_exact(8)
+                        .map(|b| f64::from_le_bytes(b.try_into().expect("chunks of eight")))
+                        .collect::<Vec<_>>()),
+                }
+            })
     }
 
     // ---------- synchronization ----------

@@ -51,7 +51,7 @@ use crate::lease::FrameCell;
 use crate::node::{DsmNode, DsmOp, OpBuf, OpData};
 use crate::{Dsm, DsmConfig, Engine, ProtocolKind, Window};
 use dsm_mem::{Access, FrameTable, GlobalAddr, PageId};
-use dsm_net::{wrap_fleet, Dur, NodeId, Reliable, SimTime, SocketRt};
+use dsm_net::{Dur, NodeId, Reliable, SimTime, SocketRt, LOOPBACK_REL};
 use dsm_vm::{ClusterView, ViewFault};
 
 /// The cluster engine: loads and stores on the node's view for data,
@@ -76,6 +76,8 @@ impl Engine for Cluster<'_> {
         self.nnodes
     }
 
+    /// `read_with` keeps the copying default: the serving thread may
+    /// revoke or patch a view page under a program's borrow of it.
     fn read(&self, addr: GlobalAddr, buf: &mut [u8], _: Window) {
         self.view.read_bytes(addr.0, buf);
     }
@@ -147,12 +149,13 @@ impl<'v> Runtime<'v> {
         peers: Vec<SocketAddr>,
         view: &'v ClusterView,
     ) -> Self {
-        let nodes = cfg.build_nodes();
+        let mut nodes = cfg.build_nodes();
         let frames = nodes[me.index()].frames_handle();
         // Before the start installs home pages, so the view maps them.
         Self::mem(&frames).back(view.store());
-        // Keep only our node; the rest live in their own processes.
-        let node = wrap_fleet(nodes, &cfg.model).swap_remove(me.index());
+        // Keep only our node; the rest live in their own processes. Its
+        // timeouts are the socket's, not the simulated era's.
+        let node = Reliable::new(nodes.swap_remove(me.index()), cfg.nnodes, LOOPBACK_REL);
         let mut rt = SocketRt::new(node, me, sock, peers, cfg.model.clone());
         rt.wake_on(view.doorbell());
         rt.start();
@@ -347,8 +350,10 @@ where
 /// thread, every node running `program`. Returns the results in rank
 /// order.
 ///
-/// Every node keeps serving its peers until all programs have
-/// returned. A program that panics fails the run: its node keeps
+/// No program starts before every node serves, so no request waits on
+/// a peer still starting up (and is resent meanwhile). Every node keeps
+/// serving its peers until all programs have returned. A program that
+/// panics fails the run: its node keeps
 /// serving meanwhile, and once every node is done the first panic is
 /// re-raised on the caller's thread with its own payload. Peers waiting
 /// in a barrier the panicked program never reached are not released,
@@ -365,8 +370,8 @@ where
         .iter()
         .map(|s| s.local_addr().expect("a bound socket has an address"))
         .collect();
-    let all_done = Barrier::new(socks.len());
-    let (program, all_done) = (&program, &all_done);
+    let (all_up, all_done) = (Barrier::new(socks.len()), Barrier::new(socks.len()));
+    let (program, all_up, all_done) = (&program, &all_up, &all_done);
     let outcomes: Vec<_> = std::thread::scope(|s| {
         let nodes: Vec<_> = socks
             .into_iter()
@@ -379,7 +384,10 @@ where
                         NodeId(rank as u32),
                         sock,
                         peers,
-                        |d| catch_unwind(AssertUnwindSafe(|| program(d))),
+                        |d| {
+                            all_up.wait();
+                            catch_unwind(AssertUnwindSafe(|| program(d)))
+                        },
                         |_| {
                             all_done.wait();
                         },
@@ -468,6 +476,24 @@ mod tests {
         let took = t.elapsed();
         assert_eq!(sum, 0);
         assert!(took < Duration::from_millis(250), "took {took:?}");
+    }
+
+    /// A node's reliable transport takes its timeouts from the socket,
+    /// whatever era the cost model simulates: a first retransmission
+    /// timeout of 1 ms on loopback, not the 1992 LAN's ~23 ms.
+    #[test]
+    fn a_node_times_out_as_its_socket_does_not_as_its_era() {
+        let cfg = DsmConfig::new(2, ProtocolKind::IvyFixed)
+            .model(dsm_net::CostModel::lan_1992())
+            .heap_bytes(1 << 16)
+            .page_size(dsm_vm::os_page_size());
+        let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let peers = vec![sock.local_addr().unwrap(); 2];
+        let view = ClusterView::new(16, dsm_vm::os_page_size()).unwrap();
+        let rt = Runtime::new(&cfg, NodeId(0), sock, peers, &view);
+        let era = dsm_net::RelConfig::from_model(&cfg.model, 2);
+        assert_eq!(rt.rt.node().config(), &LOOPBACK_REL);
+        assert!(LOOPBACK_REL.rto_initial * 10 < era.rto_initial, "{era:?}");
     }
 
     #[test]

@@ -26,7 +26,9 @@
 //! a grant and the next yield; protocol handlers touch it only from
 //! the event loop, which needs `&mut` access to the same box. So the
 //! two sides are never live at once, whichever stack either runs on,
-//! and neither holds references across a hand-off. Protocol
+//! and neither holds references across a hand-off — a read hit lent to
+//! the program's closure ([`Lease::lend`]) included, since the handle
+//! refuses every call, and so every yield, while it lends. Protocol
 //! downgrades (invalidations, write-protect) therefore publish to the
 //! lease automatically — the rights table *is* the frame table the
 //! protocol mutates.
@@ -84,29 +86,61 @@ impl Lease {
         h.local_allows(cost) || (h.flush_local() && h.local_allows(cost))
     }
 
-    /// Service a read hit locally. False if the page (or any page the
-    /// range touches) lacks read rights, or the budget is exhausted.
+    /// The one read hit: lend the bytes of `[addr, addr + len)` to `f`
+    /// one page at a time, in order, straight from the frames, and
+    /// charge the modeled copy. False if the budget is exhausted or a
+    /// page lacks read rights — then the access must take the op path,
+    /// and `f` may have seen the pages before that one.
+    ///
+    /// `f` must not yield: the floor is this program's only until then.
+    pub(crate) fn lend(
+        &self,
+        h: &AppHandle<DsmOp, ()>,
+        addr: GlobalAddr,
+        len: usize,
+        mut f: impl FnMut(&[u8]),
+    ) -> bool {
+        assert!(
+            self.layout.in_bounds(addr, len),
+            "read [{addr}, +{len}) out of bounds"
+        );
+        let cost = self.model.mem_copy(len);
+        if !self.budget_for(h, cost) {
+            return false;
+        }
+        // SAFETY: this program owns the floor (between Go and the next
+        // yield), and keeps it while `f` runs: a copy does not yield,
+        // and the handle refuses every call while it lends (`Sim::not_lent`).
+        let frames = unsafe { &*self.frames.get() };
+        for bytes in frames.read_slices(addr, len) {
+            let Some(bytes) = bytes else {
+                return false;
+            };
+            f(bytes);
+        }
+        h.consume_local(cost);
+        true
+    }
+
+    /// Whether `[addr, addr + len)` is a nonempty range inside one page,
+    /// which [`Lease::lend`] hands out as one slice.
+    pub(crate) fn one_page(&self, addr: GlobalAddr, len: usize) -> bool {
+        let g = self.layout.geometry;
+        len > 0 && g.offset_in_page(addr) + len <= g.page_size()
+    }
+
+    /// A read hit copied into `buf`: the lend plus a copy.
     pub(crate) fn try_read(
         &self,
         h: &AppHandle<DsmOp, ()>,
         addr: GlobalAddr,
         buf: &mut [u8],
     ) -> bool {
-        assert!(
-            self.layout.in_bounds(addr, buf.len()),
-            "read [{addr}, +{}) out of bounds",
-            buf.len()
-        );
-        let cost = self.model.mem_copy(buf.len());
-        if !self.budget_for(h, cost) {
-            return false;
-        }
-        // SAFETY: this program owns the floor (between Go and the next yield).
-        let ok = unsafe { (*self.frames.get()).try_read(addr, buf) };
-        if ok {
-            h.consume_local(cost);
-        }
-        ok
+        let mut pos = 0;
+        self.lend(h, addr, buf.len(), |bytes| {
+            buf[pos..pos + bytes.len()].copy_from_slice(bytes);
+            pos += bytes.len();
+        })
     }
 
     /// Service a write hit locally. False if write rights are missing

@@ -304,7 +304,7 @@ where
         .zip(leases)
         .map(|(p, lease)| {
             move |h: &dsm_net::AppHandle<DsmOp, ()>| {
-                let dsm = Dsm::new(Sim { h, lease });
+                let dsm = Dsm::new(Sim::new(h, lease));
                 p(&dsm)
             }
         })
@@ -315,6 +315,48 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A read hit lends its page's bytes to the closure, so a call on
+    /// the handle inside it could yield the floor under the borrow: it
+    /// panics, naming the call.
+    #[test]
+    #[should_panic(expected = "barrier inside a lent read")]
+    fn a_call_on_the_handle_inside_a_lent_read_panics_naming_it() {
+        let cfg = DsmConfig::new(1, ProtocolKind::IvyFixed)
+            .heap_bytes(1 << 12)
+            .page_size(256);
+        run_dsm(&cfg, |dsm| {
+            dsm.write_f64(GlobalAddr(8), 2.5);
+            dsm.read_f64s_with(GlobalAddr(0), 4, |row| {
+                dsm.barrier(0);
+                row[1]
+            })
+        });
+    }
+
+    /// A lent read hands the closure what a copying read returns: in one
+    /// page (lent), misaligned for `f64` (lent, then copied to align),
+    /// across pages (copied), and with the fast path off.
+    #[test]
+    fn read_f64s_with_sees_what_read_f64s_reads() {
+        for fast in [true, false] {
+            let cfg = DsmConfig::new(1, ProtocolKind::IvyFixed)
+                .heap_bytes(1 << 12)
+                .page_size(256)
+                .fast_path(fast);
+            let res = run_dsm(&cfg, |dsm| {
+                let vals: Vec<f64> = (0..96).map(|i| i as f64 * 1.5 - 7.0).collect();
+                dsm.write_f64s(GlobalAddr(0), &vals);
+                [(8, 12), (4, 12), (200, 16)].map(|(at, n)| {
+                    let lent = dsm.read_f64s_with(GlobalAddr(at), n, |row| row.to_vec());
+                    (lent, dsm.read_f64s(GlobalAddr(at), n))
+                })
+            });
+            for (lent, copied) in &res.results[0] {
+                assert_eq!(lent, copied, "fast path {fast}");
+            }
+        }
+    }
 
     #[test]
     fn single_node_read_write_roundtrip() {

@@ -213,15 +213,19 @@ impl FrameTable {
 
     /// `page`'s bytes, wherever they live.
     fn bytes(&self, page: PageId) -> Option<&[u8]> {
-        let frame = self.frames.get(&page.0)?;
-        Some(match self.stored(page) {
+        Some(self.frame_bytes(page, self.frames.get(&page.0)?))
+    }
+
+    /// The bytes of `frame`, the frame of `page`.
+    fn frame_bytes<'t>(&'t self, page: PageId, frame: &'t Frame) -> &'t [u8] {
+        match self.stored(page) {
             None => &frame.data,
             // SAFETY: the store's contract; nothing writes while this
             // borrow lives: `page_bytes` and `hand_out` stopped the
-            // program's stores, and `try_read` runs the op its program
-            // is parked in.
+            // program's stores, and `read_slices` runs for the op its
+            // program is parked in.
             Some(at) => unsafe { slice::from_raw_parts(at, self.geometry.page_size()) },
-        })
+        }
     }
 
     fn bytes_mut(&mut self, page: PageId) -> Option<&mut [u8]> {
@@ -236,13 +240,41 @@ impl FrameTable {
         })
     }
 
+    /// The bytes of `[addr, addr + len)` as the application reads
+    /// them: one slice per touched page, in order, each `None` (a read
+    /// fault) if its page lacks read rights. One map lookup per page.
+    pub fn read_slices(
+        &self,
+        addr: GlobalAddr,
+        len: usize,
+    ) -> impl Iterator<Item = Option<&[u8]>> + '_ {
+        let g = self.geometry;
+        let mut pos = 0;
+        std::iter::from_fn(move || {
+            if pos >= len {
+                return None;
+            }
+            let a = addr.offset(pos);
+            let (page, off) = (g.page_of(a), g.offset_in_page(a));
+            let n = (g.page_size() - off).min(len - pos);
+            pos += n;
+            let frame = self.frames.get(&page.0).filter(|f| f.access.allows_read());
+            Some(frame.map(|f| &self.frame_bytes(page, f)[off..off + n]))
+        })
+    }
+
     /// Application read of `buf.len()` bytes at `addr`. Returns false
-    /// (a read fault) if any touched page lacks read rights.
+    /// (a read fault) if any touched page lacks read rights; `buf` may
+    /// then hold the pages before it.
     pub fn try_read(&self, addr: GlobalAddr, buf: &mut [u8]) -> bool {
-        if !self.range_allows(addr, buf.len(), Access::Read) {
-            return false;
+        let mut pos = 0;
+        for bytes in self.read_slices(addr, buf.len()) {
+            let Some(bytes) = bytes else {
+                return false;
+            };
+            buf[pos..pos + bytes.len()].copy_from_slice(bytes);
+            pos += bytes.len();
         }
-        self.copy_range(addr, buf);
         true
     }
 
@@ -277,20 +309,6 @@ impl FrameTable {
 
     fn range_allows(&self, addr: GlobalAddr, len: usize, need: Access) -> bool {
         self.first_insufficient(addr, len, need).is_none()
-    }
-
-    fn copy_range(&self, addr: GlobalAddr, buf: &mut [u8]) {
-        let g = self.geometry;
-        let mut pos = 0;
-        while pos < buf.len() {
-            let a = addr.offset(pos);
-            let page = g.page_of(a);
-            let off = g.offset_in_page(a);
-            let n = (g.page_size() - off).min(buf.len() - pos);
-            let bytes = self.bytes(page).expect("checked by caller");
-            buf[pos..pos + n].copy_from_slice(&bytes[off..off + n]);
-            pos += n;
-        }
     }
 
     /// Pages currently held (any right), unordered.
@@ -530,6 +548,47 @@ mod tests {
         let (mut t, store) = backed();
         assert_eq!(mutate(&mut table()), mutate(&mut t));
         assert_ne!(store.take(), []);
+    }
+
+    /// The lend, `read_slices`, yields exactly the bytes `try_read`
+    /// copies and declines exactly where it faults: seeded ranges, many
+    /// straddling pages, over a page of each right and one never
+    /// installed, on an unbacked and a backed table.
+    #[test]
+    fn read_slices_lend_what_try_read_copies() {
+        let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut below = move |n: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % n as u64) as usize
+        };
+        for mut t in [table(), backed().0] {
+            for (p, access) in [(0, Access::Read), (1, Access::Write), (2, Access::None)] {
+                let data = (0..256).map(|i| (p * 256 + i) as u8 ^ 0x5a).collect();
+                t.install(PageId(p), data, access);
+            }
+            let (mut hits, mut faults, mut straddles) = (0, 0, 0);
+            for _ in 0..2_000 {
+                let addr = below(4 * 256);
+                let len = below(4 * 256 - addr + 1);
+                let mut copy = vec![0u8; len];
+                let copied = t.try_read(GlobalAddr(addr), &mut copy);
+                let lent: Vec<_> = t.read_slices(GlobalAddr(addr), len).collect();
+                let pages = t.geometry.pages_for_range(GlobalAddr(addr), len).count();
+                assert_eq!(lent.len(), pages, "one slice per page of [{addr}, +{len})");
+                let lent: Option<Vec<&[u8]>> = lent.into_iter().collect();
+                assert_eq!(lent.is_some(), copied, "[{addr}, +{len})");
+                if let Some(lent) = lent {
+                    assert_eq!(lent.concat(), copy, "[{addr}, +{len})");
+                    hits += 1;
+                    straddles += usize::from(pages > 1);
+                } else {
+                    faults += 1;
+                }
+            }
+            assert!(hits > 100 && faults > 100 && straddles > 50);
+        }
     }
 
     #[test]

@@ -373,6 +373,11 @@ impl<N: NodeBehavior> Reliable<N> {
         }
     }
 
+    /// The timing this transport runs with.
+    pub fn config(&self) -> &RelConfig {
+        &self.cfg
+    }
+
     /// The wrapped behavior.
     pub fn inner(&self) -> &N {
         &self.inner

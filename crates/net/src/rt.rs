@@ -24,8 +24,9 @@
 //!   nanoseconds since reactor start. Cost-model delays (`extra`,
 //!   `complete_op_after` latency) are *not* slept — real execution and
 //!   the real network provide the latency. The model is still carried
-//!   for RTO seeding ([`crate::reliable::RelConfig::from_model`]) and
-//!   local-cost bookkeeping.
+//!   for its fault plan and local-cost bookkeeping, but not for the
+//!   retransmission timeout: a loopback link's is [`LOOPBACK_REL`], not
+//!   the simulated era's.
 //! * **One wait.** [`SocketRt::step`] blocks in one `ppoll(2)` over the
 //!   socket and the [`SocketRt::wake_on`] doorbell, up to its bound or
 //!   the next timer to the nanosecond — not a tick, as `SO_RCVTIMEO` is.
@@ -58,11 +59,23 @@ use std::time::{Duration, Instant};
 use crate::kernel::{link_seed, NodeBehavior, OpOutcome};
 use crate::model::{CostModel, FaultPlan};
 use crate::msg::{NodeId, Payload};
+use crate::reliable::RelConfig;
 use crate::rng::XorShift64;
 use crate::stats::{KindId, NetStats};
 use crate::time::{Dur, SimTime};
 use crate::transport::{Ctx, Transport};
 use crate::wire::{from_wire_bytes, Wire};
+
+/// The reliable transport's timing on a loopback socket, whose round
+/// trip is ~10–30 µs. The first RTO, before a link's first RTT sample,
+/// is 1 ms: two orders of magnitude above that round trip, and one below
+/// the ~23 ms that [`RelConfig::from_model`] derives from the 1992 LAN.
+/// Backoff doubles it up to 32 ms.
+pub const LOOPBACK_REL: RelConfig = RelConfig {
+    rto_initial: Dur::millis(1),
+    rto_max: Dur::millis(32),
+    suspect_after: 3,
+};
 
 /// Largest datagram we accept.
 const RECV_BUF: usize = 65_536;
@@ -449,7 +462,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reliable::{RelConfig, Reliable};
+    use crate::reliable::Reliable;
 
     /// Two `SocketRt`s in one test process, stepped by two threads,
     /// running the reliable transport end-to-end over real localhost
@@ -529,13 +542,12 @@ mod tests {
         peers: Vec<SocketAddr>,
         model: CostModel,
     ) -> SocketRt<Reliable<EchoNode>> {
-        let cfg = RelConfig::from_model(&model, peers.len() as u32);
         let inner = EchoNode {
             total: 0,
             done: false,
         };
         SocketRt::new(
-            Reliable::new(inner, peers.len() as u32, cfg),
+            Reliable::new(inner, peers.len() as u32, LOOPBACK_REL),
             NodeId(node_id),
             sock,
             peers,

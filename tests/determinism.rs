@@ -6,9 +6,10 @@
 //!
 //! Two workloads with different sharing patterns: red-black SOR
 //! (neighbor sharing, barriers) and the master–worker task queue
-//! (lock-bound mutual exclusion with polling).
+//! (lock-bound mutual exclusion with polling). A third, matmul, is the
+//! fast path's lending read: its B rows are lent where they hit.
 
-use dsm_apps::{sor, taskqueue};
+use dsm_apps::{matmul, sor, taskqueue};
 use dsm_core::{
     CostModel, Dsm, DsmConfig, Dur, GlobalAddr, NetStats, ProtocolKind, RunResult, SimTime,
 };
@@ -120,6 +121,25 @@ fn run_taskqueue_gc(proto: ProtocolKind, fast_path: bool, lrc_gc: bool) -> Trace
     Trace::of(res)
 }
 
+/// Matmul with B rows of 192 bytes on 1 KiB pages: most rows lie in one
+/// page, so a hit lends them; some straddle two, and a hit copies them.
+fn run_matmul(proto: ProtocolKind, fast_path: bool) -> Trace<u64> {
+    let p = matmul::MatmulParams { n: 24 };
+    let heap = p.heap_bytes();
+    let cfg = DsmConfig::new(NODES, proto)
+        .heap_bytes(heap)
+        .page_size(1024)
+        .model(model())
+        .fast_path(fast_path);
+    let res = dsm_core::run_dsm(&cfg, |dsm: &Dsm<'_>| {
+        let sum = matmul::run(dsm, &p);
+        let want = matmul::reference_block_sum(&p, NODES as usize, dsm.id().index());
+        assert!((sum - want).abs() < 1e-9, "{proto}: node {}", dsm.id());
+        (sum.to_bits(), quiesce_and_image(dsm, heap))
+    });
+    Trace::of(res)
+}
+
 #[test]
 fn sor_same_seed_same_trace_every_protocol() {
     for proto in ProtocolKind::EVERY {
@@ -149,6 +169,19 @@ fn sor_fast_path_matches_slow_path() {
             fast.outcome(),
             slow.outcome(),
             "{proto}: SOR fast path diverged from slow path"
+        );
+    }
+}
+
+#[test]
+fn matmul_fast_path_matches_slow_path() {
+    for proto in ProtocolKind::EVERY {
+        let fast = run_matmul(proto, true);
+        let slow = run_matmul(proto, false);
+        assert_eq!(
+            fast.outcome(),
+            slow.outcome(),
+            "{proto}: matmul fast path diverged from slow path"
         );
     }
 }

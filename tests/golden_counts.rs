@@ -20,7 +20,7 @@
 //! smallest admission window of any era), the object chase, SOR under
 //! 20 % drop, and a crash-and-recover schedule.
 
-use dsm_apps::{chase, kv, sor, taskqueue};
+use dsm_apps::{chase, kv, matmul, sor, taskqueue};
 use dsm_core::{
     BarrierKind, CostModel, Dsm, DsmConfig, Dur, FaultPlan, GlobalAddr, LockKind, ProtocolKind,
     RunResult, SimTime,
@@ -383,4 +383,33 @@ fn scabd_crash_and_recovery_matches_the_recorded_counts() {
     assert_eq!(res.results, [6_012; 4]);
     assert_eq!((res.stats.crashes, res.stats.recoveries), (1, 1));
     assert_eq!(counts(&res), [1_715, 116, 927, 112_620, 147_538_238]);
+}
+
+/// The benchmark's `sim_matmul_hits` board at its quick shape: `n` = 96
+/// on eight `ivy-fixed` nodes, with a digest of every node's block sum,
+/// bit for bit. Recorded on the parent of the PR that let a read hit
+/// lend the frame's bytes instead of copying them, which `matmul`'s B
+/// rows take.
+#[test]
+fn matmul_quick_matches_the_recorded_counts() {
+    let p = matmul::MatmulParams { n: 96 };
+    let cfg = DsmConfig::new(8, ProtocolKind::IvyFixed)
+        .model(CostModel::lan_1992())
+        .heap_bytes(p.heap_bytes());
+    let res = dsm_core::run_dsm(&cfg, |d: &Dsm<'_>| matmul::run(d, &p));
+    for (i, &got) in res.results.iter().enumerate() {
+        let want = matmul::reference_block_sum(&p, 8, i);
+        assert!((got - want).abs() < 1e-9, "node {i}");
+    }
+    let sums = res
+        .results
+        .iter()
+        .fold(0u64, |d, s| d.rotate_left(7) ^ s.to_bits());
+    assert_eq!(
+        (counts(&res), sums),
+        (
+            [1_318, 423, 745, 843_636, 440_911_840],
+            0xa097_c3b7_6a30_8326
+        )
+    );
 }

@@ -12,8 +12,11 @@
  * interrupted instruction, the word at the stack pointer (where a
  * frameless leaf such as libc's memcpy has its return address; the
  * symbolizer decides whether it is one) and the return addresses of the
- * frame-pointer chain; at exit they are written, below a copy of
- * /proc/self/maps, to
+ * frame-pointer chain. Where the chain is empty (code that keeps no frame
+ * pointer, such as malloc's internals, left something else in rbp), it
+ * keeps the SCAN_WORDS stack words above that one instead, among which
+ * the symbolizer looks for the return address into the caller. At exit
+ * they are written, below a copy of /proc/self/maps, to
  * PROF_OUT.<pid> — one file per process, since children inherit the
  * preload. Build the target with -C force-frame-pointers=yes. A coroutine
  * stack ends the walk by itself (its first frame's saved rbp is 0). */
@@ -34,7 +37,9 @@
 #define PROF_OUT "prof.samples"
 #endif
 
-#define MAX_DEPTH 48 /* the instruction, the word at the stack pointer, the chain */
+#define MAX_DEPTH 66 /* the instruction, the word at the stack pointer, the chain or a scan */
+#define SCAN_WORDS 64 /* stack words kept when there is no chain: 8 pieces of 64 bytes */
+#define SCANNED ((uintptr_t)1 << 32) /* in a sample's depth word: its tail is a scan */
 #define MAX_WORDS (16u << 20) /* 128 MiB of address space, touched as used */
 
 static uintptr_t *words; /* per sample: depth, then that many words */
@@ -73,7 +78,22 @@ static void on_sigprof(int sig, siginfo_t *info, void *context) {
                 break;
             fp = frame[0];
         }
-        sample[0] = depth;
+        uintptr_t scanned = 0;
+        if (depth == 2) {
+            /* One read in 64-byte pieces, as far as the stack is mapped:
+             * a partial read stops at the first piece it cannot read. */
+            struct iovec local[SCAN_WORDS / 8], remote[SCAN_WORDS / 8];
+            for (size_t i = 0; i < SCAN_WORDS / 8; i++) {
+                local[i] = (struct iovec){&sample[3 + 8 * i], 64};
+                remote[i] = (struct iovec){(void *)(sp + 8 + 64 * i), 64};
+            }
+            ssize_t got = process_vm_readv(getpid(), local, SCAN_WORDS / 8, remote, SCAN_WORDS / 8, 0);
+            if (got > 0) {
+                depth += got / 8;
+                scanned = SCANNED;
+            }
+        }
+        sample[0] = depth | scanned;
         used += 1 + depth;
     }
     errno = saved_errno;
@@ -103,10 +123,11 @@ __attribute__((destructor)) static void prof_dump(void) {
     }
     while (fgets(line, sizeof line, maps))
         fprintf(out, "map %s", line);
-    for (size_t at = 0; at < used; at += 1 + words[at]) {
+    for (size_t at = 0; at < used; at += 1 + (words[at] & ~SCANNED)) {
+        const char *tail = words[at] & SCANNED ? " ~%lx" : " %lx";
         fprintf(out, "sample %lx @%lx", (unsigned long)words[at + 1], (unsigned long)words[at + 2]);
-        for (size_t i = 3; i <= words[at]; i++)
-            fprintf(out, " %lx", (unsigned long)words[at + i]);
+        for (size_t i = 3; i <= (words[at] & ~SCANNED); i++)
+            fprintf(out, tail, (unsigned long)words[at + i]);
         fputc('\n', out);
     }
     fclose(maps);

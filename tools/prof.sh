@@ -19,7 +19,9 @@
 # (into its own CARGO_TARGET_DIR, or the flag rebuilds everything twice).
 # A function that keeps none — most of libc — is charged to the caller
 # whose return address sits at the stack pointer, where a leaf that has
-# pushed nothing leaves it. Nothing in crates/ knows this exists.
+# pushed nothing leaves it; the self table shows unexported libc as
+# `libc ← caller`, one row per caller (tools/symbolize.awk says how it
+# finds them). Nothing in crates/ knows this exists.
 set -eu
 
 usage() {

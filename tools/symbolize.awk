@@ -11,13 +11,19 @@
 # stripped library resolves to its exported names or to the file itself.
 #
 # prof: `sample RIP @WORD RET...` — the interrupted instruction, the word
-# at the stack pointer, then the frame-pointer chain's return addresses.
+# at the stack pointer, then the frame-pointer chain's return addresses,
+# or, where there was no chain, `~WORD...`: the stack words above.
 # A frameless leaf (most of libc) leaves its return address at the stack
 # pointer and its caller's caller at the top of the chain, so the word
 # stands in for the missing caller when it points into executable code
 # of another file than the interrupted instruction. Prints samples by
 # the function running (self) and by every function on the stack
-# (inclusive).
+# (inclusive). A self row of a function no symbol names (unexported
+# libc: its copy routines, malloc's internals) is split by its caller
+# outside that function's file, `libc ← caller`: the first such frame,
+# else the first scanned stack word that points into another file's code
+# (the return address past the library's frames, unless a stale word
+# comes first).
 #
 # allocs: `calls M C R` (every malloc / calloc / realloc the process
 # made) and `asked BM BC BR` (the bytes they asked for), then for one
@@ -130,16 +136,30 @@ $1 == "sample" && mode == "prof" {
     total++
     split("", seen)
     k = 0
+    at = mapping(hex($2)); home = at ? mfile[at] : ""
+    scan = ""
     for (i = 2; i <= NF; i++) {
+        if ($i ~ /^~/) {
+            word = substr($i, 2)
+            if (scan == "" && (at = mapping(hex(word))) && mfile[at] != home) scan = resolve(word, 1)
+            continue
+        }
         if ($i ~ /^@/) {
             word = substr($i, 2); at = mapping(hex(word))
-            if (at && mfile[at] != mfile[mapping(hex($2))]) frames[++k] = resolve(word, 1)
+            if (at && mfile[at] != home) { frames[++k] = resolve(word, 1); ffile[k] = mfile[at] }
             continue
         }
         # A return address points after the call: look up the call itself.
+        at = mapping(hex($i) - (i > 2)); ffile[k + 1] = at ? mfile[at] : ""
         frames[++k] = resolve($i, i > 2)
     }
-    self[frames[1]]++
+    top = frames[1]
+    if (top ~ /^\[\//) {
+        for (i = 2; i <= k && ffile[i] == home; i++) ;
+        lib = home; sub(/.*\//, "", lib); sub(/\.so.*/, "", lib)
+        top = lib " ← " (i <= k ? frames[i] : scan != "" ? scan : "[no caller outside it]")
+    }
+    self[top]++
     for (i = 1; i <= k; i++) if (!(frames[i] in seen)) { seen[frames[i]] = 1; incl[frames[i]]++ }
     next
 }
