@@ -27,7 +27,7 @@ fn on_both_engines(app: &str, size: usize) {
     {
         let cfg = DsmConfig::new(nodes, proto).page_size(dsm_vm::os_page_size());
         let run = dsm_apps::plan(app, size, cfg).expect("every app runs on every such row");
-        let pages = run_in_threads(&run.cfg, |d| run.program(d));
+        let pages = run_in_threads(&run.cfg, |d| run.program(d)).results;
         let sim = run_dsm(&run.cfg, |d| run.program(d)).results;
         assert!(run.verdict(&pages), "{app} {proto} n={nodes}: {pages:?}");
         assert_eq!(

@@ -19,7 +19,11 @@
 //! parent -> child    PEERS <addr0> <addr1> ... (full roster, rank order)
 //! child  -> parent   RESULT <rank> <words>     (program done, still serving)
 //! parent -> child    SHUTDOWN                  (whole cluster done; exit)
+//! child  -> parent   STATS <rank> <kind>:<msgs>:<bytes>:<rexmit> ...
 //! ```
+//!
+//! The parent prints the fleet's traffic beside the simulator's, one row
+//! per message kind, as `dsmrun` prints the simulator's alone.
 //!
 //! Children keep serving peer page requests between RESULT and
 //! SHUTDOWN, so a fast node cannot strand a slow one. Real sockets
@@ -32,6 +36,7 @@
 //! `dsmrun --list` marks "cluster mode: yes"; the others are refused
 //! with the reason their row gives. See `docs/CLUSTER.md`.
 
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, UdpSocket};
 use std::process::{Child, Command, Stdio};
@@ -40,7 +45,7 @@ use std::time::{Duration, Instant};
 
 use dsm_apps::{Run, Words};
 use dsm_bench::cli::CommonFlags;
-use dsm_core::{NodeId, ProtocolKind};
+use dsm_core::{NetStats, NodeId, ProtocolKind};
 
 struct Args {
     common: CommonFlags,
@@ -101,7 +106,7 @@ fn child(run: &Run, rank: u32) -> std::io::Result<()> {
     assert_eq!(words.next(), Some("PEERS"), "handshake out of order");
     let peers: Vec<SocketAddr> = words.map(|w| w.parse().expect("peer address")).collect();
 
-    dsm_core::run_cluster_node(
+    let (_, stats) = dsm_core::run_cluster_node(
         &run.cfg,
         NodeId(rank),
         sock,
@@ -116,7 +121,66 @@ fn child(run: &Run, rank: u32) -> std::io::Result<()> {
             let _ = std::io::stdin().lock().read_line(&mut line);
         },
     );
+    let kinds: Vec<String> = stats
+        .iter_faults()
+        .map(|(kind, k, _, _, rexmit)| format!("{kind}:{}:{}:{rexmit}", k.count, k.bytes))
+        .collect();
+    println!("STATS {rank} {}", kinds.join(" "));
     Ok(())
+}
+
+/// Messages, bytes and retransmissions of one kind.
+type Traffic = [u64; 3];
+
+/// The fleet's traffic from its ranks' STATS words, summed per kind.
+fn fleet_traffic(lines: &[String]) -> Result<BTreeMap<String, Traffic>, String> {
+    let mut fleet = BTreeMap::new();
+    for word in lines.iter().flat_map(|l| l.split_whitespace()) {
+        let mut parts = word.split(':');
+        let kind = parts.next().unwrap_or_default().to_string();
+        let counts: Vec<u64> = parts
+            .map(str::parse)
+            .collect::<Result<_, _>>()
+            .map_err(|e| format!("malformed STATS word {word}: {e}"))?;
+        let [msgs, bytes, rexmit] = counts[..] else {
+            return Err(format!("malformed STATS word {word}"));
+        };
+        let sum: &mut Traffic = fleet.entry(kind).or_default();
+        for (s, n) in sum.iter_mut().zip([msgs, bytes, rexmit]) {
+            *s += n;
+        }
+    }
+    Ok(fleet)
+}
+
+/// The simulator's and the fleet's traffic side by side, a row per kind
+/// either sent, then the totals.
+fn print_traffic(sim: &NetStats, fleet: &BTreeMap<String, Traffic>) {
+    let mut rows: BTreeMap<&str, (Traffic, Traffic)> = BTreeMap::new();
+    for (kind, k, _, _, rexmit) in sim.iter_faults() {
+        rows.entry(kind).or_default().0 = [k.count, k.bytes, rexmit];
+    }
+    for (kind, t) in fleet {
+        rows.entry(kind.as_str()).or_default().1 = *t;
+    }
+    let total = rows.values().fold([[0; 3]; 2], |mut sum, (s, c)| {
+        for i in 0..3 {
+            sum[0][i] += s[i];
+            sum[1][i] += c[i];
+        }
+        sum
+    });
+    println!(
+        "{:<18} {:>10} {:>12} {:>10} {:>12} {:>8}",
+        "kind", "sim msgs", "sim bytes", "msgs", "bytes", "rexmit"
+    );
+    let totals = ("TOTAL", (total[0], total[1]));
+    for (kind, (s, c)) in rows.into_iter().chain([totals]) {
+        println!(
+            "{kind:<18} {:>10} {:>12} {:>10} {:>12} {:>8}",
+            s[0], s[1], c[0], c[1], c[2]
+        );
+    }
 }
 
 /// A rank's result as a line's words.
@@ -191,7 +255,13 @@ fn parent(args: &Args, run: &Run) -> Result<(), String> {
                     .checked_duration_since(Instant::now())
                     .ok_or_else(timed_out)?;
                 let (rank, line) = rx.recv_timeout(left).map_err(|_| timed_out())?;
-                let line = line.ok_or_else(|| format!("rank {rank} exited before its {want}"))?;
+                let Some(line) = line else {
+                    // A rank may exit once its last line is in.
+                    if got[rank as usize].is_some() {
+                        continue;
+                    }
+                    return Err(format!("rank {rank} exited before its {want}"));
+                };
                 let mut words = line.split_whitespace();
                 if words.next() != Some(want) {
                     continue; // stray child chatter
@@ -251,6 +321,8 @@ fn parent(args: &Args, run: &Run) -> Result<(), String> {
                 .expect("piped stdin")
                 .write_all(b"SHUTDOWN\n");
         }
+        let stats = recv("STATS", &rx)?;
+        print_traffic(&sim.stats, &fleet_traffic(&stats)?);
         for (rank, c) in fleet.iter_mut().enumerate() {
             loop {
                 match c.try_wait() {

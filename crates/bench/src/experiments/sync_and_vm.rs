@@ -127,7 +127,7 @@ pub fn e10_vm_costs(scale: Scale) {
         });
         cols.push(Series {
             label: proto.name().into(),
-            values: res[1].to_vec(),
+            values: res.results[1].to_vec(),
         });
     }
     print_table(

@@ -191,7 +191,7 @@ impl Engine for Sim<'_> {
 /// the protocol and cost model in effect, and heavy local computation
 /// must be modeled explicitly with [`Dsm::compute`].
 pub struct Dsm<'a, E = Sim<'a>> {
-    engine: E,
+    pub(crate) engine: E,
     /// Declared read-ahead window, attached to every read while a
     /// [`Dsm::prefetch_window`] guard lives.
     hint: Cell<Window>,

@@ -11,13 +11,25 @@
 //! takes one path, `Runtime::run`, on the thread that holds the runtime:
 //! it runs to its end there, and a wait on the network sleeps in the
 //! runtime's own `ppoll`, serving peers meanwhile. The **application
-//! thread** runs the program against a [`dsm_vm::ClusterView`], and its
-//! sync calls; a protection violation parks it in the view's signal
-//! handler for the **serving thread**, which runs the fault's op, else
-//! dispatches one event, else sleeps *without the runtime* until a
-//! datagram, the next retransmit deadline or the view's doorbell
-//! ([`dsm_vm::ClusterView::doorbell`]), rung for a fault, for teardown,
+//! thread** runs the program against a [`dsm_vm::ClusterView`]. Each
+//! access first checks the view's rights, one atomic load per page
+//! ([`ClusterView::grants`]): a hit loads or stores through the view; a
+//! miss runs the access itself as a read or write op on this thread, as
+//! the simulator does, and then gives the view of each page its frame's
+//! right. A cold store is one write op, not a read fault and an upgrade.
+//! Sync calls take the same path. The **serving thread** dispatches one
+//! event at a time, else sleeps *without the runtime* until a datagram,
+//! the next retransmit deadline or the view's doorbell
+//! ([`dsm_vm::ClusterView::doorbell`]), rung for a trap, for teardown,
 //! and by a call that set a timer due before the sleep ends.
+//!
+//! The trap path is for what a check cannot exclude: a right the serving
+//! thread revokes between the check and the access. That access traps;
+//! the view's signal handler parks the thread and rings, and the serving
+//! thread resolves it as a protocol op on the byte it trapped at — a
+//! read if the page is unreadable now, else a write of that byte's
+//! current value (contents unchanged, ownership acquired) — and resumes
+//! it.
 //!
 //! A node is usually alone in its process, but nothing requires it:
 //! views are independent, so [`run_in_threads`] runs a whole cluster as
@@ -32,11 +44,7 @@
 //! what the program sees. The one rule: the table write-protects a page
 //! the program can write before it hands the bytes out, overwrites or
 //! evicts them, so no store lands behind the copy. A page lowered that
-//! way while its frame kept write rights comes back at its next fault.
-//!
-//! A write fault on a readable page resolves as a protocol write of
-//! the trapping byte's current value (contents unchanged, ownership
-//! acquired); a cold write takes the classic two-fault upgrade.
+//! way while its frame kept write rights comes back at its next miss.
 //!
 //! Supported protocols are those whose row says
 //! [`crate::Facts::page_fault_driven`]; [`run_cluster_node`] refuses
@@ -44,14 +52,15 @@
 
 use std::net::{SocketAddr, UdpSocket};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Barrier, Mutex, PoisonError};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use crate::lease::FrameCell;
 use crate::node::{DsmNode, DsmOp, OpBuf, OpData};
 use crate::{Dsm, DsmConfig, Engine, ProtocolKind, Window};
 use dsm_mem::{Access, FrameTable, GlobalAddr, PageId};
-use dsm_net::{Dur, NodeId, Reliable, SimTime, SocketRt, LOOPBACK_REL};
+use dsm_net::{loopback_rel, Dur, NetStats, NodeId, Reliable, SimTime, SocketRt};
+use dsm_vm::cluster::{ACC_READ, ACC_WRITE};
 use dsm_vm::{ClusterView, ViewFault};
 
 /// The cluster engine: loads and stores on the node's view for data,
@@ -67,39 +76,10 @@ pub struct Cluster<'v> {
 /// real pages.
 pub type ClusterDsm<'v> = Dsm<'v, Cluster<'v>>;
 
-impl Engine for Cluster<'_> {
-    fn id(&self) -> NodeId {
-        self.me
-    }
-
-    fn nodes(&self) -> u32 {
-        self.nnodes
-    }
-
-    /// `read_with` keeps the copying default: the serving thread may
-    /// revoke or patch a view page under a program's borrow of it.
-    fn read(&self, addr: GlobalAddr, buf: &mut [u8], _: Window) {
-        self.view.read_bytes(addr.0, buf);
-    }
-
-    fn write(&self, addr: GlobalAddr, data: &[u8]) {
-        self.view.write_bytes(addr.0, data);
-    }
-
-    /// One volatile load when `addr` is aligned.
-    #[inline]
-    fn read_u64(&self, addr: GlobalAddr, _: Window) -> u64 {
-        u64::from_le(self.view.read::<u64>(addr.0))
-    }
-
-    /// One volatile store when `addr` is aligned.
-    #[inline]
-    fn write_u64(&self, addr: GlobalAddr, v: u64) {
-        self.view.write::<u64>(addr.0, v.to_le());
-    }
-
-    /// Run a sync op to its end on this thread, as a fault runs on the serving one.
-    fn sync(&self, op: DsmOp) {
+impl<'v> Cluster<'v> {
+    /// Run `op` to its end on this thread, as a fault runs on the
+    /// serving one, and hand the runtime back still held.
+    fn run(&self, op: DsmOp) -> MutexGuard<'_, Runtime<'v>> {
         let mut rt = self.runtime.lock().expect(POISONED);
         rt.run(op);
         // A timer due before the serving loop's sleep ends must shorten
@@ -109,6 +89,73 @@ impl Engine for Cluster<'_> {
             self.view.ring();
             rt.rang = true;
         }
+        rt
+    }
+
+    /// A miss: the access runs as `op`, on the runtime, and the view of
+    /// every page of its `len` bytes at `addr` then gets its frame's
+    /// right, so the next access to them is a hit.
+    #[cold]
+    fn miss(&self, op: DsmOp, addr: GlobalAddr, len: usize) {
+        self.run(op).raise(addr, len);
+    }
+}
+
+impl Engine for Cluster<'_> {
+    fn id(&self) -> NodeId {
+        self.me
+    }
+
+    fn nodes(&self) -> u32 {
+        self.nnodes
+    }
+
+    /// A hit copies out of the view; a miss is a read op (see the
+    /// module docs). `read_with` keeps the copying default: the serving
+    /// thread may revoke or patch a view page under a program's borrow.
+    fn read(&self, addr: GlobalAddr, buf: &mut [u8], _: Window) {
+        if self.view.grants(addr.0, buf.len(), ACC_READ) {
+            return self.view.read_bytes(addr.0, buf);
+        }
+        let len = buf.len();
+        let (buf, hint) = (OpBuf::new(buf), None);
+        self.miss(DsmOp::Read { addr, buf, hint }, addr, len);
+    }
+
+    /// A hit stores into the view; a miss is one write op.
+    fn write(&self, addr: GlobalAddr, data: &[u8]) {
+        if self.view.grants(addr.0, data.len(), ACC_WRITE) {
+            return self.view.write_bytes(addr.0, data);
+        }
+        let op = DsmOp::Write {
+            addr,
+            data: OpData::new(data),
+        };
+        self.miss(op, addr, data.len());
+    }
+
+    /// A hit is one volatile load when `addr` is aligned.
+    #[inline]
+    fn read_u64(&self, addr: GlobalAddr, window: Window) -> u64 {
+        if self.view.grants(addr.0, 8, ACC_READ) {
+            return u64::from_le(self.view.read::<u64>(addr.0));
+        }
+        let mut b = [0u8; 8];
+        self.read(addr, &mut b, window);
+        u64::from_le_bytes(b)
+    }
+
+    /// A hit is one volatile store when `addr` is aligned.
+    #[inline]
+    fn write_u64(&self, addr: GlobalAddr, v: u64) {
+        if self.view.grants(addr.0, 8, ACC_WRITE) {
+            return self.view.write::<u64>(addr.0, v.to_le());
+        }
+        self.write(addr, &v.to_le_bytes());
+    }
+
+    fn sync(&self, op: DsmOp) {
+        drop(self.run(op));
     }
 
     fn compute(&self, _: Dur) {}
@@ -155,7 +202,8 @@ impl<'v> Runtime<'v> {
         Self::mem(&frames).back(view.store());
         // Keep only our node; the rest live in their own processes. Its
         // timeouts are the socket's, not the simulated era's.
-        let node = Reliable::new(nodes.swap_remove(me.index()), cfg.nnodes, LOOPBACK_REL);
+        let rel = loopback_rel(&cfg.model.faults);
+        let node = Reliable::new(nodes.swap_remove(me.index()), cfg.nnodes, rel);
         let mut rt = SocketRt::new(node, me, sock, peers, cfg.model.clone());
         rt.wake_on(view.doorbell());
         rt.start();
@@ -197,7 +245,6 @@ impl<'v> Runtime<'v> {
     /// Resolve a parked access as a protocol op on the byte it trapped
     /// at, give the page's view its frame's right and resume the thread.
     fn service_fault(&mut self, fault: ViewFault) {
-        let page = PageId(fault.page);
         let addr = GlobalAddr(fault.off);
         let mut byte = [0u8];
         // Recompute the fault kind from the page's *current* right: an
@@ -221,14 +268,25 @@ impl<'v> Runtime<'v> {
             }
         };
         self.run(op);
-        // A page write-protected for a hand-out while its frame kept
-        // write rights comes back here.
-        let mem = Self::mem(&self.frames);
-        let right = mem.access(page);
-        if right != Access::None {
-            mem.set_access(page, right);
-        }
+        self.raise(addr, 1);
         self.view.finish_fault();
+    }
+
+    /// Give the view of every page of the `len` bytes at `addr` its
+    /// frame's right, where the frame has one: a page write-protected
+    /// for a hand-out while its frame kept write rights comes back here.
+    fn raise(&self, addr: GlobalAddr, len: usize) {
+        if len == 0 {
+            return;
+        }
+        let mem = Self::mem(&self.frames);
+        let g = mem.geometry();
+        for page in g.page_of(addr).0..=g.page_of(addr.offset(len - 1)).0 {
+            let right = mem.access(PageId(page));
+            if right != Access::None {
+                mem.set_access(PageId(page), right);
+            }
+        }
     }
 }
 
@@ -282,7 +340,9 @@ pub fn supports(protocol: ProtocolKind) -> Result<(), String> {
 /// peers; return from it once the whole cluster is known to be done
 /// (e.g. after a coordinator's shutdown message).
 /// Real sockets are not deterministic — matching *results* with the
-/// simulator, not matching traffic, is the contract.
+/// simulator, not matching traffic, is the contract. Returns the
+/// program's result and this node's traffic: every datagram it sent,
+/// under the simulator's kinds and modeled sizes.
 ///
 /// A panic in `program` or `linger` stops this node's reactor and is
 /// re-raised on the caller's thread, as is one of the serving thread
@@ -302,7 +362,7 @@ pub fn run_cluster_node<V, F, L>(
     peers: Vec<SocketAddr>,
     program: F,
     linger: L,
-) -> V
+) -> (V, NetStats)
 where
     V: Send,
     F: FnOnce(&ClusterDsm<'_>) -> V + Send,
@@ -316,7 +376,7 @@ where
     let view = ClusterView::new(cfg.layout().total_bytes() / ps, ps).expect("mmap cluster view");
     let runtime = Mutex::new(Runtime::new(cfg, me, sock, peers, &view));
 
-    std::thread::scope(|s| {
+    let result = std::thread::scope(|s| {
         let (runtime, view) = (&runtime, &view);
         let serving = s.spawn(move || serve(runtime, view));
 
@@ -342,13 +402,23 @@ where
             resume_unwind(failure);
         }
         ran.unwrap_or_else(|panic| resume_unwind(panic))
-    })
+    });
+    let stats = runtime.lock().expect(POISONED).rt.stats().clone();
+    (result, stats)
+}
+
+/// What [`run_in_threads`] returns: each rank's result and its node's
+/// traffic, in rank order.
+#[derive(Debug)]
+pub struct ThreadsRun<V> {
+    pub results: Vec<V>,
+    pub stats: Vec<NetStats>,
 }
 
 /// Run a whole cluster as threads of this process: one loopback UDP
 /// socket and one [`run_cluster_node`] per node, each on its own
 /// thread, every node running `program`. Returns the results in rank
-/// order.
+/// order, with each node's traffic.
 ///
 /// No program starts before every node serves, so no request waits on
 /// a peer still starting up (and is resent meanwhile). Every node keeps
@@ -358,7 +428,7 @@ where
 /// re-raised on the caller's thread with its own payload. Peers waiting
 /// in a barrier the panicked program never reached are not released,
 /// so such a run still hangs.
-pub fn run_in_threads<V, F>(cfg: &DsmConfig, program: F) -> Vec<V>
+pub fn run_in_threads<V, F>(cfg: &DsmConfig, program: F) -> ThreadsRun<V>
 where
     V: Send,
     F: Fn(&ClusterDsm<'_>) -> V + Sync,
@@ -397,19 +467,21 @@ where
             .collect();
         nodes.into_iter().map(|node| node.join()).collect()
     });
-    outcomes
+    let (results, stats) = outcomes
         .into_iter()
         .map(|outcome| match outcome {
-            Ok(Ok(v)) => v,
-            Ok(Err(payload)) | Err(payload) => resume_unwind(payload),
+            Ok((Ok(v), stats)) => (v, stats),
+            Ok((Err(payload), _)) | Err(payload) => resume_unwind(payload),
         })
-        .collect()
+        .unzip();
+    ThreadsRun { results, stats }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::CoreMsg;
+    use dsm_net::{LOOPBACK_REL, LOSSY_LOOPBACK_REL};
 
     /// A one-node cluster exercises the whole fault → protocol → view
     /// pipeline in-process (multi-process tests live in the bench
@@ -431,7 +503,7 @@ mod tests {
             .page_size(dsm_vm::os_page_size());
         let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
         let peers = vec![sock.local_addr().unwrap()];
-        let cluster = run_cluster_node(
+        let (cluster, _) = run_cluster_node(
             &cfg,
             NodeId(0),
             sock,
@@ -442,6 +514,125 @@ mod tests {
         let sim = crate::run_dsm(&cfg, |d: &Dsm<'_>| program(d));
         assert_eq!(cluster, sim.results[0]);
         assert_eq!(cluster, 42);
+    }
+
+    /// The program's view on real pages.
+    fn view<'v>(d: &'v ClusterDsm<'_>) -> &'v ClusterView {
+        d.engine.view
+    }
+
+    /// Two nodes store to and load from pages only the other touched
+    /// last: every access from the second round on is a miss, which
+    /// the program's own thread resolves as an op, and no access traps.
+    #[test]
+    fn accesses_that_miss_resolve_on_the_program_thread_without_a_trap() {
+        const PAGES: usize = 8;
+        let ps = dsm_vm::os_page_size();
+        let cfg = DsmConfig::new(2, ProtocolKind::IvyFixed)
+            .heap_bytes(PAGES * ps)
+            .page_size(ps);
+        let word = |page: usize, round: usize| (page * 100 + round) as u64 + 1;
+        let run = run_in_threads(&cfg, |d| {
+            let (me, view) = (d.id().0 as usize, view(d));
+            let mut bar = 0;
+            let mut barrier = || {
+                d.barrier(bar);
+                bar += 1;
+            };
+            for round in 0..4 {
+                let mine = |p: &usize| (p + me + round) % 2 == 0;
+                for page in (0..PAGES).filter(mine) {
+                    if round > 0 {
+                        assert!(view.access(page) < ACC_WRITE, "page {page} round {round}");
+                    }
+                    d.write_u64(GlobalAddr(page * ps), word(page, round));
+                }
+                barrier();
+                for page in (0..PAGES).filter(|p| !mine(p)) {
+                    assert_eq!(view.access(page), dsm_vm::cluster::ACC_NONE);
+                    assert_eq!(d.read_u64(GlobalAddr(page * ps)), word(page, round));
+                }
+                barrier();
+            }
+            view.traps()
+        });
+        assert_eq!(run.results, [0, 0], "traps per node");
+        assert!(run.stats.iter().all(|s| s.kind("WriteReq").count > 0));
+    }
+
+    /// An access the program makes through the view, unchecked, still
+    /// traps and resolves through the serving thread — what a right
+    /// revoked between a check and its access takes — under every
+    /// page-fault-driven row: a store and a load per node, both cold.
+    #[test]
+    fn an_unchecked_access_resolves_through_the_serving_thread_under_every_row() {
+        let ps = dsm_vm::os_page_size();
+        for kind in ProtocolKind::every_that(|f| f.page_fault_driven) {
+            let cfg = DsmConfig::new(2, kind).heap_bytes(4 * ps).page_size(ps);
+            let run = run_in_threads(&cfg, |d| {
+                let (me, view) = (d.id().0 as usize, view(d));
+                view.write::<u64>((2 + me) * ps + 8, me as u64 + 7);
+                d.barrier(0);
+                let seen = view.read::<u64>((3 - me) * ps + 8);
+                d.barrier(1);
+                (seen, view.traps())
+            });
+            for (me, (seen, traps)) in run.results.into_iter().enumerate() {
+                assert_eq!(seen, 8 - me as u64, "{kind}: rank {me} read");
+                assert!(traps > 0, "{kind}: rank {me} took no trap");
+            }
+        }
+    }
+
+    /// Misaligned and page-straddling words, and byte ranges over
+    /// several pages, on pages the accessing node does not hold: what
+    /// each node reads on real pages is what it reads in the simulator,
+    /// under every page-fault-driven row.
+    #[test]
+    fn misses_across_pages_match_the_simulator_under_every_row() {
+        fn program(d: &Dsm<'_, impl Engine>) -> Vec<u64> {
+            let ps = dsm_vm::os_page_size();
+            let me = d.id().0 as usize;
+            let bytes = |seed: usize| -> Vec<u8> {
+                (0..2 * ps + 200).map(|i| (i * 7 + seed) as u8).collect()
+            };
+            let digest = |b: &[u8]| {
+                b.iter()
+                    .fold(0u64, |h, &x| h.wrapping_mul(31) ^ u64::from(x))
+            };
+            let mut seen = Vec::new();
+            // Rank r writes in its own third of the space, then reads
+            // what the other rank wrote in its third.
+            for phase in 0..2 {
+                let base = |r: usize| (1 + 3 * r) * ps;
+                if me == phase {
+                    d.write_u64(GlobalAddr(base(me) - 3), 0x0102_0304_0506_0708);
+                    d.write_u64(GlobalAddr(base(me) + ps + 5), 77 + me as u64);
+                    d.write_bytes(GlobalAddr(base(me) + 2 * ps - 100), &bytes(me));
+                }
+                d.barrier(phase as u32);
+                if me != phase {
+                    let b = base(phase);
+                    seen.push(d.read_u64(GlobalAddr(b - 3)));
+                    seen.push(d.read_u64(GlobalAddr(b - 7)));
+                    seen.push(d.read_u64(GlobalAddr(b + ps + 5)));
+                    seen.push(digest(
+                        &d.read_bytes(GlobalAddr(b + 2 * ps - 100), 2 * ps + 200),
+                    ));
+                    seen.push(digest(&d.read_bytes(GlobalAddr(b - 50), 3 * ps)));
+                }
+            }
+            d.barrier(2);
+            seen
+        }
+        let ps = dsm_vm::os_page_size();
+        for kind in ProtocolKind::every_that(|f| f.page_fault_driven) {
+            let cfg = DsmConfig::new(2, kind).heap_bytes(10 * ps).page_size(ps);
+            let sim = crate::run_dsm(&cfg, |d: &Dsm<'_>| program(d)).results;
+            let pages = run_in_threads(&cfg, |d: &ClusterDsm<'_>| program(d)).results;
+            assert_eq!(sim[0][0], 0x0102_0304_0506_0708, "{kind}");
+            assert_eq!(pages, sim, "{kind}");
+        }
     }
 
     /// A request costs its own service, not a scheduler tick: a
@@ -460,7 +651,7 @@ mod tests {
         let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
         let peers = vec![sock.local_addr().unwrap()];
         let t = std::time::Instant::now();
-        let sum = run_cluster_node(
+        let (sum, _) = run_cluster_node(
             &cfg,
             NodeId(0),
             sock,
@@ -480,7 +671,7 @@ mod tests {
 
     /// A node's reliable transport takes its timeouts from the socket,
     /// whatever era the cost model simulates: a first retransmission
-    /// timeout of 1 ms on loopback, not the 1992 LAN's ~23 ms.
+    /// timeout of 2 ms on loopback, not the 1992 LAN's ~23 ms.
     #[test]
     fn a_node_times_out_as_its_socket_does_not_as_its_era() {
         let cfg = DsmConfig::new(2, ProtocolKind::IvyFixed)
@@ -494,6 +685,28 @@ mod tests {
         let era = dsm_net::RelConfig::from_model(&cfg.model, 2);
         assert_eq!(rt.rt.node().config(), &LOOPBACK_REL);
         assert!(LOOPBACK_REL.rto_initial * 10 < era.rto_initial, "{era:?}");
+    }
+
+    /// A node whose fault plan drops datagrams recovers each loss after
+    /// the short loopback RTO, not the lossless socket's floor; one that
+    /// only duplicates them loses nothing, and keeps the floor.
+    #[test]
+    fn a_node_that_drops_datagrams_keeps_the_short_floor() {
+        let base = DsmConfig::new(2, ProtocolKind::IvyFixed)
+            .heap_bytes(1 << 16)
+            .page_size(dsm_vm::os_page_size());
+        for (plan, want) in [
+            (dsm_net::FaultPlan::lossy(0.1, 0.0, 1), &LOSSY_LOOPBACK_REL),
+            (dsm_net::FaultPlan::lossy(0.0, 0.1, 1), &LOOPBACK_REL),
+        ] {
+            let cfg = base.clone().faults(plan);
+            let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
+            let peers = vec![sock.local_addr().unwrap(); 2];
+            let view = ClusterView::new(16, dsm_vm::os_page_size()).unwrap();
+            let rt = Runtime::new(&cfg, NodeId(0), sock, peers, &view);
+            assert_eq!(rt.rt.node().config(), want);
+        }
+        assert!(LOSSY_LOOPBACK_REL.rto_min < LOOPBACK_REL.rto_min);
     }
 
     #[test]

@@ -30,7 +30,7 @@ mod msg;
 mod node;
 
 pub use api::{Dsm, Engine, PrefetchWindow, Sim, Window};
-pub use cluster::{run_cluster_node, run_in_threads, Cluster, ClusterDsm};
+pub use cluster::{run_cluster_node, run_in_threads, Cluster, ClusterDsm, ThreadsRun};
 pub use lease::Lease;
 pub use msg::CoreMsg;
 pub use node::{DsmNode, DsmOp, OpBuf, OpData};

@@ -116,7 +116,7 @@ fn a_flag_on_the_data_page_publishes_the_data() {
     for kind in sc_rows() {
         for cfg in common::networks(one_page(2, kind)) {
             let sim = run_dsm(&cfg, |d: &Dsm<'_>| flag_handshake(d)).results;
-            let pages = run_in_threads(&cfg, |d: &ClusterDsm<'_>| flag_handshake(d));
+            let pages = run_in_threads(&cfg, |d: &ClusterDsm<'_>| flag_handshake(d)).results;
             for (engine, seen) in [("simulator", sim), ("real pages", pages)] {
                 let engine = common::engine(engine, &cfg);
                 assert_eq!(

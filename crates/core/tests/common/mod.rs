@@ -459,7 +459,8 @@ macro_rules! checked_on_both_engines {
         let (pages, sim) = (common::History::new(cfg), common::History::new(cfg));
         let on_pages = dsm_core::run_in_threads(cfg, |d: &dsm_core::ClusterDsm<'_>| {
             common::recorded(d, &pages, |d| ($program)(d))
-        });
+        })
+        .results;
         let in_sim = dsm_core::run_dsm(cfg, |d: &dsm_core::Dsm<'_>| {
             common::recorded(d, &sim, |d| ($program)(d))
         })

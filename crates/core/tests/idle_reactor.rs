@@ -93,8 +93,8 @@ fn a_waiting_caller_does_not_spin(cfg: &DsmConfig) {
             d.barrier(1);
             (cpu_s() - start.0, start.1.elapsed().as_secs_f64())
         });
-        cpu += burnt[0].0;
-        wall += burnt[0].1;
+        cpu += burnt.results[0].0;
+        wall += burnt.results[0].1;
     }
     assert!(wall >= 0.3, "rank 0 left its barriers after {wall:.3} s");
     assert!(

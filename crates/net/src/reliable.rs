@@ -112,9 +112,10 @@ const ACK_BYTES: usize = 24;
 /// Statistics slot for standalone acks (transport range 48–55).
 const ACK_KIND: KindId = KindId(48);
 
-/// Lower clamp for the adaptive RTO: below this, scheduling granularity
-/// and piggyback timing dominate and spurious retransmits climb without
-/// buying latency.
+/// The simulated network's lower clamp for the adaptive RTO
+/// ([`RelConfig::rto_min`] of [`RelConfig::from_model`]): below this,
+/// scheduling granularity and piggyback timing dominate and spurious
+/// retransmits climb without buying latency.
 const RTO_FLOOR: Dur = Dur::micros(50);
 
 /// The longest a standalone ack waits for a reverse `Data` frame to
@@ -175,6 +176,10 @@ impl<M: Payload> Payload for RelMsg<M> {
 pub struct RelConfig {
     /// Retransmission timeout before the first RTT sample lands.
     pub rto_initial: Dur,
+    /// Floor under every RTO computed from RTT samples (TCP's RTO_min,
+    /// RFC 6298 §2.4): a late ack that a busy host merely held back
+    /// must not look like a loss.
+    pub rto_min: Dur,
     /// Backoff cap: the timeout doubles per retry up to this value.
     pub rto_max: Dur,
     /// Consecutive retransmission timeouts on a link before the peer
@@ -195,6 +200,7 @@ impl RelConfig {
         let rto_initial = (per_hop * 4 + queueing * 2).max(Dur::micros(100));
         RelConfig {
             rto_initial,
+            rto_min: RTO_FLOOR,
             rto_max: rto_initial * 32,
             suspect_after: 3,
         }
@@ -395,7 +401,7 @@ impl<N: NodeBehavior> Reliable<N> {
     /// feed the RTT estimator (Karn's rule: only never-retransmitted
     /// frames produce samples).
     fn process_ack(&mut self, peer: NodeId, ack: u64, sack: u64, ack_epoch: u32, now: SimTime) {
-        let rto_max = self.cfg.rto_max;
+        let (rto_min, rto_max) = (self.cfg.rto_min, self.cfg.rto_max);
         let link = &mut self.links[peer.index()];
         if ack_epoch != link.epoch {
             return;
@@ -436,12 +442,12 @@ impl<N: NodeBehavior> Reliable<N> {
         if sampled {
             let (srtt, rttvar) = link.rtt.expect("sampled above");
             link.rto = (Dur::nanos(srtt + 4 * rttvar) + ACK_DELAY_MAX)
-                .max(RTO_FLOOR)
+                .max(rto_min)
                 .min(rto_max);
         } else {
             // No fresh sample: a backed-off RTO stands until one lands
             // (Karn; RFC 6298 §5), within the floor and the cap.
-            link.rto = link.rto.max(RTO_FLOOR).min(rto_max);
+            link.rto = link.rto.max(rto_min).min(rto_max);
         }
         // Restart the timeout for whatever is still unacked.
         link.deadline = now + link.rto;

@@ -25,7 +25,7 @@
 //!   `complete_op_after` latency) are *not* slept — real execution and
 //!   the real network provide the latency. The model is still carried
 //!   for its fault plan and local-cost bookkeeping, but not for the
-//!   retransmission timeout: a loopback link's is [`LOOPBACK_REL`], not
+//!   retransmission timeout: a loopback link's is [`loopback_rel`], not
 //!   the simulated era's.
 //! * **One wait.** [`SocketRt::step`] blocks in one `ppoll(2)` over the
 //!   socket and the [`SocketRt::wake_on`] doorbell, up to its bound or
@@ -67,15 +67,43 @@ use crate::transport::{Ctx, Transport};
 use crate::wire::{from_wire_bytes, Wire};
 
 /// The reliable transport's timing on a loopback socket, whose round
-/// trip is ~10–30 µs. The first RTO, before a link's first RTT sample,
-/// is 1 ms: two orders of magnitude above that round trip, and one below
-/// the ~23 ms that [`RelConfig::from_model`] derives from the 1992 LAN.
-/// Backoff doubles it up to 32 ms.
+/// trip is ~10–30 µs (~0.2–0.5 ms under a debug build's load). The
+/// first RTO, before a link's first RTT sample, is 2 ms: two orders of
+/// magnitude above that round trip, and ten times below the ~20–23 ms
+/// that [`RelConfig::from_model`] derives from the 1992 LAN. Every RTO
+/// computed from samples is at least 5 ms (TCP's RTO_min, RFC 6298
+/// §2.4): a reply or a deferred ack that a busy two-core host wakes
+/// late is held back for milliseconds, and a floor at 2 ms resent such
+/// frames in about one lossless 4-node run in 25. Backoff doubles the
+/// RTO up to 32 ms.
 pub const LOOPBACK_REL: RelConfig = RelConfig {
-    rto_initial: Dur::millis(1),
+    rto_initial: Dur::millis(2),
+    rto_min: Dur::millis(5),
     rto_max: Dur::millis(32),
     suspect_after: 3,
 };
+
+/// [`LOOPBACK_REL`] for a socket whose fault plan drops datagrams: there
+/// every lost frame waits out an RTO, and with a tenth of them lost the
+/// waits, not the spurious resends, are the cost — a 5 ms floor made the
+/// lossy cluster tests ten times slower. So the first RTO is 1 ms and the
+/// floor is the simulator's 50 µs.
+pub const LOSSY_LOOPBACK_REL: RelConfig = RelConfig {
+    rto_initial: Dur::millis(1),
+    rto_min: Dur::micros(50),
+    rto_max: Dur::millis(32),
+    suspect_after: 3,
+};
+
+/// The reliable transport's timing on a loopback socket that acts out
+/// `plan`: [`LOSSY_LOOPBACK_REL`] if it drops datagrams, else
+/// [`LOOPBACK_REL`].
+pub fn loopback_rel(plan: &FaultPlan) -> RelConfig {
+    match plan.drop_prob > 0.0 {
+        true => LOSSY_LOOPBACK_REL,
+        false => LOOPBACK_REL,
+    }
+}
 
 /// Largest datagram we accept.
 const RECV_BUF: usize = 65_536;

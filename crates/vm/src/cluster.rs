@@ -15,7 +15,10 @@
 //! stack in cluster mode, which polls the pipe ([`ClusterView::doorbell`])
 //! with its socket, and keeps its frame table in the view's memory
 //! ([`ClusterView::store`]); the application rings the pipe too
-//! ([`ClusterView::ring`]).
+//! ([`ClusterView::ring`]). A program may also check its rights first
+//! ([`ClusterView::grants`], one load per page) and resolve a miss
+//! itself, without a trap; the trap stays for what a check cannot
+//! exclude, a right revoked between the check and the access.
 //! Any number of views may live in one process: the handler finds the
 //! faulting one by scanning a static table.
 //!
@@ -28,7 +31,9 @@
 use std::io::{self, Read};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::ptr;
-use std::sync::atomic::{compiler_fence, AtomicPtr, AtomicU32, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{
+    compiler_fence, AtomicPtr, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering,
+};
 use std::sync::{Arc, OnceLock};
 
 use dsm_mem::{Access, GlobalAddr, PageId, PageStore};
@@ -83,6 +88,8 @@ struct ViewShared {
     access: Vec<AtomicU8>,
     slot: FaultSlot,
     pipe_w: OwnedFd,
+    /// Faults the handler has taken in this view.
+    traps: AtomicU64,
 }
 
 impl ViewShared {
@@ -216,6 +223,7 @@ extern "C" fn segv_handler(_sig: libc::c_int, info: *mut libc::siginfo_t, _ctx: 
     // SAFETY: the faulting thread is inside an access to this view's
     // mapping, so the view is borrowed (alive) until that access retires.
     let view = unsafe { &*view };
+    view.traps.fetch_add(1, Ordering::Relaxed);
     let slot = &view.slot;
     let off = addr - view.region.base() as usize;
     slot.off.store(off, Ordering::Release);
@@ -302,6 +310,7 @@ impl ClusterView {
                 status: AtomicU32::new(SLOT_IDLE),
             },
             pipe_w,
+            traps: AtomicU64::new(0),
         });
         install_handler();
         let raw = &*shared as *const ViewShared as *mut ViewShared;
@@ -321,20 +330,40 @@ impl ClusterView {
 
     // ---------------- application side ----------------
 
-    /// Pointer to the `n` bytes at offset `off`, bounds-checked without
-    /// wrapping; `what` (a read or a write) is refused as the simulator
-    /// refuses an access out of the global space.
+    /// Refuse `what` (a read or a write) of the `n` bytes at offset `off`
+    /// if they do not lie in the view, as the simulator refuses an
+    /// access out of the global space; checked without wrapping.
     #[inline]
-    fn span(&self, what: &str, off: usize, n: usize) -> *mut u8 {
+    fn bounds(&self, what: &str, off: usize, n: usize) {
         assert!(
             off.checked_add(n)
                 .is_some_and(|end| end <= self.shared.pages * self.shared.page_size),
             "{what} [{}, +{n}) out of bounds",
             GlobalAddr(off)
         );
+    }
+
+    /// Pointer to the `n` bytes at offset `off`, bounds-checked.
+    #[inline]
+    fn span(&self, what: &str, off: usize, n: usize) -> *mut u8 {
+        self.bounds(what, off, n);
         // SAFETY: in bounds; the callers below respect protection by
         // trapping into the handler.
         unsafe { self.shared.region.at(off) }
+    }
+
+    /// Whether every page of the `n` bytes at offset `off` grants at
+    /// least `acc` now: one load per page, bounds-checked as the access
+    /// it precedes is (`acc` [`ACC_WRITE`] checks as a write). A right
+    /// revoked after the check still traps.
+    #[inline]
+    pub fn grants(&self, off: usize, n: usize, acc: u8) -> bool {
+        self.bounds(if acc == ACC_WRITE { "write" } else { "read" }, off, n);
+        if n == 0 {
+            return true;
+        }
+        let ps = self.shared.page_size;
+        (off / ps..=(off + n - 1) / ps).all(|page| self.access(page) >= acc)
     }
 
     /// Volatile typed load at byte offset `off` (may fault and park
@@ -466,6 +495,11 @@ impl ClusterView {
         debug_assert_eq!(byte[0], RING_BYTE, "a ring answered out of turn");
     }
 
+    /// How many faults the signal handler has taken in this view.
+    pub fn traps(&self) -> u64 {
+        self.shared.traps.load(Ordering::Relaxed)
+    }
+
     /// Current access level of `page` (one of [`ACC_NONE`],
     /// [`ACC_READ`], [`ACC_WRITE`]).
     pub fn access(&self, page: usize) -> u8 {
@@ -583,6 +617,46 @@ mod tests {
         assert_eq!(view.read::<u64>(ps - 3), 0x0102_0304_0506_0708);
         assert_eq!(view.read::<u8>(ps - 3), 0x08);
         assert_eq!(view.read::<u8>(ps + 4), 0x01);
+    }
+
+    /// A check asks every page of the range for the right, and only a
+    /// trap counts: a checked access that hits takes none, and a store
+    /// to a read-only page takes one.
+    #[test]
+    fn grants_checks_every_page_and_only_traps_count() {
+        let ps = os_page_size();
+        let view = ClusterView::new(3, ps).unwrap();
+        view.set_access(0, ACC_WRITE);
+        view.set_access(1, ACC_READ);
+        assert!(view.grants(ps - 4, 8, ACC_READ));
+        assert!(!view.grants(ps - 4, 8, ACC_WRITE));
+        assert!(view.grants(0, ps, ACC_WRITE));
+        assert!(!view.grants(2 * ps - 1, 2, ACC_READ));
+        assert!(view.grants(3 * ps, 0, ACC_WRITE));
+        view.write::<u64>(8, 5);
+        assert_eq!(view.read::<u64>(ps - 4), 0);
+        assert_eq!(view.traps(), 0);
+        std::thread::scope(|s| {
+            let app = s.spawn(|| view.write::<u8>(ps, 1));
+            let fault = loop {
+                match view.pending_fault() {
+                    Some(f) => break f,
+                    None => std::thread::yield_now(),
+                }
+            };
+            assert!(fault.write);
+            view.set_access(1, ACC_WRITE);
+            view.finish_fault();
+            app.join().unwrap();
+        });
+        assert_eq!(view.traps(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "write [g:0xfffffffffffffffc, +8) out of bounds")]
+    fn a_check_is_bounds_checked_as_its_access() {
+        let view = ClusterView::new(1, os_page_size()).unwrap();
+        view.grants(usize::MAX - 3, 8, ACC_WRITE);
     }
 
     /// `off + size` must not wrap its way past the bounds check.

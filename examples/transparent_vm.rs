@@ -49,6 +49,7 @@ fn main() {
         d.barrier(0);
         (0..4)
             .all(|m| (0..8).all(|i| d.read_u64(GlobalAddr(m * q + i * 8)) == (m * 100 + i) as u64))
-    });
+    })
+    .results;
     println!("all nodes see everyone's writes: {results:?}");
 }

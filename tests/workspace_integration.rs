@@ -71,7 +71,7 @@ fn multiple_writer_merge_on_both_engines() {
     let pages = DsmConfig::new(4, ProtocolKind::Lrc)
         .heap_bytes(2 * ps)
         .page_size(ps);
-    let pages = dsm_core::run_in_threads(&pages, |d: &ClusterDsm<'_>| slot_sum(d));
+    let pages = dsm_core::run_in_threads(&pages, |d: &ClusterDsm<'_>| slot_sum(d)).results;
     assert_eq!(sim, [1 + 2 + 3 + 4; 4]);
     assert_eq!(pages, [1 + 2 + 3 + 4; 4]);
 }

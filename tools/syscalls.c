@@ -5,18 +5,24 @@
  * sendto, recvfrom, ppoll, mprotect, madvise, write and syscall are
  * interposed and passed on to the next definition (glibc's, found once
  * with dlsym); a `syscall` is counted only when it is a futex, which is
- * how Rust's std::sync and dsm-vm's fault slot wait and wake. Counting
- * is one relaxed atomic add, so the wrappers stay async-signal-safe:
- * dsm-vm's SIGSEGV handler writes its doorbell pipe and wakes through a
- * futex. A call glibc makes from inside itself (stdio's writes) binds
- * to its own copy and is not seen; Rust's std calls each of these by its
- * exported name.
+ * how Rust's std::sync and dsm-vm's fault slot wait and wake — a wait
+ * (FUTEX_WAIT, FUTEX_WAIT_BITSET) apart from everything else, a wake.
+ * Every count is kept twice: for the process's main thread, which runs
+ * a cluster node's program, and for the rest, the node's serving
+ * thread among them. Counting is one relaxed atomic add, and the thread
+ * is told by an initial-exec thread-local cached at its first counted
+ * call, so the wrappers stay async-signal-safe: dsm-vm's SIGSEGV handler
+ * writes its doorbell pipe and wakes through a futex. A call glibc makes
+ * from inside itself (stdio's writes) binds to its own copy and is not
+ * seen; Rust's std calls each of these by its exported name.
  *
  * A line a benchmark child writes to stdout as `M ops <n>` (benchmark/
  * src/child.rs, the ops it timed) is read on its way out, so the census
- * can divide by it. At exit the counts, that op count and the process's
- * command line go to SYSCALLS_OUT.<pid>, one file per process, since
- * children inherit the preload. */
+ * can divide by it. At exit the counts, that op count, getrusage's user
+ * and system microseconds and voluntary context switches (the main
+ * thread's, and the rest of the process's) and the command line go to
+ * SYSCALLS_OUT.<pid>, one file per process, since children inherit the
+ * preload. */
 #define _GNU_SOURCE
 #include <dlfcn.h>
 #include <poll.h>
@@ -25,6 +31,8 @@
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
+#include <linux/futex.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/syscall.h>
 #include <time.h>
@@ -34,15 +42,21 @@
 #define SYSCALLS_OUT "syscalls.dump"
 #endif
 
-enum { SENDTO, RECVFROM, PPOLL, MPROTECT, MADVISE, WRITE, FUTEX, KINDS };
-static const char *const names[KINDS] = {"sendto", "recvfrom", "ppoll", "mprotect",
-                                         "madvise", "write", "futex"};
-static unsigned long calls[KINDS];
+enum { SENDTO, RECVFROM, PPOLL, MPROTECT, MADVISE, WRITE, FUTEX_WAITS, FUTEX_WAKES, KINDS };
+static const char *const names[KINDS] = {"sendto",  "recvfrom", "ppoll",     "mprotect",
+                                         "madvise", "write",    "futex_wait", "futex_wake"};
+/* [0]: the main thread; [1]: every other thread. */
+static unsigned long calls[2][KINDS];
 static unsigned long ops;
 static int have_ops;
 
+/* 0 on the main thread, 1 elsewhere, -1 until the thread's first call. */
+static __thread int other_thread __attribute__((tls_model("initial-exec"))) = -1;
+
 static void count(int kind) {
-    __atomic_fetch_add(&calls[kind], 1, __ATOMIC_RELAXED);
+    if (other_thread < 0)
+        other_thread = gettid() != getpid();
+    __atomic_fetch_add(&calls[other_thread][kind], 1, __ATOMIC_RELAXED);
 }
 
 /* The next definition of `name`, looked up once. The constructor resolves
@@ -117,8 +131,10 @@ long syscall(long number, ...) {
     for (int i = 0; i < 6; i++)
         a[i] = va_arg(ap, long);
     va_end(ap);
-    if (number == SYS_futex)
-        count(FUTEX);
+    if (number == SYS_futex) {
+        int cmd = (int)a[1] & FUTEX_CMD_MASK;
+        count(cmd == FUTEX_WAIT || cmd == FUTEX_WAIT_BITSET ? FUTEX_WAITS : FUTEX_WAKES);
+    }
     return real_syscall()(number, a[0], a[1], a[2], a[3], a[4], a[5]);
 }
 
@@ -153,6 +169,21 @@ __attribute__((destructor)) static void syscalls_dump(void) {
     if (have_ops)
         fprintf(out, "ops %lu\n", ops);
     for (int k = 0; k < KINDS; k++)
-        fprintf(out, "calls %s %lu\n", names[k], __atomic_load_n(&calls[k], __ATOMIC_RELAXED));
+        fprintf(out, "calls %s %lu %lu\n", names[k],
+                __atomic_load_n(&calls[0][k], __ATOMIC_RELAXED),
+                __atomic_load_n(&calls[1][k], __ATOMIC_RELAXED));
+    /* The process's usage, exited threads included, less the main
+     * thread's own: the destructor runs on the thread that called exit. */
+    struct rusage all, self = {0};
+    int main_thread = gettid() == getpid();
+    if (getrusage(RUSAGE_SELF, &all) == 0 && (!main_thread || getrusage(RUSAGE_THREAD, &self) == 0)) {
+        long us[2][2] = {{self.ru_utime.tv_sec * 1000000L + self.ru_utime.tv_usec,
+                          self.ru_stime.tv_sec * 1000000L + self.ru_stime.tv_usec},
+                         {all.ru_utime.tv_sec * 1000000L + all.ru_utime.tv_usec,
+                          all.ru_stime.tv_sec * 1000000L + all.ru_stime.tv_usec}};
+        fprintf(out, "usage user_us %ld %ld\n", us[0][0], us[1][0] - us[0][0]);
+        fprintf(out, "usage sys_us %ld %ld\n", us[0][1], us[1][1] - us[0][1]);
+        fprintf(out, "usage vol_cs %ld %ld\n", self.ru_nvcsw, all.ru_nvcsw - self.ru_nvcsw);
+    }
     fclose(out);
 }
