@@ -16,8 +16,10 @@
 //! counters along a chain sum to `chain_len * rounds` — so protocol
 //! comparisons are at identical results.
 
-use dsm_core::{Dsm, Dur, Engine, GlobalAddr, NodeId};
+use crate::table::{App, Words};
+use dsm_core::{Dsm, DsmConfig, Dur, Engine, GlobalAddr, NodeId};
 use dsm_obj::{DsmBox, DsmHeap, Pod};
+use std::ops::Range;
 
 /// One chain element. 16 bytes, two `u64` fields, no padding — a
 /// valid [`Pod`].
@@ -165,6 +167,67 @@ pub fn run_pages(dsm: &Dsm<'_, impl Engine>, p: &ChaseParams) -> u64 {
         cur = dsm.read_u64(a);
     }
     sum
+}
+
+/// `chase` as the app table runs it: the page build, or, under a
+/// protocol that answers object ops, the chase over allocated objects
+/// (E22's workload), which only the simulator runs.
+#[derive(Clone)]
+pub struct Chase {
+    pub params: ChaseParams,
+    /// The object build's chains, once [`App::machine`] chose it.
+    chains: Option<Vec<Vec<DsmBox<ChaseElem>>>>,
+}
+
+impl From<ChaseParams> for Chase {
+    fn from(params: ChaseParams) -> Self {
+        Chase {
+            params,
+            chains: None,
+        }
+    }
+}
+
+impl App for Chase {
+    fn name(&self) -> &'static str {
+        "chase"
+    }
+
+    fn machine(&mut self, cfg: DsmConfig) -> DsmConfig {
+        let nodes = cfg.nnodes;
+        let cfg = cfg.heap_bytes(self.params.heap_bytes(nodes as usize));
+        if cfg.protocol.facts().object_ops.is_err() {
+            return cfg;
+        }
+        let (heap, chains) = build_obj_chains(&self.params, nodes);
+        self.chains = Some(chains);
+        cfg.objects(heap.table())
+    }
+
+    fn program(&self, d: &Dsm<'_, impl Engine>) -> Words {
+        vec![run_pages(d, &self.params)]
+    }
+
+    fn sim_program(&self, d: &Dsm<'_>) -> Words {
+        match &self.chains {
+            Some(chains) => vec![run_obj(d, &self.params, chains)],
+            None => self.program(d),
+        }
+    }
+
+    fn verdict(&self, results: &[Words]) -> bool {
+        let want = [self.params.expected()];
+        results.iter().all(|w| w[..] == want)
+    }
+
+    /// The page build's elements of its own chain, interleaved with
+    /// every other chain's.
+    fn writes(&self, nodes: usize, rank: usize) -> Vec<Range<usize>> {
+        let p = &self.params;
+        let elem = |i| p.slot_addr(p.slot(rank, i, nodes)).0;
+        let len = std::mem::size_of::<ChaseElem>();
+        (0..p.chain_len).map(|i| elem(i)..elem(i) + len).collect()
+    }
 }
 
 #[cfg(test)]

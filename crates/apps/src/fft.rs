@@ -9,9 +9,11 @@
 //! in transposed-decimated order; the reference runs the identical
 //! algorithm sequentially, so results compare bitwise.
 
-use crate::util::{block_range, compute_flops, f64_at};
-use dsm_core::{Dsm, Engine, GlobalAddr};
+use crate::table::{sums_match, App, Words};
+use crate::util::{block_range, block_sums, compute_flops, f64_at};
+use dsm_core::{Dsm, DsmConfig, Engine, GlobalAddr};
 use std::f64::consts::PI;
+use std::ops::Range;
 
 /// FFT problem description: `n = rows * cols` complex points.
 #[derive(Debug, Clone, Copy)]
@@ -202,11 +204,39 @@ pub fn reference(p: &FftParams) -> Vec<f64> {
     b
 }
 
-/// Checksum of the reference block node `node` of `nodes` would own.
-pub fn reference_block_sum(p: &FftParams, nodes: usize, node: usize) -> f64 {
-    let b = reference(p);
-    let (lo, hi) = block_range(p.cols, nodes, node);
-    b[lo * p.rows * 2..hi * p.rows * 2].iter().sum()
+/// Checksum of the reference block each of `nodes` nodes would own.
+pub fn reference_block_sums(p: &FftParams, nodes: usize) -> Vec<f64> {
+    block_sums(&reference(p), p.cols, p.rows * 2, 0, nodes)
+}
+
+impl App for FftParams {
+    fn name(&self) -> &'static str {
+        "fft"
+    }
+
+    fn machine(&mut self, cfg: DsmConfig) -> DsmConfig {
+        cfg.heap_bytes(self.heap_bytes())
+    }
+
+    fn program(&self, d: &Dsm<'_, impl Engine>) -> Words {
+        vec![run(d, self).to_bits()]
+    }
+
+    /// Its sums, and their rounding, grow with the grid.
+    fn verdict(&self, results: &[Words]) -> bool {
+        let want = reference_block_sums(self, results.len());
+        sums_match(results, &want, |want| 1e-9 * want.abs().max(1.0))
+    }
+
+    /// Its block of rows of A, then of B.
+    fn writes(&self, nodes: usize, rank: usize) -> Vec<Range<usize>> {
+        let (lo, hi) = block_range(self.rows, nodes, rank);
+        let (blo, bhi) = block_range(self.cols, nodes, rank);
+        vec![
+            self.a_elem(lo, 0).0..self.a_elem(hi, 0).0,
+            self.b_elem(blo, 0).0..self.b_elem(bhi, 0).0,
+        ]
+    }
 }
 
 #[cfg(test)]

@@ -8,8 +8,10 @@
 //! balanced as the active submatrix shrinks (the classic distribution
 //! for this kernel).
 
+use crate::table::{App, Words};
 use crate::util::compute_flops;
-use dsm_core::{Dsm, Engine, GlobalAddr};
+use dsm_core::{Dsm, DsmConfig, Engine, GlobalAddr};
+use std::ops::Range;
 
 /// Problem: solve `n` equations; the matrix is `n × (n+1)` (augmented),
 /// row-major from address 0.
@@ -148,6 +150,39 @@ pub fn reference(p: &GaussParams) -> Vec<f64> {
         x[k] = v;
     }
     x
+}
+
+impl App for GaussParams {
+    fn name(&self) -> &'static str {
+        "gauss"
+    }
+
+    fn machine(&mut self, cfg: DsmConfig) -> DsmConfig {
+        cfg.heap_bytes(self.heap_bytes())
+    }
+
+    fn program(&self, d: &Dsm<'_, impl Engine>) -> Words {
+        run(d, self).into_iter().map(f64::to_bits).collect()
+    }
+
+    /// Every rank's whole solution vector.
+    fn verdict(&self, results: &[Words]) -> bool {
+        let want = reference(self);
+        results.iter().all(|x| {
+            x.len() == want.len()
+                && x.iter()
+                    .zip(&want)
+                    .all(|(&got, &w)| (f64::from_bits(got) - w).abs() < 1e-9)
+        })
+    }
+
+    /// The rows it owns.
+    fn writes(&self, nodes: usize, rank: usize) -> Vec<Range<usize>> {
+        (0..self.n)
+            .filter(|&r| owner(r, nodes) == rank)
+            .map(|r| self.row_addr(r).0..self.row_addr(r).0 + self.width() * 8)
+            .collect()
+    }
 }
 
 #[cfg(test)]

@@ -4,8 +4,10 @@
 //! every iteration rewrites the full owned block (twice the write
 //! traffic, simpler sharing).
 
-use crate::util::{block_range, compute_flops, f64_at};
-use dsm_core::{Dsm, Engine, GlobalAddr};
+use crate::table::{sums_match, App, Words};
+use crate::util::{block_range, block_sums, compute_flops, f64_at};
+use dsm_core::{Dsm, DsmConfig, Engine, GlobalAddr};
+use std::ops::Range;
 
 #[derive(Debug, Clone, Copy)]
 pub struct JacobiParams {
@@ -102,11 +104,43 @@ pub fn reference(p: &JacobiParams) -> Vec<f64> {
     a
 }
 
-/// Checksum of the reference block a node would own.
-pub fn reference_block_sum(p: &JacobiParams, nodes: usize, node: usize) -> f64 {
-    let g = reference(p);
-    let (lo, hi) = block_range(p.n - 2, nodes, node);
-    g[(lo + 1) * p.n..(hi + 1) * p.n].iter().sum()
+/// Checksum of the reference block each of `nodes` nodes would own.
+pub fn reference_block_sums(p: &JacobiParams, nodes: usize) -> Vec<f64> {
+    block_sums(&reference(p), p.n - 2, p.n, 1, nodes)
+}
+
+impl App for JacobiParams {
+    fn name(&self) -> &'static str {
+        "jacobi"
+    }
+
+    fn machine(&mut self, cfg: DsmConfig) -> DsmConfig {
+        cfg.heap_bytes(self.heap_bytes())
+    }
+
+    fn program(&self, d: &Dsm<'_, impl Engine>) -> Words {
+        vec![run(d, self).to_bits()]
+    }
+
+    fn verdict(&self, results: &[Words]) -> bool {
+        let want = reference_block_sums(self, results.len());
+        sums_match(results, &want, |_| 1e-9)
+    }
+
+    /// Its interior rows of both buffers, and node 0 the boundary rows
+    /// of both as well.
+    fn writes(&self, nodes: usize, rank: usize) -> Vec<Range<usize>> {
+        let (lo, hi) = block_range(self.n - 2, nodes, rank);
+        let mut bytes = Vec::new();
+        for buf in 0..2 {
+            let rows = |lo, hi| self.row_addr(buf, lo).0..self.row_addr(buf, hi).0;
+            bytes.push(rows(lo + 1, hi + 1));
+            if rank == 0 {
+                bytes.extend([rows(0, 1), rows(self.n - 1, self.n)]);
+            }
+        }
+        bytes
+    }
 }
 
 #[cfg(test)]

@@ -18,9 +18,11 @@
 //! keys packed many-to-a-page), and protocols pay for it in different
 //! coins.
 
+use crate::table::{App, Words};
 use crate::util::u64_at;
-use dsm_core::{Dsm, Engine, GlobalAddr};
+use dsm_core::{Dsm, DsmConfig, Engine, GlobalAddr};
 use dsm_sync::LockId;
+use std::ops::Range;
 
 /// Zipf KV workload description.
 #[derive(Debug, Clone, Copy)]
@@ -44,12 +46,6 @@ const TABLE: GlobalAddr = GlobalAddr(0);
 impl KvParams {
     pub fn heap_bytes(&self) -> usize {
         self.keys * 8
-    }
-
-    /// Entry-consistency bindings: every key's 8 bytes, to the stripe
-    /// lock that guards it.
-    pub fn bindings(&self) -> impl Iterator<Item = (LockId, GlobalAddr, usize)> + '_ {
-        (0..self.keys).map(|k| ((k % self.stripes) as LockId, u64_at(TABLE, k), 8))
     }
 }
 
@@ -147,6 +143,39 @@ pub fn run(dsm: &Dsm<'_, impl Engine>, p: &KvParams) -> u64 {
     }
     dsm.barrier(1);
     digest((0..p.keys).map(|k| dsm.read_u64(u64_at(TABLE, k))))
+}
+
+impl App for KvParams {
+    fn name(&self) -> &'static str {
+        "kv"
+    }
+
+    /// Every key's 8 bytes bound to the stripe lock that guards it, so
+    /// `entry` and `obj` keep the table coherent.
+    fn machine(&mut self, cfg: DsmConfig) -> DsmConfig {
+        let bind = |cfg: DsmConfig, k| cfg.bind((k % self.stripes) as LockId, u64_at(TABLE, k), 8);
+        (0..self.keys).fold(cfg.heap_bytes(self.heap_bytes()), bind)
+    }
+
+    fn program(&self, d: &Dsm<'_, impl Engine>) -> Words {
+        vec![run(d, self)]
+    }
+
+    fn verdict(&self, results: &[Words]) -> bool {
+        let want = [reference_digest(self, results.len())];
+        results.iter().all(|w| w[..] == want)
+    }
+
+    /// Every key its stream increments: keys of different stripes are
+    /// under different locks.
+    fn writes(&self, _: usize, rank: usize) -> Vec<Range<usize>> {
+        let key = |k| u64_at(TABLE, k).0..u64_at(TABLE, k + 1).0;
+        stream(self, rank)
+            .into_iter()
+            .filter(|op| op.delta.is_some())
+            .map(|op| key(op.key))
+            .collect()
+    }
 }
 
 #[cfg(test)]

@@ -3,9 +3,11 @@
 //! Re-implementations of the workloads the DSM literature evaluated
 //! with, each written once over `&Dsm<'_, impl Engine>` — so the same
 //! program runs in the simulator and on real pages — and paired with a
-//! sequential reference used as a coherence oracle. The [`table`]
-//! holds every runnable app's configuration, program and verdict;
-//! `dsmrun`, `dsm-cluster` and the oracle tests read it.
+//! sequential reference used as a coherence oracle. Each runnable
+//! kernel's params type is an [`App`]: the machine it needs, its
+//! program and its verdict, in its own module; the [`table`] names them
+//! for `dsmrun`, `dsm-cluster` and the oracle tests, and the
+//! experiments run them through [`Run`].
 //!
 //! * [`sor`] — red-black successive over-relaxation (nearest-neighbor
 //!   stencil, boundary-page sharing);
@@ -38,4 +40,4 @@ pub mod taskqueue;
 pub mod tsp;
 pub mod util;
 
-pub use table::{plan, Run, Words, APPS};
+pub use table::{plan, App, Run, TableApp, Words, APPS};

@@ -2,8 +2,10 @@
 //! workload: A and C are block-row distributed, B is read-shared by
 //! everyone (replication-friendly protocols shine; migration thrashes).
 
-use crate::util::{block_range, compute_flops, f64_at};
-use dsm_core::{Dsm, Engine, GlobalAddr};
+use crate::table::{sums_match, App, Words};
+use crate::util::{block_range, block_sums, compute_flops, f64_at};
+use dsm_core::{Dsm, DsmConfig, Engine, GlobalAddr};
+use std::ops::Range;
 
 /// Matmul problem description. Matrices are `n × n`, row-major, laid
 /// out A | B | C from address 0.
@@ -105,11 +107,36 @@ pub fn reference(p: &MatmulParams) -> Vec<f64> {
     c
 }
 
-/// Checksum of the reference C block a node would own.
-pub fn reference_block_sum(p: &MatmulParams, nodes: usize, node: usize) -> f64 {
-    let c = reference(p);
-    let (lo, hi) = block_range(p.n, nodes, node);
-    c[lo * p.n..hi * p.n].iter().sum()
+/// Checksum of the reference C block each of `nodes` nodes would own.
+pub fn reference_block_sums(p: &MatmulParams, nodes: usize) -> Vec<f64> {
+    block_sums(&reference(p), p.n, p.n, 0, nodes)
+}
+
+impl App for MatmulParams {
+    fn name(&self) -> &'static str {
+        "matmul"
+    }
+
+    fn machine(&mut self, cfg: DsmConfig) -> DsmConfig {
+        cfg.heap_bytes(self.heap_bytes())
+    }
+
+    fn program(&self, d: &Dsm<'_, impl Engine>) -> Words {
+        vec![run(d, self).to_bits()]
+    }
+
+    fn verdict(&self, results: &[Words]) -> bool {
+        let want = reference_block_sums(self, results.len());
+        sums_match(results, &want, |_| 1e-9)
+    }
+
+    /// Its block of rows of A, of B and of C.
+    fn writes(&self, nodes: usize, rank: usize) -> Vec<Range<usize>> {
+        let (lo, hi) = block_range(self.n, nodes, rank);
+        [Self::a_row, Self::b_row, Self::c_row]
+            .map(|row| row(self, lo).0..row(self, hi).0)
+            .to_vec()
+    }
 }
 
 #[cfg(test)]
@@ -132,7 +159,7 @@ mod tests {
     fn block_sums_partition_total() {
         let p = MatmulParams { n: 24 };
         let total: f64 = reference(&p).iter().sum();
-        let parts: f64 = (0..3).map(|i| reference_block_sum(&p, 3, i)).sum();
+        let parts: f64 = reference_block_sums(&p, 3).iter().sum();
         assert!((total - parts).abs() < 1e-9);
     }
 }

@@ -9,8 +9,10 @@
 //! granularity (whole rows are written back, but only active-color
 //! bytes change).
 
-use crate::util::{block_range, compute_flops, f64_at};
-use dsm_core::{Dsm, Engine, GlobalAddr};
+use crate::table::{sums_match, App, Words};
+use crate::util::{block_range, block_sums, compute_flops, f64_at};
+use dsm_core::{Dsm, DsmConfig, Engine, GlobalAddr};
+use std::ops::Range;
 
 /// SOR problem description.
 #[derive(Debug, Clone, Copy)]
@@ -137,12 +139,39 @@ pub fn reference(p: &SorParams) -> Vec<f64> {
     grid
 }
 
-/// Checksum of the reference block a node would own.
-pub fn reference_block_sum(p: &SorParams, nodes: usize, node: usize) -> f64 {
-    let grid = reference(p);
-    let (lo, hi) = block_range(p.n - 2, nodes, node);
-    let (lo, hi) = (lo + 1, hi + 1);
-    grid[lo * p.n..hi * p.n].iter().sum()
+/// Checksum of the reference block each of `nodes` nodes would own.
+pub fn reference_block_sums(p: &SorParams, nodes: usize) -> Vec<f64> {
+    block_sums(&reference(p), p.n - 2, p.n, 1, nodes)
+}
+
+impl App for SorParams {
+    fn name(&self) -> &'static str {
+        "sor"
+    }
+
+    fn machine(&mut self, cfg: DsmConfig) -> DsmConfig {
+        cfg.heap_bytes(self.heap_bytes())
+    }
+
+    fn program(&self, d: &Dsm<'_, impl Engine>) -> Words {
+        vec![run(d, self).to_bits()]
+    }
+
+    fn verdict(&self, results: &[Words]) -> bool {
+        let want = reference_block_sums(self, results.len());
+        sums_match(results, &want, |_| 1e-9)
+    }
+
+    /// Its interior rows, and node 0 the two boundary rows as well.
+    fn writes(&self, nodes: usize, rank: usize) -> Vec<Range<usize>> {
+        let rows = |lo, hi| self.row_addr(lo).0..self.row_addr(hi).0;
+        let (lo, hi) = block_range(self.n - 2, nodes, rank);
+        let mut bytes = vec![rows(lo + 1, hi + 1)];
+        if rank == 0 {
+            bytes.extend([rows(0, 1), rows(self.n - 1, self.n)]);
+        }
+        bytes
+    }
 }
 
 #[cfg(test)]

@@ -6,8 +6,10 @@
 //! disjoint (offsets from prefix sums), so the program is race-free
 //! with barriers only.
 
+use crate::table::{App, Words};
 use crate::util::{block_range, compute_flops, u64_at};
-use dsm_core::{Dsm, Engine, GlobalAddr};
+use dsm_core::{Dsm, DsmConfig, Engine, GlobalAddr};
+use std::ops::Range;
 
 /// Sort workload description.
 #[derive(Debug, Clone, Copy)]
@@ -122,6 +124,38 @@ pub fn reference(p: &SortParams) -> Vec<u64> {
     let mut keys: Vec<u64> = (0..p.n).map(|i| p.key(i)).collect();
     keys.sort_unstable();
     keys
+}
+
+impl App for SortParams {
+    fn name(&self) -> &'static str {
+        "sort"
+    }
+
+    fn machine(&mut self, cfg: DsmConfig) -> DsmConfig {
+        let nodes = cfg.nnodes as usize;
+        cfg.heap_bytes(self.heap_bytes(nodes))
+    }
+
+    fn program(&self, d: &Dsm<'_, impl Engine>) -> Words {
+        run(d, self)
+    }
+
+    fn verdict(&self, results: &[Words]) -> bool {
+        results[0] == reference(self)
+    }
+
+    /// Its block of the input and its row of the counts; it scatters
+    /// keys into every bucket, so all of the output.
+    fn writes(&self, nodes: usize, rank: usize) -> Vec<Range<usize>> {
+        let (lo, hi) = block_range(self.n, nodes, rank);
+        let counts = u64_at(self.counts(nodes), rank * nodes).0;
+        let out = self.output(nodes).0;
+        vec![
+            u64_at(self.input(), lo).0..u64_at(self.input(), hi).0,
+            counts..counts + nodes * 8,
+            out..out + self.n * 8,
+        ]
+    }
 }
 
 #[cfg(test)]

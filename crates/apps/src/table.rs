@@ -1,21 +1,23 @@
-//! The app table: each kernel's configuration, program and verdict in
-//! one place, read by `dsmrun`, `dsm-cluster` and the oracle tests. A
-//! program is written once over `&Dsm<'_, impl Engine>`, so the same
-//! op sequence runs in the simulator and on real pages, and is judged
-//! the same way on both.
+//! The app table: each kernel's machine, program and verdict in one
+//! place — one [`App`] per kernel, implemented in the kernel's own
+//! module — read by `dsmrun`, `dsm-cluster`, the experiments and the
+//! oracle tests. A program is written once over `&Dsm<'_, impl
+//! Engine>`, so the same op sequence runs in the simulator and on real
+//! pages, and is judged the same way on both.
 
-use crate::chase::{self, ChaseElem, ChaseParams};
-use crate::fft::{self, FftParams};
-use crate::gauss::{self, GaussParams};
-use crate::jacobi::{self, JacobiParams};
-use crate::kv::{self, KvParams};
-use crate::matmul::{self, MatmulParams};
-use crate::sor::{self, SorParams};
-use crate::sort::{self, SortParams};
-use crate::taskqueue::{self, TaskQueueParams};
-use crate::tsp::{self, TspParams};
+use crate::chase::{Chase, ChaseParams};
+use crate::fft::FftParams;
+use crate::gauss::GaussParams;
+use crate::jacobi::JacobiParams;
+use crate::kv::KvParams;
+use crate::matmul::MatmulParams;
+use crate::sor::SorParams;
+use crate::sort::SortParams;
+use crate::taskqueue::TaskQueueParams;
+use crate::tsp::TspParams;
 use dsm_core::{Dsm, DsmConfig, Dur, Engine};
-use dsm_obj::DsmBox;
+use std::collections::HashMap;
+use std::ops::Range;
 
 /// Every app of the table, in `dsmrun --list` order.
 pub const APPS: [&str; 10] = [
@@ -35,8 +37,105 @@ pub const APPS: [&str; 10] = [
 /// exactly across engines and cross a pipe as text.
 pub type Words = Vec<u64>;
 
-/// An app's parameters: which program runs, at what size.
-enum Job {
+/// A kernel at one shape: the machine it needs, the program every rank
+/// runs and the check of what the ranks return. Implemented by each
+/// app's params type in the app's own module.
+pub trait App: Sync {
+    /// The name `--app` takes.
+    fn name(&self) -> &'static str;
+
+    /// `cfg` with what the app needs of the machine: its heap, its
+    /// entry bindings, its objects. An app keeps what it builds here
+    /// for its program (`chase`'s chains of objects).
+    fn machine(&mut self, cfg: DsmConfig) -> DsmConfig;
+
+    /// What every rank runs, on either engine.
+    fn program(&self, d: &Dsm<'_, impl Engine>) -> Words;
+
+    /// What every rank runs in the simulator: [`App::program`], unless
+    /// the app has a build over objects, which only the simulator runs.
+    fn sim_program(&self, d: &Dsm<'_>) -> Words {
+        self.program(d)
+    }
+
+    /// The app's own check of every rank's result against its
+    /// sequential reference.
+    fn verdict(&self, results: &[Words]) -> bool;
+
+    /// What of a run must equal another engine's run: every rank's
+    /// result, unless the split of the work between ranks is the
+    /// schedule's.
+    fn comparable(&self, results: &[Words]) -> Vec<Words> {
+        results.to_vec()
+    }
+
+    /// The bytes rank `rank` of `nodes` writes with nothing but a
+    /// barrier to order them against another rank's writes, every such
+    /// write counted: what decides whether two ranks write one page.
+    fn writes(&self, nodes: usize, rank: usize) -> Vec<Range<usize>>;
+}
+
+/// One app configured for one machine.
+pub struct Run<A = TableApp> {
+    /// The machine, with the heap, entry bindings and objects the app
+    /// needs.
+    pub cfg: DsmConfig,
+    pub app: A,
+}
+
+impl<A: App> Run<A> {
+    /// `app` on `cfg`'s machine, or why it cannot run there: under a
+    /// row without `sub_page_writers`, two of its ranks write one page.
+    pub fn new(mut app: A, cfg: DsmConfig) -> Result<Self, String> {
+        let cfg = app.machine(cfg);
+        if let Err(why) = cfg.protocol.facts().sub_page_writers {
+            if let Some((a, b, page)) = shared_page(&app, cfg.nnodes as usize, cfg.page_size) {
+                return Err(format!(
+                    "{} cannot run under `{}` on {} nodes: ranks {a} and {b} both write page \
+                     {page}, ordered by nothing but a barrier — {why}",
+                    app.name(),
+                    cfg.protocol,
+                    cfg.nnodes
+                ));
+            }
+        }
+        Ok(Run { cfg, app })
+    }
+}
+
+/// The first page two ranks write, and the two ranks.
+fn shared_page(app: &impl App, nodes: usize, page: usize) -> Option<(usize, usize, usize)> {
+    let mut writer = HashMap::new();
+    for rank in 0..nodes {
+        // An empty range (a rank without rows) writes no page.
+        for bytes in app
+            .writes(nodes, rank)
+            .into_iter()
+            .filter(|b| !b.is_empty())
+        {
+            for p in bytes.start / page..=(bytes.end - 1) / page {
+                let first = *writer.entry(p).or_insert(rank);
+                if first != rank {
+                    return Some((first, rank, p));
+                }
+            }
+        }
+    }
+    None
+}
+
+/// Every rank returned one `f64` within `tol(want)` of its own entry of
+/// `want`.
+pub(crate) fn sums_match(results: &[Words], want: &[f64], tol: impl Fn(f64) -> f64) -> bool {
+    results.len() == want.len()
+        && results.iter().zip(want).all(|(w, &want)| match w[..] {
+            [got] => (f64::from_bits(got) - want).abs() < tol(want),
+            _ => false,
+        })
+}
+
+/// Every app of the table, by name: what [`plan`] builds.
+pub enum TableApp {
     Sor(SorParams),
     Jacobi(JacobiParams),
     Matmul(MatmulParams),
@@ -45,18 +144,51 @@ enum Job {
     Sort(SortParams),
     TaskQueue(TaskQueueParams),
     Tsp(TspParams),
-    /// With its chains of allocated objects under a protocol that
-    /// answers object ops, which only the simulator runs.
-    Chase(ChaseParams, Option<Vec<Vec<DsmBox<ChaseElem>>>>),
+    Chase(Chase),
     Kv(KvParams),
 }
 
-/// One app configured for one machine.
-pub struct Run {
-    /// The machine, with the heap, entry bindings and objects the app
-    /// needs.
-    pub cfg: DsmConfig,
-    job: Job,
+/// The one dispatch from the table to an app: `$body` with `$a` bound
+/// to the app `$table` holds.
+macro_rules! each {
+    ($table:expr, $a:ident => $body:expr) => {
+        match $table {
+            TableApp::Sor($a) => $body,
+            TableApp::Jacobi($a) => $body,
+            TableApp::Matmul($a) => $body,
+            TableApp::Gauss($a) => $body,
+            TableApp::Fft($a) => $body,
+            TableApp::Sort($a) => $body,
+            TableApp::TaskQueue($a) => $body,
+            TableApp::Tsp($a) => $body,
+            TableApp::Chase($a) => $body,
+            TableApp::Kv($a) => $body,
+        }
+    };
+}
+
+impl App for TableApp {
+    fn name(&self) -> &'static str {
+        each!(self, a => a.name())
+    }
+    fn machine(&mut self, cfg: DsmConfig) -> DsmConfig {
+        each!(self, a => a.machine(cfg))
+    }
+    fn program(&self, d: &Dsm<'_, impl Engine>) -> Words {
+        each!(self, a => a.program(d))
+    }
+    fn sim_program(&self, d: &Dsm<'_>) -> Words {
+        each!(self, a => a.sim_program(d))
+    }
+    fn verdict(&self, results: &[Words]) -> bool {
+        each!(self, a => a.verdict(results))
+    }
+    fn comparable(&self, results: &[Words]) -> Vec<Words> {
+        each!(self, a => a.comparable(results))
+    }
+    fn writes(&self, nodes: usize, rank: usize) -> Vec<Range<usize>> {
+        each!(self, a => a.writes(nodes, rank))
+    }
 }
 
 /// Configure `app` at `size` (0: the app's default) on `cfg`'s machine,
@@ -73,220 +205,55 @@ pub fn plan(app: &str, size: usize, cfg: DsmConfig) -> Result<Run, String> {
         1 => Err(format!("--app {app} needs --size of at least 2")),
         n => Ok(n),
     };
-    let nodes = cfg.nnodes as usize;
-    let (cfg, job) = match app {
-        "sor" => {
-            let p = SorParams {
-                n: at_least_2(128)?,
-                iters: 3,
-                omega: 1.25,
-            };
-            (cfg.heap_bytes(p.heap_bytes()), Job::Sor(p))
-        }
-        "jacobi" => {
-            let p = JacobiParams {
-                n: at_least_2(64)?,
-                iters: 3,
-            };
-            (cfg.heap_bytes(p.heap_bytes()), Job::Jacobi(p))
-        }
-        "matmul" => {
-            let p = MatmulParams { n: or(64) };
-            (cfg.heap_bytes(p.heap_bytes()), Job::Matmul(p))
-        }
-        "gauss" => {
-            let p = GaussParams {
-                n: or(64),
-                row_align: cfg.page_size,
-            };
-            (cfg.heap_bytes(p.heap_bytes()), Job::Gauss(p))
-        }
-        "fft" => {
-            let s = or(64);
-            if !s.is_power_of_two() {
-                return Err(format!("--app fft needs a power-of-two --size, not {s}"));
-            }
-            let p = FftParams { rows: s, cols: s };
-            (cfg.heap_bytes(p.heap_bytes()), Job::Fft(p))
-        }
-        "sort" => {
-            let p = SortParams {
-                n: or(4096),
-                seed: 7,
-            };
-            (cfg.heap_bytes(p.heap_bytes(nodes)), Job::Sort(p))
-        }
-        "taskqueue" => {
-            let p = TaskQueueParams {
-                tasks: or(64),
-                task_time: Dur::millis(2),
-                produce_time: Dur::micros(100),
-                poll: Dur::micros(500),
-            };
-            let (lock, addr, len) = p.binding();
-            let cfg = cfg.heap_bytes(p.heap_bytes()).bind(lock, addr, len);
-            (cfg, Job::TaskQueue(p))
-        }
-        "tsp" => {
-            let p = TspParams {
-                cities: or(8),
-                seed: 42,
-                capacity: 1 << 12,
-                poll: Dur::micros(500),
-            };
-            let (lock, addr, len) = p.binding();
-            let cfg = cfg.heap_bytes(p.heap_bytes()).bind(lock, addr, len);
-            (cfg, Job::Tsp(p))
-        }
-        "chase" => {
-            let p = ChaseParams {
-                chain_len: or(32),
-                rounds: 8,
-                think: Dur::micros(5),
-            };
-            let mut cfg = cfg.heap_bytes(p.heap_bytes(nodes));
-            // Under a protocol that answers object ops, `chase` runs
-            // over allocated objects (E22's workload).
-            let chains = cfg.protocol.facts().object_ops.is_ok().then(|| {
-                let (heap, chains) = chase::build_obj_chains(&p, cfg.nnodes);
-                cfg.objects = heap.table();
-                chains
-            });
-            (cfg, Job::Chase(p, chains))
-        }
-        "kv" => {
-            let p = KvParams {
-                keys: 512,
-                ops_per_node: or(1200),
-                read_pct: 80,
-                skew: 0.99,
-                stripes: 16,
-                seed: 21,
-            };
-            let cfg = p
-                .bindings()
-                .fold(cfg.heap_bytes(p.heap_bytes()), |cfg, (lock, addr, len)| {
-                    cfg.bind(lock, addr, len)
-                });
-            (cfg, Job::Kv(p))
-        }
+    let table = match app {
+        "sor" => TableApp::Sor(SorParams {
+            n: at_least_2(128)?,
+            iters: 3,
+            omega: 1.25,
+        }),
+        "jacobi" => TableApp::Jacobi(JacobiParams {
+            n: at_least_2(64)?,
+            iters: 3,
+        }),
+        "matmul" => TableApp::Matmul(MatmulParams { n: or(64) }),
+        "gauss" => TableApp::Gauss(GaussParams {
+            n: or(64),
+            row_align: cfg.page_size,
+        }),
+        "fft" => match or(64) {
+            s if s.is_power_of_two() => TableApp::Fft(FftParams { rows: s, cols: s }),
+            s => return Err(format!("--app fft needs a power-of-two --size, not {s}")),
+        },
+        "sort" => TableApp::Sort(SortParams {
+            n: or(4096),
+            seed: 7,
+        }),
+        "taskqueue" => TableApp::TaskQueue(TaskQueueParams {
+            tasks: or(64),
+            task_time: Dur::millis(2),
+            produce_time: Dur::micros(100),
+            poll: Dur::micros(500),
+        }),
+        "tsp" => TableApp::Tsp(TspParams {
+            cities: or(8),
+            seed: 42,
+            capacity: 1 << 12,
+            poll: Dur::micros(500),
+        }),
+        "chase" => TableApp::Chase(Chase::from(ChaseParams {
+            chain_len: or(32),
+            rounds: 8,
+            think: Dur::micros(5),
+        })),
+        "kv" => TableApp::Kv(KvParams {
+            keys: 512,
+            ops_per_node: or(1200),
+            read_pct: 80,
+            skew: 0.99,
+            stripes: 16,
+            seed: 21,
+        }),
         other => return Err(format!("unknown app {other} (one of: {})", APPS.join(" "))),
     };
-    // Of the apps, `kv`, `sort` and `chase` (whose chains interleave
-    // within pages) have nodes writing distinct bytes of one page with
-    // nothing but a later barrier between them.
-    let shares_pages = matches!(job, Job::Kv(_) | Job::Sort(_) | Job::Chase(..));
-    if let (true, Err(why)) = (shares_pages, cfg.protocol.facts().sub_page_writers) {
-        return Err(format!(
-            "--app {app} cannot run under `{}`: its nodes write distinct bytes of one page \
-             concurrently — {why}",
-            cfg.protocol
-        ));
-    }
-    Ok(Run { cfg, job })
-}
-
-/// `x` as one word.
-fn bits(x: f64) -> Words {
-    vec![x.to_bits()]
-}
-
-/// The one `f64` a rank returned.
-fn scalar(words: &Words) -> Option<f64> {
-    match words[..] {
-        [x] => Some(f64::from_bits(x)),
-        _ => None,
-    }
-}
-
-impl Run {
-    /// What every rank runs, on either engine.
-    pub fn program(&self, d: &Dsm<'_, impl Engine>) -> Words {
-        match &self.job {
-            Job::Sor(p) => bits(sor::run(d, p)),
-            Job::Jacobi(p) => bits(jacobi::run(d, p)),
-            Job::Matmul(p) => bits(matmul::run(d, p)),
-            Job::Gauss(p) => gauss::run(d, p).into_iter().map(f64::to_bits).collect(),
-            Job::Fft(p) => bits(fft::run(d, p)),
-            Job::Sort(p) => sort::run(d, p),
-            Job::TaskQueue(p) => {
-                let r = taskqueue::run(d, p);
-                vec![r.executed, r.id_sum, r.id_xor]
-            }
-            Job::Tsp(p) => bits(tsp::run(d, p)),
-            Job::Chase(p, _) => vec![chase::run_pages(d, p)],
-            Job::Kv(p) => vec![kv::run(d, p)],
-        }
-    }
-
-    /// What every rank runs in the simulator: [`Run::program`], or
-    /// `chase` over objects.
-    pub fn sim_program(&self, d: &Dsm<'_>) -> Words {
-        match &self.job {
-            Job::Chase(p, Some(chains)) => vec![chase::run_obj(d, p, chains)],
-            _ => self.program(d),
-        }
-    }
-
-    /// The app's own check of every rank's result against its
-    /// sequential reference.
-    pub fn verdict(&self, results: &[Words]) -> bool {
-        let nodes = results.len();
-        let close = |got: f64, want: f64, tol: f64| (got - want).abs() < tol;
-        let block_sums = |want: &dyn Fn(usize) -> f64, tol| {
-            results
-                .iter()
-                .enumerate()
-                .all(|(i, w)| scalar(w).is_some_and(|got| close(got, want(i), tol)))
-        };
-        match &self.job {
-            Job::Sor(p) => block_sums(&|i| sor::reference_block_sum(p, nodes, i), 1e-9),
-            Job::Jacobi(p) => block_sums(&|i| jacobi::reference_block_sum(p, nodes, i), 1e-9),
-            Job::Matmul(p) => block_sums(&|i| matmul::reference_block_sum(p, nodes, i), 1e-9),
-            // Its sums, and their rounding, grow with the grid.
-            Job::Fft(p) => results.iter().enumerate().all(|(i, w)| {
-                let want = fft::reference_block_sum(p, nodes, i);
-                scalar(w).is_some_and(|got| close(got, want, 1e-9 * want.abs().max(1.0)))
-            }),
-            Job::Gauss(p) => {
-                let want = gauss::reference(p);
-                results.iter().all(|x| {
-                    x.len() == want.len()
-                        && x.iter()
-                            .zip(&want)
-                            .all(|(&got, &w)| close(f64::from_bits(got), w, 1e-9))
-                })
-            }
-            Job::Sort(p) => results[0] == sort::reference(p),
-            Job::TaskQueue(p) => {
-                let (sum, xor) = taskqueue::expected_digest(p);
-                self.comparable(results) == [vec![p.tasks as u64, sum, xor]]
-            }
-            Job::Tsp(p) => {
-                let want = tsp::reference(p);
-                results.iter().all(|w| scalar(w) == Some(want))
-            }
-            Job::Chase(p, _) => results.iter().all(|w| w == &[p.expected()]),
-            Job::Kv(p) => {
-                let want = kv::reference_digest(p, nodes);
-                results.iter().all(|w| w == &[want])
-            }
-        }
-    }
-
-    /// What of a run must equal another engine's run: every rank's
-    /// result — but of `taskqueue`, whose split of the tasks between
-    /// ranks is the schedule's, only the aggregate (tasks run, id sum,
-    /// id xor).
-    pub fn comparable(&self, results: &[Words]) -> Vec<Words> {
-        match self.job {
-            Job::TaskQueue(_) => {
-                let agg = results.iter().fold(vec![0u64; 3], |agg, w| {
-                    vec![agg[0] + w[0], agg[1].wrapping_add(w[1]), agg[2] ^ w[2]]
-                });
-                vec![agg]
-            }
-            _ => results.to_vec(),
-        }
-    }
+    Run::new(table, cfg).map_err(|why| format!("--app {why}"))
 }

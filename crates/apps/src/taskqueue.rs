@@ -4,9 +4,11 @@
 //! under entry consistency the whole queue region is bound to the lock
 //! and rides its grants.
 
+use crate::table::{App, Words};
 use crate::util::u64_at;
-use dsm_core::{Dsm, Dur, Engine, GlobalAddr};
+use dsm_core::{Dsm, DsmConfig, Dur, Engine, GlobalAddr};
 use dsm_sync::LockId;
+use std::ops::Range;
 
 /// Queue workload description.
 #[derive(Debug, Clone, Copy)]
@@ -32,11 +34,6 @@ const SLOTS: GlobalAddr = GlobalAddr(24);
 impl TaskQueueParams {
     pub fn heap_bytes(&self) -> usize {
         24 + self.tasks * 8
-    }
-
-    /// Entry-consistency binding covering the whole queue.
-    pub fn binding(&self) -> (LockId, GlobalAddr, usize) {
-        (QUEUE_LOCK, GlobalAddr(0), self.heap_bytes())
     }
 }
 
@@ -104,6 +101,43 @@ pub fn run(dsm: &Dsm<'_, impl Engine>, p: &TaskQueueParams) -> WorkerResult {
 pub fn expected_digest(p: &TaskQueueParams) -> (u64, u64) {
     let ids = 1..=p.tasks as u64;
     (ids.clone().sum(), ids.fold(0, |a, b| a ^ b))
+}
+
+impl App for TaskQueueParams {
+    fn name(&self) -> &'static str {
+        "taskqueue"
+    }
+
+    /// The whole queue bound to its lock, for entry consistency.
+    fn machine(&mut self, cfg: DsmConfig) -> DsmConfig {
+        let bytes = self.heap_bytes();
+        cfg.heap_bytes(bytes).bind(QUEUE_LOCK, GlobalAddr(0), bytes)
+    }
+
+    fn program(&self, d: &Dsm<'_, impl Engine>) -> Words {
+        let r = run(d, self);
+        vec![r.executed, r.id_sum, r.id_xor]
+    }
+
+    /// Each task ran exactly once, on whichever rank.
+    fn verdict(&self, results: &[Words]) -> bool {
+        let (sum, xor) = expected_digest(self);
+        self.comparable(results) == [vec![self.tasks as u64, sum, xor]]
+    }
+
+    /// Only the aggregate (tasks run, id sum, id xor): the split of the
+    /// tasks between ranks is the schedule's.
+    fn comparable(&self, results: &[Words]) -> Vec<Words> {
+        let agg = results.iter().fold(vec![0u64; 3], |agg, w| {
+            vec![agg[0] + w[0], agg[1].wrapping_add(w[1]), agg[2] ^ w[2]]
+        });
+        vec![agg]
+    }
+
+    /// None: every write is under the queue lock.
+    fn writes(&self, _: usize, _: usize) -> Vec<Range<usize>> {
+        Vec::new()
+    }
 }
 
 #[cfg(test)]

@@ -2,9 +2,11 @@
 //! shared best bound — the migratory-data workload: the stack and bound
 //! bounce between whichever nodes hold the lock.
 
+use crate::table::{App, Words};
 use crate::util::{compute_flops, u64_at};
-use dsm_core::{Dsm, Dur, Engine, GlobalAddr};
+use dsm_core::{Dsm, DsmConfig, Dur, Engine, GlobalAddr};
 use dsm_sync::LockId;
+use std::ops::Range;
 
 /// TSP instance description. City distances are a deterministic
 /// function of the seed, so every run and the reference agree.
@@ -31,10 +33,6 @@ const ENTRY_WORDS: usize = 3;
 impl TspParams {
     pub fn heap_bytes(&self) -> usize {
         24 + self.capacity * ENTRY_WORDS * 8
-    }
-
-    pub fn binding(&self) -> (LockId, GlobalAddr, usize) {
-        (TSP_LOCK, GlobalAddr(0), self.heap_bytes())
     }
 
     /// Deterministic pseudo-random distance in [1, 100].
@@ -223,6 +221,33 @@ pub fn reference(p: &TspParams) -> f64 {
         stack.extend(children);
     }
     best
+}
+
+impl App for TspParams {
+    fn name(&self) -> &'static str {
+        "tsp"
+    }
+
+    /// The whole state bound to its lock, for entry consistency.
+    fn machine(&mut self, cfg: DsmConfig) -> DsmConfig {
+        let bytes = self.heap_bytes();
+        cfg.heap_bytes(bytes).bind(TSP_LOCK, GlobalAddr(0), bytes)
+    }
+
+    fn program(&self, d: &Dsm<'_, impl Engine>) -> Words {
+        vec![run(d, self).to_bits()]
+    }
+
+    fn verdict(&self, results: &[Words]) -> bool {
+        let want = [reference(self).to_bits()];
+        results.iter().all(|w| w[..] == want)
+    }
+
+    /// None: node 0 seeds the stack before the first barrier, while no
+    /// other rank writes, and every later write is under the lock.
+    fn writes(&self, _: usize, _: usize) -> Vec<Range<usize>> {
+        Vec::new()
+    }
 }
 
 #[cfg(test)]

@@ -36,6 +36,16 @@ pub fn block_range(n: usize, parts: usize, part: usize) -> (usize, usize) {
     (lo, hi)
 }
 
+/// The sum of each of `parts` blocks of `grid`, a grid of rows `len`
+/// long: block `i` is rows `block_range(rows, parts, i)`, counted from
+/// row `first`.
+pub fn block_sums(grid: &[f64], rows: usize, len: usize, first: usize, parts: usize) -> Vec<f64> {
+    let sum = |(lo, hi)| grid[(first + lo) * len..(first + hi) * len].iter().sum();
+    (0..parts)
+        .map(|i| sum(block_range(rows, parts, i)))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,6 +5,7 @@
 //! simulator's run does: rank by rank, or for `taskqueue`, whose split
 //! of the tasks is the schedule's, in aggregate.
 
+use dsm_apps::App;
 use dsm_core::{run_dsm, run_in_threads, DsmConfig, ProtocolKind};
 
 /// Every row cluster mode runs, asked of the rows.
@@ -27,12 +28,15 @@ fn on_both_engines(app: &str, size: usize) {
     {
         let cfg = DsmConfig::new(nodes, proto).page_size(dsm_vm::os_page_size());
         let run = dsm_apps::plan(app, size, cfg).expect("every app runs on every such row");
-        let pages = run_in_threads(&run.cfg, |d| run.program(d)).results;
-        let sim = run_dsm(&run.cfg, |d| run.program(d)).results;
-        assert!(run.verdict(&pages), "{app} {proto} n={nodes}: {pages:?}");
+        let pages = run_in_threads(&run.cfg, |d| run.app.program(d)).results;
+        let sim = run_dsm(&run.cfg, |d| run.app.program(d)).results;
+        assert!(
+            run.app.verdict(&pages),
+            "{app} {proto} n={nodes}: {pages:?}"
+        );
         assert_eq!(
-            run.comparable(&pages),
-            run.comparable(&sim),
+            run.app.comparable(&pages),
+            run.app.comparable(&sim),
             "{app} {proto} n={nodes}: real pages vs simulator"
         );
     }

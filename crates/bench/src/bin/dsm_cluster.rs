@@ -43,7 +43,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use dsm_apps::{Run, Words};
+use dsm_apps::{App, Run, Words};
 use dsm_bench::cli::CommonFlags;
 use dsm_core::{NetStats, NodeId, ProtocolKind};
 
@@ -111,7 +111,7 @@ fn child(run: &Run, rank: u32) -> std::io::Result<()> {
         NodeId(rank),
         sock,
         peers,
-        |d| run.program(d),
+        |d| run.app.program(d),
         |result| {
             // Report, then keep serving peers until the coordinator
             // says the whole cluster is done (or closes our stdin).
@@ -207,12 +207,12 @@ fn parent(args: &Args, run: &Run) -> Result<(), String> {
     let deadline = Instant::now() + Duration::from_secs(args.timeout_s);
 
     // Reference run: the same program in the single-process simulator.
-    let sim = dsm_core::run_dsm(&run.cfg, |d| run.program(d));
+    let sim = dsm_core::run_dsm(&run.cfg, |d| run.app.program(d));
     println!(
         "simulator: {} on {n} nodes (virtual time {})",
         args.common.app, sim.end_time
     );
-    if !run.verdict(&sim.results) {
+    if !run.app.verdict(&sim.results) {
         return Err("the simulator's results fail the app's own verdict".into());
     }
 
@@ -293,9 +293,12 @@ fn parent(args: &Args, run: &Run) -> Result<(), String> {
             .map(|line| line.split_whitespace().map(str::parse).collect())
             .collect::<Result<_, _>>()
             .map_err(|e| format!("malformed RESULT words: {e}"))?;
-        let verdict = run.verdict(&results);
+        let verdict = run.app.verdict(&results);
         println!("app verdict: {}", if verdict { "OK" } else { "MISMATCH" });
-        let (got, want) = (run.comparable(&results), run.comparable(&sim.results));
+        let (got, want) = (
+            run.app.comparable(&results),
+            run.app.comparable(&sim.results),
+        );
         let per_rank = got.len() == results.len();
         let mut ok = verdict;
         for (i, (got, want)) in got.iter().zip(&want).enumerate() {

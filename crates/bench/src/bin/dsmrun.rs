@@ -9,12 +9,14 @@
 //! dsmrun --list
 //! ```
 
+use dsm_apps::App;
 use dsm_bench::cli::{apply, parse_crash, parse_partition, CommonFlags, CrashSpec, PartitionSpec};
 use dsm_core::{BarrierKind, Can, CostModel, Facts, FaultPlan, LockKind, Placement, ProtocolKind};
 
 struct Args {
     common: CommonFlags,
-    placement: Placement,
+    /// `None` keeps `DsmConfig`'s default, as `dsm-cluster` does.
+    placement: Option<Placement>,
     lock: LockKind,
     barrier: BarrierKind,
     fast_path: bool,
@@ -32,7 +34,7 @@ struct Args {
 fn parse_args() -> Result<(Args, dsm_apps::Run), String> {
     let mut args = Args {
         common: CommonFlags::default(),
-        placement: Placement::Block,
+        placement: None,
         lock: LockKind::Queue,
         barrier: BarrierKind::Central,
         fast_path: true,
@@ -67,12 +69,12 @@ fn parse_args() -> Result<(Args, dsm_apps::Run), String> {
                 std::process::exit(0);
             }
             "--placement" => {
-                args.placement = match val()?.as_str() {
+                args.placement = Some(match val()?.as_str() {
                     "block" => Placement::Block,
                     "cyclic" => Placement::Cyclic,
                     "zero" => Placement::Zero,
                     other => return Err(format!("unknown placement {other}")),
-                }
+                })
             }
             "--lock" => {
                 args.lock = match val()?.as_str() {
@@ -132,9 +134,10 @@ fn parse_args() -> Result<(Args, dsm_apps::Run), String> {
         ));
     }
     let c = &args.common;
-    let cfg = c
-        .config()
-        .placement(args.placement)
+    let cfg = c.config();
+    let placement = args.placement.unwrap_or(cfg.placement);
+    let cfg = cfg
+        .placement(placement)
         .lock_kind(args.lock)
         .barrier_kind(args.barrier)
         .fast_path(args.fast_path)
@@ -181,8 +184,8 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let res = dsm_core::run_dsm(&run.cfg, |d| run.sim_program(d));
-    let verdict = run.verdict(&res.results);
+    let res = dsm_core::run_dsm(&run.cfg, |d| run.app.sim_program(d));
+    let verdict = run.app.verdict(&res.results);
     let (end, events, eps) = (res.end_time, res.events, res.events_per_sec());
     let stats = res.stats;
 
@@ -201,7 +204,7 @@ fn main() {
         a.common.proto.name(),
         a.common.nodes,
         a.common.page,
-        a.placement,
+        run.cfg.placement,
         net_label.as_deref().unwrap_or("lan_1992")
     );
     if a.common.batch_depth > 1 {

@@ -1,6 +1,6 @@
 //! Ablations of design choices called out in DESIGN.md.
 
-use super::Scale;
+use super::{sweep, Metric, Scale};
 use crate::table::{print_table, xs_of, Series};
 use dsm_core::{Dsm, DsmConfig, Dur, GlobalAddr, LockKind, ProtocolKind};
 use dsm_net::{AppHandle, CostModel, Sim};
@@ -18,9 +18,15 @@ pub fn e13_nic_ablation(scale: Scale) {
     let lan = CostModel::lan_1992();
     let uniform = CostModel::uniform(lan.send_overhead + lan.wire_latency + lan.recv_overhead, 0);
     let models = [("with NIC occupancy", lan), ("uniform latency", uniform)];
-    let mut series: Vec<Series> = models.iter().map(|(l, _)| Series::new(*l)).collect();
-    for &n in &ns {
-        for (mi, (_, model)) in models.iter().enumerate() {
+    let title = "E13 (ablation): central barrier latency with vs without NIC occupancy (ms)";
+    let per_episode: Metric<()> = ("", &|_, r| r.end_time.as_millis_f64() / rounds as f64);
+    sweep(
+        title,
+        "nodes",
+        &ns,
+        &models.each_ref().map(|m| m.0),
+        &[per_episode],
+        |n, c| {
             let nodes = SyncNode::cluster(n, LockKind::Queue, BarrierKind::Central);
             let programs: Vec<_> = (0..n)
                 .map(|_| {
@@ -31,15 +37,8 @@ pub fn e13_nic_ablation(scale: Scale) {
                     }
                 })
                 .collect();
-            let res = Sim::new(nodes, model.clone()).run(programs);
-            series[mi].push(res.end_time.as_millis_f64() / rounds as f64);
-        }
-    }
-    print_table(
-        "E13 (ablation): central barrier latency with vs without NIC occupancy (ms)",
-        "nodes",
-        &xs_of(&ns),
-        &series,
+            Sim::new(nodes, models[c].1.clone()).run(programs)
+        },
     );
 }
 

@@ -25,10 +25,10 @@
 //! exchange on the critical path at every era, so the per-era ranks
 //! stay meaningful.
 
-use super::Scale;
+use super::{checked, ms, sweep, Scale};
 use crate::table::{print_table, Series};
 use dsm_apps::sor;
-use dsm_core::{CostModel, Dsm, DsmConfig, Placement, ProtocolKind};
+use dsm_core::{CostModel, DsmConfig, Placement, ProtocolKind};
 
 /// The compared suite: E2's protocols plus the one-sided `rdma`
 /// protocol this sweep exists to place (entry consistency sits out —
@@ -53,30 +53,20 @@ pub fn e20_eras(scale: Scale) {
     let eras = CostModel::ERA_NAMES;
     let xs: Vec<String> = eras.iter().map(|e| e.to_string()).collect();
 
+    let title = "E20: SOR across interconnect eras";
+    let labels = PROTOS.map(ProtocolKind::name);
+    let runs = sweep(title, "net", &eras, &labels, &[ms()], |era, c| {
+        let cfg = DsmConfig::new(nodes, PROTOS[c])
+            .placement(Placement::Block)
+            .model(CostModel::era(era).expect("era preset"))
+            .max_events(400_000_000);
+        checked(title, p, cfg)
+    });
     // times[pi][ei] in virtual ms.
-    let mut times = vec![vec![0f64; eras.len()]; PROTOS.len()];
-    let mut time_series: Vec<Series> = PROTOS.iter().map(|k| Series::new(k.name())).collect();
-    for (ei, era) in eras.iter().enumerate() {
-        for (pi, &proto) in PROTOS.iter().enumerate() {
-            let cfg = DsmConfig::new(nodes, proto)
-                .heap_bytes(p.heap_bytes())
-                .page_size(4096)
-                .placement(Placement::Block)
-                .model(CostModel::era(era).expect("era preset"))
-                .max_events(400_000_000);
-            let res = dsm_core::run_dsm(&cfg, move |dsm: &Dsm<'_>| {
-                sor::run(dsm, &p);
-            });
-            times[pi][ei] = res.end_time.as_millis_f64();
-            time_series[pi].push(res.end_time.as_millis_f64());
-        }
-    }
-    print_table(
-        "E20: SOR across interconnect eras — completion time (ms)",
-        "net",
-        &xs,
-        &time_series,
-    );
+    let times: Vec<Vec<f64>> = runs
+        .iter()
+        .map(|runs| runs.iter().map(|r| r.end_time.as_millis_f64()).collect())
+        .collect();
 
     // Per-era ranking, 1 = fastest (ties broken by suite order).
     let order_in = |ei: usize| -> Vec<usize> {

@@ -6,24 +6,19 @@
 //! application results are asserted byte-identical to the lossless run
 //! at every point — that is the contract the transport sells.
 
-use super::Scale;
+use super::{checked, ms, msgs, sweep, Metric, Scale};
 use crate::table::{print_fault_table, print_table, Series};
-use dsm_apps::{matmul, sor};
-use dsm_core::{Dsm, DsmConfig, FaultPlan, NetStats, ProtocolKind, SimTime};
+use dsm_apps::{matmul, sor, App, Run, Words};
+use dsm_core::{DsmConfig, FaultPlan, NetStats, ProtocolKind, RunResult, SimTime};
 
-fn run_once(
-    proto: ProtocolKind,
-    nodes: u32,
-    p: &sor::SorParams,
-    plan: FaultPlan,
-) -> (Vec<f64>, f64, NetStats) {
-    let p = *p;
-    let cfg = DsmConfig::new(nodes, proto)
-        .heap_bytes(p.heap_bytes())
-        .faults(plan)
-        .max_events(2_000_000_000);
-    let res = dsm_core::run_dsm(&cfg, move |d: &Dsm<'_>| sor::run(d, &p));
-    (res.results, res.end_time.as_millis_f64(), res.stats)
+/// A drop rate, as its table prints it.
+#[derive(Clone, Copy)]
+struct Pct(f64);
+
+impl std::fmt::Display for Pct {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:.0}%", self.0 * 100.0)
+    }
 }
 
 /// E16 — reliability under a lossy network: overhead of drops + dups.
@@ -34,99 +29,81 @@ pub fn e16_faults(scale: Scale) {
         iters: scale.pick(2, 3),
         omega: 1.25,
     };
-    let rates = scale.pick(vec![0.0, 0.10], vec![0.0, 0.05, 0.10, 0.20]);
+    let rates = scale.pick(&[0.0, 0.10][..], &[0.0, 0.05, 0.10, 0.20]);
+    let rates: Vec<Pct> = rates.iter().map(|&r| Pct(r)).collect();
     let seed = 11;
-
-    let mut time_ms: Vec<Series> = Vec::new();
-    let mut msgs: Vec<Series> = Vec::new();
-    let mut rexmit: Vec<Series> = Vec::new();
-    let mut acks: Vec<Series> = Vec::new();
-    let mut showcase: Option<NetStats> = None;
-
-    for proto in ProtocolKind::ALL {
-        let mut t = Series::new(proto.name());
-        let mut m = Series::new(proto.name());
-        let mut r = Series::new(proto.name());
-        let mut a = Series::new(proto.name());
-        let baseline = run_once(proto, nodes, &p, FaultPlan::NONE);
-        for &rate in &rates {
-            let plan = if rate == 0.0 {
-                FaultPlan::NONE
-            } else {
-                FaultPlan::lossy(rate, rate / 2.0, seed)
-            };
-            let (results, ms, stats) = run_once(proto, nodes, &p, plan);
-            assert_eq!(
-                results, baseline.0,
-                "E16: {proto} diverged from lossless results at drop={rate}"
-            );
-            t.push(ms);
-            m.push(stats.total_msgs() as f64);
-            r.push(stats.total_retransmits() as f64);
-            a.push(stats.kind("RelAck").count as f64);
-            if proto == ProtocolKind::Lrc && rate == *rates.last().unwrap() {
-                showcase = Some(stats);
-            }
-        }
-        time_ms.push(t);
-        msgs.push(m);
-        rexmit.push(r);
-        acks.push(a);
-    }
-
-    let xs: Vec<String> = rates.iter().map(|r| format!("{:.0}%", r * 100.0)).collect();
-    print_table(
-        "E16 (faults): SOR completion time under message loss (ms; dup = drop/2)",
-        "drop rate",
-        &xs,
-        &time_ms,
-    );
-    print_table(
-        "E16 (faults): total messages transmitted (incl. acks + resends)",
-        "drop rate",
-        &xs,
-        &msgs,
-    );
-    print_table(
-        "E16 (faults): retransmissions by the reliable transport",
-        "drop rate",
-        &xs,
-        &rexmit,
-    );
-    print_table(
-        "E16 (faults): standalone acks (RelAck) the transport sent",
-        "drop rate",
-        &xs,
-        &acks,
-    );
-    if let Some(stats) = showcase {
-        print_fault_table(
-            &format!(
-                "E16 (faults): per-kind fault breakdown — lrc at {} drop",
-                xs.last().unwrap()
-            ),
-            &stats,
+    let run_once = |proto, plan| {
+        let cfg = DsmConfig::new(nodes, proto)
+            .faults(plan)
+            .max_events(2_000_000_000);
+        checked("E16", p, cfg)
+    };
+    let protos = ProtocolKind::ALL;
+    let lossless = protos.map(|proto| run_once(proto, FaultPlan::NONE));
+    let metrics: [Metric; 4] = [
+        (
+            "SOR completion time under message loss (ms; dup = drop/2)",
+            ms().1,
+        ),
+        (
+            "total messages transmitted (incl. acks + resends)",
+            msgs().1,
+        ),
+        ("retransmissions by the reliable transport", &|_, r| {
+            r.stats.total_retransmits() as f64
+        }),
+        ("standalone acks (RelAck) the transport sent", &|_, r| {
+            r.stats.kind("RelAck").count as f64
+        }),
+    ];
+    let labels = protos.map(ProtocolKind::name);
+    let title = "E16 (faults): ";
+    let runs = sweep(title, "drop rate", &rates, &labels, &metrics, |rate, c| {
+        let plan = if rate.0 == 0.0 {
+            FaultPlan::NONE
+        } else {
+            FaultPlan::lossy(rate.0, rate.0 / 2.0, seed)
+        };
+        let res = run_once(protos[c], plan);
+        assert_eq!(
+            res.results, lossless[c].results,
+            "E16: {} diverged from lossless results at drop={}",
+            protos[c], rate.0
         );
-    }
+        res
+    });
+    let lrc = protos.iter().position(|&p| p == ProtocolKind::Lrc);
+    let (last, lrc) = (rates[rates.len() - 1], &runs[lrc.expect("lrc")]);
+    print_fault_table(
+        &format!("E16 (faults): per-kind fault breakdown — lrc at {last} drop"),
+        &lrc[lrc.len() - 1].stats,
+    );
 }
 
 /// One E19 run: a fixed page size (one row per page, so every page has
-/// a single writer — scabd's whole-page ABD registers must not race)
-/// and an explicit fault plan.
-fn run_e19(
+/// a single writer — scabd's whole-page ABD registers must not race,
+/// and [`Run::new`] refuses a shape where they would) and an explicit
+/// fault plan. A run whose nodes all live to its end is held to the
+/// app's verdict; one that loses a node for good has no answer to hold
+/// it to (the survivors go on from the rows the dead node stopped
+/// writing).
+fn run_e19<A: App>(
+    app: A,
     proto: ProtocolKind,
     nodes: u32,
     page: usize,
-    heap: usize,
     plan: FaultPlan,
-    app: impl Fn(&Dsm<'_>) -> f64 + Send + Sync,
-) -> dsm_core::RunResult<f64> {
+) -> RunResult<Words> {
+    let dead = plan.crashes.iter().any(|c| c.recover.is_none());
     let cfg = DsmConfig::new(nodes, proto)
-        .heap_bytes(heap)
         .page_size(page)
         .faults(plan)
         .max_events(2_000_000_000);
-    dsm_core::run_dsm(&cfg, app)
+    if !dead {
+        return checked("E19", app, cfg);
+    }
+    let run = Run::new(app, cfg).expect("E19: one row per page");
+    dsm_core::run_dsm(&run.cfg, |d| run.app.sim_program(d))
 }
 
 /// E19 — what does quorum replication cost, and what does it buy?
@@ -148,19 +125,8 @@ pub fn e19_crash(scale: Scale) {
     let mm_p = matmul::MatmulParams {
         n: scale.pick(16, 32),
     };
-    let sor_page = sor_p.n * 8;
-    let mm_page = mm_p.n * 8;
-
-    let run_sor = |proto: ProtocolKind, plan: FaultPlan| {
-        run_e19(proto, nodes, sor_page, sor_p.heap_bytes(), plan, move |d| {
-            sor::run(d, &sor_p)
-        })
-    };
-    let run_mm = |proto: ProtocolKind, plan: FaultPlan| {
-        run_e19(proto, nodes, mm_page, mm_p.heap_bytes(), plan, move |d| {
-            matmul::run(d, &mm_p)
-        })
-    };
+    let run_sor = |proto, plan| run_e19(sor_p, proto, nodes, sor_p.n * 8, plan);
+    let run_mm = |proto, plan| run_e19(mm_p, proto, nodes, mm_p.n * 8, plan);
 
     // --- The replication tax, fault-free ---------------------------
     let protos = [
@@ -168,56 +134,26 @@ pub fn e19_crash(scale: Scale) {
         ProtocolKind::IvyDynamic,
         ProtocolKind::Scabd,
     ];
-    let mut t_ms: Vec<Series> = Vec::new();
-    let mut msgs: Vec<Series> = Vec::new();
-    let mut bytes: Vec<Series> = Vec::new();
-    let mut clean_sor = None;
-    let mut clean_mm = None;
-    let mut ivy_sor_span = 0u64;
-    for proto in protos {
-        let s = run_sor(proto, FaultPlan::NONE);
-        let m = run_mm(proto, FaultPlan::NONE);
-        let mut t = Series::new(proto.name());
-        let mut mm = Series::new(proto.name());
-        let mut b = Series::new(proto.name());
-        t.push(s.end_time.as_millis_f64());
-        t.push(m.end_time.as_millis_f64());
-        mm.push(s.stats.total_msgs() as f64);
-        mm.push(m.stats.total_msgs() as f64);
-        b.push(s.stats.total_bytes() as f64);
-        b.push(m.stats.total_bytes() as f64);
-        t_ms.push(t);
-        msgs.push(mm);
-        bytes.push(b);
-        if proto == ProtocolKind::IvyCentral {
-            ivy_sor_span = s.end_time.as_nanos();
-        }
-        if proto == ProtocolKind::Scabd {
-            clean_sor = Some(s);
-            clean_mm = Some(m);
-        }
-    }
-    let xs = vec!["sor".to_string(), "matmul".to_string()];
-    print_table(
-        "E19 (crash): replication tax, fault-free completion time (ms)",
+    let metrics: [Metric; 3] = [
+        ("fault-free completion time (ms)", ms().1),
+        ("total messages", msgs().1),
+        ("total bytes", &|_, r| r.stats.total_bytes() as f64),
+    ];
+    let labels = protos.map(ProtocolKind::name);
+    let title = "E19 (crash): replication tax, ";
+    let runs = sweep(
+        title,
         "app",
-        &xs,
-        &t_ms,
+        &["sor", "matmul"],
+        &labels,
+        &metrics,
+        |app, c| match app {
+            "sor" => run_sor(protos[c], FaultPlan::NONE),
+            _ => run_mm(protos[c], FaultPlan::NONE),
+        },
     );
-    print_table(
-        "E19 (crash): replication tax, total messages",
-        "app",
-        &xs,
-        &msgs,
-    );
-    print_table(
-        "E19 (crash): replication tax, total bytes",
-        "app",
-        &xs,
-        &bytes,
-    );
-    let clean_sor = clean_sor.unwrap();
-    let clean_mm = clean_mm.unwrap();
+    let ivy_sor_span = runs[0][0].end_time.as_nanos();
+    let (clean_sor, clean_mm) = (&runs[2][0], &runs[2][1]);
 
     // --- scabd under seeded crash schedules ------------------------
     // Crash the last node 2/5 of the way through the clean run;
@@ -225,7 +161,7 @@ pub fn e19_crash(scale: Scale) {
     let victim = nodes - 1;
     let mut sched = vec![Series::new("sor"), Series::new("matmul")];
     let mut showcase: Option<NetStats> = None;
-    for (i, clean) in [&clean_sor, &clean_mm].into_iter().enumerate() {
+    for (i, clean) in [clean_sor, clean_mm].into_iter().enumerate() {
         let span = clean.end_time.as_nanos();
         assert!(span > 0, "E19: empty clean run");
         let at = SimTime(span * 2 / 5);

@@ -1,7 +1,7 @@
 //! Memory-behavior experiments: false sharing vs page size (E5),
 //! ERC vs LRC traffic (E6), and diff-machinery costs (E9).
 
-use super::Scale;
+use super::{ms, msgs, sweep, Metric, Scale};
 use crate::table::{print_table, xs_of, Series};
 use dsm_apps::false_sharing;
 use dsm_core::{Dsm, DsmConfig, Dur, GlobalAddr, ProtocolKind};
@@ -28,43 +28,33 @@ pub fn e05_false_sharing(scale: Scale) {
         ProtocolKind::Lrc,
         ProtocolKind::Entry,
     ];
-    let mut time: Vec<Series> = protos.iter().map(|k| Series::new(k.name())).collect();
-    let mut msgs: Vec<Series> = protos.iter().map(|k| Series::new(k.name())).collect();
-    let mut bpw: Vec<Series> = protos.iter().map(|k| Series::new(k.name())).collect();
     // Every run performs exactly this many application-level counter
     // increments; everything on the wire is coherence overhead.
     let useful_writes = (n as usize * p.iters) as f64;
-    for &ps in &page_sizes {
-        for (pi, &proto) in protos.iter().enumerate() {
+    let metrics: [Metric<u64>; 3] = [
+        (" — completion time (ms) vs page size", ms().1),
+        (" — total messages vs page size", msgs().1),
+        (" — wire bytes per useful write vs page size", &|_, r| {
+            r.stats.total_bytes() as f64 / useful_writes
+        }),
+    ];
+    let labels = protos.map(ProtocolKind::name);
+    sweep(
+        "E5: false sharing",
+        "page bytes",
+        &page_sizes,
+        &labels,
+        &metrics,
+        |ps, c| {
             let heap = p.heap_bytes(n as usize).max(ps);
-            let cfg = DsmConfig::new(n, proto)
+            let cfg = DsmConfig::new(n, protos[c])
                 .heap_bytes(heap)
                 .page_size(ps)
                 .max_events(100_000_000);
             let res = dsm_core::run_dsm(&cfg, move |dsm: &Dsm<'_>| false_sharing::run(dsm, &p));
             assert!(res.results.iter().all(|&v| v == p.iters as u64));
-            time[pi].push(res.end_time.as_millis_f64());
-            msgs[pi].push(res.stats.total_msgs() as f64);
-            bpw[pi].push(res.stats.total_bytes() as f64 / useful_writes);
-        }
-    }
-    print_table(
-        "E5: false sharing — completion time (ms) vs page size",
-        "page bytes",
-        &xs_of(&page_sizes),
-        &time,
-    );
-    print_table(
-        "E5: false sharing — total messages vs page size",
-        "page bytes",
-        &xs_of(&page_sizes),
-        &msgs,
-    );
-    print_table(
-        "E5: false sharing — wire bytes per useful write vs page size",
-        "page bytes",
-        &xs_of(&page_sizes),
-        &bpw,
+            res
+        },
     );
 }
 

@@ -22,10 +22,9 @@
 //! `erc` rides along as the metadata-free reference: eager flushing
 //! carries no clocks at all, at the price E6 measures.
 
-use super::Scale;
-use crate::table::{print_table, xs_of, Series};
+use super::{checked, ms, sweep, Metric, Scale};
 use dsm_apps::sor;
-use dsm_core::{Dsm, DsmConfig, Placement, ProtocolKind};
+use dsm_core::{DsmConfig, Placement, ProtocolKind};
 
 fn node_counts(scale: Scale) -> Vec<u32> {
     scale.pick(vec![2, 4, 8], vec![2, 4, 8, 16, 32, 64, 128])
@@ -48,51 +47,32 @@ pub fn e18_lrc_meta(scale: Scale) {
     // sum's quiescence barrier is not part of sor::run — count the
     // sweeps only; the absolute number only normalizes the table.
     let barriers = (2 * p.iters) as u64;
-    let ns = node_counts(scale);
-    let mut bar_bytes: Vec<Series> = CONFIGS.iter().map(|c| Series::new(c.0)).collect();
-    let mut resident: Vec<Series> = CONFIGS.iter().map(|c| Series::new(c.0)).collect();
-    let mut times: Vec<Series> = CONFIGS.iter().map(|c| Series::new(c.0)).collect();
-    for &n in &ns {
-        for (ci, &(_, proto, gc)) in CONFIGS.iter().enumerate() {
+    let bar_bytes: Metric = (" — barrier bytes per episode per node", &|_, r| {
+        let bar = r.stats.kind("BarArrive").bytes + r.stats.kind("BarRelease").bytes;
+        bar as f64 / barriers as f64 / r.results.len() as f64
+    });
+    let resident: Metric = (" — peak resident metadata bytes (max node)", &|_, r| {
+        let gauges = r.gauges.iter().flat_map(|g| g.iter());
+        let peak = gauges.filter(|(k, _)| *k == "lrc_peak_resident_bytes");
+        peak.map(|&(_, v)| v).max().unwrap_or(0) as f64
+    });
+    let ms = (" — SOR completion (ms)", ms().1);
+    let labels = CONFIGS.map(|c| c.0);
+    let title = "E18: LRC metadata";
+    let metrics = [bar_bytes, resident, ms];
+    sweep(
+        title,
+        "nodes",
+        &node_counts(scale),
+        &labels,
+        &metrics,
+        |n, c| {
+            let (_, proto, gc) = CONFIGS[c];
             let cfg = DsmConfig::new(n, proto)
-                .heap_bytes(p.heap_bytes())
-                .page_size(4096)
                 .placement(Placement::Block)
                 .lrc_gc(gc)
                 .max_events(400_000_000);
-            let res = dsm_core::run_dsm(&cfg, move |dsm: &Dsm<'_>| {
-                sor::run(dsm, &p);
-            });
-            let bar = res.stats.kind("BarArrive").bytes + res.stats.kind("BarRelease").bytes;
-            bar_bytes[ci].push(bar as f64 / barriers as f64 / n as f64);
-            let peak = res
-                .gauges
-                .iter()
-                .flat_map(|g| g.iter())
-                .filter(|(k, _)| *k == "lrc_peak_resident_bytes")
-                .map(|&(_, v)| v)
-                .max()
-                .unwrap_or(0);
-            resident[ci].push(peak as f64);
-            times[ci].push(res.end_time.as_millis_f64());
-        }
-    }
-    print_table(
-        "E18: LRC metadata — barrier bytes per episode per node",
-        "nodes",
-        &xs_of(&ns),
-        &bar_bytes,
-    );
-    print_table(
-        "E18: LRC metadata — peak resident metadata bytes (max node)",
-        "nodes",
-        &xs_of(&ns),
-        &resident,
-    );
-    print_table(
-        "E18: LRC metadata — SOR completion (ms)",
-        "nodes",
-        &xs_of(&ns),
-        &times,
+            checked(title, p, cfg)
+        },
     );
 }

@@ -1,7 +1,14 @@
 //! The experiment suite: one function per table/figure in
 //! EXPERIMENTS.md. Each prints its table(s) on stdout in the fixed
 //! format of [`crate::table`]. [`REGISTRY`] names them; the `exp` binary
-//! is a thin wrapper over it.
+//! is a thin wrapper over it. An experiment that runs an app of the
+//! table gives its own params to `checked`, which holds every run to
+//! the app's verdict.
+
+use crate::table::{print_table, xs_of, Series};
+use dsm_apps::{App, Run, Words};
+use dsm_core::{DsmConfig, RunResult};
+use std::fmt::Display;
 
 mod ablation;
 mod batching;
@@ -82,5 +89,124 @@ pub const STANDALONE: &[Experiment] = &[("e02_sor_n1024", e02_sor_n1024)];
 pub fn run_all(scale: Scale) {
     for (_, run) in REGISTRY {
         run(scale);
+    }
+}
+
+/// `app` on `cfg`'s machine in the simulator, held to the app's own
+/// verdict: no row of experiment `exp` comes from a run that computed
+/// the wrong answer. A refused shape or a failed verdict panics, naming
+/// the experiment, the app, the protocol and the node count.
+fn checked<A: App>(exp: &str, app: A, cfg: DsmConfig) -> RunResult<Words> {
+    let what = format!(
+        "{exp}: {} under {} on {} nodes",
+        app.name(),
+        cfg.protocol,
+        cfg.nnodes
+    );
+    let run = Run::new(app, cfg).unwrap_or_else(|why| panic!("{what}: refused: {why}"));
+    let res = dsm_core::run_dsm(&run.cfg, |d| run.app.sim_program(d));
+    assert!(run.app.verdict(&res.results), "{what}: wrong result");
+    res
+}
+
+/// What one table reads of each run, given its column's first run
+/// too: the tail of the table's title, and the figure.
+type Metric<'a, V = Words> = (&'a str, &'a dyn Fn(&RunResult<V>, &RunResult<V>) -> f64);
+
+/// Completion time in virtual ms.
+fn ms<V>() -> Metric<'static, V> {
+    (" — completion time (ms)", &|_, r| {
+        r.end_time.as_millis_f64()
+    })
+}
+
+/// Messages sent.
+fn msgs<V>() -> Metric<'static, V> {
+    (" — total messages", &|_, r| r.stats.total_msgs() as f64)
+}
+
+/// T(first x) / T(x).
+fn speedup<V>() -> Metric<'static, V> {
+    (" — speedup", &|first, r| {
+        first.end_time.as_millis_f64() / r.end_time.as_millis_f64()
+    })
+}
+
+/// One run per x of `xs` and per column of `labels`, `run(x, column)`;
+/// then one table per metric, titled `title` and the metric's tail, a
+/// row per x and a column per label. Returns the runs, `runs[column][x]`.
+fn sweep<X: Copy + Display, V>(
+    title: &str,
+    x_label: &str,
+    xs: &[X],
+    labels: &[&str],
+    metrics: &[Metric<V>],
+    run: impl Fn(X, usize) -> RunResult<V>,
+) -> Vec<Vec<RunResult<V>>> {
+    let runs: Vec<Vec<_>> = (0..labels.len())
+        .map(|c| xs.iter().map(|&x| run(x, c)).collect())
+        .collect();
+    for (name, metric) in metrics {
+        let series: Vec<Series> = labels
+            .iter()
+            .zip(&runs)
+            .map(|(label, runs)| Series {
+                label: label.to_string(),
+                values: runs.iter().map(|r| metric(&runs[0], r)).collect(),
+            })
+            .collect();
+        print_table(&format!("{title}{name}"), x_label, &xs_of(xs), &series);
+    }
+    runs
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dsm_apps::sor::SorParams;
+    use dsm_core::{Dsm, Engine, ProtocolKind};
+    use std::ops::Range;
+
+    /// SOR judged against one more sweep than it ran: a wrong result.
+    struct OneSweepShort(SorParams);
+
+    impl App for OneSweepShort {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+        fn machine(&mut self, cfg: DsmConfig) -> DsmConfig {
+            self.0.machine(cfg)
+        }
+        fn program(&self, d: &Dsm<'_, impl Engine>) -> Words {
+            self.0.program(d)
+        }
+        fn verdict(&self, results: &[Words]) -> bool {
+            let more = SorParams {
+                iters: self.0.iters + 1,
+                ..self.0
+            };
+            more.verdict(results)
+        }
+        fn writes(&self, nodes: usize, rank: usize) -> Vec<Range<usize>> {
+            self.0.writes(nodes, rank)
+        }
+    }
+
+    const P: SorParams = SorParams {
+        n: 16,
+        iters: 2,
+        omega: 1.25,
+    };
+
+    #[test]
+    #[should_panic(expected = "E0: sor under lrc on 2 nodes: wrong result")]
+    fn a_wrong_result_names_the_experiment_app_protocol_and_nodes() {
+        checked("E0", OneSweepShort(P), DsmConfig::new(2, ProtocolKind::Lrc));
+    }
+
+    #[test]
+    #[should_panic(expected = "E0: sor under scabd on 2 nodes: refused")]
+    fn a_refused_shape_names_them_too() {
+        checked("E0", P, DsmConfig::new(2, ProtocolKind::Scabd));
     }
 }

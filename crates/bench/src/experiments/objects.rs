@@ -13,9 +13,9 @@
 //!   versus one-object ownership migration. The run asserts `obj`
 //!   finishes ahead of every page protocol.
 
-use super::Scale;
+use super::{checked, Scale};
 use crate::table::{print_table, xs_of, Series};
-use dsm_apps::{chase, false_sharing};
+use dsm_apps::{chase, false_sharing, Words};
 use dsm_core::{CostModel, Dsm, DsmConfig, Dur, ProtocolKind, RunResult};
 
 /// Page protocols `obj` is compared against (the E5 set).
@@ -112,42 +112,27 @@ fn false_sharing_part(scale: Scale) {
     );
 }
 
-/// One chase run per page protocol, then `obj`: each with its name and
-/// result. `model` overrides the `DSM_NET`-or-1992 default.
+/// One chase run per page protocol, then `obj` (which runs it over
+/// objects): each with its name and result. `model` overrides the
+/// `DSM_NET`-or-1992 default.
 fn chase_runs(
     n: u32,
     p: chase::ChaseParams,
     model: Option<CostModel>,
-) -> Vec<(&'static str, RunResult<u64>)> {
-    let page = 1024usize;
-    let cfg = |proto: ProtocolKind| {
-        let cfg = DsmConfig::new(n, proto)
-            .heap_bytes(p.heap_bytes(n as usize).max(page))
-            .page_size(page)
-            .max_events(100_000_000);
-        match &model {
-            Some(m) => cfg.model(m.clone()),
-            None => cfg,
-        }
-    };
-    let mut runs: Vec<_> = PAGE_PROTOS
-        .into_iter()
+) -> Vec<(&'static str, RunResult<Words>)> {
+    let protos = PAGE_PROTOS.into_iter().chain([ProtocolKind::Obj]);
+    protos
         .map(|proto| {
-            let run = move |dsm: &Dsm<'_>| chase::run_pages(dsm, &p);
-            (proto.name(), dsm_core::run_dsm(&cfg(proto), run))
+            let cfg = DsmConfig::new(n, proto)
+                .page_size(1024)
+                .max_events(100_000_000);
+            let cfg = match &model {
+                Some(m) => cfg.model(m.clone()),
+                None => cfg,
+            };
+            (proto.name(), checked("E22b", chase::Chase::from(p), cfg))
         })
-        .collect();
-    let (heap, chains) = chase::build_obj_chains(&p, n);
-    let cfg = cfg(ProtocolKind::Obj).objects(heap.table());
-    let run = move |dsm: &Dsm<'_>| chase::run_obj(dsm, &p, &chains);
-    runs.push(("obj", dsm_core::run_dsm(&cfg, run)));
-    for (name, res) in &runs {
-        assert!(
-            res.results.iter().all(|&v| v == p.expected()),
-            "{name}: chase computed the wrong answer"
-        );
-    }
-    runs
+        .collect()
 }
 
 /// Part B: pointer chasing over interleaved chains.

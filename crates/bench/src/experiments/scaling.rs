@@ -1,10 +1,9 @@
 //! Scaling experiments: manager schemes (E1), application speedups
 //! (E2–E4), and the synchronization-bound applications (E11, E12).
 
-use super::Scale;
-use crate::table::{print_table, xs_of, Series};
-use dsm_apps::{fft, gauss, matmul, sor, taskqueue, tsp};
-use dsm_core::{Dsm, DsmConfig, Dur, EntryBinding, GlobalAddr, Placement, ProtocolKind};
+use super::{checked, ms, msgs, speedup, sweep, Metric, Scale};
+use dsm_apps::{fft, gauss, matmul, sor, taskqueue, tsp, App};
+use dsm_core::{CostModel, Dsm, DsmConfig, Dur, GlobalAddr, Placement, ProtocolKind};
 use dsm_net::XorShift64;
 
 fn node_counts(scale: Scale) -> Vec<u32> {
@@ -45,15 +44,25 @@ pub fn e01_managers(scale: Scale) {
         ProtocolKind::IvyFixed,
         ProtocolKind::IvyDynamic,
     ];
-    let mut series: Vec<Series> = schemes.iter().map(|p| Series::new(p.name())).collect();
-    for &n in &ns {
-        let pages = pages_per_node * n as usize;
-        for (si, &proto) in schemes.iter().enumerate() {
-            let cfg = DsmConfig::new(n, proto)
+    let per_op: Metric<()> = (" — coherence messages per page op", &|_, r| {
+        let coher = r.stats.total_msgs() - sync_msgs(&r.stats);
+        let ops = (rounds * 2) as f64 * r.results.len() as f64;
+        coher as f64 / ops
+    });
+    let labels = schemes.map(ProtocolKind::name);
+    sweep(
+        "E1: IVY manager schemes",
+        "nodes",
+        &ns,
+        &labels,
+        &[per_op],
+        |n, c| {
+            let pages = pages_per_node * n as usize;
+            let cfg = DsmConfig::new(n, schemes[c])
                 .page_size(1024)
                 .heap_bytes(pages * 1024)
                 .max_events(50_000_000);
-            let res = dsm_core::run_dsm(&cfg, move |dsm: &Dsm<'_>| {
+            dsm_core::run_dsm(&cfg, move |dsm: &Dsm<'_>| {
                 let mut rng = XorShift64::new(dsm.id().0 as u64 * 7919 + 1);
                 for r in 0..rounds {
                     // Write somewhere random, read somewhere random.
@@ -66,94 +75,26 @@ pub fn e01_managers(scale: Scale) {
                     dsm.read_u64(GlobalAddr(rp * 1024));
                     dsm.barrier(0);
                 }
-            });
-            let coher = res.stats.total_msgs() - sync_msgs(&res.stats);
-            let ops = (rounds * 2) as f64 * n as f64;
-            series[si].push(coher as f64 / ops);
-        }
-    }
-    print_table(
-        "E1: IVY manager schemes — coherence messages per page op",
-        "nodes",
-        &xs_of(&ns),
-        &series,
+            })
+        },
     );
 }
 
-/// Generic speedup sweep: runs `app` on every (protocol, N), checks
-/// nothing (the oracle tests do), and prints speedup = T(1)/T(N) per
-/// protocol, plus message counts at the largest N.
-fn speedup_sweep<F>(
-    title: &str,
-    scale: Scale,
-    protos: &[ProtocolKind],
-    heap: usize,
-    page: usize,
-    placement: Placement,
-    app: F,
-) where
-    F: Fn(&Dsm<'_>) + Send + Sync + Copy,
-{
-    speedup_sweep_model(
-        title,
-        &node_counts(scale),
-        protos,
-        heap,
-        page,
-        placement,
-        dsm_core::CostModel::lan_1992(),
-        app,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn speedup_sweep_model<F>(
+/// Speedup sweep: `app` on every (N, protocol), on the machine
+/// `machine` makes of `DsmConfig::new(n, proto)`, each run checked;
+/// prints speedup = T(1)/T(N) per protocol, then total messages.
+fn speedup_sweep<A: App + Clone>(
     title: &str,
     ns: &[u32],
     protos: &[ProtocolKind],
-    heap: usize,
-    page: usize,
-    placement: Placement,
-    model: dsm_core::CostModel,
-    app: F,
-) where
-    F: Fn(&Dsm<'_>) + Send + Sync + Copy,
-{
-    // times[pi][xi] in ms.
-    let mut times: Vec<Vec<f64>> = vec![Vec::new(); protos.len()];
-    let mut msgs: Vec<Series> = protos.iter().map(|p| Series::new(p.name())).collect();
-    for &n in ns {
-        for (pi, &proto) in protos.iter().enumerate() {
-            let cfg = DsmConfig::new(n, proto)
-                .heap_bytes(heap)
-                .page_size(page)
-                .placement(placement)
-                .model(model.clone())
-                .max_events(400_000_000);
-            let res = dsm_core::run_dsm(&cfg, app);
-            times[pi].push(res.end_time.as_millis_f64());
-            msgs[pi].push(res.stats.total_msgs() as f64);
-        }
-    }
-    let speed: Vec<Series> = protos
-        .iter()
-        .zip(&times)
-        .map(|(p, t)| {
-            let mut s = Series::new(p.name());
-            let t1 = t[0];
-            for v in t {
-                s.push(t1 / v);
-            }
-            s
-        })
-        .collect();
-    print_table(&format!("{title} — speedup"), "nodes", &xs_of(ns), &speed);
-    print_table(
-        &format!("{title} — total messages"),
-        "nodes",
-        &xs_of(ns),
-        &msgs,
-    );
+    app: A,
+    machine: impl Fn(DsmConfig) -> DsmConfig,
+) {
+    let labels: Vec<_> = protos.iter().map(|p| p.name()).collect();
+    sweep(title, "nodes", ns, &labels, &[speedup(), msgs()], |n, c| {
+        let cfg = DsmConfig::new(n, protos[c]).max_events(400_000_000);
+        checked(title, app.clone(), machine(cfg))
+    });
 }
 
 /// The large-scale point for the headline scaling sweeps, now that the
@@ -185,18 +126,9 @@ pub fn e02_sor(scale: Scale) {
     // Block placement: a node's rows are homed where they are computed,
     // as any real array layout would arrange. The sweep runs out to
     // N=128 at full scale.
-    speedup_sweep_model(
-        "E2: SOR",
-        &node_counts_wide(scale),
-        &protos,
-        p.heap_bytes(),
-        4096,
-        Placement::Block,
-        dsm_core::CostModel::lan_1992(),
-        move |dsm: &Dsm<'_>| {
-            sor::run(dsm, &p);
-        },
-    );
+    speedup_sweep("E2: SOR", &node_counts_wide(scale), &protos, p, |cfg| {
+        cfg.placement(Placement::Block).model(CostModel::lan_1992())
+    });
 }
 
 /// E3 — matrix multiply speedup (embarrassingly parallel; read
@@ -211,18 +143,9 @@ pub fn e03_matmul(scale: Scale) {
         ProtocolKind::Update,
         ProtocolKind::Migrate,
     ];
-    speedup_sweep_model(
-        "E3: MatMul",
-        &node_counts_wide(scale),
-        &protos,
-        p.heap_bytes(),
-        4096,
-        Placement::Block,
-        dsm_core::CostModel::lan_1992(),
-        move |dsm: &Dsm<'_>| {
-            matmul::run(dsm, &p);
-        },
-    );
+    speedup_sweep("E3: MatMul", &node_counts_wide(scale), &protos, p, |cfg| {
+        cfg.placement(Placement::Block).model(CostModel::lan_1992())
+    });
 }
 
 /// E2-wide — SOR at N=1024 nodes (one interior grid row per node), the
@@ -239,33 +162,23 @@ pub fn e02_sor_n1024(_scale: Scale) {
         omega: 1.25,
     };
     let protos = [ProtocolKind::Lrc, ProtocolKind::IvyFixed];
-    let mut times: Vec<Series> = protos.iter().map(|k| Series::new(k.name())).collect();
-    let mut eps: Vec<Series> = protos.iter().map(|k| Series::new(k.name())).collect();
-    for (pi, &proto) in protos.iter().enumerate() {
-        let cfg = DsmConfig::new(1024, proto)
-            .heap_bytes(p.heap_bytes())
-            .page_size(4096)
-            .placement(Placement::Block)
-            .batch_depth(8)
-            .max_events(400_000_000);
-        let res = dsm_core::run_dsm(&cfg, move |dsm: &Dsm<'_>| {
-            sor::run(dsm, &p);
-        });
-        times[pi].push(res.end_time.as_millis_f64());
-        eps[pi].push(res.events_per_sec());
-    }
-    let xs = xs_of(&[1024u32]);
-    print_table(
-        "E2-wide: SOR, N=1024 — completion time (ms)",
+    let eps: Metric = (" — simulator throughput (events/sec)", &|_, r| {
+        r.events_per_sec()
+    });
+    let title = "E2-wide: SOR, N=1024";
+    sweep(
+        title,
         "nodes",
-        &xs,
-        &times,
-    );
-    print_table(
-        "E2-wide: SOR, N=1024 — simulator throughput (events/sec)",
-        "nodes",
-        &xs,
-        &eps,
+        &[1024],
+        &protos.map(ProtocolKind::name),
+        &[ms(), eps],
+        |n, c| {
+            let cfg = DsmConfig::new(n, protos[c])
+                .placement(Placement::Block)
+                .batch_depth(8)
+                .max_events(400_000_000);
+            checked(title, p, cfg)
+        },
     );
 }
 
@@ -283,17 +196,9 @@ pub fn e04_gauss(scale: Scale) {
         ProtocolKind::Erc,
     ];
     // Cyclic placement matches the cyclic row distribution.
-    speedup_sweep(
-        "E4: Gauss",
-        scale,
-        &protos,
-        p.heap_bytes(),
-        2048,
-        Placement::Cyclic,
-        move |dsm: &Dsm<'_>| {
-            gauss::run(dsm, &p);
-        },
-    );
+    speedup_sweep("E4: Gauss", &node_counts(scale), &protos, p, |cfg| {
+        cfg.page_size(2048).model(CostModel::lan_1992())
+    });
 }
 
 /// E15 — FFT speedup: local row FFTs separated by an all-to-all
@@ -315,21 +220,15 @@ pub fn e15_fft(scale: Scale) {
     // Ethernet — it only scales once the network improves, which is the
     // point this figure makes (TreadMarks' own move to ATM).
     for (label, model) in [
-        ("10Mbit Ethernet", dsm_core::CostModel::lan_1992()),
-        ("100Mbit ATM", dsm_core::CostModel::atm_1994()),
+        ("10Mbit Ethernet", CostModel::lan_1992()),
+        ("100Mbit ATM", CostModel::atm_1994()),
     ] {
-        speedup_sweep_model(
-            &format!("E15: FFT (2-D decomposition), {label}"),
-            &node_counts(scale),
-            &protos,
-            p.heap_bytes(),
-            2048,
-            Placement::Block,
-            model,
-            move |dsm: &Dsm<'_>| {
-                fft::run(dsm, &p);
-            },
-        );
+        let title = format!("E15: FFT (2-D decomposition), {label}");
+        speedup_sweep(&title, &node_counts(scale), &protos, p, |cfg| {
+            cfg.page_size(2048)
+                .placement(Placement::Block)
+                .model(model.clone())
+        });
     }
 }
 
@@ -349,26 +248,19 @@ pub fn e11_entry_vs_lrc(scale: Scale) {
             poll: Dur::micros(500),
         };
         let ns: Vec<u32> = node_counts(scale).into_iter().filter(|&n| n >= 2).collect();
-        let mut series: Vec<Series> = protos.iter().map(|k| Series::new(k.name())).collect();
-        for &n in &ns {
-            for (pi, &proto) in protos.iter().enumerate() {
-                let (lock, addr, len) = p.binding();
-                let mut cfg = DsmConfig::new(n, proto)
-                    .heap_bytes(p.heap_bytes())
+        let title = format!("E11: task queue, {label}");
+        sweep(
+            &title,
+            "nodes",
+            &ns,
+            &protos.map(ProtocolKind::name),
+            &[ms()],
+            |n, c| {
+                let cfg = DsmConfig::new(n, protos[c])
                     .page_size(1024)
                     .max_events(100_000_000);
-                cfg.bindings = vec![EntryBinding { lock, addr, len }];
-                let res = dsm_core::run_dsm(&cfg, move |dsm: &Dsm<'_>| {
-                    taskqueue::run(dsm, &p);
-                });
-                series[pi].push(res.end_time.as_millis_f64());
-            }
-        }
-        print_table(
-            &format!("E11: task queue, {label} — completion time (ms)"),
-            "nodes",
-            &xs_of(&ns),
-            &series,
+                checked(&title, p, cfg)
+            },
         );
     }
 }
@@ -381,34 +273,25 @@ pub fn e12_tsp(scale: Scale) {
         capacity: 1 << 12,
         poll: Dur::micros(500),
     };
-    let want = tsp::reference(&p);
     let protos = [
         ProtocolKind::IvyFixed,
         ProtocolKind::Lrc,
         ProtocolKind::Entry,
     ];
     let ns: Vec<u32> = node_counts(scale).into_iter().filter(|&n| n <= 8).collect();
-    let mut series: Vec<Series> = protos.iter().map(|k| Series::new(k.name())).collect();
-    for &n in &ns {
-        for (pi, &proto) in protos.iter().enumerate() {
-            let (lock, addr, len) = p.binding();
-            let mut cfg = DsmConfig::new(n, proto)
-                .heap_bytes(p.heap_bytes())
+    let ms = (" — completion time (ms, optimum verified)", ms().1);
+    let title = "E12: TSP branch & bound";
+    sweep(
+        title,
+        "nodes",
+        &ns,
+        &protos.map(ProtocolKind::name),
+        &[ms],
+        |n, c| {
+            let cfg = DsmConfig::new(n, protos[c])
                 .page_size(1024)
                 .max_events(400_000_000);
-            cfg.bindings = vec![EntryBinding { lock, addr, len }];
-            let res = dsm_core::run_dsm(&cfg, move |dsm: &Dsm<'_>| tsp::run(dsm, &p));
-            assert!(
-                res.results.iter().all(|&b| b == want),
-                "tsp {proto} n={n}: wrong optimum"
-            );
-            series[pi].push(res.end_time.as_millis_f64());
-        }
-    }
-    print_table(
-        "E12: TSP branch & bound — completion time (ms, optimum verified)",
-        "nodes",
-        &xs_of(&ns),
-        &series,
+            checked(title, p, cfg)
+        },
     );
 }

@@ -1,7 +1,7 @@
 //! Synchronization scaling (E7, E8) and the real page-fault engines'
 //! cost breakdown (E10).
 
-use super::Scale;
+use super::{sweep, Metric, Scale};
 use crate::table::{print_table, xs_of, Series};
 use dsm_core::{run_in_threads, DsmConfig, GlobalAddr, ProtocolKind};
 use dsm_net::{AppHandle, CostModel, Dur, Sim};
@@ -71,10 +71,16 @@ pub fn e08_barriers(scale: Scale) {
         ("tree2", BarrierKind::Tree(2)),
         ("tree4", BarrierKind::Tree(4)),
     ];
-    let mut series: Vec<Series> = kinds.iter().map(|(l, _)| Series::new(*l)).collect();
-    for &n in &ns {
-        for (ki, &(_, kind)) in kinds.iter().enumerate() {
-            let nodes = SyncNode::cluster(n, LockKind::Queue, kind);
+    let per_episode: Metric<()> = ("", &|_, r| r.end_time.as_millis_f64() / rounds as f64);
+    let title = "E8: barrier latency per episode (ms)";
+    sweep(
+        title,
+        "nodes",
+        &ns,
+        &kinds.map(|k| k.0),
+        &[per_episode],
+        |n, c| {
+            let nodes = SyncNode::cluster(n, LockKind::Queue, kinds[c].1);
             let programs: Vec<_> = (0..n)
                 .map(|_| {
                     move |h: &H| {
@@ -84,15 +90,8 @@ pub fn e08_barriers(scale: Scale) {
                     }
                 })
                 .collect();
-            let res = Sim::new(nodes, CostModel::lan_1992()).run(programs);
-            series[ki].push(res.end_time.as_millis_f64() / rounds as f64);
-        }
-    }
-    print_table(
-        "E8: barrier latency per episode (ms)",
-        "nodes",
-        &xs_of(&ns),
-        &series,
+            Sim::new(nodes, CostModel::lan_1992()).run(programs)
+        },
     );
 }
 

@@ -17,10 +17,9 @@
 //! final state order-independent), so a protocol cannot win by
 //! returning the wrong data.
 
-use super::Scale;
-use crate::table::{print_table, Series};
+use super::{checked, ms, msgs, sweep, Scale};
 use dsm_apps::kv;
-use dsm_core::{Dsm, DsmConfig, ProtocolKind};
+use dsm_core::{DsmConfig, ProtocolKind};
 
 /// The compared trio, per the skew question above.
 const PROTOS: [ProtocolKind; 3] = [
@@ -42,38 +41,18 @@ pub fn e21_zipf(scale: Scale) {
         stripes: 16,
         seed: 21,
     };
-    let xs: Vec<String> = SKEWS.iter().map(|s| format!("{s}")).collect();
-
-    let mut time_series: Vec<Series> = PROTOS.iter().map(|k| Series::new(k.name())).collect();
-    let mut msg_series: Vec<Series> = PROTOS.iter().map(|k| Series::new(k.name())).collect();
-    for &skew in &SKEWS {
-        let p = kv::KvParams { skew, ..base };
-        let want = kv::reference_digest(&p, nodes as usize);
-        for (pi, &proto) in PROTOS.iter().enumerate() {
-            let cfg = DsmConfig::new(nodes, proto)
-                .heap_bytes(p.heap_bytes())
-                .page_size(scale.pick(256, 1024))
-                .max_events(400_000_000);
-            let res = dsm_core::run_dsm(&cfg, move |d: &Dsm<'_>| kv::run(d, &p));
-            assert!(
-                res.results.iter().all(|&d| d == want),
-                "E21 digest mismatch under {} at skew {skew}",
-                proto.name()
-            );
-            time_series[pi].push(res.end_time.as_millis_f64());
-            msg_series[pi].push(res.stats.total_msgs() as f64);
-        }
-    }
-    print_table(
-        "E21: Zipf KV board — completion time vs skew (ms)",
-        "skew",
-        &xs,
-        &time_series,
-    );
-    print_table(
-        "E21: Zipf KV board — protocol messages vs skew",
-        "skew",
-        &xs,
-        &msg_series,
-    );
+    let ms = (" — completion time vs skew (ms)", ms().1);
+    let msgs = (" — protocol messages vs skew", msgs().1);
+    let title = "E21: Zipf KV board";
+    let labels = PROTOS.map(ProtocolKind::name);
+    sweep(title, "skew", &SKEWS, &labels, &[ms, msgs], |skew, c| {
+        let cfg = DsmConfig::new(nodes, PROTOS[c])
+            .page_size(scale.pick(256, 1024))
+            .max_events(400_000_000);
+        checked(
+            &format!("{title} at skew {skew}"),
+            kv::KvParams { skew, ..base },
+            cfg,
+        )
+    });
 }

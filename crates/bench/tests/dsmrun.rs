@@ -1,7 +1,7 @@
 //! `dsmrun --app kv`: the E21 board from the command line, so a
 //! run-length sweep of the benchmark's `sim_kv_*` shape is a command —
 //! under every protocol, or refused for the reason the protocol's row
-//! gives.
+//! gives; and the grid shapes a row refuses the same way.
 
 use dsm_core::ProtocolKind;
 use std::process::Command;
@@ -64,6 +64,31 @@ fn kv_verifies_or_is_refused_with_the_rows_reason_under_every_protocol() {
                 assert!(stderr.contains(why), "{proto}: {stderr}");
             }
         }
+    }
+}
+
+/// Whether two ranks of a grid app write one page depends on the grid,
+/// the node count and the page size, so the table computes it: `fft 16`
+/// on 3 nodes and `jacobi 64` on 8 each share a page between ranks
+/// (they printed MISMATCH under `scabd`). Refused there with the row's
+/// reason, they run and verify under a row that keeps sub-page writers.
+#[test]
+fn grid_shapes_whose_ranks_share_a_page_are_refused_by_the_row() {
+    let why = ProtocolKind::Scabd.facts().sub_page_writers.unwrap_err();
+    for (app, size, nodes) in [("fft", "16", "3"), ("jacobi", "64", "8")] {
+        let args = |proto| {
+            [
+                "--app", app, "--size", size, "--nodes", nodes, "--proto", proto,
+            ]
+        };
+        let (code, stdout, stderr) = dsmrun(&args("scabd"));
+        assert_eq!(code, Some(2), "{app}: {stdout}{stderr}");
+        assert!(stdout.is_empty(), "{app} ran: {stdout}");
+        assert!(stderr.contains("both write page"), "{app}: {stderr}");
+        assert!(stderr.contains(why), "{app}: {stderr}");
+        let (code, stdout, stderr) = dsmrun(&args("ivy-fixed"));
+        assert_eq!(code, Some(0), "{app}: {stdout}{stderr}");
+        assert!(stdout.contains("verification: OK"), "{app}: {stdout}");
     }
 }
 

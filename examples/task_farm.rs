@@ -8,7 +8,8 @@
 //! ```
 
 use dsm_apps::taskqueue::{self, TaskQueueParams};
-use dsm_core::{DsmConfig, Dur, EntryBinding, ProtocolKind};
+use dsm_apps::Run;
+use dsm_core::{DsmConfig, Dur, ProtocolKind};
 
 fn main() {
     let p = TaskQueueParams {
@@ -29,12 +30,11 @@ fn main() {
     );
     for proto in [ProtocolKind::Entry, ProtocolKind::Lrc] {
         for n in [2u32, 4, 8] {
-            let (lock, addr, len) = p.binding();
-            let mut cfg = DsmConfig::new(n, proto)
-                .heap_bytes(p.heap_bytes())
+            let cfg = DsmConfig::new(n, proto)
                 .page_size(1024)
                 .max_events(100_000_000);
-            cfg.bindings = vec![EntryBinding { lock, addr, len }];
+            // The app's machine: its heap, the queue bound to its lock.
+            let cfg = Run::new(p, cfg).expect("both rows run the queue").cfg;
             let res = dsm_core::run_dsm(&cfg, move |dsm| taskqueue::run(dsm, &p));
             // Exactly-once verification across the whole farm.
             let sum: u64 = res.results.iter().map(|r| r.id_sum).sum();

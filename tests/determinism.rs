@@ -9,7 +9,7 @@
 //! (lock-bound mutual exclusion with polling). A third, matmul, is the
 //! fast path's lending read: its B rows are lent where they hit.
 
-use dsm_apps::{matmul, sor, taskqueue};
+use dsm_apps::{matmul, sor, taskqueue, Run};
 use dsm_core::{
     CostModel, Dsm, DsmConfig, Dur, GlobalAddr, NetStats, ProtocolKind, RunResult, SimTime,
 };
@@ -103,14 +103,12 @@ fn run_taskqueue_gc(proto: ProtocolKind, fast_path: bool, lrc_gc: bool) -> Trace
         produce_time: Dur::micros(50),
         poll: Dur::micros(500),
     };
-    let heap = p.heap_bytes();
-    let (lock, addr, len) = p.binding();
     let cfg = DsmConfig::new(NODES, proto)
-        .heap_bytes(heap)
         .model(model())
         .fast_path(fast_path)
-        .lrc_gc(lrc_gc)
-        .bind(lock, addr, len);
+        .lrc_gc(lrc_gc);
+    let cfg = Run::new(p, cfg).expect("every row runs the queue").cfg;
+    let heap = cfg.heap_bytes;
     let res = dsm_core::run_dsm(&cfg, |dsm: &Dsm<'_>| {
         let r = taskqueue::run(dsm, &p);
         (
@@ -131,9 +129,10 @@ fn run_matmul(proto: ProtocolKind, fast_path: bool) -> Trace<u64> {
         .page_size(1024)
         .model(model())
         .fast_path(fast_path);
+    let want = matmul::reference_block_sums(&p, NODES as usize);
     let res = dsm_core::run_dsm(&cfg, |dsm: &Dsm<'_>| {
         let sum = matmul::run(dsm, &p);
-        let want = matmul::reference_block_sum(&p, NODES as usize, dsm.id().index());
+        let want = want[dsm.id().index()];
         assert!((sum - want).abs() < 1e-9, "{proto}: node {}", dsm.id());
         (sum.to_bits(), quiesce_and_image(dsm, heap))
     });

@@ -20,7 +20,7 @@
 //! smallest admission window of any era), the object chase, SOR under
 //! 20 % drop, and a crash-and-recover schedule.
 
-use dsm_apps::{chase, kv, matmul, sor, taskqueue};
+use dsm_apps::{chase, kv, matmul, sor, taskqueue, Run};
 use dsm_core::{
     BarrierKind, CostModel, Dsm, DsmConfig, Dur, FaultPlan, GlobalAddr, LockKind, ProtocolKind,
     RunResult, SimTime,
@@ -85,8 +85,9 @@ fn sor_40(proto: ProtocolKind, barrier: BarrierKind) -> Counts {
         .page_size(1024)
         .barrier_kind(barrier);
     let res = dsm_core::run_dsm(&cfg, |d: &Dsm<'_>| sor::run(d, &p));
+    let want = sor::reference_block_sums(&p, NODES as usize);
     for (i, &got) in res.results.iter().enumerate() {
-        let want = sor::reference_block_sum(&p, NODES as usize, i);
+        let want = want[i];
         assert!((got - want).abs() < 1e-9, "{proto} {barrier:?} node {i}");
     }
     counts(&res)
@@ -262,8 +263,9 @@ fn sor_8(proto: ProtocolKind, model: CostModel) -> RunResult<f64> {
         .model(model)
         .heap_bytes(p.heap_bytes());
     let res = dsm_core::run_dsm(&cfg, |d: &Dsm<'_>| sor::run(d, &p));
+    let want = sor::reference_block_sums(&p, 8);
     for (i, &got) in res.results.iter().enumerate() {
-        let want = sor::reference_block_sum(&p, 8, i);
+        let want = want[i];
         assert!((got - want).abs() < 1e-9, "{proto} node {i}");
     }
     res
@@ -283,11 +285,8 @@ fn rdma_on_the_modern_fabric_matches_the_recorded_counts() {
         produce_time: Dur::micros(50),
         poll: Dur::micros(500),
     };
-    let (lock, addr, len) = p.binding();
-    let cfg = DsmConfig::new(8, ProtocolKind::Rdma)
-        .model(jittered_rdma_modern())
-        .heap_bytes(p.heap_bytes())
-        .bind(lock, addr, len);
+    let cfg = DsmConfig::new(8, ProtocolKind::Rdma).model(jittered_rdma_modern());
+    let cfg = Run::new(p, cfg).expect("rdma runs the queue").cfg;
     let res = dsm_core::run_dsm(&cfg, |d: &Dsm<'_>| taskqueue::run(d, &p));
     let digest = res
         .results
@@ -397,8 +396,9 @@ fn matmul_quick_matches_the_recorded_counts() {
         .model(CostModel::lan_1992())
         .heap_bytes(p.heap_bytes());
     let res = dsm_core::run_dsm(&cfg, |d: &Dsm<'_>| matmul::run(d, &p));
+    let want = matmul::reference_block_sums(&p, 8);
     for (i, &got) in res.results.iter().enumerate() {
-        let want = matmul::reference_block_sum(&p, 8, i);
+        let want = want[i];
         assert!((got - want).abs() < 1e-9, "node {i}");
     }
     let sums = res
