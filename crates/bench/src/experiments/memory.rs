@@ -62,7 +62,7 @@ pub fn e05_false_sharing(scale: Scale) {
 /// record: ERC flushes every release to the home and all copy holders,
 /// LRC moves only what the next acquirer touches. Expectation
 /// (TreadMarks vs Munin): LRC sends fewer messages and bytes, and the
-/// gap widens with more nodes holding stale copies.
+/// gap grows with more nodes holding stale copies.
 pub fn e06_erc_vs_lrc(scale: Scale) {
     let n = scale.pick(4u32, 8);
     let rounds = scale.pick(6, 30);

@@ -134,14 +134,15 @@ fn speedup<V>() -> Metric<'static, V> {
 
 /// One run per x of `xs` and per column of `labels`, `run(x, column)`;
 /// then one table per metric, titled `title` and the metric's tail, a
-/// row per x and a column per label. Returns the runs, `runs[column][x]`.
+/// row per x and a column per label. Runs go column by column, each
+/// column's xs in order. Returns the runs, `runs[column][x]`.
 fn sweep<X: Copy + Display, V>(
     title: &str,
     x_label: &str,
     xs: &[X],
     labels: &[&str],
     metrics: &[Metric<V>],
-    run: impl Fn(X, usize) -> RunResult<V>,
+    mut run: impl FnMut(X, usize) -> RunResult<V>,
 ) -> Vec<Vec<RunResult<V>>> {
     let runs: Vec<Vec<_>> = (0..labels.len())
         .map(|c| xs.iter().map(|&x| run(x, c)).collect())

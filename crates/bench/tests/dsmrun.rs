@@ -117,10 +117,11 @@ fn update_kv_verifies_on_a_lossy_network() {
     }
 }
 
-/// The run-ahead quantum is a constant (docs/PERF.md), not a flag — and
-/// like it, whatever else a user can type that the runtime cannot run
-/// ends in a one-line reason and the usage string: exit 2, nothing on
-/// stdout, no panic.
+/// There is no run-ahead quantum to set: a grant is bounded by the
+/// lookahead window alone (docs/PERF.md), so `--quantum-us` is an
+/// unknown flag — and like it, whatever else a user can type that the
+/// runtime cannot run ends in a one-line reason and the usage string:
+/// exit 2, nothing on stdout, no panic.
 #[test]
 fn quantum_flag_is_a_usage_error() {
     let cases: [(&[&str], &str); 14] = [

@@ -8,10 +8,11 @@
 //! modeled access cost to the budget. Faults, sync operations, and
 //! budget exhaustion still yield.
 //!
-//! The budget is additionally clamped to the current lookahead
-//! window's end (`Kernel::local_budget` takes the min with
-//! `window_end`), so a lease can never run ahead of the point where
-//! staged messages may be admitted.
+//! The budget ends before the current lookahead window does
+//! (`Kernel::local_budget` takes the min with `window_end`), so a lease
+//! can never run ahead of the point where staged messages may be
+//! admitted. That window is the one bound: no budget is longer than the
+//! cost model's lookahead (`CostModel::min_net_delay`).
 //!
 //! # Safety
 //!

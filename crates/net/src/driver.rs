@@ -4,8 +4,8 @@
 //! coroutines. There is no kernel thread, and no thread but the caller's.
 //!
 //! **The floor is a value.** The whole loop state (the [`Kernel`], the
-//! node behaviors, ops awaiting their run-ahead charge, watchdog and
-//! window-widening state, and one wake-up slot per program) lives in
+//! node behaviors, ops awaiting their run-ahead charge, watchdog
+//! state, and one wake-up slot per program) lives in
 //! one heap box, the [`Shard`], and whichever context owns that box *is*
 //! the one running actor. A program that yields (`AppHandle::op` /
 //! `advance` / `flush_local`, or returning) feeds its yield into the
@@ -392,11 +392,6 @@ impl<N: NodeBehavior> Sim<N> {
             pending_ops: nodes.iter().map(|_| None).collect(),
             last_progress: SimTime::ZERO,
             unfinished: nodes.len(),
-            widen: Widen {
-                streak: 0,
-                factor: 1,
-            },
-            admit_floor: SimTime::ZERO,
             stall_window,
             lookahead,
             nodes,
@@ -451,24 +446,6 @@ impl<N: NodeBehavior> Sim<N> {
     }
 }
 
-/// Adaptive window widening: after [`WIDEN_AFTER`] consecutive
-/// zero-traffic windows, the lookahead factor doubles (up to
-/// [`WIDEN_CAP`]) so compute-heavy quiet phases cross fewer window
-/// boundaries; any staged message resets it. The factor sequence is a
-/// function of the per-window staged totals, so every window boundary
-/// is a function of virtual time. Correctness of widened windows is
-/// restored at admission: messages staged inside one are floored to its
-/// end (see [`Kernel::admit_staged`]).
-struct Widen {
-    streak: u32,
-    factor: u64,
-}
-
-/// Zero-traffic windows tolerated before widening kicks in.
-const WIDEN_AFTER: u32 = 3;
-/// Maximum lookahead multiplier.
-const WIDEN_CAP: u64 = 8;
-
 /// Why a run failed, as read at a window boundary.
 #[derive(Debug)]
 enum Verdict {
@@ -505,10 +482,6 @@ struct Shard<N: NodeBehavior> {
     /// protocol chatter).
     last_progress: SimTime,
     unfinished: usize,
-    widen: Widen,
-    /// The admission floor owed for messages staged in the window that
-    /// just ended: its end time when it was widened, else ZERO (no-op).
-    admit_floor: SimTime,
     stall_window: Dur,
     lookahead: Dur,
     /// The programs' contexts and the root's.
@@ -637,14 +610,7 @@ impl<N: NodeBehavior + 'static> Shard<N> {
                 }
             }
             match self.window_boundary() {
-                Ok(window_end) => {
-                    self.kernel.set_window_end(window_end);
-                    self.admit_floor = if self.widen.factor > 1 {
-                        window_end
-                    } else {
-                        SimTime::ZERO
-                    };
-                }
+                Ok(window_end) => self.kernel.set_window_end(window_end),
                 Err(exit) => return Step::Exit(exit),
             }
         }
@@ -671,16 +637,7 @@ impl<N: NodeBehavior + 'static> Shard<N> {
     /// staged, then read where the run stands. Returns the end of the
     /// next window, or how the loop ended.
     fn window_boundary(&mut self) -> Result<SimTime, ShardExit> {
-        let staged = self.kernel.admit_staged(self.admit_floor);
-        if staged == 0 {
-            self.widen.streak += 1;
-            if self.widen.streak >= WIDEN_AFTER && self.widen.factor < WIDEN_CAP {
-                self.widen.factor *= 2;
-            }
-        } else {
-            self.widen.streak = 0;
-            self.widen.factor = 1;
-        }
+        self.kernel.admit_staged();
         if self.kernel.over_event_budget() {
             return Err(ShardExit::Fail(Verdict::Budget));
         }
@@ -705,10 +662,8 @@ impl<N: NodeBehavior + 'static> Shard<N> {
         // message sent by an event at or after `m` delivers at least
         // `lookahead` later (and never earlier — jitter, spikes and
         // queueing only add). The 1ns floor keeps zero-lookahead models
-        // moving one timestamp per window. With the widening factor > 1
-        // the bound is no longer intrinsic; the admission floor at the
-        // window end restores it.
-        Ok(m + (self.lookahead * self.widen.factor).max(Dur::nanos(1)))
+        // moving one timestamp per window.
+        Ok(m + self.lookahead.max(Dur::nanos(1)))
     }
 
     /// Run one popped event. Returns the program to grant the floor
@@ -957,7 +912,8 @@ impl<N: NodeBehavior + 'static> Shard<N> {
 mod tests {
     use super::*;
     use crate::msg::Payload;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Arc;
 
     /// A trivial ping-pong behavior: node 0's program sends a ping op;
     /// the behavior forwards it to node 1, whose handler pongs back.
@@ -1140,6 +1096,55 @@ mod tests {
         let msg = wedged_panic_message(sim);
         assert!(msg.contains("exceeded max_events=500"), "got: {msg}");
         assert!(msg.contains("n0 [blocked]: wedged"), "got: {msg}");
+    }
+
+    /// Records when it handles a message; its op sends one to node 0.
+    struct Stamp(Arc<AtomicU64>);
+    impl NodeBehavior for Stamp {
+        type Msg = PingMsg;
+        type Op = ();
+        type Reply = ();
+        fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, _: NodeId, _: Self::Msg) {
+            self.0.store(ctx.now().0, Ordering::Relaxed);
+        }
+        fn on_op(&mut self, ctx: &mut Ctx<'_, Self>, _: ()) -> OpOutcome<()> {
+            ctx.send(NodeId(0), PingMsg::Ping);
+            OpOutcome::Done(())
+        }
+    }
+
+    /// A delivery time is the cost model's, however long the network
+    /// was quiet before the send: node 0 computes in steps shorter than
+    /// the lookahead for ten windows with no traffic, then node 1 sends
+    /// it one message. And no grant reaches past its window's end, so
+    /// no budget is a whole lookahead long.
+    #[test]
+    fn a_delivery_after_a_quiet_stretch_is_the_models() {
+        let model = CostModel::lan_1992();
+        let lookahead = model.min_net_delay();
+        let seen = Arc::new(AtomicU64::new(0));
+        let nodes = vec![Stamp(Arc::clone(&seen)), Stamp(Arc::clone(&seen))];
+        let sent = SimTime(Dur::millis(10).as_nanos());
+        Sim::new(nodes, model.clone()).run(vec![
+            Box::new(|h: &AppHandle<(), ()>| {
+                for _ in 0..40 {
+                    assert!(!h.local_allows(lookahead), "a grant past window_end");
+                    h.advance(Dur::micros(300));
+                }
+            }) as Box<dyn FnOnce(&AppHandle<(), ()>) + Send>,
+            Box::new(move |h: &AppHandle<(), ()>| {
+                h.advance(Dur::millis(10));
+                assert_eq!(h.now(), sent);
+                h.op(());
+            }),
+        ]);
+        let bytes = (PingMsg::Ping.wire_bytes() + model.header_bytes) as u64;
+        let want = sent
+            + model.send_overhead
+            + model.byte_cost(bytes)
+            + model.wire_latency
+            + model.recv_overhead;
+        assert_eq!(SimTime(seen.load(Ordering::Relaxed)), want);
     }
 
     #[test]

@@ -19,7 +19,11 @@
 //! per-sender sequence), with receiver-side serialization (`recv_free`)
 //! applied during admission. The admitted batch per window and its
 //! order are functions of virtual time only, and that is what a
-//! delivery time means here (DESIGN.md, "Windowed admission").
+//! delivery time means here (DESIGN.md, "Windowed admission"). Every
+//! window is exactly one lookahead wide, so an admitted message is
+//! delivered when the cost model says, never later; the same window
+//! end bounds how far a program may run ahead of the kernel clock
+//! ([`Kernel::local_budget`]).
 //!
 //! Handlers talk to the world through [`Ctx`], which is backed by a
 //! [`Transport`] — normally the kernel itself, but a transport adapter
@@ -189,14 +193,6 @@ impl<M> Event<M> {
         }
     }
 }
-
-/// Upper bound on how far one program may run ahead of the kernel
-/// clock inside a single [`crate::driver::Go`] grant, even when the
-/// event queue is empty. Keeps the `max_events` livelock guard
-/// meaningful and bounds how long a spinning program can go without
-/// seeing newly delivered invalidations. Virtual-time results do not
-/// depend on it; docs/PERF.md has the wall-clock sweep that chose 1 ms.
-const MAX_LOCAL_QUANTUM: Dur = Dur::millis(1);
 
 /// A message between send and admission: staged during a window and
 /// admitted at the next boundary. `arrive` is the wire arrival at the
@@ -585,32 +581,23 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
         Some((key.time, event))
     }
 
-    /// Admit the messages staged during the window that just ended and
-    /// return how many there were (the window widener's traffic
-    /// signal): sort by the canonical key, apply receiver-side (or, for
+    /// Admit the messages staged during the window that just ended:
+    /// sort by the canonical key, apply receiver-side (or, for
     /// one-sided ops, NIC-side) serialization, and schedule the Deliver
-    /// events.
-    ///
-    /// `floor` is the end of that window *when it was adaptively
-    /// widened* (else `SimTime::ZERO`, a no-op): nodes may already have
-    /// run up to the widened window's end, so arrivals inside it are
-    /// pushed to the boundary — extra queueing delay, which every
-    /// delivery bound already tolerates. With an unwidened window the
-    /// floor is provably vacuous (every arrival is at least
-    /// `heap_min + lookahead` = window end).
-    pub(crate) fn admit_staged(&mut self, floor: SimTime) -> u64 {
+    /// events. Every arrival is at least `heap_min + lookahead`, the
+    /// end of the window that staged it, so no delivery lands inside a
+    /// window already processed.
+    pub(crate) fn admit_staged(&mut self) {
         let mut batch = std::mem::take(&mut self.staged);
         batch.sort_unstable_by_key(|m| (m.arrive, m.src.0, m.seq));
-        let admitted = batch.len() as u64;
         for m in batch.drain(..) {
             let l = m.dst.index();
             let deliver = if m.nic {
-                let t =
-                    m.arrive.max(floor).max(self.nic_svc_free[l]) + self.model.one_sided_occupancy;
+                let t = m.arrive.max(self.nic_svc_free[l]) + self.model.one_sided_occupancy;
                 self.nic_svc_free[l] = t;
                 t
             } else {
-                let t = m.arrive.max(floor).max(self.recv_free[l]) + self.model.recv_overhead;
+                let t = m.arrive.max(self.recv_free[l]) + self.model.recv_overhead;
                 self.recv_free[l] = t;
                 t
             };
@@ -625,11 +612,10 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
             );
         }
         self.staged = batch;
-        admitted
     }
 
     /// Virtual-time budget granted to `node`'s program for local
-    /// run-ahead (the lease quantum): the program may consume up to this
+    /// run-ahead: the program may consume up to this
     /// much virtual time — servicing page hits and pure computation on
     /// its own stack — without rendezvousing with the kernel.
     ///
@@ -646,13 +632,15 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
     /// docs/PERF.md). Fault injection never shortens a delivery (drops
     /// remove it, spikes lengthen it), so the lookahead bound survives
     /// a lossy network.
+    ///
+    /// The window is the one bound: a grant never reaches past
+    /// `window_end`, so no budget exceeds the lookahead.
     pub(crate) fn local_budget(&self, node: NodeId) -> Dur {
-        let mut horizon = self.now.0.saturating_add(MAX_LOCAL_QUANTUM.0);
+        let mut horizon = self.window_end;
         if let Some(&Reverse(t)) = self.direct_min[node.index()].peek() {
-            horizon = horizon.min(t.0);
+            horizon = horizon.min(t);
         }
-        horizon = horizon.min(self.window_end.0);
-        Dur(horizon.saturating_sub(self.now.0).saturating_sub(1))
+        Dur(horizon.0.saturating_sub(self.now.0).saturating_sub(1))
     }
 
     pub(crate) fn now(&self) -> SimTime {

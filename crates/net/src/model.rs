@@ -421,10 +421,10 @@ impl CostModel {
     /// body — or, on fabrics with one-sided support, its minimum with
     /// `one_sided_latency`, since a one-sided op completes after at
     /// least that long plus NIC occupancy and byte costs. Jitter, delay
-    /// spikes, NIC/receive-path queueing, and the adaptive window
-    /// admission floor only ever lengthen a delivery, and drops remove
-    /// it, so no delivery can undercut this bound. The kernel derives
-    /// its admission windows from it.
+    /// spikes, and NIC/receive-path queueing only ever lengthen a
+    /// delivery, and drops remove it, so no delivery can undercut this
+    /// bound. The kernel's admission windows are exactly this wide, and
+    /// so is the most a program may run ahead inside one grant.
     pub fn min_net_delay(&self) -> Dur {
         let two_sided = self.send_overhead
             + self.wire_latency

@@ -185,6 +185,10 @@ fn kv_board_under_a_central_lock_matches_the_recorded_counts() {
 /// 1_816_210, 45_600_930_001]`, 3 649 dropped, 3 318 resent): samples
 /// no longer swollen by loss recovery keep the RTO near the RTT, so
 /// more frames are resent and far less time is lost waiting.
+/// Re-recorded when every window became one lookahead wide (was
+/// `[55_574, 8_778, 28_628, 2_129_995, 15_464_655_793]`, 4 315 dropped,
+/// 4 051 resent): a quiet stretch used to widen the window, and a frame
+/// staged in a widened window was delivered no earlier than its end.
 #[test]
 fn kv_board_under_loss_and_duplication_matches_the_recorded_counts() {
     let lossy = |cfg: DsmConfig| {
@@ -194,14 +198,18 @@ fn kv_board_under_loss_and_duplication_matches_the_recorded_counts() {
     let res = kv_board_with(true, lossy);
     assert_eq!(
         counts(&res),
-        [55_574, 8_778, 28_628, 2_129_995, 15_464_655_793]
+        [51_983, 8_552, 26_661, 1_988_449, 13_661_392_655]
     );
     assert_eq!(
         (res.stats.total_dropped(), res.stats.total_retransmits()),
-        (4_315, 4_051)
+        (4_000, 3_797)
     );
 }
 
+/// `erc` under the central barrier was re-recorded when every window
+/// became one lookahead wide (was `[3_918, 482, 3_128, 162_445,
+/// 214_411_360]`): a message staged in a widened window no longer waits
+/// for that window's end.
 #[test]
 fn sor_at_40_nodes_matches_the_recorded_counts_under_every_barrier() {
     let golden: [(ProtocolKind, BarrierKind, Counts); 6] = [
@@ -223,7 +231,7 @@ fn sor_at_40_nodes_matches_the_recorded_counts_under_every_barrier() {
         (
             ProtocolKind::Erc,
             BarrierKind::Central,
-            [3_918, 482, 3_128, 162_445, 214_411_360],
+            [3_918, 481, 3_128, 162_445, 213_162_480],
         ),
         (
             ProtocolKind::Erc,
@@ -271,11 +279,15 @@ fn sor_8(proto: ProtocolKind, model: CostModel) -> RunResult<f64> {
     res
 }
 
+/// Re-recorded when every window became one lookahead wide (was sor
+/// `[1_046, 280, 732, 851_919, 1_203_439]`, taskqueue `[318, 140, 186,
+/// 112_519, 2_814_266]`): no delivery is floored to a widened window's
+/// end any more.
 #[test]
 fn rdma_on_the_modern_fabric_matches_the_recorded_counts() {
     assert_eq!(
         counts(&sor_8(ProtocolKind::Rdma, jittered_rdma_modern())),
-        [1_046, 280, 732, 851_919, 1_203_439],
+        [1_048, 283, 732, 851_919, 1_203_652],
         "sor"
     );
 
@@ -295,7 +307,7 @@ fn rdma_on_the_modern_fabric_matches_the_recorded_counts() {
     assert_eq!(digest, taskqueue::expected_digest(&p));
     assert_eq!(
         counts(&res),
-        [318, 140, 186, 112_519, 2_814_266],
+        [319, 141, 186, 112_519, 2_814_091],
         "taskqueue"
     );
 }
@@ -323,22 +335,26 @@ fn obj_chase_matches_the_recorded_counts() {
 /// which reorders each link's frames and so which of them the seeded
 /// stream drops (was lrc `[770, 123, 445, 216_215, 2_058_188_903]`, 87
 /// dropped, 77 resent; ivy-fixed `[1_453, 128, 959, 537_483,
-/// 5_372_479_582]`, 196 and 172).
+/// 5_372_479_582]`, 196 and 172). Re-recorded again when every window
+/// became one lookahead wide (was lrc `[855, 123, 423, 228_252,
+/// 3_176_058_728]`; ivy-fixed `[1_669, 124, 889, 514_759,
+/// 6_151_391_268]`, 173 dropped, 153 resent): a frame staged in a
+/// widened window used to be delivered no earlier than its end.
 #[test]
 fn sor_under_heavy_loss_matches_the_recorded_counts() {
     let heavy = FaultPlan::lossy(0.20, 0.10, 1234).with_spikes(0.2, Dur::millis(5));
     for (proto, want, dropped, rexmit) in [
         (
             ProtocolKind::Lrc,
-            [855, 123, 423, 228_252, 3_176_058_728],
+            [855, 123, 423, 228_252, 3_171_021_106],
             83,
             81,
         ),
         (
             ProtocolKind::IvyFixed,
-            [1_669, 124, 889, 514_759, 6_151_391_268],
-            173,
-            153,
+            [1_665, 124, 883, 510_460, 6_143_089_100],
+            170,
+            148,
         ),
     ] {
         let res = sor_8(proto, jittered_lan().with_faults(heavy.clone()));
@@ -388,7 +404,9 @@ fn scabd_crash_and_recovery_matches_the_recorded_counts() {
 /// on eight `ivy-fixed` nodes, with a digest of every node's block sum,
 /// bit for bit. Recorded on the parent of the PR that let a read hit
 /// lend the frame's bytes instead of copying them, which `matmul`'s B
-/// rows take.
+/// rows take. Re-recorded when every window became one lookahead wide
+/// (was `[1_318, 423, 745, 843_636, 440_911_840]`): a message staged in
+/// a widened window no longer waits for that window's end.
 #[test]
 fn matmul_quick_matches_the_recorded_counts() {
     let p = matmul::MatmulParams { n: 96 };
@@ -408,7 +426,7 @@ fn matmul_quick_matches_the_recorded_counts() {
     assert_eq!(
         (counts(&res), sums),
         (
-            [1_318, 423, 745, 843_636, 440_911_840],
+            [1_322, 427, 745, 843_636, 438_462_240],
             0xa097_c3b7_6a30_8326
         )
     );
