@@ -1,12 +1,11 @@
-//! Synchronization scaling (E7, E8) and the real page-fault engines'
+//! Synchronization scaling (E7, E8) and the real page-fault engine's
 //! cost breakdown (E10).
 
 use super::{sweep, Metric, Scale};
 use crate::table::{print_table, xs_of, Series};
-use dsm_core::{run_in_threads, DsmConfig, GlobalAddr, ProtocolKind};
+use dsm_core::{run_in_threads, Dsm, DsmConfig, Engine, GlobalAddr, ProtocolKind};
 use dsm_net::{AppHandle, CostModel, Dur, Sim};
 use dsm_sync::{BarrierKind, LockKind, SyncNode, SyncOp};
-use dsm_vm::{run_vm, VmConfig, VmMode};
 use std::time::{Duration, Instant};
 
 type H = AppHandle<SyncOp, ()>;
@@ -95,62 +94,45 @@ pub fn e08_barriers(scale: Scale) {
     );
 }
 
-/// E10 — the real engines' basic costs (cf. TreadMarks' "basic
+/// E10 — the real engine's basic costs (cf. TreadMarks' "basic
 /// operation costs" table), measured on this machine with `mprotect` +
-/// SIGSEGV: `run_vm`'s sequentially consistent write-invalidate (service
-/// threads in one process) and cluster mode's protocol stack (nodes as
-/// threads over loopback UDP) under `ivy-fixed` and `lrc`.
+/// SIGSEGV: cluster mode's protocol stack (nodes as threads over
+/// loopback UDP) under `ivy-fixed` and `lrc`.
 pub fn e10_vm_costs(scale: Scale) {
     let pages = scale.pick(16usize, 64);
     let rounds = scale.pick(2usize, 8);
     let ps = dsm_vm::os_page_size();
-
-    let vm = run_vm(VmConfig::new(2, pages, VmMode::Invalidate), |node| {
-        let (read, write) = (|p| node.read::<u64>(p * ps), |p, v| node.write(p * ps, v));
-        e10_node(node.id(), pages, rounds, read, write, || node.barrier())
-    });
-    let mut cols = vec![Series {
-        label: "vm invalidate".into(),
-        values: vm.results[1].to_vec(),
-    }];
-    for proto in [ProtocolKind::IvyFixed, ProtocolKind::Lrc] {
+    let cols = [ProtocolKind::IvyFixed, ProtocolKind::Lrc].map(|proto| {
         let cfg = DsmConfig::new(2, proto)
             .heap_bytes(pages * ps)
             .page_size(ps);
-        let res = run_in_threads(&cfg, |d| {
-            let read = |p| d.read_u64(GlobalAddr(p * ps));
-            let write = |p, v| d.write_u64(GlobalAddr(p * ps), v);
-            e10_node(d.id().0 as usize, pages, rounds, read, write, || {
-                d.barrier(0)
-            })
-        });
-        cols.push(Series {
+        let res = run_in_threads(&cfg, |d| e10_node(d, pages, rounds));
+        Series {
             label: proto.name().into(),
             values: res.results[1].to_vec(),
-        });
-    }
+        }
+    });
     print_table(
-        "E10: real page faults — us per op at node 1 (run_vm; cluster mode over loopback UDP)",
+        "E10: real page faults — us per op at node 1 (cluster mode over loopback UDP)",
         "metric",
         &xs_of(&["read fault", "write fault", "barrier"]),
         &cols,
     );
 }
 
-/// One node of E10's program, on whichever engine `read`, `write` and
-/// `barrier` reach. Each round node 0 writes every page; then node 1
-/// reads each (a remote read fault), writes it back incremented (a
-/// write fault on a readable page: the upgrade) and meets node 0 at a
-/// barrier. Node 1 returns the µs per read, per write and per barrier
-/// it timed; each node checks what it reads of the other's writes.
-fn e10_node(
-    me: usize,
-    pages: usize,
-    rounds: usize,
-    read: impl Fn(usize) -> u64,
-    write: impl Fn(usize, u64),
-    barrier: impl Fn(),
-) -> [f64; 3] {
+/// One node of E10's program. Each round node 0 writes every page;
+/// then node 1 reads each (a remote read fault), writes it back
+/// incremented (a write fault on a readable page: the upgrade) and
+/// meets node 0 at a barrier. Node 1 returns the µs per read, per write
+/// and per barrier it timed; each node checks what it reads of the
+/// other's writes.
+fn e10_node(d: &Dsm<'_, impl Engine>, pages: usize, rounds: usize) -> [f64; 3] {
+    let me = d.id().0;
+    let ps = dsm_vm::os_page_size();
+    let (read, write) = (
+        |p: usize| d.read_u64(GlobalAddr(p * ps)),
+        |p: usize, v| d.write_u64(GlobalAddr(p * ps), v),
+    );
     let value = |round: usize, page: usize| (round * pages + page) as u64;
     let mut spent = [Duration::ZERO; 3];
     for r in 0..rounds {
@@ -162,10 +144,10 @@ fn e10_node(
                 write(p, value(r, p));
             }
         }
-        barrier();
+        d.barrier(0);
         if me == 1 {
             let t = Instant::now();
-            let seen: Vec<u64> = (0..pages).map(&read).collect();
+            let seen: Vec<u64> = (0..pages).map(read).collect();
             spent[0] += t.elapsed();
             let t = Instant::now();
             for (p, v) in seen.iter().enumerate() {
@@ -176,7 +158,7 @@ fn e10_node(
             assert!(fresh, "E10: node 1 read a stale page");
         }
         let t = Instant::now();
-        barrier();
+        d.barrier(0);
         spent[2] += t.elapsed();
     }
     let per_page = (rounds * pages) as f64;

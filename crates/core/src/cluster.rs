@@ -906,4 +906,50 @@ mod tests {
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"node 1 failed"));
         assert!(seen.load(Ordering::Acquire));
     }
+
+    /// Two fleets and a bare view with its own host thread, all live in
+    /// one process at once and each taking traps: the handler finds
+    /// every fault's view among the others.
+    #[test]
+    fn two_fleets_and_a_bare_view_share_one_process() {
+        let ps = dsm_vm::os_page_size();
+        // Node 0 of each fleet and the bare view's program meet here, so
+        // all three are live at once, with traps on every side.
+        let all_live = Barrier::new(3);
+        let fleet = || {
+            let cfg = DsmConfig::new(2, ProtocolKind::IvyFixed)
+                .heap_bytes(2 * ps)
+                .page_size(ps);
+            let run = run_in_threads(&cfg, |d| {
+                let (me, view) = (d.id().0 as usize, view(d));
+                view.write::<u64>(me * ps, me as u64 + 1);
+                if me == 0 {
+                    all_live.wait();
+                }
+                d.barrier(0);
+                let sum = view.read::<u64>(0) + view.read::<u64>(ps);
+                (sum, view.traps())
+            });
+            for (me, (sum, traps)) in run.results.into_iter().enumerate() {
+                assert_eq!(sum, 3, "rank {me}");
+                assert!(traps > 0, "rank {me} took no trap");
+            }
+        };
+        let bare = ClusterView::new(2, ps).unwrap();
+        let fill = vec![5u8; ps];
+        std::thread::scope(|s| {
+            s.spawn(fleet);
+            s.spawn(fleet);
+            s.spawn(|| {
+                while let Some(fault) = bare.next_fault() {
+                    bare.install_page(fault.page, &fill, ACC_READ);
+                    bare.finish_fault();
+                }
+            });
+            assert_eq!(bare.read::<u8>(ps), 5);
+            all_live.wait();
+            assert_eq!(bare.read::<u8>(0), 5);
+            bare.stop();
+        });
+    }
 }

@@ -181,7 +181,11 @@ pub trait Protocol: Send {
 
     /// The application write-faulted on `page`. Same synchronous-result
     /// contract as [`Protocol::read_fault_batch`]'s `demand_resolved`.
-    fn write_fault(&mut self, io: &mut dyn ProtoIo, mem: &mut FrameTable, page: PageId) -> bool;
+    /// The default panics: it is for a row that overrides
+    /// [`Protocol::write_op`] to take every write there.
+    fn write_fault(&mut self, _io: &mut dyn ProtoIo, _mem: &mut FrameTable, page: PageId) -> bool {
+        unreachable!("page {}: this row's writes go through write_op", page.0)
+    }
 
     /// An application write whose rights were insufficient. The default
     /// maps it onto [`Protocol::write_fault`] of the first offending

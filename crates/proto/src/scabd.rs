@@ -377,10 +377,6 @@ impl Protocol for Scabd {
         (false, Vec::new())
     }
 
-    fn write_fault(&mut self, _io: &mut dyn ProtoIo, _mem: &mut FrameTable, _page: PageId) -> bool {
-        unreachable!("scabd writes go through write_op");
-    }
-
     fn write_op(
         &mut self,
         io: &mut dyn ProtoIo,

@@ -135,10 +135,6 @@ impl Protocol for Update {
         (false, Vec::new())
     }
 
-    fn write_fault(&mut self, _io: &mut dyn ProtoIo, _mem: &mut FrameTable, _page: PageId) -> bool {
-        unreachable!("update protocol writes go through write_op");
-    }
-
     fn write_op(
         &mut self,
         io: &mut dyn ProtoIo,

@@ -10,9 +10,8 @@
 //! handler; whatever runtime embeds the view drains its faults
 //! ([`ClusterView::next_fault`] blocks, [`ClusterView::pending_fault`]
 //! polls), resolves each by installing data and rights, and resumes the
-//! thread with [`ClusterView::finish_fault`]. That host is a coherence
-//! policy over sibling views in [`crate::run_vm`] and a network protocol
-//! stack in cluster mode, which polls the pipe ([`ClusterView::doorbell`])
+//! thread with [`ClusterView::finish_fault`]. In cluster mode that host
+//! is a network protocol stack, which polls the pipe ([`ClusterView::doorbell`])
 //! with its socket, and keeps its frame table in the view's memory
 //! ([`ClusterView::store`]); the application rings the pipe too
 //! ([`ClusterView::ring`]). A program may also check its rights first
@@ -148,7 +147,7 @@ unsafe impl PageStore for ViewShared {
 
 // ---------------- the signal handler ----------------
 
-/// Views one process can hold at once (`run_vm` takes one per node).
+/// Views one process can hold at once (a cluster node takes one).
 const MAX_VIEWS: usize = 256;
 
 /// Every live view, for the handler to scan. A slot is claimed by

@@ -11,24 +11,27 @@
 //! memory — one memory mapped twice, as the program's view under
 //! per-page rights and as its host's alias, the trap that parks a
 //! faulting thread and the fault stream its host drains. Any number of
-//! views may live in one process. [`run_vm`] is N views plus a
-//! sequentially consistent write-invalidate policy served by threads of
-//! this process; `dsm-core`'s cluster mode is one view per node with
-//! the real protocol stack as its host, its frame table kept in the
-//! view's memory.
+//! views may live in one process. `dsm-core`'s cluster mode is one view
+//! per node with the real protocol stack as its host, its frame table
+//! kept in the view's memory. The smallest host installs whatever the
+//! page should hold:
 //!
 //! ```no_run
-//! use dsm_vm::{run_vm, VmConfig, VmMode};
+//! use dsm_vm::{cluster::ACC_READ, os_page_size, ClusterView};
 //!
-//! let cfg = VmConfig::new(2, 4, VmMode::Invalidate);
-//! let res = run_vm(cfg, |node| {
-//!     if node.id() == 0 {
-//!         node.write::<u64>(0, 41);
-//!     }
-//!     node.barrier();
-//!     node.read::<u64>(0) + 1
+//! let ps = os_page_size();
+//! let view = ClusterView::new(2, ps).unwrap();
+//! std::thread::scope(|s| {
+//!     s.spawn(|| {
+//!         while let Some(fault) = view.next_fault() {
+//!             view.install_page(fault.page, &vec![42u8; ps], ACC_READ);
+//!             view.finish_fault();
+//!         }
+//!     });
+//!     // A plain load: it traps, parks until the host installs the page.
+//!     assert_eq!(view.read::<u8>(ps), 42);
+//!     view.stop();
 //! });
-//! assert_eq!(res.results, vec![42, 42]);
 //! ```
 
 #![deny(clippy::undocumented_unsafe_blocks)]
@@ -37,5 +40,6 @@ mod engine;
 mod region;
 
 pub use cluster::{ClusterView, ViewFault};
+#[doc(hidden)]
 pub use engine::{run_vm, VmConfig, VmMode, VmNode, VmRunResult};
 pub use region::{os_page_size, Prot, Region};

@@ -1,146 +1,99 @@
-//! End-to-end tests of the page-fault engine: faults must be
-//! transparent and sequentially consistent.
+//! End-to-end tests of the in-process engine: a remote read fault is
+//! served from the home's copy, transparently. Stores, locks and
+//! several writers of one page are cluster mode's (`dsm-core`'s
+//! `cluster_sc` tests).
 
-use dsm_vm::cluster::ACC_READ;
-use dsm_vm::{os_page_size, run_vm, ClusterView, VmConfig, VmMode};
+use dsm_vm::cluster::{ACC_NONE, ACC_READ, ACC_WRITE};
+use dsm_vm::{os_page_size, run_vm, VmConfig, VmMode};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Barrier;
 
+/// Node 1 reads every page homed at node 0 — the path the benchmark
+/// ledger's `vm.engine_fault_us` times. Each read returns the home's
+/// bytes, takes one trap, and leaves the page read-only on both sides.
 #[test]
-fn single_node_write_read_via_faults() {
-    let cfg = VmConfig::new(1, 4, VmMode::Invalidate);
+fn a_remote_read_downgrades_the_home_and_installs_its_bytes() {
+    let (cfg, ps) = (VmConfig::new(2, 8, VmMode::Invalidate), os_page_size());
+    let homed_at_0 = || (0..cfg.pages).step_by(2);
+    let word = |p: usize| p * ps + 8;
     let res = run_vm(cfg, |node| {
-        node.write::<u64>(8, 0xDEAD_BEEF);
-        node.write::<u64>(cfg.page_size + 16, 7);
-        node.read::<u64>(8) + node.read::<u64>(cfg.page_size + 16)
+        // SAFETY: node 0 stores to its pages before the barrier that
+        // node 1's reads follow.
+        let view = unsafe { node.view() };
+        let rights = || homed_at_0().map(|p| view.access(p)).collect::<Vec<_>>();
+        let before = rights();
+        if node.id() == 0 {
+            // Its own writable pages: no trap.
+            homed_at_0().for_each(|p| view.write::<u64>(word(p), 100 + p as u64));
+        }
+        node.barrier();
+        let read: Vec<u64> = match node.id() {
+            1 => homed_at_0().map(|p| node.read::<u64>(word(p))).collect(),
+            _ => vec![],
+        };
+        node.barrier();
+        (before, rights(), read, view.traps())
     });
-    assert_eq!(res.results[0], 0xDEAD_BEEF + 7);
+    let n = cfg.pages / 2;
+    let (before, after, _, traps) = &res.results[0];
+    assert_eq!(
+        (before, after, *traps),
+        (&vec![ACC_WRITE; n], &vec![ACC_READ; n], 0)
+    );
+    let (before, after, read, traps) = &res.results[1];
+    assert_eq!((before, after), (&vec![ACC_NONE; n], &vec![ACC_READ; n]));
+    assert_eq!(
+        *read,
+        homed_at_0().map(|p| 100 + p as u64).collect::<Vec<_>>()
+    );
+    assert_eq!(*traps, n as u64, "one trap per page");
 }
 
+/// Four nodes read every page at once, each of the three non-homes
+/// faulting on it; every copy is the home's.
 #[test]
 fn invalidate_mode_is_coherent_across_nodes() {
-    let cfg = VmConfig::new(4, 8, VmMode::Invalidate);
+    let (cfg, ps) = (VmConfig::new(4, 8, VmMode::Invalidate), os_page_size());
+    let word = |p: usize| p * ps;
     let res = run_vm(cfg, |node| {
         let me = node.id();
-        // Each node writes one slot in page 0 — heavy true sharing.
-        node.write::<u64>(me * 8, (me as u64 + 1) * 100);
+        for p in (me..cfg.pages).step_by(4) {
+            // SAFETY: a store to its own page, before the barrier.
+            unsafe { node.view() }.write::<u64>(word(p), (p as u64 + 1) * 100);
+        }
         node.barrier();
-        let mut sum = 0;
-        for i in 0..4 {
-            sum += node.read::<u64>(i * 8);
-        }
-        sum
+        (0..cfg.pages)
+            .map(|p| node.read::<u64>(word(p)))
+            .sum::<u64>()
     });
-    for &s in &res.results {
-        assert_eq!(s, 100 + 200 + 300 + 400);
-    }
-}
-
-/// A write fault that takes the page from a node with write rights must
-/// stop that node's stores before copying: a store landing between the
-/// copy and the invalidation is lost (about 3 % of these rounds, before
-/// the owner was downgraded first).
-#[test]
-fn invalidate_mode_loses_no_store_of_a_displaced_writer() {
-    let cfg = VmConfig::new(4, 1, VmMode::Invalidate);
-    let res = run_vm(cfg, |node| {
-        let mut lost = 0;
-        for round in 1..=500u64 {
-            node.write::<u64>(node.id() * 8, round);
-            node.barrier();
-            lost += (0..4).filter(|i| node.read::<u64>(i * 8) != round).count();
-            node.barrier();
-        }
-        lost
-    });
-    assert_eq!(res.results, [0; 4]);
-}
-
-#[test]
-fn invalidate_mode_sc_flag_handshake() {
-    let cfg = VmConfig::new(2, 2, VmMode::Invalidate);
-    let res = run_vm(cfg, |node| {
-        if node.id() == 0 {
-            node.write::<u64>(0, 777); // data
-            node.write::<u64>(8, 1); // flag, same page: SC ordering
-            0
-        } else {
-            while node.read::<u64>(8) == 0 {
-                std::hint::spin_loop();
-            }
-            node.read::<u64>(0)
-        }
-    });
-    assert_eq!(res.results[1], 777);
+    assert_eq!(res.results, [(1..=8).sum::<u64>() * 100; 4]);
 }
 
 #[test]
 fn sequential_engines_reuse_handler() {
     // Engines must be creatable repeatedly (global handler survives).
     for _ in 0..3 {
-        let cfg = VmConfig::new(2, 2, VmMode::Invalidate);
-        let res = run_vm(cfg, |node| {
-            node.write::<u64>(node.id() * 8, 1);
+        let ps = os_page_size();
+        let res = run_vm(VmConfig::new(2, 2, VmMode::Invalidate), |node| {
+            let me = node.id();
+            // SAFETY: a store to its own page, before the barrier.
+            unsafe { node.view() }.write::<u64>(me * ps, 1);
             node.barrier();
-            node.read::<u64>(0) + node.read::<u64>(8)
+            node.read::<u64>(0) + node.read::<u64>(ps)
         });
         assert_eq!(res.results, vec![2, 2]);
     }
 }
 
+/// The engine serves no store: one that traps fails the run instead of
+/// hanging it.
 #[test]
-fn invalidate_mode_lock_protected_counter() {
-    // Contended read-modify-write through real page faults: SC + mutex
-    // must make increments atomic.
-    let cfg = VmConfig::new(4, 2, VmMode::Invalidate);
-    let iters = 25u64;
-    let res = run_vm(cfg, |node| {
-        for _ in 0..iters {
-            node.with_lock(3, || {
-                let v = node.read::<u64>(0);
-                node.write::<u64>(0, v + 1);
-            });
+#[should_panic(expected = "a scoped thread panicked")]
+fn a_store_that_traps_fails_the_run() {
+    run_vm(VmConfig::new(2, 2, VmMode::Invalidate), |node| {
+        if node.id() == 1 {
+            // SAFETY: page 0 is homed at node 0, which does not store.
+            unsafe { node.view() }.write::<u64>(0, 1);
         }
-        node.barrier();
-        node.read::<u64>(0)
-    });
-    for &v in &res.results {
-        assert_eq!(v, 4 * iters);
-    }
-}
-
-#[test]
-fn two_engines_and_a_bare_view_share_one_process() {
-    let ps = os_page_size();
-    // Node 0 of each engine and the bare view's application meet here,
-    // so all three are live at once, with faults on either side.
-    let all_live = Barrier::new(3);
-    let engine = || {
-        let res = run_vm(VmConfig::new(2, 2, VmMode::Invalidate), |node| {
-            node.write::<u64>(node.id() * 8, node.id() as u64 + 1);
-            if node.id() == 0 {
-                all_live.wait();
-            }
-            node.barrier();
-            node.read::<u64>(0) + node.read::<u64>(8)
-        });
-        assert_eq!(res.results, vec![3, 3]);
-    };
-    let view = ClusterView::new(2, ps).unwrap();
-    let fill = vec![5u8; ps];
-    std::thread::scope(|s| {
-        s.spawn(engine);
-        s.spawn(engine);
-        s.spawn(|| {
-            while let Some(fault) = view.next_fault() {
-                view.install_page(fault.page, &fill, ACC_READ);
-                view.finish_fault();
-            }
-        });
-        assert_eq!(view.read::<u8>(ps), 5);
-        all_live.wait();
-        assert_eq!(view.read::<u8>(0), 5);
-        view.stop();
     });
 }
 
@@ -148,7 +101,7 @@ fn two_engines_and_a_bare_view_share_one_process() {
 fn panicking_program_fails_the_run() {
     let run = || {
         run_vm(VmConfig::new(1, 2, VmMode::Invalidate), |node| {
-            node.write::<u64>(0, 1);
+            node.read::<u64>(0);
             panic!("program failed")
         })
     };
@@ -161,6 +114,7 @@ fn faults_are_served_until_every_node_is_done() {
     // Node 1 panics at once; node 0 then faults on node 1's page and
     // must still be served before the panic is re-raised.
     let cfg = VmConfig::new(2, 2, VmMode::Invalidate);
+    let ps = os_page_size();
     let peer_gone = AtomicBool::new(false);
     let seen = AtomicBool::new(false);
     let run = std::panic::AssertUnwindSafe(|| {
@@ -172,7 +126,7 @@ fn faults_are_served_until_every_node_is_done() {
             while !peer_gone.load(Ordering::Acquire) {
                 std::hint::spin_loop();
             }
-            assert_eq!(node.read::<u64>(cfg.page_size), 0);
+            assert_eq!(node.read::<u64>(ps), 0);
             seen.store(true, Ordering::Release);
         })
     });

@@ -1,48 +1,38 @@
-//! Workspace-level integration: the execution engines (simulated and
-//! real page-fault) run analogous workloads and agree with each other
-//! and with sequential expectations; the experiment harness runs end to
+//! Workspace-level integration: the two execution engines (simulated
+//! and real pages) run the same programs and agree with each other and
+//! with sequential expectations; the experiment harness runs end to
 //! end.
 
 use dsm_core::{ClusterDsm, Dsm, DsmConfig, Dur, Engine, GlobalAddr, ProtocolKind};
-use dsm_vm::{run_vm, VmConfig, VmMode};
 
-/// The same neighbor-sum workload on the simulated engine (under IVY)
-/// and on the real mprotect engine (invalidate mode) must produce the
+/// Each node writes its own word of one page, passes a barrier and sums
+/// its two neighbors' words.
+fn neighbor_sum(d: &Dsm<'_, impl Engine>) -> u64 {
+    let (me, n) = (d.id().0 as usize, d.nodes() as usize);
+    d.write_u64(GlobalAddr(me * 8), (me as u64 + 1) * 7);
+    d.barrier(0);
+    let left = d.read_u64(GlobalAddr(((me + n - 1) % n) * 8));
+    let right = d.read_u64(GlobalAddr(((me + 1) % n) * 8));
+    left + right
+}
+
+/// The same neighbor-sum program under IVY on the simulated engine and
+/// on real pages (cluster mode over `dsm-vm`'s views) must produce the
 /// same values.
 #[test]
 fn sim_and_vm_engines_agree_on_neighbor_sums() {
-    let n = 4usize;
-
-    let sim = {
-        let cfg = DsmConfig::new(n as u32, ProtocolKind::IvyFixed)
-            .heap_bytes(1 << 14)
-            .page_size(256);
-        let res = dsm_core::run_dsm(&cfg, |dsm| {
-            let me = dsm.id().0 as usize;
-            dsm.write_u64(GlobalAddr(me * 8), (me as u64 + 1) * 7);
-            dsm.barrier(0);
-            let left = dsm.read_u64(GlobalAddr(((me + n - 1) % n) * 8));
-            let right = dsm.read_u64(GlobalAddr(((me + 1) % n) * 8));
-            left + right
-        });
-        res.results
-    };
-
-    let vm = {
-        let cfg = VmConfig::new(n, 4, VmMode::Invalidate);
-        let res = run_vm(cfg, |node| {
-            let me = node.id();
-            node.write::<u64>(me * 8, (me as u64 + 1) * 7);
-            node.barrier();
-            let left = node.read::<u64>(((me + n - 1) % n) * 8);
-            let right = node.read::<u64>(((me + 1) % n) * 8);
-            left + right
-        });
-        res.results
-    };
-
-    assert_eq!(sim, vm);
+    let sim = DsmConfig::new(4, ProtocolKind::IvyFixed)
+        .heap_bytes(1 << 14)
+        .page_size(256);
+    let sim = dsm_core::run_dsm(&sim, |d: &Dsm<'_>| neighbor_sum(d)).results;
+    let ps = dsm_vm::os_page_size();
+    let pages = DsmConfig::new(4, ProtocolKind::IvyFixed)
+        .heap_bytes(4 * ps)
+        .page_size(ps);
+    let pages = dsm_core::run_in_threads(&pages, |d: &ClusterDsm<'_>| neighbor_sum(d)).results;
+    assert_eq!(sim, pages);
     // And both match the closed form.
+    let n = sim.len();
     for (me, &v) in sim.iter().enumerate() {
         let l = ((me + n - 1) % n) as u64 + 1;
         let r = ((me + 1) % n) as u64 + 1;
