@@ -14,17 +14,23 @@
 //!   (O(N) total per barrier) where the raw encoding grows linearly
 //!   per node (O(N²) total);
 //! * **resident metadata** — the peak bytes of interval records,
-//!   retained diffs, and unapplied write notices any node holds
-//!   (`lrc_peak_resident_bytes` gauge). Interval GC retires the epoch
+//!   retained diffs, and unapplied write notices any node holds (the
+//!   largest of its `Resident` trace records). Interval GC retires the epoch
 //!   at every barrier, bounding this to one epoch; without GC it grows
 //!   with iteration count.
 //!
 //! `erc` rides along as the metadata-free reference: eager flushing
 //! carries no clocks at all, at the price E6 measures.
 
-use super::{checked, ms, sweep, Metric, Scale};
-use dsm_apps::sor;
-use dsm_core::{DsmConfig, Placement, ProtocolKind};
+use super::{checked_traced, sweep, Reads, Scale};
+use dsm_apps::{sor, Words};
+use dsm_core::trace::{Kind, Rec};
+use dsm_core::{DsmConfig, Placement, ProtocolKind, RunResult};
+use std::cell::Cell;
+use std::rc::Rc;
+
+/// A run and its peak resident metadata bytes, over all nodes.
+type Traced = (RunResult<Words>, u64);
 
 fn node_counts(scale: Scale) -> Vec<u32> {
     scale.pick(vec![2, 4, 8], vec![2, 4, 8, 16, 32, 64, 128])
@@ -47,16 +53,16 @@ pub fn e18_lrc_meta(scale: Scale) {
     // sum's quiescence barrier is not part of sor::run — count the
     // sweeps only; the absolute number only normalizes the table.
     let barriers = (2 * p.iters) as u64;
-    let bar_bytes: Metric = (" — barrier bytes per episode per node", &|_, r| {
+    let bar_bytes: Reads<Traced> = (" — barrier bytes per episode per node", &|_, (r, _)| {
         let bar = r.stats.kind("BarArrive").bytes + r.stats.kind("BarRelease").bytes;
         bar as f64 / barriers as f64 / r.results.len() as f64
     });
-    let resident: Metric = (" — peak resident metadata bytes (max node)", &|_, r| {
-        let gauges = r.gauges.iter().flat_map(|g| g.iter());
-        let peak = gauges.filter(|(k, _)| *k == "lrc_peak_resident_bytes");
-        peak.map(|&(_, v)| v).max().unwrap_or(0) as f64
+    let resident: Reads<Traced> = (" — peak resident metadata bytes (max node)", &|_, r| {
+        r.1 as f64
     });
-    let ms = (" — SOR completion (ms)", ms().1);
+    let ms: Reads<Traced> = (" — SOR completion (ms)", &|_, (r, _)| {
+        r.end_time.as_millis_f64()
+    });
     let labels = CONFIGS.map(|c| c.0);
     let title = "E18: LRC metadata";
     let metrics = [bar_bytes, resident, ms];
@@ -72,7 +78,14 @@ pub fn e18_lrc_meta(scale: Scale) {
                 .placement(Placement::Block)
                 .lrc_gc(gc)
                 .max_events(400_000_000);
-            checked(title, p, cfg)
+            let peak = Rc::new(Cell::new(0));
+            let seen = Rc::clone(&peak);
+            let fold = move |r: &Rec| {
+                if r.kind == Kind::Resident {
+                    seen.set(seen.get().max(r.bytes));
+                }
+            };
+            (checked_traced(title, p, cfg, fold).0, peak.get())
         },
     );
 }

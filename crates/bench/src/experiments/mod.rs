@@ -7,6 +7,7 @@
 
 use crate::table::{print_table, xs_of, Series};
 use dsm_apps::{App, Run, Words};
+use dsm_core::trace::Sink;
 use dsm_core::{DsmConfig, RunResult};
 use std::fmt::Display;
 
@@ -97,6 +98,14 @@ pub fn run_all(scale: Scale) {
 /// the wrong answer. A refused shape or a failed verdict panics, naming
 /// the experiment, the app, the protocol and the node count.
 fn checked<A: App>(exp: &str, app: A, cfg: DsmConfig) -> RunResult<Words> {
+    checked_traced(exp, app, cfg, ()).0
+}
+
+/// [`checked`], handing every record of the run to `sink`.
+fn checked_traced<A: App, S>(exp: &str, app: A, cfg: DsmConfig, sink: S) -> (RunResult<Words>, S)
+where
+    S: Sink + 'static,
+{
     let what = format!(
         "{exp}: {} under {} on {} nodes",
         app.name(),
@@ -104,14 +113,17 @@ fn checked<A: App>(exp: &str, app: A, cfg: DsmConfig) -> RunResult<Words> {
         cfg.nnodes
     );
     let run = Run::new(app, cfg).unwrap_or_else(|why| panic!("{what}: refused: {why}"));
-    let res = dsm_core::run_dsm(&run.cfg, |d| run.app.sim_program(d));
+    let (res, sink) = dsm_core::run_traced(&run.cfg, |d| run.app.sim_program(d), sink);
     assert!(run.app.verdict(&res.results), "{what}: wrong result");
-    res
+    (res, sink)
 }
 
 /// What one table reads of each run, given its column's first run
 /// too: the tail of the table's title, and the figure.
-type Metric<'a, V = Words> = (&'a str, &'a dyn Fn(&RunResult<V>, &RunResult<V>) -> f64);
+type Metric<'a, V = Words> = Reads<'a, RunResult<V>>;
+
+/// What one table reads of each `R` a run left.
+type Reads<'a, R> = (&'a str, &'a dyn Fn(&R, &R) -> f64);
 
 /// Completion time in virtual ms.
 fn ms<V>() -> Metric<'static, V> {
@@ -136,14 +148,14 @@ fn speedup<V>() -> Metric<'static, V> {
 /// then one table per metric, titled `title` and the metric's tail, a
 /// row per x and a column per label. Runs go column by column, each
 /// column's xs in order. Returns the runs, `runs[column][x]`.
-fn sweep<X: Copy + Display, V>(
+fn sweep<X: Copy + Display, R>(
     title: &str,
     x_label: &str,
     xs: &[X],
     labels: &[&str],
-    metrics: &[Metric<V>],
-    mut run: impl FnMut(X, usize) -> RunResult<V>,
-) -> Vec<Vec<RunResult<V>>> {
+    metrics: &[Reads<R>],
+    mut run: impl FnMut(X, usize) -> R,
+) -> Vec<Vec<R>> {
     let runs: Vec<Vec<_>> = (0..labels.len())
         .map(|c| xs.iter().map(|&x| run(x, c)).collect())
         .collect();

@@ -38,13 +38,14 @@ pub use node::{DsmNode, DsmOp, OpBuf, OpData};
 // Re-export the vocabulary types users need.
 pub use dsm_mem::{GlobalAddr, ObjRecord, ObjTable, PageGeometry, PageId, Placement, SpaceLayout};
 pub use dsm_net::{
-    CostModel, CrashEvent, Dur, FaultNotice, FaultPlan, NetStats, NodeId, PartitionEvent,
+    trace, CostModel, CrashEvent, Dur, FaultNotice, FaultPlan, NetStats, NodeId, PartitionEvent,
     RunResult, SimTime,
 };
 pub use dsm_proto::{
     Can, Consistency, CrashContract, EntryBinding, Facts, ProtoOpts, ProtocolKind,
 };
 pub use dsm_sync::{BarrierId, BarrierKind, LockId, LockKind};
+use trace::Sink;
 
 /// Hard cap on [`DsmConfig::batch_depth`], re-exported from the
 /// protocol layer (a protocol's row may clamp lower via
@@ -258,26 +259,6 @@ impl DsmConfig {
     }
 }
 
-/// Run the built fleet: wrapped in the reliable transport when fault
-/// injection is enabled (protocols require exactly-once, per-link-FIFO
-/// delivery), bare otherwise — the bare path is bit-identical to what
-/// it was before fault injection existed.
-fn run_programs<V, P>(cfg: &DsmConfig, nodes: Vec<DsmNode>, programs: Vec<P>) -> RunResult<V>
-where
-    V: Send,
-    P: FnOnce(&dsm_net::AppHandle<DsmOp, ()>) -> V + Send,
-{
-    if cfg.model.faults.enabled() {
-        dsm_net::Sim::new(dsm_net::wrap_fleet(nodes, &cfg.model), cfg.model.clone())
-            .max_events(cfg.max_events)
-            .run(programs)
-    } else {
-        dsm_net::Sim::new(nodes, cfg.model.clone())
-            .max_events(cfg.max_events)
-            .run(programs)
-    }
-}
-
 /// Run one SPMD `program` on every node of a DSM machine described by
 /// `cfg`; the per-node return values, the parallel completion time, and
 /// the network traffic come back in the [`RunResult`].
@@ -286,7 +267,18 @@ where
     V: Send,
     F: Fn(&Dsm<'_>) -> V + Send + Sync,
 {
-    run_dsm_mpmd(cfg, (0..cfg.nnodes).map(|_| &program).collect())
+    run_traced(cfg, program, ()).0
+}
+
+/// [`run_dsm`], handing every record of the run to `sink` (see
+/// [`trace`]) and returning it: the same run, record for record.
+pub fn run_traced<V, F, S>(cfg: &DsmConfig, program: F, sink: S) -> (RunResult<V>, S)
+where
+    V: Send,
+    F: Fn(&Dsm<'_>) -> V + Send + Sync,
+    S: Sink + 'static,
+{
+    run_mpmd(cfg, (0..cfg.nnodes).map(|_| &program).collect(), sink)
 }
 
 /// Run with one distinct program per node (MPMD); `programs.len()` must
@@ -295,6 +287,20 @@ pub fn run_dsm_mpmd<V, F>(cfg: &DsmConfig, programs: Vec<F>) -> RunResult<V>
 where
     V: Send,
     F: FnOnce(&Dsm<'_>) -> V + Send,
+{
+    run_mpmd(cfg, programs, ()).0
+}
+
+/// Run the built fleet, every record to `sink`: wrapped in the
+/// reliable transport when fault injection is enabled (protocols
+/// require exactly-once, per-link-FIFO delivery), bare otherwise — the
+/// bare path is bit-identical to what it was before fault injection
+/// existed.
+fn run_mpmd<V, F, S>(cfg: &DsmConfig, programs: Vec<F>, sink: S) -> (RunResult<V>, S)
+where
+    V: Send,
+    F: FnOnce(&Dsm<'_>) -> V + Send,
+    S: Sink + 'static,
 {
     let nodes = cfg.build_nodes();
     let leases = cfg.leases(&nodes);
@@ -309,7 +315,15 @@ where
             }
         })
         .collect();
-    run_programs(cfg, nodes, programs)
+    if cfg.model.faults.enabled() {
+        dsm_net::Sim::new(dsm_net::wrap_fleet(nodes, &cfg.model), cfg.model.clone())
+            .max_events(cfg.max_events)
+            .run_traced(programs, sink)
+    } else {
+        dsm_net::Sim::new(nodes, cfg.model.clone())
+            .max_events(cfg.max_events)
+            .run_traced(programs, sink)
+    }
 }
 
 #[cfg(test)]

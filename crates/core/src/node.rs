@@ -172,8 +172,6 @@ pub struct DsmNode {
     nnodes: u32,
     layout: SpaceLayout,
     frames: Arc<FrameCell>,
-    /// The row of the protocol `proto` is an instance of.
-    facts: &'static Facts,
     proto: Box<dyn Protocol>,
     sync: SyncEngines<Piggy>,
     pending: Option<Parked>,
@@ -203,8 +201,6 @@ pub struct DsmNode {
 /// own narrow trait.
 struct Io<'a, 'b> {
     ctx: &'a mut Ctx<'b, DsmNode>,
-    /// The message being handled arrived as a NIC-level delivery.
-    nic: bool,
 }
 
 impl ProtoIo for Io<'_, '_> {
@@ -214,11 +210,11 @@ impl ProtoIo for Io<'_, '_> {
     fn send_one_sided(&mut self, dst: NodeId, msg: dsm_proto::ProtoMsg) {
         self.ctx.send_one_sided(dst, CoreMsg::Proto(msg));
     }
-    fn nic_delivery(&self) -> bool {
-        self.nic
-    }
     fn model(&self) -> &dsm_net::CostModel {
         self.ctx.model()
+    }
+    fn rec(&mut self, kind: dsm_net::trace::Kind, unit: u64, bytes: u64) {
+        self.ctx.rec(kind, unit, dsm_net::KindId(0), bytes);
     }
 }
 
@@ -280,7 +276,6 @@ impl DsmNode {
             nnodes,
             layout,
             frames: Arc::new(FrameCell::new(FrameTable::new(layout.geometry))),
-            facts,
             proto,
             sync: SyncEngines::new(lock_kind, barrier_kind, me, nnodes),
             pending: None,
@@ -315,7 +310,7 @@ impl DsmNode {
         ctx: &mut Ctx<'_, Self>,
         f: impl FnOnce(&mut dyn Protocol, &mut dyn ProtoIo, &mut FrameTable) -> R,
     ) -> R {
-        let mut io = Io { ctx, nic: false };
+        let mut io = Io { ctx };
         f(&mut *self.proto, &mut io, Self::mem(&self.frames))
     }
 
@@ -327,7 +322,7 @@ impl DsmNode {
         f: impl FnOnce(&mut SyncEngines<Piggy>, &mut SyncSide<'_, '_, '_>) -> R,
     ) -> R {
         let mut side = SyncSide {
-            io: Io { ctx, nic: false },
+            io: Io { ctx },
             proto: &mut *self.proto,
             mem: Self::mem(&self.frames),
         };
@@ -660,14 +655,6 @@ impl NodeBehavior for DsmNode {
         self.with_proto(ctx, |proto, io, mem| proto.on_start(io, mem));
     }
 
-    fn describe(&self) -> String {
-        format!("{} pending={:?}", self.facts.name, self.pending)
-    }
-
-    fn gauges(&self) -> Vec<(&'static str, u64)> {
-        self.proto.gauges()
-    }
-
     fn on_op(&mut self, ctx: &mut Ctx<'_, Self>, mut op: DsmOp) -> OpOutcome<()> {
         debug_assert!(
             self.pending.is_none(),
@@ -816,7 +803,7 @@ impl NodeBehavior for DsmNode {
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, from: NodeId, msg: CoreMsg) {
         match msg {
-            CoreMsg::Proto(m) => self.on_proto_message(ctx, from, m, false),
+            CoreMsg::Proto(m) => self.on_proto_message(ctx, from, m),
             CoreMsg::Sync(m) => {
                 match self.with_sync(ctx, |sync, side| sync.on_message(side, from, m)) {
                     None => {}
@@ -839,16 +826,16 @@ impl NodeBehavior for DsmNode {
         let CoreMsg::Proto(m) = msg else {
             panic!("{}: sync message arrived as a NIC-level delivery", self.me)
         };
-        self.on_proto_message(ctx, from, m, true);
+        self.on_proto_message(ctx, from, m);
     }
 }
 
 impl DsmNode {
-    /// A coherence message arrived, by software delivery or (`nic`) as
-    /// a NIC-level event.
-    fn on_proto_message(&mut self, ctx: &mut Ctx<'_, Self>, from: NodeId, m: ProtoMsg, nic: bool) {
+    /// A coherence message arrived, by software delivery or as a
+    /// NIC-level event.
+    fn on_proto_message(&mut self, ctx: &mut Ctx<'_, Self>, from: NodeId, m: ProtoMsg) {
         let mut events = Vec::new();
-        let mut io = Io { ctx, nic };
+        let mut io = Io { ctx };
         let mem = Self::mem(&self.frames);
         match m {
             // A multi-page envelope: dispatch the inner messages in

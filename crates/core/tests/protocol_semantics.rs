@@ -1,7 +1,10 @@
 //! Semantics tests that distinguish the protocols — not just "right
 //! answer", but *how* each model propagates writes.
 
+use dsm_core::trace::{Kind, Rec};
 use dsm_core::{CostModel, Dsm, DsmConfig, Dur, GlobalAddr, ProtocolKind};
+use dsm_net::Payload;
+use dsm_proto::ProtoMsg;
 
 /// LRC causality is transitive: node 0 writes X under lock A; node 1
 /// acquires A (learns of X), writes Y under lock B; node 2 acquires B
@@ -141,28 +144,34 @@ fn lrc_gc_retires_diffs_at_barrier() {
     let cfg = DsmConfig::new(2, ProtocolKind::Lrc)
         .heap_bytes(1024)
         .page_size(256);
-    let res = dsm_core::run_dsm(&cfg, |dsm: &Dsm<'_>| {
-        let a = GlobalAddr(0);
-        if dsm.id().0 == 1 {
-            dsm.read_u64(a);
-            dsm.barrier(0);
-            dsm.barrier(1);
-            dsm.read_u64(a)
-        } else {
-            dsm.barrier(0);
-            dsm.acquire(5);
-            dsm.write_u64(a, 77);
-            dsm.release(5);
-            dsm.barrier(1);
-            0
-        }
-    });
+    let (res, trace) = dsm_core::run_traced(
+        &cfg,
+        |dsm: &Dsm<'_>| {
+            let a = GlobalAddr(0);
+            if dsm.id().0 == 1 {
+                dsm.read_u64(a);
+                dsm.barrier(0);
+                dsm.barrier(1);
+                dsm.read_u64(a)
+            } else {
+                dsm.barrier(0);
+                dsm.acquire(5);
+                dsm.write_u64(a, 77);
+                dsm.release(5);
+                dsm.barrier(1);
+                0
+            }
+        },
+        Vec::new(),
+    );
     assert_eq!(res.results[1], 77);
     assert_eq!(res.stats.kind("LrcDiffReq").count, 0, "{}", res.stats);
-    // End-of-run metadata is fully retired on every node.
-    for g in &res.gauges {
-        let log = g.iter().find(|(k, _)| *k == "lrc_log_records").unwrap().1;
-        assert_eq!(log, 0, "interval log not retired: {g:?}");
+    // End-of-run metadata is fully retired on every node: each node's
+    // last LRC record finds its interval log empty.
+    for node in 0..2 {
+        let lrc = |r: &&Rec| r.node == node && matches!(r.kind, Kind::Resident | Kind::Log);
+        let last = trace.iter().rfind(lrc).expect("lrc records");
+        assert_eq!(last.unit, 0, "interval log not retired: {last:?}");
     }
 }
 
@@ -242,9 +251,10 @@ fn entry_grants_carry_only_dirty_data() {
 }
 
 /// The one-sided `rdma` protocol: on a fabric with one-sided support,
-/// remote read faults are served by the home's NIC (the
-/// `rdma_nic_reads` gauge counts them); on the 1992 LAN the identical
-/// messages take the software delivery path and the gauge stays zero.
+/// remote read faults are served by the home's NIC (the trace's
+/// `Deliver` records with the NIC bit set count them); on the 1992 LAN
+/// the identical messages take the software delivery path and no
+/// delivery is the NIC's.
 /// Either way the answers are sequentially consistent — same
 /// write/barrier/read-sum workload the IVY jitter tests use.
 #[test]
@@ -254,7 +264,7 @@ fn rdma_serves_reads_at_the_nic_on_modern_fabrics_only() {
             .heap_bytes(1024)
             .page_size(256)
             .model(model);
-        dsm_core::run_dsm(&cfg, |dsm: &Dsm<'_>| {
+        let program = |dsm: &Dsm<'_>| {
             let me = dsm.id().0 as usize;
             for round in 0..5u64 {
                 dsm.write_u64(GlobalAddr(me * 256), round * 4 + me as u64);
@@ -263,27 +273,22 @@ fn rdma_serves_reads_at_the_nic_on_modern_fabrics_only() {
                 assert_eq!(sum, round * 16 + 6, "round {round}");
                 dsm.barrier(1);
             }
-        })
+        };
+        dsm_core::run_traced(&cfg, program, Vec::new())
     };
-    let nic_reads = |res: &dsm_core::RunResult<()>| -> u64 {
-        res.gauges
-            .iter()
-            .map(|g| {
-                g.iter()
-                    .find(|(k, _)| *k == "rdma_nic_reads")
-                    .expect("rdma exports its gauge")
-                    .1
-            })
-            .sum()
+    let nic_served = |trace: &[Rec]| {
+        let read = ProtoMsg::RdmaRead { pages: Vec::new() }.kind_id();
+        let nic = |r: &&Rec| r.kind == Kind::Deliver { nic: true } && r.msg == read;
+        trace.iter().filter(nic).count()
     };
-    let modern = run(CostModel::rdma_modern());
+    let (_, modern) = run(CostModel::rdma_modern());
     assert!(
-        nic_reads(&modern) > 0,
+        nic_served(&modern) > 0,
         "no read was ever served one-sided on the modern fabric"
     );
-    let lan = run(CostModel::lan_1992());
+    let (lan, trace) = run(CostModel::lan_1992());
     assert_eq!(
-        nic_reads(&lan),
+        nic_served(&trace),
         0,
         "lan_1992 has no one-sided support; every read must take the software path"
     );

@@ -47,8 +47,9 @@ use crate::coro::Coros;
 use crate::kernel::{Event, FaultChange, FaultNotice, Kernel, NodeBehavior, OpOutcome};
 use crate::model::CostModel;
 use crate::msg::NodeId;
-use crate::stats::NetStats;
+use crate::stats::{KindId, NetStats};
 use crate::time::{Dur, SimTime};
+use crate::trace::{Kind, Sink};
 use crate::transport::{Ctx, Transport};
 
 /// Loop → program: "you have the floor at virtual time `time`, and
@@ -276,9 +277,6 @@ pub struct RunResult<V> {
     pub handoffs: u64,
     /// Per-node program return values.
     pub results: Vec<V>,
-    /// Per-node end-of-run metric gauges
-    /// ([`NodeBehavior::gauges`]), indexed by node.
-    pub gauges: Vec<Vec<(&'static str, u64)>>,
     /// Total kernel events processed.
     pub events: u64,
     /// Wall-clock duration of the run, for throughput reporting.
@@ -356,6 +354,19 @@ impl<N: NodeBehavior> Sim<N> {
         V: Send,
         F: FnOnce(&AppHandle<N::Op, N::Reply>) -> V + Send,
     {
+        self.run_traced(programs, ()).0
+    }
+
+    /// [`Sim::run`], handing every record of the run to `sink` (see
+    /// [`crate::trace`]) and returning it. The same run, record for
+    /// record, whatever the sink.
+    pub fn run_traced<V, F, S>(self, programs: Vec<F>, sink: S) -> (RunResult<V>, S)
+    where
+        N: 'static,
+        V: Send,
+        F: FnOnce(&AppHandle<N::Op, N::Reply>) -> V + Send,
+        S: Sink + 'static,
+    {
         let Sim {
             nodes,
             model,
@@ -385,7 +396,7 @@ impl<N: NodeBehavior> Sim<N> {
             budget: Cell::new(Dur::ZERO),
         });
         let lookahead = model.min_net_delay();
-        let mut kernel = Kernel::new(nnodes, model);
+        let mut kernel = Kernel::new(nnodes, model, sink);
         kernel.max_events = max_events;
         let shard = Box::new(Shard {
             kernel,
@@ -432,17 +443,17 @@ impl<N: NodeBehavior> Sim<N> {
             .iter()
             .map(|slot| slot.finish_time)
             .collect();
-        RunResult {
+        let res = RunResult {
             end_time: finish_times.iter().copied().max().unwrap_or(SimTime::ZERO),
             finish_times,
             rendezvous: shard.kernel.rendezvous,
             handoffs: shard.handoffs,
             results,
-            gauges: shard.nodes.iter().map(|n| n.gauges()).collect(),
             events: shard.kernel.events,
             stats: shard.kernel.stats,
             wall: wall_start.elapsed(),
-        }
+        };
+        (res, shard.kernel.sink)
     }
 }
 
@@ -470,8 +481,8 @@ enum ShardExit {
 /// The whole loop state — the floor. Built once, boxed, and owned by
 /// exactly one context at a time: whoever holds the box runs the event
 /// loop (see the module docs).
-struct Shard<N: NodeBehavior> {
-    kernel: Kernel<N>,
+struct Shard<N: NodeBehavior, S> {
+    kernel: Kernel<N, S>,
     nodes: Vec<N>,
     /// Ops whose locally accumulated time is still being charged: the
     /// op dispatches when the matching Resume fires.
@@ -488,13 +499,13 @@ struct Shard<N: NodeBehavior> {
     coros: Rc<Coros>,
     wake: WakeSlots<N::Op, N::Reply>,
     /// Where the box goes when the loop ends.
-    home: Rc<Slot<Home<N>>>,
+    home: Rc<Slot<Home<N, S>>>,
     /// Times this box changed contexts.
     handoffs: u64,
 }
 
 /// What the root is resumed with: the floor, and how the loop ended.
-type Home<N> = (Box<Shard<N>>, ShardExit);
+type Home<N, S> = (Box<Shard<N, S>>, ShardExit);
 
 /// Where a program's turn stands (see [`Shard::turn`]).
 enum Turn<Op, R> {
@@ -524,7 +535,9 @@ enum Step<R> {
 
 /// Root side of the loop: start it, pass the floor to the first
 /// program, and be switched back to when the loop has ended.
-fn run_shard<N: NodeBehavior + 'static>(mut shard: Box<Shard<N>>) -> Home<N> {
+fn run_shard<N: NodeBehavior + 'static, S: Sink + 'static>(
+    mut shard: Box<Shard<N, S>>,
+) -> Home<N, S> {
     match shard.step(Entry::Start) {
         Step::Exit(exit) => (shard, exit),
         grant => {
@@ -535,7 +548,7 @@ fn run_shard<N: NodeBehavior + 'static>(mut shard: Box<Shard<N>>) -> Home<N> {
     }
 }
 
-impl<N: NodeBehavior + 'static> Floor<N::Op, N::Reply> for Shard<N> {
+impl<N: NodeBehavior + 'static, S: Sink + 'static> Floor<N::Op, N::Reply> for Shard<N, S> {
     fn drive(
         mut self: Box<Self>,
         from: usize,
@@ -555,7 +568,7 @@ impl<N: NodeBehavior + 'static> Floor<N::Op, N::Reply> for Shard<N> {
     }
 }
 
-impl<N: NodeBehavior + 'static> Shard<N> {
+impl<N: NodeBehavior + 'static, S: Sink + 'static> Shard<N, S> {
     /// Run the event loop to its next [`Step`], turning a panic inside
     /// it (a handler's, say) into an exit that carries the payload.
     fn step(&mut self, entry: Entry<N::Op>) -> Step<N::Reply> {
@@ -672,13 +685,22 @@ impl<N: NodeBehavior + 'static> Shard<N> {
         let kernel = &mut self.kernel;
         let nodes = &mut self.nodes;
         match event {
-            Event::Deliver { src, dst, msg, nic } => {
+            Event::Deliver {
+                src,
+                dst,
+                msg,
+                id,
+                nic,
+                cause,
+            } => {
+                kernel.cause = cause;
                 if kernel.node_down(dst) {
                     // The destination's volatile state is gone: the
                     // frame dies at the dead host's NIC.
-                    kernel.note_crash_dropped();
+                    kernel.note(Kind::Lost, dst, src.0.into(), id, 0);
                     return None;
                 }
+                kernel.note(Kind::Deliver { nic }, dst, src.0.into(), id, 0);
                 let mut ctx = Ctx {
                     port: kernel,
                     node: dst,
@@ -690,15 +712,17 @@ impl<N: NodeBehavior + 'static> Shard<N> {
                     node.on_message(&mut ctx, src, msg);
                 }
             }
-            Event::Timer { node, token } => {
+            Event::Timer { node, token, cause } => {
+                kernel.cause = cause;
                 if kernel.node_down(node) {
-                    kernel.note_crash_dropped();
+                    kernel.note(Kind::Lost, node, node.0.into(), KindId(0), 0);
                     return None;
                 }
                 let mut ctx = Ctx { port: kernel, node };
                 nodes[node.index()].on_timer(&mut ctx, token);
             }
             Event::Fault { node, change } => {
+                kernel.cause = 0;
                 kernel.apply_fault(node, change);
                 let i = node.index();
                 let notice = match change {
@@ -780,6 +804,9 @@ impl<N: NodeBehavior + 'static> Shard<N> {
         loop {
             let op = match turn {
                 Turn::Grant(reply) => {
+                    if reply.is_some() {
+                        kernel.retire(node);
+                    }
                     kernel.rendezvous += 1;
                     return Some(Go {
                         time: kernel.now(),
@@ -818,6 +845,7 @@ impl<N: NodeBehavior + 'static> Shard<N> {
                     return None;
                 }
             };
+            kernel.issue(node);
             if dead {
                 // Ops from a zombie never reach the behavior: complete
                 // immediately with the canned crash reply.
@@ -862,8 +890,9 @@ impl<N: NodeBehavior + 'static> Shard<N> {
 
     /// Multi-line diagnostic for a wedged run: the reason, kernel
     /// counters, the earliest pending event, and every node's program
-    /// state plus its behavior's `describe()` line (which, under the
-    /// reliable transport, includes in-flight retransmit queue depths).
+    /// state, the op it waits on with that op's cause, and its last
+    /// records of the rarer kinds (under the reliable transport, the
+    /// peers it retransmits to and suspects).
     fn failure_report(&self, verdict: &Verdict) -> String {
         let kernel = &self.kernel;
         let reason = match verdict {
@@ -899,10 +928,14 @@ impl<N: NodeBehavior + 'static> Shard<N> {
         if let Some(top) = kernel.peek_summary() {
             out.push_str(&format!(" (next: {top})"));
         }
-        for (i, n) in self.nodes.iter().enumerate() {
-            let desc = n.describe();
-            let desc = if desc.is_empty() { "-" } else { desc.as_str() };
-            out.push_str(&format!("\n  n{i} [{}]: {desc}", kernel.app_state(i)));
+        for i in 0..self.nodes.len() {
+            out.push_str(&format!("\n  n{i} [{}]", kernel.app_state(i)));
+            if let Some((cause, at)) = kernel.app[i].open {
+                out.push_str(&format!(" op c{cause} open since {at}"));
+            }
+            for r in kernel.rings.of(i) {
+                out.push_str(&format!("\n    {}", r.line(kernel.stats.name(r.msg))));
+            }
         }
         out
     }
@@ -1035,9 +1068,6 @@ mod tests {
         fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
             ctx.set_timer(Dur::millis(1), 7);
         }
-        fn describe(&self) -> String {
-            format!("wedged; heartbeats={}", self.beats)
-        }
         fn on_message(&mut self, _: &mut Ctx<'_, Self>, _: NodeId, _: Self::Msg) {}
         fn on_op(&mut self, _: &mut Ctx<'_, Self>, _: ()) -> OpOutcome<()> {
             OpOutcome::Blocked // nobody will ever complete this
@@ -1073,15 +1103,12 @@ mod tests {
         let msg = wedged_panic_message(sim);
         assert!(msg.contains("progress watchdog"), "got: {msg}");
         assert!(msg.contains("event heap"), "got: {msg}");
-        // Both nodes' describe() lines and program states appear.
-        assert!(
-            msg.contains("n0 [blocked]: wedged; heartbeats="),
-            "got: {msg}"
-        );
-        assert!(
-            msg.contains("n1 [blocked]: wedged; heartbeats="),
-            "got: {msg}"
-        );
+        // Both nodes' program states and the op each waits on, under
+        // its cause.
+        for (node, cause) in [(0, 1), (1, 2)] {
+            let open = format!("n{node} [blocked] op c{cause} open since 0.000ms");
+            assert!(msg.contains(&open), "got: {msg}");
+        }
     }
 
     #[test]
@@ -1095,7 +1122,7 @@ mod tests {
         .max_events(500);
         let msg = wedged_panic_message(sim);
         assert!(msg.contains("exceeded max_events=500"), "got: {msg}");
-        assert!(msg.contains("n0 [blocked]: wedged"), "got: {msg}");
+        assert!(msg.contains("n0 [blocked] op c1 open since"), "got: {msg}");
     }
 
     /// Records when it handles a message; its op sends one to node 0.
@@ -1381,9 +1408,10 @@ mod tests {
             .zip(finish.clone())
             .collect();
         let mut stats = NetStats::new();
-        for _ in 0..2 * WIDE {
-            stats.record(crate::stats::KindId(40), "Ping", 8);
-            stats.record(crate::stats::KindId(41), "Pong", 8);
+        for (id, name) in [(KindId(40), "Ping"), (KindId(41), "Pong")] {
+            stats.bind(id, name);
+            let send = crate::trace::Rec::new(SimTime::ZERO, NodeId(0), Kind::Send, 0, id, 8);
+            (0..2 * WIDE).for_each(|_| stats.rec(&send));
         }
         assert_eq!(res.end_time, SimTime(3_923_445));
         assert_eq!(res.finish_times, finish);

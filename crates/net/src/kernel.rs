@@ -39,6 +39,7 @@ use crate::msg::{NodeId, Payload};
 use crate::rng::XorShift64;
 use crate::stats::{KindId, NetStats};
 use crate::time::{Dur, SimTime};
+use crate::trace::{Kind, Rec, Rings, Sink};
 use crate::transport::{Ctx, Transport};
 
 /// Crash/partition lifecycle notification delivered to a
@@ -46,9 +47,9 @@ use crate::transport::{Ctx, Transport};
 /// `Recovered` concern the node itself; `PeerDown`/`PeerUp` are
 /// asynchronous notices (delivered one network delay after the fact)
 /// that another node's fate changed — the simulator's stand-in for a
-/// perfect failure detector, complementing the timeout-driven suspect
-/// lists of the reliable transport (which partitions exercise, since
-/// they generate no notices at all).
+/// perfect failure detector, complementing the timeout-driven suspicion
+/// of the reliable transport (which partitions exercise, since they
+/// generate no notices at all).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultNotice {
     /// This node crashed: its volatile state is gone. The behavior must
@@ -89,19 +90,6 @@ pub trait NodeBehavior: Send {
 
     /// Called once at virtual time zero, before any program runs.
     fn on_start(&mut self, _ctx: &mut Ctx<'_, Self>) {}
-
-    /// One-line state description for deadlock diagnostics.
-    fn describe(&self) -> String {
-        String::new()
-    }
-
-    /// End-of-run metric gauges (name → value), collected into
-    /// [`crate::RunResult::gauges`]. Used by experiments to read
-    /// internal protocol state (e.g. resident metadata bytes) that
-    /// never crosses the wire.
-    fn gauges(&self) -> Vec<(&'static str, u64)> {
-        Vec::new()
-    }
 
     /// A message from `from` has been delivered to this node.
     fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, from: NodeId, msg: Self::Msg);
@@ -165,9 +153,13 @@ pub(crate) enum Event<M> {
         src: NodeId,
         dst: NodeId,
         msg: M,
+        /// `msg`'s class, for the `Deliver` record.
+        id: KindId,
         /// True for one-sided deliveries: dispatch goes to
         /// [`NodeBehavior::on_nic`] instead of `on_message`.
         nic: bool,
+        /// The cause of the event that sent it ([`crate::trace`]).
+        cause: u32,
     },
     Resume {
         node: NodeId,
@@ -175,6 +167,8 @@ pub(crate) enum Event<M> {
     Timer {
         node: NodeId,
         token: u64,
+        /// The cause of the event that set it.
+        cause: u32,
     },
     Fault {
         node: NodeId,
@@ -206,9 +200,11 @@ struct InTransit<M> {
     seq: u64,
     dst: NodeId,
     msg: M,
+    id: KindId,
     /// One-sided delivery: admission skips `recv_overhead` and the
     /// receive path, serializing on the target's NIC instead.
     nic: bool,
+    cause: u32,
 }
 
 /// What the event heap orders: 24 bytes, whatever the message type.
@@ -237,6 +233,8 @@ pub(crate) struct AppSlot<R> {
     pub finished: bool,
     /// Virtual time at which the program returned.
     pub finish_time: SimTime,
+    /// The cause of the op the program waits on, and when it issued.
+    pub open: Option<(u32, SimTime)>,
 }
 
 impl<R> Default for AppSlot<R> {
@@ -247,6 +245,7 @@ impl<R> Default for AppSlot<R> {
             pending_reply: None,
             finished: false,
             finish_time: SimTime::ZERO,
+            open: None,
         }
     }
 }
@@ -255,10 +254,10 @@ impl<R> Default for AppSlot<R> {
 // `crate::transport` — the kernel is just one implementation of it
 // (see `impl Transport for Kernel` below).
 
-/// The kernel: event heap, clock, traffic stats, NIC / receive-path
+/// The kernel: event heap, clock, record stream, NIC / receive-path
 /// occupancy per node, and the per-link PRNG streams for jitter and
 /// fault injection. Per-node vectors are indexed by node id.
-pub struct Kernel<N: NodeBehavior + ?Sized> {
+pub struct Kernel<N: NodeBehavior + ?Sized, S = ()> {
     heap: BinaryHeap<Reverse<HeapKey>>,
     /// The scheduled events themselves, at the `slot` of their key: an
     /// event moves in at `schedule` and out at `pop_in_window`, and the
@@ -274,7 +273,16 @@ pub struct Kernel<N: NodeBehavior + ?Sized> {
     /// End of the current processing window: events strictly before it
     /// may run; everything else waits for the next boundary.
     window_end: SimTime,
+    /// Every record folds into `stats` and its node's ring, then goes
+    /// to `sink`.
     pub(crate) stats: NetStats,
+    pub(crate) rings: Rings,
+    pub(crate) sink: S,
+    /// The cause of the event being handled: what it sends, sets and
+    /// records inherit it.
+    pub(crate) cause: u32,
+    /// Causes minted so far, one per op dispatched.
+    causes: u32,
     model: CostModel,
     /// Per-link jitter PRNG streams (`src * nnodes + dst`), empty when
     /// jitter is off. Per-link (not global) so that the draws on one
@@ -346,8 +354,8 @@ pub(crate) fn link_seed(base: u64, src: u32, dst: u32) -> u64 {
     z ^ (z >> 31)
 }
 
-impl<N: NodeBehavior + ?Sized> Kernel<N> {
-    pub(crate) fn new(nnodes: u32, model: CostModel) -> Self {
+impl<N: NodeBehavior + ?Sized, S: Sink> Kernel<N, S> {
+    pub(crate) fn new(nnodes: u32, model: CostModel, sink: S) -> Self {
         assert!(nnodes > 0, "need at least one node");
         let n = nnodes as usize;
         let drop_thr = FaultPlan::threshold(model.faults.drop_prob);
@@ -384,6 +392,10 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
             now: SimTime::ZERO,
             window_end: SimTime::ZERO,
             stats: NetStats::new(),
+            rings: Rings::new(n),
+            sink,
+            cause: 0,
+            causes: 0,
             model,
             jitter_rng,
             faults_rng,
@@ -489,20 +501,10 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
         self.heap.peek().map(|Reverse(key)| {
             let event = self.slab[key.slot as usize].as_ref();
             let what = match event.expect("a key in the heap has its event in the slab") {
-                Event::Deliver {
-                    src,
-                    dst,
-                    nic: false,
-                    ..
-                } => format!("Deliver {src}→{dst}"),
-                Event::Deliver {
-                    src,
-                    dst,
-                    nic: true,
-                    ..
-                } => format!("NicDeliver {src}→{dst}"),
+                Event::Deliver { src, dst, nic, .. } if *nic => format!("NicDeliver {src}→{dst}"),
+                Event::Deliver { src, dst, .. } => format!("Deliver {src}→{dst}"),
                 Event::Resume { node } => format!("Resume {node}"),
-                Event::Timer { node, token } => format!("Timer {node} token={token:#x}"),
+                Event::Timer { node, token, .. } => format!("Timer {node} token={token:#x}"),
                 Event::Fault { node, change } => format!("Fault {node} {change:?}"),
             };
             format!("{what} at t={}", key.time)
@@ -601,15 +603,15 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
                 self.recv_free[l] = t;
                 t
             };
-            self.schedule(
-                deliver,
-                Event::Deliver {
-                    src: m.src,
-                    dst: m.dst,
-                    msg: m.msg,
-                    nic: m.nic,
-                },
-            );
+            let event = Event::Deliver {
+                src: m.src,
+                dst: m.dst,
+                msg: m.msg,
+                id: m.id,
+                nic: m.nic,
+                cause: m.cause,
+            };
+            self.schedule(deliver, event);
         }
         self.staged = batch;
     }
@@ -669,7 +671,7 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
                 assert!(!self.down[l], "node {node} crashed while already down");
                 self.down[l] = true;
                 self.dead[l] = permanent;
-                self.stats.crashes += 1;
+                self.note(Kind::Crash, node, 0, KindId(0), 0);
             }
             FaultChange::SelfRecover => {
                 assert!(
@@ -677,7 +679,7 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
                     "recovery for {node} without a preceding recoverable crash"
                 );
                 self.down[l] = false;
-                self.stats.recoveries += 1;
+                self.note(Kind::Recover, node, 0, KindId(0), 0);
             }
             FaultChange::PeerDown { .. } | FaultChange::PeerUp(_) => {}
         }
@@ -693,10 +695,27 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
         self.dead[node.index()]
     }
 
-    /// Record that a delivery or timer addressed to a down node was
-    /// discarded.
-    pub(crate) fn note_crash_dropped(&mut self) {
-        self.stats.crash_dropped += 1;
+    /// Record `kind` on `node` under the current cause.
+    #[inline(always)]
+    pub(crate) fn note(&mut self, kind: Kind, node: NodeId, unit: u64, msg: KindId, bytes: usize) {
+        let r = Rec::new(self.now, node, kind, unit, msg, bytes as u64);
+        self.rec(r);
+    }
+
+    /// Dispatch `node`'s op under a new cause: its `Issue` record.
+    pub(crate) fn issue(&mut self, node: NodeId) {
+        self.causes += 1;
+        self.cause = self.causes;
+        self.app[node.index()].open = Some((self.cause, self.now));
+        self.note(Kind::Issue, node, 0, KindId(0), 0);
+    }
+
+    /// `node`'s open op completed: its `Retire` record, under its cause.
+    pub(crate) fn retire(&mut self, node: NodeId) {
+        if let Some((cause, _)) = self.app[node.index()].open.take() {
+            self.cause = cause;
+            self.note(Kind::Retire, node, 0, KindId(0), 0);
+        }
     }
 
     /// Note that a Resume for a down (but recoverable) node was
@@ -733,7 +752,7 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
     /// A scheduled partition severs `src → dst` right now: the message
     /// dies on the wire (after occupying the sender's NIC),
     /// deterministically and without consuming any PRNG draw.
-    fn link_cut(&mut self, src: NodeId, dst: NodeId) -> bool {
+    fn link_cut(&mut self, src: NodeId, dst: NodeId, id: KindId, bytes: usize) -> bool {
         let now = self.now;
         let cut = src != dst
             && self
@@ -743,14 +762,22 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
                 .iter()
                 .any(|p| p.cuts(src.0, dst.0, now));
         if cut {
-            self.stats.partition_dropped += 1;
+            self.note(Kind::Cut, src, dst.0.into(), id, bytes);
         }
         cut
     }
 
+    /// The `Send` record of `msg`, `bytes` long, naming its class.
+    fn note_send(&mut self, src: NodeId, dst: NodeId, msg: &N::Msg, bytes: usize) -> KindId {
+        let id = msg.kind_id();
+        self.stats.bind(id, msg.kind());
+        self.note(Kind::Send, src, dst.0.into(), id, bytes);
+        id
+    }
+
     fn send_inner(&mut self, src: NodeId, dst: NodeId, msg: N::Msg) {
         let bytes = msg.wire_bytes();
-        self.stats.record(msg.kind_id(), msg.kind(), bytes);
+        let id = self.note_send(src, dst, &msg, bytes);
         // Sender side: the message queues behind whatever this node is
         // already transmitting.
         let total_bytes = (bytes + self.model.header_bytes) as u64;
@@ -759,7 +786,7 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
         let depart_start = self.now.max(self.nic_free[s]);
         let depart_end = depart_start + tx;
         self.nic_free[s] = depart_end;
-        if self.link_cut(src, dst) {
+        if self.link_cut(src, dst, id, bytes) {
             return;
         }
         // Fault injection. Node-local sends never cross the lossy wire.
@@ -771,24 +798,24 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
         if self.faults_on && src != dst {
             let link = self.link(src, dst);
             if self.fault_draw(link) < self.drop_thr {
-                self.stats.record_dropped(msg.kind_id(), msg.kind());
+                self.note(Kind::Drop, src, dst.0.into(), id, bytes);
                 return;
             }
             if self.fault_draw(link) < self.dup_thr {
-                self.stats.record_duplicated(msg.kind_id(), msg.kind());
+                self.note(Kind::Dup, src, dst.0.into(), id, bytes);
                 let copy = msg.clone();
-                self.stage_copy(depart_end, src, dst, copy);
+                self.stage_copy(depart_end, src, dst, copy, id);
             }
         }
-        self.stage_copy(depart_end, src, dst, msg);
+        self.stage_copy(depart_end, src, dst, msg, id);
     }
 
     /// Wire half of a delivery: jitter and delay spikes on the link
     /// stream, ending in a staged [`InTransit`] record (self sends take
     /// the identical path). Receiver-side serialization happens at
     /// admission.
-    fn stage_copy(&mut self, depart_end: SimTime, src: NodeId, dst: NodeId, msg: N::Msg) {
-        let mut arrive = depart_end + self.model.wire_latency;
+    fn stage_copy(&mut self, end: SimTime, src: NodeId, dst: NodeId, msg: N::Msg, id: KindId) {
+        let mut arrive = end + self.model.wire_latency;
         if self.jitter_on {
             let link = self.link(src, dst);
             arrive += Dur::nanos(self.jitter_rng[link].below(self.model.jitter_max.as_nanos()));
@@ -800,7 +827,7 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
                 arrive += Dur::nanos(self.faults_rng[link].below(spike));
             }
         }
-        self.stage(arrive, src, dst, msg, false);
+        self.stage(arrive, src, dst, msg, id, false);
     }
 
     /// One-sided (RDMA-style) send on a fabric that supports it: the
@@ -817,37 +844,39 @@ impl<N: NodeBehavior + ?Sized> Kernel<N> {
     /// deterministically and without PRNG draws, like `send_inner`.
     fn send_one_sided_native(&mut self, src: NodeId, dst: NodeId, msg: N::Msg) {
         let bytes = msg.wire_bytes();
-        self.stats.record(msg.kind_id(), msg.kind(), bytes);
+        let id = self.note_send(src, dst, &msg, bytes);
         let total_bytes = (bytes + self.model.header_bytes) as u64;
         let tx = self.model.one_sided_occupancy + self.model.one_sided_byte_cost(total_bytes);
         let s = src.index();
         let depart_start = self.now.max(self.nic_free[s]);
         let depart_end = depart_start + tx;
         self.nic_free[s] = depart_end;
-        if self.link_cut(src, dst) {
+        if self.link_cut(src, dst, id, bytes) {
             return;
         }
         let arrive = depart_end + self.model.one_sided_latency;
-        self.stage(arrive, src, dst, msg, true);
+        self.stage(arrive, src, dst, msg, id, true);
     }
 
-    /// Stage one message for the next admission, stamped with its
-    /// sender's next sequence number.
-    fn stage(&mut self, arrive: SimTime, src: NodeId, dst: NodeId, msg: N::Msg, nic: bool) {
+    /// Stage one message of class `id` for the next admission, stamped
+    /// with its sender's next sequence number.
+    fn stage(&mut self, at: SimTime, src: NodeId, dst: NodeId, msg: N::Msg, id: KindId, nic: bool) {
         let seq = &mut self.send_seq[src.index()];
         self.staged.push(InTransit {
-            arrive,
+            arrive: at,
             src,
             seq: *seq,
             dst,
             msg,
+            id,
             nic,
+            cause: self.cause,
         });
         *seq += 1;
     }
 }
 
-impl<N: NodeBehavior + ?Sized> Transport<N::Msg, N::Reply> for Kernel<N> {
+impl<N: NodeBehavior + ?Sized, S: Sink> Transport<N::Msg, N::Reply> for Kernel<N, S> {
     fn now(&self) -> SimTime {
         self.now
     }
@@ -889,12 +918,18 @@ impl<N: NodeBehavior + ?Sized> Transport<N::Msg, N::Reply> for Kernel<N> {
     }
 
     fn set_timer_on(&mut self, node: NodeId, delay: Dur, token: u64) {
-        let at = self.now + delay;
-        self.schedule(at, Event::Timer { node, token });
+        let (at, cause) = (self.now + delay, self.cause);
+        self.schedule(at, Event::Timer { node, token, cause });
     }
 
-    fn note_retransmit(&mut self, id: KindId, kind: &'static str) {
-        self.stats.record_retransmit(id, kind);
+    #[inline(always)]
+    fn rec(&mut self, mut r: Rec) {
+        r.cause = self.cause;
+        self.stats.rec(&r);
+        if !r.kind.hot() {
+            self.rings.rec(&r);
+        }
+        self.sink.rec(&r);
     }
 }
 
@@ -937,14 +972,14 @@ mod tests {
     }
 
     fn idle_kernel(nnodes: u32) -> Kernel<Idle> {
-        let mut kernel = Kernel::new(nnodes, CostModel::lan_1992());
+        let mut kernel = Kernel::new(nnodes, CostModel::lan_1992(), ());
         kernel.set_window_end(SimTime(u64::MAX));
         kernel
     }
 
     fn timer(node: u32, token: u64) -> Event<NoMsg> {
-        let node = NodeId(node);
-        Event::Timer { node, token }
+        let (node, cause) = (NodeId(node), 0);
+        Event::Timer { node, token, cause }
     }
 
     /// The free list hands a popped event's slot to the next one
@@ -1001,7 +1036,7 @@ mod tests {
         expected.sort_unstable();
         let popped: Vec<_> = std::iter::from_fn(|| kernel.pop_in_window())
             .map(|(t, event)| match event {
-                Event::Timer { node, token } => (t.0, node.0, token),
+                Event::Timer { node, token, .. } => (t.0, node.0, token),
                 _ => unreachable!("only timers were scheduled"),
             })
             .collect();

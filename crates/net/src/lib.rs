@@ -70,6 +70,7 @@ mod rng;
 pub mod rt;
 mod stats;
 mod time;
+pub mod trace;
 mod transport;
 mod wire;
 

@@ -49,9 +49,9 @@
 //!   from a dead epoch are discarded, so stragglers delayed across a
 //!   crash can never pollute the reborn stream.
 //! * **Failure detection.** Consecutive retransmission timeouts with no
-//!   ack put the peer on a *suspect list* (the only signal a silent
-//!   link partition leaves); any frame from the peer clears it, and the
-//!   watchdog's per-node dump names whoever is on it. Crashes
+//!   ack make the peer a *suspect* (the only signal a silent link
+//!   partition leaves): a `Suspect` trace record, which the watchdog's
+//!   per-node dump shows; any frame from the peer resets the count. Crashes
 //!   additionally produce deterministic kernel `PeerDown`/`PeerUp`
 //!   notices (see [`crate::kernel::FaultNotice`]), on which the
 //!   transport drops retransmission state for the dead peer — a crashed
@@ -90,6 +90,7 @@ use crate::model::CostModel;
 use crate::msg::{NodeId, Payload};
 use crate::stats::KindId;
 use crate::time::{Dur, SimTime};
+use crate::trace::{Kind, Rec};
 use crate::transport::{Ctx, Transport};
 use crate::wire_enum;
 
@@ -182,8 +183,8 @@ pub struct RelConfig {
     pub rto_min: Dur,
     /// Backoff cap: the timeout doubles per retry up to this value.
     pub rto_max: Dur,
-    /// Consecutive retransmission timeouts on a link before the peer
-    /// joins the suspect list.
+    /// Consecutive retransmission timeouts on a link before the peer is
+    /// suspected.
     pub suspect_after: u32,
 }
 
@@ -353,10 +354,6 @@ pub struct Reliable<N: NodeBehavior> {
     inner: N,
     cfg: RelConfig,
     links: Vec<LinkState<N::Msg>>,
-    /// Peers currently suspected of having failed (consecutive ack
-    /// timeouts, or a kernel `PeerDown` notice); [`Self::describe`]
-    /// names them.
-    suspects: BTreeSet<u32>,
     /// Peers the kernel has *confirmed* crashed (`PeerDown`, not mere
     /// silence). Frames to them are sent fire-and-forget — they cannot
     /// be acked, and queuing them would retransmit into the void until
@@ -374,7 +371,6 @@ impl<N: NodeBehavior> Reliable<N> {
             inner,
             cfg,
             links,
-            suspects: BTreeSet::new(),
             down: BTreeSet::new(),
         }
     }
@@ -389,12 +385,6 @@ impl<N: NodeBehavior> Reliable<N> {
         &self.inner
     }
 
-    /// Smoothed RTT estimate for the link to `peer` in nanoseconds, if
-    /// at least one sample has landed (diagnostics / experiments).
-    pub fn srtt_nanos(&self, peer: NodeId) -> Option<u64> {
-        self.links[peer.index()].rtt.map(|(srtt, _)| srtt)
-    }
-
     /// Apply a cumulative ack + SACK bitmap from `peer`. Acks for a
     /// stale epoch of our stream are ignored wholesale; valid acks
     /// clear the suspicion counter, advance the retransmit queue, and
@@ -407,7 +397,6 @@ impl<N: NodeBehavior> Reliable<N> {
             return;
         }
         link.timeouts = 0;
-        self.suspects.remove(&peer.0);
         // Selective marks relative to this cumulative ack: bit k covers
         // seq `ack + 2 + k`.
         if sack != 0 {
@@ -527,42 +516,11 @@ impl<N: NodeBehavior> NodeBehavior for Reliable<N> {
         self.inner_call(ctx, |inner, ictx| inner.on_start(ictx));
     }
 
-    fn describe(&self) -> String {
-        let pending: Vec<String> = self
-            .links
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| !l.outstanding.is_empty())
-            .map(|(p, l)| format!("n{p}:{}", l.outstanding.len()))
-            .collect();
-        let inner = self.inner.describe();
-        let inner = if inner.is_empty() {
-            "-"
-        } else {
-            inner.as_str()
-        };
-        let mut out = if pending.is_empty() {
-            format!("{inner} | rexmit-q empty")
-        } else {
-            format!("{inner} | rexmit-q [{}]", pending.join(" "))
-        };
-        if !self.suspects.is_empty() {
-            let s: Vec<String> = self.suspects.iter().map(|p| format!("n{p}")).collect();
-            out.push_str(&format!(" | suspects [{}]", s.join(" ")));
-        }
-        out
-    }
-
-    fn gauges(&self) -> Vec<(&'static str, u64)> {
-        self.inner.gauges()
-    }
-
     fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, from: NodeId, msg: Self::Msg) {
         let me = ctx.node;
         if from != me {
             // Any frame from the peer is proof of life.
             self.links[from.index()].timeouts = 0;
-            self.suspects.remove(&from.0);
         }
         match msg {
             RelMsg::Ack {
@@ -669,10 +627,11 @@ impl<N: NodeBehavior> NodeBehavior for Reliable<N> {
         if link.timeouts >= suspect_after {
             // Repeated silence: a perfect network would have acked by
             // now. Either the peer is dead or the link is cut.
-            self.suspects.insert(peer as u32);
+            ctx.rec(Kind::Suspect, peer as u64, KindId(0), 0);
         }
         for frame in frames {
-            ctx.port.note_retransmit(frame.kind_id(), frame.kind());
+            let bytes = frame.wire_bytes() as u64;
+            ctx.rec(Kind::Retransmit, peer as u64, frame.kind_id(), bytes);
             ctx.port.send_from(me, NodeId(peer as u32), frame);
         }
         ctx.port.set_timer_on(me, rto, token);
@@ -688,7 +647,6 @@ impl<N: NodeBehavior> NodeBehavior for Reliable<N> {
                 for link in &mut self.links {
                     link.reset(rto0, false);
                 }
-                self.suspects.clear();
                 self.down.clear();
             }
             FaultNotice::Recovered => {
@@ -697,29 +655,27 @@ impl<N: NodeBehavior> NodeBehavior for Reliable<N> {
                 for link in &mut self.links {
                     link.reset(rto0, true);
                 }
-                self.suspects.clear();
             }
             FaultNotice::PeerDown { peer: p, .. } => {
                 // Stop retransmitting into the void — with the peer's
                 // volatile state gone, go-back-N can never complete and
                 // would keep every crash run alive forever. The inner
-                // protocol sees the peer on the suspect list and must
-                // handle the loss at its own level. Nor is it owed an
-                // ack.
+                // protocol hears of the crash in its own `on_fault` and
+                // must handle the loss at its own level. Nor is the peer
+                // owed an ack.
                 let link = &mut self.links[p.index()];
                 link.outstanding.clear();
                 link.reorder.clear();
                 link.timeouts = 0;
                 link.ack_due = false;
-                self.suspects.insert(p.0);
                 self.down.insert(p.0);
+                ctx.rec(Kind::Suspect, p.0.into(), KindId(0), 0);
             }
             FaultNotice::PeerUp(p) => {
                 // The peer rebooted: restart our send stream to it in a
                 // new epoch (our old frames/acks are stale to it, and
                 // vice versa).
                 self.links[p.index()].reset(rto0, true);
-                self.suspects.remove(&p.0);
                 self.down.remove(&p.0);
             }
         }
@@ -820,8 +776,8 @@ impl<'a, N: NodeBehavior> Transport<N::Msg, N::Reply> for RelPort<'a, N> {
         self.outer.set_timer_on(node, delay, token);
     }
 
-    fn note_retransmit(&mut self, id: KindId, kind: &'static str) {
-        self.outer.note_retransmit(id, kind);
+    fn rec(&mut self, r: Rec) {
+        self.outer.rec(r);
     }
 }
 
@@ -881,10 +837,6 @@ mod tests {
         type Msg = AddMsg;
         type Op = u64;
         type Reply = u64;
-
-        fn describe(&self) -> String {
-            format!("totals={:?}", self.totals)
-        }
 
         fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, from: NodeId, msg: AddMsg) {
             match msg {
@@ -971,34 +923,26 @@ mod tests {
         assert_eq!(wrapped, lossless_results());
     }
 
+    /// A client wedged behind a link that stays cut: the watchdog's
+    /// dump says what it waits on, that it retransmits to the server,
+    /// and that it suspects the server.
     #[test]
-    fn describe_reports_retransmit_queue_depths() {
-        let mut node = Reliable::new(
-            AddNode::default(),
-            2,
-            RelConfig::from_model(&CostModel::lan_1992(), 2),
-        );
-        assert!(node.describe().contains("rexmit-q empty"));
-        let f = |seq| Frame {
-            seq,
-            msg: AddMsg::Add(seq),
-            sent: SimTime::ZERO,
-            timed_out: false,
-            sacked: false,
-        };
-        node.links[1].outstanding.push_back(f(1));
-        node.links[1].outstanding.push_back(f(2));
+    fn a_wedged_runs_dump_names_the_peer_retransmitted_to_and_the_suspect() {
+        let forever = (SimTime::ZERO, SimTime(u64::MAX));
+        let plan = FaultPlan::NONE.with_partition(vec![0], vec![1], forever.0, forever.1);
+        let model = CostModel::lan_1992().with_faults(plan);
+        let nodes = wrap_fleet(vec![AddNode::default(), AddNode::default()], &model);
+        let sim = Sim::new(nodes, model);
+        let idle = |_h: &AppHandle<u64, u64>| Vec::new();
+        let run = std::panic::AssertUnwindSafe(|| sim.run(vec![idle, client]));
+        let err = std::panic::catch_unwind(run).expect_err("the watchdog fires");
+        let dump = err.downcast_ref::<String>().expect("a failure report");
         assert!(
-            node.describe().contains("rexmit-q [n1:2]"),
-            "{}",
-            node.describe()
+            dump.contains("n1 [blocked] op c1 open since 0.000ms"),
+            "{dump}"
         );
-        node.suspects.insert(1);
-        assert!(
-            node.describe().contains("suspects [n1]"),
-            "{}",
-            node.describe()
-        );
+        assert!(dump.contains("c1 Retransmit Add to n0"), "{dump}");
+        assert!(dump.contains("c1 Suspect n0"), "{dump}");
     }
 
     #[test]
@@ -1018,7 +962,7 @@ mod tests {
             sacked: false,
         });
         node.process_ack(NodeId(1), 1, 0, 0, SimTime::ZERO + Dur::micros(80));
-        assert_eq!(node.srtt_nanos(NodeId(1)), Some(80_000));
+        assert_eq!(node.links[1].rtt.map(|(srtt, _)| srtt), Some(80_000));
         let rto = node.links[1].rto;
         assert_eq!(rto, Dur::micros(280));
         assert!(rto < rto0, "measured RTO should beat the model guess");
@@ -1031,7 +975,7 @@ mod tests {
             sacked: false,
         });
         node.process_ack(NodeId(1), 2, 0, 0, SimTime::ZERO + Dur::millis(90));
-        assert_eq!(node.srtt_nanos(NodeId(1)), Some(80_000));
+        assert_eq!(node.links[1].rtt.map(|(srtt, _)| srtt), Some(80_000));
     }
 
     /// A transport that keeps what node 1 sends and the timers it sets.
@@ -1059,7 +1003,7 @@ mod tests {
         fn set_timer_on(&mut self, _: NodeId, _: Dur, token: u64) {
             self.timers.push(token);
         }
-        fn note_retransmit(&mut self, _: KindId, _: &'static str) {}
+        fn rec(&mut self, _: Rec) {}
     }
 
     /// Node 1 of two, a client, with a tap for its transport.
@@ -1189,7 +1133,7 @@ mod tests {
         assert!(matches!(tap.sent[2..], [RelMsg::Data { seq: 1, .. }]));
         node.process_ack(NodeId(0), 2, 0, 0, tap.now + Dur::micros(80));
         assert!(node.links[0].outstanding.is_empty());
-        assert_eq!(node.srtt_nanos(NodeId(0)), None);
+        assert_eq!(node.links[0].rtt.map(|(srtt, _)| srtt), None);
     }
 
     #[test]

@@ -61,8 +61,9 @@ use crate::model::{CostModel, FaultPlan};
 use crate::msg::{NodeId, Payload};
 use crate::reliable::RelConfig;
 use crate::rng::XorShift64;
-use crate::stats::{KindId, NetStats};
+use crate::stats::NetStats;
 use crate::time::{Dur, SimTime};
+use crate::trace::{Kind, Rec, Sink};
 use crate::transport::{Ctx, Transport};
 use crate::wire::{from_wire_bytes, Wire};
 
@@ -231,7 +232,10 @@ impl<M: Payload + Wire, R> Transport<M, R> for SocketCore<M, R> {
         // Stats record the *modeled* wire size (header_bytes + payload),
         // keeping traffic tables comparable with simulator runs.
         let bytes = msg.wire_bytes() + self.model.header_bytes;
-        self.stats.record(msg.kind_id(), msg.kind(), bytes);
+        self.stats.bind(msg.kind_id(), msg.kind());
+        let at = self.now();
+        let note = |kind| Rec::new(at, src, kind, dst.0.into(), msg.kind_id(), bytes as u64);
+        self.stats.rec(&note(Kind::Send));
         if dst == src {
             self.loopback.push_back(msg);
             return;
@@ -249,8 +253,8 @@ impl<M: Payload + Wire, R> Transport<M, R> for SocketCore<M, R> {
         );
         let copies = self.loss.as_mut().map_or(1, |loss| loss.copies(dst));
         match copies {
-            0 => self.stats.record_dropped(msg.kind_id(), msg.kind()),
-            2 => self.stats.record_duplicated(msg.kind_id(), msg.kind()),
+            0 => self.stats.rec(&note(Kind::Drop)),
+            2 => self.stats.rec(&note(Kind::Dup)),
             _ => {}
         }
         for _ in 0..copies {
@@ -258,7 +262,7 @@ impl<M: Payload + Wire, R> Transport<M, R> for SocketCore<M, R> {
             // transient ICMP refusal while a peer is still booting) is
             // just loss, and the reliability layer above retransmits.
             if self.sock.send_to(buf, self.peers[dst.index()]).is_err() {
-                self.stats.record_dropped(msg.kind_id(), msg.kind());
+                self.stats.rec(&note(Kind::Drop));
             }
         }
     }
@@ -276,8 +280,8 @@ impl<M: Payload + Wire, R> Transport<M, R> for SocketCore<M, R> {
             .push(Reverse((self.now_nanos() + delay.as_nanos(), token)));
     }
 
-    fn note_retransmit(&mut self, id: KindId, kind: &'static str) {
-        self.stats.record_retransmit(id, kind);
+    fn rec(&mut self, r: Rec) {
+        self.stats.rec(&r);
     }
 }
 
@@ -491,6 +495,7 @@ where
 mod tests {
     use super::*;
     use crate::reliable::Reliable;
+    use crate::stats::KindId;
 
     /// Two `SocketRt`s in one test process, stepped by two threads,
     /// running the reliable transport end-to-end over real localhost

@@ -1,12 +1,14 @@
-//! Traffic accounting. Every send is recorded under its payload's
-//! kind; experiment harnesses print these tables directly.
+//! Traffic accounting: the fold of the record stream ([`crate::trace`])
+//! that every run keeps. Every `Send` record counts under its message's
+//! class; experiment harnesses print these tables directly.
 //!
-//! Recording is on the per-message hot path, so buckets live in a
+//! Folding is on the per-message hot path, so buckets live in a
 //! fixed-size array indexed by a small per-kind id supplied by the
 //! payload ([`crate::Payload::kind_id`]) — no map lookup per record.
 //! Iteration stays in deterministic (alphabetical) name order so
 //! experiment tables are unchanged.
 
+use crate::trace::{Kind, Rec, Sink};
 use std::fmt;
 
 /// Number of statistics slots. Kind ids are assigned statically per
@@ -38,8 +40,8 @@ pub struct KindStats {
 ///
 /// Besides the per-kind send counts, three fault-era counters ride in
 /// the same fixed-array style: messages the lossy network *dropped* or
-/// *duplicated* (charged by the kernel at delivery time) and messages
-/// the reliable transport *retransmitted* (charged by
+/// *duplicated* (`Drop` and `Dup` records) and messages the reliable
+/// transport *retransmitted* (`Retransmit` records, made by
 /// [`crate::Reliable`]). A retransmitted copy is also recorded as a
 /// normal send — it really crosses the wire again — so
 /// `total_msgs` reflects everything transmitted.
@@ -81,19 +83,10 @@ impl NetStats {
         Self::default()
     }
 
-    /// Record one message of class (`id`, `kind`) with `bytes` of
-    /// modeled body. O(1): a single array index.
+    /// Bind `id` to `kind`, checking the one-to-one id↔name mapping:
+    /// a sender names each message's class before it records it.
     #[inline]
-    pub fn record(&mut self, id: KindId, kind: &'static str, bytes: usize) {
-        let i = self.bind_name(id, kind);
-        let k = &mut self.counts[i];
-        k.count += 1;
-        k.bytes += bytes as u64;
-    }
-
-    /// Bind `id` to `kind`, checking the one-to-one id↔name mapping.
-    #[inline]
-    fn bind_name(&mut self, id: KindId, kind: &'static str) -> usize {
+    pub(crate) fn bind(&mut self, id: KindId, kind: &'static str) {
         let i = id.index();
         debug_assert!(
             self.names[i].is_none_or(|n| n == kind),
@@ -103,30 +96,11 @@ impl NetStats {
             kind
         );
         self.names[i] = Some(kind);
-        i
     }
 
-    /// Record one message of class (`id`, `kind`) lost by the network.
-    #[inline]
-    pub fn record_dropped(&mut self, id: KindId, kind: &'static str) {
-        let i = self.bind_name(id, kind);
-        self.dropped[i] += 1;
-    }
-
-    /// Record one message of class (`id`, `kind`) duplicated in flight.
-    #[inline]
-    pub fn record_duplicated(&mut self, id: KindId, kind: &'static str) {
-        let i = self.bind_name(id, kind);
-        self.duplicated[i] += 1;
-    }
-
-    /// Record one retransmission of class (`id`, `kind`) by the
-    /// reliable transport (the resent copy is also recorded as a normal
-    /// send when it hits the wire).
-    #[inline]
-    pub fn record_retransmit(&mut self, id: KindId, kind: &'static str) {
-        let i = self.bind_name(id, kind);
-        self.retransmits[i] += 1;
+    /// The class bound to `id`, or `""`.
+    pub(crate) fn name(&self, id: KindId) -> &'static str {
+        self.names[id.index()].unwrap_or("")
     }
 
     /// Total messages across all classes.
@@ -209,6 +183,35 @@ impl NetStats {
     }
 }
 
+/// The fold that is always on: traffic by class, and the fault counters.
+impl Sink for NetStats {
+    #[inline(always)]
+    fn rec(&mut self, r: &Rec) {
+        // No branch on the kind for the records of every message (the
+        // hot path); one rarely taken for the faults.
+        let i = r.msg.index();
+        let send = u64::from(r.kind == Kind::Send);
+        self.counts[i].count += send;
+        self.counts[i].bytes += send * r.bytes;
+        use Kind::*;
+        if matches!(
+            r.kind,
+            Drop | Dup | Cut | Lost | Crash | Recover | Retransmit
+        ) {
+            match r.kind {
+                Drop => self.dropped[i] += 1,
+                Dup => self.duplicated[i] += 1,
+                Retransmit => self.retransmits[i] += 1,
+                Crash => self.crashes += 1,
+                Recover => self.recoveries += 1,
+                Lost => self.crash_dropped += 1,
+                Cut => self.partition_dropped += 1,
+                Issue | Retire | Send | Deliver { .. } | Resident | Log | Suspect => {}
+            }
+        }
+    }
+}
+
 impl fmt::Display for NetStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let faulty = self.total_dropped() + self.total_duplicated() + self.total_retransmits() > 0;
@@ -270,6 +273,14 @@ impl fmt::Display for NetStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::NodeId;
+    use crate::time::SimTime;
+
+    /// Fold one record of `kind` for class (`id`, `name`).
+    fn fold(s: &mut NetStats, kind: Kind, id: KindId, name: &'static str, bytes: u64) {
+        s.bind(id, name);
+        s.rec(&Rec::new(SimTime::ZERO, NodeId(0), kind, 1, id, bytes));
+    }
 
     const READ_REQ: KindId = KindId(0);
     const PAGE: KindId = KindId(1);
@@ -279,9 +290,9 @@ mod tests {
     #[test]
     fn record_and_totals() {
         let mut s = NetStats::new();
-        s.record(READ_REQ, "ReadReq", 8);
-        s.record(READ_REQ, "ReadReq", 8);
-        s.record(PAGE, "Page", 4096);
+        fold(&mut s, Kind::Send, READ_REQ, "ReadReq", 8);
+        fold(&mut s, Kind::Send, READ_REQ, "ReadReq", 8);
+        fold(&mut s, Kind::Send, PAGE, "Page", 4096);
         assert_eq!(
             s.kind("ReadReq"),
             KindStats {
@@ -297,7 +308,7 @@ mod tests {
     #[test]
     fn display_is_table() {
         let mut s = NetStats::new();
-        s.record(X, "A", 10);
+        fold(&mut s, Kind::Send, X, "A", 10);
         let text = format!("{}", s);
         assert!(text.contains("TOTAL"));
         assert!(text.contains("A"));
@@ -306,8 +317,8 @@ mod tests {
     #[test]
     fn iter_is_alphabetical_regardless_of_id_order() {
         let mut s = NetStats::new();
-        s.record(Y, "Alpha", 1);
-        s.record(X, "Beta", 2);
+        fold(&mut s, Kind::Send, Y, "Alpha", 1);
+        fold(&mut s, Kind::Send, X, "Beta", 2);
         let order: Vec<&str> = s.iter().map(|(n, _)| n).collect();
         assert_eq!(order, vec!["Alpha", "Beta"]);
     }
@@ -315,11 +326,11 @@ mod tests {
     #[test]
     fn fault_counters_record() {
         let mut a = NetStats::new();
-        a.record(X, "X", 8);
-        a.record_dropped(X, "X");
-        a.record_duplicated(X, "X");
-        a.record_retransmit(X, "X");
-        a.record_retransmit(X, "X");
+        fold(&mut a, Kind::Send, X, "X", 8);
+        fold(&mut a, Kind::Drop, X, "X", 0);
+        fold(&mut a, Kind::Dup, X, "X", 0);
+        fold(&mut a, Kind::Retransmit, X, "X", 0);
+        fold(&mut a, Kind::Retransmit, X, "X", 0);
         assert_eq!(a.kind_faults("X"), (1, 1, 2));
         assert_eq!(a.kind_faults("absent"), (0, 0, 0));
         assert_eq!(a.total_dropped(), 1);
@@ -330,9 +341,9 @@ mod tests {
     #[test]
     fn fault_counters_show_in_display_only_when_present() {
         let mut s = NetStats::new();
-        s.record(X, "X", 8);
+        fold(&mut s, Kind::Send, X, "X", 8);
         assert!(!format!("{s}").contains("rexmit"));
-        s.record_dropped(X, "X");
+        fold(&mut s, Kind::Drop, X, "X", 0);
         let text = format!("{s}");
         assert!(text.contains("dropped"));
         assert!(text.contains("rexmit"));
@@ -341,20 +352,20 @@ mod tests {
     #[test]
     fn fault_counters_affect_equality() {
         let mut a = NetStats::new();
-        a.record(X, "X", 1);
+        fold(&mut a, Kind::Send, X, "X", 1);
         let mut b = a.clone();
         assert_eq!(a, b);
-        b.record_dropped(X, "X");
+        fold(&mut b, Kind::Drop, X, "X", 0);
         assert_ne!(a, b);
     }
 
     #[test]
     fn equality_detects_differences() {
         let mut a = NetStats::new();
-        a.record(X, "X", 1);
+        fold(&mut a, Kind::Send, X, "X", 1);
         let mut b = a.clone();
         assert_eq!(a, b);
-        b.record(X, "X", 1);
+        fold(&mut b, Kind::Send, X, "X", 1);
         assert_ne!(a, b);
     }
 }

@@ -25,6 +25,7 @@ use crate::model::CostModel;
 use crate::msg::NodeId;
 use crate::stats::KindId;
 use crate::time::{Dur, SimTime};
+use crate::trace::{Kind, Rec};
 
 /// Everything a handler's [`Ctx`] may ask of the world, factored as an
 /// object-safe trait over (message, reply) types so that a wrapper
@@ -60,8 +61,8 @@ pub trait Transport<M, R> {
     fn complete_op_after(&mut self, node: NodeId, reply: R, delay: Dur);
     /// Arrange for `on_timer(token)` on `node` after `delay`.
     fn set_timer_on(&mut self, node: NodeId, delay: Dur, token: u64);
-    /// Count a retransmission in the traffic stats.
-    fn note_retransmit(&mut self, id: KindId, kind: &'static str);
+    /// Record `r` (see [`crate::trace`]): the backend sets its cause.
+    fn rec(&mut self, r: Rec);
 }
 
 /// Handler context: the view of the world a [`NodeBehavior`] gets while
@@ -127,5 +128,11 @@ impl<'a, N: NodeBehavior + ?Sized> Ctx<'a, N> {
     /// Arrange for `on_timer(token)` on this node after `delay`.
     pub fn set_timer(&mut self, delay: Dur, token: u64) {
         self.port.set_timer_on(self.node, delay, token);
+    }
+
+    /// Record a `kind` on this node, now (see [`crate::trace`]).
+    pub fn rec(&mut self, kind: Kind, unit: u64, msg: KindId, bytes: u64) {
+        let r = Rec::new(self.now(), self.node, kind, unit, msg, bytes);
+        self.port.rec(r);
     }
 }

@@ -7,6 +7,7 @@
 
 use crate::msg::{Piggy, ProtoMsg};
 use dsm_mem::{FrameTable, GlobalAddr, PageId};
+use dsm_net::trace::Kind;
 use dsm_net::{CostModel, NodeId};
 use dsm_sync::{LockId, SyncEnvelope};
 
@@ -22,23 +23,18 @@ pub trait ProtoIo {
     fn send(&mut self, dst: NodeId, msg: ProtoMsg);
     /// Send `msg` as a one-sided operation: on fabrics with one-sided
     /// support it is served by the destination's NIC (delivered without
-    /// scheduling the destination's protocol thread, and announced
-    /// there by [`ProtoIo::nic_delivery`]); everywhere else — older
+    /// scheduling the destination's protocol thread; the kernel's
+    /// `Deliver` record of it has the NIC bit set); everywhere else — older
     /// cost models, or a reliable transport interposed by a fault plan
     /// — it degrades to an ordinary [`ProtoIo::send`]. Either way it
     /// arrives at [`Protocol::on_message`].
     fn send_one_sided(&mut self, dst: NodeId, msg: ProtoMsg) {
         self.send(dst, msg);
     }
-    /// True while the message being handled arrived as a NIC-level
-    /// delivery: the kernel charged no software receive overhead for
-    /// it, so the handler must stay a thin remote-memory service
-    /// (serve a read, complete a fetch).
-    fn nic_delivery(&self) -> bool {
-        false
-    }
     /// The cost model in effect.
     fn model(&self) -> &CostModel;
+    /// Record what only the protocol sees (see [`dsm_net::trace`]).
+    fn rec(&mut self, _kind: Kind, _unit: u64, _bytes: u64) {}
 }
 
 /// Per-destination send coalescer: buffers every `send` and, on
@@ -97,11 +93,11 @@ impl ProtoIo for BatchingIo<'_> {
         // protocol thread); they pass straight through.
         self.inner.send_one_sided(dst, msg);
     }
-    fn nic_delivery(&self) -> bool {
-        self.inner.nic_delivery()
-    }
     fn model(&self) -> &CostModel {
         self.inner.model()
+    }
+    fn rec(&mut self, kind: Kind, unit: u64, bytes: u64) {
+        self.inner.rec(kind, unit, bytes);
     }
 }
 
@@ -305,13 +301,6 @@ pub trait Protocol: Send {
         (0..nnodes)
             .map(|i| SyncEnvelope::new(NodeId(i), Piggy::None))
             .collect()
-    }
-
-    /// Instantaneous protocol-state metrics for experiment harnesses:
-    /// `(gauge name, value)` pairs sampled when a run ends. LRC reports
-    /// its resident causal-metadata footprint here.
-    fn gauges(&self) -> Vec<(&'static str, u64)> {
-        Vec::new()
     }
 
     // ---- object-granularity sharing -------------------------------

@@ -4,6 +4,7 @@
 #![cfg(test)]
 
 use crate::{ProtoIo, ProtoMsg};
+use dsm_net::trace::Kind;
 use dsm_net::{CostModel, NodeId};
 
 pub struct FakeIo {
@@ -12,9 +13,8 @@ pub struct FakeIo {
     pub sent: Vec<(NodeId, ProtoMsg)>,
     /// One-sided sends, in order.
     pub one_sided: Vec<(NodeId, ProtoMsg)>,
-    /// What [`ProtoIo::nic_delivery`] answers: set it to hand the
-    /// protocol a message as the NIC would.
-    pub nic: bool,
+    /// Records, in order, as `(kind, unit, bytes)`.
+    pub recs: Vec<(Kind, u64, u64)>,
 }
 
 impl FakeIo {
@@ -23,7 +23,7 @@ impl FakeIo {
             model,
             sent: Vec::new(),
             one_sided: Vec::new(),
-            nic: false,
+            recs: Vec::new(),
         }
     }
 }
@@ -35,10 +35,10 @@ impl ProtoIo for FakeIo {
     fn send_one_sided(&mut self, dst: NodeId, msg: ProtoMsg) {
         self.one_sided.push((dst, msg));
     }
-    fn nic_delivery(&self) -> bool {
-        self.nic
-    }
     fn model(&self) -> &CostModel {
         &self.model
+    }
+    fn rec(&mut self, kind: Kind, unit: u64, bytes: u64) {
+        self.recs.push((kind, unit, bytes));
     }
 }

@@ -72,6 +72,7 @@ use dsm_mem::{
     Access, CausalTime, FrameTable, IntervalId, IntervalRecord, PageDiff, PageId, PageMap,
     SpaceLayout, VClock, WireIntervalRecord,
 };
+use dsm_net::trace::Kind;
 use dsm_net::NodeId;
 use dsm_sync::{LockId, SyncEnvelope};
 use std::collections::BTreeMap;
@@ -201,9 +202,6 @@ pub struct Lrc {
     /// Page requests from requesters one epoch ahead, parked until our
     /// own release applies the buffered flushes they depend on.
     deferred: Vec<(NodeId, usize)>,
-    /// High-water mark of [`Lrc::resident_bytes`], sampled at sync
-    /// points.
-    peak_resident: u64,
 }
 
 impl Lrc {
@@ -230,7 +228,6 @@ impl Lrc {
             flush_outstanding: 0,
             epoch: 0,
             deferred: Vec::new(),
-            peak_resident: 0,
         }
     }
 
@@ -283,8 +280,11 @@ impl Lrc {
         recs + diffs + buffered + notices
     }
 
-    fn sample_peak(&mut self) {
-        self.peak_resident = self.peak_resident.max(self.resident_bytes());
+    /// Record the interval log's length and [`Lrc::resident_bytes`]:
+    /// a `Resident` sample at a sync point, or a `Log` record where the
+    /// log changed.
+    fn note(&self, io: &mut dyn ProtoIo, kind: Kind) {
+        io.rec(kind, self.log.len() as u64, self.resident_bytes());
     }
 
     /// Has this node already applied (or retired) interval `id`?
@@ -296,7 +296,7 @@ impl Lrc {
     }
 
     /// Close the current interval if this node has written anything.
-    fn close_interval(&mut self, mem: &mut FrameTable) {
+    fn close_interval(&mut self, io: &mut dyn ProtoIo, mem: &mut FrameTable) {
         if self.twins.is_empty() {
             return;
         }
@@ -320,6 +320,7 @@ impl Lrc {
         };
         self.resident_epoch += rec.wire_bytes() as u64;
         self.log.push(rec);
+        self.note(io, Kind::Log);
     }
 
     /// Ingest interval records received with a grant or barrier
@@ -834,7 +835,7 @@ impl Protocol for Lrc {
         mem: &mut FrameTable,
         lock: Option<LockId>,
     ) -> bool {
-        self.close_interval(mem);
+        self.close_interval(io, mem);
         if !self.gc || lock.is_some() {
             return true; // lazy: nothing travels at release time
         }
@@ -906,7 +907,7 @@ impl Protocol for Lrc {
 
     fn on_acquired(
         &mut self,
-        _io: &mut dyn ProtoIo,
+        io: &mut dyn ProtoIo,
         mem: &mut FrameTable,
         _lock: LockId,
         piggy: Piggy,
@@ -914,18 +915,18 @@ impl Protocol for Lrc {
         match piggy {
             Piggy::LrcIntervals(records) => {
                 self.ingest(mem, &records);
-                self.sample_peak();
+                self.note(io, Kind::Resident);
             }
             Piggy::None => {}
             other => panic!("lrc acquired with unexpected piggy {other:?}"),
         }
     }
 
-    fn sync_depart(&mut self, _io: &mut dyn ProtoIo, _mem: &mut FrameTable) -> Piggy {
+    fn sync_depart(&mut self, io: &mut dyn ProtoIo, _mem: &mut FrameTable) -> Piggy {
         // pre_release already closed the interval. Only records authored
         // since the last barrier travel: the previous barrier proved
         // everyone holds everything older.
-        self.sample_peak();
+        self.note(io, Kind::Resident);
         let floor_me = self.time.floor().get(self.me.index());
         let records = self.compress_floor(self.log.after(self.me, floor_me));
         let vt = self.time.encode_now();
@@ -1055,7 +1056,7 @@ impl Protocol for Lrc {
             Piggy::LrcIntervals(records) => {
                 debug_assert!(!self.gc, "gc barrier released a non-gc payload");
                 self.ingest(mem, &records);
-                self.sample_peak();
+                self.note(io, Kind::Resident);
                 // Everyone now holds everything up to the barrier.
                 self.time.advance_floor();
             }
@@ -1064,7 +1065,7 @@ impl Protocol for Lrc {
             } => {
                 debug_assert!(self.gc, "non-gc barrier released a gc payload");
                 let new_vt = vt.clock();
-                self.sample_peak();
+                self.note(io, Kind::Resident);
                 // Apply the epoch's writes to our home pages, in the
                 // causal order the root computed. No bytes rode the
                 // release: our own diffs are resident, everyone else's
@@ -1125,6 +1126,7 @@ impl Protocol for Lrc {
                 self.my_diffs.clear();
                 self.missing.clear();
                 self.resident_epoch = 0;
+                self.note(io, Kind::Log);
                 // The root's one epoch clock becomes ours and our floor.
                 self.time.install_epoch(new_vt);
                 self.epoch += 1;
@@ -1137,14 +1139,6 @@ impl Protocol for Lrc {
             Piggy::None => {}
             other => panic!("lrc barrier release with {other:?}"),
         }
-    }
-
-    fn gauges(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("lrc_log_records", self.log.len() as u64),
-            ("lrc_resident_bytes", self.resident_bytes()),
-            ("lrc_peak_resident_bytes", self.peak_resident),
-        ]
     }
 }
 
@@ -1504,7 +1498,12 @@ mod tests {
             0,
             "a GC barrier retires it all"
         );
-        assert!(a.lrc.peak_resident >= noticed && b.lrc.peak_resident >= closed);
+        let peak = |io: &FakeIo| {
+            let sampled = io.recs.iter().filter(|r| r.0 == Kind::Resident);
+            sampled.map(|r| r.2).max().unwrap_or(0)
+        };
+        assert!(peak(&a.io) >= noticed && peak(&b.io) >= closed);
+        assert!(b.io.recs.contains(&(Kind::Log, 1, closed)), "b's close");
         // Page 0's epoch image reached its home in causal order.
         assert_eq!(a.mem.page_bytes(PageId(0)).unwrap()[0], 8);
     }

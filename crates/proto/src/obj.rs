@@ -84,10 +84,6 @@ pub struct Obj {
     lock_log: HashMap<LockId, ObjLog>,
     /// Objects published while holding each lock, since its acquire.
     dirty: HashMap<LockId, BTreeMap<u32, Box<[u8]>>>,
-    // Gauges.
-    transfers: u64,
-    replicas_served: u64,
-    bounces: u64,
 }
 
 impl Obj {
@@ -111,9 +107,6 @@ impl Obj {
             lock_ver: HashMap::new(),
             lock_log: HashMap::new(),
             dirty: HashMap::new(),
-            transfers: 0,
-            replicas_served: 0,
-            bounces: 0,
         }
     }
 
@@ -193,7 +186,6 @@ impl Obj {
             // Stale forward: ownership moved on before it arrived.
             // Bounce to the home, which re-routes via the current
             // directory.
-            self.bounces += 1;
             let home = self.objects.home(obj);
             if home == self.me {
                 self.route_as_home(io, obj, requester, write);
@@ -216,10 +208,8 @@ impl Obj {
         debug_assert!(self.owned.contains(&obj) && !self.pinned.contains(&obj));
         let data = if write {
             self.owned.remove(&obj);
-            self.transfers += 1;
             self.store.remove(&obj).expect("owned objects have images")
         } else {
-            self.replicas_served += 1;
             self.store
                 .get(&obj)
                 .expect("owned objects have images")
@@ -499,14 +489,6 @@ impl Protocol for Obj {
         self.drain_deferred(io);
     }
 
-    fn gauges(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("obj_transfers", self.transfers),
-            ("obj_replicas", self.replicas_served),
-            ("obj_bounces", self.bounces),
-        ]
-    }
-
     fn on_crash(&mut self, mem: &mut FrameTable) {
         self.store.clear();
         self.owned.clear();
@@ -629,7 +611,8 @@ mod tests {
         assert_eq!(bytes, &[7u8; 16]);
         p.obj_publish(&mut i, 0, &[9u8; 16]);
         assert_eq!(p.obj_fetch(&mut i, 0, false), Some(&[9u8; 16][..]));
-        assert_eq!(p.gauges()[0], ("obj_transfers", 0)); // none served *by us*
+        // We served nothing: only the request left this node.
+        assert_eq!(i.sent.len(), 0);
     }
 
     #[test]
@@ -687,14 +670,6 @@ mod tests {
                 }
             )]
         ));
-        assert_eq!(
-            p.gauges(),
-            vec![
-                ("obj_transfers", 1),
-                ("obj_replicas", 0),
-                ("obj_bounces", 0)
-            ]
-        );
     }
 
     #[test]
@@ -724,7 +699,6 @@ mod tests {
         ));
         // Home still owns and serves further readers.
         assert!(p.obj_fetch(&mut io(), 0, false).is_some());
-        assert_eq!(p.gauges()[1], ("obj_replicas", 1));
     }
 
     #[test]
@@ -791,7 +765,6 @@ mod tests {
                 }
             )]
         ));
-        assert_eq!(p.gauges()[2], ("obj_bounces", 1));
     }
 
     #[test]

@@ -112,8 +112,6 @@ pub struct Rdma {
     /// home hands the page onward, or the grant would be revoked under
     /// the parked op.
     pump_after_retire: Vec<usize>,
-    /// Pages served at NIC priority (gauge).
-    nic_reads: u64,
 }
 
 /// Next home-side step for a page, decided under one borrow.
@@ -139,7 +137,6 @@ impl Rdma {
             pending_write: None,
             deferred_recalls: Vec::new(),
             pump_after_retire: Vec::new(),
-            nic_reads: 0,
         }
     }
 
@@ -161,8 +158,7 @@ impl Rdma {
     /// invalidation a concurrent write is about to issue — so the NIC
     /// hands it off to the software handler: the reader queues and the
     /// pump recalls/serves it, exactly like a two-sided [`ReadReq`],
-    /// with no NACK-and-retry legs on the wire. Returns the number of
-    /// pages actually served at NIC priority.
+    /// with no NACK-and-retry legs on the wire.
     ///
     /// [`ReadReq`]: ProtoMsg::ReadReq
     fn serve_read(
@@ -172,7 +168,7 @@ impl Rdma {
         from: NodeId,
         pages: Vec<usize>,
         events: &mut Vec<ProtoEvent>,
-    ) -> u64 {
+    ) {
         let mut reply = Vec::with_capacity(pages.len());
         let mut busy = Vec::new();
         for p in pages {
@@ -190,14 +186,12 @@ impl Rdma {
                 reply.push((p, Some(Self::master(mem, p))));
             }
         }
-        let served = reply.len() as u64;
         if !reply.is_empty() {
             io.send_one_sided(from, ProtoMsg::RdmaData { pages: reply });
         }
         for p in busy {
             self.pump(io, mem, p, events);
         }
-        served
     }
 
     /// A read reply (one- or two-sided) for `page` landed at this
@@ -596,13 +590,9 @@ impl Protocol for Rdma {
             // The one-sided pair: delivered by the NIC on fabrics with
             // one-sided support, by ordinary software delivery anywhere
             // else (or under a fault plan's reliable transport). Same
-            // logic either way; only the NIC's serves are counted.
-            ProtoMsg::RdmaRead { pages } => {
-                let served = self.serve_read(io, mem, from, pages, events);
-                if io.nic_delivery() {
-                    self.nic_reads += served;
-                }
-            }
+            // logic either way; the kernel's record of a NIC delivery
+            // says which it was.
+            ProtoMsg::RdmaRead { pages } => self.serve_read(io, mem, from, pages, events),
             ProtoMsg::RdmaData { pages } => {
                 for (p, d) in pages {
                     self.complete_fetch(io, mem, p, d, events);
@@ -777,10 +767,6 @@ impl Protocol for Rdma {
         Piggy::None
     }
 
-    fn gauges(&self) -> Vec<(&'static str, u64)> {
-        vec![("rdma_nic_reads", self.nic_reads)]
-    }
-
     fn on_crash(&mut self, _mem: &mut FrameTable) {
         // Volatile state is gone: directory, fetches, grants. Remote
         // state referring to us (checked-out pages, copyset entries at
@@ -813,20 +799,6 @@ mod tests {
         FakeIo::new(CostModel::rdma_modern())
     }
 
-    /// Hand `msg` to `p` as the NIC would.
-    fn nic_delivers(
-        p: &mut Rdma,
-        io: &mut FakeIo,
-        mem: &mut FrameTable,
-        from: NodeId,
-        msg: ProtoMsg,
-        events: &mut Vec<ProtoEvent>,
-    ) {
-        io.nic = true;
-        p.on_message(io, mem, from, msg, events);
-        io.nic = false;
-    }
-
     /// 3 nodes, 64-byte pages, 4 pages homed cyclically (page p → node
     /// p % 3).
     fn setup(me: u32) -> (Rdma, FrameTable) {
@@ -843,8 +815,7 @@ mod tests {
         let (mut p, mut mem) = setup(0);
         let mut i = io();
         let mut ev = Vec::new();
-        nic_delivers(
-            &mut p,
+        p.on_message(
             &mut i,
             &mut mem,
             NodeId(1),
@@ -859,7 +830,6 @@ mod tests {
             }
             other => panic!("unexpected reply {other:?}"),
         }
-        assert_eq!(p.gauges(), vec![("rdma_nic_reads", 1)]);
     }
 
     #[test]
@@ -894,8 +864,7 @@ mod tests {
         // queues in software and the pump recalls the writer, naming
         // the reader for direct service — no NACK leg back to the
         // requester, and no NIC-read gauge credit.
-        nic_delivers(
-            &mut p,
+        p.on_message(
             &mut i,
             &mut mem,
             NodeId(2),
@@ -914,7 +883,6 @@ mod tests {
                 }
             )]
         ));
-        assert_eq!(p.gauges(), vec![("rdma_nic_reads", 0)]);
         i.sent.clear();
         // The writeback lands: the reader was already served directly
         // by the writer, so the home only registers both read copies —
@@ -953,8 +921,7 @@ mod tests {
         let mut i = io();
         let mut ev = Vec::new();
         // Register node 2 as a reader via the NIC path.
-        nic_delivers(
-            &mut p,
+        p.on_message(
             &mut i,
             &mut mem,
             NodeId(2),
@@ -1027,8 +994,7 @@ mod tests {
         ));
         i.sent.clear();
         // The stale bytes arrive: discarded, refetched two-sided.
-        nic_delivers(
-            &mut p,
+        p.on_message(
             &mut i,
             &mut mem,
             NodeId(0),
@@ -1292,8 +1258,7 @@ mod tests {
         assert!(matches!(p.sync_depart(&mut i, &mut mem), Piggy::None));
         assert_eq!(mem.access(PageId(0)), Access::Read);
         let mut ev = Vec::new();
-        nic_delivers(
-            &mut p,
+        p.on_message(
             &mut i,
             &mut mem,
             NodeId(1),
@@ -1319,8 +1284,7 @@ mod tests {
         // place and serves the reader two-sided — no NACK, no NIC
         // credit.
         let mut ev = Vec::new();
-        nic_delivers(
-            &mut p,
+        p.on_message(
             &mut i,
             &mut mem,
             NodeId(2),
@@ -1333,6 +1297,5 @@ mod tests {
             [(NodeId(2), ProtoMsg::PageRead { page: 0, .. })]
         ));
         assert_eq!(mem.access(PageId(0)), Access::Read);
-        assert_eq!(p.gauges(), vec![("rdma_nic_reads", 0)]);
     }
 }

@@ -120,8 +120,6 @@ pub struct Scabd {
     held_queries: Vec<(NodeId, usize, u64)>,
     /// A fault that arrived while re-syncing, launched on completion.
     stalled: Option<Stalled>,
-    /// Completed re-sync rounds (gauge).
-    resyncs: u64,
 }
 
 impl Scabd {
@@ -143,7 +141,6 @@ impl Scabd {
             sync_waiting: BTreeSet::new(),
             held_queries: Vec::new(),
             stalled: None,
-            resyncs: 0,
         }
     }
 
@@ -334,7 +331,6 @@ impl Scabd {
             return;
         }
         self.synced = true;
-        self.resyncs += 1;
         for (from, page, txn) in std::mem::take(&mut self.held_queries) {
             self.answer_query(io, from, page, txn);
         }
@@ -600,13 +596,6 @@ impl Protocol for Scabd {
             self.maybe_finish_sync(io, mem);
             self.flush_done(events);
         }
-    }
-
-    fn gauges(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("scabd_replica_pages", self.store.len() as u64),
-            ("scabd_resyncs", self.resyncs),
-        ]
     }
 }
 

@@ -10,6 +10,7 @@
 //! fast path's lending read: its B rows are lent where they hit.
 
 use dsm_apps::{matmul, sor, taskqueue, Run};
+use dsm_core::trace::{Kind, Rec, Sink};
 use dsm_core::{
     CostModel, Dsm, DsmConfig, Dur, GlobalAddr, NetStats, ProtocolKind, RunResult, SimTime,
 };
@@ -19,9 +20,9 @@ const NODES: u32 = 3;
 /// What a run leaves behind: per-node results (node 0's includes its
 /// view of the whole heap after global quiescence), the virtual
 /// completion time, the full traffic table — and the simulator's own
-/// counters (per-node finish times, kernel events, `Go` grants), which
-/// two runs down the same path must also agree on, whichever OS
-/// threads happened to execute the event loop.
+/// counters (per-node finish times, kernel events, `Go` grants, floor
+/// hand-offs), which two runs down the same path must also agree on,
+/// whichever OS threads happened to execute the event loop.
 #[derive(Debug, PartialEq)]
 struct Trace<V> {
     results: Vec<(V, Vec<u8>)>,
@@ -30,6 +31,7 @@ struct Trace<V> {
     finish_times: Vec<SimTime>,
     events: u64,
     rendezvous: u64,
+    handoffs: u64,
 }
 
 impl<V> Trace<V> {
@@ -41,6 +43,7 @@ impl<V> Trace<V> {
             finish_times: res.finish_times,
             events: res.events,
             rendezvous: res.rendezvous,
+            handoffs: res.handoffs,
         }
     }
 
@@ -74,6 +77,16 @@ fn run_sor(proto: ProtocolKind, fast_path: bool) -> Trace<u64> {
 }
 
 fn run_sor_gc(proto: ProtocolKind, fast_path: bool, lrc_gc: bool) -> Trace<u64> {
+    run_sor_traced(proto, fast_path, lrc_gc, ()).0
+}
+
+/// [`run_sor_gc`], every record of the run handed to `sink`.
+fn run_sor_traced<S: Sink + 'static>(
+    proto: ProtocolKind,
+    fast_path: bool,
+    lrc_gc: bool,
+    sink: S,
+) -> (Trace<u64>, S) {
     let p = sor::SorParams {
         n: 16,
         iters: 2,
@@ -85,11 +98,12 @@ fn run_sor_gc(proto: ProtocolKind, fast_path: bool, lrc_gc: bool) -> Trace<u64> 
         .model(model())
         .fast_path(fast_path)
         .lrc_gc(lrc_gc);
-    let res = dsm_core::run_dsm(&cfg, |dsm: &Dsm<'_>| {
+    let program = |dsm: &Dsm<'_>| {
         let sum = sor::run(dsm, &p);
         (sum.to_bits(), quiesce_and_image(dsm, heap))
-    });
-    Trace::of(res)
+    };
+    let (res, sink) = dsm_core::run_traced(&cfg, program, sink);
+    (Trace::of(res), sink)
 }
 
 fn run_taskqueue(proto: ProtocolKind, fast_path: bool) -> Trace<(u64, u64, u64)> {
@@ -139,12 +153,18 @@ fn run_matmul(proto: ProtocolKind, fast_path: bool) -> Trace<u64> {
     Trace::of(res)
 }
 
+/// And a run whose every record goes to a sink is the same run: the
+/// trace never steers it.
 #[test]
 fn sor_same_seed_same_trace_every_protocol() {
     for proto in ProtocolKind::EVERY {
         let a = run_sor(proto, true);
         let b = run_sor(proto, true);
         assert_eq!(a, b, "{proto}: same-seed SOR runs diverged");
+        let (traced, recs) = run_sor_traced(proto, true, true, Vec::<Rec>::new());
+        assert_eq!(a, traced, "{proto}: the traced SOR run diverged");
+        let sends = recs.iter().filter(|r| r.kind == Kind::Send).count();
+        assert_eq!(sends as u64, a.stats.total_msgs(), "{proto}");
     }
 }
 

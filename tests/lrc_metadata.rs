@@ -9,26 +9,39 @@
 //! here — its relaxation wavefront makes early epochs' diffs grow, so
 //! a rising peak would be the application's doing, not the log's.
 //!
-//! Metadata footprints come from the protocol gauges
-//! (`lrc_resident_bytes` / `lrc_peak_resident_bytes`, modeled wire
-//! bytes of interval records + retained diffs + buffered flushes +
-//! unapplied notices) reported per node in
-//! [`dsm_core::RunResult::gauges`].
+//! Metadata footprints come from the run's trace: each node's LRC
+//! `Resident` records (sampled at sync points) and `Log` records (where
+//! its interval log changed) carry the log's length and the resident
+//! bytes — modeled wire bytes of interval records + retained diffs +
+//! buffered flushes + unapplied notices.
 
-use dsm_core::{CostModel, Dsm, DsmConfig, GlobalAddr, ProtocolKind, RunResult};
+use dsm_core::trace::{Kind, Rec};
+use dsm_core::{CostModel, Dsm, DsmConfig, GlobalAddr, ProtocolKind};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 const NODES: u32 = 4;
 const PAGE: usize = 1024;
 
-/// The largest value any node reports for gauge `key`.
-fn max_gauge<V>(res: &RunResult<V>, key: &str) -> u64 {
-    res.gauges
-        .iter()
-        .flat_map(|g| g.iter())
-        .filter(|(k, _)| *k == key)
-        .map(|&(_, v)| v)
-        .max()
-        .expect("lrc gauges present")
+/// Run `program` and fold each node's LRC records through a closure:
+/// where its log ended (the last record's log records and resident
+/// bytes) and its peak (the largest `Resident` sample). Returns each
+/// of the three maxed over nodes: (log records, resident, peak).
+fn metadata(cfg: &DsmConfig, program: impl Fn(&Dsm<'_>) + Send + Sync) -> (u64, u64, u64) {
+    let nodes = Rc::new(RefCell::new(vec![(0, 0, 0); cfg.nnodes as usize]));
+    let folded = Rc::clone(&nodes);
+    let fold = move |r: &Rec| {
+        let n = &mut folded.borrow_mut()[r.node as usize];
+        match r.kind {
+            Kind::Resident => *n = (r.unit, r.bytes, n.2.max(r.bytes)),
+            Kind::Log => (n.0, n.1) = (r.unit, r.bytes),
+            _ => {}
+        }
+    };
+    drop(dsm_core::run_traced(cfg, program, fold));
+    let nodes = nodes.borrow();
+    let max = |field: fn(&(u64, u64, u64)) -> u64| nodes.iter().map(field).max().unwrap();
+    (max(|n| n.0), max(|n| n.1), max(|n| n.2))
 }
 
 /// Each node owns two pages; every round it writes a fixed set of
@@ -41,7 +54,7 @@ fn resident_after(rounds: usize, gc: bool) -> (u64, u64) {
         .heap_bytes(2 * PAGE * NODES as usize)
         .page_size(PAGE)
         .lrc_gc(gc);
-    let res = dsm_core::run_dsm(&cfg, move |dsm: &Dsm<'_>| {
+    let (_, resident, peak) = metadata(&cfg, move |dsm: &Dsm<'_>| {
         let me = dsm.id().0 as usize;
         let neigh = (me + 1) % NODES as usize;
         for r in 0..rounds {
@@ -55,11 +68,7 @@ fn resident_after(rounds: usize, gc: bool) -> (u64, u64) {
             dsm.barrier(0);
         }
     });
-    let gauge = |key: &str| max_gauge(&res, key);
-    (
-        gauge("lrc_peak_resident_bytes"),
-        gauge("lrc_resident_bytes"),
-    )
+    (peak, resident)
 }
 
 /// With GC, quadrupling the barrier count must not grow the peak
@@ -107,13 +116,13 @@ fn gc_retires_everything_no_gc_retains() {
 /// A lock-only phase: every node increments one shared counter per
 /// round under lock 0 and nobody crosses a barrier. Returns, maxed over
 /// nodes, (log records, resident bytes, peak resident bytes).
-fn lock_only_gauges(rounds: usize, gc: bool) -> (u64, u64, u64) {
+fn lock_only_metadata(rounds: usize, gc: bool) -> (u64, u64, u64) {
     let cfg = DsmConfig::new(NODES, ProtocolKind::Lrc)
         .model(CostModel::lan_1992())
         .heap_bytes(2 * PAGE * NODES as usize)
         .page_size(PAGE)
         .lrc_gc(gc);
-    let res = dsm_core::run_dsm(&cfg, move |dsm: &Dsm<'_>| {
+    metadata(&cfg, move |dsm: &Dsm<'_>| {
         let me = dsm.id().0 as usize;
         for _ in 0..rounds {
             dsm.with_lock(0, |d| {
@@ -123,25 +132,20 @@ fn lock_only_gauges(rounds: usize, gc: bool) -> (u64, u64, u64) {
                 d.write_u64(GlobalAddr(PAGE * (1 + me)), v);
             });
         }
-    });
-    let gauge = |key: &str| max_gauge(&res, key);
-    (
-        gauge("lrc_log_records"),
-        gauge("lrc_resident_bytes"),
-        gauge("lrc_peak_resident_bytes"),
-    )
+    })
 }
 
 /// Interval GC fires at barriers only, so between barriers the causal
 /// metadata is retained whole, GC or not: every interval anyone closed
 /// stays in the log, and the footprint grows with the phase's length.
-/// The values are the gauges as they read before residency became a
-/// running count (PR 17) — the count must stay equal to the byte.
+/// The values are what the end-of-run gauges read before residency
+/// became a running count, and before the trace replaced the gauges —
+/// the count and the records must stay equal to the byte.
 #[test]
-fn lock_only_phase_retains_every_interval_and_the_gauges_say_so() {
+fn lock_only_phase_retains_every_interval_and_the_records_say_so() {
     for gc in [true, false] {
-        let short = lock_only_gauges(25, gc);
-        let long = lock_only_gauges(100, gc);
+        let short = lock_only_metadata(25, gc);
+        let long = lock_only_metadata(100, gc);
         assert_eq!(short, (100, 4_474, 4_448), "25 rounds, gc={gc}");
         assert_eq!(long, (400, 17_826, 17_800), "100 rounds, gc={gc}");
         assert!(long.1 >= 3 * short.1, "a lock-only log grows with its run");
