@@ -21,7 +21,20 @@
 //! event at a time, else sleeps *without the runtime* until a datagram,
 //! the next retransmit deadline or the view's doorbell
 //! ([`dsm_vm::ClusterView::doorbell`]), rung for a trap, for teardown,
-//! and by a call that set a timer due before the sleep ends.
+//! and by a call that set a timer due before that sleep ends.
+//!
+//! The serving thread never queues on the runtime's lock. A program
+//! that misses takes the runtime for each op and takes it again at once
+//! for the next, so a waiter on the lock woke at every release only to
+//! find it taken: a convoy of one futex wait per op. Finding the runtime
+//! held, the serving thread leaves the socket and the timers to the
+//! holder, whose own wait serves them, and sleeps [`GRACE`] on the
+//! doorbell alone (a trap or the stop still wakes it at once). If the
+//! runtime is still held, it parks, and the program's next release
+//! unparks it; a wake that loses the runtime again starts a fresh grace,
+//! not another park. A call rings for a timer only while the serving
+//! thread is in its full wait: asleep anywhere else, it takes the
+//! runtime, and so the timers, within a grace of the next release.
 //!
 //! The trap path is for what a check cannot exclude: a right the serving
 //! thread revokes between the check and the access. That access traps;
@@ -52,22 +65,35 @@
 
 use std::net::{SocketAddr, UdpSocket};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{fence, AtomicBool, Ordering};
+use std::sync::{Arc, Barrier, Mutex, PoisonError, TryLockError};
+use std::thread::{self, Thread};
 use std::time::Duration;
 
 use crate::lease::FrameCell;
 use crate::node::{DsmNode, DsmOp, OpBuf, OpData};
 use crate::{Dsm, DsmConfig, Engine, ProtocolKind, Window};
 use dsm_mem::{Access, FrameTable, GlobalAddr, PageId};
-use dsm_net::{loopback_rel, Dur, NetStats, NodeId, Reliable, SimTime, SocketRt};
+use dsm_net::{
+    loopback_rel, Dur, NetStats, NodeId, Reliable, SimTime, SocketRt, Wait, LOOPBACK_REL,
+};
 use dsm_vm::cluster::{ACC_READ, ACC_WRITE};
 use dsm_vm::{ClusterView, ViewFault};
+
+/// How long a serving thread that finds the runtime held sleeps on the
+/// doorbell alone before it parks until the next release: the bound on
+/// how late a peer is served after the program leaves the runtime. An
+/// eighth of the loopback link's first RTO, 250 µs: long enough to span
+/// most gaps between a missing program's ops, far below any timeout.
+const GRACE: Duration = Duration::from_nanos(LOOPBACK_REL.rto_initial.as_nanos() / 8);
 
 /// The cluster engine: loads and stores on the node's view for data,
 /// the node's runtime, taken on this thread, for synchronization.
 pub struct Cluster<'v> {
     view: &'v ClusterView,
-    runtime: &'v Mutex<Runtime<'v>>,
+    node: &'v Shared<'v>,
+    /// The serving thread, unparked at a release it waits for.
+    serving: Thread,
     me: NodeId,
     nnodes: u32,
 }
@@ -78,18 +104,29 @@ pub type ClusterDsm<'v> = Dsm<'v, Cluster<'v>>;
 
 impl<'v> Cluster<'v> {
     /// Run `op` to its end on this thread, as a fault runs on the
-    /// serving one, and hand the runtime back still held.
-    fn run(&self, op: DsmOp) -> MutexGuard<'_, Runtime<'v>> {
-        let mut rt = self.runtime.lock().expect(POISONED);
+    /// serving one, then `then` on the runtime still held; then release
+    /// it, unparking the serving thread if it waits for that.
+    fn run(&self, op: DsmOp, then: impl FnOnce(&Runtime<'v>)) {
+        let mut rt = self.node.runtime.lock().expect(POISONED);
         rt.run(op);
-        // A timer due before the serving loop's sleep ends must shorten
-        // it, unless a ring is unread; a datagram wakes the loop itself.
+        // A timer due before the serving loop's full wait ends must
+        // shorten it, unless a ring is unread; a datagram wakes the loop
+        // itself, and a loop asleep elsewhere takes the timers at the
+        // release.
         let due = rt.rt.next_deadline();
-        if !rt.rang && due.is_some_and(|at| rt.wake_at.is_none_or(|w| at < w)) {
+        let sooner = due.is_some_and(|at| rt.wake_at.is_none_or(|w| at < w));
+        if !rt.rang && sooner && self.node.full.load(Ordering::Relaxed) {
             self.view.ring();
             rt.rang = true;
         }
-        rt
+        then(&rt);
+        drop(rt);
+        // With `Shared::park`'s fence: it sees the runtime free, or this
+        // sees it parked.
+        fence(Ordering::SeqCst);
+        if self.node.want.swap(false, Ordering::Relaxed) {
+            self.serving.unpark();
+        }
     }
 
     /// A miss: the access runs as `op`, on the runtime, and the view of
@@ -97,7 +134,7 @@ impl<'v> Cluster<'v> {
     /// right, so the next access to them is a hit.
     #[cold]
     fn miss(&self, op: DsmOp, addr: GlobalAddr, len: usize) {
-        self.run(op).raise(addr, len);
+        self.run(op, |rt| rt.raise(addr, len));
     }
 }
 
@@ -155,23 +192,67 @@ impl Engine for Cluster<'_> {
     }
 
     fn sync(&self, op: DsmOp) {
-        drop(self.run(op));
+        self.run(op, |_| {});
     }
 
     fn compute(&self, _: Dur) {}
 }
 
 impl Drop for Cluster<'_> {
-    /// Stop the serving loop and ring, so that a loop asleep sees it —
-    /// also when the program unwinds, so the panic reaches the caller.
+    /// Stop the serving loop, ring and unpark, so that a loop asleep or
+    /// parked sees it — also when the program unwinds, so the panic
+    /// reaches the caller.
     fn drop(&mut self) {
-        let mut rt = self.runtime.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut rt = self
+            .node
+            .runtime
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         rt.stopped = true;
         self.view.stop();
+        drop(rt);
+        self.serving.unpark();
     }
 }
 
 const POISONED: &str = "a panic inside the node runtime";
+
+/// The node's runtime under its lock, and how the serving thread waits
+/// for it, which the program's thread reads without the lock.
+struct Shared<'v> {
+    runtime: Mutex<Runtime<'v>>,
+    /// The serving thread parks until the next release, which unparks
+    /// it. It publishes no data: the fences of `park` and `Cluster::run`
+    /// order it against the lock.
+    want: AtomicBool,
+    /// The serving thread is in its full wait, which a timer set due
+    /// before the wait ends must cut short. Set while that thread holds
+    /// the runtime, so the lock hands it to the next holder; cleared
+    /// without it, so a call that reads it stale rings once for nothing.
+    full: AtomicBool,
+}
+
+impl<'v> Shared<'v> {
+    fn new(runtime: Runtime<'v>) -> Self {
+        Shared {
+            runtime: Mutex::new(runtime),
+            want: AtomicBool::new(false),
+            full: AtomicBool::new(false),
+        }
+    }
+
+    /// Park the serving thread until the next release, unless the
+    /// runtime is free by now.
+    fn park(&self) {
+        self.want.store(true, Ordering::Relaxed);
+        // With `Cluster::run`'s fence: the program sees `want`, or this
+        // sees the runtime free.
+        fence(Ordering::SeqCst);
+        if self.runtime.try_lock().is_err() {
+            thread::park();
+        }
+    }
+}
 
 /// The node's runtime: socket runtime + frame table, whose pages are
 /// the view's memory. Whichever thread holds it runs it.
@@ -291,16 +372,32 @@ impl<'v> Runtime<'v> {
 }
 
 /// The serving thread: take a call's ring, then serve a parked
-/// fault, else dispatch one event, else sleep without the runtime. A
-/// fault or a ring leaves the doorbell readable until taken here, so
-/// none is slept through.
+/// fault, else dispatch one event, else sleep without the runtime in
+/// its full wait. A fault or a ring leaves the doorbell readable until
+/// taken here, so none is slept through. The runtime held, it sleeps
+/// `grace`, the doorbell alone for [`GRACE`], then parks until the next
+/// release, alternately (see the module docs).
 ///
 /// A panic here fails the view, so no fault stays parked: the program
 /// runs on to its next sync call, which finds the runtime poisoned. A
 /// runtime the program poisoned ends the loop: that panic is the node's.
-fn serve(runtime: &Mutex<Runtime<'_>>, view: &ClusterView) {
+fn serve(node: &Shared<'_>, view: &ClusterView, grace: Wait) {
+    let mut graced = false;
     let served = catch_unwind(AssertUnwindSafe(|| loop {
-        let Ok(mut rt) = runtime.lock() else { break };
+        let mut rt = match node.runtime.try_lock() {
+            Ok(rt) => rt,
+            Err(TryLockError::Poisoned(_)) => break,
+            Err(TryLockError::WouldBlock) => {
+                graced = !graced;
+                if graced {
+                    grace.sleep();
+                } else {
+                    node.park();
+                }
+                continue;
+            }
+        };
+        graced = false;
         if rt.stopped {
             break;
         }
@@ -310,8 +407,10 @@ fn serve(runtime: &Mutex<Runtime<'_>>, view: &ClusterView) {
         } else if !(rt.rt.dispatch_due() || rt.rt.recv_one()) {
             rt.wake_at = rt.rt.next_deadline();
             let wait = rt.rt.waiter(Duration::MAX);
+            node.full.store(true, Ordering::Relaxed);
             drop(rt);
             wait.sleep();
+            node.full.store(false, Ordering::Relaxed);
         }
     }));
     if let Err(failure) = served {
@@ -374,18 +473,21 @@ where
     }
     let ps = cfg.layout().geometry.page_size();
     let view = ClusterView::new(cfg.layout().total_bytes() / ps, ps).expect("mmap cluster view");
-    let runtime = Mutex::new(Runtime::new(cfg, me, sock, peers, &view));
+    let runtime = Runtime::new(cfg, me, sock, peers, &view);
+    let grace = runtime.rt.bell(GRACE);
+    let node = Shared::new(runtime);
 
     let result = std::thread::scope(|s| {
-        let (runtime, view) = (&runtime, &view);
-        let serving = s.spawn(move || serve(runtime, view));
+        let (node, view) = (&node, &view);
+        let serving = s.spawn(move || serve(node, view, grace));
 
         // Leaving this closure drops the handle, which stops the serving
         // loop — also when `program` or `linger` panics.
         let ran = catch_unwind(AssertUnwindSafe(|| {
             let dsm = Dsm::new(Cluster {
                 view,
-                runtime,
+                node,
+                serving: serving.thread().clone(),
                 me,
                 nnodes: cfg.nnodes,
             });
@@ -403,7 +505,7 @@ where
         }
         ran.unwrap_or_else(|panic| resume_unwind(panic))
     });
-    let stats = runtime.lock().expect(POISONED).rt.stats().clone();
+    let stats = node.runtime.lock().expect(POISONED).rt.stats().clone();
     (result, stats)
 }
 
@@ -734,12 +836,15 @@ mod tests {
     }
 
     /// A call that takes a ring meant for the sleeping serving loop
-    /// rings again for the timer that ring was for. Node 0 runs here
-    /// without its serving loop: its release grants lock 0 to node 1 and
-    /// rings for the grant's retransmit timer; a local acquire then takes
-    /// that byte, as it may before the sleeper sees it, and the timer —
-    /// still pending, node 1's ack is unread — must ring once more, or a
-    /// lost grant waits for unrelated traffic.
+    /// rings again for the timer that ring was for, and a call made
+    /// while the loop is not in its full wait rings for none. Node 0
+    /// runs here without its serving loop, which `full` stands in for:
+    /// its release grants lock 0 to node 1 and rings for the grant's
+    /// retransmit timer; a local acquire then takes that byte, as it may
+    /// before the sleeper sees it, and the timer — still pending, node
+    /// 1's ack is unread — must ring once more, or a lost grant waits for
+    /// unrelated traffic. Out of its full wait, a loop takes the timers
+    /// with the runtime: a local release takes the byte and writes none.
     #[test]
     fn a_call_that_takes_a_ring_rings_again_for_pending_timers() {
         let cfg = DsmConfig::new(2, ProtocolKind::IvyFixed)
@@ -753,13 +858,16 @@ mod tests {
         // The 16 pages of the heap.
         let new_view = || ClusterView::new(16, dsm_vm::os_page_size()).unwrap();
         let view = new_view();
-        let runtime = Mutex::new(Runtime::new(&cfg, NodeId(0), sock0, peers.clone(), &view));
+        let node = Shared::new(Runtime::new(&cfg, NodeId(0), sock0, peers.clone(), &view));
         let dsm = Dsm::new(Cluster {
             view: &view,
-            runtime: &runtime,
+            node: &node,
+            serving: thread::current(),
             me: NodeId(0),
             nnodes: 2,
         });
+        let runtime = &node.runtime;
+        node.full.store(true, Ordering::Relaxed);
         dsm.acquire(0);
         std::thread::scope(|s| {
             s.spawn(|| {
@@ -774,6 +882,24 @@ mod tests {
             assert!(runtime.lock().unwrap().rang, "the grant's timer rang");
             dsm.acquire(2);
             assert!(runtime.lock().unwrap().rang, "and rang again");
+            node.full.store(false, Ordering::Relaxed);
+            dsm.release(2);
+            let rt = runtime.lock().unwrap();
+            assert!(
+                rt.rt.next_deadline().is_some(),
+                "the grant's timer is pending"
+            );
+            assert!(!rt.rang, "a call out of the full wait rang");
+            // An unread byte would end this wait at once.
+            let (bell, t) = (
+                rt.rt.bell(Duration::from_millis(20)),
+                std::time::Instant::now(),
+            );
+            bell.sleep();
+            assert!(
+                t.elapsed() >= Duration::from_millis(20),
+                "a doorbell byte was written"
+            );
         });
     }
 

@@ -31,7 +31,10 @@
 //!   socket and the [`SocketRt::wake_on`] doorbell, up to its bound or
 //!   the next timer to the nanosecond — not a tick, as `SO_RCVTIMEO` is.
 //!   Its parts are public, so a thread can sleep in a [`Wait`] without
-//!   holding the runtime.
+//!   holding the runtime: the full one ([`SocketRt::waiter`]), or one on
+//!   the doorbell alone ([`SocketRt::bell`]) for a thread that leaves the
+//!   socket and the timers to whoever holds the runtime — a cluster
+//!   node's serving thread while its program runs an op.
 //! * **Datagram framing.** `[u32 src][Wire-encoded message]`, one
 //!   message per datagram. Malformed or truncated datagrams are dropped
 //!   (counted); retransmission recovers. A larger frame than one
@@ -304,15 +307,27 @@ fn poll_in(fd: RawFd) -> libc::pollfd {
     }
 }
 
-/// One wait of a [`SocketRt`], taken out of it by [`SocketRt::waiter`]:
-/// a copy of its poll set and the timeout, so that a thread can sleep
-/// without holding the runtime.
+/// One wait of a [`SocketRt`], taken out of it by [`SocketRt::waiter`]
+/// or [`SocketRt::bell`]: a copy of its poll set and the timeout, so
+/// that a thread can sleep without holding the runtime, as often as it
+/// likes.
+#[derive(Clone, Copy)]
 pub struct Wait {
     polls: [libc::pollfd; 2],
     timeout: libc::timespec,
 }
 
 impl Wait {
+    fn new(polls: [libc::pollfd; 2], wait: Duration) -> Wait {
+        Wait {
+            polls,
+            timeout: libc::timespec {
+                tv_sec: i64::try_from(wait.as_secs()).unwrap_or(i64::MAX),
+                tv_nsec: i64::from(wait.subsec_nanos()),
+            },
+        }
+    }
+
     /// Sleep until a datagram lands, the doorbell rings or the timeout
     /// passes; true if the socket is readable.
     pub fn sleep(mut self) -> bool {
@@ -446,13 +461,14 @@ where
             let due_in = deadline.saturating_sub(core.now_nanos());
             wait = wait.min(Duration::from_nanos(due_in));
         }
-        Wait {
-            polls: core.polls,
-            timeout: libc::timespec {
-                tv_sec: i64::try_from(wait.as_secs()).unwrap_or(i64::MAX),
-                tv_nsec: i64::from(wait.subsec_nanos()),
-            },
-        }
+        Wait::new(core.polls, wait)
+    }
+
+    /// The wait until the doorbell rings or `wait` elapses, whatever
+    /// lands on the socket or falls due: for a thread that leaves both to
+    /// the one holding the runtime.
+    pub fn bell(&self, wait: Duration) -> Wait {
+        Wait::new([poll_in(-1), self.core.polls[1]], wait)
     }
 
     /// When the earliest pending timer is due, on [`Transport::now`]'s

@@ -128,16 +128,6 @@ impl NetStats {
         self.retransmits.iter().sum()
     }
 
-    /// Fault counters for one message class:
-    /// `(dropped, duplicated, retransmits)`; zero if never seen.
-    pub fn kind_faults(&self, kind: &str) -> (u64, u64, u64) {
-        self.names
-            .iter()
-            .position(|n| *n == Some(kind))
-            .map(|i| (self.dropped[i], self.duplicated[i], self.retransmits[i]))
-            .unwrap_or_default()
-    }
-
     /// Stats for one message class (zero if never seen).
     pub fn kind(&self, kind: &str) -> KindStats {
         self.names
@@ -331,8 +321,6 @@ mod tests {
         fold(&mut a, Kind::Dup, X, "X", 0);
         fold(&mut a, Kind::Retransmit, X, "X", 0);
         fold(&mut a, Kind::Retransmit, X, "X", 0);
-        assert_eq!(a.kind_faults("X"), (1, 1, 2));
-        assert_eq!(a.kind_faults("absent"), (0, 0, 0));
         assert_eq!(a.total_dropped(), 1);
         assert_eq!(a.total_duplicated(), 1);
         assert_eq!(a.total_retransmits(), 2);

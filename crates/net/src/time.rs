@@ -69,7 +69,7 @@ impl Dur {
 
     /// Span length in nanoseconds.
     #[inline]
-    pub fn as_nanos(self) -> u64 {
+    pub const fn as_nanos(self) -> u64 {
         self.0
     }
 }
